@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-pool bench-hit bench-obs bench-save tables chaos serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke check
+.PHONY: all build test race vet fmt-check bench-module bench bench-pool bench-hit bench-obs bench-save tables chaos serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke check
 
 all: check
 
@@ -29,6 +29,14 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+## bench-module: vet and test the benchmark in bench/. It is a nested
+## module (root `./...` patterns skip it) that builds layers below db
+## directly in bench/probes.go, so a constructor or signature change that
+## breaks it fails here, not at the next benchmark run.
+bench-module:
+	$(GO) -C bench vet .
+	$(GO) -C bench test -timeout 300s .
 
 ## bench: every paper-table benchmark plus ablations (repo root).
 bench:
@@ -106,4 +114,4 @@ trace-smoke:
 bench-save:
 	sh scripts/bench_save.sh
 
-check: fmt-check build vet test race bench-hit serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke
+check: fmt-check build vet test race bench-module bench-hit serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke

@@ -87,8 +87,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		customers = fs.Int("customers", 10000, "customer records to load before serving")
 		frames    = fs.Int("frames", 404, "buffer pool size in pages")
 		k         = fs.Int("k", 2, "LRU-K history depth (1 = classical LRU)")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 0, "admission queue depth beyond the workers (0 = 4x workers)")
+		workers   = fs.Int("workers", 0, "execution slots: concurrent database operations (0 = GOMAXPROCS)")
+		queue     = fs.Int("queue", 0, "requests that may wait for a slot before BUSY (0 = 4x workers)")
 		recCache  = fs.Int("record-cache", 0, "record cache size in records (0 = off; see DESIGN.md §11 caveat)")
 		accBatch  = fs.Int("access-batch", 0, "replacer access-buffer capacity in events per slot (0 = off; see DESIGN.md §14)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window on shutdown")
@@ -269,7 +269,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg, *customers, *frames, *k, *workers, *queue, node)
 
 	// The observability plane is a separate HTTP listener: /metrics and
-	// pprof never compete with page traffic for the wire protocol's workers,
+	// pprof never compete with page traffic for the wire protocol's slots,
 	// and an operator can firewall the two ports independently.
 	var obsSrv *http.Server
 	var stopLogger func()

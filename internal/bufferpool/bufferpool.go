@@ -698,6 +698,21 @@ func (pg *Page) Unpin(dirty bool) {
 	pg.pool.releasePin(pg.id, pg.f, dirty)
 }
 
+// FlushCtx writes the pinned page back now, counting the caller's own
+// modifications as dirty, and leaves the handle pinned. Because the pin is
+// held across the write the page cannot be evicted underneath it — the
+// difference from unpinning dirty and then calling FlushPageCtx by id,
+// which fails with ErrPageNotResident when an eviction wins the gap. On a
+// durable backend a nil return carries FlushPageCtx's contract: the image,
+// modifications included, has reached the write-ahead log.
+func (pg *Page) FlushCtx(ctx context.Context) error {
+	if !pg.valid {
+		panic("bufferpool: use of page handle after Unpin")
+	}
+	pg.f.dirty.Store(true)
+	return pg.pool.flushFrame(ctx, pg.id, pg.f)
+}
+
 // pinned completes a pin that may have raced with an unpin on the
 // evictability flag: whichever of the two handshakes runs last under the
 // frame's mu re-derives the flag from the authoritative pin count.

@@ -470,3 +470,65 @@ func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 		t.Errorf("pool revived by Start after Close: %v", err)
 	}
 }
+
+// TestPageFlushCtxWhilePinned: a pinned handle's FlushCtx persists the
+// holder's own modification — which no Unpin(true) has announced yet — and
+// leaves the page clean and still pinned, so the later Unpin(false) and
+// eviction cost no second write. A failed flush leaves the page dirty for
+// a retry. This is the primitive the durable update path holds its pin
+// across; flushing by id after unpinning loses the page to an eviction.
+func TestPageFlushCtxWhilePinned(t *testing.T) {
+	p, d := newPool(t, 2, 2)
+	ids := allocPages(t, d, 3)
+	ctx := context.Background()
+
+	pg, err := p.Fetch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Data()[100] = 0x42
+	if err := pg.FlushCtx(ctx); err != nil {
+		t.Fatalf("FlushCtx: %v", err)
+	}
+	onDisk := make([]byte, storage.PageSize)
+	if err := d.Read(ctx, ids[0], onDisk); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk[100] != 0x42 {
+		t.Fatal("pinned flush did not persist the holder's modification")
+	}
+	if got := p.Stats().WriteBacks; got != 1 {
+		t.Fatalf("WriteBacks = %d after one pinned flush, want 1", got)
+	}
+
+	// A failing backend: the error surfaces and the page stays dirty.
+	pg.Data()[101] = 0x43
+	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite}))
+	if err := pg.FlushCtx(ctx); err == nil {
+		t.Fatal("FlushCtx succeeded against a failing disk")
+	}
+	d.SetFaults(nil)
+	pg.Unpin(false)
+	if err := p.FlushPage(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().WriteBacks; got != 2 {
+		t.Fatalf("WriteBacks = %d after the retried flush, want 2 (failed flush must leave the page dirty)", got)
+	}
+
+	// Clean again: churning it out of the 2-frame pool writes nothing more.
+	for _, id := range ids[1:] {
+		other, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.Unpin(false)
+	}
+	if p.Resident(ids[0]) {
+		t.Fatal("page 0 still resident after churn")
+	}
+	if got := p.Stats().WriteBacks; got != 2 {
+		t.Errorf("WriteBacks = %d after evicting a flushed page, want 2", got)
+	}
+	checkFrameInvariant(t, p)
+}

@@ -435,8 +435,11 @@ func (db *DB) writeCatalogCtx(ctx context.Context) error {
 	binary.LittleEndian.PutUint64(data[8:16], uint64(db.index.Root()))
 	binary.LittleEndian.PutUint64(data[16:24], uint64(db.count.Load()))
 	binary.LittleEndian.PutUint64(data[24:32], uint64(db.cfg.RecordSize))
-	pg.Unpin(true)
-	if err := db.pool.FlushPageCtx(ctx, catalogPage); err != nil {
+	// Flushed while still pinned, like a durable update's record page: an
+	// eviction between an unpin and a flush by id would fail the publish.
+	err = pg.FlushCtx(ctx)
+	pg.Unpin(false)
+	if err != nil {
 		return fmt.Errorf("db: flushing catalog: %w", err)
 	}
 	return nil
@@ -512,42 +515,47 @@ func (db *DB) LoadCustomers(n int) error {
 // hit answers from memory without touching the pool; either way the caller
 // receives its own copy of the record.
 func (db *DB) Lookup(custID int64) ([]byte, error) {
-	return db.LookupCtx(context.Background(), custID)
+	return db.LookupAppendCtx(context.Background(), nil, custID)
 }
 
-// LookupCtx is Lookup charged against ctx: the index descent and the
-// record-page fetch (coalesced waits, retry backoff included) observe the
-// caller's deadline, so a server can bound a request end to end. A missing
-// id reports ErrNotFound.
+// LookupCtx is Lookup charged against ctx (see LookupAppendCtx).
 func (db *DB) LookupCtx(ctx context.Context, custID int64) ([]byte, error) {
+	return db.LookupAppendCtx(ctx, nil, custID)
+}
+
+// LookupAppendCtx is the lookup every other form calls: it appends the
+// customer record to dst and returns the extended slice, so a caller with
+// a reusable buffer (the server's reply frame) gets the record in one copy
+// straight from the page, and a nil dst yields a freshly allocated record
+// the caller owns. On error dst is returned unchanged. The index descent
+// and the record-page fetch (coalesced waits, retry backoff included)
+// observe ctx's deadline, so a server can bound a request end to end. A
+// missing id reports ErrNotFound.
+func (db *DB) LookupAppendCtx(ctx context.Context, dst []byte, custID int64) ([]byte, error) {
 	if db.closed.Load() {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	if db.recCache != nil {
 		if rec, ok := db.recCache.Get(custID); ok {
-			out := make([]byte, len(rec))
-			copy(out, rec)
-			return out, nil
+			return append(dst, rec...), nil
 		}
 	}
 	rid, ok, err := db.index.GetCtx(ctx, custID)
 	if err != nil {
-		return nil, fmt.Errorf("db: lookup %d: %w", custID, err)
+		return dst, fmt.Errorf("db: lookup %d: %w", custID, err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, custID)
+		return dst, fmt.Errorf("%w: %d", ErrNotFound, custID)
 	}
-	rec, err := db.customers.GetCtx(ctx, rid)
+	out, err := db.customers.AppendCtx(ctx, dst, rid)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if db.recCache != nil {
-		// Cache a private copy: the caller owns rec and may scribble on it.
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		db.recCache.Put(custID, cp)
+		// Cache a private copy: the caller owns out and may scribble on it.
+		db.recCache.Put(custID, append([]byte(nil), out[len(dst):]...))
 	}
-	return rec, nil
+	return out, nil
 }
 
 // UpdateCustomer overwrites the filler of a customer record in place (a
@@ -582,16 +590,17 @@ func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) er
 	for i := 8; i < len(rec); i++ {
 		rec[i] = fill
 	}
-	if err := db.customers.UpdateCtx(ctx, rid, rec); err != nil {
-		return err
+	if db.durable == nil {
+		return db.customers.UpdateCtx(ctx, rid, rec)
 	}
-	if db.durable != nil {
-		// Durable acknowledgement: the record's page reaches the write-ahead
-		// log before the update returns, so a crash after the caller sees
-		// success cannot lose it.
-		if err := db.customers.FlushRecordPage(ctx, rid.Page); err != nil {
-			return fmt.Errorf("db: persisting update %d: %w", custID, err)
-		}
+	// Durable acknowledgement: the record's page reaches the write-ahead
+	// log before the update returns, so a crash after the caller sees
+	// success cannot lose it. The page stays pinned from the in-place write
+	// to the log append — unpinning in between would let an eviction turn
+	// an update its own write-back had already logged into a reported
+	// failure.
+	if err := db.customers.UpdateFlushCtx(ctx, rid, rec); err != nil {
+		return fmt.Errorf("db: persisting update %d: %w", custID, err)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/leakcheck"
@@ -20,7 +21,7 @@ func openDurable(t *testing.T, dir string) *DB {
 	if err != nil {
 		t.Fatalf("open store %s: %v", dir, err)
 	}
-	d, err := Open(Config{Frames: 64, Backend: s})
+	d, err := Open(Config{Frames: 12, Backend: s})
 	if err != nil {
 		s.Close()
 		t.Fatalf("open db over %s: %v", dir, err)
@@ -190,10 +191,128 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store-level recovery itself must succeed: %v", err)
 	}
-	d2, err := Open(Config{Frames: 64, Backend: s})
+	d2, err := Open(Config{Frames: 12, Backend: s})
 	if err == nil {
 		d2.Close()
 		t.Fatal("db attached to a store with an unpublished catalog")
 	}
 	s.Close()
+}
+
+// TestDurableUpdateUnderEviction is the regression test for the durable
+// update's false failure: an update used to unpin its record page after the
+// in-place write and only then flush it by id, so an eviction in between
+// turned an update whose image the write-back had already logged into a
+// reported failure ("page not resident"). The window is widest when the
+// flush stalls on the page latch: a flusher holds the stripe shared across
+// its fsync, a second writer queues for it exclusively, and the first
+// updater's shared acquire queues behind that writer with its page unpinned.
+// The test provokes exactly that — every updater works on record pages of
+// one latch stripe while readers churn a pool far smaller than the dataset
+// — and demands zero failed acknowledgements, each of which must survive
+// abandoning the database and recovering from its image.
+func TestDurableUpdateUnderEviction(t *testing.T) {
+	leakcheck.Check(t)
+	origin := t.TempDir()
+	const (
+		customers = 1200 // ~600 record pages against 16 frames
+		frames    = 16
+		updaters  = 4
+		churners  = 3
+		rounds    = 120
+		stripes   = 64 // heapfile's page-latch stripe count
+	)
+	s, err := file.Open(origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(Config{Frames: frames, Backend: s})
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	if err := d.LoadCustomers(customers); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The customers whose record pages share latch stripe 0.
+	var hot []int64
+	for id := int64(0); id < customers; id++ {
+		if uint64(d.rids[id].Page)%stripes == 0 {
+			hot = append(hot, id)
+		}
+	}
+	if len(hot) < 2*updaters {
+		t.Fatalf("only %d customers on the hot stripe", len(hot))
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	for g := 0; g < churners; g++ {
+		churn.Add(1)
+		go func(g int) {
+			defer churn.Done()
+			for id := int64(g); ; id = (id + 7) % customers {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := d.Lookup(id); err != nil {
+					t.Errorf("churn lookup %d: %v", id, err)
+					return
+				}
+			}
+		}(g)
+	}
+
+	// Each updater owns every updaters-th hot customer, so the last
+	// acknowledged fill per customer is unambiguous.
+	acked := make(map[int64]byte)
+	var ackedMu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < updaters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				id := hot[(i*updaters+g)%(len(hot)/updaters*updaters)]
+				fill := byte(1 + (i+g)%250)
+				if err := d.UpdateCustomer(id, fill); err != nil {
+					t.Errorf("update %d (updater %d, round %d) reported failed: %v", id, g, i, err)
+					return
+				}
+				ackedMu.Lock()
+				acked[id] = fill
+				ackedMu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+	if st := d.StatsSnapshot(); st.Pool.Evictions == 0 {
+		t.Fatal("no evictions: the pool is not small enough to exercise the race")
+	}
+
+	img := crashImage(t, origin) // abandon: no flush, no close
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := file.Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(Config{Frames: frames, Backend: s2})
+	if err != nil {
+		s2.Close()
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for id, fill := range acked {
+		checkCustomer(t, d2, id, fill)
+	}
 }

@@ -134,20 +134,6 @@ func Attach(pool *bufferpool.Pool, pages []policy.PageID) (*File, error) {
 	return f, nil
 }
 
-// FlushRecordPage writes data page id back through the pool (if dirty),
-// holding the page's shared latch across the write so a concurrent
-// in-place Update cannot tear the flushed image. Durable deployments call
-// it to push an acknowledged record's page to the write-ahead log before
-// the acknowledgement leaves the server. The shared latch is compatible
-// with concurrent readers; writers of the same page wait, exactly as they
-// would behind a reader.
-func (f *File) FlushRecordPage(ctx context.Context, id policy.PageID) error {
-	lk := f.latchFor(id)
-	lk.RLock()
-	defer lk.RUnlock()
-	return f.pool.FlushPageCtx(ctx, id)
-}
-
 // Pages returns the ids of the file's data pages, in allocation order.
 // Experiments use this to classify references by page class.
 func (f *File) Pages() []policy.PageID {
@@ -292,46 +278,78 @@ func (f *File) Insert(rec []byte) (RID, error) {
 
 // Get returns a copy of the record at rid.
 func (f *File) Get(rid RID) ([]byte, error) {
-	return f.GetCtx(context.Background(), rid)
+	return f.AppendCtx(context.Background(), nil, rid)
 }
 
-// GetCtx is Get charged against ctx: the page fetch (including a coalesced
-// wait behind another request's in-flight read, and any transient-fault
-// retry backoff) observes the deadline.
+// GetCtx is Get charged against ctx (see AppendCtx).
 func (f *File) GetCtx(ctx context.Context, rid RID) ([]byte, error) {
+	return f.AppendCtx(ctx, nil, rid)
+}
+
+// AppendCtx appends the record at rid to dst and returns the extended
+// slice — the one copy a record read makes, taken under the page pin and
+// shared latch, so a caller with a reusable buffer (the server's reply
+// frame) reads without allocating. On error dst is returned unchanged. The
+// page fetch (including a coalesced wait behind another request's
+// in-flight read, and any transient-fault retry backoff) observes ctx's
+// deadline.
+func (f *File) AppendCtx(ctx context.Context, dst []byte, rid RID) ([]byte, error) {
 	pg, err := f.pool.FetchCtx(ctx, rid.Page)
 	if err != nil {
-		return nil, fmt.Errorf("heapfile get %v: %w", rid, err)
+		return dst, fmt.Errorf("heapfile get %v: %w", rid, err)
 	}
 	defer pg.Unpin(false)
 	lk := f.latchFor(rid.Page)
 	lk.RLock()
 	defer lk.RUnlock()
 	data := pg.Data()
+	off, length, err := liveSlot(data, rid)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, data[off:off+length]...), nil
+}
+
+// liveSlot returns the extent of the live record at rid within its page.
+func liveSlot(data []byte, rid RID) (off, length uint16, err error) {
 	numSlots, _ := pageHeader(data)
 	if rid.Slot >= numSlots {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRID, rid)
+		return 0, 0, fmt.Errorf("%w: %v", ErrInvalidRID, rid)
 	}
-	off, length := slotAt(data, rid.Slot)
+	off, length = slotAt(data, rid.Slot)
 	if slotDead(off) {
-		return nil, fmt.Errorf("%w: %v (deleted)", ErrInvalidRID, rid)
+		return 0, 0, fmt.Errorf("%w: %v (deleted)", ErrInvalidRID, rid)
 	}
-	out := make([]byte, length)
-	copy(out, data[off:off+length])
-	return out, nil
+	return off, length, nil
 }
 
 // Update replaces the record at rid in place. The new record must not be
 // larger than the old one (ErrUpdateTooLarge otherwise); shrinking updates
 // keep the slot's original allocation.
 func (f *File) Update(rid RID, rec []byte) error {
-	return f.UpdateCtx(context.Background(), rid, rec)
+	return f.update(context.Background(), rid, rec, false)
 }
 
-// UpdateCtx is Update charged against ctx (see GetCtx). The in-place write
-// happens under the page's exclusive latch, so a concurrent GetCtx of the
-// same page sees either the old or the new bytes, never a torn record.
+// UpdateCtx is Update charged against ctx (see AppendCtx). The in-place
+// write happens under the page's exclusive latch, so a concurrent GetCtx of
+// the same page sees either the old or the new bytes, never a torn record.
 func (f *File) UpdateCtx(ctx context.Context, rid RID, rec []byte) error {
+	return f.update(ctx, rid, rec, false)
+}
+
+// UpdateFlushCtx is UpdateCtx that also writes the page back through the
+// pool before returning, without ever releasing its pin in between: the
+// durable acknowledgement path. A nil return means the updated image has
+// reached the backend's write-ahead log; the page cannot be evicted
+// between the write and the flush, so the flush never misses it. The
+// write-back runs under the shared latch — compatible with concurrent
+// readers, while writers of the same page wait as they would behind a
+// reader — so a concurrent in-place update cannot tear the flushed image.
+func (f *File) UpdateFlushCtx(ctx context.Context, rid RID, rec []byte) error {
+	return f.update(ctx, rid, rec, true)
+}
+
+func (f *File) update(ctx context.Context, rid RID, rec []byte, flush bool) error {
 	pg, err := f.pool.FetchCtx(ctx, rid.Page)
 	if err != nil {
 		return fmt.Errorf("heapfile update %v: %w", rid, err)
@@ -339,28 +357,29 @@ func (f *File) UpdateCtx(ctx context.Context, rid RID, rec []byte) error {
 	lk := f.latchFor(rid.Page)
 	lk.Lock()
 	data := pg.Data()
-	numSlots, _ := pageHeader(data)
-	if rid.Slot >= numSlots {
-		lk.Unlock()
-		pg.Unpin(false)
-		return fmt.Errorf("%w: %v", ErrInvalidRID, rid)
+	off, length, err := liveSlot(data, rid)
+	if err == nil && len(rec) > int(length) {
+		err = fmt.Errorf("%w: %d > %d bytes", ErrUpdateTooLarge, len(rec), length)
 	}
-	off, length := slotAt(data, rid.Slot)
-	if slotDead(off) {
+	if err != nil {
 		lk.Unlock()
 		pg.Unpin(false)
-		return fmt.Errorf("%w: %v (deleted)", ErrInvalidRID, rid)
-	}
-	if len(rec) > int(length) {
-		lk.Unlock()
-		pg.Unpin(false)
-		return fmt.Errorf("%w: %d > %d bytes", ErrUpdateTooLarge, len(rec), length)
+		return err
 	}
 	copy(data[off:off+uint16(len(rec))], rec)
 	setSlot(data, rid.Slot, off, uint16(len(rec)))
 	lk.Unlock()
-	pg.Unpin(true)
-	return nil
+	if !flush {
+		pg.Unpin(true)
+		return nil
+	}
+	lk.RLock()
+	err = pg.FlushCtx(ctx)
+	lk.RUnlock()
+	// A successful flush left the page clean; a failed one re-marked it
+	// dirty itself.
+	pg.Unpin(false)
+	return err
 }
 
 // Delete removes the record at rid. Its space is reclaimed only when the

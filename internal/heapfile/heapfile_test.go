@@ -2,6 +2,7 @@ package heapfile
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/bufferpool"
 	"repro/internal/core"
+	"repro/internal/storage"
 	"repro/internal/storage/sim"
 )
 
@@ -297,4 +299,87 @@ func TestReuseHintRetiredWhenFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = rid
+}
+
+// TestAppendCtx: the append form is the one record read — it extends dst
+// in place after its prefix, nil dst equals Get, and errors hand dst back.
+func TestAppendCtx(t *testing.T) {
+	f := newFile(t, 8)
+	rid, err := f.Insert([]byte("record-bytes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	buf := append(make([]byte, 0, 64), "hdr|"...)
+	out, err := f.AppendCtx(ctx, buf, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(out) != "hdr|record-bytes" {
+		t.Errorf("AppendCtx = %q", out)
+	}
+	if &out[0] != &buf[:1][0] {
+		t.Error("AppendCtx reallocated a dst with room")
+	}
+	got, err := f.AppendCtx(ctx, nil, rid)
+	want, err2 := f.Get(rid)
+	if err != nil || err2 != nil || !bytes.Equal(got, want) {
+		t.Errorf("nil dst = %q (%v), Get = %q (%v)", got, err, want, err2)
+	}
+	out, err = f.AppendCtx(ctx, buf, RID{Page: rid.Page, Slot: 99})
+	if !errors.Is(err, ErrInvalidRID) || string(out) != "hdr|" {
+		t.Errorf("bad slot: out %q err %v, want dst unchanged + ErrInvalidRID", out, err)
+	}
+}
+
+// TestUpdateFlushCtx: the durable update writes the record and the page
+// through to the backend in one pinned step — the image on disk carries
+// the update the moment it returns, the page is left clean (no second
+// write at eviction), and validation failures write nothing.
+func TestUpdateFlushCtx(t *testing.T) {
+	d := sim.New(sim.ServiceModel{})
+	pool := bufferpool.New(d, 4, core.NewReplacer(2, core.Options{}))
+	f := New(pool)
+	rid, err := f.Insert([]byte("aaaaaaaa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base := pool.Stats().WriteBacks
+
+	if err := f.UpdateFlushCtx(ctx, rid, []byte("bbbbbbbb")); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, storage.PageSize)
+	if err := d.Read(ctx, rid.Page, raw); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte("bbbbbbbb")) {
+		t.Fatal("backend image lacks the update after UpdateFlushCtx returned")
+	}
+	if got := pool.Stats().WriteBacks - base; got != 1 {
+		t.Errorf("%d write-backs for one durable update, want 1", got)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Stats().WriteBacks - base; got != 1 {
+		t.Errorf("%d write-backs after a sweep, want 1: the flushed page must be clean", got)
+	}
+	if got, _ := f.Get(rid); string(got) != "bbbbbbbb" {
+		t.Errorf("record reads back %q", got)
+	}
+
+	if err := f.UpdateFlushCtx(ctx, rid, []byte("too long for the slot")); !errors.Is(err, ErrUpdateTooLarge) {
+		t.Errorf("oversized durable update: %v", err)
+	}
+	if err := f.UpdateFlushCtx(ctx, RID{Page: rid.Page, Slot: 42}, []byte("x")); !errors.Is(err, ErrInvalidRID) {
+		t.Errorf("durable update of a missing slot: %v", err)
+	}
+	if got := pool.Stats().WriteBacks - base; got != 1 {
+		t.Errorf("rejected updates wrote pages (%d write-backs)", got)
+	}
 }

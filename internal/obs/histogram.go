@@ -176,6 +176,12 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 		}
 		if cum+c >= target {
 			lo, hi := bucketBounds(b)
+			if b < subBuckets {
+				// An exact bucket holds the one value lo: interpolating
+				// towards hi would report a quantile above the maximum
+				// (an all-zero histogram's p50 as half a unit).
+				return float64(lo)
+			}
 			frac := float64(target-cum) / float64(c)
 			v := float64(lo) + frac*float64(hi-lo)
 			if s.Max > 0 && v > float64(s.Max) {

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -164,7 +165,14 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
+	// wbuf is the reusable request frame, length prefix included; hdr
+	// receives a reply's length prefix and status byte. With both in the
+	// struct a GET allocates only the body it returns.
+	wbuf []byte
+	hdr  [wire.FrameHeader + 1]byte
+	// deadlined records that the connection carries a deadline, so a run
+	// of deadline-less requests clears it once, not per request.
+	deadlined bool
 	// dead poisons the client after a transport error: the stream may be
 	// desynchronised, so every later call fails fast with the first error.
 	dead error
@@ -184,12 +192,16 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, &TransportError{Stage: "dial " + addr, Err: err}
 	}
+	return newClient(conn, opts), nil
+}
+
+func newClient(conn net.Conn, opts Options) *Client {
 	return &Client{
 		opts: opts,
 		conn: conn,
 		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
-	}, nil
+		wbuf: make([]byte, wire.FrameHeader, 64),
+	}
 }
 
 // Close closes the connection.
@@ -242,22 +254,20 @@ func (c *Client) do(ctx context.Context, req wire.Request) (wire.Response, error
 			return wire.Response{}, context.DeadlineExceeded
 		}
 		_ = c.conn.SetDeadline(d.Add(writeSlack))
-	} else {
+		c.deadlined = true
+	} else if c.deadlined {
 		_ = c.conn.SetDeadline(time.Time{})
+		c.deadlined = false
 	}
-	if err := wire.WriteFrame(c.bw, wire.EncodeRequest(req)); err != nil {
+	// The frame is built in place and leaves in one Write.
+	c.wbuf = wire.AppendRequest(c.wbuf[:wire.FrameHeader], req)
+	wire.SealFrame(c.wbuf)
+	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return wire.Response{}, c.poison("write", err)
 	}
-	if err := c.bw.Flush(); err != nil {
-		return wire.Response{}, c.poison("write", err)
-	}
-	payload, err := wire.ReadFrame(c.br, c.opts.MaxFrame)
+	resp, err := c.readResponse()
 	if err != nil {
-		return wire.Response{}, c.poison("read", err)
-	}
-	resp, err := wire.DecodeResponse(payload)
-	if err != nil {
-		return wire.Response{}, c.poison("decode", err)
+		return wire.Response{}, err
 	}
 	if resp.Status != wire.StatusOK {
 		if traced && resp.Status == wire.StatusBadRequest {
@@ -269,6 +279,36 @@ func (c *Client) do(ctx context.Context, req wire.Request) (wire.Response, error
 			return resp, fmt.Errorf("%w: %s", ErrTraceDowngrade, resp.Body)
 		}
 		return resp, &Error{Status: resp.Status, Msg: string(resp.Body), Body: resp.Body}
+	}
+	return resp, nil
+}
+
+// readResponse reads one reply frame. The body is read straight into a
+// fresh slice the caller owns — the exchange's one allocation.
+func (c *Client) readResponse() (wire.Response, error) {
+	prefix := c.hdr[:wire.FrameHeader]
+	if _, err := io.ReadFull(c.br, prefix); err != nil {
+		return wire.Response{}, c.poison("read", err)
+	}
+	n, err := wire.FrameLength(prefix, c.opts.MaxFrame)
+	if err != nil {
+		return wire.Response{}, c.poison("read", err)
+	}
+	// The status byte is decoded on its own so the strict decoder (empty
+	// payload, unknown status) runs before the body is sized.
+	status := c.hdr[wire.FrameHeader : wire.FrameHeader+min(n, 1)]
+	if _, err := io.ReadFull(c.br, status); err != nil {
+		return wire.Response{}, c.poison("read", err)
+	}
+	resp, err := wire.DecodeResponse(status)
+	if err != nil {
+		return wire.Response{}, c.poison("decode", err)
+	}
+	if n > 1 {
+		resp.Body = make([]byte, n-1)
+		if _, err := io.ReadFull(c.br, resp.Body); err != nil {
+			return wire.Response{}, c.poison("read", err)
+		}
 	}
 	return resp, nil
 }

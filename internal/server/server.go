@@ -4,14 +4,16 @@
 // package is the part that makes it production-shaped rather than an echo
 // loop:
 //
-//   - Admission control: requests pass through a bounded queue drained by a
-//     fixed worker pool. A full queue sheds immediately with StatusBusy —
-//     the reply costs no database work, so an overloaded server stays
-//     responsive instead of building an unbounded backlog.
-//   - Deadline propagation: each request's time budget becomes a
-//     context.WithTimeout charged to every db operation, so the pool's
-//     coalesced-waiter abandonment and retry budgets (DESIGN.md §10) are
-//     exercised by real remote deadlines.
+//   - Admission control: a request runs inline on its connection's
+//     goroutine once it holds one of a fixed number of execution slots; a
+//     bounded number may wait for one, and an arrival beyond that is shed
+//     immediately with StatusBusy — the reply costs no database work, so an
+//     overloaded server stays responsive instead of building an unbounded
+//     backlog.
+//   - Deadline propagation: each request's time budget becomes a deadline
+//     context charged to every db operation, so the pool's coalesced-waiter
+//     abandonment and retry budgets (DESIGN.md §10) are exercised by real
+//     remote deadlines.
 //   - Typed failure mapping: an open disk circuit breaker surfaces as
 //     StatusUnavailable, expired deadlines as StatusDeadline, a draining
 //     server as StatusShutdown — clients can tell "back off" from "retry
@@ -52,19 +54,22 @@ type Config struct {
 	// Addr is the TCP listen address; ":0" forms pick a free port
 	// (read it back from Addr() after Start).
 	Addr string
-	// Workers is the worker-pool size — the hard bound on concurrent
-	// database operations. Zero selects GOMAXPROCS.
+	// Workers is the number of execution slots — the hard bound on
+	// concurrent database operations. Zero selects GOMAXPROCS.
 	Workers int
-	// QueueDepth is the admission queue capacity beyond the workers; a
-	// request arriving with the queue full is shed with StatusBusy. Zero
-	// selects 4x Workers.
+	// QueueDepth bounds how many requests may wait for a slot beyond the
+	// Workers that hold one; a request arriving with that many already
+	// waiting is shed with StatusBusy. Zero selects 4x Workers.
 	QueueDepth int
 	// MaxFrame is the largest accepted request frame; larger length
 	// prefixes are rejected before any allocation. Zero selects
 	// wire.MaxFrameDefault.
 	MaxFrame uint32
 	// IdleTimeout bounds the wait for the next request frame on an open
-	// connection. Zero selects 60s.
+	// connection. Zero selects 60s. Connection deadlines are re-armed only
+	// once the armed one is more than a second stale (a quarter of the
+	// timeout, for timeouts under 4s), so this and WriteTimeout fire within
+	// [timeout - 1s, timeout].
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response. Zero selects 10s.
 	WriteTimeout time.Duration
@@ -130,32 +135,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one admitted request travelling from a connection handler to a
-// worker; reply is buffered so the worker never blocks publishing the
-// result.
-type task struct {
-	req   wire.Request
-	reply chan wire.Response
-	// enqueued is when the task entered the admission queue; the zero value
-	// means queue-wait instrumentation is off.
-	enqueued time.Time
-}
-
 // Server is the network page service over one DB.
 type Server struct {
 	cfg Config
 	db  *db.DB
 
-	ln    net.Listener
-	queue chan *task
-	done  chan struct{} // closed when drain begins
+	ln   net.Listener
+	done chan struct{} // closed when drain begins
+
+	// slots holds one token per running database operation (capacity
+	// Workers); waiters counts the requests blocked for a token, bounded by
+	// QueueDepth. Together they are the admission queue.
+	slots   chan struct{}
+	waiters atomic.Int64
 
 	mu    sync.Mutex // guards conns and the closed handshake below
 	conns map[net.Conn]struct{}
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
 
 	closed   atomic.Bool
 	closeMu  sync.Mutex
@@ -200,6 +198,7 @@ func New(database *db.DB, cfg Config) *Server {
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
 	}
+	s.slots = make(chan struct{}, s.cfg.Workers)
 	if v := s.cfg.View; v != nil {
 		s.viewState.Store(&ringView{view: *v, ring: cluster.NewRing(*v)})
 	}
@@ -220,9 +219,9 @@ func (s *Server) registerObs(r *obs.Registry) {
 			obs.Labels{"op": strings.ToLower(op.String())})
 	}
 	s.queueWait = r.LatencyHistogram("lruk_server_queue_wait_seconds",
-		"Time admitted requests spent in the admission queue before a worker picked them up.", nil)
-	r.GaugeFunc("lruk_server_queue_depth", "Requests sitting in the admission queue right now.", nil,
-		func() float64 { return float64(len(s.queue)) })
+		"Time admitted requests waited for an execution slot (about zero when one was free).", nil)
+	r.GaugeFunc("lruk_server_queue_depth", "Requests waiting for an execution slot right now.", nil,
+		func() float64 { return float64(s.waiters.Load()) })
 	r.CounterFunc("lruk_server_conns_total", "Connections accepted.", nil,
 		func() float64 { return float64(s.connsAccepted.Load()) })
 	r.CounterFunc("lruk_server_requests_total", "Well-framed requests read.", nil,
@@ -251,7 +250,7 @@ func (s *Server) registerObs(r *obs.Registry) {
 		})
 }
 
-// Start binds the listener and launches the worker pool and accept loop.
+// Start binds the listener and launches the accept loop.
 func (s *Server) Start() error {
 	if s.ln != nil {
 		return errors.New("server: already started")
@@ -264,11 +263,6 @@ func (s *Server) Start() error {
 		return fmt.Errorf("server: listen %s: %w", s.cfg.Addr, err)
 	}
 	s.ln = ln
-	s.queue = make(chan *task, s.cfg.QueueDepth)
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
-	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return nil
@@ -279,8 +273,9 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Close drains and stops the server: stop accepting, nudge idle
 // connections off their reads, let in-flight requests finish within
-// DrainTimeout, then hard-close whatever remains and reap the worker pool.
-// It is idempotent and does not close the database.
+// DrainTimeout, then hard-close whatever remains. Requests waiting for a
+// slot are answered StatusShutdown. It is idempotent and does not close the
+// database.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -325,10 +320,6 @@ func (s *Server) Close() error {
 		<-drained
 	}
 
-	// All producers are gone; closing the queue lets the workers run it
-	// dry and exit.
-	close(s.queue)
-	s.workerWG.Wait()
 	s.acceptWG.Wait()
 	s.closeErr = err
 	return err
@@ -391,121 +382,108 @@ func (s *Server) handleConn(c net.Conn) {
 		s.mu.Unlock()
 		_ = c.Close()
 	}()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	for {
-		if s.closed.Load() {
+	cn := &conn{Conn: c, br: bufio.NewReader(c), out: make([]byte, 0, connBufSize)}
+	for now := time.Now(); ; now = time.Now() {
+		req, ok := s.readRequest(cn, now)
+		if !ok {
 			return
 		}
-		_ = c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		payload, err := wire.ReadFrame(br, s.cfg.MaxFrame)
-		if err != nil {
-			// An oversized frame gets a reply before the cut; EOF, timeouts,
-			// and drain-nudged deadline errors just close.
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				s.reply(c, bw, wire.Response{Status: wire.StatusBadRequest, Body: []byte(err.Error())})
-			}
-			return
-		}
-		req, err := wire.DecodeRequest(payload)
-		if err != nil {
-			// The stream may be desynchronised; answer and close.
-			s.reply(c, bw, wire.Response{Status: wire.StatusBadRequest, Body: []byte(err.Error())})
-			return
-		}
-		s.requests.Add(1)
-
-		var resp wire.Response
-		switch {
-		case s.closed.Load():
-			resp = wire.Response{Status: wire.StatusShutdown, Body: []byte("server draining")}
-		default:
-			t := &task{req: req, reply: make(chan wire.Response, 1)}
-			if s.queueWait != nil {
-				t.enqueued = time.Now()
-			}
-			select {
-			case s.queue <- t:
-				resp = <-t.reply
-			default:
-				// Admission queue full: shed now, cheaply. This is the
-				// whole point of bounding the queue — the reply path does
-				// no database work, so overload cannot snowball.
-				s.shed.Add(1)
-				if rec := s.cfg.Spans; rec != nil && s.cfg.Sampler.ShouldTail(0, true) {
-					// Sheds are always tail-worthy: a zero-duration request
-					// span marks where the cluster turned the request away.
-					traceID := req.Trace.TraceID
-					if traceID == 0 {
-						traceID = rec.NewTraceID()
-					}
-					rec.Emit(traceID, rec.NewSpanID(), req.Trace.SpanID,
-						obs.SpanRequest, time.Now(), 0, int64(req.Op))
+		arrived := time.Now()
+		var err error
+		picked, status := s.admit(arrived)
+		switch status {
+		case wire.StatusOK:
+			cn.out, status = s.serve(req, cn.out[:wire.FrameHeader], arrived, picked)
+			<-s.slots
+			err = s.send(cn, status)
+		case wire.StatusBusy:
+			// Shed now, cheaply. This is the whole point of bounding the
+			// wait — the reply path does no database work, so overload
+			// cannot snowball.
+			s.shed.Add(1)
+			if rec := s.cfg.Spans; rec != nil && s.cfg.Sampler.ShouldTail(0, true) {
+				// Sheds are always tail-worthy: a zero-duration request
+				// span marks where the cluster turned the request away.
+				traceID := req.Trace.TraceID
+				if traceID == 0 {
+					traceID = rec.NewTraceID()
 				}
-				resp = wire.Response{Status: wire.StatusBusy, Body: []byte("server busy: admission queue full")}
+				rec.Emit(traceID, rec.NewSpanID(), req.Trace.SpanID,
+					obs.SpanRequest, arrived, 0, int64(req.Op))
 			}
+			err = s.reply(cn, wire.Response{Status: status, Body: []byte("server busy: admission queue full")})
+		default:
+			err = s.reply(cn, wire.Response{Status: status, Body: []byte("server draining")})
 		}
-		if err := s.reply(c, bw, resp); err != nil {
+		if err != nil {
 			return
 		}
+		cn.in, cn.out = trim(cn.in), trim(cn.out)
 	}
 }
 
-// reply writes one response frame under the write deadline and records its
-// status.
-func (s *Server) reply(c net.Conn, bw *bufio.Writer, resp wire.Response) error {
-	s.statusCounts[resp.Status].Add(1)
-	_ = c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if err := wire.WriteFrame(bw, wire.AppendResponse(nil, resp)); err != nil {
-		return err
+// admit is the admission gate. It returns StatusOK once the caller holds an
+// execution slot (released by receiving from s.slots), with picked the
+// moment it got it: immediately when one is free, else after waiting among
+// at most QueueDepth others — that wait is the queue. An arrival beyond
+// that bound gets StatusBusy without blocking; a drain that begins during
+// the wait, StatusShutdown.
+func (s *Server) admit(arrived time.Time) (picked time.Time, st wire.Status) {
+	if s.closed.Load() {
+		return arrived, wire.StatusShutdown
 	}
-	return bw.Flush()
+	select {
+	case s.slots <- struct{}{}:
+		return arrived, wire.StatusOK
+	default:
+	}
+	if s.waiters.Add(1) > int64(s.cfg.QueueDepth) {
+		s.waiters.Add(-1)
+		return arrived, wire.StatusBusy
+	}
+	defer s.waiters.Add(-1)
+	select {
+	case s.slots <- struct{}{}:
+		return time.Now(), wire.StatusOK
+	case <-s.done:
+		return arrived, wire.StatusShutdown
+	}
 }
 
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for t := range s.queue {
-		picked := time.Now()
-		if !t.enqueued.IsZero() {
-			s.queueWait.ObserveSince(t.enqueued)
-		}
-		t.reply <- s.serve(t, picked)
-	}
-}
-
-// serve runs one admitted request with its tracing envelope: the request
-// span (parented to the client's wire span), a queue-wait child, the
-// MOVED point event, a latency exemplar carrying the trace id, and the
+// serve runs one admitted request inline on its connection's goroutine,
+// appending the reply payload to out, with its tracing envelope: the
+// request span (parented to the client's wire span), a queue-wait child,
+// the MOVED point event, a latency exemplar carrying the trace id, and the
 // tail-sampling pass for slow or failed requests the head draw skipped.
-func (s *Server) serve(t *task, picked time.Time) wire.Response {
+// arrived is when the request was read, picked when it got its slot.
+func (s *Server) serve(req wire.Request, out []byte, arrived, picked time.Time) ([]byte, wire.Status) {
+	if s.queueWait != nil {
+		s.queueWait.Observe(picked.Sub(arrived).Nanoseconds())
+	}
 	rec := s.cfg.Spans
-	wtc := t.req.Trace
+	wtc := req.Trace
 	sampled := rec != nil && wtc.TraceID != 0 &&
 		(wtc.Sampled || s.cfg.Sampler.Sample(wtc.TraceID))
-	enqueued := t.enqueued
-	if enqueued.IsZero() {
-		enqueued = picked
-	}
 	var reqSpan obs.Span
 	if sampled {
 		reqSpan = rec.StartAt(obs.TraceContext{TraceID: wtc.TraceID, SpanID: wtc.SpanID, Sampled: true},
-			obs.SpanRequest, enqueued)
+			obs.SpanRequest, arrived)
 		rec.Emit(wtc.TraceID, rec.NewSpanID(), reqSpan.ID(),
-			obs.SpanQueueWait, enqueued, picked.Sub(enqueued), 0)
+			obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
 	}
 
-	resp := s.execute(t.req, reqSpan.Context())
+	out, status := s.execute(req, reqSpan.Context(), out)
 	dur := time.Since(picked)
 
 	exemplarTrace := uint64(0)
 	if sampled {
 		exemplarTrace = wtc.TraceID
-		if resp.Status == wire.StatusMoved {
+		if status == wire.StatusMoved {
 			rec.Emit(wtc.TraceID, rec.NewSpanID(), reqSpan.ID(),
-				obs.SpanMoved, picked, 0, int64(t.req.Op))
+				obs.SpanMoved, picked, 0, int64(req.Op))
 		}
-		reqSpan.Finish(int64(t.req.Op))
-	} else if rec != nil && s.cfg.Sampler.ShouldTail(dur, failedStatus(resp.Status)) {
+		reqSpan.Finish(int64(req.Op))
+	} else if rec != nil && s.cfg.Sampler.ShouldTail(dur, failedStatus(status)) {
 		// Tail bias: the head draw said no, but the request turned out slow
 		// or broken. Reconstruct a minimal two-span trace after the fact so
 		// the outliers are always explorable.
@@ -514,14 +492,14 @@ func (s *Server) serve(t *task, picked time.Time) wire.Response {
 			traceID = rec.NewTraceID()
 		}
 		root := rec.NewSpanID()
-		rec.Emit(traceID, root, wtc.SpanID, obs.SpanRequest, enqueued, time.Since(enqueued), int64(t.req.Op))
-		rec.Emit(traceID, rec.NewSpanID(), root, obs.SpanQueueWait, enqueued, picked.Sub(enqueued), 0)
+		rec.Emit(traceID, root, wtc.SpanID, obs.SpanRequest, arrived, time.Since(arrived), int64(req.Op))
+		rec.Emit(traceID, rec.NewSpanID(), root, obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
 		exemplarTrace = traceID
 	}
-	if hist := s.histFor(t.req.Op); hist != nil {
+	if hist := s.histFor(req.Op); hist != nil {
 		hist.ObserveTraced(dur.Nanoseconds(), exemplarTrace)
 	}
-	return resp
+	return out, status
 }
 
 // failedStatus reports whether a status counts as a failure for tail
@@ -546,30 +524,40 @@ func (s *Server) histFor(op wire.Op) *obs.Histogram {
 }
 
 // execute runs one admitted request against the database under its
-// deadline and maps the outcome onto the wire. tc is the request span's
+// deadline and appends the reply payload to out. tc is the request span's
 // context (the zero value when unsampled); attached to ctx, it parents
 // the pool, disk, and WAL spans the layers below record.
-func (s *Server) execute(req wire.Request, tc obs.TraceContext) wire.Response {
+func (s *Server) execute(req wire.Request, tc obs.TraceContext, out []byte) ([]byte, wire.Status) {
 	budget := req.Timeout
 	if budget <= 0 || budget > s.cfg.MaxRequestTimeout {
 		budget = s.cfg.MaxRequestTimeout
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	ctx = obs.ContextWithTrace(ctx, tc)
+	dctx := newDeadlineCtx(budget)
+	defer dctx.release()
+	ctx := obs.ContextWithTrace(dctx, tc)
 
-	switch req.Op {
-	case wire.OpGet:
+	if req.Op == wire.OpGet {
 		if resp, moved := s.checkOwner(req.CustID); moved {
-			return resp
+			return wire.AppendResponse(out, resp), resp.Status
 		}
+		// The record goes from the page into the reply frame in one copy.
 		s.flushGate.RLock()
-		rec, err := s.db.LookupCtx(ctx, req.CustID)
+		rec, err := s.db.LookupAppendCtx(ctx, append(out, byte(wire.StatusOK)), req.CustID)
 		s.flushGate.RUnlock()
-		if err != nil {
-			return errResponse(err)
+		if err == nil {
+			return rec, wire.StatusOK
 		}
-		return wire.Response{Status: wire.StatusOK, Body: rec}
+		resp := errResponse(err)
+		return wire.AppendResponse(out, resp), resp.Status
+	}
+	resp := s.executeOp(ctx, req)
+	return wire.AppendResponse(out, resp), resp.Status
+}
+
+// executeOp runs every op but GET, whose replies are small or rare enough
+// to be built as a Response and copied into the reply frame.
+func (s *Server) executeOp(ctx context.Context, req wire.Request) wire.Response {
+	switch req.Op {
 	case wire.OpScan:
 		s.flushGate.RLock()
 		n, err := s.db.ScanCustomersCtx(ctx)
@@ -683,9 +671,11 @@ func (s *Server) executeRangeRead(ctx context.Context, lo, hi int64) wire.Respon
 			Body: []byte(fmt.Sprintf("range read window %d keys exceeds %d", hi-lo, wire.MaxRangeEntries))}
 	}
 	entries := make([]wire.RangeEntry, 0, hi-lo)
+	var rec []byte
 	for key := lo; key < hi; key++ {
+		var err error
 		s.flushGate.RLock()
-		rec, err := s.db.LookupCtx(ctx, key)
+		rec, err = s.db.LookupAppendCtx(ctx, rec[:0], key)
 		s.flushGate.RUnlock()
 		switch {
 		case errors.Is(err, db.ErrNotFound):

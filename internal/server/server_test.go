@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -412,6 +414,53 @@ func TestErrResponseStatusMapping(t *testing.T) {
 		}
 		if len(resp.Body) == 0 {
 			t.Errorf("%s: error body must carry the message", tc.name)
+		}
+	}
+}
+
+// TestOldFramingInterop is the byte-compatibility check for the server's
+// in-place reply frames: a peer that frames the old way — WriteFrame over
+// EncodeRequest, prefix and payload arriving as separate writes — is
+// understood, and every reply on the wire is byte-identical to
+// WriteFrame(EncodeResponse(resp)), for OK bodies and typed refusals alike.
+func TestOldFramingInterop(t *testing.T) {
+	leakcheck.Check(t)
+	srv, database := startServer(t, db.Config{Frames: 32}, Config{}, 16)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	rec, err := database.Lookup(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lookupErr := database.Lookup(999)
+	for _, tc := range []struct {
+		req  wire.Request
+		want wire.Response
+	}{
+		{wire.Request{Op: wire.OpGet, CustID: 3}, wire.Response{Status: wire.StatusOK, Body: rec}},
+		{wire.Request{Op: wire.OpUpdate, CustID: 4, Fill: 9, Timeout: time.Second}, wire.Response{Status: wire.StatusOK}},
+		{wire.Request{Op: wire.OpGet, CustID: 999}, errResponse(lookupErr)},
+		{wire.Request{Op: wire.OpGet, CustID: 3}, wire.Response{Status: wire.StatusOK, Body: rec}},
+	} {
+		if err := wire.WriteFrame(conn, wire.EncodeRequest(tc.req)); err != nil { // two Writes
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := wire.WriteFrame(&want, wire.EncodeResponse(tc.want)); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, want.Len())
+		if _, err := io.ReadFull(conn, got); err != nil {
+			t.Fatalf("%v %d: reading reply: %v", tc.req.Op, tc.req.CustID, err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%v %d: reply frame differs from WriteFrame(EncodeResponse):\n got %x\nwant %x",
+				tc.req.Op, tc.req.CustID, got[:min(len(got), 32)], want.Bytes()[:min(want.Len(), 32)])
 		}
 	}
 }

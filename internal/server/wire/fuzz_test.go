@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -151,6 +153,83 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), data[:4+len(payload)]) {
 			t.Fatal("frame did not round-trip")
+		}
+	})
+}
+
+// countingReader counts the bytes handed out, so a test can prove a
+// rejected frame's body was never read.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzReadFrameInto holds the buffer-reusing reader to ReadFrame's
+// contract and to its own: the same bytes yield the same payload or the
+// same kind of failure; an oversized prefix is refused before the buffer
+// grows or the body is read; a short stream errors; and a buffer reused
+// from a previous (longer, differently filled) frame never leaks that
+// frame's bytes into the payload.
+func FuzzReadFrameInto(f *testing.F) {
+	var seed bytes.Buffer
+	_ = WriteFrame(&seed, []byte("hello"))
+	f.Add(seed.Bytes(), uint32(64), uint8(0))
+	f.Add(seed.Bytes(), uint32(64), uint8(3))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, uint32(16), uint8(8))
+	f.Add([]byte{0, 0, 0, 0}, uint32(0), uint8(200))
+	f.Add([]byte{0, 0, 0, 2, 0xAA}, uint32(1024), uint8(1))
+	f.Add([]byte{0, 0}, uint32(1024), uint8(16))
+	f.Fuzz(func(t *testing.T, data []byte, limit uint32, prior uint8) {
+		if limit > 1<<20 {
+			limit %= 1 << 20 // keep worst-case allocation bounded in the harness
+		}
+		want, wantErr := ReadFrame(bytes.NewReader(data), limit)
+
+		// A buffer left over from an earlier frame, filled with a marker.
+		buf := bytes.Repeat([]byte{0xEE}, int(prior))
+		src := &countingReader{r: bytes.NewReader(data)}
+		payload, newBuf, err := ReadFrameInto(src, buf, limit)
+
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadFrameInto err = %v, ReadFrame err = %v", err, wantErr)
+		}
+		if err != nil {
+			if payload != nil {
+				t.Fatalf("failed read returned a %d-byte payload", len(payload))
+			}
+			if errors.Is(err, ErrFrameTooLarge) {
+				if !errors.Is(wantErr, ErrFrameTooLarge) {
+					t.Fatalf("ReadFrame failed differently: %v", wantErr)
+				}
+				if src.n != FrameHeader {
+					t.Fatalf("oversized frame: %d bytes consumed, want only the %d-byte prefix", src.n, FrameHeader)
+				}
+				if cap(newBuf) > max(cap(buf), FrameHeader) {
+					t.Fatalf("oversized prefix grew the buffer from %d to %d", cap(buf), cap(newBuf))
+				}
+			}
+			return
+		}
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("ReadFrameInto = %x, ReadFrame = %x", payload, want)
+		}
+		if uint32(len(payload)) > limit {
+			t.Fatalf("reader returned %d bytes past the %d-byte guard", len(payload), limit)
+		}
+		if !bytes.Equal(payload, data[FrameHeader:FrameHeader+len(payload)]) {
+			t.Fatal("payload carries bytes that are not the frame's (stale buffer contents?)")
+		}
+		if len(payload) > 0 && &payload[0] != &newBuf[:1][0] {
+			t.Fatal("payload does not alias the returned buffer")
+		}
+		if len(payload) <= cap(buf) && cap(buf) >= FrameHeader && cap(newBuf) != cap(buf) {
+			t.Fatalf("buffer reallocated (%d -> %d) for a %d-byte payload that fit", cap(buf), cap(newBuf), len(payload))
 		}
 	})
 }

@@ -180,9 +180,11 @@ var (
 	ErrBadResponse = errors.New("wire: malformed response")
 )
 
+// FrameHeader is the size of a frame's length prefix.
+const FrameHeader = 4
+
 const (
-	frameHeader = 4
-	reqHeader   = 1 + 8 // op + millis budget
+	reqHeader = 1 + 8 // op + millis budget
 
 	// opTraceFlag marks a request frame carrying the trace-context
 	// extension; the op itself lives in the remaining 7 bits. New flag
@@ -200,7 +202,7 @@ const (
 // WriteFrame writes one length-prefixed frame. Callers typically pass a
 // *bufio.Writer and flush after the response is complete.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [frameHeader]byte
+	var hdr [FrameHeader]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -209,23 +211,60 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, refusing any payload longer than max before
-// allocating for it — the defence against a hostile or corrupt length
-// prefix.
-func ReadFrame(r io.Reader, max uint32) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+// SealFrame patches the length prefix of a frame built in one buffer:
+// frame[:FrameHeader] is the placeholder the caller reserved, the rest the
+// payload appended after it. The sealed buffer goes out in a single Write
+// and is byte-identical to WriteFrame(payload).
+func SealFrame(frame []byte) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-FrameHeader))
+}
+
+// FrameLength parses a frame's length prefix and applies the max-frame
+// guard — the defence against a hostile or corrupt prefix, run before any
+// buffer is sized by it.
+func FrameLength(hdr []byte, max uint32) (uint32, error) {
+	n := binary.BigEndian.Uint32(hdr)
 	if n > max {
-		return nil, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
+		return 0, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
 	}
-	payload := make([]byte, n)
+	return n, nil
+}
+
+// ReadFrame reads one frame into a fresh buffer the caller owns.
+func ReadFrame(r io.Reader, max uint32) ([]byte, error) {
+	payload, _, err := ReadFrameInto(r, nil, max)
+	return payload, err
+}
+
+// ReadFrameInto reads one frame into buf's storage, growing it only when
+// the payload exceeds cap(buf) — and only after the max-frame guard has
+// passed, so an oversized prefix never sizes an allocation. It returns the
+// payload and the (possibly regrown) buffer to pass to the next call; the
+// payload aliases that buffer and is valid until then. On error the
+// payload is nil.
+func ReadFrameInto(r io.Reader, buf []byte, max uint32) (payload, newBuf []byte, err error) {
+	if cap(buf) < FrameHeader {
+		buf = make([]byte, FrameHeader)
+	}
+	// The header lands in the buffer itself (the payload overwrites it): a
+	// local array would escape through the io.Reader and cost an allocation
+	// per frame.
+	hdr := buf[:FrameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, buf, err
+	}
+	n, err := FrameLength(hdr, max)
+	if err != nil {
+		return nil, buf, err
+	}
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload = buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+		return nil, buf, err
 	}
-	return payload, nil
+	return payload, buf, nil
 }
 
 // Request is one decoded operation.

@@ -238,6 +238,64 @@ func TestReadFrameGuards(t *testing.T) {
 	}
 }
 
+// TestReadFrameIntoReusesBuffer walks one buffer through a stream of
+// frames of shrinking and growing sizes: each payload is exactly its
+// frame's bytes (nothing of the longer frame before it shows through), the
+// buffer is reallocated only when a payload outgrows it, and a frame built
+// with SealFrame reads back like one written with WriteFrame.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	payloads := [][]byte{
+		bytes.Repeat([]byte{0xAA}, 40),
+		[]byte("tiny"),
+		{},
+		bytes.Repeat([]byte{0xBB}, 40),
+		bytes.Repeat([]byte{0xCC}, 4096),
+		[]byte("after the big one"),
+	}
+	var stream bytes.Buffer
+	for i, p := range payloads {
+		if i%2 == 0 {
+			if err := WriteFrame(&stream, p); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		frame := append(make([]byte, FrameHeader), p...)
+		SealFrame(frame)
+		stream.Write(frame)
+	}
+	var buf []byte
+	grown := 0
+	for i, want := range payloads {
+		before := cap(buf)
+		var got []byte
+		var err error
+		got, buf, err = ReadFrameInto(&stream, buf, MaxFrameDefault)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: got %x, want %x", i, got, want)
+		}
+		if cap(buf) != before {
+			grown++
+		}
+	}
+	if grown != 2 { // nil -> 40, 40 -> 4096
+		t.Errorf("buffer regrown %d times over the stream, want 2", grown)
+	}
+	if _, _, err := ReadFrameInto(&stream, buf, MaxFrameDefault); err != io.EOF {
+		t.Errorf("read past end: err = %v, want io.EOF", err)
+	}
+	// The guard runs before growth: a frame larger than the buffer and the
+	// limit leaves the buffer as it was.
+	small := make([]byte, 8)
+	_, after, err := ReadFrameInto(strings.NewReader("\x00\x00\x10\x00"), small, 64)
+	if !errors.Is(err, ErrFrameTooLarge) || cap(after) != cap(small) {
+		t.Errorf("oversized frame: err = %v, buffer cap %d -> %d", err, cap(small), cap(after))
+	}
+}
+
 func TestStatusNames(t *testing.T) {
 	seen := map[string]bool{}
 	for s := Status(0); s < NumStatuses; s++ {

@@ -19,6 +19,9 @@ echo "== go test ./..."
 go test -timeout 300s ./...
 echo "== go test -race ./..."
 go test -race -timeout 600s ./...
+echo "== bench module (go -C bench vet . && go -C bench test .)"
+go -C bench vet .
+go -C bench test -timeout 300s .
 echo "== serve-smoke"
 sh scripts/serve_smoke.sh
 echo "== obs-smoke"
