@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-module bench bench-pool bench-hit bench-obs bench-save tables chaos serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke check
+.PHONY: all build test race vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke check
 
 all: check
 
@@ -42,13 +42,13 @@ bench-module:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-## bench-pool: serial vs latch-partitioned buffer pool scalability.
+## bench-pool: Serial reference pool vs the concurrent Pool, scalability.
 bench-pool:
 	$(GO) test -bench BenchmarkPoolParallel -run '^$$' ./internal/bufferpool/
 
-## bench-hit: the resident-hit-path regression gate — runs the batched
-## pool's hit loop via testing.Benchmark and fails if ns/op exceeds the
-## ceiling or falls behind the unbatched sharded pool (DESIGN.md §14).
+## bench-hit: the resident-hit-path regression gate — runs the pool's hit
+## loop via testing.Benchmark and fails if ns/op exceeds the ceiling or
+## falls behind the Serial reference pool (DESIGN.md §14).
 bench-hit:
 	$(GO) test -count=1 -run TestHitPathCeiling -v ./internal/bufferpool/
 
@@ -106,12 +106,5 @@ cluster-smoke:
 ## reassemble a traced rebalance's cluster-wide trace (DESIGN.md §17).
 trace-smoke:
 	sh scripts/trace_smoke.sh
-
-## bench-save: run the tracked benchmark suites (storage backends,
-## pool hit path) and snapshot them into BENCH_storage.json and
-## BENCH_hotpath.json, filing dated copies under BENCH_history/ and
-## printing a ns/op diff against the previous snapshots.
-bench-save:
-	sh scripts/bench_save.sh
 
 check: fmt-check build vet test race bench-module bench-hit serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke

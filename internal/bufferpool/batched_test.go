@@ -42,14 +42,14 @@ func batchedTraceScript(pages, refs int) []batchedTraceStep {
 }
 
 // TestBatchedPoolMatchesSerialOnDeterministicTrace replays one deterministic
-// single-threaded trace through the Serial reference pool and through the
-// concurrent Pool with access batching ENABLED (core.Batched over a
-// single-slot SyncReplacer), over both storage backends. After a final
-// drain, every pool counter and every policy counter must agree exactly:
-// the batch buffers stamp references at arrival and each underlying table
-// replays its exact FIFO, so batching must be observationally invisible on
-// a serialisable history — including the correlated-reference collapses and
-// retention purges the enabled §2.1 periods produce.
+// single-threaded trace through the Serial reference pool on a plain
+// core.Replacer and through the concurrent Pool on core.SyncReplacer, over
+// both storage backends. After a final drain, every pool counter and every
+// policy counter must agree exactly: a reference's tick is its arrival
+// order and the table replays the event ring's exact FIFO, so buffering
+// must be observationally invisible on a serialisable history — including
+// the correlated-reference collapses and retention purges the enabled §2.1
+// periods produce.
 func TestBatchedPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 	const (
 		frames = 50
@@ -86,7 +86,7 @@ func TestBatchedPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 		if err := p.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		// policyStats drains any still-buffered events (core.Batched
+		// policyStats drains any still-buffered events (SyncReplacer
 		// flushes on every stats read), so the comparison below is over
 		// fully-reconciled state.
 		return outcome{p.PoolStats(), policyStats()}
@@ -112,76 +112,19 @@ func TestBatchedPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 				return serialFetcher{NewSerial(d, frames, r)}, r.PolicyStats
 			})
 			got := run(t, be.open, func(d storage.Backend) (fetcherPool, func() core.PolicyStats) {
-				b := core.NewBatched(core.NewSyncReplacer(2, batchedTraceOptions), core.BatchConfig{})
-				return poolFetcher{NewWithConfig(d, frames, b, Config{Shards: 8})}, b.PolicyStats
+				r := core.NewSyncReplacer(2, batchedTraceOptions)
+				return poolFetcher{NewWithConfig(d, frames, r, Config{Shards: 8})}, r.PolicyStats
 			})
 			if got.pool != want.pool {
-				t.Errorf("batched pool stats %+v, want serial %+v", got.pool, want.pool)
+				t.Errorf("pool stats %+v, want serial %+v", got.pool, want.pool)
 			}
 			if got.policy != want.policy {
-				t.Errorf("batched policy stats %+v, want serial %+v", got.policy, want.policy)
+				t.Errorf("policy stats %+v, want serial %+v", got.policy, want.policy)
 			}
 			if got.policy.Collapses == 0 || got.policy.Purges == 0 {
 				t.Errorf("trace did not exercise collapse+purge paths: %+v", got.policy)
 			}
 		})
-	}
-}
-
-// TestBatchedShardedMatchesUnbatchedSharded replays the same deterministic
-// trace through two concurrent pools built on the identical ShardedReplacer
-// geometry, one direct and one behind core.Batched. Sharded victim order
-// differs from Serial's global order, so the reference here is the
-// unbatched sharded pool: per-shard slot FIFOs and arrival stamping must
-// make the batched run counter-identical to it.
-func TestBatchedShardedMatchesUnbatchedSharded(t *testing.T) {
-	const (
-		frames = 50
-		pages  = 800
-		refs   = 40000
-	)
-	script := batchedTraceScript(pages, refs)
-
-	run := func(build func() Replacer) (Stats, core.PolicyStats) {
-		d := sim.New(sim.ServiceModel{})
-		for i := 0; i < pages; i++ {
-			storage.MustAllocate(d)
-		}
-		r := build()
-		p := NewWithConfig(d, frames, r, Config{Shards: 8})
-		for _, st := range script {
-			pg, err := p.Fetch(st.id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.dirty {
-				pg.Data()[0]++
-			}
-			pg.Unpin(st.dirty)
-			if st.flush {
-				if err := p.FlushPage(st.id); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := p.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		type policyStatser interface{ PolicyStats() core.PolicyStats }
-		return p.Stats(), r.(policyStatser).PolicyStats()
-	}
-
-	wantStats, wantPolicy := run(func() Replacer {
-		return core.NewShardedReplacer(16, 2, batchedTraceOptions)
-	})
-	gotStats, gotPolicy := run(func() Replacer {
-		return core.NewBatched(core.NewShardedReplacer(16, 2, batchedTraceOptions), core.BatchConfig{})
-	})
-	if gotStats != wantStats {
-		t.Errorf("batched sharded pool stats %+v, want unbatched %+v", gotStats, wantStats)
-	}
-	if gotPolicy != wantPolicy {
-		t.Errorf("batched sharded policy stats %+v, want unbatched %+v", gotPolicy, wantPolicy)
 	}
 }
 
@@ -236,8 +179,7 @@ func TestFastHitProbe(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ids = append(ids, storage.MustAllocate(d))
 	}
-	b := core.NewBatched(core.NewShardedReplacer(4, 2, core.Options{}), core.BatchConfig{})
-	p := NewWithConfig(d, 4, b, Config{Shards: 4})
+	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 4})
 
 	warm := func(id policy.PageID) {
 		pg, err := p.Fetch(id)
@@ -287,8 +229,8 @@ func TestFastHitProbe(t *testing.T) {
 func TestBatchedDeletePage(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
 	id := storage.MustAllocate(d)
-	b := core.NewBatched(core.NewSyncReplacer(2, core.Options{}), core.BatchConfig{})
-	p := New(d, 4, b)
+	r := core.NewSyncReplacer(2, core.Options{})
+	p := New(d, 4, r)
 	pg, err := p.Fetch(id)
 	if err != nil {
 		t.Fatal(err)
@@ -296,11 +238,11 @@ func TestBatchedDeletePage(t *testing.T) {
 	pg.Unpin(false)
 	// The admission, hit bookkeeping and evictability flip are still
 	// buffered; DeletePage buffers the removal behind them in the same
-	// slot FIFO.
+	// FIFO.
 	if err := p.DeletePage(id); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Size(); got != 0 {
+	if got := r.Size(); got != 0 {
 		t.Errorf("deleted page still evictable: Size = %d", got)
 	}
 	if _, err := p.Fetch(id); err == nil {
@@ -313,8 +255,8 @@ func TestBatchedDeletePage(t *testing.T) {
 }
 
 // TestBatchedRestoreAfterFailedWriteback drives the satellite regression:
-// a dirty victim whose write-back fails is restored while the batch
-// buffers still hold undrained events for it. The restore must reinstate
+// a dirty victim whose write-back fails is restored while the event ring
+// still holds undrained events for it. The restore must reinstate
 // the existing HIST block — never fabricate a phantom one — and the
 // pool/replacer state must stay consistent enough for the page to be
 // fetched, flushed and evicted normally once the fault clears. Run under
@@ -327,8 +269,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 		ids = append(ids, storage.MustAllocate(d))
 	}
 	victim := ids[0]
-	b := core.NewBatched(core.NewSyncReplacer(2, core.Options{RetainedInformationPeriod: 100}), core.BatchConfig{})
-	p := New(d, frames, b)
+	p := New(d, frames, core.NewSyncReplacer(2, core.Options{RetainedInformationPeriod: 100}))
 
 	// Dirty the victim-to-be and fill the rest of the pool.
 	pg, err := p.Fetch(victim)

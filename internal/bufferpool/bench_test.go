@@ -10,7 +10,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
 )
 
@@ -37,19 +36,15 @@ func BenchmarkPoolParallel(b *testing.B) {
 			time.Sleep(time.Duration(micros) * time.Microsecond / 1000)
 		},
 	}
-	type pool interface {
-		fetchRelease(id policy.PageID, dirty bool) error
-	}
 	builders := []struct {
 		name  string
-		build func(d *storage.Faulty) pool
+		build func(d *storage.Faulty) hitPool
 	}{
-		{"serial", func(d *storage.Faulty) pool {
+		{"serial", func(d *storage.Faulty) hitPool {
 			return serialBench{NewSerial(d, frames, core.NewReplacer(2, core.Options{}))}
 		}},
-		{"sharded", func(d *storage.Faulty) pool {
-			return poolBench{NewWithConfig(d, frames,
-				core.NewShardedReplacer(16, 2, core.Options{}), Config{})}
+		{"pool", func(d *storage.Faulty) hitPool {
+			return poolBench{New(d, frames, core.NewSyncReplacer(2, core.Options{}))}
 		}},
 	}
 	for _, workers := range []int{1, 4, 8, 16} {
@@ -118,10 +113,8 @@ func BenchmarkPoolParallel(b *testing.B) {
 // the pool is warmed once, then every timed fetch is a buffer hit — no
 // disk I/O, no eviction, just the page-table probe, the pin handshake and
 // the replacer's reference bookkeeping. This is the §2.1 cost the paper
-// requires to be negligible on every reference; BENCH_hotpath.json tracks
-// its ns/op trajectory at 1/4/8/16 goroutines over both storage backends
-// (the backend only serves the warm-up, but its stripe geometry shapes
-// the pool).
+// requires to be negligible on every reference; the Serial reference pool
+// (one mutex, eager plain Replacer) is the baseline.
 //
 //	go test -bench BenchmarkPoolHit -benchtime 2s ./internal/bufferpool/
 func BenchmarkPoolHit(b *testing.B) {
@@ -129,79 +122,61 @@ func BenchmarkPoolHit(b *testing.B) {
 		frames = 512
 		hotSet = 256
 	)
-	type pool interface {
-		fetchRelease(id policy.PageID, dirty bool) error
-	}
 	builders := []struct {
 		name  string
-		build func(d storage.Backend) pool
+		build func(d storage.Backend) hitPool
 	}{
-		{"serial", func(d storage.Backend) pool {
+		{"serial", func(d storage.Backend) hitPool {
 			return serialBench{NewSerial(d, frames, core.NewReplacer(2, core.Options{}))}
 		}},
-		{"sharded", func(d storage.Backend) pool {
-			return poolBench{NewWithConfig(d, frames,
-				core.NewShardedReplacer(16, 2, core.Options{}), Config{})}
-		}},
-		{"batched", func(d storage.Backend) pool {
-			return poolBench{NewWithConfig(d, frames,
-				core.NewBatched(core.NewShardedReplacer(16, 2, core.Options{}), core.BatchConfig{}),
-				Config{})}
+		{"pool", func(d storage.Backend) hitPool {
+			return poolBench{New(d, frames, core.NewSyncReplacer(2, core.Options{}))}
 		}},
 	}
-	backends := []struct {
-		name string
-		open func(b *testing.B) storage.Backend
-	}{
-		{"sim", func(b *testing.B) storage.Backend { return sim.New(sim.ServiceModel{}) }},
-		{"file", func(b *testing.B) storage.Backend {
-			s, err := file.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s
-		}},
-	}
-	for _, be := range backends {
-		for _, workers := range []int{1, 4, 8, 16} {
-			for _, impl := range builders {
-				b.Run(fmt.Sprintf("backend=%s/impl=%s/goroutines=%d", be.name, impl.name, workers), func(b *testing.B) {
-					d := be.open(b)
-					ids := make([]policy.PageID, hotSet)
-					for i := range ids {
-						ids[i] = storage.MustAllocate(d)
+	for _, workers := range []int{1, 4, 8, 16} {
+		for _, impl := range builders {
+			b.Run(fmt.Sprintf("impl=%s/goroutines=%d", impl.name, workers), func(b *testing.B) {
+				d := sim.New(sim.ServiceModel{})
+				ids := make([]policy.PageID, hotSet)
+				for i := range ids {
+					ids[i] = storage.MustAllocate(d)
+				}
+				p := impl.build(d)
+				for _, id := range ids {
+					if err := p.fetchRelease(id, false); err != nil {
+						b.Fatal(err)
 					}
-					p := impl.build(d)
-					for _, id := range ids {
-						if err := p.fetchRelease(id, false); err != nil {
-							b.Fatal(err)
-						}
+				}
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				per := b.N / workers
+				for w := 0; w < workers; w++ {
+					extra := 0
+					if w == 0 {
+						extra = b.N - per*workers
 					}
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					per := b.N / workers
-					for w := 0; w < workers; w++ {
-						extra := 0
-						if w == 0 {
-							extra = b.N - per*workers
-						}
-						wg.Add(1)
-						go func(w, n int) {
-							defer wg.Done()
-							r := stats.NewRNG(uint64(w + 1))
-							for i := 0; i < n; i++ {
-								if err := p.fetchRelease(ids[r.Intn(hotSet)], false); err != nil {
-									b.Error(err)
-									return
-								}
+					wg.Add(1)
+					go func(w, n int) {
+						defer wg.Done()
+						r := stats.NewRNG(uint64(w + 1))
+						for i := 0; i < n; i++ {
+							if err := p.fetchRelease(ids[r.Intn(hotSet)], false); err != nil {
+								b.Error(err)
+								return
 							}
-						}(w, per+extra)
-					}
-					wg.Wait()
-				})
-			}
+						}
+					}(w, per+extra)
+				}
+				wg.Wait()
+			})
 		}
 	}
+}
+
+// hitPool is the fetch-and-release step the hit benchmarks time, over
+// either pool implementation.
+type hitPool interface {
+	fetchRelease(id policy.PageID, dirty bool) error
 }
 
 type serialBench struct{ p *Serial }

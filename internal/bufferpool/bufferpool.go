@@ -1,11 +1,11 @@
 // Package bufferpool implements a database buffer-pool manager in the
 // mould of the paper's setting: a fixed set of page frames over a storage
 // backend, with pin/unpin reference counting, dirty-page write-back, and a
-// pluggable replacement policy. The LRU-K replacer of internal/core plugs
-// in directly (core.NewReplacer); classical LRU is core.NewReplacer(1,
-// ...). The pool depends only on storage.Backend: the simulated disk
-// (storage/sim) and the durable file store (storage/file) slot in
-// interchangeably.
+// pluggable replacement policy. The concurrent LRU-K replacer of
+// internal/core plugs in directly (core.NewSyncReplacer); classical LRU is
+// core.NewSyncReplacer(1, ...). The pool depends only on storage.Backend:
+// the simulated disk (storage/sim) and the durable file store
+// (storage/file) slot in interchangeably.
 //
 // The pool is built for the paper's multi-user OLTP setting (§1, §4.2):
 // the page table is partitioned into independently latched shards keyed by
@@ -41,17 +41,21 @@ var ErrDiskUnavailable = storage.ErrUnavailable
 // breaker as a storage wrapper around whatever backend it is given.
 type BreakerConfig = storage.BreakerConfig
 
-// Replacer selects eviction victims among unpinned pages. core.Replacer
-// implements it.
-//
-// The concurrent Pool calls its replacer from many goroutines. A plain
-// core.Replacer is not thread-safe, so the pool transparently wraps any
-// replacer that does not implement ConcurrentReplacer behind one mutex;
-// pass core.NewSyncReplacer or core.NewShardedReplacer to control the
-// locking scheme yourself.
+// Replacer is the replacement policy the concurrent Pool drives, from many
+// goroutines at once: it must be safe for concurrent use.
+// core.SyncReplacer implements it.
 type Replacer interface {
-	// RecordAccess notes a reference to a (newly or already) resident page.
+	// RecordAccess notes the reference that makes p resident (a miss read
+	// or a fresh allocation), admitting p if the replacer does not hold it.
 	RecordAccess(p policy.PageID)
+	// RecordHit notes a reference to a page the caller has pinned. A
+	// replacer that applies references late must drop the hit, not admit
+	// the page, if an eviction search removed p in the meantime (the pool
+	// will Restore it): an abandoned eviction is not a reference.
+	RecordHit(p policy.PageID)
+	// RecordPin is RecordHit(p) followed by SetEvictable(p, false) as one
+	// call: the hit that raises the pin count from zero.
+	RecordPin(p policy.PageID)
 	// SetEvictable marks whether p may be chosen as a victim.
 	SetEvictable(p policy.PageID, evictable bool)
 	// Restore reinstates residency for a page whose eviction was abandoned
@@ -65,94 +69,6 @@ type Replacer interface {
 	Remove(p policy.PageID)
 	// Size returns the number of evictable pages.
 	Size() int
-}
-
-// ConcurrentReplacer marks a Replacer as safe for concurrent use, telling
-// the pool not to add its own lock around it. core.SyncReplacer and
-// core.ShardedReplacer implement it.
-type ConcurrentReplacer interface {
-	Replacer
-	// ConcurrentSafe is a marker; implementations need no body.
-	ConcurrentSafe()
-}
-
-// AdmissionReplacer is a Replacer that distinguishes the reference that
-// makes a page resident (a miss read or fresh allocation) from a hit on
-// an already-resident page. The pool reports admissions through
-// RecordAdmission when available, which lets an event-buffering replacer
-// (core.Batched) drop a buffered hit whose page left residency before the
-// drain instead of misreading it as an admission and fabricating history.
-// For non-buffering replacers RecordAdmission is equivalent to
-// RecordAccess.
-type AdmissionReplacer interface {
-	Replacer
-	RecordAdmission(p policy.PageID)
-}
-
-// PinReplacer is a Replacer that accepts a hit and the accompanying
-// pin-count zero-crossing as one fused call, so an event-buffering
-// replacer (core.Batched) enqueues a single event where the generic path
-// would enqueue a reference plus an evictability change. RecordPin must be
-// semantically identical to RecordAccess(p) followed by
-// SetEvictable(p, false).
-type PinReplacer interface {
-	Replacer
-	RecordPin(p policy.PageID)
-}
-
-// lockedReplacer makes an arbitrary Replacer safe for concurrent use by
-// serialising every call, preserving its victim order exactly.
-type lockedReplacer struct {
-	mu sync.Mutex
-	r  Replacer
-}
-
-func (l *lockedReplacer) ConcurrentSafe() {}
-
-func (l *lockedReplacer) RecordAccess(p policy.PageID) {
-	l.mu.Lock()
-	l.r.RecordAccess(p)
-	l.mu.Unlock()
-}
-
-func (l *lockedReplacer) SetEvictable(p policy.PageID, evictable bool) {
-	l.mu.Lock()
-	l.r.SetEvictable(p, evictable)
-	l.mu.Unlock()
-}
-
-func (l *lockedReplacer) Restore(p policy.PageID) {
-	l.mu.Lock()
-	l.r.Restore(p)
-	l.mu.Unlock()
-}
-
-func (l *lockedReplacer) Evict() (policy.PageID, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Evict()
-}
-
-func (l *lockedReplacer) Remove(p policy.PageID) {
-	l.mu.Lock()
-	l.r.Remove(p)
-	l.mu.Unlock()
-}
-
-func (l *lockedReplacer) Size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Size()
-}
-
-func (l *lockedReplacer) RecordAdmission(p policy.PageID) {
-	l.mu.Lock()
-	if ar, ok := l.r.(AdmissionReplacer); ok {
-		ar.RecordAdmission(p)
-	} else {
-		l.r.RecordAccess(p)
-	}
-	l.mu.Unlock()
 }
 
 // ErrNoFreeFrame reports that every frame is pinned, so the pool cannot
@@ -473,20 +389,9 @@ type Pool struct {
 	backend  storage.Backend
 	breaker  *storage.Breaker // typed handle into backend's breaker stage; nil when disabled
 	replacer Replacer
-	// admit records the reference that makes a page resident: the
-	// replacer's RecordAdmission when it distinguishes admissions
-	// (AdmissionReplacer), RecordAccess otherwise. Bound once at
-	// construction so the miss path pays no type assertion.
-	admit func(policy.PageID)
-	// recordPin records a hit that raises the pin count from zero: the
-	// replacer's fused RecordPin when it has one (core.Batched — one
-	// buffered event instead of two), otherwise RecordAccess followed by
-	// SetEvictable(false) in the Serial reference pool's order. Called
-	// under the frame's mu (see pinnedRef).
-	recordPin func(policy.PageID)
-	frames    []frame
-	shards    []shard
-	mask      uint64
+	frames   []frame
+	shards   []shard
+	mask     uint64
 
 	freeMu sync.Mutex
 	free   []*frame
@@ -553,11 +458,9 @@ func New(b storage.Backend, numFrames int, r Replacer) *Pool {
 }
 
 // NewWithConfig returns a pool of numFrames frames over backend b using the
-// given replacer. If r does not implement ConcurrentReplacer it is wrapped
-// behind a single mutex, which preserves its exact victim order. When
-// cfg.Breaker is enabled the pool wraps b in storage.WithBreaker, so every
-// read and write — the retry ladder's attempts individually — passes
-// through the per-stripe circuit.
+// given replacer. When cfg.Breaker is enabled the pool wraps b in
+// storage.WithBreaker, so every read and write — the retry ladder's
+// attempts individually — passes through the per-stripe circuit.
 func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Pool {
 	if b == nil {
 		panic("bufferpool: nil storage backend")
@@ -573,9 +476,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	}
 	if cfg.Shards < 1 || cfg.Shards&(cfg.Shards-1) != 0 {
 		panic(fmt.Sprintf("bufferpool: shard count must be a positive power of two, got %d", cfg.Shards))
-	}
-	if _, ok := r.(ConcurrentReplacer); !ok {
-		r = &lockedReplacer{r: r}
 	}
 	if cfg.WriterInterval <= 0 {
 		cfg.WriterInterval = 10 * time.Millisecond
@@ -612,19 +512,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	p.maxPageSeen.Store(-1)
 	if rp, ok := storage.RepairerFor(p.backend); ok {
 		p.repairer = rp
-	}
-	if ar, ok := p.replacer.(AdmissionReplacer); ok {
-		p.admit = ar.RecordAdmission
-	} else {
-		p.admit = p.replacer.RecordAccess
-	}
-	if pr, ok := p.replacer.(PinReplacer); ok {
-		p.recordPin = pr.RecordPin
-	} else {
-		p.recordPin = func(id policy.PageID) {
-			p.replacer.RecordAccess(id)
-			p.replacer.SetEvictable(id, false)
-		}
 	}
 	for i := range p.shards {
 		p.shards[i].table = make(map[policy.PageID]*frame)
@@ -725,15 +612,15 @@ func (p *Pool) pinned(id policy.PageID, f *frame) {
 }
 
 // pinnedRef is pinned for a hit: it runs the zero-crossing handshake and
-// records the reference in one fused replacer call (recordPin). The hit
+// records the reference in one fused replacer call (RecordPin). The hit
 // path holds the pin it just took, so pins is at least 1; the count is
 // still re-read under mu to keep the handshake's invariant explicit.
 func (p *Pool) pinnedRef(id policy.PageID, f *frame) {
 	f.mu.Lock()
 	if f.pins() > 0 {
-		p.recordPin(id)
+		p.replacer.RecordPin(id)
 	} else {
-		p.replacer.RecordAccess(id)
+		p.replacer.RecordHit(id)
 	}
 	f.mu.Unlock()
 }
@@ -812,7 +699,7 @@ func (p *Pool) NewPageCtx(ctx context.Context) (*Page, error) {
 	sh.table[id] = f // id is fresh: no prior mapping can exist
 	sh.mu.Unlock()
 	hotPublish(sh, id, f)
-	p.admit(id)
+	p.replacer.RecordAccess(id)
 	sh.misses.Add(1) // a new page is by definition not buffer-resident
 	return &Page{pool: p, id: id, f: f, valid: true}, nil
 }
@@ -943,7 +830,7 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 				}
 				return nil, err
 			}
-			p.replacer.RecordAccess(id)
+			p.replacer.RecordHit(id)
 			sh.misses.Add(1)
 			sh.coalesced.Add(1)
 			return &Page{pool: p, id: id, f: f, valid: true}, nil
@@ -954,7 +841,7 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 			if n == 1 {
 				p.pinnedRef(id, f)
 			} else {
-				p.replacer.RecordAccess(id)
+				p.replacer.RecordHit(id)
 			}
 			sh.hits.Add(1)
 			return &Page{pool: p, id: id, f: f, valid: true}, nil
@@ -991,7 +878,7 @@ func (p *Pool) fetchFast(sh *shard, id policy.PageID) *Page {
 		// into one replacer interaction, exactly as the latched path's.
 		p.pinnedRef(id, f)
 	} else {
-		p.replacer.RecordAccess(id)
+		p.replacer.RecordHit(id)
 	}
 	sh.hits.Add(1)
 	sh.fastHits.Add(1)
@@ -1118,7 +1005,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		}
 		return nil, false, err
 	}
-	p.admit(id)
+	p.replacer.RecordAccess(id)
 	f.state.Store(frameResident)
 	close(f.ready)
 	hotPublish(sh, id, f)

@@ -25,12 +25,12 @@ func newFaultyDisk(model sim.ServiceModel) *storage.Faulty {
 func newPool(t *testing.T, frames, k int) (*Pool, *storage.Faulty) {
 	t.Helper()
 	d := newFaultyDisk(sim.ServiceModel{})
-	return New(d, frames, core.NewReplacer(k, core.Options{})), d
+	return New(d, frames, core.NewSyncReplacer(k, core.Options{})), d
 }
 
 func TestNewValidation(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
-	r := core.NewReplacer(2, core.Options{})
+	r := core.NewSyncReplacer(2, core.Options{})
 	for _, f := range []func(){
 		func() { New(nil, 4, r) },
 		func() { New(d, 0, r) },
@@ -278,7 +278,7 @@ func TestLRUKReplacerBeatsLRUInPool(t *testing.T) {
 		for i := range cold {
 			cold[i] = storage.MustAllocate(d)
 		}
-		p := New(d, 25, core.NewReplacer(k, core.Options{}))
+		p := New(d, 25, core.NewSyncReplacer(k, core.Options{}))
 		r := stats.NewRNG(99)
 		for i := 0; i < 30000; i++ {
 			var id policy.PageID
@@ -326,7 +326,7 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := New(d, 16, core.NewReplacer(2, core.Options{}))
+	p := New(d, 16, core.NewSyncReplacer(2, core.Options{}))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {

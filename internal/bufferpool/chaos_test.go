@@ -57,53 +57,33 @@ func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
 // goroutines at once.
 //
 // The storm runs over each backend — the in-memory simulator and the
-// durable file store — crossed with each replacer configuration: the
-// eagerly-locked ShardedReplacer and the same replacer behind the Batched
-// access buffers. The invariants are configuration-agnostic: the fault
+// durable file store. The invariants are backend-agnostic: the fault
 // wrapper, retry, breaker, and quarantine sit above the storage interface
 // and must reconcile identically whether the pages live in RAM or in a
 // WAL-protected page file — and the exact ledger reconciliation must
 // survive buffered policy events draining mid-storm (stale buffered hits
 // for evicted pages, flush-on-evict racing the blackout, restore after a
-// poisoned write-back landing on an undrained slot).
+// poisoned write-back landing behind undrained events).
 func TestChaosFaultStorm(t *testing.T) {
-	replacers := []struct {
-		name string
-		mk   func() Replacer
-	}{
-		{"sharded", func() Replacer {
-			return core.NewShardedReplacer(8, 2, core.Options{})
-		}},
-		{"batched", func() Replacer {
-			// Small slots so the storm forces many mid-flight drains rather
-			// than flush-only draining.
-			return core.NewBatched(core.NewShardedReplacer(8, 2, core.Options{}),
-				core.BatchConfig{Capacity: 32})
-		}},
-	}
-	for _, r := range replacers {
-		t.Run(r.name, func(t *testing.T) {
-			t.Run("sim", func(t *testing.T) {
-				runChaosFaultStorm(t, sim.New(sim.ServiceModel{}), true, r.mk())
-			})
-			t.Run("file", func(t *testing.T) {
-				s, err := file.Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				// No deadline-carrying contexts over the file store: its operations
-				// take real wall-clock time (fsync, latch waits), so a microsecond
-				// deadline can expire inside the backend and surface as an error no
-				// fault was injected for, which would break the exact fault-ledger
-				// reconciliation below. Already-cancelled contexts stay in: they are
-				// rejected before the disk is touched.
-				runChaosFaultStorm(t, s, false, r.mk())
-			})
-		})
-	}
+	t.Run("sim", func(t *testing.T) {
+		runChaosFaultStorm(t, sim.New(sim.ServiceModel{}), true)
+	})
+	t.Run("file", func(t *testing.T) {
+		s, err := file.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No deadline-carrying contexts over the file store: its operations
+		// take real wall-clock time (fsync, latch waits), so a microsecond
+		// deadline can expire inside the backend and surface as an error no
+		// fault was injected for, which would break the exact fault-ledger
+		// reconciliation below. Already-cancelled contexts stay in: they are
+		// rejected before the disk is touched.
+		runChaosFaultStorm(t, s, false)
+	})
 }
 
-func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool, replacer Replacer) {
+func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) {
 	const (
 		goroutines = 8
 		pages      = 128
@@ -132,7 +112,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool, 
 	poison := ids[0]
 	d.SetFaults(stormPlan(seed, poison))
 
-	p := NewWithConfig(d, frames, replacer, Config{
+	p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{
 		Shards: 16,
 		Retry: RetryConfig{
 			Attempts:  3,

@@ -86,8 +86,8 @@ func TestMissCoalescingSingleRead(t *testing.T) {
 // TestPoolMatchesSerialOnDeterministicTrace replays one deterministic
 // single-threaded trace (fetches, dirtying writes, flushes) through the
 // single-latch Serial pool and the concurrent Pool: every counter — pool
-// and disk — must agree exactly, because a mutex-wrapped replacer makes
-// identical decisions on a serialisable history.
+// and disk — must agree exactly, because the concurrent replacer makes the
+// plain Replacer's decisions on a serialisable history.
 func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 	const (
 		frames = 50
@@ -227,7 +227,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	setupWrites := d.Stats().Writes
 
 	p := NewWithConfig(d, frames,
-		core.NewShardedReplacer(8, 2, core.Options{}), Config{Shards: 16})
+		core.NewSyncReplacer(2, core.Options{}), Config{Shards: 16})
 	var fetched atomic.Uint64
 	writes := make([]uint64, goroutines)
 	var wg sync.WaitGroup
@@ -436,8 +436,7 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the new constructor's shard checks and the
-// automatic wrapping of non-concurrent replacers.
+// TestConfigValidation covers the constructor's shard checks.
 func TestConfigValidation(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	func() {
@@ -446,20 +445,9 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("non-power-of-two shard count accepted")
 			}
 		}()
-		NewWithConfig(d, 4, core.NewReplacer(2, core.Options{}), Config{Shards: 3})
+		NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 3})
 	}()
-	// A plain (non-concurrent) replacer must be wrapped, not used bare.
-	p := New(d, 4, core.NewReplacer(2, core.Options{}))
-	if _, ok := p.replacer.(ConcurrentReplacer); !ok {
-		t.Error("plain replacer not wrapped for concurrency")
-	}
-	// A concurrent replacer passes through unwrapped.
-	sr := core.NewSyncReplacer(2, core.Options{})
-	p2 := New(d, 4, sr)
-	if p2.replacer != Replacer(sr) {
-		t.Error("concurrent replacer was needlessly wrapped")
-	}
-	if p2.NumShards() < 1 {
+	if p := New(d, 4, core.NewSyncReplacer(2, core.Options{})); p.NumShards() < 1 {
 		t.Error("NumShards not positive")
 	}
 }

@@ -313,7 +313,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		storage.CorruptRule{Probability: 0.05},
 	))
 
-	p := NewWithConfig(c, frames, core.NewShardedReplacer(8, 2, core.Options{}), Config{
+	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
 		Shards: 16,
 		// The breaker is armed but effectively untrippable: this storm
 		// reconciles ledgers exactly, and breaker rejections would make
@@ -429,38 +429,6 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		time.Sleep(time.Millisecond)
 	}
 
-	s, ds, cs := p.Stats(), c.Stats(), c.CorruptStats()
-
-	// Injection conservation: every taint ever laid is either cleared
-	// (overwritten or repaired) or still on a page — and every page still
-	// tainted is exactly one the pool quarantined.
-	if cs.Injected != cs.Cleared+uint64(cs.Tainted) {
-		t.Errorf("wrapper ledger broken: injected=%d != cleared=%d + tainted=%d",
-			cs.Injected, cs.Cleared, cs.Tainted)
-	}
-	// Every detection resolved exactly once.
-	if s.CorruptDetected != s.CorruptRepaired+s.CorruptQuarantined {
-		t.Errorf("detections unresolved: detected=%d != repaired=%d + quarantined=%d",
-			s.CorruptDetected, s.CorruptRepaired, s.CorruptQuarantined)
-	}
-	// Transfer ledger: every disk read is a non-coalesced, non-failed,
-	// non-refused miss or a clean scrub probe; every write beyond the
-	// preload is a counted write-back (scrub rewrites included).
-	if want := s.Misses - s.Coalesced - s.ReadErrors - s.ReadsRejected + s.ScrubPages + sideReads; ds.Reads != want {
-		t.Errorf("disk reads = %d, want misses-coalesced-readErrors-readsRejected+scrubPages+side = %d",
-			ds.Reads, want)
-	}
-	if want := preload + s.WriteBacks + sideWrites; ds.Writes != want {
-		t.Errorf("disk writes = %d, want preload+writeBacks+side = %d", ds.Writes, want)
-	}
-	if s.ReadRetries != 0 || s.WriteRetries != 0 {
-		t.Errorf("retry ladder spun on permanent corruption: %+v", s)
-	}
-	if s.Hits == 0 || s.Misses == 0 || s.CorruptDetected == 0 || s.CorruptRepaired == 0 ||
-		s.CorruptQuarantined == 0 || s.ScrubPages == 0 || s.ScrubCorrupt == 0 {
-		t.Errorf("storm did not exercise all integrity paths: %+v", s)
-	}
-
 	// Data: every non-quarantined page must hold its owner's last committed
 	// value; every quarantined page must refuse with the corruption error.
 	poisoned := make(map[policy.PageID]bool)
@@ -491,6 +459,45 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	}
 	if err := p.Close(); err != nil {
 		t.Errorf("Close after storm: %v", err)
+	}
+
+	// The ledgers are read only now, with the pool closed. The background
+	// scrubber bumps the backend's read counter inside backend.Read and the
+	// pool's ScrubPages after it returns, so a snapshot taken while it runs
+	// can catch a probe in the disk's ledger that the pool has not counted
+	// yet (one read too many, on the file backend where a read is a syscall
+	// wide enough to straddle). Close joins the scrubber and the writer; the
+	// verification fetches above and Close's own flush count on both sides.
+	s, ds, cs := p.Stats(), c.Stats(), c.CorruptStats()
+
+	// Injection conservation: every taint ever laid is either cleared
+	// (overwritten or repaired) or still on a page — and every page still
+	// tainted is exactly one the pool quarantined.
+	if cs.Injected != cs.Cleared+uint64(cs.Tainted) {
+		t.Errorf("wrapper ledger broken: injected=%d != cleared=%d + tainted=%d",
+			cs.Injected, cs.Cleared, cs.Tainted)
+	}
+	// Every detection resolved exactly once.
+	if s.CorruptDetected != s.CorruptRepaired+s.CorruptQuarantined {
+		t.Errorf("detections unresolved: detected=%d != repaired=%d + quarantined=%d",
+			s.CorruptDetected, s.CorruptRepaired, s.CorruptQuarantined)
+	}
+	// Transfer ledger: every disk read is a non-coalesced, non-failed,
+	// non-refused miss or a clean scrub probe; every write beyond the
+	// preload is a counted write-back (scrub rewrites included).
+	if want := s.Misses - s.Coalesced - s.ReadErrors - s.ReadsRejected + s.ScrubPages + sideReads; ds.Reads != want {
+		t.Errorf("disk reads = %d, want misses-coalesced-readErrors-readsRejected+scrubPages+side = %d",
+			ds.Reads, want)
+	}
+	if want := preload + s.WriteBacks + sideWrites; ds.Writes != want {
+		t.Errorf("disk writes = %d, want preload+writeBacks+side = %d", ds.Writes, want)
+	}
+	if s.ReadRetries != 0 || s.WriteRetries != 0 {
+		t.Errorf("retry ladder spun on permanent corruption: %+v", s)
+	}
+	if s.Hits == 0 || s.Misses == 0 || s.CorruptDetected == 0 || s.CorruptRepaired == 0 ||
+		s.CorruptQuarantined == 0 || s.ScrubPages == 0 || s.ScrubCorrupt == 0 {
+		t.Errorf("storm did not exercise all integrity paths: %+v", s)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 )
 
 // hitBench measures the steady-state resident-hit cost of one pool
-// configuration: warm a hot set, then time random hit fetches from a
+// implementation: warm a hot set, then time random hit fetches from a
 // single goroutine (single-goroutine numbers are far more stable on
 // shared CI hardware than contended ones, and the guarded regressions —
 // a lock, an allocation, an eager tree update back on the hit path —
 // inflate them just the same).
-func hitBench(build func(d storage.Backend) *Pool) testing.BenchmarkResult {
+func hitBench(build func(d storage.Backend) hitPool) testing.BenchmarkResult {
 	const hotSet = 256
 	return testing.Benchmark(func(b *testing.B) {
 		d := sim.New(sim.ServiceModel{})
@@ -24,8 +24,7 @@ func hitBench(build func(d storage.Backend) *Pool) testing.BenchmarkResult {
 		for i := range ids {
 			ids[i] = storage.MustAllocate(d)
 		}
-		p := build(d)
-		bench := poolBench{p}
+		bench := build(d)
 		for _, id := range ids {
 			if err := bench.fetchRelease(id, false); err != nil {
 				b.Fatal(err)
@@ -42,14 +41,19 @@ func hitBench(build func(d storage.Backend) *Pool) testing.BenchmarkResult {
 }
 
 // TestHitPathCeiling is the hot-path regression gate behind `make
-// bench-hit` (and `make check`): the batched pool's resident-hit cost must
-// stay under an absolute ceiling and must not fall behind the eagerly
-// locked sharded pool it exists to beat. The batched configuration
-// measures ~320 ns/op on the reference container; the ceiling is 4x that
-// so loaded CI boxes do not flake, while still catching the regressions
-// that motivated PR 7's fixes (a replacer latch back on the fast path, an
-// eager victim-index update per reference, a per-hit allocation). Skipped
-// under -race (the detector multiplies atomic costs) and in -short mode.
+// bench-hit` (and `make check`): the pool's resident-hit cost must stay
+// under an absolute ceiling and must not fall behind the Serial reference
+// pool, whose one mutex and eager victim-index updates it exists to beat.
+// Over this loop's uniform 256-page hot set — the worst case for a
+// 256-event ring, which then re-keys most touched pages once per drain —
+// the pool measures 700–1000 ns/op on the shared reference container,
+// depending on the minute; the ceiling is ~3.5x the quiet figure so loaded
+// CI boxes do not flake, while still catching a per-hit allocation or a
+// lock held across the hit. The regressions that leave the absolute figure
+// under the ceiling (a replacer latch back on the fast path, an eager
+// victim-index update per reference: ~2000 ns/op) are the relative gate's.
+// Skipped under -race (the detector multiplies atomic costs) and in -short
+// mode.
 func TestHitPathCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("hit-path ceiling is meaningless under the race detector")
@@ -57,24 +61,21 @@ func TestHitPathCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping hit-path ceiling in short mode")
 	}
-	batched := hitBench(func(d storage.Backend) *Pool {
-		return NewWithConfig(d, 512,
-			core.NewBatched(core.NewShardedReplacer(16, 2, core.Options{}), core.BatchConfig{}),
-			Config{})
+	pool := hitBench(func(d storage.Backend) hitPool {
+		return poolBench{New(d, 512, core.NewSyncReplacer(2, core.Options{}))}
 	})
-	const ceilingNs = 1300
-	if got := batched.NsPerOp(); got > ceilingNs {
-		t.Errorf("batched hit costs %d ns/op, ceiling %d ns", got, ceilingNs)
+	const ceilingNs = 2600
+	if got := pool.NsPerOp(); got > ceilingNs {
+		t.Errorf("pool hit costs %d ns/op, ceiling %d ns", got, ceilingNs)
 	}
-	sharded := hitBench(func(d storage.Backend) *Pool {
-		return NewWithConfig(d, 512,
-			core.NewShardedReplacer(16, 2, core.Options{}), Config{})
+	serial := hitBench(func(d storage.Backend) hitPool {
+		return serialBench{NewSerial(d, 512, core.NewReplacer(2, core.Options{}))}
 	})
-	// Relative gate, immune to the host's absolute speed: with batching on,
-	// a hit must not cost more than the unbatched pool's (the 20% slack
-	// absorbs scheduler noise; the measured gap is ~2.5x, so tripping this
-	// means the batching win is gone, not that the box was busy).
-	if b, s := batched.NsPerOp(), sharded.NsPerOp(); float64(b) > 1.2*float64(s) {
-		t.Errorf("batched hit costs %d ns/op vs unbatched sharded %d ns/op; batching made the hit path slower", b, s)
+	// Relative gate, immune to the host's absolute speed: a hit must not
+	// cost more than the reference pool's (the 20% slack absorbs scheduler
+	// noise; the pool measures 0.5–0.6 of Serial, so tripping this means
+	// the buffered hit path's win is gone, not that the box was busy).
+	if p, s := pool.NsPerOp(), serial.NsPerOp(); float64(p) > 1.2*float64(s) {
+		t.Errorf("pool hit costs %d ns/op vs the Serial reference pool's %d ns/op; the concurrent hit path is the slower one", p, s)
 	}
 }

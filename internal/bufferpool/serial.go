@@ -18,11 +18,24 @@ import (
 type Serial struct {
 	mu        sync.Mutex
 	backend   storage.Backend
-	replacer  Replacer
+	replacer  SerialReplacer
 	frames    []serialFrame
 	pageTable map[policy.PageID]int
 	free      []int
 	stats     Stats
+}
+
+// SerialReplacer is the single-threaded policy contract Serial drives, all
+// of it under Serial's own mutex. The plain core.Replacer implements it.
+type SerialReplacer interface {
+	// RecordAccess notes a reference to a (newly or already) resident page.
+	RecordAccess(p policy.PageID)
+	SetEvictable(p policy.PageID, evictable bool)
+	// Restore reinstates a victim whose write-back failed, without counting
+	// as a reference.
+	Restore(p policy.PageID)
+	Evict() (policy.PageID, bool)
+	Remove(p policy.PageID)
 }
 
 type serialFrame struct {
@@ -35,7 +48,7 @@ type serialFrame struct {
 
 // NewSerial returns a single-latch pool of numFrames frames over backend b
 // using the given replacer, which it serialises itself.
-func NewSerial(b storage.Backend, numFrames int, r Replacer) *Serial {
+func NewSerial(b storage.Backend, numFrames int, r SerialReplacer) *Serial {
 	if b == nil {
 		panic("bufferpool: nil storage backend")
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/policy"
 )
@@ -26,25 +25,6 @@ type Replacer struct {
 	evictable map[policy.PageID]bool
 	// evictions counts victim selections (see PolicyStats).
 	evictions uint64
-	// clockSrc, when set, replaces the table's private tick with a shared
-	// atomic arrival clock. ShardedReplacer installs one clock across all
-	// sub-replacers so Backward K-distances traced from different shards
-	// are on one timescale, and the Batched wrapper stamps buffered events
-	// from it so a drained reference is applied at its arrival time rather
-	// than its drain time.
-	clockSrc *atomic.Int64
-	// staged, during a batch drain, records each touched page's victim-index
-	// entry as it stood when the batch began (see stage / batchEnd in
-	// accessbuffer.go): events apply with map and HIST updates only, and the
-	// index — a pure function of the evictable set and the HIST table — is
-	// reconciled once per page at batch end. Empty outside a drain.
-	staged map[policy.PageID]stagedIndex
-}
-
-// stagedIndex is a page's victim-index entry at batch start.
-type stagedIndex struct {
-	key     vkey
-	indexed bool
 }
 
 // NewReplacer returns an LRU-K replacer for a pool with the given history
@@ -57,41 +37,19 @@ func NewReplacer(k int, opts Options) *Replacer {
 		k:         k,
 		table:     newHistTable(k, opts.CorrelatedReferencePeriod, opts.RetainedInformationPeriod),
 		evictable: make(map[policy.PageID]bool),
-		staged:    make(map[policy.PageID]stagedIndex),
 	}
 }
 
 // RecordAccess notes a reference to page p, which the pool has made (or is
 // about to make) resident. It advances the logical clock by one reference.
 func (r *Replacer) RecordAccess(p policy.PageID) {
-	now := r.tick()
+	now := r.table.tick()
 	if h, ok := r.table.pages[p]; ok && h.resident {
 		r.table.touchResident(p, h, now, r.evictable[p])
 		return
 	}
 	// New residency; pages enter pinned, so not indexed yet.
 	r.table.admit(p, now, false)
-}
-
-// RecordAdmission notes the reference that makes page p resident after a
-// miss or a fresh allocation. For the unbatched Replacer an admission is
-// just a reference — it is identical to RecordAccess — but the Batched
-// wrapper records the two distinctly: a buffered admission must create the
-// HIST block even though the drain runs later, while a buffered hit whose
-// page has since left residency is discarded rather than fabricating a
-// phantom reference (see accessbuffer.go).
-func (r *Replacer) RecordAdmission(p policy.PageID) { r.RecordAccess(p) }
-
-// tick advances the logical clock by one reference, drawing from the
-// shared arrival clock when one is installed and from the table's private
-// clock otherwise. With a shared clock the table is advanced (never moved
-// backward) to the drawn time, so the retention purge still runs once per
-// reference.
-func (r *Replacer) tick() policy.Tick {
-	if r.clockSrc != nil {
-		return r.table.advanceTo(policy.Tick(r.clockSrc.Add(1)))
-	}
-	return r.table.tick()
 }
 
 // SetEvictable marks page p as evictable (pin count zero) or not. Calls
@@ -143,19 +101,6 @@ func (r *Replacer) Restore(p policy.PageID) {
 // with the maximal Backward K-distance, honouring the Correlated Reference
 // Period eligibility rule. ok is false when nothing is evictable.
 func (r *Replacer) Evict() (policy.PageID, bool) {
-	if r.clockSrc != nil {
-		// A shard's table only advances when it sees a reference, so at
-		// eviction time it may lag the shared arrival clock. The decision —
-		// CRP eligibility and the traced Backward K-distance — is defined at
-		// the current global time (Definition 2.1 is over the full reference
-		// string), so catch the table up first. Skipped when already current:
-		// advanceTo also runs the retention purge, and the single-table case
-		// must stay bit-exact with the unshared-clock Replacer, which purges
-		// only on references.
-		if g := policy.Tick(r.clockSrc.Load()); g > r.table.clock {
-			r.table.advanceTo(g)
-		}
-	}
 	victim, ok := r.table.selectVictim(r.table.clock)
 	if !ok {
 		return policy.InvalidPage, false

@@ -122,28 +122,18 @@ func TestRestoreAfterPurge(t *testing.T) {
 	}
 }
 
-// TestRestoreDelegation exercises the concurrent wrappers' Restore
-// plumbing.
+// TestRestoreDelegation exercises Restore through the concurrent
+// replacer's event ring.
 func TestRestoreDelegation(t *testing.T) {
-	for name, r := range map[string]interface {
-		RecordAccess(policy.PageID)
-		SetEvictable(policy.PageID, bool)
-		Restore(policy.PageID)
-		Evict() (policy.PageID, bool)
-		Size() int
-	}{
-		"sync":    NewSyncReplacer(2, Options{}),
-		"sharded": NewShardedReplacer(4, 2, Options{}),
-	} {
-		r.RecordAccess(9)
-		r.SetEvictable(9, true)
-		if v, ok := r.Evict(); !ok || v != 9 {
-			t.Fatalf("%s: Evict = (%d, %v)", name, v, ok)
-		}
-		r.Restore(9)
-		r.SetEvictable(9, true)
-		if v, ok := r.Evict(); !ok || v != 9 {
-			t.Errorf("%s: restored page not evictable again: (%d, %v)", name, v, ok)
-		}
+	r := NewSyncReplacer(2, Options{})
+	r.RecordAccess(9)
+	r.SetEvictable(9, true)
+	if v, ok := r.Evict(); !ok || v != 9 {
+		t.Fatalf("Evict = (%d, %v)", v, ok)
+	}
+	r.Restore(9)
+	r.SetEvictable(9, true)
+	if v, ok := r.Evict(); !ok || v != 9 {
+		t.Errorf("restored page not evictable again: (%d, %v)", v, ok)
 	}
 }

@@ -2,91 +2,178 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/policy"
 )
 
-// This file makes the Replacer contract explicitly concurrent. The plain
-// Replacer is single-threaded by design (the deterministic simulator needs
-// bit-for-bit reproducible decisions); a concurrent buffer pool needs one
-// of the two wrappers below:
+// SyncReplacer is the concurrent LRU-K replacer: one Replacer (one HIST
+// table, one global victim order, Definition 2.2) and one FIFO event ring,
+// both behind one mutex. A buffer pool's hot path must not pay a victim-
+// index update per reference, so every mutating call only appends an event
+// to the ring; the ring is applied to the table in batches — when it fills,
+// and before every eviction search or stats read. The plain Replacer stays
+// the single-threaded reference the differential tests compare against.
 //
-//   - SyncReplacer serialises one Replacer behind a mutex. Decisions are
-//     identical to the plain Replacer's for any serialisable call history,
-//     so a single-threaded trace replayed through a concurrent pool yields
-//     exactly the seed pool's hit/miss/eviction accounting.
-//   - ShardedReplacer partitions pages across independently locked
-//     sub-replacers, mirroring Cache's shard scheme: near-linear scaling,
-//     per-shard (not global) LRU-K victim order.
+// Correctness rests on three invariants:
 //
-// Both advertise their thread safety with ConcurrentSafe, the marker the
-// buffer pool checks before deciding whether to add its own lock.
-
-// SyncReplacer is a Replacer guarded by a single mutex: safe for concurrent
-// use while preserving the global LRU-K victim order of the wrapped
-// replacer.
+//  1. Arrival order is logical time. A reference's tick is its position
+//     among the references in the ring's FIFO, which the one mutex makes
+//     the order callers arrived in. Draining late therefore changes no
+//     HIST or LAST value: the k-th reference is applied at tick k whenever
+//     the drain runs.
+//  2. One FIFO per table. Every event of every page goes through the one
+//     ring, so the table replays exactly the call sequence an eager caller
+//     would have issued — which is why a single-threaded trace through a
+//     pool on this replacer reconciles bit-exactly with the Serial pool on
+//     a plain Replacer.
+//  3. Flush before deciding. Evict, Size, HistorySize and PolicyStats
+//     drain the ring and read the table in one critical section, so a
+//     victim is never chosen on a window staler than the call itself and
+//     the table's clock at the decision is the arrival clock.
+//
+// The one deliberate difference from an eager replacer is RecordHit: a
+// buffered hit whose page left residency before the drain is dropped, not
+// applied. Applying it would re-admit a page the pool no longer holds and
+// fabricate a HIST entry for it — the phantom-reference class Restore
+// exists to prevent. References that may admit go through RecordAccess.
 type SyncReplacer struct {
-	mu sync.Mutex
-	r  *Replacer
-	// clock is the arrival clock shared with a Batched wrapper, so buffered
-	// references are stamped at arrival and applied at their own times. For
-	// a serialisable call history it produces the same tick sequence as the
-	// wrapped replacer's private clock.
-	clock atomic.Int64
+	mu   sync.Mutex
+	r    *Replacer
+	ring []event // fixed capacity; ring[:n] is pending, oldest first
+	n    int
+	// staged records, during a drain, each touched page's victim-index entry
+	// as it stood when the drain began (see stage / reconcile). Empty
+	// outside a drain.
+	staged map[policy.PageID]stagedIndex
+	stats  BatchStats
+	// drainObs, when set, observes each drain (event count, wall nanos
+	// spent applying), under mu.
+	drainObs func(events int, nanos int64)
+	// drainHook, set only by in-package tests, sees each batch under mu
+	// just before it is applied.
+	drainHook func([]event)
 }
 
-// NewSyncReplacer returns a mutex-guarded LRU-K replacer with history depth
+// ringCapacity is the event ring's size. A larger ring amortises the
+// end-of-drain index reconcile over more references per page (the dominant
+// per-reference cost; see apply) but lengthens the longest hold of the
+// mutex; staleness at decision points is unaffected, since every eviction
+// search and stats read drains first.
+const ringCapacity = 256
+
+// Event kinds. The three reference kinds come first and advance the
+// logical clock (apply relies on the order).
+const (
+	evHit      = uint8(iota) // reference to a resident page; dropped if residency ended
+	evAccess                 // reference that admits the page if it is not resident
+	evPin                    // evHit fused with SetEvictable(false)
+	evEvictOn                // SetEvictable(p, true)
+	evEvictOff               // SetEvictable(p, false)
+	evRestore                // Restore(p)
+	evRemove                 // Remove(p)
+)
+
+type event struct {
+	page policy.PageID
+	kind uint8
+}
+
+// stagedIndex is a page's victim-index entry at the start of a drain.
+type stagedIndex struct {
+	key     vkey
+	indexed bool
+}
+
+// BatchStats is a snapshot of a SyncReplacer's drain counters.
+type BatchStats struct {
+	Drains  uint64 // drains triggered by a full ring
+	Flushes uint64 // forced drains (eviction search, stats reads)
+	Events  uint64 // events applied to the table
+	Dropped uint64 // stale hits discarded at drain (page left residency)
+}
+
+// NewSyncReplacer returns the concurrent LRU-K replacer with history depth
 // k and the given §2.1 periods.
 func NewSyncReplacer(k int, opts Options) *SyncReplacer {
-	s := &SyncReplacer{r: NewReplacer(k, opts)}
-	s.r.clockSrc = &s.clock
-	return s
+	return newSyncReplacer(k, opts, ringCapacity)
 }
 
-// ConcurrentSafe marks SyncReplacer as safe for concurrent use.
-func (s *SyncReplacer) ConcurrentSafe() {}
+// newSyncReplacer lets in-package tests pick a tiny ring to force drains.
+func newSyncReplacer(k int, opts Options, capacity int) *SyncReplacer {
+	return &SyncReplacer{
+		r:      NewReplacer(k, opts),
+		ring:   make([]event, capacity),
+		staged: make(map[policy.PageID]stagedIndex),
+	}
+}
 
-// RecordAccess notes a reference to a resident page.
-func (s *SyncReplacer) RecordAccess(p policy.PageID) {
+// SetDrainObserver installs fn to observe each drain's event count and
+// apply latency. Call before the replacer sees concurrent traffic.
+func (s *SyncReplacer) SetDrainObserver(fn func(events int, nanos int64)) { s.drainObs = fn }
+
+func (s *SyncReplacer) enqueue(p policy.PageID, kind uint8) {
 	s.mu.Lock()
-	s.r.RecordAccess(p)
+	s.ring[s.n] = event{page: p, kind: kind}
+	s.n++
+	if s.n == len(s.ring) {
+		s.drain()
+		s.stats.Drains++
+	}
 	s.mu.Unlock()
 }
+
+// RecordAccess notes a reference to page p, admitting it if it is not
+// resident — the reference a pool records for a miss read or a fresh
+// allocation.
+func (s *SyncReplacer) RecordAccess(p policy.PageID) { s.enqueue(p, evAccess) }
+
+// RecordHit notes a reference to a page the caller holds resident. If the
+// page has left residency by the time the event is applied (an eviction
+// search chose it between the caller's pin and this call), the reference is
+// dropped rather than re-admitting the page.
+func (s *SyncReplacer) RecordHit(p policy.PageID) { s.enqueue(p, evHit) }
+
+// RecordPin is RecordHit followed by SetEvictable(p, false) as one event:
+// the hit that raises a page's pin count from zero.
+func (s *SyncReplacer) RecordPin(p policy.PageID) { s.enqueue(p, evPin) }
 
 // SetEvictable marks whether p may be chosen as a victim.
 func (s *SyncReplacer) SetEvictable(p policy.PageID, evictable bool) {
-	s.mu.Lock()
-	s.r.SetEvictable(p, evictable)
-	s.mu.Unlock()
+	if evictable {
+		s.enqueue(p, evEvictOn)
+	} else {
+		s.enqueue(p, evEvictOff)
+	}
 }
 
 // Restore reinstates residency after an abandoned eviction without
 // advancing the clock or touching the page's HIST block.
-func (s *SyncReplacer) Restore(p policy.PageID) {
-	s.mu.Lock()
-	s.r.Restore(p)
-	s.mu.Unlock()
+func (s *SyncReplacer) Restore(p policy.PageID) { s.enqueue(p, evRestore) }
+
+// Remove drops p without treating it as an eviction decision.
+func (s *SyncReplacer) Remove(p policy.PageID) { s.enqueue(p, evRemove) }
+
+// flush is the forced drain ahead of a decision or a stats read. The
+// caller holds mu and reads the table before releasing it.
+func (s *SyncReplacer) flush() {
+	s.drain()
+	s.stats.Flushes++
 }
 
-// Evict selects and removes a victim.
+// Evict applies every pending event, then selects and removes a victim.
 func (s *SyncReplacer) Evict() (policy.PageID, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.flush()
 	return s.r.Evict()
-}
-
-// Remove drops p without treating it as an eviction decision.
-func (s *SyncReplacer) Remove(p policy.PageID) {
-	s.mu.Lock()
-	s.r.Remove(p)
-	s.mu.Unlock()
 }
 
 // Size returns the number of evictable pages.
 func (s *SyncReplacer) Size() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.flush()
 	return s.r.Size()
 }
 
@@ -94,233 +181,151 @@ func (s *SyncReplacer) Size() int {
 func (s *SyncReplacer) HistorySize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.flush()
 	return s.r.HistorySize()
 }
 
-// SetTracer installs a PolicyTracer on the wrapped replacer; the tracer is
-// invoked under this wrapper's mutex.
+// PolicyStats returns the replacer's decision counts and table sizes.
+func (s *SyncReplacer) PolicyStats() PolicyStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.flush()
+	return s.r.PolicyStats()
+}
+
+// BatchStats returns a snapshot of the drain counters.
+func (s *SyncReplacer) BatchStats() BatchStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// SetTracer installs a PolicyTracer; it is invoked under the replacer's
+// mutex.
 func (s *SyncReplacer) SetTracer(tr PolicyTracer) {
 	s.mu.Lock()
 	s.r.SetTracer(tr)
 	s.mu.Unlock()
 }
 
-// PolicyStats returns the wrapped replacer's decision counts.
-func (s *SyncReplacer) PolicyStats() PolicyStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.PolicyStats()
-}
-
-// RecordAdmission notes the reference that makes a page resident.
-func (s *SyncReplacer) RecordAdmission(p policy.PageID) {
-	s.mu.Lock()
-	s.r.RecordAdmission(p)
-	s.mu.Unlock()
-}
-
-// batchSlots returns 1: the wrapped replacer is a single table, and a
-// single FIFO preserves the exact global event order, so a Batched
-// SyncReplacer replays precisely the call history an unbatched one would
-// see — the property the differential tests assert.
-func (s *SyncReplacer) batchSlots() int { return 1 }
-
-func (s *SyncReplacer) batchSlot(policy.PageID) int { return 0 }
-
-func (s *SyncReplacer) arrivalClock() *atomic.Int64 { return &s.clock }
-
-// applyBatch drains buffered events into the wrapped replacer under one
-// mutex acquisition and returns the number of stale accesses dropped.
-func (s *SyncReplacer) applyBatch(_ int, evs []batchEvent) (dropped int) {
-	s.mu.Lock()
-	for i := range evs {
-		dropped += s.r.applyEvent(evs[i])
+// drain applies the pending events to the table. The caller holds mu.
+func (s *SyncReplacer) drain() {
+	if s.n == 0 {
+		return
 	}
-	s.r.batchEnd()
-	s.mu.Unlock()
-	return dropped
-}
-
-// ShardedReplacer partitions pages by hash across independently locked
-// LRU-K sub-replacers, the same latch-partitioning scheme Cache uses for
-// its shards. Victim order is per-shard rather than global: Evict sweeps
-// the shards round-robin and returns the first shard-local LRU-K victim,
-// trading a bounded deviation from the global order for the removal of the
-// single replacer lock from every reference.
-type ShardedReplacer struct {
-	shards []syncShard
-	mask   uint64
-	next   atomic.Uint64
-	// clock is one arrival clock shared by every sub-replacer, so the
-	// Backward K-distances different shards report through a PolicyTracer
-	// are on a single timescale. (Before this, each shard advanced a
-	// private clock at its own reference rate, making /trace distances
-	// from different shards incomparable.)
-	clock atomic.Int64
-}
-
-type syncShard struct {
-	mu sync.Mutex
-	r  *Replacer
-	// Pad to a multiple of 64 bytes so adjacent shard locks do not share a
-	// cache line under contention.
-	_ [40]byte
-}
-
-// NewShardedReplacer returns a replacer with the given power-of-two shard
-// count (0 selects 16), history depth k and §2.1 periods.
-func NewShardedReplacer(shards, k int, opts Options) *ShardedReplacer {
-	if shards == 0 {
-		shards = 16
+	var start time.Time
+	if s.drainObs != nil {
+		start = time.Now()
 	}
-	if shards < 1 || shards&(shards-1) != 0 {
-		panic("core: replacer shard count must be a positive power of two")
+	evs := s.ring[:s.n]
+	if s.drainHook != nil {
+		s.drainHook(evs)
 	}
-	r := &ShardedReplacer{
-		shards: make([]syncShard, shards),
-		mask:   uint64(shards - 1),
+	for _, e := range evs {
+		s.apply(e)
 	}
-	for i := range r.shards {
-		r.shards[i].r = NewReplacer(k, opts)
-		r.shards[i].r.clockSrc = &r.clock
+	s.reconcile()
+	s.stats.Events += uint64(s.n)
+	if s.drainObs != nil {
+		s.drainObs(s.n, time.Since(start).Nanoseconds())
 	}
-	return r
+	s.n = 0
 }
 
-// ConcurrentSafe marks ShardedReplacer as safe for concurrent use.
-func (r *ShardedReplacer) ConcurrentSafe() {}
-
-func (r *ShardedReplacer) shard(p policy.PageID) *syncShard {
-	return &r.shards[hashInt64(int64(p))&r.mask]
-}
-
-// RecordAccess notes a reference to a resident page.
-func (r *ShardedReplacer) RecordAccess(p policy.PageID) {
-	s := r.shard(p)
-	s.mu.Lock()
-	s.r.RecordAccess(p)
-	s.mu.Unlock()
-}
-
-// SetEvictable marks whether p may be chosen as a victim.
-func (r *ShardedReplacer) SetEvictable(p policy.PageID, evictable bool) {
-	s := r.shard(p)
-	s.mu.Lock()
-	s.r.SetEvictable(p, evictable)
-	s.mu.Unlock()
-}
-
-// Restore reinstates residency after an abandoned eviction without
-// advancing the owning shard's clock or touching the page's HIST block.
-func (r *ShardedReplacer) Restore(p policy.PageID) {
-	s := r.shard(p)
-	s.mu.Lock()
-	s.r.Restore(p)
-	s.mu.Unlock()
-}
-
-// Evict sweeps the shards starting from a rotating origin and returns the
-// first shard-local victim; ok is false when no shard has an evictable
-// page.
-func (r *ShardedReplacer) Evict() (policy.PageID, bool) {
-	start := r.next.Add(1)
-	for i := uint64(0); i < uint64(len(r.shards)); i++ {
-		s := &r.shards[(start+i)&r.mask]
-		s.mu.Lock()
-		v, ok := s.r.Evict()
-		s.mu.Unlock()
-		if ok {
-			return v, true
+// apply replays one event against the table.
+//
+// Within a drain, events mutate only the HIST table and the evictable set;
+// the victim index is left untouched and reconciled once per touched page
+// at the end of the drain. A profile of the hit path shows why: every
+// fetch/unpin cycle flips the page's evictability, and eagerly mirroring
+// each flip into the red-black victim index (a tree delete plus insert per
+// reference) dominates the per-reference cost. The intermediate index
+// states are unobservable — mu is held for the whole drain, and Evict, the
+// index's only reader, drains first — and the index is a pure function of
+// the evictable set and the HIST table, so the reconciled result is
+// bit-identical to eager maintenance.
+func (s *SyncReplacer) apply(e event) {
+	t, evictable := s.r.table, s.r.evictable
+	var now policy.Tick
+	if e.kind <= evPin {
+		now = t.tick() // may purge retained blocks: look the page up after it
+	}
+	h, ok := t.pages[e.page]
+	resident := ok && h.resident
+	switch e.kind {
+	case evHit, evPin:
+		if !resident {
+			s.stats.Dropped++
+			return
+		}
+		s.stage(e.page, h)
+		if e.kind == evPin {
+			delete(evictable, e.page)
+		}
+		t.touchResident(e.page, h, now, false)
+	case evAccess:
+		if resident {
+			s.stage(e.page, h)
+			t.touchResident(e.page, h, now, false)
+			return
+		}
+		// Non-resident, hence never indexed: nothing to stage.
+		t.admit(e.page, now, false)
+	case evEvictOn:
+		if resident && !evictable[e.page] {
+			s.stage(e.page, h)
+			evictable[e.page] = true
+		}
+	case evEvictOff:
+		if resident && evictable[e.page] {
+			s.stage(e.page, h)
+			delete(evictable, e.page)
+		}
+	case evRestore:
+		// An evicted page is in neither the index nor the evictable set,
+		// and Restore adds it to neither: nothing to stage.
+		s.r.Restore(e.page)
+	case evRemove:
+		if resident {
+			s.stage(e.page, h)
+			delete(evictable, e.page)
+			t.evictResident(e.page, h)
 		}
 	}
-	return policy.InvalidPage, false
 }
 
-// Remove drops p without treating it as an eviction decision.
-func (r *ShardedReplacer) Remove(p policy.PageID) {
-	s := r.shard(p)
-	s.mu.Lock()
-	s.r.Remove(p)
-	s.mu.Unlock()
-}
-
-// Size returns the number of evictable pages across all shards.
-func (r *ShardedReplacer) Size() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += s.r.Size()
-		s.mu.Unlock()
+// stage records resident page p's victim-index entry as it stands before
+// the drain's first event mutates the state it derives from. Idempotent
+// within a drain.
+func (s *SyncReplacer) stage(p policy.PageID, h *hist) {
+	if _, ok := s.staged[p]; ok {
+		return
 	}
-	return n
-}
-
-// HistorySize returns the number of retained history control blocks across
-// all shards.
-func (r *ShardedReplacer) HistorySize() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += s.r.HistorySize()
-		s.mu.Unlock()
+	var e stagedIndex
+	if s.r.evictable[p] {
+		e = stagedIndex{key: h.key(p), indexed: true}
 	}
-	return n
+	s.staged[p] = e
 }
 
-// SetTracer installs a PolicyTracer on every shard; the implementation must
-// tolerate concurrent calls from different shard locks.
-func (r *ShardedReplacer) SetTracer(tr PolicyTracer) {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		s.r.SetTracer(tr)
-		s.mu.Unlock()
+// reconcile brings the victim index in line with the evictable set and
+// HIST table for every page staged during the drain: at most one delete
+// and one insert per page, however many events touched it.
+func (s *SyncReplacer) reconcile() {
+	t := s.r.table
+	for p, e := range s.staged {
+		h, ok := t.pages[p]
+		should := ok && h.resident && s.r.evictable[p]
+		var nk vkey
+		if should {
+			nk = h.key(p)
+		}
+		if e.indexed && (!should || nk != e.key) {
+			t.index.Delete(e.key)
+		}
+		if should && (!e.indexed || nk != e.key) {
+			t.index.Set(nk, struct{}{})
+		}
 	}
-}
-
-// PolicyStats sums decision counts and table sizes across all shards.
-func (r *ShardedReplacer) PolicyStats() PolicyStats {
-	var total PolicyStats
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		st := s.r.PolicyStats()
-		s.mu.Unlock()
-		total.add(st)
-	}
-	return total
-}
-
-// RecordAdmission notes the reference that makes a page resident.
-func (r *ShardedReplacer) RecordAdmission(p policy.PageID) {
-	s := r.shard(p)
-	s.mu.Lock()
-	s.r.RecordAdmission(p)
-	s.mu.Unlock()
-}
-
-// batchSlots returns one buffer slot per shard: a page's events all land
-// in its shard's slot, so each shard's table sees its exact event order
-// and a batch drain takes exactly one shard lock.
-func (r *ShardedReplacer) batchSlots() int { return len(r.shards) }
-
-func (r *ShardedReplacer) batchSlot(p policy.PageID) int {
-	return int(hashInt64(int64(p)) & r.mask)
-}
-
-func (r *ShardedReplacer) arrivalClock() *atomic.Int64 { return &r.clock }
-
-// applyBatch drains buffered events into the slot's shard under one lock
-// acquisition and returns the number of stale accesses dropped.
-func (r *ShardedReplacer) applyBatch(slot int, evs []batchEvent) (dropped int) {
-	s := &r.shards[slot]
-	s.mu.Lock()
-	for i := range evs {
-		dropped += s.r.applyEvent(evs[i])
-	}
-	s.r.batchEnd()
-	s.mu.Unlock()
-	return dropped
+	clear(s.staged)
 }

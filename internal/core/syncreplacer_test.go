@@ -10,7 +10,7 @@ import (
 
 // TestSyncReplacerMatchesPlain drives a plain Replacer and a SyncReplacer
 // through the same randomised call history; every return value must match,
-// since the wrapper adds only a lock.
+// since buffering changes when events are applied, never what they do.
 func TestSyncReplacerMatchesPlain(t *testing.T) {
 	plain := NewReplacer(2, Options{})
 	wrapped := NewSyncReplacer(2, Options{})
@@ -44,103 +44,274 @@ func TestSyncReplacerMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestShardedReplacerEvictsAll verifies that a sweep-based Evict drains
-// every registered page exactly once, whichever shard it hashed to.
-func TestShardedReplacerEvictsAll(t *testing.T) {
-	r := NewShardedReplacer(8, 2, Options{})
-	const pages = 100
-	for p := policy.PageID(0); p < pages; p++ {
-		r.RecordAccess(p)
-		r.SetEvictable(p, true)
+// TestRecordAccessAdmitsUnseenPage pins the admitting contract callers
+// outside the pool rely on (bench/probes.go builds its steady state with
+// it): RecordAccess on a page the replacer has never seen makes it
+// resident, and once evictable Evict returns it.
+func TestRecordAccessAdmitsUnseenPage(t *testing.T) {
+	s := NewSyncReplacer(2, Options{})
+	const p = policy.PageID(11)
+	s.RecordAccess(p)
+	s.SetEvictable(p, true)
+	if v, ok := s.Evict(); !ok || v != p {
+		t.Fatalf("Evict = (%d, %v), want (%d, true)", v, ok, p)
 	}
-	if got := r.Size(); got != pages {
-		t.Fatalf("Size = %d, want %d", got, pages)
+	// The same holds for a page with retained history.
+	s.RecordAccess(p)
+	s.SetEvictable(p, true)
+	if v, ok := s.Evict(); !ok || v != p {
+		t.Fatalf("Evict after readmission = (%d, %v), want (%d, true)", v, ok, p)
 	}
-	seen := make(map[policy.PageID]bool)
-	for i := 0; i < pages; i++ {
-		v, ok := r.Evict()
-		if !ok {
-			t.Fatalf("Evict ran dry after %d victims", i)
-		}
-		if seen[v] {
-			t.Fatalf("page %d evicted twice", v)
-		}
-		seen[v] = true
-	}
-	if _, ok := r.Evict(); ok {
-		t.Error("Evict found a victim in an empty replacer")
-	}
-	if got := r.Size(); got != 0 {
-		t.Errorf("Size = %d after draining, want 0", got)
+	if got := s.BatchStats().Dropped; got != 0 {
+		t.Errorf("Dropped = %d, want 0: admitting references are never stale", got)
 	}
 }
 
-func TestShardedReplacerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two shard count accepted")
-		}
-	}()
-	NewShardedReplacer(6, 2, Options{})
+// TestBatchedStaleAccessDropped is the phantom-reference regression: a hit
+// buffered for a page that leaves residency before the drain must be
+// discarded, not applied — an admitting reference would re-admit it and
+// fabricate a resident HIST block for a page the pool no longer holds. The
+// eviction here goes straight to the table under the lock, skipping the
+// flush Evict would do, to stand in for an eviction search that drained the
+// ring just before the hit was enqueued.
+func TestBatchedStaleAccessDropped(t *testing.T) {
+	s := NewSyncReplacer(2, Options{})
+	const p = policy.PageID(7)
+
+	s.RecordAccess(p)
+	s.SetEvictable(p, true)
+	if got := s.Size(); got != 1 {
+		t.Fatalf("Size after admission flush = %d, want 1", got)
+	}
+
+	s.RecordHit(p)
+	s.mu.Lock()
+	v, ok := s.r.Evict()
+	s.mu.Unlock()
+	if !ok || v != p {
+		t.Fatalf("Evict = (%d, %v), want (%d, true)", v, ok, p)
+	}
+
+	if got := s.Size(); got != 0 {
+		t.Errorf("Size after stale drain = %d, want 0", got)
+	}
+	if got := s.BatchStats().Dropped; got != 1 {
+		t.Errorf("Dropped = %d, want 1 (stale hit not discarded)", got)
+	}
+	if h := s.r.table.pages[p]; h == nil {
+		t.Error("history block vanished entirely")
+	} else if h.resident {
+		t.Error("stale buffered hit re-admitted the evicted page (phantom HIST)")
+	}
 }
 
-func TestShardedReplacerPinnedNeverEvicted(t *testing.T) {
-	r := NewShardedReplacer(4, 2, Options{})
-	for p := policy.PageID(0); p < 20; p++ {
-		r.RecordAccess(p)
-		r.SetEvictable(p, p%2 == 0) // odd pages stay pinned
-	}
-	for {
-		v, ok := r.Evict()
-		if !ok {
-			break
-		}
-		if v%2 != 0 {
-			t.Fatalf("pinned page %d evicted", v)
-		}
-	}
-	if got := r.Size(); got != 0 {
-		t.Errorf("%d evictable pages left unswept", got)
-	}
-}
+// TestBatchedMatchesUnbatchedRandomOps replays seeded random operation
+// sequences — references, fused pins, evictability flips, evictions,
+// restores, removals — through the plain Replacer and a SyncReplacer with a
+// tiny ring (so full-ring drains, not only forced flushes, split the
+// sequence at arbitrary points). Victim choices, the traced decision
+// (clock and Backward K-distance) and the final policy counters must match
+// exactly: buffering with end-of-drain index reconciliation is
+// observationally equivalent to eager maintenance on any serialisable
+// history, with both §2.1 periods enabled.
+//
+// The generator honours the pool's contract — RecordHit and RecordPin are
+// issued only for resident pages, misses go through RecordAccess — because
+// that contract is exactly where the two sides are allowed to differ: an
+// eager reference to a departed page re-admits it, a buffered hit is
+// deliberately dropped (the phantom regression above).
+func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4, 5} {
+		opts := Options{CorrelatedReferencePeriod: 2, RetainedInformationPeriod: 30}
+		plain := NewReplacer(2, opts)
+		batched := newSyncReplacer(2, opts, 7)
+		plainTrace, batchedTrace := &recordingTracer{}, &recordingTracer{}
+		plain.SetTracer(plainTrace)
+		batched.SetTracer(batchedTrace)
 
-// TestShardedReplacerConcurrent hammers all operations from many
-// goroutines; the race detector checks the locking, and the final drain
-// checks structural integrity.
-func TestShardedReplacerConcurrent(t *testing.T) {
-	r := NewShardedReplacer(8, 2, Options{})
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			rng := stats.NewRNG(seed)
-			for i := 0; i < 10000; i++ {
-				p := policy.PageID(rng.Intn(500))
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3:
-					r.RecordAccess(p)
-				case 4, 5:
-					r.SetEvictable(p, true)
-				case 6:
-					r.SetEvictable(p, false)
-				case 7:
-					r.Remove(p)
-				case 8:
-					r.Evict()
-				default:
-					r.Size()
-					r.HistorySize()
+		rng := stats.NewRNG(seed)
+		const pages = 24
+		resident := make(map[policy.PageID]bool)
+		admit := func(p policy.PageID) {
+			plain.RecordAccess(p)
+			batched.RecordAccess(p)
+			resident[p] = true
+		}
+		for op := 0; op < 20000; op++ {
+			p := policy.PageID(rng.Intn(pages))
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				if !resident[p] {
+					admit(p)
+					break
 				}
+				plain.RecordAccess(p)
+				batched.RecordHit(p)
+			case 3:
+				admit(p)
+			case 4:
+				// The pool's fused zero-crossing hit.
+				if !resident[p] {
+					admit(p)
+					break
+				}
+				plain.RecordAccess(p)
+				plain.SetEvictable(p, false)
+				batched.RecordPin(p)
+			case 5, 6:
+				plain.SetEvictable(p, true)
+				batched.SetEvictable(p, true)
+			case 7:
+				plain.SetEvictable(p, false)
+				batched.SetEvictable(p, false)
+			case 8:
+				v1, ok1 := plain.Evict()
+				v2, ok2 := batched.Evict()
+				if v1 != v2 || ok1 != ok2 {
+					t.Fatalf("seed %d op %d: Evict diverged: (%d,%v) vs (%d,%v)", seed, op, v1, ok1, v2, ok2)
+				}
+				if ok1 {
+					resident[v1] = false
+					if rng.Intn(2) == 0 {
+						plain.Restore(v1)
+						batched.Restore(v2)
+						plain.SetEvictable(v1, true)
+						batched.SetEvictable(v2, true)
+						resident[v1] = true
+					}
+				}
+			case 9:
+				plain.Remove(p)
+				batched.Remove(p)
+				resident[p] = false
 			}
-		}(uint64(g + 1))
+		}
+		if got, want := batched.PolicyStats(), plain.PolicyStats(); got != want {
+			t.Errorf("seed %d: policy stats %+v, want unbatched %+v", seed, got, want)
+		}
+		if got, want := batched.HistorySize(), plain.HistorySize(); got != want {
+			t.Errorf("seed %d: history size %d, want %d", seed, got, want)
+		}
+		if st := batched.BatchStats(); st.Drains == 0 {
+			t.Errorf("seed %d: the tiny ring never filled: %+v", seed, st)
+		}
+		// Drain the victim index on both sides: the full eviction order must
+		// agree, which pins the reconciled index contents and keys exactly.
+		for {
+			v1, ok1 := plain.Evict()
+			v2, ok2 := batched.Evict()
+			if v1 != v2 || ok1 != ok2 {
+				t.Fatalf("seed %d: final eviction order diverged: (%d,%v) vs (%d,%v)", seed, v1, ok1, v2, ok2)
+			}
+			if !ok1 {
+				break
+			}
+		}
+		if len(batchedTrace.evicts) != len(plainTrace.evicts) {
+			t.Fatalf("seed %d: traced %d evictions, want %d", seed, len(batchedTrace.evicts), len(plainTrace.evicts))
+		}
+		for i, want := range plainTrace.evicts {
+			if got := batchedTrace.evicts[i]; got != want {
+				t.Fatalf("seed %d: traced eviction %d = %+v, want %+v", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestEvictDecidesAtArrivalClock settles whether Evict needs to catch the
+// table's clock up before deciding (the plain Replacer once did, for
+// sharded tables that lagged a shared clock): it does not. References
+// still sitting in the ring are applied inside Evict's own critical
+// section, so the decision — CRP eligibility and the traced Backward
+// K-distance, both defined over the full reference string (Definition 2.1)
+// — is taken at the arrival clock.
+func TestEvictDecidesAtArrivalClock(t *testing.T) {
+	s := NewSyncReplacer(2, Options{})
+	rec := &recordingTracer{}
+	s.SetTracer(rec)
+	const a, b = policy.PageID(0), policy.PageID(1)
+	// Reference string a,b,a,b: ticks 1..4, none drained yet. At clock 4,
+	// HIST(a) = [3,1] and HIST(b) = [4,2], so b_4(a,2) = 3 and b_4(b,2) = 2.
+	for _, p := range []policy.PageID{a, b, a, b} {
+		s.RecordAccess(p)
+		s.SetEvictable(p, true)
+	}
+	if st := s.BatchStats(); st.Events != 0 {
+		t.Fatalf("test setup: events drained before Evict: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := s.Evict(); !ok {
+			t.Fatal("expected two evictable pages")
+		}
+	}
+	want := []tracedEvict{{page: a, clock: 4, kdist: 3}, {page: b, clock: 4, kdist: 2}}
+	if len(rec.evicts) != len(want) {
+		t.Fatalf("traced %d evictions, want %d", len(rec.evicts), len(want))
+	}
+	for i, ev := range rec.evicts {
+		if ev != want[i] {
+			t.Errorf("eviction %d traced %+v, want %+v", i, ev, want[i])
+		}
+	}
+}
+
+// stormOp issues one random replacer call; the storm tests below share it.
+func stormOp(s *SyncReplacer, rng *stats.RNG, pages int) {
+	p := policy.PageID(rng.Intn(pages))
+	switch rng.Intn(10) {
+	case 0:
+		s.RecordAccess(p)
+	case 1:
+		s.RecordPin(p)
+	case 2, 3:
+		s.RecordHit(p)
+	case 4:
+		s.SetEvictable(p, true)
+	case 5:
+		s.SetEvictable(p, false)
+	case 6:
+		if v, ok := s.Evict(); ok && rng.Intn(2) == 0 {
+			s.Restore(v)
+			s.SetEvictable(v, true)
+		}
+	case 7:
+		s.Remove(p)
+	case 8:
+		s.Size()
+	case 9:
+		s.HistorySize()
+	}
+}
+
+// TestBatchedConcurrentDrainSafety hammers every operation from many
+// goroutines to give the race detector the enqueue/drain/flush
+// interleavings, then checks structural integrity: each page still
+// evictable comes out exactly once.
+func TestBatchedConcurrentDrainSafety(t *testing.T) {
+	const pages = 64
+	s := newSyncReplacer(2, Options{RetainedInformationPeriod: 50}, 16)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := stats.NewRNG(uint64(g + 1))
+			for i := 0; i < 4000; i++ {
+				stormOp(s, rng, pages)
+			}
+		}(g)
 	}
 	wg.Wait()
-	// Drain: each remaining evictable page must come out exactly once.
+	st := s.BatchStats()
+	if st.Events == 0 || st.Drains == 0 {
+		t.Errorf("storm recorded no drains: %+v", st)
+	}
+	if got := s.Size(); got < 0 || got > pages {
+		t.Errorf("Size after storm = %d", got)
+	}
 	seen := make(map[policy.PageID]bool)
 	for {
-		v, ok := r.Evict()
+		v, ok := s.Evict()
 		if !ok {
 			break
 		}
@@ -149,7 +320,106 @@ func TestShardedReplacerConcurrent(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if got := r.Size(); got != 0 {
+	if got := s.Size(); got != 0 {
 		t.Errorf("Size = %d after drain, want 0", got)
 	}
 }
+
+// TestConcurrentHistoryLinearises checks that whatever interleaving many
+// goroutines produce, the replacer behaves as the plain Replacer would on
+// ONE serial history — the order events entered the ring. The drain hook
+// and the tracer both run under the replacer's mutex, so together they
+// record that history (applied events, with each victim selection at the
+// point it happened); replaying it through a plain Replacer must reproduce
+// every victim, the policy counters and the full final eviction order.
+func TestConcurrentHistoryLinearises(t *testing.T) {
+	const (
+		pages   = 48
+		evictOp = uint8(255) // history marker: Evict selected this page
+	)
+	opts := Options{CorrelatedReferencePeriod: 2, RetainedInformationPeriod: 40}
+	s := newSyncReplacer(2, opts, 16)
+	var history []event
+	s.drainHook = func(evs []event) { history = append(history, evs...) }
+	s.SetTracer(victimRecorder(func(p policy.PageID) {
+		history = append(history, event{page: p, kind: evictOp})
+	}))
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := stats.NewRNG(uint64(100 + g))
+			for i := 0; i < 3000; i++ {
+				stormOp(s, rng, pages)
+			}
+		}(g)
+	}
+	wg.Wait()
+	got := s.PolicyStats() // drains the tail of the ring into history
+	s.SetTracer(nil)
+	s.drainHook = nil
+
+	plain := NewReplacer(2, opts)
+	dropped := uint64(0)
+	for i, e := range history {
+		h, ok := plain.table.pages[e.page]
+		resident := ok && h.resident
+		switch e.kind {
+		case evAccess:
+			plain.RecordAccess(e.page)
+		case evHit, evPin:
+			if !resident {
+				// The documented difference: the stale hit costs a tick and
+				// nothing else.
+				plain.table.tick()
+				dropped++
+				break
+			}
+			plain.RecordAccess(e.page)
+			if e.kind == evPin {
+				plain.SetEvictable(e.page, false)
+			}
+		case evEvictOn:
+			plain.SetEvictable(e.page, true)
+		case evEvictOff:
+			plain.SetEvictable(e.page, false)
+		case evRestore:
+			plain.Restore(e.page)
+		case evRemove:
+			plain.Remove(e.page)
+		case evictOp:
+			if v, ok := plain.Evict(); !ok || v != e.page {
+				t.Fatalf("history step %d: replay evicted (%d,%v), the concurrent run chose %d", i, v, ok, e.page)
+			}
+		}
+	}
+	if want := plain.PolicyStats(); got != want {
+		t.Errorf("policy stats %+v, want the serial replay's %+v", got, want)
+	}
+	st := s.BatchStats()
+	if st.Dropped != dropped {
+		t.Errorf("Dropped = %d, the replay saw %d stale hits", st.Dropped, dropped)
+	}
+	if st.Drains == 0 || got.Evictions == 0 || got.Collapses == 0 || got.Purges == 0 {
+		t.Errorf("storm did not exercise drains, evictions, collapses and purges: %+v %+v", st, got)
+	}
+	for {
+		v1, ok1 := plain.Evict()
+		v2, ok2 := s.Evict()
+		if v1 != v2 || ok1 != ok2 {
+			t.Fatalf("final eviction order diverged: replay (%d,%v) vs concurrent (%d,%v)", v1, ok1, v2, ok2)
+		}
+		if !ok1 {
+			break
+		}
+	}
+}
+
+// victimRecorder is a PolicyTracer that reports only victim selections.
+type victimRecorder func(policy.PageID)
+
+func (f victimRecorder) TraceEvict(p policy.PageID, _, _ policy.Tick, _ bool) { f(p) }
+func (victimRecorder) TraceCollapse(policy.PageID, policy.Tick)               {}
+func (victimRecorder) TracePurge(policy.PageID, policy.Tick)                  {}

@@ -11,7 +11,7 @@ import "repro/internal/policy"
 // The interface is defined here rather than importing the observability
 // package so core stays dependency-free; internal/db adapts it onto an
 // obs.EvictionTrace ring. Implementations are called under the replacer's
-// (or shard's) lock and must be cheap and non-blocking.
+// lock and must be cheap and non-blocking.
 type PolicyTracer interface {
 	// TraceEvict reports a victim selection at logical time clock. kdist is
 	// the victim's Backward K-distance b_t(p,K); infinite means the page had
@@ -25,9 +25,9 @@ type PolicyTracer interface {
 	TracePurge(page policy.PageID, clock policy.Tick)
 }
 
-// PolicyStats are the cumulative decision counts of one replacer (summed
-// across shards for ShardedReplacer), maintained under the policy lock so
-// they cost the reference path two predictable increments at most.
+// PolicyStats are the cumulative decision counts of one replacer,
+// maintained under the policy lock so they cost the reference path two
+// predictable increments at most.
 type PolicyStats struct {
 	// Evictions counts victim selections (abandoned evictions included —
 	// the decision was made even if the pool later restored the page).
@@ -43,13 +43,4 @@ type PolicyStats struct {
 	HistoryBlocks int `json:"history_blocks"`
 	// Evictable is the current victim-index population.
 	Evictable int `json:"evictable"`
-}
-
-// add accumulates o into s (used when summing shards).
-func (s *PolicyStats) add(o PolicyStats) {
-	s.Evictions += o.Evictions
-	s.Collapses += o.Collapses
-	s.Purges += o.Purges
-	s.HistoryBlocks += o.HistoryBlocks
-	s.Evictable += o.Evictable
 }

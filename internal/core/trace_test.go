@@ -101,26 +101,3 @@ func TestReplacerEvictTracesFiniteKDistance(t *testing.T) {
 		t.Fatalf("evict trace = %+v, want kdist 2 at clock 3", ev)
 	}
 }
-
-func TestShardedReplacerStatsSumShards(t *testing.T) {
-	r := NewShardedReplacer(4, 2, Options{})
-	for p := policy.PageID(0); p < 32; p++ {
-		r.RecordAccess(p)
-		r.SetEvictable(p, true)
-	}
-	for i := 0; i < 8; i++ {
-		if _, ok := r.Evict(); !ok {
-			t.Fatal("expected a victim")
-		}
-	}
-	st := r.PolicyStats()
-	if st.Evictions != 8 {
-		t.Fatalf("evictions = %d, want 8", st.Evictions)
-	}
-	if st.Evictable != 24 {
-		t.Fatalf("evictable = %d, want 24", st.Evictable)
-	}
-	if st.HistoryBlocks != 32 {
-		t.Fatalf("history blocks = %d, want 32", st.HistoryBlocks)
-	}
-}

@@ -163,7 +163,7 @@ func (db *DB) registerObs(r *obs.Registry) {
 	}
 
 	pol := func(name, help string, read func(core.PolicyStats) float64) {
-		r.CounterFunc(name, help, nil, func() float64 { return read(db.policyStats()) })
+		r.CounterFunc(name, help, nil, func() float64 { return read(db.replacer.PolicyStats()) })
 	}
 	pol("lruk_policy_evictions_total", "LRU-K victim selections.",
 		func(s core.PolicyStats) float64 { return float64(s.Evictions) })
@@ -172,34 +172,32 @@ func (db *DB) registerObs(r *obs.Registry) {
 	pol("lruk_policy_purges_total", "History blocks dropped by the retention demon.",
 		func(s core.PolicyStats) float64 { return float64(s.Purges) })
 	r.GaugeFunc("lruk_policy_history_blocks", "HIST blocks held, resident plus retained.", nil,
-		func() float64 { return float64(db.policyStats().HistoryBlocks) })
+		func() float64 { return float64(db.replacer.PolicyStats().HistoryBlocks) })
 	r.GaugeFunc("lruk_policy_evictable", "Pages currently in the victim index.", nil,
-		func() float64 { return float64(db.policyStats().Evictable) })
+		func() float64 { return float64(db.replacer.PolicyStats().Evictable) })
 	r.CounterFunc("lruk_policy_trace_records_total",
 		"Policy decisions recorded into the eviction trace ring.", nil,
 		func() float64 { return float64(db.evTrace.Seq()) })
 
-	if db.batched != nil {
-		bat := func(name, help string, read func(core.BatchStats) uint64) {
-			r.CounterFunc(name, help, nil, func() float64 { return float64(read(db.batched.BatchStats())) })
-		}
-		bat("lruk_access_batch_drains_total", "Access-buffer slot drains triggered by a full buffer.",
-			func(s core.BatchStats) uint64 { return s.Drains })
-		bat("lruk_access_batch_flushes_total", "Whole-buffer flushes (eviction searches, stats reads).",
-			func(s core.BatchStats) uint64 { return s.Flushes })
-		bat("lruk_access_batch_events_total", "Buffered policy events applied to the replacer.",
-			func(s core.BatchStats) uint64 { return s.Events })
-		bat("lruk_access_batch_dropped_total", "Stale buffered hits discarded at drain (page left residency).",
-			func(s core.BatchStats) uint64 { return s.Dropped })
-		depth := r.Histogram("lruk_access_batch_drain_events",
-			"Events applied per access-buffer drain.", nil)
-		latency := r.LatencyHistogram("lruk_access_batch_drain_seconds",
-			"Time spent applying one access-buffer drain to the replacer.", nil)
-		db.batched.SetDrainObserver(func(events int, nanos int64) {
-			depth.Observe(int64(events))
-			latency.Observe(nanos)
-		})
+	bat := func(name, help string, read func(core.BatchStats) uint64) {
+		r.CounterFunc(name, help, nil, func() float64 { return float64(read(db.replacer.BatchStats())) })
 	}
+	bat("lruk_access_batch_drains_total", "Replacer event-ring drains triggered by a full ring.",
+		func(s core.BatchStats) uint64 { return s.Drains })
+	bat("lruk_access_batch_flushes_total", "Forced event-ring drains (eviction searches, stats reads).",
+		func(s core.BatchStats) uint64 { return s.Flushes })
+	bat("lruk_access_batch_events_total", "Buffered policy events applied to the replacer.",
+		func(s core.BatchStats) uint64 { return s.Events })
+	bat("lruk_access_batch_dropped_total", "Stale buffered hits discarded at drain (page left residency).",
+		func(s core.BatchStats) uint64 { return s.Dropped })
+	depth := r.Histogram("lruk_access_batch_drain_events",
+		"Events applied per event-ring drain.", nil)
+	latency := r.LatencyHistogram("lruk_access_batch_drain_seconds",
+		"Time spent applying one event-ring drain to the replacer.", nil)
+	db.replacer.SetDrainObserver(func(events int, nanos int64) {
+		depth.Observe(int64(events))
+		latency.Observe(nanos)
+	})
 
 	if db.recCache != nil {
 		rc := func(name, help string, read func(core.CacheStats) float64) {

@@ -2,7 +2,6 @@ package db
 
 import (
 	"bufio"
-	"encoding/binary"
 	"io"
 	"math"
 	"net/http"
@@ -97,40 +96,46 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A snapshot read drains the replacer's event ring, so the scrape and
+	// the snapshot compared with it both see a quiescent replacer.
+	database.StatsSnapshot()
 	srv := httptest.NewServer(obs.Handler(reg))
 	defer srv.Close()
 	vals := scrape(t, srv)
 	snap := database.StatsSnapshot()
 
 	for name, want := range map[string]float64{
-		"lruk_pool_hits_total":           float64(snap.Pool.Hits),
-		"lruk_pool_misses_total":         float64(snap.Pool.Misses),
-		"lruk_pool_coalesced_total":      float64(snap.Pool.Coalesced),
-		"lruk_pool_evictions_total":      float64(snap.Pool.Evictions),
-		"lruk_pool_write_backs_total":    float64(snap.Pool.WriteBacks),
-		"lruk_pool_read_errors_total":    float64(snap.Pool.ReadErrors),
-		"lruk_pool_write_errors_total":   float64(snap.Pool.WriteErrors),
-		"lruk_pool_breaker_trips_total":  float64(snap.Pool.BreakerTrips),
-		"lruk_pool_quarantined":          float64(snap.Quarantined),
-		"lruk_pool_breaker_open_stripes": float64(snap.BreakerOpenStripes),
-		"lruk_pool_hit_ratio":            snap.PoolHitRatio,
-		"lruk_disk_reads_total":          float64(snap.Disk.Reads),
-		"lruk_disk_writes_total":         float64(snap.Disk.Writes),
-		"lruk_disk_allocated_total":      float64(snap.Disk.Allocated),
-		"lruk_disk_service_micros_total": float64(snap.Disk.ServiceMicros),
-		"lruk_policy_evictions_total":    float64(snap.Policy.Evictions),
-		"lruk_policy_collapses_total":    float64(snap.Policy.Collapses),
-		"lruk_policy_purges_total":       float64(snap.Policy.Purges),
-		"lruk_policy_history_blocks":     float64(snap.Policy.HistoryBlocks),
-		"lruk_policy_evictable":          float64(snap.Policy.Evictable),
-		"lruk_record_cache_hits_total":   float64(snap.RecordCache.Hits),
-		"lruk_record_cache_misses_total": float64(snap.RecordCache.Misses),
-		"lruk_corrupt_detected_total":    float64(snap.Pool.CorruptDetected),
-		"lruk_repair_success_total":      float64(snap.Pool.CorruptRepaired),
-		"lruk_repair_failed_total":       float64(snap.Pool.CorruptQuarantined),
-		"lruk_scrub_pages_total":         float64(snap.Pool.ScrubPages),
-		"lruk_scrub_corrupt_total":       float64(snap.Pool.ScrubCorrupt),
-		"lruk_pool_poisoned_pages":       float64(snap.PoisonedPages),
+		"lruk_pool_hits_total":            float64(snap.Pool.Hits),
+		"lruk_pool_misses_total":          float64(snap.Pool.Misses),
+		"lruk_pool_coalesced_total":       float64(snap.Pool.Coalesced),
+		"lruk_pool_evictions_total":       float64(snap.Pool.Evictions),
+		"lruk_pool_write_backs_total":     float64(snap.Pool.WriteBacks),
+		"lruk_pool_read_errors_total":     float64(snap.Pool.ReadErrors),
+		"lruk_pool_write_errors_total":    float64(snap.Pool.WriteErrors),
+		"lruk_pool_breaker_trips_total":   float64(snap.Pool.BreakerTrips),
+		"lruk_pool_quarantined":           float64(snap.Quarantined),
+		"lruk_pool_breaker_open_stripes":  float64(snap.BreakerOpenStripes),
+		"lruk_pool_hit_ratio":             snap.PoolHitRatio,
+		"lruk_disk_reads_total":           float64(snap.Disk.Reads),
+		"lruk_disk_writes_total":          float64(snap.Disk.Writes),
+		"lruk_disk_allocated_total":       float64(snap.Disk.Allocated),
+		"lruk_disk_service_micros_total":  float64(snap.Disk.ServiceMicros),
+		"lruk_policy_evictions_total":     float64(snap.Policy.Evictions),
+		"lruk_policy_collapses_total":     float64(snap.Policy.Collapses),
+		"lruk_policy_purges_total":        float64(snap.Policy.Purges),
+		"lruk_policy_history_blocks":      float64(snap.Policy.HistoryBlocks),
+		"lruk_policy_evictable":           float64(snap.Policy.Evictable),
+		"lruk_access_batch_drains_total":  float64(snap.AccessBatch.Drains),
+		"lruk_access_batch_events_total":  float64(snap.AccessBatch.Events),
+		"lruk_access_batch_dropped_total": float64(snap.AccessBatch.Dropped),
+		"lruk_record_cache_hits_total":    float64(snap.RecordCache.Hits),
+		"lruk_record_cache_misses_total":  float64(snap.RecordCache.Misses),
+		"lruk_corrupt_detected_total":     float64(snap.Pool.CorruptDetected),
+		"lruk_repair_success_total":       float64(snap.Pool.CorruptRepaired),
+		"lruk_repair_failed_total":        float64(snap.Pool.CorruptQuarantined),
+		"lruk_scrub_pages_total":          float64(snap.Pool.ScrubPages),
+		"lruk_scrub_corrupt_total":        float64(snap.Pool.ScrubCorrupt),
+		"lruk_pool_poisoned_pages":        float64(snap.PoisonedPages),
 		// Every FetchCtx records exactly one observation; NewPage counts a
 		// miss per allocation without running the fetch path, hence the
 		// Allocated subtraction.
@@ -156,6 +161,20 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 	}
 	if snap.Policy.Purges == 0 {
 		t.Fatal("expected RIP purges with RetainedInformationPeriod=100")
+	}
+	if snap.AccessBatch.Events == 0 {
+		t.Fatalf("no buffered policy events drained: %+v", snap.AccessBatch)
+	}
+	// Every policy collector and snapshot read is itself a forced flush, so
+	// Flushes only grows between the scrape and the snapshot after it.
+	if got := vals["lruk_access_batch_flushes_total"]; got == 0 || got > float64(snap.AccessBatch.Flushes) {
+		t.Errorf("lruk_access_batch_flushes_total = %v, snapshot taken later says %d", got, snap.AccessBatch.Flushes)
+	}
+	if got := vals["lruk_access_batch_drain_events_count"]; got == 0 {
+		t.Error("drain depth histogram recorded nothing")
+	}
+	if got, want := vals["lruk_access_batch_drain_seconds_count"], vals["lruk_access_batch_drain_events_count"]; got != want {
+		t.Errorf("drain latency histogram holds %v observations, drain depth %v", got, want)
 	}
 
 	// Per-stripe disk histograms must sum to the disk ledger: every
@@ -219,81 +238,5 @@ func TestObsDisabledByDefault(t *testing.T) {
 	}
 	if tr := database.EvictionTrace(); tr != nil {
 		t.Fatalf("eviction trace must be nil without Config.Obs, got %d records", len(tr))
-	}
-}
-
-// TestAccessBatchEndToEnd runs the assembled database with the replacer
-// behind access buffers (Config.AccessBatch) and the observability stack
-// armed: lookups must return correct records, the drain counters must show
-// buffered events actually flowing, the exposed batch metrics must agree
-// with StatsSnapshot, and a snapshot read must flush the buffers so policy
-// counters are current.
-func TestAccessBatchEndToEnd(t *testing.T) {
-	reg := obs.NewRegistry()
-	database, err := Open(Config{
-		Frames:      16,
-		K:           2,
-		AccessBatch: 32,
-		Obs:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer database.Close()
-	const customers = 200
-	if err := database.LoadCustomers(customers); err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(7)
-	for i := 0; i < 2000; i++ {
-		id := int64(rng.Intn(customers))
-		rec, err := database.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := int64(binary.LittleEndian.Uint64(rec)); got != id {
-			t.Fatalf("lookup %d returned record %d", id, got)
-		}
-	}
-
-	snap := database.StatsSnapshot()
-	if snap.AccessBatch.Events == 0 {
-		t.Error("no buffered policy events drained")
-	}
-	if snap.AccessBatch.Flushes == 0 {
-		t.Error("no whole-buffer flushes recorded (eviction searches and stats reads must flush)")
-	}
-	// The snapshot's policy view flushed first, so every drained reference
-	// is reflected: the pool evicted (16 frames, 200+ pages), and each
-	// eviction the replacer performed came from a flushed, current index.
-	if snap.Policy.Evictions == 0 || snap.Pool.Evictions == 0 {
-		t.Errorf("workload did not evict: policy %d, pool %d", snap.Policy.Evictions, snap.Pool.Evictions)
-	}
-
-	srv := httptest.NewServer(obs.Handler(reg))
-	defer srv.Close()
-	vals := scrape(t, srv)
-	snap = database.StatsSnapshot()
-	for name, want := range map[string]float64{
-		"lruk_access_batch_drains_total":  float64(snap.AccessBatch.Drains),
-		"lruk_access_batch_events_total":  float64(snap.AccessBatch.Events),
-		"lruk_access_batch_dropped_total": float64(snap.AccessBatch.Dropped),
-	} {
-		got, ok := vals[name]
-		if !ok {
-			t.Errorf("metric %s missing from exposition", name)
-			continue
-		}
-		if got != want {
-			t.Errorf("%s = %v, snapshot says %v", name, got, want)
-		}
-	}
-	// The scrape itself flushes (policy collectors), so Flushes only grows;
-	// compare with >= instead of equality.
-	if got := vals["lruk_access_batch_flushes_total"]; got > float64(snap.AccessBatch.Flushes) {
-		t.Errorf("flushes regressed: scraped %v, snapshot %v", got, snap.AccessBatch.Flushes)
-	}
-	if got := vals["lruk_access_batch_drain_events_count"]; got == 0 {
-		t.Error("drain depth histogram recorded nothing")
 	}
 }

@@ -17,7 +17,7 @@ import (
 func newFile(t *testing.T, frames int) *File {
 	t.Helper()
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, frames, core.NewReplacer(2, core.Options{}))
+	pool := bufferpool.New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 	return New(pool)
 }
 
@@ -338,7 +338,7 @@ func TestAppendCtx(t *testing.T) {
 // write at eviction), and validation failures write nothing.
 func TestUpdateFlushCtx(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, 4, core.NewReplacer(2, core.Options{}))
+	pool := bufferpool.New(d, 4, core.NewSyncReplacer(2, core.Options{}))
 	f := New(pool)
 	rid, err := f.Insert([]byte("aaaaaaaa"))
 	if err != nil {
