@@ -1,23 +1,21 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke check
+.PHONY: all build test race vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos crash-smoke corrupt-smoke cluster-smoke trace-smoke check
 
 all: check
 
 build:
 	$(GO) build ./...
 
-## test: vet plus the plain suite. The explicit -timeout turns a hung
-## lifecycle path (a writer that never stops, a waiter that never wakes)
-## into a stack-dumping failure instead of a stuck CI job.
+## test: the plain suite. The explicit -timeout turns a hung lifecycle
+## path (a writer that never stops, a waiter that never wakes) into a
+## stack-dumping failure instead of a stuck CI job.
 test:
-	$(GO) vet ./...
 	$(GO) test -timeout 300s ./...
 
-## race: the standard concurrency gate — vet plus the full suite under the
-## race detector (includes the pool, cache, replacer and disk stress tests).
+## race: the standard concurrency gate — the full suite under the race
+## detector (includes the pool, cache, replacer and disk stress tests).
 race:
-	$(GO) vet ./...
 	$(GO) test -race -timeout 600s ./...
 
 vet:
@@ -66,18 +64,6 @@ chaos:
 bench-obs:
 	$(GO) test -bench BenchmarkObs -run '^$$' ./internal/obs/
 
-## serve-smoke: boot the lrukd daemon on a random port, drive a load burst
-## through the wire protocol, check the hit ratio, and verify a clean
-## SIGTERM drain (DESIGN.md §11).
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
-## obs-smoke: boot lrukd with the observability plane armed, then check
-## /metrics families across every layer, the /trace ring, pprof, the
-## structured log line, and a clean drain (DESIGN.md §12).
-obs-smoke:
-	sh scripts/obs_smoke.sh
-
 ## crash-smoke: kill -9 durability test — boot lrukd on a file-backed
 ## data dir, drive a ledger-recorded update load, SIGKILL mid-run,
 ## restart on the same dir, and verify every acknowledged update
@@ -107,4 +93,6 @@ cluster-smoke:
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
-check: fmt-check build vet test race bench-module bench-hit serve-smoke obs-smoke crash-smoke corrupt-smoke cluster-smoke trace-smoke
+## check: the gate. vet and the two test runs each compile every package,
+## so there is no separate build step.
+check: fmt-check vet test race bench-module bench-hit crash-smoke corrupt-smoke cluster-smoke trace-smoke

@@ -113,8 +113,8 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		customers = fs.Int("customers", 10000, "customer records each node loads")
 		frames    = fs.Int("frames", 404, "buffer pool size in pages, per node")
 		k         = fs.Int("k", 2, "LRU-K history depth")
-		workers   = fs.Int("workers", 0, "worker pool size per node (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 0, "admission queue depth per node (0 = 4x workers)")
+		workers   = fs.Int("workers", 0, "execution slots per node: concurrent database operations (0 = GOMAXPROCS)")
+		queue     = fs.Int("queue", 0, "requests per node that may wait for a slot before BUSY (0 = 4x workers)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window per node on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -28,8 +28,8 @@
 //
 //	lrukd: serving on <host:port> (customers=... frames=... k=... workers=... queue=...)
 //
-// which scripts/serve_smoke.sh parses for the bound address. With
-// -obs-addr it additionally prints
+// which the smoke scripts parse for the bound address. With -obs-addr it
+// additionally prints
 //
 //	lrukd: observability on <host:port>
 //
@@ -89,22 +89,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		k         = fs.Int("k", 2, "LRU-K history depth (1 = classical LRU)")
 		workers   = fs.Int("workers", 0, "execution slots: concurrent database operations (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "requests that may wait for a slot before BUSY (0 = 4x workers)")
-		recCache  = fs.Int("record-cache", 0, "record cache size in records (0 = off; see DESIGN.md §11 caveat)")
 		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window on shutdown")
 		maxReq    = fs.Duration("max-request-timeout", 30*time.Second, "cap on any request's time budget")
 		obsAddr   = fs.String("obs-addr", "", "observability HTTP address serving /metrics, /trace and /debug/pprof (empty = off)")
 		obsLog    = fs.Duration("obs-log-interval", 0, "period between structured stats log lines on stderr (0 = off; needs -obs-addr)")
-		traceSize = fs.Int("trace-size", 512, "eviction trace ring capacity in records (with -obs-addr)")
 		spanCap   = fs.Int("trace-spans", 0, "distributed-tracing span ring capacity (0 = tracing off)")
 		sampleFr  = fs.Float64("trace-sample", 0, "fraction of requests to head-sample into traces (0..1)")
 		slowThr   = fs.Duration("trace-slow", 0, "tail-sample any request at least this slow (0 = off)")
 		scrubIval = fs.Duration("scrub-interval", 0, "period between background integrity scrub sweeps (0 = off)")
-		verify    = fs.Bool("verify-reads", true, "verify per-page checksum trailers on every read (-backend=file)")
 		maxWAL    = fs.Int64("max-wal-bytes", 0, "force a checkpoint when the WAL exceeds this size (-backend=file; 0 = no cap)")
 		nodeID    = fs.String("node-id", "", "this node's identity in a cluster (required with -cluster)")
 		clusterFl = fs.String("cluster", "", "cluster membership spec \"id=addr,...\" naming every node including this one (bootstraps an epoch-1 view)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// A flag that cannot take effect is a usage error, not a silent no-op.
+	switch {
+	case *obsLog > 0 && *obsAddr == "":
+		fmt.Fprintln(stderr, "lrukd: -obs-log-interval requires -obs-addr")
+		return 2
+	case (*sampleFr != 0 || *slowThr != 0) && *spanCap <= 0:
+		fmt.Fprintln(stderr, "lrukd: -trace-sample and -trace-slow require -trace-spans")
+		return 2
+	case *maxWAL != 0 && *backend != "file":
+		fmt.Fprintln(stderr, "lrukd: -max-wal-bytes requires -backend=file")
 		return 2
 	}
 
@@ -164,7 +173,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		s, err := file.OpenConfig(*dataDir, file.Config{
-			VerifyReads: *verify,
+			VerifyReads: true,
 			MaxWALBytes: *maxWAL,
 			Spans:       spanRec,
 		})
@@ -179,14 +188,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	database, err := db.Open(db.Config{
-		Backend:           store,
-		Frames:            *frames,
-		K:                 *k,
-		RecordCacheSize:   *recCache,
-		Obs:               reg,
-		EvictionTraceSize: *traceSize,
-		ScrubInterval:     *scrubIval,
-		Spans:             spanRec,
+		Backend:       store,
+		Frames:        *frames,
+		K:             *k,
+		Obs:           reg,
+		ScrubInterval: *scrubIval,
+		Spans:         spanRec,
 		// Production-shaped fault posture: bounded transient retry and a
 		// per-stripe circuit breaker, the PR 3 machinery the server maps
 		// onto wire statuses.

@@ -7,11 +7,16 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufferpool"
+	"repro/internal/db"
 	"repro/internal/server/client"
 )
 
@@ -33,44 +38,102 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// daemon is one in-process lrukd: run on its own goroutine, with ctx
+// cancellation standing in for SIGTERM.
+type daemon struct {
+	t              *testing.T
+	stdout, stderr syncBuffer
+	cancel         context.CancelFunc
+	code           chan int
+	// addr and obsAddr are parsed from the serving lines (obsAddr stays
+	// empty without -obs-addr).
+	addr, obsAddr string
+}
+
+// startDaemon boots lrukd on a free port with args appended and returns
+// once it has printed its serving line (and, with -obs-addr among args,
+// its observability line).
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	d := &daemon{t: t, cancel: cancel, code: make(chan int, 1)}
+	args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+	go func() { d.code <- run(ctx, args, &d.stdout, &d.stderr) }()
+	wantObs := slices.Contains(args, "-obs-addr")
+	deadline := time.Now().Add(15 * time.Second)
+	for d.addr == "" || (wantObs && d.obsAddr == "") {
+		if time.Now().After(deadline) {
+			t.Fatalf("missing serving lines; stdout %q stderr %q", d.stdout.String(), d.stderr.String())
+		}
+		for _, line := range strings.Split(d.stdout.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, "lrukd: serving on "); ok {
+				d.addr = strings.Fields(rest)[0]
+			}
+			if rest, ok := strings.CutPrefix(line, "lrukd: observability on "); ok {
+				d.obsAddr = strings.Fields(rest)[0]
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return d
+}
+
+// dial connects a wire client to the daemon, closed with the test.
+func (d *daemon) dial() *client.Client {
+	d.t.Helper()
+	cl, err := client.Dial(d.addr)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// fetch GETs path from the observability listener and returns the body.
+func (d *daemon) fetch(path string) string {
+	d.t.Helper()
+	resp, err := http.Get("http://" + d.obsAddr + path)
+	if err != nil {
+		d.t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		d.t.Fatalf("GET %s: %v", path, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		d.t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	return string(body)
+}
+
+// drain delivers the shutdown signal and requires exit 0 with the clean
+// shutdown line, which includes passing lrukd's internal leak check.
+func (d *daemon) drain() {
+	d.t.Helper()
+	d.cancel()
+	select {
+	case code := <-d.code:
+		if code != 0 {
+			d.t.Fatalf("run exited %d; stderr %q", code, d.stderr.String())
+		}
+	case <-time.After(15 * time.Second):
+		d.t.Fatalf("run did not exit after cancellation; stdout %q", d.stdout.String())
+	}
+	if !strings.Contains(d.stdout.String(), "lrukd: clean shutdown") {
+		d.t.Fatalf("missing clean shutdown line; stdout %q stderr %q",
+			d.stdout.String(), d.stderr.String())
+	}
+}
+
 // TestRunServesAndDrainsCleanly is the daemon's whole life in miniature:
 // boot on a free port, answer a request, receive the shutdown signal
 // (modelled by ctx cancellation), and exit 0 having printed the clean
 // shutdown line — which includes passing its own internal leak check.
 func TestRunServesAndDrainsCleanly(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stdout, stderr syncBuffer
-
-	codeCh := make(chan int, 1)
-	go func() {
-		codeCh <- run(ctx, []string{
-			"-addr", "127.0.0.1:0",
-			"-customers", "500",
-			"-frames", "64",
-		}, &stdout, &stderr)
-	}()
-
-	// Wait for the serving line and parse the bound address from it.
-	var addr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("no serving line; stdout %q stderr %q", stdout.String(), stderr.String())
-		}
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "lrukd: serving on "); ok {
-				addr = strings.Fields(rest)[0]
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	cl, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	d := startDaemon(t, "-customers", "500", "-frames", "64")
+	cl := d.dial()
 	rec, err := cl.Get(context.Background(), 42)
 	if err != nil {
 		t.Fatalf("get against daemon: %v", err)
@@ -78,140 +141,230 @@ func TestRunServesAndDrainsCleanly(t *testing.T) {
 	if len(rec) == 0 {
 		t.Fatal("daemon returned empty record")
 	}
-
-	cancel() // the test's stand-in for SIGTERM
-	select {
-	case code := <-codeCh:
-		if code != 0 {
-			t.Fatalf("run exited %d; stderr %q", code, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatalf("run did not exit after cancellation; stdout %q", stdout.String())
+	// A repeat of the same key is a pool hit, so a non-zero ratio from STATS
+	// proves real cache traffic flowed through the wire protocol.
+	if _, err := cl.Get(context.Background(), 42); err != nil {
+		t.Fatalf("repeat get: %v", err)
 	}
-	if !strings.Contains(stdout.String(), "lrukd: clean shutdown") {
-		t.Fatalf("missing clean shutdown line; stdout %q stderr %q",
-			stdout.String(), stderr.String())
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatalf("stats: %v", err)
 	}
+	if st.DB.PoolHitRatio <= 0 {
+		t.Errorf("STATS pool hit ratio = %v after a repeated get, want > 0", st.DB.PoolHitRatio)
+	}
+	d.drain()
 }
 
 // TestRunObservabilityPlane boots the daemon with -obs-addr, drives a
-// little traffic, and asserts the second listener serves /metrics with the
-// expected families and /trace with JSON — then that shutdown still passes
-// the internal leak check (the obs server and logger must both stop).
+// little traffic, and asserts the second listener serves /metrics with
+// every layer's families plus summary quantiles, /trace with eviction
+// records, and the pprof index — then that shutdown still passes the
+// internal leak check (the obs server and logger must both stop).
 func TestRunObservabilityPlane(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stdout, stderr syncBuffer
-
-	codeCh := make(chan int, 1)
-	go func() {
-		codeCh <- run(ctx, []string{
-			"-addr", "127.0.0.1:0",
-			"-obs-addr", "127.0.0.1:0",
-			"-obs-log-interval", "50ms",
-			"-customers", "300",
-			"-frames", "32",
-		}, &stdout, &stderr)
-	}()
-
-	var addr, obsAddr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" || obsAddr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("missing serving lines; stdout %q stderr %q", stdout.String(), stderr.String())
-		}
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "lrukd: serving on "); ok {
-				addr = strings.Fields(rest)[0]
-			}
-			if rest, ok := strings.CutPrefix(line, "lrukd: observability on "); ok {
-				obsAddr = strings.Fields(rest)[0]
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	cl, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	d := startDaemon(t,
+		"-obs-addr", "127.0.0.1:0",
+		"-obs-log-interval", "50ms",
+		"-customers", "300",
+		"-frames", "32",
+	)
+	cl := d.dial()
 	for i := int64(0); i < 50; i++ {
 		if _, err := cl.Get(context.Background(), i%300); err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
 	}
 
-	resp, err := http.Get("http://" + obsAddr + "/metrics")
-	if err != nil {
-		t.Fatalf("scrape: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(body)
+	metrics := d.fetch("/metrics")
 	for _, family := range []string{
 		"lruk_pool_hits_total",
+		"lruk_pool_fetch_seconds_count",
+		"lruk_pool_sweep_victims_count",
 		"lruk_disk_read_seconds_count",
 		"lruk_policy_evictions_total",
+		"lruk_policy_trace_records_total",
 		"lruk_server_request_seconds_count",
+		"lruk_server_queue_wait_seconds_count",
+		`quantile="0.99"`,
 	} {
 		if !strings.Contains(metrics, family) {
-			t.Errorf("/metrics missing family %s", family)
+			t.Errorf("/metrics missing %s", family)
 		}
 	}
 
-	resp, err = http.Get("http://" + obsAddr + "/trace")
-	if err != nil {
-		t.Fatalf("trace: %v", err)
-	}
 	var trace []map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&trace)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal([]byte(d.fetch("/trace")), &trace); err != nil {
 		t.Fatalf("trace decode: %v", err)
 	}
-	if len(trace) == 0 {
-		t.Error("eviction trace is empty after a working set larger than the pool")
+	evicts := 0
+	for _, rec := range trace {
+		if rec["kind"] == "evict" {
+			evicts++
+		}
+	}
+	if evicts == 0 {
+		t.Errorf("/trace holds no eviction records after a working set larger than the pool (%d records)", len(trace))
+	}
+
+	if idx := d.fetch("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
+		t.Errorf("/debug/pprof/ index looks wrong: %.200q", idx)
 	}
 
 	// Let at least one structured log line land on stderr.
 	logDeadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(stderr.String(), "obs ts=") {
+	for !strings.Contains(d.stderr.String(), "obs ts=") {
 		if time.Now().After(logDeadline) {
-			t.Fatalf("no structured log line; stderr %q", stderr.String())
+			t.Fatalf("no structured log line; stderr %q", d.stderr.String())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	d.drain()
+}
 
-	cancel()
-	select {
-	case code := <-codeCh:
-		if code != 0 {
-			t.Fatalf("run exited %d; stderr %q", code, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatalf("run did not exit after cancellation; stdout %q", stdout.String())
+// catalogFamilies returns the lruk_* family names DESIGN.md §12's "Metric
+// catalog" table documents: the backticked names in its first column, with
+// label suffixes such as {op=...} dropped and brace groups such as
+// lruk_pool_{hits,misses}_total expanded.
+func catalogFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(stdout.String(), "lrukd: clean shutdown") {
-		t.Fatalf("missing clean shutdown line; stdout %q stderr %q",
-			stdout.String(), stderr.String())
+	_, section, ok := strings.Cut(string(design), "\n### Metric catalog\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"### Metric catalog\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	var expand func(string) []string
+	expand = func(name string) []string {
+		open := strings.IndexByte(name, '{')
+		if open < 0 {
+			return []string{name}
+		}
+		end := open + strings.IndexByte(name[open:], '}')
+		group := name[open+1 : end]
+		if strings.ContainsAny(group, "=.") {
+			// A label suffix, not an alternation.
+			return expand(name[:open] + name[end+1:])
+		}
+		var out []string
+		for _, alt := range strings.Split(group, ",") {
+			out = append(out, expand(name[:open]+alt+name[end+1:])...)
+		}
+		return out
+	}
+	families := make(map[string]bool)
+	for _, row := range strings.Split(section, "\n") {
+		cols := strings.Split(row, "|")
+		if len(cols) < 2 {
+			continue
+		}
+		for _, tok := range strings.Split(cols[1], "`") {
+			if strings.HasPrefix(tok, "lruk_") {
+				for _, name := range expand(tok) {
+					families[name] = true
+				}
+			}
+		}
+	}
+	return families
+}
+
+// TestMetricsCatalog holds /metrics and DESIGN.md §12's catalog table to
+// each other, in both directions: boot the daemon with every layer armed
+// (durable backend, observability plane, span ring, scrubber, a cluster
+// view), scrape it, and require the set of lruk_* families exposed to
+// equal the set documented. An undocumented family and a documented family
+// nothing registers both fail.
+func TestMetricsCatalog(t *testing.T) {
+	d := startDaemon(t,
+		"-backend", "file", "-data-dir", t.TempDir(),
+		"-obs-addr", "127.0.0.1:0",
+		"-trace-spans", "256",
+		"-scrub-interval", "1s",
+		"-node-id", "n0", "-cluster", "n0=127.0.0.1:0",
+		"-customers", "40",
+		"-frames", "16",
+	)
+	exposed := make(map[string]bool)
+	for _, line := range strings.Split(d.fetch("/metrics"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			exposed[strings.Fields(rest)[0]] = true
+		}
+	}
+	documented := catalogFamilies(t)
+	for name := range documented {
+		// Not the daemon's: the rebalance coordinator (lrukcluster) registers
+		// these in its own registry. TestRebalanceObservability (package
+		// cluster) asserts them there.
+		if strings.HasPrefix(name, "lruk_cluster_rebalance_") {
+			continue
+		}
+		if !exposed[name] {
+			t.Errorf("DESIGN.md §12 documents %s, but a fully armed lrukd does not expose it", name)
+		}
+	}
+	for name := range exposed {
+		if !documented[name] {
+			t.Errorf("/metrics exposes %s, which DESIGN.md §12's catalog does not document", name)
+		}
+	}
+	d.drain()
+}
+
+// TestRunRejectsBadFlags exercises the usage exit path: unknown flags,
+// inconsistent cluster flags, and flags that could not take effect.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for name, args := range map[string][]string{
+		"unknown flag":                        {"-no-such-flag"},
+		"-cluster without -node-id":           {"-cluster", "n0=127.0.0.1:1"},
+		"-node-id outside the spec":           {"-node-id", "ghost", "-cluster", "n0=127.0.0.1:1"},
+		"-data-dir without -backend=file":     {"-data-dir", t.TempDir()},
+		"-obs-log-interval without -obs-addr": {"-obs-log-interval", "1s"},
+		"-trace-sample without -trace-spans":  {"-trace-sample", "0.5"},
+		"-trace-slow without -trace-spans":    {"-trace-slow", "1ms"},
+		"-max-wal-bytes with -backend=sim":    {"-max-wal-bytes", "4096"},
+	} {
+		var stdout, stderr syncBuffer
+		// A cancelled context: a case that is wrongly accepted boots, sees
+		// the shutdown signal at once, and reports its exit code instead of
+		// serving forever.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		args = append([]string{"-addr", "127.0.0.1:0", "-customers", "10"}, args...)
+		if code := run(ctx, args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s exited %d, want 2; stderr %q", name, code, stderr.String())
+		}
 	}
 }
 
-// TestRunRejectsBadFlags exercises the usage exit path.
-func TestRunRejectsBadFlags(t *testing.T) {
+// TestOptionSurface is a ratchet on the number of independently settable
+// values: every db.Config field, bufferpool.Config field and lrukd flag is
+// a configuration the tests and BENCHMARK.json must cover. Adding one means
+// editing a number here and saying, in the same change, which two existing
+// callers need different values for it.
+func TestOptionSurface(t *testing.T) {
+	if n := reflect.TypeOf(db.Config{}).NumField(); n != 14 {
+		t.Errorf("db.Config has %d fields, want 14", n)
+	}
+	if n := reflect.TypeOf(bufferpool.Config{}).NumField(); n != 9 {
+		t.Errorf("bufferpool.Config has %d fields, want 9", n)
+	}
+	// run builds its flag set internally; -h makes it print one "  -name"
+	// usage entry per defined flag.
 	var stdout, stderr syncBuffer
-	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad flag exited %d, want 2", code)
+	if code := run(context.Background(), []string{"-h"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-h exited %d, want 2", code)
 	}
-	if code := run(context.Background(), []string{"-cluster", "n0=127.0.0.1:1"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-cluster without -node-id exited %d, want 2", code)
+	flags := 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags++
+		}
 	}
-	if code := run(context.Background(), []string{"-node-id", "ghost", "-cluster", "n0=127.0.0.1:1"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-node-id outside the spec exited %d, want 2", code)
+	if flags != 19 {
+		t.Errorf("lrukd defines %d flags, want 19; usage:\n%s", flags, stderr.String())
 	}
 }
 
@@ -219,41 +372,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // bootstrap view (epoch 1), advertises its id on the serving line, and
 // refuses keys the ring assigns elsewhere.
 func TestRunClusterFlags(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stdout, stderr syncBuffer
-	codeCh := make(chan int, 1)
 	// A 2-node spec in which only n0 runs: n1's keys must come back MOVED.
-	go func() {
-		codeCh <- run(ctx, []string{
-			"-addr", "127.0.0.1:0",
-			"-customers", "300",
-			"-frames", "64",
-			"-node-id", "n0",
-			"-cluster", "n0=127.0.0.1:0,n1=127.0.0.1:1",
-		}, &stdout, &stderr)
-	}()
-	var addr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("no serving line; stdout %q stderr %q", stdout.String(), stderr.String())
-		}
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if strings.HasPrefix(line, "lrukd: serving on ") {
-				if !strings.Contains(line, "node=n0") {
-					t.Fatalf("serving line %q lacks node=n0", line)
-				}
-				addr = strings.Fields(strings.TrimPrefix(line, "lrukd: serving on "))[0]
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
+	d := startDaemon(t,
+		"-customers", "300",
+		"-frames", "64",
+		"-node-id", "n0",
+		"-cluster", "n0=127.0.0.1:0,n1=127.0.0.1:1",
+	)
+	if out := d.stdout.String(); !strings.Contains(out, "node=n0") {
+		t.Fatalf("serving line lacks node=n0: %q", out)
 	}
-	cl, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := d.dial()
 	v, err := cl.ViewGet(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -276,13 +405,5 @@ func TestRunClusterFlags(t *testing.T) {
 	if !sawOwned || !sawMoved {
 		t.Errorf("ownership split not observed: owned=%v moved=%v", sawOwned, sawMoved)
 	}
-	cancel()
-	select {
-	case code := <-codeCh:
-		if code != 0 {
-			t.Fatalf("lrukd exited %d; stderr %q", code, stderr.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("lrukd did not drain")
-	}
+	d.drain()
 }

@@ -13,8 +13,9 @@
 // latch exclusively, and all disk I/O — miss reads and dirty-victim
 // write-backs — runs outside every latch. Concurrent misses on the same
 // page coalesce onto a single in-flight read. The original single-latch
-// implementation survives as Serial, the reference the concurrent pool is
-// differentially tested against. See DESIGN.md §8 for the full protocol.
+// implementation survives in serial_test.go as Serial, the reference the
+// package's tests compare the concurrent pool against. See DESIGN.md §8
+// for the full protocol.
 package bufferpool
 
 import (
@@ -283,7 +284,7 @@ type shard struct {
 	// fastHits counts hits served by the lock-free probe, a subset of
 	// hits. Deliberately not part of Stats: it is a mechanism counter, not
 	// pool accounting, and must not disturb Stats' exact differential
-	// equality against the Serial pool.
+	// equality against the Serial reference pool (serial_test.go).
 	fastHits       atomic.Uint64
 	misses         atomic.Uint64
 	coalesced      atomic.Uint64
@@ -323,13 +324,10 @@ type Config struct {
 	// identical to the uninstrumented pool.
 	Metrics Metrics
 	// ScrubInterval is the background scrubber's cadence: every interval
-	// it verifies ScrubBatch pages against the backend, detecting silent
+	// it verifies scrubBatch pages against the backend, detecting silent
 	// corruption before a client read trips over it. Zero disables the
 	// scrubber. The scrubber runs only after Start.
 	ScrubInterval time.Duration
-	// ScrubBatch is how many pages one scrub tick examines. Zero selects
-	// 64.
-	ScrubBatch int
 	// CorruptionHook, when set, is called once per detected corruption
 	// after its fate is decided: repaired in place, or quarantined. It
 	// runs on the detecting goroutine (a fetch's miss path or the
@@ -428,7 +426,6 @@ type Pool struct {
 	retry          *retrier
 	metrics        Metrics
 	scrubInterval  time.Duration
-	scrubBatch     int
 	corruptionHook func(policy.PageID, storage.CorruptKind, bool)
 	spans          *obs.SpanRecorder
 	evictionStamp  func(policy.PageID, uint64)
@@ -480,9 +477,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	if cfg.WriterInterval <= 0 {
 		cfg.WriterInterval = 10 * time.Millisecond
 	}
-	if cfg.ScrubBatch <= 0 {
-		cfg.ScrubBatch = 64
-	}
 	p := &Pool{
 		backend:        b,
 		breaker:        storage.WithBreaker(b, cfg.Breaker, time.Now),
@@ -496,7 +490,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		retry:          newRetrier(cfg.Retry),
 		metrics:        cfg.Metrics,
 		scrubInterval:  cfg.ScrubInterval,
-		scrubBatch:     cfg.ScrubBatch,
 		corruptionHook: cfg.CorruptionHook,
 		spans:          cfg.Spans,
 		evictionStamp:  cfg.EvictionStamp,
@@ -1463,7 +1456,8 @@ func (p *Pool) Stats() Stats {
 
 // FastHits returns how many hits were served by the latch-free probe — a
 // subset of Stats().Hits, kept out of Stats so the pool's accounting
-// remains field-for-field comparable with the Serial reference pool.
+// remains field-for-field comparable with the Serial reference pool
+// (serial_test.go).
 func (p *Pool) FastHits() uint64 {
 	var n uint64
 	for i := range p.shards {

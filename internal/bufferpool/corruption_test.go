@@ -177,7 +177,6 @@ func TestScrubberHealsInBackground(t *testing.T) {
 	taint(t, c, ids[5], false)
 	p := NewWithConfig(c, 4, core.NewSyncReplacer(4, core.Options{}), Config{
 		ScrubInterval: 200 * time.Microsecond,
-		ScrubBatch:    16,
 	})
 	p.Start()
 
@@ -323,7 +322,6 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		Breaker:        BreakerConfig{Threshold: 1 << 30, Cooldown: time.Millisecond, Probes: 1},
 		WriterInterval: time.Millisecond,
 		ScrubInterval:  500 * time.Microsecond,
-		ScrubBatch:     64,
 	})
 	p.Start()
 

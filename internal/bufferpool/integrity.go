@@ -212,6 +212,9 @@ func (p *Pool) rewriteResident(ctx context.Context, id policy.PageID) bool {
 	return p.flushFrame(ctx, id, f) == nil
 }
 
+// scrubBatch is how many pages one background scrub tick examines.
+const scrubBatch = 64
+
 // scrubLoop is the background scrubber: every scrubInterval it sweeps
 // scrubBatch pages. It shares the background writer's stop channel and
 // acknowledges exit on scrubDone.
@@ -233,6 +236,6 @@ func (p *Pool) scrubLoop() {
 			return
 		case <-ticker.C:
 		}
-		p.ScrubSweep(ctx, p.scrubBatch)
+		p.ScrubSweep(ctx, scrubBatch)
 	}
 }

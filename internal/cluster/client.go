@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
 )
@@ -49,9 +48,6 @@ type Config struct {
 	MaxBackoff time.Duration
 	// PoolSize caps idle connections kept per node. Zero selects 2.
 	PoolSize int
-	// Obs, when set, gets per-node outcome counters registered as
-	// lruk_cluster_client_ops_total{node,result}.
-	Obs *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -215,34 +211,11 @@ func (c *Client) node(id, addr string) *node {
 		if n = c.nodes[id]; n == nil {
 			n = &node{id: id, addr: addr}
 			c.nodes[id] = n
-			c.registerObs(n)
 		}
 		c.mu.Unlock()
 	}
 	n.setAddr(addr)
 	return n
-}
-
-// registerObs exposes a node's outcome counters. CounterFunc re-registration
-// replaces the callback, so this is idempotent per node id.
-func (c *Client) registerObs(n *node) {
-	if c.cfg.Obs == nil {
-		return
-	}
-	const name = "lruk_cluster_client_ops_total"
-	const help = "Cluster client requests by node and outcome."
-	for _, rc := range []struct {
-		result string
-		src    *atomic.Uint64
-	}{
-		{"ok", &n.ok}, {"busy", &n.busy}, {"unavailable", &n.unavailable},
-		{"moved", &n.moved}, {"transport", &n.transport}, {"error", &n.errs},
-	} {
-		src := rc.src
-		c.cfg.Obs.CounterFunc(name, help,
-			obs.Labels{"node": n.id, "result": rc.result},
-			func() float64 { return float64(src.Load()) })
-	}
 }
 
 // View returns the currently held membership view.

@@ -25,8 +25,9 @@ import (
 //  2. One FIFO per table. Every event of every page goes through the one
 //     ring, so the table replays exactly the call sequence an eager caller
 //     would have issued — which is why a single-threaded trace through a
-//     pool on this replacer reconciles bit-exactly with the Serial pool on
-//     a plain Replacer.
+//     pool on this replacer reconciles bit-exactly with the Serial
+//     reference pool (internal/bufferpool/serial_test.go) on a plain
+//     Replacer.
 //  3. Flush before deciding. Evict, Size, HistorySize and PolicyStats
 //     drain the ring and read the table in one critical section, so a
 //     victim is never chosen on a window staler than the call itself and

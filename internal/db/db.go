@@ -62,11 +62,6 @@ type Config struct {
 	// selects the simulator's defaults (a circa-1993 device, accounting
 	// only).
 	DiskModel sim.ServiceModel
-	// PoolShards is the buffer pool's page-table latch partition count
-	// (power of two; 0 selects the pool's GOMAXPROCS-scaled default).
-	// Replacement decisions are unaffected — the replacer stays globally
-	// ordered — so results remain deterministic at any shard count.
-	PoolShards int
 	// DiskFaults, when non-nil, arms the storage stack with a deterministic
 	// fault-injection plan (storage.NewFaultPlan) so the database's failure
 	// paths can be exercised reproducibly — against any backend, simulated
@@ -88,18 +83,6 @@ type Config struct {
 	// DiskBreaker tunes the pool's per-stripe disk circuit breaker. The
 	// zero value disables it.
 	DiskBreaker bufferpool.BreakerConfig
-	// WriterInterval is the pool background writer's base park interval
-	// between quarantine drain rounds. Zero selects the pool default.
-	WriterInterval time.Duration
-	// RecordCacheSize, when positive, puts an in-memory LRU-K record cache
-	// in front of Lookup, sized in records. Zero (the default) disables it,
-	// keeping every lookup on the paper's I, R page-reference pattern.
-	RecordCacheSize int
-	// RecordCacheJanitor, when positive, runs the record cache on a
-	// wall-clock (the paper's §2.1.3 canonical CRP/RIP apply) and launches
-	// its janitor at this interval; db.Close stops it. Requires
-	// RecordCacheSize > 0.
-	RecordCacheJanitor time.Duration
 	// Obs, when non-nil, instruments the whole stack into this registry:
 	// the pool's fetch/miss/coalesce/sweep histograms, the disk's
 	// per-stripe read/write latency, the LRU-K policy's decision counters
@@ -162,11 +145,6 @@ type DB struct {
 	// evTrace is the policy decision ring (nil unless Config.Obs is set).
 	evTrace *obs.EvictionTrace
 
-	// recCache, when enabled, answers repeat Lookups without touching the
-	// pool; janitorStop tears down its background sweeper.
-	recCache    *core.Cache[int64, []byte]
-	janitorStop func()
-
 	// closed fences public operations after Close; closeMu serialises Close
 	// itself and guards closeErr for idempotent replay.
 	closed   atomic.Bool
@@ -185,12 +163,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	if cfg.RecordSize <= 8 || cfg.RecordSize > heapfile.MaxRecord {
 		return nil, fmt.Errorf("db: record size %d outside (8, %d]", cfg.RecordSize, heapfile.MaxRecord)
-	}
-	if cfg.PoolShards < 0 || cfg.PoolShards&(cfg.PoolShards-1) != 0 {
-		return nil, fmt.Errorf("db: pool shard count must be zero or a power of two, got %d", cfg.PoolShards)
-	}
-	if cfg.RecordCacheJanitor > 0 && cfg.RecordCacheSize <= 0 {
-		return nil, fmt.Errorf("db: record cache janitor requires a record cache (RecordCacheSize > 0)")
 	}
 	// Assemble the storage stack: base backend (caller-supplied or a fresh
 	// simulated disk) → corruption injection (innermost wrapper, so its
@@ -258,10 +230,8 @@ func Open(cfg Config) (*DB, error) {
 	}
 	pool := bufferpool.NewWithConfig(backend, cfg.Frames, repl,
 		bufferpool.Config{
-			Shards:         cfg.PoolShards,
 			Retry:          cfg.DiskRetry,
 			Breaker:        cfg.DiskBreaker,
-			WriterInterval: cfg.WriterInterval,
 			Metrics:        poolMetrics,
 			ScrubInterval:  cfg.ScrubInterval,
 			CorruptionHook: corruptionHook,
@@ -307,38 +277,9 @@ func Open(cfg Config) (*DB, error) {
 		}
 		db.index = idx
 	}
-	if cfg.RecordCacheSize > 0 {
-		opts := core.CacheOptions{K: cfg.K}
-		if cfg.RecordCacheSize < 16 {
-			// The cache refuses fewer entries than shards; a small cache
-			// runs unsharded (strict global LRU-K ordering).
-			opts.Shards = 1
-		}
-		if cfg.RecordCacheJanitor > 0 {
-			// Wall-clock cache with the paper's canonical §2.1.3 periods:
-			// 5-second Correlated Reference Period, 200-second Retained
-			// Information Period, in milliseconds.
-			opts.Clock = func() policy.Tick { return policy.Tick(time.Now().UnixMilli()) }
-			opts.CorrelatedReferencePeriod = 5_000
-			opts.RetainedInformationPeriod = 200_000
-		}
-		rc, cerr := core.NewIntCache[[]byte](cfg.RecordCacheSize, opts)
-		if cerr != nil {
-			return nil, fmt.Errorf("db: creating record cache: %w", cerr)
-		}
-		db.recCache = rc
-		if cfg.RecordCacheJanitor > 0 {
-			stop, jerr := rc.StartJanitor(cfg.RecordCacheJanitor)
-			if jerr != nil {
-				return nil, fmt.Errorf("db: starting record cache janitor: %w", jerr)
-			}
-			db.janitorStop = stop
-		}
-	}
 	if cfg.Obs != nil {
-		// Registered after the record cache exists so its collectors are
-		// included; the trace ring and hot-path histograms were armed
-		// before the first I/O above.
+		// Scrape-time collectors; the trace ring and hot-path histograms
+		// were armed before the first I/O above.
 		repl.SetTracer(policyTraceAdapter{trace: db.evTrace})
 		db.registerObs(cfg.Obs)
 	}
@@ -424,10 +365,10 @@ func (db *DB) writeCatalogCtx(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the database's background work (the pool's writer, the
-// record cache janitor), flushes every dirty page, and fences further
-// operations behind ErrClosed. It is idempotent: repeated calls return the
-// first call's flush result without repeating the work.
+// Close stops the database's background work (the pool's writer and
+// scrubber), flushes every dirty page, and fences further operations
+// behind ErrClosed. It is idempotent: repeated calls return the first
+// call's flush result without repeating the work.
 func (db *DB) Close() error {
 	db.closeMu.Lock()
 	defer db.closeMu.Unlock()
@@ -435,10 +376,6 @@ func (db *DB) Close() error {
 		return db.closeErr
 	}
 	db.closed.Store(true)
-	if db.janitorStop != nil {
-		db.janitorStop() // returns only after the janitor goroutine exits
-		db.janitorStop = nil
-	}
 	db.closeErr = db.pool.Close()
 	if cerr := db.backend.Close(); cerr != nil && db.closeErr == nil {
 		db.closeErr = cerr
@@ -490,9 +427,8 @@ func (db *DB) LoadCustomers(n int) error {
 }
 
 // Lookup retrieves the customer record through the index — the I, R
-// reference pair of Example 1.1. With a record cache configured, a cache
-// hit answers from memory without touching the pool; either way the caller
-// receives its own copy of the record.
+// reference pair of Example 1.1. The caller receives its own copy of the
+// record.
 func (db *DB) Lookup(custID int64) ([]byte, error) {
 	return db.LookupAppendCtx(context.Background(), nil, custID)
 }
@@ -514,11 +450,6 @@ func (db *DB) LookupAppendCtx(ctx context.Context, dst []byte, custID int64) ([]
 	if db.closed.Load() {
 		return dst, ErrClosed
 	}
-	if db.recCache != nil {
-		if rec, ok := db.recCache.Get(custID); ok {
-			return append(dst, rec...), nil
-		}
-	}
 	rid, ok, err := db.index.GetCtx(ctx, custID)
 	if err != nil {
 		return dst, fmt.Errorf("db: lookup %d: %w", custID, err)
@@ -526,15 +457,7 @@ func (db *DB) LookupAppendCtx(ctx context.Context, dst []byte, custID int64) ([]
 	if !ok {
 		return dst, fmt.Errorf("%w: %d", ErrNotFound, custID)
 	}
-	out, err := db.customers.AppendCtx(ctx, dst, rid)
-	if err != nil {
-		return dst, err
-	}
-	if db.recCache != nil {
-		// Cache a private copy: the caller owns out and may scribble on it.
-		db.recCache.Put(custID, append([]byte(nil), out[len(dst):]...))
-	}
-	return out, nil
+	return db.customers.AppendCtx(ctx, dst, rid)
 }
 
 // UpdateCustomer overwrites the filler of a customer record in place (a
@@ -549,11 +472,6 @@ func (db *DB) UpdateCustomer(custID int64, fill byte) error {
 func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) error {
 	if db.closed.Load() {
 		return ErrClosed
-	}
-	if db.recCache != nil {
-		// Invalidate up front: even a failed update may have altered the
-		// page, and a stale cached record would outlive it.
-		db.recCache.Delete(custID)
 	}
 	rid, ok, err := db.index.GetCtx(ctx, custID)
 	if err != nil {
@@ -656,9 +574,9 @@ func (db *DB) FlushAllCtx(ctx context.Context) error {
 }
 
 // StatsSnapshot is a point-in-time aggregate of every counter the database
-// exposes — pool, disk, record cache, quarantine, and page-directory sizes
-// — in one JSON-serialisable struct. The network service serves it under
-// the STATS op; it replaces stitching together three separate getters.
+// exposes — pool, disk, quarantine, and page-directory sizes — in one
+// JSON-serialisable struct. The network service serves it under the STATS
+// op; it replaces stitching together three separate getters.
 type StatsSnapshot struct {
 	Pool         bufferpool.Stats `json:"pool"`
 	PoolHitRatio float64          `json:"pool_hit_ratio"`
@@ -677,10 +595,9 @@ type StatsSnapshot struct {
 	// and repair counters live in Pool.
 	Corruption storage.CorruptStats `json:"corruption"`
 	// PoisonedPages counts page ids quarantined as unrepairable-corrupt.
-	PoisonedPages int             `json:"poisoned_pages"`
-	RecordCache   core.CacheStats `json:"record_cache"`
-	IndexPages    int             `json:"index_pages"`
-	DataPages     int             `json:"data_pages"`
+	PoisonedPages int `json:"poisoned_pages"`
+	IndexPages    int `json:"index_pages"`
+	DataPages     int `json:"data_pages"`
 }
 
 // StatsSnapshot collects the combined counter aggregate. The counters are
@@ -698,21 +615,11 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		Disk:               db.backend.Stats(),
 		Corruption:         db.corrupter.CorruptStats(),
 		PoisonedPages:      len(db.pool.PoisonedPages()),
-		RecordCache:        db.RecordCacheStats(),
 		IndexPages:         len(db.index.Pages()),
 		DataPages:          len(db.customers.Pages()),
 	}
 	snap.AccessBatch = db.replacer.BatchStats()
 	return snap
-}
-
-// RecordCacheStats returns the record cache's counters; the zero value
-// when no record cache is configured.
-func (db *DB) RecordCacheStats() core.CacheStats {
-	if db.recCache == nil {
-		return core.CacheStats{}
-	}
-	return db.recCache.Stats()
 }
 
 // PoolQuarantined returns the number of pages whose most recent write-back

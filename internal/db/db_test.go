@@ -20,8 +20,6 @@ func TestOpenValidation(t *testing.T) {
 		{Frames: 10, K: -2},
 		{Frames: 10, RecordSize: 4},
 		{Frames: 10, RecordSize: 1 << 20},
-		{Frames: 10, PoolShards: 3},
-		{Frames: 10, PoolShards: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := Open(cfg); err == nil {
@@ -33,9 +31,6 @@ func TestOpenValidation(t *testing.T) {
 		t.Errorf("default config rejected: %v", err)
 	} else {
 		db.Close()
-	}
-	if _, err := Open(Config{Frames: 10, RecordCacheJanitor: 1}); err == nil {
-		t.Error("janitor without a record cache accepted")
 	}
 }
 
@@ -181,7 +176,7 @@ func TestExample11Discrimination(t *testing.T) {
 // goroutines at once; every record must come back intact.
 func TestConcurrentLookups(t *testing.T) {
 	const customers = 500
-	db, err := Open(Config{Frames: 64, RecordSize: 100, PoolShards: 8})
+	db, err := Open(Config{Frames: 64, RecordSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,71 +267,61 @@ func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 
 // TestLookupAppendCtx pins the append-style lookup every other form calls:
 // the record lands after a non-empty prefix without disturbing it, a nil
-// dst yields exactly what LookupCtx returns, errors hand dst back
-// unchanged, and the record-cache hit path behaves identically — while
-// never letting the caller's buffer alias the cached copy.
+// dst yields exactly what LookupCtx returns, the caller's buffer never
+// aliases the page, and errors hand dst back unchanged.
 func TestLookupAppendCtx(t *testing.T) {
-	for _, cacheSize := range []int{0, 64} {
-		d, err := Open(Config{Frames: 64, RecordCacheSize: cacheSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.LoadCustomers(50); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.UpdateCustomer(7, 0x5A); err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		// Two passes: with a record cache the first fills it and the second
-		// is answered from it.
-		for pass := 0; pass < 2; pass++ {
-			want, err := d.LookupCtx(ctx, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := int64(binary.LittleEndian.Uint64(want)); got != 7 || want[8] != 0x5A {
-				t.Fatalf("cache=%d pass %d: LookupCtx returned id %d fill %#x", cacheSize, pass, got, want[8])
-			}
-			fresh, err := d.LookupAppendCtx(ctx, nil, 7)
-			if err != nil || !bytes.Equal(fresh, want) {
-				t.Fatalf("cache=%d pass %d: nil dst = %d bytes, err %v; want LookupCtx's %d", cacheSize, pass, len(fresh), err, len(want))
-			}
-			prefix := []byte("frame-header:")
-			buf := append(make([]byte, 0, 4096), prefix...)
-			out, err := d.LookupAppendCtx(ctx, buf, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
-				t.Fatalf("cache=%d pass %d: appended lookup = prefix %q + %d bytes", cacheSize, pass, out[:len(prefix)], len(out)-len(prefix))
-			}
-			if &out[0] != &buf[:1][0] {
-				t.Errorf("cache=%d pass %d: a record that fit dst's capacity reallocated it", cacheSize, pass)
-			}
-			// Scribbling on the caller's buffer must not reach the cache.
-			for i := range out {
-				out[i] = 0xFF
-			}
-			again, err := d.LookupCtx(ctx, 7)
-			if err != nil || !bytes.Equal(again, want) {
-				t.Fatalf("cache=%d pass %d: lookup after scribble differs (err %v)", cacheSize, pass, err)
-			}
-		}
-		if cacheSize > 0 && d.StatsSnapshot().RecordCache.Hits == 0 {
-			t.Error("record cache never hit: the cached path went untested")
-		}
-		// Errors return dst as it was.
-		prefix := []byte("keep")
-		out, err := d.LookupAppendCtx(ctx, prefix, 999)
-		if !errors.Is(err, ErrNotFound) || !bytes.Equal(out, prefix) {
-			t.Errorf("cache=%d: missing id: out %q err %v, want dst unchanged + ErrNotFound", cacheSize, out, err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if out, err := d.LookupAppendCtx(ctx, prefix, 7); !errors.Is(err, ErrClosed) || !bytes.Equal(out, prefix) {
-			t.Errorf("cache=%d: closed db: out %q err %v", cacheSize, out, err)
-		}
+	d, err := Open(Config{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.LoadCustomers(50); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.UpdateCustomer(7, 0x5A); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := d.LookupCtx(ctx, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(binary.LittleEndian.Uint64(want)); got != 7 || want[8] != 0x5A {
+		t.Fatalf("LookupCtx returned id %d fill %#x", got, want[8])
+	}
+	fresh, err := d.LookupAppendCtx(ctx, nil, 7)
+	if err != nil || !bytes.Equal(fresh, want) {
+		t.Fatalf("nil dst = %d bytes, err %v; want LookupCtx's %d", len(fresh), err, len(want))
+	}
+	prefix := []byte("frame-header:")
+	buf := append(make([]byte, 0, 4096), prefix...)
+	out, err := d.LookupAppendCtx(ctx, buf, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], want) {
+		t.Fatalf("appended lookup = prefix %q + %d bytes", out[:len(prefix)], len(out)-len(prefix))
+	}
+	if &out[0] != &buf[:1][0] {
+		t.Error("a record that fit dst's capacity reallocated it")
+	}
+	// Scribbling on the caller's buffer must not reach the page.
+	for i := range out {
+		out[i] = 0xFF
+	}
+	again, err := d.LookupCtx(ctx, 7)
+	if err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("lookup after scribble differs (err %v)", err)
+	}
+	// Errors return dst as it was.
+	keep := []byte("keep")
+	out, err = d.LookupAppendCtx(ctx, keep, 999)
+	if !errors.Is(err, ErrNotFound) || !bytes.Equal(out, keep) {
+		t.Errorf("missing id: out %q err %v, want dst unchanged + ErrNotFound", out, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := d.LookupAppendCtx(ctx, keep, 7); !errors.Is(err, ErrClosed) || !bytes.Equal(out, keep) {
+		t.Errorf("closed db: out %q err %v", out, err)
 	}
 }

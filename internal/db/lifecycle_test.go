@@ -49,17 +49,12 @@ func TestCloseIdempotentAndFenced(t *testing.T) {
 	}
 }
 
-// TestCloseStopsJanitorAndWriter: a database with every background worker
+// TestCloseStopsWriterAndScrubber: a database with every background worker
 // enabled must leave no goroutine behind after Close (the leak check
 // enforces it).
-func TestCloseStopsJanitorAndWriter(t *testing.T) {
+func TestCloseStopsWriterAndScrubber(t *testing.T) {
 	leakcheck.Check(t)
-	d, err := Open(Config{
-		Frames:             32,
-		RecordCacheSize:    16,
-		RecordCacheJanitor: time.Millisecond,
-		WriterInterval:     time.Millisecond,
-	})
+	d, err := Open(Config{Frames: 32, ScrubInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,52 +68,6 @@ func TestCloseStopsJanitorAndWriter(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-}
-
-// TestRecordCacheServesAndInvalidates: with the record cache on, a repeat
-// lookup is served from memory (no extra pool traffic), and an update
-// invalidates the cached copy.
-func TestRecordCacheServesAndInvalidates(t *testing.T) {
-	d, err := Open(Config{Frames: 32, RecordCacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.LoadCustomers(4); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := d.Lookup(2) // miss: populates the cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec[9] = 0xFF // caller scribbling on its copy must not poison the cache
-
-	poolOps := d.PoolStats()
-	again, err := d.Lookup(2) // hit: memory only
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[9] == 0xFF {
-		t.Error("record cache returned the caller's scribbled-on buffer, not a copy")
-	}
-	after := d.PoolStats()
-	if after.Hits != poolOps.Hits || after.Misses != poolOps.Misses {
-		t.Errorf("cached lookup touched the pool: %+v -> %+v", poolOps, after)
-	}
-	if s := d.RecordCacheStats(); s.Hits != 1 {
-		t.Errorf("RecordCacheStats.Hits = %d, want 1", s.Hits)
-	}
-
-	if err := d.UpdateCustomer(2, 0x7E); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Lookup(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[9] != 0x7E {
-		t.Errorf("lookup after update = %#x, want the updated fill 0x7e (stale cache?)", got[9])
 	}
 }
 
@@ -226,7 +175,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 // explicit flush.
 func TestQuarantineDrainsThroughDB(t *testing.T) {
 	leakcheck.Check(t)
-	d, err := Open(Config{Frames: 4, WriterInterval: time.Millisecond})
+	d, err := Open(Config{Frames: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,14 +150,6 @@ func (db *DB) registerObs(r *obs.Registry) {
 	dsk("lruk_disk_service_micros_total", "Total simulated service time, microseconds.",
 		func(s storage.Stats) float64 { return float64(s.ServiceMicros) })
 	if db.durable != nil {
-		dsk("lruk_wal_appends_total", "Write-ahead log records appended.",
-			func(s storage.Stats) float64 { return float64(s.WALAppends) })
-		dsk("lruk_wal_syncs_total", "Write-ahead log fsync batches (group commits).",
-			func(s storage.Stats) float64 { return float64(s.WALSyncs) })
-		dsk("lruk_checkpoints_total", "Durable-store checkpoints completed.",
-			func(s storage.Stats) float64 { return float64(s.Checkpoints) })
-		dsk("lruk_recovered_records_total", "WAL records replayed during crash recovery.",
-			func(s storage.Stats) float64 { return float64(s.RecoveredRecords) })
 		r.GaugeFunc("lruk_disk_wal_bytes", "Bytes appended to the write-ahead log since the last checkpoint.", nil,
 			func() float64 { return float64(db.backend.Stats().WALBytes) })
 	}
@@ -199,19 +191,6 @@ func (db *DB) registerObs(r *obs.Registry) {
 		latency.Observe(nanos)
 	})
 
-	if db.recCache != nil {
-		rc := func(name, help string, read func(core.CacheStats) float64) {
-			r.CounterFunc(name, help, nil, func() float64 { return read(db.recCache.Stats()) })
-		}
-		rc("lruk_record_cache_hits_total", "Record cache hits.",
-			func(s core.CacheStats) float64 { return float64(s.Hits) })
-		rc("lruk_record_cache_misses_total", "Record cache misses.",
-			func(s core.CacheStats) float64 { return float64(s.Misses) })
-		rc("lruk_record_cache_evictions_total", "Record cache evictions.",
-			func(s core.CacheStats) float64 { return float64(s.Evictions) })
-		rc("lruk_record_cache_rejected_total", "Record cache puts refused at capacity.",
-			func(s core.CacheStats) float64 { return float64(s.Rejected) })
-	}
 }
 
 // EvictionTrace returns the retained policy decision records, oldest first

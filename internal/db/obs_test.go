@@ -68,7 +68,6 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 			CorrelatedReferencePeriod: 2,
 			RetainedInformationPeriod: 100,
 		},
-		RecordCacheSize:   8,
 		Obs:               reg,
 		EvictionTraceSize: 1 << 20, // retain everything; kind counts must reconcile
 	})
@@ -128,8 +127,6 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		"lruk_access_batch_drains_total":  float64(snap.AccessBatch.Drains),
 		"lruk_access_batch_events_total":  float64(snap.AccessBatch.Events),
 		"lruk_access_batch_dropped_total": float64(snap.AccessBatch.Dropped),
-		"lruk_record_cache_hits_total":    float64(snap.RecordCache.Hits),
-		"lruk_record_cache_misses_total":  float64(snap.RecordCache.Misses),
 		"lruk_corrupt_detected_total":     float64(snap.Pool.CorruptDetected),
 		"lruk_repair_success_total":       float64(snap.Pool.CorruptRepaired),
 		"lruk_repair_failed_total":        float64(snap.Pool.CorruptQuarantined),

@@ -54,7 +54,7 @@ type SpanKind uint8
 
 const (
 	SpanRequest        SpanKind = iota // whole server-side request (annot = wire op)
-	SpanQueueWait                      // admission-queue wait before a worker picked the request up
+	SpanQueueWait                      // wait for an execution slot, request read to slot acquired
 	SpanPoolFetch                      // buffer-pool fetch, hit or miss (annot = page id)
 	SpanPoolMiss                       // the miss protocol: frame obtention + disk read (annot = page id)
 	SpanPoolCoalesce                   // parked on another fetch's in-flight read (annot = page id)

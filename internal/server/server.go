@@ -235,19 +235,6 @@ func (s *Server) registerObs(r *obs.Registry) {
 			obs.Labels{"status": st.String()},
 			func() float64 { return float64(s.statusCounts[idx].Load()) })
 	}
-	r.CounterFunc("lruk_server_handoff_keys_total", "Keys streamed by handoff range ops, by direction.",
-		obs.Labels{"direction": "out"},
-		func() float64 { return float64(s.rangeKeysOut.Load()) })
-	r.CounterFunc("lruk_server_handoff_keys_total", "Keys streamed by handoff range ops, by direction.",
-		obs.Labels{"direction": "in"},
-		func() float64 { return float64(s.rangeKeysIn.Load()) })
-	r.GaugeFunc("lruk_server_view_epoch", "Epoch of the membership view this node holds (0 = standalone).", nil,
-		func() float64 {
-			if rv := s.viewState.Load(); rv != nil {
-				return float64(rv.view.Epoch)
-			}
-			return 0
-		})
 }
 
 // Start binds the listener and launches the accept loop.

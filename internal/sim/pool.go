@@ -26,10 +26,11 @@ type PoolResult struct {
 // dirtyEvery > 0 marks every n-th reference as a write, exercising
 // write-back I/O. The universe of pages is allocated densely up front.
 //
-// The replay is single-threaded through the concurrent pool with a
-// mutex-wrapped (globally ordered) replacer, so hit/miss/eviction
-// accounting is bit-for-bit the single-latch pool's; the latch partition
-// count cannot influence replacement decisions.
+// The replay is single-threaded through the concurrent pool on the one
+// concurrent replacer (core.SyncReplacer: one HIST table, one global
+// victim order), so hit/miss/eviction accounting is bit-for-bit the
+// single-latch pool's; the latch partition count cannot influence
+// replacement decisions.
 func (e *Experiment) RunPool(frames, k int, opts core.Options, dirtyEvery int) (PoolResult, error) {
 	maxPage := policy.PageID(-1)
 	for _, p := range e.Trace {
