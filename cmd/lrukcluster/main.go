@@ -230,10 +230,10 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 
 // authoritativeView returns the newest view held by any reachable node of
 // the spec, along with that node's address and record count.
-func authoritativeView(ctx context.Context, spec wire.View, opts client.Options) (wire.View, int, error) {
+func authoritativeView(ctx context.Context, spec wire.View) (wire.View, int, error) {
 	var lastErr error
 	for _, n := range spec.Nodes {
-		cl, err := client.DialOptions(n.Addr, opts)
+		cl, err := client.Dial(n.Addr)
 		if err != nil {
 			lastErr = err
 			continue
@@ -271,7 +271,7 @@ func runView(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lrukcluster:", err)
 		return 2
 	}
-	v, keys, err := authoritativeView(ctx, spec, client.Options{})
+	v, keys, err := authoritativeView(ctx, spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "lrukcluster:", err)
 		return 1
@@ -497,7 +497,7 @@ func runRebalance(ctx context.Context, verb string, args []string, stdout, stder
 		fmt.Fprintln(stderr, "lrukcluster:", err)
 		return 2
 	}
-	cur, keys, err := authoritativeView(ctx, spec, client.Options{})
+	cur, keys, err := authoritativeView(ctx, spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "lrukcluster:", err)
 		return 1

@@ -116,6 +116,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lrukd: -max-wal-bytes requires -backend=file")
 		return 2
 	}
+	for _, f := range []struct {
+		name     string
+		got, min int
+	}{
+		{"k", *k, 1}, {"frames", *frames, 1}, {"customers", *customers, 1},
+		{"workers", *workers, 0}, {"queue", *queue, 0},
+	} {
+		if f.got < f.min {
+			fmt.Fprintf(stderr, "lrukd: -%s must be at least %d, got %d\n", f.name, f.min, f.got)
+			return 2
+		}
+	}
 
 	// Cluster bootstrap: a spec names every member; this node must be one
 	// of them. The parsed epoch-0 hint is stamped to epoch 1, so a node

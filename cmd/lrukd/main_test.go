@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"repro/internal/bufferpool"
+	"repro/internal/cluster"
 	"repro/internal/db"
+	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
@@ -325,6 +327,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"-trace-sample without -trace-spans":  {"-trace-sample", "0.5"},
 		"-trace-slow without -trace-spans":    {"-trace-slow", "1ms"},
 		"-max-wal-bytes with -backend=sim":    {"-max-wal-bytes", "4096"},
+		"-k 0":                                {"-k", "0"},
+		"-k -1":                               {"-k", "-1"},
+		"-frames 0":                           {"-frames", "0"},
+		"-customers 0":                        {"-customers", "0"},
+		"-workers -3":                         {"-workers", "-3"},
+		"-queue -1":                           {"-queue", "-1"},
 	} {
 		var stdout, stderr syncBuffer
 		// A cancelled context: a case that is wrongly accepted boots, sees
@@ -340,16 +348,24 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestOptionSurface is a ratchet on the number of independently settable
-// values: every db.Config field, bufferpool.Config field and lrukd flag is
+// values: every field of the stack's config structs and every lrukd flag is
 // a configuration the tests and BENCHMARK.json must cover. Adding one means
 // editing a number here and saying, in the same change, which two existing
 // callers need different values for it.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(db.Config{}).NumField(); n != 14 {
-		t.Errorf("db.Config has %d fields, want 14", n)
-	}
-	if n := reflect.TypeOf(bufferpool.Config{}).NumField(); n != 9 {
-		t.Errorf("bufferpool.Config has %d fields, want 9", n)
+	for _, c := range []struct {
+		cfg  any
+		want int
+	}{
+		{db.Config{}, 11},
+		{bufferpool.Config{}, 8},
+		{server.Config{}, 11},
+		{cluster.Config{}, 4},
+		{cluster.RebalanceConfig{}, 6},
+	} {
+		if typ := reflect.TypeOf(c.cfg); typ.NumField() != c.want {
+			t.Errorf("%v has %d fields, want %d", typ, typ.NumField(), c.want)
+		}
 	}
 	// run builds its flag set internally; -h makes it print one "  -name"
 	// usage entry per defined flag.

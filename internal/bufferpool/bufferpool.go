@@ -335,17 +335,11 @@ type Config struct {
 	CorruptionHook func(p policy.PageID, kind storage.CorruptKind, repaired bool)
 	// Spans, when non-nil, arms fetch tracing: sampled fetches (a sampled
 	// obs.TraceContext on ctx) record pool_fetch / pool_miss /
-	// pool_coalesce spans plus retry-wait and breaker-reject events here.
+	// pool_coalesce spans plus retry-wait, breaker-reject and evict events
+	// here.
 	// Nil keeps every fetch free of tracing work; the latch-free hit probe
 	// is untouched either way.
 	Spans *obs.SpanRecorder
-	// EvictionStamp, when set together with Spans, is called with the
-	// victim page and the active trace id whenever a sampled operation's
-	// eviction sweep evicts a page — the hook that lets the db layer stamp
-	// its eviction-trace ring with the evicting trace. It runs under no
-	// pool latch but on the fetching goroutine; it must not call back into
-	// the pool.
-	EvictionStamp func(victim policy.PageID, traceID uint64)
 }
 
 // Metrics are the pool's optional observability instruments. Counters are
@@ -428,7 +422,6 @@ type Pool struct {
 	scrubInterval  time.Duration
 	corruptionHook func(policy.PageID, storage.CorruptKind, bool)
 	spans          *obs.SpanRecorder
-	evictionStamp  func(policy.PageID, uint64)
 
 	// closed gates every public operation after Close; in-flight operations
 	// complete normally.
@@ -492,7 +485,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		scrubInterval:  cfg.ScrubInterval,
 		corruptionHook: cfg.CorruptionHook,
 		spans:          cfg.Spans,
-		evictionStamp:  cfg.EvictionStamp,
 		writerStop:     make(chan struct{}),
 		writerDone:     make(chan struct{}),
 		writerKick:     make(chan struct{}, 1),
@@ -1114,7 +1106,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			f.state.Store(frameFree)
 			sh.mu.Unlock()
 			sh.evictions.Add(1)
-			p.stampEviction(ctx, victim)
+			p.traceEviction(ctx, victim)
 			return f, nil
 		}
 		// Dirty victim: transition to frameWriting so the entry stays
@@ -1152,21 +1144,22 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		p.quarantineRemove(victim)
 		sh.writeBacks.Add(1)
 		sh.evictions.Add(1)
-		p.stampEviction(ctx, victim)
+		p.traceEviction(ctx, victim)
 		return f, nil
 	}
 }
 
-// stampEviction reports an eviction performed on behalf of a traced
-// operation to the EvictionStamp hook, linking eviction-trace records to
-// the trace that caused them. No-op without the hook or without a trace
-// on ctx.
-func (p *Pool) stampEviction(ctx context.Context, victim policy.PageID) {
-	if p.evictionStamp == nil {
+// traceEviction leaves a zero-duration evict event (annot = victim page)
+// under the span on ctx — the pool_miss span of the sampled fetch the
+// sweep ran for — so /spans?trace=… answers which request evicted the
+// page. No-op without a recorder or without a sampled trace on ctx.
+func (p *Pool) traceEviction(ctx context.Context, victim policy.PageID) {
+	if p.spans == nil {
 		return
 	}
-	if tc := obs.TraceFrom(ctx); tc.TraceID != 0 {
-		p.evictionStamp(victim, tc.TraceID)
+	if tc := obs.TraceFrom(ctx); tc.Sampled {
+		p.spans.Emit(tc.TraceID, p.spans.NewSpanID(), tc.SpanID,
+			obs.SpanEvict, time.Now(), 0, int64(victim))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -362,5 +363,70 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 	}
 	if s := p.Stats(); s.Hits == 0 || s.Misses == 0 {
 		t.Errorf("stress run produced no mix of hits and misses: %+v", s)
+	}
+}
+
+// TestSampledMissLeavesEvictSpan: a sampled miss on a full pool leaves
+// exactly one zero-duration evict span naming the page it pushed out,
+// parented to its pool_miss span; an unsampled miss evicts without one.
+func TestSampledMissLeavesEvictSpan(t *testing.T) {
+	rec := obs.NewSpanRecorder("n", 64)
+	p := NewWithConfig(sim.New(sim.ServiceModel{}), 2,
+		core.NewSyncReplacer(2, core.Options{}), Config{Spans: rec})
+	var ids []policy.PageID
+	for i := 0; i < 4; i++ {
+		pg, err := p.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, pg.ID())
+		pg.Unpin(true)
+	}
+	// Two frames, four single-reference pages: ids[2] and ids[3] are
+	// resident. miss fetches a cold page and reports which of them left.
+	miss := func(ctx context.Context, cold policy.PageID) (evicted policy.PageID) {
+		t.Helper()
+		evictions := p.Stats().Evictions
+		pg, err := p.FetchCtx(ctx, cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin(false)
+		if got := p.Stats().Evictions - evictions; got != 1 {
+			t.Fatalf("miss on a full pool counted %d evictions, want 1", got)
+		}
+		for _, id := range ids[2:] {
+			if !p.Resident(id) {
+				return id
+			}
+		}
+		t.Fatal("no page left residency")
+		return 0
+	}
+
+	const trace = 0xfeed
+	victim := miss(obs.ContextWithTrace(context.Background(),
+		obs.TraceContext{TraceID: trace, SpanID: 1, Sampled: true}), ids[0])
+	var missSpan obs.Hex64
+	var evicts []obs.SpanRecord
+	for _, s := range rec.TraceSpans(trace) {
+		switch s.Kind {
+		case obs.SpanPoolMiss:
+			missSpan = s.Span
+		case obs.SpanEvict:
+			evicts = append(evicts, s)
+		}
+	}
+	if len(evicts) != 1 {
+		t.Fatalf("sampled miss left %d evict spans, want 1: %+v", len(evicts), evicts)
+	}
+	if e := evicts[0]; e.Annot != int64(victim) || e.Parent != missSpan || missSpan == 0 || e.Dur != 0 {
+		t.Errorf("evict span %+v: want annot %d, parent %v (the pool_miss span), zero duration", e, victim, missSpan)
+	}
+
+	spans := len(rec.Snapshot())
+	miss(context.Background(), ids[1])
+	if got := len(rec.Snapshot()); got != spans {
+		t.Errorf("unsampled miss recorded %d spans, want none", got-spans)
 	}
 }

@@ -385,8 +385,10 @@ func TestBackgroundWriterDrainsQuarantine(t *testing.T) {
 		t.Fatalf("fetch failed despite a skippable poisoned victim: %v", err)
 	}
 	pg.Unpin(false)
-	if got := p.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined = %d after failed write-back, want 1", got)
+	// The quarantine gauge itself may already read 0 — the writer (1ms
+	// cadence) races this check — so the failed write-back is the evidence.
+	if got := p.Stats().WriteErrors; got != 1 {
+		t.Fatalf("WriteErrors = %d after the faulted victim write-back, want 1", got)
 	}
 	evictionsAtQuarantine := p.Stats().Evictions
 

@@ -35,8 +35,6 @@ type Config struct {
 	// epoch 0). Any server's view is newer and replaces it on first
 	// contact with a MOVED redirect or Refresh.
 	View wire.View
-	// Client tunes the per-connection options.
-	Client client.Options
 	// MaxAttempts bounds requests sent per operation, counting redirects.
 	// Zero selects 8 — enough to ride out a rebalance bounce window plus
 	// one reroute after a node death.
@@ -46,8 +44,6 @@ type Config struct {
 	BusyBackoff time.Duration
 	// MaxBackoff caps the per-node penalty. Zero selects 250ms.
 	MaxBackoff time.Duration
-	// PoolSize caps idle connections kept per node. Zero selects 2.
-	PoolSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -60,11 +56,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 250 * time.Millisecond
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 2
-	}
 	return c
 }
+
+// poolSize caps idle connections kept per node.
+const poolSize = 2
 
 // NodeCounters is a snapshot of one node's per-outcome request counts.
 type NodeCounters struct {
@@ -116,7 +112,7 @@ func (n *node) drainLocked() {
 }
 
 // acquire pops an idle connection or dials a fresh one.
-func (n *node) acquire(opts client.Options) (*client.Client, error) {
+func (n *node) acquire() (*client.Client, error) {
 	n.mu.Lock()
 	if k := len(n.idle); k > 0 {
 		c := n.idle[k-1]
@@ -126,7 +122,7 @@ func (n *node) acquire(opts client.Options) (*client.Client, error) {
 	}
 	addr := n.addr
 	n.mu.Unlock()
-	c, err := client.DialOptions(addr, opts)
+	c, err := client.Dial(addr)
 	if err == nil && n.noTrace.Load() {
 		c.DisableTrace()
 	}
@@ -135,7 +131,7 @@ func (n *node) acquire(opts client.Options) (*client.Client, error) {
 
 // release returns a healthy connection to the pool (closing it if the
 // pool is full) and clears the node's penalty.
-func (n *node) release(c *client.Client, poolSize int) {
+func (n *node) release(c *client.Client) {
 	n.mu.Lock()
 	n.fails = 0
 	n.nextTry = time.Time{}
@@ -312,7 +308,7 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 				return err
 			}
 		}
-		conn, err := n.acquire(c.cfg.Client)
+		conn, err := n.acquire()
 		if err != nil {
 			n.transport.Add(1)
 			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
@@ -327,11 +323,11 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 		switch {
 		case err == nil:
 			n.ok.Add(1)
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			return nil
 		case errors.Is(err, client.ErrMoved):
 			n.moved.Add(1)
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			lastErr = err
 			var se *client.Error
 			adopted := false
@@ -353,7 +349,7 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 			} else {
 				n.unavailable.Add(1)
 			}
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
 			lastErr = err
 		case errors.Is(err, client.ErrTransport):
@@ -381,7 +377,7 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 			// Terminal: not found, bad request, internal, deadline with a
 			// live local context, or a malformed-reply client bug.
 			n.errs.Add(1)
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			return err
 		}
 	}
@@ -416,7 +412,7 @@ func (c *Client) refreshFrom(ctx context.Context, failedID string) {
 			return
 		}
 		n := c.node(na.ID, na.Addr)
-		conn, err := n.acquire(c.cfg.Client)
+		conn, err := n.acquire()
 		if err != nil {
 			continue
 		}
@@ -425,7 +421,7 @@ func (c *Client) refreshFrom(ctx context.Context, failedID string) {
 			_ = conn.Close()
 			continue
 		}
-		n.release(conn, c.cfg.PoolSize)
+		n.release(conn)
 		c.adopt(v)
 		return
 	}
@@ -440,7 +436,7 @@ func (c *Client) Refresh(ctx context.Context) error {
 	var lastErr error
 	for _, na := range members {
 		n := c.node(na.ID, na.Addr)
-		conn, err := n.acquire(c.cfg.Client)
+		conn, err := n.acquire()
 		if err != nil {
 			lastErr = err
 			continue
@@ -451,7 +447,7 @@ func (c *Client) Refresh(ctx context.Context) error {
 			lastErr = err
 			continue
 		}
-		n.release(conn, c.cfg.PoolSize)
+		n.release(conn)
 		c.adopt(v)
 		return nil
 	}
@@ -504,7 +500,7 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 		if n.holdoff() > 0 {
 			continue // try the next node in rotation instead of waiting
 		}
-		conn, err := n.acquire(c.cfg.Client)
+		conn, err := n.acquire()
 		if err != nil {
 			n.transport.Add(1)
 			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
@@ -515,7 +511,7 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 		switch {
 		case err == nil:
 			n.ok.Add(1)
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			return count, nil
 		case errors.Is(err, client.ErrBusy), errors.Is(err, client.ErrUnavailable):
 			if errors.Is(err, client.ErrBusy) {
@@ -523,7 +519,7 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 			} else {
 				n.unavailable.Add(1)
 			}
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
 			lastErr = err
 		case errors.Is(err, client.ErrTransport):
@@ -540,7 +536,7 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 			return 0, ctx.Err()
 		default:
 			n.errs.Add(1)
-			n.release(conn, c.cfg.PoolSize)
+			n.release(conn)
 			return 0, err
 		}
 	}
@@ -552,7 +548,7 @@ func (c *Client) Flush(ctx context.Context) error {
 	var errs []error
 	for _, na := range c.View().Nodes {
 		n := c.node(na.ID, na.Addr)
-		conn, err := n.acquire(c.cfg.Client)
+		conn, err := n.acquire()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("node %s: %w", na.ID, err))
 			continue
@@ -562,7 +558,7 @@ func (c *Client) Flush(ctx context.Context) error {
 			errs = append(errs, fmt.Errorf("node %s: %w", na.ID, err))
 			continue
 		}
-		n.release(conn, c.cfg.PoolSize)
+		n.release(conn)
 	}
 	return errors.Join(errs...)
 }
@@ -573,7 +569,7 @@ func (c *Client) StatsAll(ctx context.Context) (map[string]wire.StatsReply, erro
 	var errs []error
 	for _, na := range c.View().Nodes {
 		n := c.node(na.ID, na.Addr)
-		conn, err := n.acquire(c.cfg.Client)
+		conn, err := n.acquire()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("node %s: %w", na.ID, err))
 			continue
@@ -584,7 +580,7 @@ func (c *Client) StatsAll(ctx context.Context) (map[string]wire.StatsReply, erro
 			errs = append(errs, fmt.Errorf("node %s: %w", na.ID, err))
 			continue
 		}
-		n.release(conn, c.cfg.PoolSize)
+		n.release(conn)
 		out[na.ID] = reply
 	}
 	return out, errors.Join(errs...)

@@ -52,8 +52,6 @@ type RebalanceConfig struct {
 	// BatchSize caps entries per RangeRead/RangeWrite request. Zero
 	// selects 2048; values above wire.MaxRangeEntries are clamped.
 	BatchSize int
-	// Client tunes the admin connections dialed to each node.
-	Client client.Options
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 	// Obs, when non-nil, records the coordinator's phase timings and copy
@@ -181,7 +179,7 @@ func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceCon
 		if c, ok := conns[id]; ok {
 			return c, nil
 		}
-		c, err := client.DialOptions(addrs[id], cfg.Client)
+		c, err := client.Dial(addrs[id])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: rebalance: node %s: %w", id, err)
 		}

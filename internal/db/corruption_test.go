@@ -11,6 +11,15 @@ import (
 	"repro/internal/storage/file"
 )
 
+// durableCorrupter keeps the file store's DurableBackend face over the
+// corruption injector, so Open still sees a durable backend.
+type durableCorrupter struct {
+	*storage.Corrupter
+	durable storage.DurableBackend
+}
+
+func (b durableCorrupter) Recovery() storage.RecoveryInfo { return b.durable.Recovery() }
+
 // TestDBCorruptionEndToEnd drives the full stack — durable file store,
 // corruption injection, pool read-repair, scrubber, trace ring, /metrics —
 // through a corrupted workload and asserts the layers agree: the injection
@@ -22,8 +31,9 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	corrupter := storage.WithCorruption(store)
 	database, err := Open(Config{
-		Backend:           store,
+		Backend:           durableCorrupter{corrupter, store},
 		Frames:            16,
 		K:                 2,
 		Obs:               reg,
@@ -44,9 +54,9 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	// injection has demonstrably happened (the plan is seeded, but which
 	// write-back trips it depends on pool state; the loop makes the test
 	// deterministic in outcome).
-	database.SetDiskCorruption(storage.NewCorruptPlan(3, storage.CorruptRule{Probability: 0.25}))
+	corrupter.SetCorruption(storage.NewCorruptPlan(3, storage.CorruptRule{Probability: 0.25}))
 	rng := stats.NewRNG(99)
-	for i := 0; i < 200 && database.DiskCorruptStats().Injected == 0; i++ {
+	for i := 0; i < 200 && corrupter.CorruptStats().Injected == 0; i++ {
 		id := int64(rng.Intn(200))
 		if err := database.UpdateCustomer(id, byte(i)); err != nil && !storage.IsCorrupt(err) {
 			t.Fatalf("update %d: %v", id, err)
@@ -55,8 +65,8 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 			t.Fatalf("flush %d: %v", i, err)
 		}
 	}
-	database.SetDiskCorruption(nil)
-	if database.DiskCorruptStats().Injected == 0 {
+	corrupter.SetCorruption(nil)
+	if corrupter.CorruptStats().Injected == 0 {
 		t.Fatal("corruption plan never fired across 200 flushed updates")
 	}
 
@@ -71,7 +81,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	}
 
 	snap := database.StatsSnapshot()
-	cs := snap.Corruption
+	cs := corrupter.CorruptStats()
 	if cs.Injected != cs.Cleared+uint64(cs.Tainted) {
 		t.Errorf("injection ledger broken: %+v", cs)
 	}

@@ -49,31 +49,16 @@ type Config struct {
 	// 2000, packing two records per 4 KByte page. Default 2000.
 	RecordSize int
 	// Backend, when non-nil, is the storage backend the database runs on —
-	// typically storage/file's durable store. The database wraps it in the
-	// fault-injection and (with Obs) instrumentation stages itself and
-	// closes it on Close. Nil selects a fresh simulated disk built from
-	// DiskModel. A backend implementing storage.DurableBackend switches the
-	// database into durable mode: a catalog page anchors the B-tree root so
-	// the dataset survives restarts, FlushAll checkpoints, and acknowledged
-	// updates reach the write-ahead log before UpdateCustomerCtx returns.
+	// typically storage/file's durable store. The database I/Os through
+	// exactly this value (adding only the instrumentation stage when Obs or
+	// Spans is set) and closes it on Close; a test that wants injected
+	// faults or corruption hands in an already-wrapped backend and keeps
+	// the wrapper's handle. Nil selects a fresh simulated disk. A backend
+	// implementing storage.DurableBackend switches the database into
+	// durable mode: a catalog page anchors the B-tree root so the dataset
+	// survives restarts, FlushAll checkpoints, and acknowledged updates
+	// reach the write-ahead log before UpdateCustomerCtx returns.
 	Backend storage.Backend
-	// DiskModel prices (and, via its Delay hook, optionally paces) the
-	// simulated disk's operations when Backend is nil. The zero value
-	// selects the simulator's defaults (a circa-1993 device, accounting
-	// only).
-	DiskModel sim.ServiceModel
-	// DiskFaults, when non-nil, arms the storage stack with a deterministic
-	// fault-injection plan (storage.NewFaultPlan) so the database's failure
-	// paths can be exercised reproducibly — against any backend, simulated
-	// or durable. Production-shaped runs leave it nil. The plan can also be
-	// swapped at runtime via SetDiskFaults.
-	DiskFaults *storage.FaultPlan
-	// DiskCorruption, when non-nil, arms the storage stack's corruption
-	// injector (storage.NewCorruptPlan): matched writes taint their page
-	// and later reads of it fail with storage.ErrCorrupt, exercising the
-	// pool's detect/repair/quarantine protocol against any backend. The
-	// plan can also be swapped at runtime via SetDiskCorruption.
-	DiskCorruption *storage.CorruptPlan
 	// ScrubInterval enables the pool's background integrity scrubber at
 	// this cadence. Zero (the default) disables it.
 	ScrubInterval time.Duration
@@ -98,10 +83,9 @@ type Config struct {
 	// the stack: sampled operations leave pool_fetch / pool_miss /
 	// pool_coalesce / retry_wait / breaker_reject spans from the pool and
 	// disk_read / disk_write spans from the storage wrapper in this
-	// recorder, and (with Obs set) evictions performed under a sampled
-	// trace stamp the policy trace ring with the trace id. The unsampled
-	// path stays within the pool's hit-latency budget. WAL spans
-	// (wal_append, wal_fsync) come from the file backend's own
+	// recorder, and an evict event for every page a sampled miss evicted.
+	// The unsampled path stays within the pool's hit-latency budget. WAL
+	// spans (wal_append, wal_fsync) come from the file backend's own
 	// file.Config.Spans, which the caller wires when building the backend.
 	Spans *obs.SpanRecorder
 }
@@ -130,17 +114,14 @@ var catalogMagic = [8]byte{'L', 'R', 'U', 'K', 'C', 'A', 'T', '1'}
 // DB is the miniature customer database.
 type DB struct {
 	cfg       Config
-	backend   storage.Backend        // outermost storage stack (metrics→faults→corruption→base); the pool I/Os through it
-	faulty    *storage.Faulty        // fault-injection stage, for SetDiskFaults
-	corrupter *storage.Corrupter     // corruption-injection stage, for SetDiskCorruption
-	durable   storage.DurableBackend // non-nil when the base backend is durable
+	backend   storage.Backend        // what the pool I/Os through: Config.Backend, instrumented when Obs or Spans is set
+	durable   storage.DurableBackend // non-nil when Config.Backend is durable
 	attached  bool                   // durable reopen: dataset recovered from the catalog
 	count     atomic.Int64           // loaded customer count (persisted in the catalog)
 	pool      *bufferpool.Pool
 	replacer  *core.SyncReplacer
 	customers *heapfile.File
 	index     *btree.Tree
-	rids      map[int64]heapfile.RID // loader's check table, not an access path
 
 	// evTrace is the policy decision ring (nil unless Config.Obs is set).
 	evTrace *obs.EvictionTrace
@@ -164,38 +145,33 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.RecordSize <= 8 || cfg.RecordSize > heapfile.MaxRecord {
 		return nil, fmt.Errorf("db: record size %d outside (8, %d]", cfg.RecordSize, heapfile.MaxRecord)
 	}
-	// Assemble the storage stack: base backend (caller-supplied or a fresh
-	// simulated disk) → corruption injection (innermost wrapper, so its
-	// taints look like media damage under every other stage) → fault
-	// injection → instrumentation (outermost, so injected faults are timed
-	// like real ones). The pool adds the circuit breaker on top.
-	base := cfg.Backend
-	if base == nil {
-		base = sim.New(cfg.DiskModel)
+	// The storage stack is the caller's backend (or a fresh simulated
+	// disk), plus one instrumentation stage when Obs or Spans asks for it.
+	// The pool adds the circuit breaker on top.
+	backend := cfg.Backend
+	if backend == nil {
+		backend = sim.New(sim.ServiceModel{})
 	}
-	durable, _ := base.(storage.DurableBackend)
-	corrupter := storage.WithCorruption(base)
-	if cfg.DiskCorruption != nil {
-		corrupter.SetCorruption(cfg.DiskCorruption)
-	}
-	faulty := storage.WithFaults(corrupter)
-	if cfg.DiskFaults != nil {
-		faulty.SetFaults(cfg.DiskFaults)
-	}
-	var backend storage.Backend = faulty
+	durable, _ := backend.(storage.DurableBackend)
 	repl := core.NewSyncReplacer(cfg.K, cfg.ReplacerOptions)
 	var poolMetrics bufferpool.Metrics
 	var evTrace *obs.EvictionTrace
 	var corruptionHook func(policy.PageID, storage.CorruptKind, bool)
-	var instrumented *storage.Instrumented
+	if cfg.Obs != nil || cfg.Spans != nil {
+		// One wrapper carries both signals; without Obs its nil histograms
+		// keep the metric side's fast path.
+		var m storage.Metrics
+		if cfg.Obs != nil {
+			m = newBackendMetrics(cfg.Obs, backend.NumStripes())
+		}
+		backend = storage.WithMetrics(backend, m).WithSpans(cfg.Spans)
+	}
 	if cfg.Obs != nil {
 		// Latency instruments must exist before the pool and backend serve
 		// their first operation; scrape-time collectors are registered
 		// after assembly (registerObs below). The trace ring likewise: the
 		// pool's corruption hook records into it from the first fetch on.
 		poolMetrics = newPoolMetrics(cfg.Obs)
-		instrumented = storage.WithMetrics(backend, newBackendMetrics(cfg.Obs, backend.NumStripes()))
-		backend = instrumented
 		size := cfg.EvictionTraceSize
 		if size <= 0 {
 			size = 512
@@ -211,23 +187,6 @@ func Open(cfg Config) (*DB, error) {
 			evTrace.Record(obs.TraceRecord{Kind: obs.TraceCorrupt, Page: int64(p), Clock: int64(kind), KDist: rep})
 		}
 	}
-	var evictionStamp func(policy.PageID, uint64)
-	if cfg.Spans != nil {
-		// Span recording rides the same wrapper as latency metrics; without
-		// Obs the wrapper carries spans alone (nil histograms keep the
-		// metric side's fast path).
-		if instrumented == nil {
-			instrumented = storage.WithMetrics(backend, storage.Metrics{})
-			backend = instrumented
-		}
-		instrumented.WithSpans(cfg.Spans)
-		if evTrace != nil {
-			stamped := evTrace
-			evictionStamp = func(victim policy.PageID, traceID uint64) {
-				stamped.StampTrace(int64(victim), traceID)
-			}
-		}
-	}
 	pool := bufferpool.NewWithConfig(backend, cfg.Frames, repl,
 		bufferpool.Config{
 			Retry:          cfg.DiskRetry,
@@ -236,18 +195,14 @@ func Open(cfg Config) (*DB, error) {
 			ScrubInterval:  cfg.ScrubInterval,
 			CorruptionHook: corruptionHook,
 			Spans:          cfg.Spans,
-			EvictionStamp:  evictionStamp,
 		})
 	db := &DB{
-		cfg:       cfg,
-		backend:   backend,
-		faulty:    faulty,
-		corrupter: corrupter,
-		durable:   durable,
-		pool:      pool,
-		replacer:  repl,
-		evTrace:   evTrace,
-		rids:      make(map[int64]heapfile.RID),
+		cfg:      cfg,
+		backend:  backend,
+		durable:  durable,
+		pool:     pool,
+		replacer: repl,
+		evTrace:  evTrace,
 	}
 	if durable != nil && durable.Recovery().Reopened {
 		// Durable reopen: recovery has replayed the WAL; re-anchor the
@@ -289,9 +244,9 @@ func Open(cfg Config) (*DB, error) {
 
 // attach re-opens the dataset of a recovered durable backend: validate the
 // catalog, re-attach the B-tree at the recorded root, and rebuild the heap
-// file's page directory (and the loader's RID table) from one index leaf
-// scan. Every page it touches flows through the pool, so recovery warms the
-// buffer exactly like a cold workload would.
+// file's page directory from one index leaf scan. Every page it touches
+// flows through the pool, so recovery warms the buffer exactly like a cold
+// workload would.
 func (db *DB) attach() error {
 	pg, err := db.pool.Fetch(catalogPage)
 	if err != nil {
@@ -317,12 +272,11 @@ func (db *DB) attach() error {
 	if int64(idx.Len()) != count {
 		return fmt.Errorf("db: catalog records %d customers, index holds %d", count, idx.Len())
 	}
-	// One leaf scan rebuilds the RID table and the heap page directory in
-	// first-seen order (load order, since keys were loaded ascending).
+	// One leaf scan rebuilds the heap page directory in first-seen order
+	// (load order, since keys were loaded ascending).
 	var heapPages []policy.PageID
 	seen := make(map[policy.PageID]bool)
 	if err := idx.ScanRange(math.MinInt64, math.MaxInt64, func(key int64, rid heapfile.RID) bool {
-		db.rids[key] = rid
 		if !seen[rid.Page] {
 			seen[rid.Page] = true
 			heapPages = append(heapPages, rid.Page)
@@ -420,7 +374,6 @@ func (db *DB) LoadCustomers(n int) error {
 		if err := db.index.Insert(id, rid); err != nil {
 			return fmt.Errorf("db: indexing customer %d: %w", id, err)
 		}
-		db.rids[id] = rid
 	}
 	db.count.Add(int64(n))
 	return nil
@@ -522,20 +475,6 @@ func (db *DB) ScanCustomersCtx(ctx context.Context) (int, error) {
 	return n, err
 }
 
-// SetDiskFaults replaces the storage stack's fault-injection plan at
-// runtime; nil disarms injection. Operations already past their fault check
-// complete normally.
-func (db *DB) SetDiskFaults(p *storage.FaultPlan) { db.faulty.SetFaults(p) }
-
-// SetDiskCorruption replaces the storage stack's corruption-injection plan
-// at runtime; nil disarms injection (existing taints persist until
-// overwritten, repaired, or deallocated).
-func (db *DB) SetDiskCorruption(p *storage.CorruptPlan) { db.corrupter.SetCorruption(p) }
-
-// DiskCorruptStats returns the corruption injector's ledger (all zero when
-// no plan was ever armed).
-func (db *DB) DiskCorruptStats() storage.CorruptStats { return db.corrupter.CorruptStats() }
-
 // PoolPoisoned returns the page ids quarantined as unrepairable-corrupt.
 func (db *DB) PoolPoisoned() []policy.PageID { return db.pool.PoisonedPages() }
 
@@ -590,10 +529,6 @@ type StatsSnapshot struct {
 	// AccessBatch holds the replacer's event-ring drain counters.
 	AccessBatch core.BatchStats `json:"access_batch"`
 	Disk        storage.Stats   `json:"disk"`
-	// Corruption is the corruption injector's ledger — all zero in
-	// production runs, where no plan is armed; the pool's own detection
-	// and repair counters live in Pool.
-	Corruption storage.CorruptStats `json:"corruption"`
 	// PoisonedPages counts page ids quarantined as unrepairable-corrupt.
 	PoisonedPages int `json:"poisoned_pages"`
 	IndexPages    int `json:"index_pages"`
@@ -613,7 +548,6 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 		BreakerOpenStripes: db.pool.BreakerOpenStripes(),
 		Policy:             db.replacer.PolicyStats(),
 		Disk:               db.backend.Stats(),
-		Corruption:         db.corrupter.CorruptStats(),
 		PoisonedPages:      len(db.pool.PoisonedPages()),
 		IndexPages:         len(db.index.Pages()),
 		DataPages:          len(db.customers.Pages()),
@@ -629,8 +563,7 @@ func (db *DB) PoolQuarantined() int { return db.pool.Quarantined() }
 // PoolStats returns the buffer-pool counters.
 func (db *DB) PoolStats() bufferpool.Stats { return db.pool.Stats() }
 
-// DiskStats returns the storage backend's counters (fault-injection stage
-// included).
+// DiskStats returns the storage backend's counters.
 func (db *DB) DiskStats() storage.Stats { return db.backend.Stats() }
 
 // IndexPages returns the number of index node pages.

@@ -9,8 +9,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/storage/sim"
 )
 
 func TestOpenValidation(t *testing.T) {
@@ -216,12 +218,57 @@ func TestConcurrentLookups(t *testing.T) {
 	}
 }
 
-// TestDiskFaultsSurfaceAndRecover arms the database's fault plan at open,
-// checks that lookups surface the injected read fault without corrupting
-// the pool, and that the workload recovers once the faults are exhausted.
+// TestOpenStacksOnlyWhatServes pins the storage stack Open assembles: the
+// caller's backend itself, one instrumentation stage when Obs or Spans
+// asks for it, and a simulated disk when no backend is given — nothing a
+// production run never arms.
+func TestOpenStacksOnlyWhatServes(t *testing.T) {
+	base := sim.New(sim.ServiceModel{})
+	plain, err := Open(Config{Frames: 8, Backend: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if plain.backend != storage.Backend(base) {
+		t.Errorf("no Obs/Spans: pool backend is %T, want the Config.Backend value itself", plain.backend)
+	}
+
+	for name, cfg := range map[string]Config{
+		"obs":   {Obs: obs.NewRegistry()},
+		"spans": {Spans: obs.NewSpanRecorder("n", 8)},
+		"both":  {Obs: obs.NewRegistry(), Spans: obs.NewSpanRecorder("n", 8)},
+	} {
+		base := sim.New(sim.ServiceModel{})
+		cfg.Frames, cfg.Backend = 8, base
+		d, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, ok := d.backend.(*storage.Instrumented)
+		if !ok || in.Inner() != storage.Backend(base) {
+			t.Errorf("%s: pool backend is %T, want one *storage.Instrumented directly over Config.Backend", name, d.backend)
+		}
+		d.Close()
+	}
+
+	def, err := Open(Config{Frames: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	if _, ok := def.backend.(*sim.Manager); !ok {
+		t.Errorf("nil Backend: pool backend is %T, want *sim.Manager", def.backend)
+	}
+}
+
+// TestDiskFaultsSurfaceAndRecover hands the database a fault-injecting
+// backend, arms a plan on the kept handle, checks that lookups surface the
+// injected read fault without corrupting the pool, and that the workload
+// recovers once the faults are exhausted.
 func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 	const customers = 40
-	db, err := Open(Config{Frames: 8})
+	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	db, err := Open(Config{Frames: 8, Backend: faulty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +277,7 @@ func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every read faults for a while: small pool, so lookups must miss.
-	db.SetDiskFaults(storage.NewFaultPlan(7, storage.FaultRule{Op: storage.OpRead, Count: 3}))
+	faulty.SetFaults(storage.NewFaultPlan(7, storage.FaultRule{Op: storage.OpRead, Count: 3}))
 	faulted := 0
 	for id := int64(0); id < customers; id++ {
 		if _, err := db.Lookup(id); err != nil {
@@ -250,7 +297,7 @@ func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 		t.Errorf("disk ReadFaults = %d, want 3", ds.ReadFaults)
 	}
 	// Faults exhausted: every record is reachable again and flush is clean.
-	db.SetDiskFaults(nil)
+	faulty.SetFaults(nil)
 	for id := int64(0); id < customers; id++ {
 		rec, err := db.Lookup(id)
 		if err != nil {

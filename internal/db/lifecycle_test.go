@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufferpool"
 	"repro/internal/leakcheck"
 	"repro/internal/storage"
+	"repro/internal/storage/sim"
 )
 
 // TestCloseIdempotentAndFenced: Close flushes, stops background work, and
@@ -97,8 +98,10 @@ func TestFlushAllCtxHonoursDeadline(t *testing.T) {
 // so lookups fail fast with ErrDiskUnavailable until it heals.
 func TestDBRetryAndBreakerWiring(t *testing.T) {
 	leakcheck.Check(t)
+	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
 	d, err := Open(Config{
-		Frames: 16,
+		Frames:  16,
+		Backend: faulty,
 		DiskRetry: bufferpool.RetryConfig{
 			Attempts:  3,
 			BaseDelay: 20 * time.Microsecond,
@@ -123,7 +126,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 	}
 
 	// A bounded burst of transient read faults: retry rides it out.
-	d.SetDiskFaults(storage.NewFaultPlan(3, storage.FaultRule{Op: storage.OpRead, Count: 2}))
+	faulty.SetFaults(storage.NewFaultPlan(3, storage.FaultRule{Op: storage.OpRead, Count: 2}))
 	for i := int64(0); i < 64; i++ {
 		if _, err := d.Lookup(i); err != nil {
 			t.Fatalf("lookup %d failed despite retry: %v", i, err)
@@ -135,7 +138,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 
 	// Total blackout: enough consecutive failures trip the breaker and
 	// lookups start failing fast.
-	d.SetDiskFaults(storage.NewFaultPlan(4, storage.FaultRule{}))
+	faulty.SetFaults(storage.NewFaultPlan(4, storage.FaultRule{}))
 	tripped := false
 	for i := 0; i < 10000 && !tripped; i++ {
 		_, err := d.Lookup(int64(i % 64))
@@ -157,7 +160,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 
 	// Heal: after the cooldown, probes close the circuit and every lookup
 	// succeeds again.
-	d.SetDiskFaults(nil)
+	faulty.SetFaults(nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for i := int64(0); i < 64; i++ {
 		if _, err := d.Lookup(i); err != nil {
@@ -175,7 +178,8 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 // explicit flush.
 func TestQuarantineDrainsThroughDB(t *testing.T) {
 	leakcheck.Check(t)
-	d, err := Open(Config{Frames: 4})
+	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	d, err := Open(Config{Frames: 4, Backend: faulty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +189,13 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 	}
 	// Exactly three write faults on any page: eviction pressure from the
 	// updates below quarantines some victims; the writer then drains them.
-	d.SetDiskFaults(storage.NewFaultPlan(5, storage.FaultRule{Op: storage.OpWrite, Count: 3}))
+	faulty.SetFaults(storage.NewFaultPlan(5, storage.FaultRule{Op: storage.OpWrite, Count: 3}))
 	for i := int64(0); i < 16; i++ {
 		if err := d.UpdateCustomer(i, byte(i)); err != nil && !errors.Is(err, storage.ErrInjectedFault) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
-	d.SetDiskFaults(nil)
+	faulty.SetFaults(nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for d.PoolQuarantined() != 0 {
 		if time.Now().After(deadline) {

@@ -143,10 +143,6 @@ func (db *DB) registerObs(r *obs.Registry) {
 		func(s storage.Stats) float64 { return float64(s.Allocated) })
 	dsk("lruk_disk_deallocated_total", "Pages deallocated.",
 		func(s storage.Stats) float64 { return float64(s.Deallocated) })
-	dsk("lruk_disk_read_faults_total", "Reads failed by the armed fault plan.",
-		func(s storage.Stats) float64 { return float64(s.ReadFaults) })
-	dsk("lruk_disk_write_faults_total", "Writes failed by the armed fault plan.",
-		func(s storage.Stats) float64 { return float64(s.WriteFaults) })
 	dsk("lruk_disk_service_micros_total", "Total simulated service time, microseconds.",
 		func(s storage.Stats) float64 { return float64(s.ServiceMicros) })
 	if db.durable != nil {

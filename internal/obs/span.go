@@ -64,6 +64,7 @@ const (
 	SpanWALFsync                       // WAL group-commit fsync wait (annot = page id)
 	SpanRetryWait                      // backoff sleep between disk retry attempts (annot = attempt)
 	SpanBreakerReject                  // operation refused by an open circuit breaker (annot = page id)
+	SpanEvict                          // page evicted to make room for a sampled miss (annot = victim page id)
 	SpanMoved                          // request bounced with a MOVED redirect (annot = wire op)
 	SpanRebalancePhase                 // one phase of the rebalance coordinator (annot = phase index)
 	numSpanKinds
@@ -81,6 +82,7 @@ var spanKindNames = [numSpanKinds]string{
 	SpanWALFsync:       "wal_fsync",
 	SpanRetryWait:      "retry_wait",
 	SpanBreakerReject:  "breaker_reject",
+	SpanEvict:          "evict",
 	SpanMoved:          "moved",
 	SpanRebalancePhase: "rebalance_phase",
 }

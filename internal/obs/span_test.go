@@ -277,22 +277,3 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestEvictionTraceStamp(t *testing.T) {
-	tr := NewEvictionTrace(8)
-	tr.Record(TraceRecord{Kind: TraceEvict, Page: 7, Clock: 1})
-	tr.Record(TraceRecord{Kind: TraceCollapse, Page: 7, Clock: 2})
-	tr.StampTrace(7, 0xabc)
-	recs := tr.Snapshot()
-	if recs[0].Trace != Hex64(0xabc).String() {
-		t.Fatalf("evict record trace = %q, want stamped id", recs[0].Trace)
-	}
-	if recs[1].Trace != "" {
-		t.Fatalf("collapse record must stay unstamped, got %q", recs[1].Trace)
-	}
-	// Stamping an absent page or a zero id is a no-op, nil receiver safe.
-	tr.StampTrace(99, 0xdef)
-	tr.StampTrace(7, 0)
-	var nilTr *EvictionTrace
-	nilTr.StampTrace(7, 1)
-}

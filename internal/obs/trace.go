@@ -95,11 +95,6 @@ type TraceRecord struct {
 	// KDist is the Backward K-distance for TraceEvict records
 	// (KDistInfinite for ∞); zero for other kinds.
 	KDist int64 `json:"kdist"`
-	// Trace is the hex trace id of the sampled fetch that forced this
-	// eviction, when one did (StampTrace); empty otherwise. It links a
-	// traced slow miss on /spans to the policy decision it triggered on
-	// /trace.
-	Trace string `json:"trace,omitempty"`
 }
 
 // EvictionTrace is the concurrent ring buffer of TraceRecords. Recording
@@ -140,40 +135,6 @@ func (t *EvictionTrace) Record(rec TraceRecord) {
 		t.full = true
 	}
 	t.mu.Unlock()
-}
-
-// stampScan bounds how far back StampTrace searches: the eviction it is
-// stamping was recorded on the same goroutine moments ago, so only
-// concurrent evictions can sit between it and the ring head.
-const stampScan = 32
-
-// StampTrace marks the most recent TraceEvict record for page with the
-// given trace id. The pool calls it right after a sampled fetch's
-// eviction sweep secured the victim's frame — the replacer recorded the
-// TraceEvict synchronously inside Evict, so the record exists; the
-// bounded backward scan tolerates concurrent decisions having landed
-// since. Safe on a nil receiver; a zero trace id is ignored.
-func (t *EvictionTrace) StampTrace(page int64, traceID uint64) {
-	if t == nil || traceID == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := len(t.buf)
-	limit := n
-	if !t.full {
-		limit = t.next
-	}
-	if limit > stampScan {
-		limit = stampScan
-	}
-	for i := 1; i <= limit; i++ {
-		rec := &t.buf[(t.next-i+n)%n]
-		if rec.Kind == TraceEvict && rec.Page == page {
-			rec.Trace = Hex64(traceID).String()
-			return
-		}
-	}
 }
 
 // Snapshot returns the retained records, oldest first.

@@ -26,12 +26,12 @@ func blockingDB() (cfg db.Config, arm *atomic.Bool, parked *atomic.Int64, gate c
 	cfg = db.Config{
 		Frames: 16,
 		K:      1, // strict LRU: the load's early pages are certainly evicted
-		DiskModel: sim.ServiceModel{Delay: func(int64) {
+		Backend: sim.New(sim.ServiceModel{Delay: func(int64) {
 			if arm.Load() {
 				parked.Add(1)
 				<-gate
 			}
-		}},
+		}}),
 	}
 	return cfg, arm, parked, gate
 }

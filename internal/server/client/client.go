@@ -138,30 +138,13 @@ func (e *Error) MovedView() (wire.Moved, bool) {
 // deadline would turn that reply into a spurious transport error.
 const writeSlack = 2 * time.Second
 
-// Options tunes a client.
-type Options struct {
-	// DialTimeout bounds connection establishment. Zero selects 5s.
-	DialTimeout time.Duration
-	// MaxFrame guards response frames. Zero selects wire.MaxFrameDefault.
-	MaxFrame uint32
-}
-
-func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = wire.MaxFrameDefault
-	}
-	return o
-}
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // Client is one connection to the page service. Methods are safe for
 // concurrent use but serialise on the connection; open one client per
 // in-flight request for parallel load.
 type Client struct {
-	opts Options
-
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
@@ -182,22 +165,17 @@ type Client struct {
 	noTrace bool
 }
 
-// Dial connects with default options.
-func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
-
-// DialOptions connects to the service at addr.
-func DialOptions(addr string, opts Options) (*Client, error) {
-	opts = opts.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+// Dial connects to the service at addr.
+func Dial(addr string) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, &TransportError{Stage: "dial " + addr, Err: err}
 	}
-	return newClient(conn, opts), nil
+	return newClient(conn), nil
 }
 
-func newClient(conn net.Conn, opts Options) *Client {
+func newClient(conn net.Conn) *Client {
 	return &Client{
-		opts: opts,
 		conn: conn,
 		br:   bufio.NewReader(conn),
 		wbuf: make([]byte, wire.FrameHeader, 64),
@@ -290,7 +268,7 @@ func (c *Client) readResponse() (wire.Response, error) {
 	if _, err := io.ReadFull(c.br, prefix); err != nil {
 		return wire.Response{}, c.poison("read", err)
 	}
-	n, err := wire.FrameLength(prefix, c.opts.MaxFrame)
+	n, err := wire.FrameLength(prefix, wire.MaxFrameDefault)
 	if err != nil {
 		return wire.Response{}, c.poison("read", err)
 	}

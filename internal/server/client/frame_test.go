@@ -67,7 +67,7 @@ func TestRequestIsOneIdenticalWrite(t *testing.T) {
 	tc := obs.TraceContext{TraceID: 0xFEEDFACE, SpanID: 77, Sampled: true}
 	for _, traced := range []bool{false, true} {
 		conn := &scriptConn{}
-		cl := newClient(conn, Options{}.withDefaults())
+		cl := newClient(conn)
 		ctx := context.Background()
 		if traced {
 			ctx = obs.ContextWithTrace(ctx, tc)
@@ -104,7 +104,7 @@ func TestRequestIsOneIdenticalWrite(t *testing.T) {
 // every deadline-less request after that. The budget still rides the frame.
 func TestDeadlineOnlySetOnChange(t *testing.T) {
 	conn := &scriptConn{}
-	cl := newClient(conn, Options{}.withDefaults())
+	cl := newClient(conn)
 	ok := replyFrame(wire.Response{Status: wire.StatusOK, Body: []byte("rec")})
 	get := func(ctx context.Context) {
 		t.Helper()
@@ -147,7 +147,7 @@ func TestDeadlineOnlySetOnChange(t *testing.T) {
 // failures rather than panicking or hanging.
 func TestReplyBodyIsCallerOwned(t *testing.T) {
 	conn := &scriptConn{}
-	cl := newClient(conn, Options{}.withDefaults())
+	cl := newClient(conn)
 	conn.replies = [][]byte{replyFrame(wire.Response{Status: wire.StatusOK, Body: []byte("first")})}
 	a, err := cl.Get(context.Background(), 1)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestReplyBodyIsCallerOwned(t *testing.T) {
 		"short body":     {0, 0, 0, 9, 0, 'x'},
 	} {
 		conn := &scriptConn{replies: [][]byte{raw}}
-		cl := newClient(conn, Options{}.withDefaults())
+		cl := newClient(conn)
 		_, err := cl.Get(context.Background(), 1)
 		if !errors.Is(err, ErrTransport) {
 			t.Errorf("%s: err = %v, want ErrTransport", name, err)

@@ -29,6 +29,12 @@ const (
 	// maxRetainedBuf caps what an idle connection pins: a buffer that one
 	// large frame (STATS, a range block) grew past it is dropped afterwards.
 	maxRetainedBuf = 16 << 10
+	// idleTimeout bounds the wait for the next request frame on an open
+	// connection, writeTimeout the writing of one response. Socket
+	// deadlines are re-armed only once the armed one is more than a second
+	// stale, so both fire within [timeout - 1s, timeout].
+	idleTimeout  = 60 * time.Second
+	writeTimeout = 10 * time.Second
 )
 
 // trim replaces a buffer grown past maxRetainedBuf with a fresh small one.
@@ -40,8 +46,8 @@ func trim(buf []byte) []byte {
 }
 
 // stale reports whether a deadline armed at armed needs re-arming at now.
-func stale(armed, now time.Time, timeout time.Duration) bool {
-	return now.Sub(armed) > min(time.Second, timeout/4)
+func stale(armed, now time.Time) bool {
+	return now.Sub(armed) > time.Second
 }
 
 // readRequest reads and decodes the connection's next request, re-arming
@@ -50,8 +56,8 @@ func stale(armed, now time.Time, timeout time.Duration) bool {
 // (answered StatusBadRequest before the cut, since the stream may be
 // desynchronised).
 func (s *Server) readRequest(cn *conn, now time.Time) (req wire.Request, ok bool) {
-	if stale(cn.readArmed, now, s.cfg.IdleTimeout) {
-		_ = cn.SetReadDeadline(now.Add(s.cfg.IdleTimeout))
+	if stale(cn.readArmed, now) {
+		_ = cn.SetReadDeadline(now.Add(idleTimeout))
 		cn.readArmed = now
 	}
 	// Checked after arming: Close sets closed and then nudges every read
@@ -86,8 +92,8 @@ func (s *Server) reply(cn *conn, resp wire.Response) error {
 // under the write deadline, recording its status.
 func (s *Server) send(cn *conn, status wire.Status) error {
 	s.statusCounts[status].Add(1)
-	if now := time.Now(); stale(cn.writeArmed, now, s.cfg.WriteTimeout) {
-		_ = cn.SetWriteDeadline(now.Add(s.cfg.WriteTimeout))
+	if now := time.Now(); stale(cn.writeArmed, now) {
+		_ = cn.SetWriteDeadline(now.Add(writeTimeout))
 		cn.writeArmed = now
 	}
 	wire.SealFrame(cn.out)

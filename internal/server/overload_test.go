@@ -37,13 +37,14 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 		burst     = 24
 	)
 	var slow atomic.Bool
+	faulty := storage.WithFaults(sim.New(sim.ServiceModel{Delay: func(int64) {
+		if slow.Load() {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}}))
 	dbCfg := db.Config{
-		Frames: 16,
-		DiskModel: sim.ServiceModel{Delay: func(int64) {
-			if slow.Load() {
-				time.Sleep(50 * time.Millisecond)
-			}
-		}},
+		Frames:  16,
+		Backend: faulty,
 		DiskBreaker: bufferpool.BreakerConfig{
 			Threshold: 4,
 			Cooldown:  50 * time.Millisecond,
@@ -122,7 +123,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 			t.Fatalf("churn get %d: %v", id, err)
 		}
 	}
-	database.SetDiskFaults(storage.NewFaultPlan(1, storage.FaultRule{}))
+	faulty.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{}))
 	coldKey := int64(3) // early key: its leaf/heap pages are long evicted
 	sawUnavailable := false
 	for attempt := 0; attempt < 100; attempt++ {
@@ -145,7 +146,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 	}
 
 	// --- Phase 3: heal and recover. ---
-	database.SetDiskFaults(nil)
+	faulty.SetFaults(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := database.FlushAll()

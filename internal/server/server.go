@@ -65,14 +65,6 @@ type Config struct {
 	// prefixes are rejected before any allocation. Zero selects
 	// wire.MaxFrameDefault.
 	MaxFrame uint32
-	// IdleTimeout bounds the wait for the next request frame on an open
-	// connection. Zero selects 60s. Connection deadlines are re-armed only
-	// once the armed one is more than a second stale (a quarter of the
-	// timeout, for timeouts under 4s), so this and WriteTimeout fire within
-	// [timeout - 1s, timeout].
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response. Zero selects 10s.
-	WriteTimeout time.Duration
 	// MaxRequestTimeout caps the per-request time budget; it also applies
 	// to requests that declare none, so no operation runs unbounded. Zero
 	// selects 30s.
@@ -119,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = wire.MaxFrameDefault
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 60 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.MaxRequestTimeout <= 0 {
 		c.MaxRequestTimeout = 30 * time.Second

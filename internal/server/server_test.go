@@ -201,11 +201,11 @@ func TestRequestDeadlineSurfacesAsStatus(t *testing.T) {
 	dbCfg := db.Config{
 		Frames: 16,
 		K:      1,
-		DiskModel: sim.ServiceModel{Delay: func(int64) {
+		Backend: sim.New(sim.ServiceModel{Delay: func(int64) {
 			if slow.Load() {
 				time.Sleep(20 * time.Millisecond)
 			}
-		}},
+		}}),
 	}
 	srv, _ := startServer(t, dbCfg, Config{}, 256)
 	cl := dial(t, srv)
@@ -269,11 +269,11 @@ func TestGracefulDrain(t *testing.T) {
 	var slow atomic.Bool
 	dbCfg := db.Config{
 		Frames: 16,
-		DiskModel: sim.ServiceModel{Delay: func(int64) {
+		Backend: sim.New(sim.ServiceModel{Delay: func(int64) {
 			if slow.Load() {
 				time.Sleep(30 * time.Millisecond)
 			}
-		}},
+		}}),
 	}
 	database, err := db.Open(dbCfg)
 	if err != nil {

@@ -228,8 +228,8 @@ func (b *breaker) openStripes() int {
 // All query methods are safe on a nil *Breaker (disabled: everything
 // admitted, nothing counted), so callers can hold one unconditionally.
 type Breaker struct {
-	inner Backend
-	b     *breaker
+	Backend // the wrapped backend; every method but Read and Write is its own
+	b       *breaker
 }
 
 // WithBreaker wraps inner with a circuit breaker sized to its stripe count.
@@ -241,31 +241,31 @@ func WithBreaker(inner Backend, cfg BreakerConfig, now func() time.Time) *Breake
 	if b == nil {
 		return nil
 	}
-	return &Breaker{inner: inner, b: b}
+	return &Breaker{Backend: inner, b: b}
 }
 
 // Inner returns the wrapped backend.
-func (br *Breaker) Inner() Backend { return br.inner }
+func (br *Breaker) Inner() Backend { return br.Backend }
 
 // Read implements Backend: one breaker admission, one attempt, one outcome
 // record.
 func (br *Breaker) Read(ctx context.Context, p policy.PageID, buf []byte) error {
-	stripe := br.inner.StripeOf(p)
+	stripe := br.StripeOf(p)
 	if !br.b.allow(stripe) {
 		return fmt.Errorf("read page %d: %w", p, ErrUnavailable)
 	}
-	err := br.inner.Read(ctx, p, buf)
+	err := br.Backend.Read(ctx, p, buf)
 	br.b.record(stripe, err == nil)
 	return err
 }
 
 // Write implements Backend, mirroring Read.
 func (br *Breaker) Write(ctx context.Context, p policy.PageID, buf []byte) error {
-	stripe := br.inner.StripeOf(p)
+	stripe := br.StripeOf(p)
 	if !br.b.allow(stripe) {
 		return fmt.Errorf("write page %d: %w", p, ErrUnavailable)
 	}
-	err := br.inner.Write(ctx, p, buf)
+	err := br.Backend.Write(ctx, p, buf)
 	br.b.record(stripe, err == nil)
 	return err
 }
@@ -294,27 +294,3 @@ func (br *Breaker) OpenStripes() int {
 	}
 	return br.b.openStripes()
 }
-
-// Allocate implements Backend.
-func (br *Breaker) Allocate() (policy.PageID, error) { return br.inner.Allocate() }
-
-// Deallocate implements Backend.
-func (br *Breaker) Deallocate(p policy.PageID) error { return br.inner.Deallocate(p) }
-
-// Flush implements Backend.
-func (br *Breaker) Flush(ctx context.Context) error { return br.inner.Flush(ctx) }
-
-// Stats implements Backend.
-func (br *Breaker) Stats() Stats { return br.inner.Stats() }
-
-// StripeOf implements Backend.
-func (br *Breaker) StripeOf(p policy.PageID) int { return br.inner.StripeOf(p) }
-
-// NumStripes implements Backend.
-func (br *Breaker) NumStripes() int { return br.inner.NumStripes() }
-
-// NumPages implements Backend.
-func (br *Breaker) NumPages() int { return br.inner.NumPages() }
-
-// Close implements Backend.
-func (br *Breaker) Close() error { return br.inner.Close() }

@@ -238,8 +238,8 @@ type CorruptStats struct {
 // it and delegates to the inner backend's Repairer when there is one, so a
 // storm over the file store still exercises the real WAL-tail scan.
 type Corrupter struct {
-	inner Backend
-	plan  atomic.Pointer[CorruptPlan]
+	Backend // the wrapped backend; methods not defined below are its own
+	plan    atomic.Pointer[CorruptPlan]
 
 	mu       sync.Mutex
 	taint    map[policy.PageID]taintState
@@ -251,7 +251,7 @@ type Corrupter struct {
 // WithCorruption wraps inner with a corruption-injection stage (initially
 // disarmed).
 func WithCorruption(inner Backend) *Corrupter {
-	return &Corrupter{inner: inner, taint: make(map[policy.PageID]taintState)}
+	return &Corrupter{Backend: inner, taint: make(map[policy.PageID]taintState)}
 }
 
 // SetCorruption arms (or, with nil, disarms) a corruption plan. Existing
@@ -259,7 +259,7 @@ func WithCorruption(inner Backend) *Corrupter {
 func (c *Corrupter) SetCorruption(p *CorruptPlan) { c.plan.Store(p) }
 
 // Inner returns the wrapped backend.
-func (c *Corrupter) Inner() Backend { return c.inner }
+func (c *Corrupter) Inner() Backend { return c.Backend }
 
 // CorruptStats snapshots the injection ledger.
 func (c *Corrupter) CorruptStats() CorruptStats {
@@ -297,14 +297,14 @@ func (c *Corrupter) Read(ctx context.Context, p policy.PageID, buf []byte) error
 	if tainted {
 		return fmt.Errorf("read page %d: %w", p, &ErrCorrupt{Page: p, Kind: ts.kind})
 	}
-	return c.inner.Read(ctx, p, buf)
+	return c.Backend.Read(ctx, p, buf)
 }
 
 // Write implements Backend. A successful write either corrupts per the
 // armed plan (tainting the page, or its XOR-1 neighbour for misdirects) or
 // — like a real overwrite of a damaged slot — clears the page's taint.
 func (c *Corrupter) Write(ctx context.Context, p policy.PageID, buf []byte) error {
-	if err := c.inner.Write(ctx, p, buf); err != nil {
+	if err := c.Backend.Write(ctx, p, buf); err != nil {
 		return err
 	}
 	kind, unrepairable, fired := c.plan.Load().check(p)
@@ -342,20 +342,17 @@ func (c *Corrupter) RepairPage(ctx context.Context, p policy.PageID) error {
 		c.cleared++
 	}
 	c.mu.Unlock()
-	if r, ok := RepairerFor(c.inner); ok {
+	if r, ok := RepairerFor(c.Backend); ok {
 		return r.RepairPage(ctx, p)
 	}
 	return nil
 }
 
-// Allocate implements Backend.
-func (c *Corrupter) Allocate() (policy.PageID, error) { return c.inner.Allocate() }
-
 // ChargeFault implements FaultCharger by delegation, so a fault wrapper
 // stacked outside the corrupter still prices faulted operations on a
 // backend that can (the simulator); a no-op otherwise.
 func (c *Corrupter) ChargeFault(p policy.PageID) {
-	if ch, ok := c.inner.(FaultCharger); ok {
+	if ch, ok := c.Backend.(FaultCharger); ok {
 		ch.ChargeFault(p)
 	}
 }
@@ -368,23 +365,5 @@ func (c *Corrupter) Deallocate(p policy.PageID) error {
 		c.cleared++
 	}
 	c.mu.Unlock()
-	return c.inner.Deallocate(p)
+	return c.Backend.Deallocate(p)
 }
-
-// Flush implements Backend.
-func (c *Corrupter) Flush(ctx context.Context) error { return c.inner.Flush(ctx) }
-
-// Stats implements Backend.
-func (c *Corrupter) Stats() Stats { return c.inner.Stats() }
-
-// StripeOf implements Backend.
-func (c *Corrupter) StripeOf(p policy.PageID) int { return c.inner.StripeOf(p) }
-
-// NumStripes implements Backend.
-func (c *Corrupter) NumStripes() int { return c.inner.NumStripes() }
-
-// NumPages implements Backend.
-func (c *Corrupter) NumPages() int { return c.inner.NumPages() }
-
-// Close implements Backend.
-func (c *Corrupter) Close() error { return c.inner.Close() }

@@ -161,8 +161,8 @@ type FaultCharger interface {
 // them in ReadFaults/WriteFaults and, when the inner backend implements
 // FaultCharger, charges it for the wasted device time.
 type Faulty struct {
-	inner   Backend
-	charger FaultCharger // nil when inner does not price faults
+	Backend              // the wrapped backend; methods not defined below are its own
+	charger FaultCharger // nil when the wrapped backend does not price faults
 	plan    atomic.Pointer[FaultPlan]
 
 	readFaults  atomic.Uint64
@@ -171,7 +171,7 @@ type Faulty struct {
 
 // WithFaults wraps inner with a fault-injection stage (initially disarmed).
 func WithFaults(inner Backend) *Faulty {
-	f := &Faulty{inner: inner}
+	f := &Faulty{Backend: inner}
 	if c, ok := inner.(FaultCharger); ok {
 		f.charger = c
 	}
@@ -184,7 +184,7 @@ func WithFaults(inner Backend) *Faulty {
 func (f *Faulty) SetFaults(p *FaultPlan) { f.plan.Store(p) }
 
 // Inner returns the wrapped backend.
-func (f *Faulty) Inner() Backend { return f.inner }
+func (f *Faulty) Inner() Backend { return f.Backend }
 
 // Read implements Backend.
 func (f *Faulty) Read(ctx context.Context, p policy.PageID, buf []byte) error {
@@ -195,7 +195,7 @@ func (f *Faulty) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 		}
 		return fmt.Errorf("read page %d: %w", p, ferr)
 	}
-	return f.inner.Read(ctx, p, buf)
+	return f.Backend.Read(ctx, p, buf)
 }
 
 // Write implements Backend.
@@ -207,7 +207,7 @@ func (f *Faulty) Write(ctx context.Context, p policy.PageID, buf []byte) error {
 		}
 		return fmt.Errorf("write page %d: %w", p, ferr)
 	}
-	return f.inner.Write(ctx, p, buf)
+	return f.Backend.Write(ctx, p, buf)
 }
 
 // Allocate implements Backend. Rules targeting OpAllocate fault it (the
@@ -218,32 +218,14 @@ func (f *Faulty) Allocate() (policy.PageID, error) {
 	if ferr := f.plan.Load().check(OpAllocate, -1); ferr != nil {
 		return 0, fmt.Errorf("allocate page: %w", ferr)
 	}
-	return f.inner.Allocate()
+	return f.Backend.Allocate()
 }
-
-// Deallocate implements Backend.
-func (f *Faulty) Deallocate(p policy.PageID) error { return f.inner.Deallocate(p) }
-
-// Flush implements Backend.
-func (f *Faulty) Flush(ctx context.Context) error { return f.inner.Flush(ctx) }
 
 // Stats implements Backend, merging the wrapper's fault counters into the
 // inner backend's ledger.
 func (f *Faulty) Stats() Stats {
-	s := f.inner.Stats()
+	s := f.Backend.Stats()
 	s.ReadFaults += f.readFaults.Load()
 	s.WriteFaults += f.writeFaults.Load()
 	return s
 }
-
-// StripeOf implements Backend.
-func (f *Faulty) StripeOf(p policy.PageID) int { return f.inner.StripeOf(p) }
-
-// NumStripes implements Backend.
-func (f *Faulty) NumStripes() int { return f.inner.NumStripes() }
-
-// NumPages implements Backend.
-func (f *Faulty) NumPages() int { return f.inner.NumPages() }
-
-// Close implements Backend.
-func (f *Faulty) Close() error { return f.inner.Close() }

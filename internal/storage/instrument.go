@@ -25,15 +25,15 @@ type Metrics struct {
 // Faulted operations are recorded too (stack it outside WithFaults): an
 // error return still occupied the caller for that long.
 type Instrumented struct {
-	inner Backend
-	m     Metrics
-	spans *obs.SpanRecorder
+	Backend // the wrapped backend; every method but Read and Write is its own
+	m       Metrics
+	spans   *obs.SpanRecorder
 }
 
 // WithMetrics wraps inner with latency instrumentation. A nil histogram
 // slice disables that side's timing entirely.
 func WithMetrics(inner Backend, m Metrics) *Instrumented {
-	return &Instrumented{inner: inner, m: m}
+	return &Instrumented{Backend: inner, m: m}
 }
 
 // WithSpans arms the wrapper's span recording: sampled reads and writes
@@ -45,18 +45,18 @@ func (in *Instrumented) WithSpans(rec *obs.SpanRecorder) *Instrumented {
 }
 
 // Inner returns the wrapped backend.
-func (in *Instrumented) Inner() Backend { return in.inner }
+func (in *Instrumented) Inner() Backend { return in.Backend }
 
 // Read implements Backend.
 func (in *Instrumented) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 	if in.m.ReadLatency == nil && in.spans == nil {
-		return in.inner.Read(ctx, p, buf)
+		return in.Backend.Read(ctx, p, buf)
 	}
 	span := in.spans.Start(obs.TraceFrom(ctx), obs.SpanDiskRead)
 	start := time.Now()
-	err := in.inner.Read(ctx, p, buf)
+	err := in.Backend.Read(ctx, p, buf)
 	if in.m.ReadLatency != nil {
-		in.m.ReadLatency[in.inner.StripeOf(p)].ObserveSince(start)
+		in.m.ReadLatency[in.StripeOf(p)].ObserveSince(start)
 	}
 	span.Finish(int64(p))
 	return err
@@ -65,38 +65,14 @@ func (in *Instrumented) Read(ctx context.Context, p policy.PageID, buf []byte) e
 // Write implements Backend.
 func (in *Instrumented) Write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if in.m.WriteLatency == nil && in.spans == nil {
-		return in.inner.Write(ctx, p, buf)
+		return in.Backend.Write(ctx, p, buf)
 	}
 	span := in.spans.Start(obs.TraceFrom(ctx), obs.SpanDiskWrite)
 	start := time.Now()
-	err := in.inner.Write(ctx, p, buf)
+	err := in.Backend.Write(ctx, p, buf)
 	if in.m.WriteLatency != nil {
-		in.m.WriteLatency[in.inner.StripeOf(p)].ObserveSince(start)
+		in.m.WriteLatency[in.StripeOf(p)].ObserveSince(start)
 	}
 	span.Finish(int64(p))
 	return err
 }
-
-// Allocate implements Backend.
-func (in *Instrumented) Allocate() (policy.PageID, error) { return in.inner.Allocate() }
-
-// Deallocate implements Backend.
-func (in *Instrumented) Deallocate(p policy.PageID) error { return in.inner.Deallocate(p) }
-
-// Flush implements Backend.
-func (in *Instrumented) Flush(ctx context.Context) error { return in.inner.Flush(ctx) }
-
-// Stats implements Backend.
-func (in *Instrumented) Stats() Stats { return in.inner.Stats() }
-
-// StripeOf implements Backend.
-func (in *Instrumented) StripeOf(p policy.PageID) int { return in.inner.StripeOf(p) }
-
-// NumStripes implements Backend.
-func (in *Instrumented) NumStripes() int { return in.inner.NumStripes() }
-
-// NumPages implements Backend.
-func (in *Instrumented) NumPages() int { return in.inner.NumPages() }
-
-// Close implements Backend.
-func (in *Instrumented) Close() error { return in.inner.Close() }
