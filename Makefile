@@ -45,8 +45,9 @@ bench-pool:
 	$(GO) test -bench BenchmarkPoolParallel -run '^$$' ./internal/bufferpool/
 
 ## bench-hit: the resident-hit-path regression gate — runs the pool's hit
-## loop via testing.Benchmark and fails if ns/op exceeds the ceiling or
-## falls behind the Serial reference pool (DESIGN.md §14).
+## loop via testing.Benchmark and fails if a hit allocates, if ns/op
+## exceeds the ceiling, or if it costs more than 0.8 of the Serial
+## reference pool's (DESIGN.md §14); -v prints the measured figures.
 bench-hit:
 	$(GO) test -count=1 -run TestHitPathCeiling -v ./internal/bufferpool/
 

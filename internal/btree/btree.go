@@ -306,7 +306,7 @@ func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResul
 	}
 	data := pg.Data()
 	if isLeaf(data) {
-		res, replaced, err := t.insertLeaf(pg, key, rid)
+		res, replaced, err := t.insertLeaf(&pg, key, rid)
 		return res, replaced, err
 	}
 	child := childFor(data, key)
@@ -322,7 +322,7 @@ func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResul
 		pg.Unpin(false)
 		return splitResult{}, replaced, nil
 	}
-	up, err := t.insertInternal(pg, res.sep, child, res.right)
+	up, err := t.insertInternal(&pg, res.sep, child, res.right)
 	return up, replaced, err
 }
 

@@ -162,7 +162,7 @@ func (s poolFetcher) Fetch(id policy.PageID) (pageHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pg, nil
+	return &pg, nil
 }
 func (s poolFetcher) FlushPage(id policy.PageID) error { return s.p.FlushPage(id) }
 func (s poolFetcher) FlushAll() error                  { return s.p.FlushAll() }
@@ -236,9 +236,8 @@ func TestBatchedDeletePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.Unpin(false)
-	// The admission, hit bookkeeping and evictability flip are still
-	// buffered; DeletePage buffers the removal behind them in the same
-	// FIFO.
+	// The admission and its evictability mark are still buffered;
+	// DeletePage buffers the removal behind them in the same FIFO.
 	if err := p.DeletePage(id); err != nil {
 		t.Fatal(err)
 	}

@@ -111,8 +111,8 @@ func BenchmarkPoolParallel(b *testing.B) {
 
 // BenchmarkPoolHit isolates the resident-hit path: a hot set smaller than
 // the pool is warmed once, then every timed fetch is a buffer hit — no
-// disk I/O, no eviction, just the page-table probe, the pin handshake and
-// the replacer's reference bookkeeping. This is the §2.1 cost the paper
+// disk I/O, no eviction, just the page-table probe, the pin and the
+// replacer's reference bookkeeping. This is the §2.1 cost the paper
 // requires to be negligible on every reference; the Serial reference pool
 // (one mutex, eager plain Replacer) is the baseline.
 //

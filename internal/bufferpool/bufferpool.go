@@ -11,11 +11,17 @@
 // the page table is partitioned into independently latched shards keyed by
 // PageID hash, pin counts are atomics so a buffer hit never takes a shard
 // latch exclusively, and all disk I/O — miss reads and dirty-victim
-// write-backs — runs outside every latch. Concurrent misses on the same
-// page coalesce onto a single in-flight read. The original single-latch
-// implementation survives in serial_test.go as Serial, the reference the
-// package's tests compare the concurrent pool against. See DESIGN.md §8
-// for the full protocol.
+// write-backs — runs outside every latch. The pin count is the only
+// authority on whether a resident page can be evicted: a page becomes a
+// victim candidate once, when it becomes resident; a hit is one atomic pin
+// plus one reference recorded with the replacer, an unpin one atomic add,
+// and an eviction sweep skips the candidates it finds pinned (Figure 2.1
+// tests eligibility when a victim is sought, not on every reference).
+// Page handles are values, so a hit allocates nothing. Concurrent misses
+// on the same page coalesce onto a single in-flight read. The original
+// single-latch implementation survives in serial_test.go as Serial, the
+// reference the package's tests compare the concurrent pool against. See
+// DESIGN.md §8 for the full protocol.
 package bufferpool
 
 import (
@@ -54,13 +60,13 @@ type Replacer interface {
 	// the page, if an eviction search removed p in the meantime (the pool
 	// will Restore it): an abandoned eviction is not a reference.
 	RecordHit(p policy.PageID)
-	// RecordPin is RecordHit(p) followed by SetEvictable(p, false) as one
-	// call: the hit that raises the pin count from zero.
-	RecordPin(p policy.PageID)
-	// SetEvictable marks whether p may be chosen as a victim.
+	// SetEvictable marks whether p is a victim candidate. The pool calls it
+	// with true exactly where a page becomes resident or is restored, never
+	// on pin or unpin: Evict may therefore return a pinned page, which the
+	// pool skips and restores.
 	SetEvictable(p policy.PageID, evictable bool)
 	// Restore reinstates residency for a page whose eviction was abandoned
-	// (the victim was re-pinned, or its write-back failed). It must not
+	// (the victim was pinned, or its write-back failed). It must not
 	// count as a reference: the page's history stays exactly as it was
 	// before Evict removed it.
 	Restore(p policy.PageID)
@@ -68,7 +74,7 @@ type Replacer interface {
 	Evict() (policy.PageID, bool)
 	// Remove drops p without treating it as an eviction decision.
 	Remove(p policy.PageID)
-	// Size returns the number of evictable pages.
+	// Size returns the number of victim candidates.
 	Size() int
 }
 
@@ -186,8 +192,9 @@ const (
 
 // frame is one buffer slot. pv, dirty and state are atomics so the hit
 // path mutates them with no latch at all (probe) or under a shared shard
-// latch (slow path); mu serialises only the evictability handshake with
-// the replacer (see pinned / unpinned below), never I/O.
+// latch (slow path). The pin count in pv is the only authority on whether
+// the page can be evicted: pins and unpins tell the replacer nothing, and
+// an eviction sweep settles the question with tryClaim.
 type frame struct {
 	data []byte
 	// page is the id the frame currently holds; atomic so the lock-free
@@ -197,9 +204,6 @@ type frame struct {
 	pv    atomic.Uint64
 	dirty atomic.Bool
 	state atomic.Int32
-	// mu orders pin-count zero-crossings against the replacer's evictable
-	// set, so a racing unpin→0 and repin cannot leave the flag stale.
-	mu sync.Mutex
 	// ready is closed by the loading goroutine once the miss read finishes
 	// (err says how); set before the frame becomes reachable.
 	ready chan struct{}
@@ -281,11 +285,13 @@ type shard struct {
 	hot [hotSlots]atomic.Pointer[frame]
 
 	hits atomic.Uint64
-	// fastHits counts hits served by the lock-free probe, a subset of
-	// hits. Deliberately not part of Stats: it is a mechanism counter, not
-	// pool accounting, and must not disturb Stats' exact differential
-	// equality against the Serial reference pool (serial_test.go).
-	fastHits       atomic.Uint64
+	// latchedHits counts the hits the lock-free probe did not serve, a
+	// (rare) subset of hits; FastHits derives the probe's share from it so
+	// the probe itself pays for one counter. Deliberately not part of
+	// Stats: it is a mechanism counter, not pool accounting, and must not
+	// disturb Stats' exact differential equality against the Serial
+	// reference pool (serial_test.go).
+	latchedHits    atomic.Uint64
 	misses         atomic.Uint64
 	coalesced      atomic.Uint64
 	evictions      atomic.Uint64
@@ -361,7 +367,7 @@ type Metrics struct {
 	// SweepLength records, per eviction sweep that could not be satisfied
 	// from the free list, how many victims the sweep examined before a
 	// frame was secured (or the sweep failed). Values above 1 mean victims
-	// were re-pinned under the sweep or failed their write-back.
+	// were pinned or failed their write-back.
 	SweepLength *obs.Histogram
 }
 
@@ -540,7 +546,9 @@ func hotClear(sh *shard, id policy.PageID, f *frame) {
 }
 
 // Page is a pinned page handle. The data is valid until Unpin; using a
-// handle after Unpin is a caller bug.
+// handle after Unpin is a caller bug. It is a value, so a fetch allocates
+// nothing; do not copy a live handle — Unpin invalidates only the variable
+// it is called on, and a copy would release the pin a second time.
 type Page struct {
 	pool  *Pool
 	id    policy.PageID
@@ -585,54 +593,16 @@ func (pg *Page) FlushCtx(ctx context.Context) error {
 	return pg.pool.flushFrame(ctx, pg.id, pg.f)
 }
 
-// pinned completes a pin that may have raced with an unpin on the
-// evictability flag: whichever of the two handshakes runs last under the
-// frame's mu re-derives the flag from the authoritative pin count.
-func (p *Pool) pinned(id policy.PageID, f *frame) {
-	f.mu.Lock()
-	if f.pins() > 0 {
-		p.replacer.SetEvictable(id, false)
-	}
-	f.mu.Unlock()
-}
-
-// pinnedRef is pinned for a hit: it runs the zero-crossing handshake and
-// records the reference in one fused replacer call (RecordPin). The hit
-// path holds the pin it just took, so pins is at least 1; the count is
-// still re-read under mu to keep the handshake's invariant explicit.
-func (p *Pool) pinnedRef(id policy.PageID, f *frame) {
-	f.mu.Lock()
-	if f.pins() > 0 {
-		p.replacer.RecordPin(id)
-	} else {
-		p.replacer.RecordHit(id)
-	}
-	f.mu.Unlock()
-}
-
-// releasePin drops one pin, handing the page to the replacer when the
-// count reaches zero and the frame still holds this page. The page check
-// reads the frame itself rather than the page table: a frame that was
-// repurposed since this pin was taken either holds a different id, is not
-// resident, or is pinned by its loader — and a spurious SetEvictable is
-// advisory anyway (the replacer ignores unknown pages; eviction
-// re-validates with tryClaim).
+// releasePin drops one pin. The replacer is not told: the page has been a
+// victim candidate since it became resident, and the sweep that selects it
+// reads the pin count itself.
 func (p *Pool) releasePin(id policy.PageID, f *frame, dirty bool) {
 	if dirty {
 		f.dirty.Store(true)
 	}
-	n := f.pinAdd(-1)
-	if n >= int64(framePinMask) {
+	if f.pinAdd(-1) >= int64(framePinMask) {
 		panic(fmt.Sprintf("bufferpool: unpin of unpinned page %d", id))
 	}
-	if n != 0 {
-		return
-	}
-	f.mu.Lock()
-	if f.pins() == 0 && f.state.Load() == frameResident && f.page.Load() == int64(id) {
-		p.replacer.SetEvictable(id, true)
-	}
-	f.mu.Unlock()
 }
 
 // frameFor returns the frame currently mapped to id, if any.
@@ -646,29 +616,29 @@ func (p *Pool) frameFor(id policy.PageID) *frame {
 
 // NewPage allocates a fresh disk page, pins it in a frame and returns the
 // handle.
-func (p *Pool) NewPage() (*Page, error) {
+func (p *Pool) NewPage() (Page, error) {
 	return p.NewPageCtx(context.Background())
 }
 
 // NewPageCtx is NewPage with a context: the eviction sweep that makes room
 // (dirty-victim write-backs and their retry backoff included) is charged
 // against ctx.
-func (p *Pool) NewPageCtx(ctx context.Context) (*Page, error) {
+func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 	if p.closed.Load() {
-		return nil, ErrClosed
+		return Page{}, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	f, err := p.obtainFrame(ctx)
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	id, err := p.backend.Allocate()
 	if err != nil {
 		f.state.Store(frameFree)
 		p.freePush(f)
-		return nil, fmt.Errorf("bufferpool: allocating page: %w", err)
+		return Page{}, fmt.Errorf("bufferpool: allocating page: %w", err)
 	}
 	p.notePage(id)
 	// A freshly allocated id starts clean whatever its previous life held.
@@ -684,16 +654,16 @@ func (p *Pool) NewPageCtx(ctx context.Context) (*Page, error) {
 	sh.table[id] = f // id is fresh: no prior mapping can exist
 	sh.mu.Unlock()
 	hotPublish(sh, id, f)
-	p.replacer.RecordAccess(id)
+	p.admit(id)
 	sh.misses.Add(1) // a new page is by definition not buffer-resident
-	return &Page{pool: p, id: id, f: f, valid: true}, nil
+	return Page{pool: p, id: id, f: f, valid: true}, nil
 }
 
 // Fetch pins page id, reading it from disk on a miss, and returns the
 // handle. Concurrent fetches of a non-resident page issue one disk read:
 // the first becomes the loader, the rest coalesce onto its in-flight
 // frame.
-func (p *Pool) Fetch(id policy.PageID) (*Page, error) {
+func (p *Pool) Fetch(id policy.PageID) (Page, error) {
 	return p.FetchCtx(context.Background(), id)
 }
 
@@ -703,7 +673,7 @@ func (p *Pool) Fetch(id policy.PageID) (*Page, error) {
 // and installs the page regardless — see abandonPin for the frame
 // accounting), a wait on a victim's write-back is interruptible, and the
 // miss path's disk retry backoff is charged against ctx.
-func (p *Pool) FetchCtx(ctx context.Context, id policy.PageID) (*Page, error) {
+func (p *Pool) FetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 	if p.metrics.FetchLatency == nil {
 		return p.fetchCtx(ctx, id)
 	}
@@ -713,15 +683,15 @@ func (p *Pool) FetchCtx(ctx context.Context, id policy.PageID) (*Page, error) {
 	return pg, err
 }
 
-func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (*Page, error) {
+func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 	if p.closed.Load() {
-		return nil, ErrClosed
+		return Page{}, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Page{}, err
 	}
 	sh := p.shardOf(id)
-	if pg := p.fetchFast(sh, id); pg != nil {
+	if pg, ok := p.fetchFast(sh, id); ok {
 		// A lock-free hit deliberately records no span even when sampled:
 		// the probe path stays untouched by tracing, and a sub-microsecond
 		// hit adds nothing to a waterfall.
@@ -744,7 +714,7 @@ func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (*Page, error) {
 // fetchSlow is the latched fetch loop: table lookup, miss protocol,
 // coalesce wait, or latched hit. tc is the enclosing pool_fetch span's
 // context (zero when the fetch is unsampled).
-func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (*Page, error) {
+func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (Page, error) {
 	for {
 		sh.mu.RLock()
 		f := sh.table[id]
@@ -772,12 +742,11 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 			select {
 			case <-done:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return Page{}, ctx.Err()
 			}
 			continue
 		case frameLoading:
-			// Coalesce onto the in-flight read. The loader's pin keeps the
-			// count positive, so no evictability handshake is needed.
+			// Coalesce onto the in-flight read.
 			f.pinAdd(1)
 			ready := f.ready
 			sh.mu.RUnlock()
@@ -800,7 +769,7 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 				sh.misses.Add(1)
 				sh.coalesced.Add(1)
 				p.abandonPin(sh, id, f)
-				return nil, ctx.Err()
+				return Page{}, ctx.Err()
 			}
 			if err := f.err; err != nil {
 				// err is captured before the pin drops: the last pin out
@@ -813,23 +782,20 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 				if f.pinAdd(-1) == 0 {
 					p.freePush(f)
 				}
-				return nil, err
+				return Page{}, err
 			}
 			p.replacer.RecordHit(id)
 			sh.misses.Add(1)
 			sh.coalesced.Add(1)
-			return &Page{pool: p, id: id, f: f, valid: true}, nil
+			return Page{pool: p, id: id, f: f, valid: true}, nil
 		default: // frameResident: the hit path — shared latch only
-			n := f.pinAdd(1)
+			f.pinAdd(1)
 			hotPublish(sh, id, f)
 			sh.mu.RUnlock()
-			if n == 1 {
-				p.pinnedRef(id, f)
-			} else {
-				p.replacer.RecordHit(id)
-			}
+			p.replacer.RecordHit(id)
 			sh.hits.Add(1)
-			return &Page{pool: p, id: id, f: f, valid: true}, nil
+			sh.latchedHits.Add(1)
+			return Page{pool: p, id: id, f: f, valid: true}, nil
 		}
 	}
 }
@@ -842,75 +808,55 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 // valid pin on a resident frame with the data published (the loader's
 // state.Store(frameResident) happens-before our state load). Any doubt —
 // empty slot, colliding page, claim in progress, lost CAS race — returns
-// nil and the latched path takes over.
-func (p *Pool) fetchFast(sh *shard, id policy.PageID) *Page {
+// false and the latched path takes over. A hit is the CAS, one replacer
+// event and one counter.
+func (p *Pool) fetchFast(sh *shard, id policy.PageID) (Page, bool) {
 	f := sh.hot[hotIndex(id)].Load()
 	if f == nil {
-		return nil
+		return Page{}, false
 	}
 	w := f.pv.Load()
 	if w&frameClaimBit != 0 {
-		return nil
+		return Page{}, false
 	}
 	if f.page.Load() != int64(id) || f.state.Load() != frameResident {
-		return nil
+		return Page{}, false
 	}
 	if !f.pv.CompareAndSwap(w, w+1) {
-		return nil
+		return Page{}, false
 	}
-	if w&framePinMask == 0 {
-		// First pin in: the evictability handshake and the reference fuse
-		// into one replacer interaction, exactly as the latched path's.
-		p.pinnedRef(id, f)
-	} else {
-		p.replacer.RecordHit(id)
-	}
+	p.replacer.RecordHit(id)
 	sh.hits.Add(1)
-	sh.fastHits.Add(1)
-	return &Page{pool: p, id: id, f: f, valid: true}
+	return Page{pool: p, id: id, f: f, valid: true}, true
 }
 
 // abandonPin releases the pin of a coalesced waiter that gave up on an
 // in-flight load, with exact frame accounting either way the load ends.
 // If the count reaches zero the load has published (the loader holds a pin
-// until then), leaving two cases: the load failed (the loader unlinked the
-// frame; the last participant out must recycle it, exactly once) or it
-// succeeded and every other participant, the loader's caller included, has
-// already unpinned (the page must be handed to the replacer as evictable,
-// or it could never be chosen again). The table mapping distinguishes
-// them, and the classification must be atomic with DeletePage's zero-pin
-// check — a delete sliding between our decrement and the table read would
-// free the frame first and turn our recycle into a double free. Holding
-// the shard latch in shared mode (DeletePage needs it exclusively) pins
-// the mapping in place while we decide.
+// until then), leaving two cases: the load succeeded and the page stays
+// resident (nothing more to do — the loader made it a victim candidate),
+// or it failed, the loader unlinked the frame, and the last participant
+// out must recycle it, exactly once. The table mapping distinguishes them,
+// and the classification must be atomic with DeletePage's zero-pin check —
+// a delete sliding between our decrement and the table read would free the
+// frame first and turn our recycle into a double free. Holding the shard
+// latch in shared mode (DeletePage needs it exclusively) pins the mapping
+// in place while we decide.
 func (p *Pool) abandonPin(sh *shard, id policy.PageID, f *frame) {
 	sh.mu.RLock()
-	last := f.pinAdd(-1) == 0
-	resident := last && sh.table[id] == f
-	if last && !resident {
+	if f.pinAdd(-1) == 0 && sh.table[id] != f {
 		// Failed load: the frame is table-unreachable and we are the last
 		// participant, so no recycle can race this free.
 		p.freePush(f)
 	}
 	sh.mu.RUnlock()
-	if !resident {
-		return
-	}
-	// Successful load, count now zero: re-derive evictability exactly as
-	// releasePin would, under the frame's mu so it serialises with pin
-	// zero-crossings.
-	f.mu.Lock()
-	if f.pins() == 0 && f.state.Load() == frameResident && f.page.Load() == int64(id) {
-		p.replacer.SetEvictable(id, true)
-	}
-	f.mu.Unlock()
 }
 
 // fetchMiss runs the miss protocol: obtain a frame (evicting if needed),
 // install it as the in-flight holder for id, then read from disk outside
 // every latch and publish. retry is true when another goroutine installed
 // the page first and the caller must re-run the fetch.
-func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (pg *Page, retry bool, err error) {
+func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (pg Page, retry bool, err error) {
 	// A sampled miss gets its own span; disk reads, victim write-backs, and
 	// retry sleeps beneath it parent to the miss via the re-wrapped context.
 	missSpan := p.spans.Start(tc, obs.SpanPoolMiss)
@@ -926,7 +872,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		// fresh detection; that was counted when the page was poisoned.
 		sh.misses.Add(1)
 		sh.readErrors.Add(1)
-		return nil, false, fmt.Errorf("fetching page %d: %w", id, &storage.ErrCorrupt{Page: id, Kind: kind})
+		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, &storage.ErrCorrupt{Page: id, Kind: kind})
 	}
 	if !p.breaker.Ready(p.backend.StripeOf(id)) {
 		// Fail fast while the stripe's circuit is open: no frame is
@@ -940,18 +886,18 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 			p.spans.Emit(tc.TraceID, p.spans.NewSpanID(), missSpan.ID(),
 				obs.SpanBreakerReject, time.Now(), 0, int64(id))
 		}
-		return nil, false, fmt.Errorf("fetching page %d: %w", id, ErrDiskUnavailable)
+		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, ErrDiskUnavailable)
 	}
 	f, err := p.obtainFrame(ctx)
 	if err != nil {
-		return nil, false, err
+		return Page{}, false, err
 	}
 	sh.mu.Lock()
 	if sh.table[id] != nil {
 		// Lost the install race; rejoin as a hit or coalesced miss.
 		sh.mu.Unlock()
 		p.freePush(f)
-		return nil, true, nil
+		return Page{}, true, nil
 	}
 	f.page.Store(int64(id))
 	f.install()
@@ -988,14 +934,23 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		if f.pinAdd(-1) == 0 {
 			p.freePush(f)
 		}
-		return nil, false, err
+		return Page{}, false, err
 	}
-	p.replacer.RecordAccess(id)
+	p.admit(id)
 	f.state.Store(frameResident)
 	close(f.ready)
 	hotPublish(sh, id, f)
 	sh.misses.Add(1)
-	return &Page{pool: p, id: id, f: f, valid: true}, false, nil
+	return Page{pool: p, id: id, f: f, valid: true}, false, nil
+}
+
+// admit records the reference that makes id resident and marks the page a
+// victim candidate — the one time the pool tells the replacer so. The
+// caller still holds its pin; a sweep that selects the page meanwhile finds
+// the pin count positive and skips it.
+func (p *Pool) admit(id policy.PageID) {
+	p.replacer.RecordAccess(id)
+	p.replacer.SetEvictable(id, true)
 }
 
 func (p *Pool) freePop() *frame {
@@ -1021,10 +976,10 @@ func (p *Pool) freePush(f *frame) {
 // operation is failed with the joined errors.
 const maxWriteBackFailures = 4
 
-// deferredVictim is a victim whose eviction was abandoned mid-sweep
-// because its write-back failed; it is restored to the replacer only once
-// the sweep ends, so Evict cannot hand the same poisoned page straight
-// back within the sweep.
+// deferredVictim is a victim whose eviction was abandoned mid-sweep —
+// it was pinned, or its write-back failed. Evict has removed it from the
+// replacer, and it is restored only later in the sweep, so Evict cannot
+// hand the same page straight back.
 type deferredVictim struct {
 	id policy.PageID
 	f  *frame
@@ -1034,6 +989,13 @@ type deferredVictim struct {
 // write-back if dirty, outside every latch) when none is free. The sweep —
 // its write-backs and their retry backoff included — is charged against
 // ctx: a cancelled caller stops evicting.
+//
+// The replacer ranks every resident page, pinned or not; the pin count
+// decides. A victim that turns out pinned is skipped and held out of the
+// replacer while the search goes on, so the frame the sweep ends with is
+// still Definition 2.2's maximum over the unpinned pages, and a sweep over
+// all-pinned frames visits each once and fails with ErrNoFreeFrame. Held
+// pages go back before the sweep returns or waits on a write-back.
 //
 // A victim whose dirty write-back fails does not fail the caller: the page
 // is restored to residency (its only copy is the in-memory one),
@@ -1049,10 +1011,13 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		deferred []deferredVictim
 		examined int64
 	)
-	// Failed victims re-enter the replacer only at sweep end, whichever way
-	// the sweep exits. The sweep length is recorded however the sweep ends
-	// (the fast free-list path above never reaches here, so every recorded
-	// sweep actually consulted the replacer).
+	// deferred holds the failed write-backs first (one per werrs entry, kept
+	// to sweep end so a poisoned page is tried once per sweep), then the
+	// victims skipped as pinned since the last write-back began. All of them
+	// re-enter the replacer whichever way the sweep exits. The sweep length
+	// is recorded however the sweep ends (the fast free-list path above
+	// never reaches here, so every recorded sweep actually consulted the
+	// replacer).
 	defer func() {
 		for _, dv := range deferred {
 			p.restoreVictim(dv.id, dv.f)
@@ -1086,14 +1051,13 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		sh.mu.Lock()
 		f := sh.table[victim]
 		if f == nil || f.state.Load() != frameResident || !f.tryClaim() {
-			// The page vanished or was re-pinned between the replacer's
-			// choice and our latch; hand it back and pick another victim.
-			// The latched paths cannot pin while we hold the exclusive
-			// latch, and tryClaim atomically excludes the lock-free probes:
-			// once it succeeds no new pin can appear.
+			// The page vanished, or it is pinned: set it aside and pick the
+			// next victim. The latched paths cannot pin while we hold the
+			// exclusive latch, and tryClaim atomically excludes the
+			// lock-free probes: once it succeeds no new pin can appear.
 			sh.mu.Unlock()
 			if f != nil {
-				p.restoreVictim(victim, f)
+				deferred = append(deferred, deferredVictim{id: victim, f: f})
 			}
 			continue
 		}
@@ -1115,6 +1079,12 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		f.state.Store(frameWriting)
 		f.writeDone = make(chan struct{})
 		sh.mu.Unlock()
+		// Pinned pages are held out only while the search runs, never
+		// across I/O: their pins are long gone by the time a write returns.
+		for _, dv := range deferred[len(werrs):] {
+			p.restoreVictim(dv.id, dv.f)
+		}
+		deferred = deferred[:len(werrs)]
 		werr := p.writePage(ctx, victim, f.data)
 		sh.mu.Lock()
 		if werr != nil {
@@ -1202,16 +1172,20 @@ func (p *Pool) BreakerOpenStripes() int { return p.breaker.OpenStripes() }
 // never be chosen again. Restore reinstates residency without fabricating
 // a reference — recording a phantom access here would reset the page's
 // Backward K-distance and could keep an otherwise-cold page resident. The
-// handshake runs under the frame's mu so it serialises with pin-count
-// zero-crossings.
+// shard's shared latch holds the mapping still across the check and the
+// two calls: DeletePage removes the page from the replacer under the
+// exclusive latch, so its Remove lands either before the check (which
+// then fails) or after the Restore — never in between, where it would
+// leave the replacer holding a page the pool does not.
 func (p *Pool) restoreVictim(id policy.PageID, f *frame) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if p.frameFor(id) != f {
+	sh := p.shardOf(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.table[id] != f {
 		return // the page moved on (deleted or reloaded elsewhere)
 	}
 	p.replacer.Restore(id)
-	p.replacer.SetEvictable(id, f.pins() == 0 && f.state.Load() == frameResident)
+	p.replacer.SetEvictable(id, true)
 }
 
 // pinResident pins page id if it is resident (waiting out any in-flight
@@ -1256,11 +1230,8 @@ func (p *Pool) pinResident(ctx context.Context, id policy.PageID) (*frame, bool)
 			}
 			return f, true
 		default:
-			n := f.pinAdd(1)
+			f.pinAdd(1)
 			sh.mu.RUnlock()
-			if n == 1 {
-				p.pinned(id, f)
-			}
 			return f, true
 		}
 	}
@@ -1454,7 +1425,10 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) FastHits() uint64 {
 	var n uint64
 	for i := range p.shards {
-		n += p.shards[i].fastHits.Load()
+		// latchedHits first: it is bumped after hits, so the difference
+		// never goes negative under concurrent fetches.
+		latched := p.shards[i].latchedHits.Load()
+		n += p.shards[i].hits.Load() - latched
 	}
 	return n
 }

@@ -41,19 +41,21 @@ func hitBench(build func(d storage.Backend) hitPool) testing.BenchmarkResult {
 }
 
 // TestHitPathCeiling is the hot-path regression gate behind `make
-// bench-hit` (and `make check`): the pool's resident-hit cost must stay
-// under an absolute ceiling and must not fall behind the Serial reference
-// pool, whose one mutex and eager victim-index updates it exists to beat.
-// Over this loop's uniform 256-page hot set — the worst case for a
-// 256-event ring, which then re-keys most touched pages once per drain —
-// the pool measures 700–1000 ns/op on the shared reference container,
-// depending on the minute; the ceiling is ~3.5x the quiet figure so loaded
-// CI boxes do not flake, while still catching a per-hit allocation or a
-// lock held across the hit. The regressions that leave the absolute figure
-// under the ceiling (a replacer latch back on the fast path, an eager
-// victim-index update per reference: ~2000 ns/op) are the relative gate's.
-// Skipped under -race (the detector multiplies atomic costs) and in -short
-// mode.
+// bench-hit` (and `make check`). It gates three things about the pool's
+// resident hit: it allocates nothing (an exact count, host-independent —
+// the page handle is a value and the replacer event lands in a
+// preallocated ring), it stays under an absolute ceiling, and it costs at
+// most 0.8 of the Serial reference pool, whose one mutex and eager
+// victim-index updates it exists to beat. Over this loop's uniform
+// 256-page hot set — the worst case for a 256-event ring, which then
+// re-keys most touched pages once per drain — the pool measures 350–500
+// ns/op on the shared reference container, depending on the minute, and
+// Serial 1000–1250; the ceiling is ~3.5x the quiet figure so loaded CI
+// boxes do not flake, while still catching a lock held across the hit. The
+// regressions that leave the absolute figure under the ceiling (a second
+// replacer event or a per-frame latch back on the hit, an eager
+// victim-index update per reference) are the relative gate's. Skipped
+// under -race (the detector multiplies atomic costs) and in -short mode.
 func TestHitPathCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("hit-path ceiling is meaningless under the race detector")
@@ -64,18 +66,23 @@ func TestHitPathCeiling(t *testing.T) {
 	pool := hitBench(func(d storage.Backend) hitPool {
 		return poolBench{New(d, 512, core.NewSyncReplacer(2, core.Options{}))}
 	})
-	const ceilingNs = 2600
+	if got := pool.AllocsPerOp(); got != 0 {
+		t.Errorf("pool hit allocates %d times per op, want 0", got)
+	}
+	const ceilingNs = 1300
 	if got := pool.NsPerOp(); got > ceilingNs {
 		t.Errorf("pool hit costs %d ns/op, ceiling %d ns", got, ceilingNs)
 	}
 	serial := hitBench(func(d storage.Backend) hitPool {
 		return serialBench{NewSerial(d, 512, core.NewReplacer(2, core.Options{}))}
 	})
-	// Relative gate, immune to the host's absolute speed: a hit must not
-	// cost more than the reference pool's (the 20% slack absorbs scheduler
-	// noise; the pool measures 0.5–0.6 of Serial, so tripping this means
-	// the buffered hit path's win is gone, not that the box was busy).
-	if p, s := pool.NsPerOp(), serial.NsPerOp(); float64(p) > 1.2*float64(s) {
-		t.Errorf("pool hit costs %d ns/op vs the Serial reference pool's %d ns/op; the concurrent hit path is the slower one", p, s)
+	// Relative gate, immune to the host's absolute speed. The pool measures
+	// 0.35–0.4 of Serial; the bound leaves the same 2x slack for scheduler
+	// noise the absolute ceiling does, so tripping it means the hit path's
+	// win is gone, not that the box was busy.
+	p, s := pool.NsPerOp(), serial.NsPerOp()
+	t.Logf("pool hit %d ns/op, %d allocs/op; Serial reference %d ns/op", p, pool.AllocsPerOp(), s)
+	if float64(p) > 0.8*float64(s) {
+		t.Errorf("pool hit costs %d ns/op vs the Serial reference pool's %d ns/op; want at most 0.8 of it", p, s)
 	}
 }

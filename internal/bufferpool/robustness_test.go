@@ -162,9 +162,9 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 	pg.Unpin(false)
 }
 
-// TestAbandonLastPinRestoresEvictability drives the zero-crossing where
-// the abandoning waiter is the LAST pin out of an already-published frame:
-// it must hand the page back to the replacer, or the frame could never be
+// TestAbandonLastPinRestoresEvictability drives the case where the
+// abandoning waiter is the LAST pin out of an already-published frame:
+// the page must be left a victim candidate, or the frame could never be
 // evicted again.
 func TestAbandonLastPinRestoresEvictability(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})

@@ -8,9 +8,10 @@ import (
 
 // Replacer is the buffer-pool-facing form of LRU-K: a victim selector over
 // pages whose residency, pinning and eviction are controlled externally by
-// a buffer-pool manager. Pinned pages (evictable=false) never appear in
-// the victim index; the pool marks a page evictable once its pin count
-// drops to zero.
+// a buffer-pool manager. Pages marked evictable=false never appear in the
+// victim index. The Serial reference pool flips the mark on every pin
+// count zero-crossing; the concurrent Pool sets it once, when a page
+// becomes resident, and skips the victims it finds pinned.
 //
 // This is the shape a real database engine embeds (the paper's prototype
 // inside the Amdahl Huron buffer manager); the trace simulator uses the
@@ -73,7 +74,7 @@ func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
 }
 
 // Restore reinstates page p as resident after an eviction was abandoned
-// (the buffer pool found the victim re-pinned, or its dirty write-back
+// (the buffer pool found the victim pinned, or its dirty write-back
 // failed and the data exists only in memory). Unlike RecordAccess it does
 // not advance the clock and leaves the HIST block exactly as it was before
 // Evict removed it: the abandonment is not a page reference, and

@@ -63,12 +63,11 @@ type SyncReplacer struct {
 // search and stats read drains first.
 const ringCapacity = 256
 
-// Event kinds. The three reference kinds come first and advance the
+// Event kinds. The two reference kinds come first and advance the
 // logical clock (apply relies on the order).
 const (
 	evHit      = uint8(iota) // reference to a resident page; dropped if residency ended
 	evAccess                 // reference that admits the page if it is not resident
-	evPin                    // evHit fused with SetEvictable(false)
 	evEvictOn                // SetEvictable(p, true)
 	evEvictOff               // SetEvictable(p, false)
 	evRestore                // Restore(p)
@@ -134,10 +133,6 @@ func (s *SyncReplacer) RecordAccess(p policy.PageID) { s.enqueue(p, evAccess) }
 // search chose it between the caller's pin and this call), the reference is
 // dropped rather than re-admitting the page.
 func (s *SyncReplacer) RecordHit(p policy.PageID) { s.enqueue(p, evHit) }
-
-// RecordPin is RecordHit followed by SetEvictable(p, false) as one event:
-// the hit that raises a page's pin count from zero.
-func (s *SyncReplacer) RecordPin(p policy.PageID) { s.enqueue(p, evPin) }
 
 // SetEvictable marks whether p may be chosen as a victim.
 func (s *SyncReplacer) SetEvictable(p policy.PageID, evictable bool) {
@@ -237,32 +232,29 @@ func (s *SyncReplacer) drain() {
 //
 // Within a drain, events mutate only the HIST table and the evictable set;
 // the victim index is left untouched and reconciled once per touched page
-// at the end of the drain. A profile of the hit path shows why: every
-// fetch/unpin cycle flips the page's evictability, and eagerly mirroring
-// each flip into the red-black victim index (a tree delete plus insert per
-// reference) dominates the per-reference cost. The intermediate index
-// states are unobservable — mu is held for the whole drain, and Evict, the
-// index's only reader, drains first — and the index is a pure function of
-// the evictable set and the HIST table, so the reconciled result is
-// bit-identical to eager maintenance.
+// at the end of the drain. A profile of the hit path shows why: a resident
+// page stays in the victim index while it is referenced, every reference
+// moves its key, and eagerly mirroring each move into the red-black index
+// (a tree delete plus insert per reference) dominates the per-reference
+// cost. The intermediate index states are unobservable — mu is held for
+// the whole drain, and Evict, the index's only reader, drains first — and
+// the index is a pure function of the evictable set and the HIST table, so
+// the reconciled result is bit-identical to eager maintenance.
 func (s *SyncReplacer) apply(e event) {
 	t, evictable := s.r.table, s.r.evictable
 	var now policy.Tick
-	if e.kind <= evPin {
+	if e.kind <= evAccess {
 		now = t.tick() // may purge retained blocks: look the page up after it
 	}
 	h, ok := t.pages[e.page]
 	resident := ok && h.resident
 	switch e.kind {
-	case evHit, evPin:
+	case evHit:
 		if !resident {
 			s.stats.Dropped++
 			return
 		}
 		s.stage(e.page, h)
-		if e.kind == evPin {
-			delete(evictable, e.page)
-		}
 		t.touchResident(e.page, h, now, false)
 	case evAccess:
 		if resident {

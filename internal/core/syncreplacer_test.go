@@ -106,7 +106,7 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 }
 
 // TestBatchedMatchesUnbatchedRandomOps replays seeded random operation
-// sequences — references, fused pins, evictability flips, evictions,
+// sequences — references, evictability flips, evictions,
 // restores, removals — through the plain Replacer and a SyncReplacer with a
 // tiny ring (so full-ring drains, not only forced flushes, split the
 // sequence at arbitrary points). Victim choices, the traced decision
@@ -115,8 +115,8 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 // observationally equivalent to eager maintenance on any serialisable
 // history, with both §2.1 periods enabled.
 //
-// The generator honours the pool's contract — RecordHit and RecordPin are
-// issued only for resident pages, misses go through RecordAccess — because
+// The generator honours the pool's contract — RecordHit is issued only
+// for resident pages, misses go through RecordAccess — because
 // that contract is exactly where the two sides are allowed to differ: an
 // eager reference to a departed page re-admits it, a buffered hit is
 // deliberately dropped (the phantom regression above).
@@ -150,14 +150,15 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 			case 3:
 				admit(p)
 			case 4:
-				// The pool's fused zero-crossing hit.
+				// A hit and a flip out of the index, back to back.
 				if !resident[p] {
 					admit(p)
 					break
 				}
 				plain.RecordAccess(p)
 				plain.SetEvictable(p, false)
-				batched.RecordPin(p)
+				batched.RecordHit(p)
+				batched.SetEvictable(p, false)
 			case 5, 6:
 				plain.SetEvictable(p, true)
 				batched.SetEvictable(p, true)
@@ -261,9 +262,7 @@ func stormOp(s *SyncReplacer, rng *stats.RNG, pages int) {
 	switch rng.Intn(10) {
 	case 0:
 		s.RecordAccess(p)
-	case 1:
-		s.RecordPin(p)
-	case 2, 3:
+	case 1, 2, 3:
 		s.RecordHit(p)
 	case 4:
 		s.SetEvictable(p, true)
@@ -369,7 +368,7 @@ func TestConcurrentHistoryLinearises(t *testing.T) {
 		switch e.kind {
 		case evAccess:
 			plain.RecordAccess(e.page)
-		case evHit, evPin:
+		case evHit:
 			if !resident {
 				// The documented difference: the stale hit costs a tick and
 				// nothing else.
@@ -378,9 +377,6 @@ func TestConcurrentHistoryLinearises(t *testing.T) {
 				break
 			}
 			plain.RecordAccess(e.page)
-			if e.kind == evPin {
-				plain.SetEvictable(e.page, false)
-			}
 		case evEvictOn:
 			plain.SetEvictable(e.page, true)
 		case evEvictOff:

@@ -41,6 +41,8 @@ type PolicyStats struct {
 	// HistoryBlocks is the current number of HIST blocks held, resident
 	// plus retained.
 	HistoryBlocks int `json:"history_blocks"`
-	// Evictable is the current victim-index population.
+	// Evictable is the current victim-index population. Under the
+	// concurrent pool that is every resident page, pinned or not, less the
+	// few a running eviction sweep has set aside.
 	Evictable int `json:"evictable"`
 }

@@ -372,3 +372,39 @@ func TestLookupAppendCtx(t *testing.T) {
 		t.Errorf("closed db: out %q err %v", out, err)
 	}
 }
+
+// TestLookupAllocations is the count-based guard behind the benchmark's
+// embed_hot_read allocs_per_op: a resident GET fetches three pages (B-tree
+// root, leaf, heap page) and none of the fetches may touch the heap, so a
+// lookup into a reused buffer allocates nothing and LookupCtx allocates
+// exactly the record its caller owns.
+func TestLookupAllocations(t *testing.T) {
+	d, err := Open(Config{Frames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.LoadCustomers(1000); err != nil { // enough for a root above the leaves
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const cust = 420
+	buf, err := d.LookupAppendCtx(ctx, nil, cust) // warm: the three pages are resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		if buf, err = d.LookupAppendCtx(ctx, buf[:0], cust); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("LookupAppendCtx into a reused buffer allocates %.2f times per call, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		if _, err := d.LookupCtx(ctx, cust); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("LookupCtx allocates %.2f times per call, want 1 (the returned record)", got)
+	}
+}

@@ -161,8 +161,6 @@ func (db *DB) registerObs(r *obs.Registry) {
 		func(s core.PolicyStats) float64 { return float64(s.Purges) })
 	r.GaugeFunc("lruk_policy_history_blocks", "HIST blocks held, resident plus retained.", nil,
 		func() float64 { return float64(db.replacer.PolicyStats().HistoryBlocks) })
-	r.GaugeFunc("lruk_policy_evictable", "Pages currently in the victim index.", nil,
-		func() float64 { return float64(db.replacer.PolicyStats().Evictable) })
 	r.CounterFunc("lruk_policy_trace_records_total",
 		"Policy decisions recorded into the eviction trace ring.", nil,
 		func() float64 { return float64(db.evTrace.Seq()) })

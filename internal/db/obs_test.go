@@ -123,7 +123,6 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		"lruk_policy_collapses_total":     float64(snap.Policy.Collapses),
 		"lruk_policy_purges_total":        float64(snap.Policy.Purges),
 		"lruk_policy_history_blocks":      float64(snap.Policy.HistoryBlocks),
-		"lruk_policy_evictable":           float64(snap.Policy.Evictable),
 		"lruk_access_batch_drains_total":  float64(snap.AccessBatch.Drains),
 		"lruk_access_batch_events_total":  float64(snap.AccessBatch.Events),
 		"lruk_access_batch_dropped_total": float64(snap.AccessBatch.Dropped),

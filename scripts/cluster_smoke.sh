@@ -30,8 +30,10 @@ go build -o "$tmp/lrukcluster" ./cmd/lrukcluster
 
 # The cluster spec must name real ports before any node boots (every
 # member bootstraps the same epoch-1 view from it), so ports are fixed up
-# front: a PID-derived base keeps concurrent runs apart.
-base=$((20000 + $$ % 20000))
+# front: a PID-derived base keeps concurrent runs apart, and stays below
+# the kernel's ephemeral range (32768 up) so a client socket left by an
+# earlier smoke cannot hold one of them.
+base=$((20000 + $$ % 12000))
 p0=$base
 p1=$((base + 1))
 p2=$((base + 2))

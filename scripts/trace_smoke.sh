@@ -29,8 +29,10 @@ go build -o "$tmp/lrukcluster" ./cmd/lrukcluster
 
 # Fixed ports up front (every member bootstraps the same epoch-1 view
 # from the spec); a PID-derived base keeps concurrent runs apart. Each
-# node gets a second port for its obs listener.
-base=$((20000 + $$ % 20000))
+# node gets a second port for its obs listener. The base stays below the
+# kernel's ephemeral range (32768 up) so a client socket left by an
+# earlier smoke cannot hold one of them.
+base=$((20000 + $$ % 12000))
 p0=$base
 p1=$((base + 1))
 p2=$((base + 2))
