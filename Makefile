@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos crash-smoke corrupt-smoke cluster-smoke trace-smoke check
+.PHONY: all build test race fuzz-smoke size vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos crash-smoke corrupt-smoke cluster-smoke trace-smoke check
 
 all: check
 
@@ -17,6 +17,23 @@ test:
 ## detector (includes the pool, cache, replacer and disk stress tests).
 race:
 	$(GO) test -race -timeout 600s ./...
+
+## fuzz-smoke: ten seconds of each core fuzz target — the Figure 2.1
+## differential and the generic cache's operation stream, both ending in
+## the victim-index invariant check (go test takes one -fuzz target per
+## run, hence two).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzCacheOperations -fuzztime 10s ./internal/core/
+
+## size: Go line counts — root module non-test, root module test, and the
+## nested bench/ module — the figures re-anchors and "net lines go down"
+## criteria quote.
+size:
+	@count() { find . -name '*.go' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	echo "non-test $$(count -not -name '*_test.go' -not -path './bench/*')"; \
+	echo "test     $$(count -name '*_test.go' -not -path './bench/*')"; \
+	echo "bench    $$(count -path './bench/*')"
 
 vet:
 	$(GO) vet ./...
@@ -96,4 +113,4 @@ trace-smoke:
 
 ## check: the gate. vet and the two test runs each compile every package,
 ## so there is no separate build step.
-check: fmt-check vet test race bench-module bench-hit crash-smoke corrupt-smoke cluster-smoke trace-smoke
+check: fmt-check vet test race fuzz-smoke bench-module bench-hit crash-smoke corrupt-smoke cluster-smoke trace-smoke

@@ -74,8 +74,6 @@ type Replacer interface {
 	Evict() (policy.PageID, bool)
 	// Remove drops p without treating it as an eviction decision.
 	Remove(p policy.PageID)
-	// Size returns the number of victim candidates.
-	Size() int
 }
 
 // ErrNoFreeFrame reports that every frame is pinned, so the pool cannot

@@ -15,14 +15,9 @@ func (c *LRUK) Resize(capacity int) {
 	}
 	c.capacity = capacity
 	for c.resident > c.capacity {
-		victim, ok := c.table.selectVictim(c.table.clock)
-		if !ok {
+		if !c.evict(c.table.clock) {
 			return
 		}
-		vh := c.table.pages[victim]
-		c.table.index.Delete(vh.key(victim))
-		c.table.evictResident(victim, vh)
-		c.resident--
 	}
 }
 

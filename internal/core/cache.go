@@ -243,13 +243,8 @@ func (c *Cache[K, V]) Delete(key K) bool {
 	if e == nil || !e.live {
 		return false
 	}
-	h := s.table.pages[id]
-	s.table.index.Delete(h.key(id))
-	s.table.evictResident(id, h)
-	e.live = false
-	var zero V
-	e.value = zero
-	s.resident--
+	s.table.retireResident(s.table.pages[id])
+	s.release(e)
 	return true
 }
 
@@ -342,8 +337,7 @@ func (s *cacheShard[K, V]) get(key K) (V, bool) {
 	if e == nil || !e.live {
 		return zero, false
 	}
-	h := s.table.pages[id]
-	s.table.touchResident(id, h, now, true)
+	s.table.touch(s.table.pages[id], now)
 	return e.value, true
 }
 
@@ -353,8 +347,7 @@ func (s *cacheShard[K, V]) put(key K, value V) (evicted uint64, admitted bool) {
 		e := s.byID[id]
 		if e != nil && e.live {
 			// Overwrite of a live entry is a reference.
-			h := s.table.pages[id]
-			s.table.touchResident(id, h, now, true)
+			s.table.touch(s.table.pages[id], now)
 			e.value = value
 			return 0, true
 		}
@@ -402,17 +395,19 @@ func (s *cacheShard[K, V]) makeRoom() (evicted uint64) {
 }
 
 func (s *cacheShard[K, V]) evictVictim() uint64 {
-	victim, ok := s.table.selectVictim(s.table.clock)
+	victim, ok := s.table.evict(s.table.clock)
 	if !ok {
 		return 0
 	}
-	h := s.table.pages[victim]
-	s.table.index.Delete(h.key(victim))
-	s.table.evictResident(victim, h)
-	e := s.byID[victim]
+	s.release(s.byID[victim])
+	return 1
+}
+
+// release drops e's value once its page has left residency; the entry
+// stays behind to bind the key to its retained history.
+func (s *cacheShard[K, V]) release(e *cacheEntry[K, V]) {
 	e.live = false
 	var zero V
 	e.value = zero
 	s.resident--
-	return 1
 }

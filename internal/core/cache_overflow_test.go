@@ -7,10 +7,10 @@ import (
 	"repro/internal/policy"
 )
 
-// deindex removes key's page from the shard's victim index, simulating a
-// full shard in which no victim is selectable. The seed implementation
-// admitted regardless and the shard grew past capacity; the fixed put must
-// refuse admission instead.
+// deindex withdraws key's page from victim candidacy, simulating a full
+// shard in which no victim is selectable. The seed implementation admitted
+// regardless and the shard grew past capacity; the fixed put must refuse
+// admission instead.
 func deindex(t *testing.T, c *Cache[string, int], key string) {
 	t.Helper()
 	s := &c.shards[0]
@@ -21,10 +21,11 @@ func deindex(t *testing.T, c *Cache[string, int], key string) {
 		t.Fatalf("deindex: key %q unknown", key)
 	}
 	h := s.table.pages[id]
-	if _, ok := s.table.index.Get(h.key(id)); !ok {
-		t.Fatalf("deindex: key %q not in the victim index", key)
+	if !h.candidate {
+		t.Fatalf("deindex: key %q not a victim candidate", key)
 	}
-	s.table.index.Delete(h.key(id))
+	s.table.setCandidate(h, false)
+	checkIndex(t, s.table)
 }
 
 func reindex(t *testing.T, c *Cache[string, int], key string) {
@@ -32,9 +33,8 @@ func reindex(t *testing.T, c *Cache[string, int], key string) {
 	s := &c.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.byKey[key]
-	h := s.table.pages[id]
-	s.table.index.Set(h.key(id), struct{}{})
+	s.table.setCandidate(s.table.pages[s.byKey[key]], true)
+	checkIndex(t, s.table)
 }
 
 // TestCachePutRefusedWithoutVictim is the capacity-overflow regression

@@ -13,11 +13,15 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, uint8(2), uint8(3), uint8(0))
 	f.Add([]byte{0, 0, 0, 1, 1, 1}, uint8(1), uint8(1), uint8(2))
 	f.Add([]byte{9, 8, 7, 9, 8, 7, 9}, uint8(3), uint8(4), uint8(5))
+	f.Add([]byte{4, 5, 4, 6, 5, 7, 4, 4, 8, 5}, uint8(1), uint8(2), uint8(129))
 	f.Fuzz(func(t *testing.T, raw []byte, kRaw, capRaw, crpRaw uint8) {
 		k := int(kRaw%4) + 1
 		capacity := int(capRaw%8) + 1
 		crp := policy.Tick(crpRaw % 6)
 		c := NewLRUKWithOptions(capacity, k, Options{CorrelatedReferencePeriod: crp})
+		// Half the inputs run the table the way SyncReplacer does: index
+		// re-filing deferred to the sync ahead of each victim search.
+		c.table.batching = crpRaw >= 128
 		b := newBrute(capacity, k, crp)
 		for i, x := range raw {
 			p := policy.PageID(x % 32)
@@ -29,6 +33,7 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 				t.Fatalf("capacity exceeded: %d > %d", c.Len(), capacity)
 			}
 		}
+		checkIndex(t, c.table)
 	})
 }
 
@@ -57,6 +62,10 @@ func FuzzCacheOperations(f *testing.F) {
 			if c.Len() > 8 {
 				t.Fatalf("op %d: Len %d over capacity", i, c.Len())
 			}
+		}
+		checkIndex(t, c.shards[0].table)
+		if n := c.shards[0].table.candidates; n != c.Len() {
+			t.Fatalf("%d victim candidates for %d live entries", n, c.Len())
 		}
 	})
 }

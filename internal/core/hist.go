@@ -2,12 +2,13 @@
 // O'Neil, O'Neil & Weikum (SIGMOD 1993) — the primary contribution of the
 // paper this repository reproduces.
 //
-// Three public faces share one implementation of the paper's bookkeeping:
+// Three public faces share one engine, the histTable in this file:
 //
 //   - LRUK: a fixed-capacity page cache implementing the policy.Cache
 //     interface, used by the trace-driven simulator (Section 4).
-//   - Replacer: a pin-aware victim selector for the buffer-pool manager in
-//     internal/bufferpool.
+//   - Replacer: a victim selector for the buffer-pool manager in
+//     internal/bufferpool; SyncReplacer is the same Replacer behind a
+//     mutex and an event ring.
 //   - Cache: a sharded, concurrent, generic in-memory cache with LRU-K
 //     eviction — the artifact a downstream user would adopt.
 //
@@ -15,7 +16,9 @@
 // with the times of the K most recent uncorrelated references, a LAST
 // timestamp for correlated-reference detection (§2.1.1), retained history
 // for non-resident pages (§2.1.2), and a search-tree victim index ordered
-// by Backward K-distance (§2.1.3).
+// by Backward K-distance (§2.1.3). The table is the only code that reads
+// or writes that index: the faces say what happened to a page (referenced,
+// admitted, made a candidate, retired) and ask for a victim.
 package core
 
 import (
@@ -33,8 +36,21 @@ type hist struct {
 	// last is LAST(p): the most recent reference of any kind, correlated
 	// or not.
 	last policy.Tick
+	page policy.PageID
 	// resident reports whether the page currently occupies a buffer frame.
 	resident bool
+	// candidate reports whether the page may be chosen as a victim; it
+	// implies resident. The victim index holds exactly the candidates once
+	// sync has run.
+	candidate bool
+	// dirty reports that the block is on a batching table's dirty list: its
+	// candidacy or key may have changed since it was last filed.
+	dirty bool
+	// filed reports that the victim index holds an entry for this block,
+	// under the key of the HIST(p,K) and HIST(p,1) it had when filed (kept
+	// as two ticks, not a vkey, so the block stays within 64 bytes).
+	filed                bool
+	filedKth, filedHist1 policy.Tick
 }
 
 // kth returns HIST(p,K), the time of the K-th most recent uncorrelated
@@ -61,8 +77,13 @@ func vkeyLess(a, b vkey) bool {
 	return a.page < b.page
 }
 
-func (h *hist) key(p policy.PageID) vkey {
-	return vkey{kth: h.kth(), hist1: h.times[0], page: p}
+func (h *hist) key() vkey {
+	return vkey{kth: h.kth(), hist1: h.times[0], page: h.page}
+}
+
+// filedKey is the key h's index entry stands under, while filed.
+func (h *hist) filedKey() vkey {
+	return vkey{kth: h.filedKth, hist1: h.filedHist1, page: h.page}
 }
 
 // retired records a page that left residency at a given LAST time; the
@@ -74,8 +95,8 @@ type retired struct {
 }
 
 // histTable is the shared engine: history blocks for resident and retained
-// pages, the victim index over the evictable subset, and the retention
-// queue. LRUK, Replacer and the cache shards all embed one.
+// pages, the victim index over the candidates, and the retention queue.
+// LRUK, Replacer and the cache shards each embed one.
 type histTable struct {
 	k     int
 	crp   policy.Tick // Correlated Reference Period (§2.1.1); 0 disables
@@ -83,8 +104,22 @@ type histTable struct {
 	clock policy.Tick
 
 	pages map[policy.PageID]*hist
-	// index orders the evictable resident pages by Backward K-distance.
-	index *ordmap.Map[vkey, struct{}]
+	// index orders the candidates by Backward K-distance; nothing outside
+	// this file touches it. A mutation that moves a block's key or flips its
+	// candidacy re-files the block at once — unless the owner batches: a
+	// reference moves its page's key, mirroring every move into the tree (a
+	// delete plus an insert) dominates the cost of a reference, and
+	// SyncReplacer applies references a ring at a time. With batching set,
+	// mutations only put the block on the dirty list and sync re-files the
+	// listed blocks, at most one delete and one insert each however often
+	// they changed; the owner calls sync at the end of each batch, and
+	// selectVictim, the index's only reader, calls it first.
+	index    *ordmap.Map[vkey, struct{}]
+	batching bool
+	dirty    []*hist
+	// candidates counts blocks with candidate set — the index's size once
+	// synced.
+	candidates int
 	// retire is the lazily-validated retention queue, ordered by the LAST
 	// value the page had when it left residency. retireHead indexes its
 	// logical front; popped slack is compacted away (see retirePop) so a
@@ -120,6 +155,7 @@ func (t *histTable) reset() {
 	t.clock = 0
 	t.pages = make(map[policy.PageID]*hist)
 	t.index.Clear()
+	t.dirty, t.candidates = nil, 0
 	t.retire, t.retireHead = nil, 0
 	t.collapses, t.purges = 0, 0
 }
@@ -143,26 +179,67 @@ func (t *histTable) advanceTo(now policy.Tick) policy.Tick {
 	return t.clock
 }
 
-// touchResident processes a reference at time now to a page already in
-// buffer, per the top branch of Figure 2.1. indexed reports whether the
-// page is currently in the victim index (evictable); if so its key is
-// refreshed on an uncorrelated reference.
-func (t *histTable) touchResident(p policy.PageID, h *hist, now policy.Tick, indexed bool) {
+// resident returns p's history block if p currently occupies a frame.
+func (t *histTable) resident(p policy.PageID) (*hist, bool) {
+	h, ok := t.pages[p]
+	return h, ok && h.resident
+}
+
+// changed records that h's candidacy or key moved: the block is re-filed
+// now, or at the next sync if the owner batches.
+func (t *histTable) changed(h *hist) {
+	if !t.batching {
+		t.refile(h)
+	} else if !h.dirty {
+		h.dirty = true
+		t.dirty = append(t.dirty, h)
+	}
+}
+
+// refile brings h's index entry in line with the block: present exactly if
+// the page is a candidate, under its current key.
+func (t *histTable) refile(h *hist) {
+	key := h.key()
+	if h.filed && (!h.candidate || key != h.filedKey()) {
+		t.index.Delete(h.filedKey())
+		h.filed = false
+	}
+	if h.candidate && !h.filed {
+		t.index.Set(key, struct{}{})
+		h.filed, h.filedKth, h.filedHist1 = true, key.kth, key.hist1
+	}
+}
+
+// sync re-files every dirty block: afterwards the index holds exactly the
+// candidates, each under its current key. The index is a pure function of
+// the blocks, so when sync runs changes no decision — only how many key
+// moves one re-filing absorbs. The list holds blocks, not page ids: one
+// retired and then purged before this sync is in the table no longer, and
+// its entry must still go.
+func (t *histTable) sync() {
+	for i, h := range t.dirty {
+		t.dirty[i] = nil
+		h.dirty = false
+		t.refile(h)
+	}
+	t.dirty = t.dirty[:0]
+}
+
+// touch processes a reference at time now to the resident page of block h,
+// per the top branch of Figure 2.1.
+func (t *histTable) touch(h *hist, now policy.Tick) {
 	if t.crp > 0 && now-h.last <= t.crp {
 		// A correlated reference: only LAST moves (§2.1.1).
 		h.last = now
 		t.collapses++
 		if t.tracer != nil {
-			t.tracer.TraceCollapse(p, now)
+			t.tracer.TraceCollapse(h.page, now)
 		}
 		return
 	}
 	// A new, uncorrelated reference: close the correlated period by
 	// crediting its span to the older history entries, collapsing the burst
 	// to a zero-width interval, exactly as Figure 2.1 does.
-	if indexed {
-		t.index.Delete(h.key(p))
-	}
 	span := h.last - h.times[0]
 	for i := t.k - 1; i >= 1; i-- {
 		if h.times[i-1] != 0 {
@@ -171,20 +248,20 @@ func (t *histTable) touchResident(p policy.PageID, h *hist, now policy.Tick, ind
 	}
 	h.times[0] = now
 	h.last = now
-	if indexed {
-		t.index.Set(h.key(p), struct{}{})
+	if h.candidate {
+		t.changed(h)
 	}
 }
 
 // admit installs page p as resident at time now, creating or shifting its
 // history control block per the bottom branch of Figure 2.1, and returns
-// its block. indexed controls whether the page enters the victim index
-// immediately (the Replacer defers that to SetEvictable).
-func (t *histTable) admit(p policy.PageID, now policy.Tick, indexed bool) *hist {
+// its block. candidate says whether the page may be chosen as a victim at
+// once (the Replacer defers that to SetEvictable).
+func (t *histTable) admit(p policy.PageID, now policy.Tick, candidate bool) *hist {
 	h, ok := t.pages[p]
 	if !ok {
 		// "allocate HIST(p); for i := 2 to K do HIST(p,i) := 0"
-		h = &hist{times: make([]policy.Tick, t.k)}
+		h = &hist{times: make([]policy.Tick, t.k), page: p}
 		t.pages[p] = h
 	} else {
 		// History survives from a previous residency (§2.1.2): shift it so
@@ -196,20 +273,43 @@ func (t *histTable) admit(p policy.PageID, now policy.Tick, indexed bool) *hist 
 	h.times[0] = now
 	h.last = now
 	h.resident = true
-	if indexed {
-		t.index.Set(h.key(p), struct{}{})
-	}
+	t.setCandidate(h, candidate)
 	return h
 }
 
-// evictResident removes p from residency, retiring its history block into
-// the retention queue. The caller must already have removed it from the
-// victim index (or know it was never indexed).
-func (t *histTable) evictResident(p policy.PageID, h *hist) {
+// setCandidate marks whether the resident page of block h may be chosen as
+// a victim.
+func (t *histTable) setCandidate(h *hist, candidate bool) {
+	if h.candidate == candidate {
+		return
+	}
+	h.candidate = candidate
+	if candidate {
+		t.candidates++
+	} else {
+		t.candidates--
+	}
+	t.changed(h)
+}
+
+// retireResident removes the page of block h from residency (and from
+// candidacy), queueing its history block for the retention demon.
+func (t *histTable) retireResident(h *hist) {
+	t.setCandidate(h, false)
 	h.resident = false
 	if t.rip > 0 {
-		t.retire = append(t.retire, retired{page: p, last: h.last})
+		t.retire = append(t.retire, retired{page: h.page, last: h.last})
 	}
+}
+
+// evict selects the victim as of time now (see selectVictim) and retires
+// it. ok is false when there is no candidate.
+func (t *histTable) evict(now policy.Tick) (victim policy.PageID, ok bool) {
+	victim, ok = t.selectVictim(now)
+	if ok {
+		t.retireResident(t.pages[victim])
+	}
+	return victim, ok
 }
 
 // retireLen returns the number of queued retirement entries.
@@ -243,14 +343,14 @@ func (t *histTable) retirePop() retired {
 	return head
 }
 
-// selectVictim returns the evictable page with the maximal Backward
-// K-distance whose correlated reference period has expired
-// ("t - LAST(q) > Correlated Reference Period" in Figure 2.1). If every
-// indexed page is still inside its correlated period, the overall maximum
-// is returned anyway — the paper leaves this case open, and starving
-// admission would deadlock a real buffer pool. ok is false when the index
-// is empty.
+// selectVictim returns the candidate with the maximal Backward K-distance
+// whose correlated reference period has expired ("t - LAST(q) > Correlated
+// Reference Period" in Figure 2.1). If every candidate is still inside its
+// correlated period, the overall maximum is returned anyway — the paper
+// leaves this case open, and starving admission would deadlock a real
+// buffer pool. ok is false when there is no candidate.
 func (t *histTable) selectVictim(now policy.Tick) (victim policy.PageID, ok bool) {
+	t.sync()
 	if t.crp == 0 {
 		k, _, found := t.index.Min()
 		return k.page, found
@@ -292,20 +392,20 @@ func (t *histTable) purge() {
 			// entry was queued; a fresher entry governs it.
 			continue
 		}
-		t.dropHistory(head.page)
+		t.dropHistory(h)
 	}
 }
 
-// dropHistory deletes page's history control block and fires the purge
-// hooks and counter.
-func (t *histTable) dropHistory(page policy.PageID) {
-	delete(t.pages, page)
+// dropHistory deletes the (non-resident) history control block h and fires
+// the purge hooks and counter.
+func (t *histTable) dropHistory(h *hist) {
+	delete(t.pages, h.page)
 	t.purges++
 	if t.tracer != nil {
-		t.tracer.TracePurge(page, t.clock)
+		t.tracer.TracePurge(h.page, t.clock)
 	}
 	if t.onPurge != nil {
-		t.onPurge(page)
+		t.onPurge(h.page)
 	}
 }
 
@@ -324,7 +424,7 @@ func (t *histTable) dropOldestRetained() bool {
 		if !ok || h.resident || h.last != head.last {
 			continue // stale queue entry; a fresher one governs the page
 		}
-		t.dropHistory(head.page)
+		t.dropHistory(h)
 		return true
 	}
 	return false

@@ -2,9 +2,56 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/policy"
 )
+
+// TestHistBlockSize pins the HIST block at 64 bytes — one allocator size
+// class, one cache line — which is why it records the filed key as two
+// ticks instead of a whole vkey.
+func TestHistBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(hist{}); got > 64 {
+		t.Errorf("hist block is %d bytes, want at most 64", got)
+	}
+}
+
+// checkIndex syncs the table and asserts what sync promises: the victim
+// index holds exactly the resident candidates, each under its current key
+// and recorded as filed under it, the dirty list is empty, and the
+// candidate counter agrees. Equal sizes plus every candidate's key present
+// leaves no room for an orphan entry.
+func checkIndex(tb testing.TB, t *histTable) {
+	tb.Helper()
+	t.sync()
+	if len(t.dirty) != 0 {
+		tb.Fatalf("dirty list holds %d blocks after sync", len(t.dirty))
+	}
+	want := 0
+	for p, h := range t.pages {
+		if h.page != p {
+			tb.Fatalf("block of page %d says it is page %d", p, h.page)
+		}
+		if h.dirty {
+			tb.Fatalf("page %d still dirty after sync", p)
+		}
+		if h.candidate && !h.resident {
+			tb.Fatalf("page %d is a candidate but not resident", p)
+		}
+		if h.candidate {
+			want++
+		}
+		if _, in := t.index.Get(h.key()); in != h.candidate {
+			tb.Fatalf("page %d: in index under its key = %v, candidate = %v", p, in, h.candidate)
+		}
+		if h.filed != h.candidate || (h.filed && h.filedKey() != h.key()) {
+			tb.Fatalf("page %d: filed=%v as %+v, candidate=%v with key %+v", p, h.filed, h.filedKey(), h.candidate, h.key())
+		}
+	}
+	if t.index.Len() != want || t.candidates != want {
+		tb.Fatalf("index holds %d entries, counter says %d, table has %d candidates", t.index.Len(), t.candidates, want)
+	}
+}
 
 // TestRetireQueueMemoryBounded is the regression test for the retention
 // queue's backing-array leak: popping with retire = retire[1:] kept the
@@ -23,7 +70,7 @@ func TestRetireQueueMemoryBounded(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		p := policy.PageID(i)
 		h := tbl.admit(p, tbl.tick(), false)
-		tbl.evictResident(p, h)
+		tbl.retireResident(h)
 	}
 	if got := tbl.retireLen(); got != burst {
 		t.Fatalf("retire queue holds %d entries after burst, want %d", got, burst)
@@ -56,7 +103,7 @@ func TestRetireQueueBoundedUnderSteadyChurn(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		p := policy.PageID(i)
 		h := tbl.admit(p, tbl.tick(), false)
-		tbl.evictResident(p, h)
+		tbl.retireResident(h)
 		if c := cap(tbl.retire); c > maxCap {
 			maxCap = c
 		}
@@ -76,7 +123,7 @@ func TestDropOldestRetainedCompacts(t *testing.T) {
 	for i := 0; i < burst; i++ {
 		p := policy.PageID(i)
 		h := tbl.admit(p, tbl.tick(), false)
-		tbl.evictResident(p, h)
+		tbl.retireResident(h)
 	}
 	peak := cap(tbl.retire)
 	drops := 0
@@ -101,7 +148,7 @@ func TestRetireQueueStaleEntriesStillSkipped(t *testing.T) {
 	const rip = 10
 	tbl := newHistTable(1, 0, rip)
 	h := tbl.admit(1, tbl.tick(), false)
-	tbl.evictResident(1, h)
+	tbl.retireResident(h)
 	// Readmit before the entry expires: the queued entry goes stale.
 	tbl.admit(1, tbl.tick(), false)
 	for i := 0; i < 4*rip; i++ {

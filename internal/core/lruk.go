@@ -90,8 +90,8 @@ func (c *LRUK) Len() int { return c.resident }
 
 // Resident implements policy.Cache.
 func (c *LRUK) Resident(p policy.PageID) bool {
-	h, ok := c.table.pages[p]
-	return ok && h.resident
+	_, ok := c.table.resident(p)
+	return ok
 }
 
 // Reset implements policy.Cache.
@@ -104,22 +104,26 @@ func (c *LRUK) Reset() {
 // reference string exactly as Figure 2.1 does.
 func (c *LRUK) Reference(p policy.PageID) bool {
 	now := c.table.tick()
-	if h, ok := c.table.pages[p]; ok && h.resident {
-		c.table.touchResident(p, h, now, true)
+	if h, ok := c.table.resident(p); ok {
+		c.table.touch(h, now)
 		return true
 	}
 	if c.resident >= c.capacity {
-		victim, ok := c.table.selectVictim(now)
-		if ok {
-			vh := c.table.pages[victim]
-			c.table.index.Delete(vh.key(victim))
-			c.table.evictResident(victim, vh)
-			c.resident--
-		}
+		c.evict(now)
 	}
 	c.table.admit(p, now, true)
 	c.resident++
 	return false
+}
+
+// evict drops the Definition 2.2 victim as of time now, reporting whether
+// there was one.
+func (c *LRUK) evict(now policy.Tick) bool {
+	_, ok := c.table.evict(now)
+	if ok {
+		c.resident--
+	}
+	return ok
 }
 
 // BackwardKDistance returns b_t(p,K) per Definition 2.1; ok is false when

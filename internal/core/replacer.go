@@ -8,22 +8,19 @@ import (
 
 // Replacer is the buffer-pool-facing form of LRU-K: a victim selector over
 // pages whose residency, pinning and eviction are controlled externally by
-// a buffer-pool manager. Pages marked evictable=false never appear in the
-// victim index. The Serial reference pool flips the mark on every pin
-// count zero-crossing; the concurrent Pool sets it once, when a page
-// becomes resident, and skips the victims it finds pinned.
+// a buffer-pool manager. Pages marked evictable=false are never chosen as
+// victims. The Serial reference pool flips the mark on every pin count
+// zero-crossing; the concurrent Pool sets it once, when a page becomes
+// resident, and skips the victims it finds pinned.
 //
 // This is the shape a real database engine embeds (the paper's prototype
 // inside the Amdahl Huron buffer manager); the trace simulator uses the
 // simpler LRUK type instead.
 //
-// Replacer is not safe for concurrent use; the buffer pool serialises
-// access under its own latch.
+// Replacer is not safe for concurrent use; SyncReplacer is the concurrent
+// form.
 type Replacer struct {
-	k     int
 	table *histTable
-	// evictable tracks which resident pages are currently in the index.
-	evictable map[policy.PageID]bool
 	// evictions counts victim selections (see PolicyStats).
 	evictions uint64
 }
@@ -34,42 +31,37 @@ func NewReplacer(k int, opts Options) *Replacer {
 	if k < 1 {
 		panic(fmt.Sprintf("core: K must be at least 1, got %d", k))
 	}
-	return &Replacer{
-		k:         k,
-		table:     newHistTable(k, opts.CorrelatedReferencePeriod, opts.RetainedInformationPeriod),
-		evictable: make(map[policy.PageID]bool),
-	}
+	return &Replacer{table: newHistTable(k, opts.CorrelatedReferencePeriod, opts.RetainedInformationPeriod)}
 }
 
 // RecordAccess notes a reference to page p, which the pool has made (or is
 // about to make) resident. It advances the logical clock by one reference.
 func (r *Replacer) RecordAccess(p policy.PageID) {
-	now := r.table.tick()
-	if h, ok := r.table.pages[p]; ok && h.resident {
-		r.table.touchResident(p, h, now, r.evictable[p])
-		return
+	if !r.recordHit(p) {
+		// New residency; pages enter pinned, so not a candidate yet.
+		r.table.admit(p, r.table.clock, false)
 	}
-	// New residency; pages enter pinned, so not indexed yet.
-	r.table.admit(p, now, false)
 }
 
-// SetEvictable marks page p as evictable (pin count zero) or not. Calls
-// for pages the replacer has never seen are ignored, matching the
-// tolerance a pool needs during recovery paths.
+// recordHit advances the logical clock by one reference and, if p is
+// resident, records the reference against it. It reports whether it was:
+// RecordAccess admits the page otherwise, SyncReplacer drops the reference.
+func (r *Replacer) recordHit(p policy.PageID) bool {
+	now := r.table.tick() // may purge retained blocks: look the page up after it
+	h, ok := r.table.resident(p)
+	if ok {
+		r.table.touch(h, now)
+	}
+	return ok
+}
+
+// SetEvictable marks whether page p may be chosen as a victim; when a pool
+// calls it is the pool's protocol (see the type comment). Calls for pages
+// the replacer does not hold resident are ignored, matching the tolerance
+// a pool needs during recovery paths.
 func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
-	h, ok := r.table.pages[p]
-	if !ok || !h.resident {
-		return
-	}
-	if r.evictable[p] == evictable {
-		return
-	}
-	if evictable {
-		r.evictable[p] = true
-		r.table.index.Set(h.key(p), struct{}{})
-	} else {
-		delete(r.evictable, p)
-		r.table.index.Delete(h.key(p))
+	if h, ok := r.table.resident(p); ok {
+		r.table.setCandidate(h, evictable)
 	}
 }
 
@@ -79,7 +71,7 @@ func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
 // not advance the clock and leaves the HIST block exactly as it was before
 // Evict removed it: the abandonment is not a page reference, and
 // fabricating one would corrupt the page's Backward K-distance. The page
-// re-enters the victim index only through a later SetEvictable.
+// becomes a victim candidate again only through a later SetEvictable.
 //
 // If the history block was purged between Evict and Restore (possible
 // under a short Retained Information Period), a fresh block is allocated
@@ -102,21 +94,17 @@ func (r *Replacer) Restore(p policy.PageID) {
 // with the maximal Backward K-distance, honouring the Correlated Reference
 // Period eligibility rule. ok is false when nothing is evictable.
 func (r *Replacer) Evict() (policy.PageID, bool) {
-	victim, ok := r.table.selectVictim(r.table.clock)
+	victim, ok := r.table.evict(r.table.clock)
 	if !ok {
 		return policy.InvalidPage, false
 	}
-	h := r.table.pages[victim]
 	r.evictions++
 	if tr := r.table.tracer; tr != nil {
-		// Capture the Backward K-distance (Definition 2.1) that justified
-		// the choice before the block leaves residency.
+		// The Backward K-distance (Definition 2.1) that justified the choice;
+		// retiring the block changed neither its HIST nor the clock.
 		kdist, finite := r.table.backwardKDistance(victim)
 		tr.TraceEvict(victim, r.table.clock, kdist, !finite)
 	}
-	r.table.index.Delete(h.key(victim))
-	delete(r.evictable, victim)
-	r.table.evictResident(victim, h)
 	return victim, true
 }
 
@@ -124,19 +112,13 @@ func (r *Replacer) Evict() (policy.PageID, bool) {
 // than evicted); its history is retired as on eviction, since a reallocated
 // page id may recur.
 func (r *Replacer) Remove(p policy.PageID) {
-	h, ok := r.table.pages[p]
-	if !ok || !h.resident {
-		return
+	if h, ok := r.table.resident(p); ok {
+		r.table.retireResident(h)
 	}
-	if r.evictable[p] {
-		r.table.index.Delete(h.key(p))
-		delete(r.evictable, p)
-	}
-	r.table.evictResident(p, h)
 }
 
 // Size returns the number of evictable pages.
-func (r *Replacer) Size() int { return len(r.evictable) }
+func (r *Replacer) Size() int { return r.table.candidates }
 
 // HistorySize returns the number of retained history control blocks.
 func (r *Replacer) HistorySize() int { return r.table.historyLen() }
@@ -153,6 +135,6 @@ func (r *Replacer) PolicyStats() PolicyStats {
 		Collapses:     r.table.collapses,
 		Purges:        r.table.purges,
 		HistoryBlocks: r.table.historyLen(),
-		Evictable:     len(r.evictable),
+		Evictable:     r.table.candidates,
 	}
 }

@@ -1,0 +1,299 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/policy"
+	"repro/internal/stats"
+)
+
+// bruteReplacer is the pool-facing face written from the definitions with
+// no index at all: every Evict scans all blocks and recomputes the
+// Definition 2.2 victim from scratch. It shares no code with histTable, so
+// it referees Replacer and SyncReplacer against the paper rather than
+// against each other.
+//
+// The retention demon is modelled as the FIFO the production table
+// documents (§2.1.3, lazily validated): blocks are considered in the order
+// their pages left residency, and one that has not aged out yet holds back
+// those queued behind it.
+type bruteReplacer struct {
+	k        int
+	crp, rip policy.Tick
+	clock    policy.Tick
+	blocks   map[policy.PageID]*bruteBlock
+	retired  []retired
+}
+
+type bruteBlock struct {
+	times               []policy.Tick // times[0] = HIST(p,1) … times[k-1] = HIST(p,K)
+	last                policy.Tick
+	resident, evictable bool
+}
+
+func newBruteReplacer(k int, opts Options) *bruteReplacer {
+	return &bruteReplacer{
+		k: k, crp: opts.CorrelatedReferencePeriod, rip: opts.RetainedInformationPeriod,
+		blocks: make(map[policy.PageID]*bruteBlock),
+	}
+}
+
+func (b *bruteReplacer) admit(p policy.PageID) {
+	blk, ok := b.blocks[p]
+	if !ok {
+		blk = &bruteBlock{times: make([]policy.Tick, b.k)}
+		b.blocks[p] = blk
+	} else {
+		copy(blk.times[1:], blk.times)
+	}
+	blk.times[0], blk.last = b.clock, b.clock
+	blk.resident, blk.evictable = true, false
+}
+
+func (b *bruteReplacer) leave(p policy.PageID, blk *bruteBlock) {
+	blk.resident, blk.evictable = false, false
+	if b.rip > 0 {
+		b.retired = append(b.retired, retired{page: p, last: blk.last})
+	}
+}
+
+// RecordAccess is Figure 2.1 for one reference; hit selects the buffered
+// RecordHit contract (a reference to a page that is no longer resident
+// costs a tick and nothing else) and reports whether it was dropped.
+func (b *bruteReplacer) RecordAccess(p policy.PageID, hit bool) (dropped bool) {
+	b.clock++
+	for b.rip > 0 && len(b.retired) > 0 && b.clock-b.retired[0].last > b.rip {
+		head := b.retired[0]
+		b.retired = b.retired[1:]
+		if blk, ok := b.blocks[head.page]; ok && !blk.resident && blk.last == head.last {
+			delete(b.blocks, head.page)
+		}
+	}
+	blk, ok := b.blocks[p]
+	switch {
+	case ok && blk.resident && b.crp > 0 && b.clock-blk.last <= b.crp:
+		blk.last = b.clock
+	case ok && blk.resident:
+		span := blk.last - blk.times[0]
+		for i := b.k - 1; i >= 1; i-- {
+			if blk.times[i-1] != 0 {
+				blk.times[i] = blk.times[i-1] + span
+			}
+		}
+		blk.times[0], blk.last = b.clock, b.clock
+	case hit:
+		return true
+	default:
+		b.admit(p)
+	}
+	return false
+}
+
+func (b *bruteReplacer) SetEvictable(p policy.PageID, evictable bool) {
+	if blk, ok := b.blocks[p]; ok && blk.resident {
+		blk.evictable = evictable
+	}
+}
+
+func (b *bruteReplacer) Restore(p policy.PageID) {
+	if blk, ok := b.blocks[p]; !ok {
+		b.admit(p)
+	} else {
+		blk.resident = true
+	}
+}
+
+func (b *bruteReplacer) Remove(p policy.PageID) {
+	if blk, ok := b.blocks[p]; ok && blk.resident {
+		b.leave(p, blk)
+	}
+}
+
+// Evict picks, among evictable pages outside their Correlated Reference
+// Period, the maximal Backward K-distance b_t(p,K) = t − HIST(p,K), with ∞
+// for HIST(p,K) = 0, ties broken by the older HIST(p,1) and then the
+// smaller page id; if every evictable page is inside its period it picks
+// among them all.
+func (b *bruteReplacer) Evict() (policy.PageID, bool) {
+	victim, found := policy.InvalidPage, false
+	for _, honourCRP := range []bool{true, false} {
+		for p, blk := range b.blocks {
+			if !blk.evictable || (honourCRP && b.crp > 0 && b.clock-blk.last <= b.crp) {
+				continue
+			}
+			if !found || b.further(p, blk, victim, b.blocks[victim]) {
+				victim, found = p, true
+			}
+		}
+		if found {
+			b.leave(victim, b.blocks[victim])
+			return victim, true
+		}
+	}
+	return policy.InvalidPage, false
+}
+
+// further reports whether p is the better victim of the two.
+func (b *bruteReplacer) further(p policy.PageID, x *bruteBlock, q policy.PageID, y *bruteBlock) bool {
+	xInf, yInf := x.times[b.k-1] == 0, y.times[b.k-1] == 0
+	if xInf != yInf {
+		return xInf
+	}
+	if dx, dy := b.clock-x.times[b.k-1], b.clock-y.times[b.k-1]; !xInf && dx != dy {
+		return dx > dy
+	}
+	if x.times[0] != y.times[0] {
+		return x.times[0] < y.times[0]
+	}
+	return p < q
+}
+
+func (b *bruteReplacer) Size() int {
+	n := 0
+	for _, blk := range b.blocks {
+		if blk.evictable {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplacersMatchBruteForce drives the plain Replacer, a SyncReplacer
+// with a tiny ring and the brute-force model through the same random
+// RecordAccess / RecordHit / SetEvictable / Restore / Remove / Evict
+// sequences. Every victim, every Size, the history footprint, the dropped-
+// hit count and every surviving HIST/LAST value must agree, across K,
+// Correlated Reference Period and Retained Information Period.
+func TestReplacersMatchBruteForce(t *testing.T) {
+	const pages = 20
+	for _, k := range []int{1, 2, 3} {
+		for _, crp := range []policy.Tick{0, 3} {
+			for _, rip := range []policy.Tick{0, 12} {
+				opts := Options{CorrelatedReferencePeriod: crp, RetainedInformationPeriod: rip}
+				t.Run(fmt.Sprintf("K=%d/CRP=%d/RIP=%d", k, crp, rip), func(t *testing.T) {
+					for seed := uint64(1); seed <= 3; seed++ {
+						runBruteDifferential(t, k, opts, seed, pages)
+					}
+				})
+			}
+		}
+	}
+}
+
+func runBruteDifferential(t *testing.T, k int, opts Options, seed uint64, pages int) {
+	brute := newBruteReplacer(k, opts)
+	plain := NewReplacer(k, opts)
+	ring := newSyncReplacer(k, opts, 5)
+	rng := stats.NewRNG(seed)
+	dropped := uint64(0)
+	var evicted []policy.PageID // victims not yet restored or re-admitted
+	for op := 0; op < 6000; op++ {
+		p := policy.PageID(rng.Intn(pages))
+		switch rng.Intn(12) {
+		case 0, 1, 2:
+			brute.RecordAccess(p, false)
+			plain.RecordAccess(p)
+			ring.RecordAccess(p)
+		case 3, 4, 5:
+			// The buffered hit contract: the plain Replacer has no RecordHit, so
+			// it is told about the reference only when the model says the page
+			// is resident, and ticks alone otherwise.
+			if brute.RecordAccess(p, true) {
+				plain.table.tick()
+				dropped++
+			} else {
+				plain.RecordAccess(p)
+			}
+			ring.RecordHit(p)
+		case 6, 7:
+			brute.SetEvictable(p, true)
+			plain.SetEvictable(p, true)
+			ring.SetEvictable(p, true)
+		case 8:
+			brute.SetEvictable(p, false)
+			plain.SetEvictable(p, false)
+			ring.SetEvictable(p, false)
+		case 9:
+			brute.Remove(p)
+			plain.Remove(p)
+			ring.Remove(p)
+		case 10:
+			want, wantOK := brute.Evict()
+			v1, ok1 := plain.Evict()
+			v2, ok2 := ring.Evict()
+			if v1 != want || ok1 != wantOK || v2 != want || ok2 != wantOK {
+				t.Fatalf("seed %d op %d: Evict: Replacer (%d,%v), SyncReplacer (%d,%v), brute force (%d,%v)",
+					seed, op, v1, ok1, v2, ok2, want, wantOK)
+			}
+			if wantOK {
+				evicted = append(evicted, want)
+			}
+		case 11:
+			// Restore an earlier victim — possibly after its block was purged,
+			// or after a reference already re-admitted it.
+			if len(evicted) == 0 {
+				break
+			}
+			i := rng.Intn(len(evicted))
+			v := evicted[i]
+			evicted = append(evicted[:i], evicted[i+1:]...)
+			brute.Restore(v)
+			plain.Restore(v)
+			ring.Restore(v)
+		}
+		if op%13 == 0 {
+			want := brute.Size()
+			if g1, g2 := plain.Size(), ring.Size(); g1 != want || g2 != want {
+				t.Fatalf("seed %d op %d: Size: Replacer %d, SyncReplacer %d, brute force %d", seed, op, g1, g2, want)
+			}
+		}
+	}
+	if g1, g2, want := plain.HistorySize(), ring.HistorySize(), len(brute.blocks); g1 != want || g2 != want {
+		t.Errorf("seed %d: HistorySize: Replacer %d, SyncReplacer %d, brute force %d", seed, g1, g2, want)
+	}
+	if got := ring.BatchStats().Dropped; got != dropped {
+		t.Errorf("seed %d: SyncReplacer dropped %d stale hits, brute force %d", seed, got, dropped)
+	}
+	st := plain.PolicyStats()
+	if got := ring.PolicyStats(); got != st {
+		t.Errorf("seed %d: policy stats: SyncReplacer %+v, Replacer %+v", seed, got, st)
+	}
+	if st.Evictions == 0 || dropped == 0 || (opts.CorrelatedReferencePeriod > 0) != (st.Collapses > 0) ||
+		(opts.RetainedInformationPeriod > 0) != (st.Purges > 0) {
+		t.Errorf("seed %d: sequence did not exercise evictions, stale hits, collapses and purges: %+v, %d dropped", seed, st, dropped)
+	}
+	for _, tbl := range []*histTable{plain.table, ring.r.table} {
+		checkIndex(t, tbl)
+		if tbl.clock != brute.clock {
+			t.Errorf("seed %d: clock %d, brute force %d", seed, tbl.clock, brute.clock)
+		}
+		for p, blk := range brute.blocks {
+			h, ok := tbl.pages[p]
+			if !ok {
+				t.Fatalf("seed %d: page %d has no HIST block", seed, p)
+			}
+			if h.last != blk.last || h.resident != blk.resident || h.candidate != blk.evictable {
+				t.Fatalf("seed %d: page %d: block %+v, brute force %+v", seed, p, *h, *blk)
+			}
+			for i := range blk.times {
+				if h.times[i] != blk.times[i] {
+					t.Fatalf("seed %d: page %d: HIST %v, brute force %v", seed, p, h.times, blk.times)
+				}
+			}
+		}
+	}
+	// Drain: the full remaining eviction order.
+	for {
+		want, wantOK := brute.Evict()
+		v1, ok1 := plain.Evict()
+		v2, ok2 := ring.Evict()
+		if v1 != want || ok1 != wantOK || v2 != want || ok2 != wantOK {
+			t.Fatalf("seed %d: final order: Replacer (%d,%v), SyncReplacer (%d,%v), brute force (%d,%v)",
+				seed, v1, ok1, v2, ok2, want, wantOK)
+		}
+		if !wantOK {
+			return
+		}
+	}
+}

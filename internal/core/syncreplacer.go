@@ -7,13 +7,14 @@ import (
 	"repro/internal/policy"
 )
 
-// SyncReplacer is the concurrent LRU-K replacer: one Replacer (one HIST
-// table, one global victim order, Definition 2.2) and one FIFO event ring,
-// both behind one mutex. A buffer pool's hot path must not pay a victim-
-// index update per reference, so every mutating call only appends an event
-// to the ring; the ring is applied to the table in batches — when it fills,
-// and before every eviction search or stats read. The plain Replacer stays
-// the single-threaded reference the differential tests compare against.
+// SyncReplacer is the concurrent LRU-K replacer: a mutex and a FIFO event
+// ring in front of one Replacer. Every mutating call only appends an event;
+// a drain — when the ring fills, and before every eviction search or stats
+// read — replays the ring into the Replacer's own methods and then has the
+// table (batching, see histTable.index) sync its victim index once, so a
+// pool's hot path pays no tree update per reference. The plain Replacer
+// stays the single-threaded, eagerly indexed reference the differential
+// tests compare against.
 //
 // Correctness rests on three invariants:
 //
@@ -23,9 +24,9 @@ import (
 //     HIST or LAST value: the k-th reference is applied at tick k whenever
 //     the drain runs.
 //  2. One FIFO per table. Every event of every page goes through the one
-//     ring, so the table replays exactly the call sequence an eager caller
+//     ring, so the Replacer sees exactly the call sequence an eager caller
 //     would have issued — which is why a single-threaded trace through a
-//     pool on this replacer reconciles bit-exactly with the Serial
+//     pool on this replacer agrees bit-exactly with the Serial
 //     reference pool (internal/bufferpool/serial_test.go) on a plain
 //     Replacer.
 //  3. Flush before deciding. Evict, Size, HistorySize and PolicyStats
@@ -39,15 +40,11 @@ import (
 // fabricate a HIST entry for it — the phantom-reference class Restore
 // exists to prevent. References that may admit go through RecordAccess.
 type SyncReplacer struct {
-	mu   sync.Mutex
-	r    *Replacer
-	ring []event // fixed capacity; ring[:n] is pending, oldest first
-	n    int
-	// staged records, during a drain, each touched page's victim-index entry
-	// as it stood when the drain began (see stage / reconcile). Empty
-	// outside a drain.
-	staged map[policy.PageID]stagedIndex
-	stats  BatchStats
+	mu    sync.Mutex
+	r     *Replacer
+	ring  []event // fixed capacity; ring[:n] is pending, oldest first
+	n     int
+	stats BatchStats
 	// drainObs, when set, observes each drain (event count, wall nanos
 	// spent applying), under mu.
 	drainObs func(events int, nanos int64)
@@ -57,14 +54,13 @@ type SyncReplacer struct {
 }
 
 // ringCapacity is the event ring's size. A larger ring amortises the
-// end-of-drain index reconcile over more references per page (the dominant
-// per-reference cost; see apply) but lengthens the longest hold of the
-// mutex; staleness at decision points is unaffected, since every eviction
-// search and stats read drains first.
+// end-of-drain index sync over more references per page (the dominant
+// per-reference cost; see histTable.index) but lengthens the longest hold
+// of the mutex; staleness at decision points is unaffected, since every
+// eviction search and stats read drains first.
 const ringCapacity = 256
 
-// Event kinds. The two reference kinds come first and advance the
-// logical clock (apply relies on the order).
+// Event kinds.
 const (
 	evHit      = uint8(iota) // reference to a resident page; dropped if residency ended
 	evAccess                 // reference that admits the page if it is not resident
@@ -77,12 +73,6 @@ const (
 type event struct {
 	page policy.PageID
 	kind uint8
-}
-
-// stagedIndex is a page's victim-index entry at the start of a drain.
-type stagedIndex struct {
-	key     vkey
-	indexed bool
 }
 
 // BatchStats is a snapshot of a SyncReplacer's drain counters.
@@ -101,11 +91,9 @@ func NewSyncReplacer(k int, opts Options) *SyncReplacer {
 
 // newSyncReplacer lets in-package tests pick a tiny ring to force drains.
 func newSyncReplacer(k int, opts Options, capacity int) *SyncReplacer {
-	return &SyncReplacer{
-		r:      NewReplacer(k, opts),
-		ring:   make([]event, capacity),
-		staged: make(map[policy.PageID]stagedIndex),
-	}
+	r := NewReplacer(k, opts)
+	r.table.batching = true // drain syncs the victim index once per batch
+	return &SyncReplacer{r: r, ring: make([]event, capacity)}
 }
 
 // SetDrainObserver installs fn to observe each drain's event count and
@@ -204,7 +192,10 @@ func (s *SyncReplacer) SetTracer(tr PolicyTracer) {
 	s.mu.Unlock()
 }
 
-// drain applies the pending events to the table. The caller holds mu.
+// drain applies the pending events to the Replacer, then has the table
+// re-file its victim index once for the batch. The intermediate index
+// states are unobservable — mu is held throughout, and Evict, the index's
+// only reader, drains first. The caller holds mu.
 func (s *SyncReplacer) drain() {
 	if s.n == 0 {
 		return
@@ -220,7 +211,7 @@ func (s *SyncReplacer) drain() {
 	for _, e := range evs {
 		s.apply(e)
 	}
-	s.reconcile()
+	s.r.table.sync()
 	s.stats.Events += uint64(s.n)
 	if s.drainObs != nil {
 		s.drainObs(s.n, time.Since(start).Nanoseconds())
@@ -228,97 +219,22 @@ func (s *SyncReplacer) drain() {
 	s.n = 0
 }
 
-// apply replays one event against the table.
-//
-// Within a drain, events mutate only the HIST table and the evictable set;
-// the victim index is left untouched and reconciled once per touched page
-// at the end of the drain. A profile of the hit path shows why: a resident
-// page stays in the victim index while it is referenced, every reference
-// moves its key, and eagerly mirroring each move into the red-black index
-// (a tree delete plus insert per reference) dominates the per-reference
-// cost. The intermediate index states are unobservable — mu is held for
-// the whole drain, and Evict, the index's only reader, drains first — and
-// the index is a pure function of the evictable set and the HIST table, so
-// the reconciled result is bit-identical to eager maintenance.
+// apply replays one event into the Replacer.
 func (s *SyncReplacer) apply(e event) {
-	t, evictable := s.r.table, s.r.evictable
-	var now policy.Tick
-	if e.kind <= evAccess {
-		now = t.tick() // may purge retained blocks: look the page up after it
-	}
-	h, ok := t.pages[e.page]
-	resident := ok && h.resident
 	switch e.kind {
 	case evHit:
-		if !resident {
+		if !s.r.recordHit(e.page) {
 			s.stats.Dropped++
-			return
 		}
-		s.stage(e.page, h)
-		t.touchResident(e.page, h, now, false)
 	case evAccess:
-		if resident {
-			s.stage(e.page, h)
-			t.touchResident(e.page, h, now, false)
-			return
-		}
-		// Non-resident, hence never indexed: nothing to stage.
-		t.admit(e.page, now, false)
+		s.r.RecordAccess(e.page)
 	case evEvictOn:
-		if resident && !evictable[e.page] {
-			s.stage(e.page, h)
-			evictable[e.page] = true
-		}
+		s.r.SetEvictable(e.page, true)
 	case evEvictOff:
-		if resident && evictable[e.page] {
-			s.stage(e.page, h)
-			delete(evictable, e.page)
-		}
+		s.r.SetEvictable(e.page, false)
 	case evRestore:
-		// An evicted page is in neither the index nor the evictable set,
-		// and Restore adds it to neither: nothing to stage.
 		s.r.Restore(e.page)
 	case evRemove:
-		if resident {
-			s.stage(e.page, h)
-			delete(evictable, e.page)
-			t.evictResident(e.page, h)
-		}
+		s.r.Remove(e.page)
 	}
-}
-
-// stage records resident page p's victim-index entry as it stands before
-// the drain's first event mutates the state it derives from. Idempotent
-// within a drain.
-func (s *SyncReplacer) stage(p policy.PageID, h *hist) {
-	if _, ok := s.staged[p]; ok {
-		return
-	}
-	var e stagedIndex
-	if s.r.evictable[p] {
-		e = stagedIndex{key: h.key(p), indexed: true}
-	}
-	s.staged[p] = e
-}
-
-// reconcile brings the victim index in line with the evictable set and
-// HIST table for every page staged during the drain: at most one delete
-// and one insert per page, however many events touched it.
-func (s *SyncReplacer) reconcile() {
-	t := s.r.table
-	for p, e := range s.staged {
-		h, ok := t.pages[p]
-		should := ok && h.resident && s.r.evictable[p]
-		var nk vkey
-		if should {
-			nk = h.key(p)
-		}
-		if e.indexed && (!should || nk != e.key) {
-			t.index.Delete(e.key)
-		}
-		if should && (!e.indexed || nk != e.key) {
-			t.index.Set(nk, struct{}{})
-		}
-	}
-	clear(s.staged)
 }

@@ -111,8 +111,8 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 // tiny ring (so full-ring drains, not only forced flushes, split the
 // sequence at arbitrary points). Victim choices, the traced decision
 // (clock and Backward K-distance) and the final policy counters must match
-// exactly: buffering with end-of-drain index reconciliation is
-// observationally equivalent to eager maintenance on any serialisable
+// exactly: buffering with one index sync per drain is observationally
+// equivalent to the plain Replacer's sync per eviction on any serialisable
 // history, with both §2.1 periods enabled.
 //
 // The generator honours the pool's contract — RecordHit is issued only
@@ -186,6 +186,10 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 				batched.Remove(p)
 				resident[p] = false
 			}
+			if op%251 == 0 {
+				checkIndex(t, plain.table)
+				checkIndex(t, batched.r.table)
+			}
 		}
 		if got, want := batched.PolicyStats(), plain.PolicyStats(); got != want {
 			t.Errorf("seed %d: policy stats %+v, want unbatched %+v", seed, got, want)
@@ -197,7 +201,7 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 			t.Errorf("seed %d: the tiny ring never filled: %+v", seed, st)
 		}
 		// Drain the victim index on both sides: the full eviction order must
-		// agree, which pins the reconciled index contents and keys exactly.
+		// agree, which pins the synced index contents and keys exactly.
 		for {
 			v1, ok1 := plain.Evict()
 			v2, ok2 := batched.Evict()
@@ -215,6 +219,62 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 			if got := batchedTrace.evicts[i]; got != want {
 				t.Fatalf("seed %d: traced eviction %d = %+v, want %+v", seed, i, got, want)
 			}
+		}
+	}
+}
+
+// TestPurgedAndReadmittedWithinOneDrain covers the one state in which a
+// block leaves the table while the index still files it: a page retired
+// (by Evict just before the drain, or by Remove inside it), purged by a
+// short Retained Information Period and re-admitted under a fresh block,
+// all before the next index sync. The old block's entry must go with it —
+// an orphan would be chosen as a victim twice, or dereference a block that
+// no longer exists once a Correlated Reference Period makes selectVictim
+// look at LAST.
+func TestPurgedAndReadmittedWithinOneDrain(t *testing.T) {
+	const a, b = policy.PageID(1), policy.PageID(2)
+	for _, remove := range []bool{false, true} {
+		s := NewSyncReplacer(2, Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2})
+		s.RecordAccess(a) // tick 1
+		s.RecordAccess(b) // tick 2
+		s.SetEvictable(a, true)
+		s.SetEvictable(b, true)
+		if remove {
+			if got := s.Size(); got != 2 { // flush: both filed
+				t.Fatalf("Size = %d, want 2", got)
+			}
+			s.Remove(a)
+		} else if v, ok := s.Evict(); !ok || v != a {
+			t.Fatalf("Evict = (%d,%v), want (%d,true)", v, ok, a)
+		}
+		// One drain: a's block (LAST = 1) ages past the RIP and is purged at
+		// tick 4 while still filed under {0,1,a}; a then returns at tick 6
+		// under a new block.
+		for i := 0; i < 3; i++ {
+			s.RecordHit(b) // ticks 3, 4, 5
+		}
+		s.RecordAccess(a) // tick 6
+		s.SetEvictable(a, true)
+		if st := s.BatchStats(); st.Events != 4 {
+			t.Fatalf("remove=%v: setup drained mid-sequence: %+v", remove, st)
+		}
+		if got := s.PolicyStats(); got.Purges != 1 || got.Evictable != 2 {
+			t.Fatalf("remove=%v: stats %+v, want 1 purge and 2 evictable pages", remove, got)
+		}
+		if n := s.r.table.index.Len(); n != 2 {
+			t.Errorf("remove=%v: index holds %d entries after the drain, want 2 (orphan left behind)", remove, n)
+		}
+		checkIndex(t, s.r.table)
+		// Both pages sit inside the CRP at clock 6, so selectVictim walks the
+		// whole index reading each entry's block, then falls back to the
+		// minimum: b (HIST(b,1) = 2; its three hits were correlated) before a.
+		for _, want := range []policy.PageID{b, a} {
+			if v, ok := s.Evict(); !ok || v != want {
+				t.Fatalf("remove=%v: Evict = (%d,%v), want (%d,true)", remove, v, ok, want)
+			}
+		}
+		if v, ok := s.Evict(); ok {
+			t.Errorf("remove=%v: a third eviction returned page %d", remove, v)
 		}
 	}
 }
@@ -308,6 +368,7 @@ func TestBatchedConcurrentDrainSafety(t *testing.T) {
 	if got := s.Size(); got < 0 || got > pages {
 		t.Errorf("Size after storm = %d", got)
 	}
+	checkIndex(t, s.r.table)
 	seen := make(map[policy.PageID]bool)
 	for {
 		v, ok := s.Evict()
@@ -359,6 +420,7 @@ func TestConcurrentHistoryLinearises(t *testing.T) {
 	got := s.PolicyStats() // drains the tail of the ring into history
 	s.SetTracer(nil)
 	s.drainHook = nil
+	checkIndex(t, s.r.table)
 
 	plain := NewReplacer(2, opts)
 	dropped := uint64(0)

@@ -70,9 +70,10 @@ func TestReplacerTracerAndStats(t *testing.T) {
 	if st.Evictions != 1 || st.Collapses != 1 || st.Purges != 1 {
 		t.Fatalf("stats = %+v, want 1 eviction, 1 collapse, 1 purge", st)
 	}
-	if st.HistoryBlocks != len(r.table.pages) || st.Evictable != len(r.evictable) {
+	if st.HistoryBlocks != len(r.table.pages) || st.Evictable != r.table.candidates {
 		t.Fatalf("stats sizes %+v disagree with table", st)
 	}
+	checkIndex(t, r.table)
 }
 
 // TestReplacerEvictTracesFiniteKDistance drives a page to K uncorrelated

@@ -7,10 +7,9 @@
 //
 //	pages.db   page p's slot at byte offset p × slot size. A slot is the
 //	           4 KByte image followed by a 24-byte integrity trailer
-//	           (magic, write epoch, page id, CRC32-C — see integrity.go);
-//	           stores created before the trailer format have 4 KByte slots
-//	           and are served in legacy mode, unverified, forever. Sparse:
-//	           holes read as zeros, matching a freshly allocated page.
+//	           (magic, write epoch, page id, CRC32-C — see integrity.go).
+//	           Sparse: holes read as zeros, matching a freshly allocated
+//	           page.
 //	wal.log    the write-ahead log (see wal.go for the record format)
 //	meta.json  allocation state (format, next page id, free list, write
 //	           epoch) as of the last checkpoint, rewritten atomically
@@ -46,18 +45,15 @@ const (
 	metaName  = "meta.json"
 )
 
-// On-disk slot formats. A store's format is fixed at creation and
-// recorded in meta.json; absence of the field marks a store laid down
-// before trailers existed.
-const (
-	// formatLegacy: 4 KByte slots, no trailers, reads unverified. Stores
-	// from before the trailer format are pinned here — offsets in an
-	// existing pages.db can never change.
-	formatLegacy = 0
-	// formatTrailer: every slot carries a 24-byte integrity trailer and
-	// reads verify it. All freshly created stores use this.
-	formatTrailer = 1
-)
+// formatTrailer is the one on-disk slot format, recorded in meta.json:
+// every slot carries a 24-byte integrity trailer and reads verify it. A
+// meta.json without the field (format 0: bare 4 KByte slots, no trailers)
+// is a store from before PR 8; Open refuses it rather than serve its pages
+// unverified.
+const formatTrailer = 1
+
+// slotSize is the on-disk footprint of one page: image plus trailer.
+const slotSize = storage.PageSize + trailerLen
 
 // meta is the checkpointed allocation state.
 type meta struct {
@@ -74,9 +70,8 @@ type Config struct {
 	// replay time. Zero (or negative) leaves the log unbounded — it then
 	// empties only at explicit Flush barriers and Close.
 	MaxWALBytes int64
-	// VerifyReads disables per-read trailer verification when false. Only
-	// meaningful on trailer-format stores; the scrubber and RepairPage
-	// verify regardless.
+	// VerifyReads disables per-read trailer verification when false; the
+	// scrubber and RepairPage verify regardless.
 	VerifyReads bool
 	// Spans, when non-nil, records wal_append and wal_fsync spans for
 	// writes running under a sampled trace context, splitting a slow write
@@ -90,11 +85,10 @@ func DefaultConfig() Config { return Config{VerifyReads: true} }
 
 // Store is the file-backed durable storage backend.
 type Store struct {
-	dir    string
-	cfg    Config
-	format int
-	pages  *os.File
-	wal    *wal
+	dir   string
+	cfg   Config
+	pages *os.File
+	wal   *wal
 
 	// latches stripe page access: a write holds its stripe exclusively
 	// across the WAL append and the page-file write, so the page file
@@ -172,7 +166,6 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 	s := &Store{
 		dir:     dir,
 		cfg:     cfg,
-		format:  formatTrailer,
 		pages:   pages,
 		wal:     newWAL(walF),
 		freeSet: make(map[policy.PageID]struct{}),
@@ -227,8 +220,9 @@ func (s *Store) loadMeta() error {
 		return fmt.Errorf("file: parsing meta: %w", err)
 	}
 	switch m.Format {
-	case formatLegacy, formatTrailer:
-		s.format = m.Format
+	case formatTrailer:
+	case 0:
+		return fmt.Errorf("file: %s is a format-0 store (bare 4 KByte slots, no integrity trailers); no release since PR 8 writes that format and this one does not read it", s.dir)
 	default:
 		return fmt.Errorf("file: meta declares unknown format %d", m.Format)
 	}
@@ -247,7 +241,7 @@ func (s *Store) loadMeta() error {
 // writeMeta atomically publishes the current allocation state.
 func (s *Store) writeMeta() error {
 	s.allocMu.Lock()
-	m := meta{Format: s.format, NextPage: int64(s.next), Epoch: s.epoch.Load()}
+	m := meta{Format: formatTrailer, NextPage: int64(s.next), Epoch: s.epoch.Load()}
 	for _, p := range s.free {
 		m.Free = append(m.Free, int64(p))
 	}
@@ -362,21 +356,12 @@ func (s *Store) apply(rec walRecord) error {
 	return fmt.Errorf("file: replaying unknown record kind %d", rec.kind)
 }
 
-// slotSize is the on-disk footprint of one page: image plus trailer, or
-// just the image on a legacy store.
-func (s *Store) slotSize() int64 {
-	if s.format == formatLegacy {
-		return storage.PageSize
-	}
-	return storage.PageSize + trailerLen
-}
-
 // slotOff is the byte offset of page p's slot in pages.db.
-func (s *Store) slotOff(p policy.PageID) int64 { return int64(p) * s.slotSize() }
+func (s *Store) slotOff(p policy.PageID) int64 { return int64(p) * slotSize }
 
 // extendLocked grows pages.db to cover page p. Caller holds allocMu.
 func (s *Store) extendLocked(p policy.PageID) error {
-	want := (int64(p) + 1) * s.slotSize()
+	want := (int64(p) + 1) * slotSize
 	if want <= s.size {
 		return nil
 	}
@@ -416,7 +401,7 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 	lk := s.stripe(p)
 	lk.RLock()
 	_, err := s.pages.ReadAt(buf, s.slotOff(p))
-	if err == nil && s.format == formatTrailer && s.cfg.VerifyReads {
+	if err == nil && s.cfg.VerifyReads {
 		// Verify under the same latch hold as the payload read: a write
 		// slipping between the two would pair a new image with an old
 		// trailer and report corruption that never happened.

@@ -19,7 +19,6 @@ package file
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -98,9 +97,6 @@ func (s *Store) writeSlotLocked(p policy.PageID, img []byte) error {
 	if _, err := s.pages.WriteAt(img, off); err != nil {
 		return mapNoSpace(err)
 	}
-	if s.format == formatLegacy {
-		return nil
-	}
 	tr := makeTrailer(p, s.epoch.Add(1), img)
 	if _, err := s.pages.WriteAt(tr[:], off+storage.PageSize); err != nil {
 		return mapNoSpace(err)
@@ -110,11 +106,8 @@ func (s *Store) writeSlotLocked(p policy.PageID, img []byte) error {
 
 // verifySlotLocked checks img (already read from p's slot) against the
 // trailer on disk. The caller holds p's stripe latch (shared suffices) so
-// image and trailer are from the same write. Legacy stores verify nothing.
+// image and trailer are from the same write.
 func (s *Store) verifySlotLocked(p policy.PageID, img []byte) error {
-	if s.format == formatLegacy {
-		return nil
-	}
 	var tr [trailerLen]byte
 	if _, err := s.pages.ReadAt(tr[:], s.slotOff(p)+storage.PageSize); err != nil {
 		return fmt.Errorf("file: reading trailer of page %d: %w", p, err)
@@ -199,19 +192,6 @@ func (s *Store) walImage(p policy.PageID) ([]byte, error) {
 // page ids damaged, possibly fewer than n if the log covers fewer pages.
 // It is an offline test/chaos helper — never call it on an open store.
 func CorruptPages(dir string, n int, seed uint64) ([]policy.PageID, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, metaName))
-	if err != nil {
-		return nil, fmt.Errorf("file: corrupt-pages: %w", err)
-	}
-	var m meta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("file: corrupt-pages: parsing meta: %w", err)
-	}
-	slot := int64(storage.PageSize)
-	if m.Format == formatTrailer {
-		slot += trailerLen
-	}
-
 	walF, err := os.Open(filepath.Join(dir, walName))
 	if err != nil {
 		return nil, fmt.Errorf("file: corrupt-pages: %w", err)
@@ -255,7 +235,7 @@ func CorruptPages(dir string, n int, seed uint64) ([]policy.PageID, error) {
 	}
 	defer pages.Close()
 	for _, p := range ids {
-		off := int64(p)*slot + int64(rng.Uint64()%storage.PageSize)
+		off := int64(p)*slotSize + int64(rng.Uint64()%storage.PageSize)
 		var b [1]byte
 		if _, err := pages.ReadAt(b[:], off); err != nil && err != io.EOF {
 			return nil, fmt.Errorf("file: corrupt-pages: reading page %d: %w", p, err)

@@ -3,6 +3,7 @@ package file
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +72,7 @@ func TestReadDetectsMisdirectedWrite(t *testing.T) {
 	}
 	// Copy a's whole slot (image and trailer, internally consistent) over
 	// b's: the classic misdirected write. The CRC verifies; the id does not.
-	slot := make([]byte, s.slotSize())
+	slot := make([]byte, slotSize)
 	if _, err := s.pages.ReadAt(slot, s.slotOff(a)); err != nil {
 		t.Fatal(err)
 	}
@@ -220,50 +221,51 @@ func jsonInt(n int) string {
 	return string(b)
 }
 
-func TestLegacyStoreReadableForever(t *testing.T) {
+// TestLegacyStoreRefused: a format-0 store (the layout before integrity
+// trailers) is refused at Open with an error that says what it is, and the
+// refusal leaves every byte of the directory as it was — the operator can
+// still take it to a release that reads it.
+func TestLegacyStoreRefused(t *testing.T) {
 	dir := t.TempDir()
 	writeLegacyStore(t, dir, pageImage(0xA1), pageImage(0xB2))
-	s := mustOpen(t, dir)
-	if s.format != formatLegacy {
-		t.Fatalf("format %d, want legacy", s.format)
+	before := dirContents(t, dir)
+
+	s, err := Open(dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a format-0 store")
 	}
-	buf := make([]byte, storage.PageSize)
-	if err := s.Read(ctx, 1, buf); err != nil {
-		t.Fatalf("legacy read: %v", err)
+	for _, want := range []string{"format-0", "PR 8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
 	}
-	if !bytes.Equal(buf, pageImage(0xB2)) {
-		t.Error("legacy slot offsets broken: wrong image read")
+	if !maps.EqualFunc(before, dirContents(t, dir), bytes.Equal) {
+		t.Error("refused Open changed the directory: a file added, removed or modified")
 	}
-	// Writes work and stay at legacy offsets — the format is pinned for the
-	// store's lifetime, never silently migrated.
-	if err := s.Write(ctx, 0, pageImage(0xC3)); err != nil {
-		t.Fatalf("legacy write: %v", err)
-	}
-	if err := s.Close(); err != nil {
+}
+
+// dirContents reads every file in dir.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir)
-	defer s2.Close()
-	if s2.format != formatLegacy {
-		t.Fatalf("reopen flipped format to %d", s2.format)
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = raw
 	}
-	if err := s2.Read(ctx, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, pageImage(0xC3)) {
-		t.Error("legacy write lost across reopen")
-	}
-	if err := s2.Read(ctx, 1, buf); err != nil || !bytes.Equal(buf, pageImage(0xB2)) {
-		t.Errorf("untouched legacy page damaged: %v", err)
-	}
+	return out
 }
 
 func TestFreshStoreUsesTrailerFormat(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if s.format != formatTrailer {
-		t.Fatalf("fresh store format %d, want trailer", s.format)
-	}
 	p := storage.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(1)); err != nil {
 		t.Fatal(err)
