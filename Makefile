@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke size vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos crash-smoke corrupt-smoke cluster-smoke trace-smoke check
+.PHONY: all build test race fuzz-smoke size vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos scenarios check
 
 all: check
 
@@ -82,35 +82,13 @@ chaos:
 bench-obs:
 	$(GO) test -bench BenchmarkObs -run '^$$' ./internal/obs/
 
-## crash-smoke: kill -9 durability test — boot lrukd on a file-backed
-## data dir, drive a ledger-recorded update load, SIGKILL mid-run,
-## restart on the same dir, and verify every acknowledged update
-## survived WAL recovery (DESIGN.md §13).
-crash-smoke:
-	sh scripts/crash_smoke.sh
-
-## corrupt-smoke: offline bit-rot test — boot lrukd on a file-backed data
-## dir, SIGKILL it mid-load, flip bytes in WAL-covered pages of the stopped
-## store, restart, and verify recovery healed the damage, the ledger checks
-## out, and the integrity metrics are live (DESIGN.md §15).
-corrupt-smoke:
-	sh scripts/corrupt_smoke.sh
-
-## cluster-smoke: boot a 3-node cluster as independent lrukd processes,
-## drive skew-gated and ledger-recorded loads through the ring-aware
-## client, rebalance a node away and verify every acknowledged update
-## survived the handoff, SIGKILL a node under live load, and drain the
-## survivor cleanly (DESIGN.md §16).
-cluster-smoke:
-	sh scripts/cluster_smoke.sh
-
-## trace-smoke: boot a 3-node traced cluster, gate startup on /healthz,
-## drive a traced load, reassemble the slowest trace across every node's
-## /spans ring with `lrukcluster trace`, check /metrics exemplars, and
-## reassemble a traced rebalance's cluster-wide trace (DESIGN.md §17).
-trace-smoke:
-	sh scripts/trace_smoke.sh
+## scenarios: the process-level proofs on their own, one PASS/FAIL line
+## each — real lrukd processes booted, loaded, SIGKILLed, bit-rotted and
+## rebalanced, every one held to the same invariant list (DESIGN.md §7).
+## They also ride in `test` and, against race-built daemons, in `race`.
+scenarios:
+	$(GO) test -count=1 -v ./scenario/
 
 ## check: the gate. vet and the two test runs each compile every package,
 ## so there is no separate build step.
-check: fmt-check vet test race fuzz-smoke bench-module bench-hit crash-smoke corrupt-smoke cluster-smoke trace-smoke
+check: fmt-check vet test race fuzz-smoke bench-module bench-hit

@@ -1,30 +1,14 @@
-// Command lrukcluster is the cluster-side companion to lrukd: it launches
-// a local N-node cluster in one process, drives membership changes with
-// the crash-safe rebalance coordinator, and inspects the views the nodes
-// hold.
+// Command lrukcluster is the cluster-side companion to lrukd: it drives
+// membership changes with the crash-safe rebalance coordinator, inspects
+// the views the nodes hold, and reassembles distributed traces. It serves
+// nothing itself: a cluster is N lrukd processes started with one -cluster
+// spec (README "Running a cluster").
 //
 // Usage:
 //
-//	lrukcluster serve -nodes 3 -customers 10000 -frames 404
 //	lrukcluster view   -cluster "n0=127.0.0.1:4980,n1=127.0.0.1:4981,..."
 //	lrukcluster remove -cluster "..." -node n2
 //	lrukcluster add    -cluster "..." -node n3 -addr 127.0.0.1:4983
-//
-// serve boots N nodes on free loopback ports, installs a shared epoch-1
-// view once every port is known, prints one line per node
-//
-//	lrukcluster: node n0 serving on <host:port>
-//
-// followed by the machine-readable membership line
-//
-//	lrukcluster: cluster n0=<addr>,n1=<addr>,...
-//
-// (which later lrukcluster/lrukload invocations take as -cluster), then
-// serves until SIGTERM/SIGINT and drains every node, printing
-// "lrukcluster: clean shutdown" on a leak-free exit. It is the quick way
-// to get a whole cluster for experiments; for kill-a-node testing use one
-// lrukd process per node (scripts/cluster_smoke.sh) so nodes die
-// independently.
 //
 // remove and add fetch the authoritative view from the first reachable
 // spec'd node, apply the membership edit with the epoch bumped, and drive
@@ -60,18 +44,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/cluster"
-	"repro/internal/db"
-	"repro/internal/leakcheck"
 	"repro/internal/obs"
-	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
 )
@@ -85,12 +64,10 @@ func main() {
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "lrukcluster: usage: lrukcluster <serve|view|add|remove|trace> [flags]")
+		fmt.Fprintln(stderr, "lrukcluster: usage: lrukcluster <view|add|remove|trace> [flags]")
 		return 2
 	}
 	switch args[0] {
-	case "serve":
-		return runServe(ctx, args[1:], stdout, stderr)
 	case "view":
 		return runView(ctx, args[1:], stdout, stderr)
 	case "add", "remove":
@@ -98,134 +75,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case "trace":
 		return runTrace(ctx, args[1:], stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "lrukcluster: unknown subcommand %q (want serve, view, add, remove, or trace)\n", args[0])
+		fmt.Fprintf(stderr, "lrukcluster: unknown subcommand %q (want view, add, remove, or trace)\n", args[0])
 		return 2
 	}
-}
-
-// runServe boots an N-node cluster in-process and serves until the
-// context is cancelled (signal), then drains every node.
-func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("lrukcluster serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		nodes     = fs.Int("nodes", 3, "nodes to launch")
-		customers = fs.Int("customers", 10000, "customer records each node loads")
-		frames    = fs.Int("frames", 404, "buffer pool size in pages, per node")
-		k         = fs.Int("k", 2, "LRU-K history depth")
-		workers   = fs.Int("workers", 0, "execution slots per node: concurrent database operations (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 0, "requests per node that may wait for a slot before BUSY (0 = 4x workers)")
-		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window per node on shutdown")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *nodes < 1 {
-		fmt.Fprintln(stderr, "lrukcluster: -nodes must be at least 1")
-		return 2
-	}
-	baseline := runtime.NumGoroutine()
-
-	type member struct {
-		id  string
-		db  *db.DB
-		srv *server.Server
-	}
-	members := make([]member, 0, *nodes)
-	shutdown := func() int {
-		code := 0
-		for i := len(members) - 1; i >= 0; i-- {
-			m := members[i]
-			if err := m.srv.Close(); err != nil {
-				fmt.Fprintf(stderr, "lrukcluster: %s close: %v\n", m.id, err)
-				code = 1
-			}
-			if err := m.db.Close(); err != nil {
-				fmt.Fprintf(stderr, "lrukcluster: %s db close: %v\n", m.id, err)
-				code = 1
-			}
-		}
-		return code
-	}
-
-	for i := 0; i < *nodes; i++ {
-		id := fmt.Sprintf("n%d", i)
-		database, err := db.Open(db.Config{
-			Frames: *frames,
-			K:      *k,
-			DiskRetry: bufferpool.RetryConfig{
-				Attempts:  3,
-				BaseDelay: 500 * time.Microsecond,
-				MaxDelay:  5 * time.Millisecond,
-				Seed:      uint64(os.Getpid() + i),
-			},
-			DiskBreaker: bufferpool.BreakerConfig{
-				Threshold: 8,
-				Cooldown:  250 * time.Millisecond,
-				Probes:    2,
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "lrukcluster:", err)
-			shutdown()
-			return 1
-		}
-		if err := database.LoadCustomers(*customers); err != nil {
-			fmt.Fprintln(stderr, "lrukcluster:", err)
-			database.Close()
-			shutdown()
-			return 1
-		}
-		srv := server.New(database, server.Config{
-			Addr:         "127.0.0.1:0",
-			Workers:      *workers,
-			QueueDepth:   *queue,
-			DrainTimeout: *drain,
-			NodeID:       id,
-		})
-		if err := srv.Start(); err != nil {
-			fmt.Fprintln(stderr, "lrukcluster:", err)
-			database.Close()
-			shutdown()
-			return 1
-		}
-		members = append(members, member{id: id, db: database, srv: srv})
-	}
-
-	// Every port is known only now, so the shared epoch-1 view is
-	// installed after the fact rather than passed at boot.
-	view := wire.View{Epoch: 1}
-	for _, m := range members {
-		view.Nodes = append(view.Nodes, wire.NodeAddr{ID: m.id, Addr: m.srv.Addr().String()})
-	}
-	for _, m := range members {
-		cl, err := client.Dial(m.srv.Addr().String())
-		if err == nil {
-			_, err = cl.ViewSet(ctx, view)
-			cl.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "lrukcluster: installing view on %s: %v\n", m.id, err)
-			shutdown()
-			return 1
-		}
-	}
-	for _, m := range members {
-		fmt.Fprintf(stdout, "lrukcluster: node %s serving on %s\n", m.id, m.srv.Addr())
-	}
-	fmt.Fprintf(stdout, "lrukcluster: cluster %s\n", cluster.FormatSpec(view))
-
-	<-ctx.Done()
-	fmt.Fprintln(stdout, "lrukcluster: draining")
-	code := shutdown()
-	if err := leakcheck.Wait(baseline, 3*time.Second); err != nil {
-		fmt.Fprintln(stderr, "lrukcluster:", err)
-		code = 1
-	}
-	if code == 0 {
-		fmt.Fprintln(stdout, "lrukcluster: clean shutdown")
-	}
-	return code
 }
 
 // authoritativeView returns the newest view held by any reachable node of

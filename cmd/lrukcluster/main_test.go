@@ -3,126 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
-	"strings"
-	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/cluster"
 )
 
-// syncBuffer lets the test read serve's output while run is still writing.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// TestServeRemoveAndDrain is the tool's whole life: serve boots a 3-node
-// cluster and prints the membership line, a cluster client works against
-// it, the remove subcommand rebalances a node away, view reflects the new
-// epoch, and cancellation drains everything leak-free.
-func TestServeRemoveAndDrain(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stdout, stderr syncBuffer
-	codeCh := make(chan int, 1)
-	go func() {
-		codeCh <- run(ctx, []string{"serve",
-			"-nodes", "3", "-customers", "400", "-frames", "64",
-		}, &stdout, &stderr)
-	}()
-
-	// Wait for the membership line and take its spec.
-	var spec string
-	deadline := time.Now().Add(20 * time.Second)
-	for spec == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("no cluster line; stdout %q stderr %q", stdout.String(), stderr.String())
-		}
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "lrukcluster: cluster "); ok {
-				spec = rest
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	boot, err := cluster.ParseSpec(spec)
-	if err != nil {
-		t.Fatalf("spec line %q: %v", spec, err)
-	}
-	if len(boot.Nodes) != 3 {
-		t.Fatalf("spec %q names %d nodes, want 3", spec, len(boot.Nodes))
-	}
-	cc, err := cluster.New(cluster.Config{View: boot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	reqCtx := context.Background()
-	for k := int64(0); k < 400; k += 13 {
-		if _, err := cc.Get(reqCtx, k); err != nil {
-			t.Fatalf("get key %d: %v", k, err)
-		}
-	}
-
-	// Rebalance n2 away through the subcommand.
-	var rmOut, rmErr syncBuffer
-	if code := run(reqCtx, []string{"remove", "-cluster", spec, "-node", "n2"}, &rmOut, &rmErr); code != 0 {
-		t.Fatalf("remove exited %d; stdout %q stderr %q", code, rmOut.String(), rmErr.String())
-	}
-	if !strings.Contains(rmOut.String(), "remove complete") {
-		t.Errorf("remove output %q lacks completion line", rmOut.String())
-	}
-
-	// view sees the bumped epoch from the survivors.
-	var vOut, vErr syncBuffer
-	if code := run(reqCtx, []string{"view", "-cluster", spec}, &vOut, &vErr); code != 0 {
-		t.Fatalf("view exited %d; stderr %q", code, vErr.String())
-	}
-	if !strings.Contains(vOut.String(), "epoch=2") {
-		t.Errorf("view output %q lacks epoch=2", vOut.String())
-	}
-
-	// The whole keyspace still serves through the shrunk cluster.
-	for k := int64(0); k < 400; k += 13 {
-		if _, err := cc.Get(reqCtx, k); err != nil {
-			t.Fatalf("get key %d after remove: %v", k, err)
-		}
-	}
-
-	cancel()
-	select {
-	case code := <-codeCh:
-		if code != 0 {
-			t.Fatalf("serve exited %d; stderr %q", code, stderr.String())
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatalf("serve did not exit; stdout %q stderr %q", stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "lrukcluster: clean shutdown") {
-		t.Errorf("missing clean shutdown line; stdout %q stderr %q", stdout.String(), stderr.String())
-	}
-}
-
+// TestBadSubcommand: anything but view/add/remove/trace is a usage error —
+// including serve, which is gone (a cluster is N lrukd processes; the
+// scenario package drives the subcommands against real ones).
 func TestBadSubcommand(t *testing.T) {
-	var out, errB syncBuffer
-	if code := run(context.Background(), []string{"bogus"}, &out, &errB); code != 2 {
-		t.Errorf("bogus subcommand exited %d, want 2", code)
-	}
-	if code := run(context.Background(), nil, &out, &errB); code != 2 {
-		t.Errorf("no subcommand exited %d, want 2", code)
+	for _, args := range [][]string{{"bogus"}, {"serve"}, nil} {
+		var out, errB bytes.Buffer
+		if code := run(context.Background(), args, &out, &errB); code != 2 {
+			t.Errorf("lrukcluster %v exited %d, want 2", args, code)
+		}
 	}
 }

@@ -28,8 +28,7 @@
 //
 //	lrukd: serving on <host:port> (customers=... frames=... k=... workers=... queue=...)
 //
-// which the smoke scripts parse for the bound address. With -obs-addr it
-// additionally prints
+// which names the bound address. With -obs-addr it additionally prints
 //
 //	lrukd: observability on <host:port>
 //
@@ -106,6 +105,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	// A flag that cannot take effect is a usage error, not a silent no-op.
 	switch {
+	case *sampleFr < 0 || *sampleFr > 1:
+		fmt.Fprintf(stderr, "lrukd: -trace-sample must be in [0,1], got %v\n", *sampleFr)
+		return 2
 	case *obsLog > 0 && *obsAddr == "":
 		fmt.Fprintln(stderr, "lrukd: -obs-log-interval requires -obs-addr")
 		return 2
@@ -118,13 +120,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	for _, f := range []struct {
 		name     string
-		got, min int
+		got, min int64
 	}{
-		{"k", *k, 1}, {"frames", *frames, 1}, {"customers", *customers, 1},
-		{"workers", *workers, 0}, {"queue", *queue, 0},
+		{"k", int64(*k), 1}, {"frames", int64(*frames), 1}, {"customers", int64(*customers), 1},
+		{"workers", int64(*workers), 0}, {"queue", int64(*queue), 0},
+		{"trace-spans", int64(*spanCap), 0}, {"max-wal-bytes", *maxWAL, 0},
+		{"drain", int64(*drain), 0}, {"max-request-timeout", int64(*maxReq), 0},
+		{"obs-log-interval", int64(*obsLog), 0}, {"trace-slow", int64(*slowThr), 0},
+		{"scrub-interval", int64(*scrubIval), 0},
 	} {
 		if f.got < f.min {
-			fmt.Fprintf(stderr, "lrukd: -%s must be at least %d, got %d\n", f.name, f.min, f.got)
+			// The flag's own rendering of the value: "-1s", not -1000000000.
+			fmt.Fprintf(stderr, "lrukd: -%s must be at least %d, got %s\n", f.name, f.min, fs.Lookup(f.name).Value)
 			return 2
 		}
 	}

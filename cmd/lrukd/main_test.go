@@ -318,6 +318,16 @@ func TestMetricsCatalog(t *testing.T) {
 // TestRunRejectsBadFlags exercises the usage exit path: unknown flags,
 // inconsistent cluster flags, and flags that could not take effect.
 func TestRunRejectsBadFlags(t *testing.T) {
+	// A cancelled context: a case that is wrongly accepted boots, sees the
+	// shutdown signal at once, and reports its exit code instead of serving
+	// forever.
+	reject := func(args []string) (int, string) {
+		var stdout, stderr syncBuffer
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		code := run(ctx, append([]string{"-addr", "127.0.0.1:0", "-customers", "10"}, args...), &stdout, &stderr)
+		return code, stderr.String()
+	}
 	for name, args := range map[string][]string{
 		"unknown flag":                        {"-no-such-flag"},
 		"-cluster without -node-id":           {"-cluster", "n0=127.0.0.1:1"},
@@ -334,15 +344,30 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		"-workers -3":                         {"-workers", "-3"},
 		"-queue -1":                           {"-queue", "-1"},
 	} {
-		var stdout, stderr syncBuffer
-		// A cancelled context: a case that is wrongly accepted boots, sees
-		// the shutdown signal at once, and reports its exit code instead of
-		// serving forever.
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		args = append([]string{"-addr", "127.0.0.1:0", "-customers", "10"}, args...)
-		if code := run(ctx, args, &stdout, &stderr); code != 2 {
-			t.Errorf("%s exited %d, want 2; stderr %q", name, code, stderr.String())
+		if code, stderr := reject(args); code != 2 {
+			t.Errorf("%s exited %d, want 2; stderr %q", name, code, stderr)
+		}
+	}
+	// Out-of-range values, each armed so that only the range check can
+	// refuse it; the message must name the flag.
+	file := []string{"-backend=file", "-data-dir", t.TempDir()}
+	for _, c := range []struct {
+		flag, value string
+		with        []string
+	}{
+		{"trace-sample", "2", []string{"-trace-spans", "8"}},
+		{"trace-sample", "-1", []string{"-trace-spans", "8"}},
+		{"trace-spans", "-3", nil},
+		{"trace-slow", "-1ms", []string{"-trace-spans", "8"}},
+		{"scrub-interval", "-1s", nil},
+		{"max-wal-bytes", "-5", file},
+		{"drain", "-1s", nil},
+		{"max-request-timeout", "-1s", nil},
+		{"obs-log-interval", "-1s", []string{"-obs-addr", "127.0.0.1:0"}},
+	} {
+		code, stderr := reject(append([]string{"-" + c.flag, c.value}, c.with...))
+		if code != 2 || !strings.Contains(stderr, "-"+c.flag+" must be") {
+			t.Errorf("-%s %s exited %d, want 2 naming the flag; stderr %q", c.flag, c.value, code, stderr)
 		}
 	}
 }

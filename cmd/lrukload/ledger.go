@@ -126,14 +126,19 @@ func driveLedger(ctx context.Context, conn connector, end time.Time, keys, clien
 	defer func() { _ = closeCl() }()
 	for time.Now().Before(end) && ctx.Err() == nil {
 		key := int64(self + rng.Intn(owned)*clients)
-		seq[key]++
-		fill := byte(seq[key]%255) + 1 // never 0: 0 is the never-updated filler
 		e, ok := entries[key]
 		if !ok {
 			e = ledgerEntry{Acked: -1, Pending: -1}
 		}
-		e.Pending = int(fill)
-		entries[key] = e
+		// An unacknowledged fill is re-sent until it is acknowledged: a new
+		// one would leave two updates in doubt (the refused one may have
+		// applied) where the ledger can name only one.
+		if e.Pending < 0 {
+			seq[key]++
+			e.Pending = seq[key]%255 + 1 // never 0: 0 is the never-updated filler
+			entries[key] = e
+		}
+		fill := byte(e.Pending)
 
 		rctx, cancel := context.WithTimeout(ctx, reqTimeout)
 		began := time.Now()

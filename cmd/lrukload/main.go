@@ -16,10 +16,9 @@
 //	lrukload -addr ... -min-hit-ratio 0.01   # exit 1 below this ratio
 //	lrukload -addr ... -ledger led.json      # crash-test load (see below)
 //	lrukload -addr ... -ledger led.json -verify
-//	lrukload -corrupt-pages 3 -data-dir /var/lib/lrukd   # offline bit-rot
 //
-// The -ledger / -verify pair is the durability crash test
-// (scripts/crash_smoke.sh): -ledger drives an updates-only workload over a
+// The -ledger / -verify pair is the durability crash test (the scenario
+// package's TestCrash): -ledger drives an updates-only workload over a
 // client-partitioned key space, recording each key's last acknowledged
 // fill byte and lone in-flight update, and tolerates the server dying
 // mid-run; -verify audits a restarted server against that file — every
@@ -61,7 +60,6 @@ import (
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
 	"repro/internal/stats"
-	"repro/internal/storage/file"
 )
 
 // caller is the operation surface the load loops drive; both the
@@ -149,13 +147,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		minHit     = fs.Float64("min-hit-ratio", 0, "fail unless the pool hit ratio reaches this (0 disables)")
 		ledger     = fs.String("ledger", "", "crash-test ledger path: run an updates-only workload recording acknowledged fills per key (see -verify)")
 		verify     = fs.Bool("verify", false, "verify a restarted server against the -ledger file instead of generating load")
-		corruptN   = fs.Int("corrupt-pages", 0, "offline: flip one byte in N WAL-covered pages of -data-dir's page file, then exit (server must be stopped)")
-		dataDir    = fs.String("data-dir", "", "data directory for -corrupt-pages")
 		clusterFl  = fs.String("cluster", "", "cluster spec \"id=addr,...\": drive the whole cluster through the ring-aware client instead of -addr")
 		maxSkew    = fs.Float64("max-skew", 0, "fail if the per-node request-share max/min ratio exceeds this (cluster mode; 0 disables)")
 		traceFr    = fs.Float64("trace-sample", 0, "fraction of requests to send under a sampled trace context (0..1; needs the server's -trace-spans)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case *getW < 0 || *updateW < 0 || *scanW < 0:
+		fmt.Fprintln(stderr, "lrukload: -get, -update and -scan weights must not be negative")
+		return 2
+	case *traceFr < 0 || *traceFr > 1:
+		fmt.Fprintln(stderr, "lrukload: -trace-sample must be in [0,1]")
+		return 2
+	case *maxSkew < 0 || *minHit < 0:
+		fmt.Fprintln(stderr, "lrukload: -max-skew and -min-hit-ratio must not be negative")
 		return 2
 	}
 
@@ -187,19 +194,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else if *maxSkew > 0 {
 		fmt.Fprintln(stderr, "lrukload: -max-skew requires -cluster")
 		return 2
-	}
-	if *corruptN > 0 {
-		if *dataDir == "" {
-			fmt.Fprintln(stderr, "lrukload: -corrupt-pages requires -data-dir")
-			return 2
-		}
-		pages, err := file.CorruptPages(*dataDir, *corruptN, *seed)
-		if err != nil {
-			fmt.Fprintln(stderr, "lrukload: corrupt-pages:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "lrukload: corrupted %d pages in %s: %v\n", len(pages), *dataDir, pages)
-		return 0
 	}
 	if *verify {
 		if *ledger == "" {

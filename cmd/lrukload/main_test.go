@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/db"
 	"repro/internal/leakcheck"
@@ -127,17 +128,62 @@ func TestRunUnreachableServer(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags exercises the usage exit paths.
+// TestRunRejectsBadFlags exercises the usage exit paths: every value that
+// could not mean what it says is refused before anything is dialled.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad flag exited %d, want 2", code)
+	for name, args := range map[string][]string{
+		"unknown flag":              {"-no-such-flag"},
+		"zero op mix":               {"-get", "0", "-update", "0", "-scan", "0"},
+		"-max-skew without cluster": {"-max-skew", "2"},
+		"-get -5":                   {"-get", "-5"},
+		"-update -1":                {"-update", "-1"},
+		"-scan -1":                  {"-scan", "-1"},
+		"-trace-sample 3":           {"-trace-sample", "3"},
+		"-trace-sample -0.5":        {"-trace-sample", "-0.5"},
+		"-max-skew -1":              {"-cluster", "n0=127.0.0.1:1", "-max-skew", "-1"},
+		"-min-hit-ratio -0.1":       {"-min-hit-ratio", "-0.1"},
+		"-corrupt-pages is gone":    {"-corrupt-pages", "3", "-data-dir", t.TempDir()},
+	} {
+		var stdout, stderr bytes.Buffer
+		// Nothing listens on the default address: a case wrongly accepted
+		// fails with 1, not 2.
+		if code := run(context.Background(), append([]string{"-duration", "20ms", "-clients", "1"}, args...), &stdout, &stderr); code != 2 {
+			t.Errorf("%s exited %d, want 2; stderr %q", name, code, stderr.String())
+		}
 	}
-	if code := run(context.Background(), []string{"-get", "0", "-update", "0", "-scan", "0"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("zero op mix exited %d, want 2", code)
+}
+
+// refusingCaller refuses every update with BUSY and remembers, per key, the
+// fills it was sent.
+type refusingCaller struct{ fills map[int64][]byte }
+
+func (c *refusingCaller) Get(context.Context, int64) ([]byte, error) { return nil, nil }
+func (c *refusingCaller) Scan(context.Context) (int, error)          { return 0, nil }
+func (c *refusingCaller) Update(_ context.Context, key int64, fill byte) error {
+	c.fills[key] = append(c.fills[key], fill)
+	return client.ErrBusy
+}
+
+// TestLedgerResendsUnacknowledgedFill: a refused update may have applied,
+// so the ledger client must keep offering that same fill until it is
+// acknowledged — a fresh fill would put two values in doubt for a key
+// whose entry can name only one pending.
+func TestLedgerResendsUnacknowledgedFill(t *testing.T) {
+	fake := &refusingCaller{fills: make(map[int64][]byte)}
+	conn := connector{dial: func() (caller, func() error, error) { return fake, func() error { return nil }, nil }}
+	entries, _ := driveLedger(context.Background(), conn, time.Now().Add(20*time.Millisecond), 4, 1, 0, 1, time.Second)
+	if len(fake.fills) == 0 {
+		t.Fatal("no update was attempted")
 	}
-	if code := run(context.Background(), []string{"-max-skew", "2"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-max-skew without -cluster exited %d, want 2", code)
+	for key, fills := range fake.fills {
+		for _, f := range fills {
+			if f != fills[0] {
+				t.Fatalf("key %d was offered fills %v: a new fill before the first was acknowledged", key, fills)
+			}
+		}
+		if e := entries[key]; e.Acked != -1 || e.Pending != int(fills[0]) {
+			t.Errorf("key %d ledger entry %+v, want acked -1 pending %d", key, e, fills[0])
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Page-integrity machinery for the file backend: the per-slot trailer
 // codec, read-time verification, targeted WAL-tail repair, and the offline
-// corruption helper the crash-smoke harness uses.
+// corruption helper the scenario package (DESIGN.md §7) uses.
 //
 // Trailer layout (24 bytes, immediately after the 4 KByte image):
 //
