@@ -28,12 +28,15 @@ fuzz-smoke:
 
 ## size: Go line counts — root module non-test, root module test, and the
 ## nested bench/ module — the figures re-anchors and "net lines go down"
-## criteria quote.
+## criteria quote, then the five largest non-test files ("no file over N
+## lines" is this one command).
 size:
 	@count() { find . -name '*.go' "$$@" -print0 | xargs -0 cat | wc -l; }; \
 	echo "non-test $$(count -not -name '*_test.go' -not -path './bench/*')"; \
 	echo "test     $$(count -name '*_test.go' -not -path './bench/*')"; \
-	echo "bench    $$(count -path './bench/*')"
+	echo "bench    $$(count -path './bench/*')"; \
+	find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | \
+		xargs -0 wc -l | grep -v ' total$$' | sort -n | tail -5
 
 vet:
 	$(GO) vet ./...

@@ -38,8 +38,7 @@
 // it also serves /spans (the distributed-tracing span ring, ?trace=<hex>
 // filters one trace). -trace-sample head-samples that fraction of
 // requests; -trace-slow tail-samples any request at least that slow.
-// -obs-log-interval adds a periodic structured stats line on stderr. On a
-// clean exit it prints "lrukd: clean shutdown" and exits 0; any drain
+// On a clean exit it prints "lrukd: clean shutdown" and exits 0; any drain
 // failure or leaked goroutine exits 1.
 package main
 
@@ -91,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window on shutdown")
 		maxReq    = fs.Duration("max-request-timeout", 30*time.Second, "cap on any request's time budget")
 		obsAddr   = fs.String("obs-addr", "", "observability HTTP address serving /metrics, /trace and /debug/pprof (empty = off)")
-		obsLog    = fs.Duration("obs-log-interval", 0, "period between structured stats log lines on stderr (0 = off; needs -obs-addr)")
 		spanCap   = fs.Int("trace-spans", 0, "distributed-tracing span ring capacity (0 = tracing off)")
 		sampleFr  = fs.Float64("trace-sample", 0, "fraction of requests to head-sample into traces (0..1)")
 		slowThr   = fs.Duration("trace-slow", 0, "tail-sample any request at least this slow (0 = off)")
@@ -108,9 +106,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *sampleFr < 0 || *sampleFr > 1:
 		fmt.Fprintf(stderr, "lrukd: -trace-sample must be in [0,1], got %v\n", *sampleFr)
 		return 2
-	case *obsLog > 0 && *obsAddr == "":
-		fmt.Fprintln(stderr, "lrukd: -obs-log-interval requires -obs-addr")
-		return 2
 	case (*sampleFr != 0 || *slowThr != 0) && *spanCap <= 0:
 		fmt.Fprintln(stderr, "lrukd: -trace-sample and -trace-slow require -trace-spans")
 		return 2
@@ -126,8 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		{"workers", int64(*workers), 0}, {"queue", int64(*queue), 0},
 		{"trace-spans", int64(*spanCap), 0}, {"max-wal-bytes", *maxWAL, 0},
 		{"drain", int64(*drain), 0}, {"max-request-timeout", int64(*maxReq), 0},
-		{"obs-log-interval", int64(*obsLog), 0}, {"trace-slow", int64(*slowThr), 0},
-		{"scrub-interval", int64(*scrubIval), 0},
+		{"trace-slow", int64(*slowThr), 0}, {"scrub-interval", int64(*scrubIval), 0},
 	} {
 		if f.got < f.min {
 			// The flag's own rendering of the value: "-1s", not -1000000000.
@@ -214,8 +208,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ScrubInterval: *scrubIval,
 		Spans:         spanRec,
 		// Production-shaped fault posture: bounded transient retry and a
-		// per-stripe circuit breaker, the PR 3 machinery the server maps
-		// onto wire statuses.
+		// per-stripe circuit breaker, whose refusals the server maps onto
+		// wire statuses.
 		DiskRetry: bufferpool.RetryConfig{
 			Attempts:  3,
 			BaseDelay: 500 * time.Microsecond,
@@ -296,7 +290,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// pprof never compete with page traffic for the wire protocol's slots,
 	// and an operator can firewall the two ports independently.
 	var obsSrv *http.Server
-	var stopLogger func()
 	if reg != nil {
 		opts := []obs.HandlerOption{obs.WithHealth(func() obs.Health {
 			return obs.Health{
@@ -324,9 +317,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		obsSrv = &http.Server{Handler: mux}
 		go func() { _ = obsSrv.Serve(ln) }()
 		fmt.Fprintf(stdout, "lrukd: observability on %s\n", ln.Addr())
-		if *obsLog > 0 {
-			stopLogger = obs.StartLogger(stderr, reg, *obsLog)
-		}
 	}
 
 	<-ctx.Done()
@@ -334,9 +324,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "lrukd: draining")
 
 	code := 0
-	if stopLogger != nil {
-		stopLogger()
-	}
 	if obsSrv != nil {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		if err := obsSrv.Shutdown(shutCtx); err != nil {

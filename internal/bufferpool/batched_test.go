@@ -113,7 +113,7 @@ func TestBatchedPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 			})
 			got := run(t, be.open, func(d storage.Backend) (fetcherPool, func() core.PolicyStats) {
 				r := core.NewSyncReplacer(2, batchedTraceOptions)
-				return poolFetcher{NewWithConfig(d, frames, r, Config{Shards: 8})}, r.PolicyStats
+				return poolFetcher{NewWithConfig(d, frames, r, Config{shards: 8})}, r.PolicyStats
 			})
 			if got.pool != want.pool {
 				t.Errorf("pool stats %+v, want serial %+v", got.pool, want.pool)
@@ -179,7 +179,7 @@ func TestFastHitProbe(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ids = append(ids, storage.MustAllocate(d))
 	}
-	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 4})
+	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{shards: 4})
 
 	warm := func(id policy.PageID) {
 		pg, err := p.Fetch(id)

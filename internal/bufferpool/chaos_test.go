@@ -113,7 +113,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	d.SetFaults(stormPlan(seed, poison))
 
 	p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{
-		Shards: 16,
+		shards: 16,
 		Retry: RetryConfig{
 			Attempts:  3,
 			BaseDelay: 20 * time.Microsecond,
@@ -125,7 +125,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 			Cooldown:  2 * time.Millisecond,
 			Probes:    2,
 		},
-		WriterInterval: time.Millisecond,
+		writerInterval: time.Millisecond,
 	})
 	p.Start()
 

@@ -153,7 +153,7 @@ func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 		for i := 0; i < pages; i++ {
 			d.Allocate()
 		}
-		p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{Shards: shards})
+		p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{shards: shards})
 		for _, st := range script {
 			pg, err := p.Fetch(st.id)
 			if err != nil {
@@ -227,7 +227,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	setupWrites := d.Stats().Writes
 
 	p := NewWithConfig(d, frames,
-		core.NewSyncReplacer(2, core.Options{}), Config{Shards: 16})
+		core.NewSyncReplacer(2, core.Options{}), Config{shards: 16})
 	var fetched atomic.Uint64
 	writes := make([]uint64, goroutines)
 	var wg sync.WaitGroup
@@ -327,7 +327,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 func TestPoolConcurrentNewDelete(t *testing.T) {
 	const goroutines = 8
 	d := newFaultyDisk(sim.ServiceModel{})
-	p := NewWithConfig(d, 32, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 8})
+	p := NewWithConfig(d, 32, core.NewSyncReplacer(2, core.Options{}), Config{shards: 8})
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -445,7 +445,7 @@ func TestConfigValidation(t *testing.T) {
 				t.Error("non-power-of-two shard count accepted")
 			}
 		}()
-		NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{Shards: 3})
+		NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{shards: 3})
 	}()
 	if p := New(d, 4, core.NewSyncReplacer(2, core.Options{})); p.NumShards() < 1 {
 		t.Error("NumShards not positive")

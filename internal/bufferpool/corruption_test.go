@@ -313,14 +313,14 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	))
 
 	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
-		Shards: 16,
+		shards: 16,
 		// The breaker is armed but effectively untrippable: this storm
 		// reconciles ledgers exactly, and breaker rejections would make
 		// which-fetch-fails schedule-dependent in ways the data checks
 		// below do not need. Breaker/corruption interaction has its own
 		// test.
 		Breaker:        BreakerConfig{Threshold: 1 << 30, Cooldown: time.Millisecond, Probes: 1},
-		WriterInterval: time.Millisecond,
+		writerInterval: time.Millisecond,
 		ScrubInterval:  500 * time.Microsecond,
 	})
 	p.Start()

@@ -1,0 +1,227 @@
+package bufferpool
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/policy"
+)
+
+// This file is the write-back side of the pool: the flush paths, the
+// quarantine of pages whose write-back failed, and the background writer
+// that drains it off the caller's critical path until the disk answers
+// again.
+
+// flushFrame writes the pinned frame back if dirty. The dirty bit is
+// cleared before the write so a concurrent modification is not lost: it
+// re-marks the page dirty and a later flush or eviction persists it.
+// flushMu serialises concurrent flushers of the same frame (the background
+// writer, FlushPage, a flush sweep), so a nil return means the frame's
+// data was durably on disk at some point during the call — never that
+// another flusher's still-undecided write looked clean in passing.
+func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error {
+	f.flushMu.Lock()
+	defer f.flushMu.Unlock()
+	if !f.dirty.Load() {
+		// Clean under flushMu means the last write genuinely completed (or
+		// the page was never written since load): nothing to retry, so clear
+		// any stale quarantine entry.
+		p.quarantineRemove(id)
+		return nil
+	}
+	f.dirty.Store(false)
+	if err := p.writePage(ctx, id, f.data); err != nil {
+		f.dirty.Store(true)
+		p.shardOf(id).countWriteFailure(err)
+		return fmt.Errorf("flushing page %d: %w", id, err)
+	}
+	p.shardOf(id).writeBacks.Add(1)
+	p.quarantineRemove(id)
+	return nil
+}
+
+// flushResident is the maintenance paths' flush by id (FlushPage, a flush
+// sweep, the background writer, the scrubber's rewrite): pin the page if it
+// is resident — waiting out an in-flight load or write-back, interruptibly
+// — write it back if dirty, unpin. It touches no hit/miss accounting and
+// records no reference. force flushes a clean frame too. resident is false
+// when the table holds nothing for id, its load failed, or ctx expired
+// while waiting.
+func (p *Pool) flushResident(ctx context.Context, id policy.PageID, force bool) (resident bool, err error) {
+	f, _, _ := p.pinEntry(ctx, p.shardOf(id), id, obs.TraceContext{}, nil)
+	if f == nil {
+		return false, nil
+	}
+	defer p.releasePin(id, f, false)
+	if force {
+		f.dirty.Store(true)
+	}
+	return true, p.flushFrame(ctx, id, f)
+}
+
+// FlushPage writes page id back to storage if dirty. The page stays
+// resident.
+func (p *Pool) FlushPage(id policy.PageID) error {
+	return p.FlushPageCtx(context.Background(), id)
+}
+
+// FlushPageCtx is FlushPage charged against ctx: the write-back and its
+// retry backoff observe the caller's deadline. On a durable backend a nil
+// return means the page image has reached the write-ahead log (group
+// commit included), which is the backend's acknowledged-write contract.
+func (p *Pool) FlushPageCtx(ctx context.Context, id policy.PageID) error {
+	if p.closed.Load() {
+		return ErrClosed
+	}
+	resident, err := p.flushResident(ctx, id, false)
+	if !resident {
+		return fmt.Errorf("flush page %d: %w", id, ErrPageNotResident)
+	}
+	return err
+}
+
+// FlushAll writes every dirty resident page back to storage and then asks
+// the backend for its durability barrier (storage.Backend.Flush — a
+// checkpoint, on the durable file backend). A failed write-back does not
+// stop the sweep: every shard is visited, every flushable page flushed, and
+// the failures are returned joined (errors.Is unwraps them individually).
+// Failed pages stay dirty and resident, so a retry after the fault clears
+// loses nothing. The barrier runs only when the sweep completed cleanly: a
+// checkpoint must not declare durability over pages whose write-back
+// failed.
+func (p *Pool) FlushAll() error {
+	return p.FlushAllCtx(context.Background())
+}
+
+// FlushAllCtx is FlushAll charged against ctx: write-backs and their retry
+// backoff observe the deadline, and an expired context ends the sweep
+// early (the cancellation is reported in the joined error; unreached pages
+// simply stay dirty and resident).
+func (p *Pool) FlushAllCtx(ctx context.Context) error {
+	if p.closed.Load() {
+		return ErrClosed
+	}
+	return p.flushAll(ctx)
+}
+
+func (p *Pool) flushAll(ctx context.Context) error {
+	var errs []error
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.RLock()
+		ids := make([]policy.PageID, 0, len(sh.table))
+		for id := range sh.table {
+			ids = append(ids, id)
+		}
+		sh.mu.RUnlock()
+		for _, id := range ids {
+			if err := ctx.Err(); err != nil {
+				errs = append(errs, fmt.Errorf("bufferpool: flush sweep cancelled: %w", err))
+				return errors.Join(errs...)
+			}
+			// Not resident any more (evicted or deleted meanwhile) means
+			// nothing to flush.
+			if _, err := p.flushResident(ctx, id, false); err != nil {
+				errs = append(errs, err)
+			}
+		}
+	}
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+	if err := p.backend.Flush(ctx); err != nil {
+		return fmt.Errorf("bufferpool: storage flush barrier: %w", err)
+	}
+	return nil
+}
+
+func (p *Pool) quarantineAdd(id policy.PageID) {
+	p.quarMu.Lock()
+	p.quarantined[id] = struct{}{}
+	p.quarMu.Unlock()
+	// Wake the background writer (if running); the buffered kick makes the
+	// wake-up lossless without blocking this failure path.
+	select {
+	case p.writerKick <- struct{}{}:
+	default:
+	}
+}
+
+func (p *Pool) quarantineRemove(id policy.PageID) {
+	p.quarMu.Lock()
+	delete(p.quarantined, id)
+	p.quarMu.Unlock()
+}
+
+// Quarantined returns the number of resident pages whose most recent dirty
+// write-back failed. Such pages keep their data in memory and are retried
+// on later eviction sweeps and flushes; a successful write-back, flush or
+// delete removes them from quarantine.
+func (p *Pool) Quarantined() int {
+	p.quarMu.Lock()
+	defer p.quarMu.Unlock()
+	return len(p.quarantined)
+}
+
+// writerLoop drains the quarantine in the background. It parks until
+// kicked (quarantineAdd) or its interval elapses, then retries every
+// quarantined page with doubling backoff between failed rounds, so a
+// still-broken disk is probed gently and a healed one drains promptly. ctx
+// is the pool's background context (Start): cancelling it ends the loop and
+// aborts the disk retries and backoff sleeps inside a drain round.
+func (p *Pool) writerLoop(ctx context.Context) {
+	defer p.bg.Done()
+	backoff := p.writerInterval
+	timer := time.NewTimer(p.writerInterval)
+	defer timer.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-p.writerKick:
+			backoff = p.writerInterval
+		case <-timer.C:
+		}
+		if p.drainQuarantine(ctx) {
+			backoff = p.writerInterval
+		} else if backoff < 64*p.writerInterval {
+			backoff *= 2
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(backoff)
+	}
+}
+
+// drainQuarantine retries the write-back of every currently quarantined
+// page once. It reports whether the quarantine is empty afterwards (so
+// the writer can reset its backoff) — pages that fault again stay
+// quarantined for the next round.
+func (p *Pool) drainQuarantine(ctx context.Context) bool {
+	p.quarMu.Lock()
+	ids := make([]policy.PageID, 0, len(p.quarantined))
+	for id := range p.quarantined {
+		ids = append(ids, id)
+	}
+	p.quarMu.Unlock()
+	for _, id := range ids {
+		if ctx.Err() != nil {
+			break
+		}
+		// The flush clears the quarantine entry on success (or when the page
+		// turned clean through another path) and leaves it on failure; a page
+		// deleted or evicted meanwhile had its entry cleared by that path.
+		_, _ = p.flushResident(ctx, id, false)
+	}
+	p.quarMu.Lock()
+	empty := len(p.quarantined) == 0
+	p.quarMu.Unlock()
+	return empty
+}

@@ -41,32 +41,34 @@ func (p *Pool) loadPage(ctx context.Context, id policy.PageID, buf []byte) error
 			break // no redundant copy (or repair itself failed): unrepairable
 		}
 		rerr := p.readPage(ctx, id, buf)
-		if rerr == nil {
-			p.corruptRepaired.Add(1)
-			if p.corruptionHook != nil {
-				p.corruptionHook(id, kind, true)
-			}
-			return nil
-		}
-		if !storage.IsCorrupt(rerr) {
-			// The slot verifies but the read failed for another reason
-			// (breaker, transient exhaustion); not a corruption outcome.
-			// The detection stays resolved as repaired: the repairer
-			// verified the rewritten slot.
-			p.corruptRepaired.Add(1)
-			if p.corruptionHook != nil {
-				p.corruptionHook(id, kind, true)
-			}
+		if rerr == nil || !storage.IsCorrupt(rerr) {
+			// Healed — or the slot verifies but the re-read failed for
+			// another reason (breaker, transient exhaustion), which is not a
+			// corruption outcome: the detection still resolves as repaired,
+			// since the repairer verified the rewritten slot.
+			p.resolveCorrupt(id, kind, true)
 			return rerr
 		}
 		err = rerr
 	}
-	p.corruptQuarantined.Add(1)
-	p.poisonAdd(id, kind)
-	if p.corruptionHook != nil {
-		p.corruptionHook(id, kind, false)
-	}
+	p.resolveCorrupt(id, kind, false)
 	return err
+}
+
+// resolveCorrupt settles one detection, exactly once: repaired in place,
+// or — no redundant copy anywhere — the page id poisoned so that further
+// fetches fail fast. It keeps CorruptDetected == CorruptRepaired +
+// CorruptQuarantined and tells the corruption hook the outcome.
+func (p *Pool) resolveCorrupt(id policy.PageID, kind storage.CorruptKind, repaired bool) {
+	if repaired {
+		p.corruptRepaired.Add(1)
+	} else {
+		p.corruptQuarantined.Add(1)
+		p.poisonAdd(id, kind)
+	}
+	if p.corruptionHook != nil {
+		p.corruptionHook(id, kind, repaired)
+	}
 }
 
 func corruptKindOf(err error) storage.CorruptKind {
@@ -172,67 +174,33 @@ func (p *Pool) scrubOne(ctx context.Context, id policy.PageID, buf []byte) {
 	p.scrubCorrupt.Add(1)
 	p.corruptDetected.Add(1)
 	kind := corruptKindOf(err)
-	if p.repairer != nil && p.repairer.RepairPage(ctx, id) == nil {
-		// The repairer verified the rewritten slot; no re-read needed (and
-		// none taken, keeping ScrubPages == successful scrub reads exact).
-		p.corruptRepaired.Add(1)
-		if p.corruptionHook != nil {
-			p.corruptionHook(id, kind, true)
-		}
-		return
+	// Two places a clean copy can come from. The repairer verifies the slot
+	// it rewrites, so no re-read is needed (and none taken, keeping
+	// ScrubPages == successful scrub reads exact). Failing that, the pool
+	// itself may hold a trusted clean resident image: force-flush it, and the
+	// ordinary write path (WAL append, trailer stamp, WriteBacks accounting)
+	// replaces the damaged copy and clears injected taint.
+	repaired := p.repairer != nil && p.repairer.RepairPage(ctx, id) == nil
+	if !repaired {
+		resident, err := p.flushResident(ctx, id, true)
+		repaired = resident && err == nil
 	}
-	if p.rewriteResident(ctx, id) {
-		// No redundant copy below the pool, but the pool itself holds a
-		// clean resident image: rewrite the backend from memory. The write
-		// path lays down a fresh verified slot (and clears injected taint).
-		p.corruptRepaired.Add(1)
-		if p.corruptionHook != nil {
-			p.corruptionHook(id, kind, true)
-		}
-		return
-	}
-	p.corruptQuarantined.Add(1)
-	p.poisonAdd(id, kind)
-	if p.corruptionHook != nil {
-		p.corruptionHook(id, kind, false)
-	}
-}
-
-// rewriteResident heals a page whose backend copy is corrupt but whose
-// frame holds a trusted clean image: mark it dirty and flush, so the
-// ordinary write path (WAL append, trailer stamp, WriteBacks accounting)
-// replaces the damaged copy. Reports whether the rewrite happened.
-func (p *Pool) rewriteResident(ctx context.Context, id policy.PageID) bool {
-	f, ok := p.pinResident(ctx, id)
-	if !ok {
-		return false
-	}
-	defer p.releasePin(id, f, false)
-	f.dirty.Store(true)
-	return p.flushFrame(ctx, id, f) == nil
+	p.resolveCorrupt(id, kind, repaired)
 }
 
 // scrubBatch is how many pages one background scrub tick examines.
 const scrubBatch = 64
 
 // scrubLoop is the background scrubber: every scrubInterval it sweeps
-// scrubBatch pages. It shares the background writer's stop channel and
-// acknowledges exit on scrubDone.
-func (p *Pool) scrubLoop() {
-	defer close(p.scrubDone)
-	// ctx mirrors writerStop so disk I/O inside a sweep aborts promptly
-	// on Close.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-p.writerStop
-		cancel()
-	}()
+// scrubBatch pages. ctx is the pool's background context (Start):
+// cancelling it ends the loop and aborts the disk I/O inside a sweep.
+func (p *Pool) scrubLoop(ctx context.Context) {
+	defer p.bg.Done()
 	ticker := time.NewTicker(p.scrubInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-p.writerStop:
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 		}

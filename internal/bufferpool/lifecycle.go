@@ -1,40 +1,34 @@
 package bufferpool
 
-import (
-	"context"
-	"time"
-
-	"repro/internal/policy"
-)
+import "context"
 
 // This file owns the pool's lifecycle: Start launches the background
-// writer that drains the write-back quarantine, Close stops it, flushes
-// every dirty page, and fences the pool against further use. The
-// background writer is the pool's self-healing path — a page whose
-// write-back faulted is retried off the caller's critical path until the
-// disk answers again, so quarantine drains without anyone issuing an
-// eviction sweep.
+// goroutines (the writer in flush.go, the scrubber in integrity.go) under
+// one cancellable context, Close cancels it, waits for them, flushes every
+// dirty page, and fences the pool against further use.
 
 // Start launches the background writer and, when Config.ScrubInterval is
 // set, the background scrubber. It is a no-op on a pool that is already
-// started or closed. Pools that never call Start work exactly as before:
-// quarantined pages are retried only by eviction sweeps and explicit
-// flushes, and pages are verified only as client reads touch them.
+// started or closed. On a pool that never calls Start, quarantined pages
+// are retried only by eviction sweeps and explicit flushes, and pages are
+// verified only as client reads touch them.
 func (p *Pool) Start() {
 	p.lifeMu.Lock()
 	defer p.lifeMu.Unlock()
-	if p.started || p.closed.Load() {
+	if p.stop != nil || p.closed.Load() {
 		return
 	}
-	p.started = true
-	go p.writerLoop()
+	ctx, cancel := context.WithCancel(context.Background())
+	p.stop = cancel
+	p.bg.Add(1)
+	go p.writerLoop(ctx)
 	if p.scrubInterval > 0 {
-		p.scrubStarted = true
-		go p.scrubLoop()
+		p.bg.Add(1)
+		go p.scrubLoop(ctx)
 	}
 }
 
-// Close stops the background writer, flushes every dirty resident page,
+// Close stops the background goroutines, flushes every dirty resident page,
 // and fences the pool: Fetch, NewPage, FlushPage, FlushAll, and
 // DeletePage return ErrClosed afterwards. Close is idempotent — repeated
 // calls return the first call's flush result without flushing again.
@@ -46,92 +40,13 @@ func (p *Pool) Close() error {
 	if p.closed.Load() {
 		return p.closeErr
 	}
-	if p.started {
-		close(p.writerStop)
-		<-p.writerDone
-		if p.scrubStarted {
-			<-p.scrubDone
-			p.scrubStarted = false
-		}
-		p.started = false
+	if p.stop != nil {
+		p.stop()
+		p.bg.Wait()
 	}
 	// Fence new operations first, then run the final flush through the
 	// internal path (the public FlushAll would now refuse us).
 	p.closed.Store(true)
 	p.closeErr = p.flushAll(context.Background())
 	return p.closeErr
-}
-
-// writerLoop drains the quarantine in the background. It parks until
-// kicked (quarantineAdd) or its interval elapses, then retries every
-// quarantined page with doubling backoff between failed rounds, so a
-// still-broken disk is probed gently and a healed one drains promptly.
-func (p *Pool) writerLoop() {
-	defer close(p.writerDone)
-
-	// ctx mirrors writerStop so disk retries and backoff sleeps inside a
-	// drain round abort promptly on Close.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-p.writerStop
-		cancel()
-	}()
-
-	backoff := p.writerInterval
-	timer := time.NewTimer(p.writerInterval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-p.writerStop:
-			return
-		case <-p.writerKick:
-			backoff = p.writerInterval
-		case <-timer.C:
-		}
-		if p.drainQuarantine(ctx) {
-			backoff = p.writerInterval
-		} else if backoff < 64*p.writerInterval {
-			backoff *= 2
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(backoff)
-	}
-}
-
-// drainQuarantine retries the write-back of every currently quarantined
-// page once. It reports whether the quarantine is empty afterwards (so
-// the writer can reset its backoff) — pages that fault again stay
-// quarantined for the next round.
-func (p *Pool) drainQuarantine(ctx context.Context) bool {
-	p.quarMu.Lock()
-	ids := make([]policy.PageID, 0, len(p.quarantined))
-	for id := range p.quarantined {
-		ids = append(ids, id)
-	}
-	p.quarMu.Unlock()
-	for _, id := range ids {
-		if ctx.Err() != nil {
-			break
-		}
-		f, ok := p.pinResident(ctx, id)
-		if !ok {
-			// Deleted or evicted meanwhile; a successful eviction write-back
-			// already cleared the entry, a delete likewise.
-			continue
-		}
-		// flushFrame clears the quarantine entry on success (or when the
-		// page turned clean through another path) and leaves it on failure.
-		_ = p.flushFrame(ctx, id, f)
-		p.releasePin(id, f, false)
-	}
-	p.quarMu.Lock()
-	empty := len(p.quarantined) == 0
-	p.quarMu.Unlock()
-	return empty
 }

@@ -236,7 +236,7 @@ func TestPinAuthorityStress(t *testing.T) {
 		pages[i] = storage.MustAllocate(d)
 	}
 	r := core.NewSyncReplacer(2, core.Options{})
-	p := NewWithConfig(d, frames, r, Config{Shards: 4})
+	p := NewWithConfig(d, frames, r, Config{shards: 4})
 	p.Start()
 
 	var wg sync.WaitGroup

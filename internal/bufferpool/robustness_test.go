@@ -3,12 +3,14 @@ package bufferpool
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
@@ -360,7 +362,7 @@ func TestBackgroundWriterDrainsQuarantine(t *testing.T) {
 	ids := allocPages(t, d, 3)
 	a, b, c := ids[0], ids[1], ids[2]
 	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		WriterInterval: time.Millisecond,
+		writerInterval: time.Millisecond,
 	})
 	p.Start()
 	defer p.Close()
@@ -533,4 +535,114 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 		t.Errorf("WriteBacks = %d after evicting a flushed page, want 2", got)
 	}
 	checkFrameInvariant(t, p)
+}
+
+// TestJoinFailedLoad parks a load inside a disk read that will fail and has
+// other callers join it through the shared residency state machine
+// (pinEntry). Maintenance callers — FlushPageCtx and FlushAllCtx — must
+// report the page not resident, the frame must return to the free list
+// exactly once whoever drops the last pin, and the join must leave no trace
+// in the client-facing signals: Coalesced, the CoalesceWait histogram and
+// pool_coalesce spans mean "client fetches parked behind a read". The
+// client arm is the control: one joined FetchCtx is exactly one of each.
+func TestJoinFailedLoad(t *testing.T) {
+	sampled := obs.ContextWithTrace(context.Background(), obs.TraceContext{TraceID: 7, SpanID: 1, Sampled: true})
+	for _, arm := range []struct {
+		name    string
+		joiners []func(p *Pool, a policy.PageID) error
+		check   func(t *testing.T, errs []error)
+		joined  uint64 // client fetches that coalesced
+	}{
+		{
+			name: "maintenance",
+			joiners: []func(*Pool, policy.PageID) error{
+				func(p *Pool, a policy.PageID) error { return p.FlushPageCtx(sampled, a) },
+				func(p *Pool, _ policy.PageID) error { return p.FlushAllCtx(sampled) },
+			},
+			check: func(t *testing.T, errs []error) {
+				if !errors.Is(errs[0], ErrPageNotResident) {
+					t.Errorf("FlushPageCtx over a failed load = %v, want ErrPageNotResident", errs[0])
+				}
+				if errs[1] != nil {
+					t.Errorf("FlushAllCtx over a failed load = %v, want nil (nothing to flush)", errs[1])
+				}
+			},
+		},
+		{
+			name: "client",
+			joiners: []func(*Pool, policy.PageID) error{
+				func(p *Pool, a policy.PageID) error { _, err := p.FetchCtx(sampled, a); return err },
+			},
+			check: func(t *testing.T, errs []error) {
+				if !errors.Is(errs[0], storage.ErrInjectedFault) {
+					t.Errorf("coalesced FetchCtx = %v, want the loader's injected fault", errs[0])
+				}
+			},
+			joined: 1,
+		},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			d, armed, entered, gate := gatedDisk()
+			a := allocPages(t, d, 1)[0]
+			wait, spans := obs.NewHistogram(), obs.NewSpanRecorder("t", 64)
+			p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
+				Metrics: Metrics{CoalesceWait: wait},
+				Spans:   spans,
+			})
+			d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
+
+			armed.Store(true)
+			loaded := make(chan error, 1)
+			go func() {
+				_, err := p.Fetch(a)
+				loaded <- err
+			}()
+			<-entered // the loader is parked inside the disk read
+
+			results := make([]chan error, len(arm.joiners))
+			for i, join := range arm.joiners {
+				results[i] = make(chan error, 1)
+				go func(i int, join func(*Pool, policy.PageID) error) { results[i] <- join(p, a) }(i, join)
+			}
+			// The loader holds pin 1; each joiner adds one once it is parked.
+			for f := p.frameFor(a); int(f.pins()) < 1+len(arm.joiners); {
+				runtime.Gosched()
+			}
+			armed.Store(false)
+			close(gate)
+
+			if err := <-loaded; !errors.Is(err, storage.ErrInjectedFault) {
+				t.Fatalf("loader error = %v, want injected fault", err)
+			}
+			errs := make([]error, len(results))
+			for i := range results {
+				errs[i] = <-results[i]
+			}
+			arm.check(t, errs)
+			if p.Resident(a) {
+				t.Error("failed load left the page resident")
+			}
+			if free, tabled := frameAccounting(p); free != p.NumFrames() || tabled != 0 {
+				t.Errorf("after the failed load: %d free + %d tabled, want %d + 0 (frame recycled exactly once)",
+					free, tabled, p.NumFrames())
+			}
+			s := p.Stats()
+			if s.Misses != 1+arm.joined || s.Coalesced != arm.joined || s.ReadErrors != 1 || s.Hits != 0 {
+				t.Errorf("stats = %+v, want Misses %d, Coalesced %d, ReadErrors 1", s, 1+arm.joined, arm.joined)
+			}
+			if got := wait.Count(); got != arm.joined {
+				t.Errorf("CoalesceWait count = %d, want %d", got, arm.joined)
+			}
+			var coalesceSpans uint64
+			for _, rec := range spans.Snapshot() {
+				if rec.Kind == obs.SpanPoolCoalesce {
+					coalesceSpans++
+				}
+			}
+			if coalesceSpans != arm.joined {
+				t.Errorf("%d pool_coalesce spans recorded, want %d", coalesceSpans, arm.joined)
+			}
+		})
+	}
 }

@@ -35,26 +35,28 @@ type Config struct {
 	// epoch 0). Any server's view is newer and replaces it on first
 	// contact with a MOVED redirect or Refresh.
 	View wire.View
-	// MaxAttempts bounds requests sent per operation, counting redirects.
-	// Zero selects 8 — enough to ride out a rebalance bounce window plus
-	// one reroute after a node death.
-	MaxAttempts int
-	// BusyBackoff is the first per-node penalty after a refusal; it
-	// doubles per consecutive failure up to MaxBackoff. Zero selects 2ms.
-	BusyBackoff time.Duration
-	// MaxBackoff caps the per-node penalty. Zero selects 250ms.
-	MaxBackoff time.Duration
+
+	// The retry posture has one production value; the fields exist so this
+	// package's tests can shorten it (export_test.go). maxAttempts bounds
+	// requests sent per operation, counting redirects: zero selects 8,
+	// enough to ride out a rebalance bounce window plus one reroute after a
+	// node death. busyBackoff is the first per-node penalty after a refusal
+	// (zero selects 2ms); it doubles per consecutive failure up to
+	// maxBackoff (zero selects 250ms).
+	maxAttempts int
+	busyBackoff time.Duration
+	maxBackoff  time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 8
 	}
-	if c.BusyBackoff <= 0 {
-		c.BusyBackoff = 2 * time.Millisecond
+	if c.busyBackoff <= 0 {
+		c.busyBackoff = 2 * time.Millisecond
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 250 * time.Millisecond
+	if c.maxBackoff <= 0 {
+		c.maxBackoff = 250 * time.Millisecond
 	}
 	return c
 }
@@ -295,7 +297,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) error) error {
 	var lastErr error
 	refreshed := false
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -311,7 +313,7 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 		conn, err := n.acquire()
 		if err != nil {
 			n.transport.Add(1)
-			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
+			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
 			lastErr = err
 			if !refreshed {
 				refreshed = true
@@ -350,12 +352,12 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 				n.unavailable.Add(1)
 			}
 			n.release(conn)
-			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
+			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
 			lastErr = err
 		case errors.Is(err, client.ErrTransport):
 			n.transport.Add(1)
 			_ = conn.Close()
-			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
+			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
 			lastErr = err
 			if !refreshed {
 				refreshed = true
@@ -381,16 +383,16 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 			return err
 		}
 	}
-	return fmt.Errorf("cluster: key %d: %d attempts exhausted: %w", key, c.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("cluster: key %d: %d attempts exhausted: %w", key, c.cfg.maxAttempts, lastErr)
 }
 
 // bounceWait paces retries of a key caught in a rebalance bounce: short
 // at first (the window usually closes in milliseconds), growing toward
-// MaxBackoff so a long handoff is not hammered.
+// maxBackoff so a long handoff is not hammered.
 func (c *Client) bounceWait(attempt int) time.Duration {
-	d := c.cfg.BusyBackoff << attempt
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
+	d := c.cfg.busyBackoff << attempt
+	if d > c.cfg.maxBackoff || d <= 0 {
+		d = c.cfg.maxBackoff
 	}
 	return d
 }
@@ -480,7 +482,7 @@ func (c *Client) Update(ctx context.Context, custID int64, fill byte) error {
 // Fails over to the next node on refusal or transport error.
 func (c *Client) Scan(ctx context.Context) (int, error) {
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -503,7 +505,7 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 		conn, err := n.acquire()
 		if err != nil {
 			n.transport.Add(1)
-			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
+			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
 			lastErr = err
 			continue
 		}
@@ -520,12 +522,12 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 				n.unavailable.Add(1)
 			}
 			n.release(conn)
-			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
+			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
 			lastErr = err
 		case errors.Is(err, client.ErrTransport):
 			n.transport.Add(1)
 			_ = conn.Close()
-			n.penalize(c.cfg.BusyBackoff, c.cfg.MaxBackoff)
+			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
 			lastErr = err
 		case errors.Is(err, client.ErrTraceDowngrade):
 			n.noTrace.Store(true)
@@ -540,7 +542,7 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 			return 0, err
 		}
 	}
-	return 0, fmt.Errorf("cluster: scan: %d attempts exhausted: %w", c.cfg.MaxAttempts, lastErr)
+	return 0, fmt.Errorf("cluster: scan: %d attempts exhausted: %w", c.cfg.maxAttempts, lastErr)
 }
 
 // Flush fans a flush barrier out to every member, joining any failures.

@@ -220,11 +220,7 @@ func TestRebalanceRemoveUnderWrites(t *testing.T) {
 		rounds    = 40
 	)
 	nodes, view := startNodes(t, 3, customers, db.Config{Frames: 128}, server.Config{})
-	cc := clusterClient(t, view, cluster.Config{
-		MaxAttempts: 12,
-		BusyBackoff: time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-	})
+	cc := clusterClient(t, view, cluster.Config{}.WithRetry(12, time.Millisecond, 50*time.Millisecond))
 	ctx := context.Background()
 
 	// Each writer owns a disjoint key slice and advances its keys' fills
@@ -343,7 +339,7 @@ func TestClusterOverloadKillReroute(t *testing.T) {
 
 	// --- Phase 1: burst beyond 2+2 slots per node; with one attempt and
 	// no backoff the shed is visible, with retries it is absorbed. ---
-	curt := clusterClient(t, view, cluster.Config{MaxAttempts: 1})
+	curt := clusterClient(t, view, cluster.Config{}.WithRetry(1, 0, 0))
 	var wg sync.WaitGroup
 	var okN, busyN, otherN atomic.Uint64
 	for i := 0; i < 48; i++ {
@@ -371,10 +367,7 @@ func TestClusterOverloadKillReroute(t *testing.T) {
 	}
 	// Shed is load-dependent; don't require it, but a patient client must
 	// absorb whatever the curt one saw: every key, zero errors.
-	patient := clusterClient(t, view, cluster.Config{
-		MaxAttempts: 10,
-		BusyBackoff: time.Millisecond,
-	})
+	patient := clusterClient(t, view, cluster.Config{}.WithRetry(10, time.Millisecond, 0))
 	for k := int64(0); k < customers; k++ {
 		if _, err := patient.Get(ctx, k); err != nil {
 			t.Fatalf("patient get key %d: %v", k, err)
@@ -510,7 +503,7 @@ func TestClientRefreshOnNodeDown(t *testing.T) {
 
 	// The client's bootstrap spec still lists all three nodes at epoch 0.
 	boot := wire.View{Epoch: 0, Nodes: view.Nodes}
-	cc := clusterClient(t, boot, cluster.Config{MaxAttempts: 6, BusyBackoff: time.Millisecond})
+	cc := clusterClient(t, boot, cluster.Config{}.WithRetry(6, time.Millisecond, 0))
 	for k := int64(0); k < customers; k++ {
 		if _, err := cc.Get(ctx, k); err != nil {
 			t.Fatalf("get key %d through dead-node bootstrap: %v", k, err)

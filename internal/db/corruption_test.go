@@ -37,7 +37,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 		Frames:            16,
 		K:                 2,
 		Obs:               reg,
-		EvictionTraceSize: 1 << 20,
+		evictionTraceSize: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

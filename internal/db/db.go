@@ -75,10 +75,6 @@ type Config struct {
 	// StatsSnapshot reports (see DESIGN.md §12 for the catalog). Nil (the
 	// default) leaves every hot path uninstrumented.
 	Obs *obs.Registry
-	// EvictionTraceSize caps the policy decision trace ring (evictions,
-	// CRP collapses, RIP purges). Zero selects 512. Only used when Obs is
-	// set.
-	EvictionTraceSize int
 	// Spans, when non-nil, arms distributed-tracing span recording through
 	// the stack: sampled operations leave pool_fetch / pool_miss /
 	// pool_coalesce / retry_wait / breaker_reject spans from the pool and
@@ -88,7 +84,15 @@ type Config struct {
 	// spans (wal_append, wal_fsync) come from the file backend's own
 	// file.Config.Spans, which the caller wires when building the backend.
 	Spans *obs.SpanRecorder
+
+	// evictionTraceSize lets this package's reconciliation tests retain
+	// every policy decision record; zero selects evictionTraceDefault.
+	evictionTraceSize int
 }
+
+// evictionTraceDefault caps the policy decision trace ring (evictions, CRP
+// collapses, RIP purges) an Obs-instrumented database keeps.
+const evictionTraceDefault = 512
 
 func (c Config) withDefaults() Config {
 	if c.K == 0 {
@@ -172,9 +176,9 @@ func Open(cfg Config) (*DB, error) {
 		// after assembly (registerObs below). The trace ring likewise: the
 		// pool's corruption hook records into it from the first fetch on.
 		poolMetrics = newPoolMetrics(cfg.Obs)
-		size := cfg.EvictionTraceSize
+		size := cfg.evictionTraceSize
 		if size <= 0 {
-			size = 512
+			size = evictionTraceDefault
 		}
 		evTrace = obs.NewEvictionTrace(size)
 		corruptionHook = func(p policy.PageID, kind storage.CorruptKind, repaired bool) {
@@ -475,9 +479,6 @@ func (db *DB) ScanCustomersCtx(ctx context.Context) (int, error) {
 	return n, err
 }
 
-// PoolPoisoned returns the page ids quarantined as unrepairable-corrupt.
-func (db *DB) PoolPoisoned() []policy.PageID { return db.pool.PoisonedPages() }
-
 // ScrubSweep runs one bounded integrity sweep through the pool (see
 // bufferpool.Pool.ScrubSweep); operators and tests use it to scrub on
 // demand when no background ScrubInterval is configured.
@@ -515,7 +516,7 @@ func (db *DB) FlushAllCtx(ctx context.Context) error {
 // StatsSnapshot is a point-in-time aggregate of every counter the database
 // exposes — pool, disk, quarantine, and page-directory sizes — in one
 // JSON-serialisable struct. The network service serves it under the STATS
-// op; it replaces stitching together three separate getters.
+// op.
 type StatsSnapshot struct {
 	Pool         bufferpool.Stats `json:"pool"`
 	PoolHitRatio float64          `json:"pool_hit_ratio"`
@@ -556,24 +557,14 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 	return snap
 }
 
-// PoolQuarantined returns the number of pages whose most recent write-back
-// failed and that await the background writer's retry.
-func (db *DB) PoolQuarantined() int { return db.pool.Quarantined() }
-
 // PoolStats returns the buffer-pool counters.
 func (db *DB) PoolStats() bufferpool.Stats { return db.pool.Stats() }
-
-// DiskStats returns the storage backend's counters.
-func (db *DB) DiskStats() storage.Stats { return db.backend.Stats() }
 
 // IndexPages returns the number of index node pages.
 func (db *DB) IndexPages() int { return len(db.index.Pages()) }
 
 // DataPages returns the number of heap-file data pages.
 func (db *DB) DataPages() int { return len(db.customers.Pages()) }
-
-// IndexHeight returns the B-tree height.
-func (db *DB) IndexHeight() (int, error) { return db.index.Height() }
 
 // ResidentByClass counts resident pages per class, the quantity Example
 // 1.1 reasons about ("50 B-tree leaf pages and 50 record pages" under
@@ -639,9 +630,9 @@ func RunExample11(cfg Config, customers, lookups int, seed uint64) (Example11Res
 		Lookups:       lookups,
 		ResidentIndex: ri,
 		ResidentData:  rd,
-		DiskReads:     db.DiskStats().Reads,
-		ServiceMicros: db.DiskStats().ServiceMicros,
 	}
+	disk := db.backend.Stats()
+	res.DiskReads, res.ServiceMicros = disk.Reads, disk.ServiceMicros
 	if total := hits + misses; total > 0 {
 		res.HitRatio = float64(hits) / float64(total)
 	}

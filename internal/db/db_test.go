@@ -86,7 +86,7 @@ func TestPageGeometryMatchesPaper(t *testing.T) {
 	if got := db.IndexPages(); got < n/204 || got > n/100 {
 		t.Errorf("IndexPages = %d, outside plausible leaf-count range", got)
 	}
-	h, err := db.IndexHeight()
+	h, err := db.index.Height()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 	if s := db.PoolStats(); s.ReadErrors != 3 {
 		t.Errorf("pool ReadErrors = %d, want 3", s.ReadErrors)
 	}
-	if ds := db.DiskStats(); ds.ReadFaults != 3 {
+	if ds := db.StatsSnapshot().Disk; ds.ReadFaults != 3 {
 		t.Errorf("disk ReadFaults = %d, want 3", ds.ReadFaults)
 	}
 	// Faults exhausted: every record is reachable again and flush is clean.

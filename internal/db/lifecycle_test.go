@@ -197,9 +197,9 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 	}
 	faulty.SetFaults(nil)
 	deadline := time.Now().Add(5 * time.Second)
-	for d.PoolQuarantined() != 0 {
+	for d.StatsSnapshot().Quarantined != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("quarantine never drained; still %d", d.PoolQuarantined())
+			t.Fatalf("quarantine never drained; still %d", d.StatsSnapshot().Quarantined)
 		}
 		time.Sleep(time.Millisecond)
 	}

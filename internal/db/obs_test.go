@@ -69,7 +69,7 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 			RetainedInformationPeriod: 100,
 		},
 		Obs:               reg,
-		EvictionTraceSize: 1 << 20, // retain everything; kind counts must reconcile
+		evictionTraceSize: 1 << 20, // retain everything; kind counts must reconcile
 	})
 	if err != nil {
 		t.Fatal(err)

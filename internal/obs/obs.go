@@ -234,6 +234,19 @@ func (r *Registry) snapshotFamilies() []*family {
 	return out
 }
 
+// snapshotSeries copies f's series by value under the lock: exposition
+// then reads each instrument pointer and collector callback race-free
+// while a concurrent registration fills or replaces them.
+func (r *Registry) snapshotSeries(f *family) []series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]series, len(f.series))
+	for i, s := range f.series {
+		out[i] = *s
+	}
+	return out
+}
+
 // HistogramSummaries returns the summary of every histogram series, keyed
 // by `name` or `name{labels}`. The network server embeds this map in its
 // STATS reply so remote tooling (lrukload's percentile report) reads the
@@ -244,11 +257,7 @@ func (r *Registry) HistogramSummaries() map[string]HistSummary {
 		if f.kind != KindHistogram {
 			continue
 		}
-		r.mu.Lock()
-		series := make([]*series, len(f.series))
-		copy(series, f.series)
-		r.mu.Unlock()
-		for _, s := range series {
+		for _, s := range r.snapshotSeries(f) {
 			if s.hist == nil {
 				continue
 			}

@@ -431,51 +431,3 @@ func TestHandlerServesMetricsAndPprof(t *testing.T) {
 		t.Fatalf("/debug/pprof/ code=%d, want 200", code)
 	}
 }
-
-func TestLogLine(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits_total", "", nil).Add(9)
-	r.Gauge("depth", "", Labels{"q": "main"}).Set(2)
-	r.Histogram("sweep", "", nil).Observe(3)
-	line := LogLine(r)
-	for _, want := range []string{"obs ts=", "hits_total=9", "depth_q_main=2", "sweep_count=1", "sweep_p99="} {
-		if !strings.Contains(line, want) {
-			t.Errorf("log line missing %q: %s", want, line)
-		}
-	}
-	if strings.ContainsAny(line, "\n") {
-		t.Error("log line must be a single line")
-	}
-}
-
-func TestStartLoggerEmitsAndStops(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "", nil).Inc()
-	var mu sync.Mutex
-	var sb strings.Builder
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return sb.Write(p)
-	})
-	stop := StartLogger(w, r, 5*time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		got := sb.String()
-		mu.Unlock()
-		if strings.Contains(got, "c_total=1") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("logger never emitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

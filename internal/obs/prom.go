@@ -32,10 +32,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	fams := r.snapshotFamilies()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
-		r.mu.Lock()
-		series := make([]*series, len(f.series))
-		copy(series, f.series)
-		r.mu.Unlock()
+		series := r.snapshotSeries(f)
 		sort.Slice(series, func(i, j int) bool { return series[i].labels < series[j].labels })
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " ")); err != nil {
@@ -45,8 +42,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range series {
-			if err := writeSeries(w, f, s); err != nil {
+		for i := range series {
+			if err := writeSeries(w, f, &series[i]); err != nil {
 				return err
 			}
 		}

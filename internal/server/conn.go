@@ -68,7 +68,8 @@ func (s *Server) readRequest(cn *conn, now time.Time) (req wire.Request, ok bool
 	}
 	var payload []byte
 	var err error
-	payload, cn.in, err = wire.ReadFrameInto(cn.br, cn.in, s.cfg.MaxFrame)
+	// A length prefix past the frame guard is rejected before any allocation.
+	payload, cn.in, err = wire.ReadFrameInto(cn.br, cn.in, wire.MaxFrameDefault)
 	if err == nil {
 		req, err = wire.DecodeRequest(payload)
 	} else if !errors.Is(err, wire.ErrFrameTooLarge) {

@@ -150,12 +150,12 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := database.FlushAll()
-		if err == nil && database.PoolQuarantined() == 0 {
+		quarantined := database.StatsSnapshot().Quarantined
+		if err == nil && quarantined == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no recovery after heal: flush err %v, quarantined %d",
-				err, database.PoolQuarantined())
+			t.Fatalf("no recovery after heal: flush err %v, quarantined %d", err, quarantined)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -61,10 +61,6 @@ type Config struct {
 	// Workers that hold one; a request arriving with that many already
 	// waiting is shed with StatusBusy. Zero selects 4x Workers.
 	QueueDepth int
-	// MaxFrame is the largest accepted request frame; larger length
-	// prefixes are rejected before any allocation. Zero selects
-	// wire.MaxFrameDefault.
-	MaxFrame uint32
 	// MaxRequestTimeout caps the per-request time budget; it also applies
 	// to requests that declare none, so no operation runs unbounded. Zero
 	// selects 30s.
@@ -108,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.MaxFrameDefault
 	}
 	if c.MaxRequestTimeout <= 0 {
 		c.MaxRequestTimeout = 30 * time.Second

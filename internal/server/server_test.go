@@ -235,7 +235,7 @@ func TestRequestDeadlineSurfacesAsStatus(t *testing.T) {
 
 func TestOversizedFrameRejected(t *testing.T) {
 	leakcheck.Check(t)
-	srv, _ := startServer(t, db.Config{Frames: 32}, Config{MaxFrame: 1 << 10}, 16)
+	srv, _ := startServer(t, db.Config{Frames: 32}, Config{}, 16)
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package stats provides the deterministic random-number generation,
-// probability distributions, and summary statistics used by every
+// Package stats provides the deterministic random-number generation, the
+// paper's self-similar Zipf distribution, and the Fenwick tree used by every
 // experiment in this repository.
 //
 // All randomness in the simulator flows through RNG so that experiments are

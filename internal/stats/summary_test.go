@@ -1,10 +1,69 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// Summary accumulates a stream of float64 observations and reports standard
+// moments (Welford). It is test support: rng_test.go checks the generators'
+// moments with it. The zero value is ready to use.
+type Summary struct {
+	n        int
+	mean     float64
+	m2       float64 // sum of squared deviations (Welford)
+	min, max float64
+}
+
+// Add records one observation.
+func (s *Summary) Add(x float64) {
+	if s.n == 0 {
+		s.min, s.max = x, x
+	} else {
+		if x < s.min {
+			s.min = x
+		}
+		if x > s.max {
+			s.max = x
+		}
+	}
+	s.n++
+	delta := x - s.mean
+	s.mean += delta / float64(s.n)
+	s.m2 += delta * (x - s.mean)
+}
+
+// N returns the number of observations recorded.
+func (s *Summary) N() int { return s.n }
+
+// Mean returns the arithmetic mean, or 0 with no observations.
+func (s *Summary) Mean() float64 { return s.mean }
+
+// Var returns the sample variance (n-1 denominator), or 0 with fewer than
+// two observations.
+func (s *Summary) Var() float64 {
+	if s.n < 2 {
+		return 0
+	}
+	return s.m2 / float64(s.n-1)
+}
+
+// StdDev returns the sample standard deviation.
+func (s *Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
+
+// Min returns the smallest observation, or 0 with no observations.
+func (s *Summary) Min() float64 { return s.min }
+
+// Max returns the largest observation, or 0 with no observations.
+func (s *Summary) Max() float64 { return s.max }
+
+// String formats the summary for log output.
+func (s *Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
+		s.n, s.Mean(), s.StdDev(), s.Min(), s.Max())
+}
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
@@ -40,124 +99,6 @@ func TestSummarySingleObservation(t *testing.T) {
 	}
 	if s.Min() != 3.5 || s.Max() != 3.5 {
 		t.Errorf("min/max = %v/%v, want 3.5/3.5", s.Min(), s.Max())
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.1, 1.4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Must not modify the input.
-	shuffled := []float64{5, 1, 4, 2, 3}
-	Quantile(shuffled, 0.5)
-	if shuffled[0] != 5 {
-		t.Error("Quantile modified its input")
-	}
-	if got := Quantile([]float64{7}, 0.5); got != 7 {
-		t.Errorf("Quantile of singleton = %v, want 7", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{1, 1, 2})
-	want := []float64{0.25, 0.25, 0.5}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Errorf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-}
-
-func TestNormalizePanics(t *testing.T) {
-	for _, in := range [][]float64{{0, 0}, {-1, 2}, {math.NaN()}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Normalize(%v) did not panic", in)
-				}
-			}()
-			Normalize(in)
-		}()
-	}
-}
-
-func TestAliasMatchesWeights(t *testing.T) {
-	weights := []float64{1, 2, 3, 4}
-	a := NewAlias(weights)
-	if a.N() != 4 {
-		t.Fatalf("N = %d, want 4", a.N())
-	}
-	r := NewRNG(31)
-	const draws = 400000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		counts[a.Sample(r)]++
-	}
-	for i, w := range weights {
-		want := w / 10 * draws
-		if math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want) {
-			t.Errorf("outcome %d: count %d, want ~%.0f", i, counts[i], want)
-		}
-	}
-}
-
-func TestAliasDegenerate(t *testing.T) {
-	a := NewAlias([]float64{5})
-	r := NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if got := a.Sample(r); got != 0 {
-			t.Fatalf("singleton alias sampled %d", got)
-		}
-	}
-}
-
-func TestAliasQuickValid(t *testing.T) {
-	// Any positive weight vector must produce samples inside range.
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		w := make([]float64, len(raw))
-		for i, x := range raw {
-			w[i] = float64(x) + 1
-		}
-		a := NewAlias(w)
-		r := NewRNG(uint64(len(raw)))
-		for i := 0; i < 100; i++ {
-			if s := a.Sample(r); s < 0 || s >= len(w) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
