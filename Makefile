@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke size vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables chaos scenarios check
+.PHONY: all build test race fuzz-smoke size vet fmt-check bench-module bench bench-pool bench-hit bench-obs tables golden chaos scenarios check
 
 all: check
 
@@ -56,7 +56,9 @@ bench-module:
 	$(GO) -C bench vet .
 	$(GO) -C bench test -timeout 300s .
 
-## bench: every paper-table benchmark plus ablations (repo root).
+## bench: the repo-root benchmarks — per-reference policy cost, the
+## concurrent generic cache, the TPC-A ablation and BudgetedLRUK. The
+## paper's tables are golden files, not benchmarks (see golden).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
@@ -73,6 +75,12 @@ bench-hit:
 
 tables:
 	$(GO) run ./cmd/tables
+
+## golden: rewrite testdata/*.golden, the reduced-scale paper tables the
+## root package's TestExperiment* tests compare byte for byte. Only after a
+## deliberate change in replacement decisions, and say why in CHANGES.md.
+golden:
+	$(GO) test -count=1 -run 'TestExperiment' -update .
 
 ## chaos: the seeded disk-fault storm against the concurrent pool, under
 ## the race detector (DESIGN.md §9).

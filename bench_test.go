@@ -1,13 +1,8 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Section 4) plus the ablation sweeps DESIGN.md calls out.
-// Each table benchmark regenerates its table on every iteration and logs
-// the rendered result once (visible with -v); cmd/tables produces the
-// full-scale canonical versions.
-//
-// Benchmarks use modestly reduced trace lengths so `go test -bench=.`
-// finishes in minutes; the reductions scale warm-up, measurement, and
-// drift proportionally so every qualitative relationship of the full
-// tables is preserved.
+// Benchmark harness: the per-reference cost of the policies, the
+// concurrent generic cache, the TPC-A correlated-reference ablation and
+// the §5 budgeted LRU-K. The paper's tables are not benchmarks: the
+// experiment tests pin reduced-scale runs to testdata/*.golden, and
+// cmd/tables produces the full-scale versions.
 package repro_test
 
 import (
@@ -15,104 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// BenchmarkTable41 regenerates Table 4.1 (two-pool experiment: LRU-1,
-// LRU-2, LRU-3 and A0 hit ratios plus B(1)/B(2) across buffer sizes).
-func BenchmarkTable41(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunTable41(sim.Table41Config{Repeats: 2})
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkTable42 regenerates Table 4.2 (Zipfian 80-20 experiment: LRU-1,
-// LRU-2, A0 plus B(1)/B(2)).
-func BenchmarkTable42(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunTable42(sim.Table42Config{Repeats: 2})
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkTable43 regenerates Table 4.3 (synthetic OLTP trace: LRU-1,
-// LRU-2, LFU plus B(1)/B(2)). The trace is shortened from 470k to 180k
-// references with proportionally faster warm-set drift; run
-// `cmd/tables -table 4.3` for the full-scale version.
-func BenchmarkTable43(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunTable43(sim.Table43Config{
-			OLTP:    workload.OLTPConfig{DriftEvery: 300},
-			Refs:    180000,
-			Warmup:  30000,
-			Buffers: []int{100, 200, 600, 1000, 2000, 5000},
-		})
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkKSweep is the §4.1 in-text ablation: LRU-K approaches A0 as K
-// grows on the stable two-pool pattern.
-func BenchmarkKSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunKSweep(100, 5, 2, 7)
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkAdaptivity is the evolving-access-pattern ablation: LRU-2
-// versus LRU-3 versus LFU under a moving hot spot.
-func BenchmarkAdaptivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunAdaptivity(250, 20000, 11)
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkScanResistance is the Example 1.2 ablation across the policy
-// family.
-func BenchmarkScanResistance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunScanResistance(600, 13)
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkCRPSweep is the §2.1.1 ablation: Correlated Reference Period
-// sensitivity on a bursty workload.
-func BenchmarkCRPSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunCRPSweep(120, []policy.Tick{0, 1, 2, 4, 8, 16}, 17)
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
-
-// BenchmarkRIPSweep is the §2.1.2 ablation: Retained Information Period
-// sensitivity on the two-pool workload.
-func BenchmarkRIPSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := sim.RunRIPSweep(120, []policy.Tick{100, 200, 400, 800, 1600, 0}, 19)
-		if i == 0 {
-			b.Logf("\n%s", t.Render())
-		}
-	}
-}
 
 // --- micro-benchmarks: per-reference cost of the policies themselves ---
 

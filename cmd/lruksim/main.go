@@ -8,8 +8,9 @@
 //	lruksim -trace oltp.trc -policies lru-1,lru-2,lfu,2q,arc -buffers 100,1000
 //	lruksim -workload zipf -policies lru-2 -buffers 100 -crp 4 -rip 2000
 //
-// Policies: lru-1 (lru), lru-K for any K, lfu, fifo, mru, clock, gclock,
-// 2q, arc, lrd, random, a0 (needs a generated stationary workload), b0/opt.
+// Policies: lru-1 (lru), lru-K for any K, lfu, fifo, clock, 2q, arc, fbr,
+// slru, lirs, tinylfu, a0 (needs a generated stationary workload), and
+// b0 (alias opt).
 package main
 
 import (

@@ -6,35 +6,19 @@ import (
 	"testing"
 )
 
-func TestRunKSweep(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, "ksweep", 7, 1, "text"); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{"K-sweep", "LRU-5", "A0"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
+// The tables' contents are pinned by the root package's golden files;
+// these tests cover only the command's flag and format handling.
 
 func TestRunCRPAndRIP(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, "crp", 17, 1, "text"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "CRP=16") {
-		t.Errorf("crp output:\n%s", out.String())
-	}
 	out.Reset()
 	if err := run(&out, "rip", 19, 1, "csv"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "RIP=1600") {
-		t.Errorf("rip output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "B,RIP=100") {
+	if !strings.HasPrefix(out.String(), "B,RIP=100,") {
 		t.Errorf("csv output missing header:\n%s", out.String())
 	}
 	out.Reset()

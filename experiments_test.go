@@ -1,11 +1,20 @@
-// Experiment shape tests: fast, assertive versions of every table and
-// figure reproduction, checking the qualitative results the paper reports
-// — who wins, by roughly what factor, where behaviour crosses over. The
-// full-scale tables live behind cmd/tables and the benchmarks; these tests
-// keep the repository honest on every `go test ./...`.
+// Experiment tests: fast, reduced-scale versions of every table and
+// figure reproduction. Each table test renders its table and compares it
+// byte for byte against testdata/<table>.golden (named as cmd/tables's
+// -table values), so any change in a replacement decision fails here;
+// `go test -run TestExperiment -update .` (make golden) rewrites the files
+// after a deliberate change. The same *sim.Table then carries the shape
+// assertions: the qualitative results the paper reports — who wins, by
+// roughly what factor, where behaviour crosses over. The full-scale tables
+// live behind cmd/tables.
 package repro_test
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/db"
@@ -15,12 +24,66 @@ import (
 	"repro/internal/workload"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the tables the experiment tests compute")
+
+// checkGolden compares tb's rendering byte for byte with
+// testdata/<name>.golden, or rewrites that file under -update.
+func checkGolden(t *testing.T, name string, tb *sim.Table) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	got := tb.Render()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (make golden creates it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("table differs from %s; if the change is deliberate, make golden rewrites it\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// TestGoldenFilesAreRead fails on an orphan: a testdata/*.golden that no
+// checkGolden call in this package names, as a renamed or dropped table
+// would leave behind.
+func TestGoldenFilesAreRead(t *testing.T) {
+	sources, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := regexp.MustCompile(`checkGolden\(t, "([^"]+)"`)
+	named := map[string]bool{}
+	for _, src := range sources {
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range call.FindAllSubmatch(b, -1) {
+			named[string(m[1])] = true
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if name := strings.TrimSuffix(filepath.Base(f), ".golden"); !named[name] {
+			t.Errorf("%s is read by no test: compare a table against it or delete it", f)
+		}
+	}
+}
+
 // TestExperimentTable41 asserts the headline two-pool results: the LRU-2
 // hit ratio roughly doubles LRU-1's at small buffers, LRU-3 sits between
 // LRU-2 and A0, the cost/performance factor B(1)/B(2) is ~2-3, and all
 // policies converge once the buffer holds the whole hot pool.
 func TestExperimentTable41(t *testing.T) {
 	tb := sim.RunTable41(sim.Table41Config{Buffers: []int{60, 100, 140, 450}, Repeats: 3})
+	checkGolden(t, "4.1", tb)
 	get := func(p string, b int) float64 {
 		v, ok := tb.Ratio(p, b)
 		if !ok {
@@ -62,6 +125,7 @@ func TestExperimentTable41(t *testing.T) {
 // B=500).
 func TestExperimentTable42(t *testing.T) {
 	tb := sim.RunTable42(sim.Table42Config{Buffers: []int{40, 100, 500}, Repeats: 3})
+	checkGolden(t, "4.2", tb)
 	get := func(p string, b int) float64 {
 		v, _ := tb.Ratio(p, b)
 		return v
@@ -99,6 +163,7 @@ func TestExperimentTable43(t *testing.T) {
 		Warmup:  30000,
 		Buffers: []int{200, 600, 2000},
 	})
+	checkGolden(t, "4.3", tb)
 	for _, row := range tb.Rows {
 		lru1, lru2, lfu := row.Ratios[0], row.Ratios[1], row.Ratios[2]
 		if lru2 <= lfu || lfu <= lru1 {
@@ -171,6 +236,7 @@ func TestExperimentExample11(t *testing.T) {
 // holds the hot set through sequential scans, LRU-1 does not.
 func TestExperimentScanResistance(t *testing.T) {
 	tb := sim.RunScanResistance(600, 13)
+	checkGolden(t, "scan", tb)
 	row := tb.Rows[0]
 	idx := map[string]int{}
 	for i, p := range tb.Policies {
@@ -185,11 +251,34 @@ func TestExperimentScanResistance(t *testing.T) {
 	}
 }
 
+// TestExperimentKSweep asserts the part of the §4.1 in-text claim ("LRU-K
+// approaches A0 as K grows") that the two-pool numbers support: A0 bounds
+// every LRU-K, and LRU-1 < LRU-2 < LRU-3. Past K=3 it does not hold on the
+// paper's 30·N1 measurement window — a deeper history spends longer
+// learning — so LRU-4 and LRU-5 are bounded by A0 only.
+func TestExperimentKSweep(t *testing.T) {
+	tb := sim.RunKSweep(100, 5, 1, 7)
+	checkGolden(t, "ksweep", tb)
+	row := tb.Rows[0]
+	lruk, a0 := row.Ratios[:len(row.Ratios)-1], row.Ratios[len(row.Ratios)-1]
+	for i, r := range lruk {
+		if r > a0 {
+			t.Errorf("LRU-%d (%.3f) above A0 (%.3f)", i+1, r, a0)
+		}
+	}
+	for k := 2; k <= 3; k++ {
+		if lruk[k-1] <= lruk[k-2] {
+			t.Errorf("LRU-%d (%.3f) not above LRU-%d (%.3f)", k, lruk[k-1], k-1, lruk[k-2])
+		}
+	}
+}
+
 // TestExperimentAdaptivity asserts the evolving-pattern ablation: LFU
 // collapses under a moving hot spot while LRU-2 adapts, and LRU-3 is no
 // more responsive than LRU-2.
 func TestExperimentAdaptivity(t *testing.T) {
 	tb := sim.RunAdaptivity(250, 10000, 11)
+	checkGolden(t, "adaptivity", tb)
 	row := tb.Rows[0]
 	lru2, lru3, lfu := row.Ratios[1], row.Ratios[2], row.Ratios[3]
 	if lfu >= lru2 {
@@ -205,6 +294,7 @@ func TestExperimentAdaptivity(t *testing.T) {
 // over the naive CRP=0 configuration.
 func TestExperimentCRPSweep(t *testing.T) {
 	tb := sim.RunCRPSweep(120, []policy.Tick{0, 4, 8}, 17)
+	checkGolden(t, "crp", tb)
 	row := tb.Rows[0]
 	if best := row.Ratios[1]; best <= row.Ratios[0] {
 		t.Errorf("CRP=4 (%.3f) not above CRP=0 (%.3f) on bursty workload", best, row.Ratios[0])
@@ -216,6 +306,7 @@ func TestExperimentCRPSweep(t *testing.T) {
 // while a sufficient one recovers full LRU-2 quality.
 func TestExperimentRIPSweep(t *testing.T) {
 	tb := sim.RunRIPSweep(120, []policy.Tick{50, 1600, 0}, 19)
+	checkGolden(t, "rip", tb)
 	row := tb.Rows[0]
 	short, long, unlimited := row.Ratios[0], row.Ratios[1], row.Ratios[2]
 	if short >= long {

@@ -90,107 +90,3 @@ func (c *Clock) findSlot() int {
 		return slot
 	}
 }
-
-// GClock is the generalized CLOCK algorithm referenced in the paper's
-// introduction (via [EFFEHAER]): each frame carries a reference counter
-// initialised to initialCount on page-in and incremented on every hit; the
-// sweeping hand decrements counters and evicts the first frame whose
-// counter has reached zero. With initialCount=1 and increment capping at 1
-// it degenerates to CLOCK; larger counts give frequency-sensitive aging.
-type GClock struct {
-	capacity     int
-	initialCount int
-	maxCount     int
-	frames       []gclockFrame
-	index        map[PageID]int
-	hand         int
-	used         int
-}
-
-type gclockFrame struct {
-	page  PageID
-	count int
-	live  bool
-}
-
-// NewGClock returns a GCLOCK cache. initialCount is the counter value given
-// to a newly admitted page and maxCount caps the counter (0 means no cap).
-// The paper notes this family "depends critically on a careful choice of
-// various workload-dependent parameters"; these are those parameters.
-func NewGClock(capacity, initialCount, maxCount int) *GClock {
-	if initialCount < 1 {
-		initialCount = 1
-	}
-	c := &GClock{
-		capacity:     validateCapacity(capacity),
-		initialCount: initialCount,
-		maxCount:     maxCount,
-	}
-	c.Reset()
-	return c
-}
-
-// Name implements Cache.
-func (c *GClock) Name() string { return "GCLOCK" }
-
-// Capacity implements Cache.
-func (c *GClock) Capacity() int { return c.capacity }
-
-// Len implements Cache.
-func (c *GClock) Len() int { return c.used }
-
-// Resident implements Cache.
-func (c *GClock) Resident(p PageID) bool {
-	_, ok := c.index[p]
-	return ok
-}
-
-// Reset implements Cache.
-func (c *GClock) Reset() {
-	c.frames = make([]gclockFrame, c.capacity)
-	c.index = make(map[PageID]int, c.capacity)
-	c.hand = 0
-	c.used = 0
-}
-
-// Reference implements Cache.
-func (c *GClock) Reference(p PageID) bool {
-	if i, ok := c.index[p]; ok {
-		f := &c.frames[i]
-		f.count++
-		if c.maxCount > 0 && f.count > c.maxCount {
-			f.count = c.maxCount
-		}
-		return true
-	}
-	slot := c.findSlot()
-	f := &c.frames[slot]
-	if f.live {
-		delete(c.index, f.page)
-	} else {
-		c.used++
-	}
-	f.page, f.count, f.live = p, c.initialCount, true
-	c.index[p] = slot
-	return false
-}
-
-func (c *GClock) findSlot() int {
-	if c.used < c.capacity {
-		for i := range c.frames {
-			if !c.frames[i].live {
-				return i
-			}
-		}
-	}
-	for {
-		f := &c.frames[c.hand]
-		slot := c.hand
-		c.hand = (c.hand + 1) % c.capacity
-		if f.count > 0 {
-			f.count--
-			continue
-		}
-		return slot
-	}
-}

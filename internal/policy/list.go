@@ -1,8 +1,8 @@
 package policy
 
 // pageList is an intrusive doubly-linked list of pages with an index for
-// O(1) membership tests and removal. It is the workhorse behind LRU, MRU,
-// FIFO, 2Q and the ARC ghost lists.
+// O(1) membership tests and removal. It is the workhorse behind LRU, FIFO,
+// 2Q and the ARC ghost lists.
 //
 // The front of the list is the most recently inserted/promoted end; the
 // back is the eviction end for recency-ordered policies.
@@ -90,14 +90,6 @@ func (l *pageList) MoveToFront(p PageID) bool {
 	return true
 }
 
-// Front returns the page at the front without removing it.
-func (l *pageList) Front() (PageID, bool) {
-	if l.head == nil {
-		return InvalidPage, false
-	}
-	return l.head.page, true
-}
-
 // Back returns the page at the back without removing it.
 func (l *pageList) Back() (PageID, bool) {
 	if l.tail == nil {
@@ -113,17 +105,6 @@ func (l *pageList) PopBack() (PageID, bool) {
 	}
 	p := l.tail.page
 	l.unlink(l.tail)
-	delete(l.index, p)
-	return p, true
-}
-
-// PopFront removes and returns the page at the front.
-func (l *pageList) PopFront() (PageID, bool) {
-	if l.head == nil {
-		return InvalidPage, false
-	}
-	p := l.head.page
-	l.unlink(l.head)
 	delete(l.index, p)
 	return p, true
 }

@@ -40,46 +40,6 @@ func (c *LRU) Reference(p PageID) bool {
 // Reset implements Cache.
 func (c *LRU) Reset() { c.list.Clear() }
 
-// MRU is the Most Recently Used policy: on a miss with a full cache it
-// evicts the page referenced most recently (useful under cyclic scans,
-// included as a contrast baseline).
-type MRU struct {
-	capacity int
-	list     *pageList
-}
-
-// NewMRU returns an MRU cache with the given frame count.
-func NewMRU(capacity int) *MRU {
-	return &MRU{capacity: validateCapacity(capacity), list: newPageList()}
-}
-
-// Name implements Cache.
-func (c *MRU) Name() string { return "MRU" }
-
-// Capacity implements Cache.
-func (c *MRU) Capacity() int { return c.capacity }
-
-// Len implements Cache.
-func (c *MRU) Len() int { return c.list.Len() }
-
-// Resident implements Cache.
-func (c *MRU) Resident(p PageID) bool { return c.list.Contains(p) }
-
-// Reference implements Cache.
-func (c *MRU) Reference(p PageID) bool {
-	if c.list.MoveToFront(p) {
-		return true
-	}
-	if c.list.Len() >= c.capacity {
-		c.list.PopFront() // evict the most recently used page
-	}
-	c.list.PushFront(p)
-	return false
-}
-
-// Reset implements Cache.
-func (c *MRU) Reset() { c.list.Clear() }
-
 // FIFO evicts pages in arrival order regardless of intervening references.
 type FIFO struct {
 	capacity int

@@ -1,7 +1,7 @@
 // Package policy defines the page-replacement contract shared by every
 // buffering algorithm in this repository and implements the baseline
 // policies the paper compares against (and the wider family it spawned):
-// LRU-1, LFU, FIFO, CLOCK, GCLOCK, MRU, Random, 2Q, ARC, LRD, the A0
+// LRU-1, LFU, FIFO, CLOCK, FBR, 2Q, SLRU, LIRS, ARC, W-TinyLFU, the A0
 // probability oracle of Definition 3.1, and Belady's offline OPT (B0).
 //
 // The LRU-K policy itself — the paper's contribution — lives in

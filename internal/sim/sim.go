@@ -67,25 +67,14 @@ func LFU() Factory { return func(b int) policy.Cache { return policy.NewLFU(b) }
 // FIFO returns a factory for FIFO.
 func FIFO() Factory { return func(b int) policy.Cache { return policy.NewFIFO(b) } }
 
-// MRU returns a factory for MRU.
-func MRU() Factory { return func(b int) policy.Cache { return policy.NewMRU(b) } }
-
 // Clock returns a factory for second-chance CLOCK.
 func Clock() Factory { return func(b int) policy.Cache { return policy.NewClock(b) } }
-
-// GClock returns a factory for GCLOCK with the given counter parameters.
-func GClock(initial, max int) Factory {
-	return func(b int) policy.Cache { return policy.NewGClock(b, initial, max) }
-}
 
 // TwoQ returns a factory for 2Q with the authors' recommended tuning.
 func TwoQ() Factory { return func(b int) policy.Cache { return policy.NewTwoQ(b) } }
 
 // ARC returns a factory for ARC.
 func ARC() Factory { return func(b int) policy.Cache { return policy.NewARC(b) } }
-
-// LRD returns a factory for LRD-V2 with default aging.
-func LRD() Factory { return func(b int) policy.Cache { return policy.NewLRD(b, 0, 2) } }
 
 // FBR returns a factory for Frequency-Based Replacement ([ROBDEV]) with
 // default section sizing and aging.
@@ -102,11 +91,6 @@ func LIRS() Factory { return func(b int) policy.Cache { return policy.NewLIRS(b,
 // TinyLFU returns a factory for W-TinyLFU with the authors' 1% window.
 func TinyLFU() Factory { return func(b int) policy.Cache { return policy.NewTinyLFU(b) } }
 
-// Random returns a factory for random replacement.
-func Random(seed uint64) Factory {
-	return func(b int) policy.Cache { return policy.NewRandom(b, seed) }
-}
-
 // A0 returns a factory for the Definition 3.1 oracle; the experiment
 // installs the workload's probability vector.
 func A0() Factory { return func(b int) policy.Cache { return policy.NewA0(b) } }
@@ -116,8 +100,8 @@ func A0() Factory { return func(b int) policy.Cache { return policy.NewA0(b) } }
 func Belady() Factory { return func(b int) policy.Cache { return policy.NewBelady(b) } }
 
 // FactoryByName resolves a policy name as used by the CLI tools:
-// lru-1/lru, lru-2, lru-3, ..., lfu, fifo, mru, clock, gclock, 2q, arc,
-// lrd, fbr, slru, lirs, tinylfu, random, a0, b0/opt.
+// lru-1/lru, lru-2, lru-3, ..., lfu, fifo, clock, 2q, arc, fbr, slru,
+// lirs, tinylfu, a0, b0 (aliases opt, belady).
 func FactoryByName(name string) (Factory, error) {
 	switch name {
 	case "lru", "lru-1":
@@ -126,18 +110,12 @@ func FactoryByName(name string) (Factory, error) {
 		return LFU(), nil
 	case "fifo":
 		return FIFO(), nil
-	case "mru":
-		return MRU(), nil
 	case "clock":
 		return Clock(), nil
-	case "gclock":
-		return GClock(2, 8), nil
 	case "2q":
 		return TwoQ(), nil
 	case "arc":
 		return ARC(), nil
-	case "lrd":
-		return LRD(), nil
 	case "fbr":
 		return FBR(), nil
 	case "slru":
@@ -146,8 +124,6 @@ func FactoryByName(name string) (Factory, error) {
 		return LIRS(), nil
 	case "tinylfu", "w-tinylfu":
 		return TinyLFU(), nil
-	case "random":
-		return Random(1), nil
 	case "a0":
 		return A0(), nil
 	case "b0", "opt", "belady":

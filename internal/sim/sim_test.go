@@ -23,9 +23,9 @@ func TestResultHitRatio(t *testing.T) {
 }
 
 func TestFactoryByName(t *testing.T) {
-	known := []string{"lru", "lru-1", "lru-2", "lru-7", "lfu", "fifo", "mru",
-		"clock", "gclock", "2q", "arc", "lrd", "fbr", "slru", "lirs", "tinylfu",
-		"random", "a0", "b0", "opt", "belady"}
+	known := []string{"lru", "lru-1", "lru-2", "lru-7", "lfu", "fifo",
+		"clock", "2q", "arc", "fbr", "slru", "lirs", "tinylfu", "w-tinylfu",
+		"a0", "b0", "opt", "belady"}
 	for _, name := range known {
 		f, err := FactoryByName(name)
 		if err != nil {
@@ -37,7 +37,9 @@ func TestFactoryByName(t *testing.T) {
 			t.Errorf("%q: capacity %d", name, c.Capacity())
 		}
 	}
-	for _, name := range []string{"", "bogus", "lru-0", "lru-x"} {
+	// mru, gclock, lrd and random were deleted baselines: no table or
+	// experiment ran them, and their names must not resolve.
+	for _, name := range []string{"", "bogus", "lru-0", "lru-x", "mru", "gclock", "lrd", "random"} {
 		if _, err := FactoryByName(name); err == nil {
 			t.Errorf("FactoryByName(%q) accepted", name)
 		}
@@ -215,7 +217,8 @@ func TestTable42Shape(t *testing.T) {
 	}
 }
 
-// TestKSweepApproachesA0 checks the §4.1 in-text claim with increasing K.
+// TestKSweepApproachesA0 checks the §4.1 in-text claim from K=2 to K=3,
+// the range over which it holds on the paper's measurement window.
 func TestKSweepApproachesA0(t *testing.T) {
 	tb := RunKSweep(100, 4, 3, 7)
 	row := tb.Rows[0]
