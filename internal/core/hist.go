@@ -127,6 +127,9 @@ type histTable struct {
 	// as popping with retire = retire[1:] used to.
 	retire     []retired
 	retireHead int
+	// free holds up to freeMax purged blocks for admit to reuse: with a RIP
+	// live, nearly every cold miss purges one block and admits another.
+	free []*hist
 	// onPurge, when set, is called for each history block the retention
 	// demon drops; the generic cache uses it to release key bindings.
 	onPurge func(policy.PageID)
@@ -261,7 +264,13 @@ func (t *histTable) admit(p policy.PageID, now policy.Tick, candidate bool) *his
 	h, ok := t.pages[p]
 	if !ok {
 		// "allocate HIST(p); for i := 2 to K do HIST(p,i) := 0"
-		h = &hist{times: make([]policy.Tick, t.k), page: p}
+		if n := len(t.free); n > 0 {
+			h, t.free = t.free[n-1], t.free[:n-1]
+			clear(h.times)
+			*h = hist{times: h.times, page: p}
+		} else {
+			h = &hist{times: make([]policy.Tick, t.k), page: p}
+		}
 		t.pages[p] = h
 	} else {
 		// History survives from a previous residency (§2.1.2): shift it so
@@ -396,8 +405,10 @@ func (t *histTable) purge() {
 	}
 }
 
-// dropHistory deletes the (non-resident) history control block h and fires
-// the purge hooks and counter.
+const freeMax = 1024
+
+// dropHistory deletes the (non-resident) history control block h, fires
+// the purge hooks and counter, and recycles the block.
 func (t *histTable) dropHistory(h *hist) {
 	delete(t.pages, h.page)
 	t.purges++
@@ -406,6 +417,11 @@ func (t *histTable) dropHistory(h *hist) {
 	}
 	if t.onPurge != nil {
 		t.onPurge(h.page)
+	}
+	// A block retired and then purged before a batching table's sync is
+	// still dirty and filed: sync must unfile it under this page id.
+	if !h.dirty && !h.filed && len(t.free) < freeMax {
+		t.free = append(t.free, h)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
@@ -263,26 +264,8 @@ func runBruteDifferential(t *testing.T, k int, opts Options, seed uint64, pages 
 		(opts.RetainedInformationPeriod > 0) != (st.Purges > 0) {
 		t.Errorf("seed %d: sequence did not exercise evictions, stale hits, collapses and purges: %+v, %d dropped", seed, st, dropped)
 	}
-	for _, tbl := range []*histTable{plain.table, ring.r.table} {
-		checkIndex(t, tbl)
-		if tbl.clock != brute.clock {
-			t.Errorf("seed %d: clock %d, brute force %d", seed, tbl.clock, brute.clock)
-		}
-		for p, blk := range brute.blocks {
-			h, ok := tbl.pages[p]
-			if !ok {
-				t.Fatalf("seed %d: page %d has no HIST block", seed, p)
-			}
-			if h.last != blk.last || h.resident != blk.resident || h.candidate != blk.evictable {
-				t.Fatalf("seed %d: page %d: block %+v, brute force %+v", seed, p, *h, *blk)
-			}
-			for i := range blk.times {
-				if h.times[i] != blk.times[i] {
-					t.Fatalf("seed %d: page %d: HIST %v, brute force %v", seed, p, h.times, blk.times)
-				}
-			}
-		}
-	}
+	checkAgainstBrute(t, plain.table, brute)
+	checkAgainstBrute(t, ring.r.table, brute)
 	// Drain: the full remaining eviction order.
 	for {
 		want, wantOK := brute.Evict()
@@ -297,3 +280,212 @@ func runBruteDifferential(t *testing.T, k int, opts Options, seed uint64, pages 
 		}
 	}
 }
+
+// checkAgainstBrute asserts tbl's victim index is exact (checkIndex) and
+// that it holds the model's blocks, no others, with the model's clock and
+// every HIST, LAST, residency and candidacy value.
+func checkAgainstBrute(t *testing.T, tbl *histTable, brute *bruteReplacer) {
+	t.Helper()
+	checkIndex(t, tbl)
+	if tbl.clock != brute.clock {
+		t.Errorf("clock %d, brute force %d", tbl.clock, brute.clock)
+	}
+	if len(tbl.pages) != len(brute.blocks) {
+		t.Errorf("%d HIST blocks, brute force %d", len(tbl.pages), len(brute.blocks))
+	}
+	for p, blk := range brute.blocks {
+		h, ok := tbl.pages[p]
+		if !ok {
+			t.Fatalf("page %d has no HIST block", p)
+		}
+		if h.last != blk.last || h.resident != blk.resident || h.candidate != blk.evictable {
+			t.Fatalf("page %d: block %+v, brute force %+v", p, *h, *blk)
+		}
+		for i := range blk.times {
+			if h.times[i] != blk.times[i] {
+				t.Fatalf("page %d: HIST %v, brute force %v", p, h.times, blk.times)
+			}
+		}
+	}
+}
+
+// TestRecycledBlocksAgainstBruteForce walks a SyncReplacer through both
+// fates of a purged HIST block, in lockstep with the brute-force model.
+// A victim retired by Evict and purged by a tick of the next drain is
+// still dirty and filed when it leaves the table: it must not be recycled,
+// or a page admitted in the same drain would take it over and the sync
+// would look for the old entry under the new page id. A block removed in
+// one drain and purged in the next is clean and is reused by the next
+// admission.
+func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
+	const a, b, c, d, e = policy.PageID(1), policy.PageID(2), policy.PageID(3), policy.PageID(4), policy.PageID(5)
+	opts := Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2}
+	s := newSyncReplacer(2, opts, 64) // drains only when the test flushes
+	brute := newBruteReplacer(2, opts)
+	access := func(p policy.PageID) {
+		brute.RecordAccess(p, false)
+		brute.SetEvictable(p, true)
+		s.RecordAccess(p)
+		s.SetEvictable(p, true)
+	}
+	hit := func(p policy.PageID) {
+		brute.RecordAccess(p, true)
+		s.RecordHit(p)
+	}
+	evict := func(want policy.PageID) {
+		t.Helper()
+		if v, ok := brute.Evict(); !ok || v != want {
+			t.Fatalf("brute force evicted (%d,%v), want %d", v, ok, want)
+		}
+		if v, ok := s.Evict(); !ok || v != want {
+			t.Fatalf("SyncReplacer evicted (%d,%v), want %d", v, ok, want)
+		}
+	}
+	table := s.r.table
+
+	access(a) // tick 1
+	access(b) // tick 2
+	access(c) // tick 3
+	evict(a)  // flush; a retired, dirty and filed until the next sync
+	hit(b)    // tick 4 purges a (LAST 1) before this drain's sync
+	access(d) // tick 5: a fresh block, not a's
+	s.Size()  // drain and sync
+	if got := s.PolicyStats().Purges; got != 1 {
+		t.Fatalf("purges = %d, want a's", got)
+	}
+	if len(table.free) != 0 {
+		t.Fatalf("a's block, purged while filed, was recycled")
+	}
+	checkAgainstBrute(t, table, brute)
+
+	brute.Remove(d)
+	s.Remove(d) // retired at LAST 5, synced clean at this drain's end
+	s.Size()
+	dBlock := table.pages[d]
+	for i := 0; i < 3; i++ {
+		hit(b) // ticks 6-8; tick 8 purges d
+	}
+	access(e) // tick 9 reuses d's block
+	s.Size()
+	if table.pages[e] != dBlock || len(table.free) != 0 {
+		t.Fatalf("e did not reuse d's purged block (free list %d)", len(table.free))
+	}
+	checkAgainstBrute(t, table, brute)
+	for {
+		want, wantOK := brute.Evict()
+		v, ok := s.Evict()
+		if v != want || ok != wantOK {
+			t.Fatalf("final order: SyncReplacer (%d,%v), brute force (%d,%v)", v, ok, want, wantOK)
+		}
+		if !ok {
+			break
+		}
+	}
+}
+
+// TestConcurrentHistoryLinearises checks that whatever interleaving many
+// goroutines produce, the replacer behaves as the plain Replacer and the
+// brute-force model would on ONE serial history — the order events entered
+// the ring. The drain hook and the tracer both run under the replacer's
+// mutex, so together they record that history (applied events, with each
+// victim selection at the point it happened); replaying it must reproduce
+// every victim, the policy counters, every surviving block and the full
+// final eviction order. Both periods are live, so the Correlated Reference
+// Period is judged in ring-order ticks, and purged blocks are recycled.
+func TestConcurrentHistoryLinearises(t *testing.T) {
+	const (
+		pages   = 48
+		evictOp = uint8(255) // history marker: Evict selected this page
+	)
+	for _, crp := range []policy.Tick{2, 8} {
+		t.Run(fmt.Sprintf("CRP=%d", crp), func(t *testing.T) {
+			opts := Options{CorrelatedReferencePeriod: crp, RetainedInformationPeriod: 40}
+			s := newSyncReplacer(2, opts, 16)
+			var history []event
+			s.drainHook = func(evs []event) { history = append(history, evs...) }
+			s.SetTracer(victimRecorder(func(p policy.PageID) {
+				history = append(history, event{page: p, kind: evictOp})
+			}))
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := stats.NewRNG(uint64(100 + g))
+					for i := 0; i < 3000; i++ {
+						stormOp(s, rng, pages)
+					}
+				}(g)
+			}
+			wg.Wait()
+			got := s.PolicyStats() // drains the tail of the ring into history
+			s.SetTracer(nil)
+			s.drainHook = nil
+
+			plain := NewReplacer(2, opts)
+			brute := newBruteReplacer(2, opts)
+			dropped := uint64(0)
+			for i, e := range history {
+				switch e.kind {
+				case evAccess:
+					brute.RecordAccess(e.page, false)
+					plain.RecordAccess(e.page)
+				case evHit:
+					// The documented difference: a stale hit costs a tick and
+					// nothing else.
+					if brute.RecordAccess(e.page, true) {
+						plain.table.tick()
+						dropped++
+					} else {
+						plain.RecordAccess(e.page)
+					}
+				case evEvictOn, evEvictOff:
+					brute.SetEvictable(e.page, e.kind == evEvictOn)
+					plain.SetEvictable(e.page, e.kind == evEvictOn)
+				case evRestore:
+					brute.Restore(e.page)
+					plain.Restore(e.page)
+				case evRemove:
+					brute.Remove(e.page)
+					plain.Remove(e.page)
+				case evictOp:
+					v1, ok1 := plain.Evict()
+					v2, ok2 := brute.Evict()
+					if !ok1 || v1 != e.page || !ok2 || v2 != e.page {
+						t.Fatalf("history step %d: replay evicted (%d,%v), brute force (%d,%v), the concurrent run chose %d",
+							i, v1, ok1, v2, ok2, e.page)
+					}
+				}
+			}
+			if want := plain.PolicyStats(); got != want {
+				t.Errorf("policy stats %+v, want the serial replay's %+v", got, want)
+			}
+			st := s.BatchStats()
+			if st.Dropped != dropped {
+				t.Errorf("Dropped = %d, the replay saw %d stale hits", st.Dropped, dropped)
+			}
+			if st.Drains == 0 || got.Evictions == 0 || got.Collapses == 0 || got.Purges == 0 {
+				t.Errorf("storm did not exercise drains, evictions, collapses and purges: %+v %+v", st, got)
+			}
+			checkAgainstBrute(t, s.r.table, brute)
+			for {
+				want, wantOK := brute.Evict()
+				v1, ok1 := plain.Evict()
+				v2, ok2 := s.Evict()
+				if v1 != want || ok1 != wantOK || v2 != want || ok2 != wantOK {
+					t.Fatalf("final order: replay (%d,%v), concurrent (%d,%v), brute force (%d,%v)", v1, ok1, v2, ok2, want, wantOK)
+				}
+				if !wantOK {
+					break
+				}
+			}
+		})
+	}
+}
+
+// victimRecorder is a PolicyTracer that reports only victim selections.
+type victimRecorder func(policy.PageID)
+
+func (f victimRecorder) TraceEvict(p policy.PageID, _, _ policy.Tick, _ bool) { f(p) }
+func (victimRecorder) TraceCollapse(policy.PageID, policy.Tick)               {}
+func (victimRecorder) TracePurge(policy.PageID, policy.Tick)                  {}

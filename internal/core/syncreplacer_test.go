@@ -384,100 +384,3 @@ func TestBatchedConcurrentDrainSafety(t *testing.T) {
 		t.Errorf("Size = %d after drain, want 0", got)
 	}
 }
-
-// TestConcurrentHistoryLinearises checks that whatever interleaving many
-// goroutines produce, the replacer behaves as the plain Replacer would on
-// ONE serial history — the order events entered the ring. The drain hook
-// and the tracer both run under the replacer's mutex, so together they
-// record that history (applied events, with each victim selection at the
-// point it happened); replaying it through a plain Replacer must reproduce
-// every victim, the policy counters and the full final eviction order.
-func TestConcurrentHistoryLinearises(t *testing.T) {
-	const (
-		pages   = 48
-		evictOp = uint8(255) // history marker: Evict selected this page
-	)
-	opts := Options{CorrelatedReferencePeriod: 2, RetainedInformationPeriod: 40}
-	s := newSyncReplacer(2, opts, 16)
-	var history []event
-	s.drainHook = func(evs []event) { history = append(history, evs...) }
-	s.SetTracer(victimRecorder(func(p policy.PageID) {
-		history = append(history, event{page: p, kind: evictOp})
-	}))
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := stats.NewRNG(uint64(100 + g))
-			for i := 0; i < 3000; i++ {
-				stormOp(s, rng, pages)
-			}
-		}(g)
-	}
-	wg.Wait()
-	got := s.PolicyStats() // drains the tail of the ring into history
-	s.SetTracer(nil)
-	s.drainHook = nil
-	checkIndex(t, s.r.table)
-
-	plain := NewReplacer(2, opts)
-	dropped := uint64(0)
-	for i, e := range history {
-		h, ok := plain.table.pages[e.page]
-		resident := ok && h.resident
-		switch e.kind {
-		case evAccess:
-			plain.RecordAccess(e.page)
-		case evHit:
-			if !resident {
-				// The documented difference: the stale hit costs a tick and
-				// nothing else.
-				plain.table.tick()
-				dropped++
-				break
-			}
-			plain.RecordAccess(e.page)
-		case evEvictOn:
-			plain.SetEvictable(e.page, true)
-		case evEvictOff:
-			plain.SetEvictable(e.page, false)
-		case evRestore:
-			plain.Restore(e.page)
-		case evRemove:
-			plain.Remove(e.page)
-		case evictOp:
-			if v, ok := plain.Evict(); !ok || v != e.page {
-				t.Fatalf("history step %d: replay evicted (%d,%v), the concurrent run chose %d", i, v, ok, e.page)
-			}
-		}
-	}
-	if want := plain.PolicyStats(); got != want {
-		t.Errorf("policy stats %+v, want the serial replay's %+v", got, want)
-	}
-	st := s.BatchStats()
-	if st.Dropped != dropped {
-		t.Errorf("Dropped = %d, the replay saw %d stale hits", st.Dropped, dropped)
-	}
-	if st.Drains == 0 || got.Evictions == 0 || got.Collapses == 0 || got.Purges == 0 {
-		t.Errorf("storm did not exercise drains, evictions, collapses and purges: %+v %+v", st, got)
-	}
-	for {
-		v1, ok1 := plain.Evict()
-		v2, ok2 := s.Evict()
-		if v1 != v2 || ok1 != ok2 {
-			t.Fatalf("final eviction order diverged: replay (%d,%v) vs concurrent (%d,%v)", v1, ok1, v2, ok2)
-		}
-		if !ok1 {
-			break
-		}
-	}
-}
-
-// victimRecorder is a PolicyTracer that reports only victim selections.
-type victimRecorder func(policy.PageID)
-
-func (f victimRecorder) TraceEvict(p policy.PageID, _, _ policy.Tick, _ bool) { f(p) }
-func (victimRecorder) TraceCollapse(policy.PageID, policy.Tick)               {}
-func (victimRecorder) TracePurge(policy.PageID, policy.Tick)                  {}

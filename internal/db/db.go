@@ -41,13 +41,9 @@ type Config struct {
 	// discussion centres on 101 frames (root + all leaf pages + 1).
 	Frames int
 	// K is the LRU-K history depth of the pool's replacer (1 = classical
-	// LRU). Default 2.
+	// LRU). Default 2. The replacer's §2.1 periods are not configurable:
+	// Open derives them from Frames and K.
 	K int
-	// ReplacerOptions are the §2.1 periods for the replacer.
-	ReplacerOptions core.Options
-	// RecordSize is the customer record size in bytes; the paper uses
-	// 2000, packing two records per 4 KByte page. Default 2000.
-	RecordSize int
 	// Backend, when non-nil, is the storage backend the database runs on —
 	// typically storage/file's durable store. The database I/Os through
 	// exactly this value (adding only the instrumentation stage when Obs or
@@ -88,6 +84,10 @@ type Config struct {
 	// evictionTraceSize lets this package's reconciliation tests retain
 	// every policy decision record; zero selects evictionTraceDefault.
 	evictionTraceSize int
+	// recordSize is the customer record size in bytes; this package's tests
+	// shrink it. Zero selects the paper's 2000, two records per 4 KByte
+	// page.
+	recordSize int
 }
 
 // evictionTraceDefault caps the policy decision trace ring (evictions, CRP
@@ -98,11 +98,19 @@ func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = 2
 	}
-	if c.RecordSize == 0 {
-		c.RecordSize = 2000
+	if c.recordSize == 0 {
+		c.recordSize = 2000
 	}
 	return c
 }
+
+// correlatedReferencePeriod is the replacer's §2.1.1 time-out in ticks,
+// counted in the order the replacer's event ring applies references. It
+// spans UpdateCustomerCtx's read-then-write of one record page (one tick
+// apart when alone) plus the references other in-flight requests make in
+// between, about three each: with 32 concurrent updaters over 100 frames,
+// over 96 % of the pairs still collapse. The RIP is core.DefaultRIP(Frames, K).
+const correlatedReferencePeriod = 8
 
 // catalogPage is the durable catalog's fixed page id: the first page a
 // fresh durable database allocates, before the B-tree root. Its image
@@ -146,8 +154,8 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("db: K must be at least 1, got %d", cfg.K)
 	}
-	if cfg.RecordSize <= 8 || cfg.RecordSize > heapfile.MaxRecord {
-		return nil, fmt.Errorf("db: record size %d outside (8, %d]", cfg.RecordSize, heapfile.MaxRecord)
+	if cfg.recordSize <= 8 || cfg.recordSize > heapfile.MaxRecord {
+		return nil, fmt.Errorf("db: record size %d outside (8, %d]", cfg.recordSize, heapfile.MaxRecord)
 	}
 	// The storage stack is the caller's backend (or a fresh simulated
 	// disk), plus one instrumentation stage when Obs or Spans asks for it.
@@ -157,7 +165,10 @@ func Open(cfg Config) (*DB, error) {
 		backend = sim.New(sim.ServiceModel{})
 	}
 	durable, _ := backend.(storage.DurableBackend)
-	repl := core.NewSyncReplacer(cfg.K, cfg.ReplacerOptions)
+	repl := core.NewSyncReplacer(cfg.K, core.Options{
+		CorrelatedReferencePeriod: correlatedReferencePeriod,
+		RetainedInformationPeriod: core.DefaultRIP(cfg.Frames, cfg.K),
+	})
 	var poolMetrics bufferpool.Metrics
 	var evTrace *obs.EvictionTrace
 	var corruptionHook func(policy.PageID, storage.CorruptKind, bool)
@@ -266,8 +277,8 @@ func (db *DB) attach() error {
 	if magic != catalogMagic {
 		return fmt.Errorf("db: catalog page has no valid checkpoint (magic %x) — the store crashed before its first FlushAll", magic)
 	}
-	if recSize != db.cfg.RecordSize {
-		return fmt.Errorf("db: store was checkpointed with record size %d, configured %d", recSize, db.cfg.RecordSize)
+	if recSize != db.cfg.recordSize {
+		return fmt.Errorf("db: store was checkpointed with record size %d, configured %d", recSize, db.cfg.recordSize)
 	}
 	idx, err := btree.Attach(db.pool, root)
 	if err != nil {
@@ -312,7 +323,7 @@ func (db *DB) writeCatalogCtx(ctx context.Context) error {
 	copy(data[:8], catalogMagic[:])
 	binary.LittleEndian.PutUint64(data[8:16], uint64(db.index.Root()))
 	binary.LittleEndian.PutUint64(data[16:24], uint64(db.count.Load()))
-	binary.LittleEndian.PutUint64(data[24:32], uint64(db.cfg.RecordSize))
+	binary.LittleEndian.PutUint64(data[24:32], uint64(db.cfg.recordSize))
 	// Flushed while still pinned, like a durable update's record page: an
 	// eviction between an unpin and a flush by id would fail the publish.
 	err = pg.FlushCtx(ctx)
@@ -368,7 +379,7 @@ func (db *DB) LoadCustomers(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("db: customer count must be positive, got %d", n)
 	}
-	rec := make([]byte, db.cfg.RecordSize)
+	rec := make([]byte, db.cfg.recordSize)
 	for id := int64(0); id < int64(n); id++ {
 		binary.LittleEndian.PutUint64(rec, uint64(id))
 		rid, err := db.customers.Insert(rec)

@@ -20,8 +20,8 @@ func TestOpenValidation(t *testing.T) {
 		{Frames: 0},
 		{Frames: -1},
 		{Frames: 10, K: -2},
-		{Frames: 10, RecordSize: 4},
-		{Frames: 10, RecordSize: 1 << 20},
+		{Frames: 10, recordSize: 4},
+		{Frames: 10, recordSize: 1 << 20},
 	}
 	for i, cfg := range cases {
 		if _, err := Open(cfg); err == nil {
@@ -37,7 +37,7 @@ func TestOpenValidation(t *testing.T) {
 }
 
 func TestLoadAndLookup(t *testing.T) {
-	db, err := Open(Config{Frames: 50, RecordSize: 100})
+	db, err := Open(Config{Frames: 50, recordSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPageGeometryMatchesPaper(t *testing.T) {
 }
 
 func TestUpdateCustomer(t *testing.T) {
-	db, err := Open(Config{Frames: 32, RecordSize: 64})
+	db, err := Open(Config{Frames: 32, recordSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestUpdateCustomer(t *testing.T) {
 }
 
 func TestScanCustomers(t *testing.T) {
-	db, err := Open(Config{Frames: 16, RecordSize: 100})
+	db, err := Open(Config{Frames: 16, recordSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestExample11Discrimination(t *testing.T) {
 // goroutines at once; every record must come back intact.
 func TestConcurrentLookups(t *testing.T) {
 	const customers = 500
-	db, err := Open(Config{Frames: 64, RecordSize: 100})
+	db, err := Open(Config{Frames: 64, recordSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -62,12 +61,8 @@ func scrape(t *testing.T, srv *httptest.Server) map[string]float64 {
 func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
 	database, err := Open(Config{
-		Frames: 16,
-		K:      2,
-		ReplacerOptions: core.Options{
-			CorrelatedReferencePeriod: 2,
-			RetainedInformationPeriod: 100,
-		},
+		Frames:            16,
+		K:                 2,
 		Obs:               reg,
 		evictionTraceSize: 1 << 20, // retain everything; kind counts must reconcile
 	})
