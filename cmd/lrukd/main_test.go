@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/bufferpool"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -183,7 +184,6 @@ func TestRunObservabilityPlane(t *testing.T) {
 		"lruk_pool_sweep_victims_count",
 		"lruk_disk_read_seconds_count",
 		"lruk_policy_evictions_total",
-		"lruk_policy_trace_records_total",
 		"lruk_server_request_seconds_count",
 		"lruk_server_queue_wait_seconds_count",
 		`quantile="0.99"`,
@@ -367,6 +367,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // callers need different values for it. db.Config has no replacer periods
 // (db.Open derives them from Frames and K) and no record size (only db's
 // own tests shrink it, through an unexported field).
+//
+// The replacer's surface is ratcheted the same way, by what its callers
+// use. bufferpool.Replacer has 5 methods: admission (RecordAccess) and
+// Restore make a page a victim candidate, so the pool never calls
+// SetEvictable. core.PolicyTracer has 1: victim selection is the one
+// decision worth a trace record; collapses and purges are PolicyStats
+// counters. PolicyStats is the one stats read, so neither replacer has
+// Size or HistorySize.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		cfg  any
@@ -404,6 +412,24 @@ func TestOptionSurface(t *testing.T) {
 	}
 	if flags != 18 {
 		t.Errorf("lrukd defines %d flags, want 18; usage:\n%s", flags, stderr.String())
+	}
+	for _, c := range []struct {
+		iface any
+		want  int
+	}{
+		{(*bufferpool.Replacer)(nil), 5},
+		{(*core.PolicyTracer)(nil), 1},
+	} {
+		if typ := reflect.TypeOf(c.iface).Elem(); typ.NumMethod() != c.want {
+			t.Errorf("%v has %d methods, want %d", typ, typ.NumMethod(), c.want)
+		}
+	}
+	for _, repl := range []any{&core.Replacer{}, &core.SyncReplacer{}} {
+		for _, name := range []string{"Size", "HistorySize"} {
+			if _, ok := reflect.TypeOf(repl).MethodByName(name); ok {
+				t.Errorf("%T has %s; PolicyStats is the one stats read", repl, name)
+			}
+		}
 	}
 }
 

@@ -236,13 +236,13 @@ func TestBatchedDeletePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.Unpin(false)
-	// The admission and its evictability mark are still buffered;
-	// DeletePage buffers the removal behind them in the same FIFO.
+	// The admission is still buffered; DeletePage buffers the removal
+	// behind it in the same FIFO.
 	if err := p.DeletePage(id); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Size(); got != 0 {
-		t.Errorf("deleted page still evictable: Size = %d", got)
+	if got := r.PolicyStats().Evictable; got != 0 {
+		t.Errorf("deleted page still evictable: Evictable = %d", got)
 	}
 	if _, err := p.Fetch(id); err == nil {
 		t.Error("fetch of deallocated page succeeded")

@@ -53,22 +53,20 @@ type BreakerConfig = storage.BreakerConfig
 // core.SyncReplacer implements it.
 type Replacer interface {
 	// RecordAccess notes the reference that makes p resident (a miss read
-	// or a fresh allocation), admitting p if the replacer does not hold it.
+	// or a fresh allocation), admitting p as a victim candidate if the
+	// replacer does not hold it. This is the one time the pool tells the
+	// replacer a page may be evicted: it never reports a pin or unpin, so
+	// Evict may return a pinned page, which the pool skips and restores.
 	RecordAccess(p policy.PageID)
 	// RecordHit notes a reference to a page the caller has pinned. A
 	// replacer that applies references late must drop the hit, not admit
 	// the page, if an eviction search removed p in the meantime (the pool
 	// will Restore it): an abandoned eviction is not a reference.
 	RecordHit(p policy.PageID)
-	// SetEvictable marks whether p is a victim candidate. The pool calls it
-	// with true exactly where a page becomes resident or is restored, never
-	// on pin or unpin: Evict may therefore return a pinned page, which the
-	// pool skips and restores.
-	SetEvictable(p policy.PageID, evictable bool)
-	// Restore reinstates residency for a page whose eviction was abandoned
-	// (the victim was pinned, or its write-back failed). It must not
-	// count as a reference: the page's history stays exactly as it was
-	// before Evict removed it.
+	// Restore reinstates residency and candidacy for a page whose eviction
+	// was abandoned (the victim was pinned, or its write-back failed). It
+	// must not count as a reference: the page's history stays exactly as
+	// it was before Evict removed it.
 	Restore(p policy.PageID)
 	// Evict selects and removes a victim; ok is false if none is evictable.
 	Evict() (policy.PageID, bool)
@@ -414,9 +412,6 @@ func (p *Pool) FastHits() uint64 {
 
 // NumFrames returns the pool capacity in frames.
 func (p *Pool) NumFrames() int { return len(p.frames) }
-
-// NumShards returns the number of page-table latch partitions.
-func (p *Pool) NumShards() int { return len(p.shards) }
 
 // Resident reports whether page id currently occupies a frame (including
 // one whose read is still in flight, but not a victim mid write-back).

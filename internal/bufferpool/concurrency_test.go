@@ -447,7 +447,4 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{shards: 3})
 	}()
-	if p := New(d, 4, core.NewSyncReplacer(2, core.Options{})); p.NumShards() < 1 {
-		t.Error("NumShards not positive")
-	}
 }

@@ -179,14 +179,14 @@ func (p *Pool) traceEviction(ctx context.Context, victim policy.PageID) {
 // restoreVictim re-registers a page in the replacer after an eviction
 // attempt was abandoned (the page was pinned, or its write-back failed):
 // Evict had already removed it, and without re-registration the page could
-// never be chosen again. Restore reinstates residency without fabricating
-// a reference — recording a phantom access here would reset the page's
-// Backward K-distance and could keep an otherwise-cold page resident. The
-// shard's shared latch holds the mapping still across the check and the
-// two calls: DeletePage removes the page from the replacer under the
-// exclusive latch, so its Remove lands either before the check (which
-// then fails) or after the Restore — never in between, where it would
-// leave the replacer holding a page the pool does not.
+// never be chosen again. Restore reinstates residency and candidacy without
+// fabricating a reference — recording a phantom access here would reset the
+// page's Backward K-distance and could keep an otherwise-cold page resident.
+// The shard's shared latch holds the mapping still across the check and the
+// call: DeletePage removes the page from the replacer under the exclusive
+// latch, so its Remove lands either before the check (which then fails) or
+// after the Restore — never in between, where it would leave the replacer
+// holding a page the pool does not.
 func (p *Pool) restoreVictim(id policy.PageID, f *frame) {
 	sh := p.shardOf(id)
 	sh.mu.RLock()
@@ -195,7 +195,6 @@ func (p *Pool) restoreVictim(id policy.PageID, f *frame) {
 		return // the page moved on (deleted or reloaded elsewhere)
 	}
 	p.replacer.Restore(id)
-	p.replacer.SetEvictable(id, true)
 }
 
 // DeletePage evicts page id from the pool (it must be unpinned) and

@@ -323,21 +323,15 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		}
 		return Page{}, false, err
 	}
-	p.admit(id)
+	// Admission makes the page a victim candidate while the caller still
+	// holds its pin: a sweep that selects it meanwhile finds the pin count
+	// positive and skips it.
+	p.replacer.RecordAccess(id)
 	f.state.Store(frameResident)
 	close(f.done)
 	hotPublish(sh, id, f)
 	sh.misses.Add(1)
 	return Page{pool: p, id: id, f: f, valid: true}, false, nil
-}
-
-// admit records the reference that makes id resident and marks the page a
-// victim candidate — the one time the pool tells the replacer so. The
-// caller still holds its pin; a sweep that selects the page meanwhile finds
-// the pin count positive and skips it.
-func (p *Pool) admit(id policy.PageID) {
-	p.replacer.RecordAccess(id)
-	p.replacer.SetEvictable(id, true)
 }
 
 // NewPage allocates a fresh disk page, pins it in a frame and returns the
@@ -379,7 +373,7 @@ func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 	sh.table[id] = f // id is fresh: no prior mapping can exist
 	sh.mu.Unlock()
 	hotPublish(sh, id, f)
-	p.admit(id)
+	p.replacer.RecordAccess(id)
 	sh.misses.Add(1) // a new page is by definition not buffer-resident
 	return Page{pool: p, id: id, f: f, valid: true}, nil
 }

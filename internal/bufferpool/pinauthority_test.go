@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/leakcheck"
@@ -39,8 +40,6 @@ func (l *selectionLog) TraceEvict(p policy.PageID, clock, kdist policy.Tick, inf
 	}
 	l.picks = append(l.picks, selection{page: p, histK: clock - kdist})
 }
-func (*selectionLog) TraceCollapse(policy.PageID, policy.Tick) {}
-func (*selectionLog) TracePurge(policy.PageID, policy.Tick)    {}
 
 // touch fetches and releases id.
 func touch(t *testing.T, p *Pool, id policy.PageID, dirty bool) {
@@ -295,9 +294,11 @@ func TestPinAuthorityStress(t *testing.T) {
 					pg.Data()[0] = byte(g)
 					pg.Unpin(true)
 					// A concurrent FlushAll pins the page in passing, and a
-					// pinned page cannot be deleted: try again.
+					// pinned page cannot be deleted: try again, for a time
+					// rather than a count, since under -race on a loaded
+					// host the flusher can sit descheduled holding the pin.
 					err = p.DeletePage(id)
-					for tries := 0; err != nil && tries < 1000; tries++ {
+					for deadline := time.Now().Add(10 * time.Second); err != nil && time.Now().Before(deadline); {
 						runtime.Gosched()
 						err = p.DeletePage(id)
 					}

@@ -28,11 +28,15 @@ type Serial struct {
 // SerialReplacer is the single-threaded policy contract Serial drives, all
 // of it under Serial's own mutex. The plain core.Replacer implements it.
 type SerialReplacer interface {
-	// RecordAccess notes a reference to a (newly or already) resident page.
+	// RecordAccess notes a reference to a (newly or already) resident page;
+	// admission makes the page a victim candidate.
 	RecordAccess(p policy.PageID)
+	// SetEvictable carries Serial's pin protocol: false after every
+	// reference (the caller now holds a pin), true when the pin count
+	// returns to zero.
 	SetEvictable(p policy.PageID, evictable bool)
-	// Restore reinstates a victim whose write-back failed, without counting
-	// as a reference.
+	// Restore reinstates a victim whose write-back failed as a candidate,
+	// without counting as a reference.
 	Restore(p policy.PageID)
 	Evict() (policy.PageID, bool)
 	Remove(p policy.PageID)
@@ -197,7 +201,6 @@ func (p *Serial) obtainFrame() (int, error) {
 			// concurrent Pool's retry/quarantine protocol is the hardened
 			// path.
 			p.replacer.Restore(victim)
-			p.replacer.SetEvictable(victim, true)
 			p.stats.WriteErrors++
 			return 0, fmt.Errorf("writing back victim %d: %w", victim, err)
 		}

@@ -356,7 +356,7 @@ func (s *cacheShard[K, V]) put(key K, value V) (evicted uint64, admitted bool) {
 		if evicted = s.makeRoom(); s.resident >= s.capacity {
 			return evicted, false
 		}
-		s.table.admit(id, now, true)
+		s.table.admit(id, now)
 		if e == nil {
 			e = &cacheEntry[K, V]{key: key}
 			s.byID[id] = e
@@ -373,7 +373,7 @@ func (s *cacheShard[K, V]) put(key K, value V) (evicted uint64, admitted bool) {
 	id := s.nextID
 	s.byKey[key] = id
 	s.byID[id] = &cacheEntry[K, V]{key: key, value: value, live: true}
-	s.table.admit(id, now, true)
+	s.table.admit(id, now)
 	s.resident++
 	return evicted, true
 }

@@ -120,11 +120,15 @@ type histTable struct {
 	// candidates counts blocks with candidate set — the index's size once
 	// synced.
 	candidates int
-	// retire is the lazily-validated retention queue, ordered by the LAST
-	// value the page had when it left residency. retireHead indexes its
-	// logical front; popped slack is compacted away (see retirePop) so a
-	// retirement burst cannot pin its peak-sized backing array forever,
-	// as popping with retire = retire[1:] used to.
+	// retire is the lazily-validated retention queue, a FIFO in the order
+	// pages left residency — not sorted by LAST: a page retired later may
+	// carry an older LAST (a block evicted long after its last reference).
+	// purge stops at the first entry still inside the Retained Information
+	// Period, so a block is retained for at least the RIP, and longer while
+	// a younger entry is ahead of it. retireHead indexes the logical front;
+	// popped slack is compacted away (see retirePop) so a retirement burst
+	// cannot pin its peak-sized backing array forever, as popping with
+	// retire = retire[1:] used to.
 	retire     []retired
 	retireHead int
 	// free holds up to freeMax purged blocks for admit to reuse: with a RIP
@@ -134,10 +138,6 @@ type histTable struct {
 	// demon drops; the generic cache uses it to release key bindings.
 	onPurge func(policy.PageID)
 
-	// tracer, when set, receives collapse/purge decisions (evictions are
-	// reported by the owning Replacer, which knows the K-distance). Called
-	// under whatever lock serialises this table.
-	tracer PolicyTracer
 	// collapses and purges count §2.1.1 collapses and §2.1.2 purges; plain
 	// uint64s because the table is externally serialised.
 	collapses uint64
@@ -235,9 +235,6 @@ func (t *histTable) touch(h *hist, now policy.Tick) {
 		// A correlated reference: only LAST moves (§2.1.1).
 		h.last = now
 		t.collapses++
-		if t.tracer != nil {
-			t.tracer.TraceCollapse(h.page, now)
-		}
 		return
 	}
 	// A new, uncorrelated reference: close the correlated period by
@@ -256,11 +253,10 @@ func (t *histTable) touch(h *hist, now policy.Tick) {
 	}
 }
 
-// admit installs page p as resident at time now, creating or shifting its
-// history control block per the bottom branch of Figure 2.1, and returns
-// its block. candidate says whether the page may be chosen as a victim at
-// once (the Replacer defers that to SetEvictable).
-func (t *histTable) admit(p policy.PageID, now policy.Tick, candidate bool) *hist {
+// admit installs page p as a resident victim candidate at time now,
+// creating or shifting its history control block per the bottom branch of
+// Figure 2.1, and returns its block.
+func (t *histTable) admit(p policy.PageID, now policy.Tick) *hist {
 	h, ok := t.pages[p]
 	if !ok {
 		// "allocate HIST(p); for i := 2 to K do HIST(p,i) := 0"
@@ -282,7 +278,7 @@ func (t *histTable) admit(p policy.PageID, now policy.Tick, candidate bool) *his
 	h.times[0] = now
 	h.last = now
 	h.resident = true
-	t.setCandidate(h, candidate)
+	t.setCandidate(h, true)
 	return h
 }
 
@@ -408,13 +404,10 @@ func (t *histTable) purge() {
 const freeMax = 1024
 
 // dropHistory deletes the (non-resident) history control block h, fires
-// the purge hooks and counter, and recycles the block.
+// the purge hook and counter, and recycles the block.
 func (t *histTable) dropHistory(h *hist) {
 	delete(t.pages, h.page)
 	t.purges++
-	if t.tracer != nil {
-		t.tracer.TracePurge(h.page, t.clock)
-	}
 	if t.onPurge != nil {
 		t.onPurge(h.page)
 	}

@@ -69,7 +69,7 @@ func TestRetireQueueMemoryBounded(t *testing.T) {
 	tbl := newHistTable(2, 0, policy.Tick(1<<40))
 	for i := 0; i < burst; i++ {
 		p := policy.PageID(i)
-		h := tbl.admit(p, tbl.tick(), false)
+		h := tbl.admit(p, tbl.tick())
 		tbl.retireResident(h)
 	}
 	if got := tbl.retireLen(); got != burst {
@@ -102,7 +102,7 @@ func TestRetireQueueBoundedUnderSteadyChurn(t *testing.T) {
 	maxCap := 0
 	for i := 0; i < 1<<16; i++ {
 		p := policy.PageID(i)
-		h := tbl.admit(p, tbl.tick(), false)
+		h := tbl.admit(p, tbl.tick())
 		tbl.retireResident(h)
 		if c := cap(tbl.retire); c > maxCap {
 			maxCap = c
@@ -122,7 +122,7 @@ func TestDropOldestRetainedCompacts(t *testing.T) {
 	tbl := newHistTable(2, 0, 1<<40) // RIP so large nothing purges on tick
 	for i := 0; i < burst; i++ {
 		p := policy.PageID(i)
-		h := tbl.admit(p, tbl.tick(), false)
+		h := tbl.admit(p, tbl.tick())
 		tbl.retireResident(h)
 	}
 	peak := cap(tbl.retire)
@@ -143,18 +143,41 @@ func TestDropOldestRetainedCompacts(t *testing.T) {
 
 // TestRetireQueueStaleEntriesStillSkipped re-checks the lazy-validation
 // protocol through the new queue plumbing: a page readmitted after
-// retirement must not be purged by its stale queue entry.
+// retirement must not be purged by its stale queue entry, and an aged-out
+// entry waits for the ones retired ahead of it.
 func TestRetireQueueStaleEntriesStillSkipped(t *testing.T) {
 	const rip = 10
 	tbl := newHistTable(1, 0, rip)
-	h := tbl.admit(1, tbl.tick(), false)
+	h := tbl.admit(1, tbl.tick())
 	tbl.retireResident(h)
 	// Readmit before the entry expires: the queued entry goes stale.
-	tbl.admit(1, tbl.tick(), false)
+	tbl.admit(1, tbl.tick())
 	for i := 0; i < 4*rip; i++ {
 		tbl.tick()
 	}
 	if hh, ok := tbl.pages[1]; !ok || !hh.resident {
 		t.Error("resident page purged through its stale retirement entry")
+	}
+
+	// The queue is FIFO by retirement, not sorted by LAST. With K = 2 and
+	// RIP 5, X (LAST 4) retires ahead of Y (LAST 3): Y is held at clock 9,
+	// age 6 > RIP, behind X at age 5, and both go at clock 10.
+	const x, y = policy.PageID(2), policy.PageID(3)
+	tbl = newHistTable(2, 0, 5)
+	tbl.tick()
+	tbl.tick()
+	hy := tbl.admit(y, tbl.tick())
+	hx := tbl.admit(x, tbl.tick())
+	tbl.retireResident(hx)
+	tbl.retireResident(hy)
+	for tbl.clock < 9 {
+		tbl.tick()
+	}
+	if _, held := tbl.pages[y]; !held {
+		t.Error("Y purged at clock 9 from behind X, which is still inside the RIP")
+	}
+	tbl.tick()
+	if n := tbl.historyLen(); n != 0 {
+		t.Errorf("%d blocks held at clock 10, want X and Y both purged", n)
 	}
 }

@@ -111,7 +111,7 @@ func (c *LRUK) Reference(p policy.PageID) bool {
 	if c.resident >= c.capacity {
 		c.evict(now)
 	}
-	c.table.admit(p, now, true)
+	c.table.admit(p, now)
 	c.resident++
 	return false
 }

@@ -8,10 +8,12 @@ import (
 
 // Replacer is the buffer-pool-facing form of LRU-K: a victim selector over
 // pages whose residency, pinning and eviction are controlled externally by
-// a buffer-pool manager. Pages marked evictable=false are never chosen as
-// victims. The Serial reference pool flips the mark on every pin count
-// zero-crossing; the concurrent Pool sets it once, when a page becomes
-// resident, and skips the victims it finds pinned.
+// a buffer-pool manager. A page becomes a victim candidate when it is
+// admitted (RecordAccess of a page not resident) or restored; pages marked
+// evictable=false are never chosen. The Serial reference pool clears the
+// mark on every pin and sets it again when the pin count returns to zero;
+// the concurrent Pool never touches it, and skips the victims it finds
+// pinned.
 //
 // This is the shape a real database engine embeds (the paper's prototype
 // inside the Amdahl Huron buffer manager); the trace simulator uses the
@@ -23,6 +25,8 @@ type Replacer struct {
 	table *histTable
 	// evictions counts victim selections (see PolicyStats).
 	evictions uint64
+	// tracer, when set, receives every victim selection.
+	tracer PolicyTracer
 }
 
 // NewReplacer returns an LRU-K replacer for a pool with the given history
@@ -36,10 +40,10 @@ func NewReplacer(k int, opts Options) *Replacer {
 
 // RecordAccess notes a reference to page p, which the pool has made (or is
 // about to make) resident. It advances the logical clock by one reference.
+// A page not yet resident is admitted as a victim candidate.
 func (r *Replacer) RecordAccess(p policy.PageID) {
 	if !r.recordHit(p) {
-		// New residency; pages enter pinned, so not a candidate yet.
-		r.table.admit(p, r.table.clock, false)
+		r.table.admit(p, r.table.clock)
 	}
 }
 
@@ -65,13 +69,13 @@ func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
 	}
 }
 
-// Restore reinstates page p as resident after an eviction was abandoned
-// (the buffer pool found the victim pinned, or its dirty write-back
-// failed and the data exists only in memory). Unlike RecordAccess it does
-// not advance the clock and leaves the HIST block exactly as it was before
-// Evict removed it: the abandonment is not a page reference, and
-// fabricating one would corrupt the page's Backward K-distance. The page
-// becomes a victim candidate again only through a later SetEvictable.
+// Restore reinstates page p as a resident victim candidate after an
+// eviction was abandoned (the buffer pool found the victim pinned, or its
+// dirty write-back failed and the data exists only in memory). Unlike
+// RecordAccess it does not advance the clock and leaves the HIST block
+// exactly as it was before Evict removed it: the abandonment is not a page
+// reference, and fabricating one would corrupt the page's Backward
+// K-distance.
 //
 // If the history block was purged between Evict and Restore (possible
 // under a short Retained Information Period), a fresh block is allocated
@@ -79,7 +83,7 @@ func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
 func (r *Replacer) Restore(p policy.PageID) {
 	h, ok := r.table.pages[p]
 	if !ok {
-		r.table.admit(p, r.table.clock, false)
+		r.table.admit(p, r.table.clock)
 		return
 	}
 	if h.resident {
@@ -88,6 +92,7 @@ func (r *Replacer) Restore(p policy.PageID) {
 	// The retirement entry Evict queued stays behind as a stale record; the
 	// retention demon's lazy validation skips it while the page is resident.
 	h.resident = true
+	r.table.setCandidate(h, true)
 }
 
 // Evict selects, removes and returns the victim page: the evictable page
@@ -99,11 +104,11 @@ func (r *Replacer) Evict() (policy.PageID, bool) {
 		return policy.InvalidPage, false
 	}
 	r.evictions++
-	if tr := r.table.tracer; tr != nil {
+	if r.tracer != nil {
 		// The Backward K-distance (Definition 2.1) that justified the choice;
 		// retiring the block changed neither its HIST nor the clock.
 		kdist, finite := r.table.backwardKDistance(victim)
-		tr.TraceEvict(victim, r.table.clock, kdist, !finite)
+		r.tracer.TraceEvict(victim, r.table.clock, kdist, !finite)
 	}
 	return victim, true
 }
@@ -117,15 +122,9 @@ func (r *Replacer) Remove(p policy.PageID) {
 	}
 }
 
-// Size returns the number of evictable pages.
-func (r *Replacer) Size() int { return r.table.candidates }
-
-// HistorySize returns the number of retained history control blocks.
-func (r *Replacer) HistorySize() int { return r.table.historyLen() }
-
 // SetTracer installs (or, with nil, removes) a PolicyTracer receiving this
-// replacer's eviction, collapse and purge decisions.
-func (r *Replacer) SetTracer(tr PolicyTracer) { r.table.tracer = tr }
+// replacer's victim selections.
+func (r *Replacer) SetTracer(tr PolicyTracer) { r.tracer = tr }
 
 // PolicyStats returns the replacer's cumulative decision counts and current
 // table sizes.

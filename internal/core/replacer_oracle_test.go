@@ -49,7 +49,7 @@ func (b *bruteReplacer) admit(p policy.PageID) {
 		copy(blk.times[1:], blk.times)
 	}
 	blk.times[0], blk.last = b.clock, b.clock
-	blk.resident, blk.evictable = true, false
+	blk.resident, blk.evictable = true, true
 }
 
 func (b *bruteReplacer) leave(p policy.PageID, blk *bruteBlock) {
@@ -100,8 +100,8 @@ func (b *bruteReplacer) SetEvictable(p policy.PageID, evictable bool) {
 func (b *bruteReplacer) Restore(p policy.PageID) {
 	if blk, ok := b.blocks[p]; !ok {
 		b.admit(p)
-	} else {
-		blk.resident = true
+	} else if !blk.resident {
+		blk.resident, blk.evictable = true, true
 	}
 }
 
@@ -150,7 +150,7 @@ func (b *bruteReplacer) further(p policy.PageID, x *bruteBlock, q policy.PageID,
 	return p < q
 }
 
-func (b *bruteReplacer) Size() int {
+func (b *bruteReplacer) evictable() int {
 	n := 0
 	for _, blk := range b.blocks {
 		if blk.evictable {
@@ -163,7 +163,7 @@ func (b *bruteReplacer) Size() int {
 // TestReplacersMatchBruteForce drives the plain Replacer, a SyncReplacer
 // with a tiny ring and the brute-force model through the same random
 // RecordAccess / RecordHit / SetEvictable / Restore / Remove / Evict
-// sequences. Every victim, every Size, the history footprint, the dropped-
+// sequences. Every victim, every candidate count, the history footprint, the dropped-
 // hit count and every surviving HIST/LAST value must agree, across K,
 // Correlated Reference Period and Retained Information Period.
 func TestReplacersMatchBruteForce(t *testing.T) {
@@ -244,14 +244,14 @@ func runBruteDifferential(t *testing.T, k int, opts Options, seed uint64, pages 
 			ring.Restore(v)
 		}
 		if op%13 == 0 {
-			want := brute.Size()
-			if g1, g2 := plain.Size(), ring.Size(); g1 != want || g2 != want {
-				t.Fatalf("seed %d op %d: Size: Replacer %d, SyncReplacer %d, brute force %d", seed, op, g1, g2, want)
+			want := brute.evictable()
+			if g1, g2 := plain.PolicyStats().Evictable, ring.PolicyStats().Evictable; g1 != want || g2 != want {
+				t.Fatalf("seed %d op %d: Evictable: Replacer %d, SyncReplacer %d, brute force %d", seed, op, g1, g2, want)
 			}
 		}
 	}
-	if g1, g2, want := plain.HistorySize(), ring.HistorySize(), len(brute.blocks); g1 != want || g2 != want {
-		t.Errorf("seed %d: HistorySize: Replacer %d, SyncReplacer %d, brute force %d", seed, g1, g2, want)
+	if g1, g2, want := plain.PolicyStats().HistoryBlocks, ring.PolicyStats().HistoryBlocks, len(brute.blocks); g1 != want || g2 != want {
+		t.Errorf("seed %d: HistoryBlocks: Replacer %d, SyncReplacer %d, brute force %d", seed, g1, g2, want)
 	}
 	if got := ring.BatchStats().Dropped; got != dropped {
 		t.Errorf("seed %d: SyncReplacer dropped %d stale hits, brute force %d", seed, got, dropped)
@@ -324,9 +324,7 @@ func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 	brute := newBruteReplacer(2, opts)
 	access := func(p policy.PageID) {
 		brute.RecordAccess(p, false)
-		brute.SetEvictable(p, true)
 		s.RecordAccess(p)
-		s.SetEvictable(p, true)
 	}
 	hit := func(p policy.PageID) {
 		brute.RecordAccess(p, true)
@@ -343,14 +341,13 @@ func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 	}
 	table := s.r.table
 
-	access(a) // tick 1
-	access(b) // tick 2
-	access(c) // tick 3
-	evict(a)  // flush; a retired, dirty and filed until the next sync
-	hit(b)    // tick 4 purges a (LAST 1) before this drain's sync
-	access(d) // tick 5: a fresh block, not a's
-	s.Size()  // drain and sync
-	if got := s.PolicyStats().Purges; got != 1 {
+	access(a)                                    // tick 1
+	access(b)                                    // tick 2
+	access(c)                                    // tick 3
+	evict(a)                                     // flush; a retired, dirty and filed until the next sync
+	hit(b)                                       // tick 4 purges a (LAST 1) before this drain's sync
+	access(d)                                    // tick 5: a fresh block, not a's
+	if got := s.PolicyStats().Purges; got != 1 { // drain and sync
 		t.Fatalf("purges = %d, want a's", got)
 	}
 	if len(table.free) != 0 {
@@ -360,13 +357,13 @@ func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 
 	brute.Remove(d)
 	s.Remove(d) // retired at LAST 5, synced clean at this drain's end
-	s.Size()
+	s.PolicyStats()
 	dBlock := table.pages[d]
 	for i := 0; i < 3; i++ {
 		hit(b) // ticks 6-8; tick 8 purges d
 	}
 	access(e) // tick 9 reuses d's block
-	s.Size()
+	s.PolicyStats()
 	if table.pages[e] != dBlock || len(table.free) != 0 {
 		t.Fatalf("e did not reuse d's purged block (free list %d)", len(table.free))
 	}
@@ -483,9 +480,7 @@ func TestConcurrentHistoryLinearises(t *testing.T) {
 	}
 }
 
-// victimRecorder is a PolicyTracer that reports only victim selections.
+// victimRecorder is a PolicyTracer that reports the victim's page alone.
 type victimRecorder func(policy.PageID)
 
 func (f victimRecorder) TraceEvict(p policy.PageID, _, _ policy.Tick, _ bool) { f(p) }
-func (victimRecorder) TraceCollapse(policy.PageID, policy.Tick)               {}
-func (victimRecorder) TracePurge(policy.PageID, policy.Tick)                  {}

@@ -10,26 +10,23 @@ func TestReplacerPinSemantics(t *testing.T) {
 	r := NewReplacer(2, Options{})
 	r.RecordAccess(1)
 	r.RecordAccess(2)
-	// Nothing evictable yet: pages enter pinned.
+	// Admission makes a page a victim candidate.
+	if got := r.PolicyStats().Evictable; got != 2 {
+		t.Fatalf("Evictable = %d after two admissions, want 2", got)
+	}
+	r.SetEvictable(1, false)
+	r.SetEvictable(2, false)
 	if _, ok := r.Evict(); ok {
 		t.Fatal("Evict succeeded with all pages pinned")
 	}
-	if r.Size() != 0 {
-		t.Fatalf("Size = %d, want 0", r.Size())
-	}
-	r.SetEvictable(1, true)
+	// Unpin 2 only; it is the one victim.
 	r.SetEvictable(2, true)
-	if r.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", r.Size())
-	}
-	// Re-pin 1; only 2 is evictable.
-	r.SetEvictable(1, false)
 	victim, ok := r.Evict()
 	if !ok || victim != 2 {
 		t.Fatalf("Evict = %d,%v, want 2,true", victim, ok)
 	}
-	if r.Size() != 0 {
-		t.Fatalf("Size after evict = %d, want 0", r.Size())
+	if got := r.PolicyStats().Evictable; got != 0 {
+		t.Fatalf("Evictable after evict = %d, want 0", got)
 	}
 }
 
@@ -40,9 +37,6 @@ func TestReplacerBackwardKOrder(t *testing.T) {
 	r.RecordAccess(1) // t=2
 	r.RecordAccess(2) // t=3
 	r.RecordAccess(3) // t=4
-	for _, p := range []policy.PageID{1, 2, 3} {
-		r.SetEvictable(p, true)
-	}
 	// Victims in order: 2 (∞, older), 3 (∞, newer), then 1 (finite).
 	want := []policy.PageID{2, 3, 1}
 	for i, w := range want {
@@ -57,8 +51,6 @@ func TestReplacerAccessRefreshesOrder(t *testing.T) {
 	r := NewReplacer(1, Options{})
 	r.RecordAccess(1)
 	r.RecordAccess(2)
-	r.SetEvictable(1, true)
-	r.SetEvictable(2, true)
 	// Touch 1 again: its last uncorrelated reference is now the most
 	// recent, so 2 becomes the LRU victim among the ∞-distance pages.
 	r.RecordAccess(1)
@@ -73,17 +65,17 @@ func TestReplacerSetEvictableIdempotent(t *testing.T) {
 	r.RecordAccess(1)
 	r.SetEvictable(1, true)
 	r.SetEvictable(1, true)
-	if r.Size() != 1 {
-		t.Fatalf("Size = %d after double SetEvictable(true)", r.Size())
+	if got := r.PolicyStats().Evictable; got != 1 {
+		t.Fatalf("Evictable = %d after double SetEvictable(true)", got)
 	}
 	r.SetEvictable(1, false)
 	r.SetEvictable(1, false)
-	if r.Size() != 0 {
-		t.Fatalf("Size = %d after double SetEvictable(false)", r.Size())
+	if got := r.PolicyStats().Evictable; got != 0 {
+		t.Fatalf("Evictable = %d after double SetEvictable(false)", got)
 	}
 	// Unknown pages are tolerated.
 	r.SetEvictable(99, true)
-	if r.Size() != 0 {
+	if got := r.PolicyStats().Evictable; got != 0 {
 		t.Fatal("SetEvictable admitted an unknown page")
 	}
 }
@@ -92,11 +84,9 @@ func TestReplacerRemove(t *testing.T) {
 	r := NewReplacer(2, Options{})
 	r.RecordAccess(1)
 	r.RecordAccess(2)
-	r.SetEvictable(1, true)
-	r.SetEvictable(2, true)
 	r.Remove(1)
-	if r.Size() != 1 {
-		t.Fatalf("Size after Remove = %d, want 1", r.Size())
+	if got := r.PolicyStats().Evictable; got != 1 {
+		t.Fatalf("Evictable after Remove = %d, want 1", got)
 	}
 	victim, ok := r.Evict()
 	if !ok || victim != 2 {
@@ -110,17 +100,14 @@ func TestReplacerRemove(t *testing.T) {
 func TestReplacerHistorySurvivesEviction(t *testing.T) {
 	r := NewReplacer(2, Options{})
 	r.RecordAccess(1) // t=1
-	r.SetEvictable(1, true)
 	if v, _ := r.Evict(); v != 1 {
 		t.Fatal("setup eviction failed")
 	}
 	r.RecordAccess(2) // t=2
 	r.RecordAccess(1) // t=3: readmitted; HIST shifts to [3,1]
-	if r.HistorySize() < 2 {
-		t.Fatalf("HistorySize = %d, want >= 2", r.HistorySize())
+	if got := r.PolicyStats().HistoryBlocks; got < 2 {
+		t.Fatalf("HistoryBlocks = %d, want >= 2", got)
 	}
-	r.SetEvictable(1, true)
-	r.SetEvictable(2, true)
 	// Page 1 now has a finite backward 2-distance; page 2 is infinite, so 2
 	// must be the victim even though 1 was referenced longer ago first.
 	victim, ok := r.Evict()
@@ -135,9 +122,6 @@ func TestReplacerCRP(t *testing.T) {
 	r.RecordAccess(2) // t=2
 	r.RecordAccess(3) // t=3
 	r.RecordAccess(4) // t=4
-	for _, p := range []policy.PageID{1, 2, 3, 4} {
-		r.SetEvictable(p, true)
-	}
 	// At clock 4, pages 2,3,4 are inside the CRP (4-last <= 3); only page 1
 	// (4-1 > 3) is eligible.
 	victim, ok := r.Evict()

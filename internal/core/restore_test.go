@@ -17,9 +17,7 @@ func TestRestorePreservesHistory(t *testing.T) {
 	// Page 1: two uncorrelated references (finite Backward K-distance).
 	// Page 2: one reference (infinite distance, so it sorts as victim).
 	r.RecordAccess(1)
-	r.SetEvictable(1, true)
 	r.RecordAccess(2)
-	r.SetEvictable(2, true)
 	r.RecordAccess(1)
 
 	victim, ok := r.Evict()
@@ -38,7 +36,6 @@ func TestRestorePreservesHistory(t *testing.T) {
 		t.Fatalf("Evict = (%d, %v), want page 1", victim, ok)
 	}
 	r.Restore(1)
-	r.SetEvictable(1, true)
 
 	if r.table.clock != clockBefore {
 		t.Errorf("clock advanced %d -> %d across an abandoned eviction", clockBefore, r.table.clock)
@@ -71,7 +68,6 @@ func TestRestoreVictimOrderMatchesUndisturbedReplacer(t *testing.T) {
 		r := NewReplacer(2, Options{})
 		for _, p := range []policy.PageID{1, 2, 3, 1, 2, 3, 2} {
 			r.RecordAccess(p)
-			r.SetEvictable(p, true)
 		}
 		return r
 	}
@@ -81,7 +77,6 @@ func TestRestoreVictimOrderMatchesUndisturbedReplacer(t *testing.T) {
 		t.Fatal("nothing evictable")
 	}
 	disturbed.Restore(v)
-	disturbed.SetEvictable(v, true)
 	for i := 0; i < 3; i++ {
 		dv, dok := disturbed.Evict()
 		cv, cok := control.Evict()
@@ -97,13 +92,14 @@ func TestRestoreVictimOrderMatchesUndisturbedReplacer(t *testing.T) {
 func TestRestoreAfterPurge(t *testing.T) {
 	r := NewReplacer(2, Options{RetainedInformationPeriod: 2})
 	r.RecordAccess(1)
-	r.SetEvictable(1, true)
 	if v, ok := r.Evict(); !ok || v != 1 {
 		t.Fatalf("Evict = (%d, %v)", v, ok)
 	}
-	// Tick the clock past the RIP so page 1's retired block is purged.
+	// Tick the clock past the RIP so page 1's retired block is purged; the
+	// pages doing it stay pinned.
 	for p := policy.PageID(2); p < 8; p++ {
 		r.RecordAccess(p)
+		r.SetEvictable(p, false)
 	}
 	if _, ok := r.table.pages[1]; ok {
 		t.Fatal("test setup: history block survived the purge")
@@ -113,9 +109,8 @@ func TestRestoreAfterPurge(t *testing.T) {
 	if !ok || !h.resident {
 		t.Fatal("Restore after purge did not re-create residency")
 	}
-	r.SetEvictable(1, true)
-	if r.Size() != 1 {
-		t.Errorf("Size = %d after restore, want 1 (only page 1 is evictable)", r.Size())
+	if got := r.PolicyStats().Evictable; got != 1 {
+		t.Errorf("Evictable = %d after restore, want 1 (only page 1 is evictable)", got)
 	}
 	if v, ok := r.Evict(); !ok || v != 1 {
 		t.Errorf("Evict after restore-from-purge = (%d, %v), want page 1", v, ok)
@@ -123,16 +118,15 @@ func TestRestoreAfterPurge(t *testing.T) {
 }
 
 // TestRestoreDelegation exercises Restore through the concurrent
-// replacer's event ring.
+// replacer's event ring: a restored page is a victim candidate again with
+// no further call.
 func TestRestoreDelegation(t *testing.T) {
 	r := NewSyncReplacer(2, Options{})
 	r.RecordAccess(9)
-	r.SetEvictable(9, true)
 	if v, ok := r.Evict(); !ok || v != 9 {
 		t.Fatalf("Evict = (%d, %v)", v, ok)
 	}
 	r.Restore(9)
-	r.SetEvictable(9, true)
 	if v, ok := r.Evict(); !ok || v != 9 {
 		t.Errorf("restored page not evictable again: (%d, %v)", v, ok)
 	}

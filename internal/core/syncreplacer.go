@@ -29,10 +29,10 @@ import (
 //     pool on this replacer agrees bit-exactly with the Serial
 //     reference pool (internal/bufferpool/serial_test.go) on a plain
 //     Replacer.
-//  3. Flush before deciding. Evict, Size, HistorySize and PolicyStats
-//     drain the ring and read the table in one critical section, so a
-//     victim is never chosen on a window staler than the call itself and
-//     the table's clock at the decision is the arrival clock.
+//  3. Flush before deciding. Evict and PolicyStats drain the ring and
+//     read the table in one critical section, so a victim is never chosen
+//     on a window staler than the call itself and the table's clock at the
+//     decision is the arrival clock.
 //
 // The one deliberate difference from an eager replacer is RecordHit: a
 // buffered hit whose page left residency before the drain is dropped, not
@@ -111,9 +111,9 @@ func (s *SyncReplacer) enqueue(p policy.PageID, kind uint8) {
 	s.mu.Unlock()
 }
 
-// RecordAccess notes a reference to page p, admitting it if it is not
-// resident — the reference a pool records for a miss read or a fresh
-// allocation.
+// RecordAccess notes a reference to page p, admitting it as a victim
+// candidate if it is not resident — the reference a pool records for a
+// miss read or a fresh allocation.
 func (s *SyncReplacer) RecordAccess(p policy.PageID) { s.enqueue(p, evAccess) }
 
 // RecordHit notes a reference to a page the caller holds resident. If the
@@ -131,8 +131,8 @@ func (s *SyncReplacer) SetEvictable(p policy.PageID, evictable bool) {
 	}
 }
 
-// Restore reinstates residency after an abandoned eviction without
-// advancing the clock or touching the page's HIST block.
+// Restore reinstates residency and candidacy after an abandoned eviction
+// without advancing the clock or touching the page's HIST block.
 func (s *SyncReplacer) Restore(p policy.PageID) { s.enqueue(p, evRestore) }
 
 // Remove drops p without treating it as an eviction decision.
@@ -151,22 +151,6 @@ func (s *SyncReplacer) Evict() (policy.PageID, bool) {
 	defer s.mu.Unlock()
 	s.flush()
 	return s.r.Evict()
-}
-
-// Size returns the number of evictable pages.
-func (s *SyncReplacer) Size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flush()
-	return s.r.Size()
-}
-
-// HistorySize returns the number of retained history control blocks.
-func (s *SyncReplacer) HistorySize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flush()
-	return s.r.HistorySize()
 }
 
 // PolicyStats returns the replacer's decision counts and table sizes.

@@ -35,30 +35,25 @@ func TestSyncReplacerMatchesPlain(t *testing.T) {
 				t.Fatalf("op %d: Evict = (%d,%v) vs plain (%d,%v)", i, v2, ok2, v1, ok1)
 			}
 		}
-		if plain.Size() != wrapped.Size() {
-			t.Fatalf("op %d: Size diverged: %d vs %d", i, wrapped.Size(), plain.Size())
+		if got, want := wrapped.PolicyStats(), plain.PolicyStats(); got != want {
+			t.Fatalf("op %d: PolicyStats diverged: %+v vs %+v", i, got, want)
 		}
-	}
-	if plain.HistorySize() != wrapped.HistorySize() {
-		t.Errorf("HistorySize diverged: %d vs %d", wrapped.HistorySize(), plain.HistorySize())
 	}
 }
 
 // TestRecordAccessAdmitsUnseenPage pins the admitting contract callers
 // outside the pool rely on (bench/probes.go builds its steady state with
-// it): RecordAccess on a page the replacer has never seen makes it
-// resident, and once evictable Evict returns it.
+// it): RecordAccess on a page the replacer has never seen makes it a
+// resident victim candidate, so Evict returns it with no further call.
 func TestRecordAccessAdmitsUnseenPage(t *testing.T) {
 	s := NewSyncReplacer(2, Options{})
 	const p = policy.PageID(11)
 	s.RecordAccess(p)
-	s.SetEvictable(p, true)
 	if v, ok := s.Evict(); !ok || v != p {
 		t.Fatalf("Evict = (%d, %v), want (%d, true)", v, ok, p)
 	}
 	// The same holds for a page with retained history.
 	s.RecordAccess(p)
-	s.SetEvictable(p, true)
 	if v, ok := s.Evict(); !ok || v != p {
 		t.Fatalf("Evict after readmission = (%d, %v), want (%d, true)", v, ok, p)
 	}
@@ -79,9 +74,8 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 	const p = policy.PageID(7)
 
 	s.RecordAccess(p)
-	s.SetEvictable(p, true)
-	if got := s.Size(); got != 1 {
-		t.Fatalf("Size after admission flush = %d, want 1", got)
+	if got := s.PolicyStats().Evictable; got != 1 {
+		t.Fatalf("Evictable after admission flush = %d, want 1", got)
 	}
 
 	s.RecordHit(p)
@@ -92,8 +86,8 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 		t.Fatalf("Evict = (%d, %v), want (%d, true)", v, ok, p)
 	}
 
-	if got := s.Size(); got != 0 {
-		t.Errorf("Size after stale drain = %d, want 0", got)
+	if got := s.PolicyStats().Evictable; got != 0 {
+		t.Errorf("Evictable after stale drain = %d, want 0", got)
 	}
 	if got := s.BatchStats().Dropped; got != 1 {
 		t.Errorf("Dropped = %d, want 1 (stale hit not discarded)", got)
@@ -176,8 +170,6 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						plain.Restore(v1)
 						batched.Restore(v2)
-						plain.SetEvictable(v1, true)
-						batched.SetEvictable(v2, true)
 						resident[v1] = true
 					}
 				}
@@ -193,9 +185,6 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 		}
 		if got, want := batched.PolicyStats(), plain.PolicyStats(); got != want {
 			t.Errorf("seed %d: policy stats %+v, want unbatched %+v", seed, got, want)
-		}
-		if got, want := batched.HistorySize(), plain.HistorySize(); got != want {
-			t.Errorf("seed %d: history size %d, want %d", seed, got, want)
 		}
 		if st := batched.BatchStats(); st.Drains == 0 {
 			t.Errorf("seed %d: the tiny ring never filled: %+v", seed, st)
@@ -237,11 +226,9 @@ func TestPurgedAndReadmittedWithinOneDrain(t *testing.T) {
 		s := NewSyncReplacer(2, Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2})
 		s.RecordAccess(a) // tick 1
 		s.RecordAccess(b) // tick 2
-		s.SetEvictable(a, true)
-		s.SetEvictable(b, true)
 		if remove {
-			if got := s.Size(); got != 2 { // flush: both filed
-				t.Fatalf("Size = %d, want 2", got)
+			if got := s.PolicyStats().Evictable; got != 2 { // flush: both filed
+				t.Fatalf("Evictable = %d, want 2", got)
 			}
 			s.Remove(a)
 		} else if v, ok := s.Evict(); !ok || v != a {
@@ -254,8 +241,7 @@ func TestPurgedAndReadmittedWithinOneDrain(t *testing.T) {
 			s.RecordHit(b) // ticks 3, 4, 5
 		}
 		s.RecordAccess(a) // tick 6
-		s.SetEvictable(a, true)
-		if st := s.BatchStats(); st.Events != 4 {
+		if st := s.BatchStats(); st.Events != 2 {
 			t.Fatalf("remove=%v: setup drained mid-sequence: %+v", remove, st)
 		}
 		if got := s.PolicyStats(); got.Purges != 1 || got.Evictable != 2 {
@@ -295,7 +281,6 @@ func TestEvictDecidesAtArrivalClock(t *testing.T) {
 	// HIST(a) = [3,1] and HIST(b) = [4,2], so b_4(a,2) = 3 and b_4(b,2) = 2.
 	for _, p := range []policy.PageID{a, b, a, b} {
 		s.RecordAccess(p)
-		s.SetEvictable(p, true)
 	}
 	if st := s.BatchStats(); st.Events != 0 {
 		t.Fatalf("test setup: events drained before Evict: %+v", st)
@@ -331,14 +316,11 @@ func stormOp(s *SyncReplacer, rng *stats.RNG, pages int) {
 	case 6:
 		if v, ok := s.Evict(); ok && rng.Intn(2) == 0 {
 			s.Restore(v)
-			s.SetEvictable(v, true)
 		}
 	case 7:
 		s.Remove(p)
-	case 8:
-		s.Size()
-	case 9:
-		s.HistorySize()
+	case 8, 9:
+		s.PolicyStats()
 	}
 }
 
@@ -365,8 +347,8 @@ func TestBatchedConcurrentDrainSafety(t *testing.T) {
 	if st.Events == 0 || st.Drains == 0 {
 		t.Errorf("storm recorded no drains: %+v", st)
 	}
-	if got := s.Size(); got < 0 || got > pages {
-		t.Errorf("Size after storm = %d", got)
+	if got := s.PolicyStats().Evictable; got < 0 || got > pages {
+		t.Errorf("Evictable after storm = %d", got)
 	}
 	checkIndex(t, s.r.table)
 	seen := make(map[policy.PageID]bool)
@@ -380,7 +362,7 @@ func TestBatchedConcurrentDrainSafety(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if got := s.Size(); got != 0 {
-		t.Errorf("Size = %d after drain, want 0", got)
+	if got := s.PolicyStats().Evictable; got != 0 {
+		t.Errorf("Evictable = %d after drain, want 0", got)
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import "repro/internal/policy"
 
-// PolicyTracer receives the LRU-K policy decisions that hit/miss counters
-// cannot explain: victim selections with the Backward K-distance that
-// justified them, correlated references collapsed under the Correlated
-// Reference Period (§2.1.1), and history control blocks purged by the
-// retention demon (§2.1.2).
+// PolicyTracer receives the one LRU-K decision hit/miss counters cannot
+// explain: each victim selection, with the Backward K-distance that
+// justified it (Definition 2.2). Correlated-reference collapses (§2.1.1)
+// and retention purges (§2.1.2) are bookkeeping, counted exactly by
+// PolicyStats and not traced.
 //
 // The interface is defined here rather than importing the observability
 // package so core stays dependency-free; internal/db adapts it onto an
@@ -18,11 +18,6 @@ type PolicyTracer interface {
 	// fewer than K uncorrelated references on record and was chosen by the
 	// subsidiary LRU rule.
 	TraceEvict(page policy.PageID, clock, kdist policy.Tick, infinite bool)
-	// TraceCollapse reports a reference absorbed into a correlated burst:
-	// only LAST(p) moved, history did not advance.
-	TraceCollapse(page policy.PageID, clock policy.Tick)
-	// TracePurge reports the retention demon dropping page's history block.
-	TracePurge(page policy.PageID, clock policy.Tick)
 }
 
 // PolicyStats are the cumulative decision counts of one replacer,

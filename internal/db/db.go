@@ -82,7 +82,7 @@ type Config struct {
 	Spans *obs.SpanRecorder
 
 	// evictionTraceSize lets this package's reconciliation tests retain
-	// every policy decision record; zero selects evictionTraceDefault.
+	// every trace record; zero selects evictionTraceDefault.
 	evictionTraceSize int
 	// recordSize is the customer record size in bytes; this package's tests
 	// shrink it. Zero selects the paper's 2000, two records per 4 KByte
@@ -90,8 +90,8 @@ type Config struct {
 	recordSize int
 }
 
-// evictionTraceDefault caps the policy decision trace ring (evictions, CRP
-// collapses, RIP purges) an Obs-instrumented database keeps.
+// evictionTraceDefault caps the eviction trace ring (victim selections and
+// corruption fates) an Obs-instrumented database keeps.
 const evictionTraceDefault = 512
 
 func (c Config) withDefaults() Config {
@@ -135,7 +135,7 @@ type DB struct {
 	customers *heapfile.File
 	index     *btree.Tree
 
-	// evTrace is the policy decision ring (nil unless Config.Obs is set).
+	// evTrace is the eviction trace ring (nil unless Config.Obs is set).
 	evTrace *obs.EvictionTrace
 
 	// closed fences public operations after Close; closeMu serialises Close

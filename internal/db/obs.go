@@ -59,6 +59,9 @@ func newBackendMetrics(r *obs.Registry, stripes int) storage.Metrics {
 }
 
 // policyTraceAdapter bridges core.PolicyTracer onto the obs trace ring.
+// Collapses and purges are not traced: lruk_policy_collapses_total and
+// lruk_policy_purges_total count them, and as records they would push the
+// evictions out of the ring.
 type policyTraceAdapter struct {
 	trace *obs.EvictionTrace
 }
@@ -69,14 +72,6 @@ func (a policyTraceAdapter) TraceEvict(p policy.PageID, clock, kdist policy.Tick
 		kd = obs.KDistInfinite
 	}
 	a.trace.Record(obs.TraceRecord{Kind: obs.TraceEvict, Page: int64(p), Clock: int64(clock), KDist: kd})
-}
-
-func (a policyTraceAdapter) TraceCollapse(p policy.PageID, clock policy.Tick) {
-	a.trace.Record(obs.TraceRecord{Kind: obs.TraceCollapse, Page: int64(p), Clock: int64(clock)})
-}
-
-func (a policyTraceAdapter) TracePurge(p policy.PageID, clock policy.Tick) {
-	a.trace.Record(obs.TraceRecord{Kind: obs.TracePurge, Page: int64(p), Clock: int64(clock)})
 }
 
 // registerObs installs the scrape-time collectors over every counter the
@@ -161,9 +156,6 @@ func (db *DB) registerObs(r *obs.Registry) {
 		func(s core.PolicyStats) float64 { return float64(s.Purges) })
 	r.GaugeFunc("lruk_policy_history_blocks", "HIST blocks held, resident plus retained.", nil,
 		func() float64 { return float64(db.replacer.PolicyStats().HistoryBlocks) })
-	r.CounterFunc("lruk_policy_trace_records_total",
-		"Policy decisions recorded into the eviction trace ring.", nil,
-		func() float64 { return float64(db.evTrace.Seq()) })
 
 	bat := func(name, help string, read func(core.BatchStats) uint64) {
 		r.CounterFunc(name, help, nil, func() float64 { return float64(read(db.replacer.BatchStats())) })
@@ -187,9 +179,9 @@ func (db *DB) registerObs(r *obs.Registry) {
 
 }
 
-// EvictionTrace returns the retained policy decision records, oldest first
-// (nil when Config.Obs was not set). Exposed over the observability HTTP
-// endpoint as /trace.
+// EvictionTrace returns the retained victim selection and corruption
+// records, oldest first (nil when Config.Obs was not set). Exposed over the
+// observability HTTP endpoint as /trace.
 func (db *DB) EvictionTrace() []obs.TraceRecord {
 	return db.evTrace.Snapshot()
 }

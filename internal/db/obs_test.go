@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // scrape fetches /metrics over HTTP and parses every sample line into a
@@ -180,8 +181,9 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		t.Errorf("disk read histogram counts sum to %v, ledger says %d", readObs, snap.Disk.Reads)
 	}
 
-	// Eviction trace: nothing dropped (huge ring), so per-kind record
-	// counts must equal the policy counters exactly.
+	// Eviction trace: nothing dropped (huge ring) and no corruption, so the
+	// ring holds exactly one evict record per victim selection and nothing
+	// else.
 	trace := database.EvictionTrace()
 	kinds := map[obs.TraceKind]uint64{}
 	var lastSeq uint64
@@ -192,14 +194,9 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		lastSeq = rec.Seq
 		kinds[rec.Kind]++
 	}
-	if kinds[obs.TraceEvict] != snap.Policy.Evictions {
-		t.Errorf("trace holds %d evict records, policy counted %d", kinds[obs.TraceEvict], snap.Policy.Evictions)
-	}
-	if kinds[obs.TraceCollapse] != snap.Policy.Collapses {
-		t.Errorf("trace holds %d collapse records, policy counted %d", kinds[obs.TraceCollapse], snap.Policy.Collapses)
-	}
-	if kinds[obs.TracePurge] != snap.Policy.Purges {
-		t.Errorf("trace holds %d purge records, policy counted %d", kinds[obs.TracePurge], snap.Policy.Purges)
+	if kinds[obs.TraceEvict] != snap.Policy.Evictions || uint64(len(trace)) != snap.Policy.Evictions {
+		t.Errorf("trace holds %d records, %d of them evictions; policy counted %d evictions",
+			len(trace), kinds[obs.TraceEvict], snap.Policy.Evictions)
 	}
 	// Every evict record must carry a plausible K-distance: infinite, or
 	// positive and no larger than the clock at the decision.
@@ -229,5 +226,49 @@ func TestObsDisabledByDefault(t *testing.T) {
 	}
 	if tr := database.EvictionTrace(); tr != nil {
 		t.Fatalf("eviction trace must be nil without Config.Obs, got %d records", len(tr))
+	}
+}
+
+// TestEvictionTraceHoldsEvictionsOnly runs the §4.1 two-pool mix through an
+// Obs-instrumented database with the default trace ring. Both §2.1 periods
+// are live, so the replacer collapses correlated pairs and purges retained
+// history many times over; those are counters, and the full ring must
+// still hold victim selections alone, so /trace keeps answering why each
+// recent page was evicted.
+func TestEvictionTraceHoldsEvictionsOnly(t *testing.T) {
+	const customers, ops = 4000, 60000
+	database, err := Open(Config{Frames: 100, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer database.Close()
+	if err := database.LoadCustomers(customers); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(28)
+	pages := workload.NewTwoPool(100, customers/2-100, 28)
+	for i := 0; i < ops; i++ {
+		id := 2*int64(pages.Next()) + int64(rng.Intn(2))
+		if rng.Float64() < 0.1 {
+			err = database.UpdateCustomer(id, byte(i))
+		} else {
+			_, err = database.Lookup(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := database.StatsSnapshot().Policy
+	if st.Evictions < evictionTraceDefault || st.Collapses == 0 || st.Purges == 0 {
+		t.Fatalf("workload did not fill the ring with evictions while collapsing and purging: %+v", st)
+	}
+	trace := database.EvictionTrace()
+	kinds := map[obs.TraceKind]int{}
+	for _, rec := range trace {
+		kinds[rec.Kind]++
+	}
+	if len(trace) != evictionTraceDefault || kinds[obs.TraceEvict] != len(trace) {
+		t.Errorf("ring holds %d records, %d of them evictions (by kind: %v); want all %d evictions",
+			len(trace), kinds[obs.TraceEvict], kinds, evictionTraceDefault)
 	}
 }

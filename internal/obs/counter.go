@@ -69,34 +69,3 @@ func (c *Counter) Value() uint64 {
 	}
 	return total
 }
-
-// Gauge is a point-in-time value: set, add, read. A single atomic suffices
-// — gauges record states (queue depth, resident pages), not high-rate
-// event streams. Methods are safe on a nil *Gauge.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}

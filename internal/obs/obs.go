@@ -1,9 +1,8 @@
 // Package obs is the repository's observability subsystem: a low-overhead
 // metrics layer every storage tier (core policy, disk, buffer pool, db,
-// network server) records into, and three exposition paths read out of —
-// a Prometheus-text /metrics HTTP handler (with net/http/pprof mounted
-// alongside), histogram summaries carried on the STATS wire response, and
-// an optional periodic structured log line.
+// network server) records into, and two exposition paths read out of — a
+// Prometheus-text /metrics HTTP handler (with net/http/pprof mounted
+// alongside) and histogram summaries carried on the STATS wire response.
 //
 // The paper's whole argument is measured behavior (Tables 4.1-4.3 compare
 // hit ratios and disk-access economics across policies); this package is
@@ -13,16 +12,18 @@
 //
 // Design constraints, in order:
 //
-//   - Allocation-free on the hot path. Counter.Add, Gauge.Set and
-//     Histogram.Observe never allocate and take a handful of atomic
-//     operations; BenchmarkObsOverhead holds the combined counter+histogram
-//     record to tens of nanoseconds.
+//   - Allocation-free on the hot path. Counter.Add and Histogram.Observe
+//     never allocate and take a handful of atomic operations;
+//     BenchmarkObsOverhead holds the combined counter+histogram record to
+//     tens of nanoseconds.
 //   - Safe when absent. Every recording method is a no-op on a nil
 //     receiver, so instrumented code paths carry optional *Counter /
 //     *Histogram fields and never branch on a config flag.
 //   - Cheap when scraped. Pre-existing counters (pool shards, disk
 //     atomics, server totals) are exposed through CounterFunc/GaugeFunc
 //     collectors evaluated at scrape time, costing the hot path nothing.
+//     Every gauge is such a collector: a state worth exposing already
+//     lives somewhere.
 //
 // See DESIGN.md §12 for the metric catalog and the histogram bucket
 // scheme.
@@ -90,7 +91,6 @@ type series struct {
 	labels string // rendered label set (series identity within the family)
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	// cFunc / gFunc are scrape-time collectors for values that already
 	// live elsewhere (pool shard counters, disk atomics); they cost the
@@ -164,18 +164,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return s.counter
 }
 
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.lookup(name, KindGauge, help, labels, 0)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.gauge == nil && s.gFunc == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // CounterFunc registers a scrape-time collector as a counter series: fn is
 // evaluated at each exposition, so a counter that already exists as an
 // atomic elsewhere (a pool shard total, a disk ledger) is exposed without
@@ -195,7 +183,6 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s.gFunc = fn
-	s.gauge = nil
 }
 
 // Histogram returns the histogram registered under name+labels, creating

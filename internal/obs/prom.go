@@ -64,11 +64,8 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		return writeSample(w, f.name, s.labels, "", v)
 	case KindGauge:
 		v := 0.0
-		switch {
-		case s.gFunc != nil:
+		if s.gFunc != nil { // nil only while GaugeFunc is registering it
 			v = s.gFunc()
-		case s.gauge != nil:
-			v = float64(s.gauge.Value())
 		}
 		return writeSample(w, f.name, s.labels, "", v)
 	case KindHistogram:

@@ -6,12 +6,14 @@ import (
 )
 
 // This file implements the eviction trace: a fixed-capacity ring buffer of
-// policy decisions (victim chosen, correlated burst collapsed, history
-// block purged) that answers the question hit/miss counters cannot — *why*
-// did LRU-K pick that victim? Each record carries the page, the replacer's
-// logical clock, and the victim's Backward K-distance at the moment of the
-// decision, so a surprising eviction can be audited against Definition 2.2
-// after the fact.
+// victim selections (and detected corruptions) that answers the question
+// hit/miss counters cannot — *why* did LRU-K pick that victim? Each record
+// carries the page, the replacer's logical clock, and the victim's Backward
+// K-distance at the moment of the decision, so a surprising eviction can be
+// audited against Definition 2.2 after the fact. Correlated-reference
+// collapses and retention purges are counters only
+// (lruk_policy_collapses_total, lruk_policy_purges_total): recorded here
+// they outnumbered the evictions and pushed them out of the ring.
 
 // TraceKind classifies one trace record.
 type TraceKind uint8
@@ -22,13 +24,6 @@ const (
 	// with Backward K-distance KDist (KDistInfinite when the page had
 	// fewer than K uncorrelated references on record).
 	TraceEvict TraceKind = iota + 1
-	// TraceCollapse records a correlated reference (§2.1.1): a reference
-	// to Page within the Correlated Reference Period of its previous one,
-	// absorbed into the burst instead of advancing its history.
-	TraceCollapse
-	// TracePurge records the retention demon (§2.1.2) dropping Page's
-	// history control block after its Retained Information Period expired.
-	TracePurge
 	// TraceCorrupt records a detected page corruption and its fate: KDist
 	// carries 1 when the page was repaired in place, 0 when it was
 	// quarantined as unrepairable. Clock carries the corruption kind
@@ -42,10 +37,6 @@ func (k TraceKind) String() string {
 	switch k {
 	case TraceEvict:
 		return "evict"
-	case TraceCollapse:
-		return "collapse"
-	case TracePurge:
-		return "purge"
 	case TraceCorrupt:
 		return "corrupt"
 	}
@@ -63,10 +54,6 @@ func (k *TraceKind) UnmarshalJSON(b []byte) error {
 	switch string(b) {
 	case `"evict"`:
 		*k = TraceEvict
-	case `"collapse"`:
-		*k = TraceCollapse
-	case `"purge"`:
-		*k = TracePurge
 	case `"corrupt"`:
 		*k = TraceCorrupt
 	default:
@@ -80,7 +67,7 @@ func (k *TraceKind) UnmarshalJSON(b []byte) error {
 // pages).
 const KDistInfinite = int64(-1)
 
-// TraceRecord is one policy decision.
+// TraceRecord is one victim selection or corruption fate.
 type TraceRecord struct {
 	// Seq is the record's global sequence number, monotone from 1; gaps
 	// against the oldest retained record tell how much history the ring
@@ -93,7 +80,7 @@ type TraceRecord struct {
 	// decision.
 	Clock int64 `json:"clock"`
 	// KDist is the Backward K-distance for TraceEvict records
-	// (KDistInfinite for ∞); zero for other kinds.
+	// (KDistInfinite for ∞); see TraceCorrupt for its other use.
 	KDist int64 `json:"kdist"`
 }
 
@@ -154,15 +141,4 @@ func (t *EvictionTrace) Snapshot() []TraceRecord {
 		copy(out, t.buf[:t.next])
 	}
 	return out
-}
-
-// Seq returns the sequence number of the most recent record (the total
-// recorded since construction).
-func (t *EvictionTrace) Seq() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
 }

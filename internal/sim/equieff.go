@@ -52,12 +52,6 @@ func EquiEffective(ratio func(buffer int) float64, target float64, startB, maxB 
 	return bisect(ratio, target, lo, loRatio, hi, hiRatio), true
 }
 
-// EquiEffectiveSize is the single-experiment convenience form of
-// EquiEffective for policy factory f on e's trace.
-func (e *Experiment) EquiEffectiveSize(f Factory, target float64, startB, maxB int) (float64, bool) {
-	return EquiEffective(func(b int) float64 { return e.HitRatio(f, b) }, target, startB, maxB)
-}
-
 // bisect narrows (lo, hi] with ratios (loRatio < target <= hiRatio) down to
 // adjacent integers and interpolates.
 func bisect(ratio func(int) float64, target float64, lo int, loRatio float64, hi int, hiRatio float64) float64 {

@@ -33,12 +33,6 @@ func NewTwoPool(n1, n2 int, seed uint64) *TwoPool {
 // Name implements Generator.
 func (g *TwoPool) Name() string { return fmt.Sprintf("two-pool(N1=%d,N2=%d)", g.n1, g.n2) }
 
-// Pool1Size returns N1, the hot pool size.
-func (g *TwoPool) Pool1Size() int { return g.n1 }
-
-// Pool2Size returns N2, the cold pool size.
-func (g *TwoPool) Pool2Size() int { return g.n2 }
-
 // Next implements Generator.
 func (g *TwoPool) Next() policy.PageID {
 	var p policy.PageID
