@@ -6,11 +6,11 @@
 // economics the paper builds on ([GRAYPUT]) are about exactly this trade:
 // memory buffers versus disk arm time.
 //
-// Pages live in memory; durability is storage/file's job. The manager is
-// safe for concurrent use, and concurrently at that: the page store is
-// partitioned into independently latched stripes keyed by PageID hash, and
-// all counters are atomics, so reads and writes to different pages proceed
-// in parallel. The optional ServiceModel.Delay hook injects real latency
+// Pages live in memory outside the Go heap (chunk.go); durability is
+// storage/file's job. The manager is safe for concurrent use, and
+// concurrently at that: the page store is partitioned into independently
+// latched stripes keyed by PageID hash, and all counters are atomics, so
+// reads and writes to different pages proceed in parallel. The optional ServiceModel.Delay hook injects real latency
 // per operation (outside every latch), letting benchmarks exercise a pool's
 // ability to overlap concurrent I/O. Fault injection lives in the
 // backend-agnostic storage.WithFaults wrapper; the manager implements
@@ -21,6 +21,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -64,6 +65,7 @@ func (m ServiceModel) withDefaults() ServiceModel {
 type Manager struct {
 	model   ServiceModel
 	stripes [numStripes]stripe
+	mem     arena
 	nextID  atomic.Int64
 	// lastOp is the page id of the most recent priced operation, for
 	// sequential-access pricing; -1 means none yet. Under concurrency the
@@ -79,21 +81,33 @@ type Manager struct {
 }
 
 type stripe struct {
-	mu    sync.RWMutex
-	pages map[policy.PageID][]byte
+	mu sync.RWMutex
+	// pages is nil once the manager is closed.
+	pages map[policy.PageID]*[PageSize]byte
 	// Pad so adjacent stripe latches do not share a cache line.
 	_ [24]byte
 }
 
 // New returns an empty simulated disk with the given service model (zero
-// value for defaults).
+// value for defaults). A manager that is never closed returns its page
+// memory when the garbage collector finds it unreachable.
 func New(model ServiceModel) *Manager {
 	m := &Manager{model: model.withDefaults()}
 	m.lastOp.Store(int64(policy.InvalidPage))
 	for i := range m.stripes {
-		m.stripes[i].pages = make(map[policy.PageID][]byte)
+		m.stripes[i].pages = make(map[policy.PageID]*[PageSize]byte)
 	}
+	runtime.SetFinalizer(m, (*Manager).Close)
 	return m
+}
+
+// absent is the error for page p missing from a stripe's page map, read
+// under the stripe latch: a nil map means the manager is closed.
+func absent(op string, p policy.PageID, pages map[policy.PageID]*[PageSize]byte) error {
+	if pages == nil {
+		return fmt.Errorf("%s page %d: %w", op, p, errClosed)
+	}
+	return fmt.Errorf("%s page %d: %w", op, p, storage.ErrPageNotAllocated)
 }
 
 func (m *Manager) stripe(p policy.PageID) *stripe {
@@ -108,28 +122,36 @@ func (m *Manager) StripeOf(p policy.PageID) int {
 // NumStripes implements storage.Backend.
 func (m *Manager) NumStripes() int { return numStripes }
 
-// Allocate reserves a fresh zeroed page and returns its id. The simulated
-// allocator never fails; the error return satisfies storage.Backend.
+// Allocate reserves a fresh zeroed page and returns its id. It fails only
+// on a closed manager, or when the kernel refuses a new chunk.
 func (m *Manager) Allocate() (policy.PageID, error) {
 	id := policy.PageID(m.nextID.Add(1) - 1)
 	s := m.stripe(id)
 	s.mu.Lock()
-	s.pages[id] = make([]byte, PageSize)
+	pg, err := m.mem.get()
+	if err == nil {
+		s.pages[id] = pg
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return policy.InvalidPage, fmt.Errorf("allocate page: %w", err)
+	}
 	m.allocated.Add(1)
 	return id, nil
 }
 
-// Deallocate releases a page. Further access to it fails.
+// Deallocate releases a page for reuse. Further access to it fails.
 func (m *Manager) Deallocate(p policy.PageID) error {
 	s := m.stripe(p)
 	s.mu.Lock()
-	_, ok := s.pages[p]
-	delete(s.pages, p)
+	pages := s.pages
+	pg, ok := pages[p]
+	delete(pages, p)
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("deallocate page %d: %w", p, storage.ErrPageNotAllocated)
+		return absent("deallocate", p, pages)
 	}
+	m.mem.put(pg)
 	m.deallocated.Add(1)
 	return nil
 }
@@ -142,13 +164,14 @@ func (m *Manager) Read(_ context.Context, p policy.PageID, buf []byte) error {
 	}
 	s := m.stripe(p)
 	s.mu.RLock()
-	data, ok := s.pages[p]
+	pages := s.pages
+	data, ok := pages[p]
 	if ok {
-		copy(buf, data)
+		copy(buf, data[:])
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return fmt.Errorf("read page %d: %w", p, storage.ErrPageNotAllocated)
+		return absent("read", p, pages)
 	}
 	m.reads.Add(1)
 	m.charge(p)
@@ -162,13 +185,14 @@ func (m *Manager) Write(_ context.Context, p policy.PageID, buf []byte) error {
 	}
 	s := m.stripe(p)
 	s.mu.Lock()
-	data, ok := s.pages[p]
+	pages := s.pages
+	data, ok := pages[p]
 	if ok {
-		copy(data, buf)
+		copy(data[:], buf)
 	}
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("write page %d: %w", p, storage.ErrPageNotAllocated)
+		return absent("write", p, pages)
 	}
 	m.writes.Add(1)
 	m.charge(p)
@@ -197,8 +221,22 @@ func (m *Manager) charge(p policy.PageID) {
 // below its page maps, so the durability barrier is a no-op.
 func (m *Manager) Flush(context.Context) error { return nil }
 
-// Close implements storage.Backend (no resources to release).
-func (m *Manager) Close() error { return nil }
+// Close implements storage.Backend. It empties every stripe under its
+// latch, so operations after it fail and none in flight still holds a page,
+// then hands the page memory to the next manager. A second Close is a no-op.
+func (m *Manager) Close() error {
+	if !m.mem.shut() {
+		return nil
+	}
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		s.pages = nil
+		s.mu.Unlock()
+	}
+	m.mem.release()
+	return nil
+}
 
 // Stats returns a snapshot of cumulative activity. Under concurrent load
 // the counters are individually exact but not mutually consistent (they

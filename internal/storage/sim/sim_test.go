@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/policy"
 	"repro/internal/storage"
@@ -76,14 +80,29 @@ func TestUnallocatedAccess(t *testing.T) {
 func TestDeallocate(t *testing.T) {
 	m := New(ServiceModel{})
 	p := storage.MustAllocate(m)
+	if err := m.Write(ctx, p, bytes.Repeat([]byte{0xAA}, PageSize)); err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Deallocate(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Read(ctx, p, make([]byte, PageSize)); !errors.Is(err, storage.ErrPageNotAllocated) {
 		t.Errorf("read after deallocate: %v", err)
 	}
+	// The next page reuses the freed memory, and must read as zeros.
+	q := storage.MustAllocate(m)
+	if len(m.mem.free) != 0 || m.mem.carved != 1 {
+		t.Errorf("reallocation carved a new page (free %d, carved %d), want the freed one reused", len(m.mem.free), m.mem.carved)
+	}
+	buf := make([]byte, PageSize)
+	if err := m.Read(ctx, q, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Error("reallocated page holds the deallocated page's bytes")
+	}
 	s := m.Stats()
-	if s.Allocated != 1 || s.Deallocated != 1 {
+	if s.Allocated != 2 || s.Deallocated != 1 {
 		t.Errorf("stats %+v", s)
 	}
 }
@@ -209,11 +228,13 @@ func TestDelayHookReceivesServiceTime(t *testing.T) {
 }
 
 // TestConcurrentAllocateDeallocate races page lifecycle against I/O across
-// stripes; counters must balance and no page may leak.
+// stripes; counters must balance, no page may leak, and the free list must
+// bound the churn to one chunk per pagesPerChunk live pages.
 func TestConcurrentAllocateDeallocate(t *testing.T) {
+	const goroutines = 8 // each holds at most one live page
 	m := New(ServiceModel{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -243,6 +264,169 @@ func TestConcurrentAllocateDeallocate(t *testing.T) {
 	}
 	if got := m.NumPages(); got != 0 {
 		t.Errorf("NumPages = %d after balanced lifecycle, want 0", got)
+	}
+	if got, max := len(m.mem.chunks), (goroutines+pagesPerChunk-1)/pagesPerChunk; got > max {
+		t.Errorf("manager held %d chunks for at most %d live pages, want <= %d", got, goroutines, max)
+	}
+}
+
+// TestPagesLiveOffHeap pins where page images live: writing 10 MB of pages
+// must not grow the Go heap by the disk's size.
+func TestPagesLiveOffHeap(t *testing.T) {
+	const pages = 10 * pagesPerChunk // 10 MB
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New(ServiceModel{})
+	defer m.Close()
+	buf := bytes.Repeat([]byte{0x5A}, PageSize)
+	for i := 0; i < pages; i++ {
+		if err := m.Write(ctx, storage.MustAllocate(m), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("%d pages (%d MB) grew the heap by %.1f MB, want < 1 MB", pages, pages*PageSize>>20, float64(grew)/(1<<20))
+	}
+	runtime.KeepAlive(m)
+}
+
+// TestClosedManagerRefusesOps pins the lifecycle: after Close every
+// operation fails and none reaches the page memory, which the next manager
+// now owns; a second Close is a no-op.
+func TestClosedManagerRefusesOps(t *testing.T) {
+	old := New(ServiceModel{})
+	p := storage.MustAllocate(old)
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	m := New(ServiceModel{})
+	defer m.Close()
+	q := storage.MustAllocate(m) // likely carved from old's chunk
+	junk := bytes.Repeat([]byte{0xEE}, PageSize)
+	if err := old.Write(ctx, p, junk); !errors.Is(err, errClosed) {
+		t.Errorf("write after Close: %v", err)
+	}
+	if err := old.Read(ctx, p, make([]byte, PageSize)); !errors.Is(err, errClosed) {
+		t.Errorf("read after Close: %v", err)
+	}
+	if err := old.Deallocate(p); !errors.Is(err, errClosed) {
+		t.Errorf("deallocate after Close: %v", err)
+	}
+	if _, err := old.Allocate(); !errors.Is(err, errClosed) {
+		t.Errorf("allocate after Close: %v", err)
+	}
+	if n := old.NumPages(); n != 0 {
+		t.Errorf("NumPages after Close = %d, want 0", n)
+	}
+	buf := make([]byte, PageSize)
+	if err := m.Read(ctx, q, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Error("a closed manager's write reached the next manager's page")
+	}
+}
+
+// TestCloseRacesReadWrite closes a manager under concurrent reads and
+// writes: an operation either completes or fails with errClosed, one that
+// starts after Close returns fails, and the race detector sees the stripe
+// latches order Close after each of them.
+func TestCloseRacesReadWrite(t *testing.T) {
+	const pages = 64
+	m := New(ServiceModel{})
+	for i := 0; i < pages; i++ {
+		storage.MustAllocate(m)
+	}
+	var closed atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, PageSize)
+			for i := 0; ; i++ {
+				p := policy.PageID((g*17 + i) % pages)
+				after := closed.Load()
+				var err error
+				if i%2 == 0 {
+					buf[0] = byte(i)
+					err = m.Write(ctx, p, buf)
+				} else {
+					err = m.Read(ctx, p, buf)
+				}
+				switch {
+				case err == nil && after:
+					t.Errorf("op %d started after Close and succeeded", i)
+					return
+				case err != nil:
+					if !errors.Is(err, errClosed) {
+						t.Errorf("op %d during Close: %v", i, err)
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	for s := m.Stats(); s.Reads+s.Writes < 2000; s = m.Stats() {
+		runtime.Gosched()
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	wg.Wait()
+}
+
+// TestUnclosedManagerReturnsChunks drops a manager without closing it: the
+// finalizer must hand its chunks to the spare list, and the next manager
+// carves them instead of mapping new ones.
+func TestUnclosedManagerReturnsChunks(t *testing.T) {
+	const pages = 2*pagesPerChunk + 1 // three chunks
+	held := func() []uintptr {
+		m := New(ServiceModel{})
+		for i := 0; i < pages; i++ {
+			storage.MustAllocate(m)
+		}
+		var bases []uintptr
+		for _, c := range m.mem.chunks {
+			bases = append(bases, uintptr(unsafe.Pointer(&c[0])))
+		}
+		return bases
+	}()
+	spareHolds := func() bool {
+		spare.mu.Lock()
+		defer spare.mu.Unlock()
+		in := make(map[uintptr]bool)
+		for _, c := range spare.chunks {
+			in[uintptr(unsafe.Pointer(&c[0]))] = true
+		}
+		for _, b := range held {
+			if !in[b] {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !spareHolds(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("an unreachable manager's chunks never reached the spare list")
+		}
+		runtime.GC()
+	}
+	before := mapped.Load()
+	m := New(ServiceModel{})
+	defer m.Close()
+	for i := 0; i < pages; i++ {
+		storage.MustAllocate(m)
+	}
+	if n := mapped.Load() - before; n != 0 {
+		t.Errorf("second manager mapped %d new chunks with %d spare, want 0", n, len(held))
 	}
 }
 
