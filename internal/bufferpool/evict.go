@@ -50,17 +50,19 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		return f, nil
 	}
 	var (
-		werrs    []error
-		deferred []deferredVictim
-		examined int64
+		werrs       []error
+		deferredBuf [8]deferredVictim
+		examined    int64
 	)
 	// deferred holds the failed write-backs first (one per werrs entry, kept
 	// to sweep end so a poisoned page is tried once per sweep), then the
-	// victims skipped as pinned since the last write-back began. All of them
-	// re-enter the replacer whichever way the sweep exits. The sweep length
-	// is recorded however the sweep ends (the fast free-list path above
-	// never reaches here, so every recorded sweep actually consulted the
-	// replacer).
+	// victims skipped as pinned since the last write-back began. It starts
+	// in a fixed array, so a sweep that sets few pages aside allocates
+	// nothing. All of them re-enter the replacer whichever way the sweep
+	// exits. The sweep length is recorded however the sweep ends (the fast
+	// free-list path above never reaches here, so every recorded sweep
+	// actually consulted the replacer).
+	deferred := deferredBuf[:0]
 	defer func() {
 		for _, dv := range deferred {
 			p.restoreVictim(dv.id, dv.f)
@@ -120,7 +122,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		// visible (a concurrent fetch of this page must wait, not read the
 		// stale disk copy), then write back outside the latch.
 		f.state.Store(frameWriting)
-		f.done = make(chan struct{})
+		f.done.Store(nil)
 		sh.mu.Unlock()
 		// Pinned pages are held out only while the search runs, never
 		// across I/O: their pins are long gone by the time a write returns.
@@ -138,7 +140,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			// the page again, so its epoch bump cannot clobber a pin.
 			f.unclaim()
 			f.state.Store(frameResident)
-			close(f.done)
+			f.finish()
 			sh.mu.Unlock()
 			sh.countWriteFailure(werr)
 			p.quarantineAdd(victim)
@@ -151,7 +153,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			continue
 		}
 		delete(sh.table, victim)
-		close(f.done)
+		f.finish()
 		sh.mu.Unlock()
 		f.dirty.Store(false)
 		p.quarantineRemove(victim)
@@ -212,7 +214,7 @@ func (p *Pool) DeletePage(id policy.PageID) error {
 			break
 		}
 		if f.state.Load() == frameWriting {
-			done := f.done
+			done := f.waitCh()
 			sh.mu.Unlock()
 			<-done
 			continue

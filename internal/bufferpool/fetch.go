@@ -170,7 +170,7 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 		}
 		switch f.state.Load() {
 		case frameWriting:
-			done := f.done
+			done := f.waitCh()
 			sh.mu.RUnlock()
 			select {
 			case <-done:
@@ -179,7 +179,7 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 			}
 		case frameLoading:
 			f.pinAdd(1)
-			done := f.done
+			done := f.waitCh()
 			sh.mu.RUnlock()
 			var waitStart time.Time
 			if wait != nil {
@@ -290,7 +290,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	f.install()
 	f.dirty.Store(false)
 	f.err = nil
-	f.done = make(chan struct{})
+	f.done.Store(nil)
 	f.state.Store(frameLoading)
 	sh.table[id] = f
 	sh.mu.Unlock()
@@ -303,7 +303,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	if rerr := p.loadPage(ctx, id, f.data); rerr != nil {
 		// Publish the error before the table delete becomes observable:
 		// the shard latch orders f.err ahead of the deletion for latched
-		// readers, and close(done) publishes it to the parked waiters. A
+		// readers, and finish publishes it to the parked waiters. A
 		// failed load is still a miss — the page was not resident — and
 		// counts once in ReadErrors (or ReadsRejected, when the breaker
 		// refused the attempt without touching the disk).
@@ -312,7 +312,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		sh.mu.Lock()
 		delete(sh.table, id)
 		sh.mu.Unlock()
-		close(f.done)
+		f.finish()
 		sh.misses.Add(1)
 		sh.countReadFailure(rerr)
 		// Waiters that pinned before the table delete still hold the frame;
@@ -328,7 +328,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	// positive and skips it.
 	p.replacer.RecordAccess(id)
 	f.state.Store(frameResident)
-	close(f.done)
+	f.finish()
 	hotPublish(sh, id, f)
 	sh.misses.Add(1)
 	return Page{pool: p, id: id, f: f, valid: true}, false, nil

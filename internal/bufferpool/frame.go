@@ -13,8 +13,10 @@ import (
 // insert/delete happen only under the owning shard's exclusive latch;
 // frameLoading→frameResident is published lock-free via the frame's done
 // channel. frameLoading and frameWriting are the two transient states: a
-// frame in either has a live done channel, which pinEntry (fetch.go) waits
-// on for every fetch and maintenance path, and DeletePage for a write-back.
+// frame in either is what pinEntry (fetch.go) waits on for every fetch and
+// maintenance path, and DeletePage for a write-back. The wait channel is
+// made by the first waiter (waitCh), so a transition nobody waits on
+// allocates nothing.
 const (
 	frameFree     int32 = iota // on the free list, unreachable from any shard
 	frameLoading               // in the table, disk read in flight
@@ -57,15 +59,17 @@ type frame struct {
 	pv    atomic.Uint64
 	dirty atomic.Bool
 	state atomic.Int32
-	// done is closed when the frame leaves its transient state: by the
-	// loader once the miss read finishes (err says how), by the evictor once
-	// a dirty victim's write-back finishes (the page has then left the
-	// table, or is resident again if the write failed). A load and a
-	// write-back are never in flight on one frame together, so one channel
-	// serves both; it is made under the shard's exclusive latch as the
-	// frame enters the state and read under the latch by whoever finds it
-	// there.
-	done chan struct{}
+	// done is the channel that closes when the frame leaves its transient
+	// state: by the loader once the miss read finishes (err says how), by
+	// the evictor once a dirty victim's write-back finishes (the page has
+	// then left the table, or is resident again if the write failed). A load
+	// and a write-back are never in flight on one frame together, so one
+	// channel serves both. It is set to nil under the shard's exclusive
+	// latch as the frame enters the state; the first waiter, holding the
+	// latch, installs a channel (waitCh); finish swaps in closedDone and
+	// closes whatever it displaced. Most transitions have no waiter, and
+	// then no channel is ever made.
+	done atomic.Pointer[chan struct{}]
 	err  error
 	// flushMu serialises flushFrame per frame. A flush clears the dirty bit
 	// before its disk write (restoring it on failure); without the mutex a
@@ -75,6 +79,43 @@ type frame struct {
 	// take it, so pin traffic and eviction (which excludes flushers via the
 	// pin count) never block on it.
 	flushMu sync.Mutex
+}
+
+// closedDone is the done channel of a frame whose transient state has
+// finished: already closed, so a waiter that loads it after finish returns
+// at once.
+var closedDone = func() *chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return &c
+}()
+
+// waitCh returns the channel that closes when the frame leaves its current
+// transient state, making it if the caller is the first waiter. The caller
+// holds the owning shard's latch (either mode) and found the frame
+// transient in the table, so the frame cannot finish and re-enter a
+// transient state — a new done epoch — before the latch is released: the
+// channel returned belongs to the state the caller saw.
+func (f *frame) waitCh() <-chan struct{} {
+	if c := f.done.Load(); c != nil {
+		return *c
+	}
+	c := make(chan struct{})
+	if f.done.CompareAndSwap(nil, &c) {
+		return c
+	}
+	// Another waiter installed one, or finish swapped in closedDone.
+	return *f.done.Load()
+}
+
+// finish ends the frame's transient state for every waiter: later ones
+// load closedDone, earlier ones are woken by closing the channel the first
+// of them made. Whatever finish publishes (state, err) before the call is
+// visible to a woken waiter.
+func (f *frame) finish() {
+	if c := f.done.Swap(closedDone); c != nil {
+		close(*c)
+	}
 }
 
 // pins returns the frame's current pin count.

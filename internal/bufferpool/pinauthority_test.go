@@ -359,3 +359,48 @@ func TestHitAllocatesNothing(t *testing.T) {
 		t.Errorf("FetchCtx + Unpin of a resident page allocates %.2f times per call, want 0", allocs)
 	}
 }
+
+// TestMissAllocatesNothing extends the guard to the miss path: a fetch that
+// evicts a victim — clean, or dirty and written back to the simulated disk
+// first — reads the page into the freed frame and allocates nothing. No
+// fetch here waits on another, so no frame's done channel is ever made.
+func TestMissAllocatesNothing(t *testing.T) {
+	const frames, pages = 4, 8
+	for _, dirty := range []bool{false, true} {
+		d := sim.New(sim.ServiceModel{})
+		ids := make([]policy.PageID, pages)
+		for i := range ids {
+			ids[i] = storage.MustAllocate(d)
+		}
+		p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
+		ctx := context.Background()
+		i := 0
+		fetch := func() {
+			pg, err := p.FetchCtx(ctx, ids[i%pages])
+			if err != nil {
+				t.Fatal(err)
+			}
+			i++
+			pg.Data()[0]++
+			pg.Unpin(dirty)
+		}
+		for range 2 * pages { // warm: every page has its HIST block
+			fetch()
+		}
+		before := p.Stats()
+		allocs := testing.AllocsPerRun(2000, fetch)
+		s := p.Stats()
+		if s.Hits != before.Hits || s.Evictions == before.Evictions {
+			t.Fatalf("dirty=%v: the loop did not miss and evict (stats %+v)", dirty, s)
+		}
+		if dirty && s.WriteBacks == before.WriteBacks {
+			t.Fatalf("dirty victims were not written back (stats %+v)", s)
+		}
+		if allocs != 0 {
+			t.Errorf("dirty=%v: a miss that evicts allocates %.2f times per call, want 0", dirty, allocs)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -431,12 +431,14 @@ func (db *DB) LookupAppendCtx(ctx context.Context, dst []byte, custID int64) ([]
 // UpdateCustomer overwrites the filler of a customer record in place (a
 // TPC-A-style read-modify-write), producing the intra-transaction
 // correlated reference pair of §2.1.1: the record page is referenced once
-// by Lookup and again by the write.
+// to read the record and again to write it.
 func (db *DB) UpdateCustomer(custID int64, fill byte) error {
 	return db.UpdateCustomerCtx(context.Background(), custID, fill)
 }
 
 // UpdateCustomerCtx is UpdateCustomer charged against ctx (see LookupCtx).
+// The filler (bytes 8.., after the CUST-ID) is set in the page itself, so
+// an update copies no record.
 func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -448,24 +450,13 @@ func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) er
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotFound, custID)
 	}
-	rec, err := db.customers.GetCtx(ctx, rid)
-	if err != nil {
-		return err
-	}
-	for i := 8; i < len(rec); i++ {
-		rec[i] = fill
-	}
-	if db.durable == nil {
-		return db.customers.UpdateCtx(ctx, rid, rec)
-	}
-	// Durable acknowledgement: the record's page reaches the write-ahead
-	// log before the update returns, so a crash after the caller sees
-	// success cannot lose it. The page stays pinned from the in-place write
-	// to the log append — unpinning in between would let an eviction turn
-	// an update its own write-back had already logged into a reported
-	// failure.
-	if err := db.customers.UpdateFlushCtx(ctx, rid, rec); err != nil {
-		return fmt.Errorf("db: persisting update %d: %w", custID, err)
+	// On a durable backend the record's page reaches the write-ahead log
+	// before the update returns, so a crash after the caller sees success
+	// cannot lose it. The page stays pinned from the in-place write to the
+	// log append — unpinning in between would let an eviction turn an update
+	// its own write-back had already logged into a reported failure.
+	if err := db.customers.FillCtx(ctx, rid, 8, fill, db.durable != nil); err != nil {
+		return fmt.Errorf("db: update %d: %w", custID, err)
 	}
 	return nil
 }

@@ -374,10 +374,11 @@ func TestLookupAppendCtx(t *testing.T) {
 }
 
 // TestLookupAllocations is the count-based guard behind the benchmark's
-// embed_hot_read allocs_per_op: a resident GET fetches three pages (B-tree
-// root, leaf, heap page) and none of the fetches may touch the heap, so a
-// lookup into a reused buffer allocates nothing and LookupCtx allocates
-// exactly the record its caller owns.
+// allocs_per_op: a resident GET fetches three pages (B-tree root, leaf,
+// heap page) and none of the fetches may touch the heap, so a lookup into
+// a reused buffer allocates nothing and LookupCtx allocates exactly the
+// record its caller owns — also when the record page misses and its fetch
+// evicts a victim to read it in.
 func TestLookupAllocations(t *testing.T) {
 	d, err := Open(Config{Frames: 64})
 	if err != nil {
@@ -406,5 +407,81 @@ func TestLookupAllocations(t *testing.T) {
 		}
 	}); got != 1 {
 		t.Errorf("LookupCtx allocates %.2f times per call, want 1 (the returned record)", got)
+	}
+
+	// Customers 2p and 2p+1 share data page p: stepping through all 500
+	// data pages over 64 frames makes every record fetch a miss.
+	next := 0
+	before := d.PoolStats().Misses
+	if got := testing.AllocsPerRun(1000, func() {
+		next = (next + 2) % 1000
+		if _, err := d.LookupCtx(ctx, int64(next)); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("LookupCtx of a non-resident record allocates %.2f times per call, want 1 (the returned record)", got)
+	}
+	if misses := d.PoolStats().Misses - before; misses < 1000 {
+		t.Fatalf("only %d misses over 1001 lookups: the record pages stayed resident", misses)
+	}
+}
+
+// TestUpdateInPlace pins UpdateCustomerCtx on both backends: it references
+// the record page exactly twice — the read, then the write, §2.1.1's
+// correlated pair that crp_collapses_per_op and
+// TestCorrelatedUpdatesThroughDB rest on — and allocates nothing, because
+// the filler is set in the page (and, on the durable store, flushed
+// through the pin into a WAL frame the log owns).
+func TestUpdateInPlace(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		var d *DB
+		if durable {
+			d = openDurable(t, t.TempDir())
+		} else {
+			var err error
+			if d, err = Open(Config{Frames: 12}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.LoadCustomers(100); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		const cust = 42
+		refs := func(op func() error) uint64 {
+			t.Helper()
+			before := d.PoolStats()
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+			after := d.PoolStats()
+			return after.Hits + after.Misses - before.Hits - before.Misses
+		}
+		descent := refs(func() error { _, _, err := d.index.GetCtx(ctx, cust); return err })
+		update := refs(func() error { return d.UpdateCustomerCtx(ctx, cust, 0x5A) })
+		if got := update - descent; got != 2 {
+			t.Errorf("durable=%v: an update references its record page %d times (%d references, index descent %d), want 2",
+				durable, got, update, descent)
+		}
+		fill := byte(0)
+		if got := testing.AllocsPerRun(200, func() {
+			fill++
+			if err := d.UpdateCustomerCtx(ctx, cust, fill); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("durable=%v: UpdateCustomerCtx allocates %.2f times per call, want 0", durable, got)
+		}
+		rec, err := d.Lookup(cust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(binary.LittleEndian.Uint64(rec)) != cust || rec[8] != fill || rec[len(rec)-1] != fill {
+			t.Errorf("durable=%v: record after updates: id %d, filler %#x..%#x, want %d, %#x",
+				durable, binary.LittleEndian.Uint64(rec), rec[8], rec[len(rec)-1], cust, fill)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

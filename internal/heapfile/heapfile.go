@@ -68,11 +68,12 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
 // File is a heap file of variable-length records.
 //
-// Concurrency: Get, Update, and Scan are safe to call concurrently (with
-// each other and themselves) — record bytes are accessed under a striped
-// page latch, taken after the pool pin so it is never held across disk
-// I/O. Insert and Delete mutate the page directory and must be serialised
-// externally (the db layer loads single-threaded before serving).
+// Concurrency: Get, Update, FillCtx and Scan are safe to call concurrently
+// (with each other and themselves) — record bytes are accessed under a
+// striped page latch, taken after the pool pin so it is never held across
+// disk I/O. Insert and Delete mutate the page directory and must be
+// serialised externally (the db layer loads single-threaded before
+// serving).
 type File struct {
 	pool *bufferpool.Pool
 	// pages is the in-memory page directory. A production system would
@@ -84,7 +85,8 @@ type File struct {
 	// the whole file rather than only on the newest page.
 	reuse []policy.PageID
 	// latches guard record bytes within a page: readers (Get, Scan) share,
-	// writers (Insert, Update, Delete) exclude. Keyed by page-id hash.
+	// writers (Insert, Update, FillCtx, Delete) exclude. Keyed by page-id
+	// hash.
 	latches [latchStripes]sync.RWMutex
 }
 
@@ -325,32 +327,11 @@ func liveSlot(data []byte, rid RID) (off, length uint16, err error) {
 
 // Update replaces the record at rid in place. The new record must not be
 // larger than the old one (ErrUpdateTooLarge otherwise); shrinking updates
-// keep the slot's original allocation.
+// keep the slot's original allocation. The write happens under the page's
+// exclusive latch, so a concurrent Get of the same page sees either the old
+// or the new bytes, never a torn record.
 func (f *File) Update(rid RID, rec []byte) error {
-	return f.update(context.Background(), rid, rec, false)
-}
-
-// UpdateCtx is Update charged against ctx (see AppendCtx). The in-place
-// write happens under the page's exclusive latch, so a concurrent GetCtx of
-// the same page sees either the old or the new bytes, never a torn record.
-func (f *File) UpdateCtx(ctx context.Context, rid RID, rec []byte) error {
-	return f.update(ctx, rid, rec, false)
-}
-
-// UpdateFlushCtx is UpdateCtx that also writes the page back through the
-// pool before returning, without ever releasing its pin in between: the
-// durable acknowledgement path. A nil return means the updated image has
-// reached the backend's write-ahead log; the page cannot be evicted
-// between the write and the flush, so the flush never misses it. The
-// write-back runs under the shared latch — compatible with concurrent
-// readers, while writers of the same page wait as they would behind a
-// reader — so a concurrent in-place update cannot tear the flushed image.
-func (f *File) UpdateFlushCtx(ctx context.Context, rid RID, rec []byte) error {
-	return f.update(ctx, rid, rec, true)
-}
-
-func (f *File) update(ctx context.Context, rid RID, rec []byte, flush bool) error {
-	pg, err := f.pool.FetchCtx(ctx, rid.Page)
+	pg, err := f.pool.Fetch(rid.Page)
 	if err != nil {
 		return fmt.Errorf("heapfile update %v: %w", rid, err)
 	}
@@ -368,6 +349,56 @@ func (f *File) update(ctx context.Context, rid RID, rec []byte, flush bool) erro
 	}
 	copy(data[off:off+uint16(len(rec))], rec)
 	setSlot(data, rid.Slot, off, uint16(len(rec)))
+	lk.Unlock()
+	pg.Unpin(true)
+	return nil
+}
+
+// FillCtx sets bytes from.. of the record at rid to b, in place: the update
+// of a read-modify-write transaction (db's UpdateCustomerCtx), which copies
+// nothing. Like that transaction it references the record's page twice —
+// once to read the record, checking that rid is live, and once to write it
+// — so the replacer sees §2.1.1's correlated pair. The write happens under
+// the page's exclusive latch (see Update).
+//
+// With flush, the page is written back through the pool before FillCtx
+// returns, without its pin ever being released in between: the durable
+// acknowledgement path. A nil return then means the updated image has
+// reached the backend's write-ahead log; the page cannot be evicted between
+// the write and the flush, so the flush never misses it. The write-back
+// runs under the shared latch — compatible with concurrent readers, while
+// writers of the same page wait as they would behind a reader — so a
+// concurrent in-place update cannot tear the flushed image. Every fetch
+// observes ctx (see AppendCtx).
+func (f *File) FillCtx(ctx context.Context, rid RID, from int, b byte, flush bool) error {
+	lk := f.latchFor(rid.Page)
+	pg, err := f.pool.FetchCtx(ctx, rid.Page)
+	if err != nil {
+		return fmt.Errorf("heapfile fill %v: %w", rid, err)
+	}
+	lk.RLock()
+	_, _, err = liveSlot(pg.Data(), rid)
+	lk.RUnlock()
+	pg.Unpin(false)
+	if err != nil {
+		return err
+	}
+
+	pg, err = f.pool.FetchCtx(ctx, rid.Page)
+	if err != nil {
+		return fmt.Errorf("heapfile fill %v: %w", rid, err)
+	}
+	lk.Lock()
+	data := pg.Data()
+	off, length, err := liveSlot(data, rid)
+	if err != nil {
+		lk.Unlock()
+		pg.Unpin(false)
+		return err
+	}
+	for i := int(off) + from; i < int(off+length); i++ {
+		data[i] = b
+	}
 	lk.Unlock()
 	if !flush {
 		pg.Unpin(true)

@@ -332,11 +332,12 @@ func TestAppendCtx(t *testing.T) {
 	}
 }
 
-// TestUpdateFlushCtx: the durable update writes the record and the page
-// through to the backend in one pinned step — the image on disk carries
-// the update the moment it returns, the page is left clean (no second
-// write at eviction), and validation failures write nothing.
-func TestUpdateFlushCtx(t *testing.T) {
+// TestFillCtx: a fill references the record's page exactly twice (the read,
+// then the write). With flush it writes the record and the page through to
+// the backend in one pinned step — the image on disk carries the fill the
+// moment it returns, the page is left clean (no second write at eviction) —
+// and without it the page is left dirty. Validation failures write nothing.
+func TestFillCtx(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
 	pool := bufferpool.New(d, 4, core.NewSyncReplacer(2, core.Options{}))
 	f := New(pool)
@@ -348,38 +349,60 @@ func TestUpdateFlushCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	base := pool.Stats().WriteBacks
+	base := pool.Stats()
 
-	if err := f.UpdateFlushCtx(ctx, rid, []byte("bbbbbbbb")); err != nil {
+	if err := f.FillCtx(ctx, rid, 2, 'b', true); err != nil {
 		t.Fatal(err)
+	}
+	s := pool.Stats()
+	if refs := s.Hits + s.Misses - base.Hits - base.Misses; refs != 2 {
+		t.Errorf("a fill made %d page references, want 2 (read, then write)", refs)
 	}
 	raw := make([]byte, storage.PageSize)
 	if err := d.Read(ctx, rid.Page, raw); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte("bbbbbbbb")) {
-		t.Fatal("backend image lacks the update after UpdateFlushCtx returned")
+	if !bytes.Contains(raw, []byte("aabbbbbb")) {
+		t.Fatal("backend image lacks the fill after FillCtx(flush) returned")
 	}
-	if got := pool.Stats().WriteBacks - base; got != 1 {
-		t.Errorf("%d write-backs for one durable update, want 1", got)
+	if got := s.WriteBacks - base.WriteBacks; got != 1 {
+		t.Errorf("%d write-backs for one durable fill, want 1", got)
 	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.Stats().WriteBacks - base; got != 1 {
+	if got := pool.Stats().WriteBacks - base.WriteBacks; got != 1 {
 		t.Errorf("%d write-backs after a sweep, want 1: the flushed page must be clean", got)
 	}
-	if got, _ := f.Get(rid); string(got) != "bbbbbbbb" {
+	if got, _ := f.Get(rid); string(got) != "aabbbbbb" {
 		t.Errorf("record reads back %q", got)
 	}
 
-	if err := f.UpdateFlushCtx(ctx, rid, []byte("too long for the slot")); !errors.Is(err, ErrUpdateTooLarge) {
-		t.Errorf("oversized durable update: %v", err)
+	// Without flush the page is only dirtied; a fill past the record's end
+	// changes nothing.
+	if err := f.FillCtx(ctx, rid, 6, 'c', false); err != nil {
+		t.Fatal(err)
 	}
-	if err := f.UpdateFlushCtx(ctx, RID{Page: rid.Page, Slot: 42}, []byte("x")); !errors.Is(err, ErrInvalidRID) {
-		t.Errorf("durable update of a missing slot: %v", err)
+	if err := f.FillCtx(ctx, rid, 8, 'd', false); err != nil {
+		t.Fatal(err)
 	}
-	if got := pool.Stats().WriteBacks - base; got != 1 {
-		t.Errorf("rejected updates wrote pages (%d write-backs)", got)
+	if got := pool.Stats().WriteBacks - base.WriteBacks; got != 1 {
+		t.Errorf("a plain fill wrote the page back (%d write-backs)", got)
+	}
+	if got, _ := f.Get(rid); string(got) != "aabbbbcc" {
+		t.Errorf("record reads back %q after plain fills", got)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Stats().WriteBacks - base.WriteBacks; got != 2 {
+		t.Errorf("%d write-backs after a sweep, want 2: a plain fill leaves the page dirty", got)
+	}
+
+	if err := f.FillCtx(ctx, RID{Page: rid.Page, Slot: 42}, 0, 'x', true); !errors.Is(err, ErrInvalidRID) {
+		t.Errorf("durable fill of a missing slot: %v", err)
+	}
+	if got := pool.Stats().WriteBacks - base.WriteBacks; got != 2 {
+		t.Errorf("a rejected fill wrote pages (%d write-backs)", got)
 	}
 }

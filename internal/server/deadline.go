@@ -11,12 +11,22 @@ import (
 // — Err compares the clock to the deadline — and that is all a resident hit
 // ever asks of it. Done creates its channel and arms one timer only when
 // somebody actually selects on it (the pool's coalesced wait, a write-back
-// wait, retry backoff), so the common request costs one small allocation
-// and no timer.
+// wait, retry backoff), so the common request allocates nothing and arms
+// no timer.
 //
 // Err may therefore report DeadlineExceeded a moment before Done's channel
 // closes (timer latency); the converse — a closed channel with a nil Err —
 // cannot happen, which is the direction callers rely on.
+//
+// A connection's handler owns one deadlineCtx and reuses it for every
+// request on the connection: reset before the request, release after it.
+// The reuse rests on one invariant: nothing holds a request's context after
+// execute returns. Every layer below runs the request inline on the
+// handler's goroutine, derives no cancelable context from it (whose
+// propagation goroutine could outlive the request), and keeps no reference
+// to ctx once its call returns, so the next reset rewrites fields no one
+// else reads. A timer armed by request n and firing after release closes
+// request n's channel, which its closure captured, never request n+1's.
 type deadlineCtx struct {
 	deadline time.Time
 
@@ -25,8 +35,12 @@ type deadlineCtx struct {
 	timer *time.Timer
 }
 
-func newDeadlineCtx(budget time.Duration) *deadlineCtx {
-	return &deadlineCtx{deadline: time.Now().Add(budget)}
+// reset re-arms the context for its owner's next request: a fresh deadline
+// budget from now, no channel, no timer. The owner calls it before each
+// request, after the previous request's release.
+func (c *deadlineCtx) reset(budget time.Duration) {
+	c.deadline = time.Now().Add(budget)
+	c.done, c.timer = nil, nil
 }
 
 func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }

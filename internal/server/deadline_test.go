@@ -13,6 +13,14 @@ import (
 	"repro/internal/storage/sim"
 )
 
+// newDeadlineCtx returns a context reset to budget, as a connection's
+// handler holds it for one request.
+func newDeadlineCtx(budget time.Duration) *deadlineCtx {
+	c := &deadlineCtx{}
+	c.reset(budget)
+	return c
+}
+
 // TestDeadlineCtxLazy pins the deadline context's contract: Deadline and
 // Err are exact with no timer armed; Done arms exactly one timer on first
 // use and fires at the deadline; release stops an armed timer.
@@ -93,6 +101,42 @@ func TestDeadlineCtxLazy(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("wrapped context never expired")
+	}
+}
+
+// TestDeadlineCtxReuse pins what reusing one context across a
+// connection's requests needs: request 1 arms Done with a 5 ms budget and
+// is released around the moment its timer fires — before, during or after
+// — and request 2 on the same context gets a 1 s budget. Request 1's timer
+// may close request 1's channel, never request 2's, and request 2's Err
+// stays nil.
+func TestDeadlineCtxReuse(t *testing.T) {
+	leakcheck.Check(t)
+	var c deadlineCtx
+	for i := range 12 {
+		c.reset(5 * time.Millisecond)
+		first := c.Done()
+		time.Sleep(time.Duration(3000+i*300) * time.Microsecond) // 3.0–6.3 ms
+		c.release()
+
+		c.reset(time.Second)
+		second := c.Done()
+		if second == first {
+			t.Fatal("reset kept the previous request's channel")
+		}
+		select {
+		case <-first: // request 1's timer fired: it may close only its own channel
+		case <-time.After(20 * time.Millisecond):
+		}
+		select {
+		case <-second:
+			t.Fatalf("iteration %d: request 1's timer closed request 2's channel", i)
+		default:
+		}
+		if err := c.Err(); err != nil {
+			t.Fatalf("iteration %d: request 2's Err = %v within its 1 s budget", i, err)
+		}
+		c.release()
 	}
 }
 

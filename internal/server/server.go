@@ -359,7 +359,7 @@ func (s *Server) handleConn(c net.Conn) {
 		picked, status := s.admit(arrived)
 		switch status {
 		case wire.StatusOK:
-			cn.out, status = s.serve(req, cn.out[:wire.FrameHeader], arrived, picked)
+			cn.out, status = s.serve(&cn.ctx, req, cn.out[:wire.FrameHeader], arrived, picked)
 			<-s.slots
 			err = s.send(cn, status)
 		case wire.StatusBusy:
@@ -421,8 +421,9 @@ func (s *Server) admit(arrived time.Time) (picked time.Time, st wire.Status) {
 // request span (parented to the client's wire span), a queue-wait child,
 // the MOVED point event, a latency exemplar carrying the trace id, and the
 // tail-sampling pass for slow or failed requests the head draw skipped.
-// arrived is when the request was read, picked when it got its slot.
-func (s *Server) serve(req wire.Request, out []byte, arrived, picked time.Time) ([]byte, wire.Status) {
+// arrived is when the request was read, picked when it got its slot; dctx
+// is the connection's request context, which execute resets.
+func (s *Server) serve(dctx *deadlineCtx, req wire.Request, out []byte, arrived, picked time.Time) ([]byte, wire.Status) {
 	if s.queueWait != nil {
 		s.queueWait.Observe(picked.Sub(arrived).Nanoseconds())
 	}
@@ -438,7 +439,7 @@ func (s *Server) serve(req wire.Request, out []byte, arrived, picked time.Time) 
 			obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
 	}
 
-	out, status := s.execute(req, reqSpan.Context(), out)
+	out, status := s.execute(dctx, req, reqSpan.Context(), out)
 	dur := time.Since(picked)
 
 	exemplarTrace := uint64(0)
@@ -490,15 +491,17 @@ func (s *Server) histFor(op wire.Op) *obs.Histogram {
 }
 
 // execute runs one admitted request against the database under its
-// deadline and appends the reply payload to out. tc is the request span's
-// context (the zero value when unsampled); attached to ctx, it parents
-// the pool, disk, and WAL spans the layers below record.
-func (s *Server) execute(req wire.Request, tc obs.TraceContext, out []byte) ([]byte, wire.Status) {
+// deadline and appends the reply payload to out. dctx is reset to the
+// request's budget and released on return; nothing below keeps it past
+// that (see deadlineCtx). tc is the request span's context (the zero value
+// when unsampled); attached to ctx, it parents the pool, disk, and WAL
+// spans the layers below record.
+func (s *Server) execute(dctx *deadlineCtx, req wire.Request, tc obs.TraceContext, out []byte) ([]byte, wire.Status) {
 	budget := req.Timeout
 	if budget <= 0 || budget > s.cfg.MaxRequestTimeout {
 		budget = s.cfg.MaxRequestTimeout
 	}
-	dctx := newDeadlineCtx(budget)
+	dctx.reset(budget)
 	defer dctx.release()
 	ctx := obs.ContextWithTrace(dctx, tc)
 

@@ -90,11 +90,11 @@ type Store struct {
 	pages *os.File
 	wal   *wal
 
-	// latches stripe page access: a write holds its stripe exclusively
+	// stripes latch page access: a write holds its stripe exclusively
 	// across the WAL append and the page-file write, so the page file
 	// applies same-page images in LSN order and a concurrent read never
 	// sees a torn image.
-	latches [storage.DefaultStripes]sync.RWMutex
+	stripes [storage.DefaultStripes]stripe
 
 	// ckpt excludes checkpoints from in-flight operations: writes, allocs,
 	// and deallocs hold it shared for their whole span (fsync included), a
@@ -383,8 +383,17 @@ func (s *Store) isAllocated(p policy.PageID) bool {
 	return !freed
 }
 
-func (s *Store) stripe(p policy.PageID) *sync.RWMutex {
-	return &s.latches[storage.StripeIndex(p, storage.DefaultStripes)]
+// stripe is one latch partition of the page file.
+type stripe struct {
+	sync.RWMutex
+	// trailer is where a slot write stamps its trailer, under the exclusive
+	// latch: the CRC is computed over this scratch, so a write allocates
+	// nothing (a stack array would escape through crc32's dispatch).
+	trailer [trailerLen]byte
+}
+
+func (s *Store) stripe(p policy.PageID) *stripe {
+	return &s.stripes[storage.StripeIndex(p, storage.DefaultStripes)]
 }
 
 // Read copies page p into buf.
@@ -444,11 +453,10 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if s.cfg.Spans != nil {
 		tc = obs.TraceFrom(ctx)
 	}
-	frame := encodePageRecord(p, buf)
 	lk := s.stripe(p)
 	lk.Lock()
 	appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
-	lsn, err := s.wal.append(frame)
+	lsn, err := s.wal.append(recKindPage, p, buf)
 	appendSpan.Finish(int64(p))
 	if err != nil {
 		lk.Unlock()
@@ -505,7 +513,7 @@ func (s *Store) Allocate() (policy.PageID, error) {
 		s.allocMu.Unlock()
 		return 0, err
 	}
-	lsn, err := s.wal.append(encodeMetaRecord(recKindAlloc, p))
+	lsn, err := s.wal.append(recKindAlloc, p, nil)
 	if err != nil {
 		s.undoAllocLocked(p)
 		s.allocMu.Unlock()
@@ -540,7 +548,7 @@ func (s *Store) Deallocate(p policy.PageID) error {
 	s.allocMu.Lock()
 	s.free = append(s.free, p)
 	s.freeSet[p] = struct{}{}
-	lsn, err := s.wal.append(encodeMetaRecord(recKindDealloc, p))
+	lsn, err := s.wal.append(recKindDealloc, p, nil)
 	s.allocMu.Unlock()
 	if err != nil {
 		return err

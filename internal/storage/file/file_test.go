@@ -488,3 +488,24 @@ func TestDurableBackendInterface(t *testing.T) {
 		t.Errorf("WALAppends = %d, want 2", st.WALAppends)
 	}
 }
+
+// TestWriteAllocatesNothing guards the durable write path: the WAL record
+// is framed in the log's own buffer and the slot trailer is stamped in the
+// stripe's scratch, so an acknowledged page write — append, slot write,
+// group-committed fsync — allocates nothing.
+func TestWriteAllocatesNothing(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	p := storage.MustAllocate(s)
+	img := pageImage(0x5A)
+	write := func() {
+		img[0]++
+		if err := s.Write(ctx, p, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // grow the log's frame buffer once
+	if got := testing.AllocsPerRun(50, write); got != 0 {
+		t.Errorf("Store.Write allocates %.2f times per call, want 0", got)
+	}
+}

@@ -47,16 +47,15 @@ func mapNoSpace(err error) error {
 	return err
 }
 
-// makeTrailer builds the trailer for page p's image at the given epoch.
-func makeTrailer(p policy.PageID, epoch uint64, img []byte) [trailerLen]byte {
-	var tr [trailerLen]byte
+// stampTrailer writes the trailer for page p's image at the given epoch
+// into tr.
+func stampTrailer(tr []byte, p policy.PageID, epoch uint64, img []byte) {
 	copy(tr[0:4], trailerMagic)
 	binary.LittleEndian.PutUint64(tr[4:12], epoch)
 	binary.LittleEndian.PutUint64(tr[12:20], uint64(p))
 	crc := crc32.Checksum(img, crcTable)
 	crc = crc32.Update(crc, crcTable, tr[0:20])
 	binary.LittleEndian.PutUint32(tr[20:24], crc)
-	return tr
 }
 
 // checkTrailer verifies img against its trailer as page p's contents. It
@@ -90,15 +89,16 @@ func isZero(b []byte) bool {
 }
 
 // writeSlotLocked lays down img and a freshly stamped trailer as page p's
-// slot. The caller holds p's stripe latch exclusively (or is single-
-// threaded: replay, repair under its own exclusive latch).
+// slot, stamping the trailer in the stripe's scratch. The caller holds p's
+// stripe latch exclusively (or is single-threaded: replay).
 func (s *Store) writeSlotLocked(p policy.PageID, img []byte) error {
 	off := s.slotOff(p)
 	if _, err := s.pages.WriteAt(img, off); err != nil {
 		return mapNoSpace(err)
 	}
-	tr := makeTrailer(p, s.epoch.Add(1), img)
-	if _, err := s.pages.WriteAt(tr[:], off+storage.PageSize); err != nil {
+	tr := s.stripe(p).trailer[:]
+	stampTrailer(tr, p, s.epoch.Add(1), img)
+	if _, err := s.pages.WriteAt(tr, off+storage.PageSize); err != nil {
 		return mapNoSpace(err)
 	}
 	return nil

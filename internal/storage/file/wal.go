@@ -59,30 +59,18 @@ type walRecord struct {
 	img  []byte // page image for recKindPage, else nil
 }
 
-// encodeRecord frames a payload: header (length, CRC32-C) + payload.
-func encodeRecord(payload []byte) []byte {
-	frame := make([]byte, recHeader+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[recHeader:], payload)
-	return frame
-}
-
-// encodePageRecord builds the frame for a page-image record.
-func encodePageRecord(p policy.PageID, img []byte) []byte {
-	payload := make([]byte, 1+8+len(img))
-	payload[0] = recKindPage
-	binary.BigEndian.PutUint64(payload[1:9], uint64(p))
-	copy(payload[9:], img)
-	return encodeRecord(payload)
-}
-
-// encodeMetaRecord builds the frame for an alloc or dealloc record.
-func encodeMetaRecord(kind byte, p policy.PageID) []byte {
-	payload := make([]byte, 1+8)
-	payload[0] = kind
-	binary.BigEndian.PutUint64(payload[1:9], uint64(p))
-	return encodeRecord(payload)
+// appendRecord appends the frame of one record — header (length, CRC32-C)
+// and payload (kind, page id, img) — to dst and returns the extended slice.
+// img is nil for alloc and dealloc records.
+func appendRecord(dst []byte, kind byte, p policy.PageID, img []byte) []byte {
+	n := 1 + 8 + len(img)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = append(dst, 0, 0, 0, 0) // CRC, stamped once the payload is in place
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p))
+	dst = append(dst, img...)
+	binary.BigEndian.PutUint32(dst[len(dst)-n-4:], crc32.Checksum(dst[len(dst)-n:], crcTable))
+	return dst
 }
 
 // decodeRecord parses a payload into a walRecord. The image slice aliases
@@ -153,6 +141,9 @@ type wal struct {
 	synced   uint64 // LSN through which the log is known durable
 	syncing  bool   // a leader's fsync is in flight
 	err      error  // sticky: a failed fsync poisons the log
+	// frame is where append encodes each record, under mu: a page image is
+	// copied once, into the log's own buffer, and no record allocates.
+	frame []byte
 
 	appends atomic.Uint64
 	syncs   atomic.Uint64
@@ -167,22 +158,24 @@ func newWAL(f *os.File) *wal {
 	return w
 }
 
-// append writes one framed record and returns its LSN. The caller must
-// sync(lsn) before acknowledging the operation the record describes.
-func (w *wal) append(frame []byte) (uint64, error) {
+// append frames and writes one record (kind, page id, img — nil for alloc
+// and dealloc) and returns its LSN. The caller must sync(lsn) before
+// acknowledging the operation the record describes.
+func (w *wal) append(kind byte, p policy.PageID, img []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	if _, err := w.f.Write(frame); err != nil {
+	w.frame = appendRecord(w.frame[:0], kind, p, img)
+	if _, err := w.f.Write(w.frame); err != nil {
 		w.err = fmt.Errorf("file: wal append: %w", mapNoSpace(err))
 		w.cond.Broadcast()
 		return 0, w.err
 	}
 	w.appended++
 	w.appends.Add(1)
-	w.bytes.Add(int64(len(frame)))
+	w.bytes.Add(int64(len(w.frame)))
 	return w.appended, nil
 }
 

@@ -17,9 +17,9 @@ func TestRecordRoundTrip(t *testing.T) {
 		img[i] = byte(i * 7)
 	}
 	frames := [][]byte{
-		encodePageRecord(42, img),
-		encodeMetaRecord(recKindAlloc, 7),
-		encodeMetaRecord(recKindDealloc, 0),
+		appendRecord(nil, recKindPage, 42, img),
+		appendRecord(nil, recKindAlloc, 7, nil),
+		appendRecord(nil, recKindDealloc, 0, nil),
 	}
 	var log bytes.Buffer
 	for _, f := range frames {
@@ -56,7 +56,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // torn record, never as a bogus success — the property recovery's
 // stop-at-tail discipline rests on.
 func TestTruncatedTail(t *testing.T) {
-	frame := encodePageRecord(3, make([]byte, storage.PageSize))
+	frame := appendRecord(nil, recKindPage, 3, make([]byte, storage.PageSize))
 	for cut := 1; cut < len(frame); cut += 97 { // sample cuts across the frame
 		_, err := readRecord(bytes.NewReader(frame[:cut]))
 		if err == io.EOF || err == nil {
@@ -75,7 +75,7 @@ func TestTruncatedTail(t *testing.T) {
 // TestCorruptChecksum flips each region of a frame and expects the read to
 // fail: a bit flipped anywhere in the payload or header must not decode.
 func TestCorruptChecksum(t *testing.T) {
-	base := encodeMetaRecord(recKindAlloc, 12345)
+	base := appendRecord(nil, recKindAlloc, 12345, nil)
 	for i := 0; i < len(base); i++ {
 		mut := append([]byte(nil), base...)
 		mut[i] ^= 0x40
@@ -125,9 +125,9 @@ func TestOversizedLengthIsTorn(t *testing.T) {
 func FuzzWALRecord(f *testing.F) {
 	img := make([]byte, storage.PageSize)
 	img[0], img[4095] = 0xAB, 0xCD
-	f.Add(encodePageRecord(0, img))
-	f.Add(encodeMetaRecord(recKindAlloc, 1))
-	f.Add(encodeMetaRecord(recKindDealloc, 1<<40))
+	f.Add(appendRecord(nil, recKindPage, 0, img))
+	f.Add(appendRecord(nil, recKindAlloc, 1, nil))
+	f.Add(appendRecord(nil, recKindDealloc, 1<<40, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{0xFF}, recHeader))
@@ -145,9 +145,9 @@ func FuzzWALRecord(f *testing.F) {
 		var again []byte
 		switch rec.kind {
 		case recKindPage:
-			again = encodePageRecord(rec.page, rec.img)
+			again = appendRecord(nil, recKindPage, rec.page, rec.img)
 		default:
-			again = encodeMetaRecord(rec.kind, rec.page)
+			again = appendRecord(nil, rec.kind, rec.page, nil)
 		}
 		if !bytes.Equal(again, data[:len(again)]) {
 			t.Fatalf("decode/re-encode mismatch for kind %d page %d", rec.kind, rec.page)
@@ -163,8 +163,8 @@ func FuzzReplayFrom(f *testing.F) {
 	img := make([]byte, storage.PageSize)
 	img[17] = 0x5A
 	var good bytes.Buffer
-	good.Write(encodeMetaRecord(recKindAlloc, 0))
-	good.Write(encodePageRecord(0, img))
+	good.Write(appendRecord(nil, recKindAlloc, 0, nil))
+	good.Write(appendRecord(nil, recKindPage, 0, img))
 	f.Add(good.Bytes())
 	f.Add(good.Bytes()[:good.Len()-3])
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
