@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -21,7 +24,9 @@ import (
 // flushMu serialises concurrent flushers of the same frame (the background
 // writer, FlushPage, a flush sweep), so a nil return means the frame's
 // data was durably on disk at some point during the call — never that
-// another flusher's still-undecided write looked clean in passing.
+// another flusher's still-undecided write looked clean in passing. A failed
+// write leaves the page dirty and quarantined, as a failed eviction
+// write-back does, so the background writer retries it.
 func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
@@ -36,6 +41,7 @@ func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error
 	if err := p.writePage(ctx, id, f.data); err != nil {
 		f.dirty.Store(true)
 		p.shardOf(id).countWriteFailure(err)
+		p.quarantineAdd(id)
 		return fmt.Errorf("flushing page %d: %w", id, err)
 	}
 	p.shardOf(id).writeBacks.Add(1)
@@ -87,11 +93,11 @@ func (p *Pool) FlushPageCtx(ctx context.Context, id policy.PageID) error {
 // the backend for its durability barrier (storage.Backend.Flush — a
 // checkpoint, on the durable file backend). A failed write-back does not
 // stop the sweep: every shard is visited, every flushable page flushed, and
-// the failures are returned joined (errors.Is unwraps them individually).
-// Failed pages stay dirty and resident, so a retry after the fault clears
-// loses nothing. The barrier runs only when the sweep completed cleanly: a
-// checkpoint must not declare durability over pages whose write-back
-// failed.
+// the failures are returned joined in page-id order (errors.Is unwraps them
+// individually). Failed pages stay dirty, resident and quarantined, so the
+// background writer or a retry after the fault clears loses nothing. The
+// barrier runs only when the sweep completed cleanly: a checkpoint must not
+// declare durability over pages whose write-back failed.
 func (p *Pool) FlushAll() error {
 	return p.FlushAllCtx(context.Background())
 }
@@ -107,30 +113,65 @@ func (p *Pool) FlushAllCtx(ctx context.Context) error {
 	return p.flushAll(ctx)
 }
 
+// flushWorkers is how many write-backs a flush sweep keeps in flight. On the
+// durable backend each write-back waits for a WAL fsync, and writers that
+// wait together share one (group commit): a sweep of a few hundred pages
+// then costs a few dozen fsyncs instead of one per page.
+const flushWorkers = 8
+
+// flushAll is the sweep behind FlushAll and Close. It takes every shard's
+// resident ids, sorts them (a deterministic order, and sequential slot
+// offsets on the file backend), and has flushWorkers goroutines claim them
+// by index. Each failure is kept at its page's position, so the joined
+// error lists pages in id order; a cancellation ends the sweep and is
+// reported once, after them. Every worker has exited when flushAll returns.
 func (p *Pool) flushAll(ctx context.Context) error {
-	var errs []error
+	var ids []policy.PageID
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.RLock()
-		ids := make([]policy.PageID, 0, len(sh.table))
 		for id := range sh.table {
 			ids = append(ids, id)
 		}
 		sh.mu.RUnlock()
-		for _, id := range ids {
-			if err := ctx.Err(); err != nil {
-				errs = append(errs, fmt.Errorf("bufferpool: flush sweep cancelled: %w", err))
-				return errors.Join(errs...)
-			}
-			// Not resident any more (evicted or deleted meanwhile) means
-			// nothing to flush.
-			if _, err := p.flushResident(ctx, id, false); err != nil {
-				errs = append(errs, err)
-			}
-		}
 	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
+	slices.Sort(ids)
+	errs := make([]error, len(ids))
+	var next atomic.Int64
+	var cancelled atomic.Bool
+	var wg sync.WaitGroup
+	for range min(flushWorkers, len(ids)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(ids) {
+					return
+				}
+				if ctx.Err() != nil {
+					cancelled.Store(true)
+					return
+				}
+				// Not resident any more (evicted or deleted meanwhile) means
+				// nothing to flush.
+				_, err := p.flushResident(ctx, ids[i], false)
+				if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+					// The sweep's cancellation, not this page's fault: it is
+					// reported once, below. The page stays dirty.
+					cancelled.Store(true)
+					return
+				}
+				errs[i] = err
+			}
+		}()
+	}
+	wg.Wait()
+	if cancelled.Load() {
+		errs = append(errs, fmt.Errorf("bufferpool: flush sweep cancelled: %w", ctx.Err()))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
 	if err := p.backend.Flush(ctx); err != nil {
 		return fmt.Errorf("bufferpool: storage flush barrier: %w", err)
@@ -140,8 +181,14 @@ func (p *Pool) flushAll(ctx context.Context) error {
 
 func (p *Pool) quarantineAdd(id policy.PageID) {
 	p.quarMu.Lock()
+	_, known := p.quarantined[id]
 	p.quarantined[id] = struct{}{}
 	p.quarMu.Unlock()
+	if known {
+		// The writer already retries it on its backoff; a kick here would
+		// let its own failed retries wake it at once, in a tight loop.
+		return
+	}
 	// Wake the background writer (if running); the buffered kick makes the
 	// wake-up lossless without blocking this failure path.
 	select {

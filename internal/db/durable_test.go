@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,6 +198,138 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 		t.Fatal("db attached to a store with an unpublished catalog")
 	}
 	s.Close()
+}
+
+// TestDurableSetupSharesFsyncs guards the fsync counts of a durable set-up,
+// which are deterministic: loading an all-resident population appends an
+// alloc record per page and syncs none of them (they ride the next sync),
+// and the first FlushAll's write-backs, kept in flight together, share their
+// WAL fsyncs through group commit.
+func TestDurableSetupSharesFsyncs(t *testing.T) {
+	leakcheck.Check(t)
+	s, err := file.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(Config{Frames: 404, Backend: s})
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	defer d.Close()
+	before := d.StatsSnapshot()
+	if err := d.LoadCustomers(600); err != nil {
+		t.Fatal(err)
+	}
+	loaded := d.StatsSnapshot()
+	if loaded.Pool.Evictions != 0 {
+		t.Fatalf("%d evictions: the population must stay resident", loaded.Pool.Evictions)
+	}
+	allocs := loaded.Disk.Allocated - before.Disk.Allocated
+	loadSyncs := loaded.Disk.WALSyncs - before.Disk.WALSyncs
+	if loadSyncs != 0 {
+		t.Errorf("LoadCustomers(600) made %d WAL fsyncs for %d allocations, want 0", loadSyncs, allocs)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := d.StatsSnapshot()
+	writeBacks := flushed.Pool.WriteBacks - loaded.Pool.WriteBacks
+	syncs := flushed.Disk.WALSyncs - loaded.Disk.WALSyncs
+	t.Logf("load: %d allocations, %d WAL fsyncs; first FlushAll: %d write-backs, %d WAL fsyncs (%.1f per fsync)",
+		allocs, loadSyncs, writeBacks, syncs, float64(writeBacks)/float64(syncs))
+	if writeBacks < allocs || 2*syncs >= writeBacks {
+		t.Errorf("first FlushAll made %d WAL fsyncs for %d write-backs, want fewer than half", syncs, writeBacks)
+	}
+}
+
+// TestDurableLoadUnderEvictionAbandoned: a load over a pool far smaller than
+// the population interleaves eviction write-backs (synced) with alloc
+// records (not synced). Abandoning the store after the first FlushAll and a
+// few acknowledged updates must recover the whole dataset; abandoning it
+// mid-load, before any FlushAll, must still fail loudly rather than attach
+// to half a dataset.
+func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
+	const frames = 64
+	open := func(t *testing.T, dir string) *DB {
+		t.Helper()
+		s, err := file.Open(dir)
+		if err != nil {
+			t.Fatalf("open store %s: %v", dir, err)
+		}
+		d, err := Open(Config{Frames: frames, Backend: s})
+		if err != nil {
+			s.Close()
+			t.Fatalf("open db over %s: %v", dir, err)
+		}
+		return d
+	}
+	load := func(t *testing.T, d *DB, n int) {
+		t.Helper()
+		if err := d.LoadCustomers(n); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.StatsSnapshot(); st.Pool.WriteBacks == 0 || st.Disk.WALSyncs == 0 {
+			t.Fatalf("load made %d write-backs and %d fsyncs: no eviction traffic", st.Pool.WriteBacks, st.Disk.WALSyncs)
+		}
+	}
+
+	t.Run("after-flush", func(t *testing.T) {
+		leakcheck.Check(t)
+		const customers = 2000
+		origin := t.TempDir()
+		d := open(t, origin)
+		load(t, d, customers)
+		if err := d.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		acked := make(map[int64]byte)
+		for i := int64(0); i < 20; i++ {
+			id, fill := i*97%customers, byte(0x40+i)
+			if err := d.UpdateCustomer(id, fill); err != nil {
+				t.Fatal(err)
+			}
+			acked[id] = fill
+		}
+		img := crashImage(t, origin) // abandon: no flush, no close
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		d2 := open(t, img)
+		defer d2.Close()
+		if !d2.Attached() || d2.CustomerCount() != customers {
+			t.Fatalf("reopened: attached %v with %d customers, want %d", d2.Attached(), d2.CustomerCount(), customers)
+		}
+		for id := int64(0); id < customers; id++ {
+			checkCustomer(t, d2, id, acked[id])
+		}
+	})
+
+	t.Run("mid-load", func(t *testing.T) {
+		leakcheck.Check(t)
+		origin := t.TempDir()
+		d := open(t, origin)
+		load(t, d, 1200)
+		img := crashImage(t, origin) // abandon before the first FlushAll
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := file.Open(img)
+		if err != nil {
+			t.Fatalf("store-level recovery itself must succeed: %v", err)
+		}
+		d2, err := Open(Config{Frames: frames, Backend: s})
+		if err == nil {
+			d2.Close()
+			t.Fatalf("db attached to a store abandoned mid-load: %d customers", d2.CustomerCount())
+		}
+		s.Close()
+		if !strings.Contains(err.Error(), "crashed before its first FlushAll") {
+			t.Errorf("reopen error = %v, want the unpublished-catalog error", err)
+		}
+	})
 }
 
 // TestDurableUpdateUnderEviction is the regression test for the durable

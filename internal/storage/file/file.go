@@ -16,12 +16,19 @@
 //	           (tmp + rename)
 //
 // Write-ahead invariant: every state change (page write, allocate,
-// deallocate) appends a checksummed WAL record and fsyncs it — batched by
-// group commit — before the operation returns. The page-file write itself
-// is not synced; a checkpoint (Flush) makes it durable, publishes the
-// allocation state, and truncates the log. Recovery therefore replays the
-// log over the last checkpoint's page file, stopping at the torn tail, and
-// immediately checkpoints so the replayed state is itself durable.
+// deallocate) appends a checksummed WAL record before the operation
+// returns. A page write or deallocate also fsyncs the log through its
+// record — batched by group commit — before returning. An allocate does
+// not: its record is made durable by the next fsync or checkpoint, and
+// anything that can make the page observable (the page's own image, or a
+// page pointing at it) is appended after it, so the sync acknowledging that
+// record covers the allocation too. Recovery replays the log as a prefix,
+// so a power loss can drop only allocations nothing durable references,
+// and those ids are handed out again. The page-file write itself is not
+// synced; a checkpoint (Flush) makes it durable, publishes the allocation
+// state, and truncates the log. Recovery therefore replays the log over the
+// last checkpoint's page file, stopping at the torn tail, and immediately
+// checkpoints so the replayed state is itself durable.
 package file
 
 import (
@@ -97,7 +104,7 @@ type Store struct {
 	stripes [storage.DefaultStripes]stripe
 
 	// ckpt excludes checkpoints from in-flight operations: writes, allocs,
-	// and deallocs hold it shared for their whole span (fsync included), a
+	// and deallocs hold it shared for their whole span (any fsync included), a
 	// checkpoint holds it exclusively — so the log it truncates describes
 	// only page-file state it has just made durable.
 	ckpt sync.RWMutex
@@ -495,6 +502,10 @@ func (s *Store) maybeCheckpoint() {
 
 // Allocate reserves a page (reusing the lowest-cost free slot first) and
 // logs the allocation so it survives a crash before the next checkpoint.
+// It does not wait for the record's fsync: the log is replayed as a prefix,
+// and whatever makes the page observable is appended after this record, so
+// the fsync that acknowledges it — or a checkpoint's meta.json — covers the
+// allocation as well.
 func (s *Store) Allocate() (policy.PageID, error) {
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
@@ -513,16 +524,12 @@ func (s *Store) Allocate() (policy.PageID, error) {
 		s.allocMu.Unlock()
 		return 0, err
 	}
-	lsn, err := s.wal.append(recKindAlloc, p, nil)
-	if err != nil {
+	if _, err := s.wal.append(recKindAlloc, p, nil); err != nil {
 		s.undoAllocLocked(p)
 		s.allocMu.Unlock()
 		return 0, err
 	}
 	s.allocMu.Unlock()
-	if err := s.wal.sync(lsn); err != nil {
-		return 0, err
-	}
 	s.allocated.Add(1)
 	return p, nil
 }

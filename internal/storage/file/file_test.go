@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -486,6 +487,146 @@ func TestDurableBackendInterface(t *testing.T) {
 	// The faulted write never reached the WAL.
 	if st.WALAppends != 2 { // alloc record + one successful page record
 		t.Errorf("WALAppends = %d, want 2", st.WALAppends)
+	}
+}
+
+// TestAllocRecordsReplayAsPrefix is the referee for alloc records that do
+// not wait for their own fsync. It records the log of a short workload —
+// allocations, page writes, a dealloc and a free-list reuse, no checkpoint
+// — and replays every prefix of it into a copy of the empty store: cut at
+// each record boundary and inside the record that follows, as a power loss
+// could leave it. For every prefix, each page with a replayed image is
+// allocated and reads back verified, NumPages counts the prefix's
+// allocations minus its deallocations, and the next Allocate hands out no
+// page the prefix left allocated.
+func TestAllocRecordsReplayAsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	empty := copyDir(t, dir)
+
+	type op struct {
+		kind byte
+		page policy.PageID
+		fill byte // page records only
+	}
+	var ops []op
+	alloc := func() policy.PageID {
+		p, err := s.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op{kind: recKindAlloc, page: p})
+		return p
+	}
+	write := func(p policy.PageID, fill byte) {
+		if err := s.Write(ctx, p, pageImage(fill)); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op{kind: recKindPage, page: p, fill: fill})
+	}
+	a, b := alloc(), alloc()
+	if got := s.Stats().WALSyncs; got != 0 {
+		t.Fatalf("two allocations made %d WAL fsyncs, want 0", got)
+	}
+	write(a, 1)
+	c := alloc()
+	write(c, 2)
+	write(a, 3)
+	if err := s.Deallocate(b); err != nil {
+		t.Fatal(err)
+	}
+	ops = append(ops, op{kind: recKindDealloc, page: b})
+	if got := alloc(); got != b {
+		t.Fatalf("Allocate after freeing %d = %d, want the freed page", b, got)
+	}
+	write(b, 4)
+	write(alloc(), 5)
+	syncs := s.Stats().WALSyncs
+	alloc() // trailing: nothing references it, nothing syncs it
+	if got := s.Stats().WALSyncs; got != syncs {
+		t.Errorf("a trailing allocation made %d WAL fsyncs, want 0", got-syncs)
+	}
+
+	log, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bounds[k] is the byte offset where record k starts; each record must
+	// be the workload's k-th operation.
+	var bounds []int
+	r := bytes.NewReader(log)
+	for {
+		bounds = append(bounds, len(log)-r.Len())
+		payload, err := readRecord(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("reading record %d: %v", len(bounds)-1, err)
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := len(bounds) - 1
+		if k >= len(ops) || rec.kind != ops[k].kind || rec.page != ops[k].page {
+			t.Fatalf("record %d is kind %d page %d, want operation %d of %+v", k, rec.kind, rec.page, k, ops)
+		}
+	}
+	if got := len(bounds) - 1; got != len(ops) {
+		t.Fatalf("log holds %d records for %d operations", got, len(ops))
+	}
+
+	buf := make([]byte, storage.PageSize)
+	for k := range bounds {
+		cuts := []int{bounds[k]}
+		if k < len(ops) {
+			cuts = append(cuts, (bounds[k]+bounds[k+1])/2)
+		}
+		for _, cut := range cuts {
+			torn := cut != bounds[k]
+			// The state the first k operations leave.
+			live := make(map[policy.PageID]bool)
+			images := make(map[policy.PageID]byte)
+			for _, o := range ops[:k] {
+				switch o.kind {
+				case recKindAlloc:
+					live[o.page] = true
+				case recKindDealloc:
+					delete(live, o.page)
+					delete(images, o.page)
+				case recKindPage:
+					images[o.page] = o.fill
+				}
+			}
+
+			rs := mustOpen(t, copyDir(t, empty))
+			n, tail, err := rs.replayFrom(bytes.NewReader(log[:cut]))
+			if err != nil || n != k || tail != torn {
+				t.Fatalf("cut %d: replayed %d (torn %v, %v), want %d (torn %v)", cut, n, tail, err, k, torn)
+			}
+			for p, fill := range images {
+				if !rs.isAllocated(p) {
+					t.Errorf("prefix %d: page %d has a replayed image but is not allocated", k, p)
+					continue
+				}
+				if err := rs.Read(ctx, p, buf); err != nil || !bytes.Equal(buf, pageImage(fill)) {
+					t.Errorf("prefix %d: page %d reads back %d (%v), want %d", k, p, buf[0], err, fill)
+				}
+			}
+			if got := rs.NumPages(); got != len(live) {
+				t.Errorf("prefix %d: NumPages = %d, want %d", k, got, len(live))
+			}
+			p, err := rs.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live[p] {
+				t.Errorf("prefix %d: Allocate handed out page %d, which the prefix left allocated", k, p)
+			}
+			rs.Close()
+		}
 	}
 }
 

@@ -15,9 +15,10 @@
 //	kind 3 (dealloc):    page id (8 bytes BE)
 //
 // Recovery replays records in order and stops at the first frame that is
-// short, oversized, or fails its checksum: everything before that point was
-// acknowledged (fsynced before the write returned), everything after is a
-// torn tail from the crash and is discarded. Replay is redo-only and
+// short, oversized, or fails its checksum: everything before that point
+// reached the log (every acknowledged write was fsynced before it
+// returned), everything after is a torn tail from the crash and is
+// discarded. Replay is redo-only and
 // idempotent — records carry full page images, so applying a prefix twice
 // converges to the same page file.
 package file
@@ -160,7 +161,8 @@ func newWAL(f *os.File) *wal {
 
 // append frames and writes one record (kind, page id, img — nil for alloc
 // and dealloc) and returns its LSN. The caller must sync(lsn) before
-// acknowledging the operation the record describes.
+// acknowledging a page write or dealloc; an alloc record rides the next
+// sync (see Store.Allocate).
 func (w *wal) append(kind byte, p policy.PageID, img []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

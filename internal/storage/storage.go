@@ -84,7 +84,11 @@ type Backend interface {
 	Write(ctx context.Context, p policy.PageID, buf []byte) error
 	// Allocate reserves a fresh zeroed page and returns its id. A durable
 	// backend may fail (log append, file extension); the simulator never
-	// does.
+	// does. On a durable backend the allocation is logged but not synced
+	// before Allocate returns: it becomes durable with the next acknowledged
+	// Write or Deallocate (which syncs every record before its own) or the
+	// next Flush, so a crash can lose only an allocation nothing durable
+	// refers to.
 	Allocate() (policy.PageID, error)
 	// Deallocate releases a page. Further access to it fails with
 	// ErrPageNotAllocated.
