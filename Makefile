@@ -57,10 +57,13 @@ bench-module:
 	$(GO) -C bench test -timeout 300s .
 
 ## bench: the repo-root benchmarks — per-reference policy cost, the
-## concurrent generic cache, the TPC-A ablation and BudgetedLRUK. The
-## paper's tables are golden files, not benchmarks (see golden).
+## concurrent generic cache, the TPC-A ablation and BudgetedLRUK — and
+## BenchmarkLoadCustomers, the set-up cost (Open plus the 20,000-customer
+## load at 404 frames). The paper's tables are golden files, not
+## benchmarks (see golden).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench BenchmarkLoadCustomers -benchtime 1x -run '^$$' ./internal/db/
 
 ## bench-pool: Serial reference pool vs the concurrent Pool, scalability.
 bench-pool:

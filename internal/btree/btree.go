@@ -311,8 +311,9 @@ func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResul
 	}
 	child := childFor(data, key)
 	// Keep the parent pinned across the child insert: a split must come
-	// back to this very frame. Pool capacity must therefore be at least
-	// the tree height plus a small constant.
+	// back to this very frame. A split therefore pins the root-to-leaf path
+	// and the new sibling, tree height + 1 frames (db.LoadCustomers holds a
+	// heap-file page besides, so it needs height + 2).
 	res, replaced, err := t.insert(child, key, rid)
 	if err != nil {
 		pg.Unpin(false)
@@ -324,6 +325,62 @@ func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResul
 	}
 	up, err := t.insertInternal(&pg, res.sep, child, res.right)
 	return up, replaced, err
+}
+
+// Appender inserts ascending keys, the bulk load's path. It keeps the
+// rightmost leaf pinned and writes a key above every key in the tree into
+// it in place, as Insert would, with no descent. A full leaf, a smaller key
+// or an empty leaf goes through Insert, the one split implementation, and
+// the rightmost leaf is re-pinned. While an Appender is open the tree must
+// not be written any other way, and Close must run on every exit.
+type Appender struct {
+	t      *Tree
+	leaf   bufferpool.Page
+	pinned bool
+	dirty  bool // leaf was written since it was pinned
+}
+
+// NewAppender returns an Appender over t, holding no pin yet.
+func (t *Tree) NewAppender() *Appender { return &Appender{t: t} }
+
+// Append stores rid under key.
+func (a *Appender) Append(key int64, rid heapfile.RID) error {
+	if a.pinned {
+		data := a.leaf.Data()
+		if n := numKeys(data); n > 0 && n < a.t.maxLeaf && key > leafKey(data, n-1) {
+			setLeafEntry(data, n, key, rid)
+			setNumKeys(data, n+1)
+			a.t.count++
+			a.dirty = true
+			return nil
+		}
+		a.Close()
+	}
+	if err := a.t.Insert(key, rid); err != nil {
+		return err
+	}
+	id := a.t.root
+	for {
+		pg, err := a.t.pool.Fetch(id)
+		if err != nil {
+			return fmt.Errorf("btree append: %w", err)
+		}
+		data := pg.Data()
+		if isLeaf(data) {
+			a.leaf, a.pinned, a.dirty = pg, true, false
+			return nil
+		}
+		id = policy.PageID(extra(data))
+		pg.Unpin(false)
+	}
+}
+
+// Close releases the pinned leaf. It is idempotent.
+func (a *Appender) Close() {
+	if a.pinned {
+		a.leaf.Unpin(a.dirty)
+		a.pinned = false
+	}
 }
 
 // insertLeaf adds (key, rid) to a pinned leaf, splitting if necessary.

@@ -15,10 +15,11 @@
 // The bookkeeping follows Figure 2.1 of the paper: per-page HIST blocks
 // with the times of the K most recent uncorrelated references, a LAST
 // timestamp for correlated-reference detection (§2.1.1), retained history
-// for non-resident pages (§2.1.2), and a search-tree victim index ordered
-// by Backward K-distance (§2.1.3). The table is the only code that reads
-// or writes that index: the faces say what happened to a page (referenced,
-// admitted, made a candidate, retired) and ask for a victim.
+// for non-resident pages (§2.1.2), and a victim index ordered by Backward
+// K-distance (§2.1.3): an LRU list for the pages at infinite distance and a
+// search tree for the rest. The table is the only code that reads or writes
+// that index: the faces say what happened to a page (referenced, admitted,
+// made a candidate, retired) and ask for a victim.
 package core
 
 import (
@@ -48,9 +49,12 @@ type hist struct {
 	dirty bool
 	// filed reports that the victim index holds an entry for this block,
 	// under the key of the HIST(p,K) and HIST(p,1) it had when filed (kept
-	// as two ticks, not a vkey, so the block stays within 64 bytes).
+	// as two ticks, not a vkey, so the block stays within 80 bytes).
 	filed                bool
 	filedKth, filedHist1 policy.Tick
+	// prev and next link the block into the table's ∞ list while it is
+	// filed there; both are nil otherwise.
+	prev, next *hist
 }
 
 // kth returns HIST(p,K), the time of the K-th most recent uncorrelated
@@ -86,6 +90,10 @@ func (h *hist) filedKey() vkey {
 	return vkey{kth: h.filedKth, hist1: h.filedHist1, page: h.page}
 }
 
+// lruLess orders the ∞ list by filed key, which within that class is
+// (HIST(p,1), page).
+func lruLess(a, b *hist) bool { return vkeyLess(a.filedKey(), b.filedKey()) }
+
 // retired records a page that left residency at a given LAST time; the
 // retention queue purges history blocks lazily once their age exceeds the
 // Retained Information Period.
@@ -104,21 +112,28 @@ type histTable struct {
 	clock policy.Tick
 
 	pages map[policy.PageID]*hist
-	// index orders the candidates by Backward K-distance; nothing outside
-	// this file touches it. A mutation that moves a block's key or flips its
-	// candidacy re-files the block at once — unless the owner batches: a
-	// reference moves its page's key, mirroring every move into the tree (a
-	// delete plus an insert) dominates the cost of a reference, and
-	// SyncReplacer applies references a ring at a time. With batching set,
-	// mutations only put the block on the dirty list and sync re-files the
-	// listed blocks, at most one delete and one insert each however often
-	// they changed; the owner calls sync at the end of each batch, and
-	// selectVictim, the index's only reader, calls it first.
+	// lru and index order the candidates by Backward K-distance; nothing
+	// outside this file touches them. lru is the sentinel of a circular list
+	// of the candidates at infinite distance (all of them when K = 1): every
+	// key change in that class sets HIST(p,1) := now, so Definition 2.2's
+	// subsidiary LRU order is a list, first victim at lru.next. index is the
+	// search tree over the finite keys.
+	//
+	// A mutation that moves a block's key or flips its candidacy re-files the
+	// block at once — unless the owner batches: a reference moves its page's
+	// key, mirroring every move into the tree (a delete plus an insert)
+	// dominates the cost of a reference, and SyncReplacer applies references
+	// a ring at a time. With batching set, mutations only put the block on
+	// the dirty list and sync re-files the listed blocks, at most one removal
+	// and one insertion each however often they changed; the owner calls
+	// sync at the end of each batch, and selectVictim, the index's only
+	// reader, calls it first.
+	lru      hist
 	index    *ordmap.Map[vkey, struct{}]
 	batching bool
 	dirty    []*hist
-	// candidates counts blocks with candidate set — the index's size once
-	// synced.
+	// candidates counts blocks with candidate set — the size of the list and
+	// the tree together once synced.
 	candidates int
 	// retire is the lazily-validated retention queue, a FIFO in the order
 	// pages left residency — not sorted by LAST: a page retired later may
@@ -145,18 +160,21 @@ type histTable struct {
 }
 
 func newHistTable(k int, crp, rip policy.Tick) *histTable {
-	return &histTable{
+	t := &histTable{
 		k:     k,
 		crp:   crp,
 		rip:   rip,
 		pages: make(map[policy.PageID]*hist),
 		index: ordmap.New[vkey, struct{}](vkeyLess),
 	}
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+	return t
 }
 
 func (t *histTable) reset() {
 	t.clock = 0
 	t.pages = make(map[policy.PageID]*hist)
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
 	t.index.Clear()
 	t.dirty, t.candidates = nil, 0
 	t.retire, t.retireHead = nil, 0
@@ -200,25 +218,60 @@ func (t *histTable) changed(h *hist) {
 }
 
 // refile brings h's index entry in line with the block: present exactly if
-// the page is a candidate, under its current key.
+// the page is a candidate, under its current key, in the ∞ list or the tree
+// as the key's class says.
 func (t *histTable) refile(h *hist) {
 	key := h.key()
 	if h.filed && (!h.candidate || key != h.filedKey()) {
-		t.index.Delete(h.filedKey())
+		if h.prev != nil {
+			h.prev.next, h.next.prev = h.next, h.prev
+			h.prev, h.next = nil, nil
+		} else {
+			t.index.Delete(h.filedKey())
+		}
 		h.filed = false
 	}
 	if h.candidate && !h.filed {
-		t.index.Set(key, struct{}{})
 		h.filed, h.filedKth, h.filedHist1 = true, key.kth, key.hist1
+		if t.listed(key) {
+			t.lruInsert(h)
+		} else {
+			t.index.Set(key, struct{}{})
+		}
 	}
 }
 
-// sync re-files every dirty block: afterwards the index holds exactly the
-// candidates, each under its current key. The index is a pure function of
-// the blocks, so when sync runs changes no decision — only how many key
-// moves one re-filing absorbs. The list holds blocks, not page ids: one
-// retired and then purged before this sync is in the table no longer, and
-// its entry must still go.
+// listed reports whether a candidate under key belongs in the ∞ list.
+func (t *histTable) listed(key vkey) bool { return key.kth == 0 || t.k == 1 }
+
+// lruInsert links the filed block h into the ∞ list at its (HIST(p,1),
+// page) position. The walk steps inward from both ends at once: a key moved
+// to "now" stops at the back in one step, a restored victim near the front,
+// and nothing walks more than half the list. The invariant: every entry
+// after back sorts above h, every entry before front below it.
+func (t *histTable) lruInsert(h *hist) {
+	back, front := t.lru.prev, t.lru.next
+	for back != &t.lru && lruLess(h, back) {
+		if lruLess(h, front) {
+			back = front.prev
+			break
+		}
+		back, front = back.prev, front.next
+	}
+	h.prev, h.next = back, back.next
+	back.next.prev = h
+	back.next = h
+}
+
+// sync re-files every dirty block: afterwards the list and the tree hold
+// exactly the candidates, each under its current key. The index is a pure
+// function of the blocks, so when sync runs changes no decision — only how
+// many key moves one re-filing absorbs. A block re-filed into the list
+// lands at the back, stepping over the blocks earlier on the dirty list
+// that were referenced after it: none for K = 2, where a listed key moves
+// only by admission, and at most the batch for K = 1 or 3. The dirty list
+// holds blocks, not page ids: one retired and then purged before this sync
+// is in the table no longer, and its entry must still go.
 func (t *histTable) sync() {
 	for i, h := range t.dirty {
 		t.dirty[i] = nil
@@ -353,27 +406,34 @@ func (t *histTable) retirePop() retired {
 // Reference Period" in Figure 2.1). If every candidate is still inside its
 // correlated period, the overall maximum is returned anyway — the paper
 // leaves this case open, and starving admission would deadlock a real
-// buffer pool. ok is false when there is no candidate.
+// buffer pool. ok is false when there is no candidate. The ∞ list comes
+// before the whole tree in that order, so both searches walk the list
+// first.
 func (t *histTable) selectVictim(now policy.Tick) (victim policy.PageID, ok bool) {
 	t.sync()
-	if t.crp == 0 {
-		k, _, found := t.index.Min()
-		return k.page, found
-	}
-	found := false
-	t.index.Ascend(func(k vkey, _ struct{}) bool {
-		h := t.pages[k.page]
-		if now-h.last > t.crp {
-			victim, found = k.page, true
-			return false
+	if t.crp > 0 {
+		for h := t.lru.next; h != &t.lru; h = h.next {
+			if now-h.last > t.crp {
+				return h.page, true
+			}
 		}
-		return true
-	})
-	if found {
-		return victim, true
+		found := false
+		t.index.Ascend(func(k vkey, _ struct{}) bool {
+			if now-t.pages[k.page].last > t.crp {
+				victim, found = k.page, true
+				return false
+			}
+			return true
+		})
+		if found {
+			return victim, true
+		}
 	}
-	k, _, fallback := t.index.Min()
-	return k.page, fallback
+	if h := t.lru.next; h != &t.lru {
+		return h.page, true
+	}
+	k, _, found := t.index.Min()
+	return k.page, found
 }
 
 // purge is the paper's "asynchronous demon process" (§2.1.3) run inline:
@@ -412,7 +472,8 @@ func (t *histTable) dropHistory(h *hist) {
 		t.onPurge(h.page)
 	}
 	// A block retired and then purged before a batching table's sync is
-	// still dirty and filed: sync must unfile it under this page id.
+	// still dirty and filed: sync must unfile it from the list or, under
+	// this page id, from the tree.
 	if !h.dirty && !h.filed && len(t.free) < freeMax {
 		t.free = append(t.free, h)
 	}

@@ -7,25 +7,50 @@ import (
 	"repro/internal/policy"
 )
 
-// TestHistBlockSize pins the HIST block at 64 bytes — one allocator size
-// class, one cache line — which is why it records the filed key as two
-// ticks instead of a whole vkey.
+// TestHistBlockSize pins the HIST block at 80 bytes, an allocator size
+// class. It was 64 before the ∞ list: the list links add 16 bytes to every
+// block, but a block filed in the list no longer holds a 48-byte tree node,
+// and most candidates a load or a cold miss makes are filed there. The
+// filed key is still two ticks, not a whole vkey.
 func TestHistBlockSize(t *testing.T) {
-	if got := unsafe.Sizeof(hist{}); got > 64 {
-		t.Errorf("hist block is %d bytes, want at most 64", got)
+	if got := unsafe.Sizeof(hist{}); got > 80 {
+		t.Errorf("hist block is %d bytes, want at most 80", got)
 	}
 }
 
-// checkIndex syncs the table and asserts what sync promises: the victim
-// index holds exactly the resident candidates, each under its current key
-// and recorded as filed under it, the dirty list is empty, and the
-// candidate counter agrees. Equal sizes plus every candidate's key present
-// leaves no room for an orphan entry.
+// listLen counts the ∞ list's entries.
+func listLen(t *histTable) int {
+	n := 0
+	for h := t.lru.next; h != &t.lru; h = h.next {
+		n++
+	}
+	return n
+}
+
+// checkIndex syncs the table and asserts what sync promises: every
+// resident candidate has exactly one entry, under its current key and
+// recorded as filed under it — in the ∞ list iff its key is at infinite
+// distance (or K = 1), in the tree otherwise; the list is linked both ways
+// in (HIST(p,1), page) order; the dirty list is empty; and the list and
+// the tree together are as large as the candidate counter says. Equal
+// sizes plus every candidate's entry present leaves no room for an orphan.
 func checkIndex(tb testing.TB, t *histTable) {
 	tb.Helper()
 	t.sync()
 	if len(t.dirty) != 0 {
 		tb.Fatalf("dirty list holds %d blocks after sync", len(t.dirty))
+	}
+	for h := t.lru.next; h != &t.lru; h = h.next {
+		if h.next.prev != h || h.prev.next != h {
+			tb.Fatalf("∞ list links around page %d are broken", h.page)
+		}
+		if t.pages[h.page] != h {
+			tb.Fatalf("∞ list holds a block of page %d the table does not", h.page)
+		}
+		if h.prev != &t.lru && !lruLess(h.prev, h) {
+			tb.Fatalf("∞ list out of order: page %d (HIST1 %d) before page %d (HIST1 %d)",
+				h.prev.page, h.prev.filedHist1, h.page, h.filedHist1)
+		}
 	}
 	want := 0
 	for p, h := range t.pages {
@@ -41,15 +66,20 @@ func checkIndex(tb testing.TB, t *histTable) {
 		if h.candidate {
 			want++
 		}
-		if _, in := t.index.Get(h.key()); in != h.candidate {
-			tb.Fatalf("page %d: in index under its key = %v, candidate = %v", p, in, h.candidate)
+		inList := h.prev != nil
+		_, inTree := t.index.Get(h.key())
+		if inList && inTree || (inList || inTree) != h.candidate {
+			tb.Fatalf("page %d: in list %v, in tree %v, candidate %v", p, inList, inTree, h.candidate)
+		}
+		if h.candidate && inList != t.listed(h.key()) {
+			tb.Fatalf("page %d with key %+v filed in the list = %v, want %v", p, h.key(), inList, !inList)
 		}
 		if h.filed != h.candidate || (h.filed && h.filedKey() != h.key()) {
 			tb.Fatalf("page %d: filed=%v as %+v, candidate=%v with key %+v", p, h.filed, h.filedKey(), h.candidate, h.key())
 		}
 	}
-	if t.index.Len() != want || t.candidates != want {
-		tb.Fatalf("index holds %d entries, counter says %d, table has %d candidates", t.index.Len(), t.candidates, want)
+	if n := listLen(t) + t.index.Len(); n != want || t.candidates != want {
+		tb.Fatalf("list and tree hold %d entries, counter says %d, table has %d candidates", n, t.candidates, want)
 	}
 }
 

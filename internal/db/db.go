@@ -370,8 +370,15 @@ func (db *DB) Recovery() (storage.RecoveryInfo, bool) {
 	return db.durable.Recovery(), true
 }
 
-// LoadCustomers bulk-loads n customer records keyed 0..n-1. Each record
-// begins with its CUST-ID (8 bytes little-endian) followed by filler.
+// minLoadFrames is the smallest pool LoadCustomers accepts: a leaf split
+// under a one-level root pins the root, the leaf and its new sibling, and
+// the load holds its heap-file tail besides (each deeper level adds one).
+const minLoadFrames = 4
+
+// LoadCustomers bulk-loads n customer records keyed 0..n-1 into a database
+// that holds none. Each record begins with its CUST-ID (8 bytes
+// little-endian) followed by filler. The Appenders it fills the heap file
+// and index through leave the pages inserting each record would.
 func (db *DB) LoadCustomers(n int) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -379,18 +386,27 @@ func (db *DB) LoadCustomers(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("db: customer count must be positive, got %d", n)
 	}
+	if db.attached || db.DataPages() > 0 {
+		return fmt.Errorf("db: LoadCustomers needs an empty database; this one holds %d customers", db.CustomerCount())
+	}
+	if db.cfg.Frames < minLoadFrames {
+		return fmt.Errorf("db: LoadCustomers needs at least %d frames, the pool has %d", minLoadFrames, db.cfg.Frames)
+	}
+	heap, index := db.customers.NewAppender(), db.index.NewAppender()
+	defer heap.Close()
+	defer index.Close()
 	rec := make([]byte, db.cfg.recordSize)
 	for id := int64(0); id < int64(n); id++ {
 		binary.LittleEndian.PutUint64(rec, uint64(id))
-		rid, err := db.customers.Insert(rec)
+		rid, err := heap.Append(rec)
 		if err != nil {
 			return fmt.Errorf("db: loading customer %d: %w", id, err)
 		}
-		if err := db.index.Insert(id, rid); err != nil {
+		if err := index.Append(id, rid); err != nil {
 			return fmt.Errorf("db: indexing customer %d: %w", id, err)
 		}
 	}
-	db.count.Add(int64(n))
+	db.count.Store(int64(n))
 	return nil
 }
 

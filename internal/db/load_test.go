@@ -1,0 +1,327 @@
+package db
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/bufferpool"
+	"repro/internal/leakcheck"
+	"repro/internal/policy"
+	"repro/internal/storage"
+	"repro/internal/storage/file"
+	"repro/internal/storage/sim"
+)
+
+// TestLoadCustomersRefusesLoadedDatabase is the regression test for a
+// second load: it used to append n more records and count them, while the
+// index replaced the first load's entries — CustomerCount 20 over an index
+// of 10, ten orphaned heap records, and a durable store whose catalog no
+// longer matched its index, so it could not be opened again.
+func TestLoadCustomersRefusesLoadedDatabase(t *testing.T) {
+	t.Run("sim", func(t *testing.T) {
+		d, err := Open(Config{Frames: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := d.LoadCustomers(10); err != nil {
+			t.Fatal(err)
+		}
+		pages := d.DataPages()
+		if err := d.LoadCustomers(10); err == nil {
+			t.Error("a second LoadCustomers was accepted")
+		}
+		if got := d.CustomerCount(); got != 10 {
+			t.Errorf("CustomerCount = %d after a refused reload, want 10", got)
+		}
+		if got := d.DataPages(); got != pages {
+			t.Errorf("DataPages = %d after a refused reload, want %d", got, pages)
+		}
+	})
+	t.Run("file", func(t *testing.T) {
+		leakcheck.Check(t)
+		dir := t.TempDir()
+		d := openDurable(t, dir)
+		if err := d.LoadCustomers(10); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d = openDurable(t, dir)
+		if err := d.LoadCustomers(10); err == nil {
+			t.Error("LoadCustomers was accepted by a reopened durable store")
+		}
+		if err := d.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d = openDurable(t, dir) // fails the test if the catalog and index disagree
+		defer d.Close()
+		if got := d.CustomerCount(); got != 10 {
+			t.Errorf("CustomerCount = %d after reopening, want 10", got)
+		}
+	})
+}
+
+// loadByInsert is the load as it was before the Appenders, kept as their
+// referee: one heap-file Insert and one B-tree Insert per customer.
+func loadByInsert(d *DB, n int) error {
+	rec := make([]byte, d.cfg.recordSize)
+	for id := int64(0); id < int64(n); id++ {
+		binary.LittleEndian.PutUint64(rec, uint64(id))
+		rid, err := d.customers.Insert(rec)
+		if err != nil {
+			return err
+		}
+		if err := d.index.Insert(id, rid); err != nil {
+			return err
+		}
+	}
+	d.count.Add(int64(n))
+	return nil
+}
+
+// loadedImage is what a load leaves on disk: the page directory's sizes,
+// the index root, and a digest of every page image in id order.
+type loadedImage struct {
+	numPages, indexPages, dataPages int
+	root                            policy.PageID
+	digests                         [][sha256.Size]byte
+}
+
+func digestPages(t *testing.T, b storage.Backend, img *loadedImage) {
+	t.Helper()
+	img.numPages = b.NumPages()
+	buf := make([]byte, storage.PageSize)
+	for p := 0; p < img.numPages; p++ {
+		if err := b.Read(context.Background(), policy.PageID(p), buf); err != nil {
+			t.Fatalf("reading page %d: %v", p, err)
+		}
+		img.digests = append(img.digests, sha256.Sum256(buf))
+	}
+}
+
+// loadImage runs load over a fresh 404-frame database on the named backend,
+// checkpoints it, checks every customer reads back, and returns the image:
+// read through the simulated disk itself, or through the file store
+// reopened after Close.
+func loadImage(t *testing.T, backend string, recordSize, n int, load func(*DB, int) error) loadedImage {
+	t.Helper()
+	cfg := Config{Frames: 404, recordSize: recordSize}
+	dir := t.TempDir()
+	if backend == "file" {
+		s, err := file.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Backend = s
+	}
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := load(d, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	var dst []byte
+	for id := int64(0); id < int64(n); id++ {
+		if dst, err = d.LookupAppendCtx(context.Background(), dst[:0], id); err != nil {
+			t.Fatalf("lookup %d: %v", id, err)
+		}
+		if got := int64(binary.LittleEndian.Uint64(dst)); got != id || len(dst) != d.cfg.recordSize {
+			t.Fatalf("lookup %d: %d-byte record of customer %d", id, len(dst), got)
+		}
+	}
+	img := loadedImage{indexPages: d.IndexPages(), dataPages: d.DataPages(), root: d.index.Root()}
+	if backend == "sim" {
+		digestPages(t, d.backend, &img)
+		return img
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := file.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	digestPages(t, s, &img)
+	return img
+}
+
+// TestLoadMatchesPerRecordInserts is the Appenders' referee: LoadCustomers
+// must leave the same pages — ids, directory sizes, index root and every
+// image byte — as inserting each record through Insert, across leaf-split
+// boundaries (204 keys fill a leaf), both record sizes, a load far larger
+// than the pool, and both backends.
+func TestLoadMatchesPerRecordInserts(t *testing.T) {
+	for _, backend := range []string{"sim", "file"} {
+		for _, recordSize := range []int{2000, 100} {
+			for _, n := range []int{1, 2, 3, 204, 205, 20000} {
+				t.Run(fmt.Sprintf("%s/record=%d/n=%d", backend, recordSize, n), func(t *testing.T) {
+					want := loadImage(t, backend, recordSize, n, loadByInsert)
+					got := loadImage(t, backend, recordSize, n, (*DB).LoadCustomers)
+					if got.numPages != want.numPages || got.root != want.root ||
+						got.indexPages != want.indexPages || got.dataPages != want.dataPages {
+						t.Fatalf("pages %d, root %d, %d index and %d data pages; per-record inserts: %d, %d, %d, %d",
+							got.numPages, got.root, got.indexPages, got.dataPages,
+							want.numPages, want.root, want.indexPages, want.dataPages)
+					}
+					for p := range want.digests {
+						if got.digests[p] != want.digests[p] {
+							t.Fatalf("page %d differs from the per-record inserts' image", p)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkNoPins pins a fresh page in every frame at once, which succeeds only
+// if nothing earlier left a pin behind.
+func checkNoPins(t *testing.T, d *DB) {
+	t.Helper()
+	pages := make([]bufferpool.Page, 0, d.cfg.Frames)
+	defer func() {
+		for i := range pages {
+			pages[i].Unpin(false)
+		}
+	}()
+	for len(pages) < d.cfg.Frames {
+		pg, err := d.pool.NewPage()
+		if err != nil {
+			t.Fatalf("pinning frame %d of %d: %v", len(pages)+1, d.cfg.Frames, err)
+		}
+		pages = append(pages, pg)
+	}
+}
+
+// TestLoadFrameMinimum pins the load's pool floor: the heap-file tail it
+// keeps pinned costs one frame beyond a leaf split's root, leaf and new
+// sibling, so a pool under four frames is refused up front, naming the
+// minimum, and four frames load a two-level index.
+func TestLoadFrameMinimum(t *testing.T) {
+	for _, frames := range []int{2, 3, 4} {
+		t.Run(fmt.Sprint("frames=", frames), func(t *testing.T) {
+			d, err := Open(Config{Frames: frames})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			err = d.LoadCustomers(3000)
+			if frames < minLoadFrames {
+				if err == nil || !strings.Contains(err.Error(), "at least 4 frames") || d.DataPages() != 0 {
+					t.Fatalf("LoadCustomers at %d frames = %v with %d data pages, want a refusal naming the minimum before any page",
+						frames, err, d.DataPages())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, err := d.index.Height(); err != nil || h != 2 {
+				t.Fatalf("index height %d (%v), want 2", h, err)
+			}
+			checkNoPins(t, d)
+		})
+	}
+}
+
+// TestLoadFaultReleasesPins fails a load part-way with injected disk
+// faults — an allocation refused in the heap file, a leaf split or a root
+// split, or every eviction write-back refused — and requires the error to
+// come back with no frame left pinned, after which the database flushes
+// and closes cleanly.
+func TestLoadFaultReleasesPins(t *testing.T) {
+	// A two-record page per allocation, and 102 of them before the 205th
+	// key splits the root leaf: a leaf, then a root.
+	cases := []struct {
+		name string
+		rule storage.FaultRule
+		want string // where the load failed
+	}{
+		{"first-heap-page", storage.FaultRule{Op: storage.OpAllocate}, "loading customer 0:"},
+		{"heap-page", storage.FaultRule{Op: storage.OpAllocate, After: 102}, "loading customer 204:"},
+		{"leaf-split", storage.FaultRule{Op: storage.OpAllocate, After: 103}, "allocating leaf"},
+		{"root-split", storage.FaultRule{Op: storage.OpAllocate, After: 104}, "allocating new root"},
+		{"write-back", storage.FaultRule{Op: storage.OpWrite, After: 20}, "failed write-backs"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+			d, err := Open(Config{Frames: 16, Backend: faulty})
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulty.SetFaults(storage.NewFaultPlan(1, c.rule))
+			err = d.LoadCustomers(3000)
+			if !errors.Is(err, storage.ErrInjectedFault) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadCustomers = %v, want the injected fault at %q", err, c.want)
+			}
+			faulty.SetFaults(nil)
+			checkNoPins(t, d)
+			if err := d.FlushAll(); err != nil {
+				t.Fatalf("FlushAll after the failed load: %v", err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close after the failed load: %v", err)
+			}
+		})
+	}
+}
+
+// TestLoadPoolTraffic: the bulk load references a page when it allocates
+// it and, once per leaf split, on the index's right spine — not per record.
+// At the benchmark's 404 frames nothing it wrote is read back from disk.
+func TestLoadPoolTraffic(t *testing.T) {
+	d, err := Open(Config{Frames: 404})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.LoadCustomers(20000); err != nil {
+		t.Fatal(err)
+	}
+	st := d.StatsSnapshot()
+	t.Logf("LoadCustomers(20000): %d pool hits, %d misses, %d allocations", st.Pool.Hits, st.Pool.Misses, st.Disk.Allocated)
+	if st.Pool.Hits > 1000 {
+		t.Errorf("%d pool hits, want at most 1000", st.Pool.Hits)
+	}
+	if st.Pool.Misses != st.Disk.Allocated {
+		t.Errorf("%d misses for %d allocations: the load read back a page it wrote", st.Pool.Misses, st.Disk.Allocated)
+	}
+}
+
+// BenchmarkLoadCustomers times Open plus the paper-scale load (20,000
+// customers, 404 frames): the set-up every benchmark workload pays.
+func BenchmarkLoadCustomers(b *testing.B) {
+	for range b.N {
+		d, err := Open(Config{Frames: 404})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d.LoadCustomers(20000); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		d.Close()
+		b.StartTimer()
+	}
+}

@@ -1,8 +1,10 @@
 // Package heapfile implements record storage on slotted pages over the
 // buffer pool: the "data pages" of the paper's Example 1.1. Records are
-// addressed by RID (page, slot), inserted into the first page with room,
-// and read back through the pool so every record access is a page
-// reference the replacement policy sees.
+// addressed by RID (page, slot) and read back through the pool so every
+// record access is a page reference the replacement policy sees. Insert
+// places a record in a page with freed space, else in the last page, else
+// in a new one; an Appender, the bulk load's path, fills new pages at the
+// end of the file, keeping the page it fills pinned.
 //
 // Page layout (little-endian):
 //
@@ -214,13 +216,21 @@ func insertIntoPage(data []byte, rec []byte) (slot uint16, ok bool) {
 	return numSlots, true
 }
 
-// Insert stores rec and returns its RID.
-func (f *File) Insert(rec []byte) (RID, error) {
+// checkRecord rejects a record no page can hold.
+func checkRecord(rec []byte) error {
 	if len(rec) == 0 {
-		return RID{}, errors.New("heapfile: empty record")
+		return errors.New("heapfile: empty record")
 	}
 	if len(rec) > MaxRecord {
-		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
+		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
+	}
+	return nil
+}
+
+// Insert stores rec and returns its RID.
+func (f *File) Insert(rec []byte) (RID, error) {
+	if err := checkRecord(rec); err != nil {
+		return RID{}, err
 	}
 	// Pages with freed slots first, so deletions reclaim space file-wide.
 	for len(f.reuse) > 0 {
@@ -259,23 +269,76 @@ func (f *File) Insert(rec []byte) (RID, error) {
 		}
 		pg.Unpin(false)
 	}
+	pg, rid, err := f.insertNew(rec)
+	if err != nil {
+		return RID{}, err
+	}
+	pg.Unpin(true)
+	return rid, nil
+}
+
+// insertNew places rec in a freshly allocated page appended to the file
+// and returns that page still pinned. checkRecord has passed, so rec fits.
+func (f *File) insertNew(rec []byte) (bufferpool.Page, RID, error) {
 	pg, err := f.pool.NewPage()
 	if err != nil {
-		return RID{}, fmt.Errorf("heapfile insert: %w", err)
+		return pg, RID{}, fmt.Errorf("heapfile insert: %w", err)
 	}
 	id := pg.ID()
 	lk := f.latchFor(id)
 	lk.Lock()
 	initPage(pg.Data())
-	slot, ok := insertIntoPage(pg.Data(), rec)
+	slot, _ := insertIntoPage(pg.Data(), rec)
 	lk.Unlock()
-	if !ok {
-		pg.Unpin(false)
-		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
-	}
-	pg.Unpin(true)
 	f.pages = append(f.pages, id)
-	return RID{Page: id, Slot: slot}, nil
+	return pg, RID{Page: id, Slot: slot}, nil
+}
+
+// Appender inserts records as Insert does into a file with no deleted
+// records, starting from a new page: into the last page while the record
+// fits, else into a new one. It keeps that page pinned between calls, so a
+// record that fits costs no page reference. While an Appender is open the
+// file must not be written any other way, and Close must run on every exit.
+type Appender struct {
+	f      *File
+	tail   bufferpool.Page
+	pinned bool
+}
+
+// NewAppender returns an Appender over f, holding no pin yet.
+func (f *File) NewAppender() *Appender { return &Appender{f: f} }
+
+// Append stores rec and returns its RID.
+func (a *Appender) Append(rec []byte) (RID, error) {
+	if err := checkRecord(rec); err != nil {
+		return RID{}, err
+	}
+	if a.pinned {
+		id := a.tail.ID()
+		lk := a.f.latchFor(id)
+		lk.Lock()
+		slot, ok := insertIntoPage(a.tail.Data(), rec)
+		lk.Unlock()
+		if ok {
+			return RID{Page: id, Slot: slot}, nil
+		}
+		a.Close()
+	}
+	pg, rid, err := a.f.insertNew(rec)
+	if err != nil {
+		return RID{}, err
+	}
+	a.tail, a.pinned = pg, true
+	return rid, nil
+}
+
+// Close releases the pinned page, marked dirty: every page an Appender
+// holds it has written. It is idempotent.
+func (a *Appender) Close() {
+	if a.pinned {
+		a.tail.Unpin(true)
+		a.pinned = false
+	}
 }
 
 // Get returns a copy of the record at rid.
