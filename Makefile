@@ -14,17 +14,18 @@ test:
 	$(GO) test -timeout 300s ./...
 
 ## race: the standard concurrency gate — the full suite under the race
-## detector (includes the pool, cache, replacer and disk stress tests).
+## detector (includes the pool, replacer and disk stress tests).
 race:
 	$(GO) test -race -timeout 600s ./...
 
-## fuzz-smoke: ten seconds of each core fuzz target — the Figure 2.1
-## differential and the generic cache's operation stream, both ending in
-## the victim-index invariant check (go test takes one -fuzz target per
-## run, hence two).
+## fuzz-smoke: ten seconds of each core fuzz target — LRUK against the
+## Figure 2.1 transcription, and Replacer and SyncReplacer against the
+## brute-force replacer over pin/unpin/remove/evict/restore streams at a
+## fuzzed seed, K, CRP and RIP — both ending in the victim-index invariant
+## check (go test takes one -fuzz target per run, hence two).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzCacheOperations -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzReplacersMatchBruteForce -fuzztime 10s ./internal/core/
 
 ## size: Go line counts — root module non-test, root module test, and the
 ## nested bench/ module — the figures re-anchors and "net lines go down"
@@ -56,8 +57,8 @@ bench-module:
 	$(GO) -C bench vet .
 	$(GO) -C bench test -timeout 300s .
 
-## bench: the repo-root benchmarks — per-reference policy cost, the
-## concurrent generic cache, the TPC-A ablation and BudgetedLRUK — and
+## bench: the repo-root benchmarks — per-reference policy cost, the TPC-A
+## ablation and BudgetedLRUK — and
 ## BenchmarkLoadCustomers, the set-up cost (Open plus the 20,000-customer
 ## load at 404 frames). The paper's tables are golden files, not
 ## benchmarks (see golden).

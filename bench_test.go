@@ -1,6 +1,5 @@
-// Benchmark harness: the per-reference cost of the policies, the
-// concurrent generic cache, the TPC-A correlated-reference ablation and
-// the §5 budgeted LRU-K. The paper's tables are not benchmarks: the
+// Benchmark harness: the per-reference cost of the policies, the TPC-A
+// correlated-reference ablation and the §5 budgeted LRU-K. The paper's tables are not benchmarks: the
 // experiment tests pin reduced-scale runs to testdata/*.golden, and
 // cmd/tables produces the full-scale versions.
 package repro_test
@@ -60,31 +59,6 @@ func BenchmarkARCReference(b *testing.B) {
 // BenchmarkTwoQReference is the 2Q baseline cost.
 func BenchmarkTwoQReference(b *testing.B) {
 	benchPolicy(b, policy.NewTwoQ(1024), 16384)
-}
-
-// BenchmarkConcurrentCache measures the sharded generic cache under a
-// read-heavy mixed workload.
-func BenchmarkConcurrentCache(b *testing.B) {
-	cache, err := core.NewIntCache[int64](8192, core.CacheOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := workload.NewZipfian(65536, 0.8, 0.2, 1)
-	keys := make([]int64, 1<<16)
-	for i := range keys {
-		keys[i] = int64(g.Next())
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			k := keys[i&(1<<16-1)]
-			if _, ok := cache.Get(k); !ok {
-				cache.Put(k, k)
-			}
-			i++
-		}
-	})
 }
 
 // BenchmarkTPCA is the Example 1.1/[TPC-A] ablation: LRU-1 vs naive LRU-2

@@ -366,7 +366,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // editing a number here and saying, in the same change, which two existing
 // callers need different values for it. db.Config has no replacer periods
 // (db.Open derives them from Frames and K) and no record size (only db's
-// own tests shrink it, through an unexported field).
+// own tests shrink it, through an unexported field). core.Options holds the
+// two §2.1 periods and nothing else: no shard count and no clock, since
+// every LRU-K in the repository ticks once per reference.
 //
 // The replacer's surface is ratcheted the same way, by what its callers
 // use. bufferpool.Replacer has 5 methods: admission (RecordAccess) and
@@ -385,6 +387,7 @@ func TestOptionSurface(t *testing.T) {
 		{server.Config{}, 10},
 		{cluster.Config{}, 1},
 		{cluster.RebalanceConfig{}, 6},
+		{core.Options{}, 2},
 	} {
 		// Exported fields only: an unexported field is settable by its own
 		// package's tests and nobody else, so it is not a configuration.

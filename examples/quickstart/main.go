@@ -1,51 +1,62 @@
-// Quickstart: the generic LRU-K cache as a downstream user would adopt it.
+// Quickstart: LRU-K as this repository serves it — the replacement policy
+// of a database buffer pool. A customer table (heap file plus B-tree index
+// on CUST-ID) pages through a pool of 64 frames run by LRU-2, over a
+// simulated disk.
 //
-// The cache evicts by Backward K-distance (K=2 by default), so one-shot
-// bulk traffic cannot flush entries with proven re-reference frequency —
-// the scan resistance that plain LRU lacks.
+// Each lookup appends the record into one reused buffer and is checked
+// byte for byte; any wrong byte exits non-zero. The program then prints
+// the pool's hit ratio and the replacer's decision counts (PolicyStats).
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/db"
+	"repro/internal/stats"
 )
 
 func main() {
-	// A small cache: 64 entries, LRU-2 eviction, default sharding.
-	cache, err := core.NewStringCache[string](64, core.CacheOptions{K: 2})
+	const (
+		frames    = 64
+		customers = 2000
+		lookups   = 20000
+	)
+	d, err := db.Open(db.Config{Frames: frames, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// A working set the application keeps coming back to.
-	for i := 0; i < 16; i++ {
-		key := fmt.Sprintf("config/%d", i)
-		cache.Put(key, fmt.Sprintf("value-%d", i))
-		cache.Get(key) // second reference: the entry earns a finite K-distance
+	defer d.Close()
+	if err := d.LoadCustomers(customers); err != nil {
+		log.Fatal(err)
 	}
 
-	// A one-shot bulk pass over 10000 keys — the cache-library equivalent
-	// of the paper's Example 1.2 sequential scan.
-	for i := 0; i < 10000; i++ {
-		cache.Put(fmt.Sprintf("bulk/%d", i), "transient")
-	}
-
-	// The working set survived.
-	kept := 0
-	for i := 0; i < 16; i++ {
-		if _, ok := cache.Get(fmt.Sprintf("config/%d", i)); ok {
-			kept++
+	// A loaded record is its CUST-ID, 8 bytes little-endian, then zero
+	// filler.
+	ctx := context.Background()
+	rng := stats.NewRNG(1)
+	var rec []byte
+	for i := 0; i < lookups; i++ {
+		id := int64(rng.Intn(customers))
+		if rec, err = d.LookupAppendCtx(ctx, rec[:0], id); err != nil {
+			log.Fatal(err)
+		}
+		if len(rec) < 8 || int64(binary.LittleEndian.Uint64(rec)) != id {
+			log.Fatalf("lookup %d: record does not begin with its id", id)
+		}
+		for j, b := range rec[8:] {
+			if b != 0 {
+				log.Fatalf("lookup %d: filler byte %d is %#x, want 0", id, j, b)
+			}
 		}
 	}
-	stats := cache.Stats()
-	fmt.Printf("working set surviving the bulk pass: %d/16\n", kept)
-	fmt.Printf("cache stats: %d hits, %d misses, %d evictions (hit ratio %.2f)\n",
-		stats.Hits, stats.Misses, stats.Evictions, stats.HitRatio())
-	if kept < 12 {
-		log.Fatal("unexpected: the scan flushed the working set")
-	}
+
+	snap := d.StatsSnapshot()
+	fmt.Printf("%d lookups over %d customers, %d frames, LRU-2\n", lookups, customers, frames)
+	fmt.Printf("pool hit ratio since Open, load included: %.3f\n", snap.PoolHitRatio)
+	fmt.Printf("replacer: %+v\n", snap.Policy)
 }

@@ -15,7 +15,7 @@ func (c *LRUK) Resize(capacity int) {
 	}
 	c.capacity = capacity
 	for c.resident > c.capacity {
-		if !c.evict(c.table.clock) {
+		if !c.evict() {
 			return
 		}
 	}
@@ -100,7 +100,7 @@ func (b *BudgetedLRUK) EffectiveCapacity() int {
 // whatever the history share leaves free.
 func (b *BudgetedLRUK) Reference(p policy.PageID) bool {
 	for b.HistoryFrames() > b.budget/2 {
-		if !b.table.dropOldestRetained() {
+		if !b.r.dropOldestRetained() {
 			break
 		}
 	}

@@ -21,7 +21,7 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 		c := NewLRUKWithOptions(capacity, k, Options{CorrelatedReferencePeriod: crp})
 		// Half the inputs run the table the way SyncReplacer does: index
 		// re-filing deferred to the sync ahead of each victim search.
-		c.table.batching = crpRaw >= 128
+		c.r.table.batching = crpRaw >= 128
 		b := newBrute(capacity, k, crp)
 		for i, x := range raw {
 			p := policy.PageID(x % 32)
@@ -33,39 +33,25 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 				t.Fatalf("capacity exceeded: %d > %d", c.Len(), capacity)
 			}
 		}
-		checkIndex(t, c.table)
+		checkIndex(t, c.r.table)
 	})
 }
 
-// FuzzCacheOperations drives the generic cache with an arbitrary operation
-// stream, checking structural invariants throughout.
-func FuzzCacheOperations(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 0, 1, 2, 10, 20})
-	f.Add([]byte{255, 0, 255, 0})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		c, err := NewIntCache[int](8, CacheOptions{Shards: 1})
-		if err != nil {
-			t.Fatal(err)
+// FuzzReplacersMatchBruteForce runs TestReplacersMatchBruteForce's
+// differential — Replacer, SyncReplacer and the brute-force model over one
+// random operation stream that pins, unpins, removes, evicts and restores
+// live candidates, ending in checkAgainstBrute — at a fuzzed seed, K,
+// Correlated Reference Period and Retained Information Period.
+func FuzzReplacersMatchBruteForce(f *testing.F) {
+	f.Add(uint64(1), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(2), uint8(3), uint8(12))
+	f.Add(uint64(3), uint8(3), uint8(5), uint8(64))
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw, crpRaw, ripRaw uint8) {
+		var rip policy.Tick // 0 retains forever; otherwise 8..64
+		if r := ripRaw % 58; r > 0 {
+			rip = policy.Tick(r + 7)
 		}
-		for i, op := range ops {
-			key := int64(op % 16)
-			switch op % 3 {
-			case 0:
-				c.Put(key, i)
-			case 1:
-				if v, ok := c.Get(key); ok && v < 0 {
-					t.Fatalf("corrupt value %d", v)
-				}
-			case 2:
-				c.Delete(key)
-			}
-			if c.Len() > 8 {
-				t.Fatalf("op %d: Len %d over capacity", i, c.Len())
-			}
-		}
-		checkIndex(t, c.shards[0].table)
-		if n := c.shards[0].table.candidates; n != c.Len() {
-			t.Fatalf("%d victim candidates for %d live entries", n, c.Len())
-		}
+		opts := Options{CorrelatedReferencePeriod: policy.Tick(crpRaw % 6), RetainedInformationPeriod: rip}
+		runBruteDifferential(t, int(kRaw%3)+1, opts, seed, 20)
 	})
 }

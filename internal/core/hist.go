@@ -2,15 +2,11 @@
 // O'Neil, O'Neil & Weikum (SIGMOD 1993) — the primary contribution of the
 // paper this repository reproduces.
 //
-// Three public faces share one engine, the histTable in this file:
-//
-//   - LRUK: a fixed-capacity page cache implementing the policy.Cache
-//     interface, used by the trace-driven simulator (Section 4).
-//   - Replacer: a victim selector for the buffer-pool manager in
-//     internal/bufferpool; SyncReplacer is the same Replacer behind a
-//     mutex and an event ring.
-//   - Cache: a sharded, concurrent, generic in-memory cache with LRU-K
-//     eviction — the artifact a downstream user would adopt.
+// One engine, the histTable in this file, sits behind one face: Replacer,
+// the victim selector the buffer pool in internal/bufferpool runs.
+// SyncReplacer is a Replacer behind a mutex and an event ring, and LRUK,
+// the fixed-capacity policy.Cache the trace-driven simulator (Section 4)
+// runs, is a Replacer plus a frame count.
 //
 // The bookkeeping follows Figure 2.1 of the paper: per-page HIST blocks
 // with the times of the K most recent uncorrelated references, a LAST
@@ -18,8 +14,8 @@
 // for non-resident pages (§2.1.2), and a victim index ordered by Backward
 // K-distance (§2.1.3): an LRU list for the pages at infinite distance and a
 // search tree for the rest. The table is the only code that reads or writes
-// that index: the faces say what happened to a page (referenced, admitted,
-// made a candidate, retired) and ask for a victim.
+// that index: the Replacer says what happened to a page (referenced,
+// admitted, made a candidate, retired) and asks for a victim.
 package core
 
 import (
@@ -104,7 +100,7 @@ type retired struct {
 
 // histTable is the shared engine: history blocks for resident and retained
 // pages, the victim index over the candidates, and the retention queue.
-// LRUK, Replacer and the cache shards each embed one.
+// Each Replacer owns one.
 type histTable struct {
 	k     int
 	crp   policy.Tick // Correlated Reference Period (§2.1.1); 0 disables
@@ -149,9 +145,6 @@ type histTable struct {
 	// free holds up to freeMax purged blocks for admit to reuse: with a RIP
 	// live, nearly every cold miss purges one block and admits another.
 	free []*hist
-	// onPurge, when set, is called for each history block the retention
-	// demon drops; the generic cache uses it to release key bindings.
-	onPurge func(policy.PageID)
 
 	// collapses and purges count §2.1.1 collapses and §2.1.2 purges; plain
 	// uint64s because the table is externally serialised.
@@ -171,31 +164,10 @@ func newHistTable(k int, crp, rip policy.Tick) *histTable {
 	return t
 }
 
-func (t *histTable) reset() {
-	t.clock = 0
-	t.pages = make(map[policy.PageID]*hist)
-	t.lru.prev, t.lru.next = &t.lru, &t.lru
-	t.index.Clear()
-	t.dirty, t.candidates = nil, 0
-	t.retire, t.retireHead = nil, 0
-	t.collapses, t.purges = 0, 0
-}
-
 // tick advances the logical clock by one reference and runs the retention
 // purge. It returns the new time.
 func (t *histTable) tick() policy.Tick {
 	t.clock++
-	t.purge()
-	return t.clock
-}
-
-// advanceTo moves the clock forward to now (never backward, so a
-// non-monotonic external clock cannot corrupt history ordering), runs the
-// retention purge, and returns the effective time.
-func (t *histTable) advanceTo(now policy.Tick) policy.Tick {
-	if now > t.clock {
-		t.clock = now
-	}
 	t.purge()
 	return t.clock
 }
@@ -360,16 +332,6 @@ func (t *histTable) retireResident(h *hist) {
 	}
 }
 
-// evict selects the victim as of time now (see selectVictim) and retires
-// it. ok is false when there is no candidate.
-func (t *histTable) evict(now policy.Tick) (victim policy.PageID, ok bool) {
-	victim, ok = t.selectVictim(now)
-	if ok {
-		t.retireResident(t.pages[victim])
-	}
-	return victim, ok
-}
-
 // retireLen returns the number of queued retirement entries.
 func (t *histTable) retireLen() int { return len(t.retire) - t.retireHead }
 
@@ -463,14 +425,11 @@ func (t *histTable) purge() {
 
 const freeMax = 1024
 
-// dropHistory deletes the (non-resident) history control block h, fires
-// the purge hook and counter, and recycles the block.
+// dropHistory deletes the (non-resident) history control block h, counts
+// the purge, and recycles the block.
 func (t *histTable) dropHistory(h *hist) {
 	delete(t.pages, h.page)
 	t.purges++
-	if t.onPurge != nil {
-		t.onPurge(h.page)
-	}
 	// A block retired and then purged before a batching table's sync is
 	// still dirty and filed: sync must unfile it from the list or, under
 	// this page id, from the tree.

@@ -44,13 +44,17 @@ func DefaultRIP(capacity, k int) policy.Tick {
 // b_t(p,K), using classical LRU as the subsidiary policy among pages whose
 // distance is infinite. LRU-1 is exactly the classical LRU algorithm.
 //
+// LRUK is a Replacer plus a frame count: a reference is the pool's
+// RecordAccess with the eviction a full pool needs placed between the miss
+// and the admission, so the simulator runs the buffer pool's transitions.
+//
 // LRUK implements policy.Cache. It is not safe for concurrent use; see
-// Cache for the concurrent variant.
+// SyncReplacer for the concurrent form of the engine.
 type LRUK struct {
 	capacity int
 	k        int
-	table    *histTable
 	resident int
+	r        *Replacer
 }
 
 // NewLRUK returns an LRU-K cache with the paper's analysis configuration:
@@ -65,14 +69,7 @@ func NewLRUKWithOptions(capacity, k int, opts Options) *LRUK {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("core: capacity must be positive, got %d", capacity))
 	}
-	if k < 1 {
-		panic(fmt.Sprintf("core: K must be at least 1, got %d", k))
-	}
-	return &LRUK{
-		capacity: capacity,
-		k:        k,
-		table:    newHistTable(k, opts.CorrelatedReferencePeriod, opts.RetainedInformationPeriod),
-	}
+	return &LRUK{capacity: capacity, k: k, r: NewReplacer(k, opts)}
 }
 
 // Name implements policy.Cache; it reports "LRU-1", "LRU-2", ... following
@@ -89,68 +86,39 @@ func (c *LRUK) Capacity() int { return c.capacity }
 func (c *LRUK) Len() int { return c.resident }
 
 // Resident implements policy.Cache.
-func (c *LRUK) Resident(p policy.PageID) bool {
-	_, ok := c.table.resident(p)
-	return ok
-}
+func (c *LRUK) Resident(p policy.PageID) bool { return c.r.holds(p) }
 
 // Reset implements policy.Cache.
 func (c *LRUK) Reset() {
-	c.table.reset()
+	c.r.reset()
 	c.resident = 0
 }
 
 // Reference implements policy.Cache, processing one element of the
-// reference string exactly as Figure 2.1 does.
+// reference string exactly as Figure 2.1 does: the tick, then a hit, or a
+// miss that evicts when the cache is full and admits at the same tick.
 func (c *LRUK) Reference(p policy.PageID) bool {
-	now := c.table.tick()
-	if h, ok := c.table.resident(p); ok {
-		c.table.touch(h, now)
+	if c.r.recordHit(p) {
 		return true
 	}
 	if c.resident >= c.capacity {
-		c.evict(now)
+		c.evict()
 	}
-	c.table.admit(p, now)
+	c.r.admit(p)
 	c.resident++
 	return false
 }
 
-// evict drops the Definition 2.2 victim as of time now, reporting whether
-// there was one.
-func (c *LRUK) evict(now policy.Tick) bool {
-	_, ok := c.table.evict(now)
+// evict drops the Definition 2.2 victim, reporting whether there was one.
+func (c *LRUK) evict() bool {
+	_, ok := c.r.Evict()
 	if ok {
 		c.resident--
 	}
 	return ok
 }
 
-// BackwardKDistance returns b_t(p,K) per Definition 2.1; ok is false when
-// the distance is infinite (fewer than K uncorrelated references on
-// record, or the history has been purged).
-func (c *LRUK) BackwardKDistance(p policy.PageID) (policy.Tick, bool) {
-	return c.table.backwardKDistance(p)
-}
-
 // HistorySize returns the number of history control blocks currently held
 // for resident and non-resident pages together, exposing the §2.1.2
 // retained-information footprint.
-func (c *LRUK) HistorySize() int { return c.table.historyLen() }
-
-// Clock returns the current logical time (number of references processed).
-func (c *LRUK) Clock() policy.Tick { return c.table.clock }
-
-// HistTimes returns a copy of HIST(p) — the times of up to K most recent
-// uncorrelated references, most recent first, zeros marking empty slots —
-// and LAST(p). ok is false if no history is retained for p. It exists for
-// tests and for the analysis package.
-func (c *LRUK) HistTimes(p policy.PageID) (times []policy.Tick, last policy.Tick, ok bool) {
-	h, found := c.table.pages[p]
-	if !found {
-		return nil, 0, false
-	}
-	out := make([]policy.Tick, len(h.times))
-	copy(out, h.times)
-	return out, h.last, true
-}
+func (c *LRUK) HistorySize() int { return c.r.PolicyStats().HistoryBlocks }

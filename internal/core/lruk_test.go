@@ -170,19 +170,19 @@ func TestBackwardKDistanceDefinition(t *testing.T) {
 		c.Reference(p)
 	}
 	// b_5(1,2): second most recent reference to page 1 is at t=1 → 5-1=4.
-	if d, ok := c.BackwardKDistance(1); !ok || d != 4 {
+	if d, ok := c.r.table.backwardKDistance(1); !ok || d != 4 {
 		t.Errorf("b(1,2) = %d,%v, want 4,true", d, ok)
 	}
 	// b_5(2,2): second most recent reference to page 2 is at t=2 → 3.
-	if d, ok := c.BackwardKDistance(2); !ok || d != 3 {
+	if d, ok := c.r.table.backwardKDistance(2); !ok || d != 3 {
 		t.Errorf("b(2,2) = %d,%v, want 3,true", d, ok)
 	}
 	// Page 3 has one reference: infinite.
-	if _, ok := c.BackwardKDistance(3); ok {
+	if _, ok := c.r.table.backwardKDistance(3); ok {
 		t.Error("b(3,2) should be infinite")
 	}
 	// Unknown page: infinite.
-	if _, ok := c.BackwardKDistance(99); ok {
+	if _, ok := c.r.table.backwardKDistance(99); ok {
 		t.Error("b(unknown,2) should be infinite")
 	}
 }
@@ -240,11 +240,11 @@ func TestCorrelatedBurstCollapses(t *testing.T) {
 	c.Reference(1)
 	c.Reference(1)
 	c.Reference(1)
-	times, last, ok := c.HistTimes(1)
+	h, ok := c.r.table.pages[1]
 	if !ok {
 		t.Fatal("no history for page 1")
 	}
-	if times[0] != 1 || times[1] != 0 || last != 3 {
+	if times, last := h.times, h.last; times[0] != 1 || times[1] != 0 || last != 3 {
 		t.Fatalf("after burst: HIST=%v LAST=%d, want HIST[0]=1 HIST[1]=0 LAST=3", times, last)
 	}
 	// Advance time past the CRP with other pages (t=4..9), then re-reference
@@ -254,13 +254,12 @@ func TestCorrelatedBurstCollapses(t *testing.T) {
 		c.Reference(policy.PageID(50 + i))
 	}
 	c.Reference(1)
-	times, last, _ = c.HistTimes(1)
-	if times[0] != 10 || times[1] != 3 || last != 10 {
+	if times, last := h.times, h.last; times[0] != 10 || times[1] != 3 || last != 10 {
 		t.Fatalf("after uncorrelated ref: HIST=%v LAST=%d, want [10 3] 10", times, last)
 	}
 	// Backward 2-distance is therefore 10-3=7, not 10-2=8: the burst
 	// collapsed to a zero-width interval.
-	if d, ok := c.BackwardKDistance(1); !ok || d != 7 {
+	if d, ok := c.r.table.backwardKDistance(1); !ok || d != 7 {
 		t.Errorf("b(1,2) = %d,%v, want 7,true", d, ok)
 	}
 }
@@ -276,6 +275,22 @@ func TestCRPGuardsFreshPages(t *testing.T) {
 	if c.Resident(1) || !c.Resident(2) || !c.Resident(3) {
 		t.Errorf("fallback eviction wrong: 1=%v 2=%v 3=%v",
 			c.Resident(1), c.Resident(2), c.Resident(3))
+	}
+}
+
+// TestCRPFloodKeepsCapacity: when every resident page stays inside its
+// Correlated Reference Period, each miss still evicts through the fallback,
+// so the cache never holds more than its capacity.
+func TestCRPFloodKeepsCapacity(t *testing.T) {
+	c := NewLRUKWithOptions(8, 2, Options{CorrelatedReferencePeriod: 1 << 30})
+	for i := 0; i < 2000; i++ {
+		c.Reference(policy.PageID(i))
+		if c.Len() > 8 {
+			t.Fatalf("Len = %d exceeds capacity 8 at reference %d", c.Len(), i)
+		}
+	}
+	if got := c.r.PolicyStats().Evictions; got != 1992 {
+		t.Errorf("Evictions = %d, want 1992", got)
 	}
 }
 
@@ -308,7 +323,7 @@ func TestRetainedInformation(t *testing.T) {
 	c.Reference(1)     // t=1
 	c.Reference(2)     // t=2, evicts 1 but retains HIST(1)
 	c.Reference(1)     // t=3, readmits 1; HIST shifts: times=[3,1]
-	if d, ok := c.BackwardKDistance(1); !ok || d != 2 {
+	if d, ok := c.r.table.backwardKDistance(1); !ok || d != 2 {
 		t.Errorf("b(1,2) = %d,%v, want 2,true — retained history must count", d, ok)
 	}
 }
@@ -339,8 +354,7 @@ func TestRetainedInformationPurge(t *testing.T) {
 	// Page 1's block (last=1, now 6+ ticks stale) must be gone, so the page
 	// has lost its standing entirely.
 	c.Reference(1)
-	times, _, _ := c.HistTimes(1)
-	if times[1] != 0 {
+	if times := c.r.table.pages[1].times; times[1] != 0 {
 		t.Errorf("HIST(1) = %v after purge+readmit; want empty older slot", times)
 	}
 }
@@ -488,8 +502,8 @@ func TestResetRestoresEmptyState(t *testing.T) {
 		c.Reference(policy.PageID(i % 10))
 	}
 	c.Reset()
-	if c.Len() != 0 || c.HistorySize() != 0 || c.Clock() != 0 {
-		t.Errorf("Reset left state: Len=%d HistorySize=%d Clock=%d", c.Len(), c.HistorySize(), c.Clock())
+	if c.Len() != 0 || c.HistorySize() != 0 || c.r.table.clock != 0 {
+		t.Errorf("Reset left state: Len=%d HistorySize=%d Clock=%d", c.Len(), c.HistorySize(), c.r.table.clock)
 	}
 	if c.Reference(1) {
 		t.Error("hit on a fresh cache")

@@ -16,8 +16,9 @@ import (
 // pinned.
 //
 // This is the shape a real database engine embeds (the paper's prototype
-// inside the Amdahl Huron buffer manager); the trace simulator uses the
-// simpler LRUK type instead.
+// inside the Amdahl Huron buffer manager). The trace simulator's LRUK is a
+// Replacer plus a frame count, so the simulator and the pool run the same
+// Figure 2.1 transitions.
 //
 // Replacer is not safe for concurrent use; SyncReplacer is the concurrent
 // form.
@@ -43,9 +44,13 @@ func NewReplacer(k int, opts Options) *Replacer {
 // A page not yet resident is admitted as a victim candidate.
 func (r *Replacer) RecordAccess(p policy.PageID) {
 	if !r.recordHit(p) {
-		r.table.admit(p, r.table.clock)
+		r.admit(p)
 	}
 }
+
+// admit installs p as a resident victim candidate at the current tick: the
+// bottom branch of Figure 2.1, after any eviction the miss needed.
+func (r *Replacer) admit(p policy.PageID) { r.table.admit(p, r.table.clock) }
 
 // recordHit advances the logical clock by one reference and, if p is
 // resident, records the reference against it. It reports whether it was:
@@ -56,6 +61,12 @@ func (r *Replacer) recordHit(p policy.PageID) bool {
 	if ok {
 		r.table.touch(h, now)
 	}
+	return ok
+}
+
+// holds reports whether p is resident.
+func (r *Replacer) holds(p policy.PageID) bool {
+	_, ok := r.table.resident(p)
 	return ok
 }
 
@@ -83,7 +94,7 @@ func (r *Replacer) SetEvictable(p policy.PageID, evictable bool) {
 func (r *Replacer) Restore(p policy.PageID) {
 	h, ok := r.table.pages[p]
 	if !ok {
-		r.table.admit(p, r.table.clock)
+		r.admit(p)
 		return
 	}
 	if h.resident {
@@ -99,10 +110,11 @@ func (r *Replacer) Restore(p policy.PageID) {
 // with the maximal Backward K-distance, honouring the Correlated Reference
 // Period eligibility rule. ok is false when nothing is evictable.
 func (r *Replacer) Evict() (policy.PageID, bool) {
-	victim, ok := r.table.evict(r.table.clock)
+	victim, ok := r.table.selectVictim(r.table.clock)
 	if !ok {
 		return policy.InvalidPage, false
 	}
+	r.table.retireResident(r.table.pages[victim])
 	r.evictions++
 	if r.tracer != nil {
 		// The Backward K-distance (Definition 2.1) that justified the choice;
@@ -121,6 +133,15 @@ func (r *Replacer) Remove(p policy.PageID) {
 		r.table.retireResident(h)
 	}
 }
+
+// reset empties the replacer, keeping K and the §2.1 periods.
+func (r *Replacer) reset() {
+	*r = Replacer{table: newHistTable(r.table.k, r.table.crp, r.table.rip)}
+}
+
+// dropOldestRetained purges the oldest retained history block ahead of its
+// Retained Information Period (see BudgetedLRUK).
+func (r *Replacer) dropOldestRetained() bool { return r.table.dropOldestRetained() }
 
 // SetTracer installs (or, with nil, removes) a PolicyTracer receiving this
 // replacer's victim selections.
