@@ -58,13 +58,14 @@ bench-module:
 	$(GO) -C bench test -timeout 300s .
 
 ## bench: the repo-root benchmarks — per-reference policy cost, the TPC-A
-## ablation and BudgetedLRUK — and
-## BenchmarkLoadCustomers, the set-up cost (Open plus the 20,000-customer
-## load at 404 frames). The paper's tables are golden files, not
-## benchmarks (see golden).
+## ablation and BudgetedLRUK — then BenchmarkLoadCustomers, the set-up cost
+## (Open plus the 20,000-customer load at 404 frames), and
+## BenchmarkDurableSetup, the durable set-up (a fresh file store, 600
+## customers at 404 frames, the first FlushAll) with its wal_fsyncs/op. The
+## paper's tables are golden files, not benchmarks (see golden).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench BenchmarkLoadCustomers -benchtime 1x -run '^$$' ./internal/db/
+	$(GO) test -bench 'BenchmarkLoadCustomers|BenchmarkDurableSetup' -benchtime 1x -run '^$$' ./internal/db/
 
 ## bench-pool: Serial reference pool vs the concurrent Pool, scalability.
 bench-pool:

@@ -255,6 +255,13 @@ type Pool struct {
 	quarMu      sync.Mutex
 	quarantined map[policy.PageID]struct{}
 
+	// sweepMu serialises flush sweeps (FlushAll, Close). behind is set
+	// before a sweep's first write-behind and cleared only when that
+	// sweep's barrier succeeds; while it is set, a clean frame may hold an
+	// image that is not yet durable, so a durable flush rewrites it.
+	sweepMu sync.Mutex
+	behind  atomic.Bool
+
 	// repairer is the deepest layer of the backend stack that can repair
 	// a corrupt page in place (the file store's WAL-tail repair, or a
 	// corruption injector's taint clearing); nil when none can.

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/storage"
 )
 
 // This file is the write-back side of the pool: the flush paths, the
@@ -24,13 +23,16 @@ import (
 // flushMu serialises concurrent flushers of the same frame (the background
 // writer, FlushPage, a flush sweep), so a nil return means the frame's
 // data was durably on disk at some point during the call — never that
-// another flusher's still-undecided write looked clean in passing. A failed
-// write leaves the page dirty and quarantined, as a failed eviction
-// write-back does, so the background writer retries it.
+// another flusher's still-undecided write looked clean in passing. Under a
+// write-behind ctx (the sweep's) it means only that the write was issued.
+// A clean frame is rewritten by an ordinary flush while a sweep's writes
+// may still be behind (p.behind), since its image may not be durable yet.
+// A failed write leaves the page dirty and quarantined, as a failed
+// eviction write-back does, so the background writer retries it.
 func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
-	if !f.dirty.Load() {
+	if !f.dirty.Load() && (!p.behind.Load() || storage.WriteBehind(ctx)) {
 		// Clean under flushMu means the last write genuinely completed (or
 		// the page was never written since load): nothing to retry, so clear
 		// any stale quarantine entry.
@@ -78,6 +80,9 @@ func (p *Pool) FlushPage(id policy.PageID) error {
 // retry backoff observe the caller's deadline. On a durable backend a nil
 // return means the page image has reached the write-ahead log (group
 // commit included), which is the backend's acknowledged-write contract.
+// That holds for a page a flush sweep wrote behind, too: until a barrier
+// that began after the sweep's writes has completed, FlushPage rewrites
+// such a page synchronously even though it is clean.
 func (p *Pool) FlushPageCtx(ctx context.Context, id policy.PageID) error {
 	if p.closed.Load() {
 		return ErrClosed
@@ -89,15 +94,17 @@ func (p *Pool) FlushPageCtx(ctx context.Context, id policy.PageID) error {
 	return err
 }
 
-// FlushAll writes every dirty resident page back to storage and then asks
-// the backend for its durability barrier (storage.Backend.Flush — a
-// checkpoint, on the durable file backend). A failed write-back does not
-// stop the sweep: every shard is visited, every flushable page flushed, and
-// the failures are returned joined in page-id order (errors.Is unwraps them
-// individually). Failed pages stay dirty, resident and quarantined, so the
-// background writer or a retry after the fault clears loses nothing. The
-// barrier runs only when the sweep completed cleanly: a checkpoint must not
-// declare durability over pages whose write-back failed.
+// FlushAll writes every dirty resident page back to storage behind
+// (storage.WithWriteBehind: no per-page log fsync) and then asks the backend
+// for its durability barrier (storage.Backend.Flush — a checkpoint, on the
+// durable file backend, which syncs the log once for the whole sweep). A
+// failed write-back does not stop the sweep: every shard is visited, every
+// flushable page flushed, and the failures are returned joined in page-id
+// order (errors.Is unwraps them individually). Failed pages stay dirty,
+// resident and quarantined, so the background writer or a retry after the
+// fault clears loses nothing. The barrier runs only when the sweep completed
+// cleanly: a checkpoint must not declare durability over pages whose
+// write-back failed.
 func (p *Pool) FlushAll() error {
 	return p.FlushAllCtx(context.Background())
 }
@@ -113,19 +120,16 @@ func (p *Pool) FlushAllCtx(ctx context.Context) error {
 	return p.flushAll(ctx)
 }
 
-// flushWorkers is how many write-backs a flush sweep keeps in flight. On the
-// durable backend each write-back waits for a WAL fsync, and writers that
-// wait together share one (group commit): a sweep of a few hundred pages
-// then costs a few dozen fsyncs instead of one per page.
-const flushWorkers = 8
-
-// flushAll is the sweep behind FlushAll and Close. It takes every shard's
-// resident ids, sorts them (a deterministic order, and sequential slot
-// offsets on the file backend), and has flushWorkers goroutines claim them
-// by index. Each failure is kept at its page's position, so the joined
-// error lists pages in id order; a cancellation ends the sweep and is
-// reported once, after them. Every worker has exited when flushAll returns.
+// flushAll is the sweep behind FlushAll and Close. Sweeps run one at a
+// time. It takes every shard's resident ids, sorts them (a deterministic
+// order, and sequential slot offsets on the file backend), and writes them
+// back in that order under a write-behind ctx. Failures are joined in page
+// order; a cancellation ends the sweep and is reported once, after them.
+// The barrier runs only after a clean sweep, and its success is what
+// clears p.behind.
 func (p *Pool) flushAll(ctx context.Context) error {
+	p.sweepMu.Lock()
+	defer p.sweepMu.Unlock()
 	var ids []policy.PageID
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -136,38 +140,28 @@ func (p *Pool) flushAll(ctx context.Context) error {
 		sh.mu.RUnlock()
 	}
 	slices.Sort(ids)
-	errs := make([]error, len(ids))
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for range min(flushWorkers, len(ids)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(ids) {
-					return
-				}
-				if ctx.Err() != nil {
-					cancelled.Store(true)
-					return
-				}
-				// Not resident any more (evicted or deleted meanwhile) means
-				// nothing to flush.
-				_, err := p.flushResident(ctx, ids[i], false)
-				if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-					// The sweep's cancellation, not this page's fault: it is
-					// reported once, below. The page stays dirty.
-					cancelled.Store(true)
-					return
-				}
-				errs[i] = err
-			}
-		}()
+	p.behind.Store(true)
+	wctx := storage.WithWriteBehind(ctx)
+	var errs []error
+	cancelled := false
+	for _, id := range ids {
+		if cancelled = ctx.Err() != nil; cancelled {
+			break
+		}
+		// Not resident any more (evicted or deleted meanwhile) means
+		// nothing to flush.
+		_, err := p.flushResident(wctx, id, false)
+		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			// The sweep's cancellation, not this page's fault: it is
+			// reported once, below. The page stays dirty.
+			cancelled = true
+			break
+		}
+		if err != nil {
+			errs = append(errs, err)
+		}
 	}
-	wg.Wait()
-	if cancelled.Load() {
+	if cancelled {
 		errs = append(errs, fmt.Errorf("bufferpool: flush sweep cancelled: %w", ctx.Err()))
 	}
 	if err := errors.Join(errs...); err != nil {
@@ -176,6 +170,7 @@ func (p *Pool) flushAll(ctx context.Context) error {
 	if err := p.backend.Flush(ctx); err != nil {
 		return fmt.Errorf("bufferpool: storage flush barrier: %w", err)
 	}
+	p.behind.Store(false)
 	return nil
 }
 

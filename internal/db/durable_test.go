@@ -1,15 +1,19 @@
 package db
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/leakcheck"
+	"repro/internal/policy"
+	"repro/internal/storage"
 	"repro/internal/storage/file"
 )
 
@@ -203,8 +207,9 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 // TestDurableSetupSharesFsyncs guards the fsync counts of a durable set-up,
 // which are deterministic: loading an all-resident population appends an
 // alloc record per page and syncs none of them (they ride the next sync),
-// and the first FlushAll's write-backs, kept in flight together, share their
-// WAL fsyncs through group commit.
+// and the first FlushAll writes every page behind and makes exactly two WAL
+// fsyncs — the checkpoint's one for the whole sweep, and the catalog
+// publish's own.
 func TestDurableSetupSharesFsyncs(t *testing.T) {
 	leakcheck.Check(t)
 	s, err := file.Open(t.TempDir())
@@ -238,8 +243,8 @@ func TestDurableSetupSharesFsyncs(t *testing.T) {
 	syncs := flushed.Disk.WALSyncs - loaded.Disk.WALSyncs
 	t.Logf("load: %d allocations, %d WAL fsyncs; first FlushAll: %d write-backs, %d WAL fsyncs (%.1f per fsync)",
 		allocs, loadSyncs, writeBacks, syncs, float64(writeBacks)/float64(syncs))
-	if writeBacks < allocs || 2*syncs >= writeBacks {
-		t.Errorf("first FlushAll made %d WAL fsyncs for %d write-backs, want fewer than half", syncs, writeBacks)
+	if writeBacks < allocs || syncs != 2 {
+		t.Errorf("first FlushAll made %d WAL fsyncs for %d write-backs, want 2 for at least %d", syncs, writeBacks, allocs)
 	}
 }
 
@@ -330,6 +335,93 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 			t.Errorf("reopen error = %v, want the unpublished-catalog error", err)
 		}
 	})
+
+	t.Run("mid-sweep", func(t *testing.T) {
+		leakcheck.Check(t)
+		const customers, k = 2000, 5
+		origin := t.TempDir()
+		s, err := file.Open(origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cs := &cancelAfterBehind{Store: s, cancel: cancel}
+		d, err := Open(Config{Frames: frames, Backend: cs})
+		if err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		defer d.Close()
+		load(t, d, customers)
+		if err := d.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		acked := make(map[int64]byte)
+		update := func(from, to int64) {
+			for i := from; i < to; i++ {
+				id, fill := i*97%customers, byte(0x40+i)
+				if err := d.UpdateCustomer(id, fill); err != nil {
+					t.Fatal(err)
+				}
+				acked[id] = fill
+			}
+		}
+		update(0, 10)
+		// Give the sweep work: every resident page dirty, images unchanged.
+		for id := range policy.PageID(s.NumPages()) {
+			if !d.pool.Resident(id) {
+				continue
+			}
+			pg, err := d.pool.Fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg.Unpin(true)
+		}
+		cs.behind.Store(0)
+		cs.left.Store(k)
+		if err := d.FlushAllCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("FlushAllCtx cancelled after %d write-behinds = %v, want context.Canceled", k, err)
+		}
+		if got := cs.behind.Load(); got != k {
+			t.Fatalf("sweep made %d write-behinds before stopping, want %d", got, k)
+		}
+		update(10, 20)
+		img := crashImage(t, origin) // abandon: no flush, no close
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		d2 := open(t, img)
+		defer d2.Close()
+		if !d2.Attached() || d2.CustomerCount() != customers {
+			t.Fatalf("reopened: attached %v with %d customers, want %d", d2.Attached(), d2.CustomerCount(), customers)
+		}
+		for id := int64(0); id < customers; id++ {
+			checkCustomer(t, d2, id, acked[id])
+		}
+	})
+}
+
+// cancelAfterBehind is a file store that counts the writes made behind and
+// cancels a sweep's context once left of them have returned.
+type cancelAfterBehind struct {
+	*file.Store
+	cancel context.CancelFunc
+	left   atomic.Int64
+	behind atomic.Int64
+}
+
+func (c *cancelAfterBehind) Write(ctx context.Context, p policy.PageID, buf []byte) error {
+	err := c.Store.Write(ctx, p, buf)
+	if storage.WriteBehind(ctx) {
+		c.behind.Add(1)
+		if c.left.Add(-1) == 0 {
+			c.cancel()
+		}
+	}
+	return err
 }
 
 // TestDurableUpdateUnderEviction is the regression test for the durable

@@ -325,3 +325,32 @@ func BenchmarkLoadCustomers(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkDurableSetup times the durable set-up net_durable_mixed pays: a
+// fresh file store, Open at 404 frames, LoadCustomers(600) and the first
+// FlushAll. wal_fsyncs/op is the log fsyncs that set-up makes.
+func BenchmarkDurableSetup(b *testing.B) {
+	var syncs uint64
+	for range b.N {
+		s, err := file.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := Open(Config{Frames: 404, Backend: s})
+		if err != nil {
+			s.Close()
+			b.Fatal(err)
+		}
+		if err := d.LoadCustomers(600); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.FlushAll(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		syncs += d.StatsSnapshot().Disk.WALSyncs
+		d.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(syncs)/float64(b.N), "wal_fsyncs/op")
+}

@@ -16,30 +16,38 @@
 //	           (tmp + rename)
 //
 // Write-ahead invariant: every state change (page write, allocate,
-// deallocate) appends a checksummed WAL record before the operation
-// returns. A page write or deallocate also fsyncs the log through its
-// record — batched by group commit — before returning. An allocate does
-// not: its record is made durable by the next fsync or checkpoint, and
-// anything that can make the page observable (the page's own image, or a
-// page pointing at it) is appended after it, so the sync acknowledging that
-// record covers the allocation too. Recovery replays the log as a prefix,
-// so a power loss can drop only allocations nothing durable references,
-// and those ids are handed out again. The page-file write itself is not
-// synced; a checkpoint (Flush) makes it durable, publishes the allocation
-// state, and truncates the log. Recovery therefore replays the log over the
-// last checkpoint's page file, stopping at the torn tail, and immediately
-// checkpoints so the replayed state is itself durable.
+// deallocate) appends a checksummed WAL record before the operation returns.
+// A page write or deallocate also fsyncs the log through its record —
+// batched by group commit — before returning. Two kinds of record do not
+// wait for that fsync. An allocate's record is made durable by the next
+// fsync or checkpoint, and anything that can make the page observable (the
+// page's own image, or a page pointing at it) is appended after it, so the
+// sync acknowledging that record covers the allocation too. A page write
+// under storage.WithWriteBehind (the pool's flush sweep) is made durable by
+// the next fsync or, at the latest, the next checkpoint, which syncs the log
+// through its last record before anything else. Recovery replays the log as
+// a prefix, so a power loss can drop only write-behind images nobody was
+// told were durable and allocations nothing durable references (those ids
+// are handed out again). The page-file write itself is not synced; a
+// checkpoint (Flush) syncs the log, fsyncs the page file, publishes the
+// allocation state, and truncates the log — in that order, so a slot torn by
+// a crash during the page-file fsync is still covered by a durable record.
+// Recovery therefore replays the log over the last checkpoint's page file,
+// stopping at the torn tail, and immediately checkpoints so the replayed
+// state is itself durable.
 package file
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -276,12 +284,29 @@ func (s *Store) writeMeta() error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, metaName)); err != nil {
 		return fmt.Errorf("file: publishing meta: %w", err)
 	}
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync() // make the rename durable; best-effort on filesystems without dir fsync
-		d.Close()
+	return syncDir(s.dir)
+}
+
+// syncDir makes a rename in dir durable. A filesystem that cannot fsync a
+// directory at all says so with EINVAL; that is no error of this store's,
+// so it is dropped. Any other failure means the published meta.json may not
+// survive a power loss, and is returned.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("file: opening %s to sync it: %w", dir, err)
+	}
+	err = d.Sync()
+	d.Close()
+	if err != nil && !dirSyncUnsupported(err) {
+		return fmt.Errorf("file: syncing %s after publishing meta: %w", dir, err)
 	}
 	return nil
 }
+
+// dirSyncUnsupported reports whether err is a directory fsync's "not
+// supported here" answer (EINVAL) rather than a failure to make it durable.
+func dirSyncUnsupported(err error) bool { return errors.Is(err, syscall.EINVAL) }
 
 // replay applies the write-ahead log to the page file, stopping at the
 // first torn or corrupt frame. It returns the number of records applied
@@ -433,9 +458,11 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 
 // Write makes page p's new image durable: WAL append under the page's
 // stripe latch (so the page file applies same-page images in log order),
-// page-file write, then group-committed fsync before returning. When
-// MaxWALBytes is set, the write that pushes the log past the bound detours
-// through a checkpoint on its way out.
+// page-file write, then group-committed fsync before returning. A write
+// under storage.WithWriteBehind skips only the fsync wait; the next
+// checkpoint syncs its record. When MaxWALBytes is set, the write that
+// pushes the log past the bound detours through a checkpoint on its way
+// out.
 func (s *Store) Write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if err := s.write(ctx, p, buf); err != nil {
 		return err
@@ -474,21 +501,23 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if werr != nil {
 		return fmt.Errorf("file: writing page %d: %w", p, werr)
 	}
-	syncSpan := s.cfg.Spans.Start(tc, obs.SpanWALFsync)
-	err = s.wal.sync(lsn)
-	syncSpan.Finish(int64(p))
-	if err != nil {
-		return err
+	if !storage.WriteBehind(ctx) {
+		syncSpan := s.cfg.Spans.Start(tc, obs.SpanWALFsync)
+		err = s.wal.sync(lsn)
+		syncSpan.Finish(int64(p))
+		if err != nil {
+			return err
+		}
 	}
 	s.writes.Add(1)
 	return nil
 }
 
 // maybeCheckpoint takes the MaxWALBytes-forced durability barrier, at most
-// one at a time. The caller's own write is already durable (WAL-acked), so
-// a failed checkpoint must not fail it retroactively; the error is dropped
-// here and real log trouble resurfaces through the wal's sticky error on
-// the next operation.
+// one at a time. The caller's own write is already durable (WAL-acked) or
+// was written behind ahead of a barrier of its own, so a failed checkpoint
+// must not fail it retroactively; the error is dropped here and real log
+// trouble resurfaces through the wal's sticky error on the next operation.
 func (s *Store) maybeCheckpoint() {
 	if s.cfg.MaxWALBytes <= 0 || s.wal.bytes.Load() <= s.cfg.MaxWALBytes {
 		return
@@ -567,10 +596,10 @@ func (s *Store) Deallocate(p policy.PageID) error {
 	return nil
 }
 
-// Flush is the checkpoint: fsync the page file, publish the allocation
-// state, truncate the log. It runs with no operation in flight (the
-// checkpoint lock), so the truncated log describes only page-file state
-// the fsync just made durable.
+// Flush is the checkpoint: sync the log through its last record (the writes
+// made behind), fsync the page file, publish the allocation state, truncate
+// the log. It runs with no operation in flight (the checkpoint lock), so the
+// truncated log describes only page-file state the fsync just made durable.
 func (s *Store) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -581,6 +610,11 @@ func (s *Store) Flush(ctx context.Context) error {
 func (s *Store) checkpoint() error {
 	s.ckpt.Lock()
 	defer s.ckpt.Unlock()
+	// The log goes first: until the page file's fsync completes a crash can
+	// tear a slot written behind, and only a durable record repairs it.
+	if err := s.wal.syncAll(); err != nil {
+		return err
+	}
 	if err := s.pages.Sync(); err != nil {
 		return fmt.Errorf("file: syncing page file: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/policy"
@@ -648,5 +649,96 @@ func TestWriteAllocatesNothing(t *testing.T) {
 	write() // grow the log's frame buffer once
 	if got := testing.AllocsPerRun(50, write); got != 0 {
 		t.Errorf("Store.Write allocates %.2f times per call, want 0", got)
+	}
+	behind := storage.WithWriteBehind(ctx)
+	if got := testing.AllocsPerRun(50, func() {
+		if err := s.Write(behind, p, img); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Store.Write behind allocates %.2f times per call, want 0", got)
+	}
+}
+
+// TestWriteBehindSyncsAtFlush pins the write-behind contract in fsyncs: a
+// marked Write appends and applies its image but makes no WAL fsync, the
+// next Flush makes exactly one for all of them, a Flush with nothing
+// pending makes none, and an unmarked Write still returns only after its
+// own record is synced.
+func TestWriteBehindSyncsAtFlush(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	pages := []policy.PageID{storage.MustAllocate(s), storage.MustAllocate(s), storage.MustAllocate(s)}
+	if err := s.Flush(ctx); err != nil { // publishes the allocations
+		t.Fatal(err)
+	}
+	syncs := func() uint64 { return s.Stats().WALSyncs }
+	base := syncs()
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs() - base; got != 0 {
+		t.Errorf("Flush with nothing pending made %d WAL fsyncs, want 0", got)
+	}
+
+	behind := storage.WithWriteBehind(ctx)
+	for i, p := range pages {
+		if err := s.Write(behind, p, pageImage(byte(0x10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := syncs() - base; got != 0 {
+		t.Errorf("%d marked writes made %d WAL fsyncs, want 0", len(pages), got)
+	}
+	buf := make([]byte, storage.PageSize)
+	if err := s.Read(ctx, pages[1], buf); err != nil || buf[0] != 0x11 {
+		t.Errorf("page after a marked write = %#x (%v), want the new image 0x11", buf[0], err)
+	}
+	// A crash that keeps the page cache (kill -9) keeps the records too.
+	img := copyDir(t, dir)
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs() - base; got != 1 {
+		t.Errorf("the Flush after %d marked writes made %d WAL fsyncs, want 1", len(pages), got)
+	}
+
+	if err := s.Write(ctx, pages[0], pageImage(0x20)); err != nil {
+		t.Fatal(err)
+	}
+	s.wal.mu.Lock()
+	synced, appended := s.wal.synced, s.wal.appended
+	s.wal.mu.Unlock()
+	if got := syncs() - base; got != 2 || synced != appended {
+		t.Errorf("unmarked Write returned after %d WAL fsyncs with the log synced through %d of %d, want 2 and all", got, synced, appended)
+	}
+
+	s2 := mustOpen(t, img)
+	defer s2.Close()
+	for i, p := range pages {
+		if err := s2.Read(ctx, p, buf); err != nil || buf[0] != byte(0x10+i) {
+			t.Errorf("crash image page %d = %#x (%v), want %#x", p, buf[0], err, 0x10+i)
+		}
+	}
+}
+
+// TestDirSyncUnsupportedIsOnlyEINVAL: the checkpoint drops a directory
+// fsync's error only when the filesystem cannot fsync directories at all.
+func TestDirSyncUnsupportedIsOnlyEINVAL(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want bool
+	}{
+		{syscall.EINVAL, true},
+		{&os.PathError{Op: "sync", Path: "dir", Err: syscall.EINVAL}, true},
+		{syscall.EIO, false},
+		{&os.PathError{Op: "sync", Path: "dir", Err: syscall.EIO}, false},
+		{syscall.ENOSPC, false},
+		{os.ErrClosed, false},
+	} {
+		if got := dirSyncUnsupported(c.err); got != c.want {
+			t.Errorf("dirSyncUnsupported(%v) = %v, want %v", c.err, got, c.want)
+		}
 	}
 }

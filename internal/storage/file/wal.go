@@ -161,8 +161,8 @@ func newWAL(f *os.File) *wal {
 
 // append frames and writes one record (kind, page id, img — nil for alloc
 // and dealloc) and returns its LSN. The caller must sync(lsn) before
-// acknowledging a page write or dealloc; an alloc record rides the next
-// sync (see Store.Allocate).
+// acknowledging a page write or dealloc; an alloc record and a page write
+// made behind ride the next sync (see Store.Allocate and Store.Write).
 func (w *wal) append(kind byte, p policy.PageID, img []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -218,6 +218,15 @@ func (w *wal) sync(lsn uint64) error {
 		return fmt.Errorf("file: wal fsync: %w", err)
 	}
 	return nil
+}
+
+// syncAll makes every appended record durable; it issues no fsync when
+// none is pending.
+func (w *wal) syncAll() error {
+	w.mu.Lock()
+	lsn := w.appended
+	w.mu.Unlock()
+	return w.sync(lsn)
 }
 
 // reset truncates the log after a checkpoint. The caller must exclude

@@ -80,7 +80,9 @@ type Backend interface {
 	Read(ctx context.Context, p policy.PageID, buf []byte) error
 	// Write stores buf as the new contents of page p. On a durable backend
 	// a nil return means the write is on stable storage (logged and
-	// group-committed), though not yet checkpointed.
+	// group-committed), though not yet checkpointed — unless ctx carries
+	// the WithWriteBehind mark: a marked write is logged and applied but
+	// becomes durable only at the next Flush.
 	Write(ctx context.Context, p policy.PageID, buf []byte) error
 	// Allocate reserves a fresh zeroed page and returns its id. A durable
 	// backend may fail (log append, file extension); the simulator never
@@ -94,9 +96,10 @@ type Backend interface {
 	// ErrPageNotAllocated.
 	Deallocate(p policy.PageID) error
 	// Flush is the durability barrier: on a durable backend it checkpoints
-	// (page file synced, WAL truncated); on the simulator it is a no-op.
-	// The pool calls it at the end of every FlushAll sweep, so the server's
-	// FLUSH barrier doubles as the checkpoint trigger.
+	// (WAL synced through every write made behind, page file synced, WAL
+	// truncated); on the simulator it is a no-op. The pool calls it at the
+	// end of every FlushAll sweep, so the server's FLUSH barrier doubles as
+	// the checkpoint trigger.
 	Flush(ctx context.Context) error
 	// Stats returns a snapshot of cumulative activity. Counters are
 	// individually exact but not mutually consistent under concurrency.
@@ -112,6 +115,23 @@ type Backend interface {
 	// Close releases the backend's resources. Callers flush first; Close
 	// does not checkpoint.
 	Close() error
+}
+
+// writeBehindKey is the context.Context key of the write-behind mark. An
+// unexported zero-size type keeps the key collision-free without allocating.
+type writeBehindKey struct{}
+
+// WithWriteBehind marks ctx so that a Write under it may return before it is
+// durable: it becomes durable at the next Flush. The mark is a context value,
+// so it crosses the wrappers as a trace context does. The buffer pool's flush
+// sweep, whose barrier follows it, is the one caller.
+func WithWriteBehind(ctx context.Context) context.Context {
+	return context.WithValue(ctx, writeBehindKey{}, true)
+}
+
+// WriteBehind reports whether ctx carries the WithWriteBehind mark.
+func WriteBehind(ctx context.Context) bool {
+	return ctx.Value(writeBehindKey{}) != nil
 }
 
 // RecoveryInfo reports what a durable backend's open-time recovery did.
