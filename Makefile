@@ -20,7 +20,7 @@ race:
 
 ## fuzz-smoke: ten seconds of each core fuzz target — LRUK against the
 ## Figure 2.1 transcription, and Replacer and SyncReplacer against the
-## brute-force replacer over pin/unpin/remove/evict/restore streams at a
+## brute-force replacer over pin/unpin/evict/restore streams at a
 ## fuzzed seed, K, CRP and RIP — both ending in the victim-index invariant
 ## check (go test takes one -fuzz target per run, hence two).
 fuzz-smoke:

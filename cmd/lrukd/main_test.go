@@ -21,6 +21,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/storage"
 )
 
 // syncBuffer lets the test read lrukd's output while run is still writing.
@@ -371,9 +372,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // every LRU-K in the repository ticks once per reference.
 //
 // The replacer's surface is ratcheted the same way, by what its callers
-// use. bufferpool.Replacer has 5 methods: admission (RecordAccess) and
+// use. bufferpool.Replacer has 4 methods: admission (RecordAccess) and
 // Restore make a page a victim candidate, so the pool never calls
-// SetEvictable. core.PolicyTracer has 1: victim selection is the one
+// SetEvictable, and a page leaves only by Evict, since nothing is ever
+// deleted. storage.Backend has 9, none of which frees a page.
+// core.PolicyTracer has 1: victim selection is the one
 // decision worth a trace record; collapses and purges are PolicyStats
 // counters. PolicyStats is the one stats read, so neither replacer has
 // Size or HistorySize.
@@ -420,7 +423,8 @@ func TestOptionSurface(t *testing.T) {
 		iface any
 		want  int
 	}{
-		{(*bufferpool.Replacer)(nil), 5},
+		{(*bufferpool.Replacer)(nil), 4},
+		{(*storage.Backend)(nil), 9},
 		{(*core.PolicyTracer)(nil), 1},
 	} {
 		if typ := reflect.TypeOf(c.iface).Elem(); typ.NumMethod() != c.want {

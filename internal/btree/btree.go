@@ -5,9 +5,7 @@
 //
 // Keys are int64 (the CUST-ID of Example 1.1); values are heap-file RIDs.
 // The tree is a unique index: inserting an existing key replaces its
-// value. Deletion is by lazy leaf removal without rebalancing — standard
-// practice in systems whose workloads are insert/lookup dominated, and
-// irrelevant to replacement behaviour, which this package exists to drive.
+// value. Keys are never removed, so nodes only ever split.
 //
 // Node page layout (little-endian):
 //
@@ -237,7 +235,7 @@ func (t *Tree) Get(key int64) (heapfile.RID, bool, error) {
 // path is a pool FetchCtx, so an expired deadline abandons the descent
 // (including a coalesced wait on another request's in-flight read) and
 // returns the context's error. Concurrent GetCtx calls are safe once the
-// tree is loaded; Insert and Delete require external serialisation.
+// tree is loaded; Insert requires external serialisation.
 func (t *Tree) GetCtx(ctx context.Context, key int64) (heapfile.RID, bool, error) {
 	id := t.root
 	for {
@@ -520,37 +518,6 @@ func (t *Tree) insertInternal(pg *bufferpool.Page, sep int64, oldChild, right po
 	newPg.Unpin(true)
 	pg.Unpin(true)
 	return splitResult{split: true, sep: promoted, right: newID}, nil
-}
-
-// Delete removes key from the tree and reports whether it was present.
-// Leaves are never merged (lazy deletion).
-func (t *Tree) Delete(key int64) (bool, error) {
-	id := t.root
-	for {
-		pg, err := t.pool.Fetch(id)
-		if err != nil {
-			return false, fmt.Errorf("btree delete: %w", err)
-		}
-		data := pg.Data()
-		if !isLeaf(data) {
-			next := childFor(data, key)
-			pg.Unpin(false)
-			id = next
-			continue
-		}
-		n := numKeys(data)
-		i := leafSearch(data, key)
-		if i >= n || leafKey(data, i) != key {
-			pg.Unpin(false)
-			return false, nil
-		}
-		base := nodeHeader
-		copy(data[base+i*leafEntry:base+(n-1)*leafEntry], data[base+(i+1)*leafEntry:base+n*leafEntry])
-		setNumKeys(data, n-1)
-		pg.Unpin(true)
-		t.count--
-		return true, nil
-	}
 }
 
 // ScanRange visits keys in [from, to] in ascending order via the leaf

@@ -56,8 +56,11 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok, err := tr.Get(42); err != nil || ok {
 		t.Errorf("Get on empty = ok=%v err=%v", ok, err)
 	}
-	if found, err := tr.Delete(42); err != nil || found {
-		t.Errorf("Delete on empty = %v, %v", found, err)
+	if err := tr.ScanRange(0, 1<<62, func(int64, heapfile.RID) bool {
+		t.Error("ScanRange on empty tree visited a key")
+		return true
+	}); err != nil {
+		t.Errorf("ScanRange on empty: %v", err)
 	}
 	if h, err := tr.Height(); err != nil || h != 1 {
 		t.Errorf("Height = %d, %v", h, err)
@@ -183,44 +186,36 @@ func TestScanRangeOrdered(t *testing.T) {
 	if err := tr.ScanRange(10, 5, func(int64, heapfile.RID) bool { return true }); err != nil {
 		t.Errorf("inverted range: %v", err)
 	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := newTree(t, 32, 4, 4)
-	for k := int64(0); k < 100; k++ {
-		if err := tr.Insert(k, ridFor(k)); err != nil {
-			t.Fatal(err)
-		}
+	// A start between two leaves: one past the leftmost leaf's last key.
+	// The descent lands on that leaf, which holds nothing in range, and the
+	// walk must carry on to the next leaf's first key.
+	last, first := leafBoundary(t, tr)
+	if first != last+2 {
+		t.Fatalf("leaf boundary %d | %d, want adjacent even keys", last, first)
 	}
-	for k := int64(0); k < 100; k += 2 {
-		found, err := tr.Delete(k)
-		if err != nil || !found {
-			t.Fatalf("Delete(%d) = %v, %v", k, found, err)
-		}
-	}
-	if tr.Len() != 50 {
-		t.Errorf("Len = %d, want 50", tr.Len())
-	}
-	for k := int64(0); k < 100; k++ {
-		_, ok, _ := tr.Get(k)
-		if k%2 == 0 && ok {
-			t.Errorf("deleted key %d still found", k)
-		}
-		if k%2 == 1 && !ok {
-			t.Errorf("surviving key %d lost", k)
-		}
-	}
-	// Delete then reinsert.
-	if err := tr.Insert(4, ridFor(4)); err != nil {
+	var from []int64
+	if err := tr.ScanRange(last+1, 1<<62, func(k int64, _ heapfile.RID) bool {
+		from = append(from, k)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := tr.Get(4); !ok {
-		t.Error("reinserted key not found")
+	if len(from) != int(598-first)/2+1 || from[0] != first {
+		t.Errorf("scan from %d (between leaves) returned %d keys starting %v, want %d starting %d",
+			last+1, len(from), from[:min(len(from), 1)], int(598-first)/2+1, first)
+	}
+	// A start past the last key visits nothing.
+	if err := tr.ScanRange(599, 1<<62, func(k int64, _ heapfile.RID) bool {
+		t.Errorf("scan past the last key visited %d", k)
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestAgainstReferenceModel drives the tree and a map with random mixed
-// operations, verifying contents and order at the end.
+// TestAgainstReferenceModel drives the tree and a map with random inserts
+// (fresh keys and replacements) and lookups, verifying contents and order
+// at the end.
 func TestAgainstReferenceModel(t *testing.T) {
 	tr := newTree(t, 64, 5, 5)
 	ref := map[int64]heapfile.RID{}
@@ -234,7 +229,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 				t.Fatalf("op %d Insert(%d): %v", op, k, err)
 			}
 			ref[k] = rid
-		case 2: // get
+		case 2, 3: // get
 			rid, ok, err := tr.Get(k)
 			if err != nil {
 				t.Fatal(err)
@@ -243,16 +238,6 @@ func TestAgainstReferenceModel(t *testing.T) {
 			if ok != wantOK || (ok && rid != wantRID) {
 				t.Fatalf("op %d Get(%d) = %v,%v, want %v,%v", op, k, rid, ok, wantRID, wantOK)
 			}
-		case 3: // delete
-			found, err := tr.Delete(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, wantOK := ref[k]
-			if found != wantOK {
-				t.Fatalf("op %d Delete(%d) = %v, want %v", op, k, found, wantOK)
-			}
-			delete(ref, k)
 		}
 		if tr.Len() != len(ref) {
 			t.Fatalf("op %d: Len %d, reference %d", op, tr.Len(), len(ref))
@@ -350,75 +335,30 @@ func TestPagesClassification(t *testing.T) {
 	}
 }
 
-func TestIteratorFullWalk(t *testing.T) {
-	tr := newTree(t, 32, 4, 4)
-	const n = 300
-	for _, k := range stats.NewRNG(21).Perm(n) {
-		if err := tr.Insert(int64(k), ridFor(int64(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, err := tr.Iterate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev int64 = -1
-	count := 0
+// leafBoundary returns the leftmost leaf's last key and the first key of
+// the leaf after it.
+func leafBoundary(t *testing.T, tr *Tree) (last, first int64) {
+	t.Helper()
+	id := tr.Root()
 	for {
-		e, ok, err := it.Next()
+		pg, err := tr.pool.Fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		data := pg.Data()
+		if isLeaf(data) {
+			last = leafKey(data, numKeys(data)-1)
+			id = policy.PageID(extra(data))
+			pg.Unpin(false)
 			break
 		}
-		if e.Key <= prev {
-			t.Fatalf("iterator out of order: %d after %d", e.Key, prev)
-		}
-		if e.RID != ridFor(e.Key) {
-			t.Fatalf("iterator rid for %d = %v", e.Key, e.RID)
-		}
-		prev = e.Key
-		count++
+		id = internalChild(data, 0)
+		pg.Unpin(false)
 	}
-	if count != n {
-		t.Fatalf("iterator yielded %d entries, want %d", count, n)
-	}
-}
-
-func TestIteratorSeekMidAndPastEnd(t *testing.T) {
-	tr := newTree(t, 32, 4, 4)
-	for k := int64(0); k < 100; k += 2 {
-		if err := tr.Insert(k, ridFor(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Seek between keys: first yielded key is the next even number.
-	it, err := tr.Iterate(31)
+	pg, err := tr.pool.Fetch(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok, err := it.Next()
-	if err != nil || !ok || e.Key != 32 {
-		t.Fatalf("Iterate(31).Next() = %v, %v, %v; want key 32", e, ok, err)
-	}
-	// Seek past the end: immediately exhausted.
-	it, err = tr.Iterate(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := it.Next(); ok {
-		t.Error("iterator past end yielded an entry")
-	}
-}
-
-func TestIteratorEmptyTree(t *testing.T) {
-	tr := newTree(t, 8, 4, 4)
-	it, err := tr.Iterate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := it.Next(); ok {
-		t.Error("iterator on empty tree yielded an entry")
-	}
+	defer pg.Unpin(false)
+	return last, leafKey(pg.Data(), 0)
 }

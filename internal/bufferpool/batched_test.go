@@ -223,36 +223,6 @@ func TestFastHitProbe(t *testing.T) {
 	}
 }
 
-// TestBatchedDeletePage exercises the buffered evRemove path: deleting a
-// page whose access events are still buffered must not leave it evictable
-// or resurrect it, and the frame must return to the free list.
-func TestBatchedDeletePage(t *testing.T) {
-	d := sim.New(sim.ServiceModel{})
-	id := storage.MustAllocate(d)
-	r := core.NewSyncReplacer(2, core.Options{})
-	p := New(d, 4, r)
-	pg, err := p.Fetch(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.Unpin(false)
-	// The admission is still buffered; DeletePage buffers the removal
-	// behind it in the same FIFO.
-	if err := p.DeletePage(id); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.PolicyStats().Evictable; got != 0 {
-		t.Errorf("deleted page still evictable: Evictable = %d", got)
-	}
-	if _, err := p.Fetch(id); err == nil {
-		t.Error("fetch of deallocated page succeeded")
-	}
-	free, tabled := frameAccounting(p)
-	if free+tabled != p.NumFrames() {
-		t.Errorf("frame accounting after delete: %d free + %d resident != %d", free, tabled, p.NumFrames())
-	}
-}
-
 // TestBatchedRestoreAfterFailedWriteback drives the satellite regression:
 // a dirty victim whose write-back fails is restored while the event ring
 // still holds undrained events for it. The restore must reinstate

@@ -70,8 +70,6 @@ type Replacer interface {
 	Restore(p policy.PageID)
 	// Evict selects and removes a victim; ok is false if none is evictable.
 	Evict() (policy.PageID, bool)
-	// Remove drops p without treating it as an eviction decision.
-	Remove(p policy.PageID)
 }
 
 // ErrNoFreeFrame reports that every frame is pinned, so the pool cannot
@@ -132,8 +130,8 @@ type Stats struct {
 	CorruptRepaired uint64
 	// CorruptQuarantined counts detections with no redundant copy to
 	// repair from. The page id is poisoned: further fetches fail fast
-	// with the corruption error, without touching the disk, until the
-	// page is deleted or freshly allocated.
+	// with the corruption error, without touching the disk, for the
+	// pool's lifetime.
 	CorruptQuarantined uint64
 	// ScrubPages counts background-scrub reads that verified clean. Each
 	// is exactly one successful disk read, so with scrubbing on the read
@@ -251,7 +249,7 @@ type Pool struct {
 	// failed. They are skipped within the sweep that failed them (so one
 	// poisoned page cannot wedge an unrelated fetch) and retried by the
 	// background writer and on later sweeps and flushes; a successful write
-	// or a delete clears the entry.
+	// clears the entry.
 	quarMu      sync.Mutex
 	quarantined map[policy.PageID]struct{}
 
@@ -268,8 +266,8 @@ type Pool struct {
 	repairer storage.Repairer
 	// poisoned holds unrepairable-corrupt page ids: detection found no
 	// redundant copy, so fetches fail fast with the recorded corruption
-	// kind instead of re-reading garbage. DeletePage and a fresh NewPage
-	// allocation of the id clear the entry.
+	// kind instead of re-reading garbage. Page ids are never freed, so no
+	// later allocation reuses a poisoned one.
 	poisonMu sync.Mutex
 	poisoned map[policy.PageID]storage.CorruptKind
 

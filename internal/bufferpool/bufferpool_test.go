@@ -220,30 +220,6 @@ func TestFlushPageAndAll(t *testing.T) {
 	}
 }
 
-func TestDeletePage(t *testing.T) {
-	p, d := newPool(t, 2, 2)
-	pg, _ := p.NewPage()
-	id := pg.ID()
-	if err := p.DeletePage(id); err == nil {
-		t.Error("delete of pinned page succeeded")
-	}
-	pg.Unpin(false)
-	if err := p.DeletePage(id); err != nil {
-		t.Fatal(err)
-	}
-	if p.Resident(id) {
-		t.Error("deleted page still resident")
-	}
-	if d.NumPages() != 0 {
-		t.Error("deleted page still on disk")
-	}
-	// The freed frame is reusable.
-	a, _ := p.NewPage()
-	b, _ := p.NewPage()
-	a.Unpin(false)
-	b.Unpin(false)
-}
-
 func TestStatsHitRatio(t *testing.T) {
 	p, _ := newPool(t, 2, 2)
 	pg, _ := p.NewPage()

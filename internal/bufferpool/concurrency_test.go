@@ -321,59 +321,6 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentNewDelete exercises the allocate → write → verify →
-// delete lifecycle from many goroutines at once; at the end the disk must
-// hold no pages and the pool no residents.
-func TestPoolConcurrentNewDelete(t *testing.T) {
-	const goroutines = 8
-	d := newFaultyDisk(sim.ServiceModel{})
-	p := NewWithConfig(d, 32, core.NewSyncReplacer(2, core.Options{}), Config{shards: 8})
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				pg, err := p.NewPage()
-				if err != nil {
-					if errors.Is(err, ErrNoFreeFrame) {
-						continue
-					}
-					errs <- err
-					return
-				}
-				id := pg.ID()
-				binary.LittleEndian.PutUint64(pg.Data(), uint64(id))
-				pg.Unpin(true)
-				if pg2, err := p.Fetch(id); err == nil {
-					if got := binary.LittleEndian.Uint64(pg2.Data()); got != uint64(id) {
-						errs <- errors.New("fresh page lost its marker")
-						pg2.Unpin(false)
-						return
-					}
-					pg2.Unpin(false)
-				} else if !errors.Is(err, ErrNoFreeFrame) {
-					errs <- err
-					return
-				}
-				if err := p.DeletePage(id); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if n := d.NumPages(); n != 0 {
-		t.Errorf("%d pages leaked on disk", n)
-	}
-}
-
 // TestWriteBackVictimNotReadableStale checks the frameWriting protocol: a
 // fetch racing an in-flight dirty write-back must wait it out and then
 // read the freshly written bytes, never the stale disk copy.

@@ -114,14 +114,6 @@ func TestFetchUnrepairableQuarantinesAndFailsFast(t *testing.T) {
 		t.Fatalf("fetch of clean page: %v", err)
 	}
 	pg.Unpin(false)
-
-	// Deleting the page clears its quarantine with it.
-	if err := p.DeletePage(ids[0]); err != nil {
-		t.Fatalf("delete of poisoned page: %v", err)
-	}
-	if got := p.PoisonedPages(); len(got) != 0 {
-		t.Errorf("poison survived DeletePage: %v", got)
-	}
 }
 
 // TestCorruptCountsAgainstBreaker: quarantined detections are permanent

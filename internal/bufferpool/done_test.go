@@ -62,85 +62,75 @@ func TestFrameDoneProtocol(t *testing.T) {
 	}
 }
 
-// TestWriteBackWaitersWake parks a dirty victim's write-back, puts one
-// waiter on it — a fetch (pinEntry's frameWriting arm) or a DeletePage —
-// and lets the write succeed or fail. The waiter made the frame's channel,
-// and it must wake either way: the fetch then reads the page's own bytes
-// (reloaded, or still resident after the failed write), the delete removes
-// it.
+// TestWriteBackWaitersWake parks a dirty victim's write-back, puts a fetch
+// on it (pinEntry's frameWriting arm) and lets the write succeed or fail.
+// The waiter made the frame's channel, and it must wake either way, then
+// read the page's own bytes (reloaded, or still resident after the failed
+// write).
 func TestWriteBackWaitersWake(t *testing.T) {
-	for _, waiter := range []string{"fetch", "delete"} {
-		for _, fail := range []bool{false, true} {
-			d, arm, entered, gate := gatedDisk()
-			ids := allocPages(t, d, 3)
-			victim, filler, other := ids[0], ids[1], ids[2]
-			p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
+	for _, fail := range []bool{false, true} {
+		d, arm, entered, gate := gatedDisk()
+		ids := allocPages(t, d, 3)
+		victim, filler, other := ids[0], ids[1], ids[2]
+		p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
+		pg, err := p.Fetch(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(pg.Data()[8:], "fresh")
+		pg.Unpin(true) // dirty; the oldest reference, so the first victim
+		touch(t, p, filler, false)
+		if fail {
+			d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
+		}
+		arm.Store(true) // parks the next I/O: the eviction's write-back
+
+		evicted := make(chan error, 1)
+		go func() {
+			pg, err := p.Fetch(other) // evicts victim; its write-back parks
+			if err == nil {
+				pg.Unpin(false)
+			}
+			evicted <- err
+		}()
+		<-entered
+		arm.Store(false) // a faulted write parks too: the simulator charges it
+		f := p.frameFor(victim)
+		if f == nil || f.state.Load() != frameWriting || f.done.Load() != nil {
+			t.Fatalf("fail=%v: victim not in frameWriting with no channel yet", fail)
+		}
+
+		woke := make(chan error, 1)
+		go func() {
 			pg, err := p.Fetch(victim)
 			if err != nil {
-				t.Fatal(err)
-			}
-			copy(pg.Data()[8:], "fresh")
-			pg.Unpin(true) // dirty; the oldest reference, so the first victim
-			touch(t, p, filler, false)
-			if fail {
-				d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-			}
-			arm.Store(true) // parks the next I/O: the eviction's write-back
-
-			evicted := make(chan error, 1)
-			go func() {
-				pg, err := p.Fetch(other) // evicts victim; its write-back parks
-				if err == nil {
-					pg.Unpin(false)
-				}
-				evicted <- err
-			}()
-			<-entered
-			arm.Store(false) // a faulted write parks too: the simulator charges it
-			f := p.frameFor(victim)
-			if f == nil || f.state.Load() != frameWriting || f.done.Load() != nil {
-				t.Fatalf("%s/fail=%v: victim not in frameWriting with no channel yet", waiter, fail)
-			}
-
-			woke := make(chan error, 1)
-			go func() {
-				if waiter == "delete" {
-					woke <- p.DeletePage(victim)
-					return
-				}
-				pg, err := p.Fetch(victim)
-				if err != nil {
-					woke <- err
-					return
-				}
-				if string(pg.Data()[8:13]) != "fresh" {
-					err = errors.New("fetch behind a write-back read stale bytes")
-				}
-				pg.Unpin(false)
 				woke <- err
-			}()
-			for f.done.Load() == nil { // the waiter made the channel and parks on it
-				time.Sleep(50 * time.Microsecond)
+				return
 			}
-			close(gate)
-			if err := <-evicted; err != nil {
-				t.Fatalf("%s/fail=%v: evicting fetch: %v", waiter, fail, err)
+			if string(pg.Data()[8:13]) != "fresh" {
+				err = errors.New("fetch behind a write-back read stale bytes")
 			}
-			select {
-			case err := <-woke:
-				if err != nil {
-					t.Errorf("%s/fail=%v: waiter: %v", waiter, fail, err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("%s/fail=%v: waiter on the write-back never woke", waiter, fail)
+			pg.Unpin(false)
+			woke <- err
+		}()
+		for f.done.Load() == nil { // the waiter made the channel and parks on it
+			time.Sleep(50 * time.Microsecond)
+		}
+		close(gate)
+		if err := <-evicted; err != nil {
+			t.Fatalf("fail=%v: evicting fetch: %v", fail, err)
+		}
+		select {
+		case err := <-woke:
+			if err != nil {
+				t.Errorf("fail=%v: waiter: %v", fail, err)
 			}
-			if waiter == "delete" && p.Resident(victim) {
-				t.Errorf("%s/fail=%v: deleted page still resident", waiter, fail)
-			}
-			checkFrameInvariant(t, p)
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("fail=%v: waiter on the write-back never woke", fail)
+		}
+		checkFrameInvariant(t, p)
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

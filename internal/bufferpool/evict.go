@@ -11,8 +11,8 @@ import (
 )
 
 // This file is how a frame changes hands: the eviction sweep that secures
-// one for a miss or a new page, the restore of victims the sweep set aside,
-// and DeletePage.
+// one for a miss or a new page, and the restore of victims the sweep set
+// aside.
 
 // maxWriteBackFailures bounds how many distinct dirty victims may fail
 // their write-back within one obtainFrame sweep before the caller's
@@ -81,8 +81,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		if ok {
 			examined++
 		} else {
-			// A failed load or a DeletePage may have freed a frame since the
-			// first check.
+			// A failed load may have freed a frame since the first check.
 			if f := p.freePop(); f != nil {
 				return f, nil
 			}
@@ -185,58 +184,13 @@ func (p *Pool) traceEviction(ctx context.Context, victim policy.PageID) {
 // fabricating a reference — recording a phantom access here would reset the
 // page's Backward K-distance and could keep an otherwise-cold page resident.
 // The shard's shared latch holds the mapping still across the check and the
-// call: DeletePage removes the page from the replacer under the exclusive
-// latch, so its Remove lands either before the check (which then fails) or
-// after the Restore — never in between, where it would leave the replacer
-// holding a page the pool does not.
+// call, so the replacer never gets back a page the pool no longer holds.
 func (p *Pool) restoreVictim(id policy.PageID, f *frame) {
 	sh := p.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if sh.table[id] != f {
-		return // the page moved on (deleted or reloaded elsewhere)
+		return // the page moved on (its load failed, or it was reloaded elsewhere)
 	}
 	p.replacer.Restore(id)
-}
-
-// DeletePage evicts page id from the pool (it must be unpinned) and
-// deallocates it on disk.
-func (p *Pool) DeletePage(id policy.PageID) error {
-	if p.closed.Load() {
-		return ErrClosed
-	}
-	sh := p.shardOf(id)
-	for {
-		sh.mu.Lock()
-		f := sh.table[id]
-		if f == nil {
-			sh.mu.Unlock()
-			break
-		}
-		if f.state.Load() == frameWriting {
-			done := f.waitCh()
-			sh.mu.Unlock()
-			<-done
-			continue
-		}
-		if f.state.Load() == frameLoading || !f.tryClaim() {
-			sh.mu.Unlock()
-			return fmt.Errorf("bufferpool: delete of pinned page %d", id)
-		}
-		// Remove from the replacer while still holding the latch: once the
-		// table entry is gone a concurrent fetch could re-load the page, and
-		// a late Remove would strip the new residency's registration. The
-		// claim excludes lock-free probes, exactly as in eviction.
-		p.replacer.Remove(id)
-		hotClear(sh, id, f)
-		delete(sh.table, id)
-		f.state.Store(frameFree)
-		sh.mu.Unlock()
-		f.dirty.Store(false)
-		p.quarantineRemove(id)
-		p.freePush(f)
-		break
-	}
-	p.poisonRemove(id)
-	return p.backend.Deallocate(id)
 }

@@ -224,11 +224,11 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 // resident (nothing more to do — the loader made it a victim candidate),
 // or it failed, the loader unlinked the frame, and the last participant
 // out must recycle it, exactly once. The table mapping distinguishes them,
-// and the classification must be atomic with DeletePage's zero-pin check —
-// a delete sliding between our decrement and the table read would free the
-// frame first and turn our recycle into a double free. Holding the shard
-// latch in shared mode (DeletePage needs it exclusively) pins the mapping
-// in place while we decide.
+// and the classification must be atomic with eviction's zero-pin claim —
+// an eviction sliding between our decrement and the table read would
+// repurpose the frame first and turn our recycle into a double free.
+// Holding the shard latch in shared mode (eviction claims under it
+// exclusively) pins the mapping in place while we decide.
 func (p *Pool) abandonPin(sh *shard, id policy.PageID, f *frame) {
 	sh.mu.RLock()
 	if f.pinAdd(-1) == 0 && sh.table[id] != f {
@@ -360,8 +360,6 @@ func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 		return Page{}, fmt.Errorf("bufferpool: allocating page: %w", err)
 	}
 	p.notePage(id)
-	// A freshly allocated id starts clean whatever its previous life held.
-	p.poisonRemove(id)
 	clear(f.data)
 	f.page.Store(int64(id))
 	f.install()

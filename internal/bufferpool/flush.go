@@ -148,8 +148,8 @@ func (p *Pool) flushAll(ctx context.Context) error {
 		if cancelled = ctx.Err() != nil; cancelled {
 			break
 		}
-		// Not resident any more (evicted or deleted meanwhile) means
-		// nothing to flush.
+		// Not resident any more (evicted meanwhile) means nothing to
+		// flush.
 		_, err := p.flushResident(wctx, id, false)
 		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// The sweep's cancellation, not this page's fault: it is
@@ -200,8 +200,8 @@ func (p *Pool) quarantineRemove(id policy.PageID) {
 
 // Quarantined returns the number of resident pages whose most recent dirty
 // write-back failed. Such pages keep their data in memory and are retried
-// on later eviction sweeps and flushes; a successful write-back, flush or
-// delete removes them from quarantine.
+// on later eviction sweeps and flushes; a successful write-back or flush
+// removes them from quarantine.
 func (p *Pool) Quarantined() int {
 	p.quarMu.Lock()
 	defer p.quarMu.Unlock()
@@ -259,7 +259,7 @@ func (p *Pool) drainQuarantine(ctx context.Context) bool {
 		}
 		// The flush clears the quarantine entry on success (or when the page
 		// turned clean through another path) and leaves it on failure; a page
-		// deleted or evicted meanwhile had its entry cleared by that path.
+		// evicted meanwhile had its entry cleared by that path.
 		_, _ = p.flushResident(ctx, id, false)
 	}
 	p.quarMu.Lock()

@@ -14,9 +14,8 @@ import (
 // frameLoading→frameResident is published lock-free via the frame's done
 // channel. frameLoading and frameWriting are the two transient states: a
 // frame in either is what pinEntry (fetch.go) waits on for every fetch and
-// maintenance path, and DeletePage for a write-back. The wait channel is
-// made by the first waiter (waitCh), so a transition nobody waits on
-// allocates nothing.
+// maintenance path. The wait channel is made by the first waiter (waitCh),
+// so a transition nobody waits on allocates nothing.
 const (
 	frameFree     int32 = iota // on the free list, unreachable from any shard
 	frameLoading               // in the table, disk read in flight
@@ -28,8 +27,8 @@ const (
 // resident-hit probe latch-free (DESIGN.md §14):
 //
 //	bits 0..31   pin count
-//	bit  32      claim bit: the frame is being repurposed (evicted or
-//	             deleted); probes must not pin it
+//	bit  32      claim bit: the frame is being repurposed (evicted);
+//	             probes must not pin it
 //	bits 33..63  repurposing epoch, bumped by every claim and install
 //
 // A lock-free probe validates page identity and residency, then pins with
@@ -154,7 +153,7 @@ func (f *frame) unclaim() {
 }
 
 // install publishes a fresh epoch with pin count 1 for a frame the caller
-// owns exclusively (claimed by eviction/delete, or taken off the free
+// owns exclusively (claimed by eviction, or taken off the free
 // list, where probes cannot pin it because its state is never
 // frameResident). Clearing the claim bit with a new epoch is what re-opens
 // the frame to probes once its state becomes frameResident.

@@ -94,12 +94,6 @@ func (p *Pool) poisonAdd(id policy.PageID, kind storage.CorruptKind) {
 	p.poisonMu.Unlock()
 }
 
-func (p *Pool) poisonRemove(id policy.PageID) {
-	p.poisonMu.Lock()
-	delete(p.poisoned, id)
-	p.poisonMu.Unlock()
-}
-
 func (p *Pool) poisonedKind(id policy.PageID) (storage.CorruptKind, bool) {
 	p.poisonMu.Lock()
 	kind, ok := p.poisoned[id]

@@ -29,8 +29,8 @@ func (p *Pool) Start() {
 }
 
 // Close stops the background goroutines, flushes every dirty resident page,
-// and fences the pool: Fetch, NewPage, FlushPage, FlushAll, and
-// DeletePage return ErrClosed afterwards. Close is idempotent — repeated
+// and fences the pool: Fetch, NewPage, FlushPage and FlushAll return
+// ErrClosed afterwards. Close is idempotent — repeated
 // calls return the first call's flush result without flushing again.
 // In-flight operations that passed the fence complete normally; Close
 // does not wait for their pins to drop.

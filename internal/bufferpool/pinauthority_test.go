@@ -3,11 +3,9 @@ package bufferpool
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/leakcheck"
@@ -215,8 +213,8 @@ func TestSkippedCandidateNotHeldAcrossWriteBack(t *testing.T) {
 	}
 }
 
-// TestPinAuthorityStress runs hits on a hot set, misses that evict, page
-// lifecycles ending in DeletePage, and FlushAll from many goroutines (run
+// TestPinAuthorityStress runs hits on a hot set, misses that evict, fresh
+// dirty pages from NewPage, and FlushAll from many goroutines (run
 // it under -race -count=10). When the dust settles every resident page
 // must be a victim candidate and nothing else: no page fell out of the
 // replacer, none stayed in after leaving the pool.
@@ -282,7 +280,7 @@ func TestPinAuthorityStress(t *testing.T) {
 						continue
 					}
 					pg.Unpin(op%5 == 0)
-				case op < 97: // allocate, dirty, delete
+				case op < 97: // allocate and dirty; eviction writes it back
 					pg, err := p.NewPage()
 					if err != nil {
 						if fail(err) {
@@ -290,22 +288,8 @@ func TestPinAuthorityStress(t *testing.T) {
 						}
 						continue
 					}
-					id := pg.ID()
 					pg.Data()[0] = byte(g)
 					pg.Unpin(true)
-					// A concurrent FlushAll pins the page in passing, and a
-					// pinned page cannot be deleted: try again, for a time
-					// rather than a count, since under -race on a loaded
-					// host the flusher can sit descheduled holding the pin.
-					err = p.DeletePage(id)
-					for deadline := time.Now().Add(10 * time.Second); err != nil && time.Now().Before(deadline); {
-						runtime.Gosched()
-						err = p.DeletePage(id)
-					}
-					if err != nil {
-						errs <- err
-						return
-					}
 				default:
 					if err := p.FlushAll(); err != nil {
 						errs <- err

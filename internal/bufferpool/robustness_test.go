@@ -458,9 +458,6 @@ func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 	if err := p.FlushPage(a); !errors.Is(err, ErrClosed) {
 		t.Errorf("FlushPage after Close = %v, want ErrClosed", err)
 	}
-	if err := p.DeletePage(a); !errors.Is(err, ErrClosed) {
-		t.Errorf("DeletePage after Close = %v, want ErrClosed", err)
-	}
 	writesBefore := d.Stats().Writes
 	if err := p.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

@@ -39,7 +39,6 @@ type SerialReplacer interface {
 	// without counting as a reference.
 	Restore(p policy.PageID)
 	Evict() (policy.PageID, bool)
-	Remove(p policy.PageID)
 }
 
 type serialFrame struct {
@@ -271,25 +270,6 @@ func (p *Serial) FlushAll() error {
 		p.stats.WriteBacks++
 	}
 	return p.backend.Flush(context.Background())
-}
-
-// DeletePage evicts page id from the pool (it must be unpinned) and
-// deallocates it on disk.
-func (p *Serial) DeletePage(id policy.PageID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if slot, ok := p.pageTable[id]; ok {
-		f := &p.frames[slot]
-		if f.pinCount != 0 {
-			return fmt.Errorf("bufferpool: delete of pinned page %d", id)
-		}
-		p.replacer.Remove(id)
-		delete(p.pageTable, id)
-		f.inUse = false
-		f.dirty = false
-		p.free = append(p.free, slot)
-	}
-	return p.backend.Deallocate(id)
 }
 
 // Stats returns a snapshot of pool counters.

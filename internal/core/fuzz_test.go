@@ -39,8 +39,8 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 
 // FuzzReplacersMatchBruteForce runs TestReplacersMatchBruteForce's
 // differential — Replacer, SyncReplacer and the brute-force model over one
-// random operation stream that pins, unpins, removes, evicts and restores
-// live candidates, ending in checkAgainstBrute — at a fuzzed seed, K,
+// random operation stream that pins, unpins, evicts and restores live
+// candidates, ending in checkAgainstBrute — at a fuzzed seed, K,
 // Correlated Reference Period and Retained Information Period.
 func FuzzReplacersMatchBruteForce(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0), uint8(0))

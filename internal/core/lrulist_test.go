@@ -40,14 +40,6 @@ func (l *lockstep) hit(ps ...policy.PageID) {
 	}
 }
 
-func (l *lockstep) remove(ps ...policy.PageID) {
-	for _, p := range ps {
-		l.brute.Remove(p)
-		l.plain.Remove(p)
-		l.ring.Remove(p)
-	}
-}
-
 func (l *lockstep) evict(want ...policy.PageID) {
 	l.t.Helper()
 	for _, w := range want {
@@ -121,8 +113,8 @@ func TestListEveryCandidateInsideCRP(t *testing.T) {
 	l := newLockstep(t, 2, Options{CorrelatedReferencePeriod: 3})
 	l.access(pd, pe, pf, pg) // ticks 1-4
 	l.hit(pd)                // tick 5: uncorrelated, d is finite
-	l.remove(pe, pf, pg)
-	l.access(pa, pb, pc) // ticks 6-8; LAST(d) = 5 is inside the CRP too
+	l.evict(pe, pf, pg)      // all inside the CRP: the list head goes first
+	l.access(pa, pb, pc)     // ticks 6-8; LAST(d) = 5 is inside the CRP too
 	l.filed([]policy.PageID{pa, pb, pc}, []policy.PageID{pd})
 	l.evict(pa, pb) // the fallback: list head, although the tree holds d
 	l.hit(pc)       // tick 9: correlated; d is now outside its period

@@ -125,15 +125,6 @@ func (r *Replacer) Evict() (policy.PageID, bool) {
 	return victim, true
 }
 
-// Remove drops page p from the replacer entirely (page deallocated rather
-// than evicted); its history is retired as on eviction, since a reallocated
-// page id may recur.
-func (r *Replacer) Remove(p policy.PageID) {
-	if h, ok := r.table.resident(p); ok {
-		r.table.retireResident(h)
-	}
-}
-
 // reset empties the replacer, keeping K and the §2.1 periods.
 func (r *Replacer) reset() {
 	*r = Replacer{table: newHistTable(r.table.k, r.table.crp, r.table.rip)}

@@ -105,12 +105,6 @@ func (b *bruteReplacer) Restore(p policy.PageID) {
 	}
 }
 
-func (b *bruteReplacer) Remove(p policy.PageID) {
-	if blk, ok := b.blocks[p]; ok && blk.resident {
-		b.leave(p, blk)
-	}
-}
-
 // Evict picks, among evictable pages outside their Correlated Reference
 // Period, the maximal Backward K-distance b_t(p,K) = t − HIST(p,K), with ∞
 // for HIST(p,K) = 0, ties broken by the older HIST(p,1) and then the
@@ -162,10 +156,10 @@ func (b *bruteReplacer) evictable() int {
 
 // TestReplacersMatchBruteForce drives the plain Replacer, a SyncReplacer
 // with a tiny ring and the brute-force model through the same random
-// RecordAccess / RecordHit / SetEvictable / Restore / Remove / Evict
-// sequences. Every victim, every candidate count, the history footprint, the dropped-
-// hit count and every surviving HIST/LAST value must agree, across K,
-// Correlated Reference Period and Retained Information Period.
+// RecordAccess / RecordHit / SetEvictable / Restore / Evict sequences.
+// Every victim, every candidate count, the history footprint, the
+// dropped-hit count and every surviving HIST/LAST value must agree, across
+// K, Correlated Reference Period and Retained Information Period.
 func TestReplacersMatchBruteForce(t *testing.T) {
 	const pages = 20
 	for _, k := range []int{1, 2, 3} {
@@ -215,11 +209,7 @@ func runBruteDifferential(t *testing.T, k int, opts Options, seed uint64, pages 
 			brute.SetEvictable(p, false)
 			plain.SetEvictable(p, false)
 			ring.SetEvictable(p, false)
-		case 9:
-			brute.Remove(p)
-			plain.Remove(p)
-			ring.Remove(p)
-		case 10:
+		case 9, 10:
 			want, wantOK := brute.Evict()
 			v1, ok1 := plain.Evict()
 			v2, ok2 := ring.Evict()
@@ -314,9 +304,8 @@ func checkAgainstBrute(t *testing.T, tbl *histTable, brute *bruteReplacer) {
 // A victim retired by Evict and purged by a tick of the next drain is
 // still dirty and filed when it leaves the table: it must not be recycled,
 // or a page admitted in the same drain would take it over and the sync
-// would look for the old entry under the new page id. A block removed in
-// one drain and purged in the next is clean and is reused by the next
-// admission.
+// would look for the old entry under the new page id. A victim synced
+// clean before its purge is recycled, and the next admission reuses it.
 func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 	const a, b, c, d, e = policy.PageID(1), policy.PageID(2), policy.PageID(3), policy.PageID(4), policy.PageID(5)
 	opts := Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2}
@@ -355,16 +344,18 @@ func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 	}
 	checkAgainstBrute(t, table, brute)
 
-	brute.Remove(d)
-	s.Remove(d) // retired at LAST 5, synced clean at this drain's end
-	s.PolicyStats()
-	dBlock := table.pages[d]
-	for i := 0; i < 3; i++ {
-		hit(b) // ticks 6-8; tick 8 purges d
+	evict(c) // the only page outside its CRP at clock 5
+	evict(d) // every page is inside its CRP and d is at ∞; the search syncs c clean
+	hit(b)   // tick 6 purges c (LAST 3), clean, so recycled
+	if got := s.PolicyStats().Purges; got != 2 || len(table.free) != 1 {
+		t.Fatalf("purges = %d, free list %d; want c's block recycled", got, len(table.free))
 	}
-	access(e) // tick 9 reuses d's block
+	dBlock := table.pages[d] // retired at LAST 5, synced clean at that drain's end
+	hit(b)
+	hit(b)    // ticks 7, 8; tick 8 purges d
+	access(e) // tick 9 reuses d's block, the last recycled
 	s.PolicyStats()
-	if table.pages[e] != dBlock || len(table.free) != 0 {
+	if table.pages[e] != dBlock || len(table.free) != 1 {
 		t.Fatalf("e did not reuse d's purged block (free list %d)", len(table.free))
 	}
 	checkAgainstBrute(t, table, brute)
@@ -442,9 +433,6 @@ func TestConcurrentHistoryLinearises(t *testing.T) {
 				case evRestore:
 					brute.Restore(e.page)
 					plain.Restore(e.page)
-				case evRemove:
-					brute.Remove(e.page)
-					plain.Remove(e.page)
 				case evictOp:
 					v1, ok1 := plain.Evict()
 					v2, ok2 := brute.Evict()

@@ -80,31 +80,24 @@ func TestReplacerSetEvictableIdempotent(t *testing.T) {
 	}
 }
 
-func TestReplacerRemove(t *testing.T) {
-	r := NewReplacer(2, Options{})
-	r.RecordAccess(1)
-	r.RecordAccess(2)
-	r.Remove(1)
-	if got := r.PolicyStats().Evictable; got != 1 {
-		t.Fatalf("Evictable after Remove = %d, want 1", got)
-	}
-	victim, ok := r.Evict()
-	if !ok || victim != 2 {
-		t.Fatalf("Evict = %d,%v, want 2,true", victim, ok)
-	}
-	// Remove of unknown or already-removed pages is a no-op.
-	r.Remove(1)
-	r.Remove(42)
-}
-
+// TestReplacerHistorySurvivesEviction: an evicted page keeps its HIST
+// block (§2.1.2), so its re-admission reuses the block and the reference
+// before the eviction survives as HIST(p,2).
 func TestReplacerHistorySurvivesEviction(t *testing.T) {
 	r := NewReplacer(2, Options{})
 	r.RecordAccess(1) // t=1
+	h := r.table.pages[1]
 	if v, _ := r.Evict(); v != 1 {
 		t.Fatal("setup eviction failed")
 	}
 	r.RecordAccess(2) // t=2
 	r.RecordAccess(1) // t=3: readmitted; HIST shifts to [3,1]
+	if r.table.pages[1] != h || !h.resident || !h.candidate {
+		t.Fatal("re-admission did not reinstate the retained HIST block")
+	}
+	if h.times[0] != 3 || h.times[1] != 1 {
+		t.Fatalf("HIST(1) = %v, want [3 1]", h.times)
+	}
 	if got := r.PolicyStats().HistoryBlocks; got < 2 {
 		t.Fatalf("HistoryBlocks = %d, want >= 2", got)
 	}
@@ -127,27 +120,5 @@ func TestReplacerCRP(t *testing.T) {
 	victim, ok := r.Evict()
 	if !ok || victim != 1 {
 		t.Fatalf("Evict = %d,%v, want 1,true (only eligible page)", victim, ok)
-	}
-}
-
-// TestReplacerRemoveRetainsHistory: a removed page keeps its HIST block
-// (§2.1.2), so its re-admission reuses the block and the reference before
-// the removal survives as HIST(p,2).
-func TestReplacerRemoveRetainsHistory(t *testing.T) {
-	r := NewReplacer(2, Options{})
-	r.RecordAccess(1) // t=1
-	h := r.table.pages[1]
-	r.Remove(1)
-	r.RecordAccess(2) // t=2
-	r.RecordAccess(1) // t=3: re-admitted; HIST shifts to [3,1]
-	if r.table.pages[1] != h || !h.resident || !h.candidate {
-		t.Fatal("re-admission did not reinstate the retained HIST block")
-	}
-	if h.times[0] != 3 || h.times[1] != 1 {
-		t.Fatalf("HIST(1) = %v, want [3 1]", h.times)
-	}
-	// Page 1 now has a finite Backward 2-distance and page 2 an infinite one.
-	if victim, ok := r.Evict(); !ok || victim != 2 {
-		t.Fatalf("Evict = %d,%v, want 2,true", victim, ok)
 	}
 }

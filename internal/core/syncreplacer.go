@@ -67,7 +67,6 @@ const (
 	evEvictOn                // SetEvictable(p, true)
 	evEvictOff               // SetEvictable(p, false)
 	evRestore                // Restore(p)
-	evRemove                 // Remove(p)
 )
 
 type event struct {
@@ -134,9 +133,6 @@ func (s *SyncReplacer) SetEvictable(p policy.PageID, evictable bool) {
 // Restore reinstates residency and candidacy after an abandoned eviction
 // without advancing the clock or touching the page's HIST block.
 func (s *SyncReplacer) Restore(p policy.PageID) { s.enqueue(p, evRestore) }
-
-// Remove drops p without treating it as an eviction decision.
-func (s *SyncReplacer) Remove(p policy.PageID) { s.enqueue(p, evRemove) }
 
 // flush is the forced drain ahead of a decision or a stats read. The
 // caller holds mu and reads the table before releasing it.
@@ -218,7 +214,5 @@ func (s *SyncReplacer) apply(e event) {
 		s.r.SetEvictable(e.page, false)
 	case evRestore:
 		s.r.Restore(e.page)
-	case evRemove:
-		s.r.Remove(e.page)
 	}
 }

@@ -25,9 +25,6 @@ func TestSyncReplacerMatchesPlain(t *testing.T) {
 			ev := r.Intn(2) == 0
 			plain.SetEvictable(p, ev)
 			wrapped.SetEvictable(p, ev)
-		case 7:
-			plain.Remove(p)
-			wrapped.Remove(p)
 		default:
 			v1, ok1 := plain.Evict()
 			v2, ok2 := wrapped.Evict()
@@ -159,7 +156,7 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 			case 7:
 				plain.SetEvictable(p, false)
 				batched.SetEvictable(p, false)
-			case 8:
+			case 8, 9:
 				v1, ok1 := plain.Evict()
 				v2, ok2 := batched.Evict()
 				if v1 != v2 || ok1 != ok2 {
@@ -173,10 +170,6 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 						resident[v1] = true
 					}
 				}
-			case 9:
-				plain.Remove(p)
-				batched.Remove(p)
-				resident[p] = false
 			}
 			if op%251 == 0 {
 				checkIndex(t, plain.table)
@@ -213,57 +206,50 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 }
 
 // TestPurgedAndReadmittedWithinOneDrain covers the one state in which a
-// block leaves the table while the index still files it: a page retired
-// (by Evict just before the drain, or by Remove inside it), purged by a
-// short Retained Information Period and re-admitted under a fresh block,
-// all before the next index sync. The old block's entry must go with it —
+// block leaves the table while the index still files it: a page retired by
+// Evict just before the drain, purged by a short Retained Information
+// Period and re-admitted under a fresh block, all before the next index
+// sync. The old block's entry must go with it —
 // an orphan would be chosen as a victim twice, or dereference a block that
 // no longer exists once a Correlated Reference Period makes selectVictim
 // look at LAST.
 func TestPurgedAndReadmittedWithinOneDrain(t *testing.T) {
 	const a, b = policy.PageID(1), policy.PageID(2)
-	for _, remove := range []bool{false, true} {
-		s := NewSyncReplacer(2, Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2})
-		s.RecordAccess(a) // tick 1
-		s.RecordAccess(b) // tick 2
-		if remove {
-			if got := s.PolicyStats().Evictable; got != 2 { // flush: both filed
-				t.Fatalf("Evictable = %d, want 2", got)
-			}
-			s.Remove(a)
-		} else if v, ok := s.Evict(); !ok || v != a {
-			t.Fatalf("Evict = (%d,%v), want (%d,true)", v, ok, a)
+	s := NewSyncReplacer(2, Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2})
+	s.RecordAccess(a) // tick 1
+	s.RecordAccess(b) // tick 2
+	if v, ok := s.Evict(); !ok || v != a {
+		t.Fatalf("Evict = (%d,%v), want (%d,true)", v, ok, a)
+	}
+	// One drain: a's block (LAST = 1) ages past the RIP and is purged at
+	// tick 4 while still filed under {0,1,a}; a then returns at tick 6
+	// under a new block.
+	for i := 0; i < 3; i++ {
+		s.RecordHit(b) // ticks 3, 4, 5
+	}
+	s.RecordAccess(a) // tick 6
+	if st := s.BatchStats(); st.Events != 2 {
+		t.Fatalf("setup drained mid-sequence: %+v", st)
+	}
+	if got := s.PolicyStats(); got.Purges != 1 || got.Evictable != 2 {
+		t.Fatalf("stats %+v, want 1 purge and 2 evictable pages", got)
+	}
+	// Both pages are at infinite distance, so the old block was filed in
+	// the ∞ list: the sync must unlink it through its own links.
+	if n, tree := listLen(s.r.table), s.r.table.index.Len(); n != 2 || tree != 0 {
+		t.Errorf("list holds %d entries and tree %d after the drain, want 2 and 0 (orphan left behind)", n, tree)
+	}
+	checkIndex(t, s.r.table)
+	// Both pages sit inside the CRP at clock 6, so selectVictim walks the
+	// whole index reading each entry's block, then falls back to the
+	// minimum: b (HIST(b,1) = 2; its three hits were correlated) before a.
+	for _, want := range []policy.PageID{b, a} {
+		if v, ok := s.Evict(); !ok || v != want {
+			t.Fatalf("Evict = (%d,%v), want (%d,true)", v, ok, want)
 		}
-		// One drain: a's block (LAST = 1) ages past the RIP and is purged at
-		// tick 4 while still filed under {0,1,a}; a then returns at tick 6
-		// under a new block.
-		for i := 0; i < 3; i++ {
-			s.RecordHit(b) // ticks 3, 4, 5
-		}
-		s.RecordAccess(a) // tick 6
-		if st := s.BatchStats(); st.Events != 2 {
-			t.Fatalf("remove=%v: setup drained mid-sequence: %+v", remove, st)
-		}
-		if got := s.PolicyStats(); got.Purges != 1 || got.Evictable != 2 {
-			t.Fatalf("remove=%v: stats %+v, want 1 purge and 2 evictable pages", remove, got)
-		}
-		// Both pages are at infinite distance, so the old block was filed in
-		// the ∞ list: the sync must unlink it through its own links.
-		if n, tree := listLen(s.r.table), s.r.table.index.Len(); n != 2 || tree != 0 {
-			t.Errorf("remove=%v: list holds %d entries and tree %d after the drain, want 2 and 0 (orphan left behind)", remove, n, tree)
-		}
-		checkIndex(t, s.r.table)
-		// Both pages sit inside the CRP at clock 6, so selectVictim walks the
-		// whole index reading each entry's block, then falls back to the
-		// minimum: b (HIST(b,1) = 2; its three hits were correlated) before a.
-		for _, want := range []policy.PageID{b, a} {
-			if v, ok := s.Evict(); !ok || v != want {
-				t.Fatalf("remove=%v: Evict = (%d,%v), want (%d,true)", remove, v, ok, want)
-			}
-		}
-		if v, ok := s.Evict(); ok {
-			t.Errorf("remove=%v: a third eviction returned page %d", remove, v)
-		}
+	}
+	if v, ok := s.Evict(); ok {
+		t.Errorf("a third eviction returned page %d", v)
 	}
 }
 
@@ -315,12 +301,10 @@ func stormOp(s *SyncReplacer, rng *stats.RNG, pages int) {
 		s.SetEvictable(p, true)
 	case 5:
 		s.SetEvictable(p, false)
-	case 6:
+	case 6, 7:
 		if v, ok := s.Evict(); ok && rng.Intn(2) == 0 {
 			s.Restore(v)
 		}
-	case 7:
-		s.Remove(p)
 	case 8, 9:
 		s.PolicyStats()
 	}

@@ -136,8 +136,6 @@ func (db *DB) registerObs(r *obs.Registry) {
 		func(s storage.Stats) float64 { return float64(s.Writes) })
 	dsk("lruk_disk_allocated_total", "Pages allocated.",
 		func(s storage.Stats) float64 { return float64(s.Allocated) })
-	dsk("lruk_disk_deallocated_total", "Pages deallocated.",
-		func(s storage.Stats) float64 { return float64(s.Deallocated) })
 	dsk("lruk_disk_service_micros_total", "Total simulated service time, microseconds.",
 		func(s storage.Stats) float64 { return float64(s.ServiceMicros) })
 	if db.durable != nil {

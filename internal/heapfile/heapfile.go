@@ -1,10 +1,10 @@
 // Package heapfile implements record storage on slotted pages over the
 // buffer pool: the "data pages" of the paper's Example 1.1. Records are
 // addressed by RID (page, slot) and read back through the pool so every
-// record access is a page reference the replacement policy sees. Insert
-// places a record in a page with freed space, else in the last page, else
-// in a new one; an Appender, the bulk load's path, fills new pages at the
-// end of the file, keeping the page it fills pinned.
+// record access is a page reference the replacement policy sees. Records
+// are never deleted, so space is never freed: Insert places a record in the
+// last page, else in a new one; an Appender, the bulk load's path, fills
+// new pages at the end of the file, keeping the page it fills pinned.
 //
 // Page layout (little-endian):
 //
@@ -14,10 +14,10 @@
 //	...freeEnd  free space
 //	freeEnd...  record data (allocated from the page end downward)
 //
-// A slot with recOffset 0 is empty (no record can start inside the
-// header); a deleted slot is tombstoned with the high offset bit while
-// keeping its (offset, length), so later inserts reclaim both the slot
-// directory entry and the dead data region when the new record fits.
+// Slots are only ever appended. Readers treat a slot whose recOffset is 0
+// (no record can start inside the header) or carries the high bit (a
+// tombstone) as holding no record, because that check validates bytes read
+// from disk.
 package heapfile
 
 import (
@@ -38,9 +38,8 @@ const (
 	// MaxRecord is the largest storable record: a page minus header and one
 	// slot entry.
 	MaxRecord = storage.PageSize - headerSize - slotSize
-	// tombstone marks a deleted slot in its offset field. Page offsets are
-	// below 4096, so the high bit is free; the slot keeps its (offset,
-	// length) so a later insert can reuse the dead region.
+	// tombstone is the high offset bit. Page offsets are below 4096, so no
+	// live slot carries it.
 	tombstone = 0x8000
 	// latchStripes is the number of page-latch partitions (power of two).
 	// Concurrent record operations on different pages never contend; two
@@ -48,8 +47,7 @@ const (
 	latchStripes = 64
 )
 
-// slotDead reports whether a slot offset denotes a deleted or never-used
-// slot.
+// slotDead reports whether a slot offset denotes no record.
 func slotDead(off uint16) bool { return off == 0 || off&tombstone != 0 }
 
 // Errors reported by heap-file operations.
@@ -73,22 +71,16 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 // Concurrency: Get, Update, FillCtx and Scan are safe to call concurrently
 // (with each other and themselves) — record bytes are accessed under a
 // striped page latch, taken after the pool pin so it is never held across
-// disk I/O. Insert and Delete mutate the page directory and must be
-// serialised externally (the db layer loads single-threaded before
-// serving).
+// disk I/O. Insert mutates the page directory and must be serialised
+// externally (the db layer loads single-threaded before serving).
 type File struct {
 	pool *bufferpool.Pool
 	// pages is the in-memory page directory. A production system would
 	// persist it as a linked list of directory pages; the replacement
 	// study only needs data-page references to flow through the pool.
 	pages []policy.PageID
-	// reuse lists pages with freed slots, best-effort: Insert tries these
-	// before allocating a fresh page, so deletions reclaim space across
-	// the whole file rather than only on the newest page.
-	reuse []policy.PageID
 	// latches guard record bytes within a page: readers (Get, Scan) share,
-	// writers (Insert, Update, FillCtx, Delete) exclude. Keyed by page-id
-	// hash.
+	// writers (Insert, Update, FillCtx) exclude. Keyed by page-id hash.
 	latches [latchStripes]sync.RWMutex
 }
 
@@ -107,9 +99,8 @@ func New(pool *bufferpool.Pool) *File {
 
 // Attach re-opens a heap file whose data pages already exist in the pool's
 // storage backend (a durable store after crash recovery), with the given
-// page directory in allocation order. Reuse hints are rebuilt by scanning
-// each page's slot directory for tombstones, so inserts after reattach
-// reclaim freed space exactly as before the restart.
+// page directory in allocation order. Each page's header is checked on the
+// way in.
 func Attach(pool *bufferpool.Pool, pages []policy.PageID) (*File, error) {
 	if pool == nil {
 		panic("heapfile: nil pool")
@@ -126,12 +117,6 @@ func Attach(pool *bufferpool.Pool, pages []policy.PageID) (*File, error) {
 			pg.Unpin(false)
 			return nil, fmt.Errorf("heapfile attach: page %d has corrupt header (%d slots, freeEnd %d)",
 				id, numSlots, freeEnd)
-		}
-		for s := uint16(0); s < numSlots; s++ {
-			if off, _ := slotAt(data, s); off&tombstone != 0 {
-				f.reuse = append(f.reuse, id)
-				break
-			}
 		}
 		pg.Unpin(false)
 	}
@@ -173,40 +158,12 @@ func initPage(data []byte) {
 	setPageHeader(data, 0, storage.PageSize)
 }
 
-// insertIntoPage tries to place rec on the page; ok is false if it does
-// not fit. Placement preference: a tombstoned slot whose dead region fits
-// the record (reclaiming its space), then fresh space at the end of the
-// free region, reusing a dead slot directory entry when one exists.
+// insertIntoPage appends rec to the page in a new slot; ok is false if
+// the record and its slot entry do not fit in the free region.
 func insertIntoPage(data []byte, rec []byte) (slot uint16, ok bool) {
 	numSlots, freeEnd := pageHeader(data)
 	need := len(rec)
-	// Reclaim a dead region big enough for the record. Any unused remainder
-	// of the region leaks until the slot turns over again — the standard
-	// slotted-page trade against compaction cost.
-	for i := uint16(0); i < numSlots; i++ {
-		off, length := slotAt(data, i)
-		if off&tombstone != 0 && int(length) >= need {
-			base := off &^ tombstone
-			copy(data[base:int(base)+need], rec)
-			setSlot(data, i, base, uint16(need))
-			return i, true
-		}
-	}
-	free := int(freeEnd) - (headerSize + int(numSlots)*slotSize)
-	// Fresh space, reusing a dead directory entry if possible.
-	for i := uint16(0); i < numSlots; i++ {
-		if off, _ := slotAt(data, i); slotDead(off) {
-			if free < need {
-				return 0, false
-			}
-			newEnd := freeEnd - uint16(need)
-			copy(data[newEnd:freeEnd], rec)
-			setSlot(data, i, newEnd, uint16(need))
-			setPageHeader(data, numSlots, newEnd)
-			return i, true
-		}
-	}
-	if free < need+slotSize {
+	if int(freeEnd)-(headerSize+int(numSlots)*slotSize) < need+slotSize {
 		return 0, false
 	}
 	newEnd := freeEnd - uint16(need)
@@ -232,27 +189,8 @@ func (f *File) Insert(rec []byte) (RID, error) {
 	if err := checkRecord(rec); err != nil {
 		return RID{}, err
 	}
-	// Pages with freed slots first, so deletions reclaim space file-wide.
-	for len(f.reuse) > 0 {
-		id := f.reuse[len(f.reuse)-1]
-		pg, err := f.pool.Fetch(id)
-		if err != nil {
-			return RID{}, fmt.Errorf("heapfile insert: %w", err)
-		}
-		lk := f.latchFor(id)
-		lk.Lock()
-		slot, ok := insertIntoPage(pg.Data(), rec)
-		lk.Unlock()
-		if ok {
-			pg.Unpin(true)
-			return RID{Page: id, Slot: slot}, nil
-		}
-		pg.Unpin(false)
-		// The record did not fit; retire the hint and try the next one.
-		f.reuse = f.reuse[:len(f.reuse)-1]
-	}
-	// Then the most recently allocated page: inserts are typically
-	// appends, and this keeps the common case to one page reference.
+	// The most recently allocated page first: it is the only one with free
+	// space to spare, and this keeps the common case to one page reference.
 	if n := len(f.pages); n > 0 {
 		id := f.pages[n-1]
 		pg, err := f.pool.Fetch(id)
@@ -294,8 +232,7 @@ func (f *File) insertNew(rec []byte) (bufferpool.Page, RID, error) {
 	return pg, RID{Page: id, Slot: slot}, nil
 }
 
-// Appender inserts records as Insert does into a file with no deleted
-// records, starting from a new page: into the last page while the record
+// Appender inserts records as Insert does, starting from a new page: into the last page while the record
 // fits, else into a new one. It keeps that page pinned between calls, so a
 // record that fits costs no page reference. While an Appender is open the
 // file must not be written any other way, and Close must run on every exit.
@@ -383,7 +320,7 @@ func liveSlot(data []byte, rid RID) (off, length uint16, err error) {
 	}
 	off, length = slotAt(data, rid.Slot)
 	if slotDead(off) {
-		return 0, 0, fmt.Errorf("%w: %v (deleted)", ErrInvalidRID, rid)
+		return 0, 0, fmt.Errorf("%w: %v (dead slot)", ErrInvalidRID, rid)
 	}
 	return off, length, nil
 }
@@ -474,40 +411,6 @@ func (f *File) FillCtx(ctx context.Context, rid RID, from int, b byte, flush boo
 	// dirty itself.
 	pg.Unpin(false)
 	return err
-}
-
-// Delete removes the record at rid. Its space is reclaimed only when the
-// slot is reused (no compaction), the standard slotted-page trade-off.
-func (f *File) Delete(rid RID) error {
-	pg, err := f.pool.Fetch(rid.Page)
-	if err != nil {
-		return fmt.Errorf("heapfile delete %v: %w", rid, err)
-	}
-	lk := f.latchFor(rid.Page)
-	lk.Lock()
-	data := pg.Data()
-	numSlots, _ := pageHeader(data)
-	if rid.Slot >= numSlots {
-		lk.Unlock()
-		pg.Unpin(false)
-		return fmt.Errorf("%w: %v", ErrInvalidRID, rid)
-	}
-	off, length := slotAt(data, rid.Slot)
-	if slotDead(off) {
-		lk.Unlock()
-		pg.Unpin(false)
-		return fmt.Errorf("%w: %v (already deleted)", ErrInvalidRID, rid)
-	}
-	// Tombstone the slot, keeping its region so a later insert can reclaim
-	// the space.
-	setSlot(data, rid.Slot, off|tombstone, length)
-	lk.Unlock()
-	pg.Unpin(true)
-	// Remember the page as a reuse candidate (dedup against the tail).
-	if n := len(f.reuse); n == 0 || f.reuse[n-1] != rid.Page {
-		f.reuse = append(f.reuse, rid.Page)
-	}
-	return nil
 }
 
 // Scan visits every live record in page order (a sequential scan, the

@@ -75,34 +75,6 @@ func TestPageOverflowAllocatesNewPage(t *testing.T) {
 	}
 }
 
-func TestDeleteAndSlotReuse(t *testing.T) {
-	f := newFile(t, 8)
-	rid, _ := f.Insert([]byte("victim"))
-	filler, _ := f.Insert([]byte("filler"))
-	if err := f.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Get(rid); !errors.Is(err, ErrInvalidRID) {
-		t.Errorf("Get after delete: %v", err)
-	}
-	if err := f.Delete(rid); !errors.Is(err, ErrInvalidRID) {
-		t.Errorf("double delete: %v", err)
-	}
-	// The slot must be reused by the next insert on that page.
-	rid2, _ := f.Insert([]byte("reuse!"))
-	if rid2.Page != rid.Page || rid2.Slot != rid.Slot {
-		t.Errorf("slot not reused: %v vs %v", rid2, rid)
-	}
-	got, err := f.Get(rid2)
-	if err != nil || string(got) != "reuse!" {
-		t.Errorf("reused slot Get = %q, %v", got, err)
-	}
-	// The untouched record is intact.
-	if got, _ := f.Get(filler); string(got) != "filler" {
-		t.Errorf("unrelated record damaged: %q", got)
-	}
-}
-
 func TestUpdateInPlace(t *testing.T) {
 	f := newFile(t, 8)
 	rid, _ := f.Insert([]byte("original"))
@@ -140,10 +112,13 @@ func TestGetInvalidRID(t *testing.T) {
 	}
 }
 
+// TestScanVisitsAllLiveRecords: a scan visits every record and skips a
+// tombstoned slot, as it would find one in a page written by a store that
+// deleted records; Get refuses the same slot.
 func TestScanVisitsAllLiveRecords(t *testing.T) {
 	f := newFile(t, 8)
 	want := map[string]bool{}
-	var deleteMe RID
+	var dead RID
 	for i := 0; i < 500; i++ {
 		rec := fmt.Sprintf("record-%04d", i)
 		rid, err := f.Insert([]byte(rec))
@@ -151,16 +126,23 @@ func TestScanVisitsAllLiveRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 250 {
-			deleteMe = rid
+			dead = rid
 		} else {
 			want[rec] = true
 		}
 	}
-	if err := f.Delete(deleteMe); err != nil {
+	pg, err := f.pool.Fetch(dead.Page)
+	if err != nil {
 		t.Fatal(err)
 	}
+	off, length := slotAt(pg.Data(), dead.Slot)
+	setSlot(pg.Data(), dead.Slot, off|tombstone, length)
+	pg.Unpin(true)
+	if _, err := f.Get(dead); !errors.Is(err, ErrInvalidRID) {
+		t.Errorf("Get of a tombstoned slot: %v, want ErrInvalidRID", err)
+	}
 	got := map[string]bool{}
-	err := f.Scan(func(rid RID, rec []byte) bool {
+	err = f.Scan(func(rid RID, rec []byte) bool {
 		got[string(rec)] = true
 		return true
 	})
@@ -246,59 +228,6 @@ func TestQuickInsertGet(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestCrossPageSlotReuse: a slot freed on an old page is reused even after
-// many newer pages were allocated.
-func TestCrossPageSlotReuse(t *testing.T) {
-	f := newFile(t, 8)
-	big := make([]byte, 3000) // one record per page
-	first, err := f.Insert(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := f.Insert(big); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Delete(first); err != nil {
-		t.Fatal(err)
-	}
-	rid, err := f.Insert(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rid.Page != first.Page {
-		t.Errorf("insert landed on page %d, want reuse of page %d", rid.Page, first.Page)
-	}
-	if len(f.Pages()) != 6 {
-		t.Errorf("page count %d, want 6 (no new allocation)", len(f.Pages()))
-	}
-}
-
-// TestReuseHintRetiredWhenFull: a reuse hint whose page cannot fit the
-// record is dropped rather than retried forever.
-func TestReuseHintRetiredWhenFull(t *testing.T) {
-	f := newFile(t, 8)
-	small, _ := f.Insert([]byte("small"))
-	if _, err := f.Insert(make([]byte, 3500)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Delete(small); err != nil {
-		t.Fatal(err)
-	}
-	// The freed slot is 5 bytes; a 3000-byte record cannot reuse it, but
-	// insertion must still succeed (on a fresh or the newest page).
-	if _, err := f.Insert(make([]byte, 3000)); err != nil {
-		t.Fatal(err)
-	}
-	// And a small record can still go into the freed slot's page later.
-	rid, err := f.Insert([]byte("tiny!"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rid
 }
 
 // TestAppendCtx: the append form is the one record read — it extends dst

@@ -222,8 +222,8 @@ func (b *breaker) openStripes() int {
 
 // Breaker is a Backend wrapper gating every Read and Write through the
 // per-stripe circuit: a refused operation fails fast with ErrUnavailable
-// and never reaches the inner backend. Allocate, Deallocate and Flush pass
-// through ungated — they are not per-stripe device traffic.
+// and never reaches the inner backend. Allocate and Flush pass through
+// ungated — they are not per-stripe device traffic.
 //
 // All query methods are safe on a nil *Breaker (disabled: everything
 // admitted, nothing counted), so callers can hold one unconditionally.

@@ -356,14 +356,3 @@ func (c *Corrupter) ChargeFault(p policy.PageID) {
 		ch.ChargeFault(p)
 	}
 }
-
-// Deallocate implements Backend, dropping any taint with the page.
-func (c *Corrupter) Deallocate(p policy.PageID) error {
-	c.mu.Lock()
-	if _, ok := c.taint[p]; ok {
-		delete(c.taint, p)
-		c.cleared++
-	}
-	c.mu.Unlock()
-	return c.Backend.Deallocate(p)
-}

@@ -119,21 +119,6 @@ func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
 	}
 }
 
-func TestCorruptDeallocateClears(t *testing.T) {
-	c, ids := corruptTestBackend(t, 1)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Unrepairable: true}))
-	buf := make([]byte, storage.PageSize)
-	if err := c.Write(ctx, ids[0], buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := c.Deallocate(ids[0]); err != nil {
-		t.Fatalf("deallocate: %v", err)
-	}
-	if s := c.CorruptStats(); s.Injected != 1 || s.Cleared != 1 || s.Tainted != 0 {
-		t.Errorf("corrupt stats %+v, want the taint cleared with the page", s)
-	}
-}
-
 // TestCorruptLedgerInvariant hammers a seeded plan and checks the wrapper's
 // conservation law: every injection is either still tainting a page or was
 // cleared, no double counting.

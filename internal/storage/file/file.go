@@ -11,14 +11,17 @@
 //	           Sparse: holes read as zeros, matching a freshly allocated
 //	           page.
 //	wal.log    the write-ahead log (see wal.go for the record format)
-//	meta.json  allocation state (format, next page id, free list, write
-//	           epoch) as of the last checkpoint, rewritten atomically
-//	           (tmp + rename)
+//	meta.json  allocation state (format, next page id, write epoch) as of
+//	           the last checkpoint, rewritten atomically (tmp + rename)
 //
-// Write-ahead invariant: every state change (page write, allocate,
-// deallocate) appends a checksummed WAL record before the operation returns.
-// A page write or deallocate also fsyncs the log through its record —
-// batched by group commit — before returning. Two kinds of record do not
+// Pages are never freed: ids are handed out in order, and every id below
+// the next one is a live page. Meta.json therefore holds no free list, and
+// Open refuses one that does.
+//
+// Write-ahead invariant: every state change (page write, allocate) appends
+// a checksummed WAL record before the operation returns. A page write also
+// fsyncs the log through its record — batched by group commit — before
+// returning. Two kinds of record do not
 // wait for that fsync. An allocate's record is made durable by the next
 // fsync or checkpoint, and anything that can make the page observable (the
 // page's own image, or a page pointing at it) is appended after it, so the
@@ -34,7 +37,9 @@
 // a crash during the page-file fsync is still covered by a durable record.
 // Recovery therefore replays the log over the last checkpoint's page file,
 // stopping at the torn tail, and immediately checkpoints so the replayed
-// state is itself durable.
+// state is itself durable. A frame that passed its checksum reached the log
+// whole, so one that does not decode is no torn tail: Open fails rather
+// than drop it and every acknowledged record after it.
 package file
 
 import (
@@ -70,7 +75,8 @@ const formatTrailer = 1
 // slotSize is the on-disk footprint of one page: image plus trailer.
 const slotSize = storage.PageSize + trailerLen
 
-// meta is the checkpointed allocation state.
+// meta is the checkpointed allocation state. Free is never written; it is
+// read only to refuse a store whose writer freed pages.
 type meta struct {
 	Format   int     `json:"format,omitempty"`
 	NextPage int64   `json:"next_page"`
@@ -111,17 +117,15 @@ type Store struct {
 	// sees a torn image.
 	stripes [storage.DefaultStripes]stripe
 
-	// ckpt excludes checkpoints from in-flight operations: writes, allocs,
-	// and deallocs hold it shared for their whole span (any fsync included), a
+	// ckpt excludes checkpoints from in-flight operations: writes and
+	// allocs hold it shared for their whole span (any fsync included), a
 	// checkpoint holds it exclusively — so the log it truncates describes
 	// only page-file state it has just made durable.
 	ckpt sync.RWMutex
 
-	// allocMu guards the allocation state.
+	// allocMu guards the allocation state: pages [0, next) are live.
 	allocMu sync.Mutex
 	next    policy.PageID
-	free    []policy.PageID
-	freeSet map[policy.PageID]struct{}
 	size    int64 // current pages.db length
 
 	// epoch numbers slot writes store-wide; each trailer records the
@@ -135,7 +139,6 @@ type Store struct {
 	reads       atomic.Uint64
 	writes      atomic.Uint64
 	allocated   atomic.Uint64
-	deallocated atomic.Uint64
 	checkpoints atomic.Uint64
 	recovered   atomic.Uint64
 
@@ -178,13 +181,7 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 		pages.Close()
 		return nil, fmt.Errorf("file: opening wal: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		cfg:     cfg,
-		pages:   pages,
-		wal:     newWAL(walF),
-		freeSet: make(map[policy.PageID]struct{}),
-	}
+	s := &Store{dir: dir, cfg: cfg, pages: pages, wal: newWAL(walF)}
 	if fi, err := pages.Stat(); err == nil {
 		s.size = fi.Size()
 	}
@@ -241,15 +238,11 @@ func (s *Store) loadMeta() error {
 	default:
 		return fmt.Errorf("file: meta declares unknown format %d", m.Format)
 	}
+	if len(m.Free) > 0 {
+		return fmt.Errorf("file: %s lists %d free pages in %s; this version never frees a page and cannot reuse them", s.dir, len(m.Free), metaName)
+	}
 	s.epoch.Store(m.Epoch)
 	s.next = policy.PageID(m.NextPage)
-	s.free = s.free[:0]
-	s.freeSet = make(map[policy.PageID]struct{}, len(m.Free))
-	for _, p := range m.Free {
-		id := policy.PageID(p)
-		s.free = append(s.free, id)
-		s.freeSet[id] = struct{}{}
-	}
 	return nil
 }
 
@@ -257,9 +250,6 @@ func (s *Store) loadMeta() error {
 func (s *Store) writeMeta() error {
 	s.allocMu.Lock()
 	m := meta{Format: formatTrailer, NextPage: int64(s.next), Epoch: s.epoch.Load()}
-	for _, p := range s.free {
-		m.Free = append(m.Free, int64(p))
-	}
 	s.allocMu.Unlock()
 	raw, err := json.Marshal(m)
 	if err != nil {
@@ -310,7 +300,8 @@ func dirSyncUnsupported(err error) bool { return errors.Is(err, syscall.EINVAL) 
 
 // replay applies the write-ahead log to the page file, stopping at the
 // first torn or corrupt frame. It returns the number of records applied
-// and whether a torn tail was dropped.
+// and whether a torn tail was dropped; a whole frame that does not decode
+// is an error (errBadRecord), not a tail.
 func (s *Store) replay() (int, bool, error) {
 	if _, err := s.wal.f.Seek(0, 0); err != nil {
 		return 0, false, fmt.Errorf("file: seeking wal: %w", err)
@@ -333,9 +324,11 @@ func (s *Store) replayFrom(r io.Reader) (int, bool, error) {
 			// was acknowledged; drop it.
 			return count, true, nil
 		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil {
-			return count, true, nil
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			// The frame passed its checksum, so it reached the log whole:
+			// dropping it would drop every acknowledged record after it.
+			return count, false, fmt.Errorf("file: wal record %d: %w", count+1, err)
 		}
 		if err := s.apply(rec); err != nil {
 			return count, false, err
@@ -349,27 +342,12 @@ func (s *Store) apply(rec walRecord) error {
 	switch rec.kind {
 	case recKindAlloc:
 		s.allocMu.Lock()
-		delete(s.freeSet, rec.page)
-		for i, p := range s.free {
-			if p == rec.page {
-				s.free = append(s.free[:i], s.free[i+1:]...)
-				break
-			}
-		}
 		if rec.page >= s.next {
 			s.next = rec.page + 1
 		}
 		err := s.extendLocked(rec.page)
 		s.allocMu.Unlock()
 		return err
-	case recKindDealloc:
-		s.allocMu.Lock()
-		if _, dup := s.freeSet[rec.page]; !dup {
-			s.free = append(s.free, rec.page)
-			s.freeSet[rec.page] = struct{}{}
-		}
-		s.allocMu.Unlock()
-		return nil
 	case recKindPage:
 		s.allocMu.Lock()
 		err := s.extendLocked(rec.page)
@@ -408,11 +386,7 @@ func (s *Store) extendLocked(p policy.PageID) error {
 func (s *Store) isAllocated(p policy.PageID) bool {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
-	if p < 0 || p >= s.next {
-		return false
-	}
-	_, freed := s.freeSet[p]
-	return !freed
+	return p >= 0 && p < s.next
 }
 
 // stripe is one latch partition of the page file.
@@ -529,8 +503,8 @@ func (s *Store) maybeCheckpoint() {
 	_ = s.checkpoint()
 }
 
-// Allocate reserves a page (reusing the lowest-cost free slot first) and
-// logs the allocation so it survives a crash before the next checkpoint.
+// Allocate reserves the next page id and logs the allocation so it
+// survives a crash before the next checkpoint.
 // It does not wait for the record's fsync: the log is replayed as a prefix,
 // and whatever makes the page observable is appended after this record, so
 // the fsync that acknowledges it — or a checkpoint's meta.json — covers the
@@ -539,61 +513,17 @@ func (s *Store) Allocate() (policy.PageID, error) {
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
 	s.allocMu.Lock()
-	var p policy.PageID
-	if n := len(s.free); n > 0 {
-		p = s.free[n-1]
-		s.free = s.free[:n-1]
-		delete(s.freeSet, p)
-	} else {
-		p = s.next
-		s.next++
-	}
+	defer s.allocMu.Unlock()
+	p := s.next
 	if err := s.extendLocked(p); err != nil {
-		s.undoAllocLocked(p)
-		s.allocMu.Unlock()
 		return 0, err
 	}
 	if _, err := s.wal.append(recKindAlloc, p, nil); err != nil {
-		s.undoAllocLocked(p)
-		s.allocMu.Unlock()
 		return 0, err
 	}
-	s.allocMu.Unlock()
+	s.next++
 	s.allocated.Add(1)
 	return p, nil
-}
-
-// undoAllocLocked returns a just-picked page to the allocator after a
-// failed Allocate. Caller holds allocMu.
-func (s *Store) undoAllocLocked(p policy.PageID) {
-	if p == s.next-1 {
-		s.next--
-		return
-	}
-	s.free = append(s.free, p)
-	s.freeSet[p] = struct{}{}
-}
-
-// Deallocate releases page p for reuse.
-func (s *Store) Deallocate(p policy.PageID) error {
-	if !s.isAllocated(p) {
-		return fmt.Errorf("%w: deallocate of page %d", storage.ErrPageNotAllocated, p)
-	}
-	s.ckpt.RLock()
-	defer s.ckpt.RUnlock()
-	s.allocMu.Lock()
-	s.free = append(s.free, p)
-	s.freeSet[p] = struct{}{}
-	lsn, err := s.wal.append(recKindDealloc, p, nil)
-	s.allocMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := s.wal.sync(lsn); err != nil {
-		return err
-	}
-	s.deallocated.Add(1)
-	return nil
 }
 
 // Flush is the checkpoint: sync the log through its last record (the writes
@@ -634,7 +564,6 @@ func (s *Store) Stats() storage.Stats {
 		Reads:            s.reads.Load(),
 		Writes:           s.writes.Load(),
 		Allocated:        s.allocated.Load(),
-		Deallocated:      s.deallocated.Load(),
 		WALAppends:       s.wal.appends.Load(),
 		WALSyncs:         s.wal.syncs.Load(),
 		WALBytes:         s.wal.bytes.Load(),
@@ -658,7 +587,7 @@ func (s *Store) NumStripes() int { return storage.DefaultStripes }
 func (s *Store) NumPages() int {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
-	return int(s.next) - len(s.free)
+	return int(s.next)
 }
 
 // Close checkpoints and releases the store's files. Idempotent.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -66,9 +68,6 @@ func TestUnallocatedAndBadBuffer(t *testing.T) {
 	}
 	if err := s.Write(ctx, 99, buf); !errors.Is(err, storage.ErrPageNotAllocated) {
 		t.Errorf("write unallocated: %v", err)
-	}
-	if err := s.Deallocate(99); !errors.Is(err, storage.ErrPageNotAllocated) {
-		t.Errorf("deallocate unallocated: %v", err)
 	}
 	p := storage.MustAllocate(s)
 	if err := s.Read(ctx, p, make([]byte, 10)); err == nil {
@@ -356,27 +355,49 @@ func TestRecoveryIdempotence(t *testing.T) {
 	}
 }
 
-func TestDeallocateSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	a, b := storage.MustAllocate(s), storage.MustAllocate(s)
-	if err := s.Write(ctx, b, pageImage(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Deallocate(a); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mustOpen(t, dir) // crash: no close
-	defer s2.Close()
-	if s2.isAllocated(a) {
-		t.Error("deallocated page came back after recovery")
-	}
-	if !s2.isAllocated(b) {
-		t.Error("live page lost after recovery")
-	}
-	// The freed slot is reused before fresh extension.
-	if got := storage.MustAllocate(s2); got != a {
-		t.Errorf("Allocate after recovery = %d, want freed page %d", got, a)
+// TestUndecodableFrameFailsOpen: a frame that passes its checksum reached
+// the log whole, so one that does not decode — a dealloc record (kind 3)
+// from a writer that freed pages, or any unknown kind — is no torn tail.
+// Dropping it would silently drop the acknowledged write logged after it;
+// Open must fail instead and leave the log and meta.json as they were.
+func TestUndecodableFrameFailsOpen(t *testing.T) {
+	for _, kind := range []byte{3, 99} {
+		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir)
+			a := storage.MustAllocate(s)
+			if err := s.Write(ctx, a, pageImage(1)); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			// A log of [page, checksum-valid undecodable frame, page].
+			var log []byte
+			log = appendRecord(log, recKindPage, a, pageImage(2))
+			log = appendRecord(log, kind, a, nil)
+			log = appendRecord(log, recKindPage, a, pageImage(3))
+			if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			metaBefore, err := os.ReadFile(filepath.Join(dir, metaName))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := Open(dir)
+			if err == nil {
+				ri := s2.Recovery()
+				s2.Close()
+				t.Fatalf("Open succeeded (Replayed %d, TailDropped %v); want errBadRecord", ri.Replayed, ri.TailDropped)
+			}
+			if !errors.Is(err, errBadRecord) || !strings.Contains(err.Error(), fmt.Sprintf("unknown kind %d", kind)) {
+				t.Errorf("Open = %v, want errBadRecord naming the kind", err)
+			}
+			for name, want := range map[string][]byte{walName: log, metaName: metaBefore} {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("refused Open changed %s (%v)", name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -493,13 +514,13 @@ func TestDurableBackendInterface(t *testing.T) {
 
 // TestAllocRecordsReplayAsPrefix is the referee for alloc records that do
 // not wait for their own fsync. It records the log of a short workload —
-// allocations, page writes, a dealloc and a free-list reuse, no checkpoint
-// — and replays every prefix of it into a copy of the empty store: cut at
-// each record boundary and inside the record that follows, as a power loss
-// could leave it. For every prefix, each page with a replayed image is
-// allocated and reads back verified, NumPages counts the prefix's
-// allocations minus its deallocations, and the next Allocate hands out no
-// page the prefix left allocated.
+// allocations and page writes, one page written long after its allocation,
+// no checkpoint — and replays every prefix of it into a copy of the empty
+// store: cut at each record boundary and inside the record that follows, as
+// a power loss could leave it. For every prefix, each page with a replayed
+// image is allocated and reads back verified, NumPages counts the prefix's
+// allocations, and the next Allocate hands out no page the prefix left
+// allocated.
 func TestAllocRecordsReplayAsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -534,13 +555,6 @@ func TestAllocRecordsReplayAsPrefix(t *testing.T) {
 	c := alloc()
 	write(c, 2)
 	write(a, 3)
-	if err := s.Deallocate(b); err != nil {
-		t.Fatal(err)
-	}
-	ops = append(ops, op{kind: recKindDealloc, page: b})
-	if got := alloc(); got != b {
-		t.Fatalf("Allocate after freeing %d = %d, want the freed page", b, got)
-	}
 	write(b, 4)
 	write(alloc(), 5)
 	syncs := s.Stats().WALSyncs
@@ -594,9 +608,6 @@ func TestAllocRecordsReplayAsPrefix(t *testing.T) {
 				switch o.kind {
 				case recKindAlloc:
 					live[o.page] = true
-				case recKindDealloc:
-					delete(live, o.page)
-					delete(images, o.page)
 				case recKindPage:
 					images[o.page] = o.fill
 				}

@@ -318,6 +318,30 @@ func TestOpenRefusesUnknownFormat(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesFreeList: a meta.json listing free pages comes from a
+// writer that freed them. This version never reuses an id, so it would
+// hand out ids past pages the old store meant to recycle and report the
+// freed ones as live; Open refuses the store instead, untouched.
+func TestOpenRefusesFreeList(t *testing.T) {
+	dir := t.TempDir()
+	mustOpen(t, dir).Close()
+	if err := os.WriteFile(filepath.Join(dir, metaName), []byte(`{"format":1,"next_page":3,"free":[1]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	s, err := Open(dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a meta.json with a free list")
+	}
+	if !strings.Contains(err.Error(), "1 free pages") {
+		t.Errorf("refusal %q does not name the free list", err)
+	}
+	if !maps.EqualFunc(before, dirContents(t, dir), bytes.Equal) {
+		t.Error("refused Open changed the directory: a file added, removed or modified")
+	}
+}
+
 func TestOpenRefusesOrphanedPageFile(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)

@@ -12,15 +12,19 @@
 //
 //	kind 1 (page image): page id (8 bytes BE) + the full 4 KByte image
 //	kind 2 (alloc):      page id (8 bytes BE)
-//	kind 3 (dealloc):    page id (8 bytes BE)
+//
+// There is no other kind: pages are never freed.
 //
 // Recovery replays records in order and stops at the first frame that is
 // short, oversized, or fails its checksum: everything before that point
 // reached the log (every acknowledged write was fsynced before it
 // returned), everything after is a torn tail from the crash and is
-// discarded. Replay is redo-only and
-// idempotent — records carry full page images, so applying a prefix twice
-// converges to the same page file.
+// discarded. A frame that passes its checksum but does not decode (an
+// unknown kind, a wrong length, a negative page id) is no torn tail — it
+// reached the log whole, and so may the acknowledged records after it — so
+// recovery fails with errBadRecord instead of dropping them. Replay is
+// redo-only and idempotent — records carry full page images, so applying a
+// prefix twice converges to the same page file.
 package file
 
 import (
@@ -40,9 +44,8 @@ import (
 const (
 	recHeader = 8 // length + CRC
 	// Record kinds.
-	recKindPage    = 1
-	recKindAlloc   = 2
-	recKindDealloc = 3
+	recKindPage  = 1
+	recKindAlloc = 2
 	// maxPayload bounds a sane payload: kind + page id + page image.
 	maxPayload = 1 + 8 + storage.PageSize
 )
@@ -53,6 +56,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // treats it (and everything after) as the crash's torn tail.
 var errTornRecord = errors.New("file: torn wal record")
 
+// errBadRecord reports a frame that passed its checksum but does not
+// decode: written whole by a writer this version does not understand, so
+// replay refuses the log rather than truncate it there.
+var errBadRecord = errors.New("file: wal record passed its checksum but does not decode")
+
 // walRecord is a decoded WAL payload.
 type walRecord struct {
 	kind byte
@@ -62,7 +70,7 @@ type walRecord struct {
 
 // appendRecord appends the frame of one record — header (length, CRC32-C)
 // and payload (kind, page id, img) — to dst and returns the extended slice.
-// img is nil for alloc and dealloc records.
+// img is nil for alloc records.
 func appendRecord(dst []byte, kind byte, p policy.PageID, img []byte) []byte {
 	n := 1 + 8 + len(img)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
@@ -74,11 +82,11 @@ func appendRecord(dst []byte, kind byte, p policy.PageID, img []byte) []byte {
 	return dst
 }
 
-// decodeRecord parses a payload into a walRecord. The image slice aliases
-// the payload.
+// decodeRecord parses a payload that passed its checksum into a walRecord;
+// every failure is errBadRecord. The image slice aliases the payload.
 func decodeRecord(payload []byte) (walRecord, error) {
 	if len(payload) < 1+8 {
-		return walRecord{}, fmt.Errorf("%w: payload %d bytes", errTornRecord, len(payload))
+		return walRecord{}, fmt.Errorf("%w: payload %d bytes", errBadRecord, len(payload))
 	}
 	rec := walRecord{
 		kind: payload[0],
@@ -87,18 +95,19 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	switch rec.kind {
 	case recKindPage:
 		if len(payload) != 1+8+storage.PageSize {
-			return walRecord{}, fmt.Errorf("%w: page record payload %d bytes", errTornRecord, len(payload))
+			return walRecord{}, fmt.Errorf("%w: page record payload %d bytes", errBadRecord, len(payload))
 		}
 		rec.img = payload[9:]
-	case recKindAlloc, recKindDealloc:
+	case recKindAlloc:
 		if len(payload) != 1+8 {
-			return walRecord{}, fmt.Errorf("%w: meta record payload %d bytes", errTornRecord, len(payload))
+			return walRecord{}, fmt.Errorf("%w: alloc record payload %d bytes", errBadRecord, len(payload))
 		}
 	default:
-		return walRecord{}, fmt.Errorf("%w: unknown kind %d", errTornRecord, rec.kind)
+		return walRecord{}, fmt.Errorf("%w: unknown kind %d (this version logs only page images, kind %d, and allocations, kind %d)",
+			errBadRecord, rec.kind, recKindPage, recKindAlloc)
 	}
 	if rec.page < 0 {
-		return walRecord{}, fmt.Errorf("%w: negative page id %d", errTornRecord, rec.page)
+		return walRecord{}, fmt.Errorf("%w: negative page id %d", errBadRecord, rec.page)
 	}
 	return rec, nil
 }
@@ -159,10 +168,10 @@ func newWAL(f *os.File) *wal {
 	return w
 }
 
-// append frames and writes one record (kind, page id, img — nil for alloc
-// and dealloc) and returns its LSN. The caller must sync(lsn) before
-// acknowledging a page write or dealloc; an alloc record and a page write
-// made behind ride the next sync (see Store.Allocate and Store.Write).
+// append frames and writes one record (kind, page id, img — nil for alloc)
+// and returns its LSN. The caller must sync(lsn) before acknowledging a
+// page write; an alloc record and a page write made behind ride the next
+// sync (see Store.Allocate and Store.Write).
 func (w *wal) append(kind byte, p policy.PageID, img []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -19,7 +19,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	frames := [][]byte{
 		appendRecord(nil, recKindPage, 42, img),
 		appendRecord(nil, recKindAlloc, 7, nil),
-		appendRecord(nil, recKindDealloc, 0, nil),
 	}
 	var log bytes.Buffer
 	for _, f := range frames {
@@ -42,10 +41,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	p2, _ := readRecord(r)
 	if rec, err := decodeRecord(p2); err != nil || rec.kind != recKindAlloc || rec.page != 7 {
 		t.Errorf("alloc record: %+v, %v", rec, err)
-	}
-	p3, _ := readRecord(r)
-	if rec, err := decodeRecord(p3); err != nil || rec.kind != recKindDealloc || rec.page != 0 {
-		t.Errorf("dealloc record: %+v, %v", rec, err)
 	}
 	if _, err := readRecord(r); err != io.EOF {
 		t.Errorf("clean end of log reported %v, want io.EOF", err)
@@ -92,17 +87,22 @@ func TestCorruptChecksum(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsMalformed: every payload decodeRecord refuses is
+// errBadRecord, never errTornRecord — it is called only on frames that
+// passed their checksum.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"short":            {recKindPage, 1, 2},
 		"unknown kind":     append([]byte{99}, make([]byte, 8)...),
+		"dealloc kind":     append([]byte{3}, make([]byte, 8)...),
 		"page image short": append([]byte{recKindPage}, make([]byte, 8+10)...),
-		"meta too long":    append([]byte{recKindAlloc}, make([]byte, 9)...),
+		"alloc too long":   append([]byte{recKindAlloc}, make([]byte, 9)...),
+		"negative page":    {recKindAlloc, 0x80, 0, 0, 0, 0, 0, 0, 1},
 	}
 	for name, payload := range cases {
-		if _, err := decodeRecord(payload); err == nil {
-			t.Errorf("%s payload decoded cleanly", name)
+		if _, err := decodeRecord(payload); !errors.Is(err, errBadRecord) || errors.Is(err, errTornRecord) {
+			t.Errorf("%s payload: %v, want errBadRecord", name, err)
 		}
 	}
 }
@@ -127,7 +127,7 @@ func FuzzWALRecord(f *testing.F) {
 	img[0], img[4095] = 0xAB, 0xCD
 	f.Add(appendRecord(nil, recKindPage, 0, img))
 	f.Add(appendRecord(nil, recKindAlloc, 1, nil))
-	f.Add(appendRecord(nil, recKindDealloc, 1<<40, nil))
+	f.Add(appendRecord(nil, 3, 1<<40, nil)) // a dealloc frame: reads, does not decode
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{0xFF}, recHeader))
@@ -156,9 +156,10 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzReplayFrom drives recovery's record loop over arbitrary logs: it must
-// never error on garbage (torn tail semantics), never apply past the first
-// bad frame, and applying the same log to two fresh stores must produce
-// identical page files (replay determinism).
+// error only on a checksum-valid frame that does not decode (errBadRecord),
+// treat any other garbage as a torn tail, never apply past the first bad
+// frame, and applying the same log to two fresh stores must produce
+// identical page files and outcomes (replay determinism).
 func FuzzReplayFrom(f *testing.F) {
 	img := make([]byte, storage.PageSize)
 	img[17] = 0x5A
@@ -168,6 +169,7 @@ func FuzzReplayFrom(f *testing.F) {
 	f.Add(good.Bytes())
 	f.Add(good.Bytes()[:good.Len()-3])
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(appendRecord(appendRecord(bytes.Clone(good.Bytes()), 3, 0, nil), recKindPage, 0, img))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		open := func(dir string) *Store {
 			s, err := Open(dir)
@@ -179,7 +181,7 @@ func FuzzReplayFrom(f *testing.F) {
 		s1, s2 := open(t.TempDir()), open(t.TempDir())
 		n1, torn1, err1 := s1.replayFrom(bytes.NewReader(data))
 		n2, torn2, err2 := s2.replayFrom(bytes.NewReader(data))
-		if err1 != nil || err2 != nil {
+		if (err1 != nil && !errors.Is(err1, errBadRecord)) || (err1 == nil) != (err2 == nil) {
 			t.Fatalf("replay errored on in-memory log: %v / %v", err1, err2)
 		}
 		if n1 != n2 || torn1 != torn2 {

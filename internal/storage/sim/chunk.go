@@ -36,50 +36,35 @@ var spare struct {
 // mapped counts the chunks this process has mapped.
 var mapped atomic.Int64
 
-// arena is one manager's page memory: the chunks it holds, the pages
-// deallocated from them, and how many pages of the newest chunk are carved.
+// arena is one manager's page memory: the chunks it holds and how many
+// pages of the newest chunk are carved. Pages are never freed, so carving
+// is the only way to get one.
 type arena struct {
 	mu     sync.Mutex
 	closed bool
 	chunks [][]byte
-	free   []*[PageSize]byte
 	carved int
 }
 
-// get returns a zeroed page, reusing a deallocated one before carving.
+// get carves a zeroed page.
 func (a *arena) get() (*[PageSize]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
 		return nil, errClosed
 	}
-	var pg *[PageSize]byte
-	if n := len(a.free); n > 0 {
-		pg, a.free = a.free[n-1], a.free[:n-1]
-	} else {
-		if len(a.chunks) == 0 || a.carved == pagesPerChunk {
-			c, err := takeChunk()
-			if err != nil {
-				return nil, err
-			}
-			a.chunks, a.carved = append(a.chunks, c), 0
+	if len(a.chunks) == 0 || a.carved == pagesPerChunk {
+		c, err := takeChunk()
+		if err != nil {
+			return nil, err
 		}
-		pg = (*[PageSize]byte)(a.chunks[len(a.chunks)-1][a.carved*PageSize:])
-		a.carved++
+		a.chunks, a.carved = append(a.chunks, c), 0
 	}
-	// A freed page, or a page of a spare chunk, holds old contents.
+	pg := (*[PageSize]byte)(a.chunks[len(a.chunks)-1][a.carved*PageSize:])
+	a.carved++
+	// A page of a spare chunk holds old contents.
 	clear(pg[:])
 	return pg, nil
-}
-
-// put returns a deallocated page for reuse. A closed arena drops it: its
-// chunks have gone, or are going, to spare.
-func (a *arena) put(pg *[PageSize]byte) {
-	a.mu.Lock()
-	if !a.closed {
-		a.free = append(a.free, pg)
-	}
-	a.mu.Unlock()
 }
 
 // shut makes every later get fail. It reports false if the arena was
@@ -99,7 +84,7 @@ func (a *arena) shut() bool {
 func (a *arena) release() {
 	a.mu.Lock()
 	chunks := a.chunks
-	a.chunks, a.free = nil, nil
+	a.chunks = nil
 	a.mu.Unlock()
 	spare.mu.Lock()
 	spare.chunks = append(spare.chunks, chunks...)

@@ -76,7 +76,6 @@ type Manager struct {
 	reads         atomic.Uint64
 	writes        atomic.Uint64
 	allocated     atomic.Uint64
-	deallocated   atomic.Uint64
 	serviceMicros atomic.Int64
 }
 
@@ -138,22 +137,6 @@ func (m *Manager) Allocate() (policy.PageID, error) {
 	}
 	m.allocated.Add(1)
 	return id, nil
-}
-
-// Deallocate releases a page for reuse. Further access to it fails.
-func (m *Manager) Deallocate(p policy.PageID) error {
-	s := m.stripe(p)
-	s.mu.Lock()
-	pages := s.pages
-	pg, ok := pages[p]
-	delete(pages, p)
-	s.mu.Unlock()
-	if !ok {
-		return absent("deallocate", p, pages)
-	}
-	m.mem.put(pg)
-	m.deallocated.Add(1)
-	return nil
 }
 
 // Read copies page p into buf, which must hold PageSize bytes. The context
@@ -247,7 +230,6 @@ func (m *Manager) Stats() storage.Stats {
 		Reads:         m.reads.Load(),
 		Writes:        m.writes.Load(),
 		Allocated:     m.allocated.Load(),
-		Deallocated:   m.deallocated.Load(),
 		ServiceMicros: m.serviceMicros.Load(),
 	}
 }

@@ -27,18 +27,18 @@ const PageSize = 4096
 // (and health accounting) into. Must be a power of two.
 const DefaultStripes = 32
 
-// ErrPageNotAllocated reports access to a page id that was never allocated
-// or has been deallocated.
+// ErrPageNotAllocated reports access to a page id that was never allocated.
+// Pages are never freed: every allocated id stays valid for the store's
+// life.
 var ErrPageNotAllocated = errors.New("storage: page not allocated")
 
 // Stats reports cumulative backend activity. The fault counters are
 // maintained by the WithFaults wrapper; the WAL and checkpoint counters are
 // zero on backends without a log (the simulator).
 type Stats struct {
-	Reads       uint64
-	Writes      uint64
-	Allocated   uint64
-	Deallocated uint64
+	Reads     uint64
+	Writes    uint64
+	Allocated uint64
 	// ReadFaults and WriteFaults count operations failed by an armed
 	// FaultPlan. Faulted operations transfer no data and are not counted
 	// in Reads/Writes, but on the simulator they still cost service time
@@ -88,13 +88,9 @@ type Backend interface {
 	// backend may fail (log append, file extension); the simulator never
 	// does. On a durable backend the allocation is logged but not synced
 	// before Allocate returns: it becomes durable with the next acknowledged
-	// Write or Deallocate (which syncs every record before its own) or the
-	// next Flush, so a crash can lose only an allocation nothing durable
-	// refers to.
+	// Write (which syncs every record before its own) or the next Flush, so
+	// a crash can lose only an allocation nothing durable refers to.
 	Allocate() (policy.PageID, error)
-	// Deallocate releases a page. Further access to it fails with
-	// ErrPageNotAllocated.
-	Deallocate(p policy.PageID) error
 	// Flush is the durability barrier: on a durable backend it checkpoints
 	// (WAL synced through every write made behind, page file synced, WAL
 	// truncated); on the simulator it is a no-op. The pool calls it at the
