@@ -392,10 +392,11 @@ func (s *Store) isAllocated(p policy.PageID) bool {
 // stripe is one latch partition of the page file.
 type stripe struct {
 	sync.RWMutex
-	// trailer is where a slot write stamps its trailer, under the exclusive
-	// latch: the CRC is computed over this scratch, so a write allocates
-	// nothing (a stack array would escape through crc32's dispatch).
-	trailer [trailerLen]byte
+	// slot is where a slot write stages image and trailer, under the
+	// exclusive latch, so both go down in one write: the CRC is computed
+	// over this scratch, so a write allocates nothing (a stack array would
+	// escape through crc32's dispatch).
+	slot [slotSize]byte
 }
 
 func (s *Store) stripe(p policy.PageID) *stripe {

@@ -89,16 +89,13 @@ func isZero(b []byte) bool {
 }
 
 // writeSlotLocked lays down img and a freshly stamped trailer as page p's
-// slot, stamping the trailer in the stripe's scratch. The caller holds p's
-// stripe latch exclusively (or is single-threaded: replay).
+// slot in one write, staging both in the stripe's scratch. The caller holds
+// p's stripe latch exclusively (or is single-threaded: replay).
 func (s *Store) writeSlotLocked(p policy.PageID, img []byte) error {
-	off := s.slotOff(p)
-	if _, err := s.pages.WriteAt(img, off); err != nil {
-		return mapNoSpace(err)
-	}
-	tr := s.stripe(p).trailer[:]
-	stampTrailer(tr, p, s.epoch.Add(1), img)
-	if _, err := s.pages.WriteAt(tr, off+storage.PageSize); err != nil {
+	slot := s.stripe(p).slot[:]
+	copy(slot, img)
+	stampTrailer(slot[storage.PageSize:], p, s.epoch.Add(1), slot[:storage.PageSize])
+	if _, err := s.pages.WriteAt(slot, s.slotOff(p)); err != nil {
 		return mapNoSpace(err)
 	}
 	return nil

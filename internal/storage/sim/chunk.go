@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+
+	"repro/internal/policy"
 )
 
 // This file holds the simulated disk's page images outside the Go heap, in
@@ -14,18 +16,24 @@ import (
 // before it ran: the disk cost about twice its size in RSS. Off the heap it
 // costs its size. Pages never escape the manager (Read and Write copy), so
 // a chunk handed to another manager is never reachable from the old one.
+//
+// Page ids are dense: Allocate hands out 0, 1, 2, … and nothing frees a
+// page, so page p lives in chunk p/pagesPerChunk at slot p%pagesPerChunk
+// and the disk needs no page table. Nothing is cleared either: a page that
+// was never written reads as zeros from its chunk's written flag, so the
+// old bytes of a recycled chunk can never be read.
 
 const (
 	// chunkBytes is the size of one mapping.
 	chunkBytes = 1 << 20
-	// pagesPerChunk is the number of pages carved from one chunk.
+	// pagesPerChunk is the number of pages one chunk holds.
 	pagesPerChunk = chunkBytes / PageSize
 )
 
 // errClosed reports an operation on a closed manager.
 var errClosed = errors.New("sim: disk closed")
 
-// spare holds the chunks of closed managers for the next manager to carve.
+// spare holds the chunks of closed managers for the next manager to take.
 // Chunks are never unmapped: re-faulting them on every set-up cost more
 // than keeping them.
 var spare struct {
@@ -36,58 +44,55 @@ var spare struct {
 // mapped counts the chunks this process has mapped.
 var mapped atomic.Int64
 
-// arena is one manager's page memory: the chunks it holds and how many
-// pages of the newest chunk are carved. Pages are never freed, so carving
-// is the only way to get one.
+// arena is one manager's page memory: how many pages are allocated and the
+// chunk table that holds them.
 type arena struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // serialises alloc and Close
 	closed bool
-	chunks [][]byte
-	carved int
+	// next is the number of pages allocated. alloc stores it after
+	// publishing the chunk that holds page next-1, so a reader that loads
+	// next > p finds p's chunk in the table it loads afterwards, without mu.
+	next  atomic.Int64
+	table atomic.Pointer[[]*chunk]
 }
 
-// get carves a zeroed page.
-func (a *arena) get() (*[PageSize]byte, error) {
+// chunk is one mapping and a written flag per page. A flag is read and set
+// under its page's stripe latch; each is a whole byte, so pages of one
+// chunk in different stripes share no variable.
+type chunk struct {
+	mem     []byte
+	written [pagesPerChunk]bool
+}
+
+// alloc reserves the next page id, taking a chunk when the id starts one.
+func (a *arena) alloc() (policy.PageID, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
-		return nil, errClosed
+		return policy.InvalidPage, errClosed
 	}
-	if len(a.chunks) == 0 || a.carved == pagesPerChunk {
-		c, err := takeChunk()
+	id := a.next.Load()
+	if id%pagesPerChunk == 0 {
+		mem, err := takeChunk()
 		if err != nil {
-			return nil, err
+			return policy.InvalidPage, err
 		}
-		a.chunks, a.carved = append(a.chunks, c), 0
+		t := append(*a.table.Load(), &chunk{mem: mem})
+		a.table.Store(&t)
 	}
-	pg := (*[PageSize]byte)(a.chunks[len(a.chunks)-1][a.carved*PageSize:])
-	a.carved++
-	// A page of a spare chunk holds old contents.
-	clear(pg[:])
-	return pg, nil
+	a.next.Store(id + 1)
+	return policy.PageID(id), nil
 }
 
-// shut makes every later get fail. It reports false if the arena was
-// already shut.
-func (a *arena) shut() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return false
-	}
-	a.closed = true
-	return true
-}
-
-// release hands a shut arena's chunks to spare. The caller guarantees no
-// page of them is reachable any more.
+// release hands a closed arena's chunks to spare and forgets its pages.
+// The caller holds mu and guarantees no page of them is reachable any more.
 func (a *arena) release() {
-	a.mu.Lock()
-	chunks := a.chunks
-	a.chunks = nil
-	a.mu.Unlock()
+	t := a.table.Swap(new([]*chunk))
+	a.next.Store(0)
 	spare.mu.Lock()
-	spare.chunks = append(spare.chunks, chunks...)
+	for _, c := range *t {
+		spare.chunks = append(spare.chunks, c.mem)
+	}
 	spare.mu.Unlock()
 }
 

@@ -6,13 +6,14 @@
 // economics the paper builds on ([GRAYPUT]) are about exactly this trade:
 // memory buffers versus disk arm time.
 //
-// Pages live in memory outside the Go heap (chunk.go); durability is
-// storage/file's job. The manager is safe for concurrent use, and
-// concurrently at that: the page store is partitioned into independently
-// latched stripes keyed by PageID hash, and all counters are atomics, so
-// reads and writes to different pages proceed in parallel. The optional ServiceModel.Delay hook injects real latency
-// per operation (outside every latch), letting benchmarks exercise a pool's
-// ability to overlap concurrent I/O. Fault injection lives in the
+// Pages live in memory outside the Go heap, addressed by id (chunk.go);
+// durability is storage/file's job. The manager is safe for concurrent use,
+// and concurrently at that: pages are latched by stripes keyed by PageID
+// hash, the chunk table is read without a lock, and all counters are
+// atomics, so reads and writes to different pages proceed in parallel. The
+// optional ServiceModel.Delay hook injects real latency per operation
+// (outside every latch), letting benchmarks exercise a pool's ability to
+// overlap concurrent I/O. Fault injection lives in the
 // backend-agnostic storage.WithFaults wrapper; the manager implements
 // storage.FaultCharger so a faulted operation still costs arm time and
 // still runs the Delay hook.
@@ -66,7 +67,6 @@ type Manager struct {
 	model   ServiceModel
 	stripes [numStripes]stripe
 	mem     arena
-	nextID  atomic.Int64
 	// lastOp is the page id of the most recent priced operation, for
 	// sequential-access pricing; -1 means none yet. Under concurrency the
 	// sequential discount is approximate (operation order is whatever the
@@ -81,10 +81,10 @@ type Manager struct {
 
 type stripe struct {
 	mu sync.RWMutex
-	// pages is nil once the manager is closed.
-	pages map[policy.PageID]*[PageSize]byte
-	// Pad so adjacent stripe latches do not share a cache line.
-	_ [24]byte
+	// closed is set under mu by Close: every Read and Write after it fails.
+	closed bool
+	// Pad to 64 bytes so adjacent stripe latches do not share a cache line.
+	_ [39]byte
 }
 
 // New returns an empty simulated disk with the given service model (zero
@@ -93,20 +93,22 @@ type stripe struct {
 func New(model ServiceModel) *Manager {
 	m := &Manager{model: model.withDefaults()}
 	m.lastOp.Store(int64(policy.InvalidPage))
-	for i := range m.stripes {
-		m.stripes[i].pages = make(map[policy.PageID]*[PageSize]byte)
-	}
+	m.mem.table.Store(new([]*chunk))
 	runtime.SetFinalizer(m, (*Manager).Close)
 	return m
 }
 
-// absent is the error for page p missing from a stripe's page map, read
-// under the stripe latch: a nil map means the manager is closed.
-func absent(op string, p policy.PageID, pages map[policy.PageID]*[PageSize]byte) error {
-	if pages == nil {
-		return fmt.Errorf("%s page %d: %w", op, p, errClosed)
+// locate returns page p's image and written flag for op. The caller holds
+// p's stripe latch s.
+func (m *Manager) locate(op string, p policy.PageID, s *stripe) ([]byte, *bool, error) {
+	if s.closed {
+		return nil, nil, fmt.Errorf("%s page %d: %w", op, p, errClosed)
 	}
-	return fmt.Errorf("%s page %d: %w", op, p, storage.ErrPageNotAllocated)
+	if p < 0 || int64(p) >= m.mem.next.Load() {
+		return nil, nil, fmt.Errorf("%s page %d: %w", op, p, storage.ErrPageNotAllocated)
+	}
+	c, i := (*m.mem.table.Load())[p/pagesPerChunk], int(p%pagesPerChunk)
+	return c.mem[i*PageSize : (i+1)*PageSize], &c.written[i], nil
 }
 
 func (m *Manager) stripe(p policy.PageID) *stripe {
@@ -121,17 +123,10 @@ func (m *Manager) StripeOf(p policy.PageID) int {
 // NumStripes implements storage.Backend.
 func (m *Manager) NumStripes() int { return numStripes }
 
-// Allocate reserves a fresh zeroed page and returns its id. It fails only
-// on a closed manager, or when the kernel refuses a new chunk.
+// Allocate reserves a fresh page, which reads as zeros, and returns its id.
+// It fails only on a closed manager, or when the kernel refuses a new chunk.
 func (m *Manager) Allocate() (policy.PageID, error) {
-	id := policy.PageID(m.nextID.Add(1) - 1)
-	s := m.stripe(id)
-	s.mu.Lock()
-	pg, err := m.mem.get()
-	if err == nil {
-		s.pages[id] = pg
-	}
-	s.mu.Unlock()
+	id, err := m.mem.alloc()
 	if err != nil {
 		return policy.InvalidPage, fmt.Errorf("allocate page: %w", err)
 	}
@@ -147,14 +142,17 @@ func (m *Manager) Read(_ context.Context, p policy.PageID, buf []byte) error {
 	}
 	s := m.stripe(p)
 	s.mu.RLock()
-	pages := s.pages
-	data, ok := pages[p]
-	if ok {
-		copy(buf, data[:])
+	pg, written, err := m.locate("read", p, s)
+	if err == nil {
+		if *written {
+			copy(buf, pg)
+		} else {
+			clear(buf)
+		}
 	}
 	s.mu.RUnlock()
-	if !ok {
-		return absent("read", p, pages)
+	if err != nil {
+		return err
 	}
 	m.reads.Add(1)
 	m.charge(p)
@@ -168,14 +166,14 @@ func (m *Manager) Write(_ context.Context, p policy.PageID, buf []byte) error {
 	}
 	s := m.stripe(p)
 	s.mu.Lock()
-	pages := s.pages
-	data, ok := pages[p]
-	if ok {
-		copy(data[:], buf)
+	pg, written, err := m.locate("write", p, s)
+	if err == nil {
+		copy(pg, buf)
+		*written = true
 	}
 	s.mu.Unlock()
-	if !ok {
-		return absent("write", p, pages)
+	if err != nil {
+		return err
 	}
 	m.writes.Add(1)
 	m.charge(p)
@@ -201,20 +199,24 @@ func (m *Manager) charge(p policy.PageID) {
 }
 
 // Flush implements storage.Backend: the simulator has no volatile state
-// below its page maps, so the durability barrier is a no-op.
+// below its pages, so the durability barrier is a no-op.
 func (m *Manager) Flush(context.Context) error { return nil }
 
-// Close implements storage.Backend. It empties every stripe under its
-// latch, so operations after it fail and none in flight still holds a page,
-// then hands the page memory to the next manager. A second Close is a no-op.
+// Close implements storage.Backend. It marks every stripe closed under its
+// latch, so operations after it fail and none in flight still reads or
+// writes a page, then hands the page memory to the next manager. A second
+// Close is a no-op.
 func (m *Manager) Close() error {
-	if !m.mem.shut() {
+	m.mem.mu.Lock()
+	defer m.mem.mu.Unlock()
+	if m.mem.closed {
 		return nil
 	}
+	m.mem.closed = true
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		s.pages = nil
+		s.closed = true
 		s.mu.Unlock()
 	}
 	m.mem.release()
@@ -234,14 +236,6 @@ func (m *Manager) Stats() storage.Stats {
 	}
 }
 
-// NumPages returns the number of currently allocated pages.
-func (m *Manager) NumPages() int {
-	n := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.mu.RLock()
-		n += len(s.pages)
-		s.mu.RUnlock()
-	}
-	return n
-}
+// NumPages returns the number of currently allocated pages: none once the
+// manager is closed.
+func (m *Manager) NumPages() int { return int(m.mem.next.Load()) }

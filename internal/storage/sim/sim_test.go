@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"runtime"
 	"sync"
@@ -130,11 +131,12 @@ func TestStatsCounters(t *testing.T) {
 }
 
 // TestConcurrentAccess races reads and writes of shared pages against
-// fresh allocations across stripes: every operation is counted, no page is
-// lost, and the chunks carved are the ones the pages need.
+// fresh allocations, and so against the chunk table's growth, across
+// stripes: every operation is counted, no page is lost, and the chunks
+// taken are the ones the pages need.
 func TestConcurrentAccess(t *testing.T) {
 	m := New(ServiceModel{})
-	const pages, fresh = 32, 50 // fresh: allocations per goroutine
+	const pages, fresh = 32, 100 // fresh: allocations per goroutine
 	for i := 0; i < pages; i++ {
 		m.Allocate()
 	}
@@ -180,7 +182,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if s.Allocated != uint64(total) || m.NumPages() != total {
 		t.Errorf("allocated %d, NumPages %d, want %d", s.Allocated, m.NumPages(), total)
 	}
-	if got, want := len(m.mem.chunks), (total+pagesPerChunk-1)/pagesPerChunk; got != want {
+	if got, want := len(*m.mem.table.Load()), (total+pagesPerChunk-1)/pagesPerChunk; got != want {
 		t.Errorf("%d chunks for %d pages, want %d", got, total, want)
 	}
 }
@@ -337,11 +339,7 @@ func TestUnclosedManagerReturnsChunks(t *testing.T) {
 		for i := 0; i < pages; i++ {
 			storage.MustAllocate(m)
 		}
-		var bases []uintptr
-		for _, c := range m.mem.chunks {
-			bases = append(bases, uintptr(unsafe.Pointer(&c[0])))
-		}
-		return bases
+		return chunkBases(m)
 	}()
 	spareHolds := func() bool {
 		spare.mu.Lock()
@@ -371,6 +369,105 @@ func TestUnclosedManagerReturnsChunks(t *testing.T) {
 	}
 	if n := mapped.Load() - before; n != 0 {
 		t.Errorf("second manager mapped %d new chunks with %d spare, want 0", n, len(held))
+	}
+}
+
+// chunkBases returns the base address of each of m's chunks.
+func chunkBases(m *Manager) []uintptr {
+	var bases []uintptr
+	for _, c := range *m.mem.table.Load() {
+		bases = append(bases, uintptr(unsafe.Pointer(&c.mem[0])))
+	}
+	return bases
+}
+
+// TestRecycledChunksReadAsZeros fills every page of one manager with junk
+// and closes it; the next manager takes the same chunks, which nothing
+// clears. Every page it never wrote must read as zeros, and every page it
+// wrote must read back exactly.
+func TestRecycledChunksReadAsZeros(t *testing.T) {
+	const pages = 2*pagesPerChunk + 7 // three chunks
+	a := New(ServiceModel{})
+	junk := bytes.Repeat([]byte{0xEE}, PageSize)
+	for i := 0; i < pages; i++ {
+		if err := a.Write(ctx, storage.MustAllocate(a), junk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fromA := make(map[uintptr]bool)
+	for _, base := range chunkBases(a) {
+		fromA[base] = true
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := New(ServiceModel{})
+	defer b.Close()
+	image := func(p policy.PageID) []byte {
+		img := bytes.Repeat([]byte{byte(p) | 1}, PageSize)
+		binary.LittleEndian.PutUint64(img, uint64(p))
+		return img
+	}
+	for i := 0; i < pages; i++ {
+		p := storage.MustAllocate(b)
+		if p%3 == 0 {
+			if err := b.Write(ctx, p, image(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Not every chunk need be A's: an earlier test's unclosed manager may
+	// reach the spare list through its finalizer in between.
+	reused := 0
+	for _, base := range chunkBases(b) {
+		if fromA[base] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("the second manager took none of the first one's chunks")
+	}
+	buf, zeros := make([]byte, PageSize), make([]byte, PageSize)
+	for p := policy.PageID(0); p < pages; p++ {
+		want := zeros
+		if p%3 == 0 {
+			want = image(p)
+		}
+		if err := b.Read(ctx, p, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("page %d reads %x…, want %x…", p, buf[:8], want[:8])
+		}
+	}
+}
+
+// TestOpsAllocateNothing guards the disk's share of the request path: Read
+// and Write allocate nothing, nor does Allocate away from a chunk boundary.
+func TestOpsAllocateNothing(t *testing.T) {
+	m := New(ServiceModel{})
+	defer m.Close()
+	written, fresh := storage.MustAllocate(m), storage.MustAllocate(m)
+	buf := make([]byte, PageSize)
+	for name, op := range map[string]func() error{
+		"Write":          func() error { return m.Write(ctx, written, buf) },
+		"Read":           func() error { return m.Read(ctx, written, buf) },
+		"Read unwritten": func() error { return m.Read(ctx, fresh, buf) },
+		"Allocate": func() error {
+			_, err := m.Allocate()
+			return err
+		},
+	} {
+		if got := testing.AllocsPerRun(100, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s allocates %.2f times per call, want 0", name, got)
+		}
+	}
+	if n := m.NumPages(); n > pagesPerChunk {
+		t.Fatalf("%d pages cross a chunk boundary", n)
 	}
 }
 
