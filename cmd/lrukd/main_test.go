@@ -375,7 +375,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // use. bufferpool.Replacer has 4 methods: admission (RecordAccess) and
 // Restore make a page a victim candidate, so the pool never calls
 // SetEvictable, and a page leaves only by Evict, since nothing is ever
-// deleted. storage.Backend has 9, none of which frees a page.
+// deleted. storage.Backend has 7, none of which frees a page and none of
+// which names a stripe: the pool keys its breaker and disk histograms by
+// storage.StripeIndex, and each backend keeps its latch striping private.
 // core.PolicyTracer has 1: victim selection is the one
 // decision worth a trace record; collapses and purges are PolicyStats
 // counters. PolicyStats is the one stats read, so neither replacer has
@@ -424,7 +426,7 @@ func TestOptionSurface(t *testing.T) {
 		want  int
 	}{
 		{(*bufferpool.Replacer)(nil), 4},
-		{(*storage.Backend)(nil), 9},
+		{(*storage.Backend)(nil), 7},
 		{(*core.PolicyTracer)(nil), 1},
 	} {
 		if typ := reflect.TypeOf(c.iface).Elem(); typ.NumMethod() != c.want {

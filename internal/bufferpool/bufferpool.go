@@ -38,16 +38,6 @@ import (
 	"repro/internal/storage"
 )
 
-// ErrDiskUnavailable is the pool-level name for storage.ErrUnavailable: an
-// operation refused locally because the circuit breaker for its storage
-// stripe is open. Kept as an alias so pool callers (the server's status
-// mapping, load generators) need not import the storage package.
-var ErrDiskUnavailable = storage.ErrUnavailable
-
-// BreakerConfig aliases storage.BreakerConfig; the pool installs the
-// breaker as a storage wrapper around whatever backend it is given.
-type BreakerConfig = storage.BreakerConfig
-
 // Replacer is the replacement policy the concurrent Pool drives, from many
 // goroutines at once: it must be safe for concurrent use.
 // core.SyncReplacer implements it.
@@ -97,12 +87,15 @@ type Stats struct {
 	// fetch; coalesced waiters that inherit the error count only Misses and
 	// Coalesced. Failed fetches count in Misses (the page was not resident)
 	// but issue no successful disk read, so disk reads == Misses -
-	// Coalesced - ReadErrors - ReadsRejected - new pages.
+	// Coalesced - ReadErrors - ReadsRejected - new pages, as long as no
+	// caller's context ends a read: such a read counts only its miss.
 	ReadErrors uint64
 	// WriteErrors counts failed dirty-page write-backs (logical failures,
 	// retries exhausted), from evictions and flushes alike. The data
 	// survives in memory: the page stays resident and dirty, and the write
-	// is retried by the background writer and later sweeps and flushes.
+	// is retried by the background writer and later sweeps and flushes. A
+	// write the caller's own context ended is not an error: it counts
+	// nowhere and leaves the page dirty, unquarantined.
 	WriteErrors uint64
 	// ReadRetries and WriteRetries count disk attempts that failed with a
 	// transient error and were reissued by the retry ladder (each retried
@@ -212,6 +205,14 @@ type Metrics struct {
 	// frame was secured (or the sweep failed). Values above 1 mean victims
 	// were pinned or failed their write-back.
 	SweepLength *obs.Histogram
+	// DiskReadLatency and DiskWriteLatency record wall time of every disk
+	// read and write attempt the breaker admitted — latch waits, injected
+	// delay and (on the file backend) WAL group commit included, failed
+	// attempts too — split by storage stripe (storage.StripeIndex over
+	// storage.DefaultStripes) so one slow or tripped device region stands
+	// out. Each must be nil or hold DefaultStripes histograms.
+	DiskReadLatency  []*obs.Histogram
+	DiskWriteLatency []*obs.Histogram
 }
 
 // defaultWriterInterval is the background writer's cadence between
@@ -233,10 +234,10 @@ func defaultShards() int {
 
 // Pool is the concurrent buffer-pool manager.
 type Pool struct {
-	// backend is the I/O path: the configured storage backend, wrapped in
-	// the circuit breaker when one is enabled.
+	// backend is the configured storage backend. Its Read and Write are
+	// called from diskIO alone, behind breaker (nil when disabled).
 	backend  storage.Backend
-	breaker  *storage.Breaker // typed handle into backend's breaker stage; nil when disabled
+	breaker  *breaker
 	replacer Replacer
 	frames   []frame
 	shards   []shard
@@ -310,9 +311,10 @@ func New(b storage.Backend, numFrames int, r Replacer) *Pool {
 }
 
 // NewWithConfig returns a pool of numFrames frames over backend b using the
-// given replacer. When cfg.Breaker is enabled the pool wraps b in
-// storage.WithBreaker, so every read and write — the retry ladder's
-// attempts individually — passes through the per-stripe circuit.
+// given replacer. Every read and write the pool issues — each attempt of the
+// retry ladder individually, and every scrub read — crosses one gate,
+// diskIO, where the per-stripe circuit breaker (when cfg.Breaker enables
+// it) admits it and records its outcome.
 func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Pool {
 	if b == nil {
 		panic("bufferpool: nil storage backend")
@@ -334,7 +336,7 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	}
 	p := &Pool{
 		backend:        b,
-		breaker:        storage.WithBreaker(b, cfg.Breaker, time.Now),
+		breaker:        newBreaker(cfg.Breaker, storage.DefaultStripes, time.Now),
 		replacer:       r,
 		frames:         make([]frame, numFrames),
 		shards:         make([]shard, cfg.shards),
@@ -349,9 +351,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		spans:          cfg.Spans,
 		writerKick:     make(chan struct{}, 1),
 		writerInterval: cfg.writerInterval,
-	}
-	if p.breaker != nil {
-		p.backend = p.breaker
 	}
 	p.maxPageSeen.Store(-1)
 	if rp, ok := storage.RepairerFor(p.backend); ok {
@@ -370,7 +369,7 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 // BreakerOpenStripes returns how many storage stripes currently have an
 // open circuit (fail-fast; past-cooldown stripes count until a probe closes
 // them). Zero when the breaker is disabled.
-func (p *Pool) BreakerOpenStripes() int { return p.breaker.OpenStripes() }
+func (p *Pool) BreakerOpenStripes() int { return p.breaker.openStripes() }
 
 // Stats returns a snapshot of pool counters, aggregated from the per-shard
 // atomics without a global lock. Under concurrent load the counters are
@@ -391,7 +390,7 @@ func (p *Pool) Stats() Stats {
 		s.ReadsRejected += sh.readsRejected.Load()
 		s.WritesRejected += sh.writesRejected.Load()
 	}
-	s.BreakerTrips = p.breaker.Trips()
+	s.BreakerTrips = p.breaker.tripCount()
 	s.CorruptDetected = p.corruptDetected.Load()
 	s.CorruptRepaired = p.corruptRepaired.Load()
 	s.CorruptQuarantined = p.corruptQuarantined.Load()

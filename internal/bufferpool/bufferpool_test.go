@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -344,7 +345,11 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 
 // TestSampledMissLeavesEvictSpan: a sampled miss on a full pool leaves
 // exactly one zero-duration evict span naming the page it pushed out,
-// parented to its pool_miss span; an unsampled miss evicts without one.
+// parented to its pool_miss span, beside the I/O gate's spans for the same
+// miss — one disk_write for the dirty victim and one disk_read for the page
+// read in, both parented to the pool_miss span; an unsampled miss evicts
+// without any. A sampled miss on a stripe whose circuit is open leaves a
+// breaker_reject event and no disk_read.
 func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	rec := obs.NewSpanRecorder("n", 64)
 	p := NewWithConfig(sim.New(sim.ServiceModel{}), 2,
@@ -384,25 +389,56 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	victim := miss(obs.ContextWithTrace(context.Background(),
 		obs.TraceContext{TraceID: trace, SpanID: 1, Sampled: true}), ids[0])
 	var missSpan obs.Hex64
-	var evicts []obs.SpanRecord
+	byKind := map[obs.SpanKind][]obs.SpanRecord{}
 	for _, s := range rec.TraceSpans(trace) {
-		switch s.Kind {
-		case obs.SpanPoolMiss:
+		if s.Kind == obs.SpanPoolMiss {
 			missSpan = s.Span
-		case obs.SpanEvict:
-			evicts = append(evicts, s)
 		}
+		byKind[s.Kind] = append(byKind[s.Kind], s)
 	}
+	evicts := byKind[obs.SpanEvict]
 	if len(evicts) != 1 {
 		t.Fatalf("sampled miss left %d evict spans, want 1: %+v", len(evicts), evicts)
 	}
 	if e := evicts[0]; e.Annot != int64(victim) || e.Parent != missSpan || missSpan == 0 || e.Dur != 0 {
 		t.Errorf("evict span %+v: want annot %d, parent %v (the pool_miss span), zero duration", e, victim, missSpan)
 	}
+	for kind, page := range map[obs.SpanKind]policy.PageID{obs.SpanDiskWrite: victim, obs.SpanDiskRead: ids[0]} {
+		if got := byKind[kind]; len(got) != 1 || got[0].Annot != int64(page) || got[0].Parent != missSpan {
+			t.Errorf("%v spans %+v: want one, annot %d, parent %v (the pool_miss span)", kind, got, page, missSpan)
+		}
+	}
 
 	spans := len(rec.Snapshot())
 	miss(context.Background(), ids[1])
 	if got := len(rec.Snapshot()); got != spans {
 		t.Errorf("unsampled miss recorded %d spans, want none", got-spans)
+	}
+
+	// Open the circuit of one page's stripe with a faulted read, then miss
+	// on that page under a sampled trace.
+	d := newFaultyDisk(sim.ServiceModel{})
+	page := storage.MustAllocate(d)
+	bp := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
+		Spans:   rec,
+		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+	})
+	defer bp.Close()
+	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Count: 1}))
+	if _, err := bp.Fetch(page); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("faulted fetch = %v, want the injected fault", err)
+	}
+	const rejected = 0xbeef
+	_, err := bp.FetchCtx(obs.ContextWithTrace(context.Background(),
+		obs.TraceContext{TraceID: rejected, SpanID: 1, Sampled: true}), page)
+	if !errors.Is(err, ErrDiskUnavailable) {
+		t.Fatalf("fetch on an open stripe = %v, want ErrDiskUnavailable", err)
+	}
+	kinds := map[obs.SpanKind]int{}
+	for _, s := range rec.TraceSpans(rejected) {
+		kinds[s.Kind]++
+	}
+	if kinds[obs.SpanBreakerReject] != 1 || kinds[obs.SpanDiskRead] != 0 {
+		t.Errorf("sampled miss on an open stripe left spans %v, want one breaker_reject and no disk_read", kinds)
 	}
 }

@@ -130,7 +130,7 @@ func TestCorruptCountsAgainstBreaker(t *testing.T) {
 		if err := c.Write(context.Background(), id, buf); err != nil {
 			t.Fatal(err)
 		}
-		s := c.StripeOf(id)
+		s := storage.StripeIndex(id, storage.DefaultStripes)
 		byStripe[s] = append(byStripe[s], id)
 		if len(byStripe[s]) == 3 {
 			stripe = s

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/storage"
 )
 
 // This file is how a frame changes hands: the eviction sweep that secures
@@ -129,11 +130,12 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			p.restoreVictim(dv.id, dv.f)
 		}
 		deferred = deferred[:len(werrs)]
-		werr := p.writePage(ctx, victim, f.data)
+		werr := p.diskRetry(ctx, storage.OpWrite, victim, f.data)
 		sh.mu.Lock()
 		if werr != nil {
 			// Restore residency — the data is still only in memory — then
-			// quarantine the page and try the next victim instead of
+			// quarantine the page (writeFailed; not when the caller's own
+			// context ended the write) and try the next victim instead of
 			// failing the caller's unrelated fetch. The unclaim must happen
 			// under the exclusive latch, before any latched path can pin
 			// the page again, so its epoch bump cannot clobber a pin.
@@ -141,8 +143,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			f.state.Store(frameResident)
 			f.finish()
 			sh.mu.Unlock()
-			sh.countWriteFailure(werr)
-			p.quarantineAdd(victim)
+			p.writeFailed(victim, werr)
 			werrs = append(werrs, fmt.Errorf("writing back victim %d: %w", victim, werr))
 			deferred = append(deferred, deferredVictim{id: victim, f: f})
 			if len(werrs) >= maxWriteBackFailures {

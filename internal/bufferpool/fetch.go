@@ -261,7 +261,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		sh.readErrors.Add(1)
 		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, &storage.ErrCorrupt{Page: id, Kind: kind})
 	}
-	if !p.breaker.Ready(p.backend.StripeOf(id)) {
+	if !p.breaker.ready(storage.StripeIndex(id, storage.DefaultStripes)) {
 		// Fail fast while the stripe's circuit is open: no frame is
 		// claimed, no victim written back, no waiters queued behind a disk
 		// that is not answering. Still a miss — the page was not resident —
@@ -295,18 +295,19 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	sh.table[id] = f
 	sh.mu.Unlock()
 
-	// The I/O happens outside the latch — through the breaker, the
-	// transient-fault retry ladder, and on detected corruption the
-	// read-repair protocol (loadPage), with backoff charged against ctx;
-	// concurrent fetches of id find the loading frame and wait on done,
-	// everyone else proceeds untouched.
+	// The I/O happens outside the latch — through the gate (breaker
+	// included), the transient-fault retry ladder, and on detected
+	// corruption the read-repair protocol (loadPage), with backoff charged
+	// against ctx; concurrent fetches of id find the loading frame and wait
+	// on done, everyone else proceeds untouched.
 	if rerr := p.loadPage(ctx, id, f.data); rerr != nil {
 		// Publish the error before the table delete becomes observable:
 		// the shard latch orders f.err ahead of the deletion for latched
 		// readers, and finish publishes it to the parked waiters. A
 		// failed load is still a miss — the page was not resident — and
 		// counts once in ReadErrors (or ReadsRejected, when the breaker
-		// refused the attempt without touching the disk).
+		// refused the attempt without touching the disk; or nowhere, when
+		// the caller's own context ended it).
 		err := fmt.Errorf("fetching page %d: %w", id, rerr)
 		f.err = err
 		sh.mu.Lock()

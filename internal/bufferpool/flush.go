@@ -28,7 +28,8 @@ import (
 // A clean frame is rewritten by an ordinary flush while a sweep's writes
 // may still be behind (p.behind), since its image may not be durable yet.
 // A failed write leaves the page dirty and quarantined, as a failed
-// eviction write-back does, so the background writer retries it.
+// eviction write-back does, so the background writer retries it; a write
+// the caller's own context ended leaves it dirty only.
 func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
@@ -40,10 +41,9 @@ func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error
 		return nil
 	}
 	f.dirty.Store(false)
-	if err := p.writePage(ctx, id, f.data); err != nil {
+	if err := p.diskRetry(ctx, storage.OpWrite, id, f.data); err != nil {
 		f.dirty.Store(true)
-		p.shardOf(id).countWriteFailure(err)
-		p.quarantineAdd(id)
+		p.writeFailed(id, err)
 		return fmt.Errorf("flushing page %d: %w", id, err)
 	}
 	p.shardOf(id).writeBacks.Add(1)

@@ -27,10 +27,10 @@ const maxRepairAttempts = 2
 // the file store), then re-read and re-verify. Only a verified image is
 // admitted. A page that cannot be repaired is poisoned and the corruption
 // error returned — never blindly retried: ErrCorrupt is permanent under
-// storage.IsTransient, so the retry ladder inside readPage does not
+// storage.IsTransient, so the retry ladder inside diskRetry does not
 // reissue it either.
 func (p *Pool) loadPage(ctx context.Context, id policy.PageID, buf []byte) error {
-	err := p.readPage(ctx, id, buf)
+	err := p.diskRetry(ctx, storage.OpRead, id, buf)
 	if err == nil || !storage.IsCorrupt(err) {
 		return err
 	}
@@ -40,7 +40,7 @@ func (p *Pool) loadPage(ctx context.Context, id policy.PageID, buf []byte) error
 		if rerr := p.repairer.RepairPage(ctx, id); rerr != nil {
 			break // no redundant copy (or repair itself failed): unrepairable
 		}
-		rerr := p.readPage(ctx, id, buf)
+		rerr := p.diskRetry(ctx, storage.OpRead, id, buf)
 		if rerr == nil || !storage.IsCorrupt(rerr) {
 			// Healed — or the slot verifies but the re-read failed for
 			// another reason (breaker, transient exhaustion), which is not a
@@ -157,7 +157,7 @@ func (p *Pool) scrubOne(ctx context.Context, id policy.PageID, buf []byte) {
 			return
 		}
 	}
-	err := p.backend.Read(ctx, id, buf)
+	err := p.diskIO(ctx, storage.OpRead, id, buf)
 	if err == nil {
 		p.scrubPages.Add(1)
 		return

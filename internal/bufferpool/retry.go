@@ -13,13 +13,16 @@ import (
 	"repro/internal/storage"
 )
 
-// This file wraps the pool's storage reads and writes in transient-fault
-// retry with capped exponential backoff and deterministic seeded jitter,
-// layered over the circuit breaker: each attempt goes through the pool's
-// backend stack (where an enabled breaker admits and records it), and every
-// backoff sleep is charged against the caller's context, so a deadline
-// bounds the whole retry ladder rather than each rung. A breaker refusal is
-// permanent under storage.IsTransient and ends the ladder immediately.
+// This file is the pool's one gate to its backend, diskIO, and the retry
+// ladder around it. Every disk read and write the pool issues crosses the
+// gate once per attempt: the per-stripe circuit breaker admits it, the
+// stripe's latency histogram and a sampled trace's disk span time it, and
+// its outcome goes back to the breaker. The ladder reissues transient
+// failures with capped exponential backoff and deterministic seeded
+// jitter; every backoff sleep is charged against the caller's context, so
+// a deadline bounds the whole ladder rather than each rung. A breaker
+// refusal is permanent under storage.IsTransient and ends the ladder
+// immediately.
 
 // RetryConfig tunes transient-fault retry for pool↔storage operations.
 type RetryConfig struct {
@@ -106,35 +109,67 @@ func (p *Pool) retrySleep(ctx context.Context, attempt int) error {
 	}
 }
 
-// readPage reads page id from storage through the backend stack (breaker
-// included) and the retry ladder. Transient failures are retried up to the
-// configured attempts with backoff charged against ctx; permanent errors
-// and breaker refusals return immediately. Each retried attempt counts once
-// in ReadRetries.
-func (p *Pool) readPage(ctx context.Context, id policy.PageID, buf []byte) error {
-	sh := p.shardOf(id)
-	for attempt := 1; ; attempt++ {
-		err := p.backend.Read(ctx, id, buf)
-		if err == nil {
-			return nil
-		}
-		if !storage.IsTransient(err) || attempt >= p.retry.cfg.Attempts {
-			return err
-		}
-		if serr := p.retrySleep(ctx, attempt); serr != nil {
-			return fmt.Errorf("%w (retry abandoned: %w)", err, serr)
-		}
-		sh.readRetries.Add(1)
+// diskIO is one attempt of op (storage.OpRead or storage.OpWrite) on page
+// id: breaker admission, the disk_read/disk_write span, the stripe's
+// latency histogram, the backend call, the breaker outcome. A refused
+// attempt reaches no backend and fails with ErrDiskUnavailable. An attempt
+// the caller's own context ended is caller-class (DESIGN.md §10): it
+// records no outcome, hands back a half-open probe slot it held, and its
+// error is marked (callerEnded) so no ledger counts it as a disk failure.
+func (p *Pool) diskIO(ctx context.Context, op storage.Op, id policy.PageID, buf []byte) error {
+	stripe := storage.StripeIndex(id, storage.DefaultStripes)
+	name, hist, kind := "read", p.metrics.DiskReadLatency, obs.SpanDiskRead
+	if op == storage.OpWrite {
+		name, hist, kind = "write", p.metrics.DiskWriteLatency, obs.SpanDiskWrite
 	}
+	if !p.breaker.allow(stripe) {
+		return fmt.Errorf("%s page %d: %w", name, id, ErrDiskUnavailable)
+	}
+	var span obs.Span
+	if p.spans != nil {
+		span = p.spans.Start(obs.TraceFrom(ctx), kind)
+	}
+	var start time.Time
+	if hist != nil {
+		start = time.Now()
+	}
+	var err error
+	if op == storage.OpWrite {
+		err = p.backend.Write(ctx, id, buf)
+	} else {
+		err = p.backend.Read(ctx, id, buf)
+	}
+	if hist != nil {
+		hist[stripe].ObserveSince(start)
+	}
+	span.Finish(int64(id))
+	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		p.breaker.release(stripe)
+		return callerEnded{err}
+	}
+	p.breaker.record(stripe, err == nil)
+	return err
 }
 
-// writePage writes page id to storage through the backend stack and the
-// retry ladder, mirroring readPage. Each retried attempt counts once in
-// WriteRetries.
-func (p *Pool) writePage(ctx context.Context, id policy.PageID, buf []byte) error {
-	sh := p.shardOf(id)
+// callerEnded wraps the error of an attempt the caller's own context
+// ended: the attempt says nothing about the disk.
+type callerEnded struct{ error }
+
+func (e callerEnded) Unwrap() error { return e.error }
+
+func isCallerEnded(err error) bool {
+	var c callerEnded
+	return errors.As(err, &c)
+}
+
+// diskRetry runs one logical read or write of page id through diskIO and
+// the retry ladder. Transient failures are retried up to the configured
+// attempts with backoff charged against ctx; permanent errors, breaker
+// refusals and caller-class ends return immediately. Each retried attempt
+// counts once in ReadRetries or WriteRetries.
+func (p *Pool) diskRetry(ctx context.Context, op storage.Op, id policy.PageID, buf []byte) error {
 	for attempt := 1; ; attempt++ {
-		err := p.backend.Write(ctx, id, buf)
+		err := p.diskIO(ctx, op, id, buf)
 		if err == nil {
 			return nil
 		}
@@ -144,25 +179,39 @@ func (p *Pool) writePage(ctx context.Context, id policy.PageID, buf []byte) erro
 		if serr := p.retrySleep(ctx, attempt); serr != nil {
 			return fmt.Errorf("%w (retry abandoned: %w)", err, serr)
 		}
-		sh.writeRetries.Add(1)
+		if sh := p.shardOf(id); op == storage.OpWrite {
+			sh.writeRetries.Add(1)
+		} else {
+			sh.readRetries.Add(1)
+		}
 	}
 }
 
 // countReadFailure files a failed logical read in the right ledger: a
-// breaker refusal (no disk attempt was made) counts in ReadsRejected,
-// anything else in ReadErrors. Write failures mirror it.
+// breaker refusal (no disk attempt was made) counts in ReadsRejected, a
+// caller-class end nowhere, anything else in ReadErrors.
 func (sh *shard) countReadFailure(err error) {
-	if errors.Is(err, ErrDiskUnavailable) {
+	switch {
+	case isCallerEnded(err):
+	case errors.Is(err, ErrDiskUnavailable):
 		sh.readsRejected.Add(1)
-	} else {
+	default:
 		sh.readErrors.Add(1)
 	}
 }
 
-func (sh *shard) countWriteFailure(err error) {
-	if errors.Is(err, ErrDiskUnavailable) {
+// writeFailed files a failed write-back of page id: a breaker refusal in
+// WritesRejected, anything else in WriteErrors, and either way the page is
+// quarantined for the background writer. A caller-class end files nothing:
+// the page stays dirty for the next flush or eviction.
+func (p *Pool) writeFailed(id policy.PageID, err error) {
+	if isCallerEnded(err) {
+		return
+	}
+	if sh := p.shardOf(id); errors.Is(err, ErrDiskUnavailable) {
 		sh.writesRejected.Add(1)
 	} else {
 		sh.writeErrors.Add(1)
 	}
+	p.quarantineAdd(id)
 }

@@ -281,23 +281,34 @@ func TestRetryBackoffChargedToContext(t *testing.T) {
 }
 
 // TestBreakerFailFastAndRecovery exercises the breaker through the pool:
-// sustained read faults trip the page's stripe, after which misses on it
-// fail fast with ErrDiskUnavailable (no disk attempt) while hits keep
-// serving; healing the disk lets half-open probes close the circuit.
+// sustained read faults trip the page's stripe, after which misses and
+// write-backs on it fail fast with ErrDiskUnavailable (no disk attempt; the
+// refused write-back is quarantined) while hits keep serving; healing the
+// disk lets half-open probes close the circuit.
 func TestBreakerFailFastAndRecovery(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	ids := allocPages(t, d, 2)
 	a, b := ids[0], ids[1]
+	// c shares a's stripe, so its write-back meets the circuit a's reads open.
+	c := storage.MustAllocate(d)
+	for storage.StripeIndex(c, storage.DefaultStripes) != storage.StripeIndex(a, storage.DefaultStripes) {
+		c = storage.MustAllocate(d)
+	}
 	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: 30 * time.Millisecond, Probes: 1},
 	})
 
 	// b resides before the disk breaks: its hits must survive the outage.
+	// c resides dirty.
 	pg, err := p.Fetch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg.Unpin(false)
+	if pg, err = p.Fetch(c); err != nil {
+		t.Fatal(err)
+	}
+	pg.Unpin(true)
 
 	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead}))
 	for i := 0; i < 2; i++ {
@@ -310,17 +321,30 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Fatalf("BreakerTrips = %d after %d consecutive failures, want 1", s.BreakerTrips, 2)
 	}
 
-	// Open circuit: fail fast, no disk attempt.
-	faultsBefore := d.Stats().ReadFaults
-	if _, err := p.Fetch(a); !errors.Is(err, ErrDiskUnavailable) {
+	// Open circuit: reads and write-backs on the stripe fail fast, with a
+	// refusal that is permanent under IsTransient, and no disk attempt.
+	if n := p.BreakerOpenStripes(); n != 1 {
+		t.Errorf("BreakerOpenStripes = %d, want 1", n)
+	}
+	faultsBefore, writesBefore := d.Stats().ReadFaults, d.Stats().Writes
+	_, err = p.Fetch(a)
+	if !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch while open = %v, want ErrDiskUnavailable", err)
 	}
-	if got := d.Stats().ReadFaults; got != faultsBefore {
-		t.Errorf("open breaker still reached the disk (%d -> %d faults)", faultsBefore, got)
+	if storage.IsTransient(err) {
+		t.Error("breaker refusal classified transient")
+	}
+	if err := p.FlushPage(c); !errors.Is(err, ErrDiskUnavailable) {
+		t.Errorf("flush on the open stripe = %v, want ErrDiskUnavailable", err)
+	}
+	if ds := d.Stats(); ds.ReadFaults != faultsBefore || ds.Writes != writesBefore {
+		t.Errorf("open breaker still reached the disk (%d -> %d faults, %d -> %d writes)",
+			faultsBefore, ds.ReadFaults, writesBefore, ds.Writes)
 	}
 	s = p.Stats()
-	if s.ReadsRejected != 1 {
-		t.Errorf("ReadsRejected = %d, want 1", s.ReadsRejected)
+	if s.ReadsRejected != 1 || s.WritesRejected != 1 || p.Quarantined() != 1 {
+		t.Errorf("ReadsRejected %d, WritesRejected %d, quarantined %d; want 1/1/1",
+			s.ReadsRejected, s.WritesRejected, p.Quarantined())
 	}
 	// Hits are unaffected by the open circuit.
 	pg, err = p.Fetch(b)
@@ -341,9 +365,12 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Fatal("probe fetch returned wrong data")
 	}
 	pg.Unpin(false)
+	if err := p.FlushPage(c); err != nil || p.Quarantined() != 0 {
+		t.Errorf("flush after recovery = %v with %d quarantined, want nil and 0", err, p.Quarantined())
+	}
 	s, ds := p.Stats(), d.Stats()
-	if s.BreakerTrips != 1 {
-		t.Errorf("BreakerTrips = %d after recovery, want still 1", s.BreakerTrips)
+	if s.BreakerTrips != 1 || p.BreakerOpenStripes() != 0 {
+		t.Errorf("BreakerTrips %d, open stripes %d after recovery; want 1 and 0", s.BreakerTrips, p.BreakerOpenStripes())
 	}
 	if ds.ReadFaults != s.ReadRetries+s.ReadErrors {
 		t.Errorf("fault ledger out of balance: disk %d faults, pool %d retries + %d errors",

@@ -46,11 +46,12 @@ type Config struct {
 	K int
 	// Backend, when non-nil, is the storage backend the database runs on —
 	// typically storage/file's durable store. The database I/Os through
-	// exactly this value (adding only the instrumentation stage when Obs or
-	// Spans is set) and closes it on Close; a test that wants injected
-	// faults or corruption hands in an already-wrapped backend and keeps
-	// the wrapper's handle. Nil selects a fresh simulated disk. A backend
-	// implementing storage.DurableBackend switches the database into
+	// exactly this value, wrapped in nothing (the pool itself gates,
+	// times and traces every read and write), and closes it on Close; a
+	// test that wants injected faults or corruption hands in an
+	// already-wrapped backend and keeps the wrapper's handle. Nil selects
+	// a fresh simulated disk. A backend implementing
+	// storage.DurableBackend switches the database into
 	// durable mode: a catalog page anchors the B-tree root so the dataset
 	// survives restarts, FlushAll checkpoints, and acknowledged updates
 	// reach the write-ahead log before UpdateCustomerCtx returns.
@@ -73,9 +74,9 @@ type Config struct {
 	Obs *obs.Registry
 	// Spans, when non-nil, arms distributed-tracing span recording through
 	// the stack: sampled operations leave pool_fetch / pool_miss /
-	// pool_coalesce / retry_wait / breaker_reject spans from the pool and
-	// disk_read / disk_write spans from the storage wrapper in this
-	// recorder, and an evict event for every page a sampled miss evicted.
+	// pool_coalesce / retry_wait / breaker_reject / disk_read / disk_write
+	// spans from the pool in this recorder, and an evict event for every
+	// page a sampled miss evicted.
 	// The unsampled path stays within the pool's hit-latency budget. WAL
 	// spans (wal_append, wal_fsync) come from the file backend's own
 	// file.Config.Spans, which the caller wires when building the backend.
@@ -126,7 +127,7 @@ var catalogMagic = [8]byte{'L', 'R', 'U', 'K', 'C', 'A', 'T', '1'}
 // DB is the miniature customer database.
 type DB struct {
 	cfg       Config
-	backend   storage.Backend        // what the pool I/Os through: Config.Backend, instrumented when Obs or Spans is set
+	backend   storage.Backend        // what the pool I/Os through: Config.Backend itself
 	durable   storage.DurableBackend // non-nil when Config.Backend is durable
 	attached  bool                   // durable reopen: dataset recovered from the catalog
 	count     atomic.Int64           // loaded customer count (persisted in the catalog)
@@ -158,8 +159,8 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("db: record size %d outside (8, %d]", cfg.recordSize, heapfile.MaxRecord)
 	}
 	// The storage stack is the caller's backend (or a fresh simulated
-	// disk), plus one instrumentation stage when Obs or Spans asks for it.
-	// The pool adds the circuit breaker on top.
+	// disk), wrapped in nothing: the pool's I/O gate carries the breaker,
+	// the disk histograms and the disk spans.
 	backend := cfg.Backend
 	if backend == nil {
 		backend = sim.New(sim.ServiceModel{})
@@ -172,15 +173,6 @@ func Open(cfg Config) (*DB, error) {
 	var poolMetrics bufferpool.Metrics
 	var evTrace *obs.EvictionTrace
 	var corruptionHook func(policy.PageID, storage.CorruptKind, bool)
-	if cfg.Obs != nil || cfg.Spans != nil {
-		// One wrapper carries both signals; without Obs its nil histograms
-		// keep the metric side's fast path.
-		var m storage.Metrics
-		if cfg.Obs != nil {
-			m = newBackendMetrics(cfg.Obs, backend.NumStripes())
-		}
-		backend = storage.WithMetrics(backend, m).WithSpans(cfg.Spans)
-	}
 	if cfg.Obs != nil {
 		// Latency instruments must exist before the pool and backend serve
 		// their first operation; scrape-time collectors are registered

@@ -18,17 +18,20 @@ import (
 //
 // Two registration styles, chosen per metric:
 //
-//   - Histograms are created up front and handed into the pool and the
-//     backend's instrumentation wrapper, which record into them on the hot
-//     path (nil histograms disable the timing entirely).
+//   - Histograms are created up front and handed into the pool, which
+//     records into them on the hot path — the disk latency ones at its I/O
+//     gate (nil histograms disable the timing entirely).
 //   - Counters and gauges that already exist as atomics inside the stack
 //     (pool shard counters, the backend ledger, replacer stats) are exposed
 //     through CounterFunc/GaugeFunc collectors evaluated at scrape time —
 //     zero added cost on the paths that maintain them.
 
-// newPoolMetrics registers the pool's latency/shape histograms.
+// newPoolMetrics registers the pool's latency/shape histograms, and the
+// per-stripe disk read/write latency histograms its I/O gate records into.
+// The disk families keep the lruk_disk_ prefix for dashboard continuity
+// across backends.
 func newPoolMetrics(r *obs.Registry) bufferpool.Metrics {
-	return bufferpool.Metrics{
+	m := bufferpool.Metrics{
 		FetchLatency: r.LatencyHistogram("lruk_pool_fetch_seconds",
 			"Buffer pool fetch latency, hits and misses alike.", nil),
 		MissLatency: r.LatencyHistogram("lruk_pool_miss_seconds",
@@ -37,22 +40,14 @@ func newPoolMetrics(r *obs.Registry) bufferpool.Metrics {
 			"Time coalesced fetches spent parked on another fetch's in-flight read.", nil),
 		SweepLength: r.Histogram("lruk_pool_sweep_victims",
 			"Victims examined per eviction sweep that consulted the replacer.", nil),
+		DiskReadLatency:  make([]*obs.Histogram, storage.DefaultStripes),
+		DiskWriteLatency: make([]*obs.Histogram, storage.DefaultStripes),
 	}
-}
-
-// newBackendMetrics registers per-stripe read/write latency histograms for
-// the storage instrumentation wrapper. Metric names keep the lruk_disk_
-// prefix for dashboard continuity across backends.
-func newBackendMetrics(r *obs.Registry, stripes int) storage.Metrics {
-	m := storage.Metrics{
-		ReadLatency:  make([]*obs.Histogram, stripes),
-		WriteLatency: make([]*obs.Histogram, stripes),
-	}
-	for i := 0; i < stripes; i++ {
+	for i := range storage.DefaultStripes {
 		lbl := obs.Labels{"stripe": strconv.Itoa(i)}
-		m.ReadLatency[i] = r.LatencyHistogram("lruk_disk_read_seconds",
+		m.DiskReadLatency[i] = r.LatencyHistogram("lruk_disk_read_seconds",
 			"Storage read latency (latch waits, WAL appends, and injected delay included), by stripe.", lbl)
-		m.WriteLatency[i] = r.LatencyHistogram("lruk_disk_write_seconds",
+		m.DiskWriteLatency[i] = r.LatencyHistogram("lruk_disk_write_seconds",
 			"Storage write latency (latch waits, WAL appends, and injected delay included), by stripe.", lbl)
 	}
 	return m

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -169,17 +170,10 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		t.Errorf("drain latency histogram holds %v observations, drain depth %v", got, want)
 	}
 
-	// Per-stripe disk histograms must sum to the disk ledger: every
-	// successful read was timed into exactly one stripe's histogram.
-	var readObs float64
-	for name, v := range vals {
-		if strings.HasPrefix(name, "lruk_disk_read_seconds_count{") {
-			readObs += v
-		}
-	}
-	if readObs != float64(snap.Disk.Reads) {
-		t.Errorf("disk read histogram counts sum to %v, ledger says %d", readObs, snap.Disk.Reads)
-	}
+	// Per-stripe disk histograms must sum to the disk ledger: every read
+	// and write attempt the pool's gate admitted was timed into exactly one
+	// stripe's histogram, and with no faults every attempt succeeded.
+	checkDiskHistograms(t, vals, snap.Disk.Reads, snap.Disk.Writes)
 
 	// Eviction trace: nothing dropped (huge ring) and no corruption, so the
 	// ring holds exactly one evict record per victim selection and nothing
@@ -208,6 +202,69 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 			t.Fatalf("implausible K-distance in trace record %+v", rec)
 		}
 	}
+}
+
+// checkDiskHistograms asserts that the per-stripe lruk_disk_read_seconds and
+// lruk_disk_write_seconds observation counts sum to the disk ledger's reads
+// and writes, and that the workload made both.
+func checkDiskHistograms(t *testing.T, vals map[string]float64, reads, writes uint64) {
+	t.Helper()
+	var readObs, writeObs float64
+	for name, v := range vals {
+		switch {
+		case strings.HasPrefix(name, "lruk_disk_read_seconds_count{"):
+			readObs += v
+		case strings.HasPrefix(name, "lruk_disk_write_seconds_count{"):
+			writeObs += v
+		}
+	}
+	if reads == 0 || writes == 0 {
+		t.Fatalf("workload made %d disk reads and %d writes; both must be positive", reads, writes)
+	}
+	if readObs != float64(reads) {
+		t.Errorf("disk read histogram counts sum to %v, ledger says %d", readObs, reads)
+	}
+	if writeObs != float64(writes) {
+		t.Errorf("disk write histogram counts sum to %v, ledger says %d", writeObs, writes)
+	}
+}
+
+// TestDiskHistogramsCountScrubReads: the background scrubber reads through
+// the pool's I/O gate like a miss does, so with ScrubInterval set its reads
+// land in the per-stripe read histogram and the counts still sum to the
+// disk ledger.
+func TestDiskHistogramsCountScrubReads(t *testing.T) {
+	reg := obs.NewRegistry()
+	database, err := Open(Config{Frames: 16, Obs: reg, ScrubInterval: 200 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer database.Close()
+	if err := database.LoadCustomers(200); err != nil {
+		t.Fatal(err)
+	}
+	if err := database.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); database.StatsSnapshot().Pool.ScrubPages < 200; {
+		if time.Now().After(deadline) {
+			t.Fatalf("scrubber verified only %d pages in 10s", database.StatsSnapshot().Pool.ScrubPages)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Close stops the scrubber, so the scrape and the ledger read after it
+	// see the same reads.
+	if err := database.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(obs.Handler(reg))
+	defer srv.Close()
+	vals := scrape(t, srv)
+	disk, pool := database.backend.Stats(), database.pool.Stats()
+	if pool.ScrubPages == 0 || disk.Reads < pool.ScrubPages {
+		t.Fatalf("disk reads %d, scrub pages %d: the scrub reads are not on the ledger", disk.Reads, pool.ScrubPages)
+	}
+	checkDiskHistograms(t, vals, disk.Reads, disk.Writes)
 }
 
 // TestObsDisabledByDefault asserts an un-instrumented database records

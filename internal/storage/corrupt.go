@@ -99,8 +99,9 @@ type Repairer interface {
 type innerer interface{ Inner() Backend }
 
 // RepairerFor walks b's wrapper chain and returns the outermost layer that
-// implements Repairer. Layers above it (breaker, metrics, fault injection)
-// are deliberately bypassed: repair is its own protocol, not caller I/O.
+// implements Repairer. Layers above it (fault injection, a test's tracing
+// wrapper) are deliberately bypassed: repair is its own protocol, not
+// caller I/O.
 func RepairerFor(b Backend) (Repairer, bool) {
 	for b != nil {
 		if r, ok := b.(Repairer); ok {

@@ -43,8 +43,8 @@ func MarkTransient(err error) error {
 // when it is (or wraps) ErrInjectedFault — injected faults model the
 // environmental failures (cable hiccups, controller timeouts) that clear on
 // their own — or when an error in its chain implements TransientMarker and
-// declares itself transient. Everything else, ErrPageNotAllocated,
-// ErrUnavailable and malformed-buffer errors included, is permanent:
+// declares itself transient. Everything else, ErrPageNotAllocated, the
+// pool's breaker refusals and malformed-buffer errors included, is permanent:
 // reissuing the identical request cannot change the outcome.
 func IsTransient(err error) bool {
 	if err == nil {

@@ -19,7 +19,6 @@ func TestIsTransient(t *testing.T) {
 		{"injected fault", ErrInjectedFault, true},
 		{"wrapped injected fault", fmt.Errorf("read page 7: %w", ErrInjectedFault), true},
 		{"page not allocated", ErrPageNotAllocated, false},
-		{"breaker open", ErrUnavailable, false},
 		{"unknown error", permanent, false},
 		{"marked transient", MarkTransient(permanent), true},
 		{"wrapped marked transient", fmt.Errorf("write page 3: %w", MarkTransient(permanent)), true},

@@ -18,7 +18,8 @@ import (
 // the buffer pool's error paths (failed miss reads, failed dirty-victim
 // write-backs) can be exercised exactly and reproducibly instead of never.
 
-// Op identifies a class of storage operations for fault matching.
+// Op identifies a class of storage operations: fault rules match on it,
+// and the buffer pool's I/O gate names the attempt it makes with it.
 type Op uint8
 
 const (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/policy"
 	"repro/internal/storage"
@@ -201,80 +200,5 @@ func TestSetFaultsDisarms(t *testing.T) {
 	m.SetFaults(nil)
 	if err := m.Read(ctx, ids[0], buf); err != nil {
 		t.Errorf("disarmed backend still faulted: %v", err)
-	}
-}
-
-// TestBreakerWrapperTripsAndRecovers drives the Backend-level breaker
-// wrapper end to end over a faulty simulator: consecutive failures on one
-// page's stripe open the circuit (further I/O on that stripe fails fast
-// with ErrUnavailable without reaching the backend), the cooldown admits a
-// probe, and successful probes close it again.
-func TestBreakerWrapperTripsAndRecovers(t *testing.T) {
-	clk := newWrapperClock()
-	f, ids := faultTestBackend(t, 1)
-	id := ids[0]
-	br := storage.WithBreaker(f, storage.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond, Probes: 1}, clk.now)
-	if br == nil {
-		t.Fatal("WithBreaker returned nil for an enabled config")
-	}
-	buf := make([]byte, storage.PageSize)
-
-	f.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead}))
-	for i := 0; i < 2; i++ {
-		if err := br.Read(ctx, id, buf); !errors.Is(err, storage.ErrInjectedFault) {
-			t.Fatalf("read %d: %v, want injected fault", i, err)
-		}
-	}
-	// Circuit open: refusals are local and permanent under IsTransient.
-	err := br.Read(ctx, id, buf)
-	if !errors.Is(err, storage.ErrUnavailable) {
-		t.Fatalf("read after trip: %v, want ErrUnavailable", err)
-	}
-	if storage.IsTransient(err) {
-		t.Error("breaker refusal classified transient")
-	}
-	faultsAtTrip := f.Stats().ReadFaults
-	if err := br.Write(ctx, id, buf); !errors.Is(err, storage.ErrUnavailable) {
-		t.Errorf("write on open stripe: %v, want ErrUnavailable", err)
-	}
-	if f.Stats().ReadFaults != faultsAtTrip {
-		t.Error("refused read reached the inner backend")
-	}
-	if br.Trips() != 1 || br.OpenStripes() != 1 {
-		t.Errorf("trips=%d open=%d, want 1/1", br.Trips(), br.OpenStripes())
-	}
-	stripe := br.StripeOf(id)
-	if br.Ready(stripe) {
-		t.Error("Ready = true on an open stripe inside cooldown")
-	}
-
-	// Heal the backend, wait out the cooldown: one probe closes it.
-	f.SetFaults(nil)
-	clk.advance(51 * time.Millisecond)
-	if !br.Ready(stripe) {
-		t.Error("Ready = false after cooldown")
-	}
-	if err := br.Read(ctx, id, buf); err != nil {
-		t.Fatalf("probe read: %v", err)
-	}
-	if br.OpenStripes() != 0 {
-		t.Error("circuit still open after a successful probe")
-	}
-	if err := br.Read(ctx, id, buf); err != nil {
-		t.Errorf("read after recovery: %v", err)
-	}
-}
-
-type wrapperClock struct{ t time.Time }
-
-func (c *wrapperClock) now() time.Time          { return c.t }
-func (c *wrapperClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newWrapperClock() *wrapperClock            { return &wrapperClock{t: time.Unix(1000, 0)} }
-
-// TestWithBreakerDisabledConfig: a non-positive threshold yields a nil
-// wrapper so callers fall back to the bare backend.
-func TestWithBreakerDisabledConfig(t *testing.T) {
-	if br := storage.WithBreaker(sim.New(sim.ServiceModel{}), storage.BreakerConfig{}, time.Now); br != nil {
-		t.Fatal("WithBreaker with zero threshold returned a live wrapper")
 	}
 }

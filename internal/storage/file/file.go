@@ -576,14 +576,6 @@ func (s *Store) Stats() storage.Stats {
 // Recovery reports what crash recovery did when this store was opened.
 func (s *Store) Recovery() storage.RecoveryInfo { return s.recovery }
 
-// StripeOf returns the latch stripe serving page p.
-func (s *Store) StripeOf(p policy.PageID) int {
-	return storage.StripeIndex(p, storage.DefaultStripes)
-}
-
-// NumStripes returns the latch stripe count.
-func (s *Store) NumStripes() int { return storage.DefaultStripes }
-
 // NumPages returns the number of live pages.
 func (s *Store) NumPages() int {
 	s.allocMu.Lock()

@@ -481,17 +481,11 @@ func TestContextCancelled(t *testing.T) {
 }
 
 // TestDurableBackendInterface pins the full contract, including under the
-// fault-injection and breaker wrappers the db layer stacks on top.
+// fault-injection wrapper a test stacks on top.
 func TestDurableBackendInterface(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	var b storage.DurableBackend = s
-	if b.NumStripes() != storage.DefaultStripes {
-		t.Errorf("NumStripes = %d", b.NumStripes())
-	}
-	if got := b.StripeOf(42); got != storage.StripeIndex(42, storage.DefaultStripes) {
-		t.Errorf("StripeOf(42) = %d", got)
-	}
 	f := storage.WithFaults(b)
 	f.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
 	p := storage.MustAllocate(f)

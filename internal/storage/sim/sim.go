@@ -112,16 +112,8 @@ func (m *Manager) locate(op string, p policy.PageID, s *stripe) ([]byte, *bool, 
 }
 
 func (m *Manager) stripe(p policy.PageID) *stripe {
-	return &m.stripes[m.StripeOf(p)]
+	return &m.stripes[storage.StripeIndex(p, numStripes)]
 }
-
-// StripeOf implements storage.Backend.
-func (m *Manager) StripeOf(p policy.PageID) int {
-	return storage.StripeIndex(p, numStripes)
-}
-
-// NumStripes implements storage.Backend.
-func (m *Manager) NumStripes() int { return numStripes }
 
 // Allocate reserves a fresh page, which reads as zeros, and returns its id.
 // It fails only on a closed manager, or when the kernel refuses a new chunk.

@@ -471,27 +471,6 @@ func TestOpsAllocateNothing(t *testing.T) {
 	}
 }
 
-func TestStripeOf(t *testing.T) {
-	m := New(ServiceModel{})
-	if m.NumStripes() != numStripes {
-		t.Fatalf("NumStripes = %d, want %d", m.NumStripes(), numStripes)
-	}
-	seen := make(map[int]bool)
-	for p := 0; p < 4096; p++ {
-		idx := m.StripeOf(policy.PageID(p))
-		if idx < 0 || idx >= numStripes {
-			t.Fatalf("StripeOf(%d) = %d, outside [0, %d)", p, idx, numStripes)
-		}
-		seen[idx] = true
-		if got := m.stripe(policy.PageID(p)); got != &m.stripes[idx] {
-			t.Fatalf("stripe(%d) disagrees with StripeOf", p)
-		}
-	}
-	if len(seen) != numStripes {
-		t.Errorf("4096 sequential pages hit only %d/%d stripes", len(seen), numStripes)
-	}
-}
-
 // TestBackendInterface pins that the manager satisfies the full contract,
 // durable extras excluded.
 func TestBackendInterface(t *testing.T) {

@@ -1,15 +1,16 @@
 // Package storage defines the page-storage seam of the stack: the Backend
 // interface every page store implements, the shared Stats ledger, transient
-// versus permanent error classification, and backend-agnostic wrappers for
-// deterministic fault injection (WithFaults), per-stripe circuit breaking
-// (WithBreaker) and latency instrumentation (WithMetrics).
+// versus permanent error classification, the page-to-stripe hash
+// (StripeIndex), and two test injectors that wrap any backend: deterministic
+// fault injection (WithFaults) and silent corruption (WithCorruption).
 //
 // Two backends exist: storage/sim, the in-memory simulated disk the paper's
 // experiments run on, and storage/file, a durable page file with a
 // group-committed write-ahead log and redo-only crash recovery. The buffer
 // pool, the db layer, and the observability assembly depend only on the
-// interface, so the wrappers compose over either backend — fault storms and
-// breaker protection come for free on the durable store.
+// interface. The pool is the one caller of Read and Write and gates each
+// attempt itself (circuit breaker, latency histograms, disk spans), so
+// nothing wraps a serving backend; the injectors compose over either one.
 package storage
 
 import (
@@ -23,8 +24,9 @@ import (
 // canonical 4 KByte page (§2.1.2).
 const PageSize = 4096
 
-// DefaultStripes is the stripe count backends partition their page stores
-// (and health accounting) into. Must be a power of two.
+// DefaultStripes is the stripe count backends partition their page latches
+// into, and the pool its breaker and disk histograms. Must be a power of
+// two.
 const DefaultStripes = 32
 
 // ErrPageNotAllocated reports access to a page id that was never allocated.
@@ -46,8 +48,8 @@ type Stats struct {
 	ReadFaults  uint64
 	WriteFaults uint64
 	// ServiceMicros is the total simulated service time of all operations
-	// (simulator only; the file backend reports wall latency through the
-	// WithMetrics histograms instead).
+	// (simulator only; wall latency of either backend is the pool's
+	// per-stripe disk histograms).
 	ServiceMicros int64
 	// WALAppends and WALSyncs count write-ahead-log records appended and
 	// group-commit fsync batches issued (file backend only). Appends per
@@ -68,8 +70,8 @@ type Stats struct {
 
 // Backend is a page store: the disk under the buffer pool. Implementations
 // must be safe for concurrent use; Read and Write on different pages should
-// proceed in parallel (stores partition their pages into NumStripes latch
-// stripes keyed by StripeOf).
+// proceed in parallel (both stores latch their pages in DefaultStripes
+// stripes keyed by StripeIndex, privately).
 //
 // Read and Write honour ctx only at natural blocking points; both require
 // buf to hold exactly PageSize bytes. Errors are classified by IsTransient:
@@ -100,12 +102,6 @@ type Backend interface {
 	// Stats returns a snapshot of cumulative activity. Counters are
 	// individually exact but not mutually consistent under concurrency.
 	Stats() Stats
-	// StripeOf returns the latch stripe of page p, in [0, NumStripes()).
-	// Callers that track per-device-region health (the circuit breaker)
-	// key their state by it.
-	StripeOf(p policy.PageID) int
-	// NumStripes returns the number of page-store partitions.
-	NumStripes() int
 	// NumPages returns the number of currently allocated pages.
 	NumPages() int
 	// Close releases the backend's resources. Callers flush first; Close
@@ -153,8 +149,8 @@ type DurableBackend interface {
 
 // StripeIndex hashes page p onto one of n stripes (n a power of two) with
 // the SplitMix64 finaliser, so adjacent page ids land on different stripes.
-// Backends share it so a breaker keyed by one backend's StripeOf stays
-// valid across backends.
+// Both backends latch by it, and the pool keys its breaker and disk
+// histograms by it, so a stripe names the same pages at every layer.
 func StripeIndex(p policy.PageID, n int) int {
 	z := uint64(p) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
