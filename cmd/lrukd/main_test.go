@@ -172,8 +172,10 @@ func TestRunObservabilityPlane(t *testing.T) {
 		"-frames", "32",
 	)
 	cl := d.dial()
-	for i := int64(0); i < 50; i++ {
-		if _, err := cl.Get(context.Background(), i%300); err != nil {
+	// Every other customer: 100 heap pages, a read set larger than the pool
+	// (the load itself writes heap pages past it and evicts nothing).
+	for i := int64(0); i < 200; i += 2 {
+		if _, err := cl.Get(context.Background(), i); err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
 	}

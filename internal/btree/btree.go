@@ -310,8 +310,7 @@ func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResul
 	child := childFor(data, key)
 	// Keep the parent pinned across the child insert: a split must come
 	// back to this very frame. A split therefore pins the root-to-leaf path
-	// and the new sibling, tree height + 1 frames (db.LoadCustomers holds a
-	// heap-file page besides, so it needs height + 2).
+	// and the new sibling, tree height + 1 frames.
 	res, replaced, err := t.insert(child, key, rid)
 	if err != nil {
 		pg.Unpin(false)

@@ -11,9 +11,10 @@ import (
 )
 
 // This file is the fetch path: the latch-free resident probe, the latched
-// fetch loop, the miss protocol with its coalescing, and NewPage. pinEntry
-// is the one reader of the page table's residency state machine: client
-// fetches and the maintenance paths (flushResident) both pin through it.
+// fetch loop, the miss protocol with its coalescing, NewPage, and the
+// frameless AllocatePage and WriteNewPage. pinEntry is the one reader of
+// the page table's residency state machine: client fetches and the
+// maintenance paths (flushResident) both pin through it.
 
 // Fetch pins page id, reading it from disk on a miss, and returns the
 // handle. Concurrent fetches of a non-resident page issue one disk read:
@@ -315,7 +316,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		sh.mu.Unlock()
 		f.finish()
 		sh.misses.Add(1)
-		sh.countReadFailure(rerr)
+		sh.countFailure(storage.OpRead, rerr)
 		// Waiters that pinned before the table delete still hold the frame;
 		// the last participant out returns it to the free list (after which
 		// the frame, f.err included, belongs to its next owner).
@@ -375,4 +376,40 @@ func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 	p.replacer.RecordAccess(id)
 	sh.misses.Add(1) // a new page is by definition not buffer-resident
 	return Page{pool: p, id: id, f: f, valid: true}, nil
+}
+
+// AllocatePage reserves a fresh disk page without a frame, for a caller
+// that writes its first image through WriteNewPage before anything reads it
+// (the bulk load's heap pages). The scrubber's range covers the page.
+func (p *Pool) AllocatePage() (policy.PageID, error) {
+	if p.closed.Load() {
+		return 0, ErrClosed
+	}
+	id, err := p.backend.Allocate()
+	if err != nil {
+		return 0, fmt.Errorf("bufferpool: allocating page: %w", err)
+	}
+	p.notePage(id)
+	return id, nil
+}
+
+// WriteNewPage writes the first image of a page AllocatePage returned, which
+// no frame has held, once through the I/O gate and retry ladder, behind as a
+// flush sweep's writes are: on a durable backend it is durable at the next
+// FlushAll's barrier. A failed write counts in WriteErrors (or
+// WritesRejected) but quarantines nothing: the caller still holds the image.
+func (p *Pool) WriteNewPage(ctx context.Context, id policy.PageID, data []byte) error {
+	if p.closed.Load() {
+		return ErrClosed
+	}
+	// Under sweepMu the write falls wholly before a sweep's barrier or after
+	// it, so p.behind stays set until a barrier covers the image.
+	p.sweepMu.Lock()
+	defer p.sweepMu.Unlock()
+	p.behind.Store(true)
+	if err := p.diskRetry(storage.WithWriteBehind(ctx), storage.OpWrite, id, data); err != nil {
+		p.shardOf(id).countFailure(storage.OpWrite, err)
+		return fmt.Errorf("bufferpool: writing new page %d: %w", id, err)
+	}
+	return nil
 }

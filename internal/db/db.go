@@ -363,14 +363,16 @@ func (db *DB) Recovery() (storage.RecoveryInfo, bool) {
 }
 
 // minLoadFrames is the smallest pool LoadCustomers accepts: a leaf split
-// under a one-level root pins the root, the leaf and its new sibling, and
-// the load holds its heap-file tail besides (each deeper level adds one).
+// pins the root-to-leaf path and the new sibling, four frames at three
+// levels. The heap pages the load fills take no frame.
 const minLoadFrames = 4
 
 // LoadCustomers bulk-loads n customer records keyed 0..n-1 into a database
 // that holds none. Each record begins with its CUST-ID (8 bytes
 // little-endian) followed by filler. The Appenders it fills the heap file
-// and index through leave the pages inserting each record would.
+// and index through leave the pages inserting each record would. Each heap
+// page goes to disk once, past the pool's frames, and is readable when
+// LoadCustomers returns; a failed heap page write fails the load.
 func (db *DB) LoadCustomers(n int) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -385,7 +387,6 @@ func (db *DB) LoadCustomers(n int) error {
 		return fmt.Errorf("db: LoadCustomers needs at least %d frames, the pool has %d", minLoadFrames, db.cfg.Frames)
 	}
 	heap, index := db.customers.NewAppender(), db.index.NewAppender()
-	defer heap.Close()
 	defer index.Close()
 	rec := make([]byte, db.cfg.recordSize)
 	for id := int64(0); id < int64(n); id++ {
@@ -397,6 +398,9 @@ func (db *DB) LoadCustomers(n int) error {
 		if err := index.Append(id, rid); err != nil {
 			return fmt.Errorf("db: indexing customer %d: %w", id, err)
 		}
+	}
+	if err := heap.Close(); err != nil {
+		return fmt.Errorf("db: loading customer %d: %w", n-1, err)
 	}
 	db.count.Store(int64(n))
 	return nil

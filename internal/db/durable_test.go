@@ -205,11 +205,11 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 }
 
 // TestDurableSetupSharesFsyncs guards the fsync counts of a durable set-up,
-// which are deterministic: loading an all-resident population appends an
-// alloc record per page and syncs none of them (they ride the next sync),
-// and the first FlushAll writes every page behind and makes exactly two WAL
-// fsyncs — the checkpoint's one for the whole sweep, and the catalog
-// publish's own.
+// which are deterministic: loading an all-resident index appends an alloc
+// record per page and writes each heap page behind, syncing none of them
+// (they ride the next sync), and the first FlushAll writes the index pages
+// behind and makes exactly two WAL fsyncs — the checkpoint's one for the
+// load and the sweep together, and the catalog publish's own.
 func TestDurableSetupSharesFsyncs(t *testing.T) {
 	leakcheck.Check(t)
 	s, err := file.Open(t.TempDir())
@@ -239,21 +239,21 @@ func TestDurableSetupSharesFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushed := d.StatsSnapshot()
-	writeBacks := flushed.Pool.WriteBacks - loaded.Pool.WriteBacks
-	syncs := flushed.Disk.WALSyncs - loaded.Disk.WALSyncs
-	t.Logf("load: %d allocations, %d WAL fsyncs; first FlushAll: %d write-backs, %d WAL fsyncs (%.1f per fsync)",
-		allocs, loadSyncs, writeBacks, syncs, float64(writeBacks)/float64(syncs))
-	if writeBacks < allocs || syncs != 2 {
-		t.Errorf("first FlushAll made %d WAL fsyncs for %d write-backs, want 2 for at least %d", syncs, writeBacks, allocs)
+	writes := flushed.Disk.Writes - before.Disk.Writes
+	syncs := flushed.Disk.WALSyncs - before.Disk.WALSyncs
+	t.Logf("load: %d allocations, %d WAL fsyncs; load and first FlushAll: %d page writes, %d WAL fsyncs (%.1f per fsync)",
+		allocs, loadSyncs, writes, syncs, float64(writes)/float64(syncs))
+	if writes < allocs || syncs != 2 {
+		t.Errorf("load and first FlushAll made %d WAL fsyncs for %d page writes, want 2 for at least %d", syncs, writes, allocs)
 	}
 }
 
-// TestDurableLoadUnderEvictionAbandoned: a load over a pool far smaller than
-// the population interleaves eviction write-backs (synced) with alloc
-// records (not synced). Abandoning the store after the first FlushAll and a
-// few acknowledged updates must recover the whole dataset; abandoning it
-// mid-load, before any FlushAll, must still fail loudly rather than attach
-// to half a dataset.
+// TestDurableLoadUnderEvictionAbandoned: updates over more pages than the
+// pool holds interleave synced writes and evictions with the load's records
+// made behind — alloc records and heap page images, none synced.
+// Abandoning the store after the first FlushAll and such updates must
+// recover the whole dataset; abandoning it mid-load, before any FlushAll,
+// must still fail loudly rather than attach to half a dataset.
 func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 	const frames = 64
 	open := func(t *testing.T, dir string) *DB {
@@ -274,8 +274,29 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 		if err := d.LoadCustomers(n); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.StatsSnapshot(); st.Pool.WriteBacks == 0 || st.Disk.WALSyncs == 0 {
-			t.Fatalf("load made %d write-backs and %d fsyncs: no eviction traffic", st.Pool.WriteBacks, st.Disk.WALSyncs)
+	}
+	// churn updates customers i*97 % n for i in [from, to), recording each
+	// acknowledged fill in acked. Over more pages than frames it evicts and
+	// makes synced writes.
+	churn := func(t *testing.T, d *DB, n, from, to int64, acked map[int64]byte) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			id, fill := i*97%n, byte(0x40+i)
+			if err := d.UpdateCustomer(id, fill); err != nil {
+				t.Fatal(err)
+			}
+			acked[id] = fill
+		}
+	}
+	// updates is how many customers a churn updates before an abandon: on
+	// more pages than frames, with fills 0x40 + i still distinct and nonzero
+	// for ten more.
+	const updates = 150
+	checkTraffic := func(t *testing.T, d *DB) {
+		t.Helper()
+		if st := d.StatsSnapshot(); st.Pool.WriteBacks == 0 || st.Disk.WALSyncs == 0 || st.Pool.Evictions == 0 {
+			t.Fatalf("%d write-backs, %d fsyncs and %d evictions: no eviction traffic",
+				st.Pool.WriteBacks, st.Disk.WALSyncs, st.Pool.Evictions)
 		}
 	}
 
@@ -289,13 +310,8 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 			t.Fatal(err)
 		}
 		acked := make(map[int64]byte)
-		for i := int64(0); i < 20; i++ {
-			id, fill := i*97%customers, byte(0x40+i)
-			if err := d.UpdateCustomer(id, fill); err != nil {
-				t.Fatal(err)
-			}
-			acked[id] = fill
-		}
+		churn(t, d, customers, 0, updates, acked)
+		checkTraffic(t, d)
 		img := crashImage(t, origin) // abandon: no flush, no close
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
@@ -316,6 +332,8 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 		origin := t.TempDir()
 		d := open(t, origin)
 		load(t, d, 1200)
+		churn(t, d, 1200, 0, updates, make(map[int64]byte))
+		checkTraffic(t, d)
 		img := crashImage(t, origin) // abandon before the first FlushAll
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
@@ -358,16 +376,8 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 			t.Fatal(err)
 		}
 		acked := make(map[int64]byte)
-		update := func(from, to int64) {
-			for i := from; i < to; i++ {
-				id, fill := i*97%customers, byte(0x40+i)
-				if err := d.UpdateCustomer(id, fill); err != nil {
-					t.Fatal(err)
-				}
-				acked[id] = fill
-			}
-		}
-		update(0, 10)
+		churn(t, d, customers, 0, updates, acked)
+		checkTraffic(t, d)
 		// Give the sweep work: every resident page dirty, images unchanged.
 		for id := range policy.PageID(s.NumPages()) {
 			if !d.pool.Resident(id) {
@@ -387,7 +397,7 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 		if got := cs.behind.Load(); got != k {
 			t.Fatalf("sweep made %d write-behinds before stopping, want %d", got, k)
 		}
-		update(10, 20)
+		churn(t, d, customers, updates, updates+10, acked)
 		img := crashImage(t, origin) // abandon: no flush, no close
 		if err := d.Close(); err != nil {
 			t.Fatal(err)

@@ -212,10 +212,9 @@ func checkNoPins(t *testing.T, d *DB) {
 	}
 }
 
-// TestLoadFrameMinimum pins the load's pool floor: the heap-file tail it
-// keeps pinned costs one frame beyond a leaf split's root, leaf and new
-// sibling, so a pool under four frames is refused up front, naming the
-// minimum, and four frames load a two-level index.
+// TestLoadFrameMinimum pins the load's pool floor: a pool under four
+// frames is refused up front, naming the minimum, and four frames load a
+// two-level index.
 func TestLoadFrameMinimum(t *testing.T) {
 	for _, frames := range []int{2, 3, 4} {
 		t.Run(fmt.Sprint("frames=", frames), func(t *testing.T) {
@@ -245,9 +244,9 @@ func TestLoadFrameMinimum(t *testing.T) {
 
 // TestLoadFaultReleasesPins fails a load part-way with injected disk
 // faults — an allocation refused in the heap file, a leaf split or a root
-// split, or every eviction write-back refused — and requires the error to
-// come back with no frame left pinned, after which the database flushes
-// and closes cleanly.
+// split, or every disk write refused, which ends the load at a heap page's
+// write — and requires the error to come back with no frame left pinned,
+// after which the database flushes and closes cleanly.
 func TestLoadFaultReleasesPins(t *testing.T) {
 	// A two-record page per allocation, and 102 of them before the 205th
 	// key splits the root leaf: a leaf, then a root.
@@ -260,7 +259,7 @@ func TestLoadFaultReleasesPins(t *testing.T) {
 		{"heap-page", storage.FaultRule{Op: storage.OpAllocate, After: 102}, "loading customer 204:"},
 		{"leaf-split", storage.FaultRule{Op: storage.OpAllocate, After: 103}, "allocating leaf"},
 		{"root-split", storage.FaultRule{Op: storage.OpAllocate, After: 104}, "allocating new root"},
-		{"write-back", storage.FaultRule{Op: storage.OpWrite, After: 20}, "failed write-backs"},
+		{"write-back", storage.FaultRule{Op: storage.OpWrite, After: 20}, "loading customer 42: heapfile append: bufferpool: writing new page 21"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -287,9 +286,11 @@ func TestLoadFaultReleasesPins(t *testing.T) {
 	}
 }
 
-// TestLoadPoolTraffic: the bulk load references a page when it allocates
-// it and, once per leaf split, on the index's right spine — not per record.
-// At the benchmark's 404 frames nothing it wrote is read back from disk.
+// TestLoadPoolTraffic: the bulk load references an index page when it
+// allocates it and, once per leaf split, on the index's right spine — not
+// per record — and never references a heap page, which it writes past the
+// pool. At the benchmark's 404 frames nothing it wrote is read back from
+// disk: its misses are the index allocations alone.
 func TestLoadPoolTraffic(t *testing.T) {
 	d, err := Open(Config{Frames: 404})
 	if err != nil {
@@ -304,14 +305,100 @@ func TestLoadPoolTraffic(t *testing.T) {
 	if st.Pool.Hits > 1000 {
 		t.Errorf("%d pool hits, want at most 1000", st.Pool.Hits)
 	}
-	if st.Pool.Misses != st.Disk.Allocated {
-		t.Errorf("%d misses for %d allocations: the load read back a page it wrote", st.Pool.Misses, st.Disk.Allocated)
+	if indexAllocs := st.Disk.Allocated - uint64(st.DataPages); st.Pool.Misses != indexAllocs {
+		t.Errorf("%d misses for %d index allocations: the load read back a page it wrote", st.Pool.Misses, indexAllocs)
+	}
+}
+
+// TestLoadWritesEachHeapPageOnce: the load writes every heap page to disk
+// exactly once, past the pool — no frame, no eviction, no write-back, no
+// read, and no replacer history for it — so the disk's writes are the heap
+// pages plus the index's write-backs, and the replacer holds history for
+// index pages only. On the durable store those writes are made behind: no
+// WAL fsync until the first FlushAll's checkpoint, though FlushPage of a
+// loaded page still syncs its image before returning.
+func TestLoadWritesEachHeapPageOnce(t *testing.T) {
+	cases := []struct {
+		backend           string
+		customers, frames int
+	}{
+		{"sim", 20000, 404},
+		{"file", 2000, 64},
+	}
+	for _, c := range cases {
+		t.Run(c.backend, func(t *testing.T) {
+			cfg := Config{Frames: c.frames}
+			if c.backend == "file" {
+				s, err := file.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Backend = s
+			}
+			d, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			before := d.StatsSnapshot()
+			if err := d.LoadCustomers(c.customers); err != nil {
+				t.Fatal(err)
+			}
+			st := d.StatsSnapshot()
+			writes, reads := st.Disk.Writes-before.Disk.Writes, st.Disk.Reads-before.Disk.Reads
+			t.Logf("LoadCustomers(%d) at %d frames: %d data and %d index pages, %d disk writes, %d write-backs, %d history blocks",
+				c.customers, c.frames, st.DataPages, st.IndexPages, writes, st.Pool.WriteBacks, st.Policy.HistoryBlocks)
+			if want := uint64(st.DataPages) + st.Pool.WriteBacks - before.Pool.WriteBacks; writes != want {
+				t.Errorf("%d disk writes, want %d data pages + %d write-backs", writes, st.DataPages, st.Pool.WriteBacks)
+			}
+			if reads != 0 {
+				t.Errorf("%d disk reads: the load read back a page it wrote", reads)
+			}
+			framed := st.IndexPages
+			if c.backend == "file" {
+				framed++ // the catalog page
+			}
+			if st.Policy.HistoryBlocks > framed {
+				t.Errorf("%d replacer history blocks for %d index pages: heap pages reached the replacer",
+					st.Policy.HistoryBlocks, st.IndexPages)
+			}
+			if c.backend != "file" {
+				return
+			}
+			if syncs := st.Disk.WALSyncs - before.Disk.WALSyncs; syncs != 0 {
+				t.Errorf("the load made %d WAL fsyncs, want 0 until FlushAll", syncs)
+			}
+			// FlushPage's nil still means durable: a clean heap page whose
+			// image went behind is rewritten and synced.
+			heapPage := d.customers.Pages()[0]
+			pg, err := d.pool.Fetch(heapPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg.Unpin(false)
+			if err := d.pool.FlushPage(heapPage); err != nil {
+				t.Fatal(err)
+			}
+			if syncs := d.StatsSnapshot().Disk.WALSyncs - st.Disk.WALSyncs; syncs != 1 {
+				t.Errorf("FlushPage of a clean loaded page made %d WAL fsyncs, want 1", syncs)
+			}
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if st := d.StatsSnapshot(); st.Disk.WALSyncs == before.Disk.WALSyncs || st.Disk.Checkpoints == before.Disk.Checkpoints {
+				t.Errorf("FlushAll made %d WAL fsyncs and %d checkpoints, want the barrier's",
+					st.Disk.WALSyncs-before.Disk.WALSyncs, st.Disk.Checkpoints-before.Disk.Checkpoints)
+			}
+		})
 	}
 }
 
 // BenchmarkLoadCustomers times Open plus the paper-scale load (20,000
 // customers, 404 frames): the set-up every benchmark workload pays.
+// disk_writes/op and pool_misses/op are the load's page writes and pool
+// misses: the heap pages written once each, and the index pages only.
 func BenchmarkLoadCustomers(b *testing.B) {
+	var writes, misses uint64
 	for range b.N {
 		d, err := Open(Config{Frames: 404})
 		if err != nil {
@@ -321,9 +408,14 @@ func BenchmarkLoadCustomers(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		st := d.StatsSnapshot()
+		writes += st.Disk.Writes
+		misses += st.Pool.Misses
 		d.Close()
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(writes)/float64(b.N), "disk_writes/op")
+	b.ReportMetric(float64(misses)/float64(b.N), "pool_misses/op")
 }
 
 // BenchmarkDurableSetup times the durable set-up net_durable_mixed pays: a

@@ -131,8 +131,9 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 		"lruk_pool_poisoned_pages":        float64(snap.PoisonedPages),
 		// Every FetchCtx records exactly one observation; NewPage counts a
 		// miss per allocation without running the fetch path, hence the
-		// Allocated subtraction.
-		"lruk_pool_fetch_seconds_count": float64(snap.Pool.Hits + snap.Pool.Misses - snap.Disk.Allocated),
+		// subtraction of the pages it allocated: all but the heap pages,
+		// which the load allocates without a frame or a miss.
+		"lruk_pool_fetch_seconds_count": float64(snap.Pool.Hits + snap.Pool.Misses - (snap.Disk.Allocated - uint64(snap.DataPages))),
 	} {
 		got, ok := vals[name]
 		if !ok {

@@ -4,7 +4,7 @@
 // record access is a page reference the replacement policy sees. Records
 // are never deleted, so space is never freed: Insert places a record in the
 // last page, else in a new one; an Appender, the bulk load's path, fills
-// new pages at the end of the file, keeping the page it fills pinned.
+// new pages at the end of the file and writes each once, past the pool.
 //
 // Page layout (little-endian):
 //
@@ -207,20 +207,9 @@ func (f *File) Insert(rec []byte) (RID, error) {
 		}
 		pg.Unpin(false)
 	}
-	pg, rid, err := f.insertNew(rec)
-	if err != nil {
-		return RID{}, err
-	}
-	pg.Unpin(true)
-	return rid, nil
-}
-
-// insertNew places rec in a freshly allocated page appended to the file
-// and returns that page still pinned. checkRecord has passed, so rec fits.
-func (f *File) insertNew(rec []byte) (bufferpool.Page, RID, error) {
 	pg, err := f.pool.NewPage()
 	if err != nil {
-		return pg, RID{}, fmt.Errorf("heapfile insert: %w", err)
+		return RID{}, fmt.Errorf("heapfile insert: %w", err)
 	}
 	id := pg.ID()
 	lk := f.latchFor(id)
@@ -229,53 +218,67 @@ func (f *File) insertNew(rec []byte) (bufferpool.Page, RID, error) {
 	slot, _ := insertIntoPage(pg.Data(), rec)
 	lk.Unlock()
 	f.pages = append(f.pages, id)
-	return pg, RID{Page: id, Slot: slot}, nil
+	pg.Unpin(true)
+	return RID{Page: id, Slot: slot}, nil
 }
 
-// Appender inserts records as Insert does, starting from a new page: into the last page while the record
-// fits, else into a new one. It keeps that page pinned between calls, so a
-// record that fits costs no page reference. While an Appender is open the
-// file must not be written any other way, and Close must run on every exit.
+// Appender inserts records as Insert does, starting from a new page: into
+// the last page while the record fits, else into a new one. It fills each
+// page in a private buffer and writes it once, when the next record does
+// not fit or at Close, past the pool's frames (Pool.WriteNewPage): a bulk
+// load touches each page once, the paper's Example 1.2 sweep, so a frame
+// would keep nothing. A page joins the file, readable, once written; a
+// failed write fails the Append or Close that made it. While an Appender is
+// open the file must not be written any other way.
 type Appender struct {
-	f      *File
-	tail   bufferpool.Page
-	pinned bool
+	f    *File
+	id   policy.PageID
+	buf  []byte // page id's image while open
+	open bool
 }
 
-// NewAppender returns an Appender over f, holding no pin yet.
-func (f *File) NewAppender() *Appender { return &Appender{f: f} }
+// NewAppender returns an Appender over f, filling no page yet.
+func (f *File) NewAppender() *Appender {
+	return &Appender{f: f, buf: make([]byte, storage.PageSize)}
+}
 
 // Append stores rec and returns its RID.
 func (a *Appender) Append(rec []byte) (RID, error) {
 	if err := checkRecord(rec); err != nil {
 		return RID{}, err
 	}
-	if a.pinned {
-		id := a.tail.ID()
-		lk := a.f.latchFor(id)
-		lk.Lock()
-		slot, ok := insertIntoPage(a.tail.Data(), rec)
-		lk.Unlock()
-		if ok {
-			return RID{Page: id, Slot: slot}, nil
+	if a.open {
+		if slot, ok := insertIntoPage(a.buf, rec); ok {
+			return RID{Page: a.id, Slot: slot}, nil
 		}
-		a.Close()
+		if err := a.Close(); err != nil {
+			return RID{}, err
+		}
 	}
-	pg, rid, err := a.f.insertNew(rec)
+	id, err := a.f.pool.AllocatePage()
 	if err != nil {
-		return RID{}, err
+		return RID{}, fmt.Errorf("heapfile insert: %w", err)
 	}
-	a.tail, a.pinned = pg, true
-	return rid, nil
+	clear(a.buf)
+	initPage(a.buf)
+	slot, _ := insertIntoPage(a.buf, rec)
+	a.id, a.open = id, true
+	return RID{Page: id, Slot: slot}, nil
 }
 
-// Close releases the pinned page, marked dirty: every page an Appender
-// holds it has written. It is idempotent.
-func (a *Appender) Close() {
-	if a.pinned {
-		a.tail.Unpin(true)
-		a.pinned = false
+// Close writes the page being filled and adds it to the file; it must run
+// after the last Append. It is idempotent. A failed write leaves the page
+// allocated, unwritten and out of the file.
+func (a *Appender) Close() error {
+	if !a.open {
+		return nil
 	}
+	a.open = false
+	if err := a.f.pool.WriteNewPage(context.Background(), a.id, a.buf); err != nil {
+		return fmt.Errorf("heapfile append: %w", err)
+	}
+	a.f.pages = append(a.f.pages, a.id)
+	return nil
 }
 
 // Get returns a copy of the record at rid.

@@ -194,9 +194,10 @@ func TestConcurrentMixedOps(t *testing.T) {
 func TestRequestDeadlineSurfacesAsStatus(t *testing.T) {
 	leakcheck.Check(t)
 	// A disk pause makes misses slow; gate it so the load phase is fast.
-	// K=1 keeps eviction strictly LRU, so an early key's leaf and heap
-	// pages are both long gone after the 256-customer load churns through
-	// 16 frames — the lookup's descent crosses at least two cold pages.
+	// The load writes heap pages past the pool, so an early key's heap page
+	// is cold; K=1 keeps eviction strictly LRU, so reading the last 56
+	// customers' 28 heap pages through 16 frames evicts the early keys'
+	// leaf too — the lookup's descent crosses at least two cold pages.
 	var slow atomic.Bool
 	dbCfg := db.Config{
 		Frames: 16,
@@ -209,6 +210,11 @@ func TestRequestDeadlineSurfacesAsStatus(t *testing.T) {
 	}
 	srv, _ := startServer(t, dbCfg, Config{}, 256)
 	cl := dial(t, srv)
+	for id := int64(200); id < 256; id++ {
+		if _, err := cl.Get(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	slow.Store(true)
 
 	// The budget expires during the first cold read (the pool lets an

@@ -26,9 +26,9 @@
 // fsync or checkpoint, and anything that can make the page observable (the
 // page's own image, or a page pointing at it) is appended after it, so the
 // sync acknowledging that record covers the allocation too. A page write
-// under storage.WithWriteBehind (the pool's flush sweep) is made durable by
-// the next fsync or, at the latest, the next checkpoint, which syncs the log
-// through its last record before anything else. Recovery replays the log as
+// under storage.WithWriteBehind (the pool's flush sweep, and the bulk load's
+// heap pages) is made durable by the next fsync or, at the latest, the next
+// checkpoint, which syncs the log through its last record before anything. Recovery replays the log as
 // a prefix, so a power loss can drop only write-behind images nobody was
 // told were durable and allocations nothing durable references (those ids
 // are handed out again). The page-file write itself is not synced; a

@@ -115,8 +115,8 @@ type writeBehindKey struct{}
 
 // WithWriteBehind marks ctx so that a Write under it may return before it is
 // durable: it becomes durable at the next Flush. The mark is a context value,
-// so it crosses the wrappers as a trace context does. The buffer pool's flush
-// sweep, whose barrier follows it, is the one caller.
+// so it crosses the wrappers as a trace context does. The pool's flush sweep,
+// whose barrier follows, and its WriteNewPage (the bulk load) are the users.
 func WithWriteBehind(ctx context.Context) context.Context {
 	return context.WithValue(ctx, writeBehindKey{}, true)
 }
