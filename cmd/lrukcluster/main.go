@@ -308,10 +308,11 @@ func printTrace(stdout io.Writer, traceID obs.Hex64, spans []obs.SpanRecord) {
 }
 
 // nestSlopNS is the tolerance the nesting check allows before calling a
-// child's escape from its parent's interval a violation. Span starts are
-// wall-clock stamps while durations are monotonic elapsed time, so two
-// reads of a slewing clock can disagree by a little even when the calls
-// nested perfectly.
+// child's escape from its parent's interval a violation. A node stamps
+// span starts as one wall-clock reading, taken when its recorder was made,
+// plus a monotonic offset, so on one node a child nests exactly; a parent
+// and child from two nodes compare two such readings, which may disagree
+// by a little even when the calls nested perfectly.
 const nestSlopNS = 100_000
 
 // countNested tallies nesting violations in an elided subtree without

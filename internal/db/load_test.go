@@ -420,9 +420,11 @@ func BenchmarkLoadCustomers(b *testing.B) {
 
 // BenchmarkDurableSetup times the durable set-up net_durable_mixed pays: a
 // fresh file store, Open at 404 frames, LoadCustomers(600) and the first
-// FlushAll. wal_fsyncs/op is the log fsyncs that set-up makes.
+// FlushAll. wal_fsyncs/op is the log fsyncs that set-up makes,
+// log_writes/op the write() calls on the log and extends/op the times
+// pages.db grew.
 func BenchmarkDurableSetup(b *testing.B) {
-	var syncs uint64
+	var syncs, logWrites, extends uint64
 	for range b.N {
 		s, err := file.Open(b.TempDir())
 		if err != nil {
@@ -441,8 +443,13 @@ func BenchmarkDurableSetup(b *testing.B) {
 		}
 		b.StopTimer()
 		syncs += d.StatsSnapshot().Disk.WALSyncs
+		w, e := s.SyscallCounts()
+		logWrites += w
+		extends += e
 		d.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(syncs)/float64(b.N), "wal_fsyncs/op")
+	b.ReportMetric(float64(logWrites)/float64(b.N), "log_writes/op")
+	b.ReportMetric(float64(extends)/float64(b.N), "extends/op")
 }

@@ -179,7 +179,7 @@ type SpanRecord struct {
 	Span   Hex64    `json:"span"`
 	Parent Hex64    `json:"parent,omitempty"`
 	Kind   SpanKind `json:"kind"`
-	Start  int64    `json:"start_ns"` // wall clock, unix nanoseconds
+	Start  int64    `json:"start_ns"` // unix nanoseconds: the recorder's base plus a monotonic offset
 	Dur    int64    `json:"dur_ns"`
 	Annot  int64    `json:"annot,omitempty"` // kind-specific detail: page id, op, attempt, phase
 	Node   string   `json:"node,omitempty"`
@@ -213,6 +213,12 @@ type SpanRecorder struct {
 	cursor atomic.Uint64
 	ids    atomic.Uint64
 	salt   uint64
+	// base is the one clock reading the recorder stamps from: a span's
+	// start is baseWall plus its monotonic offset from base, so a
+	// wall-clock step under a live recorder moves no start against the
+	// monotonic durations and cannot unnest a child from its parent.
+	base     time.Time
+	baseWall int64
 }
 
 // NewSpanRecorder returns a recorder of the given capacity (minimum 1)
@@ -226,14 +232,22 @@ func NewSpanRecorder(node string, capacity int) *SpanRecorder {
 	for i := 0; i < len(node); i++ {
 		salt = splitmix64(salt ^ uint64(node[i]))
 	}
+	base := time.Now()
 	r := &SpanRecorder{
-		node:  node,
-		slots: make([]spanSlot, capacity),
-		salt:  salt,
+		node:     node,
+		slots:    make([]spanSlot, capacity),
+		salt:     salt,
+		base:     base,
+		baseWall: base.UnixNano(),
 	}
 	r.ids.Store(salt)
 	return r
 }
+
+// stamp is t as unix nanoseconds on the recorder's clock: its base's wall
+// reading plus t's monotonic offset from the base (a t without a monotonic
+// reading falls back to its wall clock).
+func (r *SpanRecorder) stamp(t time.Time) int64 { return r.baseWall + int64(t.Sub(r.base)) }
 
 // splitmix64 is the SplitMix64 finaliser: a cheap bijective mixer whose
 // outputs over sequential inputs are indistinguishable from random draws
@@ -281,7 +295,7 @@ func (r *SpanRecorder) Emit(trace, span, parent uint64, kind SpanKind, start tim
 		Span:   Hex64(span),
 		Parent: Hex64(parent),
 		Kind:   kind,
-		Start:  start.UnixNano(),
+		Start:  r.stamp(start),
 		Dur:    int64(dur),
 		Annot:  annot,
 	})
@@ -378,7 +392,7 @@ func (s Span) finish(annot int64) {
 		Span:   Hex64(s.id),
 		Parent: Hex64(s.parent),
 		Kind:   s.kind,
-		Start:  s.start.UnixNano(),
+		Start:  s.r.stamp(s.start),
 		Dur:    int64(time.Since(s.start)),
 		Annot:  annot,
 	})

@@ -88,6 +88,54 @@ func TestSpanRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpanStartsIgnoreWallClockSteps: a recorder reads the wall clock once,
+// for its base, and stamps every start as that reading plus a monotonic
+// offset. A wall-clock step under a live recorder — injected by moving the
+// base's wall reading an hour ahead of the clock, as a step back would
+// leave it — moves every start by the step and leaves each child nested in
+// its parent with no slop at all. Stamping starts from fresh wall-clock
+// reads would land an hour off the base, and a real step between a parent
+// and its child would unnest them.
+func TestSpanStartsIgnoreWallClockSteps(t *testing.T) {
+	rec := NewSpanRecorder("n0", 16)
+	rec.baseWall += int64(time.Hour)
+	trace := rec.NewTraceID()
+	tc := TraceContext{TraceID: trace, Sampled: true}
+
+	before := time.Now()
+	root := rec.Start(tc, SpanRequest)
+	child := rec.Start(root.Context(), SpanPoolFetch)
+	rec.Emit(trace, rec.NewSpanID(), child.ID(), SpanEvict, time.Now(), 0, 7)
+	child.Finish(0)
+	root.Finish(0)
+	after := time.Now()
+
+	spans := rec.TraceSpans(trace)
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want 3", len(spans))
+	}
+	byID := make(map[Hex64]SpanRecord)
+	for _, s := range spans {
+		// A minute's tolerance absorbs any real step during the test.
+		if off := time.Duration(s.Start - after.UnixNano()); off < time.Hour-time.Minute || off > time.Hour+time.Minute {
+			t.Errorf("%s span starts %v from the wall clock, want the base's hour", s.Kind, off)
+		}
+		if lo, hi := rec.stamp(before), rec.stamp(after); s.Start < lo || s.Start+s.Dur > hi {
+			t.Errorf("%s span [%d, %d] is outside the test's window [%d, %d]", s.Kind, s.Start, s.Start+s.Dur, lo, hi)
+		}
+		byID[s.Span] = s
+	}
+	for _, s := range spans {
+		p, ok := byID[s.Parent]
+		if !ok {
+			continue
+		}
+		if s.Start < p.Start || s.Start+s.Dur > p.Start+p.Dur {
+			t.Errorf("%s span [%d, +%d] escapes its parent %s [%d, +%d]", s.Kind, s.Start, s.Dur, p.Kind, p.Start, p.Dur)
+		}
+	}
+}
+
 func TestSpanRecorderRingOverwrite(t *testing.T) {
 	rec := NewSpanRecorder("n0", 4)
 	for i := 0; i < 10; i++ {

@@ -9,7 +9,7 @@
 //	           4 KByte image followed by a 24-byte integrity trailer
 //	           (magic, write epoch, page id, CRC32-C — see integrity.go).
 //	           Sparse: holes read as zeros, matching a freshly allocated
-//	           page.
+//	           page. It grows growStep slots at a time.
 //	wal.log    the write-ahead log (see wal.go for the record format)
 //	meta.json  allocation state (format, next page id, write epoch) as of
 //	           the last checkpoint, rewritten atomically (tmp + rename)
@@ -21,15 +21,17 @@
 // Write-ahead invariant: every state change (page write, allocate) appends
 // a checksummed WAL record before the operation returns. A page write also
 // fsyncs the log through its record — batched by group commit — before
-// returning. Two kinds of record do not
-// wait for that fsync. An allocate's record is made durable by the next
-// fsync or checkpoint, and anything that can make the page observable (the
-// page's own image, or a page pointing at it) is appended after it, so the
-// sync acknowledging that record covers the allocation too. A page write
-// under storage.WithWriteBehind (the pool's flush sweep, and the bulk load's
-// heap pages) is made durable by the next fsync or, at the latest, the next
-// checkpoint, which syncs the log through its last record before anything. Recovery replays the log as
-// a prefix, so a power loss can drop only write-behind images nobody was
+// returning. Two kinds of record do not wait for that fsync, and wait in
+// the log's buffer (wal.go) instead of costing a write() each. An
+// allocate's record is made durable by the next fsync or checkpoint, and
+// anything that can make the page observable (the page's own image, or a
+// page pointing at it) is appended after it, so the sync acknowledging that
+// record covers the allocation too. A page write under
+// storage.WithWriteBehind (the pool's flush sweep, and the bulk load's heap
+// pages) is made durable by the next fsync or, at the latest, the next
+// checkpoint, which syncs the log through its last record before anything.
+// Recovery replays the log as a prefix, so a crash — a power loss, or a
+// kill that loses the buffer — can drop only write-behind images nobody was
 // told were durable and allocations nothing durable references (those ids
 // are handed out again). The page-file write itself is not synced; a
 // checkpoint (Flush) syncs the log, fsyncs the page file, publishes the
@@ -74,6 +76,11 @@ const formatTrailer = 1
 
 // slotSize is the on-disk footprint of one page: image plus trailer.
 const slotSize = storage.PageSize + trailerLen
+
+// growStep is how many slots pages.db grows by when an allocation or a
+// replayed record passes its end (≈ 1 MiB, sparse): one ftruncate per 256
+// pages instead of one per page.
+const growStep = 256
 
 // meta is the checkpointed allocation state. Free is never written; it is
 // read only to refuse a store whose writer freed pages.
@@ -126,7 +133,8 @@ type Store struct {
 	// allocMu guards the allocation state: pages [0, next) are live.
 	allocMu sync.Mutex
 	next    policy.PageID
-	size    int64 // current pages.db length
+	size    int64         // current pages.db length
+	extends atomic.Uint64 // ftruncate calls that grew pages.db
 
 	// epoch numbers slot writes store-wide; each trailer records the
 	// epoch of the write that produced it, and meta.json persists the
@@ -181,7 +189,13 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 		pages.Close()
 		return nil, fmt.Errorf("file: opening wal: %w", err)
 	}
-	s := &Store{dir: dir, cfg: cfg, pages: pages, wal: newWAL(walF)}
+	w, err := newWAL(walF)
+	if err != nil {
+		pages.Close()
+		walF.Close()
+		return nil, err
+	}
+	s := &Store{dir: dir, cfg: cfg, pages: pages, wal: w}
 	if fi, err := pages.Stat(); err == nil {
 		s.size = fi.Size()
 	}
@@ -199,6 +213,10 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 		s.recovery.Replayed = replayed
 		s.recovery.TailDropped = tornTail
 		s.recovered.Store(uint64(replayed))
+		if err := s.trimTail(); err != nil {
+			s.closeFiles()
+			return nil, err
+		}
 		// Make the replayed state durable and clear the log: recovery must
 		// be idempotent, not cumulative, across repeated crashes.
 		if err := s.checkpoint(); err != nil {
@@ -369,16 +387,34 @@ func (s *Store) apply(rec walRecord) error {
 // slotOff is the byte offset of page p's slot in pages.db.
 func (s *Store) slotOff(p policy.PageID) int64 { return int64(p) * slotSize }
 
-// extendLocked grows pages.db to cover page p. Caller holds allocMu.
+// extendLocked grows pages.db to cover page p, to the end of p's growStep.
+// Caller holds allocMu.
 func (s *Store) extendLocked(p policy.PageID) error {
-	want := (int64(p) + 1) * slotSize
-	if want <= s.size {
+	if (int64(p)+1)*slotSize <= s.size {
 		return nil
 	}
+	want := (int64(p)/growStep + 1) * growStep * slotSize
 	if err := s.pages.Truncate(want); err != nil {
 		return fmt.Errorf("file: extending page file to page %d: %w", p, mapNoSpace(err))
 	}
 	s.size = want
+	s.extends.Add(1)
+	return nil
+}
+
+// trimTail cuts pages.db back to the live pages after replay. A slot past
+// them was written for an allocation the crash lost (its record never left
+// the log's buffer, or was never synced); cut, that id reads as zeros when
+// it is handed out again instead of as the lost page's image.
+func (s *Store) trimTail() error {
+	live := int64(s.next) * slotSize
+	if s.size <= live {
+		return nil
+	}
+	if err := s.pages.Truncate(live); err != nil {
+		return fmt.Errorf("file: trimming page file to %d pages: %w", s.next, err)
+	}
+	s.size = live
 	return nil
 }
 
@@ -434,10 +470,11 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 // Write makes page p's new image durable: WAL append under the page's
 // stripe latch (so the page file applies same-page images in log order),
 // page-file write, then group-committed fsync before returning. A write
-// under storage.WithWriteBehind skips only the fsync wait; the next
-// checkpoint syncs its record. When MaxWALBytes is set, the write that
-// pushes the log past the bound detours through a checkpoint on its way
-// out.
+// under storage.WithWriteBehind skips the fsync wait, and its record waits
+// in the log's buffer: it rides the next synchronous write or sync, and
+// the next checkpoint syncs it at the latest. When MaxWALBytes is set, the
+// write that pushes the log past the bound detours through a checkpoint on
+// its way out.
 func (s *Store) Write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if err := s.write(ctx, p, buf); err != nil {
 		return err
@@ -462,10 +499,11 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if s.cfg.Spans != nil {
 		tc = obs.TraceFrom(ctx)
 	}
+	behind := storage.WriteBehind(ctx)
 	lk := s.stripe(p)
 	lk.Lock()
 	appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
-	lsn, err := s.wal.append(recKindPage, p, buf)
+	lsn, err := s.wal.append(recKindPage, p, buf, behind)
 	appendSpan.Finish(int64(p))
 	if err != nil {
 		lk.Unlock()
@@ -476,7 +514,7 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if werr != nil {
 		return fmt.Errorf("file: writing page %d: %w", p, werr)
 	}
-	if !storage.WriteBehind(ctx) {
+	if !behind {
 		syncSpan := s.cfg.Spans.Start(tc, obs.SpanWALFsync)
 		err = s.wal.sync(lsn)
 		syncSpan.Finish(int64(p))
@@ -506,10 +544,11 @@ func (s *Store) maybeCheckpoint() {
 
 // Allocate reserves the next page id and logs the allocation so it
 // survives a crash before the next checkpoint.
-// It does not wait for the record's fsync: the log is replayed as a prefix,
-// and whatever makes the page observable is appended after this record, so
-// the fsync that acknowledges it — or a checkpoint's meta.json — covers the
-// allocation as well.
+// It writes nothing to the log file and does not wait for an fsync: the
+// record waits in the log's buffer and rides the next synchronous write or
+// sync. The log is replayed as a prefix, and whatever makes the page
+// observable is appended after this record, so the fsync that acknowledges
+// it — or a checkpoint's meta.json — covers the allocation as well.
 func (s *Store) Allocate() (policy.PageID, error) {
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
@@ -519,7 +558,7 @@ func (s *Store) Allocate() (policy.PageID, error) {
 	if err := s.extendLocked(p); err != nil {
 		return 0, err
 	}
-	if _, err := s.wal.append(recKindAlloc, p, nil); err != nil {
+	if _, err := s.wal.append(recKindAlloc, p, nil, true); err != nil {
 		return 0, err
 	}
 	s.next++
@@ -529,8 +568,9 @@ func (s *Store) Allocate() (policy.PageID, error) {
 
 // Flush is the checkpoint: sync the log through its last record (the writes
 // made behind), fsync the page file, publish the allocation state, truncate
-// the log. It runs with no operation in flight (the checkpoint lock), so the
-// truncated log describes only page-file state the fsync just made durable.
+// the log (unless nothing was appended since the last checkpoint). It runs
+// with no operation in flight (the checkpoint lock), so the truncated log
+// describes only page-file state the fsync just made durable.
 func (s *Store) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -571,6 +611,13 @@ func (s *Store) Stats() storage.Stats {
 		Checkpoints:      s.checkpoints.Load(),
 		RecoveredRecords: s.recovered.Load(),
 	}
+}
+
+// SyscallCounts reports the write() calls made on the log and the ftruncate
+// calls that grew pages.db: the system calls the log buffer and the growth
+// step batch, which storage.Stats does not count.
+func (s *Store) SyscallCounts() (logWrites, extends uint64) {
+	return s.wal.writes.Load(), s.extends.Load()
 }
 
 // Recovery reports what crash recovery did when this store was opened.

@@ -401,6 +401,8 @@ func TestUndecodableFrameFailsOpen(t *testing.T) {
 	}
 }
 
+// TestConcurrentWritersAndCheckpoints runs synchronous writers, writers
+// behind (whose records share the log's buffer) and checkpoints at once.
 func TestConcurrentWritersAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -416,10 +418,14 @@ func TestConcurrentWritersAndCheckpoints(t *testing.T) {
 			defer wg.Done()
 			img := make([]byte, storage.PageSize)
 			buf := make([]byte, storage.PageSize)
+			wctx := ctx
+			if g%2 == 1 {
+				wctx = storage.WithWriteBehind(ctx)
+			}
 			for i := 0; i < 50; i++ {
 				p := ids[(g*5+i)%pages]
 				img[0] = byte(g + 1)
-				if err := s.Write(ctx, p, img); err != nil {
+				if err := s.Write(wctx, p, img); err != nil {
 					t.Error(err)
 					return
 				}
@@ -514,7 +520,10 @@ func TestDurableBackendInterface(t *testing.T) {
 // a power loss could leave it. For every prefix, each page with a replayed
 // image is allocated and reads back verified, NumPages counts the prefix's
 // allocations, and the next Allocate hands out no page the prefix left
-// allocated.
+// allocated. The workload ends in an allocation nothing syncs: it waits in
+// the log's buffer, absent from the file, until the next sync writes it out
+// behind every earlier record; the log replayed is the file after that
+// sync.
 func TestAllocRecordsReplayAsPrefix(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -557,35 +566,49 @@ func TestAllocRecordsReplayAsPrefix(t *testing.T) {
 		t.Errorf("a trailing allocation made %d WAL fsyncs, want 0", got-syncs)
 	}
 
-	log, err := os.ReadFile(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// bounds[k] is the byte offset where record k starts; each record must
-	// be the workload's k-th operation.
-	var bounds []int
-	r := bytes.NewReader(log)
-	for {
-		bounds = append(bounds, len(log)-r.Len())
-		payload, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("reading record %d: %v", len(bounds)-1, err)
-		}
-		rec, err := decodeRecord(payload)
+	// readLog reads the log file and returns it with bounds[k], the byte
+	// offset where record k starts; the file must hold exactly want's
+	// records, the k-th of them want's k-th operation.
+	readLog := func(want []op) ([]byte, []int) {
+		t.Helper()
+		log, err := os.ReadFile(filepath.Join(dir, walName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := len(bounds) - 1
-		if k >= len(ops) || rec.kind != ops[k].kind || rec.page != ops[k].page {
-			t.Fatalf("record %d is kind %d page %d, want operation %d of %+v", k, rec.kind, rec.page, k, ops)
+		var bounds []int
+		r := bytes.NewReader(log)
+		for {
+			bounds = append(bounds, len(log)-r.Len())
+			payload, err := readRecord(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("reading record %d: %v", len(bounds)-1, err)
+			}
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := len(bounds) - 1
+			if k >= len(want) || rec.kind != want[k].kind || rec.page != want[k].page {
+				t.Fatalf("record %d is kind %d page %d, want operation %d of %+v", k, rec.kind, rec.page, k, want)
+			}
 		}
+		if got := len(bounds) - 1; got != len(want) {
+			t.Fatalf("log holds %d records for %d operations %+v", got, len(want), want)
+		}
+		return log, bounds
 	}
-	if got := len(bounds) - 1; got != len(ops) {
-		t.Fatalf("log holds %d records for %d operations", got, len(ops))
+	// The trailing allocation waits in the log's buffer: the file holds
+	// every earlier record, the last page write having carried the
+	// allocations before it out with its own frame.
+	readLog(ops[:len(ops)-1])
+	// The next sync writes it out, in order, after them.
+	if err := s.wal.syncAll(); err != nil {
+		t.Fatal(err)
 	}
+	log, bounds := readLog(ops)
 
 	buf := make([]byte, storage.PageSize)
 	for k := range bounds {
@@ -725,6 +748,132 @@ func TestWriteBehindSyncsAtFlush(t *testing.T) {
 		if err := s2.Read(ctx, p, buf); err != nil || buf[0] != byte(0x10+i) {
 			t.Errorf("crash image page %d = %#x (%v), want %#x", p, buf[0], err, 0x10+i)
 		}
+	}
+}
+
+// TestKilledStoreLosesOnlyTheLogBuffer is the kill model of the log
+// buffer: a killed process keeps what it wrote to its files and loses what
+// its log still buffered — here allocations and images written behind. The
+// store directory is copied while the store is open, as the kill leaves it,
+// and the copy reopened: every synchronously acknowledged image reads back,
+// every allocated page verifies, a page whose write-behind record was lost
+// reads as its last logged image or as its slot, and an id whose
+// allocation was lost is handed out again reading as zeros.
+func TestKilledStoreLosesOnlyTheLogBuffer(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	behind := storage.WithWriteBehind(ctx)
+	var pages []policy.PageID
+	for range 6 {
+		pages = append(pages, storage.MustAllocate(s))
+	}
+	acked := make(map[policy.PageID]byte)  // synchronously acknowledged, not overwritten
+	logged := make(map[policy.PageID]byte) // last image whose record reached the file
+	slot := make(map[policy.PageID]byte)   // last image applied to the slot
+	for i, p := range pages[:4] {
+		fill := byte(1 + i)
+		if err := s.Write(ctx, p, pageImage(fill)); err != nil {
+			t.Fatal(err)
+		}
+		acked[p], logged[p], slot[p] = fill, fill, fill
+	}
+	// Records nobody waits on: two pages with a logged image written again
+	// behind, two written behind for the first time, and a trailing
+	// allocation written behind too.
+	for i, p := range []policy.PageID{pages[0], pages[1], pages[4], pages[5]} {
+		fill := byte(0x10 + i)
+		if err := s.Write(behind, p, pageImage(fill)); err != nil {
+			t.Fatal(err)
+		}
+		delete(acked, p)
+		slot[p] = fill
+	}
+	lost := storage.MustAllocate(s)
+	if err := s.Write(behind, lost, pageImage(0x77)); err != nil {
+		t.Fatal(err)
+	}
+	s.wal.mu.Lock()
+	buffered := len(s.wal.buf)
+	s.wal.mu.Unlock()
+	if buffered == 0 {
+		t.Fatal("the writes behind left nothing in the log's buffer")
+	}
+
+	img := copyDir(t, dir) // the kill: files as written, buffer gone
+	s2 := mustOpen(t, img)
+	defer s2.Close()
+	if got := s2.NumPages(); got != len(pages) {
+		t.Fatalf("NumPages = %d after the kill, want the %d allocations a synced write carried out", got, len(pages))
+	}
+	buf := make([]byte, storage.PageSize)
+	for p := range policy.PageID(s2.NumPages()) {
+		if err := s2.Read(ctx, p, buf); err != nil {
+			t.Errorf("page %d does not verify after the kill: %v", p, err)
+			continue
+		}
+		if fill, ok := acked[p]; ok && !bytes.Equal(buf, pageImage(fill)) {
+			t.Errorf("acknowledged page %d reads %#x, want %#x", p, buf[0], fill)
+		}
+		if _, ok := acked[p]; ok {
+			continue
+		}
+		if want, ok := logged[p]; (!ok || !bytes.Equal(buf, pageImage(want))) && !bytes.Equal(buf, pageImage(slot[p])) {
+			t.Errorf("page %d written behind reads %#x, want its logged image (%#x, logged %v) or its slot %#x",
+				p, buf[0], want, ok, slot[p])
+		}
+	}
+	p, err := s2.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != lost {
+		t.Fatalf("Allocate after the kill = page %d, want the lost allocation's id %d", p, lost)
+	}
+	if err := s2.Read(ctx, p, buf); err != nil || !bytes.Equal(buf, pageImage(0)) {
+		t.Errorf("page %d, allocated again, reads %#x (%v), want zeros", p, buf[0], err)
+	}
+}
+
+// TestLogBufferBatchesSyscalls pins the batching as counts: 300 page
+// writes behind, with their allocations, write the log in at most one
+// write() per logBufSize of records plus the sync's own, and grow pages.db
+// at most twice; a synchronous write then costs one write() for itself.
+func TestLogBufferBatchesSyscalls(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	writes0, extends0 := s.SyscallCounts()
+	behind := storage.WithWriteBehind(ctx)
+	const n = 300
+	var last policy.PageID
+	for i := range n {
+		last = storage.MustAllocate(s)
+		if err := s.Write(behind, last, pageImage(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.wal.syncAll(); err != nil {
+		t.Fatal(err)
+	}
+	logBytes := s.Stats().WALBytes
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != logBytes {
+		t.Fatalf("log file after the sync: %d bytes (%v), want all %d appended", fi.Size(), err, logBytes)
+	}
+	writes, extends := s.SyscallCounts()
+	writes, extends = writes-writes0, extends-extends0
+	t.Logf("%d writes behind: %d log bytes in %d write() calls, %d extensions", n, logBytes, writes, extends)
+	if limit := uint64((logBytes+logBufSize-1)/logBufSize) + 1; writes > limit {
+		t.Errorf("%d log bytes took %d write() calls, want at most %d", logBytes, writes, limit)
+	}
+	if extends > 2 {
+		t.Errorf("%d allocations grew pages.db %d times, want at most 2", n, extends)
+	}
+	if err := s.Write(ctx, last, pageImage(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.SyscallCounts(); got != writes0+writes+1 {
+		t.Errorf("a synchronous write made %d log write() calls, want 1", got-writes0-writes)
 	}
 }
 

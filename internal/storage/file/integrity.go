@@ -157,11 +157,15 @@ func (s *Store) RepairPage(ctx context.Context, p policy.PageID) error {
 }
 
 // walImage scans the log through a separate read-only handle and returns
-// the last fully synced image of page p, or nil if the log holds none. The
-// scan stops at the first torn frame — concurrent appenders may be
-// mid-frame at the moving tail, but records for p itself cannot be (the
-// caller holds p's stripe latch).
+// the last image of page p in it, or nil if the log holds none. It first
+// writes out the log's buffer, so an image written behind and not yet in
+// the file is found too. The scan stops at the first torn frame —
+// concurrent appenders may be mid-frame at the moving tail, but records for
+// p itself cannot be (the caller holds p's stripe latch).
 func (s *Store) walImage(p policy.PageID) ([]byte, error) {
+	if err := s.wal.flush(); err != nil {
+		return nil, err
+	}
 	f, err := os.Open(filepath.Join(s.dir, walName))
 	if err != nil {
 		return nil, err

@@ -116,6 +116,37 @@ func TestRepairPageFromWALTail(t *testing.T) {
 	}
 }
 
+// TestRepairPageFromLogBuffer: an image written behind waits in the log's
+// buffer, not yet in the file RepairPage scans; repair writes the buffer
+// out first, so a corrupt slot still heals from it.
+func TestRepairPageFromLogBuffer(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	p := storage.MustAllocate(s)
+	if err := s.Flush(ctx); err != nil { // an empty log file
+		t.Fatal(err)
+	}
+	img := pageImage(0x43)
+	if err := s.Write(storage.WithWriteBehind(ctx), p, img); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != 0 {
+		t.Fatalf("log file holds %d bytes (%v) after a write behind, want the record still buffered", fi.Size(), err)
+	}
+	flipSlotByte(t, s, p, 9)
+	buf := make([]byte, storage.PageSize)
+	if err := s.Read(ctx, p, buf); !storage.IsCorrupt(err) {
+		t.Fatalf("pre-repair read: %v, want corrupt", err)
+	}
+	if err := s.RepairPage(ctx, p); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	if err := s.Read(ctx, p, buf); err != nil || !bytes.Equal(buf, img) {
+		t.Errorf("post-repair read = %#x (%v), want the image written behind", buf[0], err)
+	}
+}
+
 func TestRepairPageKeepsLatestWALImage(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()

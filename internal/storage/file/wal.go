@@ -25,6 +25,15 @@
 // recovery fails with errBadRecord instead of dropping them. Replay is
 // redo-only and idempotent — records carry full page images, so applying a
 // prefix twice converges to the same page file.
+//
+// Records nobody waits on — allocations, and page images written under
+// storage.WithWriteBehind — wait in the log's own buffer instead of costing
+// a write() each. The buffer goes to the file in LSN order, so the file is
+// always a prefix of the log: ahead of the next synchronous record in the
+// same write(), before every fsync (so a checkpoint still syncs every
+// write-behind image before it fsyncs pages.db), before RepairPage scans
+// the file, and on its own once it passes logBufSize. A killed process
+// loses what is buffered: only records no caller was told were durable.
 package file
 
 import (
@@ -48,6 +57,9 @@ const (
 	recKindAlloc = 2
 	// maxPayload bounds a sane payload: kind + page id + page image.
 	maxPayload = 1 + 8 + storage.PageSize
+	// logBufSize is how many bytes of records nobody waits on the log
+	// buffers before it writes them out unasked.
+	logBufSize = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -150,44 +162,87 @@ type wal struct {
 	appended uint64 // LSN of the last appended record
 	synced   uint64 // LSN through which the log is known durable
 	syncing  bool   // a leader's fsync is in flight
-	err      error  // sticky: a failed fsync poisons the log
-	// frame is where append encodes each record, under mu: a page image is
-	// copied once, into the log's own buffer, and no record allocates.
-	frame []byte
+	err      error  // sticky: a failed write or fsync poisons the log
+	// buf holds, under mu, the frames appended but not yet written to the
+	// file, in LSN order; append encodes every record here, so a page
+	// image is copied once, into the log's own buffer. It is made at its
+	// full capacity — logBufSize plus one frame — so no record allocates.
+	buf []byte
 
 	appends atomic.Uint64
 	syncs   atomic.Uint64
-	// bytes is the current log length — the store's MaxWALBytes
-	// forced-checkpoint trigger and the WALBytes stats gauge read it.
+	writes  atomic.Uint64 // write() calls on the log file
+	// bytes is the current log length, buffered frames included — the
+	// store's MaxWALBytes forced-checkpoint trigger and the WALBytes stats
+	// gauge read it.
 	bytes atomic.Int64
 }
 
-func newWAL(f *os.File) *wal {
-	w := &wal{f: f}
+// newWAL wraps the log file f, whose current length it takes as the
+// log's: reset truncates a log only when it is not already empty.
+func newWAL(f *os.File) (*wal, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("file: sizing wal: %w", err)
+	}
+	w := &wal{f: f, buf: make([]byte, 0, logBufSize+recHeader+maxPayload)}
 	w.cond = sync.NewCond(&w.mu)
-	return w
+	w.bytes.Store(fi.Size())
+	return w, nil
 }
 
-// append frames and writes one record (kind, page id, img — nil for alloc)
-// and returns its LSN. The caller must sync(lsn) before acknowledging a
-// page write; an alloc record and a page write made behind ride the next
-// sync (see Store.Allocate and Store.Write).
-func (w *wal) append(kind byte, p policy.PageID, img []byte) (uint64, error) {
+// append frames one record (kind, page id, img — nil for alloc) and
+// returns its LSN. A record nobody waits on (behind: an allocation, or a
+// page write under storage.WithWriteBehind) stays in the buffer until
+// something writes it out; any other record goes to the file at once,
+// behind the buffered ones and in the same write(). The caller must
+// sync(lsn) before acknowledging a page write; a buffered record rides the
+// next write or sync (see Store.Allocate and Store.Write).
+func (w *wal) append(kind byte, p policy.PageID, img []byte, behind bool) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.frame = appendRecord(w.frame[:0], kind, p, img)
-	if _, err := w.f.Write(w.frame); err != nil {
-		w.err = fmt.Errorf("file: wal append: %w", mapNoSpace(err))
-		w.cond.Broadcast()
-		return 0, w.err
+	start := len(w.buf)
+	w.buf = appendRecord(w.buf, kind, p, img)
+	size := len(w.buf) - start
+	if !behind || len(w.buf) >= logBufSize {
+		if err := w.writeLocked(); err != nil {
+			return 0, err
+		}
 	}
 	w.appended++
 	w.appends.Add(1)
-	w.bytes.Add(int64(len(w.frame)))
+	w.bytes.Add(int64(size))
 	return w.appended, nil
+}
+
+// writeLocked writes the buffered frames to the file in one write() and
+// empties the buffer. A failure poisons the log. The caller holds mu.
+func (w *wal) writeLocked() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	if _, err := w.f.Write(w.buf); err != nil {
+		w.err = fmt.Errorf("file: wal append: %w", mapNoSpace(err))
+		w.cond.Broadcast()
+		return w.err
+	}
+	w.writes.Add(1)
+	w.buf = w.buf[:0]
+	return nil
+}
+
+// flush writes the buffered records to the file, for a reader of the file
+// (RepairPage's scan) that must see every appended record.
+func (w *wal) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	return w.writeLocked()
 }
 
 // sync blocks until the log is durable through lsn (group commit).
@@ -206,6 +261,11 @@ func (w *wal) sync(lsn uint64) error {
 			break // become the leader
 		}
 		w.cond.Wait() // follower: the in-flight fsync may cover lsn
+	}
+	// lsn may still be buffered; the fsync covers only what is in the file.
+	if err := w.writeLocked(); err != nil {
+		w.mu.Unlock()
+		return err
 	}
 	w.syncing = true
 	target := w.appended
@@ -238,13 +298,18 @@ func (w *wal) syncAll() error {
 	return w.sync(lsn)
 }
 
-// reset truncates the log after a checkpoint. The caller must exclude
-// concurrent appenders (the store's checkpoint lock does).
+// reset truncates the log after a checkpoint; a log with nothing appended
+// since the last reset is already empty and is left alone. The caller must
+// exclude concurrent appenders (the store's checkpoint lock does) and have
+// synced every record (so none is buffered).
 func (w *wal) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
+	}
+	if w.bytes.Load() == 0 {
+		return nil
 	}
 	if err := w.f.Truncate(0); err != nil {
 		w.err = fmt.Errorf("file: wal truncate: %w", err)
