@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"go/build"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -440,6 +442,65 @@ func TestOptionSurface(t *testing.T) {
 			if _, ok := reflect.TypeOf(repl).MethodByName(name); ok {
 				t.Errorf("%T has %s; PolicyStats is the one stats read", repl, name)
 			}
+		}
+	}
+}
+
+// lrukdLinks is every module package the daemon links, itself included:
+// the 18 that go list -deps ./cmd/lrukd prints. TestLinkedPackages fails when one is added
+// or dropped, so each change to what the daemon links is deliberate.
+var lrukdLinks = []string{
+	"repro/cmd/lrukd",
+	"repro/internal/btree",
+	"repro/internal/bufferpool",
+	"repro/internal/cluster",
+	"repro/internal/core",
+	"repro/internal/db",
+	"repro/internal/heapfile",
+	"repro/internal/leakcheck",
+	"repro/internal/obs",
+	"repro/internal/ordmap",
+	"repro/internal/policy",
+	"repro/internal/server",
+	"repro/internal/server/client",
+	"repro/internal/server/wire",
+	"repro/internal/stats",
+	"repro/internal/storage",
+	"repro/internal/storage/file",
+	"repro/internal/storage/sim",
+}
+
+// TestLinkedPackages walks lrukd's non-test imports with go/build, from
+// this directory through every module package it reaches, and holds the
+// result to lrukdLinks.
+func TestLinkedPackages(t *testing.T) {
+	const module, root = "repro", "../.."
+	seen := map[string]bool{}
+	var walk func(path, dir string)
+	walk = func(path, dir string) {
+		if seen[path] {
+			return
+		}
+		seen[path] = true
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatalf("importing %s: %v", path, err)
+		}
+		for _, imp := range pkg.Imports {
+			if rest, ok := strings.CutPrefix(imp, module+"/"); ok {
+				walk(imp, filepath.Join(root, rest))
+			}
+		}
+	}
+	walk(module+"/cmd/lrukd", ".")
+	for p := range seen {
+		if !slices.Contains(lrukdLinks, p) {
+			t.Errorf("lrukd now links %s: add it to lrukdLinks only if the daemon needs it", p)
+		}
+	}
+	for _, p := range lrukdLinks {
+		if !seen[p] {
+			t.Errorf("lrukd no longer links %s: drop it from lrukdLinks", p)
 		}
 	}
 }

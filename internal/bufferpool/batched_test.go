@@ -1,6 +1,7 @@
 package bufferpool
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -164,9 +165,11 @@ func (s poolFetcher) Fetch(id policy.PageID) (pageHandle, error) {
 	}
 	return &pg, nil
 }
-func (s poolFetcher) FlushPage(id policy.PageID) error { return s.p.FlushPage(id) }
-func (s poolFetcher) FlushAll() error                  { return s.p.FlushAll() }
-func (s poolFetcher) PoolStats() Stats                 { return s.p.Stats() }
+func (s poolFetcher) FlushPage(id policy.PageID) error {
+	return flushPage(context.Background(), s.p, id)
+}
+func (s poolFetcher) FlushAll() error  { return s.p.FlushAll() }
+func (s poolFetcher) PoolStats() Stats { return s.p.Stats() }
 
 // TestFastHitProbe pins down the latch-free hit path: once a page has been
 // fetched and published to its shard's hot slots, a repeat fetch must be

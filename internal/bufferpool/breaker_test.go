@@ -54,8 +54,8 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		id := pg.ID()
 		pg.Unpin(true)
 
-		if err := p.FlushPageCtx(cancelled, id); !errors.Is(err, context.Canceled) {
-			t.Fatalf("FlushPageCtx under a cancelled ctx = %v, want context.Canceled", err)
+		if err := flushPage(cancelled, p, id); !errors.Is(err, context.Canceled) {
+			t.Fatalf("flush under a cancelled ctx = %v, want context.Canceled", err)
 		}
 		if st := p.Stats(); st.WriteErrors != 0 || st.WritesRejected != 0 || st.BreakerTrips != 0 {
 			t.Errorf("cancelled flush counted WriteErrors %d, WritesRejected %d, BreakerTrips %d; want 0/0/0",
@@ -67,8 +67,8 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		if !p.frameFor(id).dirty.Load() {
 			t.Error("cancelled flush left the page clean")
 		}
-		if err := p.FlushPage(id); err != nil {
-			t.Fatalf("FlushPage after a cancelled one = %v, want nil", err)
+		if err := flushPage(context.Background(), p, id); err != nil {
+			t.Fatalf("flush after a cancelled one = %v, want nil", err)
 		}
 		if st := p.Stats(); st.WriteBacks != 1 {
 			t.Errorf("WriteBacks = %d, want 1", st.WriteBacks)
@@ -115,7 +115,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		pg.Unpin(true)
 
 		d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-		if err := p.FlushPage(id); !errors.Is(err, storage.ErrInjectedFault) {
+		if err := flushPage(context.Background(), p, id); !errors.Is(err, storage.ErrInjectedFault) {
 			t.Fatalf("faulted flush = %v, want the injected fault", err)
 		}
 		if st := p.Stats(); st.BreakerTrips != 1 {
@@ -125,10 +125,10 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 
 		// Past the cooldown the cancelled flush is admitted as the probe;
 		// its attempt says nothing about the disk, so the slot goes back.
-		if err := p.FlushPageCtx(cancelled, id); !errors.Is(err, context.Canceled) {
+		if err := flushPage(cancelled, p, id); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled probe = %v, want context.Canceled", err)
 		}
-		if err := p.FlushPage(id); err != nil {
+		if err := flushPage(context.Background(), p, id); err != nil {
 			t.Fatalf("probe after a cancelled probe = %v, want nil", err)
 		}
 		if st := p.Stats(); st.BreakerTrips != 1 || st.WriteErrors != 1 {

@@ -66,9 +66,6 @@ type Replacer interface {
 // bring in another page.
 var ErrNoFreeFrame = errors.New("bufferpool: all frames pinned")
 
-// ErrPageNotResident reports an operation on a page the pool does not hold.
-var ErrPageNotResident = errors.New("bufferpool: page not resident")
-
 // ErrClosed reports an operation on a pool after Close.
 var ErrClosed = errors.New("bufferpool: pool is closed")
 
@@ -255,13 +252,6 @@ type Pool struct {
 	// clears the entry.
 	quarMu      sync.Mutex
 	quarantined map[policy.PageID]struct{}
-
-	// sweepMu serialises flush sweeps (FlushAll, Close). behind is set
-	// before a sweep's first write-behind and cleared only when that
-	// sweep's barrier succeeds; while it is set, a clean frame may hold an
-	// image that is not yet durable, so a durable flush rewrites it.
-	sweepMu sync.Mutex
-	behind  atomic.Bool
 
 	// repairer is the deepest layer of the backend stack that can repair
 	// a corrupt page in place (the file store's WAL-tail repair, or a

@@ -185,7 +185,7 @@ func TestFlushPageAndAll(t *testing.T) {
 	id := pg.ID()
 	copy(pg.Data(), []byte("flushed"))
 	pg.Unpin(true)
-	if err := p.FlushPage(id); err != nil {
+	if err := flushPage(context.Background(), p, id); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, storage.PageSize)
@@ -193,18 +193,15 @@ func TestFlushPageAndAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(buf[:7]) != "flushed" {
-		t.Error("FlushPage did not persist")
+		t.Error("flush did not persist")
 	}
 	// Flushing a clean page is a no-op.
 	wb := p.Stats().WriteBacks
-	if err := p.FlushPage(id); err != nil {
+	if err := flushPage(context.Background(), p, id); err != nil {
 		t.Fatal(err)
 	}
 	if p.Stats().WriteBacks != wb {
 		t.Error("clean flush counted as write-back")
-	}
-	if err := p.FlushPage(99999); !errors.Is(err, ErrPageNotResident) {
-		t.Errorf("flush non-resident: %v", err)
 	}
 
 	pg2, _ := p.NewPage()

@@ -173,7 +173,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 				if own && op%64 == 63 {
 					// Occasional explicit flush of an owned page; failures are
 					// part of the storm.
-					_ = p.FlushPage(id)
+					_ = flushPage(context.Background(), p, id)
 					continue
 				}
 				// A slice of fetches carries a context that is already dead or

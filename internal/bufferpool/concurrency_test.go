@@ -164,7 +164,7 @@ func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 			}
 			pg.Unpin(st.dirty)
 			if st.flush {
-				if err := p.FlushPage(st.id); err != nil {
+				if err := flushPage(context.Background(), p, st.id); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -277,7 +277,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 					writes[g]++
 					pg.Unpin(true)
 				case op < 92: // flush own page
-					if err := p.FlushPage(own); err != nil && !errors.Is(err, ErrPageNotResident) {
+					if err := flushPage(context.Background(), p, own); err != nil && !errors.Is(err, errNotResident) {
 						errs <- err
 						return
 					}

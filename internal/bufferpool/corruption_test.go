@@ -224,7 +224,7 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 	if _, err := p.NewPage(); !errors.Is(err, storage.ErrNoSpace) {
 		t.Fatalf("NewPage on full device: %v, want ErrNoSpace", err)
 	}
-	if err := p.FlushPage(ids[0]); !errors.Is(err, storage.ErrNoSpace) {
+	if err := flushPage(context.Background(), p, ids[0]); !errors.Is(err, storage.ErrNoSpace) {
 		t.Fatalf("flush on full device: %v, want ErrNoSpace", err)
 	}
 	s := p.Stats()
@@ -328,7 +328,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 				id := ids[i]
 				own := i%goroutines == g
 				if own && op%64 == 63 {
-					_ = p.FlushPage(id) // occasional explicit write-back
+					_ = flushPage(context.Background(), p, id) // occasional explicit write-back
 					continue
 				}
 				pg, err := p.Fetch(id)
@@ -386,7 +386,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		if !found {
 			t.Fatal("storm left no clean page to seed the scrubber with")
 		}
-		if err := p.FlushPage(target); err != nil && !errors.Is(err, ErrPageNotResident) {
+		if err := flushPage(context.Background(), p, target); err != nil && !errors.Is(err, errNotResident) {
 			t.Fatalf("flush of scrub target %d: %v", target, err)
 		}
 		if err := c.Read(ctx, target, buf); err != nil {

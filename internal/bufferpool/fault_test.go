@@ -371,7 +371,7 @@ func TestCoalescedWaitersReadFault(t *testing.T) {
 	}
 }
 
-// TestFlushPageFaultKeepsDirty: a failed FlushPage leaves the page dirty
+// TestFlushPageFaultKeepsDirty: a failed flush by id leaves the page dirty
 // and resident so nothing is lost, and counts one write error.
 func TestFlushPageFaultKeepsDirty(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
@@ -386,14 +386,14 @@ func TestFlushPageFaultKeepsDirty(t *testing.T) {
 	pg.Unpin(true)
 
 	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-	if err := p.FlushPage(id); !errors.Is(err, storage.ErrInjectedFault) {
-		t.Fatalf("FlushPage under write fault: %v", err)
+	if err := flushPage(context.Background(), p, id); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("flush under write fault: %v", err)
 	}
 	if s := p.Stats(); s.WriteErrors != 1 || s.WriteBacks != 0 {
 		t.Errorf("stats %+v, want 1 write error, 0 write-backs", s)
 	}
 	// Still dirty: the retry persists the data.
-	if err := p.FlushPage(id); err != nil {
+	if err := flushPage(context.Background(), p, id); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, storage.PageSize)

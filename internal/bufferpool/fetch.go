@@ -395,18 +395,14 @@ func (p *Pool) AllocatePage() (policy.PageID, error) {
 
 // WriteNewPage writes the first image of a page AllocatePage returned, which
 // no frame has held, once through the I/O gate and retry ladder, behind as a
-// flush sweep's writes are: on a durable backend it is durable at the next
-// FlushAll's barrier. A failed write counts in WriteErrors (or
-// WritesRejected) but quarantines nothing: the caller still holds the image.
+// flush sweep's writes are: on a durable backend it is durable at the
+// barrier of the next FlushAll to begin after it returns. A failed write
+// counts in WriteErrors (or WritesRejected) but quarantines nothing: the
+// caller still holds the image.
 func (p *Pool) WriteNewPage(ctx context.Context, id policy.PageID, data []byte) error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
-	// Under sweepMu the write falls wholly before a sweep's barrier or after
-	// it, so p.behind stays set until a barrier covers the image.
-	p.sweepMu.Lock()
-	defer p.sweepMu.Unlock()
-	p.behind.Store(true)
 	if err := p.diskRetry(storage.WithWriteBehind(ctx), storage.OpWrite, id, data); err != nil {
 		p.shardOf(id).countFailure(storage.OpWrite, err)
 		return fmt.Errorf("bufferpool: writing new page %d: %w", id, err)

@@ -17,23 +17,25 @@ import (
 // that drains it off the caller's critical path until the disk answers
 // again.
 
-// flushFrame writes the pinned frame back if dirty. The dirty bit is
-// cleared before the write so a concurrent modification is not lost: it
-// re-marks the page dirty and a later flush or eviction persists it.
-// flushMu serialises concurrent flushers of the same frame (the background
-// writer, FlushPage, a flush sweep), so a nil return means the frame's
-// data was durably on disk at some point during the call — never that
-// another flusher's still-undecided write looked clean in passing. Under a
-// write-behind ctx (the sweep's) it means only that the write was issued.
-// A clean frame is rewritten by an ordinary flush while a sweep's writes
-// may still be behind (p.behind), since its image may not be durable yet.
+// flushFrame writes the pinned frame back if dirty, or always if force. The
+// dirty bit is cleared before the write so a concurrent modification is not
+// lost: it re-marks the page dirty and a later flush or eviction persists
+// it. flushMu serialises concurrent flushers of the same frame (the
+// background writer, Page.FlushCtx, a flush sweep), so a nil return means
+// the frame's data reached the backend at some point during the call —
+// never that another flusher's still-undecided write looked clean in
+// passing. The write is durable when it returns unless ctx carries the
+// write-behind mark (the sweep's), which defers that to the barrier. force
+// is decided under flushMu, so a forced flush (Page.FlushCtx, the pool's
+// one durable write-back) writes even when a sweep has just written the
+// same image behind.
 // A failed write leaves the page dirty and quarantined, as a failed
 // eviction write-back does, so the background writer retries it; a write
 // the caller's own context ended leaves it dirty only.
-func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error {
+func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame, force bool) error {
 	f.flushMu.Lock()
 	defer f.flushMu.Unlock()
-	if !f.dirty.Load() && (!p.behind.Load() || storage.WriteBehind(ctx)) {
+	if !force && !f.dirty.Load() {
 		// Clean under flushMu means the last write genuinely completed (or
 		// the page was never written since load): nothing to retry, so clear
 		// any stale quarantine entry.
@@ -51,10 +53,10 @@ func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame) error
 	return nil
 }
 
-// flushResident is the maintenance paths' flush by id (FlushPage, a flush
-// sweep, the background writer, the scrubber's rewrite): pin the page if it
-// is resident — waiting out an in-flight load or write-back, interruptibly
-// — write it back if dirty, unpin. It touches no hit/miss accounting and
+// flushResident is the maintenance paths' flush by id (a flush sweep, the
+// background writer, the scrubber's rewrite): pin the page if it is
+// resident — waiting out an in-flight load or write-back, interruptibly —
+// write it back if dirty, unpin. It touches no hit/miss accounting and
 // records no reference. force flushes a clean frame too. resident is false
 // when the table holds nothing for id, its load failed, or ctx expired
 // while waiting.
@@ -64,34 +66,7 @@ func (p *Pool) flushResident(ctx context.Context, id policy.PageID, force bool) 
 		return false, nil
 	}
 	defer p.releasePin(id, f, false)
-	if force {
-		f.dirty.Store(true)
-	}
-	return true, p.flushFrame(ctx, id, f)
-}
-
-// FlushPage writes page id back to storage if dirty. The page stays
-// resident.
-func (p *Pool) FlushPage(id policy.PageID) error {
-	return p.FlushPageCtx(context.Background(), id)
-}
-
-// FlushPageCtx is FlushPage charged against ctx: the write-back and its
-// retry backoff observe the caller's deadline. On a durable backend a nil
-// return means the page image has reached the write-ahead log (group
-// commit included), which is the backend's acknowledged-write contract.
-// That holds for a page a flush sweep wrote behind, too: until a barrier
-// that began after the sweep's writes has completed, FlushPage rewrites
-// such a page synchronously even though it is clean.
-func (p *Pool) FlushPageCtx(ctx context.Context, id policy.PageID) error {
-	if p.closed.Load() {
-		return ErrClosed
-	}
-	resident, err := p.flushResident(ctx, id, false)
-	if !resident {
-		return fmt.Errorf("flush page %d: %w", id, ErrPageNotResident)
-	}
-	return err
+	return true, p.flushFrame(ctx, id, f, force)
 }
 
 // FlushAll writes every dirty resident page back to storage behind
@@ -120,16 +95,16 @@ func (p *Pool) FlushAllCtx(ctx context.Context) error {
 	return p.flushAll(ctx)
 }
 
-// flushAll is the sweep behind FlushAll and Close. Sweeps run one at a
-// time. It takes every shard's resident ids, sorts them (a deterministic
-// order, and sequential slot offsets on the file backend), and writes them
-// back in that order under a write-behind ctx. Failures are joined in page
-// order; a cancellation ends the sweep and is reported once, after them.
-// The barrier runs only after a clean sweep, and its success is what
-// clears p.behind.
+// flushAll is the sweep behind FlushAll and Close. It takes every shard's
+// resident ids, sorts them (a deterministic order, and sequential slot
+// offsets on the file backend), and writes them back in that order under a
+// write-behind ctx. Failures are joined in page order; a cancellation ends
+// the sweep and is reported once, after them. The barrier runs only after a
+// clean sweep. Sweeps need no lock of their own: flushMu serialises two
+// flushers of one frame, and the barrier (a checkpoint, on the file
+// backend) covers every write that returned before it began, whichever
+// sweep issued it.
 func (p *Pool) flushAll(ctx context.Context) error {
-	p.sweepMu.Lock()
-	defer p.sweepMu.Unlock()
 	var ids []policy.PageID
 	for i := range p.shards {
 		sh := &p.shards[i]
@@ -140,7 +115,6 @@ func (p *Pool) flushAll(ctx context.Context) error {
 		sh.mu.RUnlock()
 	}
 	slices.Sort(ids)
-	p.behind.Store(true)
 	wctx := storage.WithWriteBehind(ctx)
 	var errs []error
 	cancelled := false
@@ -170,7 +144,6 @@ func (p *Pool) flushAll(ctx context.Context) error {
 	if err := p.backend.Flush(ctx); err != nil {
 		return fmt.Errorf("bufferpool: storage flush barrier: %w", err)
 	}
-	p.behind.Store(false)
 	return nil
 }
 

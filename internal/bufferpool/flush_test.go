@@ -2,6 +2,7 @@ package bufferpool
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -154,8 +155,8 @@ func TestWriterBacksOffOnPersistentFlushFailure(t *testing.T) {
 	p.Start()
 	dirtyAll(t, p, ids, 0xE3)
 	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite}))
-	if err := p.FlushPage(ids[0]); !errors.Is(err, storage.ErrInjectedFault) {
-		t.Fatalf("FlushPage under a write fault = %v", err)
+	if err := flushPage(context.Background(), p, ids[0]); !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("flush under a write fault = %v", err)
 	}
 	if got := p.Quarantined(); got != 1 {
 		t.Fatalf("Quarantined = %d after a failed flush, want 1", got)
@@ -235,146 +236,185 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 	checkFrameInvariant(t, p)
 }
 
-// markRecorder records, for each Write, whether its context carried the
-// write-behind mark. A non-nil barrier replaces the backend's Flush.
-type markRecorder struct {
-	storage.Backend
-	barrier func() error
-	mu      sync.Mutex
-	marks   []bool
-}
+// errNotResident is flushPage's report that the pool holds no frame for
+// the page.
+var errNotResident = errors.New("page not resident")
 
-func (m *markRecorder) Write(ctx context.Context, p policy.PageID, buf []byte) error {
-	m.mu.Lock()
-	m.marks = append(m.marks, storage.WriteBehind(ctx))
-	m.mu.Unlock()
-	return m.Backend.Write(ctx, p, buf)
-}
-
-func (m *markRecorder) Flush(ctx context.Context) error {
-	if m.barrier != nil {
-		return m.barrier()
+// flushPage writes page id back now if it is resident and dirty, through
+// flushResident: the by-id write-back the sweep, the background writer and
+// the scrubber share.
+func flushPage(ctx context.Context, p *Pool, id policy.PageID) error {
+	resident, err := p.flushResident(ctx, id, false)
+	if !resident {
+		return fmt.Errorf("flush page %d: %w", id, errNotResident)
 	}
-	return m.Backend.Flush(ctx)
+	return err
 }
 
-// since returns the marks of the writes after the first n.
-func (m *markRecorder) since(n int) []bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return slices.Clone(m.marks[n:])
-}
+// TestConcurrentSweeps: flush sweeps take no lock of their own. While
+// updaters dirty pages (evictions writing some of them back) and a loader
+// writes fresh pages through WriteNewPage, two goroutines sweep with
+// FlushAllCtx and a third closes the pool. Every call returns nil or
+// ErrClosed, each nil sweep took exactly one barrier, and when a sweep
+// returns nil every update that returned before it began is on disk (or
+// overtaken by a later one): flushMu alone keeps one sweep from passing a
+// page another sweep is still writing. After the last call, every page not
+// updated since the last nil sweep began holds its last image.
+func TestConcurrentSweeps(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		updaters   = 3
+		perUpdater = 8
+		frames     = 16
+		minSweeps  = 40
+		minFresh   = 32
+		maxFresh   = 256
+	)
+	d := newFaultyDisk(sim.ServiceModel{})
+	ids := allocPages(t, d, updaters*perUpdater)
+	b := &barrierCounter{Backend: d}
+	p := New(b, frames, core.NewSyncReplacer(2, core.Options{}))
+	p.Start()
 
-func (m *markRecorder) count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.marks)
-}
-
-// TestFlushPageAfterWriteBehindIsDurable pins FlushPage's "nil means
-// durable" over a sweep that writes behind: the sweep's writes carry the
-// mark, and until a barrier that began after them has completed, FlushPage
-// of such a page — clean though it is — rewrites it with an unmarked
-// (synchronous) write. Once a barrier completes, FlushPage of a clean page
-// writes nothing.
-func TestFlushPageAfterWriteBehindIsDurable(t *testing.T) {
-	setup := func(t *testing.T, frames int, barrier func() error) (*Pool, *markRecorder, []policy.PageID) {
-		t.Helper()
-		d := newFaultyDisk(sim.ServiceModel{})
-		ids := allocPages(t, d, 3)
-		m := &markRecorder{Backend: d, barrier: barrier}
-		p := New(m, frames, core.NewSyncReplacer(2, core.Options{}))
-		dirtyAll(t, p, ids[:1], 0xB7)
-		return p, m, ids
+	// lastImage[i] is the version of the last update of ids[i] that returned.
+	// Versions only grow, and one frame's writes are serialised, so a page's
+	// on-disk version only grows too.
+	lastImage := make([]atomic.Uint64, len(ids))
+	onDisk := func(id policy.PageID) uint64 {
+		buf := make([]byte, storage.PageSize)
+		if err := d.Read(context.Background(), id, buf); err != nil {
+			t.Errorf("reading page %d: %v", id, err)
+		}
+		return binary.LittleEndian.Uint64(buf[8:])
 	}
-	// flushPage runs FlushPage(id) and returns the marks of its writes.
-	flushPage := func(t *testing.T, p *Pool, m *markRecorder, id policy.PageID) []bool {
-		t.Helper()
-		n := m.count()
-		if err := p.FlushPage(id); err != nil {
-			t.Fatalf("FlushPage(%d) = %v", id, err)
-		}
-		return m.since(n)
+	var (
+		clock, nilSweeps atomic.Int64
+		mu               sync.Mutex
+		fresh            []policy.PageID // in WriteNewPage return order
+		lastStart        int64           // the latest-starting nil sweep's
+		lastSnap         []uint64        // lastImage at its start
+		lastFresh        int             // len(fresh) at its start
+	)
+	freshCount := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(fresh)
 	}
-	unmarked := []bool{false}
-
-	t.Run("barrier-held", func(t *testing.T) {
-		leakcheck.Check(t)
-		held, release := make(chan struct{}), make(chan struct{})
-		var once sync.Once
-		p, m, ids := setup(t, 3, func() error {
-			once.Do(func() { close(held) })
-			<-release
-			return nil
-		})
-		done := make(chan error, 1)
-		go func() { done <- p.FlushAll() }()
-		<-held
-		if got := m.since(0); !slices.Equal(got, []bool{true}) {
-			t.Errorf("sweep wrote with marks %v, want one write behind", got)
+	// sweep runs one sweep (FlushAllCtx or Close) and checks a nil one
+	// against what had returned before it began.
+	sweep := func(what string, run func() error) (closed bool) {
+		snap := make([]uint64, len(ids))
+		for i := range snap {
+			snap[i] = lastImage[i].Load()
 		}
-		if got := flushPage(t, p, m, ids[0]); !slices.Equal(got, unmarked) {
-			t.Errorf("FlushPage while the barrier is held wrote %v, want one unmarked write", got)
-		}
-		close(release)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		if got := flushPage(t, p, m, ids[0]); len(got) != 0 {
-			t.Errorf("FlushPage of a clean page after a completed barrier wrote %v, want nothing", got)
-		}
-	})
-
-	t.Run("barrier-failed", func(t *testing.T) {
-		leakcheck.Check(t)
-		failBarrier := errors.New("barrier refused")
-		p, m, ids := setup(t, 3, func() error { return failBarrier })
-		if err := p.FlushAll(); !errors.Is(err, failBarrier) {
-			t.Fatalf("FlushAll = %v, want the barrier's error", err)
-		}
-		if got := flushPage(t, p, m, ids[0]); !slices.Equal(got, unmarked) {
-			t.Errorf("FlushPage after a failed barrier wrote %v, want one unmarked write", got)
-		}
-	})
-
-	t.Run("evicted-and-refetched", func(t *testing.T) {
-		leakcheck.Check(t)
-		failBarrier := errors.New("barrier refused")
-		var fail atomic.Bool
-		fail.Store(true)
-		p, m, ids := setup(t, 2, func() error {
-			if fail.Load() {
-				return failBarrier
+		nFresh := freshCount()
+		start := clock.Add(1)
+		if err := run(); err != nil {
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s = %v, want nil or ErrClosed", what, err)
 			}
-			return nil
-		})
-		if err := p.FlushAll(); !errors.Is(err, failBarrier) {
-			t.Fatalf("FlushAll = %v, want the barrier's error", err)
+			return true
 		}
-		for _, id := range ids[1:] {
-			pg, err := p.Fetch(id)
-			if err != nil {
-				t.Fatal(err)
+		nilSweeps.Add(1)
+		for i, id := range ids {
+			if got := onDisk(id); got < snap[i] {
+				t.Errorf("%s returned nil with page %d at update %d on disk, want at least %d", what, id, got, snap[i])
 			}
-			pg.Unpin(false)
 		}
-		if p.Resident(ids[0]) {
-			t.Fatalf("page %d still resident after two fetches into two frames", ids[0])
+		mu.Lock()
+		if start > lastStart {
+			lastStart, lastSnap, lastFresh = start, snap, nFresh
 		}
-		pg, err := p.Fetch(ids[0])
-		if err != nil {
-			t.Fatal(err)
+		mu.Unlock()
+		return false
+	}
+	unexpected := func(what string, err error) bool {
+		if err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("%s = %v, want nil or ErrClosed", what, err)
 		}
-		pg.Unpin(false)
-		if got := flushPage(t, p, m, ids[0]); !slices.Equal(got, unmarked) {
-			t.Errorf("FlushPage of a refetched page written behind wrote %v, want one unmarked write", got)
+		return err != nil
+	}
+
+	var wg sync.WaitGroup
+	for g := range updaters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := uint64(1); ; v++ {
+				i := g*perUpdater + int(v%perUpdater)
+				pg, err := p.Fetch(ids[i])
+				if unexpected("Fetch", err) {
+					return
+				}
+				// flushMu doubles as the content latch: it excludes every
+				// flusher, and the pin excludes eviction.
+				pg.f.flushMu.Lock()
+				binary.LittleEndian.PutUint64(pg.Data()[8:], v)
+				pg.f.flushMu.Unlock()
+				pg.Unpin(true)
+				lastImage[i].Store(v)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // the loader
+		defer wg.Done()
+		for range maxFresh {
+			id, err := p.AllocatePage()
+			if unexpected("AllocatePage", err) {
+				return
+			}
+			img := make([]byte, storage.PageSize)
+			binary.LittleEndian.PutUint64(img[8:], uint64(id))
+			if unexpected("WriteNewPage", p.WriteNewPage(context.Background(), id, img)) {
+				return
+			}
+			mu.Lock()
+			fresh = append(fresh, id)
+			mu.Unlock()
 		}
-		fail.Store(false)
-		if err := p.FlushAll(); err != nil {
-			t.Fatal(err)
+	}()
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !sweep("FlushAllCtx", func() error { return p.FlushAllCtx(context.Background()) }) {
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // the closer
+		defer wg.Done()
+		for nilSweeps.Load() < minSweeps || freshCount() < minFresh {
+			time.Sleep(time.Millisecond)
 		}
-		if got := flushPage(t, p, m, ids[0]); len(got) != 0 {
-			t.Errorf("FlushPage of a clean page after a completed barrier wrote %v, want nothing", got)
+		sweep("Close", p.Close)
+	}()
+	wg.Wait()
+
+	if got, want := b.flushes.Load(), nilSweeps.Load(); got != want {
+		t.Errorf("%d barriers for %d nil-returning sweeps, want one each", got, want)
+	}
+	checked := 0
+	for i, id := range ids {
+		if last := lastImage[i].Load(); last == lastSnap[i] {
+			checked++
+			if got := onDisk(id); got != last {
+				t.Errorf("page %d on disk holds update %d, want its last, %d", id, got, last)
+			}
 		}
-	})
+	}
+	for _, id := range fresh[:lastFresh] {
+		if got := onDisk(id); got != uint64(id) {
+			t.Errorf("fresh page %d on disk holds %d, want its own id", id, got)
+		}
+	}
+	t.Logf("%d nil sweeps; %d pages and %d fresh pages unchanged since the last one began",
+		nilSweeps.Load(), checked, lastFresh)
+	for i := range p.frames {
+		if n := p.frames[i].pins(); n != 0 {
+			t.Errorf("frame %d left with %d pins", i, n)
+		}
+	}
+	checkFrameInvariant(t, p)
 }

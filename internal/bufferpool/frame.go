@@ -267,18 +267,16 @@ func (pg *Page) Unpin(dirty bool) {
 }
 
 // FlushCtx writes the pinned page back now, counting the caller's own
-// modifications as dirty, and leaves the handle pinned. Because the pin is
-// held across the write the page cannot be evicted underneath it — the
-// difference from unpinning dirty and then calling FlushPageCtx by id,
-// which fails with ErrPageNotResident when an eviction wins the gap. On a
-// durable backend a nil return carries FlushPageCtx's contract: the image,
-// modifications included, has reached the write-ahead log.
+// modifications as dirty, and leaves the handle pinned. It is the pool's
+// one durable write-back: it writes even a clean frame, and on a durable
+// backend a nil return means the image, modifications included, has
+// reached the synced write-ahead log. Because the pin is held across the
+// write the page cannot be evicted underneath it.
 func (pg *Page) FlushCtx(ctx context.Context) error {
 	if !pg.valid {
 		panic("bufferpool: use of page handle after Unpin")
 	}
-	pg.f.dirty.Store(true)
-	return pg.pool.flushFrame(ctx, pg.id, pg.f)
+	return pg.pool.flushFrame(ctx, pg.id, pg.f, true)
 }
 
 // releasePin drops one pin. The replacer is not told: the page has been a

@@ -29,9 +29,10 @@ func (p *Pool) Start() {
 }
 
 // Close stops the background goroutines, flushes every dirty resident page,
-// and fences the pool: Fetch, NewPage, FlushPage and FlushAll return
-// ErrClosed afterwards. Close is idempotent — repeated
-// calls return the first call's flush result without flushing again.
+// and fences the pool: Fetch, NewPage, AllocatePage, WriteNewPage and
+// FlushAll return ErrClosed afterwards, and ScrubSweep examines nothing.
+// Close is idempotent — repeated calls return the first call's flush
+// result without flushing again.
 // In-flight operations that passed the fence complete normally; Close
 // does not wait for their pins to drop.
 func (p *Pool) Close() error {

@@ -334,7 +334,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if storage.IsTransient(err) {
 		t.Error("breaker refusal classified transient")
 	}
-	if err := p.FlushPage(c); !errors.Is(err, ErrDiskUnavailable) {
+	if err := flushPage(context.Background(), p, c); !errors.Is(err, ErrDiskUnavailable) {
 		t.Errorf("flush on the open stripe = %v, want ErrDiskUnavailable", err)
 	}
 	if ds := d.Stats(); ds.ReadFaults != faultsBefore || ds.Writes != writesBefore {
@@ -365,7 +365,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Fatal("probe fetch returned wrong data")
 	}
 	pg.Unpin(false)
-	if err := p.FlushPage(c); err != nil || p.Quarantined() != 0 {
+	if err := flushPage(context.Background(), p, c); err != nil || p.Quarantined() != 0 {
 		t.Errorf("flush after recovery = %v with %d quarantined, want nil and 0", err, p.Quarantined())
 	}
 	s, ds := p.Stats(), d.Stats()
@@ -482,15 +482,21 @@ func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 	if err := p.FlushAll(); !errors.Is(err, ErrClosed) {
 		t.Errorf("FlushAll after Close = %v, want ErrClosed", err)
 	}
-	if err := p.FlushPage(a); !errors.Is(err, ErrClosed) {
-		t.Errorf("FlushPage after Close = %v, want ErrClosed", err)
-	}
 	writesBefore := d.Stats().Writes
+	if _, err := p.AllocatePage(); !errors.Is(err, ErrClosed) {
+		t.Errorf("AllocatePage after Close = %v, want ErrClosed", err)
+	}
+	if err := p.WriteNewPage(context.Background(), a, make([]byte, storage.PageSize)); !errors.Is(err, ErrClosed) {
+		t.Errorf("WriteNewPage after Close = %v, want ErrClosed", err)
+	}
+	if n := p.ScrubSweep(context.Background(), 8); n != 0 {
+		t.Errorf("ScrubSweep after Close examined %d pages, want 0", n)
+	}
 	if err := p.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
 	if got := d.Stats().Writes; got != writesBefore {
-		t.Errorf("second Close flushed again (%d -> %d writes)", writesBefore, got)
+		t.Errorf("WriteNewPage or a second Close wrote after Close (%d -> %d writes)", writesBefore, got)
 	}
 	// Start after Close must not resurrect the writer.
 	p.Start()
@@ -537,7 +543,7 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 	}
 	d.SetFaults(nil)
 	pg.Unpin(false)
-	if err := p.FlushPage(ids[0]); err != nil {
+	if err := flushPage(context.Background(), p, ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Stats().WriteBacks; got != 2 {
@@ -563,7 +569,7 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 
 // TestJoinFailedLoad parks a load inside a disk read that will fail and has
 // other callers join it through the shared residency state machine
-// (pinEntry). Maintenance callers — FlushPageCtx and FlushAllCtx — must
+// (pinEntry). Maintenance callers — flushResident and FlushAllCtx — must
 // report the page not resident, the frame must return to the free list
 // exactly once whoever drops the last pin, and the join must leave no trace
 // in the client-facing signals: Coalesced, the CoalesceWait histogram and
@@ -580,12 +586,12 @@ func TestJoinFailedLoad(t *testing.T) {
 		{
 			name: "maintenance",
 			joiners: []func(*Pool, policy.PageID) error{
-				func(p *Pool, a policy.PageID) error { return p.FlushPageCtx(sampled, a) },
+				func(p *Pool, a policy.PageID) error { return flushPage(sampled, p, a) },
 				func(p *Pool, _ policy.PageID) error { return p.FlushAllCtx(sampled) },
 			},
 			check: func(t *testing.T, errs []error) {
-				if !errors.Is(errs[0], ErrPageNotResident) {
-					t.Errorf("FlushPageCtx over a failed load = %v, want ErrPageNotResident", errs[0])
+				if !errors.Is(errs[0], errNotResident) {
+					t.Errorf("flush by id over a failed load = %v, want errNotResident", errs[0])
 				}
 				if errs[1] != nil {
 					t.Errorf("FlushAllCtx over a failed load = %v, want nil (nothing to flush)", errs[1])

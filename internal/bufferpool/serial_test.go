@@ -237,7 +237,7 @@ func (p *Serial) FlushPage(id policy.PageID) error {
 	defer p.mu.Unlock()
 	slot, ok := p.pageTable[id]
 	if !ok {
-		return fmt.Errorf("flush page %d: %w", id, ErrPageNotResident)
+		return fmt.Errorf("flush page %d: %w", id, errNotResident)
 	}
 	f := &p.frames[slot]
 	if !f.dirty {

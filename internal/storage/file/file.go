@@ -19,10 +19,11 @@
 // Open refuses one that does.
 //
 // Write-ahead invariant: every state change (page write, allocate) appends
-// a checksummed WAL record before the operation returns. A page write also
-// fsyncs the log through its record — batched by group commit — before
-// returning. Two kinds of record do not wait for that fsync, and wait in
-// the log's buffer (wal.go) instead of costing a write() each. An
+// a checksummed WAL record to the log's buffer (wal.go) before the
+// operation returns. A page write also writes the buffer out and fsyncs the
+// log through its record — group-committed, one write() and one fsync —
+// before returning, after its slot's pwrite: only the fsync makes either
+// durable. Two kinds of record do not wait for that fsync. An
 // allocate's record is made durable by the next fsync or checkpoint, and
 // anything that can make the page observable (the page's own image, or a
 // page pointing at it) is appended after it, so the sync acknowledging that
@@ -31,9 +32,10 @@
 // pages) is made durable by the next fsync or, at the latest, the next
 // checkpoint, which syncs the log through its last record before anything.
 // Recovery replays the log as a prefix, so a crash — a power loss, or a
-// kill that loses the buffer — can drop only write-behind images nobody was
-// told were durable and allocations nothing durable references (those ids
-// are handed out again). The page-file write itself is not synced; a
+// kill that loses the buffer — can drop only images nobody was told were
+// durable (write-behind ones, and synchronous ones whose fsync had not
+// returned) and allocations nothing durable references (those ids are
+// handed out again). The page-file write itself is not synced; a
 // checkpoint (Flush) syncs the log, fsyncs the page file, publishes the
 // allocation state, and truncates the log — in that order, so a slot torn by
 // a crash during the page-file fsync is still covered by a durable record.
@@ -467,12 +469,12 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 	return nil
 }
 
-// Write makes page p's new image durable: WAL append under the page's
-// stripe latch (so the page file applies same-page images in log order),
-// page-file write, then group-committed fsync before returning. A write
-// under storage.WithWriteBehind skips the fsync wait, and its record waits
-// in the log's buffer: it rides the next synchronous write or sync, and
-// the next checkpoint syncs it at the latest. When MaxWALBytes is set, the
+// Write makes page p's new image durable: WAL append into the log's buffer
+// under the page's stripe latch (so the page file applies same-page images
+// in log order), page-file write, then the group-committed write() and
+// fsync of the log before returning. A write under storage.WithWriteBehind
+// skips that wait: its record rides the next sync, and the next checkpoint
+// syncs it at the latest. When MaxWALBytes is set, the
 // write that pushes the log past the bound detours through a checkpoint on
 // its way out.
 func (s *Store) Write(ctx context.Context, p policy.PageID, buf []byte) error {
@@ -499,11 +501,10 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if s.cfg.Spans != nil {
 		tc = obs.TraceFrom(ctx)
 	}
-	behind := storage.WriteBehind(ctx)
 	lk := s.stripe(p)
 	lk.Lock()
 	appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
-	lsn, err := s.wal.append(recKindPage, p, buf, behind)
+	lsn, err := s.wal.append(recKindPage, p, buf)
 	appendSpan.Finish(int64(p))
 	if err != nil {
 		lk.Unlock()
@@ -514,7 +515,7 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if werr != nil {
 		return fmt.Errorf("file: writing page %d: %w", p, werr)
 	}
-	if !behind {
+	if !storage.WriteBehind(ctx) {
 		syncSpan := s.cfg.Spans.Start(tc, obs.SpanWALFsync)
 		err = s.wal.sync(lsn)
 		syncSpan.Finish(int64(p))
@@ -558,7 +559,7 @@ func (s *Store) Allocate() (policy.PageID, error) {
 	if err := s.extendLocked(p); err != nil {
 		return 0, err
 	}
-	if _, err := s.wal.append(recKindAlloc, p, nil, true); err != nil {
+	if _, err := s.wal.append(recKindAlloc, p, nil); err != nil {
 		return 0, err
 	}
 	s.next++

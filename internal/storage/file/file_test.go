@@ -877,6 +877,55 @@ func TestLogBufferBatchesSyscalls(t *testing.T) {
 	}
 }
 
+// TestSynchronousWriteIsOneWriteOneFsync pins what an acknowledged write
+// costs the log: on an idle store one synchronous Write makes exactly one
+// write() and one fsync, and after write-behind records it carries them in
+// that same single write().
+func TestSynchronousWriteIsOneWriteOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	pages := make([]policy.PageID, 4)
+	for i := range pages {
+		pages[i] = storage.MustAllocate(s)
+	}
+	if err := s.wal.syncAll(); err != nil { // the allocations: idle from here
+		t.Fatal(err)
+	}
+	counts := func() (logWrites, syncs uint64) {
+		logWrites, _ = s.SyscallCounts()
+		return logWrites, s.Stats().WALSyncs
+	}
+	check := func(what string, w0, s0, wantWrites, wantSyncs uint64) {
+		t.Helper()
+		if w, sy := counts(); w-w0 != wantWrites || sy-s0 != wantSyncs {
+			t.Errorf("%s: %d log write() calls and %d WAL fsyncs, want %d and %d", what, w-w0, sy-s0, wantWrites, wantSyncs)
+		}
+	}
+
+	w0, s0 := counts()
+	if err := s.Write(ctx, pages[0], pageImage(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("a synchronous write on an idle store", w0, s0, 1, 1)
+
+	w0, s0 = counts()
+	behind := storage.WithWriteBehind(ctx)
+	for i, p := range pages[1:] {
+		if err := s.Write(behind, p, pageImage(byte(i+2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("three writes behind", w0, s0, 0, 0)
+	if err := s.Write(ctx, pages[0], pageImage(9)); err != nil {
+		t.Fatal(err)
+	}
+	check("three writes behind and a synchronous one", w0, s0, 1, 1)
+	if fi, err := os.Stat(filepath.Join(dir, walName)); err != nil || fi.Size() != s.Stats().WALBytes {
+		t.Errorf("log file after the synchronous write: %d bytes (%v), want all %d appended", fi.Size(), err, s.Stats().WALBytes)
+	}
+}
+
 // TestDirSyncUnsupportedIsOnlyEINVAL: the checkpoint drops a directory
 // fsync's error only when the filesystem cannot fsync directories at all.
 func TestDirSyncUnsupportedIsOnlyEINVAL(t *testing.T) {

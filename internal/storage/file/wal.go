@@ -26,14 +26,15 @@
 // redo-only and idempotent — records carry full page images, so applying a
 // prefix twice converges to the same page file.
 //
-// Records nobody waits on — allocations, and page images written under
-// storage.WithWriteBehind — wait in the log's own buffer instead of costing
-// a write() each. The buffer goes to the file in LSN order, so the file is
-// always a prefix of the log: ahead of the next synchronous record in the
-// same write(), before every fsync (so a checkpoint still syncs every
-// write-behind image before it fsyncs pages.db), before RepairPage scans
-// the file, and on its own once it passes logBufSize. A killed process
-// loses what is buffered: only records no caller was told were durable.
+// Every record waits in the log's own buffer instead of costing a write()
+// of its own. The buffer goes to the file in LSN order, so the file is
+// always a prefix of the log: by the group-commit leader just before its
+// fsync (so a synchronous page write costs one write() and one fsync, and
+// a checkpoint still syncs every write-behind image before it fsyncs
+// pages.db), before RepairPage scans the file, and on its own once it
+// passes logBufSize. A killed process loses what is buffered: only records
+// no caller was told were durable, since a write is acknowledged only
+// after the fsync that follows its record's write().
 package file
 
 import (
@@ -191,14 +192,12 @@ func newWAL(f *os.File) (*wal, error) {
 	return w, nil
 }
 
-// append frames one record (kind, page id, img — nil for alloc) and
-// returns its LSN. A record nobody waits on (behind: an allocation, or a
-// page write under storage.WithWriteBehind) stays in the buffer until
-// something writes it out; any other record goes to the file at once,
-// behind the buffered ones and in the same write(). The caller must
-// sync(lsn) before acknowledging a page write; a buffered record rides the
-// next write or sync (see Store.Allocate and Store.Write).
-func (w *wal) append(kind byte, p policy.PageID, img []byte, behind bool) (uint64, error) {
+// append frames one record (kind, page id, img — nil for alloc) into the
+// buffer and returns its LSN; it writes to the file only when the buffer
+// has passed logBufSize. The caller must sync(lsn) before acknowledging a
+// page write, which writes the buffer out ahead of its fsync; a record
+// nobody waits on rides the next sync (see Store.Allocate and Store.Write).
+func (w *wal) append(kind byte, p policy.PageID, img []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -207,7 +206,7 @@ func (w *wal) append(kind byte, p policy.PageID, img []byte, behind bool) (uint6
 	start := len(w.buf)
 	w.buf = appendRecord(w.buf, kind, p, img)
 	size := len(w.buf) - start
-	if !behind || len(w.buf) >= logBufSize {
+	if len(w.buf) >= logBufSize {
 		if err := w.writeLocked(); err != nil {
 			return 0, err
 		}
