@@ -18,14 +18,17 @@ test:
 race:
 	$(GO) test -race -timeout 600s ./...
 
-## fuzz-smoke: ten seconds of each core fuzz target — LRUK against the
-## Figure 2.1 transcription, and Replacer and SyncReplacer against the
-## brute-force replacer over pin/unpin/evict/restore streams at a
-## fuzzed seed, K, CRP and RIP — both ending in the victim-index invariant
-## check (go test takes one -fuzz target per run, hence two).
+## fuzz-smoke: ten seconds of each replacement fuzz target — LRUK against
+## the Figure 2.1 transcription, and Replacer and SyncReplacer against the
+## brute-force replacer over pin/unpin/evict/restore streams at a fuzzed
+## seed, K, CRP and RIP, both ending in the victim-index invariant check;
+## then the A0 and Belady oracles against their linear-scan transcriptions
+## at a fuzzed stream, capacity and β vector (go test takes one -fuzz
+## target per run, hence three).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReplacersMatchBruteForce -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzOraclesMatchBruteForce -fuzztime 10s ./internal/policy/
 
 ## size: Go line counts — root module non-test, root module test, and the
 ## nested bench/ module — the figures re-anchors and "net lines go down"

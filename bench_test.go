@@ -27,7 +27,7 @@ func benchPolicy(b *testing.B, c policy.Cache, pages int) {
 
 // BenchmarkLRU2Reference measures the paper's claim that LRU-K "incurs
 // little bookkeeping overhead": one reference through the full HIST/LAST
-// machinery and the search-tree victim index.
+// machinery and the list-and-heap victim index.
 func BenchmarkLRU2Reference(b *testing.B) {
 	benchPolicy(b, core.NewLRUK(1024, 2), 16384)
 }

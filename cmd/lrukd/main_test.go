@@ -447,7 +447,7 @@ func TestOptionSurface(t *testing.T) {
 }
 
 // lrukdLinks is every module package the daemon links, itself included:
-// the 18 that go list -deps ./cmd/lrukd prints. TestLinkedPackages fails when one is added
+// the 17 that go list -deps ./cmd/lrukd prints. TestLinkedPackages fails when one is added
 // or dropped, so each change to what the daemon links is deliberate.
 var lrukdLinks = []string{
 	"repro/cmd/lrukd",
@@ -459,7 +459,6 @@ var lrukdLinks = []string{
 	"repro/internal/heapfile",
 	"repro/internal/leakcheck",
 	"repro/internal/obs",
-	"repro/internal/ordmap",
 	"repro/internal/policy",
 	"repro/internal/server",
 	"repro/internal/server/client",

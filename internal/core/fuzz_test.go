@@ -19,9 +19,6 @@ func FuzzLRUKMatchesFigure21(f *testing.F) {
 		capacity := int(capRaw%8) + 1
 		crp := policy.Tick(crpRaw % 6)
 		c := NewLRUKWithOptions(capacity, k, Options{CorrelatedReferencePeriod: crp})
-		// Half the inputs run the table the way SyncReplacer does: index
-		// re-filing deferred to the sync ahead of each victim search.
-		c.r.table.batching = crpRaw >= 128
 		b := newBrute(capacity, k, crp)
 		for i, x := range raw {
 			p := policy.PageID(x % 32)

@@ -13,13 +13,14 @@
 // timestamp for correlated-reference detection (§2.1.1), retained history
 // for non-resident pages (§2.1.2), and a victim index ordered by Backward
 // K-distance (§2.1.3): an LRU list for the pages at infinite distance and a
-// search tree for the rest. The table is the only code that reads or writes
+// min-heap for the rest. The table is the only code that reads or writes
 // that index: the Replacer says what happened to a page (referenced,
 // admitted, made a candidate, retired) and asks for a victim.
 package core
 
 import (
-	"repro/internal/ordmap"
+	"container/heap"
+
 	"repro/internal/policy"
 )
 
@@ -37,17 +38,11 @@ type hist struct {
 	// resident reports whether the page currently occupies a buffer frame.
 	resident bool
 	// candidate reports whether the page may be chosen as a victim; it
-	// implies resident. The victim index holds exactly the candidates once
-	// sync has run.
+	// implies resident. The victim index holds exactly the candidates.
 	candidate bool
-	// dirty reports that the block is on a batching table's dirty list: its
-	// candidacy or key may have changed since it was last filed.
-	dirty bool
-	// filed reports that the victim index holds an entry for this block,
-	// under the key of the HIST(p,K) and HIST(p,1) it had when filed (kept
-	// as two ticks, not a vkey, so the block stays within 80 bytes).
-	filed                bool
-	filedKth, filedHist1 policy.Tick
+	// pos is the block's slot in the table's heap while it is filed there,
+	// and -1 otherwise.
+	pos int32
 	// prev and next link the block into the table's ∞ list while it is
 	// filed there; both are nil otherwise.
 	prev, next *hist
@@ -57,38 +52,47 @@ type hist struct {
 // reference; zero encodes an infinite Backward K-distance.
 func (h *hist) kth() policy.Tick { return h.times[len(h.times)-1] }
 
-// vkey is the victim-index key. Ascending order is eviction order: the
+// before reports whether block a is evicted before block b: the victim
+// index's order is the key (HIST(p,K), HIST(p,1), page) ascending. The
 // smallest HIST(p,K) is the maximal Backward K-distance (Definition 2.2),
 // zero (∞ distance) sorts first, and HIST(p,1) implements the subsidiary
 // LRU rule among pages tied at infinite distance.
-type vkey struct {
-	kth   policy.Tick
-	hist1 policy.Tick
-	page  policy.PageID
-}
-
-func vkeyLess(a, b vkey) bool {
-	if a.kth != b.kth {
-		return a.kth < b.kth
+func before(a, b *hist) bool {
+	if ak, bk := a.kth(), b.kth(); ak != bk {
+		return ak < bk
 	}
-	if a.hist1 != b.hist1 {
-		return a.hist1 < b.hist1
+	if a.times[0] != b.times[0] {
+		return a.times[0] < b.times[0]
 	}
 	return a.page < b.page
 }
 
-func (h *hist) key() vkey {
-	return vkey{kth: h.kth(), hist1: h.times[0], page: h.page}
+// victimHeap is the min-heap, in before order, of the candidates at finite
+// distance, for container/heap. Each block records its slot in pos, so a
+// key change is one heap.Fix.
+type victimHeap []*hist
+
+func (v victimHeap) Len() int           { return len(v) }
+func (v victimHeap) Less(i, j int) bool { return before(v[i], v[j]) }
+func (v victimHeap) Swap(i, j int) {
+	v[i], v[j] = v[j], v[i]
+	v[i].pos, v[j].pos = int32(i), int32(j)
 }
 
-// filedKey is the key h's index entry stands under, while filed.
-func (h *hist) filedKey() vkey {
-	return vkey{kth: h.filedKth, hist1: h.filedHist1, page: h.page}
+func (v *victimHeap) Push(x any) {
+	h := x.(*hist)
+	h.pos = int32(len(*v))
+	*v = append(*v, h)
 }
 
-// lruLess orders the ∞ list by filed key, which within that class is
-// (HIST(p,1), page).
-func lruLess(a, b *hist) bool { return vkeyLess(a.filedKey(), b.filedKey()) }
+func (v *victimHeap) Pop() any {
+	old := *v
+	h := old[len(old)-1]
+	old[len(old)-1] = nil
+	h.pos = -1
+	*v = old[:len(old)-1]
+	return h
+}
 
 // retired records a page that left residency at a given LAST time; the
 // retention queue purges history blocks lazily once their age exceeds the
@@ -108,28 +112,17 @@ type histTable struct {
 	clock policy.Tick
 
 	pages map[policy.PageID]*hist
-	// lru and index order the candidates by Backward K-distance; nothing
+	// lru and heap order the candidates by Backward K-distance; nothing
 	// outside this file touches them. lru is the sentinel of a circular list
 	// of the candidates at infinite distance (all of them when K = 1): every
 	// key change in that class sets HIST(p,1) := now, so Definition 2.2's
-	// subsidiary LRU order is a list, first victim at lru.next. index is the
-	// search tree over the finite keys.
-	//
-	// A mutation that moves a block's key or flips its candidacy re-files the
-	// block at once — unless the owner batches: a reference moves its page's
-	// key, mirroring every move into the tree (a delete plus an insert)
-	// dominates the cost of a reference, and SyncReplacer applies references
-	// a ring at a time. With batching set, mutations only put the block on
-	// the dirty list and sync re-files the listed blocks, at most one removal
-	// and one insertion each however often they changed; the owner calls
-	// sync at the end of each batch, and selectVictim, the index's only
-	// reader, calls it first.
-	lru      hist
-	index    *ordmap.Map[vkey, struct{}]
-	batching bool
-	dirty    []*hist
+	// subsidiary LRU order is a list, first victim at lru.next. heap holds
+	// the finite keys. A mutation that moves a block's key or flips its
+	// candidacy re-files the block at once.
+	lru  hist
+	heap victimHeap
 	// candidates counts blocks with candidate set — the size of the list and
-	// the tree together once synced.
+	// the heap together.
 	candidates int
 	// retire is the lazily-validated retention queue, a FIFO in the order
 	// pages left residency — not sorted by LAST: a page retired later may
@@ -158,7 +151,6 @@ func newHistTable(k int, crp, rip policy.Tick) *histTable {
 		crp:   crp,
 		rip:   rip,
 		pages: make(map[policy.PageID]*hist),
-		index: ordmap.New[vkey, struct{}](vkeyLess),
 	}
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
 	return t
@@ -178,43 +170,33 @@ func (t *histTable) resident(p policy.PageID) (*hist, bool) {
 	return h, ok && h.resident
 }
 
-// changed records that h's candidacy or key moved: the block is re-filed
-// now, or at the next sync if the owner batches.
-func (t *histTable) changed(h *hist) {
-	if !t.batching {
-		t.refile(h)
-	} else if !h.dirty {
-		h.dirty = true
-		t.dirty = append(t.dirty, h)
-	}
-}
-
-// refile brings h's index entry in line with the block: present exactly if
-// the page is a candidate, under its current key, in the ∞ list or the tree
-// as the key's class says.
+// refile brings h's index entry in line with the block after its candidacy
+// or key moved: present exactly if the page is a candidate, in the ∞ list
+// or the heap as the key's class says. Every change is re-filed at once, so
+// every other entry already stands under its block's current key.
 func (t *histTable) refile(h *hist) {
-	key := h.key()
-	if h.filed && (!h.candidate || key != h.filedKey()) {
-		if h.prev != nil {
-			h.prev.next, h.next.prev = h.next, h.prev
-			h.prev, h.next = nil, nil
-		} else {
-			t.index.Delete(h.filedKey())
+	if h.prev != nil {
+		h.prev.next, h.next.prev = h.next, h.prev
+		h.prev, h.next = nil, nil
+	} else if h.pos >= 0 {
+		if h.candidate && !t.listed(h) {
+			heap.Fix(&t.heap, int(h.pos))
+			return
 		}
-		h.filed = false
+		heap.Remove(&t.heap, int(h.pos))
 	}
-	if h.candidate && !h.filed {
-		h.filed, h.filedKth, h.filedHist1 = true, key.kth, key.hist1
-		if t.listed(key) {
-			t.lruInsert(h)
-		} else {
-			t.index.Set(key, struct{}{})
-		}
+	if !h.candidate {
+		return
+	}
+	if t.listed(h) {
+		t.lruInsert(h)
+	} else {
+		heap.Push(&t.heap, h)
 	}
 }
 
-// listed reports whether a candidate under key belongs in the ∞ list.
-func (t *histTable) listed(key vkey) bool { return key.kth == 0 || t.k == 1 }
+// listed reports whether candidate h belongs in the ∞ list.
+func (t *histTable) listed(h *hist) bool { return h.kth() == 0 || t.k == 1 }
 
 // lruInsert links the filed block h into the ∞ list at its (HIST(p,1),
 // page) position. The walk steps inward from both ends at once: a key moved
@@ -223,8 +205,8 @@ func (t *histTable) listed(key vkey) bool { return key.kth == 0 || t.k == 1 }
 // after back sorts above h, every entry before front below it.
 func (t *histTable) lruInsert(h *hist) {
 	back, front := t.lru.prev, t.lru.next
-	for back != &t.lru && lruLess(h, back) {
-		if lruLess(h, front) {
+	for back != &t.lru && before(h, back) {
+		if before(h, front) {
 			back = front.prev
 			break
 		}
@@ -233,24 +215,6 @@ func (t *histTable) lruInsert(h *hist) {
 	h.prev, h.next = back, back.next
 	back.next.prev = h
 	back.next = h
-}
-
-// sync re-files every dirty block: afterwards the list and the tree hold
-// exactly the candidates, each under its current key. The index is a pure
-// function of the blocks, so when sync runs changes no decision — only how
-// many key moves one re-filing absorbs. A block re-filed into the list
-// lands at the back, stepping over the blocks earlier on the dirty list
-// that were referenced after it: none for K = 2, where a listed key moves
-// only by admission, and at most the batch for K = 1 or 3. The dirty list
-// holds blocks, not page ids: one retired and then purged before this sync
-// is in the table no longer, and its entry must still go.
-func (t *histTable) sync() {
-	for i, h := range t.dirty {
-		t.dirty[i] = nil
-		h.dirty = false
-		t.refile(h)
-	}
-	t.dirty = t.dirty[:0]
 }
 
 // touch processes a reference at time now to the resident page of block h,
@@ -274,7 +238,7 @@ func (t *histTable) touch(h *hist, now policy.Tick) {
 	h.times[0] = now
 	h.last = now
 	if h.candidate {
-		t.changed(h)
+		t.refile(h)
 	}
 }
 
@@ -288,9 +252,9 @@ func (t *histTable) admit(p policy.PageID, now policy.Tick) *hist {
 		if n := len(t.free); n > 0 {
 			h, t.free = t.free[n-1], t.free[:n-1]
 			clear(h.times)
-			*h = hist{times: h.times, page: p}
+			*h = hist{times: h.times, page: p, pos: -1}
 		} else {
-			h = &hist{times: make([]policy.Tick, t.k), page: p}
+			h = &hist{times: make([]policy.Tick, t.k), page: p, pos: -1}
 		}
 		t.pages[p] = h
 	} else {
@@ -319,7 +283,7 @@ func (t *histTable) setCandidate(h *hist, candidate bool) {
 	} else {
 		t.candidates--
 	}
-	t.changed(h)
+	t.refile(h)
 }
 
 // retireResident removes the page of block h from residency (and from
@@ -369,33 +333,47 @@ func (t *histTable) retirePop() retired {
 // correlated period, the overall maximum is returned anyway — the paper
 // leaves this case open, and starving admission would deadlock a real
 // buffer pool. ok is false when there is no candidate. The ∞ list comes
-// before the whole tree in that order, so both searches walk the list
+// before the whole heap in that order, so both searches look at the list
 // first.
 func (t *histTable) selectVictim(now policy.Tick) (victim policy.PageID, ok bool) {
-	t.sync()
 	if t.crp > 0 {
 		for h := t.lru.next; h != &t.lru; h = h.next {
 			if now-h.last > t.crp {
 				return h.page, true
 			}
 		}
-		found := false
-		t.index.Ascend(func(k vkey, _ struct{}) bool {
-			if now-t.pages[k.page].last > t.crp {
-				victim, found = k.page, true
-				return false
-			}
-			return true
-		})
-		if found {
-			return victim, true
+		if i := t.eligibleMin(0, now); i >= 0 {
+			return t.heap[i].page, true
 		}
 	}
 	if h := t.lru.next; h != &t.lru {
 		return h.page, true
 	}
-	k, _, found := t.index.Min()
-	return k.page, found
+	if len(t.heap) == 0 {
+		return policy.InvalidPage, false
+	}
+	return t.heap[0].page, true
+}
+
+// eligibleMin returns the slot of the first entry, in before order, at or
+// below heap slot i whose correlated period has expired, or -1. Everything
+// below an eligible entry sorts after it, so the walk descends only from
+// ineligible entries. Each tick references one page, so at most CRP+1
+// entries are inside their period and the walk visits at most 2·CRP+3
+// slots. (A Restore that re-creates a purged block reuses the current
+// tick, so each such block can add one entry to that count.)
+func (t *histTable) eligibleMin(i int, now policy.Tick) int {
+	if i >= len(t.heap) {
+		return -1
+	}
+	if now-t.heap[i].last > t.crp {
+		return i
+	}
+	a, b := t.eligibleMin(2*i+1, now), t.eligibleMin(2*i+2, now)
+	if a < 0 || b >= 0 && t.heap.Less(b, a) {
+		return b
+	}
+	return a
 }
 
 // purge is the paper's "asynchronous demon process" (§2.1.3) run inline:
@@ -430,10 +408,7 @@ const freeMax = 1024
 func (t *histTable) dropHistory(h *hist) {
 	delete(t.pages, h.page)
 	t.purges++
-	// A block retired and then purged before a batching table's sync is
-	// still dirty and filed: sync must unfile it from the list or, under
-	// this page id, from the tree.
-	if !h.dirty && !h.filed && len(t.free) < freeMax {
+	if len(t.free) < freeMax {
 		t.free = append(t.free, h)
 	}
 }

@@ -7,14 +7,11 @@ import (
 	"repro/internal/policy"
 )
 
-// TestHistBlockSize pins the HIST block at 80 bytes, an allocator size
-// class. It was 64 before the ∞ list: the list links add 16 bytes to every
-// block, but a block filed in the list no longer holds a 48-byte tree node,
-// and most candidates a load or a cold miss makes are filed there. The
-// filed key is still two ticks, not a whole vkey.
+// TestHistBlockSize pins the HIST block at 64 bytes, an allocator size
+// class: the heap slot takes four bytes beside the two bools.
 func TestHistBlockSize(t *testing.T) {
-	if got := unsafe.Sizeof(hist{}); got > 80 {
-		t.Errorf("hist block is %d bytes, want at most 80", got)
+	if got := unsafe.Sizeof(hist{}); got > 64 {
+		t.Errorf("hist block is %d bytes, want at most 64", got)
 	}
 }
 
@@ -27,19 +24,15 @@ func listLen(t *histTable) int {
 	return n
 }
 
-// checkIndex syncs the table and asserts what sync promises: every
-// resident candidate has exactly one entry, under its current key and
-// recorded as filed under it — in the ∞ list iff its key is at infinite
-// distance (or K = 1), in the tree otherwise; the list is linked both ways
-// in (HIST(p,1), page) order; the dirty list is empty; and the list and
-// the tree together are as large as the candidate counter says. Equal
-// sizes plus every candidate's entry present leaves no room for an orphan.
+// checkIndex asserts what eager re-filing promises: every resident
+// candidate has exactly one entry — in the ∞ list iff its key is at
+// infinite distance (or K = 1), in the heap otherwise; the list is linked
+// both ways in (HIST(p,1), page) order; each heap entry's recorded slot is
+// its slot and no child sorts before its parent; and the list and the heap
+// together are as large as the candidate counter says. Equal sizes plus
+// every candidate's entry present leaves no room for an orphan.
 func checkIndex(tb testing.TB, t *histTable) {
 	tb.Helper()
-	t.sync()
-	if len(t.dirty) != 0 {
-		tb.Fatalf("dirty list holds %d blocks after sync", len(t.dirty))
-	}
 	for h := t.lru.next; h != &t.lru; h = h.next {
 		if h.next.prev != h || h.prev.next != h {
 			tb.Fatalf("∞ list links around page %d are broken", h.page)
@@ -47,9 +40,21 @@ func checkIndex(tb testing.TB, t *histTable) {
 		if t.pages[h.page] != h {
 			tb.Fatalf("∞ list holds a block of page %d the table does not", h.page)
 		}
-		if h.prev != &t.lru && !lruLess(h.prev, h) {
-			tb.Fatalf("∞ list out of order: page %d (HIST1 %d) before page %d (HIST1 %d)",
-				h.prev.page, h.prev.filedHist1, h.page, h.filedHist1)
+		if h.prev != &t.lru && !before(h.prev, h) {
+			tb.Fatalf("∞ list out of order: page %d (HIST %v) before page %d (HIST %v)",
+				h.prev.page, h.prev.times, h.page, h.times)
+		}
+	}
+	for i, h := range t.heap {
+		if int(h.pos) != i {
+			tb.Fatalf("heap slot %d holds page %d, which records slot %d", i, h.page, h.pos)
+		}
+		if t.pages[h.page] != h {
+			tb.Fatalf("heap holds a block of page %d the table does not", h.page)
+		}
+		if parent := (i - 1) / 2; i > 0 && before(h, t.heap[parent]) {
+			tb.Fatalf("heap slot %d (page %d, HIST %v) sorts before its parent (page %d, HIST %v)",
+				i, h.page, h.times, t.heap[parent].page, t.heap[parent].times)
 		}
 	}
 	want := 0
@@ -57,29 +62,22 @@ func checkIndex(tb testing.TB, t *histTable) {
 		if h.page != p {
 			tb.Fatalf("block of page %d says it is page %d", p, h.page)
 		}
-		if h.dirty {
-			tb.Fatalf("page %d still dirty after sync", p)
-		}
 		if h.candidate && !h.resident {
 			tb.Fatalf("page %d is a candidate but not resident", p)
 		}
 		if h.candidate {
 			want++
 		}
-		inList := h.prev != nil
-		_, inTree := t.index.Get(h.key())
-		if inList && inTree || (inList || inTree) != h.candidate {
-			tb.Fatalf("page %d: in list %v, in tree %v, candidate %v", p, inList, inTree, h.candidate)
+		inList, inHeap := h.prev != nil, h.pos >= 0
+		if inList && inHeap || (inList || inHeap) != h.candidate {
+			tb.Fatalf("page %d: in list %v, in heap %v, candidate %v", p, inList, inHeap, h.candidate)
 		}
-		if h.candidate && inList != t.listed(h.key()) {
-			tb.Fatalf("page %d with key %+v filed in the list = %v, want %v", p, h.key(), inList, !inList)
-		}
-		if h.filed != h.candidate || (h.filed && h.filedKey() != h.key()) {
-			tb.Fatalf("page %d: filed=%v as %+v, candidate=%v with key %+v", p, h.filed, h.filedKey(), h.candidate, h.key())
+		if h.candidate && inList != t.listed(h) {
+			tb.Fatalf("page %d with HIST %v filed in the list = %v, want %v", p, h.times, inList, !inList)
 		}
 	}
-	if n := listLen(t) + t.index.Len(); n != want || t.candidates != want {
-		tb.Fatalf("list and tree hold %d entries, counter says %d, table has %d candidates", n, t.candidates, want)
+	if n := listLen(t) + len(t.heap); n != want || t.candidates != want {
+		tb.Fatalf("list and heap hold %d entries, counter says %d, table has %d candidates", n, t.candidates, want)
 	}
 }
 

@@ -53,9 +53,9 @@ func (l *lockstep) evict(want ...policy.PageID) {
 }
 
 // filed drains the ring, checks both tables against the model, and
-// asserts which container holds each page: the ∞ list for listed, the tree
+// asserts which container holds each page: the ∞ list for listed, the heap
 // for the rest.
-func (l *lockstep) filed(listed, tree []policy.PageID) {
+func (l *lockstep) filed(listed, heaped []policy.PageID) {
 	l.t.Helper()
 	l.ring.PolicyStats()
 	for _, tbl := range []*histTable{l.plain.table, l.ring.r.table} {
@@ -65,9 +65,9 @@ func (l *lockstep) filed(listed, tree []policy.PageID) {
 				l.t.Fatalf("page %d (HIST %v) is not in the ∞ list", p, h.times)
 			}
 		}
-		for _, p := range tree {
-			if h := tbl.pages[p]; !tbl.index.Contains(h.key()) {
-				l.t.Fatalf("page %d (HIST %v) is not in the tree", p, h.times)
+		for _, p := range heaped {
+			if h := tbl.pages[p]; h.pos < 0 {
+				l.t.Fatalf("page %d (HIST %v) is not in the heap", p, h.times)
 			}
 		}
 	}
@@ -89,15 +89,15 @@ func (l *lockstep) drained(want ...policy.PageID) {
 
 const pa, pb, pc, pd, pe, pf, pg policy.PageID = 1, 2, 3, 4, 5, 6, 7
 
-// TestListReFiledOutOfDirtyOrder: with K = 3 a page stays at infinite
+// TestListReFiledOutOfAdmissionOrder: with K = 3 a page stays at infinite
 // distance through its second reference. e and f are admitted in that
-// order and then re-referenced in the other, all in one drain, so the sync
-// re-files e first and must walk f back past it.
-func TestListReFiledOutOfDirtyOrder(t *testing.T) {
+// order and then re-referenced in the other, all in one drain, so each
+// re-reference moves its page to the back of the list past the other.
+func TestListReFiledOutOfAdmissionOrder(t *testing.T) {
 	l := newLockstep(t, 3, Options{})
 	l.access(pa, pb, pc) // ticks 1-3
 	l.filed([]policy.PageID{pa, pb, pc}, nil)
-	l.access(pe, pf) // ticks 4, 5: dirty list [e, f]
+	l.access(pe, pf) // ticks 4, 5
 	l.hit(pf, pe)    // ticks 6, 7: HIST(f,1) = 6 < HIST(e,1) = 7
 	if got := l.ring.BatchStats().Events; got != 3 {
 		t.Fatalf("the ring drained mid-script: %d events applied, want 3", got)
@@ -107,8 +107,8 @@ func TestListReFiledOutOfDirtyOrder(t *testing.T) {
 }
 
 // TestListEveryCandidateInsideCRP: when no ∞ page is outside its
-// Correlated Reference Period, the search moves on to the tree; when no
-// page at all is, the victim is the list's head, not the tree's minimum.
+// Correlated Reference Period, the search moves on to the heap; when no
+// page at all is, the victim is the list's head, not the heap's minimum.
 func TestListEveryCandidateInsideCRP(t *testing.T) {
 	l := newLockstep(t, 2, Options{CorrelatedReferencePeriod: 3})
 	l.access(pd, pe, pf, pg) // ticks 1-4
@@ -116,15 +116,15 @@ func TestListEveryCandidateInsideCRP(t *testing.T) {
 	l.evict(pe, pf, pg)      // all inside the CRP: the list head goes first
 	l.access(pa, pb, pc)     // ticks 6-8; LAST(d) = 5 is inside the CRP too
 	l.filed([]policy.PageID{pa, pb, pc}, []policy.PageID{pd})
-	l.evict(pa, pb) // the fallback: list head, although the tree holds d
+	l.evict(pa, pb) // the fallback: list head, although the heap holds d
 	l.hit(pc)       // tick 9: correlated; d is now outside its period
-	l.evict(pd)     // the tree's eligible page beats the ineligible list
+	l.evict(pd)     // the heap's eligible page beats the ineligible list
 	l.drained(pc)
 }
 
-// TestListPageCrossesToTree: a correlated reference leaves a page in the
-// list; its K-th uncorrelated reference moves it to the tree.
-func TestListPageCrossesToTree(t *testing.T) {
+// TestListPageCrossesToHeap: a correlated reference leaves a page in the
+// list; its K-th uncorrelated reference moves it to the heap.
+func TestListPageCrossesToHeap(t *testing.T) {
 	l := newLockstep(t, 2, Options{CorrelatedReferencePeriod: 2})
 	l.access(pa) // tick 1
 	l.hit(pa)    // tick 2: correlated, only LAST moves
@@ -136,7 +136,7 @@ func TestListPageCrossesToTree(t *testing.T) {
 }
 
 // TestListReadmissionWithHistory: a page re-admitted with retained history
-// has a finite key at once and is filed straight into the tree.
+// has a finite key at once and is filed straight into the heap.
 func TestListReadmissionWithHistory(t *testing.T) {
 	l := newLockstep(t, 2, Options{})
 	l.access(pa, pb) // ticks 1, 2

@@ -299,13 +299,12 @@ func checkAgainstBrute(t *testing.T, tbl *histTable, brute *bruteReplacer) {
 	}
 }
 
-// TestRecycledBlocksAgainstBruteForce walks a SyncReplacer through both
-// fates of a purged HIST block, in lockstep with the brute-force model.
-// A victim retired by Evict and purged by a tick of the next drain is
-// still dirty and filed when it leaves the table: it must not be recycled,
-// or a page admitted in the same drain would take it over and the sync
-// would look for the old entry under the new page id. A victim synced
-// clean before its purge is recycled, and the next admission reuses it.
+// TestRecycledBlocksAgainstBruteForce walks a SyncReplacer through purged
+// HIST blocks and their reuse, in lockstep with the brute-force model.
+// Evict unfiles its victim at once, so a victim purged by a tick of the
+// very next drain is recycled, and a page admitted later in that drain
+// takes its block over; a victim purged drains later is recycled too, and
+// the next admission reuses the block freed last.
 func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 	const a, b, c, d, e = policy.PageID(1), policy.PageID(2), policy.PageID(3), policy.PageID(4), policy.PageID(5)
 	opts := Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2}
@@ -330,27 +329,28 @@ func TestRecycledBlocksAgainstBruteForce(t *testing.T) {
 	}
 	table := s.r.table
 
-	access(a)                                    // tick 1
-	access(b)                                    // tick 2
-	access(c)                                    // tick 3
-	evict(a)                                     // flush; a retired, dirty and filed until the next sync
-	hit(b)                                       // tick 4 purges a (LAST 1) before this drain's sync
-	access(d)                                    // tick 5: a fresh block, not a's
-	if got := s.PolicyStats().Purges; got != 1 { // drain and sync
+	access(a) // tick 1
+	access(b) // tick 2
+	access(c) // tick 3
+	evict(a)  // flush; a retired and unfiled
+	aBlock := table.pages[a]
+	hit(b)                                       // tick 4 purges a (LAST 1) in this drain
+	access(d)                                    // tick 5 reuses a's block
+	if got := s.PolicyStats().Purges; got != 1 { // drain
 		t.Fatalf("purges = %d, want a's", got)
 	}
-	if len(table.free) != 0 {
-		t.Fatalf("a's block, purged while filed, was recycled")
+	if table.pages[d] != aBlock || len(table.free) != 0 {
+		t.Fatalf("d did not reuse a's purged block (free list %d)", len(table.free))
 	}
 	checkAgainstBrute(t, table, brute)
 
 	evict(c) // the only page outside its CRP at clock 5
-	evict(d) // every page is inside its CRP and d is at ∞; the search syncs c clean
-	hit(b)   // tick 6 purges c (LAST 3), clean, so recycled
+	evict(d) // every page is inside its CRP and d is at ∞
+	hit(b)   // tick 6 purges c (LAST 3), recycled
 	if got := s.PolicyStats().Purges; got != 2 || len(table.free) != 1 {
 		t.Fatalf("purges = %d, free list %d; want c's block recycled", got, len(table.free))
 	}
-	dBlock := table.pages[d] // retired at LAST 5, synced clean at that drain's end
+	dBlock := table.pages[d] // retired at LAST 5
 	hit(b)
 	hit(b)    // ticks 7, 8; tick 8 purges d
 	access(e) // tick 9 reuses d's block, the last recycled

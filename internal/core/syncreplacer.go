@@ -10,11 +10,9 @@ import (
 // SyncReplacer is the concurrent LRU-K replacer: a mutex and a FIFO event
 // ring in front of one Replacer. Every mutating call only appends an event;
 // a drain — when the ring fills, and before every eviction search or stats
-// read — replays the ring into the Replacer's own methods and then has the
-// table (batching, see histTable.index) sync its victim index once, so a
-// pool's hot path pays no tree update per reference. The plain Replacer
-// stays the single-threaded, eagerly indexed reference the differential
-// tests compare against.
+// read — replays the ring into the Replacer's own methods. The plain
+// Replacer stays the single-threaded reference the differential tests
+// compare against.
 //
 // Correctness rests on three invariants:
 //
@@ -53,11 +51,14 @@ type SyncReplacer struct {
 	drainHook func([]event)
 }
 
-// ringCapacity is the event ring's size. A larger ring amortises the
-// end-of-drain index sync over more references per page (the dominant
-// per-reference cost; see histTable.index) but lengthens the longest hold
-// of the mutex; staleness at decision points is unaffected, since every
-// eviction search and stats read drains first.
+// ringCapacity is the event ring's size. The ring keeps a reference's hold
+// of the mutex to one slot write: the table's work (the tick, the HIST
+// shift, the heap.Fix) runs a ring at a time, in one hold per drain. On the
+// benchmark's embed_hot_read workload (2 vCPUs, 5 alternating 15 s pairs),
+// a one-slot ring — every reference applied under its own hold — raised
+// the median get_p10_us from 0.50 to 0.76 µs, worse in 5 of 5 pairs. A
+// larger ring lengthens the longest hold; staleness at decision points is
+// unaffected, since every eviction search and stats read drains first.
 const ringCapacity = 256
 
 // Event kinds.
@@ -90,9 +91,7 @@ func NewSyncReplacer(k int, opts Options) *SyncReplacer {
 
 // newSyncReplacer lets in-package tests pick a tiny ring to force drains.
 func newSyncReplacer(k int, opts Options, capacity int) *SyncReplacer {
-	r := NewReplacer(k, opts)
-	r.table.batching = true // drain syncs the victim index once per batch
-	return &SyncReplacer{r: r, ring: make([]event, capacity)}
+	return &SyncReplacer{r: NewReplacer(k, opts), ring: make([]event, capacity)}
 }
 
 // SetDrainObserver installs fn to observe each drain's event count and
@@ -172,10 +171,7 @@ func (s *SyncReplacer) SetTracer(tr PolicyTracer) {
 	s.mu.Unlock()
 }
 
-// drain applies the pending events to the Replacer, then has the table
-// re-file its victim index once for the batch. The intermediate index
-// states are unobservable — mu is held throughout, and Evict, the index's
-// only reader, drains first. The caller holds mu.
+// drain applies the pending events to the Replacer. The caller holds mu.
 func (s *SyncReplacer) drain() {
 	if s.n == 0 {
 		return
@@ -191,7 +187,6 @@ func (s *SyncReplacer) drain() {
 	for _, e := range evs {
 		s.apply(e)
 	}
-	s.r.table.sync()
 	s.stats.Events += uint64(s.n)
 	if s.drainObs != nil {
 		s.drainObs(s.n, time.Since(start).Nanoseconds())

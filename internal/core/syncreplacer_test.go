@@ -102,9 +102,9 @@ func TestBatchedStaleAccessDropped(t *testing.T) {
 // tiny ring (so full-ring drains, not only forced flushes, split the
 // sequence at arbitrary points). Victim choices, the traced decision
 // (clock and Backward K-distance) and the final policy counters must match
-// exactly: buffering with one index sync per drain is observationally
-// equivalent to the plain Replacer's sync per eviction on any serialisable
-// history, with both §2.1 periods enabled.
+// exactly: buffering events until a drain is observationally equivalent to
+// the plain Replacer's eager calls on any serialisable history, with both
+// §2.1 periods enabled.
 //
 // The generator honours the pool's contract — RecordHit is issued only
 // for resident pages, misses go through RecordAccess — because
@@ -183,7 +183,7 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 			t.Errorf("seed %d: the tiny ring never filled: %+v", seed, st)
 		}
 		// Drain the victim index on both sides: the full eviction order must
-		// agree, which pins the synced index contents and keys exactly.
+		// agree, which pins the index contents and keys exactly.
 		for {
 			v1, ok1 := plain.Evict()
 			v2, ok2 := batched.Evict()
@@ -205,14 +205,12 @@ func TestBatchedMatchesUnbatchedRandomOps(t *testing.T) {
 	}
 }
 
-// TestPurgedAndReadmittedWithinOneDrain covers the one state in which a
-// block leaves the table while the index still files it: a page retired by
-// Evict just before the drain, purged by a short Retained Information
-// Period and re-admitted under a fresh block, all before the next index
-// sync. The old block's entry must go with it —
-// an orphan would be chosen as a victim twice, or dereference a block that
-// no longer exists once a Correlated Reference Period makes selectVictim
-// look at LAST.
+// TestPurgedAndReadmittedWithinOneDrain covers a page retired by Evict,
+// purged by a short Retained Information Period and re-admitted under a
+// fresh block, all inside one drain. The old block's index entry must go
+// with it — an orphan would be chosen as a victim twice, or dereference a
+// block that no longer exists once a Correlated Reference Period makes
+// selectVictim look at LAST.
 func TestPurgedAndReadmittedWithinOneDrain(t *testing.T) {
 	const a, b = policy.PageID(1), policy.PageID(2)
 	s := NewSyncReplacer(2, Options{CorrelatedReferencePeriod: 1, RetainedInformationPeriod: 2})
@@ -235,13 +233,13 @@ func TestPurgedAndReadmittedWithinOneDrain(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 purge and 2 evictable pages", got)
 	}
 	// Both pages are at infinite distance, so the old block was filed in
-	// the ∞ list: the sync must unlink it through its own links.
-	if n, tree := listLen(s.r.table), s.r.table.index.Len(); n != 2 || tree != 0 {
-		t.Errorf("list holds %d entries and tree %d after the drain, want 2 and 0 (orphan left behind)", n, tree)
+	// the ∞ list: Evict must have unlinked it through its own links.
+	if n, heaped := listLen(s.r.table), len(s.r.table.heap); n != 2 || heaped != 0 {
+		t.Errorf("list holds %d entries and heap %d after the drain, want 2 and 0 (orphan left behind)", n, heaped)
 	}
 	checkIndex(t, s.r.table)
 	// Both pages sit inside the CRP at clock 6, so selectVictim walks the
-	// whole index reading each entry's block, then falls back to the
+	// whole list reading each entry's block, then falls back to the
 	// minimum: b (HIST(b,1) = 2; its three hits were correlated) before a.
 	for _, want := range []policy.PageID{b, a} {
 		if v, ok := s.Evict(); !ok || v != want {

@@ -1,6 +1,6 @@
 package policy
 
-import "repro/internal/ordmap"
+import "container/heap"
 
 // A0 is the optimal statistical policy of Definition 3.1 ([COFFDENN],
 // Theorem 6.3): with the true reference-probability vector β known, it
@@ -15,8 +15,8 @@ import "repro/internal/ordmap"
 type A0 struct {
 	capacity int
 	probs    map[PageID]float64
-	resident map[PageID]float64
-	order    *ordmap.Map[a0Key, struct{}] // resident pages by ascending β
+	resident map[PageID]bool
+	order    a0Heap // resident pages, lowest (β, page) on top
 }
 
 type a0Key struct {
@@ -24,11 +24,23 @@ type a0Key struct {
 	page PageID
 }
 
-func a0Less(a, b a0Key) bool {
-	if a.prob != b.prob {
-		return a.prob < b.prob
+// a0Heap is a min-heap of resident pages by (β, page), for container/heap.
+type a0Heap []a0Key
+
+func (h a0Heap) Len() int { return len(h) }
+func (h a0Heap) Less(i, j int) bool {
+	if h[i].prob != h[j].prob {
+		return h[i].prob < h[j].prob
 	}
-	return a.page < b.page
+	return h[i].page < h[j].page
+}
+func (h a0Heap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *a0Heap) Push(x any)   { *h = append(*h, x.(a0Key)) }
+func (h *a0Heap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // NewA0 returns an A0 oracle with the given frame count. Probabilities must
@@ -46,18 +58,15 @@ func (c *A0) Name() string { return "A0" }
 func (c *A0) Capacity() int { return c.capacity }
 
 // Len implements Cache.
-func (c *A0) Len() int { return len(c.resident) }
+func (c *A0) Len() int { return len(c.order) }
 
 // Resident implements Cache.
-func (c *A0) Resident(p PageID) bool {
-	_, ok := c.resident[p]
-	return ok
-}
+func (c *A0) Resident(p PageID) bool { return c.resident[p] }
 
 // Reset implements Cache. Installed probabilities are retained.
 func (c *A0) Reset() {
-	c.resident = make(map[PageID]float64)
-	c.order = ordmap.New[a0Key, struct{}](a0Less)
+	c.resident = make(map[PageID]bool)
+	c.order = nil
 }
 
 // SetProbabilities implements ProbabilityAware.
@@ -67,24 +76,19 @@ func (c *A0) SetProbabilities(probs map[PageID]float64) {
 
 // Reference implements Cache.
 func (c *A0) Reference(p PageID) bool {
-	if _, ok := c.resident[p]; ok {
+	if c.resident[p] {
 		return true
 	}
-	prob := c.probs[p] // unknown pages default to probability zero
-	if len(c.resident) < c.capacity {
-		c.admit(p, prob)
+	key := a0Key{prob: c.probs[p], page: p} // unknown pages default to probability zero
+	if len(c.order) < c.capacity {
+		heap.Push(&c.order, key)
+	} else if key.prob > c.order[0].prob {
+		delete(c.resident, c.order[0].page)
+		c.order[0] = key
+		heap.Fix(&c.order, 0)
+	} else {
 		return false
 	}
-	minKey, _, _ := c.order.Min()
-	if prob > minKey.prob {
-		c.order.Delete(minKey)
-		delete(c.resident, minKey.page)
-		c.admit(p, prob)
-	}
+	c.resident[p] = true
 	return false
-}
-
-func (c *A0) admit(p PageID, prob float64) {
-	c.resident[p] = prob
-	c.order.Set(a0Key{prob: prob, page: p}, struct{}{})
 }

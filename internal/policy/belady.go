@@ -1,9 +1,8 @@
 package policy
 
 import (
+	"container/heap"
 	"fmt"
-
-	"repro/internal/ordmap"
 )
 
 // Belady is Belady's offline optimal algorithm ([BELADY]; B0 in the
@@ -19,20 +18,43 @@ type Belady struct {
 	trace    []PageID
 	nextUse  []int64 // nextUse[i]: next position of trace[i] after i, or horizon
 	cursor   int64
-	resident map[PageID]int64 // page -> next use position
-	order    *ordmap.Map[beladyKey, struct{}]
+	resident map[PageID]*beladyEntry
+	order    beladyHeap // resident pages, farthest next use on top
 }
 
-type beladyKey struct {
+// beladyEntry is a resident page's slot in the heap: its next use position
+// and where the heap holds it, so a hit re-keys it with one heap.Fix.
+type beladyEntry struct {
 	next int64
 	page PageID
+	pos  int
 }
 
-func beladyLess(a, b beladyKey) bool {
-	if a.next != b.next {
-		return a.next < b.next
+// beladyHeap is a max-heap of resident pages by (next use, page), for
+// container/heap.
+type beladyHeap []*beladyEntry
+
+func (h beladyHeap) Len() int { return len(h) }
+func (h beladyHeap) Less(i, j int) bool {
+	if h[i].next != h[j].next {
+		return h[i].next > h[j].next
 	}
-	return a.page < b.page
+	return h[i].page > h[j].page
+}
+func (h beladyHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+func (h *beladyHeap) Push(x any) {
+	e := x.(*beladyEntry)
+	e.pos = len(*h)
+	*h = append(*h, e)
+}
+func (h *beladyHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // NewBelady returns a Belady/B0 cache. SetTrace must be called before the
@@ -50,20 +72,17 @@ func (c *Belady) Name() string { return "B0" }
 func (c *Belady) Capacity() int { return c.capacity }
 
 // Len implements Cache.
-func (c *Belady) Len() int { return len(c.resident) }
+func (c *Belady) Len() int { return len(c.order) }
 
 // Resident implements Cache.
-func (c *Belady) Resident(p PageID) bool {
-	_, ok := c.resident[p]
-	return ok
-}
+func (c *Belady) Resident(p PageID) bool { return c.resident[p] != nil }
 
 // Reset implements Cache. The installed trace is retained and the replay
 // cursor rewinds to the beginning.
 func (c *Belady) Reset() {
 	c.cursor = 0
-	c.resident = make(map[PageID]int64)
-	c.order = ordmap.New[beladyKey, struct{}](beladyLess)
+	c.resident = make(map[PageID]*beladyEntry)
+	c.order = nil
 }
 
 // SetTrace implements TraceAware. It precomputes, for every position, the
@@ -103,18 +122,22 @@ func (c *Belady) Reference(p PageID) bool {
 	next := c.nextUse[c.cursor]
 	c.cursor++
 
-	if old, ok := c.resident[p]; ok {
-		c.order.Delete(beladyKey{next: old, page: p})
-		c.resident[p] = next
-		c.order.Set(beladyKey{next: next, page: p}, struct{}{})
+	if e := c.resident[p]; e != nil {
+		e.next = next
+		heap.Fix(&c.order, e.pos)
 		return true
 	}
-	if len(c.resident) >= c.capacity {
-		victimKey, _, _ := c.order.Max()
-		c.order.Delete(victimKey)
-		delete(c.resident, victimKey.page)
+	if len(c.order) < c.capacity {
+		e := &beladyEntry{next: next, page: p}
+		heap.Push(&c.order, e)
+		c.resident[p] = e
+		return false
 	}
-	c.resident[p] = next
-	c.order.Set(beladyKey{next: next, page: p}, struct{}{})
+	// The victim's entry becomes the admitted page's.
+	e := c.order[0]
+	delete(c.resident, e.page)
+	e.next, e.page = next, p
+	heap.Fix(&c.order, 0)
+	c.resident[p] = e
 	return false
 }
