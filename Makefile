@@ -23,12 +23,15 @@ race:
 ## brute-force replacer over pin/unpin/evict/restore streams at a fuzzed
 ## seed, K, CRP and RIP, both ending in the victim-index invariant check;
 ## then the A0 and Belady oracles against their linear-scan transcriptions
-## at a fuzzed stream, capacity and β vector (go test takes one -fuzz
-## target per run, hence three).
+## at a fuzzed stream, capacity and β vector; then the B-tree against a map
+## at a fuzzed fanout and frame count over ascending appends mixed with
+## out-of-order inserts and duplicates, packed while it only appends (go
+## test takes one -fuzz target per run, hence four).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReplacersMatchBruteForce -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzOraclesMatchBruteForce -fuzztime 10s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz FuzzTreeMatchesSortedMap -fuzztime 10s ./internal/btree/
 
 ## size: Go line counts — root module non-test, root module test, and the
 ## nested bench/ module — the figures re-anchors and "net lines go down"

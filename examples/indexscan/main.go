@@ -20,9 +20,9 @@ import (
 )
 
 func main() {
-	// Scaled-down Example 1.1: 2000 customers → 1000 data pages and a
-	// ~11-page index; 16 frames approximate the paper's "101 buffers for a
-	// 100-leaf index" proportions.
+	// Scaled-down Example 1.1: 2000 customers → 1000 data pages and an
+	// 11-page index (10 packed leaves and the root); 16 frames approximate
+	// the paper's "101 buffers for a 100-leaf index" proportions.
 	const (
 		customers = 2000
 		lookups   = 40000

@@ -7,6 +7,14 @@
 // The tree is a unique index: inserting an existing key replaces its
 // value. Keys are never removed, so nodes only ever split.
 //
+// A key past the last key of a full node splits it at its right edge: a
+// leaf keeps all its entries and the new sibling starts with the key; an
+// internal node keeps all its children, the separator is promoted, and
+// the new sibling starts with no keys and the new child as its rightmost.
+// Any other key splits a full node at its middle. So an ascending load
+// fills every node off the right spine, as Example 1.1's index is "packed
+// full": 20,000 CUST-IDs take 99 leaves and a root.
+//
 // Node page layout (little-endian):
 //
 //	byte  0      node type: 0 internal, 1 leaf
@@ -328,8 +336,10 @@ func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResul
 // rightmost leaf pinned and writes a key above every key in the tree into
 // it in place, as Insert would, with no descent. A full leaf, a smaller key
 // or an empty leaf goes through Insert, the one split implementation, and
-// the rightmost leaf is re-pinned. While an Appender is open the tree must
-// not be written any other way, and Close must run on every exit.
+// the rightmost leaf is re-pinned. A full leaf splits at its right edge, so
+// an ascending load leaves every leaf but the last full. While an Appender
+// is open the tree must not be written any other way, and Close must run on
+// every exit.
 type Appender struct {
 	t      *Tree
 	leaf   bufferpool.Page
@@ -421,6 +431,9 @@ func (t *Tree) insertLeaf(pg *bufferpool.Page, key int64, rid heapfile.RID) (spl
 	newData := newPg.Data()
 	initLeaf(newData)
 	mid := (n + 1) / 2
+	if i == n {
+		mid = n // right edge: the full leaf keeps all it has
+	}
 	for j, e := range entries[:mid] {
 		setLeafEntry(data, j, e.key, e.rid)
 	}
@@ -490,6 +503,9 @@ func (t *Tree) insertInternal(pg *bufferpool.Page, sep int64, oldChild, right po
 
 	total := n + 1
 	mid := total / 2
+	if pos == n {
+		mid = n // right edge: promote sep; the new node holds only right
+	}
 	promoted := entries[mid].key
 
 	newPg, err := t.pool.NewPage()

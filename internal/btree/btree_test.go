@@ -17,6 +17,10 @@ func newTree(t *testing.T, frames, maxLeaf, maxInternal int) *Tree {
 	t.Helper()
 	d := sim.New(sim.ServiceModel{})
 	pool := bufferpool.New(d, frames, core.NewSyncReplacer(2, core.Options{}))
+	t.Cleanup(func() {
+		pool.Close()
+		d.Close()
+	})
 	tr, err := NewWithOrder(pool, maxLeaf, maxInternal)
 	if err != nil {
 		t.Fatal(err)

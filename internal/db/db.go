@@ -38,7 +38,9 @@ var ErrNotFound = errors.New("db: customer not found")
 // Config sizes the database instance.
 type Config struct {
 	// Frames is the buffer pool size in pages. The paper's Example 1.1
-	// discussion centres on 101 frames (root + all leaf pages + 1).
+	// discussion centres on 101 frames (root + all leaf pages + 1); the
+	// load packs 20,000 customers' index into 100 pages, 99 leaves and the
+	// root.
 	Frames int
 	// K is the LRU-K history depth of the pool's replacer (1 = classical
 	// LRU). Default 2. The replacer's §2.1 periods are not configurable:

@@ -68,30 +68,36 @@ func TestLoadAndLookup(t *testing.T) {
 
 func TestPageGeometryMatchesPaper(t *testing.T) {
 	// 2000-byte records pack two per 4 KByte page; 20-byte index entries
-	// pack ~200 per leaf. With 2000 customers: ~1000 data pages, ~5+ index
-	// pages in a shallow tree. (The paper's full scale is 20000 customers
-	// → 10000 data pages and 100 leaf pages; tests scale down 10x.)
-	db, err := Open(Config{Frames: 64})
-	if err != nil {
-		t.Fatal(err)
+	// pack 204 per leaf, and the ascending load packs every leaf but the
+	// last (Example 1.1: "packed full"). The paper's 20,000 customers take
+	// 10,000 data pages and 98 full leaves, a 99th and the root; the tests'
+	// usual 10x scale-down takes 10 leaves and the root.
+	cases := []struct{ customers, indexPages int }{
+		{2000, 11},
+		{20000, 100},
 	}
-	defer db.Close()
-	const n = 2000
-	if err := db.LoadCustomers(n); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.DataPages(); got != n/2 {
-		t.Errorf("DataPages = %d, want %d (two 2000-byte records per page)", got, n/2)
-	}
-	if got := db.IndexPages(); got < n/204 || got > n/100 {
-		t.Errorf("IndexPages = %d, outside plausible leaf-count range", got)
-	}
-	h, err := db.index.Height()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 2 {
-		t.Errorf("index height = %d, want 2 (root over leaves)", h)
+	for _, c := range cases {
+		db, err := Open(Config{Frames: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.LoadCustomers(c.customers); err != nil {
+			t.Fatal(err)
+		}
+		if got := db.DataPages(); got != c.customers/2 {
+			t.Errorf("%d customers: DataPages = %d, want %d (two 2000-byte records per page)", c.customers, got, c.customers/2)
+		}
+		if got := db.IndexPages(); got != c.indexPages {
+			t.Errorf("%d customers: IndexPages = %d, want %d (full leaves and a root)", c.customers, got, c.indexPages)
+		}
+		h, err := db.index.Height()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != 2 {
+			t.Errorf("%d customers: index height = %d, want 2 (root over leaves)", c.customers, h)
+		}
+		db.Close()
 	}
 }
 
@@ -145,7 +151,7 @@ func TestScanCustomers(t *testing.T) {
 // the index, LRU-2 retains far more index pages (and achieves a higher hit
 // ratio) than LRU-1, which splits its frames between index and data pages.
 func TestExample11Discrimination(t *testing.T) {
-	// 2000 customers → 1000 data pages, ~10 leaf pages + root. Pool of 16
+	// 2000 customers → 1000 data pages, 10 leaf pages + root. Pool of 16
 	// frames comfortably fits the index but a vanishing fraction of data.
 	const customers, lookups, frames = 2000, 20000, 16
 	res2, err := RunExample11(Config{Frames: frames, K: 2}, customers, lookups, 11)
@@ -163,14 +169,48 @@ func TestExample11Discrimination(t *testing.T) {
 		t.Errorf("LRU-2 holds %d index pages, LRU-1 holds %d; expected discrimination",
 			res2.ResidentIndex, res1.ResidentIndex)
 	}
-	// LRU-2 should hold essentially the whole index.
-	if res2.ResidentIndex < 10 {
-		t.Errorf("LRU-2 resident index pages = %d, want ~11", res2.ResidentIndex)
+	// LRU-2 holds the whole index after nearly every lookup; LRU-1 hardly
+	// ever does. Not after every one: with the 8-tick correlated reference
+	// period a leaf drops out now and then (after about 10 % of lookups;
+	// with no CRP, 0.2 %), so the run is sampled rather than its end state.
+	whole2 := wholeIndexShare(t, Config{Frames: frames, K: 2}, customers, lookups, 11)
+	whole1 := wholeIndexShare(t, Config{Frames: frames, K: 1}, customers, lookups, 11)
+	if whole2 < 0.8 || whole1 > 0.05 {
+		t.Errorf("whole index resident after %.2f of LRU-2's and %.2f of LRU-1's lookups, want >= 0.8 and <= 0.05",
+			whole2, whole1)
 	}
 	// And it needs fewer disk reads for the same work.
 	if res2.DiskReads >= res1.DiskReads {
 		t.Errorf("LRU-2 disk reads %d not below LRU-1 %d", res2.DiskReads, res1.DiskReads)
 	}
+}
+
+// wholeIndexShare runs RunExample11's lookups and returns the share of the
+// sampled points (every tenth lookup) at which every index page is resident.
+func wholeIndexShare(t *testing.T, cfg Config, customers, lookups int, seed uint64) float64 {
+	t.Helper()
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.LoadCustomers(customers); err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(seed)
+	whole, samples := 0, 0
+	for i := 1; i <= lookups; i++ {
+		if _, err := d.Lookup(int64(r.Intn(customers))); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			samples++
+			if index, _ := d.ResidentByClass(); index == d.IndexPages() {
+				whole++
+			}
+		}
+	}
+	return float64(whole) / float64(samples)
 }
 
 // TestConcurrentLookups drives the read path (B-tree descent plus heap

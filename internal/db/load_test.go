@@ -382,7 +382,8 @@ func TestLoadWritesEachHeapPageOnce(t *testing.T) {
 // BenchmarkLoadCustomers times Open plus the paper-scale load (20,000
 // customers, 404 frames): the set-up every benchmark workload pays.
 // disk_writes/op and pool_misses/op are the load's page writes and pool
-// misses: the heap pages written once each, and the index pages only.
+// misses: the heap pages written once each (10,000), and the index pages
+// only (100: the right-edge splits pack 99 leaves under the root).
 func BenchmarkLoadCustomers(b *testing.B) {
 	var writes, misses uint64
 	for range b.N {
