@@ -386,6 +386,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // decision worth a trace record; collapses and purges are PolicyStats
 // counters. PolicyStats is the one stats read, so neither replacer has
 // Size or HistorySize.
+//
+// The two clients are ratcheted by what their callers use. *cluster.Client
+// has 8 methods and no Flush fan-out: no program flushes a whole cluster,
+// and the handoff flushes its two nodes through *client.Client. That
+// client has 10, with no switch to turn tracing off: every server decodes
+// the trace extension, so nothing has to fall back from it.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		cfg  any
@@ -435,6 +441,17 @@ func TestOptionSurface(t *testing.T) {
 	} {
 		if typ := reflect.TypeOf(c.iface).Elem(); typ.NumMethod() != c.want {
 			t.Errorf("%v has %d methods, want %d", typ, typ.NumMethod(), c.want)
+		}
+	}
+	for _, c := range []struct {
+		v    any
+		want int
+	}{
+		{&cluster.Client{}, 8},
+		{&client.Client{}, 10},
+	} {
+		if typ := reflect.TypeOf(c.v); typ.NumMethod() != c.want {
+			t.Errorf("%v has %d exported methods, want %d", typ, typ.NumMethod(), c.want)
 		}
 	}
 	for _, repl := range []any{&core.Replacer{}, &core.SyncReplacer{}} {

@@ -87,11 +87,6 @@ type node struct {
 	fails   int
 	nextTry time.Time
 
-	// noTrace remembers that this node rejected the trace-context wire
-	// extension (an old server); every future connection to it dials
-	// downgraded so the rejection happens at most once per node.
-	noTrace atomic.Bool
-
 	ok, busy, unavailable, moved, transport, errs atomic.Uint64
 }
 
@@ -124,11 +119,7 @@ func (n *node) acquire() (*client.Client, error) {
 	}
 	addr := n.addr
 	n.mu.Unlock()
-	c, err := client.Dial(addr)
-	if err == nil && n.noTrace.Load() {
-		c.DisableTrace()
-	}
-	return c, err
+	return client.Dial(addr)
 }
 
 // release returns a healthy connection to the pool (closing it if the
@@ -293,7 +284,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// doKey runs one keyed operation with the full retry policy.
+// doKey runs one keyed operation with the full retry policy: settle's,
+// plus adoption of the view a MOVED redirect carries (or a bounce wait
+// when it is not newer) and one view refresh per operation after a
+// transport failure.
 func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) error) error {
 	var lastErr error
 	refreshed := false
@@ -305,85 +299,75 @@ func (c *Client) doKey(ctx context.Context, key int64, fn func(*client.Client) e
 		if err != nil {
 			return err
 		}
-		if d := n.holdoff(); d > 0 {
-			if err := sleepCtx(ctx, d); err != nil {
-				return err
-			}
+		if err := sleepCtx(ctx, n.holdoff()); err != nil {
+			return err
 		}
 		conn, err := n.acquire()
-		if err != nil {
-			n.transport.Add(1)
-			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
-			lastErr = err
-			if !refreshed {
-				refreshed = true
-				c.refreshFrom(ctx, n.id)
-			}
-			continue
+		if err == nil {
+			err = fn(conn)
 		}
-		err = fn(conn)
-		switch {
-		case err == nil:
-			n.ok.Add(1)
-			n.release(conn)
-			return nil
-		case errors.Is(err, client.ErrMoved):
-			n.moved.Add(1)
-			n.release(conn)
-			lastErr = err
-			var se *client.Error
-			adopted := false
-			if errors.As(err, &se) {
-				if m, ok := se.MovedView(); ok {
-					adopted = c.adopt(m.View)
-				}
-			}
-			if !adopted {
+		retry, err := c.settle(ctx, n, conn, err)
+		if !retry {
+			return err
+		}
+		lastErr = err
+		var se *client.Error
+		if errors.As(err, &se) && se.Status == wire.StatusMoved {
+			if m, ok := se.MovedView(); !ok || !c.adopt(m.View) {
 				// Stale redirect: the cluster is mid-rebalance and this
 				// key is bouncing. Wait out a slice of the window.
-				if werr := sleepCtx(ctx, c.bounceWait(attempt)); werr != nil {
-					return werr
+				if err := sleepCtx(ctx, c.bounceWait(attempt)); err != nil {
+					return err
 				}
 			}
-		case errors.Is(err, client.ErrBusy), errors.Is(err, client.ErrUnavailable):
-			if errors.Is(err, client.ErrBusy) {
-				n.busy.Add(1)
-			} else {
-				n.unavailable.Add(1)
-			}
-			n.release(conn)
-			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
-			lastErr = err
-		case errors.Is(err, client.ErrTransport):
-			n.transport.Add(1)
-			_ = conn.Close()
-			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
-			lastErr = err
-			if !refreshed {
-				refreshed = true
-				c.refreshFrom(ctx, n.id)
-			}
-		case errors.Is(err, client.ErrTraceDowngrade):
-			// The node runs an old server that rejects the trace extension
-			// (and closes the connection after answering). Remember the
-			// downgrade so every future dial to it skips the extension, and
-			// retry the operation untraced on a fresh connection — no
-			// penalty, the node is healthy, it just predates tracing.
-			n.noTrace.Store(true)
-			_ = conn.Close()
-			lastErr = err
-		case ctx.Err() != nil:
-			_ = conn.Close()
-			return ctx.Err()
-		default:
-			// Terminal: not found, bad request, internal, deadline with a
-			// live local context, or a malformed-reply client bug.
-			n.errs.Add(1)
-			n.release(conn)
-			return err
+		}
+		if errors.Is(err, client.ErrTransport) && !refreshed {
+			refreshed = true
+			_ = c.refresh(ctx, n.id)
 		}
 	}
 	return fmt.Errorf("cluster: key %d: %d attempts exhausted: %w", key, c.cfg.maxAttempts, lastErr)
+}
+
+// settle files one attempt's outcome on node n (Config's table): it
+// counts the outcome, returns conn to the pool or closes it, and
+// penalises n after a refusal or a transport failure. conn is nil when
+// the dial failed, which err already reports as a transport failure.
+// retry is false when the operation ends here with err (nil on success).
+func (c *Client) settle(ctx context.Context, n *node, conn *client.Client, err error) (retry bool, _ error) {
+	switch {
+	case err == nil:
+		n.ok.Add(1)
+	case errors.Is(err, client.ErrMoved):
+		n.moved.Add(1)
+		n.release(conn)
+		return true, err
+	case errors.Is(err, client.ErrBusy), errors.Is(err, client.ErrUnavailable):
+		if errors.Is(err, client.ErrBusy) {
+			n.busy.Add(1)
+		} else {
+			n.unavailable.Add(1)
+		}
+		n.release(conn)
+		n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
+		return true, err
+	case errors.Is(err, client.ErrTransport):
+		n.transport.Add(1)
+		if conn != nil {
+			_ = conn.Close()
+		}
+		n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
+		return true, err
+	case ctx.Err() != nil:
+		_ = conn.Close()
+		return false, ctx.Err()
+	default:
+		// Terminal: not found, bad request, internal, deadline with a
+		// live local context, or a malformed-reply client bug.
+		n.errs.Add(1)
+	}
+	n.release(conn)
+	return false, err
 }
 
 // bounceWait paces retries of a key caught in a rebalance bounce: short
@@ -397,46 +381,23 @@ func (c *Client) bounceWait(attempt int) time.Duration {
 	return d
 }
 
-// refreshFrom asks any node other than failedID for its view and adopts
-// it if newer. Best effort: used to discover that a dead node was
-// rebalanced away.
-func (c *Client) refreshFrom(ctx context.Context, failedID string) {
+// refresh asks the members other than skip for their view and adopts
+// the first answer if it is newer. doKey skips the node that just failed,
+// to learn whether it was rebalanced away; Refresh asks every member.
+func (c *Client) refresh(ctx context.Context, skip string) error {
 	c.mu.RLock()
-	others := make([]wire.NodeAddr, 0, len(c.view.Nodes))
-	for _, n := range c.view.Nodes {
-		if n.ID != failedID {
-			others = append(others, n)
+	members := make([]wire.NodeAddr, 0, len(c.view.Nodes))
+	for _, na := range c.view.Nodes {
+		if na.ID != skip {
+			members = append(members, na)
 		}
 	}
-	c.mu.RUnlock()
-	for _, na := range others {
-		if ctx.Err() != nil {
-			return
-		}
-		n := c.node(na.ID, na.Addr)
-		conn, err := n.acquire()
-		if err != nil {
-			continue
-		}
-		v, err := conn.ViewGet(ctx)
-		if err != nil {
-			_ = conn.Close()
-			continue
-		}
-		n.release(conn)
-		c.adopt(v)
-		return
-	}
-}
-
-// Refresh explicitly pulls the newest view reachable from any member.
-func (c *Client) Refresh(ctx context.Context) error {
-	c.mu.RLock()
-	members := make([]wire.NodeAddr, len(c.view.Nodes))
-	copy(members, c.view.Nodes)
 	c.mu.RUnlock()
 	var lastErr error
 	for _, na := range members {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		n := c.node(na.ID, na.Addr)
 		conn, err := n.acquire()
 		if err != nil {
@@ -454,6 +415,11 @@ func (c *Client) Refresh(ctx context.Context) error {
 		return nil
 	}
 	return fmt.Errorf("cluster: refresh failed against every member: %w", lastErr)
+}
+
+// Refresh explicitly pulls the newest view reachable from any member.
+func (c *Client) Refresh(ctx context.Context) error {
+	return c.refresh(ctx, "")
 }
 
 // Get fetches a customer's record from its owning node.
@@ -479,7 +445,8 @@ func (c *Client) Update(ctx context.Context, custID int64, fill byte) error {
 // Scan runs a full sequential scan on ONE node, round-robined per call:
 // every node loads the full key population, so a single node's scan is
 // the whole answer and fanning out would just multiply the disk work.
-// Fails over to the next node on refusal or transport error.
+// Each attempt is settled like a keyed one; a retry moves on to the next
+// node rather than waiting out a penalised one.
 func (c *Client) Scan(ctx context.Context) (int, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.maxAttempts; attempt++ {
@@ -502,67 +469,18 @@ func (c *Client) Scan(ctx context.Context) (int, error) {
 		if n.holdoff() > 0 {
 			continue // try the next node in rotation instead of waiting
 		}
+		count := 0
 		conn, err := n.acquire()
-		if err != nil {
-			n.transport.Add(1)
-			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
-			lastErr = err
-			continue
+		if err == nil {
+			count, err = conn.Scan(ctx)
 		}
-		count, err := conn.Scan(ctx)
-		switch {
-		case err == nil:
-			n.ok.Add(1)
-			n.release(conn)
-			return count, nil
-		case errors.Is(err, client.ErrBusy), errors.Is(err, client.ErrUnavailable):
-			if errors.Is(err, client.ErrBusy) {
-				n.busy.Add(1)
-			} else {
-				n.unavailable.Add(1)
-			}
-			n.release(conn)
-			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
-			lastErr = err
-		case errors.Is(err, client.ErrTransport):
-			n.transport.Add(1)
-			_ = conn.Close()
-			n.penalize(c.cfg.busyBackoff, c.cfg.maxBackoff)
-			lastErr = err
-		case errors.Is(err, client.ErrTraceDowngrade):
-			n.noTrace.Store(true)
-			_ = conn.Close()
-			lastErr = err
-		case ctx.Err() != nil:
-			_ = conn.Close()
-			return 0, ctx.Err()
-		default:
-			n.errs.Add(1)
-			n.release(conn)
-			return 0, err
+		retry, err := c.settle(ctx, n, conn, err)
+		if !retry {
+			return count, err
 		}
+		lastErr = err
 	}
 	return 0, fmt.Errorf("cluster: scan: %d attempts exhausted: %w", c.cfg.maxAttempts, lastErr)
-}
-
-// Flush fans a flush barrier out to every member, joining any failures.
-func (c *Client) Flush(ctx context.Context) error {
-	var errs []error
-	for _, na := range c.View().Nodes {
-		n := c.node(na.ID, na.Addr)
-		conn, err := n.acquire()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("node %s: %w", na.ID, err))
-			continue
-		}
-		if err := conn.Flush(ctx); err != nil {
-			_ = conn.Close()
-			errs = append(errs, fmt.Errorf("node %s: %w", na.ID, err))
-			continue
-		}
-		n.release(conn)
-	}
-	return errors.Join(errs...)
 }
 
 // StatsAll snapshots every member's server stats, keyed by node id.

@@ -134,9 +134,6 @@ func TestClusterClientRoutesWithoutRedirects(t *testing.T) {
 	if n, err := cc.Scan(ctx); err != nil || n != customers {
 		t.Errorf("scan = %d, %v; want %d", n, err, customers)
 	}
-	if err := cc.Flush(ctx); err != nil {
-		t.Errorf("flush fan-out: %v", err)
-	}
 	stats, err := cc.StatsAll(ctx)
 	if err != nil {
 		t.Fatalf("stats fan-out: %v", err)

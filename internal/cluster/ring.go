@@ -80,7 +80,7 @@ func (r *Ring) Owner(key int64) string {
 	if len(r.hashes) == 0 {
 		return ""
 	}
-	h := KeyHash(key)
+	h := keyHash(key)
 	// First ring point at or after the key's hash; wrap past the top.
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
@@ -89,9 +89,8 @@ func (r *Ring) Owner(key int64) string {
 	return r.owners[i]
 }
 
-// KeyHash is the position of a customer key on the ring. Exported so
-// tests and tools can reason about placement directly.
-func KeyHash(key int64) uint64 {
+// keyHash is the position of a customer key on the ring.
+func keyHash(key int64) uint64 {
 	return mix64(uint64(key) ^ placementSeed)
 }
 

@@ -50,15 +50,6 @@ var (
 	// failure — the cases where the connection is (or is being) poisoned,
 	// as opposed to a typed refusal delivered over a healthy connection.
 	ErrTransport = errors.New("client: transport failure")
-	// ErrTraceDowngrade reports that a traced request drew StatusBadRequest
-	// — the signature of an old server that does not know the trace-context
-	// wire extension (it sees the flagged op byte as an unknown op). The
-	// client stops attaching trace context; and because an old server also
-	// closes the connection after a bad request, the caller should redial
-	// and retry rather than reuse this connection. The heuristic can
-	// misfire on a genuinely malformed traced request: the untraced retry
-	// then surfaces the real BadRequest, at the cost of one round trip.
-	ErrTraceDowngrade = errors.New("client: server rejected trace extension (downgrading)")
 )
 
 // TransportError is a connection-level failure: dialing, writing the
@@ -159,10 +150,6 @@ type Client struct {
 	// dead poisons the client after a transport error: the stream may be
 	// desynchronised, so every later call fails fast with the first error.
 	dead error
-	// noTrace suppresses the trace-context wire extension: set by
-	// DisableTrace, or automatically when the server rejects a traced
-	// request (an old peer).
-	noTrace bool
 }
 
 // Dial connects to the service at addr.
@@ -192,26 +179,8 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// DisableTrace permanently stops this client from attaching trace
-// context to requests — for talking to peers known not to speak the
-// extension. It happens automatically on the first rejection.
-func (c *Client) DisableTrace() {
-	c.mu.Lock()
-	c.noTrace = true
-	c.mu.Unlock()
-}
-
-// TraceDisabled reports whether the client has stopped attaching trace
-// context (via DisableTrace or a server rejection).
-func (c *Client) TraceDisabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.noTrace
-}
-
 // do performs one request/response exchange. A sampled trace context on
-// ctx rides the request's wire extension unless the client has
-// downgraded.
+// ctx rides the request's wire extension.
 func (c *Client) do(ctx context.Context, req wire.Request) (wire.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,11 +190,7 @@ func (c *Client) do(ctx context.Context, req wire.Request) (wire.Response, error
 	if err := ctx.Err(); err != nil {
 		return wire.Response{}, err
 	}
-	traced := false
-	if tc := obs.TraceFrom(ctx); tc.TraceID != 0 && !c.noTrace {
-		req.Trace = tc
-		traced = true
-	}
+	req.Trace = obs.TraceFrom(ctx)
 	if d, ok := ctx.Deadline(); ok {
 		req.Timeout = time.Until(d)
 		if req.Timeout <= 0 {
@@ -248,14 +213,6 @@ func (c *Client) do(ctx context.Context, req wire.Request) (wire.Response, error
 		return wire.Response{}, err
 	}
 	if resp.Status != wire.StatusOK {
-		if traced && resp.Status == wire.StatusBadRequest {
-			// Almost certainly an old server choking on the trace extension
-			// (it reports the flagged op as unknown). Downgrade and tell the
-			// caller to retry untraced on a fresh connection — the old
-			// server closes this one after a bad request.
-			c.noTrace = true
-			return resp, fmt.Errorf("%w: %s", ErrTraceDowngrade, resp.Body)
-		}
 		return resp, &Error{Status: resp.Status, Msg: string(resp.Body), Body: resp.Body}
 	}
 	return resp, nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/db"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
 )
@@ -98,6 +99,37 @@ func TestViewSetNeedsNodeID(t *testing.T) {
 	v := wire.View{Epoch: 1, Nodes: []wire.NodeAddr{{ID: "n0", Addr: "x:1"}}}
 	if _, err := cl.ViewSet(context.Background(), v); !errors.Is(err, client.ErrBadRequest) {
 		t.Errorf("view set on id-less server = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestTracedBadRequestKeepsTracing: a bad request under a sampled trace
+// (here a VIEW_SET to a node started without an id, as a rebalance onto
+// such a node sends) surfaces as ErrBadRequest, and the connection keeps
+// carrying the trace: the next traced GET leaves a second request span
+// under the same trace id.
+func TestTracedBadRequestKeepsTracing(t *testing.T) {
+	leakcheck.Check(t)
+	rec := obs.NewSpanRecorder("n0", 64)
+	srv, _ := startServer(t, db.Config{Frames: 64}, Config{Spans: rec}, 10)
+	cl := dial(t, srv)
+	const traceID = 0xfeed
+	ctx := obs.ContextWithTrace(context.Background(),
+		obs.TraceContext{TraceID: traceID, SpanID: 0xbeef, Sampled: true})
+	v := wire.View{Epoch: 1, Nodes: []wire.NodeAddr{{ID: "n0", Addr: "x:1"}}}
+	if _, err := cl.ViewSet(ctx, v); !errors.Is(err, client.ErrBadRequest) {
+		t.Fatalf("traced view set on id-less server = %v, want ErrBadRequest", err)
+	}
+	if _, err := cl.Get(ctx, 1); err != nil {
+		t.Fatalf("traced get: %v", err)
+	}
+	requests := 0
+	for _, s := range rec.TraceSpans(traceID) {
+		if s.Kind == obs.SpanRequest {
+			requests++
+		}
+	}
+	if requests != 2 {
+		t.Errorf("trace %x holds %d request spans, want 2 (view set, get)", traceID, requests)
 	}
 }
 

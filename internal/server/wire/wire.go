@@ -21,10 +21,7 @@
 //	            — with bit 7 set, 17 further bytes follow the header:
 //	            8-byte big-endian trace id (must be non-zero), 8-byte
 //	            big-endian parent span id, 1 flags byte (bit 0 = sampled,
-//	            the rest must be zero) — see DESIGN.md §17; an old server
-//	            sees the flagged op byte as an unknown op and answers
-//	            StatusBadRequest, which the client takes as its cue to
-//	            retry without the extension (downgrade)
+//	            the rest must be zero) — see DESIGN.md §17
 //	bytes 9...  op-specific body:
 //	              GET         8-byte big-endian uint64 customer id
 //	              UPDATE      8-byte big-endian uint64 customer id + 1 fill byte
@@ -286,8 +283,8 @@ type Request struct {
 	// DecodeView applies the strict JSON layer.
 	View []byte
 	// Trace is the request's trace context. A zero TraceID encodes no
-	// extension at all — the frame is byte-identical to the pre-tracing
-	// format — so untraced traffic and old peers are unaffected.
+	// extension at all: the frame is byte-identical to the pre-tracing
+	// format.
 	Trace obs.TraceContext
 }
 
