@@ -15,10 +15,10 @@
 // the handoff: flip the shedding nodes, drain them with a flush barrier,
 // copy the moving keys to their new owners, make the copies durable, then
 // flip the rest of the cluster (DESIGN.md §16). The key population is
-// taken from a SCAN of the contacted node; -keys overrides it. Every
-// admin request of the run is issued under one sampled trace; the run
-// prints "rebalance trace=<id>" so the handoff can be reassembled with
-// the trace subcommand afterwards.
+// taken from a SCAN of the contacted node. Every admin request of the run
+// is issued under one sampled trace; the run prints "rebalance
+// trace=<id>" so the handoff can be reassembled with the trace subcommand
+// afterwards.
 //
 //	lrukcluster trace -obs "n0=127.0.0.1:9980,n1=..." <trace-id>
 //
@@ -335,8 +335,6 @@ func runRebalance(ctx context.Context, verb string, args []string, stdout, stder
 		clusterFl = fs.String("cluster", "", "cluster spec \"id=addr,...\" of current members")
 		nodeID    = fs.String("node", "", "node id to "+verb)
 		nodeAddr  = fs.String("addr", "", "joining node's address (add only; it must already be serving)")
-		keysFl    = fs.Int("keys", 0, "customer key population (0 = take it from a SCAN)")
-		batch     = fs.Int("batch", 0, "handoff batch size in keys (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -354,9 +352,6 @@ func runRebalance(ctx context.Context, verb string, args []string, stdout, stder
 	if err != nil {
 		fmt.Fprintln(stderr, "lrukcluster:", err)
 		return 1
-	}
-	if *keysFl > 0 {
-		keys = *keysFl
 	}
 
 	var next wire.View
@@ -380,18 +375,15 @@ func runRebalance(ctx context.Context, verb string, args []string, stdout, stder
 	// The whole handoff runs under one sampled trace: every traced node
 	// records the admin requests it served as spans of this trace, so the
 	// printed id feeds straight into `lrukcluster trace`. The coordinator's
-	// own recorder exists to mint ids and hold the phase spans; the
-	// registry collects the phase timings printed after the run.
+	// own recorder mints the ids and holds the phase spans, whose durations
+	// are the phase timings printed after the run.
 	rec := obs.NewSpanRecorder("coordinator", 64)
-	reg := obs.NewRegistry()
 	trace := obs.TraceContext{TraceID: rec.NewTraceID(), SpanID: rec.NewSpanID(), Sampled: true}
 	fmt.Fprintf(stdout, "lrukcluster: rebalance trace=%016x\n", trace.TraceID)
 	err = cluster.Rebalance(ctx, cur, next, cluster.RebalanceConfig{
-		Keys:      int64(keys),
-		BatchSize: *batch,
-		Obs:       reg,
-		Spans:     rec,
-		Trace:     trace,
+		Keys:  int64(keys),
+		Spans: rec,
+		Trace: trace,
 		Log: func(format string, a ...any) {
 			fmt.Fprintf(stdout, "lrukcluster: "+format+"\n", a...)
 		},

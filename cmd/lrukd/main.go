@@ -36,8 +36,10 @@
 // as JSON), /healthz (readiness: 503 until serving, 503 again once
 // draining) and /debug/pprof/* on that second listener; with -trace-spans
 // it also serves /spans (the distributed-tracing span ring, ?trace=<hex>
-// filters one trace). -trace-sample head-samples that fraction of
-// requests; -trace-slow tail-samples any request at least that slow.
+// filters one trace). The client decides which requests are traced and
+// the wire flag carries its decision; the node adds tail rescue only: a
+// failed or shed request, or with -trace-slow one at least that slow,
+// leaves its request span even when the client did not sample it.
 // On a clean exit it prints "lrukd: clean shutdown" and exits 0; any drain
 // failure or leaked goroutine exits 1.
 package main
@@ -91,7 +93,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxReq    = fs.Duration("max-request-timeout", 30*time.Second, "cap on any request's time budget")
 		obsAddr   = fs.String("obs-addr", "", "observability HTTP address serving /metrics, /trace and /debug/pprof (empty = off)")
 		spanCap   = fs.Int("trace-spans", 0, "distributed-tracing span ring capacity (0 = tracing off)")
-		sampleFr  = fs.Float64("trace-sample", 0, "fraction of requests to head-sample into traces (0..1)")
 		slowThr   = fs.Duration("trace-slow", 0, "tail-sample any request at least this slow (0 = off)")
 		scrubIval = fs.Duration("scrub-interval", 0, "period between background integrity scrub sweeps (0 = off)")
 		maxWAL    = fs.Int64("max-wal-bytes", 0, "force a checkpoint when the WAL exceeds this size (-backend=file; 0 = no cap)")
@@ -103,11 +104,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	// A flag that cannot take effect is a usage error, not a silent no-op.
 	switch {
-	case *sampleFr < 0 || *sampleFr > 1:
-		fmt.Fprintf(stderr, "lrukd: -trace-sample must be in [0,1], got %v\n", *sampleFr)
-		return 2
-	case (*sampleFr != 0 || *slowThr != 0) && *spanCap <= 0:
-		fmt.Fprintln(stderr, "lrukd: -trace-sample and -trace-slow require -trace-spans")
+	case *slowThr != 0 && *spanCap <= 0:
+		fmt.Fprintln(stderr, "lrukd: -trace-slow requires -trace-spans")
 		return 2
 	case *maxWAL != 0 && *backend != "file":
 		fmt.Fprintln(stderr, "lrukd: -max-wal-bytes requires -backend=file")
@@ -209,12 +207,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Spans:         spanRec,
 		// Production-shaped fault posture: bounded transient retry and a
 		// per-stripe circuit breaker, whose refusals the server maps onto
-		// wire statuses.
+		// wire statuses. The retry jitter stream keeps its default seed:
+		// it spreads the retries of one node's requests over one disk, and
+		// no two nodes share a disk.
 		DiskRetry: bufferpool.RetryConfig{
 			Attempts:  3,
 			BaseDelay: 500 * time.Microsecond,
 			MaxDelay:  5 * time.Millisecond,
-			Seed:      uint64(os.Getpid()),
 		},
 		DiskBreaker: bufferpool.BreakerConfig{
 			Threshold: 8,
@@ -265,11 +264,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		NodeID:            *nodeID,
 		View:              view,
 		Spans:             spanRec,
-		Sampler: obs.Sampler{
-			Fraction:      *sampleFr,
-			Seed:          uint64(os.Getpid()),
-			SlowThreshold: *slowThr,
-		},
+		SlowThreshold:     *slowThr,
 	})
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(stderr, "lrukd:", err)

@@ -292,12 +292,6 @@ func TestMetricsCatalog(t *testing.T) {
 	}
 	documented := catalogFamilies(t)
 	for name := range documented {
-		// Not the daemon's: the rebalance coordinator (lrukcluster) registers
-		// these in its own registry. TestRebalanceObservability (package
-		// cluster) asserts them there.
-		if strings.HasPrefix(name, "lruk_cluster_rebalance_") {
-			continue
-		}
 		if !exposed[name] {
 			t.Errorf("DESIGN.md §12 documents %s, but a fully armed lrukd does not expose it", name)
 		}
@@ -324,19 +318,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		return code, stderr.String()
 	}
 	for name, args := range map[string][]string{
-		"unknown flag":                       {"-no-such-flag"},
-		"-cluster without -node-id":          {"-cluster", "n0=127.0.0.1:1"},
-		"-node-id outside the spec":          {"-node-id", "ghost", "-cluster", "n0=127.0.0.1:1"},
-		"-data-dir without -backend=file":    {"-data-dir", t.TempDir()},
-		"-trace-sample without -trace-spans": {"-trace-sample", "0.5"},
-		"-trace-slow without -trace-spans":   {"-trace-slow", "1ms"},
-		"-max-wal-bytes with -backend=sim":   {"-max-wal-bytes", "4096"},
-		"-k 0":                               {"-k", "0"},
-		"-k -1":                              {"-k", "-1"},
-		"-frames 0":                          {"-frames", "0"},
-		"-customers 0":                       {"-customers", "0"},
-		"-workers -3":                        {"-workers", "-3"},
-		"-queue -1":                          {"-queue", "-1"},
+		"unknown flag":                     {"-no-such-flag"},
+		"-cluster without -node-id":        {"-cluster", "n0=127.0.0.1:1"},
+		"-node-id outside the spec":        {"-node-id", "ghost", "-cluster", "n0=127.0.0.1:1"},
+		"-data-dir without -backend=file":  {"-data-dir", t.TempDir()},
+		"-trace-slow without -trace-spans": {"-trace-slow", "1ms"},
+		"-max-wal-bytes with -backend=sim": {"-max-wal-bytes", "4096"},
+		"-k 0":                             {"-k", "0"},
+		"-k -1":                            {"-k", "-1"},
+		"-frames 0":                        {"-frames", "0"},
+		"-customers 0":                     {"-customers", "0"},
+		"-workers -3":                      {"-workers", "-3"},
+		"-queue -1":                        {"-queue", "-1"},
 	} {
 		if code, stderr := reject(args); code != 2 {
 			t.Errorf("%s exited %d, want 2; stderr %q", name, code, stderr)
@@ -349,8 +342,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		flag, value string
 		with        []string
 	}{
-		{"trace-sample", "2", []string{"-trace-spans", "8"}},
-		{"trace-sample", "-1", []string{"-trace-spans", "8"}},
 		{"trace-spans", "-3", nil},
 		{"trace-slow", "-1ms", []string{"-trace-spans", "8"}},
 		{"scrub-interval", "-1s", nil},
@@ -370,8 +361,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // a configuration the tests and BENCHMARK.json must cover. Adding one means
 // editing a number here and saying, in the same change, which two existing
 // callers need different values for it. db.Config has no replacer periods
-// (db.Open derives them from Frames and K) and no record size (only db's
-// own tests shrink it, through an unexported field). core.Options holds the
+// (db.Open sets the CRP to its correlatedReferencePeriod constant and
+// derives the RIP from Frames and K) and no record size (only db's own
+// tests shrink it, through an unexported field). core.Options holds the
 // two §2.1 periods and nothing else: no shard count and no clock, since
 // every LRU-K in the repository ticks once per reference.
 //
@@ -401,7 +393,7 @@ func TestOptionSurface(t *testing.T) {
 		{bufferpool.Config{}, 6},
 		{server.Config{}, 10},
 		{cluster.Config{}, 1},
-		{cluster.RebalanceConfig{}, 6},
+		{cluster.RebalanceConfig{}, 4},
 		{core.Options{}, 2},
 	} {
 		// Exported fields only: an unexported field is settable by its own
@@ -428,8 +420,8 @@ func TestOptionSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 18 {
-		t.Errorf("lrukd defines %d flags, want 18; usage:\n%s", flags, stderr.String())
+	if flags != 17 {
+		t.Errorf("lrukd defines %d flags, want 17; usage:\n%s", flags, stderr.String())
 	}
 	for _, c := range []struct {
 		iface any

@@ -258,10 +258,9 @@ func TestRebalanceRemoveUnderWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = cluster.Rebalance(ctx, view, shrunk, cluster.RebalanceConfig{
-		Keys:      customers,
-		BatchSize: 128,
-		Log:       t.Logf,
-	})
+		Keys: customers,
+		Log:  t.Logf,
+	}.WithBatchSize(128))
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}

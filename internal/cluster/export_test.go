@@ -8,3 +8,10 @@ func (c Config) WithRetry(maxAttempts int, busyBackoff, maxBackoff time.Duration
 	c.maxAttempts, c.busyBackoff, c.maxBackoff = maxAttempts, busyBackoff, maxBackoff
 	return c
 }
+
+// WithBatchSize sets the unexported handoff batch size for the external
+// test package: zero keeps the production default.
+func (c RebalanceConfig) WithBatchSize(n int) RebalanceConfig {
+	c.batchSize = n
+	return c
+}

@@ -49,32 +49,28 @@ import (
 type RebalanceConfig struct {
 	// Keys is the customer key population: keys are scanned in [0, Keys).
 	Keys int64
-	// BatchSize caps entries per RangeRead/RangeWrite request. Zero
-	// selects 2048; values above wire.MaxRangeEntries are clamped.
-	BatchSize int
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
-	// Obs, when non-nil, records the coordinator's phase timings and copy
-	// volume: lruk_cluster_rebalance_phase_seconds{phase=...} per phase,
-	// plus keys-moved and ranges-copied counters.
-	Obs *obs.Registry
 	// Spans, when non-nil together with a sampled Trace, records one
 	// rebalance_phase span per coordinator phase (annot = the index into
-	// the flip_sources/copy/flush_dests/flip_rest sequence).
+	// the flip_sources/copy/flush_dests/flip_rest sequence). The spans are
+	// the phases' one timing.
 	Spans *obs.SpanRecorder
 	// Trace, when sampled, is the trace context every admin request of the
 	// run is issued under: each node records the ViewSet/Flush/RangeWrite
 	// it served as request spans of this one trace, so `lrukcluster trace`
 	// reassembles the whole handoff across the cluster.
 	Trace obs.TraceContext
+
+	// batchSize caps entries per RangeRead/RangeWrite request, at most
+	// wire.MaxRangeEntries. Zero selects 2048. Only this package's tests
+	// set it (export_test.go), to force several copy windows.
+	batchSize int
 }
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 2048
-	}
-	if c.BatchSize > wire.MaxRangeEntries {
-		c.BatchSize = wire.MaxRangeEntries
+	if c.batchSize <= 0 {
+		c.batchSize = 2048
 	}
 	return c
 }
@@ -98,30 +94,14 @@ func RebalancePhaseName(idx int) string {
 	return rebalancePhases[idx]
 }
 
-// observePhase files one completed phase: a latency observation under the
-// phase label, and (under a sampled trace) a rebalance_phase span parented
-// on the run's root span.
+// observePhase files one completed phase: under a sampled trace, a
+// rebalance_phase span parented on the run's root span. The span is the
+// phase's one timing.
 func (c RebalanceConfig) observePhase(idx int, start time.Time) {
-	dur := time.Since(start)
-	if c.Obs != nil {
-		c.Obs.LatencyHistogram("lruk_cluster_rebalance_phase_seconds",
-			"Wall-clock time of each rebalance coordinator phase.",
-			obs.Labels{"phase": rebalancePhases[idx]}).Observe(dur.Nanoseconds())
-	}
 	if c.Spans != nil && c.Trace.Sampled {
 		c.Spans.Emit(c.Trace.TraceID, c.Spans.NewSpanID(), c.Trace.SpanID,
-			obs.SpanRebalancePhase, start, dur, int64(idx))
+			obs.SpanRebalancePhase, start, time.Since(start), int64(idx))
 	}
-}
-
-func (c RebalanceConfig) countMoved(keys, ranges int) {
-	if c.Obs == nil {
-		return
-	}
-	c.Obs.Counter("lruk_cluster_rebalance_keys_moved_total",
-		"Customer keys copied to a new owner by the rebalance coordinator.", nil).Add(uint64(keys))
-	c.Obs.Counter("lruk_cluster_rebalance_ranges_copied_total",
-		"RangeWrite batches shipped by the rebalance coordinator.", nil).Add(uint64(ranges))
 }
 
 // Rebalance drives the handoff from oldView to newView. Every node in
@@ -270,7 +250,6 @@ func copySource(ctx context.Context, srcID string, oldRing, newRing *Ring,
 	}
 	batches := make(map[string][]wire.RangeEntry)
 	shipped := 0
-	ranges := 0
 	destN := make(map[string]bool)
 	ship := func(destID string) error {
 		batch := batches[destID]
@@ -289,13 +268,12 @@ func copySource(ctx context.Context, srcID string, oldRing, newRing *Ring,
 			return fmt.Errorf("cluster: rebalance: %s applied %d of %d entries", destID, applied, len(batch))
 		}
 		shipped += len(batch)
-		ranges++
 		destN[destID] = true
 		batches[destID] = batch[:0]
 		return nil
 	}
-	for lo := int64(0); lo < cfg.Keys; lo += int64(cfg.BatchSize) {
-		hi := lo + int64(cfg.BatchSize)
+	for lo := int64(0); lo < cfg.Keys; lo += int64(cfg.batchSize) {
+		hi := lo + int64(cfg.batchSize)
 		if hi > cfg.Keys {
 			hi = cfg.Keys
 		}
@@ -312,7 +290,7 @@ func copySource(ctx context.Context, srcID string, oldRing, newRing *Ring,
 				continue // stays put
 			}
 			batches[destID] = append(batches[destID], e)
-			if len(batches[destID]) >= cfg.BatchSize {
+			if len(batches[destID]) >= cfg.batchSize {
 				if err := ship(destID); err != nil {
 					return err
 				}
@@ -324,7 +302,6 @@ func copySource(ctx context.Context, srcID string, oldRing, newRing *Ring,
 			return err
 		}
 	}
-	cfg.countMoved(shipped, ranges)
 	cfg.logf("rebalance: source %s shipped %d keys to %d destinations", srcID, shipped, len(destN))
 	return nil
 }

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -13,11 +12,9 @@ import (
 )
 
 // TestRebalanceObservability runs a node removal with the coordinator's
-// instrumentation armed and checks the run left the promised artifacts: a
-// latency observation for each of the four phases, keys-moved and
-// ranges-copied counters covering the shipped population, and one
+// span recorder armed and checks the run left the promised artifacts: one
 // rebalance_phase span per phase, all under the configured trace and in
-// execution order.
+// execution order. The spans are each phase's one timing.
 func TestRebalanceObservability(t *testing.T) {
 	leakcheck.Check(t)
 	const customers = 400
@@ -27,36 +24,15 @@ func TestRebalanceObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := obs.NewRegistry()
 	rec := obs.NewSpanRecorder("coordinator", 64)
 	trace := obs.TraceContext{TraceID: rec.NewTraceID(), SpanID: rec.NewSpanID(), Sampled: true}
 	err = cluster.Rebalance(context.Background(), view, shrunk, cluster.RebalanceConfig{
-		Keys:      customers,
-		BatchSize: 64,
-		Obs:       reg,
-		Spans:     rec,
-		Trace:     trace,
-	})
+		Keys:  customers,
+		Spans: rec,
+		Trace: trace,
+	}.WithBatchSize(64))
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
-	}
-
-	summaries := reg.HistogramSummaries()
-	for _, phase := range []string{"flip_sources", "copy", "flush_dests", "flip_rest"} {
-		key := fmt.Sprintf(`lruk_cluster_rebalance_phase_seconds{phase=%q}`, phase)
-		sum, ok := summaries[key]
-		if !ok || sum.Count != 1 {
-			t.Errorf("phase %s: want one observation, got %+v (present=%v)", phase, sum, ok)
-		}
-	}
-
-	keysMoved := reg.Counter("lruk_cluster_rebalance_keys_moved_total", "", nil).Value()
-	ranges := reg.Counter("lruk_cluster_rebalance_ranges_copied_total", "", nil).Value()
-	if keysMoved == 0 || keysMoved > customers {
-		t.Errorf("keys moved = %d, want in (0, %d]", keysMoved, customers)
-	}
-	if ranges == 0 {
-		t.Errorf("ranges copied = %d, want > 0", ranges)
 	}
 
 	spans := rec.TraceSpans(trace.TraceID)

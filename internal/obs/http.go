@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"sync/atomic"
 )
 
 // Health is the readiness report served on /healthz. Serving gates the
@@ -86,10 +87,11 @@ func WithSpans(rec *SpanRecorder) HandlerOption {
 // mux.
 func Handler(r *Registry, opts ...HandlerOption) *http.ServeMux {
 	mux := http.NewServeMux()
-	scrapes := r.Counter("lruk_obs_scrapes_total",
-		"Number of /metrics scrapes served.", nil)
+	var scrapes atomic.Uint64
+	r.CounterFunc("lruk_obs_scrapes_total", "Number of /metrics scrapes served.", nil,
+		func() float64 { return float64(scrapes.Load()) })
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		scrapes.Inc()
+		scrapes.Add(1)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WriteText(w)
 	})

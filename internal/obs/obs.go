@@ -12,18 +12,18 @@
 //
 // Design constraints, in order:
 //
-//   - Allocation-free on the hot path. Counter.Add and Histogram.Observe
-//     never allocate and take a handful of atomic operations;
-//     BenchmarkObsOverhead holds the combined counter+histogram record to
-//     tens of nanoseconds.
+//   - Allocation-free on the hot path. Histogram.Observe never allocates
+//     and takes a handful of atomic operations; BenchmarkObsOverhead holds
+//     an atomic counter add plus a histogram record to tens of
+//     nanoseconds.
 //   - Safe when absent. Every recording method is a no-op on a nil
-//     receiver, so instrumented code paths carry optional *Counter /
-//     *Histogram fields and never branch on a config flag.
-//   - Cheap when scraped. Pre-existing counters (pool shards, disk
-//     atomics, server totals) are exposed through CounterFunc/GaugeFunc
-//     collectors evaluated at scrape time, costing the hot path nothing.
-//     Every gauge is such a collector: a state worth exposing already
-//     lives somewhere.
+//     receiver, so instrumented code paths carry optional *Histogram
+//     fields and never branch on a config flag.
+//   - One counter mechanism. Every counter and gauge is a CounterFunc /
+//     GaugeFunc collector evaluated at scrape time over an atomic its
+//     layer already keeps (pool shards, disk ledgers, server totals), so
+//     exposing it costs the recording path nothing: a value worth
+//     exposing already lives somewhere.
 //
 // See DESIGN.md §12 for the metric catalog and the histogram bucket
 // scheme.
@@ -90,13 +90,11 @@ func (l Labels) render() string {
 type series struct {
 	labels string // rendered label set (series identity within the family)
 
-	counter *Counter
-	hist    *Histogram
-	// cFunc / gFunc are scrape-time collectors for values that already
-	// live elsewhere (pool shard counters, disk atomics); they cost the
-	// recording path nothing.
-	cFunc func() float64
-	gFunc func() float64
+	hist *Histogram
+	// fn is a counter or gauge family's scrape-time collector over a value
+	// that already lives elsewhere (pool shard counters, disk atomics); it
+	// costs the recording path nothing.
+	fn func() float64
 }
 
 // family groups series sharing one metric name, kind and help string.
@@ -152,37 +150,25 @@ func (r *Registry) lookup(name string, kind Kind, help string, labels Labels, sc
 	return s
 }
 
-// Counter returns the striped counter registered under name+labels,
-// creating it on first use.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.lookup(name, KindCounter, help, labels, 0)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.counter == nil && s.cFunc == nil {
-		s.counter = NewCounter()
-	}
-	return s.counter
-}
-
 // CounterFunc registers a scrape-time collector as a counter series: fn is
 // evaluated at each exposition, so a counter that already exists as an
 // atomic elsewhere (a pool shard total, a disk ledger) is exposed without
 // adding a single instruction to its recording path. Re-registering the
 // same name+labels replaces the callback.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, KindCounter, help, labels, 0)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.cFunc = fn
-	s.counter = nil
+	r.collector(name, KindCounter, help, labels, fn)
 }
 
 // GaugeFunc registers a scrape-time gauge collector (see CounterFunc).
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, KindGauge, help, labels, 0)
+	r.collector(name, KindGauge, help, labels, fn)
+}
+
+func (r *Registry) collector(name string, kind Kind, help string, labels Labels, fn func() float64) {
+	s := r.lookup(name, kind, help, labels, 0)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s.gFunc = fn
+	s.fn = fn
 }
 
 // Histogram returns the histogram registered under name+labels, creating

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -159,33 +160,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterConcurrent(t *testing.T) {
-	c := NewCounter()
-	var nilC *Counter
-	nilC.Add(3) // no-op, no panic
-	if nilC.Value() != 0 {
-		t.Fatal("nil counter must read 0")
-	}
-	const (
-		writers = 8
-		perG    = 50000
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); got != writers*perG {
-		t.Fatalf("counter=%d, want %d", got, writers*perG)
-	}
-}
-
 // TestGauge: a gauge is a scrape-time collector, read at each exposition;
 // re-registering the same name+labels replaces the callback.
 func TestGauge(t *testing.T) {
@@ -214,14 +188,14 @@ func TestGauge(t *testing.T) {
 
 func TestRegistryIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x_total", "help", Labels{"op": "get"})
-	b := r.Counter("x_total", "ignored on re-register", Labels{"op": "get"})
+	a := r.Histogram("x_bytes", "help", Labels{"op": "get"})
+	b := r.Histogram("x_bytes", "ignored on re-register", Labels{"op": "get"})
 	if a != b {
-		t.Fatal("same name+labels must return the same counter")
+		t.Fatal("same name+labels must return the same histogram")
 	}
-	other := r.Counter("x_total", "", Labels{"op": "scan"})
+	other := r.Histogram("x_bytes", "", Labels{"op": "scan"})
 	if other == a {
-		t.Fatal("different labels must return a distinct counter")
+		t.Fatal("different labels must return a distinct histogram")
 	}
 	h1 := r.LatencyHistogram("lat_seconds", "", nil)
 	h2 := r.LatencyHistogram("lat_seconds", "", nil)
@@ -233,7 +207,7 @@ func TestRegistryIdempotent(t *testing.T) {
 			t.Fatal("kind mismatch must panic")
 		}
 	}()
-	r.GaugeFunc("x_total", "", nil, func() float64 { return 0 })
+	r.GaugeFunc("x_bytes", "", nil, func() float64 { return 0 })
 }
 
 // TestRegistryConcurrent registers from many goroutines while WriteText
@@ -265,8 +239,9 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c := r.Counter(fmt.Sprintf("fam_%d_total", i%20), "", Labels{"g": strconv.Itoa(g)})
-				c.Inc()
+				c := r.Histogram(fmt.Sprintf("fam_%d", i%20), "", Labels{"g": strconv.Itoa(g)})
+				c.Observe(int64(i))
+				r.CounterFunc(fmt.Sprintf("cf_%d_total", i%5), "", nil, func() float64 { return 1 })
 				h := r.Histogram(fmt.Sprintf("hist_%d", i%10), "", nil)
 				h.Observe(int64(i))
 				r.GaugeFunc(fmt.Sprintf("gf_%d", i%5), "", nil, func() float64 { return 1 })
@@ -280,23 +255,24 @@ func TestRegistryConcurrent(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	<-done
-	// Every writer's counter must have survived concurrent registration.
+	// Every writer's series must have survived concurrent registration.
 	var total uint64
 	for i := 0; i < 20; i++ {
 		for g := 0; g < 8; g++ {
-			total += r.Counter(fmt.Sprintf("fam_%d_total", i), "", Labels{"g": strconv.Itoa(g)}).Value()
+			total += r.Histogram(fmt.Sprintf("fam_%d", i), "", Labels{"g": strconv.Itoa(g)}).Count()
 		}
 	}
 	if total != 8*200 {
-		t.Fatalf("counter total across families = %d, want %d", total, 8*200)
+		t.Fatalf("observation total across families = %d, want %d", total, 8*200)
 	}
 }
 
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("pool_hits_total", "Buffer pool hits.", nil).Add(42)
+	var hits atomic.Uint64
+	hits.Add(42)
+	r.CounterFunc("pool_hits_total", "Buffer pool hits.", nil, func() float64 { return float64(hits.Load()) })
 	r.GaugeFunc("queue_depth", "", Labels{"srv": "a"}, func() float64 { return 7 })
-	r.CounterFunc("derived_total", "", nil, func() float64 { return 13 })
 	h := r.LatencyHistogram("req_seconds", "Request latency.", Labels{"op": "get"})
 	h.Observe(int64(2 * time.Millisecond))
 	var sb strings.Builder
@@ -308,7 +284,6 @@ func TestWriteTextFormat(t *testing.T) {
 		"# TYPE pool_hits_total counter",
 		"pool_hits_total 42",
 		`queue_depth{srv="a"} 7`,
-		"derived_total 13",
 		"# TYPE req_seconds summary",
 		`req_seconds{op="get",quantile="0.99"}`,
 		`req_seconds_count{op="get"} 1`,
@@ -408,7 +383,7 @@ func TestTraceRecordJSONRoundTrip(t *testing.T) {
 
 func TestHandlerServesMetricsAndPprof(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("demo_total", "", nil).Add(3)
+	r.CounterFunc("demo_total", "", nil, func() float64 { return 3 })
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 

@@ -53,19 +53,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 func writeSeries(w io.Writer, f *family, s *series) error {
 	switch f.kind {
-	case KindCounter:
+	case KindCounter, KindGauge:
 		v := 0.0
-		switch {
-		case s.cFunc != nil:
-			v = s.cFunc()
-		case s.counter != nil:
-			v = float64(s.counter.Value())
-		}
-		return writeSample(w, f.name, s.labels, "", v)
-	case KindGauge:
-		v := 0.0
-		if s.gFunc != nil { // nil only while GaugeFunc is registering it
-			v = s.gFunc()
+		if s.fn != nil { // nil only while CounterFunc/GaugeFunc is registering it
+			v = s.fn()
 		}
 		return writeSample(w, f.name, s.labels, "", v)
 	case KindHistogram:

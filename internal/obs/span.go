@@ -451,44 +451,3 @@ func (r *SpanRecorder) TraceSpans(trace uint64) []SpanRecord {
 	}
 	return out
 }
-
-// Sampler decides which requests are traced. Head sampling is a
-// deterministic seeded hash of the trace id — the same id samples the
-// same way on every node, so a trace is never half-recorded across the
-// cluster. Tail bias is the caller's half of the contract: requests that
-// ran slower than SlowThreshold, errored, or were shed get their spans
-// emitted retrospectively even when the head draw said no (ShouldTail).
-type Sampler struct {
-	// Fraction of traces head-sampled, in [0, 1]. Zero disables head
-	// sampling (tail bias still applies).
-	Fraction float64
-	// Seed perturbs the sampling hash so fleets can decorrelate.
-	Seed uint64
-	// SlowThreshold is the tail-bias latency bar. Zero disables the
-	// slow-request tail rule (errors and sheds are still tailed when
-	// tracing is armed).
-	SlowThreshold time.Duration
-}
-
-// Sample reports whether the trace id is head-sampled.
-func (s Sampler) Sample(traceID uint64) bool {
-	if traceID == 0 || s.Fraction <= 0 {
-		return false
-	}
-	if s.Fraction >= 1 {
-		return true
-	}
-	// Top 53 bits of the mixed id against the fraction's dyadic scaling:
-	// exact for every float64 fraction, no modulo bias.
-	return splitmix64(traceID^s.Seed)>>11 < uint64(s.Fraction*float64(uint64(1)<<53))
-}
-
-// ShouldTail reports whether a request that was NOT head-sampled should
-// have its spans emitted retrospectively: it exceeded the latency bar,
-// or it failed (the caller passes failed=true for errors and sheds).
-func (s Sampler) ShouldTail(dur time.Duration, failed bool) bool {
-	if failed {
-		return true
-	}
-	return s.SlowThreshold > 0 && dur >= s.SlowThreshold
-}

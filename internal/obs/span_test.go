@@ -244,50 +244,6 @@ func TestContextTrace(t *testing.T) {
 	}
 }
 
-func TestSamplerDeterminism(t *testing.T) {
-	s := Sampler{Fraction: 0.25, Seed: 42}
-	sampled := 0
-	const n = 100000
-	for i := uint64(1); i <= n; i++ {
-		a, b := s.Sample(i), s.Sample(i)
-		if a != b {
-			t.Fatalf("sampling of id %d is not deterministic", i)
-		}
-		if a {
-			sampled++
-		}
-	}
-	frac := float64(sampled) / n
-	if frac < 0.2 || frac > 0.3 {
-		t.Fatalf("sampled fraction %.4f, want ~0.25", frac)
-	}
-	if (Sampler{Fraction: 1}).Sample(1) != true {
-		t.Fatal("fraction 1 must sample everything")
-	}
-	if (Sampler{Fraction: 0}).Sample(1) != false {
-		t.Fatal("fraction 0 must sample nothing")
-	}
-	if (Sampler{Fraction: 1}).Sample(0) != false {
-		t.Fatal("trace id 0 must never sample")
-	}
-}
-
-func TestSamplerShouldTail(t *testing.T) {
-	s := Sampler{SlowThreshold: 10 * time.Millisecond}
-	if !s.ShouldTail(11*time.Millisecond, false) {
-		t.Fatal("slow request must tail-sample")
-	}
-	if s.ShouldTail(time.Millisecond, false) {
-		t.Fatal("fast clean request must not tail-sample")
-	}
-	if !s.ShouldTail(0, true) {
-		t.Fatal("failed request must tail-sample")
-	}
-	if (Sampler{}).ShouldTail(time.Hour, false) {
-		t.Fatal("zero threshold disables the slow rule")
-	}
-}
-
 func TestSpanRecorderConcurrent(t *testing.T) {
 	rec := NewSpanRecorder("n0", 128)
 	var wg sync.WaitGroup

@@ -91,11 +91,11 @@ type Config struct {
 	// exemplars carry their trace ids. Nil keeps the request path free of
 	// tracing work beyond a flag check.
 	Spans *obs.SpanRecorder
-	// Sampler decides which requests are traced beyond what the client
-	// already sampled on the wire: head sampling by trace id, plus tail
-	// bias for slow, failed, or shed requests (their spans are emitted
-	// retrospectively). Only consulted when Spans is set.
-	Sampler obs.Sampler
+	// SlowThreshold arms tail rescue for requests the client did not
+	// sample: one at least this slow gets its request and queue-wait spans
+	// emitted after the fact, as a failed or shed one always does. Zero
+	// rescues failures and sheds only. Only consulted when Spans is set.
+	SlowThreshold time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -367,7 +367,7 @@ func (s *Server) handleConn(c net.Conn) {
 			// wait — the reply path does no database work, so overload
 			// cannot snowball.
 			s.shed.Add(1)
-			if rec := s.cfg.Spans; rec != nil && s.cfg.Sampler.ShouldTail(0, true) {
+			if rec := s.cfg.Spans; rec != nil {
 				// Sheds are always tail-worthy: a zero-duration request
 				// span marks where the cluster turned the request away.
 				traceID := req.Trace.TraceID
@@ -420,7 +420,7 @@ func (s *Server) admit(arrived time.Time) (picked time.Time, st wire.Status) {
 // appending the reply payload to out, with its tracing envelope: the
 // request span (parented to the client's wire span), a queue-wait child,
 // the MOVED point event, a latency exemplar carrying the trace id, and the
-// tail-sampling pass for slow or failed requests the head draw skipped.
+// tail rescue of slow or failed requests the client did not sample.
 // arrived is when the request was read, picked when it got its slot; dctx
 // is the connection's request context, which execute resets.
 func (s *Server) serve(dctx *deadlineCtx, req wire.Request, out []byte, arrived, picked time.Time) ([]byte, wire.Status) {
@@ -429,8 +429,8 @@ func (s *Server) serve(dctx *deadlineCtx, req wire.Request, out []byte, arrived,
 	}
 	rec := s.cfg.Spans
 	wtc := req.Trace
-	sampled := rec != nil && wtc.TraceID != 0 &&
-		(wtc.Sampled || s.cfg.Sampler.Sample(wtc.TraceID))
+	// The client made the sampling decision; the wire flag carries it.
+	sampled := rec != nil && wtc.Sampled
 	var reqSpan obs.Span
 	if sampled {
 		reqSpan = rec.StartAt(obs.TraceContext{TraceID: wtc.TraceID, SpanID: wtc.SpanID, Sampled: true},
@@ -450,10 +450,10 @@ func (s *Server) serve(dctx *deadlineCtx, req wire.Request, out []byte, arrived,
 				obs.SpanMoved, picked, 0, int64(req.Op))
 		}
 		reqSpan.Finish(int64(req.Op))
-	} else if rec != nil && s.cfg.Sampler.ShouldTail(dur, failedStatus(status)) {
-		// Tail bias: the head draw said no, but the request turned out slow
-		// or broken. Reconstruct a minimal two-span trace after the fact so
-		// the outliers are always explorable.
+	} else if rec != nil && (failedStatus(status) || s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold) {
+		// Tail rescue: the client did not sample, but the request turned
+		// out slow or broken. Reconstruct a minimal two-span trace after
+		// the fact so the outliers are always explorable.
 		traceID := wtc.TraceID
 		if traceID == 0 {
 			traceID = rec.NewTraceID()

@@ -104,8 +104,10 @@ type Backend interface {
 	Stats() Stats
 	// NumPages returns the number of currently allocated pages.
 	NumPages() int
-	// Close releases the backend's resources. Callers flush first; Close
-	// does not checkpoint.
+	// Close releases the backend's resources; a second Close is a no-op.
+	// Callers flush first. A durable backend checkpoints on Close
+	// (file.Store), so a clean close leaves no log to replay; the
+	// simulated disk has nothing to make durable.
 	Close() error
 }
 

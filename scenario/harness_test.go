@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"os"
@@ -120,13 +121,17 @@ type scenario struct {
 // nextPort hands out listen ports from below the kernel's ephemeral range
 // (32768 up): the loads' client sockets linger there in TIME_WAIT, and a
 // port must stay bindable between its reservation and the daemon's bind,
-// and again between a SIGKILL and the restart on the same spec.
+// and again between a SIGKILL and the restart on the same spec. Each test
+// process starts at its own random offset, so two runs at once rarely
+// probe the same ports.
 var nextPort atomic.Uint32
+
+var portBase = rand.Uint32()
 
 func reserve(t *testing.T) string {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
-		port := 20000 + (uint32(os.Getpid())*64+nextPort.Add(1))%12000
+		port := 20000 + (portBase+nextPort.Add(1))%12000
 		ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))
 		if err == nil {
 			ln.Close()

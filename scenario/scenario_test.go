@@ -89,7 +89,7 @@ func TestTrace(t *testing.T) {
 	// trace is still resident when asked for; 128 frames force real misses,
 	// which gives the waterfall its disk spans.
 	s := start(t, 3, "sim", 2000, "-frames", "128",
-		"-trace-spans", "16384", "-trace-sample", "1", "-trace-slow", "250ms")
+		"-trace-spans", "16384", "-trace-slow", "250ms")
 	// No scans and a low fraction: one traced scan sprays thousands of spans
 	// and would churn the rings past the trace being looked for.
 	s.load("-clients", "4", "-duration", "1s", "-get", "95", "-update", "5", "-scan", "0", "-trace-sample", "0.02")
