@@ -396,14 +396,21 @@ func (p *Pool) AllocatePage() (policy.PageID, error) {
 // WriteNewPage writes the first image of a page AllocatePage returned, which
 // no frame has held, once through the I/O gate and retry ladder, behind as a
 // flush sweep's writes are: on a durable backend it is durable at the
-// barrier of the next FlushAll to begin after it returns. A failed write
-// counts in WriteErrors (or WritesRejected) but quarantines nothing: the
-// caller still holds the image.
+// barrier of the next FlushAll to begin after it returns. The file backend
+// writes such an image to its slot alone, with no log record, when the page
+// was allocated since its last checkpoint (file.Store.Write). A ctx that
+// already carries the storage.WithWriteBehind mark is used as it is, so a
+// bulk load that marks its context once allocates nothing per page here. A
+// failed write counts in WriteErrors (or WritesRejected) but quarantines
+// nothing: the caller still holds the image.
 func (p *Pool) WriteNewPage(ctx context.Context, id policy.PageID, data []byte) error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
-	if err := p.diskRetry(storage.WithWriteBehind(ctx), storage.OpWrite, id, data); err != nil {
+	if !storage.WriteBehind(ctx) {
+		ctx = storage.WithWriteBehind(ctx)
+	}
+	if err := p.diskRetry(ctx, storage.OpWrite, id, data); err != nil {
 		p.shardOf(id).countFailure(storage.OpWrite, err)
 		return fmt.Errorf("bufferpool: writing new page %d: %w", id, err)
 	}

@@ -248,6 +248,48 @@ func TestDurableSetupSharesFsyncs(t *testing.T) {
 	}
 }
 
+// TestDurableLoadLogsOnlyAllocations pins what the durable set-up puts in
+// the log. Every page the load writes is a first image written behind of a
+// page allocated since the store's last checkpoint, so the file store
+// writes it to its slot with no log record: the 600-customer load appends
+// its 305 allocation records (the catalog, 300 heap and 4 index pages) and
+// nothing else. The first FlushAll writes the index and catalog pages'
+// first images behind, unlogged too; its checkpoint empties the log, and
+// the catalog publish, the catalog's second image, appends the one page
+// record.
+func TestDurableLoadLogsOnlyAllocations(t *testing.T) {
+	const (
+		allocRecord = 8 + 1 + 8 // frame header, kind, page id
+		pageRecord  = allocRecord + storage.PageSize
+	)
+	s, err := file.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(Config{Frames: 404, Backend: s})
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.LoadCustomers(600); err != nil {
+		t.Fatal(err)
+	}
+	loaded := d.StatsSnapshot().Disk
+	if loaded.Allocated != 305 || loaded.WALAppends != 305 || loaded.WALBytes != 305*allocRecord {
+		t.Errorf("the load allocated %d pages and appended %d records, %d log bytes; want 305, 305 and %d: allocation records only",
+			loaded.Allocated, loaded.WALAppends, loaded.WALBytes, 305*allocRecord)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := d.StatsSnapshot().Disk
+	if got := flushed.WALAppends - loaded.WALAppends; got != 1 || flushed.WALBytes != pageRecord {
+		t.Errorf("FlushAll appended %d records and left %d log bytes, want 1 and %d: the catalog publish's page record",
+			got, flushed.WALBytes, pageRecord)
+	}
+}
+
 // TestDurableLoadUnderEvictionAbandoned: updates over more pages than the
 // pool holds interleave synced writes and evictions with the load's records
 // made behind — alloc records and heap page images, none synced.

@@ -408,10 +408,11 @@ func BenchmarkLoadCustomers(b *testing.B) {
 // BenchmarkDurableSetup times the durable set-up net_durable_mixed pays: a
 // fresh file store, Open at 404 frames, LoadCustomers(600) and the first
 // FlushAll. wal_fsyncs/op is the log fsyncs that set-up makes,
-// log_writes/op the write() calls on the log and extends/op the times
-// pages.db grew.
+// wal_appends/op the records it logs (the 305 allocations and the catalog
+// publish: first images go to their slots alone), log_writes/op the
+// write() calls on the log and extends/op the times pages.db grew.
 func BenchmarkDurableSetup(b *testing.B) {
-	var syncs, logWrites, extends uint64
+	var syncs, appends, logWrites, extends uint64
 	for range b.N {
 		s, err := file.Open(b.TempDir())
 		if err != nil {
@@ -429,7 +430,9 @@ func BenchmarkDurableSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		syncs += d.StatsSnapshot().Disk.WALSyncs
+		st := d.StatsSnapshot().Disk
+		syncs += st.WALSyncs
+		appends += st.WALAppends
 		w, e := s.SyscallCounts()
 		logWrites += w
 		extends += e
@@ -437,6 +440,7 @@ func BenchmarkDurableSetup(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(syncs)/float64(b.N), "wal_fsyncs/op")
+	b.ReportMetric(float64(appends)/float64(b.N), "wal_appends/op")
 	b.ReportMetric(float64(logWrites)/float64(b.N), "log_writes/op")
 	b.ReportMetric(float64(extends)/float64(b.N), "extends/op")
 }

@@ -232,6 +232,7 @@ func (f *File) Insert(rec []byte) (RID, error) {
 // open the file must not be written any other way.
 type Appender struct {
 	f    *File
+	ctx  context.Context // marked write-behind once, for every page
 	id   policy.PageID
 	buf  []byte // page id's image while open
 	open bool
@@ -239,7 +240,11 @@ type Appender struct {
 
 // NewAppender returns an Appender over f, filling no page yet.
 func (f *File) NewAppender() *Appender {
-	return &Appender{f: f, buf: make([]byte, storage.PageSize)}
+	return &Appender{
+		f:   f,
+		ctx: storage.WithWriteBehind(context.Background()),
+		buf: make([]byte, storage.PageSize),
+	}
 }
 
 // Append stores rec and returns its RID.
@@ -274,7 +279,7 @@ func (a *Appender) Close() error {
 		return nil
 	}
 	a.open = false
-	if err := a.f.pool.WriteNewPage(context.Background(), a.id, a.buf); err != nil {
+	if err := a.f.pool.WriteNewPage(a.ctx, a.id, a.buf); err != nil {
 		return fmt.Errorf("heapfile append: %w", err)
 	}
 	a.f.pages = append(a.f.pages, a.id)

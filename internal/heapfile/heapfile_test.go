@@ -335,3 +335,27 @@ func TestFillCtx(t *testing.T) {
 		t.Errorf("a rejected fill wrote pages (%d write-backs)", got)
 	}
 }
+
+// TestAppenderAllocatesNothingPerPage: a bulk load marks its context
+// write-behind once, in NewAppender, and Pool.WriteNewPage uses a marked
+// context as it is, so filling and writing a page allocates nothing but
+// the amortised growth of the file's page list.
+func TestAppenderAllocatesNothingPerPage(t *testing.T) {
+	f := newFile(t, 8)
+	a := f.NewAppender()
+	rec := bytes.Repeat([]byte("c"), storage.PageSize/3)
+	page := func() { // two records: the first closes the page before
+		for range 2 {
+			if _, err := a.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	page()
+	if got := testing.AllocsPerRun(500, page); got != 0 {
+		t.Errorf("an appended page allocates %.2f times, want 0", got)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

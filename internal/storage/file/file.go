@@ -20,25 +20,38 @@
 //
 // Write-ahead invariant: every state change (page write, allocate) appends
 // a checksummed WAL record to the log's buffer (wal.go) before the
-// operation returns. A page write also writes the buffer out and fsyncs the
-// log through its record — group-committed, one write() and one fsync —
-// before returning, after its slot's pwrite: only the fsync makes either
-// durable. Two kinds of record do not wait for that fsync. An
-// allocate's record is made durable by the next fsync or checkpoint, and
-// anything that can make the page observable (the page's own image, or a
-// page pointing at it) is appended after it, so the sync acknowledging that
-// record covers the allocation too. A page write under
-// storage.WithWriteBehind (the pool's flush sweep, and the bulk load's heap
-// pages) is made durable by the next fsync or, at the latest, the next
-// checkpoint, which syncs the log through its last record before anything.
+// operation returns, but one: a page's first image written behind (below).
+// A synchronous page write also writes the buffer out and fsyncs the log
+// through its record — group-committed, one write() and one fsync — before
+// returning, after its slot's pwrite: only the fsync makes either durable.
+// Two kinds of record do not wait for that fsync. An allocate's record is
+// made durable by the next fsync or checkpoint, and anything that can make
+// the page observable (the page's own image, or a page pointing at it) is
+// appended after it, so the sync acknowledging that record covers the
+// allocation too. A page write under storage.WithWriteBehind (the pool's
+// flush sweep, and the bulk load's heap pages) is made durable by the next
+// fsync or, at the latest, the next checkpoint.
+//
+// First images: a write behind of a page allocated since the last
+// checkpoint and not written since appends no record. The page has no
+// durable image to lose, so its slot alone takes the image, and the log
+// notes that an unlogged image waits. The next group-commit leader fsyncs
+// pages.db before the log (wal.sync) — page file before log — so nothing a
+// log fsync makes durable names a page whose image is not. Every other
+// write is logged: a synchronous one, a second image, and a write of a page
+// allocated before the last checkpoint (its hole is a durable image). No
+// logged copy of a first image exists until the next checkpoint, so
+// RepairPage cannot heal one damaged before it.
+//
 // Recovery replays the log as a prefix, so a crash — a power loss, or a
 // kill that loses the buffer — can drop only images nobody was told were
 // durable (write-behind ones, and synchronous ones whose fsync had not
 // returned) and allocations nothing durable references (those ids are
 // handed out again). The page-file write itself is not synced; a
-// checkpoint (Flush) syncs the log, fsyncs the page file, publishes the
-// allocation state, and truncates the log — in that order, so a slot torn by
-// a crash during the page-file fsync is still covered by a durable record.
+// checkpoint (Flush) syncs the log (its leader fsyncing pages.db first when
+// a first image waits), fsyncs the page file, publishes the allocation
+// state, and truncates the log — in that order, so a slot torn by a crash
+// during the page-file fsync is still covered by a durable record.
 // Recovery therefore replays the log over the last checkpoint's page file,
 // stopping at the torn tail, and immediately checkpoints so the replayed
 // state is itself durable. A frame that passed its checksum reached the log
@@ -137,6 +150,12 @@ type Store struct {
 	next    policy.PageID
 	size    int64         // current pages.db length
 	extends atomic.Uint64 // ftruncate calls that grew pages.db
+	// fresh marks, one bit per page id from freshBase (next as of the
+	// last checkpoint), the pages allocated since that checkpoint and not
+	// written since: a page with no durable image, whose first image a
+	// write behind may put in its slot without a log record. Under allocMu.
+	freshBase policy.PageID
+	fresh     []uint64
 
 	// epoch numbers slot writes store-wide; each trailer records the
 	// epoch of the write that produced it, and meta.json persists the
@@ -191,7 +210,7 @@ func OpenConfig(dir string, cfg Config) (*Store, error) {
 		pages.Close()
 		return nil, fmt.Errorf("file: opening wal: %w", err)
 	}
-	w, err := newWAL(walF)
+	w, err := newWAL(walF, pages)
 	if err != nil {
 		pages.Close()
 		walF.Close()
@@ -474,9 +493,11 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 // in log order), page-file write, then the group-committed write() and
 // fsync of the log before returning. A write under storage.WithWriteBehind
 // skips that wait: its record rides the next sync, and the next checkpoint
-// syncs it at the latest. When MaxWALBytes is set, the
-// write that pushes the log past the bound detours through a checkpoint on
-// its way out.
+// syncs it at the latest. A write behind of p's first image since an
+// allocation after the last checkpoint appends no record at all: the next
+// sync fsyncs pages.db ahead of the log instead. When MaxWALBytes is set,
+// the write that pushes the log past the bound detours through a
+// checkpoint on its way out.
 func (s *Store) Write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if err := s.write(ctx, p, buf); err != nil {
 		return err
@@ -501,23 +522,35 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if s.cfg.Spans != nil {
 		tc = obs.TraceFrom(ctx)
 	}
+	behind := storage.WriteBehind(ctx)
 	lk := s.stripe(p)
 	lk.Lock()
-	appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
-	lsn, err := s.wal.append(recKindPage, p, buf)
-	appendSpan.Finish(int64(p))
-	if err != nil {
-		lk.Unlock()
-		return err
+	// A fresh page's first image, written behind, goes to its slot alone:
+	// no durable image of the page exists for a torn slot to lose, and the
+	// next log fsync fsyncs pages.db first (wal.sync).
+	unlogged := s.claimFresh(p) && behind
+	var lsn uint64
+	if !unlogged {
+		appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
+		var err error
+		lsn, err = s.wal.append(recKindPage, p, buf)
+		appendSpan.Finish(int64(p))
+		if err != nil {
+			lk.Unlock()
+			return err
+		}
 	}
 	werr := s.writeSlotLocked(p, buf)
+	if werr == nil && unlogged {
+		s.wal.unlogged.Store(true)
+	}
 	lk.Unlock()
 	if werr != nil {
 		return fmt.Errorf("file: writing page %d: %w", p, werr)
 	}
-	if !storage.WriteBehind(ctx) {
+	if !behind {
 		syncSpan := s.cfg.Spans.Start(tc, obs.SpanWALFsync)
-		err = s.wal.sync(lsn)
+		err := s.wal.sync(lsn)
 		syncSpan.Finish(int64(p))
 		if err != nil {
 			return err
@@ -525,6 +558,23 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	}
 	s.writes.Add(1)
 	return nil
+}
+
+// claimFresh reports whether p is fresh — allocated since the last
+// checkpoint and not written since — and leaves it not fresh, since the
+// caller is about to write it. The caller holds p's stripe latch, so two
+// writes of p cannot both see it fresh, nor apply out of log order.
+func (s *Store) claimFresh(p policy.PageID) bool {
+	s.allocMu.Lock()
+	defer s.allocMu.Unlock()
+	i := int(p - s.freshBase)
+	if i < 0 || i>>6 >= len(s.fresh) {
+		return false
+	}
+	bit := uint64(1) << (i & 63)
+	fresh := s.fresh[i>>6]&bit != 0
+	s.fresh[i>>6] &^= bit
+	return fresh
 }
 
 // maybeCheckpoint takes the MaxWALBytes-forced durability barrier, at most
@@ -563,15 +613,21 @@ func (s *Store) Allocate() (policy.PageID, error) {
 		return 0, err
 	}
 	s.next++
+	i := int(p - s.freshBase)
+	for i>>6 >= len(s.fresh) {
+		s.fresh = append(s.fresh, 0)
+	}
+	s.fresh[i>>6] |= 1 << (i & 63)
 	s.allocated.Add(1)
 	return p, nil
 }
 
 // Flush is the checkpoint: sync the log through its last record (the writes
-// made behind), fsync the page file, publish the allocation state, truncate
-// the log (unless nothing was appended since the last checkpoint). It runs
-// with no operation in flight (the checkpoint lock), so the truncated log
-// describes only page-file state the fsync just made durable.
+// made behind; pages.db first if a first image waits unlogged), fsync the
+// page file, forget which pages are fresh, publish the allocation state,
+// truncate the log (unless nothing was appended since the last checkpoint).
+// It runs with no operation in flight (the checkpoint lock), so the
+// truncated log describes only page-file state the fsync just made durable.
 func (s *Store) Flush(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -582,14 +638,22 @@ func (s *Store) Flush(ctx context.Context) error {
 func (s *Store) checkpoint() error {
 	s.ckpt.Lock()
 	defer s.ckpt.Unlock()
-	// The log goes first: until the page file's fsync completes a crash can
-	// tear a slot written behind, and only a durable record repairs it.
+	// The log goes before the page file's own fsync: until it completes a
+	// crash can tear a slot written behind, and only a durable record
+	// repairs it. Its group-commit leader fsyncs pages.db first when an
+	// unlogged first image waits, as every leader does.
 	if err := s.wal.syncAll(); err != nil {
 		return err
 	}
 	if err := s.pages.Sync(); err != nil {
 		return fmt.Errorf("file: syncing page file: %w", err)
 	}
+	// Every slot is durable now, first images and holes alike: no page is
+	// fresh, and no unlogged image waits.
+	s.wal.unlogged.Store(false)
+	s.allocMu.Lock()
+	s.freshBase, s.fresh = s.next, s.fresh[:0]
+	s.allocMu.Unlock()
 	if err := s.writeMeta(); err != nil {
 		return err
 	}

@@ -114,9 +114,11 @@ func (s *Store) verifySlotLocked(p policy.PageID, img []byte) error {
 
 // RepairPage implements storage.Repairer: it re-verifies page p's slot and,
 // if corrupt, rewrites it from the most recent image in the write-ahead
-// log. The WAL holds every image written since the last checkpoint, so
-// damage to recently written slots heals; a corrupt slot with no logged
-// image has no redundant copy and the corruption error stands.
+// log. The WAL holds every logged image written since the last checkpoint,
+// so damage to recently written slots heals; a corrupt slot with no logged
+// image has no redundant copy and the corruption error stands. That is a
+// checkpointed image, and also, until the next checkpoint, a fresh page's
+// first image written behind, which goes to its slot with no record.
 func (s *Store) RepairPage(ctx context.Context, p policy.PageID) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -30,11 +30,18 @@
 // of its own. The buffer goes to the file in LSN order, so the file is
 // always a prefix of the log: by the group-commit leader just before its
 // fsync (so a synchronous page write costs one write() and one fsync, and
-// a checkpoint still syncs every write-behind image before it fsyncs
-// pages.db), before RepairPage scans the file, and on its own once it
-// passes logBufSize. A killed process loses what is buffered: only records
-// no caller was told were durable, since a write is acknowledged only
-// after the fsync that follows its record's write().
+// a checkpoint still syncs every logged write-behind image before it
+// fsyncs pages.db), before RepairPage scans the file, and on its own once
+// it passes logBufSize. A killed process loses what is buffered: only
+// records no caller was told were durable, since a write is acknowledged
+// only after the fsync that follows its record's write().
+//
+// Not every image has a record: a fresh page's first image written behind
+// goes to pages.db alone (file.go) and sets the log's unlogged flag. The
+// group-commit leader, once it has fixed its sync target, fsyncs pages.db
+// when the flag is set and only then the log, so a record made durable
+// never names a page whose image is not durable (the page file before the
+// log).
 package file
 
 import (
@@ -170,9 +177,16 @@ type wal struct {
 	// full capacity — logBufSize plus one frame — so no record allocates.
 	buf []byte
 
-	appends atomic.Uint64
-	syncs   atomic.Uint64
-	writes  atomic.Uint64 // write() calls on the log file
+	// pages is the page file. unlogged says a first image went to its slot
+	// with no record (Store.write) and awaits the pages.db fsync the next
+	// group-commit leader makes before the log's own.
+	pages    *os.File
+	unlogged atomic.Bool
+
+	appends   atomic.Uint64
+	syncs     atomic.Uint64
+	writes    atomic.Uint64 // write() calls on the log file
+	pageSyncs atomic.Uint64 // pages.db fsyncs leaders made ahead of the log's
 	// bytes is the current log length, buffered frames included — the
 	// store's MaxWALBytes forced-checkpoint trigger and the WALBytes stats
 	// gauge read it.
@@ -180,13 +194,14 @@ type wal struct {
 }
 
 // newWAL wraps the log file f, whose current length it takes as the
-// log's: reset truncates a log only when it is not already empty.
-func newWAL(f *os.File) (*wal, error) {
+// log's (reset truncates a log only when it is not already empty), in front
+// of the page file pages.
+func newWAL(f, pages *os.File) (*wal, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("file: sizing wal: %w", err)
 	}
-	w := &wal{f: f, buf: make([]byte, 0, logBufSize+recHeader+maxPayload)}
+	w := &wal{f: f, pages: pages, buf: make([]byte, 0, logBufSize+recHeader+maxPayload)}
 	w.cond = sync.NewCond(&w.mu)
 	w.bytes.Store(fi.Size())
 	return w, nil
@@ -270,22 +285,33 @@ func (w *wal) sync(lsn uint64) error {
 	target := w.appended
 	w.mu.Unlock()
 
-	err := w.f.Sync()
+	// The target is fixed, so every first image a record through it names
+	// was written, and flagged, before this check.
+	var err error
+	if w.unlogged.Swap(false) {
+		if err = w.pages.Sync(); err != nil {
+			err = fmt.Errorf("file: page file fsync ahead of the log: %w", err)
+		} else {
+			w.pageSyncs.Add(1)
+		}
+	}
+	if err == nil {
+		if err = w.f.Sync(); err != nil {
+			err = fmt.Errorf("file: wal fsync: %w", err)
+		}
+	}
 
 	w.mu.Lock()
 	w.syncing = false
 	if err != nil {
-		w.err = fmt.Errorf("file: wal fsync: %w", err)
+		w.err = err
 	} else {
 		w.synced = target
 		w.syncs.Add(1)
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("file: wal fsync: %w", err)
-	}
-	return nil
+	return err
 }
 
 // syncAll makes every appended record durable; it issues no fsync when

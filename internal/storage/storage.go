@@ -83,8 +83,9 @@ type Backend interface {
 	// Write stores buf as the new contents of page p. On a durable backend
 	// a nil return means the write is on stable storage (logged and
 	// group-committed), though not yet checkpointed — unless ctx carries
-	// the WithWriteBehind mark: a marked write is logged and applied but
-	// becomes durable only at the next Flush.
+	// the WithWriteBehind mark: a marked write is applied, and logged
+	// unless it is the first image of a page allocated since the last
+	// checkpoint, but becomes durable only at the next Flush.
 	Write(ctx context.Context, p policy.PageID, buf []byte) error
 	// Allocate reserves a fresh zeroed page and returns its id. A durable
 	// backend may fail (log append, file extension); the simulator never
@@ -119,6 +120,11 @@ type writeBehindKey struct{}
 // durable: it becomes durable at the next Flush. The mark is a context value,
 // so it crosses the wrappers as a trace context does. The pool's flush sweep,
 // whose barrier follows, and its WriteNewPage (the bulk load) are the users.
+// On the file backend a marked write of a page's first image since an
+// allocation after the last checkpoint is not logged: the page file is
+// fsynced ahead of the log's next fsync instead, and RepairPage has no copy
+// of that image until the checkpoint. Marking a context allocates; a caller
+// writing many pages marks one context and reuses it.
 func WithWriteBehind(ctx context.Context) context.Context {
 	return context.WithValue(ctx, writeBehindKey{}, true)
 }
