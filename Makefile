@@ -8,7 +8,7 @@ build:
 	$(GO) build ./...
 
 ## test: the plain suite. The explicit -timeout turns a hung lifecycle
-## path (a writer that never stops, a waiter that never wakes) into a
+## path (a scrubber that never stops, a waiter that never wakes) into a
 ## stack-dumping failure instead of a stuck CI job.
 test:
 	$(GO) test -timeout 300s ./...

@@ -231,8 +231,7 @@ func TestFastHitProbe(t *testing.T) {
 // still holds undrained events for it. The restore must reinstate
 // the existing HIST block — never fabricate a phantom one — and the
 // pool/replacer state must stay consistent enough for the page to be
-// fetched, flushed and evicted normally once the fault clears. Run under
-// -race: the background writer drains the quarantine concurrently.
+// fetched, flushed and evicted normally once the fault clears.
 func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	d := storage.WithFaults(sim.New(sim.ServiceModel{}))
 	const frames = 4

@@ -90,8 +90,8 @@ type Stats struct {
 	// WriteErrors counts failed writes (logical failures, retries
 	// exhausted): dirty-page write-backs, from evictions and flushes alike,
 	// and WriteNewPage calls. A write-back's data survives in memory: the
-	// page stays resident and dirty, and the write is retried by the
-	// background writer and later sweeps and flushes. A write the caller's
+	// page stays resident and dirty, and the write is retried by the next
+	// eviction sweep that selects it and by every flush. A write the caller's
 	// own context ended is not an error: it counts nowhere and leaves the
 	// page dirty, unquarantined.
 	WriteErrors uint64
@@ -175,12 +175,10 @@ type Config struct {
 	// is untouched either way.
 	Spans *obs.SpanRecorder
 
-	// shards and writerInterval are settable by this package's tests only:
-	// the determinism tests sweep the page-table partition count (a power
-	// of two; zero selects defaultShards) and the fault storms shorten the
-	// background writer's drain cadence (zero selects defaultWriterInterval).
-	shards         int
-	writerInterval time.Duration
+	// shards is settable by this package's tests only: the determinism
+	// tests sweep the page-table partition count (a power of two; zero
+	// selects defaultShards).
+	shards int
 }
 
 // Metrics are the pool's optional observability instruments. Counters are
@@ -214,12 +212,6 @@ type Metrics struct {
 	DiskWriteLatency []*obs.Histogram
 }
 
-// defaultWriterInterval is the background writer's cadence between
-// quarantine drain rounds while failures persist: the writer parks when the
-// quarantine is empty and doubles this delay, capped, while drains make no
-// progress.
-const defaultWriterInterval = 10 * time.Millisecond
-
 // defaultShards is the number of page-table latch partitions: a power of
 // two scaled to GOMAXPROCS.
 func defaultShards() int {
@@ -247,9 +239,8 @@ type Pool struct {
 
 	// quarantined holds resident pages whose most recent dirty write-back
 	// failed. They are skipped within the sweep that failed them (so one
-	// poisoned page cannot wedge an unrelated fetch) and retried by the
-	// background writer and on later sweeps and flushes; a successful write
-	// clears the entry.
+	// poisoned page cannot wedge an unrelated fetch) and retried on later
+	// sweeps and flushes; a successful write clears the entry.
 	quarMu      sync.Mutex
 	quarantined map[policy.PageID]struct{}
 
@@ -269,10 +260,7 @@ type Pool struct {
 	corruptQuarantined atomic.Uint64
 	scrubPages         atomic.Uint64
 	scrubCorrupt       atomic.Uint64
-	// maxPageSeen is the highest page id the pool has been asked about;
-	// with NumPages it bounds the scrubber's sweep.
-	maxPageSeen atomic.Int64
-	scrubCursor atomic.Int64
+	scrubCursor        atomic.Int64
 
 	retry          *retrier
 	metrics        Metrics
@@ -286,14 +274,10 @@ type Pool struct {
 	// lifeMu serialises Start and Close; stop and closeErr are guarded by it.
 	lifeMu   sync.Mutex
 	closeErr error
-	// stop cancels the context the background writer and the scrubber run
-	// under (nil until Start); bg waits for their exits. writerKick
-	// (buffered, capacity 1) wakes the writer when quarantineAdd gives it
-	// work.
-	stop           context.CancelFunc
-	bg             sync.WaitGroup
-	writerKick     chan struct{}
-	writerInterval time.Duration
+	// stop cancels the context the scrubber runs under (nil until Start
+	// launches it); bg waits for its exit.
+	stop context.CancelFunc
+	bg   sync.WaitGroup
 }
 
 // New returns a pool of numFrames frames over backend b using the given
@@ -323,9 +307,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	if cfg.shards < 1 || cfg.shards&(cfg.shards-1) != 0 {
 		panic(fmt.Sprintf("bufferpool: shard count must be a positive power of two, got %d", cfg.shards))
 	}
-	if cfg.writerInterval <= 0 {
-		cfg.writerInterval = defaultWriterInterval
-	}
 	p := &Pool{
 		backend:        b,
 		breaker:        newBreaker(cfg.Breaker, storage.DefaultStripes, time.Now),
@@ -341,10 +322,7 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		scrubInterval:  cfg.ScrubInterval,
 		corruptionHook: cfg.CorruptionHook,
 		spans:          cfg.Spans,
-		writerKick:     make(chan struct{}, 1),
-		writerInterval: cfg.writerInterval,
 	}
-	p.maxPageSeen.Store(-1)
 	if rp, ok := storage.RepairerFor(p.backend); ok {
 		p.repairer = rp
 	}

@@ -31,10 +31,10 @@ func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
 // small pool while the disk injects a fault storm: one permanently
 // poisoned page (every write-back fails until the storm ends) plus a 5%
 // probabilistic fault rate on all reads and writes. Retry and the circuit
-// breaker are armed, the background writer runs, a slice of operations
-// carries already-expired or tightly-deadlined contexts (exercising the
-// waiter-abandon paths mid-storm), and halfway through one worker blacks
-// the disk out completely until the breaker trips. Individual operations
+// breaker are armed, a slice of operations carries already-expired or
+// tightly-deadlined contexts (exercising the waiter-abandon paths
+// mid-storm), and halfway through one worker blacks the disk out
+// completely until the breaker trips. Individual operations
 // are allowed to fail — the pool is not. After the storm clears the test
 // asserts the pool's invariants:
 //
@@ -125,7 +125,6 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 			Cooldown:  2 * time.Millisecond,
 			Probes:    2,
 		},
-		writerInterval: time.Millisecond,
 	})
 	p.Start()
 
@@ -219,8 +218,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 
 	// Storm over: heal the disk. Circuits may still be open, so recovery is
 	// a poll — half-open probes re-admit traffic, then a full flush goes
-	// through and the quarantine (drained concurrently by the background
-	// writer) empties.
+	// through and the quarantine empties.
 	d.SetFaults(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -311,9 +311,8 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		// which-fetch-fails schedule-dependent in ways the data checks
 		// below do not need. Breaker/corruption interaction has its own
 		// test.
-		Breaker:        BreakerConfig{Threshold: 1 << 30, Cooldown: time.Millisecond, Probes: 1},
-		writerInterval: time.Millisecond,
-		ScrubInterval:  500 * time.Microsecond,
+		Breaker:       BreakerConfig{Threshold: 1 << 30, Cooldown: time.Millisecond, Probes: 1},
+		ScrubInterval: 500 * time.Microsecond,
 	})
 	p.Start()
 
@@ -456,8 +455,8 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// pool's ScrubPages after it returns, so a snapshot taken while it runs
 	// can catch a probe in the disk's ledger that the pool has not counted
 	// yet (one read too many, on the file backend where a read is a syscall
-	// wide enough to straddle). Close joins the scrubber and the writer; the
-	// verification fetches above and Close's own flush count on both sides.
+	// wide enough to straddle). Close joins the scrubber; the verification
+	// fetches above and Close's own flush count on both sides.
 	s, ds, cs := p.Stats(), c.Stats(), c.CorruptStats()
 
 	// Injection conservation: every taint ever laid is either cleared
@@ -643,6 +642,34 @@ func TestAllocatedPageScrubsClean(t *testing.T) {
 				t.Errorf("stats %+v, want 2 clean scrubs, one miss and no write-back", st)
 			}
 		})
+	}
+}
+
+// TestScrubRangeIsTheBackend: the scrubber sweeps the backend's pages and
+// nothing else. A failed fetch of an id that was never allocated does not
+// stretch the range, so a sweep four times around 64 pages verifies every
+// page it reads and feeds the breaker no failures.
+func TestScrubRangeIsTheBackend(t *testing.T) {
+	leakcheck.Check(t)
+	const pages = 64
+	d := newFaultyDisk(sim.ServiceModel{})
+	allocPages(t, d, pages)
+	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{
+		Breaker: BreakerConfig{Threshold: 8, Cooldown: time.Hour, Probes: 1},
+	})
+	defer p.Close()
+	if _, err := p.Fetch(10 * pages); err == nil {
+		t.Fatal("fetch of a never-allocated page succeeded")
+	}
+	if n := p.ScrubSweep(context.Background(), 4*pages); n != 4*pages {
+		t.Fatalf("ScrubSweep examined %d pages, want %d", n, 4*pages)
+	}
+	if got := p.Stats().ScrubPages; got != 4*pages {
+		t.Errorf("%d of %d scrub reads verified, want all: the sweep read pages the backend never allocated",
+			got, 4*pages)
+	}
+	if open := p.BreakerOpenStripes(); open != 0 {
+		t.Errorf("%d circuits open after the sweep, want 0", open)
 	}
 }
 

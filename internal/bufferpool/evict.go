@@ -44,8 +44,9 @@ type deferredVictim struct {
 // A victim whose dirty write-back fails does not fail the caller: the page
 // is restored to residency (its only copy is the in-memory one),
 // quarantined, and the sweep moves on to the next victim, up to
-// maxWriteBackFailures failures. Quarantined pages are retried by the
-// background writer and later sweeps and flushes.
+// maxWriteBackFailures failures. The page keeps its HIST and is restored
+// as a candidate, so the next sweep that selects it retries the write-back,
+// as does every flush.
 func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 	if f := p.freePop(); f != nil {
 		return f, nil

@@ -252,7 +252,6 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		ctx = obs.ContextWithTrace(ctx, missSpan.Context())
 		defer missSpan.Finish(int64(id))
 	}
-	p.notePage(id)
 	if kind, bad := p.poisonedKind(id); bad {
 		// The page is known unrepairable-corrupt: fail fast with the
 		// recorded classification instead of re-reading garbage. Still a
@@ -361,7 +360,6 @@ func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 		p.freePush(f)
 		return Page{}, fmt.Errorf("bufferpool: allocating page: %w", err)
 	}
-	p.notePage(id)
 	clear(f.data)
 	f.page.Store(int64(id))
 	f.install()
@@ -389,7 +387,6 @@ func (p *Pool) AllocatePage() (policy.PageID, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bufferpool: allocating page: %w", err)
 	}
-	p.notePage(id)
 	return id, nil
 }
 

@@ -5,32 +5,32 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/storage"
 )
 
-// This file is the write-back side of the pool: the flush paths, the
-// quarantine of pages whose write-back failed, and the background writer
-// that drains it off the caller's critical path until the disk answers
-// again.
+// This file is the write-back side of the pool: the flush paths and the
+// quarantine of pages whose write-back failed. A quarantined page has one
+// retry path, the ordinary one: it stays a victim candidate, so the next
+// eviction sweep that selects it writes it back, and every flush sweep
+// writes it too.
 
 // flushFrame writes the pinned frame back if dirty, or always if force. The
 // dirty bit is cleared before the write so a concurrent modification is not
 // lost: it re-marks the page dirty and a later flush or eviction persists
-// it. flushMu serialises concurrent flushers of the same frame (the
-// background writer, Page.FlushCtx, a flush sweep), so a nil return means
-// the frame's data reached the backend at some point during the call —
-// never that another flusher's still-undecided write looked clean in
-// passing. The write is durable when it returns unless ctx carries the
+// it. flushMu serialises concurrent flushers of the same frame
+// (Page.FlushCtx, a flush sweep, the scrubber's rewrite), so a nil return
+// means the frame's data reached the backend at some point during the
+// call — never that another flusher's still-undecided write looked clean
+// in passing. The write is durable when it returns unless ctx carries the
 // write-behind mark (the sweep's), which defers that to the barrier. force
 // is decided under flushMu, so a forced flush (Page.FlushCtx, the pool's
 // one durable write-back) writes even when a sweep has just written the
 // same image behind.
 // A failed write leaves the page dirty and quarantined, as a failed
-// eviction write-back does, so the background writer retries it; a write
+// eviction write-back does, for the next sweep or flush to retry; a write
 // the caller's own context ended leaves it dirty only.
 func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame, force bool) error {
 	f.flushMu.Lock()
@@ -54,12 +54,11 @@ func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame, force
 }
 
 // flushResident is the maintenance paths' flush by id (a flush sweep, the
-// background writer, the scrubber's rewrite): pin the page if it is
-// resident — waiting out an in-flight load or write-back, interruptibly —
-// write it back if dirty, unpin. It touches no hit/miss accounting and
-// records no reference. force flushes a clean frame too. resident is false
-// when the table holds nothing for id, its load failed, or ctx expired
-// while waiting.
+// scrubber's rewrite): pin the page if it is resident — waiting out an
+// in-flight load or write-back, interruptibly — write it back if dirty,
+// unpin. It touches no hit/miss accounting and records no reference.
+// force flushes a clean frame too. resident is false when the table holds
+// nothing for id, its load failed, or ctx expired while waiting.
 func (p *Pool) flushResident(ctx context.Context, id policy.PageID, force bool) (resident bool, err error) {
 	f, _, _ := p.pinEntry(ctx, p.shardOf(id), id, obs.TraceContext{}, nil)
 	if f == nil {
@@ -76,7 +75,7 @@ func (p *Pool) flushResident(ctx context.Context, id policy.PageID, force bool) 
 // failed write-back does not stop the sweep: every shard is visited, every
 // flushable page flushed, and the failures are returned joined in page-id
 // order (errors.Is unwraps them individually). Failed pages stay dirty,
-// resident and quarantined, so the background writer or a retry after the
+// resident and quarantined, so a later sweep, eviction or flush after the
 // fault clears loses nothing. The barrier runs only when the sweep completed
 // cleanly: a checkpoint must not declare durability over pages whose
 // write-back failed.
@@ -149,20 +148,8 @@ func (p *Pool) flushAll(ctx context.Context) error {
 
 func (p *Pool) quarantineAdd(id policy.PageID) {
 	p.quarMu.Lock()
-	_, known := p.quarantined[id]
 	p.quarantined[id] = struct{}{}
 	p.quarMu.Unlock()
-	if known {
-		// The writer already retries it on its backoff; a kick here would
-		// let its own failed retries wake it at once, in a tight loop.
-		return
-	}
-	// Wake the background writer (if running); the buffered kick makes the
-	// wake-up lossless without blocking this failure path.
-	select {
-	case p.writerKick <- struct{}{}:
-	default:
-	}
 }
 
 func (p *Pool) quarantineRemove(id policy.PageID) {
@@ -179,64 +166,4 @@ func (p *Pool) Quarantined() int {
 	p.quarMu.Lock()
 	defer p.quarMu.Unlock()
 	return len(p.quarantined)
-}
-
-// writerLoop drains the quarantine in the background. It parks until
-// kicked (quarantineAdd) or its interval elapses, then retries every
-// quarantined page with doubling backoff between failed rounds, so a
-// still-broken disk is probed gently and a healed one drains promptly. ctx
-// is the pool's background context (Start): cancelling it ends the loop and
-// aborts the disk retries and backoff sleeps inside a drain round.
-func (p *Pool) writerLoop(ctx context.Context) {
-	defer p.bg.Done()
-	backoff := p.writerInterval
-	timer := time.NewTimer(p.writerInterval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-p.writerKick:
-			backoff = p.writerInterval
-		case <-timer.C:
-		}
-		if p.drainQuarantine(ctx) {
-			backoff = p.writerInterval
-		} else if backoff < 64*p.writerInterval {
-			backoff *= 2
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(backoff)
-	}
-}
-
-// drainQuarantine retries the write-back of every currently quarantined
-// page once. It reports whether the quarantine is empty afterwards (so
-// the writer can reset its backoff) — pages that fault again stay
-// quarantined for the next round.
-func (p *Pool) drainQuarantine(ctx context.Context) bool {
-	p.quarMu.Lock()
-	ids := make([]policy.PageID, 0, len(p.quarantined))
-	for id := range p.quarantined {
-		ids = append(ids, id)
-	}
-	p.quarMu.Unlock()
-	for _, id := range ids {
-		if ctx.Err() != nil {
-			break
-		}
-		// The flush clears the quarantine entry on success (or when the page
-		// turned clean through another path) and leaves it on failure; a page
-		// evicted meanwhile had its entry cleared by that path.
-		_, _ = p.flushResident(ctx, id, false)
-	}
-	p.quarMu.Lock()
-	empty := len(p.quarantined) == 0
-	p.quarMu.Unlock()
-	return empty
 }

@@ -143,39 +143,6 @@ func TestFlushAllCancelledMidSweep(t *testing.T) {
 	checkFrameInvariant(t, p)
 }
 
-// TestWriterBacksOffOnPersistentFlushFailure: a failed flush quarantines
-// its page, and the background writer then retries it on its doubling
-// backoff. The writer's own failed retries must not kick it again, or it
-// would retry in a tight loop against a disk that keeps failing.
-func TestWriterBacksOffOnPersistentFlushFailure(t *testing.T) {
-	leakcheck.Check(t)
-	d := newFaultyDisk(sim.ServiceModel{})
-	ids := allocPages(t, d, 1)
-	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{writerInterval: time.Millisecond})
-	p.Start()
-	dirtyAll(t, p, ids, 0xE3)
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite}))
-	if err := flushPage(context.Background(), p, ids[0]); !errors.Is(err, storage.ErrInjectedFault) {
-		t.Fatalf("flush under a write fault = %v", err)
-	}
-	if got := p.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined = %d after a failed flush, want 1", got)
-	}
-	// Backoff 1, 2, 4, … 64 ms: about eight retries in 200 ms.
-	time.Sleep(200 * time.Millisecond)
-	if got := d.Stats().WriteFaults; got < 2 || got > 30 {
-		t.Errorf("%d write attempts in 200 ms, want the writer's backed-off retries (2..30)", got)
-	}
-	d.SetFaults(nil)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, storage.PageSize)
-	if err := d.Read(context.Background(), ids[0], buf); err != nil || buf[1] != 0xE3 {
-		t.Errorf("page after the fault cleared: byte %#x (%v), want 0xE3", buf[1], err)
-	}
-}
-
 // TestFlushAllFaultsJoinedInPageOrder: when k of N write-backs fault, the
 // sweep returns exactly k errors joined in page-id order, skips
 // the barrier, and leaves those k pages dirty and quarantined while every
@@ -241,8 +208,7 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 var errNotResident = errors.New("page not resident")
 
 // flushPage writes page id back now if it is resident and dirty, through
-// flushResident: the by-id write-back the sweep, the background writer and
-// the scrubber share.
+// flushResident: the by-id write-back the sweep and the scrubber share.
 func flushPage(ctx context.Context, p *Pool, id policy.PageID) error {
 	resident, err := p.flushResident(ctx, id, false)
 	if !resident {

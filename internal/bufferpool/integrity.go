@@ -83,16 +83,6 @@ func corruptKindOf(err error) storage.CorruptKind {
 	return storage.CorruptChecksum
 }
 
-// notePage raises the scrubber's page-id high-water mark to cover id.
-func (p *Pool) notePage(id policy.PageID) {
-	for {
-		cur := p.maxPageSeen.Load()
-		if int64(id) <= cur || p.maxPageSeen.CompareAndSwap(cur, int64(id)) {
-			return
-		}
-	}
-}
-
 func (p *Pool) poisonAdd(id policy.PageID, kind storage.CorruptKind) {
 	p.poisonMu.Lock()
 	p.poisoned[id] = kind
@@ -119,20 +109,18 @@ func (p *Pool) PoisonedPages() []policy.PageID {
 }
 
 // ScrubSweep examines up to limit pages in cursor order, verifying each
-// against the backend and running read-repair on any corruption found. It
-// returns how many pages it examined (not how many verified — skips for
-// poisoned, dirty-resident, unallocated or unavailable pages count). The
-// background scrubber calls it on its interval; tests and operators may
-// call it directly.
+// against the backend and running read-repair on any corruption found.
+// The range is the backend's pages: ids are dense and never freed, so it is
+// [0, NumPages). It returns how many pages it examined (not how many
+// verified — skips for poisoned, dirty-resident or unavailable pages
+// count). The background scrubber calls it on its interval; tests and
+// operators may call it directly.
 func (p *Pool) ScrubSweep(ctx context.Context, limit int) int {
 	if p.closed.Load() {
 		return 0
 	}
-	max := p.maxPageSeen.Load()
-	if n := int64(p.backend.NumPages()); n-1 > max {
-		max = n - 1
-	}
-	if max < 0 {
+	n := int64(p.backend.NumPages())
+	if n == 0 {
 		return 0
 	}
 	buf := make([]byte, storage.PageSize)
@@ -141,7 +129,7 @@ func (p *Pool) ScrubSweep(ctx context.Context, limit int) int {
 		if ctx.Err() != nil {
 			break
 		}
-		id := policy.PageID((p.scrubCursor.Add(1) - 1) % (max + 1))
+		id := policy.PageID((p.scrubCursor.Add(1) - 1) % n)
 		p.scrubOne(ctx, id, buf)
 		examined++
 	}

@@ -3,34 +3,30 @@ package bufferpool
 import "context"
 
 // This file owns the pool's lifecycle: Start launches the background
-// goroutines (the writer in flush.go, the scrubber in integrity.go) under
-// one cancellable context, Close cancels it, waits for them, flushes every
-// dirty page, and fences the pool against further use.
+// scrubber (integrity.go) under a cancellable context, Close cancels it,
+// waits for it, flushes every dirty page, and fences the pool against
+// further use.
 
-// Start launches the background writer and, when Config.ScrubInterval is
-// set, the background scrubber. It is a no-op on a pool that is already
-// started or closed. On a pool that never calls Start, quarantined pages
-// are retried only by eviction sweeps and explicit flushes, and pages are
-// verified only as client reads touch them.
+// Start launches the background scrubber when Config.ScrubInterval is set;
+// otherwise it does nothing. It is a no-op on a pool that is already
+// started or closed. A pool runs no other background work: a quarantined
+// page is retried by the next eviction sweep that selects it and by every
+// flush, started or not.
 func (p *Pool) Start() {
 	p.lifeMu.Lock()
 	defer p.lifeMu.Unlock()
-	if p.stop != nil || p.closed.Load() {
+	if p.stop != nil || p.closed.Load() || p.scrubInterval <= 0 {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p.stop = cancel
 	p.bg.Add(1)
-	go p.writerLoop(ctx)
-	if p.scrubInterval > 0 {
-		p.bg.Add(1)
-		go p.scrubLoop(ctx)
-	}
+	go p.scrubLoop(ctx)
 }
 
-// Close stops the background goroutines, flushes every dirty resident page,
-// and fences the pool: Fetch, NewPage, AllocatePage, WriteNewPage and
-// FlushAll return ErrClosed afterwards, and ScrubSweep examines nothing.
+// Close stops the scrubber, flushes every dirty resident page, and fences
+// the pool: Fetch, NewPage, AllocatePage, WriteNewPage and FlushAll return
+// ErrClosed afterwards, and ScrubSweep examines nothing.
 // Close is idempotent — repeated calls return the first call's flush
 // result without flushing again.
 // In-flight operations that passed the fence complete normally; Close

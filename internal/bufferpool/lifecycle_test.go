@@ -22,34 +22,41 @@ func poolGoroutines() int {
 }
 
 // TestLifecycleGoroutines pins the background lifecycle to what it runs: a
-// started pool is the writer plus, with ScrubInterval set, the scrubber —
-// two goroutines under one context, with no helpers relaying a stop signal.
-// Close waits both out and Start after Close starts nothing.
+// started pool with ScrubInterval set runs the scrubber, one goroutine,
+// with no helpers relaying a stop signal; without ScrubInterval Start
+// launches nothing. Close waits the scrubber out and Start after Close
+// starts nothing.
 func TestLifecycleGoroutines(t *testing.T) {
 	leakcheck.Check(t)
-	p := NewWithConfig(newFaultyDisk(sim.ServiceModel{}), 2, core.NewSyncReplacer(2, core.Options{}),
-		Config{ScrubInterval: time.Hour})
-	base := poolGoroutines()
+	for _, tc := range []struct {
+		scrub time.Duration
+		want  int
+	}{{time.Hour, 1}, {0, 0}} {
+		p := NewWithConfig(newFaultyDisk(sim.ServiceModel{}), 2, core.NewSyncReplacer(2, core.Options{}),
+			Config{ScrubInterval: tc.scrub})
+		base := poolGoroutines()
 
-	p.Start()
-	p.Start() // a second Start is a no-op
-	// A loop would spawn a helper as it begins running, so look again once
-	// both have had time to reach their select.
-	for _, settle := range []time.Duration{0, 20 * time.Millisecond} {
-		time.Sleep(settle)
-		if got := poolGoroutines() - base; got != 2 {
-			t.Fatalf("started pool runs %d goroutines %v after Start, want 2 (writer + scrubber)", got, settle)
+		p.Start()
+		p.Start() // a second Start is a no-op
+		// A loop would spawn a helper as it begins running, so look again
+		// once it has had time to reach its select.
+		for _, settle := range []time.Duration{0, 20 * time.Millisecond} {
+			time.Sleep(settle)
+			if got := poolGoroutines() - base; got != tc.want {
+				t.Fatalf("ScrubInterval %v: started pool runs %d goroutines %v after Start, want %d",
+					tc.scrub, got, settle, tc.want)
+			}
 		}
-	}
 
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := poolGoroutines() - base; got != 0 {
-		t.Errorf("%d pool goroutines outlived Close", got)
-	}
-	p.Start()
-	if got := poolGoroutines() - base; got != 0 {
-		t.Errorf("Start after Close launched %d goroutines, want 0", got)
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := poolGoroutines() - base; got != 0 {
+			t.Errorf("ScrubInterval %v: %d pool goroutines outlived Close", tc.scrub, got)
+		}
+		p.Start()
+		if got := poolGoroutines() - base; got != 0 {
+			t.Errorf("ScrubInterval %v: Start after Close launched %d goroutines, want 0", tc.scrub, got)
+		}
 	}
 }

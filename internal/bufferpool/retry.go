@@ -212,9 +212,9 @@ func (sh *shard) countFailure(op storage.Op, err error) bool {
 	return true
 }
 
-// writeFailed files a failed write-back of page id and quarantines the page
-// for the background writer. A caller-class end files nothing: the page
-// stays dirty for the next flush or eviction.
+// writeFailed files a failed write-back of page id and quarantines the
+// page until a later sweep or flush writes it. A caller-class end files
+// nothing: the page stays dirty for the next flush or eviction.
 func (p *Pool) writeFailed(id policy.PageID, err error) {
 	if p.shardOf(id).countFailure(storage.OpWrite, err) {
 		p.quarantineAdd(id)

@@ -379,74 +379,9 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	checkFrameInvariant(t, p)
 }
 
-// TestBackgroundWriterDrainsQuarantine: a dirty victim whose write-back
-// faults lands in quarantine; the started pool's background writer must
-// drain it to disk once the fault clears — with no eviction sweep or
-// explicit flush from the caller.
-func TestBackgroundWriterDrainsQuarantine(t *testing.T) {
-	leakcheck.Check(t)
-	d := newFaultyDisk(sim.ServiceModel{})
-	ids := allocPages(t, d, 3)
-	a, b, c := ids[0], ids[1], ids[2]
-	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		writerInterval: time.Millisecond,
-	})
-	p.Start()
-	defer p.Close()
-
-	pg, err := p.Fetch(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(pg.Data(), []byte("precious"))
-	pg.Unpin(true) // dirty LRU victim
-	pg, err = p.Fetch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.Unpin(false)
-
-	// Exactly one write of a faults: the eviction sweep quarantines it; the
-	// background writer's retry then succeeds.
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
-	pg, err = p.Fetch(c)
-	if err != nil {
-		t.Fatalf("fetch failed despite a skippable poisoned victim: %v", err)
-	}
-	pg.Unpin(false)
-	// The quarantine gauge itself may already read 0 — the writer (1ms
-	// cadence) races this check — so the failed write-back is the evidence.
-	if got := p.Stats().WriteErrors; got != 1 {
-		t.Fatalf("WriteErrors = %d after the faulted victim write-back, want 1", got)
-	}
-	evictionsAtQuarantine := p.Stats().Evictions
-
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Quarantined() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background writer did not drain quarantine; still %d", p.Quarantined())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	buf := make([]byte, storage.PageSize)
-	if err := d.Read(context.Background(), a, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:8]) != "precious" {
-		t.Errorf("drained page content = %q, want %q", buf[:8], "precious")
-	}
-	if got := p.Stats().Evictions; got != evictionsAtQuarantine {
-		t.Errorf("drain evicted pages (%d -> %d); it must only write back", evictionsAtQuarantine, got)
-	}
-	if !p.Resident(a) {
-		t.Error("drained page lost residency")
-	}
-	checkFrameInvariant(t, p)
-}
-
-// TestPoolCloseIdempotentAndFenced: Close stops the writer, flushes dirty
-// pages, and fences the API behind ErrClosed; a second Close replays the
-// first result without re-flushing.
+// TestPoolCloseIdempotentAndFenced: Close flushes dirty pages and fences
+// the API behind ErrClosed; a second Close replays the first result
+// without re-flushing.
 func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 	leakcheck.Check(t)
 	d := newFaultyDisk(sim.ServiceModel{})
@@ -498,7 +433,7 @@ func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 	if got := d.Stats().Writes; got != writesBefore {
 		t.Errorf("WriteNewPage or a second Close wrote after Close (%d -> %d writes)", writesBefore, got)
 	}
-	// Start after Close must not resurrect the writer.
+	// Start after Close must not revive the pool.
 	p.Start()
 	if err := p.FlushAll(); !errors.Is(err, ErrClosed) {
 		t.Errorf("pool revived by Start after Close: %v", err)

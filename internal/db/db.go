@@ -328,10 +328,10 @@ func (db *DB) writeCatalogCtx(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the database's background work (the pool's writer and
-// scrubber), flushes every dirty page, and fences further operations
-// behind ErrClosed. It is idempotent: repeated calls return the first
-// call's flush result without repeating the work.
+// Close stops the database's background work (the pool's scrubber),
+// flushes every dirty page, and fences further operations behind
+// ErrClosed. It is idempotent: repeated calls return the first call's
+// flush result without repeating the work.
 func (db *DB) Close() error {
 	db.closeMu.Lock()
 	defer db.closeMu.Unlock()
@@ -537,7 +537,8 @@ type StatsSnapshot struct {
 	Pool         bufferpool.Stats `json:"pool"`
 	PoolHitRatio float64          `json:"pool_hit_ratio"`
 	// Quarantined is the number of pages whose most recent write-back
-	// failed and that await the background writer's retry.
+	// failed and that await a retry by the next eviction sweep that
+	// selects them or the next flush.
 	Quarantined int `json:"quarantined"`
 	// BreakerOpenStripes is how many disk stripes currently refuse I/O
 	// with an open circuit (0 with the breaker disabled or healthy).

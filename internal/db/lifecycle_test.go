@@ -50,10 +50,9 @@ func TestCloseIdempotentAndFenced(t *testing.T) {
 	}
 }
 
-// TestCloseStopsWriterAndScrubber: a database with every background worker
-// enabled must leave no goroutine behind after Close (the leak check
-// enforces it).
-func TestCloseStopsWriterAndScrubber(t *testing.T) {
+// TestCloseStopsScrubber: a database with the background scrubber enabled
+// must leave no goroutine behind after Close (the leak check enforces it).
+func TestCloseStopsScrubber(t *testing.T) {
 	leakcheck.Check(t)
 	d, err := Open(Config{Frames: 32, ScrubInterval: time.Millisecond})
 	if err != nil {
@@ -173,9 +172,9 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 	}
 }
 
-// TestQuarantineDrainsThroughDB: a write-back fault quarantines a page;
-// the pool's background writer (started by Open) drains it without any
-// explicit flush.
+// TestQuarantineDrainsThroughDB: write-back faults quarantine pages under
+// eviction pressure; once the fault clears, one FlushAll writes every one
+// of them and empties the quarantine.
 func TestQuarantineDrainsThroughDB(t *testing.T) {
 	leakcheck.Check(t)
 	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
@@ -188,19 +187,21 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly three write faults on any page: eviction pressure from the
-	// updates below quarantines some victims; the writer then drains them.
+	// updates below quarantines some victims.
 	faulty.SetFaults(storage.NewFaultPlan(5, storage.FaultRule{Op: storage.OpWrite, Count: 3}))
 	for i := int64(0); i < 16; i++ {
 		if err := d.UpdateCustomer(i, byte(i)); err != nil && !errors.Is(err, storage.ErrInjectedFault) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
+	if d.StatsSnapshot().Quarantined == 0 {
+		t.Fatalf("nothing quarantined under the fault plan (%d write errors)", d.PoolStats().WriteErrors)
+	}
 	faulty.SetFaults(nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for d.StatsSnapshot().Quarantined != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("quarantine never drained; still %d", d.StatsSnapshot().Quarantined)
-		}
-		time.Sleep(time.Millisecond)
+	if err := d.FlushAll(); err != nil {
+		t.Fatalf("FlushAll after the fault cleared: %v", err)
+	}
+	if q := d.StatsSnapshot().Quarantined; q != 0 {
+		t.Errorf("quarantine holds %d pages after a clean FlushAll, want 0", q)
 	}
 }

@@ -1,5 +1,5 @@
 // Package leakcheck fails a test that leaves goroutines behind. It is a
-// dependency-free sanity net for lifecycle code (background writers,
+// dependency-free sanity net for lifecycle code (background scrubbers,
 // janitors, coalesced-load loaders): snapshot the goroutine count when the
 // test starts, and at cleanup poll until the count returns to the baseline
 // or a grace period expires, then fail with a full stack dump.

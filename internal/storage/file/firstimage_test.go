@@ -2,7 +2,10 @@ package file
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -311,5 +314,85 @@ func TestFirstImagesUnderConcurrency(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStaleLogOverNewCheckpoint: a checkpoint's truncation of the log is
+// lost, so recovery replays the log the checkpoint had retired over the
+// checkpoint's page file, together with what was written behind after it:
+// a fresh page's unlogged first image, a second image of a page written
+// before the checkpoint, and a second image of the fresh page. Replay is
+// redo-only and names only pages the checkpoint's meta.json already
+// covers, so the store opens, every page from before the checkpoint reads
+// verified — its checkpoint image or its newer whole image — and the page
+// allocated after the checkpoint is trimmed away.
+func TestStaleLogOverNewCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	behind := storage.WithWriteBehind(ctx)
+
+	var old []policy.PageID
+	for i := range 3 {
+		p := storage.MustAllocate(s)
+		if err := s.Write(ctx, p, pageImage(byte(0x10+i))); err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, p)
+	}
+	// The last synchronous write put every record in the file.
+	stale, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	syncs := s.Stats().WALSyncs
+	fresh := storage.MustAllocate(s)
+	if err := s.Write(behind, fresh, pageImage(0xA1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(behind, old[1], pageImage(0xB2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(behind, fresh, pageImage(0xA2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().WALSyncs; got != syncs {
+		t.Fatalf("%d log fsyncs since the checkpoint, want none", got-syncs)
+	}
+
+	crashed := copyDir(t, dir)
+	if err := os.WriteFile(filepath.Join(crashed, walName), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(crashed)
+	if err != nil {
+		t.Fatalf("open over the stale log: %v", err)
+	}
+	defer r.Close()
+	if got := r.Recovery().Replayed; got != 6 {
+		t.Errorf("replayed %d records, want the stale log's 6", got)
+	}
+	if got := r.NumPages(); got != len(old) {
+		t.Errorf("NumPages = %d, want the checkpoint's %d", got, len(old))
+	}
+	buf := make([]byte, storage.PageSize)
+	for i, p := range old {
+		if err := r.Read(ctx, p, buf); err != nil {
+			t.Fatalf("page %d: %v", p, err)
+		}
+		ok := bytes.Equal(buf, pageImage(byte(0x10+i)))
+		if p == old[1] {
+			ok = ok || bytes.Equal(buf, pageImage(0xB2))
+		}
+		if !ok {
+			t.Errorf("page %d reads %#x, want its checkpoint image or its newer one", p, buf[0])
+		}
+	}
+	if err := r.Read(ctx, fresh, buf); !errors.Is(err, storage.ErrPageNotAllocated) {
+		t.Errorf("page %d allocated after the checkpoint reads (%v), want it trimmed away", fresh, err)
 	}
 }
