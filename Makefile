@@ -70,11 +70,13 @@ bench-module:
 ## customers at 404 frames, the first FlushAll) with its wal_fsyncs/op. The
 ## set-ups run 8 times each: the first pays the page faults of freshly
 ## mapped disk chunks, later ones reuse them, as the benchmark's setup_s
-## (the quickest of its set-ups) does. The paper's tables are golden files,
+## (the quickest of its set-ups) does. -cpu 1,2 runs each set-up at
+## GOMAXPROCS 1 and 2, so the load's heap page writes are timed on one
+## worker and on two, side by side. The paper's tables are golden files,
 ## not benchmarks (see golden).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -bench 'BenchmarkLoadCustomers|BenchmarkDurableSetup' -benchtime 8x -run '^$$' ./internal/db/
+	$(GO) test -bench 'BenchmarkLoadCustomers|BenchmarkDurableSetup' -benchtime 8x -cpu 1,2 -run '^$$' ./internal/db/
 
 ## bench-pool: Serial reference pool vs the concurrent Pool, scalability.
 bench-pool:

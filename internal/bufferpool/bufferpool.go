@@ -329,8 +329,11 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	for i := range p.shards {
 		p.shards[i].table = make(map[policy.PageID]*frame)
 	}
+	// One slab for every frame's image; the three-index slice caps each at
+	// its own page, so no append through Data() reaches a neighbour.
+	slab := make([]byte, numFrames*storage.PageSize)
 	for i := range p.frames {
-		p.frames[i].data = make([]byte, storage.PageSize)
+		p.frames[i].data = slab[i*storage.PageSize : (i+1)*storage.PageSize : (i+1)*storage.PageSize]
 		p.free = append(p.free, &p.frames[i])
 	}
 	return p

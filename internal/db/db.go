@@ -371,10 +371,13 @@ const minLoadFrames = 4
 
 // LoadCustomers bulk-loads n customer records keyed 0..n-1 into a database
 // that holds none. Each record begins with its CUST-ID (8 bytes
-// little-endian) followed by filler. The Appenders it fills the heap file
-// and index through leave the pages inserting each record would. Each heap
-// page goes to disk once, past the pool's frames, and is readable when
-// LoadCustomers returns; a failed heap page write fails the load.
+// little-endian) followed by filler. One heapfile.Load allocates the heap
+// pages in order, handing each record's RID to a btree.Appender in key
+// order, then builds and writes the heap pages on runtime.GOMAXPROCS(0)
+// goroutines; the pages, the index and the order of allocations are those
+// inserting each record would leave. Each heap page goes to disk once, past
+// the pool's frames, and is readable when LoadCustomers returns; a failed
+// heap page write fails the load, reported at the lowest failed page.
 func (db *DB) LoadCustomers(n int) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -388,21 +391,22 @@ func (db *DB) LoadCustomers(n int) error {
 	if db.cfg.Frames < minLoadFrames {
 		return fmt.Errorf("db: LoadCustomers needs at least %d frames, the pool has %d", minLoadFrames, db.cfg.Frames)
 	}
-	heap, index := db.customers.NewAppender(), db.index.NewAppender()
+	index := db.index.NewAppender()
 	defer index.Close()
-	rec := make([]byte, db.cfg.recordSize)
-	for id := int64(0); id < int64(n); id++ {
-		binary.LittleEndian.PutUint64(rec, uint64(id))
-		rid, err := heap.Append(rec)
-		if err != nil {
-			return fmt.Errorf("db: loading customer %d: %w", id, err)
-		}
-		if err := index.Append(id, rid); err != nil {
-			return fmt.Errorf("db: indexing customer %d: %w", id, err)
-		}
+	err := db.customers.Load(n, db.cfg.recordSize,
+		func(i int, rec []byte) { binary.LittleEndian.PutUint64(rec, uint64(i)) },
+		func(i int, rid heapfile.RID) error {
+			if err := index.Append(int64(i), rid); err != nil {
+				return fmt.Errorf("db: indexing customer %d: %w", i, err)
+			}
+			return nil
+		})
+	var lerr *heapfile.LoadError
+	if errors.As(err, &lerr) {
+		return fmt.Errorf("db: loading customer %d: %w", lerr.Record, lerr.Err)
 	}
-	if err := heap.Close(); err != nil {
-		return fmt.Errorf("db: loading customer %d: %w", n-1, err)
+	if err != nil {
+		return err
 	}
 	db.count.Store(int64(n))
 	return nil

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -74,8 +75,9 @@ func TestLoadCustomersRefusesLoadedDatabase(t *testing.T) {
 	})
 }
 
-// loadByInsert is the load as it was before the Appenders, kept as their
-// referee: one heap-file Insert and one B-tree Insert per customer.
+// loadByInsert is the load as it was before heapfile.Load and the
+// btree.Appender, kept as their referee: one heap-file Insert and one
+// B-tree Insert per customer.
 func loadByInsert(d *DB, n int) error {
 	rec := make([]byte, d.cfg.recordSize)
 	for id := int64(0); id < int64(n); id++ {
@@ -164,15 +166,25 @@ func loadImage(t *testing.T, backend string, recordSize, n int, load func(*DB, i
 	return img
 }
 
-// TestLoadMatchesPerRecordInserts is the Appenders' referee: LoadCustomers
+// withProcs sets GOMAXPROCS to n for the rest of the test, so the load
+// splits its page writes across n workers on any host.
+func withProcs(t *testing.T, n int) {
+	t.Cleanup(func() { runtime.GOMAXPROCS(runtime.GOMAXPROCS(n)) })
+}
+
+// TestLoadMatchesPerRecordInserts is the load's referee: LoadCustomers
 // must leave the same pages — ids, directory sizes, index root and every
 // image byte — as inserting each record through Insert, across leaf-split
 // boundaries (204 keys fill a leaf), both record sizes, a load far larger
-// than the pool, and both backends.
+// than the pool, and both backends. Four workers write the heap pages:
+// 7, 9 and 409 records make 4, 5 and 205 pages at 2,000 bytes and 1, 1 and
+// 11 at 100, so some loads have fewer pages than workers, one exactly as
+// many, and others ranges of unequal length.
 func TestLoadMatchesPerRecordInserts(t *testing.T) {
+	withProcs(t, 4)
 	for _, backend := range []string{"sim", "file"} {
 		for _, recordSize := range []int{2000, 100} {
-			for _, n := range []int{1, 2, 3, 204, 205, 20000} {
+			for _, n := range []int{1, 2, 3, 7, 9, 204, 205, 409, 20000} {
 				t.Run(fmt.Sprintf("%s/record=%d/n=%d", backend, recordSize, n), func(t *testing.T) {
 					want := loadImage(t, backend, recordSize, n, loadByInsert)
 					got := loadImage(t, backend, recordSize, n, (*DB).LoadCustomers)
@@ -244,9 +256,12 @@ func TestLoadFrameMinimum(t *testing.T) {
 
 // TestLoadFaultReleasesPins fails a load part-way with injected disk
 // faults — an allocation refused in the heap file, a leaf split or a root
-// split, or every disk write refused, which ends the load at a heap page's
-// write — and requires the error to come back with no frame left pinned,
-// after which the database flushes and closes cleanly.
+// split, or the writes of chosen heap pages refused — and requires the
+// error to come back with no frame left pinned, after which the database
+// flushes and closes cleanly. A failed write is charged to the record
+// after the page's last, or to the last record, and of two failed pages the
+// lower is reported, whichever failed first. Four workers split the 1,500
+// heap pages (ids 1..1515 among the index's) into ranges of 375.
 func TestLoadFaultReleasesPins(t *testing.T) {
 	// A two-record page per allocation, and 102 of them before the 205th
 	// key splits the root leaf: a leaf, then a root.
@@ -259,8 +274,13 @@ func TestLoadFaultReleasesPins(t *testing.T) {
 		{"heap-page", storage.FaultRule{Op: storage.OpAllocate, After: 102}, "loading customer 204:"},
 		{"leaf-split", storage.FaultRule{Op: storage.OpAllocate, After: 103}, "allocating leaf"},
 		{"root-split", storage.FaultRule{Op: storage.OpAllocate, After: 104}, "allocating new root"},
-		{"write-back", storage.FaultRule{Op: storage.OpWrite, After: 20}, "loading customer 42: heapfile append: bufferpool: writing new page 21"},
+		{"write-back", storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{21}}, "loading customer 42: heapfile append: bufferpool: writing new page 21"},
+		{"last-heap-page", storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{1515}}, "loading customer 2999: heapfile append: bufferpool: writing new page 1515"},
+		// The last page of the first worker's range and the first of the
+		// last worker's, so the higher page fails first.
+		{"lower-page-wins", storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{379, 1138}}, "loading customer 750: heapfile append: bufferpool: writing new page 379"},
 	}
+	withProcs(t, 4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			leakcheck.Check(t)

@@ -3,8 +3,10 @@
 // addressed by RID (page, slot) and read back through the pool so every
 // record access is a page reference the replacement policy sees. Records
 // are never deleted, so space is never freed: Insert places a record in the
-// last page, else in a new one; an Appender, the bulk load's path, fills
-// new pages at the end of the file and writes each once, past the pool.
+// last page, else in a new one. Load, the bulk load's path, lays out the
+// same pages in two passes: it allocates them in order on the caller's
+// goroutine, then builds and writes each once, past the pool, on
+// runtime.GOMAXPROCS(0) goroutines.
 //
 // Page layout (little-endian):
 //
@@ -25,6 +27,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/bufferpool"
@@ -158,12 +162,28 @@ func initPage(data []byte) {
 	setPageHeader(data, 0, storage.PageSize)
 }
 
+// fits reports whether a need-byte record and its slot entry fit in a page
+// of numSlots slots whose record data begins at freeEnd.
+func fits(numSlots, freeEnd, need int) bool {
+	return freeEnd-(headerSize+numSlots*slotSize) >= need+slotSize
+}
+
+// recordsPerPage is how many size-byte records insertIntoPage places in a
+// fresh page.
+func recordsPerPage(size int) int {
+	k := 0
+	for fits(k, storage.PageSize-k*size, size) {
+		k++
+	}
+	return k
+}
+
 // insertIntoPage appends rec to the page in a new slot; ok is false if
 // the record and its slot entry do not fit in the free region.
 func insertIntoPage(data []byte, rec []byte) (slot uint16, ok bool) {
 	numSlots, freeEnd := pageHeader(data)
 	need := len(rec)
-	if int(freeEnd)-(headerSize+int(numSlots)*slotSize) < need+slotSize {
+	if !fits(int(numSlots), int(freeEnd), need) {
 		return 0, false
 	}
 	newEnd := freeEnd - uint16(need)
@@ -173,20 +193,20 @@ func insertIntoPage(data []byte, rec []byte) (slot uint16, ok bool) {
 	return numSlots, true
 }
 
-// checkRecord rejects a record no page can hold.
-func checkRecord(rec []byte) error {
-	if len(rec) == 0 {
+// checkRecord rejects a record length no page can hold.
+func checkRecord(size int) error {
+	if size <= 0 {
 		return errors.New("heapfile: empty record")
 	}
-	if len(rec) > MaxRecord {
-		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
+	if size > MaxRecord {
+		return fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, size)
 	}
 	return nil
 }
 
 // Insert stores rec and returns its RID.
 func (f *File) Insert(rec []byte) (RID, error) {
-	if err := checkRecord(rec); err != nil {
+	if err := checkRecord(len(rec)); err != nil {
 		return RID{}, err
 	}
 	// The most recently allocated page first: it is the only one with free
@@ -222,68 +242,125 @@ func (f *File) Insert(rec []byte) (RID, error) {
 	return RID{Page: id, Slot: slot}, nil
 }
 
-// Appender inserts records as Insert does, starting from a new page: into
-// the last page while the record fits, else into a new one. It fills each
-// page in a private buffer and writes it once, when the next record does
-// not fit or at Close, past the pool's frames (Pool.WriteNewPage): a bulk
-// load touches each page once, the paper's Example 1.2 sweep, so a frame
-// would keep nothing. A page joins the file, readable, once written; a
-// failed write fails the Append or Close that made it. While an Appender is
-// open the file must not be written any other way.
-type Appender struct {
-	f    *File
-	ctx  context.Context // marked write-behind once, for every page
-	id   policy.PageID
-	buf  []byte // page id's image while open
-	open bool
+// LoadError is a failure of Load's own, charged to a record: a failed
+// allocation to the record that needed the page, a failed write to the
+// first record that did not fit in the page (the last record, for the last
+// page).
+type LoadError struct {
+	Record int
+	Err    error
 }
 
-// NewAppender returns an Appender over f, filling no page yet.
-func (f *File) NewAppender() *Appender {
-	return &Appender{
-		f:   f,
-		ctx: storage.WithWriteBehind(context.Background()),
-		buf: make([]byte, storage.PageSize),
-	}
+func (e *LoadError) Error() string {
+	return fmt.Sprintf("heapfile: loading record %d: %v", e.Record, e.Err)
 }
 
-// Append stores rec and returns its RID.
-func (a *Appender) Append(rec []byte) (RID, error) {
-	if err := checkRecord(rec); err != nil {
-		return RID{}, err
+func (e *LoadError) Unwrap() error { return e.Err }
+
+// Load appends records 0..n-1, each size bytes, starting from a new page
+// and filling pages as Insert does: into the last page while the record
+// fits, else into a new one. It is the bulk load's path, in two passes.
+//
+// The first runs on the caller's goroutine. It allocates each page
+// (Pool.AllocatePage) when its first record needs it and hands every
+// record's RID to placed, in record order, so the backend's allocations and
+// whatever placed does between them come in the order a per-record load
+// makes them. The second builds the pages, calling fill to write record i
+// into rec, and writes each once, past the pool's frames
+// (Pool.WriteNewPage, behind): a bulk load touches each page once, the
+// paper's Example 1.2 sweep, so a frame would keep nothing. It splits the
+// pages into contiguous ranges across runtime.GOMAXPROCS(0) goroutines, so
+// fill runs on several at once, each with its own rec: zeroed at first,
+// then holding what that goroutine's previous fill left.
+//
+// A failure ends the first pass at its record; the pages before that
+// record's page are still written. The pages before the first one that
+// failed to write join the file, readable, in allocation order. An error
+// from placed is returned as it is; a failed allocation or write is a
+// *LoadError. A failed write is reported over a first-pass failure, and of
+// several failed writes, the lowest page's. While Load runs the file must
+// not be used any other way.
+func (f *File) Load(n, size int, fill func(i int, rec []byte), placed func(i int, rid RID) error) error {
+	if err := checkRecord(size); err != nil {
+		return err
 	}
-	if a.open {
-		if slot, ok := insertIntoPage(a.buf, rec); ok {
-			return RID{Page: a.id, Slot: slot}, nil
+	per := recordsPerPage(size)
+	built := (n + per - 1) / per // pages whose records were all placed
+	base := len(f.pages)
+	pages := slices.Grow(f.pages, built)
+	ids := pages[base : base+built]
+	var err error
+	for i := 0; i < n; i++ {
+		p := i / per
+		if i%per == 0 {
+			id, aerr := f.pool.AllocatePage()
+			if aerr != nil {
+				err = &LoadError{Record: i, Err: fmt.Errorf("heapfile insert: %w", aerr)}
+			}
+			ids[p] = id
 		}
-		if err := a.Close(); err != nil {
-			return RID{}, err
+		if err == nil {
+			err = placed(i, RID{Page: ids[p], Slot: uint16(i % per)})
+		}
+		if err != nil {
+			built = p
+			break
 		}
 	}
-	id, err := a.f.pool.AllocatePage()
-	if err != nil {
-		return RID{}, fmt.Errorf("heapfile insert: %w", err)
+	written, werr := f.writePages(ids[:built], n, per, size, fill)
+	f.pages = pages[:base+written]
+	if werr != nil {
+		return werr
 	}
-	clear(a.buf)
-	initPage(a.buf)
-	slot, _ := insertIntoPage(a.buf, rec)
-	a.id, a.open = id, true
-	return RID{Page: id, Slot: slot}, nil
+	return err
 }
 
-// Close writes the page being filled and adds it to the file; it must run
-// after the last Append. It is idempotent. A failed write leaves the page
-// allocated, unwritten and out of the file.
-func (a *Appender) Close() error {
-	if !a.open {
-		return nil
+// writePages is Load's second pass: it builds the pages ids names, page p
+// holding records p*per.. of n, and writes each through the pool, on up to
+// runtime.GOMAXPROCS(0) goroutines that each take a contiguous range. It
+// returns how many pages precede the lowest one whose write failed (all of
+// them, when none did) and that page's failure.
+func (f *File) writePages(ids []policy.PageID, n, per, size int, fill func(int, []byte)) (int, error) {
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
+	if workers == 0 {
+		return 0, nil
 	}
-	a.open = false
-	if err := a.f.pool.WriteNewPage(a.ctx, a.id, a.buf); err != nil {
-		return fmt.Errorf("heapfile append: %w", err)
+	ctx := storage.WithWriteBehind(context.Background()) // marked once, for every page
+	failed := make([]int, workers)                       // the page errs[w] failed, when it is set
+	errs := make([]error, workers)
+	work := func(w int) {
+		buf, rec := make([]byte, storage.PageSize), make([]byte, size)
+		for p := w * len(ids) / workers; p < (w+1)*len(ids)/workers; p++ {
+			clear(buf)
+			initPage(buf)
+			end := min(p*per+per, n)
+			for i := p * per; i < end; i++ {
+				fill(i, rec)
+				insertIntoPage(buf, rec)
+			}
+			if err := f.pool.WriteNewPage(ctx, ids[p], buf); err != nil {
+				failed[w] = p
+				errs[w] = &LoadError{Record: min(end, n-1), Err: fmt.Errorf("heapfile append: %w", err)}
+				return
+			}
+		}
 	}
-	a.f.pages = append(a.f.pages, a.id)
-	return nil
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return failed[w], err
+		}
+	}
+	return len(ids), nil
 }
 
 // Get returns a copy of the record at rid.

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bufferpool"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
 )
@@ -336,26 +338,54 @@ func TestFillCtx(t *testing.T) {
 	}
 }
 
-// TestAppenderAllocatesNothingPerPage: a bulk load marks its context
-// write-behind once, in NewAppender, and Pool.WriteNewPage uses a marked
-// context as it is, so filling and writing a page allocates nothing but
-// the amortised growth of the file's page list.
-func TestAppenderAllocatesNothingPerPage(t *testing.T) {
-	f := newFile(t, 8)
-	a := f.NewAppender()
-	rec := bytes.Repeat([]byte("c"), storage.PageSize/3)
-	page := func() { // two records: the first closes the page before
-		for range 2 {
-			if _, err := a.Append(rec); err != nil {
+// nullDisk is a backend that keeps nothing: writes are dropped and reads
+// return zeros, so it allocates nothing however many pages it is given.
+type nullDisk struct{ pages atomic.Int64 }
+
+func (d *nullDisk) Read(_ context.Context, _ policy.PageID, buf []byte) error {
+	clear(buf)
+	return nil
+}
+func (d *nullDisk) Write(context.Context, policy.PageID, []byte) error { return nil }
+func (d *nullDisk) Allocate() (policy.PageID, error) {
+	return policy.PageID(d.pages.Add(1) - 1), nil
+}
+func (d *nullDisk) Flush(context.Context) error { return nil }
+func (d *nullDisk) Stats() storage.Stats        { return storage.Stats{} }
+func (d *nullDisk) NumPages() int               { return int(d.pages.Load()) }
+func (d *nullDisk) Close() error                { return nil }
+
+// TestLoadAllocatesNothingPerPage: Load sizes the file's page list once,
+// marks its context write-behind once and gives each worker its buffers
+// once, and Pool.WriteNewPage uses a marked context as it is, so a 640-page
+// load makes as many allocations as a 64-page one. Each load runs on a
+// fresh file over a disk that keeps nothing, so neither the file's earlier
+// pages nor the disk's own growth enter the count.
+func TestLoadAllocatesNothingPerPage(t *testing.T) {
+	const runs = 10
+	allocs := func(pages int) float64 {
+		files := make([]*File, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range files {
+			files[i] = New(bufferpool.New(&nullDisk{}, 8, core.NewSyncReplacer(2, core.Options{})))
+		}
+		run := 0
+		got := testing.AllocsPerRun(runs, func() {
+			f := files[run]
+			run++
+			// Two records a page.
+			if err := f.Load(2*pages, storage.PageSize/3, func(int, []byte) {},
+				func(int, RID) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
+		})
+		for _, f := range files {
+			if len(f.pages) != pages {
+				t.Fatalf("a %d-page load left %d pages", pages, len(f.pages))
+			}
 		}
+		return got
 	}
-	page()
-	if got := testing.AllocsPerRun(500, page); got != 0 {
-		t.Errorf("an appended page allocates %.2f times, want 0", got)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
+	if small, large := allocs(64), allocs(640); small != large {
+		t.Errorf("a 64-page load allocates %.1f times, a 640-page load %.1f", small, large)
 	}
 }
