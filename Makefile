@@ -26,12 +26,15 @@ race:
 ## at a fuzzed stream, capacity and β vector; then the B-tree against a map
 ## at a fuzzed fanout and frame count over ascending appends mixed with
 ## out-of-order inserts and duplicates, packed while it only appends (go
-## test takes one -fuzz target per run, hence four).
+## test takes one -fuzz target per run, hence four). Minimizing a new
+## interesting input is capped at 100 runs: Go's default allows 60 s per
+## input, which left two targets reading 0 execs/sec for most of their
+## 10 s budget.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzReplacersMatchBruteForce -fuzztime 10s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzOraclesMatchBruteForce -fuzztime 10s ./internal/policy/
-	$(GO) test -run '^$$' -fuzz FuzzTreeMatchesSortedMap -fuzztime 10s ./internal/btree/
+	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzReplacersMatchBruteForce -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzOraclesMatchBruteForce -fuzztime 10s -fuzzminimizetime 100x ./internal/policy/
+	$(GO) test -run '^$$' -fuzz FuzzTreeMatchesSortedMap -fuzztime 10s -fuzzminimizetime 100x ./internal/btree/
 
 ## size: Go line counts — root module non-test, root module test, and the
 ## nested bench/ module — the figures re-anchors and "net lines go down"

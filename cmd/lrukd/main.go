@@ -206,10 +206,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ScrubInterval: *scrubIval,
 		Spans:         spanRec,
 		// Production-shaped fault posture: bounded transient retry and a
-		// per-stripe circuit breaker, whose refusals the server maps onto
-		// wire statuses. The retry jitter stream keeps its default seed:
-		// it spreads the retries of one node's requests over one disk, and
-		// no two nodes share a disk.
+		// circuit breaker over the disk, whose refusals the server maps
+		// onto wire statuses. The retry jitter stream keeps its default
+		// seed: it spreads the retries of one node's requests over one
+		// disk, and no two nodes share a disk.
 		DiskRetry: bufferpool.RetryConfig{
 			Attempts:  3,
 			BaseDelay: 500 * time.Microsecond,

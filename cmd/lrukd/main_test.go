@@ -284,8 +284,9 @@ func TestMetricsCatalog(t *testing.T) {
 		"-customers", "40",
 		"-frames", "16",
 	)
+	body := d.fetch("/metrics")
 	exposed := make(map[string]bool)
-	for _, line := range strings.Split(d.fetch("/metrics"), "\n") {
+	for _, line := range strings.Split(body, "\n") {
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
 			exposed[strings.Fields(rest)[0]] = true
 		}
@@ -299,6 +300,12 @@ func TestMetricsCatalog(t *testing.T) {
 	for name := range exposed {
 		if !documented[name] {
 			t.Errorf("/metrics exposes %s, which DESIGN.md §12's catalog does not document", name)
+		}
+	}
+	// One disk under the pool: one latency series per direction, unlabelled.
+	for _, family := range []string{"lruk_disk_read_seconds", "lruk_disk_write_seconds"} {
+		if n := strings.Count(body, "\n"+family+"_count"); n != 1 {
+			t.Errorf("/metrics carries %d %s series, want 1", n, family)
 		}
 	}
 	d.drain()
@@ -372,8 +379,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // Restore make a page a victim candidate, so the pool never calls
 // SetEvictable, and a page leaves only by Evict, since nothing is ever
 // deleted. storage.Backend has 7, none of which frees a page and none of
-// which names a stripe: the pool keys its breaker and disk histograms by
-// storage.StripeIndex, and each backend keeps its latch striping private.
+// which names a stripe: each backend keeps its latch striping private, and
+// the pool keeps one circuit breaker and one disk histogram per direction
+// for the backend it is given. So the pool reads its circuit as one
+// BreakerOpen state (there is no BreakerOpenStripes count), and finds a
+// repairer by asserting storage.Repairer on its backend; the test injectors
+// implement RepairPage by passing it through and have no Inner to walk.
 // core.PolicyTracer has 1: victim selection is the one
 // decision worth a trace record; collapses and purges are PolicyStats
 // counters. PolicyStats is the one stats read, so neither replacer has
@@ -451,6 +462,22 @@ func TestOptionSurface(t *testing.T) {
 			if _, ok := reflect.TypeOf(repl).MethodByName(name); ok {
 				t.Errorf("%T has %s; PolicyStats is the one stats read", repl, name)
 			}
+		}
+	}
+	for _, c := range []struct {
+		v         any
+		has, lost string
+	}{
+		{&bufferpool.Pool{}, "BreakerOpen", "BreakerOpenStripes"},
+		{&storage.Faulty{}, "RepairPage", "Inner"},
+		{&storage.Corrupter{}, "RepairPage", "Inner"},
+	} {
+		typ := reflect.TypeOf(c.v)
+		if _, ok := typ.MethodByName(c.has); !ok {
+			t.Errorf("%v has no %s", typ, c.has)
+		}
+		if _, ok := typ.MethodByName(c.lost); ok {
+			t.Errorf("%v has %s", typ, c.lost)
 		}
 	}
 }

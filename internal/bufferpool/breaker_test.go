@@ -3,11 +3,14 @@ package bufferpool
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
@@ -135,8 +138,8 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 			t.Errorf("BreakerTrips %d, WriteErrors %d; want 1 and 1 (the injected fault only)",
 				st.BreakerTrips, st.WriteErrors)
 		}
-		if n := p.BreakerOpenStripes(); n != 0 {
-			t.Errorf("%d stripes open after a successful probe, want 0", n)
+		if p.BreakerOpen() {
+			t.Error("circuit open after a successful probe")
 		}
 		if q := p.Quarantined(); q != 0 {
 			t.Errorf("%d pages quarantined after the page was written, want 0", q)
@@ -152,7 +155,7 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func newTestBreaker(cfg BreakerConfig, clk *fakeClock) *breaker {
-	return newBreaker(cfg, 4, clk.now)
+	return newBreaker(cfg, clk.now)
 }
 
 func TestBreakerOpensAtThreshold(t *testing.T) {
@@ -160,33 +163,28 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 	b := newTestBreaker(BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond, Probes: 2}, clk)
 
 	for i := 0; i < 2; i++ {
-		if !b.allow(0) {
+		if !b.allow() {
 			t.Fatalf("closed breaker refused attempt %d", i)
 		}
-		b.record(0, false)
+		b.record(false)
 	}
-	if b.openStripes() != 0 {
+	if b.isOpen() {
 		t.Fatal("breaker opened below threshold")
 	}
-	if !b.allow(0) {
+	if !b.allow() {
 		t.Fatal("closed breaker refused the threshold attempt")
 	}
-	b.record(0, false) // third consecutive failure: trip
+	b.record(false) // third consecutive failure: trip
 
-	if b.openStripes() != 1 {
+	if !b.isOpen() {
 		t.Fatal("breaker did not open at threshold")
 	}
 	if b.tripCount() != 1 {
 		t.Fatalf("tripCount = %d, want 1", b.tripCount())
 	}
-	if b.allow(0) || b.ready(0) {
+	if b.allow() || b.ready() {
 		t.Fatal("open breaker admitted traffic before cooldown")
 	}
-	// Other stripes are independent.
-	if !b.allow(1) {
-		t.Fatal("stripe 1 tripped by stripe 0's failures")
-	}
-	b.record(1, true)
 }
 
 func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
@@ -194,10 +192,10 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	b := newTestBreaker(BreakerConfig{Threshold: 2}, clk)
 	// failure, success, failure, success, ... never reaches 2 consecutive.
 	for i := 0; i < 10; i++ {
-		if !b.allow(0) {
+		if !b.allow() {
 			t.Fatalf("breaker refused attempt %d", i)
 		}
-		b.record(0, i%2 == 0)
+		b.record(i%2 == 0)
 	}
 	if b.tripCount() != 0 {
 		t.Fatal("interleaved failures tripped the breaker")
@@ -207,37 +205,37 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(BreakerConfig{Threshold: 1, Cooldown: 50 * time.Millisecond, Probes: 2}, clk)
-	b.allow(0)
-	b.record(0, false) // trip
+	b.allow()
+	b.record(false) // trip
 
 	clk.advance(49 * time.Millisecond)
-	if b.allow(0) {
+	if b.allow() {
 		t.Fatal("open breaker admitted a probe before cooldown elapsed")
 	}
 	clk.advance(2 * time.Millisecond)
-	if !b.ready(0) {
+	if !b.ready() {
 		t.Fatal("ready = false after cooldown")
 	}
-	// First probe: admitted, and it holds the stripe's single probe slot.
-	if !b.allow(0) {
+	// First probe: admitted, and it holds the single probe slot.
+	if !b.allow() {
 		t.Fatal("half-open breaker refused the first probe")
 	}
-	if b.allow(0) || b.ready(0) {
+	if b.allow() || b.ready() {
 		t.Fatal("second concurrent probe admitted while one is in flight")
 	}
-	b.record(0, true)
+	b.record(true)
 	// One success is not enough at Probes=2; still half-open, next probe ok.
-	if !b.allow(0) {
+	if !b.allow() {
 		t.Fatal("half-open breaker refused the second probe")
 	}
-	b.record(0, true) // closes
+	b.record(true) // closes
 
 	// Closed again: concurrent admissions flow freely.
-	if !b.allow(0) || !b.allow(0) {
+	if !b.allow() || !b.allow() {
 		t.Fatal("closed breaker serialising traffic like half-open")
 	}
-	b.record(0, true)
-	b.record(0, true)
+	b.record(true)
+	b.record(true)
 	if b.tripCount() != 1 {
 		t.Fatalf("tripCount = %d, want 1", b.tripCount())
 	}
@@ -246,28 +244,28 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 func TestBreakerReopensOnProbeFailure(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(BreakerConfig{Threshold: 1, Cooldown: 50 * time.Millisecond, Probes: 1}, clk)
-	b.allow(0)
-	b.record(0, false) // trip 1
+	b.allow()
+	b.record(false) // trip 1
 
 	clk.advance(51 * time.Millisecond)
-	if !b.allow(0) {
+	if !b.allow() {
 		t.Fatal("probe refused after cooldown")
 	}
-	b.record(0, false) // probe fails: trip 2, cooldown restarts from now
+	b.record(false) // probe fails: trip 2, cooldown restarts from now
 
 	if b.tripCount() != 2 {
 		t.Fatalf("tripCount = %d, want 2", b.tripCount())
 	}
 	clk.advance(49 * time.Millisecond)
-	if b.allow(0) {
+	if b.allow() {
 		t.Fatal("reopened breaker did not restart its cooldown")
 	}
 	clk.advance(2 * time.Millisecond)
-	if !b.allow(0) {
+	if !b.allow() {
 		t.Fatal("probe refused after the restarted cooldown")
 	}
-	b.record(0, true) // Probes=1: closes
-	if b.openStripes() != 0 {
+	b.record(true) // Probes=1: closes
+	if b.isOpen() {
 		t.Fatal("breaker still open after a successful probe at Probes=1")
 	}
 }
@@ -278,30 +276,30 @@ func TestBreakerReopensOnProbeFailure(t *testing.T) {
 func TestBreakerStragglerRecordWhileOpen(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(BreakerConfig{Threshold: 1, Cooldown: 50 * time.Millisecond}, clk)
-	b.allow(0)
-	b.allow(0) // two concurrent attempts admitted while closed
-	b.record(0, false)
+	b.allow()
+	b.allow() // two concurrent attempts admitted while closed
+	b.record(false)
 	clk.advance(25 * time.Millisecond)
-	b.record(0, true) // straggler success must not close or re-arm anything
-	if b.openStripes() != 1 {
+	b.record(true) // straggler success must not close or re-arm anything
+	if !b.isOpen() {
 		t.Fatal("straggler record closed an open breaker")
 	}
 	clk.advance(24 * time.Millisecond)
-	if b.allow(0) {
+	if b.allow() {
 		t.Fatal("straggler record restarted the cooldown")
 	}
 }
 
 func TestBreakerDisabled(t *testing.T) {
-	if b := newBreaker(BreakerConfig{}, 4, time.Now); b != nil {
+	if b := newBreaker(BreakerConfig{}, time.Now); b != nil {
 		t.Fatal("zero Threshold did not disable the breaker")
 	}
 	var b *breaker // nil breaker: everything admitted, nothing recorded
-	if !b.allow(0) || !b.ready(0) {
+	if !b.allow() || !b.ready() {
 		t.Fatal("nil breaker refused traffic")
 	}
-	b.record(0, false)
-	if b.tripCount() != 0 || b.openStripes() != 0 {
+	b.record(false)
+	if b.tripCount() != 0 || b.isOpen() {
 		t.Fatal("nil breaker reports state")
 	}
 }
@@ -313,29 +311,116 @@ func TestBreakerDisabled(t *testing.T) {
 func TestBreakerReleaseKeepsState(t *testing.T) {
 	clk := newFakeClock()
 	b := newTestBreaker(BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond, Probes: 1}, clk)
-	b.allow(0)
-	b.record(0, false) // streak 1
-	b.allow(0)
-	b.release(0)
-	b.allow(0)
-	b.record(0, false) // streak 2: trip
+	b.allow()
+	b.record(false) // streak 1
+	b.allow()
+	b.release()
+	b.allow()
+	b.record(false) // streak 2: trip
 	if b.tripCount() != 1 {
 		t.Fatalf("tripCount = %d, want 1: a release reset the failure streak", b.tripCount())
 	}
 
 	clk.advance(51 * time.Millisecond)
-	if !b.allow(0) {
+	if !b.allow() {
 		t.Fatal("probe refused after cooldown")
 	}
-	b.release(0)
-	if b.openStripes() != 0 || b.tripCount() != 1 {
-		t.Fatalf("released probe moved the state: open %d, trips %d", b.openStripes(), b.tripCount())
+	b.release()
+	if b.isOpen() || b.tripCount() != 1 {
+		t.Fatalf("released probe moved the state: open %v, trips %d", b.isOpen(), b.tripCount())
 	}
-	if !b.ready(0) || !b.allow(0) {
+	if !b.ready() || !b.allow() {
 		t.Fatal("released probe slot not admissible")
 	}
-	b.record(0, true) // Probes=1: closes
-	if !b.allow(0) || !b.allow(0) {
+	b.record(true) // Probes=1: closes
+	if !b.allow() || !b.allow() {
 		t.Fatal("breaker not closed after the probe that followed a release")
+	}
+}
+
+// TestBreakerConcurrentOutcomes drives one breaker from many goroutines
+// (run it under -race). Each goroutine's seeded outcome stream fails at
+// most maxRun times in a row, so no run of failures in the merged stream
+// reaches Threshold unless a success failed to reset the streak. Failures
+// alone then trip the circuit exactly once. Half-open, exactly one of the
+// racing goroutines holds the probe slot, a released probe frees it, and a
+// success short of Probes leaves the circuit half-open.
+func TestBreakerConcurrentOutcomes(t *testing.T) {
+	const (
+		goroutines = 8
+		maxRun     = 2
+		rounds     = 2000
+	)
+	clk := newFakeClock()
+	b := newTestBreaker(BreakerConfig{Threshold: goroutines*maxRun + 1, Cooldown: time.Second, Probes: 2}, clk)
+	race := func(f func(g int)) {
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() { defer wg.Done(); f(g) }()
+		}
+		wg.Wait()
+	}
+	admitted := func() int {
+		var n atomic.Int32
+		race(func(int) {
+			if b.allow() {
+				n.Add(1)
+			}
+		})
+		return int(n.Load())
+	}
+
+	race(func(g int) {
+		rng := stats.NewRNG(uint64(g) + 1)
+		run := 0
+		for range rounds {
+			if !b.allow() {
+				t.Error("closed breaker refused an attempt: a success did not reset the streak")
+				return
+			}
+			if run < maxRun && rng.Intn(2) == 0 {
+				run++
+				b.record(false)
+			} else {
+				run = 0
+				b.record(true)
+			}
+		}
+	})
+	if n := b.tripCount(); n != 0 {
+		t.Fatalf("interleaved outcomes tripped the breaker %d times, want 0", n)
+	}
+
+	race(func(int) {
+		for b.allow() {
+			b.record(false)
+		}
+	})
+	if n := b.tripCount(); n != 1 || !b.isOpen() {
+		t.Fatalf("failures alone: %d trips, open %v; want 1 and open", n, b.isOpen())
+	}
+
+	clk.advance(time.Second)
+	if n := admitted(); n != 1 {
+		t.Fatalf("%d goroutines admitted as the half-open probe, want 1", n)
+	}
+	b.release()
+	if n := admitted(); n != 1 {
+		t.Fatalf("%d goroutines admitted after a released probe, want 1", n)
+	}
+	b.record(true) // one of two probes
+	if n := admitted(); n != 1 {
+		t.Fatalf("%d goroutines admitted after one probe success at Probes 2, want 1", n)
+	}
+	b.record(true) // closes
+	if n := admitted(); n != goroutines {
+		t.Fatalf("closed breaker admitted %d of %d goroutines", n, goroutines)
+	}
+	for range goroutines {
+		b.record(true)
+	}
+	if b.tripCount() != 1 || b.isOpen() {
+		t.Fatalf("after recovery: %d trips, open %v; want 1 and closed", b.tripCount(), b.isOpen())
 	}
 }

@@ -108,7 +108,7 @@ type Stats struct {
 	// quarantine their page like any failed write.
 	ReadsRejected  uint64
 	WritesRejected uint64
-	// BreakerTrips counts circuit-breaker openings across all disk stripes.
+	// BreakerTrips counts disk circuit-breaker openings.
 	BreakerTrips uint64
 	// CorruptDetected counts logical reads (miss loads and scrub probes
 	// alike) that failed integrity verification, once per detection, when
@@ -149,8 +149,8 @@ type Config struct {
 	// Retry configures transient-fault retry for disk reads and writes.
 	// The zero value disables retry (one attempt per operation).
 	Retry RetryConfig
-	// Breaker configures the per-stripe disk circuit breaker. The zero
-	// value (Threshold 0) disables it.
+	// Breaker configures the disk circuit breaker. The zero value
+	// (Threshold 0) disables it.
 	Breaker BreakerConfig
 	// Metrics holds the pool's optional latency/shape instruments. Each nil
 	// histogram disables its measurement entirely (its timing calls are
@@ -205,11 +205,9 @@ type Metrics struct {
 	// DiskReadLatency and DiskWriteLatency record wall time of every disk
 	// read and write attempt the breaker admitted — latch waits, injected
 	// delay and (on the file backend) WAL group commit included, failed
-	// attempts too — split by storage stripe (storage.StripeIndex over
-	// storage.DefaultStripes) so one slow or tripped device region stands
-	// out. Each must be nil or hold DefaultStripes histograms.
-	DiskReadLatency  []*obs.Histogram
-	DiskWriteLatency []*obs.Histogram
+	// attempts too.
+	DiskReadLatency  *obs.Histogram
+	DiskWriteLatency *obs.Histogram
 }
 
 // defaultShards is the number of page-table latch partitions: a power of
@@ -244,9 +242,10 @@ type Pool struct {
 	quarMu      sync.Mutex
 	quarantined map[policy.PageID]struct{}
 
-	// repairer is the deepest layer of the backend stack that can repair
-	// a corrupt page in place (the file store's WAL-tail repair, or a
-	// corruption injector's taint clearing); nil when none can.
+	// repairer is the backend as a storage.Repairer, when it can repair a
+	// corrupt page in place (the file store's WAL-tail repair; the test
+	// injectors pass repair through to the backend they wrap); nil when it
+	// cannot.
 	repairer storage.Repairer
 	// poisoned holds unrepairable-corrupt page ids: detection found no
 	// redundant copy, so fetches fail fast with the recorded corruption
@@ -289,8 +288,8 @@ func New(b storage.Backend, numFrames int, r Replacer) *Pool {
 // NewWithConfig returns a pool of numFrames frames over backend b using the
 // given replacer. Every read and write the pool issues — each attempt of the
 // retry ladder individually, and every scrub read — crosses one gate,
-// diskIO, where the per-stripe circuit breaker (when cfg.Breaker enables
-// it) admits it and records its outcome.
+// diskIO, where the disk circuit breaker (when cfg.Breaker enables it)
+// admits it and records its outcome.
 func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Pool {
 	if b == nil {
 		panic("bufferpool: nil storage backend")
@@ -309,7 +308,7 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	}
 	p := &Pool{
 		backend:        b,
-		breaker:        newBreaker(cfg.Breaker, storage.DefaultStripes, time.Now),
+		breaker:        newBreaker(cfg.Breaker, time.Now),
 		replacer:       r,
 		frames:         make([]frame, numFrames),
 		shards:         make([]shard, cfg.shards),
@@ -323,9 +322,7 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		corruptionHook: cfg.CorruptionHook,
 		spans:          cfg.Spans,
 	}
-	if rp, ok := storage.RepairerFor(p.backend); ok {
-		p.repairer = rp
-	}
+	p.repairer, _ = b.(storage.Repairer)
 	for i := range p.shards {
 		p.shards[i].table = make(map[policy.PageID]*frame)
 	}
@@ -339,10 +336,10 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	return p
 }
 
-// BreakerOpenStripes returns how many storage stripes currently have an
-// open circuit (fail-fast; past-cooldown stripes count until a probe closes
-// them). Zero when the breaker is disabled.
-func (p *Pool) BreakerOpenStripes() int { return p.breaker.openStripes() }
+// BreakerOpen reports whether the disk circuit is open: misses and
+// write-backs fail fast (past the cooldown too, until a probe runs). False
+// when the breaker is disabled.
+func (p *Pool) BreakerOpen() bool { return p.breaker.isOpen() }
 
 // Stats returns a snapshot of pool counters, aggregated from the per-shard
 // atomics without a global lock. Under concurrent load the counters are

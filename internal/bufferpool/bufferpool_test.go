@@ -345,7 +345,7 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 // parented to its pool_miss span, beside the I/O gate's spans for the same
 // miss — one disk_write for the dirty victim and one disk_read for the page
 // read in, both parented to the pool_miss span; an unsampled miss evicts
-// without any. A sampled miss on a stripe whose circuit is open leaves a
+// without any. A sampled miss while the circuit is open leaves a
 // breaker_reject event and no disk_read.
 func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	rec := obs.NewSpanRecorder("n", 64)
@@ -412,8 +412,8 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 		t.Errorf("unsampled miss recorded %d spans, want none", got-spans)
 	}
 
-	// Open the circuit of one page's stripe with a faulted read, then miss
-	// on that page under a sampled trace.
+	// Open the circuit with a faulted read, then miss on that page under a
+	// sampled trace.
 	d := newFaultyDisk(sim.ServiceModel{})
 	page := storage.MustAllocate(d)
 	bp := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
@@ -429,13 +429,13 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	_, err := bp.FetchCtx(obs.ContextWithTrace(context.Background(),
 		obs.TraceContext{TraceID: rejected, SpanID: 1, Sampled: true}), page)
 	if !errors.Is(err, ErrDiskUnavailable) {
-		t.Fatalf("fetch on an open stripe = %v, want ErrDiskUnavailable", err)
+		t.Fatalf("fetch on an open circuit = %v, want ErrDiskUnavailable", err)
 	}
 	kinds := map[obs.SpanKind]int{}
 	for _, s := range rec.TraceSpans(rejected) {
 		kinds[s.Kind]++
 	}
 	if kinds[obs.SpanBreakerReject] != 1 || kinds[obs.SpanDiskRead] != 0 {
-		t.Errorf("sampled miss on an open stripe left spans %v, want one breaker_reject and no disk_read", kinds)
+		t.Errorf("sampled miss on an open circuit left spans %v, want one breaker_reject and no disk_read", kinds)
 	}
 }

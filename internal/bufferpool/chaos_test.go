@@ -105,7 +105,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 		}
 	}
 	// tripTarget is fetched only during the blackout, to drive consecutive
-	// failures onto one stripe; it never becomes resident.
+	// failures into the breaker; it never becomes resident.
 	tripTarget := storage.MustAllocate(d)
 	preload := uint64(pages) // writes on disk before the storm starts
 
@@ -145,8 +145,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 			for op := 0; op < opsPerG; op++ {
 				if g == 0 && op == opsPerG/2 {
 					// Mid-storm blackout: every disk operation fails until the
-					// breaker on tripTarget's stripe opens, then the storm
-					// resumes at its usual 5%.
+					// breaker opens, then the storm resumes at its usual 5%.
 					d.SetFaults(storage.NewFaultPlan(seed, storage.FaultRule{}))
 					tripped := false
 					for i := 0; i < 10000; i++ {

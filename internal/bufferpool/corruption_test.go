@@ -117,27 +117,11 @@ func TestFetchUnrepairableQuarantinesAndFailsFast(t *testing.T) {
 }
 
 // TestCorruptCountsAgainstBreaker: quarantined detections are permanent
-// stripe failures — enough of them open the circuit, so a stripe rotting
+// disk failures — enough of them open the circuit, so a disk rotting
 // wholesale sheds load instead of burning every fetch on doomed reads.
 func TestCorruptCountsAgainstBreaker(t *testing.T) {
-	c, _ := newCorruptDisk(t, 1)
-	// Collect three pages on one stripe: two to rot, one to probe with.
-	byStripe := map[int][]policy.PageID{}
-	var stripe int
-	buf := make([]byte, storage.PageSize)
-	for {
-		id := storage.MustAllocate(c)
-		if err := c.Write(context.Background(), id, buf); err != nil {
-			t.Fatal(err)
-		}
-		s := storage.StripeIndex(id, storage.DefaultStripes)
-		byStripe[s] = append(byStripe[s], id)
-		if len(byStripe[s]) == 3 {
-			stripe = s
-			break
-		}
-	}
-	rotA, rotB, probe := byStripe[stripe][0], byStripe[stripe][1], byStripe[stripe][2]
+	c, ids := newCorruptDisk(t, 3)
+	rotA, rotB, probe := ids[0], ids[1], ids[2]
 	taint(t, c, rotA, true)
 	taint(t, c, rotB, true)
 
@@ -151,10 +135,10 @@ func TestCorruptCountsAgainstBreaker(t *testing.T) {
 	if _, err := p.Fetch(rotB); !storage.IsCorrupt(err) {
 		t.Fatalf("fetch rotB: %v", err)
 	}
-	// Two permanent failures tripped the stripe: the clean page is now
+	// Two permanent failures tripped the circuit: the clean page is now
 	// refused locally, without a disk attempt.
 	if _, err := p.Fetch(probe); !errors.Is(err, ErrDiskUnavailable) {
-		t.Fatalf("fetch on tripped stripe: %v, want ErrDiskUnavailable", err)
+		t.Fatalf("fetch on a tripped circuit: %v, want ErrDiskUnavailable", err)
 	}
 	if s := p.Stats(); s.BreakerTrips == 0 || s.ReadsRejected == 0 {
 		t.Errorf("stats %+v, want a breaker trip and a rejected read", s)
@@ -507,8 +491,8 @@ func pageSetsEqual(a, b []policy.PageID) bool {
 }
 
 // cancelAfterRead cancels its caller's context once a Read returns: the
-// caller gives up while the read is in flight. It forwards Inner, so the
-// pool still finds the store's repairer beneath it.
+// caller gives up while the read is in flight. It passes repair through to
+// the store beneath it, as the test injectors do.
 type cancelAfterRead struct {
 	storage.Backend
 	cancel context.CancelFunc
@@ -520,7 +504,9 @@ func (d cancelAfterRead) Read(ctx context.Context, p policy.PageID, buf []byte) 
 	return err
 }
 
-func (d cancelAfterRead) Inner() storage.Backend { return d.Backend }
+func (d cancelAfterRead) RepairPage(ctx context.Context, p policy.PageID) error {
+	return d.Backend.(storage.Repairer).RepairPage(ctx, p)
+}
 
 // TestCancelledRepairLeavesPageUnpoisoned: a read that detects corruption
 // under a context the caller cancels meanwhile cannot repair the page — the
@@ -668,8 +654,44 @@ func TestScrubRangeIsTheBackend(t *testing.T) {
 		t.Errorf("%d of %d scrub reads verified, want all: the sweep read pages the backend never allocated",
 			got, 4*pages)
 	}
-	if open := p.BreakerOpenStripes(); open != 0 {
-		t.Errorf("%d circuits open after the sweep, want 0", open)
+	if p.BreakerOpen() {
+		t.Error("circuit open after the sweep")
+	}
+}
+
+// TestBreakerOpenPausesScrubber: while the circuit is open, scrub sweeps
+// make no disk attempt and settle nothing; once the disk heals and the
+// cooldown passes, a scrub read is the half-open probe that closes it.
+func TestBreakerOpenPausesScrubber(t *testing.T) {
+	leakcheck.Check(t)
+	d := newFaultyDisk(sim.ServiceModel{})
+	allocPages(t, d, 8)
+	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{
+		Breaker:       BreakerConfig{Threshold: 2, Cooldown: 200 * time.Millisecond, Probes: 1},
+		ScrubInterval: 200 * time.Microsecond,
+	})
+	defer p.Close()
+	p.Start()
+	await := func(what string, ok func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s in 10s", what)
+			}
+		}
+	}
+	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead}))
+	await("trip by the scrubber's failed reads", p.BreakerOpen)
+	st, ds := p.Stats(), d.Stats()
+	p.ScrubSweep(context.Background(), 64)
+	if st2, ds2 := p.Stats(), d.Stats(); ds2.ReadFaults != ds.ReadFaults || ds2.Reads != ds.Reads ||
+		st2.ScrubPages != st.ScrubPages || st2.ScrubCorrupt != st.ScrubCorrupt ||
+		st2.CorruptDetected != st.CorruptDetected || len(p.PoisonedPages()) != 0 {
+		t.Fatalf("scrubs on an open circuit moved the ledgers: pool %+v -> %+v, disk %+v -> %+v", st, st2, ds, ds2)
+	}
+	d.SetFaults(nil)
+	await("scrub probe closing the circuit", func() bool { return !p.BreakerOpen() && p.Stats().ScrubPages > st.ScrubPages })
+	if n := p.Stats().BreakerTrips; n != 1 {
+		t.Errorf("BreakerTrips = %d, want 1", n)
 	}
 }
 

@@ -261,10 +261,10 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		sh.readErrors.Add(1)
 		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, &storage.ErrCorrupt{Page: id, Kind: kind})
 	}
-	if !p.breaker.ready(storage.StripeIndex(id, storage.DefaultStripes)) {
-		// Fail fast while the stripe's circuit is open: no frame is
-		// claimed, no victim written back, no waiters queued behind a disk
-		// that is not answering. Still a miss — the page was not resident —
+	if !p.breaker.ready() {
+		// Fail fast while the circuit is open: no frame is claimed, no
+		// victim written back, no waiters queued behind a disk that is not
+		// answering. Still a miss — the page was not resident —
 		// but no storage attempt is made. A sampled fetch leaves a
 		// zero-duration breaker_reject event marking the refusal.
 		sh.misses.Add(1)

@@ -15,14 +15,13 @@ import (
 
 // This file is the pool's one gate to its backend, diskIO, and the retry
 // ladder around it. Every disk read and write the pool issues crosses the
-// gate once per attempt: the per-stripe circuit breaker admits it, the
-// stripe's latency histogram and a sampled trace's disk span time it, and
-// its outcome goes back to the breaker. The ladder reissues transient
-// failures with capped exponential backoff and deterministic seeded
-// jitter; every backoff sleep is charged against the caller's context, so
-// a deadline bounds the whole ladder rather than each rung. A breaker
-// refusal is permanent under storage.IsTransient and ends the ladder
-// immediately.
+// gate once per attempt: the circuit breaker admits it, the disk latency
+// histogram and a sampled trace's disk span time it, and its outcome goes
+// back to the breaker. The ladder reissues transient failures with capped
+// exponential backoff and deterministic seeded jitter; every backoff sleep
+// is charged against the caller's context, so a deadline bounds the whole
+// ladder rather than each rung. A breaker refusal is permanent under
+// storage.IsTransient and ends the ladder immediately.
 
 // RetryConfig tunes transient-fault retry for pool↔storage operations.
 type RetryConfig struct {
@@ -110,19 +109,18 @@ func (p *Pool) retrySleep(ctx context.Context, attempt int) error {
 }
 
 // diskIO is one attempt of op (storage.OpRead or storage.OpWrite) on page
-// id: breaker admission, the disk_read/disk_write span, the stripe's
-// latency histogram, the backend call, the breaker outcome. A refused
-// attempt reaches no backend and fails with ErrDiskUnavailable. An attempt
+// id: breaker admission, the disk_read/disk_write span, the latency
+// histogram, the backend call, the breaker outcome. A refused attempt
+// reaches no backend and fails with ErrDiskUnavailable. An attempt
 // the caller's own context ended is caller-class (DESIGN.md §10): it
 // records no outcome, hands back a half-open probe slot it held, and its
 // error is marked (callerEnded) so no ledger counts it as a disk failure.
 func (p *Pool) diskIO(ctx context.Context, op storage.Op, id policy.PageID, buf []byte) error {
-	stripe := storage.StripeIndex(id, storage.DefaultStripes)
 	name, hist, kind := "read", p.metrics.DiskReadLatency, obs.SpanDiskRead
 	if op == storage.OpWrite {
 		name, hist, kind = "write", p.metrics.DiskWriteLatency, obs.SpanDiskWrite
 	}
-	if !p.breaker.allow(stripe) {
+	if !p.breaker.allow() {
 		return fmt.Errorf("%s page %d: %w", name, id, ErrDiskUnavailable)
 	}
 	var span obs.Span
@@ -139,15 +137,13 @@ func (p *Pool) diskIO(ctx context.Context, op storage.Op, id policy.PageID, buf 
 	} else {
 		err = p.backend.Read(ctx, id, buf)
 	}
-	if hist != nil {
-		hist[stripe].ObserveSince(start)
-	}
+	hist.ObserveSince(start)
 	span.Finish(int64(id))
 	if endedByCaller(ctx, err) {
-		p.breaker.release(stripe)
+		p.breaker.release()
 		return callerEnded{err}
 	}
-	p.breaker.record(stripe, err == nil)
+	p.breaker.record(err == nil)
 	return err
 }
 

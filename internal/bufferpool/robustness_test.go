@@ -281,19 +281,14 @@ func TestRetryBackoffChargedToContext(t *testing.T) {
 }
 
 // TestBreakerFailFastAndRecovery exercises the breaker through the pool:
-// sustained read faults trip the page's stripe, after which misses and
-// write-backs on it fail fast with ErrDiskUnavailable (no disk attempt; the
-// refused write-back is quarantined) while hits keep serving; healing the
-// disk lets half-open probes close the circuit.
+// sustained read faults open the circuit, after which misses and
+// write-backs of any page fail fast with ErrDiskUnavailable (no disk
+// attempt; the refused write-back is quarantined) while hits keep serving;
+// healing the disk lets half-open probes close the circuit.
 func TestBreakerFailFastAndRecovery(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
-	ids := allocPages(t, d, 2)
-	a, b := ids[0], ids[1]
-	// c shares a's stripe, so its write-back meets the circuit a's reads open.
-	c := storage.MustAllocate(d)
-	for storage.StripeIndex(c, storage.DefaultStripes) != storage.StripeIndex(a, storage.DefaultStripes) {
-		c = storage.MustAllocate(d)
-	}
+	ids := allocPages(t, d, 3)
+	a, b, c := ids[0], ids[1], ids[2]
 	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: 30 * time.Millisecond, Probes: 1},
 	})
@@ -321,10 +316,10 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Fatalf("BreakerTrips = %d after %d consecutive failures, want 1", s.BreakerTrips, 2)
 	}
 
-	// Open circuit: reads and write-backs on the stripe fail fast, with a
-	// refusal that is permanent under IsTransient, and no disk attempt.
-	if n := p.BreakerOpenStripes(); n != 1 {
-		t.Errorf("BreakerOpenStripes = %d, want 1", n)
+	// Open circuit: reads and write-backs fail fast, with a refusal that is
+	// permanent under IsTransient, and no disk attempt.
+	if !p.BreakerOpen() {
+		t.Error("BreakerOpen = false after the trip")
 	}
 	faultsBefore, writesBefore := d.Stats().ReadFaults, d.Stats().Writes
 	_, err = p.Fetch(a)
@@ -335,7 +330,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Error("breaker refusal classified transient")
 	}
 	if err := flushPage(context.Background(), p, c); !errors.Is(err, ErrDiskUnavailable) {
-		t.Errorf("flush on the open stripe = %v, want ErrDiskUnavailable", err)
+		t.Errorf("flush on the open circuit = %v, want ErrDiskUnavailable", err)
 	}
 	if ds := d.Stats(); ds.ReadFaults != faultsBefore || ds.Writes != writesBefore {
 		t.Errorf("open breaker still reached the disk (%d -> %d faults, %d -> %d writes)",
@@ -369,8 +364,8 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Errorf("flush after recovery = %v with %d quarantined, want nil and 0", err, p.Quarantined())
 	}
 	s, ds := p.Stats(), d.Stats()
-	if s.BreakerTrips != 1 || p.BreakerOpenStripes() != 0 {
-		t.Errorf("BreakerTrips %d, open stripes %d after recovery; want 1 and 0", s.BreakerTrips, p.BreakerOpenStripes())
+	if s.BreakerTrips != 1 || p.BreakerOpen() {
+		t.Errorf("BreakerTrips %d, open %v after recovery; want 1 and closed", s.BreakerTrips, p.BreakerOpen())
 	}
 	if ds.ReadFaults != s.ReadRetries+s.ReadErrors {
 		t.Errorf("fault ledger out of balance: disk %d faults, pool %d retries + %d errors",

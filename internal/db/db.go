@@ -64,13 +64,13 @@ type Config struct {
 	// DiskRetry tunes the pool's transient-fault retry for disk reads and
 	// writes. The zero value disables retry (single attempt).
 	DiskRetry bufferpool.RetryConfig
-	// DiskBreaker tunes the pool's per-stripe disk circuit breaker. The
-	// zero value disables it.
+	// DiskBreaker tunes the pool's disk circuit breaker. The zero value
+	// disables it.
 	DiskBreaker bufferpool.BreakerConfig
 	// Obs, when non-nil, instruments the whole stack into this registry:
 	// the pool's fetch/miss/coalesce/sweep histograms, the disk's
-	// per-stripe read/write latency, the LRU-K policy's decision counters
-	// and eviction trace, and scrape-time collectors over every counter
+	// read/write latency, the LRU-K policy's decision counters and
+	// eviction trace, and scrape-time collectors over every counter
 	// StatsSnapshot reports (see DESIGN.md §12 for the catalog). Nil (the
 	// default) leaves every hot path uninstrumented.
 	Obs *obs.Registry
@@ -544,10 +544,10 @@ type StatsSnapshot struct {
 	// failed and that await a retry by the next eviction sweep that
 	// selects them or the next flush.
 	Quarantined int `json:"quarantined"`
-	// BreakerOpenStripes is how many disk stripes currently refuse I/O
-	// with an open circuit (0 with the breaker disabled or healthy).
-	BreakerOpenStripes int              `json:"breaker_open_stripes"`
-	Policy             core.PolicyStats `json:"policy"`
+	// BreakerOpen reports whether the disk circuit breaker currently
+	// refuses I/O (false with the breaker disabled or healthy).
+	BreakerOpen bool             `json:"breaker_open"`
+	Policy      core.PolicyStats `json:"policy"`
 	// AccessBatch holds the replacer's event-ring drain counters.
 	AccessBatch core.BatchStats `json:"access_batch"`
 	Disk        storage.Stats   `json:"disk"`
@@ -564,15 +564,15 @@ type StatsSnapshot struct {
 func (db *DB) StatsSnapshot() StatsSnapshot {
 	s := db.pool.Stats()
 	snap := StatsSnapshot{
-		Pool:               s,
-		PoolHitRatio:       s.HitRatio(),
-		Quarantined:        db.pool.Quarantined(),
-		BreakerOpenStripes: db.pool.BreakerOpenStripes(),
-		Policy:             db.replacer.PolicyStats(),
-		Disk:               db.backend.Stats(),
-		PoisonedPages:      len(db.pool.PoisonedPages()),
-		IndexPages:         len(db.index.Pages()),
-		DataPages:          len(db.customers.Pages()),
+		Pool:          s,
+		PoolHitRatio:  s.HitRatio(),
+		Quarantined:   db.pool.Quarantined(),
+		BreakerOpen:   db.pool.BreakerOpen(),
+		Policy:        db.replacer.PolicyStats(),
+		Disk:          db.backend.Stats(),
+		PoisonedPages: len(db.pool.PoisonedPages()),
+		IndexPages:    len(db.index.Pages()),
+		DataPages:     len(db.customers.Pages()),
 	}
 	snap.AccessBatch = db.replacer.BatchStats()
 	return snap

@@ -167,7 +167,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 				t.Fatalf("lookup %d still failing long after heal: %v", i, err)
 			}
 			time.Sleep(time.Millisecond)
-			i-- // retry this customer until its stripe's circuit closes
+			i-- // retry this customer until the circuit closes
 		}
 	}
 }

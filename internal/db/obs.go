@@ -1,8 +1,6 @@
 package db
 
 import (
-	"strconv"
-
 	"repro/internal/bufferpool"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -27,11 +25,11 @@ import (
 //     zero added cost on the paths that maintain them.
 
 // newPoolMetrics registers the pool's latency/shape histograms, and the
-// per-stripe disk read/write latency histograms its I/O gate records into.
-// The disk families keep the lruk_disk_ prefix for dashboard continuity
-// across backends.
+// disk read/write latency histograms its I/O gate records into. The disk
+// families keep the lruk_disk_ prefix for dashboard continuity across
+// backends.
 func newPoolMetrics(r *obs.Registry) bufferpool.Metrics {
-	m := bufferpool.Metrics{
+	return bufferpool.Metrics{
 		FetchLatency: r.LatencyHistogram("lruk_pool_fetch_seconds",
 			"Buffer pool fetch latency, hits and misses alike.", nil),
 		MissLatency: r.LatencyHistogram("lruk_pool_miss_seconds",
@@ -40,17 +38,11 @@ func newPoolMetrics(r *obs.Registry) bufferpool.Metrics {
 			"Time coalesced fetches spent parked on another fetch's in-flight read.", nil),
 		SweepLength: r.Histogram("lruk_pool_sweep_victims",
 			"Victims examined per eviction sweep that consulted the replacer.", nil),
-		DiskReadLatency:  make([]*obs.Histogram, storage.DefaultStripes),
-		DiskWriteLatency: make([]*obs.Histogram, storage.DefaultStripes),
+		DiskReadLatency: r.LatencyHistogram("lruk_disk_read_seconds",
+			"Storage read latency (latch waits, WAL appends, and injected delay included).", nil),
+		DiskWriteLatency: r.LatencyHistogram("lruk_disk_write_seconds",
+			"Storage write latency (latch waits, WAL appends, and injected delay included).", nil),
 	}
-	for i := range storage.DefaultStripes {
-		lbl := obs.Labels{"stripe": strconv.Itoa(i)}
-		m.DiskReadLatency[i] = r.LatencyHistogram("lruk_disk_read_seconds",
-			"Storage read latency (latch waits, WAL appends, and injected delay included), by stripe.", lbl)
-		m.DiskWriteLatency[i] = r.LatencyHistogram("lruk_disk_write_seconds",
-			"Storage write latency (latch waits, WAL appends, and injected delay included), by stripe.", lbl)
-	}
-	return m
 }
 
 // policyTraceAdapter bridges core.PolicyTracer onto the obs trace ring.
@@ -99,14 +91,19 @@ func (db *DB) registerObs(r *obs.Registry) {
 		func(s bufferpool.Stats) uint64 { return s.ReadsRejected })
 	pool("lruk_pool_writes_rejected_total", "Write-backs refused locally by an open circuit breaker.",
 		func(s bufferpool.Stats) uint64 { return s.WritesRejected })
-	pool("lruk_pool_breaker_trips_total", "Circuit-breaker openings across all disk stripes.",
+	pool("lruk_pool_breaker_trips_total", "Disk circuit-breaker openings.",
 		func(s bufferpool.Stats) uint64 { return s.BreakerTrips })
 	r.GaugeFunc("lruk_pool_hit_ratio", "Hits / (hits + misses).", nil,
 		func() float64 { return db.pool.Stats().HitRatio() })
 	r.GaugeFunc("lruk_pool_quarantined", "Resident pages awaiting a write-back retry.", nil,
 		func() float64 { return float64(db.pool.Quarantined()) })
-	r.GaugeFunc("lruk_pool_breaker_open_stripes", "Disk stripes with an open circuit.", nil,
-		func() float64 { return float64(db.pool.BreakerOpenStripes()) })
+	r.GaugeFunc("lruk_pool_breaker_open", "1 while the disk circuit breaker is open, else 0.", nil,
+		func() float64 {
+			if db.pool.BreakerOpen() {
+				return 1
+			}
+			return 0
+		})
 	r.GaugeFunc("lruk_pool_frames", "Pool capacity in frames.", nil,
 		func() float64 { return float64(db.pool.NumFrames()) })
 	pool("lruk_corrupt_detected_total", "Corrupt page reads detected (client fetches and scrub sweeps).",

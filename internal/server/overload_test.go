@@ -25,7 +25,7 @@ import (
 //     and the BUSY replies must arrive promptly (shedding does no
 //     database work), while the burst is still in flight.
 //  2. Blackout: with every disk operation failing, repeated misses on one
-//     page trip that stripe's circuit breaker, and the client observes
+//     page trip the disk's circuit breaker, and the client observes
 //     the typed UNAVAILABLE status end to end.
 //  3. Recovery: the disk heals, the breaker re-admits traffic through its
 //     half-open probes, and a full flush drains the quarantine — the
@@ -135,7 +135,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 			sawUnavailable = true
 			break
 		}
-		// Until the stripe trips, failures surface as internal errors
+		// Until the circuit trips, failures surface as internal errors
 		// (the injected fault); anything else is a bug.
 		if !errors.Is(err, client.ErrRemote) {
 			t.Fatalf("blackout attempt %d: unexpected error %v", attempt, err)
@@ -159,7 +159,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// The same server keeps serving after the storm. A stripe whose breaker
+	// The same server keeps serving after the storm. A circuit that
 	// tripped on reads re-admits only through a half-open probe after its
 	// cooldown, so the first gets may still see UNAVAILABLE — retry until a
 	// probe lands.
@@ -196,5 +196,56 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 	}
 	if stats.DB.Pool.ReadsRejected == 0 {
 		t.Error("pool recorded no breaker-rejected reads")
+	}
+}
+
+// TestDeadDiskTripsOneCircuit: the pool has one circuit for its one disk.
+// With every read failing, Threshold failed misses on Threshold different
+// heap pages open it; a miss on any other page then fails fast — answered
+// UNAVAILABLE, with no disk attempt — and once the disk heals and the
+// cooldown passes, Probes successful misses close it again.
+func TestDeadDiskTripsOneCircuit(t *testing.T) {
+	leakcheck.Check(t)
+	const threshold, probes, cooldown = 4, 2, 30 * time.Millisecond
+	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	srv, database := startServer(t, db.Config{
+		Frames:      16,
+		Backend:     faulty,
+		DiskBreaker: bufferpool.BreakerConfig{Threshold: threshold, Cooldown: cooldown, Probes: probes},
+	}, Config{}, 200)
+	cl := dial(t, srv)
+	ctx := context.Background()
+
+	// Two 2000-byte records fill a heap page, so keys ten apart sit on
+	// different pages; the load leaves the index resident and no heap page.
+	faulty.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead}))
+	for i := range int64(threshold) {
+		faults := faulty.Stats().ReadFaults
+		if _, err := cl.Get(ctx, 10*i); !errors.Is(err, client.ErrRemote) {
+			t.Fatalf("get %d on a dead disk = %v, want an internal error", 10*i, err)
+		}
+		if n := faulty.Stats().ReadFaults - faults; n != 1 {
+			t.Fatalf("get %d made %d failed disk reads, want 1", 10*i, n)
+		}
+	}
+	faults := faulty.Stats().ReadFaults
+	if _, err := cl.Get(ctx, 150); !errors.Is(err, client.ErrUnavailable) {
+		t.Fatalf("get after %d failed misses = %v, want UNAVAILABLE", threshold, err)
+	}
+	snap := database.StatsSnapshot()
+	if faulty.Stats().ReadFaults != faults || snap.Pool.ReadsRejected != 1 || !snap.BreakerOpen || snap.Pool.BreakerTrips != 1 {
+		t.Fatalf("open circuit: %d disk attempts, %d rejected, open %v, %d trips; want 0, 1, true, 1",
+			faulty.Stats().ReadFaults-faults, snap.Pool.ReadsRejected, snap.BreakerOpen, snap.Pool.BreakerTrips)
+	}
+
+	faulty.SetFaults(nil)
+	time.Sleep(cooldown + 10*time.Millisecond)
+	for i := range int64(probes) {
+		if _, err := cl.Get(ctx, 150+10*i); err != nil {
+			t.Fatalf("probe get %d after the heal = %v", 150+10*i, err)
+		}
+	}
+	if snap := database.StatsSnapshot(); snap.BreakerOpen || snap.Pool.BreakerTrips != 1 {
+		t.Errorf("after %d probes: open %v, %d trips; want closed and 1", probes, snap.BreakerOpen, snap.Pool.BreakerTrips)
 	}
 }

@@ -94,28 +94,6 @@ type Repairer interface {
 	RepairPage(ctx context.Context, p policy.PageID) error
 }
 
-// innerer is the wrapper-unwrapping seam: every Backend wrapper exposes the
-// backend it decorates.
-type innerer interface{ Inner() Backend }
-
-// RepairerFor walks b's wrapper chain and returns the outermost layer that
-// implements Repairer. Layers above it (fault injection, a test's tracing
-// wrapper) are deliberately bypassed: repair is its own protocol, not
-// caller I/O.
-func RepairerFor(b Backend) (Repairer, bool) {
-	for b != nil {
-		if r, ok := b.(Repairer); ok {
-			return r, true
-		}
-		iw, ok := b.(innerer)
-		if !ok {
-			return nil, false
-		}
-		b = iw.Inner()
-	}
-	return nil, false
-}
-
 // CorruptRule describes one corruption-injection rule, matched against
 // successful writes (corruption rides in on the write that the device
 // mis-executed). Field semantics mirror FaultRule.
@@ -259,9 +237,6 @@ func WithCorruption(inner Backend) *Corrupter {
 // taints survive disarming — damage already on the media stays there.
 func (c *Corrupter) SetCorruption(p *CorruptPlan) { c.plan.Store(p) }
 
-// Inner returns the wrapped backend.
-func (c *Corrupter) Inner() Backend { return c.Backend }
-
 // CorruptStats snapshots the injection ledger.
 func (c *Corrupter) CorruptStats() CorruptStats {
 	c.mu.Lock()
@@ -343,7 +318,7 @@ func (c *Corrupter) RepairPage(ctx context.Context, p policy.PageID) error {
 		c.cleared++
 	}
 	c.mu.Unlock()
-	if r, ok := RepairerFor(c.Backend); ok {
+	if r, ok := c.Backend.(Repairer); ok {
 		return r.RepairPage(ctx, p)
 	}
 	return nil

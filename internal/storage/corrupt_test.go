@@ -166,26 +166,31 @@ type wrapErr struct{ err error }
 func (w *wrapErr) Error() string { return "wrapped: " + w.err.Error() }
 func (w *wrapErr) Unwrap() error { return w.err }
 
-// TestRepairerForWalksChain checks the unwrapping seam: RepairerFor finds a
-// Repairer buried under non-repairing wrappers, and reports absence when
-// the chain bottoms out without one.
-func TestRepairerForWalksChain(t *testing.T) {
+// TestRepairPassesThroughWrappers: the fault wrapper passes RepairPage to
+// the backend it wraps — over the corrupter it clears the corrupter's taint
+// — and over a backend that cannot repair it reports the page
+// unrepairable.
+func TestRepairPassesThroughWrappers(t *testing.T) {
 	base := sim.New(sim.ServiceModel{})
 	corrupter := storage.WithCorruption(base)
 	stack := storage.WithFaults(corrupter)
-	r, ok := storage.RepairerFor(stack)
-	if !ok {
-		t.Fatal("RepairerFor missed the corrupter under the fault wrapper")
+	id := storage.MustAllocate(stack)
+	buf := make([]byte, storage.PageSize)
+	corrupter.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Count: 1}))
+	if err := stack.Write(ctx, id, buf); err != nil {
+		t.Fatal(err)
 	}
-	if _, isCorrupter := r.(*storage.Corrupter); !isCorrupter {
-		t.Fatalf("RepairerFor returned %T, want the outermost Repairer (*storage.Corrupter)", r)
+	if err := stack.Read(ctx, id, buf); !storage.IsCorrupt(err) {
+		t.Fatalf("read of a tainted page = %v, want ErrCorrupt", err)
 	}
-	if _, ok := storage.RepairerFor(storage.WithFaults(base)); ok {
-		t.Error("RepairerFor invented a repairer over the bare simulator")
+	if err := stack.RepairPage(ctx, id); err != nil {
+		t.Fatalf("repair through the fault wrapper = %v, want nil", err)
 	}
-	var nilBackend storage.Backend
-	if _, ok := storage.RepairerFor(nilBackend); ok {
-		t.Error("RepairerFor on nil backend")
+	if err := stack.Read(ctx, id, buf); err != nil {
+		t.Fatalf("read after the repair = %v, want nil", err)
+	}
+	if err := storage.WithFaults(base).RepairPage(ctx, id); !storage.IsCorrupt(err) {
+		t.Errorf("repair over the bare simulator = %v, want the page reported unrepairable", err)
 	}
 }
 
@@ -195,7 +200,7 @@ func TestRepairerForWalksChain(t *testing.T) {
 func TestCorruptChargeFaultDelegates(t *testing.T) {
 	var fc storage.FaultCharger = storage.WithCorruption(sim.New(sim.ServiceModel{}))
 	fc.ChargeFault(0) // must not panic; delegation reaches the simulator
-	if _, ok := storage.WithCorruption(faultlessBackend{}).Inner().(storage.FaultCharger); ok {
+	if _, ok := storage.WithCorruption(faultlessBackend{}).Backend.(storage.FaultCharger); ok {
 		t.Fatal("test backend unexpectedly implements FaultCharger")
 	}
 	storage.WithCorruption(faultlessBackend{}).ChargeFault(0) // no-op, no panic

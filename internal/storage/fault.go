@@ -184,8 +184,16 @@ func WithFaults(inner Backend) *Faulty {
 // already past their fault check complete normally.
 func (f *Faulty) SetFaults(p *FaultPlan) { f.plan.Store(p) }
 
-// Inner returns the wrapped backend.
-func (f *Faulty) Inner() Backend { return f.Backend }
+// RepairPage implements Repairer by passing the call to the wrapped
+// backend, unfaulted: repair is the backend's own protocol, not caller
+// I/O. When that backend cannot repair, it reports the page unrepairable,
+// which a caller treats like having no repairer at all.
+func (f *Faulty) RepairPage(ctx context.Context, p policy.PageID) error {
+	if r, ok := f.Backend.(Repairer); ok {
+		return r.RepairPage(ctx, p)
+	}
+	return fmt.Errorf("repair page %d: %w", p, &ErrCorrupt{Page: p, Kind: CorruptChecksum})
+}
 
 // Read implements Backend.
 func (f *Faulty) Read(ctx context.Context, p policy.PageID, buf []byte) error {

@@ -24,9 +24,9 @@ import (
 // canonical 4 KByte page (§2.1.2).
 const PageSize = 4096
 
-// DefaultStripes is the stripe count backends partition their page latches
-// into, and the pool its breaker and disk histograms. Must be a power of
-// two.
+// DefaultStripes is the stripe count both backends partition their page
+// latches into. The striping is each backend's own: nothing above the
+// Backend interface sees a stripe. Must be a power of two.
 const DefaultStripes = 32
 
 // ErrPageNotAllocated reports access to a page id that was never allocated.
@@ -48,8 +48,8 @@ type Stats struct {
 	ReadFaults  uint64
 	WriteFaults uint64
 	// ServiceMicros is the total simulated service time of all operations
-	// (simulator only; wall latency of either backend is the pool's
-	// per-stripe disk histograms).
+	// (simulator only; wall latency of either backend is the pool's disk
+	// read and write histograms).
 	ServiceMicros int64
 	// WALAppends and WALSyncs count write-ahead-log records appended and
 	// group-commit fsync batches issued (file backend only). Appends per
@@ -157,8 +157,9 @@ type DurableBackend interface {
 
 // StripeIndex hashes page p onto one of n stripes (n a power of two) with
 // the SplitMix64 finaliser, so adjacent page ids land on different stripes.
-// Both backends latch by it, and the pool keys its breaker and disk
-// histograms by it, so a stripe names the same pages at every layer.
+// Both backends latch by it. It is a latch key only: the hash scatters
+// adjacent pages, so no failure or slowdown of a real device is confined to
+// one stripe, and the pool keys nothing by it.
 func StripeIndex(p policy.PageID, n int) int {
 	z := uint64(p) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
