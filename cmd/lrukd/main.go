@@ -205,16 +205,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Obs:           reg,
 		ScrubInterval: *scrubIval,
 		Spans:         spanRec,
-		// Production-shaped fault posture: bounded transient retry and a
-		// circuit breaker over the disk, whose refusals the server maps
-		// onto wire statuses. The retry jitter stream keeps its default
-		// seed: it spreads the retries of one node's requests over one
-		// disk, and no two nodes share a disk.
-		DiskRetry: bufferpool.RetryConfig{
-			Attempts:  3,
-			BaseDelay: 500 * time.Microsecond,
-			MaxDelay:  5 * time.Millisecond,
-		},
+		// A circuit breaker over the disk, whose refusals the server maps
+		// onto wire statuses. Each read or write is one disk attempt.
 		DiskBreaker: bufferpool.BreakerConfig{
 			Threshold: 8,
 			Cooldown:  250 * time.Millisecond,

@@ -302,6 +302,12 @@ func TestMetricsCatalog(t *testing.T) {
 			t.Errorf("/metrics exposes %s, which DESIGN.md §12's catalog does not document", name)
 		}
 	}
+	// One disk attempt per read or write: nothing counts retries.
+	for _, family := range []string{"lruk_pool_read_retries_total", "lruk_pool_write_retries_total"} {
+		if exposed[family] {
+			t.Errorf("/metrics exposes %s, but the pool retries no disk attempt", family)
+		}
+	}
 	// One disk under the pool: one latency series per direction, unlabelled.
 	for _, family := range []string{"lruk_disk_read_seconds", "lruk_disk_write_seconds"} {
 		if n := strings.Count(body, "\n"+family+"_count"); n != 1 {
@@ -370,7 +376,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // callers need different values for it. db.Config has no replacer periods
 // (db.Open sets the CRP to its correlatedReferencePeriod constant and
 // derives the RIP from Frames and K) and no record size (only db's own
-// tests shrink it, through an unexported field). core.Options holds the
+// tests shrink it, through an unexported field); one of its 8 fields,
+// DiskRetry, is a deprecated declaration nothing reads, kept only for the
+// benchmark harness that still sets it. bufferpool.Config has no retry
+// posture: the pool makes one disk attempt per read or write, and a failed
+// write-back is retried by the next sweep or flush. core.Options holds the
 // two §2.1 periods and nothing else: no shard count and no clock, since
 // every LRU-K in the repository ticks once per reference.
 //
@@ -401,7 +411,7 @@ func TestOptionSurface(t *testing.T) {
 		want int
 	}{
 		{db.Config{}, 8},
-		{bufferpool.Config{}, 6},
+		{bufferpool.Config{}, 5},
 		{server.Config{}, 10},
 		{cluster.Config{}, 1},
 		{cluster.RebalanceConfig{}, 4},

@@ -25,9 +25,7 @@ import (
 // ErrDiskUnavailable reports an operation refused locally because the
 // disk's circuit breaker is open. No backend attempt was made: the caller
 // can retry after the breaker's cooldown, serve from memory, or surface
-// the unavailability. It is permanent under storage.IsTransient —
-// reissuing the identical request before the cooldown cannot change the
-// outcome.
+// the unavailability.
 var ErrDiskUnavailable = errors.New("bufferpool: disk unavailable (circuit breaker open)")
 
 // BreakerConfig tunes the pool's disk circuit breaker.

@@ -79,29 +79,24 @@ type Stats struct {
 	// read instead of issuing their own (always zero single-threaded; such
 	// misses are also counted in Misses).
 	Coalesced uint64
-	// ReadErrors counts failed miss reads — logical failures, after any
-	// retries are exhausted. Each is counted once, against the loading
-	// fetch; coalesced waiters that inherit the error count only Misses and
-	// Coalesced. Failed fetches count in Misses (the page was not resident)
-	// but issue no successful disk read, so disk reads == Misses -
-	// Coalesced - ReadErrors - ReadsRejected - new pages, as long as no
-	// caller's context ends a read: such a read counts only its miss.
+	// ReadErrors counts failed miss reads, each one disk attempt. Each is
+	// counted once, against the loading fetch; coalesced waiters that
+	// inherit the error count only Misses and Coalesced. Failed fetches
+	// count in Misses (the page was not resident) but issue no successful
+	// disk read, so disk reads == Misses - Coalesced - ReadErrors -
+	// ReadsRejected - new pages, as long as no caller's context ends a
+	// read: such a read counts only its miss.
 	ReadErrors uint64
-	// WriteErrors counts failed writes (logical failures, retries
-	// exhausted): dirty-page write-backs, from evictions and flushes alike,
-	// and WriteNewPage calls. A write-back's data survives in memory: the
-	// page stays resident and dirty, and the write is retried by the next
-	// eviction sweep that selects it and by every flush. A write the caller's
-	// own context ended is not an error: it counts nowhere and leaves the
-	// page dirty, unquarantined.
+	// WriteErrors counts failed writes, each one disk attempt: dirty-page
+	// write-backs, from evictions and flushes alike, and WriteNewPage
+	// calls. A write-back's data survives in memory: the page stays
+	// resident and dirty, and the write is retried by the next eviction
+	// sweep that selects it and by every flush. A write the caller's own
+	// context ended is not an error: it counts nowhere and leaves the page
+	// dirty, unquarantined. With fault injection armed, the disk's fault
+	// ledger reconciles exactly: ReadFaults == ReadErrors and WriteFaults ==
+	// WriteErrors.
 	WriteErrors uint64
-	// ReadRetries and WriteRetries count disk attempts that failed with a
-	// transient error and were reissued by the retry ladder (each retried
-	// attempt counts once). With fault injection armed, the disk's fault
-	// ledger reconciles exactly: ReadFaults == ReadRetries + ReadErrors,
-	// and likewise for writes.
-	ReadRetries  uint64
-	WriteRetries uint64
 	// ReadsRejected and WritesRejected count operations refused locally by
 	// an open circuit breaker, without a disk attempt. Rejected reads are
 	// still misses (the page was not resident); rejected write-backs
@@ -146,9 +141,6 @@ func (s Stats) HitRatio() float64 {
 
 // Config tunes the concurrent pool.
 type Config struct {
-	// Retry configures transient-fault retry for disk reads and writes.
-	// The zero value disables retry (one attempt per operation).
-	Retry RetryConfig
 	// Breaker configures the disk circuit breaker. The zero value
 	// (Threshold 0) disables it.
 	Breaker BreakerConfig
@@ -169,8 +161,7 @@ type Config struct {
 	CorruptionHook func(p policy.PageID, kind storage.CorruptKind, repaired bool)
 	// Spans, when non-nil, arms fetch tracing: sampled fetches (a sampled
 	// obs.TraceContext on ctx) record pool_fetch / pool_miss /
-	// pool_coalesce spans plus retry-wait, breaker-reject and evict events
-	// here.
+	// pool_coalesce spans plus breaker-reject and evict events here.
 	// Nil keeps every fetch free of tracing work; the latch-free hit probe
 	// is untouched either way.
 	Spans *obs.SpanRecorder
@@ -179,6 +170,19 @@ type Config struct {
 	// tests sweep the page-table partition count (a power of two; zero
 	// selects defaultShards).
 	shards int
+}
+
+// RetryConfig is inert.
+//
+// Deprecated: nothing reads it; the pool makes exactly one disk attempt per
+// read or write. It exists only so the benchmark harness, whose bench/
+// workloads.go sets it through db.Config.DiskRetry, still compiles. The next
+// change to bench/ deletes it together with that literal.
+type RetryConfig struct {
+	Attempts  int
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
+	Seed      uint64
 }
 
 // Metrics are the pool's optional observability instruments. Counters are
@@ -192,7 +196,7 @@ type Metrics struct {
 	FetchLatency *obs.Histogram
 	// MissLatency records wall nanoseconds of fetches that ran the miss
 	// protocol themselves: frame obtention (eviction sweep and write-backs
-	// included) plus the disk read with its retry ladder.
+	// included) plus the disk read.
 	MissLatency *obs.Histogram
 	// CoalesceWait records wall nanoseconds coalesced waiters spent parked
 	// on another fetch's in-flight disk read.
@@ -261,7 +265,6 @@ type Pool struct {
 	scrubCorrupt       atomic.Uint64
 	scrubCursor        atomic.Int64
 
-	retry          *retrier
 	metrics        Metrics
 	scrubInterval  time.Duration
 	corruptionHook func(policy.PageID, storage.CorruptKind, bool)
@@ -286,10 +289,9 @@ func New(b storage.Backend, numFrames int, r Replacer) *Pool {
 }
 
 // NewWithConfig returns a pool of numFrames frames over backend b using the
-// given replacer. Every read and write the pool issues — each attempt of the
-// retry ladder individually, and every scrub read — crosses one gate,
-// diskIO, where the disk circuit breaker (when cfg.Breaker enables it)
-// admits it and records its outcome.
+// given replacer. Every read and write the pool issues, every scrub read
+// included, crosses one gate, diskIO, once, where the disk circuit breaker
+// (when cfg.Breaker enables it) admits it and records its outcome.
 func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Pool {
 	if b == nil {
 		panic("bufferpool: nil storage backend")
@@ -316,7 +318,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		free:           make([]*frame, 0, numFrames),
 		quarantined:    make(map[policy.PageID]struct{}),
 		poisoned:       make(map[policy.PageID]storage.CorruptKind),
-		retry:          newRetrier(cfg.Retry),
 		metrics:        cfg.Metrics,
 		scrubInterval:  cfg.ScrubInterval,
 		corruptionHook: cfg.CorruptionHook,
@@ -355,8 +356,6 @@ func (p *Pool) Stats() Stats {
 		s.WriteBacks += sh.writeBacks.Load()
 		s.ReadErrors += sh.readErrors.Load()
 		s.WriteErrors += sh.writeErrors.Load()
-		s.ReadRetries += sh.readRetries.Load()
-		s.WriteRetries += sh.writeRetries.Load()
 		s.ReadsRejected += sh.readsRejected.Load()
 		s.WritesRejected += sh.writesRejected.Load()
 	}

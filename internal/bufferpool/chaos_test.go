@@ -30,8 +30,8 @@ func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
 // TestChaosFaultStorm replays a seeded multi-goroutine trace against a
 // small pool while the disk injects a fault storm: one permanently
 // poisoned page (every write-back fails until the storm ends) plus a 5%
-// probabilistic fault rate on all reads and writes. Retry and the circuit
-// breaker are armed, a slice of operations carries already-expired or
+// probabilistic fault rate on all reads and writes. The circuit breaker is
+// armed, a slice of operations carries already-expired or
 // tightly-deadlined contexts (exercising the waiter-abandon paths
 // mid-storm), and halfway through one worker blacks the disk out
 // completely until the breaker trips. Individual operations
@@ -48,7 +48,7 @@ func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
 //   - the breaker tripped during the blackout and the pool recovered
 //     through half-open probes afterwards;
 //   - the counters reconcile exactly with the disk's ledger: every
-//     injected fault is a retry or a counted error, every breaker refusal
+//     injected fault is a counted error, every breaker refusal
 //     a rejection, every disk read a non-coalesced non-failed miss, every
 //     disk write beyond the preload a successful write-back.
 //
@@ -58,7 +58,7 @@ func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
 //
 // The storm runs over each backend — the in-memory simulator and the
 // durable file store. The invariants are backend-agnostic: the fault
-// wrapper, retry, breaker, and quarantine sit above the storage interface
+// wrapper, breaker, and quarantine sit above the storage interface
 // and must reconcile identically whether the pages live in RAM or in a
 // WAL-protected page file — and the exact ledger reconciliation must
 // survive buffered policy events draining mid-storm (stale buffered hits
@@ -114,12 +114,6 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 
 	p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{
 		shards: 16,
-		Retry: RetryConfig{
-			Attempts:  3,
-			BaseDelay: 20 * time.Microsecond,
-			MaxDelay:  100 * time.Microsecond,
-			Seed:      seed,
-		},
 		Breaker: BreakerConfig{
 			Threshold: 8,
 			Cooldown:  2 * time.Millisecond,
@@ -251,14 +245,12 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	}
 
 	// Counter reconciliation against the disk's own ledger: every injected
-	// fault was either retried or counted as a logical failure, exactly once.
-	if s.ReadRetries+s.ReadErrors != ds.ReadFaults {
-		t.Errorf("pool counted %d read retries + %d read errors, disk injected %d read faults",
-			s.ReadRetries, s.ReadErrors, ds.ReadFaults)
+	// fault was counted as a logical failure, exactly once.
+	if s.ReadErrors != ds.ReadFaults {
+		t.Errorf("pool counted %d read errors, disk injected %d read faults", s.ReadErrors, ds.ReadFaults)
 	}
-	if s.WriteRetries+s.WriteErrors != ds.WriteFaults {
-		t.Errorf("pool counted %d write retries + %d write errors, disk injected %d write faults",
-			s.WriteRetries, s.WriteErrors, ds.WriteFaults)
+	if s.WriteErrors != ds.WriteFaults {
+		t.Errorf("pool counted %d write errors, disk injected %d write faults", s.WriteErrors, ds.WriteFaults)
 	}
 	// Every disk read is a miss that neither coalesced, failed, nor was
 	// refused by the breaker (the trace allocates pages directly, so there
@@ -274,7 +266,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 		t.Error("blackout did not trip the breaker")
 	}
 	if s.Hits == 0 || s.Misses == 0 || s.WriteErrors == 0 || s.ReadErrors == 0 ||
-		s.WriteBacks == 0 || s.ReadRetries == 0 || s.ReadsRejected == 0 {
+		s.WriteBacks == 0 || s.ReadsRejected == 0 {
 		t.Errorf("storm did not exercise all paths: %+v", s)
 	}
 

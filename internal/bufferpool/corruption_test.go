@@ -183,15 +183,13 @@ func TestScrubberHealsInBackground(t *testing.T) {
 	}
 }
 
-// TestENOSPCFailsFastWhileHitsServe: a full device is a permanent
-// condition — allocations and write-backs fail without retry burn, while
-// resident pages keep serving from memory.
+// TestENOSPCFailsFastWhileHitsServe: on a full device allocations and
+// write-backs fail on their one disk attempt, while resident pages keep
+// serving from memory.
 func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	ids := allocPages(t, d, 2)
-	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		Retry: RetryConfig{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 1},
-	})
+	p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
 	defer p.Close()
 
 	// Warm a page, then fill the device.
@@ -212,11 +210,8 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 		t.Fatalf("flush on full device: %v, want ErrNoSpace", err)
 	}
 	s := p.Stats()
-	if s.WriteRetries != 0 || s.ReadRetries != 0 {
-		t.Errorf("retry ladder spun on a permanent ENOSPC: %+v", s)
-	}
-	if s.WriteErrors != 1 {
-		t.Errorf("stats %+v, want exactly one write error", s)
+	if ds := d.Stats(); s.WriteErrors != 1 || ds.WriteFaults != s.WriteErrors {
+		t.Errorf("stats %+v, %d disk write faults; want exactly one write error, one fault", s, ds.WriteFaults)
 	}
 	// The resident page still serves — out-of-space starves writes, not
 	// memory.
@@ -465,8 +460,9 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	if want := preload + s.WriteBacks + sideWrites; ds.Writes != want {
 		t.Errorf("disk writes = %d, want preload+writeBacks+side = %d", ds.Writes, want)
 	}
-	if s.ReadRetries != 0 || s.WriteRetries != 0 {
-		t.Errorf("retry ladder spun on permanent corruption: %+v", s)
+	// Nothing injects a disk fault, and corruption fails reads only.
+	if s.WriteErrors != ds.WriteFaults {
+		t.Errorf("%d write errors, %d disk write faults; want equal", s.WriteErrors, ds.WriteFaults)
 	}
 	if s.Hits == 0 || s.Misses == 0 || s.CorruptDetected == 0 || s.CorruptRepaired == 0 ||
 		s.CorruptQuarantined == 0 || s.ScrubPages == 0 || s.ScrubCorrupt == 0 {
@@ -695,16 +691,13 @@ func TestBreakerOpenPausesScrubber(t *testing.T) {
 	}
 }
 
-// TestWriteNewPageFailure: a first-image write that still fails after the
-// retry ladder returns its error and counts once in WriteErrors, so the
-// fault ledger WriteFaults == WriteRetries + WriteErrors holds, but
-// quarantines nothing — no frame holds the page. The caller's image is
-// intact, and writing it again succeeds.
+// TestWriteNewPageFailure: a first-image write that fails returns its error
+// and counts once in WriteErrors, so the fault ledger WriteFaults ==
+// WriteErrors holds, but quarantines nothing — no frame holds the page.
+// The caller's image is intact, and writing it again succeeds.
 func TestWriteNewPageFailure(t *testing.T) {
 	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
-	p := NewWithConfig(faulty, 4, core.NewSyncReplacer(2, core.Options{}), Config{
-		Retry: RetryConfig{Attempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
-	})
+	p := New(faulty, 4, core.NewSyncReplacer(2, core.Options{}))
 	defer p.Close()
 	id, err := p.AllocatePage()
 	if err != nil {
@@ -712,22 +705,22 @@ func TestWriteNewPageFailure(t *testing.T) {
 	}
 	img := make([]byte, storage.PageSize)
 	img[0] = 5
-	faulty.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 5}))
+	faulty.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
 	ctx := context.Background()
 	if err := p.WriteNewPage(ctx, id, img); !errors.Is(err, storage.ErrInjectedFault) {
-		t.Fatalf("WriteNewPage through three faults = %v, want the injected fault", err)
+		t.Fatalf("WriteNewPage through a fault = %v, want the injected fault", err)
 	}
-	if st := p.Stats(); st.WriteErrors != 1 || st.WriteRetries != 2 || p.Quarantined() != 0 || p.Resident(id) {
-		t.Fatalf("failed write: %+v, %d quarantined, resident %v; want one error, two retries, nothing held",
+	if st := p.Stats(); st.WriteErrors != 1 || p.Quarantined() != 0 || p.Resident(id) {
+		t.Fatalf("failed write: %+v, %d quarantined, resident %v; want one error, nothing held",
 			st, p.Quarantined(), p.Resident(id))
 	}
 	if err := p.WriteNewPage(ctx, id, img); err != nil {
-		t.Fatalf("WriteNewPage through the last two faults = %v, want nil", err)
+		t.Fatalf("WriteNewPage after the fault = %v, want nil", err)
 	}
 	st, disk := p.Stats(), faulty.Stats()
-	if disk.WriteFaults != st.WriteRetries+st.WriteErrors || disk.Writes != 1 {
-		t.Errorf("%d write faults, %d retries + %d errors, %d disk writes; want the ledger exact and one write",
-			disk.WriteFaults, st.WriteRetries, st.WriteErrors, disk.Writes)
+	if disk.WriteFaults != st.WriteErrors || disk.Writes != 1 {
+		t.Errorf("%d write faults, %d errors, %d disk writes; want the ledger exact and one write",
+			disk.WriteFaults, st.WriteErrors, disk.Writes)
 	}
 	pg, err := p.Fetch(id)
 	if err != nil {

@@ -31,8 +31,8 @@ type deferredVictim struct {
 
 // obtainFrame returns an exclusively owned frame, evicting a victim (with
 // write-back if dirty, outside every latch) when none is free. The sweep —
-// its write-backs and their retry backoff included — is charged against
-// ctx: a cancelled caller stops evicting.
+// its write-backs included — is charged against ctx: a cancelled caller
+// stops evicting.
 //
 // The replacer ranks every resident page, pinned or not; the pin count
 // decides. A victim that turns out pinned is skipped and held out of the
@@ -131,7 +131,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			p.restoreVictim(dv.id, dv.f)
 		}
 		deferred = deferred[:len(werrs)]
-		werr := p.diskRetry(ctx, storage.OpWrite, victim, f.data)
+		werr := p.diskIO(ctx, storage.OpWrite, victim, f.data)
 		sh.mu.Lock()
 		if werr != nil {
 			// Restore residency — the data is still only in memory — then

@@ -29,7 +29,7 @@ func (p *Pool) Fetch(id policy.PageID) (Page, error) {
 // abandons the in-flight load and returns promptly (the loader completes
 // and installs the page regardless — see abandonPin for the frame
 // accounting), a wait on a victim's write-back is interruptible, and the
-// miss path's disk retry backoff is charged against ctx.
+// miss path's disk read is charged against ctx.
 func (p *Pool) FetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 	if p.metrics.FetchLatency == nil {
 		return p.fetchCtx(ctx, id)
@@ -245,8 +245,8 @@ func (p *Pool) abandonPin(sh *shard, id policy.PageID, f *frame) {
 // every latch and publish. retry is true when another goroutine installed
 // the page first and the caller must re-run the fetch.
 func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (pg Page, retry bool, err error) {
-	// A sampled miss gets its own span; disk reads, victim write-backs, and
-	// retry sleeps beneath it parent to the miss via the re-wrapped context.
+	// A sampled miss gets its own span; disk reads and victim write-backs
+	// beneath it parent to the miss via the re-wrapped context.
 	missSpan := p.spans.Start(tc, obs.SpanPoolMiss)
 	if missSpan.ID() != 0 {
 		ctx = obs.ContextWithTrace(ctx, missSpan.Context())
@@ -296,10 +296,9 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	sh.mu.Unlock()
 
 	// The I/O happens outside the latch — through the gate (breaker
-	// included), the transient-fault retry ladder, and on detected
-	// corruption the read-repair protocol (loadPage), with backoff charged
-	// against ctx; concurrent fetches of id find the loading frame and wait
-	// on done, everyone else proceeds untouched.
+	// included), and on detected corruption the read-repair protocol
+	// (loadPage), charged against ctx; concurrent fetches of id find the
+	// loading frame and wait on done, everyone else proceeds untouched.
 	if rerr := p.loadPage(ctx, id, f.data); rerr != nil {
 		// Publish the error before the table delete becomes observable:
 		// the shard latch orders f.err ahead of the deletion for latched
@@ -342,8 +341,7 @@ func (p *Pool) NewPage() (Page, error) {
 }
 
 // NewPageCtx is NewPage with a context: the eviction sweep that makes room
-// (dirty-victim write-backs and their retry backoff included) is charged
-// against ctx.
+// (dirty-victim write-backs included) is charged against ctx.
 func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 	if p.closed.Load() {
 		return Page{}, ErrClosed
@@ -391,7 +389,7 @@ func (p *Pool) AllocatePage() (policy.PageID, error) {
 }
 
 // WriteNewPage writes the first image of a page AllocatePage returned, which
-// no frame has held, once through the I/O gate and retry ladder, behind as a
+// no frame has held, once through the I/O gate, behind as a
 // flush sweep's writes are: on a durable backend it is durable at the
 // barrier of the next FlushAll to begin after it returns. The file backend
 // writes such an image to its slot alone, with no log record, when the page
@@ -407,7 +405,7 @@ func (p *Pool) WriteNewPage(ctx context.Context, id policy.PageID, data []byte) 
 	if !storage.WriteBehind(ctx) {
 		ctx = storage.WithWriteBehind(ctx)
 	}
-	if err := p.diskRetry(ctx, storage.OpWrite, id, data); err != nil {
+	if err := p.diskIO(ctx, storage.OpWrite, id, data); err != nil {
 		p.shardOf(id).countFailure(storage.OpWrite, err)
 		return fmt.Errorf("bufferpool: writing new page %d: %w", id, err)
 	}

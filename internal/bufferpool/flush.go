@@ -43,7 +43,7 @@ func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame, force
 		return nil
 	}
 	f.dirty.Store(false)
-	if err := p.diskRetry(ctx, storage.OpWrite, id, f.data); err != nil {
+	if err := p.diskIO(ctx, storage.OpWrite, id, f.data); err != nil {
 		f.dirty.Store(true)
 		p.writeFailed(id, err)
 		return fmt.Errorf("flushing page %d: %w", id, err)
@@ -83,8 +83,8 @@ func (p *Pool) FlushAll() error {
 	return p.FlushAllCtx(context.Background())
 }
 
-// FlushAllCtx is FlushAll charged against ctx: write-backs and their retry
-// backoff observe the deadline, and an expired context ends the sweep
+// FlushAllCtx is FlushAll charged against ctx: write-backs observe the
+// deadline, and an expired context ends the sweep
 // early (the cancellation is reported in the joined error; unreached pages
 // simply stay dirty and resident).
 func (p *Pool) FlushAllCtx(ctx context.Context) error {

@@ -194,8 +194,6 @@ type shard struct {
 	writeBacks     atomic.Uint64
 	readErrors     atomic.Uint64
 	writeErrors    atomic.Uint64
-	readRetries    atomic.Uint64
-	writeRetries   atomic.Uint64
 	readsRejected  atomic.Uint64
 	writesRejected atomic.Uint64
 	// Pad so adjacent shards do not share cache lines under contention.

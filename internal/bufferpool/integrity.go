@@ -21,17 +21,15 @@ import (
 // gets before the page is declared unrepairable.
 const maxRepairAttempts = 2
 
-// loadPage reads page id into buf through the retry ladder, running the
+// loadPage reads page id into buf through the I/O gate, running the
 // read-repair protocol on detected corruption: ask the backend stack's
 // repairer to rewrite the page from its redundant copy (the WAL tail, on
 // the file store), then re-read and re-verify. Only a verified image is
 // admitted. A page that cannot be repaired is poisoned and the corruption
-// error returned — never blindly retried: ErrCorrupt is permanent under
-// storage.IsTransient, so the retry ladder inside diskRetry does not
-// reissue it either. A repair the caller's own context ended resolves
-// nothing: the detection is the next read's.
+// error returned — never blindly reread. A repair the caller's own context
+// ended resolves nothing: the detection is the next read's.
 func (p *Pool) loadPage(ctx context.Context, id policy.PageID, buf []byte) error {
-	err := p.diskRetry(ctx, storage.OpRead, id, buf)
+	err := p.diskIO(ctx, storage.OpRead, id, buf)
 	if err == nil || !storage.IsCorrupt(err) {
 		return err
 	}
@@ -43,10 +41,10 @@ func (p *Pool) loadPage(ctx context.Context, id policy.PageID, buf []byte) error
 			}
 			break // no redundant copy (or repair itself failed): unrepairable
 		}
-		rerr := p.diskRetry(ctx, storage.OpRead, id, buf)
+		rerr := p.diskIO(ctx, storage.OpRead, id, buf)
 		if rerr == nil || !storage.IsCorrupt(rerr) {
 			// Healed — or the slot verifies but the re-read failed for
-			// another reason (breaker, transient exhaustion), which is not a
+			// another reason (breaker, a disk error), which is not a
 			// corruption outcome: the detection still resolves as repaired,
 			// since the repairer verified the rewritten slot.
 			p.resolveCorrupt(id, kind, true)
@@ -156,7 +154,7 @@ func (p *Pool) scrubOne(ctx context.Context, id policy.PageID, buf []byte) {
 		return
 	}
 	if !storage.IsCorrupt(err) {
-		return // unallocated, breaker-refused, transient: not scrub business
+		return // unallocated, breaker-refused, a disk error: not scrub business
 	}
 	kind := corruptKindOf(err)
 	// Two places a clean copy can come from. The repairer verifies the slot

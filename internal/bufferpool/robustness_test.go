@@ -3,6 +3,7 @@ package bufferpool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -194,89 +195,55 @@ func TestAbandonLastPinRestoresEvictability(t *testing.T) {
 	checkFrameInvariant(t, p)
 }
 
-func TestRetryTransientFaultRecovers(t *testing.T) {
+// TestOneDiskAttemptPerOperation: every logical read or write is exactly one
+// disk attempt. A faulted read fails its fetch at once and a faulted
+// write-back quarantines its page at once; the disk's fault ledger equals
+// the pool's error ledger after every step.
+func TestOneDiskAttemptPerOperation(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
-	ids := allocPages(t, d, 1)
-	a := ids[0]
-	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		Retry: RetryConfig{Attempts: 4, BaseDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond, Seed: 7},
-	})
-	// The first two read attempts fault; the third succeeds.
+	a := allocPages(t, d, 1)[0]
+	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{})
+	step := func(what string, before storage.Stats, wantReads, wantWrites uint64) {
+		t.Helper()
+		ds, s := d.Stats(), p.Stats()
+		reads := ds.Reads + ds.ReadFaults - before.Reads - before.ReadFaults
+		writes := ds.Writes + ds.WriteFaults - before.Writes - before.WriteFaults
+		if reads != wantReads || writes != wantWrites {
+			t.Errorf("%s: %d read and %d write attempts, want %d and %d", what, reads, writes, wantReads, wantWrites)
+		}
+		if ds.ReadFaults != s.ReadErrors || ds.WriteFaults != s.WriteErrors {
+			t.Errorf("%s: disk faults %d/%d, pool errors %d/%d (read/write); want equal",
+				what, ds.ReadFaults, ds.WriteFaults, s.ReadErrors, s.WriteErrors)
+		}
+	}
+
 	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}, Count: 2}))
-
+	for i := 1; i <= 2; i++ {
+		before := d.Stats()
+		if _, err := p.Fetch(a); !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("fetch %d = %v, want the injected fault", i, err)
+		}
+		step(fmt.Sprintf("failed fetch %d", i), before, 1, 0)
+	}
+	before := d.Stats()
 	pg, err := p.Fetch(a)
-	if err != nil {
-		t.Fatalf("fetch did not survive two transient faults: %v", err)
+	if err != nil || pg.Data()[0] != 1 {
+		t.Fatalf("third fetch = %v, want page a's image", err)
 	}
-	if pg.Data()[0] != 1 {
-		t.Fatal("retried read returned wrong data")
-	}
-	pg.Unpin(false)
+	pg.Unpin(true)
+	step("third fetch", before, 1, 0)
 
-	s, ds := p.Stats(), d.Stats()
-	if s.ReadRetries != 2 || s.ReadErrors != 0 {
-		t.Errorf("ReadRetries = %d, ReadErrors = %d; want 2, 0", s.ReadRetries, s.ReadErrors)
+	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
+	before = d.Stats()
+	if err := p.FlushAll(); !errors.Is(err, storage.ErrInjectedFault) || p.Quarantined() != 1 {
+		t.Fatalf("faulted flush = %v with %d quarantined, want the injected fault and 1", err, p.Quarantined())
 	}
-	if ds.ReadFaults != s.ReadRetries+s.ReadErrors {
-		t.Errorf("fault ledger out of balance: disk %d faults, pool %d retries + %d errors",
-			ds.ReadFaults, s.ReadRetries, s.ReadErrors)
+	step("faulted flush", before, 0, 1)
+	before = d.Stats()
+	if err := p.FlushAll(); err != nil || p.Quarantined() != 0 {
+		t.Fatalf("second flush = %v with %d quarantined, want nil and 0", err, p.Quarantined())
 	}
-	checkFrameInvariant(t, p)
-}
-
-func TestRetryPermanentErrorNotRetried(t *testing.T) {
-	headCrash := errors.New("disk: head crash")
-	d := newFaultyDisk(sim.ServiceModel{})
-	ids := allocPages(t, d, 1)
-	a := ids[0]
-	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		Retry: RetryConfig{Attempts: 5, BaseDelay: 50 * time.Microsecond},
-	})
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}, Err: headCrash}))
-
-	if _, err := p.Fetch(a); !errors.Is(err, headCrash) {
-		t.Fatalf("fetch error = %v, want the permanent fault", err)
-	}
-	s, ds := p.Stats(), d.Stats()
-	if s.ReadRetries != 0 {
-		t.Errorf("permanent error was retried %d times", s.ReadRetries)
-	}
-	if s.ReadErrors != 1 || ds.ReadFaults != 1 {
-		t.Errorf("ReadErrors = %d, disk faults = %d; want 1, 1 (single attempt)", s.ReadErrors, ds.ReadFaults)
-	}
-	checkFrameInvariant(t, p)
-}
-
-// TestRetryBackoffChargedToContext: with an unlimited fault and generous
-// attempts, the caller's deadline — not the retry budget — must end the
-// ladder, promptly and mid-backoff.
-func TestRetryBackoffChargedToContext(t *testing.T) {
-	d := newFaultyDisk(sim.ServiceModel{})
-	ids := allocPages(t, d, 1)
-	a := ids[0]
-	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		Retry: RetryConfig{Attempts: 1 << 20, BaseDelay: 50 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
-	})
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := p.FetchCtx(ctx, a)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want wrapped context.DeadlineExceeded", err)
-	}
-	if !errors.Is(err, storage.ErrInjectedFault) {
-		t.Fatalf("error = %v does not preserve the underlying disk fault", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("retry ladder ignored the deadline for %v", elapsed)
-	}
-	s := p.Stats()
-	if s.ReadErrors != 1 {
-		t.Errorf("ReadErrors = %d, want 1 (one logical failure)", s.ReadErrors)
-	}
+	step("second flush", before, 0, 1)
 	checkFrameInvariant(t, p)
 }
 
@@ -316,8 +283,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Fatalf("BreakerTrips = %d after %d consecutive failures, want 1", s.BreakerTrips, 2)
 	}
 
-	// Open circuit: reads and write-backs fail fast, with a refusal that is
-	// permanent under IsTransient, and no disk attempt.
+	// Open circuit: reads and write-backs fail fast, with no disk attempt.
 	if !p.BreakerOpen() {
 		t.Error("BreakerOpen = false after the trip")
 	}
@@ -325,9 +291,6 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	_, err = p.Fetch(a)
 	if !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch while open = %v, want ErrDiskUnavailable", err)
-	}
-	if storage.IsTransient(err) {
-		t.Error("breaker refusal classified transient")
 	}
 	if err := flushPage(context.Background(), p, c); !errors.Is(err, ErrDiskUnavailable) {
 		t.Errorf("flush on the open circuit = %v, want ErrDiskUnavailable", err)
@@ -367,9 +330,8 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if s.BreakerTrips != 1 || p.BreakerOpen() {
 		t.Errorf("BreakerTrips %d, open %v after recovery; want 1 and closed", s.BreakerTrips, p.BreakerOpen())
 	}
-	if ds.ReadFaults != s.ReadRetries+s.ReadErrors {
-		t.Errorf("fault ledger out of balance: disk %d faults, pool %d retries + %d errors",
-			ds.ReadFaults, s.ReadRetries, s.ReadErrors)
+	if ds.ReadFaults != s.ReadErrors {
+		t.Errorf("fault ledger out of balance: disk %d faults, pool %d errors", ds.ReadFaults, s.ReadErrors)
 	}
 	checkFrameInvariant(t, p)
 }

@@ -61,8 +61,12 @@ type Config struct {
 	// ScrubInterval enables the pool's background integrity scrubber at
 	// this cadence. Zero (the default) disables it.
 	ScrubInterval time.Duration
-	// DiskRetry tunes the pool's transient-fault retry for disk reads and
-	// writes. The zero value disables retry (single attempt).
+	// DiskRetry is inert.
+	//
+	// Deprecated: nothing reads it; the pool makes exactly one disk attempt
+	// per read or write. It exists only so the benchmark harness, whose
+	// bench/workloads.go sets it, still compiles. The next change to bench/
+	// deletes it together with that literal.
 	DiskRetry bufferpool.RetryConfig
 	// DiskBreaker tunes the pool's disk circuit breaker. The zero value
 	// disables it.
@@ -76,7 +80,7 @@ type Config struct {
 	Obs *obs.Registry
 	// Spans, when non-nil, arms distributed-tracing span recording through
 	// the stack: sampled operations leave pool_fetch / pool_miss /
-	// pool_coalesce / retry_wait / breaker_reject / disk_read / disk_write
+	// pool_coalesce / breaker_reject / disk_read / disk_write
 	// spans from the pool in this recorder, and an evict event for every
 	// page a sampled miss evicted.
 	// The unsampled path stays within the pool's hit-latency budget. WAL
@@ -198,7 +202,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	pool := bufferpool.NewWithConfig(backend, cfg.Frames, repl,
 		bufferpool.Config{
-			Retry:          cfg.DiskRetry,
 			Breaker:        cfg.DiskBreaker,
 			Metrics:        poolMetrics,
 			ScrubInterval:  cfg.ScrubInterval,
@@ -429,8 +432,8 @@ func (db *DB) LookupCtx(ctx context.Context, custID int64) ([]byte, error) {
 // a reusable buffer (the server's reply frame) gets the record in one copy
 // straight from the page, and a nil dst yields a freshly allocated record
 // the caller owns. On error dst is returned unchanged. The index descent
-// and the record-page fetch (coalesced waits, retry backoff included)
-// observe ctx's deadline, so a server can bound a request end to end. A
+// and the record-page fetch (coalesced waits included) observe ctx's
+// deadline, so a server can bound a request end to end. A
 // missing id reports ErrNotFound.
 func (db *DB) LookupAppendCtx(ctx context.Context, dst []byte, custID int64) ([]byte, error) {
 	if db.closed.Load() {
@@ -513,9 +516,8 @@ func (db *DB) FlushAll() error {
 	return db.FlushAllCtx(context.Background())
 }
 
-// FlushAllCtx is FlushAll charged against ctx: write-backs and their retry
-// backoff observe the deadline, and an expired context ends the sweep
-// early.
+// FlushAllCtx is FlushAll charged against ctx: write-backs observe the
+// deadline, and an expired context ends the sweep early.
 func (db *DB) FlushAllCtx(ctx context.Context) error {
 	if db.closed.Load() {
 		return ErrClosed

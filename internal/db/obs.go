@@ -79,14 +79,10 @@ func (db *DB) registerObs(r *obs.Registry) {
 		func(s bufferpool.Stats) uint64 { return s.Evictions })
 	pool("lruk_pool_write_backs_total", "Dirty pages written back to disk.",
 		func(s bufferpool.Stats) uint64 { return s.WriteBacks })
-	pool("lruk_pool_read_errors_total", "Miss reads failed after retries.",
+	pool("lruk_pool_read_errors_total", "Miss reads that failed on the disk.",
 		func(s bufferpool.Stats) uint64 { return s.ReadErrors })
-	pool("lruk_pool_write_errors_total", "Dirty write-backs failed after retries.",
+	pool("lruk_pool_write_errors_total", "Dirty write-backs that failed on the disk.",
 		func(s bufferpool.Stats) uint64 { return s.WriteErrors })
-	pool("lruk_pool_read_retries_total", "Disk read attempts reissued by the retry ladder.",
-		func(s bufferpool.Stats) uint64 { return s.ReadRetries })
-	pool("lruk_pool_write_retries_total", "Disk write attempts reissued by the retry ladder.",
-		func(s bufferpool.Stats) uint64 { return s.WriteRetries })
 	pool("lruk_pool_reads_rejected_total", "Reads refused locally by an open circuit breaker.",
 		func(s bufferpool.Stats) uint64 { return s.ReadsRejected })
 	pool("lruk_pool_writes_rejected_total", "Write-backs refused locally by an open circuit breaker.",

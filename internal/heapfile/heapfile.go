@@ -378,8 +378,7 @@ func (f *File) GetCtx(ctx context.Context, rid RID) ([]byte, error) {
 // shared latch, so a caller with a reusable buffer (the server's reply
 // frame) reads without allocating. On error dst is returned unchanged. The
 // page fetch (including a coalesced wait behind another request's
-// in-flight read, and any transient-fault retry backoff) observes ctx's
-// deadline.
+// in-flight read) observes ctx's deadline.
 func (f *File) AppendCtx(ctx context.Context, dst []byte, rid RID) ([]byte, error) {
 	pg, err := f.pool.FetchCtx(ctx, rid.Page)
 	if err != nil {

@@ -62,7 +62,6 @@ const (
 	SpanDiskWrite                      // storage backend write (annot = page id)
 	SpanWALAppend                      // WAL record append, latch held (annot = page id)
 	SpanWALFsync                       // WAL group-commit fsync wait (annot = page id)
-	SpanRetryWait                      // backoff sleep between disk retry attempts (annot = attempt)
 	SpanBreakerReject                  // operation refused by an open circuit breaker (annot = page id)
 	SpanEvict                          // page evicted to make room for a sampled miss (annot = victim page id)
 	SpanMoved                          // request bounced with a MOVED redirect (annot = wire op)
@@ -80,7 +79,6 @@ var spanKindNames = [numSpanKinds]string{
 	SpanDiskWrite:      "disk_write",
 	SpanWALAppend:      "wal_append",
 	SpanWALFsync:       "wal_fsync",
-	SpanRetryWait:      "retry_wait",
 	SpanBreakerReject:  "breaker_reject",
 	SpanEvict:          "evict",
 	SpanMoved:          "moved",

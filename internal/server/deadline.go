@@ -11,8 +11,7 @@ import (
 // — Err compares the clock to the deadline — and that is all a resident hit
 // ever asks of it. Done creates its channel and arms one timer only when
 // somebody actually selects on it (the pool's coalesced wait, a write-back
-// wait, retry backoff), so the common request allocates nothing and arms
-// no timer.
+// wait), so the common request allocates nothing and arms no timer.
 //
 // Err may therefore report DeadlineExceeded a moment before Done's channel
 // closes (timer latency); the converse — a closed channel with a nil Err —

@@ -57,9 +57,8 @@ func (k CorruptKind) String() string {
 }
 
 // ErrCorrupt reports that a page's stored image failed integrity
-// verification. It is permanent under IsTransient — rereading the same
-// rotten bytes cannot change the outcome — so the pool's retry ladder never
-// blindly reissues it; the read-repair path handles it instead.
+// verification. Rereading the same rotten bytes cannot change the outcome;
+// the pool's read-repair path handles it instead.
 type ErrCorrupt struct {
 	Page policy.PageID
 	Kind CorruptKind

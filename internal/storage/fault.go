@@ -38,7 +38,8 @@ const (
 const OpAny = OpRead | OpWrite
 
 // ErrInjectedFault is the error a faulted operation returns unless its rule
-// carries a custom Err.
+// carries a custom Err. It is an ordinary error: the pool files it like any
+// other disk failure.
 var ErrInjectedFault = errors.New("storage: injected fault")
 
 // FaultRule describes one error-injection rule. The zero value of each

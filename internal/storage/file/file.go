@@ -21,9 +21,11 @@
 // Write-ahead invariant: every state change (page write, allocate) appends
 // a checksummed WAL record to the log's buffer (wal.go) before the
 // operation returns, but one: a page's first image written behind (below).
-// A synchronous page write also writes the buffer out and fsyncs the log
-// through its record — group-committed, one write() and one fsync — before
-// returning, after its slot's pwrite: only the fsync makes either durable.
+// A synchronous page write also writes the buffer out before its slot's
+// pwrite, so a process killed mid-pwrite leaves a torn slot that its record
+// rebuilds, and fsyncs the log through its record before returning —
+// group-committed, one write() and one fsync: only the fsync makes either
+// durable.
 // Two kinds of record do not wait for that fsync. An allocate's record is
 // made durable by the next fsync or checkpoint, and anything that can make
 // the page observable (the page's own image, or a page pointing at it) is
@@ -488,16 +490,16 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 	return nil
 }
 
-// Write makes page p's new image durable: WAL append into the log's buffer
-// under the page's stripe latch (so the page file applies same-page images
-// in log order), page-file write, then the group-committed write() and
-// fsync of the log before returning. A write under storage.WithWriteBehind
-// skips that wait: its record rides the next sync, and the next checkpoint
-// syncs it at the latest. A write behind of p's first image since an
-// allocation after the last checkpoint appends no record at all: the next
-// sync fsyncs pages.db ahead of the log instead. When MaxWALBytes is set,
-// the write that pushes the log past the bound detours through a
-// checkpoint on its way out.
+// Write makes page p's new image durable: WAL append under the page's
+// stripe latch (so the page file applies same-page images in log order),
+// the log's buffer written out to the file, page-file write, then the
+// group-committed fsync of the log before returning. A write under
+// storage.WithWriteBehind skips the write-out and the wait: its record
+// rides the next sync, and the next checkpoint syncs it at the latest. A
+// write behind of p's first image since an allocation after the last
+// checkpoint appends no record at all: the next sync fsyncs pages.db ahead
+// of the log instead. When MaxWALBytes is set, the write that pushes the
+// log past the bound detours through a checkpoint on its way out.
 func (s *Store) Write(ctx context.Context, p policy.PageID, buf []byte) error {
 	if err := s.write(ctx, p, buf); err != nil {
 		return err
@@ -531,9 +533,16 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	unlogged := s.claimFresh(p) && behind
 	var lsn uint64
 	if !unlogged {
+		// A synchronous write's record reaches the log file before the
+		// slot's pwrite starts: a process killed mid-pwrite leaves the slot
+		// torn, and replay rebuilds it only from a record the file holds.
+		// The sync below then finds it written and only fsyncs.
 		appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
 		var err error
 		lsn, err = s.wal.append(recKindPage, p, buf)
+		if err == nil && !behind {
+			err = s.wal.flush()
+		}
 		appendSpan.Finish(int64(p))
 		if err != nil {
 			lk.Unlock()

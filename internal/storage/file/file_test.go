@@ -835,6 +835,58 @@ func TestKilledStoreLosesOnlyTheLogBuffer(t *testing.T) {
 	}
 }
 
+// TestKilledSlotWriteReplays: Linux stops a buffered write at a page-cache
+// boundary when a fatal signal is pending, and a 4120-byte slot spans two
+// pages, so a process killed during a synchronous write's pwrite leaves the
+// slot half new image, half old image and trailer. After a checkpoint that
+// slot was the page's only copy, so the write's own record must be in the
+// log file before the pwrite starts, for replay to rebuild the slot.
+// RLIMIT_FSIZE stops the pwrite half way, as the kill does (the runtime
+// ignores the SIGXFSZ it raises), and the store directory is copied as the
+// kill leaves it, the log buffer lost.
+func TestKilledSlotWriteReplays(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	defer s.Close()
+	var p policy.PageID
+	for range 4 {
+		p = storage.MustAllocate(s)
+	}
+	if err := s.Write(ctx, p, pageImage(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var lim syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	cut := lim
+	cut.Cur = uint64(s.slotOff(p) + storage.PageSize/2)
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &cut); err != nil {
+		t.Skipf("cannot lower RLIMIT_FSIZE: %v", err)
+	}
+	werr := s.Write(ctx, p, pageImage(2))
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	if werr == nil {
+		t.Fatal("a write past RLIMIT_FSIZE succeeded")
+	}
+
+	s2 := mustOpen(t, copyDir(t, dir))
+	defer s2.Close()
+	buf := make([]byte, storage.PageSize)
+	if err := s2.Read(ctx, p, buf); err != nil {
+		t.Fatalf("page %d after a write killed mid-pwrite: %v", p, err)
+	}
+	if !bytes.Equal(buf, pageImage(1)) && !bytes.Equal(buf, pageImage(2)) {
+		t.Errorf("page %d reads %#x, want its checkpointed image 0x1 or the killed write's 0x2", p, buf[0])
+	}
+}
+
 // TestLogBufferBatchesSyscalls pins the batching as counts: 300 page
 // writes behind, with their allocations, write the log in at most one
 // write() per logBufSize of records plus the sync's own, and grow pages.db

@@ -38,8 +38,8 @@ const (
 )
 
 // mapNoSpace rewraps a device-full failure as the typed, permanent
-// storage.ErrNoSpace so the breaker and retry ladder can tell "disk is
-// full" from "disk is flaky". Any other error passes through untouched.
+// storage.ErrNoSpace, so a caller can tell "disk is full" from any other
+// disk failure. Any other error passes through untouched.
 func mapNoSpace(err error) error {
 	if errors.Is(err, syscall.ENOSPC) {
 		return fmt.Errorf("%w: %v", storage.ErrNoSpace, err)

@@ -41,9 +41,6 @@ func TestReadDetectsBitRot(t *testing.T) {
 	if !ok || ce.Page != p || ce.Kind != storage.CorruptChecksum {
 		t.Fatalf("read of rotted page: %v, want ErrCorrupt{%d, checksum}", err, p)
 	}
-	if storage.IsTransient(err) {
-		t.Error("corruption must be permanent: the retry ladder would spin on it")
-	}
 }
 
 func TestReadDetectsTrailerRot(t *testing.T) {

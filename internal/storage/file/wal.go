@@ -28,11 +28,11 @@
 //
 // Every record waits in the log's own buffer instead of costing a write()
 // of its own. The buffer goes to the file in LSN order, so the file is
-// always a prefix of the log: by the group-commit leader just before its
-// fsync (so a synchronous page write costs one write() and one fsync, and
-// a checkpoint still syncs every logged write-behind image before it
-// fsyncs pages.db), before RepairPage scans the file, and on its own once
-// it passes logBufSize. A killed process loses what is buffered: only
+// always a prefix of the log: by a synchronous page write just before its
+// slot's pwrite (so it costs one write() and one fsync), by the
+// group-commit leader just before its fsync (so a checkpoint still syncs
+// every logged write-behind image before it fsyncs pages.db), before
+// RepairPage scans the file, and on its own once it passes logBufSize. A killed process loses what is buffered: only
 // records no caller was told were durable, since a write is acknowledged
 // only after the fsync that follows its record's write().
 //

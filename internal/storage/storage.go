@@ -1,15 +1,15 @@
 // Package storage defines the page-storage seam of the stack: the Backend
-// interface every page store implements, the shared Stats ledger, transient
-// versus permanent error classification, the page-to-stripe hash
-// (StripeIndex), and two test injectors that wrap any backend: deterministic
-// fault injection (WithFaults) and silent corruption (WithCorruption).
+// interface every page store implements, the shared Stats ledger, the
+// page-to-stripe hash (StripeIndex), and two test injectors that wrap any
+// backend: deterministic fault injection (WithFaults) and silent corruption
+// (WithCorruption).
 //
 // Two backends exist: storage/sim, the in-memory simulated disk the paper's
 // experiments run on, and storage/file, a durable page file with a
 // group-committed write-ahead log and redo-only crash recovery. The buffer
 // pool, the db layer, and the observability assembly depend only on the
 // interface. The pool is the one caller of Read and Write and gates each
-// attempt itself (circuit breaker, latency histograms, disk spans), so
+// call itself (circuit breaker, latency histograms, disk spans), so
 // nothing wraps a serving backend; the injectors compose over either one.
 package storage
 
@@ -74,9 +74,7 @@ type Stats struct {
 // stripes keyed by StripeIndex, privately).
 //
 // Read and Write honour ctx only at natural blocking points; both require
-// buf to hold exactly PageSize bytes. Errors are classified by IsTransient:
-// a transient failure may succeed if reissued (the pool's retry ladder keys
-// off this), a permanent one cannot.
+// buf to hold exactly PageSize bytes.
 type Backend interface {
 	// Read copies page p into buf.
 	Read(ctx context.Context, p policy.PageID, buf []byte) error
