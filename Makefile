@@ -102,10 +102,15 @@ golden:
 	$(GO) test -count=1 -run 'TestExperiment' -update .
 
 ## chaos: the seeded disk-fault storm against the concurrent pool, under
-## the race detector (DESIGN.md §9).
+## the race detector (DESIGN.md §9); then, 20 times each under -race, the
+## three write-backs that race in-place updates — a FlushAll loop, the
+## scrubber's forced rewrite and a FLUSH over the wire — each of which
+## must write every record whole (DESIGN.md §8, the frame latch).
 chaos:
 	$(GO) vet ./internal/bufferpool/
 	$(GO) test -race -count=1 -timeout 300s -run TestChaosFaultStorm -v ./internal/bufferpool/
+	$(GO) test -race -count=20 -timeout 300s -run 'RacingUpdates?WritesWholeRecords' ./internal/db/
+	$(GO) test -race -count=20 -timeout 300s -run '^TestFlushBarrier$$' ./internal/server/
 
 ## bench-obs: hot-path cost of one counter increment plus one histogram
 ## observation, enabled vs disabled (DESIGN.md §12 quotes the numbers).

@@ -184,7 +184,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		s, err := file.OpenConfig(*dataDir, file.Config{
-			VerifyReads: true,
 			MaxWALBytes: *maxWAL,
 			Spans:       spanRec,
 		})

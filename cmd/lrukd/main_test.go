@@ -21,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/heapfile"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/storage"
@@ -405,6 +406,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // and the handoff flushes its two nodes through *client.Client. That
 // client has 10, with no switch to turn tracing off: every server decodes
 // the trace extension, so nothing has to fall back from it.
+//
+// The record layers have one form per operation where the benchmark
+// harness allows. *db.DB has 19 methods: the update and the scan take a
+// context only, and the three lookups (Lookup, LookupCtx, LookupAppendCtx)
+// and the two flushes (FlushAll, FlushAllCtx) stay because bench/ calls
+// Lookup, LookupCtx and FlushAll. *heapfile.File has 7: no Get or Scan
+// without a context, and no Update (FillCtx is the in-place write); Insert
+// and GetCtx stay for bench/'s layer probes.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		cfg  any
@@ -462,6 +471,8 @@ func TestOptionSurface(t *testing.T) {
 	}{
 		{&cluster.Client{}, 8},
 		{&client.Client{}, 10},
+		{&db.DB{}, 19},
+		{&heapfile.File{}, 7},
 	} {
 		if typ := reflect.TypeOf(c.v); typ.NumMethod() != c.want {
 			t.Errorf("%v has %d exported methods, want %d", typ, typ.NumMethod(), c.want)

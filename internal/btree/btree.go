@@ -244,6 +244,12 @@ func (t *Tree) Get(key int64) (heapfile.RID, bool, error) {
 // (including a coalesced wait on another request's in-flight read) and
 // returns the context's error. Concurrent GetCtx calls are safe once the
 // tree is loaded; Insert requires external serialisation.
+//
+// Node bytes are read without the page latch (bufferpool.Page.Latch). That
+// holds only because nothing writes a node once the tree serves: Insert
+// and the Appender run on the one goroutine that loads the database before
+// it serves requests. A node writer that runs while the tree serves must
+// take the latch, and so must this.
 func (t *Tree) GetCtx(ctx context.Context, key int64) (heapfile.RID, bool, error) {
 	id := t.root
 	for {

@@ -28,7 +28,8 @@ import (
 // write-behind mark (the sweep's), which defers that to the barrier. force
 // is decided under flushMu, so a forced flush (Page.FlushCtx, the pool's
 // one durable write-back) writes even when a sweep has just written the
-// same image behind.
+// same image behind. The backend copies the frame under its latch held
+// shared, so the image is never one a writer is half-way through.
 // A failed write leaves the page dirty and quarantined, as a failed
 // eviction write-back does, for the next sweep or flush to retry; a write
 // the caller's own context ended leaves it dirty only.
@@ -43,7 +44,10 @@ func (p *Pool) flushFrame(ctx context.Context, id policy.PageID, f *frame, force
 		return nil
 	}
 	f.dirty.Store(false)
-	if err := p.diskIO(ctx, storage.OpWrite, id, f.data); err != nil {
+	f.latch.RLock()
+	err := p.diskIO(ctx, storage.OpWrite, id, f.data)
+	f.latch.RUnlock()
+	if err != nil {
 		f.dirty.Store(true)
 		p.writeFailed(id, err)
 		return fmt.Errorf("flushing page %d: %w", id, err)

@@ -78,6 +78,14 @@ type frame struct {
 	// take it, so pin traffic and eviction (which excludes flushers via the
 	// pin count) never block on it.
 	flushMu sync.Mutex
+	// latch is the one lock on the frame's bytes while the page is resident
+	// (Page.Latch): a pin holder that reads them holds it shared, one that
+	// writes them exclusively, and flushFrame holds it shared across its
+	// backend write, so every image the pool writes back is one a writer
+	// left whole. The order is flushMu, then latch. An eviction's
+	// write-back and a load take no latch: the frame is unpinned, or not
+	// yet reachable, so no one else can touch its bytes.
+	latch sync.RWMutex
 }
 
 // closedDone is the done channel of a frame whose transient state has
@@ -246,12 +254,24 @@ type Page struct {
 func (pg *Page) ID() policy.PageID { return pg.id }
 
 // Data returns the page's frame bytes for reading and writing. Callers
+// that share the page hold its latch while they touch them, and callers
 // that modify the data must pass dirty=true to Unpin.
 func (pg *Page) Data() []byte {
 	if !pg.valid {
 		panic("bufferpool: use of page handle after Unpin")
 	}
 	return pg.f.data
+}
+
+// Latch returns the frame's content latch, the one lock on the bytes Data
+// returns: hold it shared to read them and exclusively to write them, and
+// release it before Unpin. Never hold it across FlushCtx, which takes it
+// shared itself: a second shared hold deadlocks once a writer waits.
+func (pg *Page) Latch() *sync.RWMutex {
+	if !pg.valid {
+		panic("bufferpool: use of page handle after Unpin")
+	}
+	return &pg.f.latch
 }
 
 // Unpin releases the handle, marking the page dirty if it was modified.
@@ -269,7 +289,8 @@ func (pg *Page) Unpin(dirty bool) {
 // one durable write-back: it writes even a clean frame, and on a durable
 // backend a nil return means the image, modifications included, has
 // reached the synced write-ahead log. Because the pin is held across the
-// write the page cannot be evicted underneath it.
+// write the page cannot be evicted underneath it. The caller must not hold
+// the page's latch.
 func (pg *Page) FlushCtx(ctx context.Context) error {
 	if !pg.valid {
 		panic("bufferpool: use of page handle after Unpin")

@@ -58,7 +58,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	rng := stats.NewRNG(99)
 	for i := 0; i < 200 && corrupter.CorruptStats().Injected == 0; i++ {
 		id := int64(rng.Intn(200))
-		if err := database.UpdateCustomer(id, byte(i)); err != nil && !storage.IsCorrupt(err) {
+		if err := database.UpdateCustomerCtx(context.Background(), id, byte(i)); err != nil && !storage.IsCorrupt(err) {
 			t.Fatalf("update %d: %v", id, err)
 		}
 		if err := database.FlushAll(); err != nil {

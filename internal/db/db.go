@@ -316,11 +316,14 @@ func (db *DB) writeCatalogCtx(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("db: writing catalog: %w", err)
 	}
+	lk := pg.Latch()
+	lk.Lock()
 	data := pg.Data()
 	copy(data[:8], catalogMagic[:])
 	binary.LittleEndian.PutUint64(data[8:16], uint64(db.index.Root()))
 	binary.LittleEndian.PutUint64(data[16:24], uint64(db.count.Load()))
 	binary.LittleEndian.PutUint64(data[24:32], uint64(db.cfg.recordSize))
+	lk.Unlock()
 	// Flushed while still pinned, like a durable update's record page: an
 	// eviction between an unpin and a flush by id would fail the publish.
 	err = pg.FlushCtx(ctx)
@@ -449,17 +452,12 @@ func (db *DB) LookupAppendCtx(ctx context.Context, dst []byte, custID int64) ([]
 	return db.customers.AppendCtx(ctx, dst, rid)
 }
 
-// UpdateCustomer overwrites the filler of a customer record in place (a
+// UpdateCustomerCtx overwrites the filler of a customer record in place (a
 // TPC-A-style read-modify-write), producing the intra-transaction
 // correlated reference pair of §2.1.1: the record page is referenced once
-// to read the record and again to write it.
-func (db *DB) UpdateCustomer(custID int64, fill byte) error {
-	return db.UpdateCustomerCtx(context.Background(), custID, fill)
-}
-
-// UpdateCustomerCtx is UpdateCustomer charged against ctx (see LookupCtx).
-// The filler (bytes 8.., after the CUST-ID) is set in the page itself, so
-// an update copies no record.
+// to read the record and again to write it. The filler (bytes 8.., after
+// the CUST-ID) is set in the page itself, so an update copies no record.
+// The index descent and both fetches observe ctx (see LookupAppendCtx).
 func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -482,14 +480,9 @@ func (db *DB) UpdateCustomerCtx(ctx context.Context, custID int64, fill byte) er
 	return nil
 }
 
-// ScanCustomers sequentially scans the whole customer file (Example 1.2's
-// batch scan) and returns the number of records seen.
-func (db *DB) ScanCustomers() (int, error) {
-	return db.ScanCustomersCtx(context.Background())
-}
-
-// ScanCustomersCtx is ScanCustomers charged against ctx: the sweep stops
-// early when the deadline expires, reporting the context's error.
+// ScanCustomersCtx sequentially scans the whole customer file (Example
+// 1.2's batch scan) and returns the number of records seen. The sweep stops
+// early when ctx's deadline expires, reporting the context's error.
 func (db *DB) ScanCustomersCtx(ctx context.Context) (int, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed

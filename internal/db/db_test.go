@@ -110,7 +110,7 @@ func TestUpdateCustomer(t *testing.T) {
 	if err := db.LoadCustomers(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.UpdateCustomer(42, 0xAB); err != nil {
+	if err := db.UpdateCustomerCtx(context.Background(), 42, 0xAB); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := db.Lookup(42)
@@ -123,7 +123,7 @@ func TestUpdateCustomer(t *testing.T) {
 	if got := int64(binary.LittleEndian.Uint64(rec)); got != 42 {
 		t.Error("update clobbered the key prefix")
 	}
-	if err := db.UpdateCustomer(9999, 1); err == nil {
+	if err := db.UpdateCustomerCtx(context.Background(), 9999, 1); err == nil {
 		t.Error("update of missing customer succeeded")
 	}
 }
@@ -137,7 +137,7 @@ func TestScanCustomers(t *testing.T) {
 	if err := db.LoadCustomers(300); err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.ScanCustomers()
+	n, err := db.ScanCustomersCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestLookupAppendCtx(t *testing.T) {
 	if err := d.LoadCustomers(50); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UpdateCustomer(7, 0x5A); err != nil {
+	if err := d.UpdateCustomerCtx(context.Background(), 7, 0x5A); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

@@ -65,7 +65,7 @@ func TestDurableReopen(t *testing.T) {
 	if err := d.LoadCustomers(customers); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UpdateCustomer(42, 0xAA); err != nil {
+	if err := d.UpdateCustomerCtx(context.Background(), 42, 0xAA); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.FlushAll(); err != nil {
@@ -91,7 +91,7 @@ func TestDurableReopen(t *testing.T) {
 	if _, err := d2.Lookup(customers); !errors.Is(err, ErrNotFound) {
 		t.Errorf("lookup past the dataset: %v, want ErrNotFound", err)
 	}
-	if err := d2.UpdateCustomer(7, 0x55); err != nil {
+	if err := d2.UpdateCustomerCtx(context.Background(), 7, 0x55); err != nil {
 		t.Fatalf("update after reopen: %v", err)
 	}
 	if err := d2.Close(); err != nil {
@@ -151,7 +151,7 @@ func TestAckedUpdateSurvivesCrash(t *testing.T) {
 		id   int64
 		fill byte
 	}{{3, 0xEE}, {57, 0x11}, {3, 0xEF}} {
-		if err := d.UpdateCustomer(upd.id, upd.fill); err != nil {
+		if err := d.UpdateCustomerCtx(context.Background(), upd.id, upd.fill); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,7 +324,7 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 		t.Helper()
 		for i := from; i < to; i++ {
 			id, fill := i*97%n, byte(0x40+i)
-			if err := d.UpdateCustomer(id, fill); err != nil {
+			if err := d.UpdateCustomerCtx(context.Background(), id, fill); err != nil {
 				t.Fatal(err)
 			}
 			acked[id] = fill
@@ -562,7 +562,7 @@ func TestDurableUpdateUnderEviction(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				id := hot[(i*updaters+g)%(len(hot)/updaters*updaters)]
 				fill := byte(1 + (i+g)%250)
-				if err := d.UpdateCustomer(id, fill); err != nil {
+				if err := d.UpdateCustomerCtx(context.Background(), id, fill); err != nil {
 					t.Errorf("update %d (updater %d, round %d) reported failed: %v", id, g, i, err)
 					return
 				}

@@ -33,10 +33,10 @@ func TestCloseIdempotentAndFenced(t *testing.T) {
 	if _, err := d.Lookup(3); !errors.Is(err, ErrClosed) {
 		t.Errorf("Lookup after Close = %v, want ErrClosed", err)
 	}
-	if err := d.UpdateCustomer(3, 0xAB); !errors.Is(err, ErrClosed) {
+	if err := d.UpdateCustomerCtx(context.Background(), 3, 0xAB); !errors.Is(err, ErrClosed) {
 		t.Errorf("UpdateCustomer after Close = %v, want ErrClosed", err)
 	}
-	if _, err := d.ScanCustomers(); !errors.Is(err, ErrClosed) {
+	if _, err := d.ScanCustomersCtx(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("ScanCustomers after Close = %v, want ErrClosed", err)
 	}
 	if err := d.LoadCustomers(1); !errors.Is(err, ErrClosed) {
@@ -173,7 +173,7 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 	// updates below quarantines some victims.
 	faulty.SetFaults(storage.NewFaultPlan(5, storage.FaultRule{Op: storage.OpWrite, Count: 3}))
 	for i := int64(0); i < 16; i++ {
-		if err := d.UpdateCustomer(i, byte(i)); err != nil && !errors.Is(err, storage.ErrInjectedFault) {
+		if err := d.UpdateCustomerCtx(context.Background(), i, byte(i)); err != nil && !errors.Is(err, storage.ErrInjectedFault) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}

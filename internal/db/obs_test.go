@@ -2,6 +2,7 @@ package db
 
 import (
 	"bufio"
+	"context"
 	"io"
 	"math"
 	"net/http"
@@ -83,7 +84,7 @@ func TestObsMetricsReconcileWithSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
-			if err := database.UpdateCustomer(id, byte(i)); err != nil {
+			if err := database.UpdateCustomerCtx(context.Background(), id, byte(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -303,7 +304,7 @@ func TestEvictionTraceHoldsEvictionsOnly(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		id := 2*int64(pages.Next()) + int64(rng.Intn(2))
 		if rng.Float64() < 0.1 {
-			err = database.UpdateCustomer(id, byte(i))
+			err = database.UpdateCustomerCtx(context.Background(), id, byte(i))
 		} else {
 			_, err = database.Lookup(id)
 		}

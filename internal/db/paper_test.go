@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/stats"
@@ -26,7 +27,7 @@ func hitRatioThroughDB(t *testing.T, k, customers, n int, next func() (cust int6
 	for i := 0; i < n; i++ {
 		cust, update := next()
 		if update {
-			err = d.UpdateCustomer(cust, byte(i))
+			err = d.UpdateCustomerCtx(context.Background(), cust, byte(i))
 		} else {
 			_, err = d.Lookup(cust)
 		}

@@ -45,10 +45,6 @@ const (
 	// tombstone is the high offset bit. Page offsets are below 4096, so no
 	// live slot carries it.
 	tombstone = 0x8000
-	// latchStripes is the number of page-latch partitions (power of two).
-	// Concurrent record operations on different pages never contend; two
-	// operations on the same page serialise reader/writer style.
-	latchStripes = 64
 )
 
 // slotDead reports whether a slot offset denotes no record.
@@ -58,7 +54,6 @@ func slotDead(off uint16) bool { return off == 0 || off&tombstone != 0 }
 var (
 	ErrRecordTooLarge = errors.New("heapfile: record exceeds page capacity")
 	ErrInvalidRID     = errors.New("heapfile: no record at RID")
-	ErrUpdateTooLarge = errors.New("heapfile: updated record does not fit in place")
 )
 
 // RID addresses a record: the page holding it and its slot index.
@@ -72,25 +67,19 @@ func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
 // File is a heap file of variable-length records.
 //
-// Concurrency: Get, Update, FillCtx and Scan are safe to call concurrently
-// (with each other and themselves) — record bytes are accessed under a
-// striped page latch, taken after the pool pin so it is never held across
-// disk I/O. Insert mutates the page directory and must be serialised
-// externally (the db layer loads single-threaded before serving).
+// Concurrency: AppendCtx, GetCtx, FillCtx and ScanCtx are safe to call
+// concurrently (with each other and themselves): record bytes are read
+// under the page's frame latch held shared (bufferpool.Page.Latch) and
+// written under it held exclusively, taken after the pin so it is never
+// held across a fetch. Insert mutates the page directory and must be
+// serialised externally (the db layer loads single-threaded before
+// serving).
 type File struct {
 	pool *bufferpool.Pool
 	// pages is the in-memory page directory. A production system would
 	// persist it as a linked list of directory pages; the replacement
 	// study only needs data-page references to flow through the pool.
 	pages []policy.PageID
-	// latches guard record bytes within a page: readers (Get, Scan) share,
-	// writers (Insert, Update, FillCtx) exclude. Keyed by page-id hash.
-	latches [latchStripes]sync.RWMutex
-}
-
-// latchFor returns the latch stripe guarding page id's bytes.
-func (f *File) latchFor(id policy.PageID) *sync.RWMutex {
-	return &f.latches[uint64(id)&(latchStripes-1)]
 }
 
 // New returns an empty heap file over the pool.
@@ -217,7 +206,7 @@ func (f *File) Insert(rec []byte) (RID, error) {
 		if err != nil {
 			return RID{}, fmt.Errorf("heapfile insert: %w", err)
 		}
-		lk := f.latchFor(id)
+		lk := pg.Latch()
 		lk.Lock()
 		slot, ok := insertIntoPage(pg.Data(), rec)
 		lk.Unlock()
@@ -232,7 +221,7 @@ func (f *File) Insert(rec []byte) (RID, error) {
 		return RID{}, fmt.Errorf("heapfile insert: %w", err)
 	}
 	id := pg.ID()
-	lk := f.latchFor(id)
+	lk := pg.Latch()
 	lk.Lock()
 	initPage(pg.Data())
 	slot, _ := insertIntoPage(pg.Data(), rec)
@@ -363,19 +352,14 @@ func (f *File) writePages(ids []policy.PageID, n, per, size int, fill func(int, 
 	return len(ids), nil
 }
 
-// Get returns a copy of the record at rid.
-func (f *File) Get(rid RID) ([]byte, error) {
-	return f.AppendCtx(context.Background(), nil, rid)
-}
-
-// GetCtx is Get charged against ctx (see AppendCtx).
+// GetCtx returns a copy of the record at rid (see AppendCtx).
 func (f *File) GetCtx(ctx context.Context, rid RID) ([]byte, error) {
 	return f.AppendCtx(ctx, nil, rid)
 }
 
 // AppendCtx appends the record at rid to dst and returns the extended
 // slice — the one copy a record read makes, taken under the page pin and
-// shared latch, so a caller with a reusable buffer (the server's reply
+// the page's latch held shared, so a caller with a reusable buffer (the server's reply
 // frame) reads without allocating. On error dst is returned unchanged. The
 // page fetch (including a coalesced wait behind another request's
 // in-flight read) observes ctx's deadline.
@@ -385,7 +369,7 @@ func (f *File) AppendCtx(ctx context.Context, dst []byte, rid RID) ([]byte, erro
 		return dst, fmt.Errorf("heapfile get %v: %w", rid, err)
 	}
 	defer pg.Unpin(false)
-	lk := f.latchFor(rid.Page)
+	lk := pg.Latch()
 	lk.RLock()
 	defer lk.RUnlock()
 	data := pg.Data()
@@ -409,57 +393,27 @@ func liveSlot(data []byte, rid RID) (off, length uint16, err error) {
 	return off, length, nil
 }
 
-// Update replaces the record at rid in place. The new record must not be
-// larger than the old one (ErrUpdateTooLarge otherwise); shrinking updates
-// keep the slot's original allocation. The write happens under the page's
-// exclusive latch, so a concurrent Get of the same page sees either the old
-// or the new bytes, never a torn record.
-func (f *File) Update(rid RID, rec []byte) error {
-	pg, err := f.pool.Fetch(rid.Page)
-	if err != nil {
-		return fmt.Errorf("heapfile update %v: %w", rid, err)
-	}
-	lk := f.latchFor(rid.Page)
-	lk.Lock()
-	data := pg.Data()
-	off, length, err := liveSlot(data, rid)
-	if err == nil && len(rec) > int(length) {
-		err = fmt.Errorf("%w: %d > %d bytes", ErrUpdateTooLarge, len(rec), length)
-	}
-	if err != nil {
-		lk.Unlock()
-		pg.Unpin(false)
-		return err
-	}
-	copy(data[off:off+uint16(len(rec))], rec)
-	setSlot(data, rid.Slot, off, uint16(len(rec)))
-	lk.Unlock()
-	pg.Unpin(true)
-	return nil
-}
-
 // FillCtx sets bytes from.. of the record at rid to b, in place: the update
 // of a read-modify-write transaction (db's UpdateCustomerCtx), which copies
 // nothing. Like that transaction it references the record's page twice —
 // once to read the record, checking that rid is live, and once to write it
 // — so the replacer sees §2.1.1's correlated pair. The write happens under
-// the page's exclusive latch (see Update).
+// the page's latch held exclusively, so a concurrent reader or write-back
+// of the page sees either the old or the new bytes, never a torn record.
 //
 // With flush, the page is written back through the pool before FillCtx
 // returns, without its pin ever being released in between: the durable
 // acknowledgement path. A nil return then means the updated image has
 // reached the backend's write-ahead log; the page cannot be evicted between
 // the write and the flush, so the flush never misses it. The write-back
-// runs under the shared latch — compatible with concurrent readers, while
-// writers of the same page wait as they would behind a reader — so a
-// concurrent in-place update cannot tear the flushed image. Every fetch
-// observes ctx (see AppendCtx).
+// takes the latch shared itself (Page.FlushCtx). Every fetch observes ctx
+// (see AppendCtx).
 func (f *File) FillCtx(ctx context.Context, rid RID, from int, b byte, flush bool) error {
-	lk := f.latchFor(rid.Page)
 	pg, err := f.pool.FetchCtx(ctx, rid.Page)
 	if err != nil {
 		return fmt.Errorf("heapfile fill %v: %w", rid, err)
 	}
+	lk := pg.Latch()
 	lk.RLock()
 	_, _, err = liveSlot(pg.Data(), rid)
 	lk.RUnlock()
@@ -472,6 +426,7 @@ func (f *File) FillCtx(ctx context.Context, rid RID, from int, b byte, flush boo
 	if err != nil {
 		return fmt.Errorf("heapfile fill %v: %w", rid, err)
 	}
+	lk = pg.Latch()
 	lk.Lock()
 	data := pg.Data()
 	off, length, err := liveSlot(data, rid)
@@ -488,27 +443,20 @@ func (f *File) FillCtx(ctx context.Context, rid RID, from int, b byte, flush boo
 		pg.Unpin(true)
 		return nil
 	}
-	lk.RLock()
 	err = pg.FlushCtx(ctx)
-	lk.RUnlock()
 	// A successful flush left the page clean; a failed one re-marked it
 	// dirty itself.
 	pg.Unpin(false)
 	return err
 }
 
-// Scan visits every live record in page order (a sequential scan, the
+// ScanCtx visits every live record in page order (a sequential scan, the
 // access pattern of Example 1.2) until fn returns false. The record slice
-// passed to fn is only valid during the call.
-func (f *File) Scan(fn func(rid RID, rec []byte) bool) error {
-	return f.ScanCtx(context.Background(), fn)
-}
-
-// ScanCtx is Scan charged against ctx: every page fetch observes the
-// deadline, and the sweep also checks the context between pages so a
+// passed to fn is only valid during the call. Every page fetch observes
+// ctx's deadline, and the sweep also checks the context between pages so a
 // cancelled scan stops promptly even when every page hits. fn runs under
-// the page's shared latch — keep it short, and do not call back into the
-// file from inside it.
+// the page's latch held shared: keep it short, and do not call back into
+// the file from inside it.
 func (f *File) ScanCtx(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
 	for _, id := range f.pages {
 		if err := ctx.Err(); err != nil {
@@ -518,7 +466,7 @@ func (f *File) ScanCtx(ctx context.Context, fn func(rid RID, rec []byte) bool) e
 		if err != nil {
 			return fmt.Errorf("heapfile scan: %w", err)
 		}
-		lk := f.latchFor(id)
+		lk := pg.Latch()
 		lk.RLock()
 		data := pg.Data()
 		numSlots, _ := pageHeader(data)

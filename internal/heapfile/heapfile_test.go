@@ -40,7 +40,7 @@ func TestInsertGetRoundTrip(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		got, err := f.Get(rid)
+		got, err := f.GetCtx(context.Background(), rid)
 		if err != nil {
 			t.Fatalf("Get(%v): %v", rid, err)
 		}
@@ -77,46 +77,20 @@ func TestPageOverflowAllocatesNewPage(t *testing.T) {
 	}
 }
 
-func TestUpdateInPlace(t *testing.T) {
-	f := newFile(t, 8)
-	rid, _ := f.Insert([]byte("original"))
-	if err := f.Update(rid, []byte("patched!")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := f.Get(rid); string(got) != "patched!" {
-		t.Errorf("after update: %q", got)
-	}
-	// Shrinking works.
-	if err := f.Update(rid, []byte("tiny")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := f.Get(rid); string(got) != "tiny" {
-		t.Errorf("after shrink: %q", got)
-	}
-	// Growing beyond the slot fails.
-	if err := f.Update(rid, bytes.Repeat([]byte("g"), 100)); !errors.Is(err, ErrUpdateTooLarge) {
-		t.Errorf("grow update: %v", err)
-	}
-	// Bad RIDs fail.
-	if err := f.Update(RID{Page: rid.Page, Slot: 99}, []byte("x")); !errors.Is(err, ErrInvalidRID) {
-		t.Errorf("bad slot update: %v", err)
-	}
-}
-
 func TestGetInvalidRID(t *testing.T) {
 	f := newFile(t, 4)
 	rid, _ := f.Insert([]byte("x"))
-	if _, err := f.Get(RID{Page: rid.Page, Slot: 7}); !errors.Is(err, ErrInvalidRID) {
+	if _, err := f.GetCtx(context.Background(), RID{Page: rid.Page, Slot: 7}); !errors.Is(err, ErrInvalidRID) {
 		t.Errorf("bad slot: %v", err)
 	}
-	if _, err := f.Get(RID{Page: 999, Slot: 0}); err == nil {
+	if _, err := f.GetCtx(context.Background(), RID{Page: 999, Slot: 0}); err == nil {
 		t.Error("bad page accepted")
 	}
 }
 
 // TestScanVisitsAllLiveRecords: a scan visits every record and skips a
 // tombstoned slot, as it would find one in a page written by a store that
-// deleted records; Get refuses the same slot.
+// deleted records; GetCtx refuses the same slot.
 func TestScanVisitsAllLiveRecords(t *testing.T) {
 	f := newFile(t, 8)
 	want := map[string]bool{}
@@ -140,11 +114,11 @@ func TestScanVisitsAllLiveRecords(t *testing.T) {
 	off, length := slotAt(pg.Data(), dead.Slot)
 	setSlot(pg.Data(), dead.Slot, off|tombstone, length)
 	pg.Unpin(true)
-	if _, err := f.Get(dead); !errors.Is(err, ErrInvalidRID) {
-		t.Errorf("Get of a tombstoned slot: %v, want ErrInvalidRID", err)
+	if _, err := f.GetCtx(context.Background(), dead); !errors.Is(err, ErrInvalidRID) {
+		t.Errorf("GetCtx of a tombstoned slot: %v, want ErrInvalidRID", err)
 	}
 	got := map[string]bool{}
-	err = f.Scan(func(rid RID, rec []byte) bool {
+	err = f.ScanCtx(context.Background(), func(rid RID, rec []byte) bool {
 		got[string(rec)] = true
 		return true
 	})
@@ -169,7 +143,7 @@ func TestScanEarlyStop(t *testing.T) {
 		}
 	}
 	n := 0
-	_ = f.Scan(func(RID, []byte) bool {
+	_ = f.ScanCtx(context.Background(), func(RID, []byte) bool {
 		n++
 		return n < 3
 	})
@@ -191,7 +165,7 @@ func TestSurvivesEviction(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		got, err := f.Get(rid)
+		got, err := f.GetCtx(context.Background(), rid)
 		if err != nil {
 			t.Fatalf("Get(%v): %v", rid, err)
 		}
@@ -220,7 +194,7 @@ func TestQuickInsertGet(t *testing.T) {
 			kept = append(kept, r)
 		}
 		for i, rid := range rids {
-			got, err := f.Get(rid)
+			got, err := f.GetCtx(context.Background(), rid)
 			if err != nil || !bytes.Equal(got, kept[i]) {
 				return false
 			}
@@ -233,7 +207,7 @@ func TestQuickInsertGet(t *testing.T) {
 }
 
 // TestAppendCtx: the append form is the one record read — it extends dst
-// in place after its prefix, nil dst equals Get, and errors hand dst back.
+// in place after its prefix, nil dst equals GetCtx, and errors hand dst back.
 func TestAppendCtx(t *testing.T) {
 	f := newFile(t, 8)
 	rid, err := f.Insert([]byte("record-bytes"))
@@ -253,9 +227,9 @@ func TestAppendCtx(t *testing.T) {
 		t.Error("AppendCtx reallocated a dst with room")
 	}
 	got, err := f.AppendCtx(ctx, nil, rid)
-	want, err2 := f.Get(rid)
+	want, err2 := f.GetCtx(ctx, rid)
 	if err != nil || err2 != nil || !bytes.Equal(got, want) {
-		t.Errorf("nil dst = %q (%v), Get = %q (%v)", got, err, want, err2)
+		t.Errorf("nil dst = %q (%v), GetCtx = %q (%v)", got, err, want, err2)
 	}
 	out, err = f.AppendCtx(ctx, buf, RID{Page: rid.Page, Slot: 99})
 	if !errors.Is(err, ErrInvalidRID) || string(out) != "hdr|" {
@@ -305,7 +279,7 @@ func TestFillCtx(t *testing.T) {
 	if got := pool.Stats().WriteBacks - base.WriteBacks; got != 1 {
 		t.Errorf("%d write-backs after a sweep, want 1: the flushed page must be clean", got)
 	}
-	if got, _ := f.Get(rid); string(got) != "aabbbbbb" {
+	if got, _ := f.GetCtx(ctx, rid); string(got) != "aabbbbbb" {
 		t.Errorf("record reads back %q", got)
 	}
 
@@ -320,7 +294,7 @@ func TestFillCtx(t *testing.T) {
 	if got := pool.Stats().WriteBacks - base.WriteBacks; got != 1 {
 		t.Errorf("a plain fill wrote the page back (%d write-backs)", got)
 	}
-	if got, _ := f.Get(rid); string(got) != "aabbbbcc" {
+	if got, _ := f.GetCtx(ctx, rid); string(got) != "aabbbbcc" {
 		t.Errorf("record reads back %q after plain fills", got)
 	}
 	if err := pool.FlushAll(); err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -280,5 +282,43 @@ func TestRangeReadWriteRoundTrip(t *testing.T) {
 	if reply.Server.RangeKeysOut == 0 || reply.Server.RangeKeysIn != 2 {
 		t.Errorf("range counters out=%d in=%d, want out>0 in=2",
 			reply.Server.RangeKeysOut, reply.Server.RangeKeysIn)
+	}
+}
+
+// waitingOnGate reports whether some goroutine is blocked taking the flush
+// gate shared inside executeOp: a record operation queued behind a FLUSH.
+func waitingOnGate() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.RWMutex.RLock") && strings.Contains(g, "(*Server).executeOp") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestUpdateBehindFlushChecksOwnershipAfter is the handoff drain: an
+// UPDATE that arrives while a FLUSH holds the gate checks ownership only
+// once the FLUSH is done. A view installed meanwhile that moves its key
+// makes it MOVED, so the flush that ended the source's ownership drained
+// every update the source will ever acknowledge for that key.
+func TestUpdateBehindFlushChecksOwnershipAfter(t *testing.T) {
+	leakcheck.Check(t)
+	const customers = 50
+	moved, _, theirs := twoNodeView(t, "n0", customers)
+	moved.Epoch = 2
+	alone := wire.View{Epoch: 1, Nodes: []wire.NodeAddr{{ID: "n0", Addr: "127.0.0.1:1"}}}
+	srv, _ := startServer(t, db.Config{Frames: 64}, Config{NodeID: "n0", View: &alone}, customers)
+	cl := dial(t, srv)
+
+	srv.flushGate.Lock() // a FLUSH in progress
+	done := make(chan error, 1)
+	go func() { done <- cl.Update(context.Background(), theirs, 0xEE) }()
+	waitFor(t, "the UPDATE to queue behind the flush", waitingOnGate)
+	srv.applyView(moved)
+	srv.flushGate.Unlock()
+	if err := <-done; !errors.Is(err, client.ErrMoved) {
+		t.Fatalf("update of key %d moved away while it waited = %v, want ErrMoved", theirs, err)
 	}
 }

@@ -138,9 +138,13 @@ type Server struct {
 	closeMu  sync.Mutex
 	closeErr error
 
-	// flushGate lets FLUSH act as a checkpoint barrier: record operations
-	// hold it shared, a flush exclusively, so a flush never snapshots page
-	// bytes mid-update.
+	// flushGate is the handoff's drain (cluster/handoff.go): UPDATE and
+	// RANGE_WRITE hold it shared, UPDATE from before its ownership check to
+	// its last write, and FLUSH holds it exclusively. A FLUSH therefore
+	// returns only after every write already past the ownership check has
+	// applied, and a write that waited behind it checks ownership against
+	// the view in force once it ends. Page bytes need no gate: the pool's
+	// frame latch keeps each flushed image whole.
 	flushGate sync.RWMutex
 
 	connsAccepted atomic.Uint64
@@ -510,9 +514,7 @@ func (s *Server) execute(dctx *deadlineCtx, req wire.Request, tc obs.TraceContex
 			return wire.AppendResponse(out, resp), resp.Status
 		}
 		// The record goes from the page into the reply frame in one copy.
-		s.flushGate.RLock()
 		rec, err := s.db.LookupAppendCtx(ctx, append(out, byte(wire.StatusOK)), req.CustID)
-		s.flushGate.RUnlock()
 		if err == nil {
 			return rec, wire.StatusOK
 		}
@@ -528,9 +530,7 @@ func (s *Server) execute(dctx *deadlineCtx, req wire.Request, tc obs.TraceContex
 func (s *Server) executeOp(ctx context.Context, req wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpScan:
-		s.flushGate.RLock()
 		n, err := s.db.ScanCustomersCtx(ctx)
-		s.flushGate.RUnlock()
 		if err != nil {
 			return errResponse(err)
 		}
@@ -538,13 +538,12 @@ func (s *Server) executeOp(ctx context.Context, req wire.Request) wire.Response 
 		binary.BigEndian.PutUint64(body[:], uint64(n))
 		return wire.Response{Status: wire.StatusOK, Body: body[:]}
 	case wire.OpUpdate:
+		s.flushGate.RLock()
+		defer s.flushGate.RUnlock()
 		if resp, moved := s.checkOwner(req.CustID); moved {
 			return resp
 		}
-		s.flushGate.RLock()
-		err := s.db.UpdateCustomerCtx(ctx, req.CustID, req.Fill)
-		s.flushGate.RUnlock()
-		if err != nil {
+		if err := s.db.UpdateCustomerCtx(ctx, req.CustID, req.Fill); err != nil {
 			return errResponse(err)
 		}
 		return wire.Response{Status: wire.StatusOK}
@@ -631,9 +630,7 @@ func (s *Server) applyView(v wire.View) uint64 {
 }
 
 // executeRangeRead streams the current fill byte of every existing key in
-// [lo, hi): the transferable state of a key window during handoff. The
-// flush gate is taken per key, not across the batch, so a concurrent
-// FLUSH barrier is never starved by a long read.
+// [lo, hi): the transferable state of a key window during handoff.
 func (s *Server) executeRangeRead(ctx context.Context, lo, hi int64) wire.Response {
 	if hi-lo > wire.MaxRangeEntries {
 		return wire.Response{Status: wire.StatusBadRequest,
@@ -643,9 +640,7 @@ func (s *Server) executeRangeRead(ctx context.Context, lo, hi int64) wire.Respon
 	var rec []byte
 	for key := lo; key < hi; key++ {
 		var err error
-		s.flushGate.RLock()
 		rec, err = s.db.LookupAppendCtx(ctx, rec[:0], key)
-		s.flushGate.RUnlock()
 		switch {
 		case errors.Is(err, db.ErrNotFound):
 			continue
@@ -664,7 +659,8 @@ func (s *Server) executeRangeRead(ctx context.Context, lo, hi int64) wire.Respon
 // executeRangeWrite applies a handoff batch. Application is sequential
 // and stops at the first error; the coordinator's retry re-applies the
 // whole batch, which is safe because entries are absolute states, not
-// deltas.
+// deltas. The flush gate is taken per key, not across the batch, so a
+// concurrent FLUSH is never starved by a long batch.
 func (s *Server) executeRangeWrite(ctx context.Context, entries []wire.RangeEntry) wire.Response {
 	var applied uint64
 	for _, e := range entries {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bufferpool"
 	"repro/internal/db"
 	"repro/internal/leakcheck"
+	"repro/internal/policy"
 	"repro/internal/server/client"
 	"repro/internal/server/wire"
 	"repro/internal/storage"
@@ -355,18 +356,50 @@ func TestRequestAfterDrainBeginsGetsShutdown(t *testing.T) {
 	}
 }
 
-// TestFlushBarrier drives concurrent FLUSH and UPDATE traffic: the flush
-// gate must serialise them (a flush never snapshots a page mid-update),
-// and everything completes without error.
+// tornRecord reads every page of b and reports the first customer record
+// whose filler (bytes 8.., which an UPDATE sets to one byte) is not one
+// byte repeated. It checks the pages whose header is that of a heap page
+// holding two 2000-byte records (package heapfile's layout), which every
+// heap page of an even-sized load is.
+func tornRecord(b storage.Backend) error {
+	buf := make([]byte, storage.PageSize)
+	for p := 0; p < b.NumPages(); p++ {
+		if err := b.Read(context.Background(), policy.PageID(p), buf); err != nil {
+			return err
+		}
+		if binary.LittleEndian.Uint16(buf[0:2]) != 2 || binary.LittleEndian.Uint16(buf[2:4]) != storage.PageSize-4000 {
+			continue
+		}
+		for s := 0; s < 2; s++ {
+			off := int(binary.LittleEndian.Uint16(buf[4+4*s:]))
+			rec := buf[off : off+2000]
+			for i, c := range rec[8:] {
+				if c != rec[8] {
+					return fmt.Errorf("page %d slot %d: filler byte %d is %#x, byte 0 is %#x", p, s, i, c, rec[8])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestFlushBarrier drives concurrent FLUSH and UPDATE traffic: everything
+// completes without error, and after each FLUSH every record on disk is
+// whole (a flush never copies a page out mid-update).
 func TestFlushBarrier(t *testing.T) {
 	leakcheck.Check(t)
-	srv, _ := startServer(t, db.Config{Frames: 32}, Config{Workers: 4}, 64)
+	backend := sim.New(sim.ServiceModel{})
+	srv, _ := startServer(t, db.Config{Frames: 32, Backend: backend}, Config{Workers: 4}, 64)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	flushed := make(chan struct{}) // the updaters run until the flushes end
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if g == 0 {
+				defer close(flushed)
+			}
 			cl, err := client.Dial(srv.Addr().String())
 			if err != nil {
 				errs <- err
@@ -374,13 +407,26 @@ func TestFlushBarrier(t *testing.T) {
 			}
 			defer cl.Close()
 			ctx := context.Background()
-			for i := 0; i < 20; i++ {
-				if g == 0 {
+			if g == 0 {
+				for i := 0; i < 50; i++ {
 					if err := cl.Flush(ctx); err != nil {
 						errs <- fmt.Errorf("flush: %w", err)
 						return
 					}
-				} else if err := cl.Update(ctx, int64((g*13+i)%64), byte(i)); err != nil {
+					if err := tornRecord(backend); err != nil {
+						errs <- fmt.Errorf("after flush %d: %w", i, err)
+						return
+					}
+				}
+				return
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-flushed:
+					return
+				default:
+				}
+				if err := cl.Update(ctx, int64((g*13+i)%64), byte(i)); err != nil {
 					errs <- fmt.Errorf("update: %w", err)
 					return
 				}

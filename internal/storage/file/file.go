@@ -115,18 +115,18 @@ type Config struct {
 	// replay time. Zero (or negative) leaves the log unbounded — it then
 	// empties only at explicit Flush barriers and Close.
 	MaxWALBytes int64
-	// VerifyReads disables per-read trailer verification when false; the
-	// scrubber and RepairPage verify regardless.
+	// VerifyReads is inert.
+	//
+	// Deprecated: every read verifies its slot's trailer. The field exists
+	// only so the benchmark harness, whose bench/workloads.go sets it, still
+	// compiles. The next change to bench/ deletes it together with that
+	// literal.
 	VerifyReads bool
 	// Spans, when non-nil, records wal_append and wal_fsync spans for
 	// writes running under a sampled trace context, splitting a slow write
 	// into latch-held log time versus group-commit wait.
 	Spans *obs.SpanRecorder
 }
-
-// DefaultConfig returns the production defaults: reads verified, WAL
-// unbounded.
-func DefaultConfig() Config { return Config{VerifyReads: true} }
 
 // Store is the file-backed durable storage backend.
 type Store struct {
@@ -179,8 +179,9 @@ type Store struct {
 
 var _ storage.DurableBackend = (*Store)(nil)
 
-// Open opens (or creates) the store rooted at dir with DefaultConfig.
-func Open(dir string) (*Store, error) { return OpenConfig(dir, DefaultConfig()) }
+// Open opens (or creates) the store rooted at dir with the zero Config: an
+// unbounded WAL and no spans.
+func Open(dir string) (*Store, error) { return OpenConfig(dir, Config{}) }
 
 // OpenConfig opens (or creates) the store rooted at dir. Reopening an
 // existing store replays the write-ahead log over the page file —
@@ -476,7 +477,7 @@ func (s *Store) Read(ctx context.Context, p policy.PageID, buf []byte) error {
 	lk := s.stripe(p)
 	lk.RLock()
 	_, err := s.pages.ReadAt(buf, s.slotOff(p))
-	if err == nil && s.cfg.VerifyReads {
+	if err == nil {
 		// Verify under the same latch hold as the payload read: a write
 		// slipping between the two would pair a new image with an old
 		// trailer and report corruption that never happened.

@@ -203,26 +203,6 @@ func TestUnrepairableAfterCheckpoint(t *testing.T) {
 	}
 }
 
-func TestVerifyReadsOff(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenConfig(dir, Config{VerifyReads: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	p := storage.MustAllocate(s)
-	if err := s.Write(ctx, p, pageImage(0x11)); err != nil {
-		t.Fatal(err)
-	}
-	flipSlotByte(t, s, p, 50)
-	// Verification disabled: the rotted image is served as-is (the scrubber
-	// and RepairPage still verify; only the hot read path is relaxed).
-	buf := make([]byte, storage.PageSize)
-	if err := s.Read(ctx, p, buf); err != nil {
-		t.Fatalf("unverified read: %v", err)
-	}
-}
-
 // writeLegacyStore lays down a pre-trailer store by hand: 4 KByte slots,
 // meta.json without a format field — exactly what a store created before
 // the integrity format looked like on disk.
@@ -330,7 +310,7 @@ func TestOpenRefusesCorruptMeta(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, metaName), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenConfig(dir, DefaultConfig()); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("open over corrupt meta.json succeeded; must fail loudly")
 	}
 }
@@ -341,7 +321,7 @@ func TestOpenRefusesUnknownFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, metaName), []byte(`{"format":7,"next_page":0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenConfig(dir, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "unknown format") {
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "unknown format") {
 		t.Fatalf("open with future format: %v, want unknown-format refusal", err)
 	}
 }
@@ -385,7 +365,7 @@ func TestOpenRefusesOrphanedPageFile(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, metaName)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenConfig(dir, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "refusing") {
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "refusing") {
 		t.Fatalf("open with missing meta over live pages: %v, want refusal", err)
 	}
 }
@@ -419,7 +399,7 @@ func TestTornMetaPublishFallsBack(t *testing.T) {
 
 func TestMaxWALBytesForcesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenConfig(dir, Config{VerifyReads: true, MaxWALBytes: 2 * storage.PageSize})
+	s, err := OpenConfig(dir, Config{MaxWALBytes: 2 * storage.PageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
