@@ -36,15 +36,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOraclesMatchBruteForce -fuzztime 10s -fuzzminimizetime 100x ./internal/policy/
 	$(GO) test -run '^$$' -fuzz FuzzTreeMatchesSortedMap -fuzztime 10s -fuzzminimizetime 100x ./internal/btree/
 
-## size: Go line counts — root module non-test, root module test, and the
-## nested bench/ module — the figures re-anchors and "net lines go down"
-## criteria quote, then the five largest non-test files ("no file over N
-## lines" is this one command).
+## size: Go line counts — root module non-test, root module test, the
+## nested bench/ module, and the daemon's closure (the non-test lines of
+## every module package cmd/lrukd links) — the figures re-anchors and "net
+## lines go down" criteria quote, then the five largest non-test files ("no
+## file over N lines" is this one command).
 size:
 	@count() { find . -name '*.go' "$$@" -print0 | xargs -0 cat | wc -l; }; \
 	echo "non-test $$(count -not -name '*_test.go' -not -path './bench/*')"; \
 	echo "test     $$(count -name '*_test.go' -not -path './bench/*')"; \
 	echo "bench    $$(count -path './bench/*')"; \
+	echo "lrukd    $$($(GO) list -deps -f '{{if not .Standard}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/lrukd | xargs cat | wc -l)"; \
 	find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -print0 | \
 		xargs -0 wc -l | grep -v ' total$$' | sort -n | tail -5
 

@@ -25,6 +25,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 )
 
 // syncBuffer lets the test read lrukd's output while run is still writing.
@@ -394,8 +395,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // the pool keeps one circuit breaker and one disk histogram per direction
 // for the backend it is given. So the pool reads its circuit as one
 // BreakerOpen state (there is no BreakerOpenStripes count), and finds a
-// repairer by asserting storage.Repairer on its backend; the test injectors
-// implement RepairPage by passing it through and have no Inner to walk.
+// repairer by asserting storage.Repairer on its backend; storagetest's
+// injectors implement RepairPage by passing it through and have no Inner to
+// walk.
 // core.PolicyTracer has 1: victim selection is the one
 // decision worth a trace record; collapses and purges are PolicyStats
 // counters. PolicyStats is the one stats read, so neither replacer has
@@ -490,8 +492,8 @@ func TestOptionSurface(t *testing.T) {
 		has, lost string
 	}{
 		{&bufferpool.Pool{}, "BreakerOpen", "BreakerOpenStripes"},
-		{&storage.Faulty{}, "RepairPage", "Inner"},
-		{&storage.Corrupter{}, "RepairPage", "Inner"},
+		{storagetest.WithFaults(nil), "RepairPage", "Inner"},
+		{&storagetest.Corrupter{}, "RepairPage", "Inner"},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if _, ok := typ.MethodByName(c.has); !ok {
@@ -504,8 +506,10 @@ func TestOptionSurface(t *testing.T) {
 }
 
 // lrukdLinks is every module package the daemon links, itself included:
-// the 17 that go list -deps ./cmd/lrukd prints. TestLinkedPackages fails when one is added
-// or dropped, so each change to what the daemon links is deliberate.
+// the 16 that go list -deps ./cmd/lrukd prints. TestLinkedPackages fails
+// when one is added or dropped, so each change to what the daemon links is
+// deliberate. Test apparatus (storagetest's injectors, the stats
+// generators, the Example 1.1 driver) is not among them.
 var lrukdLinks = []string{
 	"repro/cmd/lrukd",
 	"repro/internal/btree",
@@ -520,7 +524,6 @@ var lrukdLinks = []string{
 	"repro/internal/server",
 	"repro/internal/server/client",
 	"repro/internal/server/wire",
-	"repro/internal/stats",
 	"repro/internal/storage",
 	"repro/internal/storage/file",
 	"repro/internal/storage/sim",
@@ -528,7 +531,8 @@ var lrukdLinks = []string{
 
 // TestLinkedPackages walks lrukd's non-test imports with go/build, from
 // this directory through every module package it reaches, and holds the
-// result to lrukdLinks.
+// result to lrukdLinks. No linked package may import the testing package:
+// test support takes an interface instead (leakcheck.T).
 func TestLinkedPackages(t *testing.T) {
 	const module, root = "repro", "../.."
 	seen := map[string]bool{}
@@ -541,6 +545,9 @@ func TestLinkedPackages(t *testing.T) {
 		pkg, err := build.ImportDir(dir, 0)
 		if err != nil {
 			t.Fatalf("importing %s: %v", path, err)
+		}
+		if slices.Contains(pkg.Imports, "testing") {
+			t.Errorf("%s imports testing, which lrukd would then link", path)
 		}
 		for _, imp := range pkg.Imports {
 			if rest, ok := strings.CutPrefix(imp, module+"/"); ok {

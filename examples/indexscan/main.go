@@ -17,6 +17,7 @@ import (
 	"log"
 
 	"repro/internal/db"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 	fmt.Printf("%-8s  %9s  %12s  %11s  %10s  %12s\n",
 		"policy", "hit ratio", "index pages", "data pages", "disk reads", "I/O time (s)")
 	for _, k := range []int{1, 2, 3} {
-		res, err := db.RunExample11(db.Config{Frames: frames, K: k}, customers, lookups, 42)
+		res, err := sim.RunExample11(db.Config{Frames: frames, K: k}, customers, lookups, 42)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -207,11 +207,11 @@ func TestExperimentOLTPTraceProfile(t *testing.T) {
 // real storage stack: LRU-2 keeps the index resident, LRU-1 splits frames
 // about evenly between index and data pages.
 func TestExperimentExample11(t *testing.T) {
-	res2, err := db.RunExample11(db.Config{Frames: 16, K: 2}, 2000, 20000, 42)
+	res2, err := sim.RunExample11(db.Config{Frames: 16, K: 2}, 2000, 20000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := db.RunExample11(db.Config{Frames: 16, K: 1}, 2000, 20000, 42)
+	res1, err := sim.RunExample11(db.Config{Frames: 16, K: 1}, 2000, 20000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

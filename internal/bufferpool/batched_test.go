@@ -10,6 +10,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // batchedTraceOptions enables both §2.1 periods, so the differential traces
@@ -66,7 +67,7 @@ func TestBatchedPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 	run := func(t *testing.T, open func() storage.Backend, build func(storage.Backend) (fetcherPool, func() core.PolicyStats)) outcome {
 		d := open()
 		for i := 0; i < pages; i++ {
-			storage.MustAllocate(d)
+			storagetest.MustAllocate(d)
 		}
 		p, policyStats := build(d)
 		for _, st := range script {
@@ -180,7 +181,7 @@ func TestFastHitProbe(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
 	var ids []policy.PageID
 	for i := 0; i < 8; i++ {
-		ids = append(ids, storage.MustAllocate(d))
+		ids = append(ids, storagetest.MustAllocate(d))
 	}
 	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{shards: 4})
 
@@ -233,11 +234,11 @@ func TestFastHitProbe(t *testing.T) {
 // pool/replacer state must stay consistent enough for the page to be
 // fetched, flushed and evicted normally once the fault clears.
 func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
-	d := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	d := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
 	const frames = 4
 	var ids []policy.PageID
 	for i := 0; i < frames+2; i++ {
-		ids = append(ids, storage.MustAllocate(d))
+		ids = append(ids, storagetest.MustAllocate(d))
 	}
 	victim := ids[0]
 	p := New(d, frames, core.NewSyncReplacer(2, core.Options{RetainedInformationPeriod: 100}))
@@ -260,7 +261,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	// Every write to the victim fails: the eviction sweep claims it (its
 	// buffered events flush during the eviction search), fails the
 	// write-back, restores it, and takes a clean page instead.
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{victim}}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{victim}}))
 	pg, err = p.Fetch(ids[frames])
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // BenchmarkPoolParallel compares the seed's single-latch pool (Serial)
@@ -38,12 +39,12 @@ func BenchmarkPoolParallel(b *testing.B) {
 	}
 	builders := []struct {
 		name  string
-		build func(d *storage.Faulty) hitPool
+		build func(d storagetest.Faulty) hitPool
 	}{
-		{"serial", func(d *storage.Faulty) hitPool {
+		{"serial", func(d storagetest.Faulty) hitPool {
 			return serialBench{NewSerial(d, frames, core.NewReplacer(2, core.Options{}))}
 		}},
-		{"pool", func(d *storage.Faulty) hitPool {
+		{"pool", func(d storagetest.Faulty) hitPool {
 			return poolBench{New(d, frames, core.NewSyncReplacer(2, core.Options{}))}
 		}},
 	}
@@ -139,7 +140,7 @@ func BenchmarkPoolHit(b *testing.B) {
 				d := sim.New(sim.ServiceModel{})
 				ids := make([]policy.PageID, hotSet)
 				for i := range ids {
-					ids[i] = storage.MustAllocate(d)
+					ids[i] = storagetest.MustAllocate(d)
 				}
 				p := impl.build(d)
 				for _, id := range ids {

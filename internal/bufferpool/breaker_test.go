@@ -14,6 +14,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // cancellingDisk cancels its caller's context inside a Read and fails the
@@ -81,7 +82,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 	t.Run("miss", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		m := sim.New(sim.ServiceModel{})
-		id := storage.MustAllocate(m)
+		id := storagetest.MustAllocate(m)
 		p := NewWithConfig(cancellingDisk{Backend: m, cancel: cancel}, 4,
 			core.NewSyncReplacer(2, core.Options{}), Config{Breaker: BreakerConfig{Threshold: 1}})
 		defer p.Close()
@@ -104,7 +105,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := storage.WithFaults(s)
+		d := storagetest.WithFaults(s)
 		const cooldown = 20 * time.Millisecond
 		p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{
 			Breaker: BreakerConfig{Threshold: 1, Cooldown: cooldown, Probes: 1},
@@ -117,8 +118,8 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		id := pg.ID()
 		pg.Unpin(true)
 
-		d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-		if err := flushPage(context.Background(), p, id); !errors.Is(err, storage.ErrInjectedFault) {
+		d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+		if err := flushPage(context.Background(), p, id); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("faulted flush = %v, want the injected fault", err)
 		}
 		if st := p.Stats(); st.BreakerTrips != 1 {

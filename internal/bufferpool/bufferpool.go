@@ -93,9 +93,9 @@ type Stats struct {
 	// resident and dirty, and the write is retried by the next eviction
 	// sweep that selects it and by every flush. A write the caller's own
 	// context ended is not an error: it counts nowhere and leaves the page
-	// dirty, unquarantined. With fault injection armed, the disk's fault
-	// ledger reconciles exactly: ReadFaults == ReadErrors and WriteFaults ==
-	// WriteErrors.
+	// dirty, unquarantined. With fault injection armed, the injector's
+	// fault ledger (storagetest.FaultStats) reconciles exactly:
+	// ReadFaults == ReadErrors and WriteFaults == WriteErrors.
 	WriteErrors uint64
 	// ReadsRejected and WritesRejected count operations refused locally by
 	// an open circuit breaker, without a disk attempt. Rejected reads are
@@ -247,7 +247,7 @@ type Pool struct {
 	quarantined map[policy.PageID]struct{}
 
 	// repairer is the backend as a storage.Repairer, when it can repair a
-	// corrupt page in place (the file store's WAL-tail repair; the test
+	// corrupt page in place (the file store's WAL-tail repair; storagetest's
 	// injectors pass repair through to the backend they wrap); nil when it
 	// cannot.
 	repairer storage.Repairer

@@ -15,16 +15,17 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // newFaultyDisk builds the simulated backend wrapped in fault injection —
 // the handle pool tests drive faults, raw I/O, and ledger assertions
 // through, exactly as the old disk.Manager was.
-func newFaultyDisk(model sim.ServiceModel) *storage.Faulty {
-	return storage.WithFaults(sim.New(model))
+func newFaultyDisk(model sim.ServiceModel) storagetest.Faulty {
+	return storagetest.WithFaults(sim.New(model))
 }
 
-func newPool(t *testing.T, frames, k int) (*Pool, *storage.Faulty) {
+func newPool(t *testing.T, frames, k int) (*Pool, storagetest.Faulty) {
 	t.Helper()
 	d := newFaultyDisk(sim.ServiceModel{})
 	return New(d, frames, core.NewSyncReplacer(k, core.Options{})), d
@@ -248,10 +249,10 @@ func TestLRUKReplacerBeatsLRUInPool(t *testing.T) {
 		hot := make([]policy.PageID, 20)
 		cold := make([]policy.PageID, 2000)
 		for i := range hot {
-			hot[i] = storage.MustAllocate(d)
+			hot[i] = storagetest.MustAllocate(d)
 		}
 		for i := range cold {
-			cold[i] = storage.MustAllocate(d)
+			cold[i] = storagetest.MustAllocate(d)
 		}
 		p := New(d, 25, core.NewSyncReplacer(k, core.Options{}))
 		r := stats.NewRNG(99)
@@ -294,7 +295,7 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 	const pages = 64
 	ids := make([]policy.PageID, pages)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(d)
+		ids[i] = storagetest.MustAllocate(d)
 		buf := make([]byte, storage.PageSize)
 		binary.LittleEndian.PutUint64(buf, uint64(ids[i]))
 		if err := d.Write(context.Background(), ids[i], buf); err != nil {
@@ -415,14 +416,14 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	// Open the circuit with a faulted read, then miss on that page under a
 	// sampled trace.
 	d := newFaultyDisk(sim.ServiceModel{})
-	page := storage.MustAllocate(d)
+	page := storagetest.MustAllocate(d)
 	bp := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
 		Spans:   rec,
 		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 	})
 	defer bp.Close()
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Count: 1}))
-	if _, err := bp.Fetch(page); !errors.Is(err, storage.ErrInjectedFault) {
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
+	if _, err := bp.Fetch(page); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("faulted fetch = %v, want the injected fault", err)
 	}
 	const rejected = 0xbeef

@@ -15,15 +15,16 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // stormPlan is the steady-state fault plan of the chaos storm: one
 // permanently poisoned page (every write-back fails) plus a 5%
 // probabilistic fault rate on all reads and writes.
-func stormPlan(seed uint64, poison policy.PageID) *storage.FaultPlan {
-	return storage.NewFaultPlan(seed,
-		storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{poison}},
-		storage.FaultRule{Probability: 0.05},
+func stormPlan(seed uint64, poison policy.PageID) *storagetest.FaultPlan {
+	return storagetest.NewFaultPlan(seed,
+		storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{poison}},
+		storagetest.FaultRule{Probability: 0.05},
 	)
 }
 
@@ -92,12 +93,12 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 		seed       = 42
 	)
 	leakcheck.Check(t)
-	d := storage.WithFaults(base)
+	d := storagetest.WithFaults(base)
 	ids := make([]policy.PageID, pages)
 	committed := make([]uint64, pages) // guarded by owner goroutine, read after Wait
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(d)
+		ids[i] = storagetest.MustAllocate(d)
 		committed[i] = uint64(1000 + i)
 		binary.LittleEndian.PutUint64(buf, committed[i])
 		if err := d.Write(context.Background(), ids[i], buf); err != nil {
@@ -106,7 +107,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	}
 	// tripTarget is fetched only during the blackout, to drive consecutive
 	// failures into the breaker; it never becomes resident.
-	tripTarget := storage.MustAllocate(d)
+	tripTarget := storagetest.MustAllocate(d)
 	preload := uint64(pages) // writes on disk before the storm starts
 
 	poison := ids[0]
@@ -123,7 +124,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	p.Start()
 
 	expectedErr := func(err error) bool {
-		return errors.Is(err, storage.ErrInjectedFault) ||
+		return errors.Is(err, storagetest.ErrInjectedFault) ||
 			errors.Is(err, ErrNoFreeFrame) ||
 			errors.Is(err, ErrDiskUnavailable) ||
 			errors.Is(err, context.Canceled) ||
@@ -140,7 +141,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 				if g == 0 && op == opsPerG/2 {
 					// Mid-storm blackout: every disk operation fails until the
 					// breaker opens, then the storm resumes at its usual 5%.
-					d.SetFaults(storage.NewFaultPlan(seed, storage.FaultRule{}))
+					d.SetFaults(storagetest.NewFaultPlan(seed, storagetest.FaultRule{}))
 					tripped := false
 					for i := 0; i < 10000; i++ {
 						_, err := p.Fetch(tripTarget)
@@ -246,11 +247,12 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 
 	// Counter reconciliation against the disk's own ledger: every injected
 	// fault was counted as a logical failure, exactly once.
-	if s.ReadErrors != ds.ReadFaults {
-		t.Errorf("pool counted %d read errors, disk injected %d read faults", s.ReadErrors, ds.ReadFaults)
+	fs := d.FaultStats()
+	if s.ReadErrors != fs.ReadFaults {
+		t.Errorf("pool counted %d read errors, disk injected %d read faults", s.ReadErrors, fs.ReadFaults)
 	}
-	if s.WriteErrors != ds.WriteFaults {
-		t.Errorf("pool counted %d write errors, disk injected %d write faults", s.WriteErrors, ds.WriteFaults)
+	if s.WriteErrors != fs.WriteFaults {
+		t.Errorf("pool counted %d write errors, disk injected %d write faults", s.WriteErrors, fs.WriteFaults)
 	}
 	// Every disk read is a miss that neither coalesced, failed, nor was
 	// refused by the breaker (the trace allocates pages directly, so there

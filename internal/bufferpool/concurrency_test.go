@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // TestMissCoalescingSingleRead verifies the in-flight miss protocol: with
@@ -29,7 +30,7 @@ func TestMissCoalescingSingleRead(t *testing.T) {
 			<-release
 		}
 	}})
-	id := storage.MustAllocate(d)
+	id := storagetest.MustAllocate(d)
 	buf := make([]byte, storage.PageSize)
 	binary.LittleEndian.PutUint64(buf, 0xfeedface)
 	if err := d.Write(context.Background(), id, buf); err != nil {
@@ -210,7 +211,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	shared := make([]policy.PageID, sharedN)
 	buf := make([]byte, storage.PageSize)
 	for i := range shared {
-		shared[i] = storage.MustAllocate(d)
+		shared[i] = storagetest.MustAllocate(d)
 		binary.LittleEndian.PutUint64(buf, uint64(shared[i]))
 		if err := d.Write(context.Background(), shared[i], buf); err != nil {
 			t.Fatal(err)
@@ -218,7 +219,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	}
 	private := make([]policy.PageID, goroutines)
 	for i := range private {
-		private[i] = storage.MustAllocate(d)
+		private[i] = storagetest.MustAllocate(d)
 		clear(buf)
 		if err := d.Write(context.Background(), private[i], buf); err != nil {
 			t.Fatal(err)
@@ -335,8 +336,8 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 			<-release
 		}
 	}})
-	victim := storage.MustAllocate(d)
-	other := storage.MustAllocate(d)
+	victim := storagetest.MustAllocate(d)
+	other := storagetest.MustAllocate(d)
 	p := New(d, 1, core.NewSyncReplacer(2, core.Options{})) // one frame: every miss evicts
 
 	pg, err := p.Fetch(victim)

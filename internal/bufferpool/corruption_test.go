@@ -16,18 +16,19 @@ import (
 	"repro/internal/storage"
 	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // newCorruptDisk builds a simulator wrapped in the corruption stage and
 // preloads n stamped pages through it (plan disarmed, so the preload is
 // clean).
-func newCorruptDisk(t *testing.T, n int) (*storage.Corrupter, []policy.PageID) {
+func newCorruptDisk(t *testing.T, n int) (*storagetest.Corrupter, []policy.PageID) {
 	t.Helper()
-	c := storage.WithCorruption(sim.New(sim.ServiceModel{}))
+	c := storagetest.WithCorruption(sim.New(sim.ServiceModel{}))
 	ids := make([]policy.PageID, n)
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(c)
+		ids[i] = storagetest.MustAllocate(c)
 		buf[0] = byte(i + 1)
 		if err := c.Write(context.Background(), ids[i], buf); err != nil {
 			t.Fatal(err)
@@ -39,13 +40,13 @@ func newCorruptDisk(t *testing.T, n int) (*storage.Corrupter, []policy.PageID) {
 // taint corrupts page id through the wrapper: arm a one-shot rule for it,
 // rewrite its current content (the write passes through, then taints), and
 // disarm again.
-func taint(t *testing.T, c *storage.Corrupter, id policy.PageID, unrepairable bool) {
+func taint(t *testing.T, c *storagetest.Corrupter, id policy.PageID, unrepairable bool) {
 	t.Helper()
 	buf := make([]byte, storage.PageSize)
 	if err := c.Read(context.Background(), id, buf); err != nil {
 		t.Fatalf("taint pre-read of %d: %v", id, err)
 	}
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{
+	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{
 		Pages: []policy.PageID{id}, Count: 1, Unrepairable: unrepairable}))
 	if err := c.Write(context.Background(), id, buf); err != nil {
 		t.Fatalf("taint write of %d: %v", id, err)
@@ -198,9 +199,9 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.Unpin(true)
-	d.SetFaults(storage.NewFaultPlan(1,
-		storage.FaultRule{Op: storage.OpAllocate, Err: storage.ErrNoSpace},
-		storage.FaultRule{Op: storage.OpWrite, Err: storage.ErrNoSpace},
+	d.SetFaults(storagetest.NewFaultPlan(1,
+		storagetest.FaultRule{Op: storage.OpAllocate, Err: storage.ErrNoSpace},
+		storagetest.FaultRule{Op: storage.OpWrite, Err: storage.ErrNoSpace},
 	))
 
 	if _, err := p.NewPage(); !errors.Is(err, storage.ErrNoSpace) {
@@ -210,8 +211,8 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 		t.Fatalf("flush on full device: %v, want ErrNoSpace", err)
 	}
 	s := p.Stats()
-	if ds := d.Stats(); s.WriteErrors != 1 || ds.WriteFaults != s.WriteErrors {
-		t.Errorf("stats %+v, %d disk write faults; want exactly one write error, one fault", s, ds.WriteFaults)
+	if fs := d.FaultStats(); s.WriteErrors != 1 || fs.WriteFaults != s.WriteErrors {
+		t.Errorf("stats %+v, %d disk write faults; want exactly one write error, one fault", s, fs.WriteFaults)
 	}
 	// The resident page still serves — out-of-space starves writes, not
 	// memory.
@@ -257,12 +258,12 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		seed       = 7
 	)
 	leakcheck.Check(t)
-	c := storage.WithCorruption(base)
+	c := storagetest.WithCorruption(base)
 	ids := make([]policy.PageID, pages)
 	committed := make([]uint64, pages) // owner-goroutine writes, read after Wait
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(c)
+		ids[i] = storagetest.MustAllocate(c)
 		if ids[i] != policy.PageID(i) {
 			t.Fatalf("storm needs contiguous ids from 0, got %d at %d", ids[i], i)
 		}
@@ -277,10 +278,10 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// The storm's corruption plan, armed only after the clean preload: a
 	// bounded burst of unrepairable damage, a misdirect trickle, and a
 	// steady bit-rot rate.
-	c.SetCorruption(storage.NewCorruptPlan(seed,
-		storage.CorruptRule{Probability: 0.02, Count: 16, Unrepairable: true},
-		storage.CorruptRule{Probability: 0.02, Kind: storage.CorruptMisdirect},
-		storage.CorruptRule{Probability: 0.05},
+	c.SetCorruption(storagetest.NewCorruptPlan(seed,
+		storagetest.CorruptRule{Probability: 0.02, Count: 16, Unrepairable: true},
+		storagetest.CorruptRule{Probability: 0.02, Kind: storage.CorruptMisdirect},
+		storagetest.CorruptRule{Probability: 0.05},
 	))
 
 	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
@@ -371,7 +372,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 			t.Fatalf("side read of scrub target: %v", err)
 		}
 		sideReads++
-		c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{
+		c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{
 			Pages: []policy.PageID{target}, Count: 1}))
 		if err := c.Write(ctx, target, buf); err != nil {
 			t.Fatalf("side write of scrub target: %v", err)
@@ -461,8 +462,8 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		t.Errorf("disk writes = %d, want preload+writeBacks+side = %d", ds.Writes, want)
 	}
 	// Nothing injects a disk fault, and corruption fails reads only.
-	if s.WriteErrors != ds.WriteFaults {
-		t.Errorf("%d write errors, %d disk write faults; want equal", s.WriteErrors, ds.WriteFaults)
+	if s.WriteErrors != 0 {
+		t.Errorf("%d write errors with no disk fault injected; want 0", s.WriteErrors)
 	}
 	if s.Hits == 0 || s.Misses == 0 || s.CorruptDetected == 0 || s.CorruptRepaired == 0 ||
 		s.CorruptQuarantined == 0 || s.ScrubPages == 0 || s.ScrubCorrupt == 0 {
@@ -520,7 +521,7 @@ func TestCancelledRepairLeavesPageUnpoisoned(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			id := storage.MustAllocate(s)
+			id := storagetest.MustAllocate(s)
 			buf := make([]byte, storage.PageSize)
 			buf[0] = 7
 			if err := s.Write(context.Background(), id, buf); err != nil {
@@ -675,11 +676,11 @@ func TestBreakerOpenPausesScrubber(t *testing.T) {
 			}
 		}
 	}
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead}))
 	await("trip by the scrubber's failed reads", p.BreakerOpen)
-	st, ds := p.Stats(), d.Stats()
+	st, ds, fs := p.Stats(), d.Stats(), d.FaultStats()
 	p.ScrubSweep(context.Background(), 64)
-	if st2, ds2 := p.Stats(), d.Stats(); ds2.ReadFaults != ds.ReadFaults || ds2.Reads != ds.Reads ||
+	if st2, ds2 := p.Stats(), d.Stats(); d.FaultStats() != fs || ds2.Reads != ds.Reads ||
 		st2.ScrubPages != st.ScrubPages || st2.ScrubCorrupt != st.ScrubCorrupt ||
 		st2.CorruptDetected != st.CorruptDetected || len(p.PoisonedPages()) != 0 {
 		t.Fatalf("scrubs on an open circuit moved the ledgers: pool %+v -> %+v, disk %+v -> %+v", st, st2, ds, ds2)
@@ -696,7 +697,7 @@ func TestBreakerOpenPausesScrubber(t *testing.T) {
 // WriteErrors holds, but quarantines nothing — no frame holds the page.
 // The caller's image is intact, and writing it again succeeds.
 func TestWriteNewPageFailure(t *testing.T) {
-	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
 	p := New(faulty, 4, core.NewSyncReplacer(2, core.Options{}))
 	defer p.Close()
 	id, err := p.AllocatePage()
@@ -705,9 +706,9 @@ func TestWriteNewPageFailure(t *testing.T) {
 	}
 	img := make([]byte, storage.PageSize)
 	img[0] = 5
-	faulty.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
+	faulty.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
 	ctx := context.Background()
-	if err := p.WriteNewPage(ctx, id, img); !errors.Is(err, storage.ErrInjectedFault) {
+	if err := p.WriteNewPage(ctx, id, img); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("WriteNewPage through a fault = %v, want the injected fault", err)
 	}
 	if st := p.Stats(); st.WriteErrors != 1 || p.Quarantined() != 0 || p.Resident(id) {
@@ -717,10 +718,10 @@ func TestWriteNewPageFailure(t *testing.T) {
 	if err := p.WriteNewPage(ctx, id, img); err != nil {
 		t.Fatalf("WriteNewPage after the fault = %v, want nil", err)
 	}
-	st, disk := p.Stats(), faulty.Stats()
-	if disk.WriteFaults != st.WriteErrors || disk.Writes != 1 {
+	st, disk, fs := p.Stats(), faulty.Stats(), faulty.FaultStats()
+	if fs.WriteFaults != st.WriteErrors || disk.Writes != 1 {
 		t.Errorf("%d write faults, %d errors, %d disk writes; want the ledger exact and one write",
-			disk.WriteFaults, st.WriteErrors, disk.Writes)
+			fs.WriteFaults, st.WriteErrors, disk.Writes)
 	}
 	pg, err := p.Fetch(id)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // The tests in this file pin the lazy done protocol (frame.go): a frame
@@ -81,7 +82,7 @@ func TestWriteBackWaitersWake(t *testing.T) {
 		pg.Unpin(true) // dirty; the oldest reference, so the first victim
 		touch(t, p, filler, false)
 		if fail {
-			d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
+			d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
 		}
 		arm.Store(true) // parks the next I/O: the eviction's write-back
 
@@ -213,9 +214,9 @@ func TestLazyDoneStress(t *testing.T) {
 		time.Sleep(time.Duration(20+delays.Add(37)%150) * time.Microsecond)
 	}})
 	ids := allocPages(t, d, pages)
-	d.SetFaults(storage.NewFaultPlan(7,
-		storage.FaultRule{Op: storage.OpRead, Probability: 0.15},
-		storage.FaultRule{Op: storage.OpWrite, Probability: 0.15}))
+	d.SetFaults(storagetest.NewFaultPlan(7,
+		storagetest.FaultRule{Op: storage.OpRead, Probability: 0.15},
+		storagetest.FaultRule{Op: storage.OpWrite, Probability: 0.15}))
 	p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 
 	// fetch gives one fetch in four a deadline of at most 200 µs, short
@@ -239,7 +240,7 @@ func TestLazyDoneStress(t *testing.T) {
 				i := rng.Intn(pages)
 				pg, err := fetch(rng, ids[i])
 				if err != nil {
-					if !errors.Is(err, storage.ErrInjectedFault) && !errors.Is(err, context.DeadlineExceeded) &&
+					if !errors.Is(err, storagetest.ErrInjectedFault) && !errors.Is(err, context.DeadlineExceeded) &&
 						!errors.Is(err, ErrNoFreeFrame) {
 						t.Errorf("fetch of page %d: %v", ids[i], err)
 					}

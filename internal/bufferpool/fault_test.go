@@ -11,6 +11,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // frameAccounting counts free-list frames and table-reachable frames. On a
@@ -39,12 +40,12 @@ func checkFrameInvariant(t *testing.T, p *Pool) {
 
 // allocPages allocates n disk pages, each stamped with a recognisable
 // byte, and returns their ids.
-func allocPages(t *testing.T, d *storage.Faulty, n int) []policy.PageID {
+func allocPages(t *testing.T, d storagetest.Faulty, n int) []policy.PageID {
 	t.Helper()
 	ids := make([]policy.PageID, n)
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(d)
+		ids[i] = storagetest.MustAllocate(d)
 		buf[0] = byte(i + 1)
 		if err := d.Write(context.Background(), ids[i], buf); err != nil {
 			t.Fatal(err)
@@ -74,7 +75,7 @@ func TestWriteBackFaultSkipsVictim(t *testing.T) {
 	}
 	pg.Unpin(false) // clean second choice
 
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}}))
 
 	// The fetch of c must succeed by skipping poisoned a and evicting b.
 	pg, err = p.Fetch(c)
@@ -134,13 +135,13 @@ func TestWriteBackFaultBoundedAttempts(t *testing.T) {
 		pg.Data()[0]++
 		pg.Unpin(true)
 	}
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite}))
 
 	_, err := p.Fetch(ids[frames])
 	if err == nil {
 		t.Fatal("fetch succeeded with every write-back poisoned")
 	}
-	if !errors.Is(err, storage.ErrInjectedFault) {
+	if !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Errorf("error %v does not unwrap to the injected fault", err)
 	}
 	if errors.Is(err, ErrNoFreeFrame) {
@@ -190,7 +191,7 @@ func TestQuarantineRetriedOnNextSweep(t *testing.T) {
 	pg.Unpin(true)
 
 	// One transient write fault: the first sweep fails, the retry works.
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
 	if _, err := p.Fetch(b); err == nil {
 		t.Fatal("single-frame fetch succeeded though its only victim was poisoned")
 	}
@@ -235,13 +236,13 @@ func TestFlushAllAggregatesErrors(t *testing.T) {
 		pg.Data()[1] = byte(0xA0 + i)
 		pg.Unpin(true)
 	}
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a, b}}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a, b}}))
 
 	err := p.FlushAll()
 	if err == nil {
 		t.Fatal("FlushAll reported success with two poisoned pages")
 	}
-	if !errors.Is(err, storage.ErrInjectedFault) {
+	if !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Errorf("joined error %v does not unwrap to the injected fault", err)
 	}
 	if s := p.Stats(); s.WriteErrors != 2 {
@@ -276,9 +277,9 @@ func TestFetchReadFaultAccounting(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	ids := allocPages(t, d, 1)
 	p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Count: 1}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
 
-	if _, err := p.Fetch(ids[0]); !errors.Is(err, storage.ErrInjectedFault) {
+	if _, err := p.Fetch(ids[0]); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("fetch under read fault: %v", err)
 	}
 	s := p.Stats()
@@ -320,7 +321,7 @@ func TestCoalescedWaitersReadFault(t *testing.T) {
 	}})
 	ids := allocPages(t, d, 1)
 	id := ids[0]
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Count: 1}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
 	gate.Store(true)
 
 	p := New(d, 4, core.NewSyncReplacer(2, core.Options{}))
@@ -329,7 +330,7 @@ func TestCoalescedWaitersReadFault(t *testing.T) {
 	var failures atomic.Uint64
 	fetch := func() {
 		defer wg.Done()
-		if _, err := p.Fetch(id); errors.Is(err, storage.ErrInjectedFault) {
+		if _, err := p.Fetch(id); errors.Is(err, storagetest.ErrInjectedFault) {
 			failures.Add(1)
 		} else {
 			t.Errorf("fetch of doomed page: %v, want injected fault", err)
@@ -385,8 +386,8 @@ func TestFlushPageFaultKeepsDirty(t *testing.T) {
 	copy(pg.Data(), []byte("dirtydata"))
 	pg.Unpin(true)
 
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-	if err := flushPage(context.Background(), p, id); !errors.Is(err, storage.ErrInjectedFault) {
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	if err := flushPage(context.Background(), p, id); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("flush under write fault: %v", err)
 	}
 	if s := p.Stats(); s.WriteErrors != 1 || s.WriteBacks != 0 {
@@ -424,8 +425,8 @@ func TestSerialWriteBackFaultRestoresVictim(t *testing.T) {
 	pg.Data()[0]++
 	pg.Unpin(true)
 
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-	if _, err := p.Fetch(b); !errors.Is(err, storage.ErrInjectedFault) {
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	if _, err := p.Fetch(b); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("Serial fetch with poisoned victim: %v", err)
 	}
 	if s := p.Stats(); s.WriteErrors != 1 {

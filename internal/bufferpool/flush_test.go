@@ -17,6 +17,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // barrierCounter counts the pool's durability barriers and, like the file
@@ -156,7 +157,7 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 	b := &barrierCounter{Backend: d}
 	p := New(b, n, core.NewSyncReplacer(2, core.Options{}))
 	dirtyAll(t, p, ids, 0xD2)
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: faulted}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: faulted}))
 
 	err := p.FlushAll()
 	errs := joined(err)
@@ -166,7 +167,7 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 	want := slices.Clone(faulted)
 	slices.Sort(want)
 	for i, e := range errs {
-		if !errors.Is(e, storage.ErrInjectedFault) {
+		if !errors.Is(e, storagetest.ErrInjectedFault) {
 			t.Errorf("error %d does not unwrap to the injected fault: %v", i, e)
 		}
 		if prefix := fmt.Sprintf("flushing page %d:", want[i]); !strings.HasPrefix(e.Error(), prefix) {

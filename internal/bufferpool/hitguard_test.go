@@ -8,6 +8,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // hitBench measures the steady-state resident-hit cost of one pool
@@ -22,7 +23,7 @@ func hitBench(build func(d storage.Backend) hitPool) testing.BenchmarkResult {
 		d := sim.New(sim.ServiceModel{})
 		ids := make([]policy.PageID, hotSet)
 		for i := range ids {
-			ids[i] = storage.MustAllocate(d)
+			ids[i] = storagetest.MustAllocate(d)
 		}
 		bench := build(d)
 		for _, id := range ids {

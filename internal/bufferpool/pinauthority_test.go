@@ -11,8 +11,8 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/policy"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // The tests in this file pin down the protocol in which the pin count is
@@ -58,7 +58,7 @@ func TestPinnedHeadOfVictimOrderIsSkipped(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
 	var ids []policy.PageID
 	for i := 0; i < 4; i++ {
-		ids = append(ids, storage.MustAllocate(d))
+		ids = append(ids, storagetest.MustAllocate(d))
 	}
 	a, b, c, x := ids[0], ids[1], ids[2], ids[3]
 	r := core.NewSyncReplacer(2, core.Options{})
@@ -123,7 +123,7 @@ func TestAllFramesPinnedRecovers(t *testing.T) {
 	const frames = 5
 	var ids []policy.PageID
 	for i := 0; i < frames+1; i++ {
-		ids = append(ids, storage.MustAllocate(d))
+		ids = append(ids, storagetest.MustAllocate(d))
 	}
 	r := core.NewSyncReplacer(2, core.Options{})
 	p := New(d, frames, r)
@@ -174,7 +174,7 @@ func TestSkippedCandidateNotHeldAcrossWriteBack(t *testing.T) {
 			<-release
 		}
 	}})
-	a, b, c := storage.MustAllocate(d), storage.MustAllocate(d), storage.MustAllocate(d)
+	a, b, c := storagetest.MustAllocate(d), storagetest.MustAllocate(d), storagetest.MustAllocate(d)
 	r := core.NewSyncReplacer(2, core.Options{})
 	p := New(d, 2, r)
 
@@ -230,7 +230,7 @@ func TestPinAuthorityStress(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
 	pages := make([]policy.PageID, hotN+coldN)
 	for i := range pages {
-		pages[i] = storage.MustAllocate(d)
+		pages[i] = storagetest.MustAllocate(d)
 	}
 	r := core.NewSyncReplacer(2, core.Options{})
 	p := NewWithConfig(d, frames, r, Config{shards: 4})
@@ -327,7 +327,7 @@ func TestPinAuthorityStress(t *testing.T) {
 // preallocated ring.
 func TestHitAllocatesNothing(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
-	id := storage.MustAllocate(d)
+	id := storagetest.MustAllocate(d)
 	p := New(d, 4, core.NewSyncReplacer(2, core.Options{}))
 	touch(t, p, id, false)
 	ctx := context.Background()
@@ -354,7 +354,7 @@ func TestMissAllocatesNothing(t *testing.T) {
 		d := sim.New(sim.ServiceModel{})
 		ids := make([]policy.PageID, pages)
 		for i := range ids {
-			ids[i] = storage.MustAllocate(d)
+			ids[i] = storagetest.MustAllocate(d)
 		}
 		p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 		ctx := context.Background()

@@ -15,12 +15,13 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // gatedDisk returns a manager whose reads and writes park on gate while
 // armed, signalling entry on entered — the scaffolding for freezing a load
 // mid-flight so a coalesced waiter can be cancelled deterministically.
-func gatedDisk() (d *storage.Faulty, arm *atomic.Bool, entered chan struct{}, gate chan struct{}) {
+func gatedDisk() (d storagetest.Faulty, arm *atomic.Bool, entered chan struct{}, gate chan struct{}) {
 	arm = &atomic.Bool{}
 	entered = make(chan struct{}, 16)
 	gate = make(chan struct{})
@@ -124,7 +125,7 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 	ids := allocPages(t, d, 1)
 	a := ids[0]
 	p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
 
 	arm.Store(true)
 	loaded := make(chan error, 1)
@@ -142,7 +143,7 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 
 	arm.Store(false)
 	close(gate)
-	if err := <-loaded; !errors.Is(err, storage.ErrInjectedFault) {
+	if err := <-loaded; !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("loader error = %v, want injected fault", err)
 	}
 	if p.Resident(a) {
@@ -203,47 +204,51 @@ func TestOneDiskAttemptPerOperation(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	a := allocPages(t, d, 1)[0]
 	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{})
-	step := func(what string, before storage.Stats, wantReads, wantWrites uint64) {
+	// attempts counts disk reads and writes tried: transfers plus faults.
+	attempts := func() (reads, writes uint64) {
+		ds, fs := d.Stats(), d.FaultStats()
+		return ds.Reads + fs.ReadFaults, ds.Writes + fs.WriteFaults
+	}
+	step := func(what string, beforeReads, beforeWrites, wantReads, wantWrites uint64) {
 		t.Helper()
-		ds, s := d.Stats(), p.Stats()
-		reads := ds.Reads + ds.ReadFaults - before.Reads - before.ReadFaults
-		writes := ds.Writes + ds.WriteFaults - before.Writes - before.WriteFaults
+		reads, writes := attempts()
+		reads, writes = reads-beforeReads, writes-beforeWrites
 		if reads != wantReads || writes != wantWrites {
 			t.Errorf("%s: %d read and %d write attempts, want %d and %d", what, reads, writes, wantReads, wantWrites)
 		}
-		if ds.ReadFaults != s.ReadErrors || ds.WriteFaults != s.WriteErrors {
+		if fs, s := d.FaultStats(), p.Stats(); fs.ReadFaults != s.ReadErrors || fs.WriteFaults != s.WriteErrors {
 			t.Errorf("%s: disk faults %d/%d, pool errors %d/%d (read/write); want equal",
-				what, ds.ReadFaults, ds.WriteFaults, s.ReadErrors, s.WriteErrors)
+				what, fs.ReadFaults, fs.WriteFaults, s.ReadErrors, s.WriteErrors)
 		}
 	}
 
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}, Count: 2}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}, Count: 2}))
 	for i := 1; i <= 2; i++ {
-		before := d.Stats()
-		if _, err := p.Fetch(a); !errors.Is(err, storage.ErrInjectedFault) {
+		br, bw := attempts()
+		if _, err := p.Fetch(a); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("fetch %d = %v, want the injected fault", i, err)
 		}
-		step(fmt.Sprintf("failed fetch %d", i), before, 1, 0)
+		step(fmt.Sprintf("failed fetch %d", i), br, bw, 1, 0)
 	}
-	before := d.Stats()
+	br, bw := attempts()
 	pg, err := p.Fetch(a)
 	if err != nil || pg.Data()[0] != 1 {
 		t.Fatalf("third fetch = %v, want page a's image", err)
 	}
 	pg.Unpin(true)
-	step("third fetch", before, 1, 0)
+	step("third fetch", br, bw, 1, 0)
 
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
-	before = d.Stats()
-	if err := p.FlushAll(); !errors.Is(err, storage.ErrInjectedFault) || p.Quarantined() != 1 {
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
+	br, bw = attempts()
+	if err := p.FlushAll(); !errors.Is(err, storagetest.ErrInjectedFault) || p.Quarantined() != 1 {
 		t.Fatalf("faulted flush = %v with %d quarantined, want the injected fault and 1", err, p.Quarantined())
 	}
-	step("faulted flush", before, 0, 1)
-	before = d.Stats()
+	step("faulted flush", br, bw, 0, 1)
+	br, bw = attempts()
 	if err := p.FlushAll(); err != nil || p.Quarantined() != 0 {
 		t.Fatalf("second flush = %v with %d quarantined, want nil and 0", err, p.Quarantined())
 	}
-	step("second flush", before, 0, 1)
+	step("second flush", br, bw, 0, 1)
 	checkFrameInvariant(t, p)
 }
 
@@ -272,9 +277,9 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	}
 	pg.Unpin(true)
 
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead}))
 	for i := 0; i < 2; i++ {
-		if _, err := p.Fetch(a); !errors.Is(err, storage.ErrInjectedFault) {
+		if _, err := p.Fetch(a); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("fetch %d error = %v, want injected fault", i, err)
 		}
 	}
@@ -287,7 +292,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if !p.BreakerOpen() {
 		t.Error("BreakerOpen = false after the trip")
 	}
-	faultsBefore, writesBefore := d.Stats().ReadFaults, d.Stats().Writes
+	faultsBefore, writesBefore := d.FaultStats().ReadFaults, d.Stats().Writes
 	_, err = p.Fetch(a)
 	if !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch while open = %v, want ErrDiskUnavailable", err)
@@ -295,9 +300,9 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if err := flushPage(context.Background(), p, c); !errors.Is(err, ErrDiskUnavailable) {
 		t.Errorf("flush on the open circuit = %v, want ErrDiskUnavailable", err)
 	}
-	if ds := d.Stats(); ds.ReadFaults != faultsBefore || ds.Writes != writesBefore {
+	if faults, writes := d.FaultStats().ReadFaults, d.Stats().Writes; faults != faultsBefore || writes != writesBefore {
 		t.Errorf("open breaker still reached the disk (%d -> %d faults, %d -> %d writes)",
-			faultsBefore, ds.ReadFaults, writesBefore, ds.Writes)
+			faultsBefore, faults, writesBefore, writes)
 	}
 	s = p.Stats()
 	if s.ReadsRejected != 1 || s.WritesRejected != 1 || p.Quarantined() != 1 {
@@ -326,12 +331,12 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if err := flushPage(context.Background(), p, c); err != nil || p.Quarantined() != 0 {
 		t.Errorf("flush after recovery = %v with %d quarantined, want nil and 0", err, p.Quarantined())
 	}
-	s, ds := p.Stats(), d.Stats()
+	s, fs := p.Stats(), d.FaultStats()
 	if s.BreakerTrips != 1 || p.BreakerOpen() {
 		t.Errorf("BreakerTrips %d, open %v after recovery; want 1 and closed", s.BreakerTrips, p.BreakerOpen())
 	}
-	if ds.ReadFaults != s.ReadErrors {
-		t.Errorf("fault ledger out of balance: disk %d faults, pool %d errors", ds.ReadFaults, s.ReadErrors)
+	if fs.ReadFaults != s.ReadErrors {
+		t.Errorf("fault ledger out of balance: disk %d faults, pool %d errors", fs.ReadFaults, s.ReadErrors)
 	}
 	checkFrameInvariant(t, p)
 }
@@ -429,7 +434,7 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 
 	// A failing backend: the error surfaces and the page stays dirty.
 	pg.Data()[101] = 0x43
-	d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite}))
+	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite}))
 	if err := pg.FlushCtx(ctx); err == nil {
 		t.Fatal("FlushCtx succeeded against a failing disk")
 	}
@@ -496,7 +501,7 @@ func TestJoinFailedLoad(t *testing.T) {
 				func(p *Pool, a policy.PageID) error { _, err := p.FetchCtx(sampled, a); return err },
 			},
 			check: func(t *testing.T, errs []error) {
-				if !errors.Is(errs[0], storage.ErrInjectedFault) {
+				if !errors.Is(errs[0], storagetest.ErrInjectedFault) {
 					t.Errorf("coalesced FetchCtx = %v, want the loader's injected fault", errs[0])
 				}
 			},
@@ -512,7 +517,7 @@ func TestJoinFailedLoad(t *testing.T) {
 				Metrics: Metrics{CoalesceWait: wait},
 				Spans:   spans,
 			})
-			d.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
+			d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
 
 			armed.Store(true)
 			loaded := make(chan error, 1)
@@ -534,7 +539,7 @@ func TestJoinFailedLoad(t *testing.T) {
 			armed.Store(false)
 			close(gate)
 
-			if err := <-loaded; !errors.Is(err, storage.ErrInjectedFault) {
+			if err := <-loaded; !errors.Is(err, storagetest.ErrInjectedFault) {
 				t.Fatalf("loader error = %v, want injected fault", err)
 			}
 			errs := make([]error, len(results))

@@ -87,7 +87,7 @@ func (f *fakeNode) serve(c net.Conn, id int) {
 	defer c.Close()
 	br := bufio.NewReader(c)
 	for {
-		payload, err := wire.ReadFrame(br, wire.MaxFrameDefault)
+		payload, _, err := wire.ReadFrameInto(br, nil, wire.MaxFrameDefault)
 		if err != nil {
 			return
 		}
@@ -117,7 +117,9 @@ func (f *fakeNode) serve(c net.Conn, id int) {
 				resp.Body = []byte("record")
 			}
 		}
-		if wire.WriteFrame(c, wire.AppendResponse(nil, resp)) != nil {
+		frame := wire.AppendResponse(make([]byte, wire.FrameHeader), resp)
+		wire.SealFrame(frame)
+		if _, err := c.Write(frame); err != nil {
 			return
 		}
 	}

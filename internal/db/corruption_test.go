@@ -9,12 +9,13 @@ import (
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/file"
+	"repro/internal/storage/storagetest"
 )
 
 // durableCorrupter keeps the file store's DurableBackend face over the
 // corruption injector, so Open still sees a durable backend.
 type durableCorrupter struct {
-	*storage.Corrupter
+	*storagetest.Corrupter
 	durable storage.DurableBackend
 }
 
@@ -31,7 +32,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupter := storage.WithCorruption(store)
+	corrupter := storagetest.WithCorruption(store)
 	database, err := Open(Config{
 		Backend:           durableCorrupter{corrupter, store},
 		Frames:            16,
@@ -54,7 +55,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	// injection has demonstrably happened (the plan is seeded, but which
 	// write-back trips it depends on pool state; the loop makes the test
 	// deterministic in outcome).
-	corrupter.SetCorruption(storage.NewCorruptPlan(3, storage.CorruptRule{Probability: 0.25}))
+	corrupter.SetCorruption(storagetest.NewCorruptPlan(3, storagetest.CorruptRule{Probability: 0.25}))
 	rng := stats.NewRNG(99)
 	for i := 0; i < 200 && corrupter.CorruptStats().Injected == 0; i++ {
 		id := int64(rng.Intn(200))

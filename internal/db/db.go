@@ -22,7 +22,6 @@ import (
 	"repro/internal/heapfile"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
 )
@@ -597,60 +596,4 @@ func (db *DB) ResidentByClass() (index, data int) {
 		}
 	}
 	return index, data
-}
-
-// Example11Result reports one run of the Example 1.1 workload.
-type Example11Result struct {
-	K             int
-	Frames        int
-	Lookups       int
-	HitRatio      float64
-	ResidentIndex int
-	ResidentData  int
-	DiskReads     uint64
-	ServiceMicros int64
-}
-
-// RunExample11 executes the paper's Example 1.1 end to end: load
-// customers, then perform random lookups through the index, and report
-// how the pool's residency split between index and data pages. With K=1
-// roughly half the frames end up holding data pages; with K=2 the index
-// pages (each 100x more frequently referenced than any data page) win the
-// frames.
-func RunExample11(cfg Config, customers, lookups int, seed uint64) (Example11Result, error) {
-	db, err := Open(cfg)
-	if err != nil {
-		return Example11Result{}, err
-	}
-	defer db.Close()
-	if err := db.LoadCustomers(customers); err != nil {
-		return Example11Result{}, err
-	}
-	// Measure from a cold-ish start: count only the lookup phase.
-	preHits := db.PoolStats().Hits
-	preMisses := db.PoolStats().Misses
-	r := stats.NewRNG(seed)
-	for i := 0; i < lookups; i++ {
-		id := int64(r.Intn(customers))
-		if _, err := db.Lookup(id); err != nil {
-			return Example11Result{}, err
-		}
-	}
-	s := db.PoolStats()
-	hits := s.Hits - preHits
-	misses := s.Misses - preMisses
-	ri, rd := db.ResidentByClass()
-	res := Example11Result{
-		K:             db.cfg.K,
-		Frames:        cfg.Frames,
-		Lookups:       lookups,
-		ResidentIndex: ri,
-		ResidentData:  rd,
-	}
-	disk := db.backend.Stats()
-	res.DiskReads, res.ServiceMicros = disk.Reads, disk.ServiceMicros
-	if total := hits + misses; total > 0 {
-		res.HitRatio = float64(hits) / float64(total)
-	}
-	return res, nil
 }

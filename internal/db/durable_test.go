@@ -15,6 +15,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/file"
+	"repro/internal/storage/storagetest"
 )
 
 // openDurable assembles a database over a file-backed durable store rooted
@@ -596,4 +597,58 @@ func TestDurableUpdateUnderEviction(t *testing.T) {
 	for id, fill := range acked {
 		checkCustomer(t, d2, id, fill)
 	}
+}
+
+// TestInjectedWriteFaultOverDurableStore: a fault plan composes over the
+// durable file store without hiding that it is durable. The database over
+// the fault wrapper runs durable; an update whose flush is faulted fails
+// with the injected error, once, and the pool's error ledger matches the
+// injector's; the key's next update is acknowledged, and a reopen attaches
+// and reads that acknowledged fill.
+func TestInjectedWriteFaultOverDurableStore(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	const customers, key = 100, 7
+	store, err := file.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := storagetest.WithFaults(store)
+	d, err := Open(Config{Frames: 12, Backend: faulty})
+	if err != nil {
+		store.Close()
+		t.Fatal(err)
+	}
+	if _, durable := d.Recovery(); !durable {
+		d.Close()
+		t.Fatal("db over the fault wrapper on a file store does not run durable")
+	}
+	if err := d.LoadCustomers(customers); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	faulty.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	if err := d.UpdateCustomerCtx(ctx, key, 0xA1); !errors.Is(err, storagetest.ErrInjectedFault) {
+		t.Fatalf("update through a faulted flush = %v, want the injected fault", err)
+	}
+	if faults, errs := faulty.FaultStats().WriteFaults, d.PoolStats().WriteErrors; faults != 1 || errs != faults {
+		t.Errorf("%d write faults, %d pool write errors; want 1 and equal", faults, errs)
+	}
+	if err := d.UpdateCustomerCtx(ctx, key, 0xB2); err != nil {
+		t.Fatalf("update after the fault budget: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := openDurable(t, dir)
+	defer d2.Close()
+	if !d2.Attached() {
+		t.Fatal("reopened db did not attach")
+	}
+	checkCustomer(t, d2, key, 0xB2)
 }

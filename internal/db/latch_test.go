@@ -10,6 +10,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // tornRecord reads each heap page from b, which must not be written
@@ -88,7 +89,7 @@ func TestFlushAllRacingUpdatesWritesWholeRecords(t *testing.T) {
 // of the page's other record runs.
 func TestScrubRewriteRacingUpdateWritesWholeRecords(t *testing.T) {
 	inner := sim.New(sim.ServiceModel{})
-	corrupter := storage.WithCorruption(inner)
+	corrupter := storagetest.WithCorruption(inner)
 	d, err := Open(Config{Frames: 16, Backend: corrupter})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +101,8 @@ func TestScrubRewriteRacingUpdateWritesWholeRecords(t *testing.T) {
 	ctx := context.Background()
 	page := d.customers.Pages()[0] // customers 0 and 1
 	for round := 0; round < 300; round++ {
-		corrupter.SetCorruption(storage.NewCorruptPlan(1,
-			storage.CorruptRule{Pages: []policy.PageID{page}, Count: 1, Unrepairable: true}))
+		corrupter.SetCorruption(storagetest.NewCorruptPlan(1,
+			storagetest.CorruptRule{Pages: []policy.PageID{page}, Count: 1, Unrepairable: true}))
 		if err := d.UpdateCustomerCtx(ctx, 0, byte(round)); err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // TestCloseIdempotentAndFenced: Close flushes, stops background work, and
@@ -97,7 +98,7 @@ func TestFlushAllCtxHonoursDeadline(t *testing.T) {
 // ErrDiskUnavailable until it heals.
 func TestDBRetryAndBreakerWiring(t *testing.T) {
 	leakcheck.Check(t)
-	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
 	d, err := Open(Config{
 		Frames:  16,
 		Backend: faulty,
@@ -120,7 +121,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 
 	// Total blackout: enough consecutive failures trip the breaker and
 	// lookups start failing fast.
-	faulty.SetFaults(storage.NewFaultPlan(4, storage.FaultRule{}))
+	faulty.SetFaults(storagetest.NewFaultPlan(4, storagetest.FaultRule{}))
 	tripped := false
 	for i := 0; i < 10000 && !tripped; i++ {
 		_, err := d.Lookup(int64(i % 64))
@@ -129,7 +130,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 		}
 		if errors.Is(err, bufferpool.ErrDiskUnavailable) {
 			tripped = true
-		} else if !errors.Is(err, storage.ErrInjectedFault) {
+		} else if !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("unexpected blackout error: %v", err)
 		}
 	}
@@ -160,7 +161,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 // of them and empties the quarantine.
 func TestQuarantineDrainsThroughDB(t *testing.T) {
 	leakcheck.Check(t)
-	faulty := storage.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
 	d, err := Open(Config{Frames: 4, Backend: faulty})
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +172,9 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 	}
 	// Exactly three write faults on any page: eviction pressure from the
 	// updates below quarantines some victims.
-	faulty.SetFaults(storage.NewFaultPlan(5, storage.FaultRule{Op: storage.OpWrite, Count: 3}))
+	faulty.SetFaults(storagetest.NewFaultPlan(5, storagetest.FaultRule{Op: storage.OpWrite, Count: 3}))
 	for i := int64(0); i < 16; i++ {
-		if err := d.UpdateCustomerCtx(context.Background(), i, byte(i)); err != nil && !errors.Is(err, storage.ErrInjectedFault) {
+		if err := d.UpdateCustomerCtx(context.Background(), i, byte(i)); err != nil && !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}

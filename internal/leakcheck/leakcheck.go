@@ -14,14 +14,22 @@ package leakcheck
 import (
 	"fmt"
 	"runtime"
-	"testing"
 	"time"
 )
+
+// T is the part of *testing.T that Check uses. Taking it rather than
+// *testing.T keeps the testing package out of binaries that link this
+// package for Wait.
+type T interface {
+	Helper()
+	Cleanup(func())
+	Error(args ...any)
+}
 
 // Check snapshots the current goroutine count and registers a cleanup that
 // fails t if, within the grace period, the count has not returned to the
 // baseline. Call it first in any test that starts background goroutines.
-func Check(t *testing.T) {
+func Check(t T) {
 	t.Helper()
 	base := runtime.NumGoroutine()
 	t.Cleanup(func() {

@@ -143,10 +143,10 @@ func TestTypedRefusalKeepsConnHealthy(t *testing.T) {
 			{Status: wire.StatusOK, Body: []byte("record!")},
 		}
 		for _, resp := range replies {
-			if _, err := wire.ReadFrame(br, wire.MaxFrameDefault); err != nil {
+			if _, _, err := wire.ReadFrameInto(br, nil, wire.MaxFrameDefault); err != nil {
 				return
 			}
-			if err := wire.WriteFrame(bw, wire.EncodeResponse(resp)); err != nil {
+			if _, err := bw.Write(replyFrame(resp)); err != nil {
 				return
 			}
 			if err := bw.Flush(); err != nil {

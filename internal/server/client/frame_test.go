@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -40,16 +41,17 @@ func (c *scriptConn) SetDeadline(t time.Time) error {
 
 func (c *scriptConn) Close() error { return nil }
 
+// replyFrame frames resp by hand: a big-endian payload length, then the
+// payload.
 func replyFrame(resp wire.Response) []byte {
-	var b bytes.Buffer
-	_ = wire.WriteFrame(&b, wire.EncodeResponse(resp))
-	return b.Bytes()
+	payload := wire.AppendResponse(nil, resp)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
 // TestRequestIsOneIdenticalWrite: for every op, traced and untraced, the
 // client puts exactly one Write on the connection and its bytes equal
-// WriteFrame(EncodeRequest(req)) — the reused in-place frame is the same
-// wire format an old server has always read.
+// AppendRequest(nil, req) behind a hand-written length prefix — the reused
+// in-place frame is the same wire format an old server has always read.
 func TestRequestIsOneIdenticalWrite(t *testing.T) {
 	view := wire.EncodeView(wire.View{Epoch: 2, Nodes: []wire.NodeAddr{{ID: "a", Addr: "h:1"}}})
 	reqs := []wire.Request{
@@ -81,16 +83,14 @@ func TestRequestIsOneIdenticalWrite(t *testing.T) {
 			if traced {
 				want.Trace = tc
 			}
-			var frame bytes.Buffer
-			if err := wire.WriteFrame(&frame, wire.EncodeRequest(want)); err != nil {
-				t.Fatal(err)
-			}
+			payload := wire.AppendRequest(nil, want)
+			frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 			if len(conn.writes) != i+1 {
 				t.Fatalf("traced=%v req %d (%v): %d writes so far, want %d (one per request)",
 					traced, i, req.Op, len(conn.writes), i+1)
 			}
-			if got := conn.writes[i]; !bytes.Equal(got, frame.Bytes()) {
-				t.Errorf("traced=%v req %d (%v):\\n sent %x\\n want %x", traced, i, req.Op, got, frame.Bytes())
+			if got := conn.writes[i]; !bytes.Equal(got, frame) {
+				t.Errorf("traced=%v req %d (%v):\\n sent %x\\n want %x", traced, i, req.Op, got, frame)
 			}
 		}
 		if len(conn.deadlines) != 0 {

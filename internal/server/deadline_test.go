@@ -9,8 +9,8 @@ import (
 	"repro/internal/bufferpool"
 	"repro/internal/core"
 	"repro/internal/leakcheck"
-	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // newDeadlineCtx returns a context reset to budget, as a connection's
@@ -154,7 +154,7 @@ func TestDeadlineCtxAbandonsCoalescedWait(t *testing.T) {
 		entered <- struct{}{}
 		<-gate
 	}})
-	id := storage.MustAllocate(d)
+	id := storagetest.MustAllocate(d)
 	p := bufferpool.New(d, 2, core.NewSyncReplacer(2, core.Options{}))
 
 	loaded := make(chan error, 1)

@@ -253,7 +253,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	if _, err := conn.Write([]byte{0x00, 0x10, 0x00, 0x00}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.ReadFrame(conn, wire.MaxFrameDefault)
+	payload, _, err := wire.ReadFrameInto(conn, nil, wire.MaxFrameDefault)
 	if err != nil {
 		t.Fatalf("reading rejection: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 	// The server closes its end afterwards.
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadFrame(conn, wire.MaxFrameDefault); err == nil {
+	if _, _, err := wire.ReadFrameInto(conn, nil, wire.MaxFrameDefault); err == nil {
 		t.Error("connection still open after protocol violation")
 	}
 }
@@ -471,10 +471,11 @@ func TestErrResponseStatusMapping(t *testing.T) {
 }
 
 // TestOldFramingInterop is the byte-compatibility check for the server's
-// in-place reply frames: a peer that frames the old way — WriteFrame over
-// EncodeRequest, prefix and payload arriving as separate writes — is
-// understood, and every reply on the wire is byte-identical to
-// WriteFrame(EncodeResponse(resp)), for OK bodies and typed refusals alike.
+// in-place reply frames: a peer that frames by hand — the big-endian
+// length prefix and the payload arriving as separate writes — is
+// understood, and every reply on the wire is byte-identical to the
+// hand-framed AppendResponse(nil, resp), for OK bodies and typed refusals
+// alike.
 func TestOldFramingInterop(t *testing.T) {
 	leakcheck.Check(t)
 	srv, database := startServer(t, db.Config{Frames: 32}, Config{}, 16)
@@ -499,20 +500,22 @@ func TestOldFramingInterop(t *testing.T) {
 		{wire.Request{Op: wire.OpGet, CustID: 999}, errResponse(lookupErr)},
 		{wire.Request{Op: wire.OpGet, CustID: 3}, wire.Response{Status: wire.StatusOK, Body: rec}},
 	} {
-		if err := wire.WriteFrame(conn, wire.EncodeRequest(tc.req)); err != nil { // two Writes
+		payload := wire.AppendRequest(nil, tc.req)
+		if _, err := conn.Write(binary.BigEndian.AppendUint32(nil, uint32(len(payload)))); err != nil {
 			t.Fatal(err)
 		}
-		var want bytes.Buffer
-		if err := wire.WriteFrame(&want, wire.EncodeResponse(tc.want)); err != nil {
+		if _, err := conn.Write(payload); err != nil {
 			t.Fatal(err)
 		}
-		got := make([]byte, want.Len())
+		body := wire.AppendResponse(nil, tc.want)
+		want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+		got := make([]byte, len(want))
 		if _, err := io.ReadFull(conn, got); err != nil {
 			t.Fatalf("%v %d: reading reply: %v", tc.req.Op, tc.req.CustID, err)
 		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%v %d: reply frame differs from WriteFrame(EncodeResponse):\n got %x\nwant %x",
-				tc.req.Op, tc.req.CustID, got[:min(len(got), 32)], want.Bytes()[:min(want.Len(), 32)])
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v %d: reply frame differs from the hand-framed response:\n got %x\nwant %x",
+				tc.req.Op, tc.req.CustID, got[:min(len(got), 32)], want[:min(len(want), 32)])
 		}
 	}
 }

@@ -57,7 +57,7 @@ func TestTailRescue(t *testing.T) {
 			if _, err := c.Write(frame); err != nil {
 				t.Fatal(err)
 			}
-			payload, err := wire.ReadFrame(c, wire.MaxFrameDefault)
+			payload, _, err := wire.ReadFrameInto(c, nil, wire.MaxFrameDefault)
 			if err != nil || wire.Status(payload[0]) != wire.StatusOK {
 				t.Fatalf("unsampled get: %v / %v", err, payload)
 			}

@@ -16,22 +16,22 @@ import (
 // payload that decodes must re-encode byte-identically (the header and
 // bodies have no redundant encodings).
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add(EncodeRequest(Request{Op: OpGet, CustID: 12345, Timeout: time.Second}))
-	f.Add(EncodeRequest(Request{Op: OpUpdate, CustID: -9, Fill: 0x7F}))
-	f.Add(EncodeRequest(Request{Op: OpScan}))
-	f.Add(EncodeRequest(Request{Op: OpStats}))
-	f.Add(EncodeRequest(Request{Op: OpFlush, Timeout: 30 * time.Second}))
-	f.Add(EncodeRequest(Request{Op: OpViewGet}))
-	f.Add(EncodeRequest(Request{Op: OpViewSet,
+	f.Add(AppendRequest(nil, Request{Op: OpGet, CustID: 12345, Timeout: time.Second}))
+	f.Add(AppendRequest(nil, Request{Op: OpUpdate, CustID: -9, Fill: 0x7F}))
+	f.Add(AppendRequest(nil, Request{Op: OpScan}))
+	f.Add(AppendRequest(nil, Request{Op: OpStats}))
+	f.Add(AppendRequest(nil, Request{Op: OpFlush, Timeout: 30 * time.Second}))
+	f.Add(AppendRequest(nil, Request{Op: OpViewGet}))
+	f.Add(AppendRequest(nil, Request{Op: OpViewSet,
 		View: EncodeView(View{Epoch: 2, Nodes: []NodeAddr{{ID: "a", Addr: "h:1"}}})}))
-	f.Add(EncodeRequest(Request{Op: OpRangeRead, Lo: 0, Hi: 4096, Timeout: time.Second}))
-	f.Add(EncodeRequest(Request{Op: OpRangeWrite,
+	f.Add(AppendRequest(nil, Request{Op: OpRangeRead, Lo: 0, Hi: 4096, Timeout: time.Second}))
+	f.Add(AppendRequest(nil, Request{Op: OpRangeWrite,
 		Entries: []RangeEntry{{Key: 1, Fill: 0xAA}, {Key: -7, Fill: 0}}}))
-	f.Add(EncodeRequest(Request{Op: OpGet, CustID: 12345,
+	f.Add(AppendRequest(nil, Request{Op: OpGet, CustID: 12345,
 		Trace: obs.TraceContext{TraceID: 0xdeadbeef, SpanID: 0xcafe, Sampled: true}}))
-	f.Add(EncodeRequest(Request{Op: OpRangeWrite, Entries: []RangeEntry{{Key: 1, Fill: 0xAA}},
+	f.Add(AppendRequest(nil, Request{Op: OpRangeWrite, Entries: []RangeEntry{{Key: 1, Fill: 0xAA}},
 		Trace: obs.TraceContext{TraceID: 1}}))
-	f.Add(EncodeRequest(Request{Op: OpScan, Trace: obs.TraceContext{TraceID: ^uint64(0), Sampled: true}}))
+	f.Add(AppendRequest(nil, Request{Op: OpScan, Trace: obs.TraceContext{TraceID: ^uint64(0), Sampled: true}}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpGet)})
 	f.Add([]byte{byte(OpGet) | 0x80, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -42,7 +42,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := EncodeRequest(req)
+		again := AppendRequest(nil, req)
 		if !bytes.Equal(again, data) {
 			t.Fatalf("decode(%x) = %+v, but re-encode = %x", data, req, again)
 		}
@@ -123,9 +123,7 @@ func FuzzDecodeRangeEntries(f *testing.F) {
 // allocate past the max-frame guard, and whatever reads back must carry
 // the advertised length.
 func FuzzReadFrame(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteFrame(&seed, []byte("hello"))
-	f.Add(seed.Bytes(), uint32(64))
+	f.Add(frameOf([]byte("hello")), uint32(64))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, uint32(16))
 	f.Add([]byte{0, 0, 0, 0}, uint32(0))
 	f.Add([]byte{0, 0, 0, 2, 0xAA}, uint32(1024))
@@ -133,7 +131,7 @@ func FuzzReadFrame(f *testing.F) {
 		if max > 1<<20 {
 			max %= 1 << 20 // keep worst-case allocation bounded in the harness
 		}
-		payload, err := ReadFrame(bytes.NewReader(data), max)
+		payload, _, err := ReadFrameInto(bytes.NewReader(data), nil, max)
 		if err != nil {
 			return
 		}
@@ -147,11 +145,9 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("payload %d bytes, frame advertised %d", len(payload), want)
 		}
 		// A read frame re-frames to the same bytes it consumed.
-		var out bytes.Buffer
-		if err := WriteFrame(&out, payload); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:4+len(payload)]) {
+		out := append(make([]byte, FrameHeader), payload...)
+		SealFrame(out)
+		if !bytes.Equal(out, data[:4+len(payload)]) {
 			t.Fatal("frame did not round-trip")
 		}
 	})
@@ -170,17 +166,16 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// FuzzReadFrameInto holds the buffer-reusing reader to ReadFrame's
-// contract and to its own: the same bytes yield the same payload or the
-// same kind of failure; an oversized prefix is refused before the buffer
-// grows or the body is read; a short stream errors; and a buffer reused
-// from a previous (longer, differently filled) frame never leaks that
-// frame's bytes into the payload.
+// FuzzReadFrameInto holds a read into a reused buffer to a read into a
+// fresh one (nil buf) and to its own contract: the same bytes yield the
+// same payload or the same kind of failure; an oversized prefix is refused
+// before the buffer grows or the body is read; a short stream errors; and
+// a buffer reused from a previous (longer, differently filled) frame never
+// leaks that frame's bytes into the payload.
 func FuzzReadFrameInto(f *testing.F) {
-	var seed bytes.Buffer
-	_ = WriteFrame(&seed, []byte("hello"))
-	f.Add(seed.Bytes(), uint32(64), uint8(0))
-	f.Add(seed.Bytes(), uint32(64), uint8(3))
+	seed := frameOf([]byte("hello"))
+	f.Add(seed, uint32(64), uint8(0))
+	f.Add(seed, uint32(64), uint8(3))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, uint32(16), uint8(8))
 	f.Add([]byte{0, 0, 0, 0}, uint32(0), uint8(200))
 	f.Add([]byte{0, 0, 0, 2, 0xAA}, uint32(1024), uint8(1))
@@ -189,7 +184,7 @@ func FuzzReadFrameInto(f *testing.F) {
 		if limit > 1<<20 {
 			limit %= 1 << 20 // keep worst-case allocation bounded in the harness
 		}
-		want, wantErr := ReadFrame(bytes.NewReader(data), limit)
+		want, _, wantErr := ReadFrameInto(bytes.NewReader(data), nil, limit)
 
 		// A buffer left over from an earlier frame, filled with a marker.
 		buf := bytes.Repeat([]byte{0xEE}, int(prior))
@@ -197,7 +192,7 @@ func FuzzReadFrameInto(f *testing.F) {
 		payload, newBuf, err := ReadFrameInto(src, buf, limit)
 
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("ReadFrameInto err = %v, ReadFrame err = %v", err, wantErr)
+			t.Fatalf("reused-buffer err = %v, fresh-buffer err = %v", err, wantErr)
 		}
 		if err != nil {
 			if payload != nil {
@@ -205,7 +200,7 @@ func FuzzReadFrameInto(f *testing.F) {
 			}
 			if errors.Is(err, ErrFrameTooLarge) {
 				if !errors.Is(wantErr, ErrFrameTooLarge) {
-					t.Fatalf("ReadFrame failed differently: %v", wantErr)
+					t.Fatalf("fresh-buffer read failed differently: %v", wantErr)
 				}
 				if src.n != FrameHeader {
 					t.Fatalf("oversized frame: %d bytes consumed, want only the %d-byte prefix", src.n, FrameHeader)
@@ -217,7 +212,7 @@ func FuzzReadFrameInto(f *testing.F) {
 			return
 		}
 		if !bytes.Equal(payload, want) {
-			t.Fatalf("ReadFrameInto = %x, ReadFrame = %x", payload, want)
+			t.Fatalf("reused-buffer read = %x, fresh-buffer read = %x", payload, want)
 		}
 		if uint32(len(payload)) > limit {
 			t.Fatalf("reader returned %d bytes past the %d-byte guard", len(payload), limit)

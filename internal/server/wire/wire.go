@@ -196,22 +196,10 @@ const (
 	traceFlagSampled = 0x01
 )
 
-// WriteFrame writes one length-prefixed frame. Callers typically pass a
-// *bufio.Writer and flush after the response is complete.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [FrameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // SealFrame patches the length prefix of a frame built in one buffer:
 // frame[:FrameHeader] is the placeholder the caller reserved, the rest the
-// payload appended after it. The sealed buffer goes out in a single Write
-// and is byte-identical to WriteFrame(payload).
+// payload appended after it. The sealed buffer — a big-endian payload
+// length, then the payload — goes out in a single Write.
 func SealFrame(frame []byte) {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-FrameHeader))
 }
@@ -225,12 +213,6 @@ func FrameLength(hdr []byte, max uint32) (uint32, error) {
 		return 0, fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, n, max)
 	}
 	return n, nil
-}
-
-// ReadFrame reads one frame into a fresh buffer the caller owns.
-func ReadFrame(r io.Reader, max uint32) ([]byte, error) {
-	payload, _, err := ReadFrameInto(r, nil, max)
-	return payload, err
 }
 
 // ReadFrameInto reads one frame into buf's storage, growing it only when
@@ -329,9 +311,6 @@ func AppendRequest(dst []byte, req Request) []byte {
 	return dst
 }
 
-// EncodeRequest encodes the request payload.
-func EncodeRequest(req Request) []byte { return AppendRequest(nil, req) }
-
 // DecodeRequest decodes a request payload. Unknown ops, short bodies, and
 // trailing garbage all fail with ErrBadRequest.
 func DecodeRequest(p []byte) (Request, error) {
@@ -416,9 +395,6 @@ func AppendResponse(dst []byte, resp Response) []byte {
 	dst = append(dst, byte(resp.Status))
 	return append(dst, resp.Body...)
 }
-
-// EncodeResponse encodes the response payload.
-func EncodeResponse(resp Response) []byte { return AppendResponse(nil, resp) }
 
 // DecodeResponse decodes a response payload.
 func DecodeResponse(p []byte) (Response, error) {

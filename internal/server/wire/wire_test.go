@@ -28,7 +28,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpRangeWrite},
 	}
 	for _, want := range cases {
-		got, err := DecodeRequest(EncodeRequest(want))
+		got, err := DecodeRequest(AppendRequest(nil, want))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Op, err)
 		}
@@ -49,7 +49,7 @@ func TestRequestTraceRoundTrip(t *testing.T) {
 			Trace: obs.TraceContext{TraceID: 3, SpanID: 4, Sampled: true}},
 	}
 	for _, want := range cases {
-		p := EncodeRequest(want)
+		p := AppendRequest(nil, want)
 		if p[0]&0x80 == 0 {
 			t.Fatalf("%v: traced frame lacks the 0x80 op flag", want.Op)
 		}
@@ -67,7 +67,7 @@ func TestRequestTraceRoundTrip(t *testing.T) {
 // pre-tracing format, so old peers keep decoding untraced traffic.
 func TestUntracedFrameBackwardCompatible(t *testing.T) {
 	req := Request{Op: OpGet, CustID: 42, Timeout: time.Second}
-	got := EncodeRequest(req)
+	got := AppendRequest(nil, req)
 	want := append([]byte{byte(OpGet), 0, 0, 0, 0, 0, 0, 0x03, 0xe8}, // 1000 ms
 		0, 0, 0, 0, 0, 0, 0, 42) // cust-id
 	if !bytes.Equal(got, want) {
@@ -83,7 +83,7 @@ func TestUntracedFrameBackwardCompatible(t *testing.T) {
 func TestTracedFrameLayout(t *testing.T) {
 	req := Request{Op: OpGet, CustID: 42,
 		Trace: obs.TraceContext{TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00, Sampled: true}}
-	p := EncodeRequest(req)
+	p := AppendRequest(nil, req)
 	if p[0] != byte(OpGet)|0x80 {
 		t.Fatalf("op byte = %#02x, want OpGet|0x80", p[0])
 	}
@@ -103,7 +103,7 @@ func TestTracedFrameLayout(t *testing.T) {
 }
 
 func TestDecodeRequestRejectsBadTrace(t *testing.T) {
-	good := EncodeRequest(Request{Op: OpGet, CustID: 1,
+	good := AppendRequest(nil, Request{Op: OpGet, CustID: 1,
 		Trace: obs.TraceContext{TraceID: 7, SpanID: 8, Sampled: true}})
 	cases := map[string][]byte{
 		"short extension": good[:reqHeader+5],
@@ -130,7 +130,7 @@ func TestDecodeRequestRejectsBadTrace(t *testing.T) {
 
 func TestRequestSubMillisecondBudgetSurvives(t *testing.T) {
 	// A positive budget below 1ms must not encode as "no deadline".
-	got, err := DecodeRequest(EncodeRequest(Request{Op: OpScan, Timeout: 100 * time.Microsecond}))
+	got, err := DecodeRequest(AppendRequest(nil, Request{Op: OpScan, Timeout: 100 * time.Microsecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Status: StatusBusy, Body: []byte("queue full")},
 		{Status: StatusInternal, Body: nil},
 	} {
-		got, err := DecodeResponse(EncodeResponse(want))
+		got, err := DecodeResponse(AppendResponse(nil, want))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -190,16 +190,20 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// frameOf frames payload by hand — a big-endian length, then the payload
+// — the format SealFrame produces and ReadFrameInto reads.
+func frameOf(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("one"), {}, bytes.Repeat([]byte{0xEE}, 4096)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(frameOf(p))
 	}
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf, MaxFrameDefault)
+		got, _, err := ReadFrameInto(&buf, nil, MaxFrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,33 +211,30 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame round trip: got %d bytes, want %d", len(got), len(want))
 		}
 	}
-	if _, err := ReadFrame(&buf, MaxFrameDefault); err != io.EOF {
+	if _, _, err := ReadFrameInto(&buf, nil, MaxFrameDefault); err != io.EOF {
 		t.Errorf("read past end: err = %v, want io.EOF", err)
 	}
 }
 
 func TestReadFrameGuards(t *testing.T) {
 	// Oversized length prefix: rejected before the body is read.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrame(&buf, 64); !errors.Is(err, ErrFrameTooLarge) {
+	buf := bytes.NewBuffer(frameOf(make([]byte, 100)))
+	if _, _, err := ReadFrameInto(buf, nil, 64); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 
 	// A hostile prefix claiming 4 GiB must fail without reading a body.
 	r := strings.NewReader("\xff\xff\xff\xff")
-	if _, err := ReadFrame(r, MaxFrameDefault); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := ReadFrameInto(r, nil, MaxFrameDefault); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("hostile prefix: err = %v, want ErrFrameTooLarge", err)
 	}
 
 	// Truncated payload: io.ErrUnexpectedEOF, not a hang or panic.
-	if _, err := ReadFrame(strings.NewReader("\x00\x00\x00\x10abc"), MaxFrameDefault); err != io.ErrUnexpectedEOF {
+	if _, _, err := ReadFrameInto(strings.NewReader("\x00\x00\x00\x10abc"), nil, MaxFrameDefault); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated payload: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 	// Truncated header likewise.
-	if _, err := ReadFrame(strings.NewReader("\x00\x00"), MaxFrameDefault); err != io.ErrUnexpectedEOF {
+	if _, _, err := ReadFrameInto(strings.NewReader("\x00\x00"), nil, MaxFrameDefault); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated header: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -242,7 +243,7 @@ func TestReadFrameGuards(t *testing.T) {
 // frames of shrinking and growing sizes: each payload is exactly its
 // frame's bytes (nothing of the longer frame before it shows through), the
 // buffer is reallocated only when a payload outgrows it, and a frame built
-// with SealFrame reads back like one written with WriteFrame.
+// with SealFrame reads back like one framed by hand.
 func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	payloads := [][]byte{
 		bytes.Repeat([]byte{0xAA}, 40),
@@ -255,9 +256,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	var stream bytes.Buffer
 	for i, p := range payloads {
 		if i%2 == 0 {
-			if err := WriteFrame(&stream, p); err != nil {
-				t.Fatal(err)
-			}
+			stream.Write(frameOf(p))
 			continue
 		}
 		frame := append(make([]byte, FrameHeader), p...)

@@ -6,23 +6,24 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // corruptTestBackend wraps a fresh simulator in the corruption stage and
 // allocates the requested pages.
-func corruptTestBackend(t *testing.T, pages int) (*storage.Corrupter, []policy.PageID) {
+func corruptTestBackend(t *testing.T, pages int) (*storagetest.Corrupter, []policy.PageID) {
 	t.Helper()
-	c := storage.WithCorruption(sim.New(sim.ServiceModel{}))
+	c := storagetest.WithCorruption(sim.New(sim.ServiceModel{}))
 	ids := make([]policy.PageID, pages)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(c)
+		ids[i] = storagetest.MustAllocate(c)
 	}
 	return c, ids
 }
 
 func TestCorruptTaintAndDetect(t *testing.T) {
 	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Pages: []policy.PageID{ids[0]}}))
+	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{Pages: []policy.PageID{ids[0]}}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -48,7 +49,7 @@ func TestCorruptTaintAndDetect(t *testing.T) {
 
 func TestCorruptOverwriteClears(t *testing.T) {
 	c, ids := corruptTestBackend(t, 1)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Count: 1, Unrepairable: true}))
+	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{Count: 1, Unrepairable: true}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -71,9 +72,9 @@ func TestCorruptOverwriteClears(t *testing.T) {
 
 func TestCorruptRepairPage(t *testing.T) {
 	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storage.NewCorruptPlan(1,
-		storage.CorruptRule{Pages: []policy.PageID{ids[0]}, Count: 1},
-		storage.CorruptRule{Pages: []policy.PageID{ids[1]}, Count: 1, Unrepairable: true},
+	c.SetCorruption(storagetest.NewCorruptPlan(1,
+		storagetest.CorruptRule{Pages: []policy.PageID{ids[0]}, Count: 1},
+		storagetest.CorruptRule{Pages: []policy.PageID{ids[1]}, Count: 1, Unrepairable: true},
 	))
 	buf := make([]byte, storage.PageSize)
 	for _, id := range ids {
@@ -102,7 +103,7 @@ func TestCorruptRepairPage(t *testing.T) {
 
 func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
 	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{
+	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{
 		Pages: []policy.PageID{ids[0]}, Kind: storage.CorruptMisdirect, Count: 1}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
@@ -124,7 +125,7 @@ func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
 // cleared, no double counting.
 func TestCorruptLedgerInvariant(t *testing.T) {
 	c, ids := corruptTestBackend(t, 8)
-	c.SetCorruption(storage.NewCorruptPlan(7, storage.CorruptRule{Probability: 0.3}))
+	c.SetCorruption(storagetest.NewCorruptPlan(7, storagetest.CorruptRule{Probability: 0.3}))
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < 500; i++ {
 		id := ids[i%len(ids)]
@@ -166,11 +167,11 @@ func (w *wrapErr) Unwrap() error { return w.err }
 // unrepairable.
 func TestRepairPassesThroughWrappers(t *testing.T) {
 	base := sim.New(sim.ServiceModel{})
-	corrupter := storage.WithCorruption(base)
-	stack := storage.WithFaults(corrupter)
-	id := storage.MustAllocate(stack)
+	corrupter := storagetest.WithCorruption(base)
+	stack := storagetest.WithFaults(corrupter)
+	id := storagetest.MustAllocate(stack)
 	buf := make([]byte, storage.PageSize)
-	corrupter.SetCorruption(storage.NewCorruptPlan(1, storage.CorruptRule{Count: 1}))
+	corrupter.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{Count: 1}))
 	if err := stack.Write(ctx, id, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestRepairPassesThroughWrappers(t *testing.T) {
 	if err := stack.Read(ctx, id, buf); err != nil {
 		t.Fatalf("read after the repair = %v, want nil", err)
 	}
-	if err := storage.WithFaults(base).RepairPage(ctx, id); !storage.IsCorrupt(err) {
+	if err := storagetest.WithFaults(base).RepairPage(ctx, id); !storage.IsCorrupt(err) {
 		t.Errorf("repair over the bare simulator = %v, want the page reported unrepairable", err)
 	}
 }
@@ -192,12 +193,12 @@ func TestRepairPassesThroughWrappers(t *testing.T) {
 // the fault wrapper and the simulator keeps fault charging (simulated
 // service time on faulted ops) alive.
 func TestCorruptChargeFaultDelegates(t *testing.T) {
-	var fc storage.FaultCharger = storage.WithCorruption(sim.New(sim.ServiceModel{}))
+	var fc storagetest.FaultCharger = storagetest.WithCorruption(sim.New(sim.ServiceModel{}))
 	fc.ChargeFault(0) // must not panic; delegation reaches the simulator
-	if _, ok := storage.WithCorruption(faultlessBackend{}).Backend.(storage.FaultCharger); ok {
+	if _, ok := storagetest.WithCorruption(faultlessBackend{}).Backend.(storagetest.FaultCharger); ok {
 		t.Fatal("test backend unexpectedly implements FaultCharger")
 	}
-	storage.WithCorruption(faultlessBackend{}).ChargeFault(0) // no-op, no panic
+	storagetest.WithCorruption(faultlessBackend{}).ChargeFault(0) // no-op, no panic
 }
 
 type faultlessBackend struct{ storage.Backend }

@@ -1,3 +1,6 @@
+// The tests of storagetest's injectors live beside the contract they wrap:
+// each drives a storagetest wrapper over a real backend (the simulated
+// disk, or the file store) through the storage.Backend interface.
 package storage_test
 
 import (
@@ -7,31 +10,33 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/storage"
+	"repro/internal/storage/file"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 var ctx = context.Background()
 
 // faultTestBackend wraps a fresh simulator in the fault stage and allocates
 // the requested pages.
-func faultTestBackend(t *testing.T, pages int) (*storage.Faulty, []policy.PageID) {
+func faultTestBackend(t *testing.T, pages int) (storagetest.Faulty, []policy.PageID) {
 	t.Helper()
 	return faultTestBackendModel(t, pages, sim.ServiceModel{})
 }
 
-func faultTestBackendModel(t *testing.T, pages int, model sim.ServiceModel) (*storage.Faulty, []policy.PageID) {
+func faultTestBackendModel(t *testing.T, pages int, model sim.ServiceModel) (storagetest.Faulty, []policy.PageID) {
 	t.Helper()
-	f := storage.WithFaults(sim.New(model))
+	f := storagetest.WithFaults(sim.New(model))
 	ids := make([]policy.PageID, pages)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(f)
+		ids[i] = storagetest.MustAllocate(f)
 	}
 	return f, ids
 }
 
 func TestFaultCountAndAfter(t *testing.T) {
 	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, After: 2, Count: 3}))
+	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, After: 2, Count: 3}))
 	buf := make([]byte, storage.PageSize)
 	var got []bool
 	for i := 0; i < 8; i++ {
@@ -49,19 +54,19 @@ func TestFaultCountAndAfter(t *testing.T) {
 			t.Fatalf("read %d faulted under a write-only rule: %v", i, err)
 		}
 	}
-	if s := m.Stats(); s.WriteFaults != 3 || s.ReadFaults != 0 || s.Writes != 5 || s.Reads != 8 {
-		t.Errorf("stats %+v, want 3 write faults, 5 writes, 8 reads", s)
+	if s, fs := m.Stats(), m.FaultStats(); fs.WriteFaults != 3 || fs.ReadFaults != 0 || s.Writes != 5 || s.Reads != 8 {
+		t.Errorf("stats %+v, faults %+v, want 3 write faults, 5 writes, 8 reads", s, fs)
 	}
 }
 
 func TestFaultPerPage(t *testing.T) {
 	m, ids := faultTestBackend(t, 2)
-	m.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Pages: []policy.PageID{ids[0]}}))
+	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Pages: []policy.PageID{ids[0]}}))
 	buf := make([]byte, storage.PageSize)
-	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, storage.ErrInjectedFault) {
+	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Errorf("read of targeted page: %v, want ErrInjectedFault", err)
 	}
-	if err := m.Write(ctx, ids[0], buf); !errors.Is(err, storage.ErrInjectedFault) {
+	if err := m.Write(ctx, ids[0], buf); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Errorf("write of targeted page: %v, want ErrInjectedFault", err)
 	}
 	if err := m.Read(ctx, ids[1], buf); err != nil {
@@ -75,7 +80,7 @@ func TestFaultPerPage(t *testing.T) {
 func TestFaultCustomError(t *testing.T) {
 	sentinel := errors.New("the head crashed")
 	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpRead, Err: sentinel}))
+	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Err: sentinel}))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, sentinel) {
 		t.Errorf("read error %v, want the rule's custom error", err)
@@ -89,7 +94,7 @@ func TestFaultCustomError(t *testing.T) {
 func TestFaultProbabilityDeterminism(t *testing.T) {
 	pattern := func(seed uint64) []bool {
 		m, ids := faultTestBackend(t, 8)
-		m.SetFaults(storage.NewFaultPlan(seed, storage.FaultRule{Probability: 0.3}))
+		m.SetFaults(storagetest.NewFaultPlan(seed, storagetest.FaultRule{Probability: 0.3}))
 		buf := make([]byte, storage.PageSize)
 		var out []bool
 		for i := 0; i < 200; i++ {
@@ -142,9 +147,9 @@ func TestFaultChargesServiceAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Stats()
-	m.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite}))
+	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite}))
 	copy(buf, []byte("doomed!!"))
-	if err := m.Write(ctx, id, buf); !errors.Is(err, storage.ErrInjectedFault) {
+	if err := m.Write(ctx, id, buf); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("write under always-fault rule: %v", err)
 	}
 	after := m.Stats()
@@ -174,9 +179,9 @@ func TestFaultRuleOrder(t *testing.T) {
 	first := errors.New("first")
 	second := errors.New("second")
 	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storage.NewFaultPlan(1,
-		storage.FaultRule{Op: storage.OpRead, Count: 1, Err: first},
-		storage.FaultRule{Op: storage.OpRead, Count: 1, Err: second},
+	m.SetFaults(storagetest.NewFaultPlan(1,
+		storagetest.FaultRule{Op: storage.OpRead, Count: 1, Err: first},
+		storagetest.FaultRule{Op: storage.OpRead, Count: 1, Err: second},
 	))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, first) {
@@ -192,7 +197,7 @@ func TestFaultRuleOrder(t *testing.T) {
 
 func TestSetFaultsDisarms(t *testing.T) {
 	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{}))
+	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{}))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); err == nil {
 		t.Fatal("armed plan did not fault")
@@ -200,5 +205,27 @@ func TestSetFaultsDisarms(t *testing.T) {
 	m.SetFaults(nil)
 	if err := m.Read(ctx, ids[0], buf); err != nil {
 		t.Errorf("disarmed backend still faulted: %v", err)
+	}
+}
+
+// TestFaultyIsDurableOnlyOverDurable: the fault wrapper forwards Recovery
+// when, and only when, the backend it wraps is durable, so a fault plan
+// over the file store leaves it durable and one over the simulated disk
+// does not make the disk look durable.
+func TestFaultyIsDurableOnlyOverDurable(t *testing.T) {
+	if _, ok := storagetest.WithFaults(sim.New(sim.ServiceModel{})).(storage.DurableBackend); ok {
+		t.Error("the fault wrapper over the simulated disk is a DurableBackend")
+	}
+	store, err := file.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	d, ok := storagetest.WithFaults(store).(storage.DurableBackend)
+	if !ok {
+		t.Fatal("the fault wrapper over the file store is not a DurableBackend")
+	}
+	if got, want := d.Recovery(), store.Recovery(); got != want {
+		t.Errorf("Recovery() = %+v through the wrapper, %+v from the store", got, want)
 	}
 }

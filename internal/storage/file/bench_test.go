@@ -11,6 +11,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/storage/sim"
+	"repro/internal/storage/storagetest"
 )
 
 // The backend benchmarks run the same page workload over the in-memory
@@ -37,7 +38,7 @@ func benchPages(b *testing.B, bk storage.Backend, n int) []policy.PageID {
 	ids := make([]policy.PageID, n)
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(bk)
+		ids[i] = storagetest.MustAllocate(bk)
 		buf[0] = byte(i)
 		if err := bk.Write(context.Background(), ids[i], buf); err != nil {
 			b.Fatal(err)
@@ -110,7 +111,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	id := storage.MustAllocate(s)
+	id := storagetest.MustAllocate(s)
 	buf := make([]byte, storage.PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 )
 
 var ctx = context.Background()
@@ -39,7 +40,7 @@ func pageImage(fill byte) []byte {
 func TestAllocateReadWriteRoundTrip(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	buf := make([]byte, storage.PageSize)
 	if err := s.Read(ctx, p, buf); err != nil {
 		t.Fatalf("read fresh page: %v", err)
@@ -69,7 +70,7 @@ func TestUnallocatedAndBadBuffer(t *testing.T) {
 	if err := s.Write(ctx, 99, buf); !errors.Is(err, storage.ErrPageNotAllocated) {
 		t.Errorf("write unallocated: %v", err)
 	}
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Read(ctx, p, make([]byte, 10)); err == nil {
 		t.Error("short read buffer accepted")
 	}
@@ -81,7 +82,7 @@ func TestUnallocatedAndBadBuffer(t *testing.T) {
 func TestDurableAcrossCleanClose(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	a, b := storage.MustAllocate(s), storage.MustAllocate(s)
+	a, b := storagetest.MustAllocate(s), storagetest.MustAllocate(s)
 	if err := s.Write(ctx, a, pageImage('a')); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestDurableAcrossCleanClose(t *testing.T) {
 func TestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	a, b := storage.MustAllocate(s), storage.MustAllocate(s)
+	a, b := storagetest.MustAllocate(s), storagetest.MustAllocate(s)
 	if err := s.Write(ctx, a, pageImage(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestCrashRecovery(t *testing.T) {
 func TestTornTailDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	a := storage.MustAllocate(s)
+	a := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, a, pageImage(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestTornTailDropped(t *testing.T) {
 func TestCorruptTailDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	a := storage.MustAllocate(s)
+	a := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, a, pageImage(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestCorruptTailDropped(t *testing.T) {
 func TestCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func readAllPages(t *testing.T, s *Store) map[policy.PageID][]byte {
 func TestRecoveryIdempotence(t *testing.T) {
 	origin := t.TempDir()
 	s := mustOpen(t, origin)
-	a, b := storage.MustAllocate(s), storage.MustAllocate(s)
+	a, b := storagetest.MustAllocate(s), storagetest.MustAllocate(s)
 	if err := s.Write(ctx, a, pageImage(11)); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestUndecodableFrameFailsOpen(t *testing.T) {
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir)
-			a := storage.MustAllocate(s)
+			a := storagetest.MustAllocate(s)
 			if err := s.Write(ctx, a, pageImage(1)); err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +410,7 @@ func TestConcurrentWritersAndCheckpoints(t *testing.T) {
 	const pages = 16
 	ids := make([]policy.PageID, pages)
 	for i := range ids {
-		ids[i] = storage.MustAllocate(s)
+		ids[i] = storagetest.MustAllocate(s)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -474,7 +475,7 @@ func TestConcurrentWritersAndCheckpoints(t *testing.T) {
 func TestContextCancelled(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	buf := make([]byte, storage.PageSize)
@@ -492,19 +493,19 @@ func TestDurableBackendInterface(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	var b storage.DurableBackend = s
-	f := storage.WithFaults(b)
-	f.SetFaults(storage.NewFaultPlan(1, storage.FaultRule{Op: storage.OpWrite, Count: 1}))
-	p := storage.MustAllocate(f)
+	f := storagetest.WithFaults(b)
+	f.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	p := storagetest.MustAllocate(f)
 	img := pageImage(1)
-	if err := f.Write(ctx, p, img); !errors.Is(err, storage.ErrInjectedFault) {
+	if err := f.Write(ctx, p, img); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("injected fault: %v", err)
 	}
 	if err := f.Write(ctx, p, img); err != nil {
 		t.Fatalf("write after fault budget: %v", err)
 	}
 	st := f.Stats()
-	if st.WriteFaults != 1 || st.Writes != 1 {
-		t.Errorf("faults/writes = %d/%d, want 1/1", st.WriteFaults, st.Writes)
+	if faults := f.FaultStats().WriteFaults; faults != 1 || st.Writes != 1 {
+		t.Errorf("faults/writes = %d/%d, want 1/1", faults, st.Writes)
 	}
 	// The faulted write never reached the WAL.
 	if st.WALAppends != 2 { // alloc record + one successful page record
@@ -666,7 +667,7 @@ func TestAllocRecordsReplayAsPrefix(t *testing.T) {
 func TestWriteAllocatesNothing(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	img := pageImage(0x5A)
 	write := func() {
 		img[0]++
@@ -697,7 +698,7 @@ func TestWriteBehindSyncsAtFlush(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	defer s.Close()
-	pages := []policy.PageID{storage.MustAllocate(s), storage.MustAllocate(s), storage.MustAllocate(s)}
+	pages := []policy.PageID{storagetest.MustAllocate(s), storagetest.MustAllocate(s), storagetest.MustAllocate(s)}
 	if err := s.Flush(ctx); err != nil { // publishes the allocations
 		t.Fatal(err)
 	}
@@ -766,7 +767,7 @@ func TestKilledStoreLosesOnlyTheLogBuffer(t *testing.T) {
 	behind := storage.WithWriteBehind(ctx)
 	var pages []policy.PageID
 	for range 6 {
-		pages = append(pages, storage.MustAllocate(s))
+		pages = append(pages, storagetest.MustAllocate(s))
 	}
 	acked := make(map[policy.PageID]byte)  // synchronously acknowledged, not overwritten
 	logged := make(map[policy.PageID]byte) // last image whose record reached the file
@@ -789,7 +790,7 @@ func TestKilledStoreLosesOnlyTheLogBuffer(t *testing.T) {
 		delete(acked, p)
 		slot[p] = fill
 	}
-	lost := storage.MustAllocate(s)
+	lost := storagetest.MustAllocate(s)
 	if err := s.Write(behind, lost, pageImage(0x77)); err != nil {
 		t.Fatal(err)
 	}
@@ -850,7 +851,7 @@ func TestKilledSlotWriteReplays(t *testing.T) {
 	defer s.Close()
 	var p policy.PageID
 	for range 4 {
-		p = storage.MustAllocate(s)
+		p = storagetest.MustAllocate(s)
 	}
 	if err := s.Write(ctx, p, pageImage(1)); err != nil {
 		t.Fatal(err)
@@ -900,7 +901,7 @@ func TestLogBufferBatchesSyscalls(t *testing.T) {
 	const n = 300
 	var last policy.PageID
 	for i := range n {
-		last = storage.MustAllocate(s)
+		last = storagetest.MustAllocate(s)
 		if err := s.Write(behind, last, pageImage(byte(i))); err != nil {
 			t.Fatal(err)
 		}
@@ -939,7 +940,7 @@ func TestSynchronousWriteIsOneWriteOneFsync(t *testing.T) {
 	defer s.Close()
 	pages := make([]policy.PageID, 4)
 	for i := range pages {
-		pages[i] = storage.MustAllocate(s)
+		pages[i] = storagetest.MustAllocate(s)
 	}
 	if err := s.wal.syncAll(); err != nil { // the allocations: idle from here
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 )
 
 // logged returns how many records the log has taken so far.
@@ -24,7 +25,7 @@ func logged(s *Store) uint64 { return s.Stats().WALAppends }
 func TestFirstImageBehindIsUnlogged(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	appends, bytes0 := logged(s), s.Stats().WALBytes
 	img := pageImage(0x61)
 	if err := s.Write(storage.WithWriteBehind(ctx), p, img); err != nil {
@@ -80,21 +81,21 @@ func TestLoggedImages(t *testing.T) {
 		setup func(t *testing.T, s *Store) (p policy.PageID, writeBehind bool)
 	}{
 		{"allocated before a checkpoint", func(t *testing.T, s *Store) (policy.PageID, bool) {
-			p := storage.MustAllocate(s)
+			p := storagetest.MustAllocate(s)
 			if err := s.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
 			return p, true
 		}},
 		{"second image", func(t *testing.T, s *Store) (policy.PageID, bool) {
-			p := storage.MustAllocate(s)
+			p := storagetest.MustAllocate(s)
 			if err := s.Write(behind, p, pageImage(0x01)); err != nil {
 				t.Fatal(err)
 			}
 			return p, true
 		}},
 		{"synchronous first image", func(t *testing.T, s *Store) (policy.PageID, bool) {
-			return storage.MustAllocate(s), false
+			return storagetest.MustAllocate(s), false
 		}},
 	}
 	for _, c := range cases {
@@ -133,7 +134,7 @@ func TestLoggedImages(t *testing.T) {
 func TestSyncAfterUnloggedImageFsyncsPageFile(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	fresh, other := storage.MustAllocate(s), storage.MustAllocate(s)
+	fresh, other := storagetest.MustAllocate(s), storagetest.MustAllocate(s)
 	if err := s.Write(ctx, other, pageImage(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestSyncAfterUnloggedImageFsyncsPageFile(t *testing.T) {
 	}
 	check("the next synchronous write", p0, l0, 0, 1)
 
-	behind := storage.MustAllocate(s)
+	behind := storagetest.MustAllocate(s)
 	if err := s.Write(storage.WithWriteBehind(ctx), behind, pageImage(6)); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestFirstImagesUnderConcurrency(t *testing.T) {
 	owned := make([][]policy.PageID, committers)
 	for g := range owned {
 		for range 4 {
-			owned[g] = append(owned[g], storage.MustAllocate(s))
+			owned[g] = append(owned[g], storagetest.MustAllocate(s))
 		}
 	}
 
@@ -334,7 +335,7 @@ func TestStaleLogOverNewCheckpoint(t *testing.T) {
 
 	var old []policy.PageID
 	for i := range 3 {
-		p := storage.MustAllocate(s)
+		p := storagetest.MustAllocate(s)
 		if err := s.Write(ctx, p, pageImage(byte(0x10+i))); err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestStaleLogOverNewCheckpoint(t *testing.T) {
 	}
 
 	syncs := s.Stats().WALSyncs
-	fresh := storage.MustAllocate(s)
+	fresh := storagetest.MustAllocate(s)
 	if err := s.Write(behind, fresh, pageImage(0xA1)); err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"syscall"
 
 	"repro/internal/policy"
-	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -220,11 +220,8 @@ func CorruptPages(dir string, n int, seed uint64) ([]policy.PageID, error) {
 	}
 	walF.Close()
 
-	rng := stats.NewRNG(seed)
-	for i := len(ids) - 1; i > 0; i-- {
-		j := int(rng.Uint64() % uint64(i+1))
-		ids[i], ids[j] = ids[j], ids[i]
-	}
+	rng := rand.New(rand.NewPCG(seed, 0))
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	if n < len(ids) {
 		ids = ids[:n]
 	}
@@ -238,7 +235,7 @@ func CorruptPages(dir string, n int, seed uint64) ([]policy.PageID, error) {
 	}
 	defer pages.Close()
 	for _, p := range ids {
-		off := int64(p)*slotSize + int64(rng.Uint64()%storage.PageSize)
+		off := int64(p)*slotSize + int64(rng.IntN(storage.PageSize))
 		var b [1]byte
 		if _, err := pages.ReadAt(b[:], off); err != nil && err != io.EOF {
 			return nil, fmt.Errorf("file: corrupt-pages: reading page %d: %w", p, err)

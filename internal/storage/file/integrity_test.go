@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 )
 
 // flipSlotByte mutilates one byte of page p's stored image directly in the
@@ -30,7 +31,7 @@ func flipSlotByte(t *testing.T, s *Store, p policy.PageID, off int64) {
 func TestReadDetectsBitRot(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(0x5A)); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestReadDetectsBitRot(t *testing.T) {
 func TestReadDetectsTrailerRot(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(0x77)); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestReadDetectsTrailerRot(t *testing.T) {
 func TestReadDetectsMisdirectedWrite(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	a, b := storage.MustAllocate(s), storage.MustAllocate(s)
+	a, b := storagetest.MustAllocate(s), storagetest.MustAllocate(s)
 	if err := s.Write(ctx, a, pageImage(0xAA)); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestReadDetectsMisdirectedWrite(t *testing.T) {
 func TestRepairPageFromWALTail(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	img := pageImage(0x42)
 	if err := s.Write(ctx, p, img); err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestRepairPageFromLogBuffer(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Flush(ctx); err != nil { // an empty log file
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRepairPageFromLogBuffer(t *testing.T) {
 func TestRepairPageKeepsLatestWALImage(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	for fill := byte(1); fill <= 3; fill++ {
 		if err := s.Write(ctx, p, pageImage(fill)); err != nil {
 			t.Fatal(err)
@@ -169,7 +170,7 @@ func TestRepairPageKeepsLatestWALImage(t *testing.T) {
 func TestRepairPageIntactIsNoop(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestRepairPageIntactIsNoop(t *testing.T) {
 func TestUnrepairableAfterCheckpoint(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(0x42)); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func dirContents(t *testing.T, dir string) map[string][]byte {
 func TestFreshStoreUsesTrailerFormat(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestFreshStoreUsesTrailerFormat(t *testing.T) {
 func TestOpenRefusesCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestOpenRefusesFreeList(t *testing.T) {
 func TestOpenRefusesOrphanedPageFile(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestOpenRefusesOrphanedPageFile(t *testing.T) {
 func TestTornMetaPublishFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	img := pageImage(0x66)
 	if err := s.Write(ctx, p, img); err != nil {
 		t.Fatal(err)
@@ -404,7 +405,7 @@ func TestMaxWALBytesForcesCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	base := s.Stats().Checkpoints
 	for i := 0; i < 8; i++ {
 		if err := s.Write(ctx, p, pageImage(byte(i))); err != nil {
@@ -433,7 +434,7 @@ func TestMaxWALBytesForcesCheckpoint(t *testing.T) {
 func TestWALBytesGaugeResets(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	if err := s.Write(ctx, p, pageImage(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +454,7 @@ func TestCorruptPagesHelperAndReplayHeals(t *testing.T) {
 	s := mustOpen(t, dir)
 	var ids []policy.PageID
 	for i := 0; i < 6; i++ {
-		p := storage.MustAllocate(s)
+		p := storagetest.MustAllocate(s)
 		ids = append(ids, p)
 		if err := s.Write(ctx, p, pageImage(byte(0x10+i))); err != nil {
 			t.Fatal(err)
@@ -495,7 +496,7 @@ func TestSparseSlotReadsZero(t *testing.T) {
 	defer s.Close()
 	// Allocate without writing: the slot is a hole (all-zero image, all-zero
 	// trailer), which must verify clean, not read as corruption.
-	p := storage.MustAllocate(s)
+	p := storagetest.MustAllocate(s)
 	buf := make([]byte, storage.PageSize)
 	if err := s.Read(ctx, p, buf); err != nil {
 		t.Fatalf("read of never-written page: %v", err)

@@ -14,8 +14,8 @@
 // optional ServiceModel.Delay hook injects real latency per operation
 // (outside every latch), letting benchmarks exercise a pool's ability to
 // overlap concurrent I/O. Fault injection lives in the
-// backend-agnostic storage.WithFaults wrapper; the manager implements
-// storage.FaultCharger so a faulted operation still costs arm time and
+// backend-agnostic storagetest.WithFaults wrapper; the manager implements
+// storagetest.FaultCharger so a faulted operation still costs arm time and
 // still runs the Delay hook.
 package sim
 
@@ -172,7 +172,7 @@ func (m *Manager) Write(_ context.Context, p policy.PageID, buf []byte) error {
 	return nil
 }
 
-// ChargeFault implements storage.FaultCharger: a failed I/O still costs
+// ChargeFault implements storagetest.FaultCharger: a failed I/O still costs
 // arm time, and charging runs the Delay hook, so tests can park a doomed
 // read like a successful one.
 func (m *Manager) ChargeFault(p policy.PageID) { m.charge(p) }
@@ -217,8 +217,8 @@ func (m *Manager) Close() error {
 
 // Stats returns a snapshot of cumulative activity. Under concurrent load
 // the counters are individually exact but not mutually consistent (they
-// are read without a global latch). Fault counters are maintained by the
-// storage.WithFaults wrapper, not here.
+// are read without a global latch). Injected faults are counted in the
+// storagetest.WithFaults wrapper's own ledger, not here.
 func (m *Manager) Stats() storage.Stats {
 	return storage.Stats{
 		Reads:         m.reads.Load(),

@@ -14,13 +14,14 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/storage"
+	"repro/internal/storage/storagetest"
 )
 
 var ctx = context.Background()
 
 func TestAllocateReadWrite(t *testing.T) {
 	m := New(ServiceModel{})
-	p := storage.MustAllocate(m)
+	p := storagetest.MustAllocate(m)
 	buf := make([]byte, PageSize)
 	if err := m.Read(ctx, p, buf); err != nil {
 		t.Fatalf("read fresh page: %v", err)
@@ -43,7 +44,7 @@ func TestAllocateReadWrite(t *testing.T) {
 
 func TestDistinctPages(t *testing.T) {
 	m := New(ServiceModel{})
-	a, b := storage.MustAllocate(m), storage.MustAllocate(m)
+	a, b := storagetest.MustAllocate(m), storagetest.MustAllocate(m)
 	if a == b {
 		t.Fatal("Allocate returned duplicate ids")
 	}
@@ -77,7 +78,7 @@ func TestUnallocatedAccess(t *testing.T) {
 
 func TestBadBufferSize(t *testing.T) {
 	m := New(ServiceModel{})
-	p := storage.MustAllocate(m)
+	p := storagetest.MustAllocate(m)
 	if err := m.Read(ctx, p, make([]byte, 10)); err == nil {
 		t.Error("short read buffer accepted")
 	}
@@ -116,7 +117,7 @@ func TestServiceModelSequentialDiscount(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	m := New(ServiceModel{})
-	p := storage.MustAllocate(m)
+	p := storagetest.MustAllocate(m)
 	buf := make([]byte, PageSize)
 	for i := 0; i < 3; i++ {
 		_ = m.Read(ctx, p, buf)
@@ -148,7 +149,7 @@ func TestConcurrentAccess(t *testing.T) {
 			buf := make([]byte, PageSize)
 			for i := 0; i < 1000; i++ {
 				if i%(1000/fresh) == 0 {
-					q := storage.MustAllocate(m)
+					q := storagetest.MustAllocate(m)
 					buf[0] = byte(i)
 					if err := m.Write(ctx, q, buf); err != nil {
 						t.Error(err)
@@ -230,7 +231,7 @@ func TestPagesLiveOffHeap(t *testing.T) {
 	defer m.Close()
 	buf := bytes.Repeat([]byte{0x5A}, PageSize)
 	for i := 0; i < pages; i++ {
-		if err := m.Write(ctx, storage.MustAllocate(m), buf); err != nil {
+		if err := m.Write(ctx, storagetest.MustAllocate(m), buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +248,7 @@ func TestPagesLiveOffHeap(t *testing.T) {
 // now owns; a second Close is a no-op.
 func TestClosedManagerRefusesOps(t *testing.T) {
 	old := New(ServiceModel{})
-	p := storage.MustAllocate(old)
+	p := storagetest.MustAllocate(old)
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestClosedManagerRefusesOps(t *testing.T) {
 	}
 	m := New(ServiceModel{})
 	defer m.Close()
-	q := storage.MustAllocate(m) // likely carved from old's chunk
+	q := storagetest.MustAllocate(m) // likely carved from old's chunk
 	junk := bytes.Repeat([]byte{0xEE}, PageSize)
 	if err := old.Write(ctx, p, junk); !errors.Is(err, errClosed) {
 		t.Errorf("write after Close: %v", err)
@@ -287,7 +288,7 @@ func TestCloseRacesReadWrite(t *testing.T) {
 	const pages = 64
 	m := New(ServiceModel{})
 	for i := 0; i < pages; i++ {
-		storage.MustAllocate(m)
+		storagetest.MustAllocate(m)
 	}
 	var closed atomic.Bool
 	var wg sync.WaitGroup
@@ -337,7 +338,7 @@ func TestUnclosedManagerReturnsChunks(t *testing.T) {
 	held := func() []uintptr {
 		m := New(ServiceModel{})
 		for i := 0; i < pages; i++ {
-			storage.MustAllocate(m)
+			storagetest.MustAllocate(m)
 		}
 		return chunkBases(m)
 	}()
@@ -365,7 +366,7 @@ func TestUnclosedManagerReturnsChunks(t *testing.T) {
 	m := New(ServiceModel{})
 	defer m.Close()
 	for i := 0; i < pages; i++ {
-		storage.MustAllocate(m)
+		storagetest.MustAllocate(m)
 	}
 	if n := mapped.Load() - before; n != 0 {
 		t.Errorf("second manager mapped %d new chunks with %d spare, want 0", n, len(held))
@@ -390,7 +391,7 @@ func TestRecycledChunksReadAsZeros(t *testing.T) {
 	a := New(ServiceModel{})
 	junk := bytes.Repeat([]byte{0xEE}, PageSize)
 	for i := 0; i < pages; i++ {
-		if err := a.Write(ctx, storage.MustAllocate(a), junk); err != nil {
+		if err := a.Write(ctx, storagetest.MustAllocate(a), junk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -409,7 +410,7 @@ func TestRecycledChunksReadAsZeros(t *testing.T) {
 		return img
 	}
 	for i := 0; i < pages; i++ {
-		p := storage.MustAllocate(b)
+		p := storagetest.MustAllocate(b)
 		if p%3 == 0 {
 			if err := b.Write(ctx, p, image(p)); err != nil {
 				t.Fatal(err)
@@ -447,7 +448,7 @@ func TestRecycledChunksReadAsZeros(t *testing.T) {
 func TestOpsAllocateNothing(t *testing.T) {
 	m := New(ServiceModel{})
 	defer m.Close()
-	written, fresh := storage.MustAllocate(m), storage.MustAllocate(m)
+	written, fresh := storagetest.MustAllocate(m), storagetest.MustAllocate(m)
 	buf := make([]byte, PageSize)
 	for name, op := range map[string]func() error{
 		"Write":          func() error { return m.Write(ctx, written, buf) },

@@ -1,8 +1,8 @@
 // Package storage defines the page-storage seam of the stack: the Backend
 // interface every page store implements, the shared Stats ledger, the
-// page-to-stripe hash (StripeIndex), and two test injectors that wrap any
-// backend: deterministic fault injection (WithFaults) and silent corruption
-// (WithCorruption).
+// typed corruption error and Repairer seam, and the page-to-stripe hash
+// (StripeIndex). The test injectors that wrap a backend (fault and
+// corruption injection) live in storage/storagetest.
 //
 // Two backends exist: storage/sim, the in-memory simulated disk the paper's
 // experiments run on, and storage/file, a durable page file with a
@@ -10,7 +10,7 @@
 // pool, the db layer, and the observability assembly depend only on the
 // interface. The pool is the one caller of Read and Write and gates each
 // call itself (circuit breaker, latency histograms, disk spans), so
-// nothing wraps a serving backend; the injectors compose over either one.
+// nothing wraps a serving backend.
 package storage
 
 import (
@@ -34,19 +34,12 @@ const DefaultStripes = 32
 // life.
 var ErrPageNotAllocated = errors.New("storage: page not allocated")
 
-// Stats reports cumulative backend activity. The fault counters are
-// maintained by the WithFaults wrapper; the WAL and checkpoint counters are
-// zero on backends without a log (the simulator).
+// Stats reports cumulative backend activity. The WAL and checkpoint
+// counters are zero on backends without a log (the simulator).
 type Stats struct {
 	Reads     uint64
 	Writes    uint64
 	Allocated uint64
-	// ReadFaults and WriteFaults count operations failed by an armed
-	// FaultPlan. Faulted operations transfer no data and are not counted
-	// in Reads/Writes, but on the simulator they still cost service time
-	// (the arm still moved).
-	ReadFaults  uint64
-	WriteFaults uint64
 	// ServiceMicros is the total simulated service time of all operations
 	// (simulator only; wall latency of either backend is the pool's disk
 	// read and write histograms).
@@ -165,13 +158,36 @@ func StripeIndex(p policy.PageID, n int) int {
 	return int((z ^ (z >> 31)) & uint64(n-1))
 }
 
-// MustAllocate allocates a page and panics on failure. Tests and setup
-// code over the simulated backend (whose Allocate cannot fail) use it to
-// keep allocation loops terse.
-func MustAllocate(b Backend) policy.PageID {
-	p, err := b.Allocate()
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
+// Op identifies a class of storage operations: the buffer pool's I/O gate
+// names the attempt it makes with it, and storagetest's fault rules match
+// on it.
+type Op uint8
+
+const (
+	// OpRead matches Backend.Read.
+	OpRead Op = 1 << iota
+	// OpWrite matches Backend.Write.
+	OpWrite
+	// OpAllocate matches Backend.Allocate. It is deliberately outside
+	// OpAny: allocation faults (a full device, most usefully injected as
+	// ErrNoSpace) must be opted into explicitly so page-transfer storms
+	// keep their exact read/write ledgers.
+	OpAllocate
+)
+
+// OpAny matches every page-transfer storage operation (reads and writes).
+const OpAny = OpRead | OpWrite
+
+// WithFaults returns inner unchanged.
+//
+// Deprecated: the fault injector is storagetest.WithFaults. This inert
+// pass-through remains only because the benchmark module's wrapper probe
+// calls it; it goes with that probe.
+func WithFaults(inner Backend) Backend { return inner }
+
+// WithCorruption returns inner unchanged.
+//
+// Deprecated: the corruption injector is storagetest.WithCorruption. This
+// inert pass-through remains only because the benchmark module's wrapper
+// probe calls it; it goes with that probe.
+func WithCorruption(inner Backend) Backend { return inner }
