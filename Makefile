@@ -74,7 +74,8 @@ bench-module:
 ## BenchmarkDurableSetup, the durable set-up (a fresh file store, 600
 ## customers at 404 frames, the first FlushAll) with its wal_fsyncs/op. The
 ## set-ups run 8 times each: the first pays the page faults of freshly
-## mapped disk chunks, later ones reuse them, as the benchmark's setup_s
+## mapped arena chunks (the disk's pages and the pool's frames), later ones
+## reuse them, as the benchmark's setup_s
 ## (the quickest of its set-ups) does. -cpu 1,2 runs each set-up at
 ## GOMAXPROCS 1 and 2, so the load's heap page writes are timed on one
 ## worker and on two, side by side. The paper's tables are golden files,
@@ -107,7 +108,10 @@ golden:
 ## the race detector (DESIGN.md §9); then, 20 times each under -race, the
 ## three write-backs that race in-place updates — a FlushAll loop, the
 ## scrubber's forced rewrite and a FLUSH over the wire — each of which
-## must write every record whole (DESIGN.md §8, the frame latch).
+## must write every record whole (DESIGN.md §8, the frame latch). Race
+## builds keep page memory (frames and simulated-disk pages) on the Go heap
+## (internal/storage/arena_race.go): the detector checks only heap
+## addresses, so that is why these runs still see races on frame bytes.
 chaos:
 	$(GO) vet ./internal/bufferpool/
 	$(GO) test -race -count=1 -timeout 300s -run TestChaosFaultStorm -v ./internal/bufferpool/

@@ -80,8 +80,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// authoritativeView returns the newest view held by any reachable node of
-// the spec, along with that node's address and record count.
+// authoritativeView returns the view of the first reachable spec node and
+// that node's record count, not the newest view: a node that missed a flip
+// answers with an older one. ROADMAP item 3 owns choosing the newest.
 func authoritativeView(ctx context.Context, spec wire.View) (wire.View, int, error) {
 	var lastErr error
 	for _, n := range spec.Nodes {

@@ -235,6 +235,7 @@ type Pool struct {
 	frames   []frame
 	shards   []shard
 	mask     uint64
+	mem      *frameMemory
 
 	freeMu sync.Mutex
 	free   []*frame
@@ -315,6 +316,7 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		frames:         make([]frame, numFrames),
 		shards:         make([]shard, cfg.shards),
 		mask:           uint64(cfg.shards - 1),
+		mem:            &frameMemory{make([][]byte, 0, (numFrames+storage.ChunkPages-1)/storage.ChunkPages)},
 		free:           make([]*frame, 0, numFrames),
 		quarantined:    make(map[policy.PageID]struct{}),
 		poisoned:       make(map[policy.PageID]storage.CorruptKind),
@@ -327,14 +329,55 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	for i := range p.shards {
 		p.shards[i].table = make(map[policy.PageID]*frame)
 	}
-	// One slab for every frame's image; the three-index slice caps each at
-	// its own page, so no append through Data() reaches a neighbour.
-	slab := make([]byte, numFrames*storage.PageSize)
+	// Frames are cut from arena chunks, uncleared (DESIGN.md §8); the
+	// three-index slice caps each at its own page, so no append through
+	// Data() reaches a neighbour.
 	for i := range p.frames {
-		p.frames[i].data = slab[i*storage.PageSize : (i+1)*storage.PageSize : (i+1)*storage.PageSize]
+		if i%storage.ChunkPages == 0 {
+			c, err := storage.TakeChunk()
+			if err != nil {
+				panic(fmt.Sprintf("bufferpool: frame memory: %v", err)) // out of memory
+			}
+			p.mem.chunks = append(p.mem.chunks, c)
+		}
+		off := i % storage.ChunkPages * storage.PageSize
+		p.frames[i].data = p.mem.chunks[i/storage.ChunkPages][off : off+storage.PageSize : off+storage.PageSize]
 		p.free = append(p.free, &p.frames[i])
 	}
+	runtime.SetFinalizer(p.mem, func(m *frameMemory) { storage.ReleaseChunks(m.chunks) })
 	return p
+}
+
+// frameMemory holds the chunks a pool's frames are cut from. Only the pool
+// points at it, and a Page holds *Pool, so its finalizer runs once the pool
+// and every handle are unreachable (runtime.AddCleanup needs go 1.24).
+type frameMemory struct{ chunks [][]byte }
+
+// releaseFrames, at Close, hands the frames' chunks back to the arena only if
+// every frame is free (freePop refuses a closed pool) or claimed here out of
+// its table and hot slot (tryClaim fails on a pin or a write-back). Else the
+// finalizer set in NewWithConfig does, once the pool is unreachable.
+func (p *Pool) releaseFrames() {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for id, f := range sh.table {
+			if f.tryClaim() {
+				delete(sh.table, id)
+				hotClear(sh, id, f)
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	p.freeMu.Lock()
+	n += len(p.free)
+	p.freeMu.Unlock()
+	if n == len(p.frames) {
+		runtime.SetFinalizer(p.mem, nil)
+		storage.ReleaseChunks(p.mem.chunks)
+	}
 }
 
 // BreakerOpen reports whether the disk circuit is open: misses and

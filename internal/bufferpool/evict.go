@@ -48,8 +48,8 @@ type deferredVictim struct {
 // as a candidate, so the next sweep that selects it retries the write-back,
 // as does every flush.
 func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
-	if f := p.freePop(); f != nil {
-		return f, nil
+	if f, err := p.freePop(); f != nil || err != nil {
+		return f, err
 	}
 	var (
 		werrs       []error
@@ -84,8 +84,8 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			examined++
 		} else {
 			// A failed load may have freed a frame since the first check.
-			if f := p.freePop(); f != nil {
-				return f, nil
+			if f, err := p.freePop(); f != nil || err != nil {
+				return f, err
 			}
 			if len(werrs) > 0 {
 				return nil, fmt.Errorf("bufferpool: no evictable victim could be written back: %w",

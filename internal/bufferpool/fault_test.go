@@ -21,6 +21,15 @@ func frameAccounting(p *Pool) (free, tabled int) {
 	p.freeMu.Lock()
 	free = len(p.free)
 	p.freeMu.Unlock()
+	if p.closed.Load() {
+		// Close claimed every unpinned resident frame out of the table
+		// (releaseFrames), and nothing unclaims it: those are free too.
+		for i := range p.frames {
+			if p.frames[i].pv.Load()&frameClaimBit != 0 {
+				free++
+			}
+		}
+	}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.RLock()

@@ -319,15 +319,20 @@ func (p *Pool) frameFor(id policy.PageID) *frame {
 	return f
 }
 
-func (p *Pool) freePop() *frame {
+// freePop takes a frame off the free list: nil when it is empty, ErrClosed
+// on a closed pool, so a miss that passed Close's fence installs nothing.
+func (p *Pool) freePop() (*frame, error) {
 	p.freeMu.Lock()
 	defer p.freeMu.Unlock()
+	if p.closed.Load() {
+		return nil, ErrClosed
+	}
 	if n := len(p.free); n > 0 {
 		f := p.free[n-1]
 		p.free = p.free[:n-1]
-		return f
+		return f, nil
 	}
-	return nil
+	return nil, nil
 }
 
 func (p *Pool) freePush(f *frame) {

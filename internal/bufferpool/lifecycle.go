@@ -29,8 +29,8 @@ func (p *Pool) Start() {
 // ErrClosed afterwards, and ScrubSweep examines nothing.
 // Close is idempotent — repeated calls return the first call's flush
 // result without flushing again.
-// In-flight operations that passed the fence complete normally; Close
-// does not wait for their pins to drop.
+// In-flight operations that passed the fence complete or fail with
+// ErrClosed; Close does not wait for their pins to drop (releaseFrames).
 func (p *Pool) Close() error {
 	p.lifeMu.Lock()
 	defer p.lifeMu.Unlock()
@@ -45,5 +45,6 @@ func (p *Pool) Close() error {
 	// internal path (the public FlushAll would now refuse us).
 	p.closed.Store(true)
 	p.closeErr = p.flushAll(context.Background())
+	p.releaseFrames()
 	return p.closeErr
 }

@@ -189,3 +189,34 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 		t.Errorf("quarantine holds %d pages after a clean FlushAll, want 0", q)
 	}
 }
+
+// TestOpenCloseRecyclesPageMemory opens, loads, reads and closes a database
+// over the simulated disk ten times at 404 frames. The pool's frames and the
+// disk's pages come from the process's page arena, and Close hands both
+// back, so no cycle after the first maps a new chunk.
+func TestOpenCloseRecyclesPageMemory(t *testing.T) {
+	const customers = 2000
+	var first int64
+	for cycle := range 10 {
+		d, err := Open(Config{Frames: 404, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.LoadCustomers(customers); err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(0); id < customers; id += 3 {
+			if _, err := d.Lookup(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if cycle == 0 {
+			first = storage.MappedChunks()
+		} else if n := storage.MappedChunks() - first; n != 0 {
+			t.Fatalf("cycle %d mapped %d new chunks, want 0 after the first", cycle, n)
+		}
+	}
+}

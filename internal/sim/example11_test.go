@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/db"
@@ -43,6 +44,27 @@ func TestExample11Discrimination(t *testing.T) {
 	// And it needs fewer disk reads for the same work.
 	if res2.DiskReads >= res1.DiskReads {
 		t.Errorf("LRU-2 disk reads %d not below LRU-1 %d", res2.DiskReads, res1.DiskReads)
+	}
+}
+
+// TestExample11Deterministic runs Example 1.1 four times with one seed, the
+// load's heap page writes on two workers: the results, simulated I/O time
+// included, must be equal, since the load's writes are not counted.
+func TestExample11Deterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := db.Config{Frames: 16, K: 2}
+	first, err := RunExample11(cfg, 2000, 5000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		again, err := RunExample11(cfg, 2000, 5000, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != first {
+			t.Fatalf("same seed, different results:\n%+v\n%+v", first, again)
+		}
 	}
 }
 

@@ -6,7 +6,8 @@
 // economics the paper builds on ([GRAYPUT]) are about exactly this trade:
 // memory buffers versus disk arm time.
 //
-// Pages live in memory outside the Go heap, addressed by id (chunk.go);
+// Pages live in chunks of the process's page arena (storage.TakeChunk),
+// outside the Go heap in normal builds, addressed by id (chunk.go);
 // durability is storage/file's job. The manager is safe for concurrent use,
 // and concurrently at that: pages are latched by stripes keyed by PageID
 // hash, the chunk table is read without a lock, and all counters are
@@ -107,7 +108,7 @@ func (m *Manager) locate(op string, p policy.PageID, s *stripe) ([]byte, *bool, 
 	if p < 0 || int64(p) >= m.mem.next.Load() {
 		return nil, nil, fmt.Errorf("%s page %d: %w", op, p, storage.ErrPageNotAllocated)
 	}
-	c, i := (*m.mem.table.Load())[p/pagesPerChunk], int(p%pagesPerChunk)
+	c, i := (*m.mem.table.Load())[p/storage.ChunkPages], int(p%storage.ChunkPages)
 	return c.mem[i*PageSize : (i+1)*PageSize], &c.written[i], nil
 }
 
