@@ -206,6 +206,62 @@ func TestLoadMatchesPerRecordInserts(t *testing.T) {
 	}
 }
 
+// TestLoadIndexImage pins the bytes a load leaves: after LoadCustomers and
+// FlushAll at 404 frames on the simulated disk, the SHA-256 of the index
+// pages in Pages order and of the whole disk in page-id order. Any change
+// to how the index is built that moves a page id, a node's fill or a byte
+// of a node shows here.
+func TestLoadIndexImage(t *testing.T) {
+	for _, c := range []struct {
+		n, indexPages int
+		index, disk   string
+	}{
+		{600, 4,
+			"6366ce8d9aaa840e84d9a29ec8f315e84c507692891d2f52edd4f7ba2f35854f",
+			"55e67aad28fc69f4224a57e6d173c98006a2ff869541e5d8e13274df41d80afb"},
+		{2000, 11,
+			"ea8af800559ad44f89027e912e812a7b300a260054f4fe805f5be32f02255521",
+			"202afc2b34da06f7a6637c5a858fd1568721e184e583559ac35be36a3cd06ce2"},
+		{20000, 100,
+			"28d2b0a9c07207a10a6c4492e0855d149f10f7512b5e86447e75854a229b3c8a",
+			"3a308cf73beb3b4fa73590823b6866a82b118a8a6eba4aff690e80e2a0e25ef5"},
+	} {
+		t.Run(fmt.Sprint("n=", c.n), func(t *testing.T) {
+			d, err := Open(Config{Frames: 404})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if err := d.LoadCustomers(c.n); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, storage.PageSize)
+			digest := func(ids []policy.PageID) string {
+				h := sha256.New()
+				for _, id := range ids {
+					if err := d.backend.Read(context.Background(), id, buf); err != nil {
+						t.Fatalf("reading page %d: %v", id, err)
+					}
+					h.Write(buf)
+				}
+				return fmt.Sprintf("%x", h.Sum(nil))
+			}
+			all := make([]policy.PageID, d.backend.NumPages())
+			for i := range all {
+				all[i] = policy.PageID(i)
+			}
+			pages := d.index.Pages()
+			if index, disk := digest(pages), digest(all); len(pages) != c.indexPages || index != c.index || disk != c.disk {
+				t.Errorf("%d index pages with SHA-256 %s, disk %s; want %d, %s, %s",
+					len(pages), index, disk, c.indexPages, c.index, c.disk)
+			}
+		})
+	}
+}
+
 // checkNoPins pins a fresh page in every frame at once, which succeeds only
 // if nothing earlier left a pin behind.
 func checkNoPins(t *testing.T, d *DB) {
