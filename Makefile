@@ -23,13 +23,13 @@ race:
 ## brute-force replacer over pin/unpin/evict/restore streams at a fuzzed
 ## seed, K, CRP and RIP, both ending in the victim-index invariant check;
 ## then the A0 and Belady oracles against their linear-scan transcriptions
-## at a fuzzed stream, capacity and β vector; then the B-tree against a map
-## at a fuzzed fanout and frame count over ascending appends mixed with
-## out-of-order inserts and duplicates, packed while it only appends (go
-## test takes one -fuzz target per run, hence four). Minimizing a new
-## interesting input is capped at 100 runs: Go's default allows 60 s per
-## input, which left two targets reading 0 execs/sec for most of their
-## 10 s budget.
+## at a fuzzed stream, capacity and β vector; then the B-tree builder
+## against a map at a fuzzed fanout and frame count over ascending keys at
+## fuzzed gaps, packed after every one, mixed with keys at or below the last
+## one that it must refuse unchanged (go test takes one -fuzz target per
+## run, hence four). Minimizing a new interesting input is capped at 100
+## runs: Go's default allows 60 s per input, which left two targets reading
+## 0 execs/sec for most of their 10 s budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUKMatchesFigure21 -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReplacersMatchBruteForce -fuzztime 10s -fuzzminimizetime 100x ./internal/core/

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/bufferpool"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -415,7 +416,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // and the two flushes (FlushAll, FlushAllCtx) stay because bench/ calls
 // Lookup, LookupCtx and FlushAll. *heapfile.File has 7: no Get or Scan
 // without a context, and no Update (FillCtx is the in-place write); Insert
-// and GetCtx stay for bench/'s layer probes.
+// and GetCtx stay for bench/'s layer probes. *btree.Tree has 8: one lookup
+// (GetCtx) and one write path, the Appender, with Insert kept as one
+// Append for bench/'s probes, so no general insert comes back unnoticed.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		cfg  any
@@ -475,6 +478,7 @@ func TestOptionSurface(t *testing.T) {
 		{&client.Client{}, 10},
 		{&db.DB{}, 19},
 		{&heapfile.File{}, 7},
+		{&btree.Tree{}, 8},
 	} {
 		if typ := reflect.TypeOf(c.v); typ.NumMethod() != c.want {
 			t.Errorf("%v has %d exported methods, want %d", typ, typ.NumMethod(), c.want)

@@ -4,15 +4,17 @@
 // buffer frames exactly as in the paper's motivating scenario.
 //
 // Keys are int64 (the CUST-ID of Example 1.1); values are heap-file RIDs.
-// The tree is a unique index: inserting an existing key replaces its
-// value. Keys are never removed, so nodes only ever split.
+// The tree is built, not grown: an Appender adds keys in ascending order at
+// its right edge, and nothing inserts, replaces or removes a key after.
+// Example 1.1's index is loaded once and then only read, and so is this
+// one.
 //
-// A key past the last key of a full node splits it at its right edge: a
-// leaf keeps all its entries and the new sibling starts with the key; an
-// internal node keeps all its children, the separator is promoted, and
-// the new sibling starts with no keys and the new child as its rightmost.
-// Any other key splits a full node at its middle. So an ascending load
-// fills every node off the right spine, as Example 1.1's index is "packed
+// The tree keeps its right spine, the open node at each level. A key past
+// a full leaf starts the next leaf and goes up the spine as its separator:
+// at each level it adds an entry to the open node or, if that is full,
+// opens a new node beside it with no keys and the new child as its
+// rightmost, and goes up again; past the top it grows a new root. So every
+// node off the right spine is full, as Example 1.1's index is "packed
 // full": 20,000 CUST-IDs take 99 leaves and a root.
 //
 // Node page layout (little-endian):
@@ -57,18 +59,20 @@ type Tree struct {
 	maxLeaf     int
 	maxInternal int
 	count       int
+	last        int64           // the largest key, once count > 0
+	spine       []policy.PageID // the open node at each level, leaf first; nil if appends are refused
 	pages       []policy.PageID // all node pages, for page classification
 }
 
 // New returns an empty tree over the pool with page-size-derived fanout
 // (204 leaf entries, 255 internal entries per 4 KByte node).
 func New(pool *bufferpool.Pool) (*Tree, error) {
-	return NewWithOrder(pool, maxLeafLimit, maxInternalLimit)
+	return newWithOrder(pool, maxLeafLimit, maxInternalLimit)
 }
 
-// NewWithOrder returns an empty tree with explicit fanout limits, used by
+// newWithOrder returns an empty tree with explicit fanout limits, used by
 // tests to force deep trees with few keys.
-func NewWithOrder(pool *bufferpool.Pool, maxLeaf, maxInternal int) (*Tree, error) {
+func newWithOrder(pool *bufferpool.Pool, maxLeaf, maxInternal int) (*Tree, error) {
 	if pool == nil {
 		return nil, errors.New("btree: nil pool")
 	}
@@ -85,6 +89,7 @@ func NewWithOrder(pool *bufferpool.Pool, maxLeaf, maxInternal int) (*Tree, error
 	}
 	initLeaf(pg.Data())
 	t.root = pg.ID()
+	t.spine = []policy.PageID{t.root}
 	t.pages = append(t.pages, t.root)
 	pg.Unpin(true)
 	return t, nil
@@ -94,6 +99,7 @@ func NewWithOrder(pool *bufferpool.Pool, maxLeaf, maxInternal int) (*Tree, error
 // pool's storage backend (a durable store after crash recovery). It walks
 // the tree breadth-first from root with the page-size-derived fanout,
 // rebuilding the node-page directory and the key count from the leaves.
+// The tree it returns takes no appends.
 func Attach(pool *bufferpool.Pool, root policy.PageID) (*Tree, error) {
 	if pool == nil {
 		return nil, errors.New("btree: nil pool")
@@ -234,22 +240,17 @@ func childFor(data []byte, k int64) policy.PageID {
 	return internalChild(data, lo)
 }
 
-// Get returns the RID stored under key; ok is false if absent.
-func (t *Tree) Get(key int64) (heapfile.RID, bool, error) {
-	return t.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get charged against ctx: every node visit on the root-to-leaf
-// path is a pool FetchCtx, so an expired deadline abandons the descent
-// (including a coalesced wait on another request's in-flight read) and
-// returns the context's error. Concurrent GetCtx calls are safe once the
-// tree is loaded; Insert requires external serialisation.
+// GetCtx returns the RID stored under key; ok is false if absent. Every
+// node visit on the root-to-leaf path is a pool FetchCtx, so an expired
+// deadline abandons the descent (including a coalesced wait on another
+// request's in-flight read) and returns the context's error. Concurrent
+// GetCtx calls are safe once the tree is built.
 //
 // Node bytes are read without the page latch (bufferpool.Page.Latch). That
-// holds only because nothing writes a node once the tree serves: Insert
-// and the Appender run on the one goroutine that loads the database before
-// it serves requests. A node writer that runs while the tree serves must
-// take the latch, and so must this.
+// holds only because nothing writes a node once the tree serves: the
+// Appender runs on the one goroutine that loads the database before it
+// serves requests, and the tree takes no other write. A node writer that
+// runs while the tree serves must take the latch, and so must this.
 func (t *Tree) GetCtx(ctx context.Context, key int64) (heapfile.RID, bool, error) {
 	id := t.root
 	for {
@@ -277,75 +278,24 @@ func (t *Tree) GetCtx(ctx context.Context, key int64) (heapfile.RID, bool, error
 	}
 }
 
-// splitResult reports an insert that split its node.
-type splitResult struct {
-	split bool
-	sep   int64         // smallest key of the new right sibling's subtree
-	right policy.PageID // the new right sibling
-}
-
-// Insert stores rid under key, replacing any existing value for key.
+// Insert appends key through a fresh Appender: one Append, with the
+// rightmost leaf pinned for that key alone.
+//
+// Deprecated: use an Appender. Insert exists only so the benchmark harness,
+// whose bench/probes.go calls it, still compiles. The next change to bench/
+// deletes it together with that call.
 func (t *Tree) Insert(key int64, rid heapfile.RID) error {
-	res, replaced, err := t.insert(t.root, key, rid)
-	if err != nil {
-		return err
-	}
-	if !replaced {
-		t.count++
-	}
-	if res.split {
-		// Grow a new root above the old one.
-		pg, err := t.pool.NewPage()
-		if err != nil {
-			return fmt.Errorf("btree: allocating new root: %w", err)
-		}
-		data := pg.Data()
-		initInternal(data)
-		setNumKeys(data, 1)
-		setInternalEntry(data, 0, res.sep, t.root)
-		setExtra(data, int64(res.right))
-		t.root = pg.ID()
-		t.pages = append(t.pages, t.root)
-		pg.Unpin(true)
-	}
-	return nil
+	a := t.NewAppender()
+	defer a.Close()
+	return a.Append(key, rid)
 }
 
-func (t *Tree) insert(id policy.PageID, key int64, rid heapfile.RID) (splitResult, bool, error) {
-	pg, err := t.pool.Fetch(id)
-	if err != nil {
-		return splitResult{}, false, fmt.Errorf("btree insert: %w", err)
-	}
-	data := pg.Data()
-	if isLeaf(data) {
-		res, replaced, err := t.insertLeaf(&pg, key, rid)
-		return res, replaced, err
-	}
-	child := childFor(data, key)
-	// Keep the parent pinned across the child insert: a split must come
-	// back to this very frame. A split therefore pins the root-to-leaf path
-	// and the new sibling, tree height + 1 frames.
-	res, replaced, err := t.insert(child, key, rid)
-	if err != nil {
-		pg.Unpin(false)
-		return splitResult{}, false, err
-	}
-	if !res.split {
-		pg.Unpin(false)
-		return splitResult{}, replaced, nil
-	}
-	up, err := t.insertInternal(&pg, res.sep, child, res.right)
-	return up, replaced, err
-}
-
-// Appender inserts ascending keys, the bulk load's path. It keeps the
-// rightmost leaf pinned and writes a key above every key in the tree into
-// it in place, as Insert would, with no descent. A full leaf, a smaller key
-// or an empty leaf goes through Insert, the one split implementation, and
-// the rightmost leaf is re-pinned. A full leaf splits at its right edge, so
-// an ascending load leaves every leaf but the last full. While an Appender
-// is open the tree must not be written any other way, and Close must run on
-// every exit.
+// Appender builds the tree from ascending keys, the bulk load's path. It
+// keeps the rightmost leaf pinned, writes each key into it in place, and
+// pins at most one other page. A key not above the last one is refused and
+// leaves the tree unchanged. An attached tree refuses every key, and so does
+// a tree whose last append failed part-way. While an Appender is open the
+// tree must not be written any other way, and Close must run on every exit.
 type Appender struct {
 	t      *Tree
 	leaf   bufferpool.Page
@@ -356,36 +306,93 @@ type Appender struct {
 // NewAppender returns an Appender over t, holding no pin yet.
 func (t *Tree) NewAppender() *Appender { return &Appender{t: t} }
 
-// Append stores rid under key.
+// Append stores rid under key, which must be above every key in the tree.
 func (a *Appender) Append(key int64, rid heapfile.RID) error {
-	if a.pinned {
-		data := a.leaf.Data()
-		if n := numKeys(data); n > 0 && n < a.t.maxLeaf && key > leafKey(data, n-1) {
-			setLeafEntry(data, n, key, rid)
-			setNumKeys(data, n+1)
-			a.t.count++
-			a.dirty = true
-			return nil
+	t := a.t
+	if t.spine == nil {
+		return errors.New("btree: the tree takes no appends: it was attached, or an append failed part-way")
+	}
+	if t.count > 0 && key <= t.last {
+		return fmt.Errorf("btree: key %d is not above the last key %d", key, t.last)
+	}
+	if !a.pinned {
+		pg, err := t.pool.Fetch(t.spine[0])
+		if err != nil {
+			return fmt.Errorf("btree append: %w", err)
 		}
-		a.Close()
+		a.leaf, a.pinned, a.dirty = pg, true, false
 	}
-	if err := a.t.Insert(key, rid); err != nil {
-		return err
+	if numKeys(a.leaf.Data()) == t.maxLeaf {
+		// Chain the full leaf to a new one, pin that in its place, and push
+		// key up the spine as the new leaf's separator.
+		pg, err := t.pool.NewPage()
+		if err != nil {
+			return fmt.Errorf("btree: allocating leaf: %w", err)
+		}
+		initLeaf(pg.Data())
+		setExtra(a.leaf.Data(), int64(pg.ID()))
+		a.leaf.Unpin(true)
+		a.leaf, a.dirty = pg, true
+		t.spine[0] = pg.ID()
+		t.pages = append(t.pages, pg.ID())
+		if err := t.push(key, pg.ID()); err != nil {
+			t.spine = nil // the new leaf has no separator, so stop building
+			return err
+		}
 	}
-	id := a.t.root
-	for {
-		pg, err := a.t.pool.Fetch(id)
+	data := a.leaf.Data()
+	n := numKeys(data)
+	setLeafEntry(data, n, key, rid)
+	setNumKeys(data, n+1)
+	a.dirty = true
+	t.count++
+	t.last = key
+	return nil
+}
+
+// push adds separator sep, with child as the new rightmost child, to the
+// open node one level up. A full open node stays as it is: a new node with
+// no keys and child as its rightmost opens beside it, and sep goes up a
+// level. Past the top, a new root holds sep between the old root and child.
+func (t *Tree) push(sep int64, child policy.PageID) error {
+	for level := 1; level < len(t.spine); level++ {
+		pg, err := t.pool.Fetch(t.spine[level])
 		if err != nil {
 			return fmt.Errorf("btree append: %w", err)
 		}
 		data := pg.Data()
-		if isLeaf(data) {
-			a.leaf, a.pinned, a.dirty = pg, true, false
+		if n := numKeys(data); n < t.maxInternal {
+			setInternalEntry(data, n, sep, policy.PageID(extra(data)))
+			setExtra(data, int64(child))
+			setNumKeys(data, n+1)
+			pg.Unpin(true)
 			return nil
 		}
-		id = policy.PageID(extra(data))
 		pg.Unpin(false)
+		if pg, err = t.pool.NewPage(); err != nil {
+			return fmt.Errorf("btree: allocating internal node: %w", err)
+		}
+		initInternal(pg.Data())
+		setExtra(pg.Data(), int64(child))
+		child = pg.ID()
+		t.spine[level] = child
+		t.pages = append(t.pages, child)
+		pg.Unpin(true)
 	}
+	pg, err := t.pool.NewPage()
+	if err != nil {
+		return fmt.Errorf("btree: allocating new root: %w", err)
+	}
+	data := pg.Data()
+	initInternal(data)
+	setNumKeys(data, 1)
+	setInternalEntry(data, 0, sep, t.root)
+	setExtra(data, int64(child))
+	t.root = pg.ID()
+	t.spine = append(t.spine, t.root)
+	t.pages = append(t.pages, t.root)
+	pg.Unpin(true)
+	return nil
 }
 
 // Close releases the pinned leaf. It is idempotent.
@@ -394,151 +401,6 @@ func (a *Appender) Close() {
 		a.leaf.Unpin(a.dirty)
 		a.pinned = false
 	}
-}
-
-// insertLeaf adds (key, rid) to a pinned leaf, splitting if necessary.
-// It unpins pg.
-func (t *Tree) insertLeaf(pg *bufferpool.Page, key int64, rid heapfile.RID) (splitResult, bool, error) {
-	data := pg.Data()
-	n := numKeys(data)
-	i := leafSearch(data, key)
-	if i < n && leafKey(data, i) == key {
-		setLeafEntry(data, i, key, rid)
-		pg.Unpin(true)
-		return splitResult{}, true, nil
-	}
-	if n < t.maxLeaf {
-		// Shift entries right and insert.
-		base := nodeHeader
-		copy(data[base+(i+1)*leafEntry:base+(n+1)*leafEntry], data[base+i*leafEntry:base+n*leafEntry])
-		setLeafEntry(data, i, key, rid)
-		setNumKeys(data, n+1)
-		pg.Unpin(true)
-		return splitResult{}, false, nil
-	}
-	// Split: gather all n+1 entries, give the upper half to a new leaf.
-	type entry struct {
-		key int64
-		rid heapfile.RID
-	}
-	entries := make([]entry, 0, n+1)
-	for j := 0; j < n; j++ {
-		entries = append(entries, entry{leafKey(data, j), leafRID(data, j)})
-	}
-	entries = append(entries, entry{})
-	copy(entries[i+1:], entries[i:n])
-	entries[i] = entry{key, rid}
-
-	newPg, err := t.pool.NewPage()
-	if err != nil {
-		pg.Unpin(false)
-		return splitResult{}, false, fmt.Errorf("btree: allocating leaf: %w", err)
-	}
-	newData := newPg.Data()
-	initLeaf(newData)
-	mid := (n + 1) / 2
-	if i == n {
-		mid = n // right edge: the full leaf keeps all it has
-	}
-	for j, e := range entries[:mid] {
-		setLeafEntry(data, j, e.key, e.rid)
-	}
-	setNumKeys(data, mid)
-	for j, e := range entries[mid:] {
-		setLeafEntry(newData, j, e.key, e.rid)
-	}
-	setNumKeys(newData, len(entries)-mid)
-	// Chain: new right sibling inherits the old next pointer.
-	setExtra(newData, extra(data))
-	setExtra(data, int64(newPg.ID()))
-
-	sep := entries[mid].key
-	right := newPg.ID()
-	t.pages = append(t.pages, right)
-	newPg.Unpin(true)
-	pg.Unpin(true)
-	return splitResult{split: true, sep: sep, right: right}, false, nil
-}
-
-// insertInternal adds separator sep for a split of child oldChild into
-// (oldChild, right) to a pinned internal node, splitting it if necessary.
-// It unpins pg.
-func (t *Tree) insertInternal(pg *bufferpool.Page, sep int64, oldChild, right policy.PageID) (splitResult, error) {
-	data := pg.Data()
-	n := numKeys(data)
-	// Position of the new separator: first index with key > sep.
-	pos := 0
-	for pos < n && internalKey(data, pos) <= sep {
-		pos++
-	}
-	if n < t.maxInternal {
-		base := nodeHeader
-		copy(data[base+(pos+1)*internalEntry:base+(n+1)*internalEntry],
-			data[base+pos*internalEntry:base+n*internalEntry])
-		setInternalEntry(data, pos, sep, oldChild)
-		if pos == n {
-			setExtra(data, int64(right))
-		} else {
-			// The entry after the new one pointed at oldChild; it now owns
-			// the new right sibling.
-			k := internalKey(data, pos+1)
-			setInternalEntry(data, pos+1, k, right)
-		}
-		setNumKeys(data, n+1)
-		pg.Unpin(true)
-		return splitResult{}, nil
-	}
-	// Split the internal node: materialise all n+1 entries plus rightmost.
-	type entry struct {
-		key   int64
-		child policy.PageID
-	}
-	entries := make([]entry, 0, n+1)
-	for j := 0; j < n; j++ {
-		entries = append(entries, entry{internalKey(data, j), internalChild(data, j)})
-	}
-	rightmost := policy.PageID(extra(data))
-	entries = append(entries, entry{})
-	copy(entries[pos+1:], entries[pos:n])
-	entries[pos] = entry{sep, oldChild}
-	if pos == n {
-		rightmost = right
-	} else {
-		entries[pos+1].child = right
-	}
-
-	total := n + 1
-	mid := total / 2
-	if pos == n {
-		mid = n // right edge: promote sep; the new node holds only right
-	}
-	promoted := entries[mid].key
-
-	newPg, err := t.pool.NewPage()
-	if err != nil {
-		pg.Unpin(false)
-		return splitResult{}, fmt.Errorf("btree: allocating internal node: %w", err)
-	}
-	newData := newPg.Data()
-	initInternal(newData)
-	// Left keeps entries[:mid] with the promoted entry's child as its
-	// rightmost; right gets entries[mid+1:] and the old rightmost.
-	for j, e := range entries[:mid] {
-		setInternalEntry(data, j, e.key, e.child)
-	}
-	setNumKeys(data, mid)
-	setExtra(data, int64(entries[mid].child))
-	for j, e := range entries[mid+1:] {
-		setInternalEntry(newData, j, e.key, e.child)
-	}
-	setNumKeys(newData, total-mid-1)
-	setExtra(newData, int64(rightmost))
-
-	newID := newPg.ID()
-	t.pages = append(t.pages, newID)
-	newPg.Unpin(true)
-	pg.Unpin(true)
-	return splitResult{split: true, sep: promoted, right: newID}, nil
 }
 
 // ScanRange visits keys in [from, to] in ascending order via the leaf
@@ -603,10 +465,7 @@ func (t *Tree) Height() (int, error) {
 			pg.Unpin(false)
 			return h, nil
 		}
-		id = internalChild(data, 0)
-		if numKeys(data) == 0 {
-			id = policy.PageID(extra(data))
-		}
+		id = policy.PageID(extra(data))
 		pg.Unpin(false)
 		h++
 	}

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"context"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -21,7 +23,7 @@ func newTree(t *testing.T, frames, maxLeaf, maxInternal int) *Tree {
 		pool.Close()
 		d.Close()
 	})
-	tr, err := NewWithOrder(pool, maxLeaf, maxInternal)
+	tr, err := newWithOrder(pool, maxLeaf, maxInternal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,16 +37,16 @@ func ridFor(k int64) heapfile.RID {
 func TestNewValidation(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
 	pool := bufferpool.New(d, 8, core.NewSyncReplacer(1, core.Options{}))
-	if _, err := NewWithOrder(nil, 4, 4); err == nil {
+	if _, err := newWithOrder(nil, 4, 4); err == nil {
 		t.Error("nil pool accepted")
 	}
-	if _, err := NewWithOrder(pool, 1, 4); err == nil {
+	if _, err := newWithOrder(pool, 1, 4); err == nil {
 		t.Error("leaf fanout 1 accepted")
 	}
-	if _, err := NewWithOrder(pool, 4, 1); err == nil {
+	if _, err := newWithOrder(pool, 4, 1); err == nil {
 		t.Error("internal fanout 1 accepted")
 	}
-	if _, err := NewWithOrder(pool, 100000, 4); err == nil {
+	if _, err := newWithOrder(pool, 100000, 4); err == nil {
 		t.Error("oversized leaf fanout accepted")
 	}
 	if _, err := New(pool); err != nil {
@@ -57,8 +59,8 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if _, ok, err := tr.Get(42); err != nil || ok {
-		t.Errorf("Get on empty = ok=%v err=%v", ok, err)
+	if _, ok, err := tr.GetCtx(context.Background(), 42); err != nil || ok {
+		t.Errorf("GetCtx on empty = ok=%v err=%v", ok, err)
 	}
 	if err := tr.ScanRange(0, 1<<62, func(int64, heapfile.RID) bool {
 		t.Error("ScanRange on empty tree visited a key")
@@ -72,8 +74,9 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertGetSmall(t *testing.T) {
+	ctx := context.Background()
 	tr := newTree(t, 16, 4, 4)
-	keys := []int64{50, 20, 80, 10, 30, 70, 90, 25, 27, 29}
+	keys := []int64{10, 20, 25, 27, 29, 30, 50, 70, 80, 90}
 	for _, k := range keys {
 		if err := tr.Insert(k, ridFor(k)); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)
@@ -83,35 +86,65 @@ func TestInsertGetSmall(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
 	}
 	for _, k := range keys {
-		rid, ok, err := tr.Get(k)
+		rid, ok, err := tr.GetCtx(ctx, k)
 		if err != nil || !ok {
-			t.Fatalf("Get(%d) = ok=%v err=%v", k, ok, err)
+			t.Fatalf("GetCtx(%d) = ok=%v err=%v", k, ok, err)
 		}
 		if rid != ridFor(k) {
-			t.Errorf("Get(%d) = %v, want %v", k, rid, ridFor(k))
+			t.Errorf("GetCtx(%d) = %v, want %v", k, rid, ridFor(k))
 		}
 	}
-	for _, k := range []int64{0, 15, 55, 100} {
-		if _, ok, _ := tr.Get(k); ok {
-			t.Errorf("Get(%d) found phantom key", k)
+	for _, k := range []int64{0, 15, 26, 28, 55, 100} {
+		if _, ok, _ := tr.GetCtx(ctx, k); ok {
+			t.Errorf("GetCtx(%d) found phantom key", k)
 		}
 	}
 }
 
+// TestInsertReplacesDuplicate: a key that is not above the last one, a
+// duplicate or a smaller key, is refused, through Insert and an Appender
+// alike, and the tree keeps its keys, their RIDs and its pages. An attached
+// tree refuses every key, even one above its last.
 func TestInsertReplacesDuplicate(t *testing.T) {
+	ctx := context.Background()
 	tr := newTree(t, 8, 4, 4)
-	if err := tr.Insert(7, heapfile.RID{Page: 1, Slot: 1}); err != nil {
+	for k := int64(1); k <= 7; k++ {
+		if err := tr.Insert(k, ridFor(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := tr.Pages()
+	a := tr.NewAppender()
+	defer a.Close()
+	for _, insert := range []func(int64, heapfile.RID) error{tr.Insert, a.Append} {
+		for _, k := range []int64{7, 3, -1} {
+			if err := insert(k, heapfile.RID{Page: 2, Slot: 2}); err == nil {
+				t.Errorf("key %d after key 7 was accepted", k)
+			}
+		}
+	}
+	if tr.Len() != 7 || !slices.Equal(tr.Pages(), pages) {
+		t.Errorf("Len %d over pages %v after refused keys, want 7 over %v", tr.Len(), tr.Pages(), pages)
+	}
+	for k := int64(1); k <= 7; k++ {
+		if rid, ok, err := tr.GetCtx(ctx, k); err != nil || !ok || rid != ridFor(k) {
+			t.Errorf("GetCtx(%d) = %v, %v, %v; want %v", k, rid, ok, err, ridFor(k))
+		}
+	}
+	// The refusals left the Appender able to go on.
+	if err := a.Append(8, ridFor(8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Insert(7, heapfile.RID{Page: 2, Slot: 2}); err != nil {
+	a.Close()
+	if rid, ok, err := tr.GetCtx(ctx, 8); err != nil || !ok || rid != ridFor(8) {
+		t.Errorf("GetCtx(8) = %v, %v, %v", rid, ok, err)
+	}
+	at, err := Attach(tr.pool, tr.Root())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d after duplicate insert", tr.Len())
-	}
-	rid, ok, _ := tr.Get(7)
-	if !ok || rid != (heapfile.RID{Page: 2, Slot: 2}) {
-		t.Errorf("Get = %v, %v", rid, ok)
+	if err := at.Insert(9, ridFor(9)); err == nil || at.Len() != 8 {
+		t.Errorf("Insert into an attached tree = %v, Len %d; want a refusal and 8", err, at.Len())
 	}
 }
 
@@ -119,10 +152,9 @@ func TestDeepTreeSplits(t *testing.T) {
 	// Tiny fanout forces many splits and a multi-level tree.
 	tr := newTree(t, 32, 3, 3)
 	const n = 500
-	perm := stats.NewRNG(5).Perm(n)
-	for _, k := range perm {
-		if err := tr.Insert(int64(k), ridFor(int64(k))); err != nil {
-			t.Fatalf("Insert(%d): %v", k, err)
+	for k := int64(0); k < n; k++ {
+		if err := tr.Insert(3*k, ridFor(3*k)); err != nil { // gaps between keys
+			t.Fatalf("Insert(%d): %v", 3*k, err)
 		}
 	}
 	if tr.Len() != n {
@@ -135,19 +167,18 @@ func TestDeepTreeSplits(t *testing.T) {
 	if h < 4 {
 		t.Errorf("Height = %d; fanout-3 tree with 500 keys should be deep", h)
 	}
-	for k := int64(0); k < n; k++ {
-		rid, ok, err := tr.Get(k)
-		if err != nil || !ok || rid != ridFor(k) {
-			t.Fatalf("Get(%d) = %v ok=%v err=%v", k, rid, ok, err)
+	for k := int64(0); k < 3*n; k++ {
+		rid, ok, err := tr.GetCtx(context.Background(), k)
+		if err != nil || ok != (k%3 == 0) || (ok && rid != ridFor(k)) {
+			t.Fatalf("GetCtx(%d) = %v ok=%v err=%v", k, rid, ok, err)
 		}
 	}
 }
 
 func TestScanRangeOrdered(t *testing.T) {
 	tr := newTree(t, 32, 4, 4)
-	keys := stats.NewRNG(9).Perm(300)
-	for _, k := range keys {
-		if err := tr.Insert(int64(k*2), ridFor(int64(k*2))); err != nil { // even keys only
+	for k := int64(0); k < 600; k += 2 { // even keys only
+		if err := tr.Insert(k, ridFor(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,36 +248,50 @@ func TestScanRangeOrdered(t *testing.T) {
 	}
 }
 
-// TestAgainstReferenceModel drives the tree and a map with random inserts
-// (fresh keys and replacements) and lookups, verifying contents and order
-// at the end.
+// TestAgainstReferenceModel drives the tree and a map with random appends
+// (ascending keys at random gaps), refused keys at or below the last one,
+// and lookups anywhere up to past the last key, verifying contents and
+// order at the end.
 func TestAgainstReferenceModel(t *testing.T) {
+	ctx := context.Background()
 	tr := newTree(t, 64, 5, 5)
+	a := tr.NewAppender()
+	defer a.Close()
 	ref := map[int64]heapfile.RID{}
 	r := stats.NewRNG(777)
+	last := int64(0)
 	for op := 0; op < 20000; op++ {
-		k := int64(r.Intn(2000))
+		rid := heapfile.RID{Page: policy.PageID(op), Slot: uint16(op % 50)}
 		switch r.Intn(4) {
-		case 0, 1: // insert
-			rid := heapfile.RID{Page: policy.PageID(op), Slot: uint16(op % 50)}
-			if err := tr.Insert(k, rid); err != nil {
-				t.Fatalf("op %d Insert(%d): %v", op, k, err)
+		case 0: // append
+			last += 1 + int64(r.Intn(3))
+			if err := a.Append(last, rid); err != nil {
+				t.Fatalf("op %d Append(%d): %v", op, last, err)
 			}
-			ref[k] = rid
+			ref[last] = rid
+		case 1: // refused: at or below the last key
+			if len(ref) == 0 {
+				break
+			}
+			if k := last - int64(r.Intn(int(last)+1)); a.Append(k, rid) == nil {
+				t.Fatalf("op %d: Append(%d) after %d accepted", op, k, last)
+			}
 		case 2, 3: // get
-			rid, ok, err := tr.Get(k)
+			k := int64(r.Intn(int(last) + 2))
+			rid, ok, err := tr.GetCtx(ctx, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantRID, wantOK := ref[k]
 			if ok != wantOK || (ok && rid != wantRID) {
-				t.Fatalf("op %d Get(%d) = %v,%v, want %v,%v", op, k, rid, ok, wantRID, wantOK)
+				t.Fatalf("op %d GetCtx(%d) = %v,%v, want %v,%v", op, k, rid, ok, wantRID, wantOK)
 			}
 		}
 		if tr.Len() != len(ref) {
 			t.Fatalf("op %d: Len %d, reference %d", op, tr.Len(), len(ref))
 		}
 	}
+	a.Close()
 	// Full ordered comparison via scan.
 	var scanKeys []int64
 	_ = tr.ScanRange(0, 1<<62, func(k int64, rid heapfile.RID) bool {
@@ -264,22 +309,34 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// TestQuickInsertLookup: any random key set round-trips and scans sorted.
+// TestQuickInsertLookup: any random key set, appended in order, round-trips
+// and the keys between its keys miss.
 func TestQuickInsertLookup(t *testing.T) {
+	ctx := context.Background()
 	f := func(raw []int16) bool {
 		tr := newTree(t, 64, 4, 4)
 		uniq := map[int64]bool{}
 		for _, k := range raw {
-			if err := tr.Insert(int64(k), ridFor(int64(k))); err != nil {
+			uniq[int64(k)] = true
+		}
+		keys := make([]int64, 0, len(uniq))
+		for k := range uniq {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			if err := tr.Insert(k, ridFor(k)); err != nil {
 				return false
 			}
-			uniq[int64(k)] = true
 		}
 		if tr.Len() != len(uniq) {
 			return false
 		}
-		for k := range uniq {
-			if _, ok, err := tr.Get(k); !ok || err != nil {
+		for _, k := range keys {
+			if rid, ok, err := tr.GetCtx(ctx, k); !ok || err != nil || rid != ridFor(k) {
+				return false
+			}
+			if _, ok, err := tr.GetCtx(ctx, k+1); err != nil || ok != uniq[k+1] {
 				return false
 			}
 		}
@@ -290,12 +347,12 @@ func TestQuickInsertLookup(t *testing.T) {
 	}
 }
 
-// TestSurvivesTinyPool: the tree works through constant eviction as long
-// as the pool can hold a root-to-leaf path plus split allocations.
+// TestSurvivesTinyPool: the tree is built and read through constant
+// eviction in two frames, the pinned leaf and one other page.
 func TestSurvivesTinyPool(t *testing.T) {
 	d := sim.New(sim.ServiceModel{})
-	pool := bufferpool.New(d, 8, core.NewSyncReplacer(2, core.Options{}))
-	tr, err := NewWithOrder(pool, 4, 4)
+	pool := bufferpool.New(d, 2, core.NewSyncReplacer(2, core.Options{}))
+	tr, err := newWithOrder(pool, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +363,9 @@ func TestSurvivesTinyPool(t *testing.T) {
 		}
 	}
 	for k := int64(0); k < n; k += 37 {
-		rid, ok, err := tr.Get(k)
+		rid, ok, err := tr.GetCtx(context.Background(), k)
 		if err != nil || !ok || rid != ridFor(k) {
-			t.Fatalf("Get(%d) = %v ok=%v err=%v", k, rid, ok, err)
+			t.Fatalf("GetCtx(%d) = %v ok=%v err=%v", k, rid, ok, err)
 		}
 	}
 	if pool.Stats().Evictions == 0 {

@@ -206,55 +206,22 @@ func TestRightEdgeSplitLeavesZeroKeyNode(t *testing.T) {
 	checkContents(t, tr, ref)
 }
 
-// TestOutOfOrderInsertSplitsAtMiddle: a key that lands inside a full leaf
-// of a packed tree splits it at its middle; the leaves around it keep
-// their keys.
-func TestOutOfOrderInsertSplitsAtMiddle(t *testing.T) {
-	for maxLeaf := 3; maxLeaf <= 6; maxLeaf++ {
-		tr := newTree(t, 64, maxLeaf, 4)
-		ref := map[int64]heapfile.RID{}
-		for k := int64(0); k < int64(8*maxLeaf); k += 2 { // even keys: 4 full leaves
-			if err := tr.Insert(k, ridFor(k)); err != nil {
-				t.Fatal(err)
-			}
-			ref[k] = ridFor(k)
-		}
-		checkPacked(t, tr)
-		// Key 1 lands second in the first leaf; 2*maxLeaf+1 second in the
-		// next (full) one.
-		for _, k := range []int64{1, int64(2*maxLeaf + 1)} {
-			if err := tr.Insert(k, ridFor(k)); err != nil {
-				t.Fatal(err)
-			}
-			ref[k] = ridFor(k)
-		}
-		lv := levels(t, tr)
-		var got []int
-		for _, nd := range lv[len(lv)-1] {
-			got = append(got, nd.keys)
-		}
-		half := (maxLeaf + 1) / 2
-		want := []int{half, maxLeaf + 1 - half, half, maxLeaf + 1 - half, maxLeaf, maxLeaf}
-		if !slices.Equal(got, want) {
-			t.Errorf("maxLeaf %d: leaf key counts %v, want %v", maxLeaf, got, want)
-		}
-		checkContents(t, tr, ref)
-	}
-}
-
-// FuzzTreeMatchesSortedMap drives a tree at a fuzzed fanout and frame
-// count with a stream of ascending appends, out-of-order inserts and
-// duplicates, through Insert or an Appender, and holds it to a map: Get
-// and Len after every step; ScanRange, Height and Attach at the end. While
-// the stream has only appended, the tree must also be packed.
+// FuzzTreeMatchesSortedMap drives the builder at a fuzzed fanout and frame
+// count, through Insert or an Appender, with ascending keys at fuzzed gaps
+// and keys at or below the last one, and holds it to a map. After every
+// accepted key the tree finds it, misses the gap below it and the key
+// above it, and is packed. A refused key leaves Len, Pages and its own
+// lookup as they were. At the end every key is found with its RID, and
+// ScanRange and Attach agree.
 func FuzzTreeMatchesSortedMap(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), false, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 0, 0})
-	f.Add(uint8(3), uint8(1), uint8(12), true, []byte("ascending appends, then an insert into a hole: \x02\x06\x0a"))
-	f.Add(uint8(1), uint8(2), uint8(4), true, []byte{4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 1, 5, 9, 3, 7, 11, 15, 19, 23})
+	f.Add(uint8(0), uint8(0), uint8(0), false, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 7, 0, 0})
+	f.Add(uint8(3), uint8(1), uint8(12), true, []byte("ascending keys at gaps, then refused ones: \x03\x07\x0b"))
+	f.Add(uint8(1), uint8(2), uint8(4), true, []byte{4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 3, 7, 11, 255, 1, 5, 9, 13})
 	f.Add(uint8(2), uint8(3), uint8(60), false, []byte{2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, leafSel, internalSel, frameSel uint8, appender bool, ops []byte) {
+		ctx := context.Background()
 		maxLeaf, maxInternal := 3+int(leafSel%4), 3+int(internalSel%4)
-		frames := 4 + int(frameSel%13)
+		frames := 2 + int(frameSel%15) // the pinned leaf and one other page at the least
 		tr := newTree(t, frames, maxLeaf, maxInternal)
 		a := tr.NewAppender()
 		defer a.Close()
@@ -263,49 +230,48 @@ func FuzzTreeMatchesSortedMap(f *testing.F) {
 			insert = a.Append
 		}
 		ref := map[int64]heapfile.RID{}
-		next, prefix := int64(0), true
+		last := int64(0)
 		for step, b := range ops[:min(len(ops), 300)] {
-			h, err := tr.Height()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h+1 > frames { // a split pins the root-to-leaf path and the new sibling
-				break
-			}
-			var key int64
-			switch b % 4 {
-			case 0, 1: // append above every key, leaving a gap now and then
-				next += 1 + int64(b>>7)
-				key = next
-			case 2: // out of order: anywhere up to the last key, a hole or not
-				key = int64(b>>2) * (next + 1) / 64
-				prefix = false
-			case 3: // a duplicate of the last key
-				key = next
-				prefix = false
-			}
 			rid := heapfile.RID{Page: policy.PageID(step), Slot: uint16(b)}
+			if b%4 == 3 && len(ref) > 0 { // at or below the last key: refused
+				key := last - int64(b>>2)
+				n, pages := tr.Len(), tr.Pages()
+				if err := insert(key, rid); err == nil {
+					t.Fatalf("step %d: key %d after %d accepted", step, key, last)
+				}
+				want, wantOK := ref[key]
+				if got, ok, err := tr.GetCtx(ctx, key); err != nil || ok != wantOK || got != want {
+					t.Fatalf("step %d: GetCtx(%d) after its refusal = %v, %v, %v; want %v, %v", step, key, got, ok, err, want, wantOK)
+				}
+				if tr.Len() != n || !slices.Equal(tr.Pages(), pages) {
+					t.Fatalf("step %d: a refused key moved Len %d -> %d, Pages %v -> %v", step, n, tr.Len(), pages, tr.Pages())
+				}
+				continue
+			}
+			gap := int64(b >> 2)
+			key := last + 1 + gap
 			if err := insert(key, rid); err != nil {
 				t.Fatalf("step %d key %d: %v", step, key, err)
 			}
-			ref[key] = rid
-			if got, ok, err := tr.Get(key); err != nil || !ok || got != rid {
-				t.Fatalf("step %d: Get(%d) = %v, %v, %v; want %v", step, key, got, ok, err, rid)
+			ref[key], last = rid, key
+			if got, ok, err := tr.GetCtx(ctx, key); err != nil || !ok || got != rid {
+				t.Fatalf("step %d: GetCtx(%d) = %v, %v, %v; want %v", step, key, got, ok, err, rid)
 			}
-			if _, ok, err := tr.Get(next + 1); err != nil || ok {
-				t.Fatalf("step %d: Get(%d) above every key = %v, %v", step, next+1, ok, err)
+			misses := []int64{key + 1}
+			if gap > 0 {
+				misses = append(misses, key-1)
+			}
+			for _, miss := range misses {
+				if _, ok, err := tr.GetCtx(ctx, miss); err != nil || ok {
+					t.Fatalf("step %d: GetCtx(%d) in a gap = %v, %v", step, miss, ok, err)
+				}
 			}
 			if tr.Len() != len(ref) {
 				t.Fatalf("step %d: Len %d, map %d", step, tr.Len(), len(ref))
 			}
-			if prefix {
-				checkPacked(t, tr)
-			}
+			checkPacked(t, tr)
 		}
 		a.Close()
 		checkContents(t, tr, ref)
-		if h, err := tr.Height(); err != nil || h < minHeight(len(ref), maxLeaf, maxInternal) {
-			t.Fatalf("Height = %d, %v; %d keys need at least %d levels", h, err, len(ref), minHeight(len(ref), maxLeaf, maxInternal))
-		}
 	})
 }

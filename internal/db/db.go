@@ -369,20 +369,23 @@ func (db *DB) Recovery() (storage.RecoveryInfo, bool) {
 	return db.durable.Recovery(), true
 }
 
-// minLoadFrames is the smallest pool LoadCustomers accepts: a leaf split
-// pins the root-to-leaf path and the new sibling, four frames at three
-// levels. The heap pages the load fills take no frame.
-const minLoadFrames = 4
+// minLoadFrames is the smallest pool LoadCustomers accepts: the index
+// builder pins the rightmost leaf and at most one other page, whatever the
+// index's height. The heap pages the load fills take no frame.
+const minLoadFrames = 2
 
 // LoadCustomers bulk-loads n customer records keyed 0..n-1 into a database
 // that holds none. Each record begins with its CUST-ID (8 bytes
 // little-endian) followed by filler. One heapfile.Load allocates the heap
 // pages in order, handing each record's RID to a btree.Appender in key
-// order, then builds and writes the heap pages on runtime.GOMAXPROCS(0)
-// goroutines; the pages, the index and the order of allocations are those
-// inserting each record would leave. Each heap page goes to disk once, past
-// the pool's frames, and is readable when LoadCustomers returns; a failed
-// heap page write fails the load, reported at the lowest failed page.
+// order, which builds the index at its right edge and packs every node off
+// it full; then it builds and writes the heap pages on
+// runtime.GOMAXPROCS(0) goroutines. The pages, the index and the order of
+// allocations are those inserting each record would leave. Each heap page
+// goes to disk once, past the pool's frames, and is readable when
+// LoadCustomers returns; a failed heap page write fails the load, reported
+// at the lowest failed page. The index is built once: nothing adds a key
+// after the load.
 func (db *DB) LoadCustomers(n int) error {
 	if db.closed.Load() {
 		return ErrClosed

@@ -519,9 +519,9 @@ func TestDurableUpdateUnderEviction(t *testing.T) {
 	// The customers whose record pages share latch stripe 0.
 	var hot []int64
 	for id := int64(0); id < customers; id++ {
-		rid, ok, err := d.index.Get(id)
+		rid, ok, err := d.index.GetCtx(context.Background(), id)
 		if err != nil || !ok {
-			t.Fatalf("index.Get(%d) = %v, %v", id, ok, err)
+			t.Fatalf("index.GetCtx(%d) = %v, %v", id, ok, err)
 		}
 		if uint64(rid.Page)%stripes == 0 {
 			hot = append(hot, id)

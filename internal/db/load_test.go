@@ -78,7 +78,9 @@ func TestLoadCustomersRefusesLoadedDatabase(t *testing.T) {
 
 // loadByInsert is the load as it was before heapfile.Load and the
 // btree.Appender, kept as their referee: one heap-file Insert and one
-// B-tree Insert per customer.
+// B-tree Insert per customer. Tree.Insert is now one Append through a
+// fresh Appender, so for the index bytes the referee is also
+// TestLoadIndexImage's recorded hashes, taken from the general insert.
 func loadByInsert(d *DB, n int) error {
 	rec := make([]byte, d.cfg.recordSize)
 	for id := int64(0); id < int64(n); id++ {
@@ -281,20 +283,24 @@ func checkNoPins(t *testing.T, d *DB) {
 	}
 }
 
-// TestLoadFrameMinimum pins the load's pool floor: a pool under four
-// frames is refused up front, naming the minimum, and four frames load a
-// two-level index.
+// TestLoadFrameMinimum pins the load's pool floor: a pool under two frames
+// is refused up front, naming the minimum, and two frames (the index
+// builder's pinned leaf and one other page) load a three-level index
+// through which every customer is found, and leave no pin behind.
 func TestLoadFrameMinimum(t *testing.T) {
-	for _, frames := range []int{2, 3, 4} {
+	// 60,000 keys fill 295 leaves, more than one internal node's 256
+	// children. 100-byte records keep the heap to 1,500 pages.
+	const n = 60000
+	for _, frames := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprint("frames=", frames), func(t *testing.T) {
-			d, err := Open(Config{Frames: frames})
+			d, err := Open(Config{Frames: frames, recordSize: 100})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			err = d.LoadCustomers(3000)
+			err = d.LoadCustomers(n)
 			if frames < minLoadFrames {
-				if err == nil || !strings.Contains(err.Error(), "at least 4 frames") || d.DataPages() != 0 {
+				if err == nil || !strings.Contains(err.Error(), "at least 2 frames") || d.DataPages() != 0 {
 					t.Fatalf("LoadCustomers at %d frames = %v with %d data pages, want a refusal naming the minimum before any page",
 						frames, err, d.DataPages())
 				}
@@ -303,8 +309,17 @@ func TestLoadFrameMinimum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h, err := d.index.Height(); err != nil || h != 2 {
-				t.Fatalf("index height %d (%v), want 2", h, err)
+			if h, err := d.index.Height(); err != nil || h != 3 {
+				t.Fatalf("index height %d (%v), want 3", h, err)
+			}
+			var dst []byte
+			for id := int64(0); id < n; id++ {
+				if dst, err = d.LookupAppendCtx(context.Background(), dst[:0], id); err != nil {
+					t.Fatalf("lookup %d: %v", id, err)
+				}
+				if got := int64(binary.LittleEndian.Uint64(dst)); got != id {
+					t.Fatalf("lookup %d found customer %d", id, got)
+				}
 			}
 			checkNoPins(t, d)
 		})
