@@ -89,8 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		k         = fs.Int("k", 2, "LRU-K history depth (1 = classical LRU)")
 		workers   = fs.Int("workers", 0, "execution slots: concurrent database operations (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "requests that may wait for a slot before BUSY (0 = 4x workers)")
-		drain     = fs.Duration("drain", 5*time.Second, "graceful drain window on shutdown")
-		maxReq    = fs.Duration("max-request-timeout", 30*time.Second, "cap on any request's time budget")
 		obsAddr   = fs.String("obs-addr", "", "observability HTTP address serving /metrics, /trace and /debug/pprof (empty = off)")
 		spanCap   = fs.Int("trace-spans", 0, "distributed-tracing span ring capacity (0 = tracing off)")
 		slowThr   = fs.Duration("trace-slow", 0, "tail-sample any request at least this slow (0 = off)")
@@ -118,7 +116,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		{"k", int64(*k), 1}, {"frames", int64(*frames), 1}, {"customers", int64(*customers), 1},
 		{"workers", int64(*workers), 0}, {"queue", int64(*queue), 0},
 		{"trace-spans", int64(*spanCap), 0}, {"max-wal-bytes", *maxWAL, 0},
-		{"drain", int64(*drain), 0}, {"max-request-timeout", int64(*maxReq), 0},
 		{"trace-slow", int64(*slowThr), 0}, {"scrub-interval", int64(*scrubIval), 0},
 	} {
 		if f.got < f.min {
@@ -246,16 +243,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	srv := server.New(database, server.Config{
-		Addr:              *addr,
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		DrainTimeout:      *drain,
-		MaxRequestTimeout: *maxReq,
-		Obs:               reg,
-		NodeID:            *nodeID,
-		View:              view,
-		Spans:             spanRec,
-		SlowThreshold:     *slowThr,
+		Addr:          *addr,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		Obs:           reg,
+		NodeID:        *nodeID,
+		View:          view,
+		Spans:         spanRec,
+		SlowThreshold: *slowThr,
 	})
 	if err := srv.Start(); err != nil {
 		fmt.Fprintln(stderr, "lrukd:", err)

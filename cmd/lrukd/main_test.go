@@ -362,8 +362,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"trace-slow", "-1ms", []string{"-trace-spans", "8"}},
 		{"scrub-interval", "-1s", nil},
 		{"max-wal-bytes", "-5", file},
-		{"drain", "-1s", nil},
-		{"max-request-timeout", "-1s", nil},
 	} {
 		code, stderr := reject(append([]string{"-" + c.flag, c.value}, c.with...))
 		if code != 2 || !strings.Contains(stderr, "-"+c.flag+" must be") {
@@ -382,10 +380,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // tests shrink it, through an unexported field); one of its 8 fields,
 // DiskRetry, is a deprecated declaration nothing reads, kept only for the
 // benchmark harness that still sets it. bufferpool.Config has no retry
-// posture: the pool makes one disk attempt per read or write, and a failed
-// write-back is retried by the next sweep or flush. core.Options holds the
-// two §2.1 periods and nothing else: no shard count and no clock, since
-// every LRU-K in the repository ticks once per reference.
+// posture (the pool makes one disk attempt per read or write, and a failed
+// write-back is retried by the next sweep or flush) and no page-table
+// partition count (the pool has one page table). server.Config has no drain
+// window and no request-budget cap: each had one value in use (5 s and
+// 30 s), so both are constants and lrukd has no flag for either.
+// core.Options holds the two §2.1 periods and nothing else: no shard count
+// and no clock, since every LRU-K in the repository ticks once per
+// reference.
 //
 // The replacer's surface is ratcheted the same way, by what its callers
 // use. bufferpool.Replacer has 4 methods: admission (RecordAccess) and
@@ -411,7 +413,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // the trace extension, so nothing has to fall back from it.
 //
 // The record layers have one form per operation where the benchmark
-// harness allows. *db.DB has 19 methods: the update and the scan take a
+// harness allows. *bufferpool.Pool has 16 methods: a fetch and a new page
+// take a context only, and FlushAll stays beside FlushAllCtx because bench/
+// calls it. *db.DB has 19 methods: the update and the scan take a
 // context only, and the three lookups (Lookup, LookupCtx, LookupAppendCtx)
 // and the two flushes (FlushAll, FlushAllCtx) stay because bench/ calls
 // Lookup, LookupCtx and FlushAll. *heapfile.File has 7: no Get or Scan
@@ -426,7 +430,7 @@ func TestOptionSurface(t *testing.T) {
 	}{
 		{db.Config{}, 8},
 		{bufferpool.Config{}, 5},
-		{server.Config{}, 10},
+		{server.Config{}, 8},
 		{cluster.Config{}, 1},
 		{cluster.RebalanceConfig{}, 4},
 		{core.Options{}, 2},
@@ -455,8 +459,8 @@ func TestOptionSurface(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 17 {
-		t.Errorf("lrukd defines %d flags, want 17; usage:\n%s", flags, stderr.String())
+	if flags != 15 {
+		t.Errorf("lrukd defines %d flags, want 15; usage:\n%s", flags, stderr.String())
 	}
 	for _, c := range []struct {
 		iface any
@@ -476,6 +480,7 @@ func TestOptionSurface(t *testing.T) {
 	}{
 		{&cluster.Client{}, 8},
 		{&client.Client{}, 10},
+		{&bufferpool.Pool{}, 16},
 		{&db.DB{}, 19},
 		{&heapfile.File{}, 7},
 		{&btree.Tree{}, 8},

@@ -83,7 +83,7 @@ func newWithOrder(pool *bufferpool.Pool, maxLeaf, maxInternal int) (*Tree, error
 		return nil, fmt.Errorf("btree: internal fanout %d outside [2, %d]", maxInternal, maxInternalLimit)
 	}
 	t := &Tree{pool: pool, maxLeaf: maxLeaf, maxInternal: maxInternal}
-	pg, err := pool.NewPage()
+	pg, err := pool.NewPageCtx(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("btree: allocating root: %w", err)
 	}
@@ -109,7 +109,7 @@ func Attach(pool *bufferpool.Pool, root policy.PageID) (*Tree, error) {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		pg, err := pool.Fetch(id)
+		pg, err := pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			return nil, fmt.Errorf("btree attach: %w", err)
 		}
@@ -316,7 +316,7 @@ func (a *Appender) Append(key int64, rid heapfile.RID) error {
 		return fmt.Errorf("btree: key %d is not above the last key %d", key, t.last)
 	}
 	if !a.pinned {
-		pg, err := t.pool.Fetch(t.spine[0])
+		pg, err := t.pool.FetchCtx(context.Background(), t.spine[0])
 		if err != nil {
 			return fmt.Errorf("btree append: %w", err)
 		}
@@ -325,7 +325,7 @@ func (a *Appender) Append(key int64, rid heapfile.RID) error {
 	if numKeys(a.leaf.Data()) == t.maxLeaf {
 		// Chain the full leaf to a new one, pin that in its place, and push
 		// key up the spine as the new leaf's separator.
-		pg, err := t.pool.NewPage()
+		pg, err := t.pool.NewPageCtx(context.Background())
 		if err != nil {
 			return fmt.Errorf("btree: allocating leaf: %w", err)
 		}
@@ -356,7 +356,7 @@ func (a *Appender) Append(key int64, rid heapfile.RID) error {
 // level. Past the top, a new root holds sep between the old root and child.
 func (t *Tree) push(sep int64, child policy.PageID) error {
 	for level := 1; level < len(t.spine); level++ {
-		pg, err := t.pool.Fetch(t.spine[level])
+		pg, err := t.pool.FetchCtx(context.Background(), t.spine[level])
 		if err != nil {
 			return fmt.Errorf("btree append: %w", err)
 		}
@@ -369,7 +369,7 @@ func (t *Tree) push(sep int64, child policy.PageID) error {
 			return nil
 		}
 		pg.Unpin(false)
-		if pg, err = t.pool.NewPage(); err != nil {
+		if pg, err = t.pool.NewPageCtx(context.Background()); err != nil {
 			return fmt.Errorf("btree: allocating internal node: %w", err)
 		}
 		initInternal(pg.Data())
@@ -379,7 +379,7 @@ func (t *Tree) push(sep int64, child policy.PageID) error {
 		t.pages = append(t.pages, child)
 		pg.Unpin(true)
 	}
-	pg, err := t.pool.NewPage()
+	pg, err := t.pool.NewPageCtx(context.Background())
 	if err != nil {
 		return fmt.Errorf("btree: allocating new root: %w", err)
 	}
@@ -412,7 +412,7 @@ func (t *Tree) ScanRange(from, to int64, fn func(key int64, rid heapfile.RID) bo
 	// Descend to the leaf containing from.
 	id := t.root
 	for {
-		pg, err := t.pool.Fetch(id)
+		pg, err := t.pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			return fmt.Errorf("btree scan: %w", err)
 		}
@@ -427,7 +427,7 @@ func (t *Tree) ScanRange(from, to int64, fn func(key int64, rid heapfile.RID) bo
 	}
 	// Walk the leaf chain.
 	for id >= 0 {
-		pg, err := t.pool.Fetch(id)
+		pg, err := t.pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			return fmt.Errorf("btree scan: %w", err)
 		}
@@ -456,7 +456,7 @@ func (t *Tree) Height() (int, error) {
 	h := 1
 	id := t.root
 	for {
-		pg, err := t.pool.Fetch(id)
+		pg, err := t.pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			return 0, err
 		}

@@ -402,7 +402,7 @@ func leafBoundary(t *testing.T, tr *Tree) (last, first int64) {
 	t.Helper()
 	id := tr.Root()
 	for {
-		pg, err := tr.pool.Fetch(id)
+		pg, err := tr.pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,7 +416,7 @@ func leafBoundary(t *testing.T, tr *Tree) (last, first int64) {
 		id = internalChild(data, 0)
 		pg.Unpin(false)
 	}
-	pg, err := tr.pool.Fetch(id)
+	pg, err := tr.pool.FetchCtx(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func levels(t testing.TB, tr *Tree) [][]node {
 		var level []node
 		var next []policy.PageID
 		for _, id := range ids {
-			pg, err := tr.pool.Fetch(id)
+			pg, err := tr.pool.FetchCtx(context.Background(), id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -101,14 +101,14 @@ func TestClosePinnedPageKeepsItsFrame(t *testing.T) {
 	base := func() uintptr {
 		p := New(sim.New(sim.ServiceModel{}), 8, core.NewSyncReplacer(2, core.Options{}))
 		var err error
-		if pg, err = p.NewPage(); err != nil {
+		if pg, err = p.NewPageCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		copy(pg.Data(), want)
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Fetch(pg.ID()); !errors.Is(err, ErrClosed) {
+		if _, err := p.FetchCtx(context.Background(), pg.ID()); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Fetch after Close = %v, want ErrClosed", err)
 		}
 		return chunkBase(p.mem.chunks[0])
@@ -123,7 +123,7 @@ func TestClosePinnedPageKeepsItsFrame(t *testing.T) {
 	}
 	junk := bytes.Repeat([]byte{0xEE}, storage.PageSize)
 	for range frames {
-		q, err := p2.NewPage()
+		q, err := p2.NewPageCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestCloseRacingFetches(t *testing.T) {
 	}
 	// check fetches id and compares its bytes with stamped's.
 	check := func(p *Pool, tag byte, id policy.PageID) error {
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			return err
 		}

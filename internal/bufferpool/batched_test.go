@@ -115,7 +115,7 @@ func TestBatchedPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 			})
 			got := run(t, be.open, func(d storage.Backend) (fetcherPool, func() core.PolicyStats) {
 				r := core.NewSyncReplacer(2, batchedTraceOptions)
-				return poolFetcher{NewWithConfig(d, frames, r, Config{shards: 8})}, r.PolicyStats
+				return poolFetcher{New(d, frames, r)}, r.PolicyStats
 			})
 			if got.pool != want.pool {
 				t.Errorf("pool stats %+v, want serial %+v", got.pool, want.pool)
@@ -160,7 +160,7 @@ func (s serialFetcher) PoolStats() Stats                 { return s.p.Stats() }
 type poolFetcher struct{ p *Pool }
 
 func (s poolFetcher) Fetch(id policy.PageID) (pageHandle, error) {
-	pg, err := s.p.Fetch(id)
+	pg, err := s.p.FetchCtx(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func (s poolFetcher) FlushAll() error  { return s.p.FlushAll() }
 func (s poolFetcher) PoolStats() Stats { return s.p.Stats() }
 
 // TestFastHitProbe pins down the latch-free hit path: once a page has been
-// fetched and published to its shard's hot slots, a repeat fetch must be
+// fetched and published to its hot slot, a repeat fetch must be
 // served by the lock-free probe (FastHits advances) with ordinary hit
 // accounting, and eviction must invalidate the published frame so the
 // probe cannot resurrect a page the pool evicted.
@@ -183,10 +183,10 @@ func TestFastHitProbe(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ids = append(ids, storagetest.MustAllocate(d))
 	}
-	p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{shards: 4})
+	p := New(d, 4, core.NewSyncReplacer(2, core.Options{}))
 
 	warm := func(id policy.PageID) {
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestFastHitProbe(t *testing.T) {
 	for _, id := range ids[1:] {
 		warm(id)
 	}
-	pg, err := p.Fetch(ids[0])
+	pg, err := p.FetchCtx(context.Background(), ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +224,50 @@ func TestFastHitProbe(t *testing.T) {
 	}
 	if s.Hits+s.Misses != uint64(len(ids)+2) {
 		t.Fatalf("accounting drifted: %+v over %d fetches", s, len(ids)+2)
+	}
+}
+
+// TestProbeShareOfResidentHits measures the latch-free probe's share of
+// hits, FastHits()/Stats().Hits, on a uniform stream over a fully resident
+// 404-frame pool (the benchmark's frame count). Every reference after the
+// warm-up is a hit; one the probe does not serve found another page in its
+// hot slot, and the latched hit that serves it republishes its own page
+// there. minShare is the share the page table read when it was partitioned
+// into 8 shards of 64 hot slots each; one table of 1,024 slots reads 0.7973.
+func TestProbeShareOfResidentHits(t *testing.T) {
+	const (
+		frames   = 404
+		refs     = 200000
+		minShare = 0.7249
+	)
+	d := sim.New(sim.ServiceModel{})
+	ids := make([]policy.PageID, frames)
+	for i := range ids {
+		ids[i] = storagetest.MustAllocate(d)
+	}
+	p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
+	fetch := func(id policy.PageID) {
+		pg, err := p.FetchCtx(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Unpin(false)
+	}
+	for _, id := range ids {
+		fetch(id)
+	}
+	r := stats.NewRNG(1)
+	for i := 0; i < refs; i++ {
+		fetch(ids[r.Intn(frames)])
+	}
+	s := p.Stats()
+	if s.Misses != frames || s.Hits != refs {
+		t.Fatalf("stats %+v, want %d misses and %d hits", s, frames, refs)
+	}
+	share := float64(p.FastHits()) / float64(s.Hits)
+	t.Logf("probe share %.4f (%d of %d hits)", share, p.FastHits(), s.Hits)
+	if share < minShare {
+		t.Errorf("probe served %.4f of resident hits, want at least %.4f", share, minShare)
 	}
 }
 
@@ -244,14 +288,14 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	p := New(d, frames, core.NewSyncReplacer(2, core.Options{RetainedInformationPeriod: 100}))
 
 	// Dirty the victim-to-be and fill the rest of the pool.
-	pg, err := p.Fetch(victim)
+	pg, err := p.FetchCtx(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg.Data()[0] = 0xAB
 	pg.Unpin(true)
 	for _, id := range ids[1:frames] {
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +306,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	// buffered events flush during the eviction search), fails the
 	// write-back, restores it, and takes a clean page instead.
 	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{victim}}))
-	pg, err = p.Fetch(ids[frames])
+	pg, err = p.FetchCtx(context.Background(), ids[frames])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +317,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	}
 
 	// The restored page must still be resident with its dirty data intact.
-	pg, err = p.Fetch(victim)
+	pg, err = p.FetchCtx(context.Background(), victim)
 	if err != nil {
 		t.Fatalf("restored victim not fetchable: %v", err)
 	}
@@ -291,7 +335,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 		t.Fatalf("flush after healing: %v", err)
 	}
 	for _, id := range ids[1:] {
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}

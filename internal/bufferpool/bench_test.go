@@ -1,6 +1,7 @@
 package bufferpool
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -197,7 +198,7 @@ func (s serialBench) fetchRelease(id policy.PageID, dirty bool) error {
 type poolBench struct{ p *Pool }
 
 func (s poolBench) fetchRelease(id policy.PageID, dirty bool) error {
-	pg, err := s.p.Fetch(id)
+	pg, err := s.p.FetchCtx(context.Background(), id)
 	if err != nil {
 		return err
 	}

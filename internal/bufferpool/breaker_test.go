@@ -51,7 +51,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 			Breaker: BreakerConfig{Threshold: 1},
 		})
 		defer p.Close()
-		pg, err := p.NewPage()
+		pg, err := p.NewPageCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		if st := p.Stats(); st.ReadErrors != 0 || st.ReadsRejected != 0 || st.BreakerTrips != 0 || st.Misses != 1 {
 			t.Errorf("cancelled miss: stats %+v, want one miss and no read error, rejection or trip", st)
 		}
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatalf("fetch after a cancelled one = %v, want nil", err)
 		}
@@ -111,7 +111,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 			Breaker: BreakerConfig{Threshold: 1, Cooldown: cooldown, Probes: 1},
 		})
 		defer p.Close()
-		pg, err := p.NewPage()
+		pg, err := p.NewPageCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewPageFetchRoundTrip(t *testing.T) {
 	p, _ := newPool(t, 4, 2)
-	pg, err := p.NewPage()
+	pg, err := p.NewPageCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestNewPageFetchRoundTrip(t *testing.T) {
 	binary.LittleEndian.PutUint64(pg.Data(), 0xdeadbeef)
 	pg.Unpin(true)
 
-	pg2, err := p.Fetch(id)
+	pg2, err := p.FetchCtx(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestNewPageFetchRoundTrip(t *testing.T) {
 
 func TestDirtyWriteBackOnEviction(t *testing.T) {
 	p, d := newPool(t, 1, 2) // single frame forces immediate eviction
-	pg, err := p.NewPage()
+	pg, err := p.NewPageCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	pg.Unpin(true)
 
 	// Bringing in a second page evicts the first, writing it back.
-	pg2, err := p.NewPage()
+	pg2, err := p.NewPageCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 	}
 
 	// Refetching must restore the data.
-	pg3, err := p.Fetch(first)
+	pg3, err := p.FetchCtx(context.Background(), first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +113,15 @@ func TestDirtyWriteBackOnEviction(t *testing.T) {
 
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	p, _ := newPool(t, 2, 2)
-	a, _ := p.NewPage()
-	b, _ := p.NewPage()
+	a, _ := p.NewPageCtx(context.Background())
+	b, _ := p.NewPageCtx(context.Background())
 	// Both pinned: a third page must fail.
-	if _, err := p.NewPage(); !errors.Is(err, ErrNoFreeFrame) {
+	if _, err := p.NewPageCtx(context.Background()); !errors.Is(err, ErrNoFreeFrame) {
 		t.Fatalf("NewPage with all pinned: %v", err)
 	}
 	b.Unpin(false)
 	// Now one frame is reclaimable.
-	c, err := p.NewPage()
+	c, err := p.NewPageCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +137,17 @@ func TestPinnedPagesNotEvicted(t *testing.T) {
 
 func TestPinCountSemantics(t *testing.T) {
 	p, _ := newPool(t, 2, 2)
-	pg, _ := p.NewPage()
+	pg, _ := p.NewPageCtx(context.Background())
 	id := pg.ID()
 	// Fetch the same page again: pin count 2.
-	pg2, err := p.Fetch(id)
+	pg2, err := p.FetchCtx(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg.Unpin(false)
 	// Still pinned once: filling the pool must not evict it.
-	x, _ := p.NewPage()
-	if _, err := p.NewPage(); !errors.Is(err, ErrNoFreeFrame) {
+	x, _ := p.NewPageCtx(context.Background())
+	if _, err := p.NewPageCtx(context.Background()); !errors.Is(err, ErrNoFreeFrame) {
 		t.Fatalf("expected ErrNoFreeFrame, got %v", err)
 	}
 	pg2.Unpin(false)
@@ -156,7 +156,7 @@ func TestPinCountSemantics(t *testing.T) {
 
 func TestHandleMisusePanics(t *testing.T) {
 	p, _ := newPool(t, 2, 2)
-	pg, _ := p.NewPage()
+	pg, _ := p.NewPageCtx(context.Background())
 	pg.Unpin(false)
 	for _, f := range []func(){
 		func() { pg.Data() },
@@ -175,14 +175,14 @@ func TestHandleMisusePanics(t *testing.T) {
 
 func TestFetchUnknownPage(t *testing.T) {
 	p, _ := newPool(t, 2, 2)
-	if _, err := p.Fetch(12345); err == nil {
+	if _, err := p.FetchCtx(context.Background(), 12345); err == nil {
 		t.Error("fetch of unallocated page succeeded")
 	}
 }
 
 func TestFlushPageAndAll(t *testing.T) {
 	p, d := newPool(t, 4, 2)
-	pg, _ := p.NewPage()
+	pg, _ := p.NewPageCtx(context.Background())
 	id := pg.ID()
 	copy(pg.Data(), []byte("flushed"))
 	pg.Unpin(true)
@@ -205,7 +205,7 @@ func TestFlushPageAndAll(t *testing.T) {
 		t.Error("clean flush counted as write-back")
 	}
 
-	pg2, _ := p.NewPage()
+	pg2, _ := p.NewPageCtx(context.Background())
 	copy(pg2.Data(), []byte("also"))
 	pg2.Unpin(true)
 	if err := p.FlushAll(); err != nil {
@@ -221,11 +221,11 @@ func TestFlushPageAndAll(t *testing.T) {
 
 func TestStatsHitRatio(t *testing.T) {
 	p, _ := newPool(t, 2, 2)
-	pg, _ := p.NewPage()
+	pg, _ := p.NewPageCtx(context.Background())
 	id := pg.ID()
 	pg.Unpin(false)
 	for i := 0; i < 3; i++ {
-		h, _ := p.Fetch(id)
+		h, _ := p.FetchCtx(context.Background(), id)
 		h.Unpin(false)
 	}
 	s := p.Stats()
@@ -263,7 +263,7 @@ func TestLRUKReplacerBeatsLRUInPool(t *testing.T) {
 			} else {
 				id = cold[r.Intn(len(cold))]
 			}
-			pg, err := p.Fetch(id)
+			pg, err := p.FetchCtx(context.Background(), id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 			r := stats.NewRNG(seed)
 			for i := 0; i < 5000; i++ {
 				id := ids[r.Intn(pages)]
-				pg, err := p.Fetch(id)
+				pg, err := p.FetchCtx(context.Background(), id)
 				if err != nil {
 					// All frames transiently pinned is a legal outcome under
 					// contention; anything else is a bug.
@@ -354,7 +354,7 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 		core.NewSyncReplacer(2, core.Options{}), Config{Spans: rec})
 	var ids []policy.PageID
 	for i := 0; i < 4; i++ {
-		pg, err := p.NewPage()
+		pg, err := p.NewPageCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +423,7 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	})
 	defer bp.Close()
 	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
-	if _, err := bp.Fetch(page); !errors.Is(err, storagetest.ErrInjectedFault) {
+	if _, err := bp.FetchCtx(context.Background(), page); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("faulted fetch = %v, want the injected fault", err)
 	}
 	const rejected = 0xbeef

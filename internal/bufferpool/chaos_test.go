@@ -114,7 +114,6 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	d.SetFaults(stormPlan(seed, poison))
 
 	p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{
-		shards: 16,
 		Breaker: BreakerConfig{
 			Threshold: 8,
 			Cooldown:  2 * time.Millisecond,
@@ -144,7 +143,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 					d.SetFaults(storagetest.NewFaultPlan(seed, storagetest.FaultRule{}))
 					tripped := false
 					for i := 0; i < 10000; i++ {
-						_, err := p.Fetch(tripTarget)
+						_, err := p.FetchCtx(context.Background(), tripTarget)
 						if err == nil {
 							t.Error("fetch succeeded during total blackout")
 							break

@@ -44,7 +44,7 @@ func TestMissCoalescingSingleRead(t *testing.T) {
 	errs := make(chan error, waiters+1)
 	fetch := func() {
 		defer wg.Done()
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			errs <- err
 			return
@@ -149,14 +149,14 @@ func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 		}
 		return outcome{p.Stats(), trace, d.Stats().Reads, d.Stats().Writes}
 	}
-	runConcurrent := func(shards int) outcome {
+	runConcurrent := func() outcome {
 		d := newFaultyDisk(sim.ServiceModel{})
 		for i := 0; i < pages; i++ {
 			d.Allocate()
 		}
-		p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{shards: shards})
+		p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 		for _, st := range script {
-			pg, err := p.Fetch(st.id)
+			pg, err := p.FetchCtx(context.Background(), st.id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,22 +177,19 @@ func TestPoolMatchesSerialOnDeterministicTrace(t *testing.T) {
 		return outcome{p.Stats(), trace, d.Stats().Reads, d.Stats().Writes}
 	}
 
-	want := runSerial()
-	for _, shards := range []int{1, 8, 64} {
-		got := runConcurrent(shards)
-		if got.pool != want.pool {
-			t.Errorf("shards=%d: pool stats %+v, want %+v", shards, got.pool, want.pool)
-		}
-		if got.trace != want.trace {
-			t.Errorf("shards=%d: disk stats %+v, want %+v", shards, got.trace, want.trace)
-		}
-		if got.finalReads != want.finalReads || got.finalWrite != want.finalWrite {
-			t.Errorf("shards=%d: post-flush I/O counts (%d,%d), want (%d,%d)",
-				shards, got.finalReads, got.finalWrite, want.finalReads, want.finalWrite)
-		}
-		if got.pool.Coalesced != 0 {
-			t.Errorf("shards=%d: single-threaded replay coalesced %d misses", shards, got.pool.Coalesced)
-		}
+	want, got := runSerial(), runConcurrent()
+	if got.pool != want.pool {
+		t.Errorf("pool stats %+v, want %+v", got.pool, want.pool)
+	}
+	if got.trace != want.trace {
+		t.Errorf("disk stats %+v, want %+v", got.trace, want.trace)
+	}
+	if got.finalReads != want.finalReads || got.finalWrite != want.finalWrite {
+		t.Errorf("post-flush I/O counts (%d,%d), want (%d,%d)",
+			got.finalReads, got.finalWrite, want.finalReads, want.finalWrite)
+	}
+	if got.pool.Coalesced != 0 {
+		t.Errorf("single-threaded replay coalesced %d misses", got.pool.Coalesced)
 	}
 }
 
@@ -227,8 +224,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 	}
 	setupWrites := d.Stats().Writes
 
-	p := NewWithConfig(d, frames,
-		core.NewSyncReplacer(2, core.Options{}), Config{shards: 16})
+	p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 	var fetched atomic.Uint64
 	writes := make([]uint64, goroutines)
 	var wg sync.WaitGroup
@@ -243,7 +239,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 				switch op := r.Intn(100); {
 				case op < 65: // shared read
 					id := shared[r.Intn(sharedN)]
-					pg, err := p.Fetch(id)
+					pg, err := p.FetchCtx(context.Background(), id)
 					if err != nil {
 						if errors.Is(err, ErrNoFreeFrame) {
 							continue
@@ -259,7 +255,7 @@ func TestPoolConcurrentStressRace(t *testing.T) {
 					}
 					pg.Unpin(false)
 				case op < 85: // private read-modify-write
-					pg, err := p.Fetch(own)
+					pg, err := p.FetchCtx(context.Background(), own)
 					if err != nil {
 						if errors.Is(err, ErrNoFreeFrame) {
 							continue
@@ -340,7 +336,7 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	other := storagetest.MustAllocate(d)
 	p := New(d, 1, core.NewSyncReplacer(2, core.Options{})) // one frame: every miss evicts
 
-	pg, err := p.Fetch(victim)
+	pg, err := p.FetchCtx(context.Background(), victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +347,7 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		// Evicts the dirty victim; its write-back parks on the gate.
-		pg, err := p.Fetch(other)
+		pg, err := p.FetchCtx(context.Background(), other)
 		if err == nil {
 			pg.Unpin(false)
 		}
@@ -362,7 +358,7 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	raced := make(chan error, 1)
 	go func() {
 		// Must block until the write-back completes, then re-read "fresh".
-		pg, err := p.Fetch(victim)
+		pg, err := p.FetchCtx(context.Background(), victim)
 		if err != nil {
 			raced <- err
 			return
@@ -384,15 +380,15 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the constructor's shard checks.
-func TestConfigValidation(t *testing.T) {
+// TestHotArraySizedByFrames: the hot array has the smallest power of two
+// at least twice the frame count slots, whatever GOMAXPROCS is.
+func TestHotArraySizedByFrames(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-power-of-two shard count accepted")
-			}
-		}()
-		NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{shards: 3})
-	}()
+	for frames, want := range map[int]int{1: 2, 2: 4, 3: 8, 404: 1024, 512: 1024, 513: 2048} {
+		p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
+		if got := len(p.hot); got != want {
+			t.Errorf("%d frames: %d hot slots, want %d", frames, got, want)
+		}
+		p.Close()
+	}
 }

@@ -60,7 +60,7 @@ func TestFetchReadRepair(t *testing.T) {
 	p := New(c, 2, core.NewSyncReplacer(2, core.Options{}))
 	defer p.Close()
 
-	pg, err := p.Fetch(ids[0])
+	pg, err := p.FetchCtx(context.Background(), ids[0])
 	if err != nil {
 		t.Fatalf("fetch of repairable-corrupt page: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestFetchUnrepairableQuarantinesAndFailsFast(t *testing.T) {
 	p := New(c, 2, core.NewSyncReplacer(2, core.Options{}))
 	defer p.Close()
 
-	if _, err := p.Fetch(ids[0]); !storage.IsCorrupt(err) {
+	if _, err := p.FetchCtx(context.Background(), ids[0]); !storage.IsCorrupt(err) {
 		t.Fatalf("fetch of unrepairable page: %v, want corrupt", err)
 	}
 	if got := p.PoisonedPages(); len(got) != 1 || got[0] != ids[0] {
@@ -95,7 +95,7 @@ func TestFetchUnrepairableQuarantinesAndFailsFast(t *testing.T) {
 	// Further fetches fail fast: same error, no disk attempt, no fresh
 	// detection.
 	reads := c.Stats().Reads
-	if _, err := p.Fetch(ids[0]); !storage.IsCorrupt(err) {
+	if _, err := p.FetchCtx(context.Background(), ids[0]); !storage.IsCorrupt(err) {
 		t.Fatalf("second fetch: %v, want corrupt", err)
 	}
 	if got := c.Stats().Reads; got != reads {
@@ -110,7 +110,7 @@ func TestFetchUnrepairableQuarantinesAndFailsFast(t *testing.T) {
 	}
 
 	// The clean sibling is unaffected.
-	pg, err := p.Fetch(ids[1])
+	pg, err := p.FetchCtx(context.Background(), ids[1])
 	if err != nil {
 		t.Fatalf("fetch of clean page: %v", err)
 	}
@@ -130,15 +130,15 @@ func TestCorruptCountsAgainstBreaker(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Minute, Probes: 1},
 	})
 	defer p.Close()
-	if _, err := p.Fetch(rotA); !storage.IsCorrupt(err) {
+	if _, err := p.FetchCtx(context.Background(), rotA); !storage.IsCorrupt(err) {
 		t.Fatalf("fetch rotA: %v", err)
 	}
-	if _, err := p.Fetch(rotB); !storage.IsCorrupt(err) {
+	if _, err := p.FetchCtx(context.Background(), rotB); !storage.IsCorrupt(err) {
 		t.Fatalf("fetch rotB: %v", err)
 	}
 	// Two permanent failures tripped the circuit: the clean page is now
 	// refused locally, without a disk attempt.
-	if _, err := p.Fetch(probe); !errors.Is(err, ErrDiskUnavailable) {
+	if _, err := p.FetchCtx(context.Background(), probe); !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch on a tripped circuit: %v, want ErrDiskUnavailable", err)
 	}
 	if s := p.Stats(); s.BreakerTrips == 0 || s.ReadsRejected == 0 {
@@ -171,7 +171,7 @@ func TestScrubberHealsInBackground(t *testing.T) {
 	if s := p.Stats(); s.ScrubPages == 0 {
 		t.Errorf("scrubber verified no clean pages: %+v", s)
 	}
-	pg, err := p.Fetch(ids[5])
+	pg, err := p.FetchCtx(context.Background(), ids[5])
 	if err != nil {
 		t.Fatalf("fetch after background heal: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 	defer p.Close()
 
 	// Warm a page, then fill the device.
-	pg, err := p.Fetch(ids[0])
+	pg, err := p.FetchCtx(context.Background(), ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 		storagetest.FaultRule{Op: storage.OpWrite, Err: storage.ErrNoSpace},
 	))
 
-	if _, err := p.NewPage(); !errors.Is(err, storage.ErrNoSpace) {
+	if _, err := p.NewPageCtx(context.Background()); !errors.Is(err, storage.ErrNoSpace) {
 		t.Fatalf("NewPage on full device: %v, want ErrNoSpace", err)
 	}
 	if err := flushPage(context.Background(), p, ids[0]); !errors.Is(err, storage.ErrNoSpace) {
@@ -216,7 +216,7 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 	}
 	// The resident page still serves — out-of-space starves writes, not
 	// memory.
-	pg, err = p.Fetch(ids[0])
+	pg, err = p.FetchCtx(context.Background(), ids[0])
 	if err != nil {
 		t.Fatalf("hit during ENOSPC: %v", err)
 	}
@@ -285,7 +285,6 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	))
 
 	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
-		shards: 16,
 		// The breaker is armed but effectively untrippable: this storm
 		// reconciles ledgers exactly, and breaker rejections would make
 		// which-fetch-fails schedule-dependent in ways the data checks
@@ -310,7 +309,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 					_ = flushPage(context.Background(), p, id) // occasional explicit write-back
 					continue
 				}
-				pg, err := p.Fetch(id)
+				pg, err := p.FetchCtx(context.Background(), id)
 				if err != nil {
 					// Corruption casualties (repair failed, or the id is
 					// quarantined) and exhausted sweeps are expected;
@@ -406,12 +405,12 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	}
 	for i, id := range ids {
 		if poisoned[id] {
-			if _, err := p.Fetch(id); !storage.IsCorrupt(err) {
+			if _, err := p.FetchCtx(context.Background(), id); !storage.IsCorrupt(err) {
 				t.Errorf("quarantined page %d served: %v", id, err)
 			}
 			continue
 		}
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Errorf("post-storm fetch of clean page %d: %v", id, err)
 			continue
@@ -551,7 +550,7 @@ func TestCancelledRepairLeavesPageUnpoisoned(t *testing.T) {
 			}
 
 			if path == "fetch" {
-				pg, err := p.Fetch(id)
+				pg, err := p.FetchCtx(context.Background(), id)
 				if err != nil {
 					t.Fatalf("fetch under a live context = %v, want the repaired page", err)
 				}
@@ -613,7 +612,7 @@ func TestAllocatedPageScrubsClean(t *testing.T) {
 				t.Fatal("WriteNewPage gave the page a frame")
 			}
 			p.ScrubSweep(ctx, 1)
-			pg, err := p.Fetch(id)
+			pg, err := p.FetchCtx(context.Background(), id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -641,7 +640,7 @@ func TestScrubRangeIsTheBackend(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: 8, Cooldown: time.Hour, Probes: 1},
 	})
 	defer p.Close()
-	if _, err := p.Fetch(10 * pages); err == nil {
+	if _, err := p.FetchCtx(context.Background(), 10*pages); err == nil {
 		t.Fatal("fetch of a never-allocated page succeeded")
 	}
 	if n := p.ScrubSweep(context.Background(), 4*pages); n != 4*pages {
@@ -723,7 +722,7 @@ func TestWriteNewPageFailure(t *testing.T) {
 		t.Errorf("%d write faults, %d errors, %d disk writes; want the ledger exact and one write",
 			fs.WriteFaults, st.WriteErrors, disk.Writes)
 	}
-	pg, err := p.Fetch(id)
+	pg, err := p.FetchCtx(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,10 +78,10 @@ func isCallerEnded(err error) bool {
 // breaker refusal (no disk attempt was made) in ReadsRejected or
 // WritesRejected, a caller-class end nowhere, anything else in ReadErrors or
 // WriteErrors. It reports whether it filed the failure.
-func (sh *shard) countFailure(op storage.Op, err error) bool {
-	errs, rejected := &sh.readErrors, &sh.readsRejected
+func (p *Pool) countFailure(op storage.Op, err error) bool {
+	errs, rejected := &p.readErrors, &p.readsRejected
 	if op == storage.OpWrite {
-		errs, rejected = &sh.writeErrors, &sh.writesRejected
+		errs, rejected = &p.writeErrors, &p.writesRejected
 	}
 	switch {
 	case isCallerEnded(err):
@@ -94,11 +94,11 @@ func (sh *shard) countFailure(op storage.Op, err error) bool {
 	return true
 }
 
-// writeFailed files a failed write-back of page id and quarantines the
-// page until a later sweep or flush writes it. A caller-class end files
-// nothing: the page stays dirty for the next flush or eviction.
-func (p *Pool) writeFailed(id policy.PageID, err error) {
-	if p.shardOf(id).countFailure(storage.OpWrite, err) {
-		p.quarantineAdd(id)
+// writeFailed files a failed write-back of the page in frame f and
+// quarantines it until a later sweep or flush writes it. A caller-class end
+// files nothing: the page stays dirty for the next flush or eviction.
+func (p *Pool) writeFailed(f *frame, err error) {
+	if p.countFailure(storage.OpWrite, err) {
+		p.quarantineAdd(f)
 	}
 }

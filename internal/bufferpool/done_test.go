@@ -74,7 +74,7 @@ func TestWriteBackWaitersWake(t *testing.T) {
 		ids := allocPages(t, d, 3)
 		victim, filler, other := ids[0], ids[1], ids[2]
 		p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
-		pg, err := p.Fetch(victim)
+		pg, err := p.FetchCtx(context.Background(), victim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestWriteBackWaitersWake(t *testing.T) {
 
 		evicted := make(chan error, 1)
 		go func() {
-			pg, err := p.Fetch(other) // evicts victim; its write-back parks
+			pg, err := p.FetchCtx(context.Background(), other) // evicts victim; its write-back parks
 			if err == nil {
 				pg.Unpin(false)
 			}
@@ -103,7 +103,7 @@ func TestWriteBackWaitersWake(t *testing.T) {
 
 		woke := make(chan error, 1)
 		go func() {
-			pg, err := p.Fetch(victim)
+			pg, err := p.FetchCtx(context.Background(), victim)
 			if err != nil {
 				woke <- err
 				return
@@ -149,7 +149,7 @@ func TestReusedFrameStartsWithoutDone(t *testing.T) {
 	var wg sync.WaitGroup
 	fetch := func() {
 		defer wg.Done()
-		pg, err := p.Fetch(ids[0])
+		pg, err := p.FetchCtx(context.Background(), ids[0])
 		if err != nil {
 			t.Error(err)
 			return
@@ -176,7 +176,7 @@ func TestReusedFrameStartsWithoutDone(t *testing.T) {
 
 	loaded := make(chan error, 1)
 	go func() {
-		pg, err := p.Fetch(ids[1]) // evicts ids[0], reloads the same frame
+		pg, err := p.FetchCtx(context.Background(), ids[1]) // evicts ids[0], reloads the same frame
 		if err == nil {
 			pg.Unpin(false)
 		}

@@ -93,29 +93,28 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			}
 			return nil, ErrNoFreeFrame
 		}
-		sh := p.shardOf(victim)
-		sh.mu.Lock()
-		f := sh.table[victim]
+		p.tableMu.Lock()
+		f := p.table[victim]
 		if f == nil || f.state.Load() != frameResident || !f.tryClaim() {
 			// The page vanished, or it is pinned: set it aside and pick the
 			// next victim. The latched paths cannot pin while we hold the
 			// exclusive latch, and tryClaim atomically excludes the
 			// lock-free probes: once it succeeds no new pin can appear.
-			sh.mu.Unlock()
+			p.tableMu.Unlock()
 			if f != nil {
 				deferred = append(deferred, deferredVictim{id: victim, f: f})
 			}
 			continue
 		}
-		hotClear(sh, victim, f)
+		p.hotClear(victim, f)
 		if !f.dirty.Load() {
-			delete(sh.table, victim)
+			delete(p.table, victim)
 			// Leave frameResident behind: the claimed frame is about to be
 			// repurposed, and a stale resident state could let a colliding
 			// probe pin it between its next install and state store.
 			f.state.Store(frameFree)
-			sh.mu.Unlock()
-			sh.evictions.Add(1)
+			p.tableMu.Unlock()
+			p.evictions.Add(1)
 			p.traceEviction(ctx, victim)
 			return f, nil
 		}
@@ -124,7 +123,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		// stale disk copy), then write back outside the latch.
 		f.state.Store(frameWriting)
 		f.done.Store(nil)
-		sh.mu.Unlock()
+		p.tableMu.Unlock()
 		// Pinned pages are held out only while the search runs, never
 		// across I/O: their pins are long gone by the time a write returns.
 		for _, dv := range deferred[len(werrs):] {
@@ -132,19 +131,21 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 		}
 		deferred = deferred[:len(werrs)]
 		werr := p.diskIO(ctx, storage.OpWrite, victim, f.data)
-		sh.mu.Lock()
+		p.tableMu.Lock()
 		if werr != nil {
 			// Restore residency — the data is still only in memory — then
 			// quarantine the page (writeFailed; not when the caller's own
 			// context ended the write) and try the next victim instead of
 			// failing the caller's unrelated fetch. The unclaim must happen
 			// under the exclusive latch, before any latched path can pin
-			// the page again, so its epoch bump cannot clobber a pin.
+			// the page again, so its epoch bump cannot clobber a pin; the
+			// quarantine too, so no flush can write the page back before
+			// it is quarantined and leave the bit set on a clean page.
 			f.unclaim()
 			f.state.Store(frameResident)
+			p.writeFailed(f, werr)
 			f.finish()
-			sh.mu.Unlock()
-			p.writeFailed(victim, werr)
+			p.tableMu.Unlock()
 			werrs = append(werrs, fmt.Errorf("writing back victim %d: %w", victim, werr))
 			deferred = append(deferred, deferredVictim{id: victim, f: f})
 			if len(werrs) >= maxWriteBackFailures {
@@ -153,13 +154,13 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			}
 			continue
 		}
-		delete(sh.table, victim)
+		delete(p.table, victim)
 		f.finish()
-		sh.mu.Unlock()
+		p.tableMu.Unlock()
 		f.dirty.Store(false)
-		p.quarantineRemove(victim)
-		sh.writeBacks.Add(1)
-		sh.evictions.Add(1)
+		p.quarantineRemove(f)
+		p.writeBacks.Add(1)
+		p.evictions.Add(1)
 		p.traceEviction(ctx, victim)
 		return f, nil
 	}
@@ -185,13 +186,12 @@ func (p *Pool) traceEviction(ctx context.Context, victim policy.PageID) {
 // never be chosen again. Restore reinstates residency and candidacy without
 // fabricating a reference — recording a phantom access here would reset the
 // page's Backward K-distance and could keep an otherwise-cold page resident.
-// The shard's shared latch holds the mapping still across the check and the
+// The table's shared latch holds the mapping still across the check and the
 // call, so the replacer never gets back a page the pool no longer holds.
 func (p *Pool) restoreVictim(id policy.PageID, f *frame) {
-	sh := p.shardOf(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if sh.table[id] != f {
+	p.tableMu.RLock()
+	defer p.tableMu.RUnlock()
+	if p.table[id] != f {
 		return // the page moved on (its load failed, or it was reloaded elsewhere)
 	}
 	p.replacer.Restore(id)

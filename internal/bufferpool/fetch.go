@@ -11,21 +11,16 @@ import (
 )
 
 // This file is the fetch path: the latch-free resident probe, the latched
-// fetch loop, the miss protocol with its coalescing, NewPage, and the
+// fetch loop, the miss protocol with its coalescing, NewPageCtx, and the
 // frameless AllocatePage and WriteNewPage. pinEntry is the one reader of
 // the page table's residency state machine: client fetches and the
 // maintenance paths (flushResident) both pin through it.
 
-// Fetch pins page id, reading it from disk on a miss, and returns the
+// FetchCtx pins page id, reading it from disk on a miss, and returns the
 // handle. Concurrent fetches of a non-resident page issue one disk read:
 // the first becomes the loader, the rest coalesce onto its in-flight
-// frame.
-func (p *Pool) Fetch(id policy.PageID) (Page, error) {
-	return p.FetchCtx(context.Background(), id)
-}
-
-// FetchCtx is Fetch with a context carrying the caller's deadline. Every
-// blocking point honours it: a coalesced waiter whose context expires
+// frame. ctx carries the caller's deadline, and every blocking point
+// honours it: a coalesced waiter whose context expires
 // abandons the in-flight load and returns promptly (the loader completes
 // and installs the page regardless — see abandonPin for the frame
 // accounting), a wait on a victim's write-back is interruptible, and the
@@ -47,8 +42,7 @@ func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 	if err := ctx.Err(); err != nil {
 		return Page{}, err
 	}
-	sh := p.shardOf(id)
-	if pg, ok := p.fetchFast(sh, id); ok {
+	if pg, ok := p.fetchFast(id); ok {
 		// A lock-free hit deliberately records no span even when sampled:
 		// the probe path stays untouched by tracing, and a sub-microsecond
 		// hit adds nothing to a waterfall.
@@ -60,16 +54,16 @@ func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 		// coalesce, disk, WAL) parents to it via the re-wrapped context.
 		if tc := obs.TraceFrom(ctx); tc.Sampled {
 			span := p.spans.Start(tc, obs.SpanPoolFetch)
-			pg, err := p.fetchSlow(obs.ContextWithTrace(ctx, span.Context()), sh, id, span.Context())
+			pg, err := p.fetchSlow(obs.ContextWithTrace(ctx, span.Context()), id, span.Context())
 			span.Finish(int64(id))
 			return pg, err
 		}
 	}
-	return p.fetchSlow(ctx, sh, id, obs.TraceContext{})
+	return p.fetchSlow(ctx, id, obs.TraceContext{})
 }
 
 // fetchFast is the latch-free resident-hit probe (DESIGN.md §14). It
-// consults the shard's hot-slot index, validates page identity and
+// consults the hot array, validates page identity and
 // residency against the frame itself, and pins with one CAS on the
 // packed pin/claim/epoch word. The CAS can only succeed if no claim or
 // install touched the frame since the word was read, so a success is a
@@ -78,8 +72,8 @@ func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 // empty slot, colliding page, claim in progress, lost CAS race — returns
 // false and the latched path takes over. A hit is the CAS, one replacer
 // event and one counter.
-func (p *Pool) fetchFast(sh *shard, id policy.PageID) (Page, bool) {
-	f := sh.hot[hotIndex(id)].Load()
+func (p *Pool) fetchFast(id policy.PageID) (Page, bool) {
+	f := p.hotSlot(id).Load()
 	if f == nil {
 		return Page{}, false
 	}
@@ -94,7 +88,7 @@ func (p *Pool) fetchFast(sh *shard, id policy.PageID) (Page, bool) {
 		return Page{}, false
 	}
 	p.replacer.RecordHit(id)
-	sh.hits.Add(1)
+	p.hits.Add(1)
 	return Page{pool: p, id: id, f: f, valid: true}, true
 }
 
@@ -103,15 +97,15 @@ func (p *Pool) fetchFast(sh *shard, id policy.PageID) (Page, bool) {
 // — pinEntry pins, this function says what the pin was: a latched hit, or a
 // miss that parked behind another fetch's read. tc is the enclosing
 // pool_fetch span's context (zero when the fetch is unsampled).
-func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (Page, error) {
+func (p *Pool) fetchSlow(ctx context.Context, id policy.PageID, tc obs.TraceContext) (Page, error) {
 	for {
-		f, joined, err := p.pinEntry(ctx, sh, id, tc, p.metrics.CoalesceWait)
+		f, joined, err := p.pinEntry(ctx, id, tc, p.metrics.CoalesceWait)
 		if joined {
 			// Coalesced onto an in-flight read: a miss (the page was not
 			// resident) whichever way the load or the wait ended; the disk
 			// error itself is counted once, by the loader, in ReadErrors.
-			sh.misses.Add(1)
-			sh.coalesced.Add(1)
+			p.misses.Add(1)
+			p.coalesced.Add(1)
 		}
 		if err != nil {
 			return Page{}, err
@@ -121,9 +115,9 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 			if !joined {
 				// The pin just taken keeps the frame unclaimable, so the
 				// publish cannot race the hotClear of a later eviction.
-				hotPublish(sh, id, f)
-				sh.hits.Add(1)
-				sh.latchedHits.Add(1)
+				p.hotPublish(id, f)
+				p.hits.Add(1)
+				p.latchedHits.Add(1)
 			}
 			return Page{pool: p, id: id, f: f, valid: true}, nil
 		}
@@ -131,7 +125,7 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		if p.metrics.MissLatency != nil {
 			missStart = time.Now()
 		}
-		pg, retry, err := p.fetchMiss(ctx, sh, id, tc)
+		pg, retry, err := p.fetchMiss(ctx, id, tc)
 		if retry {
 			continue
 		}
@@ -161,18 +155,18 @@ func (p *Pool) fetchSlow(ctx context.Context, sh *shard, id policy.PageID, tc ob
 // parked time is recorded — a pool_coalesce span and the CoalesceWait
 // histogram for a client fetch; maintenance callers pass neither, so both
 // signals keep meaning "client fetches parked behind a read".
-func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext, wait *obs.Histogram) (*frame, bool, error) {
+func (p *Pool) pinEntry(ctx context.Context, id policy.PageID, tc obs.TraceContext, wait *obs.Histogram) (*frame, bool, error) {
 	for {
-		sh.mu.RLock()
-		f := sh.table[id]
+		p.tableMu.RLock()
+		f := p.table[id]
 		if f == nil {
-			sh.mu.RUnlock()
+			p.tableMu.RUnlock()
 			return nil, false, nil
 		}
 		switch f.state.Load() {
 		case frameWriting:
 			done := f.waitCh()
-			sh.mu.RUnlock()
+			p.tableMu.RUnlock()
 			select {
 			case <-done:
 			case <-ctx.Done():
@@ -181,7 +175,7 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 		case frameLoading:
 			f.pinAdd(1)
 			done := f.waitCh()
-			sh.mu.RUnlock()
+			p.tableMu.RUnlock()
 			var waitStart time.Time
 			if wait != nil {
 				waitStart = time.Now()
@@ -197,7 +191,7 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 				coSpan.Finish(int64(id))
 				// Abandon the load: the loader finishes it on our behalf, and
 				// abandonPin settles the frame whichever way it ends.
-				p.abandonPin(sh, id, f)
+				p.abandonPin(id, f)
 				return nil, true, ctx.Err()
 			}
 			if err := f.err; err != nil {
@@ -212,7 +206,7 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 			return f, true, nil
 		default: // frameResident — shared latch only
 			f.pinAdd(1)
-			sh.mu.RUnlock()
+			p.tableMu.RUnlock()
 			return f, false, nil
 		}
 	}
@@ -228,23 +222,23 @@ func (p *Pool) pinEntry(ctx context.Context, sh *shard, id policy.PageID, tc obs
 // and the classification must be atomic with eviction's zero-pin claim —
 // an eviction sliding between our decrement and the table read would
 // repurpose the frame first and turn our recycle into a double free.
-// Holding the shard latch in shared mode (eviction claims under it
+// Holding the table latch in shared mode (eviction claims under it
 // exclusively) pins the mapping in place while we decide.
-func (p *Pool) abandonPin(sh *shard, id policy.PageID, f *frame) {
-	sh.mu.RLock()
-	if f.pinAdd(-1) == 0 && sh.table[id] != f {
+func (p *Pool) abandonPin(id policy.PageID, f *frame) {
+	p.tableMu.RLock()
+	if f.pinAdd(-1) == 0 && p.table[id] != f {
 		// Failed load: the frame is table-unreachable and we are the last
 		// participant, so no recycle can race this free.
 		p.freePush(f)
 	}
-	sh.mu.RUnlock()
+	p.tableMu.RUnlock()
 }
 
 // fetchMiss runs the miss protocol: obtain a frame (evicting if needed),
 // install it as the in-flight holder for id, then read from disk outside
 // every latch and publish. retry is true when another goroutine installed
 // the page first and the caller must re-run the fetch.
-func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc obs.TraceContext) (pg Page, retry bool, err error) {
+func (p *Pool) fetchMiss(ctx context.Context, id policy.PageID, tc obs.TraceContext) (pg Page, retry bool, err error) {
 	// A sampled miss gets its own span; disk reads and victim write-backs
 	// beneath it parent to the miss via the re-wrapped context.
 	missSpan := p.spans.Start(tc, obs.SpanPoolMiss)
@@ -257,8 +251,8 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		// recorded classification instead of re-reading garbage. Still a
 		// miss (the page was not resident) and a read error — but not a
 		// fresh detection; that was counted when the page was poisoned.
-		sh.misses.Add(1)
-		sh.readErrors.Add(1)
+		p.misses.Add(1)
+		p.readErrors.Add(1)
 		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, &storage.ErrCorrupt{Page: id, Kind: kind})
 	}
 	if !p.breaker.ready() {
@@ -267,8 +261,8 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		// answering. Still a miss — the page was not resident —
 		// but no storage attempt is made. A sampled fetch leaves a
 		// zero-duration breaker_reject event marking the refusal.
-		sh.misses.Add(1)
-		sh.readsRejected.Add(1)
+		p.misses.Add(1)
+		p.readsRejected.Add(1)
 		if missSpan.ID() != 0 {
 			p.spans.Emit(tc.TraceID, p.spans.NewSpanID(), missSpan.ID(),
 				obs.SpanBreakerReject, time.Now(), 0, int64(id))
@@ -279,10 +273,10 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	if err != nil {
 		return Page{}, false, err
 	}
-	sh.mu.Lock()
-	if sh.table[id] != nil {
+	p.tableMu.Lock()
+	if p.table[id] != nil {
 		// Lost the install race; rejoin as a hit or coalesced miss.
-		sh.mu.Unlock()
+		p.tableMu.Unlock()
 		p.freePush(f)
 		return Page{}, true, nil
 	}
@@ -292,8 +286,8 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	f.err = nil
 	f.done.Store(nil)
 	f.state.Store(frameLoading)
-	sh.table[id] = f
-	sh.mu.Unlock()
+	p.table[id] = f
+	p.tableMu.Unlock()
 
 	// The I/O happens outside the latch — through the gate (breaker
 	// included), and on detected corruption the read-repair protocol
@@ -301,7 +295,7 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	// loading frame and wait on done, everyone else proceeds untouched.
 	if rerr := p.loadPage(ctx, id, f.data); rerr != nil {
 		// Publish the error before the table delete becomes observable:
-		// the shard latch orders f.err ahead of the deletion for latched
+		// the table latch orders f.err ahead of the deletion for latched
 		// readers, and finish publishes it to the parked waiters. A
 		// failed load is still a miss — the page was not resident — and
 		// counts once in ReadErrors (or ReadsRejected, when the breaker
@@ -309,12 +303,12 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 		// the caller's own context ended it).
 		err := fmt.Errorf("fetching page %d: %w", id, rerr)
 		f.err = err
-		sh.mu.Lock()
-		delete(sh.table, id)
-		sh.mu.Unlock()
+		p.tableMu.Lock()
+		delete(p.table, id)
+		p.tableMu.Unlock()
 		f.finish()
-		sh.misses.Add(1)
-		sh.countFailure(storage.OpRead, rerr)
+		p.misses.Add(1)
+		p.countFailure(storage.OpRead, rerr)
 		// Waiters that pinned before the table delete still hold the frame;
 		// the last participant out returns it to the free list (after which
 		// the frame, f.err included, belongs to its next owner).
@@ -329,19 +323,14 @@ func (p *Pool) fetchMiss(ctx context.Context, sh *shard, id policy.PageID, tc ob
 	p.replacer.RecordAccess(id)
 	f.state.Store(frameResident)
 	f.finish()
-	hotPublish(sh, id, f)
-	sh.misses.Add(1)
+	p.hotPublish(id, f)
+	p.misses.Add(1)
 	return Page{pool: p, id: id, f: f, valid: true}, false, nil
 }
 
-// NewPage allocates a fresh disk page, pins it in a frame and returns the
-// handle.
-func (p *Pool) NewPage() (Page, error) {
-	return p.NewPageCtx(context.Background())
-}
-
-// NewPageCtx is NewPage with a context: the eviction sweep that makes room
-// (dirty-victim write-backs included) is charged against ctx.
+// NewPageCtx allocates a fresh disk page, pins it in a frame and returns
+// the handle. The eviction sweep that makes room (dirty-victim write-backs
+// included) is charged against ctx.
 func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 	if p.closed.Load() {
 		return Page{}, ErrClosed
@@ -364,13 +353,12 @@ func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 	f.dirty.Store(false)
 	f.err = nil
 	f.state.Store(frameResident)
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	sh.table[id] = f // id is fresh: no prior mapping can exist
-	sh.mu.Unlock()
-	hotPublish(sh, id, f)
+	p.tableMu.Lock()
+	p.table[id] = f // id is fresh: no prior mapping can exist
+	p.tableMu.Unlock()
+	p.hotPublish(id, f)
 	p.replacer.RecordAccess(id)
-	sh.misses.Add(1) // a new page is by definition not buffer-resident
+	p.misses.Add(1) // a new page is by definition not buffer-resident
 	return Page{pool: p, id: id, f: f, valid: true}, nil
 }
 
@@ -406,7 +394,7 @@ func (p *Pool) WriteNewPage(ctx context.Context, id policy.PageID, data []byte) 
 		ctx = storage.WithWriteBehind(ctx)
 	}
 	if err := p.diskIO(ctx, storage.OpWrite, id, data); err != nil {
-		p.shardOf(id).countFailure(storage.OpWrite, err)
+		p.countFailure(storage.OpWrite, err)
 		return fmt.Errorf("bufferpool: writing new page %d: %w", id, err)
 	}
 	return nil

@@ -44,7 +44,7 @@ func (b *barrierCounter) Flush(ctx context.Context) error {
 func dirtyAll(t *testing.T, p *Pool, ids []policy.PageID, mark byte) {
 	t.Helper()
 	for _, id := range ids {
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestConcurrentSweeps(t *testing.T) {
 			defer wg.Done()
 			for v := uint64(1); ; v++ {
 				i := g*perUpdater + int(v%perUpdater)
-				pg, err := p.Fetch(ids[i])
+				pg, err := p.FetchCtx(context.Background(), ids[i])
 				if unexpected("Fetch", err) {
 					return
 				}

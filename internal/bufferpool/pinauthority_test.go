@@ -42,7 +42,7 @@ func (l *selectionLog) TraceEvict(p policy.PageID, clock, kdist policy.Tick, inf
 // touch fetches and releases id.
 func touch(t *testing.T, p *Pool, id policy.PageID, dirty bool) {
 	t.Helper()
-	pg, err := p.Fetch(id)
+	pg, err := p.FetchCtx(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPinnedHeadOfVictimOrderIsSkipped(t *testing.T) {
 	touch(t, p, a, false)
 	touch(t, p, b, false)
 	touch(t, p, c, false)
-	held, err := p.Fetch(a)
+	held, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAllFramesPinnedRecovers(t *testing.T) {
 	p := New(d, frames, r)
 	held := make([]Page, frames)
 	for i := range held {
-		pg, err := p.Fetch(ids[i])
+		pg, err := p.FetchCtx(context.Background(), ids[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestAllFramesPinnedRecovers(t *testing.T) {
 	if got := r.PolicyStats().Evictable; got != frames {
 		t.Errorf("Evictable = %d with every page pinned, want %d: a pin is not the replacer's business", got, frames)
 	}
-	if _, err := p.Fetch(ids[frames]); !errors.Is(err, ErrNoFreeFrame) {
+	if _, err := p.FetchCtx(context.Background(), ids[frames]); !errors.Is(err, ErrNoFreeFrame) {
 		t.Fatalf("fetch with every frame pinned: %v, want ErrNoFreeFrame", err)
 	}
 	ps := r.PolicyStats()
@@ -181,7 +181,7 @@ func TestSkippedCandidateNotHeldAcrossWriteBack(t *testing.T) {
 	// HIST(A)=[3,1] pinned, HIST(B)=[4,2] dirty: the sweep meets A first.
 	touch(t, p, a, false)
 	touch(t, p, b, false)
-	held, err := p.Fetch(a)
+	held, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSkippedCandidateNotHeldAcrossWriteBack(t *testing.T) {
 	gate.Store(true)
 	done := make(chan error, 1)
 	go func() {
-		pg, err := p.Fetch(c)
+		pg, err := p.FetchCtx(context.Background(), c)
 		if err == nil {
 			pg.Unpin(false)
 		}
@@ -233,7 +233,7 @@ func TestPinAuthorityStress(t *testing.T) {
 		pages[i] = storagetest.MustAllocate(d)
 	}
 	r := core.NewSyncReplacer(2, core.Options{})
-	p := NewWithConfig(d, frames, r, Config{shards: 4})
+	p := New(d, frames, r)
 	p.Start()
 
 	var wg sync.WaitGroup
@@ -253,7 +253,7 @@ func TestPinAuthorityStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch op := rng.Intn(100); {
 				case op < 60: // hot hit, sometimes holding a second pin
-					pg, err := p.Fetch(pages[rng.Intn(hotN)])
+					pg, err := p.FetchCtx(context.Background(), pages[rng.Intn(hotN)])
 					if err != nil {
 						if fail(err) {
 							return
@@ -261,7 +261,7 @@ func TestPinAuthorityStress(t *testing.T) {
 						continue
 					}
 					if op < 15 {
-						pg2, err := p.Fetch(pages[rng.Intn(hotN)])
+						pg2, err := p.FetchCtx(context.Background(), pages[rng.Intn(hotN)])
 						if fail(err) {
 							pg.Unpin(false)
 							return
@@ -272,7 +272,7 @@ func TestPinAuthorityStress(t *testing.T) {
 					}
 					pg.Unpin(op%7 == 0)
 				case op < 90: // cold miss that evicts
-					pg, err := p.Fetch(pages[hotN+rng.Intn(coldN)])
+					pg, err := p.FetchCtx(context.Background(), pages[hotN+rng.Intn(coldN)])
 					if err != nil {
 						if fail(err) {
 							return
@@ -281,7 +281,7 @@ func TestPinAuthorityStress(t *testing.T) {
 					}
 					pg.Unpin(op%5 == 0)
 				case op < 97: // allocate and dirty; eviction writes it back
-					pg, err := p.NewPage()
+					pg, err := p.NewPageCtx(context.Background())
 					if err != nil {
 						if fail(err) {
 							return

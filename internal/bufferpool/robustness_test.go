@@ -69,7 +69,7 @@ func TestCoalescedWaiterAbandonSuccessfulLoad(t *testing.T) {
 	arm.Store(true)
 	loaded := make(chan error, 1)
 	go func() {
-		pg, err := p.Fetch(a)
+		pg, err := p.FetchCtx(context.Background(), a)
 		if err == nil {
 			pg.Unpin(false)
 		}
@@ -106,7 +106,7 @@ func TestCoalescedWaiterAbandonSuccessfulLoad(t *testing.T) {
 		t.Errorf("pin leak: page %d has %d pins after everyone released", a, f.pins())
 	}
 	// The page must still be usable and evictable: a hit works...
-	pg, err := p.Fetch(a)
+	pg, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 	arm.Store(true)
 	loaded := make(chan error, 1)
 	go func() {
-		_, err := p.Fetch(a)
+		_, err := p.FetchCtx(context.Background(), a)
 		loaded <- err
 	}()
 	<-entered
@@ -159,7 +159,7 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 	}
 	// The failure must be transient to the pool: healed disk, page loads.
 	d.SetFaults(nil)
-	pg, err := p.Fetch(a)
+	pg, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,19 +176,18 @@ func TestAbandonLastPinRestoresEvictability(t *testing.T) {
 	a, b := ids[0], ids[1]
 	p := New(d, 1, core.NewSyncReplacer(2, core.Options{}))
 
-	pg, err := p.Fetch(a)
+	pg, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := p.shardOf(a)
 	f := p.frameFor(a)
 	f.pinAdd(1)     // the waiter's coalesced pin, held across the load
 	pg.Unpin(false) // the loader's caller is done; the waiter still pins
-	p.abandonPin(sh, a, f)
+	p.abandonPin(a, f)
 
 	// One frame, and a is the only candidate: this fetch succeeds only if
 	// the abandon marked a evictable.
-	pg, err = p.Fetch(b)
+	pg, err = p.FetchCtx(context.Background(), b)
 	if err != nil {
 		t.Fatalf("page stuck unevictable after last-pin abandon: %v", err)
 	}
@@ -225,13 +224,13 @@ func TestOneDiskAttemptPerOperation(t *testing.T) {
 	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}, Count: 2}))
 	for i := 1; i <= 2; i++ {
 		br, bw := attempts()
-		if _, err := p.Fetch(a); !errors.Is(err, storagetest.ErrInjectedFault) {
+		if _, err := p.FetchCtx(context.Background(), a); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("fetch %d = %v, want the injected fault", i, err)
 		}
 		step(fmt.Sprintf("failed fetch %d", i), br, bw, 1, 0)
 	}
 	br, bw := attempts()
-	pg, err := p.Fetch(a)
+	pg, err := p.FetchCtx(context.Background(), a)
 	if err != nil || pg.Data()[0] != 1 {
 		t.Fatalf("third fetch = %v, want page a's image", err)
 	}
@@ -267,19 +266,19 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 
 	// b resides before the disk breaks: its hits must survive the outage.
 	// c resides dirty.
-	pg, err := p.Fetch(b)
+	pg, err := p.FetchCtx(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg.Unpin(false)
-	if pg, err = p.Fetch(c); err != nil {
+	if pg, err = p.FetchCtx(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
 	pg.Unpin(true)
 
 	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead}))
 	for i := 0; i < 2; i++ {
-		if _, err := p.Fetch(a); !errors.Is(err, storagetest.ErrInjectedFault) {
+		if _, err := p.FetchCtx(context.Background(), a); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("fetch %d error = %v, want injected fault", i, err)
 		}
 	}
@@ -293,7 +292,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 		t.Error("BreakerOpen = false after the trip")
 	}
 	faultsBefore, writesBefore := d.FaultStats().ReadFaults, d.Stats().Writes
-	_, err = p.Fetch(a)
+	_, err = p.FetchCtx(context.Background(), a)
 	if !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch while open = %v, want ErrDiskUnavailable", err)
 	}
@@ -310,7 +309,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 			s.ReadsRejected, s.WritesRejected, p.Quarantined())
 	}
 	// Hits are unaffected by the open circuit.
-	pg, err = p.Fetch(b)
+	pg, err = p.FetchCtx(context.Background(), b)
 	if err != nil {
 		t.Fatalf("buffer hit failed while the breaker is open: %v", err)
 	}
@@ -320,7 +319,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	// closes the circuit (Probes: 1).
 	d.SetFaults(nil)
 	time.Sleep(35 * time.Millisecond)
-	pg, err = p.Fetch(a)
+	pg, err = p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatalf("probe fetch after heal failed: %v", err)
 	}
@@ -352,7 +351,7 @@ func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 	p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
 	p.Start()
 
-	pg, err := p.Fetch(a)
+	pg, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +369,10 @@ func TestPoolCloseIdempotentAndFenced(t *testing.T) {
 		t.Errorf("Close did not flush: disk has %q", buf[:7])
 	}
 
-	if _, err := p.Fetch(a); !errors.Is(err, ErrClosed) {
+	if _, err := p.FetchCtx(context.Background(), a); !errors.Is(err, ErrClosed) {
 		t.Errorf("Fetch after Close = %v, want ErrClosed", err)
 	}
-	if _, err := p.NewPage(); !errors.Is(err, ErrClosed) {
+	if _, err := p.NewPageCtx(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("NewPage after Close = %v, want ErrClosed", err)
 	}
 	if err := p.FlushAll(); !errors.Is(err, ErrClosed) {
@@ -413,7 +412,7 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 	ids := allocPages(t, d, 3)
 	ctx := context.Background()
 
-	pg, err := p.Fetch(ids[0])
+	pg, err := p.FetchCtx(context.Background(), ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +448,7 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 
 	// Clean again: churning it out of the 2-frame pool writes nothing more.
 	for _, id := range ids[1:] {
-		other, err := p.Fetch(id)
+		other, err := p.FetchCtx(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +521,7 @@ func TestJoinFailedLoad(t *testing.T) {
 			armed.Store(true)
 			loaded := make(chan error, 1)
 			go func() {
-				_, err := p.Fetch(a)
+				_, err := p.FetchCtx(context.Background(), a)
 				loaded <- err
 			}()
 			<-entered // the loader is parked inside the disk read

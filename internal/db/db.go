@@ -226,7 +226,7 @@ func Open(cfg Config) (*DB, error) {
 			// Fresh durable store: reserve the catalog page ahead of the
 			// B-tree root. Its magic stays zeroed until the first
 			// checkpoint publishes it.
-			pg, err := pool.NewPage()
+			pg, err := pool.NewPageCtx(context.Background())
 			if err != nil {
 				return nil, fmt.Errorf("db: allocating catalog page: %w", err)
 			}
@@ -259,7 +259,7 @@ func Open(cfg Config) (*DB, error) {
 // flows through the pool, so recovery warms the buffer exactly like a cold
 // workload would.
 func (db *DB) attach() error {
-	pg, err := db.pool.Fetch(catalogPage)
+	pg, err := db.pool.FetchCtx(context.Background(), catalogPage)
 	if err != nil {
 		return fmt.Errorf("db: reading catalog: %w", err)
 	}

@@ -426,7 +426,7 @@ func TestDurableLoadUnderEvictionAbandoned(t *testing.T) {
 			if !d.pool.Resident(id) {
 				continue
 			}
-			pg, err := d.pool.Fetch(id)
+			pg, err := d.pool.FetchCtx(context.Background(), id)
 			if err != nil {
 				t.Fatal(err)
 			}

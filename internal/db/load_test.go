@@ -275,7 +275,7 @@ func checkNoPins(t *testing.T, d *DB) {
 		}
 	}()
 	for len(pages) < d.cfg.Frames {
-		pg, err := d.pool.NewPage()
+		pg, err := d.pool.NewPageCtx(context.Background())
 		if err != nil {
 			t.Fatalf("pinning frame %d of %d: %v", len(pages)+1, d.cfg.Frames, err)
 		}

@@ -100,7 +100,7 @@ func Attach(pool *bufferpool.Pool, pages []policy.PageID) (*File, error) {
 	}
 	f := &File{pool: pool, pages: append([]policy.PageID(nil), pages...)}
 	for _, id := range f.pages {
-		pg, err := pool.Fetch(id)
+		pg, err := pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			return nil, fmt.Errorf("heapfile attach: %w", err)
 		}
@@ -202,7 +202,7 @@ func (f *File) Insert(rec []byte) (RID, error) {
 	// space to spare, and this keeps the common case to one page reference.
 	if n := len(f.pages); n > 0 {
 		id := f.pages[n-1]
-		pg, err := f.pool.Fetch(id)
+		pg, err := f.pool.FetchCtx(context.Background(), id)
 		if err != nil {
 			return RID{}, fmt.Errorf("heapfile insert: %w", err)
 		}
@@ -216,7 +216,7 @@ func (f *File) Insert(rec []byte) (RID, error) {
 		}
 		pg.Unpin(false)
 	}
-	pg, err := f.pool.NewPage()
+	pg, err := f.pool.NewPageCtx(context.Background())
 	if err != nil {
 		return RID{}, fmt.Errorf("heapfile insert: %w", err)
 	}

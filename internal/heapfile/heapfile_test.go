@@ -107,7 +107,7 @@ func TestScanVisitsAllLiveRecords(t *testing.T) {
 			want[rec] = true
 		}
 	}
-	pg, err := f.pool.Fetch(dead.Page)
+	pg, err := f.pool.FetchCtx(context.Background(), dead.Page)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestDeadlineCtxAbandonsCoalescedWait(t *testing.T) {
 
 	loaded := make(chan error, 1)
 	go func() {
-		pg, err := p.Fetch(id)
+		pg, err := p.FetchCtx(context.Background(), id)
 		if err == nil {
 			pg.Unpin(false)
 		}
@@ -192,7 +192,7 @@ func TestDeadlineCtxAbandonsCoalescedWait(t *testing.T) {
 	if s := p.Stats(); s.Misses != 2 || s.Coalesced != 1 || s.Hits != 0 {
 		t.Errorf("stats after abandon = %+v, want Misses 2, Coalesced 1", s)
 	}
-	pg, err := p.Fetch(id)
+	pg, err := p.FetchCtx(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,14 +61,6 @@ type Config struct {
 	// Workers that hold one; a request arriving with that many already
 	// waiting is shed with StatusBusy. Zero selects 4x Workers.
 	QueueDepth int
-	// MaxRequestTimeout caps the per-request time budget; it also applies
-	// to requests that declare none, so no operation runs unbounded. Zero
-	// selects 30s.
-	MaxRequestTimeout time.Duration
-	// DrainTimeout bounds Close's graceful phase: how long in-flight
-	// connections get to finish their current request before being
-	// hard-closed. Zero selects 5s.
-	DrainTimeout time.Duration
 	// Obs, when non-nil, registers the server's metric families into this
 	// registry: per-opcode request latency, admission queue wait and depth,
 	// accepted/shed/status counters. The same registry's histogram
@@ -96,7 +88,21 @@ type Config struct {
 	// emitted after the fact, as a failed or shed one always does. Zero
 	// rescues failures and sheds only. Only consulted when Spans is set.
 	SlowThreshold time.Duration
+
+	// drainTimeout bounds Close's graceful phase: how long in-flight
+	// connections get to finish their current request before being
+	// hard-closed. It has one production value; the field exists so this
+	// package's tests can shorten it. Zero selects drainWindow.
+	drainTimeout time.Duration
 }
+
+const (
+	// maxRequestTimeout caps the per-request time budget; it also applies
+	// to requests that declare none, so no operation runs unbounded.
+	maxRequestTimeout = 30 * time.Second
+	// drainWindow is Close's graceful window.
+	drainWindow = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -105,11 +111,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.MaxRequestTimeout <= 0 {
-		c.MaxRequestTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
+	if c.drainTimeout <= 0 {
+		c.drainTimeout = drainWindow
 	}
 	return c
 }
@@ -243,7 +246,7 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Close drains and stops the server: stop accepting, nudge idle
 // connections off their reads, let in-flight requests finish within
-// DrainTimeout, then hard-close whatever remains. Requests waiting for a
+// drainTimeout (5 s), then hard-close whatever remains. Requests waiting for a
 // slot are answered StatusShutdown. It is idempotent and does not close the
 // database.
 func (s *Server) Close() error {
@@ -278,7 +281,7 @@ func (s *Server) Close() error {
 	}()
 	select {
 	case <-drained:
-	case <-time.After(s.cfg.DrainTimeout):
+	case <-time.After(s.cfg.drainTimeout):
 		// Graceful window over: sever the stragglers. Their in-flight
 		// database work still completes (operations are deadline-bounded);
 		// only the response write is forfeited.
@@ -502,8 +505,8 @@ func (s *Server) histFor(op wire.Op) *obs.Histogram {
 // spans the layers below record.
 func (s *Server) execute(dctx *deadlineCtx, req wire.Request, tc obs.TraceContext, out []byte) ([]byte, wire.Status) {
 	budget := req.Timeout
-	if budget <= 0 || budget > s.cfg.MaxRequestTimeout {
-		budget = s.cfg.MaxRequestTimeout
+	if budget <= 0 || budget > maxRequestTimeout {
+		budget = maxRequestTimeout
 	}
 	dctx.reset(budget)
 	defer dctx.release()

@@ -290,7 +290,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err := database.LoadCustomers(256); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(database, Config{Addr: "127.0.0.1:0", DrainTimeout: 5 * time.Second})
+	srv := New(database, Config{Addr: "127.0.0.1:0"})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +325,68 @@ func TestGracefulDrain(t *testing.T) {
 	// And idempotent close.
 	if err := srv.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestDrainHardClosesStragglers: a request still running when the drain
+// window ends loses its connection. Close severs it, waits for the handler
+// to finish its database work, and returns, and nothing is left running.
+func TestDrainHardClosesStragglers(t *testing.T) {
+	leakcheck.Check(t)
+	const window = 100 * time.Millisecond
+	var slow atomic.Bool
+	entered := make(chan struct{}, 1)
+	database, err := db.Open(db.Config{
+		Frames: 16,
+		Backend: sim.New(sim.ServiceModel{Delay: func(int64) {
+			if slow.Load() {
+				select {
+				case entered <- struct{}{}:
+					time.Sleep(4 * window)
+				default:
+				}
+			}
+		}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer database.Close()
+	if err := database.LoadCustomers(256); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(database, Config{Addr: "127.0.0.1:0", drainTimeout: window})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// The heap page of a freshly loaded record is not resident, so the GET
+	// reads it from the disk and sleeps there past the window.
+	slow.Store(true)
+	inflight := make(chan error, 1)
+	go func() {
+		_, err := cl.Get(context.Background(), 200)
+		inflight <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the disk")
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if took := time.Since(start); took < window {
+		t.Errorf("Close returned after %v, inside the %v drain window", took, window)
+	}
+	if err := <-inflight; err == nil {
+		t.Error("a request held past the drain window got its reply; want its connection severed")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bufferpool"
@@ -53,7 +54,7 @@ func (e *Experiment) RunPool(frames, k int, opts core.Options, dirtyEvery int) (
 	loadReads := d.Stats().Reads
 	for i, p := range e.Trace {
 		before := pool.Stats().Hits
-		pg, err := pool.Fetch(p)
+		pg, err := pool.FetchCtx(context.Background(), p)
 		if err != nil {
 			return res, fmt.Errorf("sim: pool replay at ref %d: %w", i, err)
 		}

@@ -86,7 +86,7 @@ func TestRecycledChunksReadAsZeros(t *testing.T) {
 		defer d.Close()
 		defer p.Close()
 		for i := 0; i < frames; i++ {
-			pg, err := p.NewPage()
+			pg, err := p.NewPageCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,12 +105,12 @@ func TestRecycledChunksReadAsZeros(t *testing.T) {
 		}
 		// The failed load scribbles junk over the frame it evicted into.
 		d.fail.Store(true)
-		if pg, err := p.Fetch(x); err == nil || pg != (bufferpool.Page{}) {
+		if pg, err := p.FetchCtx(context.Background(), x); err == nil || pg != (bufferpool.Page{}) {
 			t.Fatalf("a failed read returned a handle (err %v)", err)
 		}
 		d.fail.Store(false)
 		// That frame is free now, and the next NewPage takes it.
-		pg, err := p.NewPage()
+		pg, err := p.NewPageCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,14 +120,14 @@ func TestRecycledChunksReadAsZeros(t *testing.T) {
 		pg.Unpin(false)
 		// x lands in a frame that held another page's image, and reads as
 		// the zeros the disk holds for it.
-		if pg, err = p.Fetch(x); err != nil {
+		if pg, err = p.FetchCtx(context.Background(), x); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pg.Data(), zeros) {
 			t.Fatalf("page %d loads as %x…, want zeros", x, pg.Data()[:8])
 		}
 		pg.Unpin(false)
-		if pg, err = p.Fetch(0); err != nil {
+		if pg, err = p.FetchCtx(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pg.Data(), image(0)) {
