@@ -20,7 +20,7 @@ import (
 //     records into them on the hot path — the disk latency ones at its I/O
 //     gate (nil histograms disable the timing entirely).
 //   - Counters and gauges that already exist as atomics inside the stack
-//     (pool shard counters, the backend ledger, replacer stats) are exposed
+//     (pool counters, the backend ledger, replacer stats) are exposed
 //     through CounterFunc/GaugeFunc collectors evaluated at scrape time —
 //     zero added cost on the paths that maintain them.
 

@@ -21,7 +21,7 @@
 //     fields and never branch on a config flag.
 //   - One counter mechanism. Every counter and gauge is a CounterFunc /
 //     GaugeFunc collector evaluated at scrape time over an atomic its
-//     layer already keeps (pool shards, disk ledgers, server totals), so
+//     layer already keeps (pool counters, disk ledgers, server totals), so
 //     exposing it costs the recording path nothing: a value worth
 //     exposing already lives somewhere.
 //
@@ -92,7 +92,7 @@ type series struct {
 
 	hist *Histogram
 	// fn is a counter or gauge family's scrape-time collector over a value
-	// that already lives elsewhere (pool shard counters, disk atomics); it
+	// that already lives elsewhere (pool counters, disk atomics); it
 	// costs the recording path nothing.
 	fn func() float64
 }
@@ -152,7 +152,7 @@ func (r *Registry) lookup(name string, kind Kind, help string, labels Labels, sc
 
 // CounterFunc registers a scrape-time collector as a counter series: fn is
 // evaluated at each exposition, so a counter that already exists as an
-// atomic elsewhere (a pool shard total, a disk ledger) is exposed without
+// atomic elsewhere (a pool counter, a disk ledger) is exposed without
 // adding a single instruction to its recording path. Re-registering the
 // same name+labels replaces the callback.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
