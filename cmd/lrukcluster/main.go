@@ -375,16 +375,16 @@ func runRebalance(ctx context.Context, verb string, args []string, stdout, stder
 		verb, *nodeID, cur.Epoch, next.Epoch, keys)
 	// The whole handoff runs under one sampled trace: every traced node
 	// records the admin requests it served as spans of this trace, so the
-	// printed id feeds straight into `lrukcluster trace`. The coordinator's
-	// own recorder mints the ids and holds the phase spans, whose durations
-	// are the phase timings printed after the run.
+	// printed id feeds straight into `lrukcluster trace`. The coordinator
+	// adopts the trace into its own recorder, which mints the ids and holds
+	// the phase spans, whose durations are the phase timings printed after
+	// the run. The root span id is a fresh id no span records: the phase
+	// spans and the nodes' request spans hang beneath it.
 	rec := obs.NewSpanRecorder("coordinator", 64)
-	trace := obs.TraceContext{TraceID: rec.NewTraceID(), SpanID: rec.NewSpanID(), Sampled: true}
+	trace := rec.Adopt(obs.TraceContext{TraceID: rec.NewTraceID(), SpanID: rec.NewTraceID(), Sampled: true})
 	fmt.Fprintf(stdout, "lrukcluster: rebalance trace=%016x\n", trace.TraceID)
-	err = cluster.Rebalance(ctx, cur, next, cluster.RebalanceConfig{
-		Keys:  int64(keys),
-		Spans: rec,
-		Trace: trace,
+	err = cluster.Rebalance(obs.ContextWithTrace(ctx, trace), cur, next, cluster.RebalanceConfig{
+		Keys: int64(keys),
 		Log: func(format string, a ...any) {
 			fmt.Fprintf(stdout, "lrukcluster: "+format+"\n", a...)
 		},

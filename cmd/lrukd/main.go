@@ -157,9 +157,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		reg = obs.NewRegistry()
 	}
 	// The span recorder exists independently of the obs listener (spans are
-	// recorded either way; /spans just needs -obs-addr to be readable). Its
-	// ids are salted by the node identity so two nodes never mint colliding
-	// span ids within one trace.
+	// recorded either way; /spans just needs -obs-addr to be readable). It
+	// goes to the server alone, which adopts each sampled request's trace
+	// into it; the pool, disk and WAL spans beneath reach it through that
+	// trace. Its ids are salted by the node identity so two nodes never
+	// mint colliding span ids within one trace.
 	var spanRec *obs.SpanRecorder
 	if *spanCap > 0 {
 		spanRec = obs.NewSpanRecorder(*nodeID, *spanCap)
@@ -180,10 +182,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "lrukd: -backend=file requires -data-dir")
 			return 2
 		}
-		s, err := file.OpenConfig(*dataDir, file.Config{
-			MaxWALBytes: *maxWAL,
-			Spans:       spanRec,
-		})
+		s, err := file.OpenConfig(*dataDir, file.Config{MaxWALBytes: *maxWAL})
 		if err != nil {
 			fmt.Fprintln(stderr, "lrukd:", err)
 			return 1
@@ -200,7 +199,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		K:             *k,
 		Obs:           reg,
 		ScrubInterval: *scrubIval,
-		Spans:         spanRec,
 		// A circuit breaker over the disk, whose refusals the server maps
 		// onto wire statuses. Each read or write is one disk attempt.
 		DiskBreaker: bufferpool.BreakerConfig{

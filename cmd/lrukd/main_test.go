@@ -23,9 +23,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/heapfile"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/storage"
+	"repro/internal/storage/file"
 	"repro/internal/storage/storagetest"
 )
 
@@ -377,12 +379,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // callers need different values for it. db.Config has no replacer periods
 // (db.Open sets the CRP to its correlatedReferencePeriod constant and
 // derives the RIP from Frames and K) and no record size (only db's own
-// tests shrink it, through an unexported field); one of its 8 fields,
+// tests shrink it, through an unexported field); one of its 7 fields,
 // DiskRetry, is a deprecated declaration nothing reads, kept only for the
-// benchmark harness that still sets it. bufferpool.Config has no retry
-// posture (the pool makes one disk attempt per read or write, and a failed
-// write-back is retried by the next sweep or flush) and no page-table
-// partition count (the pool has one page table). server.Config has no drain
+// benchmark harness that still sets it. file.Config has 2: MaxWALBytes and
+// the inert VerifyReads, likewise kept only for the harness. No layer
+// below the server takes a span recorder: a sampled trace carries the
+// recorder its node adopted it into (obs.SpanRecorder.Adopt), so
+// server.Config.Spans is the one recorder field, *obs.SpanRecorder has 5
+// methods (Adopt, NewTraceID, Node, Snapshot, TraceSpans; spans are
+// started and emitted through the adopted obs.TraceContext), and
+// cluster.RebalanceConfig has 2 fields (the run's trace rides its ctx).
+// bufferpool.Config has no retry posture (the pool makes one disk attempt
+// per read or write, and a failed write-back is retried by the next sweep
+// or flush) and no page-table partition count (the pool has one page
+// table). server.Config has no drain
 // window and no request-budget cap: each had one value in use (5 s and
 // 30 s), so both are constants and lrukd has no flag for either.
 // core.Options holds the two §2.1 periods and nothing else: no shard count
@@ -428,11 +438,12 @@ func TestOptionSurface(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{db.Config{}, 8},
-		{bufferpool.Config{}, 5},
+		{db.Config{}, 7},
+		{bufferpool.Config{}, 4},
+		{file.Config{}, 2},
 		{server.Config{}, 8},
 		{cluster.Config{}, 1},
-		{cluster.RebalanceConfig{}, 4},
+		{cluster.RebalanceConfig{}, 2},
 		{core.Options{}, 2},
 	} {
 		// Exported fields only: an unexported field is settable by its own
@@ -481,6 +492,7 @@ func TestOptionSurface(t *testing.T) {
 		{&cluster.Client{}, 8},
 		{&client.Client{}, 10},
 		{&bufferpool.Pool{}, 16},
+		{&obs.SpanRecorder{}, 5},
 		{&db.DB{}, 19},
 		{&heapfile.File{}, 7},
 		{&btree.Tree{}, 8},

@@ -159,12 +159,6 @@ type Config struct {
 	// runs on the detecting goroutine (a fetch's miss path or the
 	// scrubber) and must not call back into the pool.
 	CorruptionHook func(p policy.PageID, kind storage.CorruptKind, repaired bool)
-	// Spans, when non-nil, arms fetch tracing: sampled fetches (a sampled
-	// obs.TraceContext on ctx) record pool_fetch / pool_miss /
-	// pool_coalesce spans plus breaker-reject and evict events here.
-	// Nil keeps every fetch free of tracing work; the latch-free hit probe
-	// is untouched either way.
-	Spans *obs.SpanRecorder
 }
 
 // RetryConfig is inert.
@@ -280,7 +274,6 @@ type Pool struct {
 	metrics        Metrics
 	scrubInterval  time.Duration
 	corruptionHook func(policy.PageID, storage.CorruptKind, bool)
-	spans          *obs.SpanRecorder
 
 	// closed gates every public operation after Close; in-flight operations
 	// complete normally.
@@ -331,7 +324,6 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 		metrics:        cfg.Metrics,
 		scrubInterval:  cfg.ScrubInterval,
 		corruptionHook: cfg.CorruptionHook,
-		spans:          cfg.Spans,
 	}
 	p.repairer, _ = b.(storage.Repairer)
 	// Frames are cut from arena chunks, uncleared (DESIGN.md §8); the

@@ -350,8 +350,7 @@ func TestConcurrentFetchUnpin(t *testing.T) {
 // breaker_reject event and no disk_read.
 func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	rec := obs.NewSpanRecorder("n", 64)
-	p := NewWithConfig(sim.New(sim.ServiceModel{}), 2,
-		core.NewSyncReplacer(2, core.Options{}), Config{Spans: rec})
+	p := New(sim.New(sim.ServiceModel{}), 2, core.NewSyncReplacer(2, core.Options{}))
 	var ids []policy.PageID
 	for i := 0; i < 4; i++ {
 		pg, err := p.NewPageCtx(context.Background())
@@ -385,7 +384,7 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 
 	const trace = 0xfeed
 	victim := miss(obs.ContextWithTrace(context.Background(),
-		obs.TraceContext{TraceID: trace, SpanID: 1, Sampled: true}), ids[0])
+		rec.Adopt(obs.TraceContext{TraceID: trace, SpanID: 1, Sampled: true})), ids[0])
 	var missSpan obs.Hex64
 	byKind := map[obs.SpanKind][]obs.SpanRecord{}
 	for _, s := range rec.TraceSpans(trace) {
@@ -418,7 +417,6 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	page := storagetest.MustAllocate(d)
 	bp := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
-		Spans:   rec,
 		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 	})
 	defer bp.Close()
@@ -428,7 +426,7 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 	}
 	const rejected = 0xbeef
 	_, err := bp.FetchCtx(obs.ContextWithTrace(context.Background(),
-		obs.TraceContext{TraceID: rejected, SpanID: 1, Sampled: true}), page)
+		rec.Adopt(obs.TraceContext{TraceID: rejected, SpanID: 1, Sampled: true})), page)
 	if !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch on an open circuit = %v, want ErrDiskUnavailable", err)
 	}

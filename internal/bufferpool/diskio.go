@@ -34,10 +34,7 @@ func (p *Pool) diskIO(ctx context.Context, op storage.Op, id policy.PageID, buf 
 	if !p.breaker.allow() {
 		return fmt.Errorf("%s page %d: %w", name, id, ErrDiskUnavailable)
 	}
-	var span obs.Span
-	if p.spans != nil {
-		span = p.spans.Start(obs.TraceFrom(ctx), kind)
-	}
+	span := obs.TraceFrom(ctx).Start(kind)
 	var start time.Time
 	if hist != nil {
 		start = time.Now()

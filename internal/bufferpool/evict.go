@@ -169,14 +169,10 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 // traceEviction leaves a zero-duration evict event (annot = victim page)
 // under the span on ctx — the pool_miss span of the sampled fetch the
 // sweep ran for — so /spans?trace=… answers which request evicted the
-// page. No-op without a recorder or without a sampled trace on ctx.
+// page. No-op unless a node adopted the trace on ctx.
 func (p *Pool) traceEviction(ctx context.Context, victim policy.PageID) {
-	if p.spans == nil {
-		return
-	}
 	if tc := obs.TraceFrom(ctx); tc.Sampled {
-		p.spans.Emit(tc.TraceID, p.spans.NewSpanID(), tc.SpanID,
-			obs.SpanEvict, time.Now(), 0, int64(victim))
+		tc.Emit(obs.SpanEvict, time.Now(), 0, int64(victim))
 	}
 }
 

@@ -48,16 +48,14 @@ func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 		// hit adds nothing to a waterfall.
 		return pg, nil
 	}
-	if p.spans != nil {
-		// One ctx.Value probe per slow-path fetch, only with tracing armed.
-		// Sampled fetches get a pool_fetch span; everything beneath (miss,
-		// coalesce, disk, WAL) parents to it via the re-wrapped context.
-		if tc := obs.TraceFrom(ctx); tc.Sampled {
-			span := p.spans.Start(tc, obs.SpanPoolFetch)
-			pg, err := p.fetchSlow(obs.ContextWithTrace(ctx, span.Context()), id, span.Context())
-			span.Finish(int64(id))
-			return pg, err
-		}
+	// One ctx.Value probe per slow-path fetch. A fetch under an adopted
+	// trace gets a pool_fetch span; everything beneath (miss, coalesce,
+	// disk, WAL) parents to it via the re-wrapped context.
+	if span := obs.TraceFrom(ctx).Start(obs.SpanPoolFetch); span.ID() != 0 {
+		tc := span.Context()
+		pg, err := p.fetchSlow(obs.ContextWithTrace(ctx, tc), id, tc)
+		span.Finish(int64(id))
+		return pg, err
 	}
 	return p.fetchSlow(ctx, id, obs.TraceContext{})
 }
@@ -180,7 +178,7 @@ func (p *Pool) pinEntry(ctx context.Context, id policy.PageID, tc obs.TraceConte
 			if wait != nil {
 				waitStart = time.Now()
 			}
-			coSpan := p.spans.Start(tc, obs.SpanPoolCoalesce)
+			coSpan := tc.Start(obs.SpanPoolCoalesce)
 			select {
 			case <-done:
 				coSpan.Finish(int64(id))
@@ -241,7 +239,7 @@ func (p *Pool) abandonPin(id policy.PageID, f *frame) {
 func (p *Pool) fetchMiss(ctx context.Context, id policy.PageID, tc obs.TraceContext) (pg Page, retry bool, err error) {
 	// A sampled miss gets its own span; disk reads and victim write-backs
 	// beneath it parent to the miss via the re-wrapped context.
-	missSpan := p.spans.Start(tc, obs.SpanPoolMiss)
+	missSpan := tc.Start(obs.SpanPoolMiss)
 	if missSpan.ID() != 0 {
 		ctx = obs.ContextWithTrace(ctx, missSpan.Context())
 		defer missSpan.Finish(int64(id))
@@ -264,8 +262,7 @@ func (p *Pool) fetchMiss(ctx context.Context, id policy.PageID, tc obs.TraceCont
 		p.misses.Add(1)
 		p.readsRejected.Add(1)
 		if missSpan.ID() != 0 {
-			p.spans.Emit(tc.TraceID, p.spans.NewSpanID(), missSpan.ID(),
-				obs.SpanBreakerReject, time.Now(), 0, int64(id))
+			missSpan.Context().Emit(obs.SpanBreakerReject, time.Now(), 0, int64(id))
 		}
 		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, ErrDiskUnavailable)
 	}

@@ -472,7 +472,8 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 // pool_coalesce spans mean "client fetches parked behind a read". The
 // client arm is the control: one joined FetchCtx is exactly one of each.
 func TestJoinFailedLoad(t *testing.T) {
-	sampled := obs.ContextWithTrace(context.Background(), obs.TraceContext{TraceID: 7, SpanID: 1, Sampled: true})
+	// sampled is set per arm, to a trace adopted into that arm's recorder.
+	var sampled context.Context
 	for _, arm := range []struct {
 		name    string
 		joiners []func(p *Pool, a policy.PageID) error
@@ -512,9 +513,10 @@ func TestJoinFailedLoad(t *testing.T) {
 			d, armed, entered, gate := gatedDisk()
 			a := allocPages(t, d, 1)[0]
 			wait, spans := obs.NewHistogram(), obs.NewSpanRecorder("t", 64)
+			sampled = obs.ContextWithTrace(context.Background(),
+				spans.Adopt(obs.TraceContext{TraceID: 7, SpanID: 1, Sampled: true}))
 			p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
 				Metrics: Metrics{CoalesceWait: wait},
-				Spans:   spans,
 			})
 			d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
 

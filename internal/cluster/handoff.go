@@ -51,16 +51,6 @@ type RebalanceConfig struct {
 	Keys int64
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
-	// Spans, when non-nil together with a sampled Trace, records one
-	// rebalance_phase span per coordinator phase (annot = the index into
-	// the flip_sources/copy/flush_dests/flip_rest sequence). The spans are
-	// the phases' one timing.
-	Spans *obs.SpanRecorder
-	// Trace, when sampled, is the trace context every admin request of the
-	// run is issued under: each node records the ViewSet/Flush/RangeWrite
-	// it served as request spans of this one trace, so `lrukcluster trace`
-	// reassembles the whole handoff across the cluster.
-	Trace obs.TraceContext
 
 	// batchSize caps entries per RangeRead/RangeWrite request, at most
 	// wire.MaxRangeEntries. Zero selects 2048. Only this package's tests
@@ -94,19 +84,17 @@ func RebalancePhaseName(idx int) string {
 	return rebalancePhases[idx]
 }
 
-// observePhase files one completed phase: under a sampled trace, a
-// rebalance_phase span parented on the run's root span. The span is the
-// phase's one timing.
-func (c RebalanceConfig) observePhase(idx int, start time.Time) {
-	if c.Spans != nil && c.Trace.Sampled {
-		c.Spans.Emit(c.Trace.TraceID, c.Spans.NewSpanID(), c.Trace.SpanID,
-			obs.SpanRebalancePhase, start, time.Since(start), int64(idx))
-	}
-}
-
 // Rebalance drives the handoff from oldView to newView. Every node in
 // oldView must be reachable (a node being *removed* hands its keys off,
 // so it must be alive for the transfer); newView must be strictly newer.
+//
+// Under a sampled trace on ctx, every admin request of the run carries it
+// on the wire: each node records the ViewSet/Flush/RangeWrite it served as
+// request spans of this one trace, so `lrukcluster trace` reassembles the
+// whole handoff across the cluster. When the coordinator adopted the
+// trace, each phase also leaves a rebalance_phase span beneath it (annot =
+// the index into the flip_sources/copy/flush_dests/flip_rest sequence),
+// the phase's one timing.
 func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceConfig) error {
 	cfg = cfg.withDefaults()
 	if cfg.Keys <= 0 {
@@ -167,12 +155,7 @@ func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceCon
 		return c, nil
 	}
 
-	// Under a sampled trace every admin request below carries the trace
-	// context on the wire, so the nodes' request spans stitch into one
-	// cluster-wide handoff trace.
-	if cfg.Trace.Sampled {
-		ctx = obs.ContextWithTrace(ctx, cfg.Trace)
-	}
+	tc := obs.TraceFrom(ctx)
 
 	// (1) Flip and drain every source before any copying starts.
 	phaseStart := time.Now()
@@ -191,7 +174,7 @@ func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceCon
 			return fmt.Errorf("cluster: rebalance: flush source %s: %w", n.ID, err)
 		}
 	}
-	cfg.observePhase(0, phaseStart)
+	tc.Emit(obs.SpanRebalancePhase, phaseStart, time.Since(phaseStart), 0)
 
 	// (2) Copy each source's moved keys to their new owners.
 	phaseStart = time.Now()
@@ -203,7 +186,7 @@ func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceCon
 			return err
 		}
 	}
-	cfg.observePhase(1, phaseStart)
+	tc.Emit(obs.SpanRebalancePhase, phaseStart, time.Since(phaseStart), 1)
 
 	// (3) Durability on the receiving side before anyone reads from it.
 	phaseStart = time.Now()
@@ -219,7 +202,7 @@ func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceCon
 			return fmt.Errorf("cluster: rebalance: flush destination %s: %w", n.ID, err)
 		}
 	}
-	cfg.observePhase(2, phaseStart)
+	tc.Emit(obs.SpanRebalancePhase, phaseStart, time.Since(phaseStart), 2)
 
 	// (4) Final flip: everyone not already on the new view adopts it.
 	phaseStart = time.Now()
@@ -237,7 +220,7 @@ func Rebalance(ctx context.Context, oldView, newView wire.View, cfg RebalanceCon
 		}
 		cfg.logf("rebalance: node %s now at epoch %d", n.ID, epoch)
 	}
-	cfg.observePhase(3, phaseStart)
+	tc.Emit(obs.SpanRebalancePhase, phaseStart, time.Since(phaseStart), 3)
 	return nil
 }
 

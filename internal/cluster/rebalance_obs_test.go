@@ -11,10 +11,11 @@ import (
 	"repro/internal/server"
 )
 
-// TestRebalanceObservability runs a node removal with the coordinator's
-// span recorder armed and checks the run left the promised artifacts: one
-// rebalance_phase span per phase, all under the configured trace and in
-// execution order. The spans are each phase's one timing.
+// TestRebalanceObservability runs a node removal under a trace the
+// coordinator adopted into its span recorder and checks the run left the
+// promised artifacts: one rebalance_phase span per phase, all under the
+// configured trace and in execution order. The spans are each phase's one
+// timing.
 func TestRebalanceObservability(t *testing.T) {
 	leakcheck.Check(t)
 	const customers = 400
@@ -25,12 +26,9 @@ func TestRebalanceObservability(t *testing.T) {
 	}
 
 	rec := obs.NewSpanRecorder("coordinator", 64)
-	trace := obs.TraceContext{TraceID: rec.NewTraceID(), SpanID: rec.NewSpanID(), Sampled: true}
-	err = cluster.Rebalance(context.Background(), view, shrunk, cluster.RebalanceConfig{
-		Keys:  customers,
-		Spans: rec,
-		Trace: trace,
-	}.WithBatchSize(64))
+	trace := rec.Adopt(obs.TraceContext{TraceID: rec.NewTraceID(), SpanID: rec.NewTraceID(), Sampled: true})
+	err = cluster.Rebalance(obs.ContextWithTrace(context.Background(), trace), view, shrunk,
+		cluster.RebalanceConfig{Keys: customers}.WithBatchSize(64))
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}

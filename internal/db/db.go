@@ -77,15 +77,6 @@ type Config struct {
 	// StatsSnapshot reports (see DESIGN.md §12 for the catalog). Nil (the
 	// default) leaves every hot path uninstrumented.
 	Obs *obs.Registry
-	// Spans, when non-nil, arms distributed-tracing span recording through
-	// the stack: sampled operations leave pool_fetch / pool_miss /
-	// pool_coalesce / breaker_reject / disk_read / disk_write
-	// spans from the pool in this recorder, and an evict event for every
-	// page a sampled miss evicted.
-	// The unsampled path stays within the pool's hit-latency budget. WAL
-	// spans (wal_append, wal_fsync) come from the file backend's own
-	// file.Config.Spans, which the caller wires when building the backend.
-	Spans *obs.SpanRecorder
 
 	// evictionTraceSize lets this package's reconciliation tests retain
 	// every trace record; zero selects evictionTraceDefault.
@@ -205,7 +196,6 @@ func Open(cfg Config) (*DB, error) {
 			Metrics:        poolMetrics,
 			ScrubInterval:  cfg.ScrubInterval,
 			CorruptionHook: corruptionHook,
-			Spans:          cfg.Spans,
 		})
 	db := &DB{
 		cfg:      cfg,

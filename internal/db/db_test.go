@@ -193,15 +193,13 @@ func TestConcurrentLookups(t *testing.T) {
 }
 
 // TestOpenStacksOnlyWhatServes pins the storage stack Open assembles: the
-// caller's backend itself, whatever Obs and Spans ask for — the pool's I/O
-// gate records the disk histograms and spans — and a simulated disk when no
-// backend is given.
+// caller's backend itself, whether or not Obs asks for instruments — the
+// pool's I/O gate records the disk histograms — and a simulated disk when
+// no backend is given.
 func TestOpenStacksOnlyWhatServes(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"plain": {},
 		"obs":   {Obs: obs.NewRegistry()},
-		"spans": {Spans: obs.NewSpanRecorder("n", 8)},
-		"both":  {Obs: obs.NewRegistry(), Spans: obs.NewSpanRecorder("n", 8)},
 	} {
 		base := sim.New(sim.ServiceModel{})
 		cfg.Frames, cfg.Backend = 8, base

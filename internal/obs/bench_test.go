@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,5 +64,20 @@ func BenchmarkHistogramSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := h.Snapshot()
 		_ = s.Quantile(0.99)
+	}
+}
+
+// BenchmarkUnsampledProbe is what a layer pays per probe site when the
+// request is not sampled: the context lookup, then a Start/Finish pair on
+// the empty trace it returns. The context holds one unrelated value, so
+// the lookup walks a level before it misses. TestSpanOverheadGuard gates
+// the Start/Finish part alone.
+func BenchmarkUnsampledProbe(b *testing.B) {
+	type otherKey struct{}
+	ctx := context.WithValue(context.Background(), otherKey{}, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := TraceFrom(ctx).Start(SpanDiskRead)
+		s.Finish(int64(i))
 	}
 }

@@ -20,10 +20,17 @@ import (
 // the current enclosing operation (the parent for anything started
 // beneath it), and whether the request was sampled. The zero value means
 // "no trace".
+//
+// A fourth field is node-local: the recorder the node that adopted the
+// trace (SpanRecorder.Adopt) records its spans into. It never goes on the
+// wire, so a decoded context records nothing until its node adopts it.
+// Every span started beneath an adopted context inherits the recorder;
+// no layer holds one of its own.
 type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64
 	Sampled bool
+	rec     *SpanRecorder
 }
 
 // traceKey is the context.Context key for a TraceContext. An unexported
@@ -202,9 +209,10 @@ type spanSlot struct {
 }
 
 // SpanRecorder is the per-node span ring: fixed capacity, overwriting
-// oldest-first, no locks anywhere on the record path. Start/Finish on an
-// unsampled context are two branches and return immediately — that is
-// the cost the whole request fleet pays when tracing is off.
+// oldest-first, no locks anywhere on the record path. Spans reach it only
+// through a TraceContext it adopted. Start/Finish beneath a context no
+// node adopted are two branches and return immediately — that is the cost
+// the whole request fleet pays when tracing is off.
 type SpanRecorder struct {
 	node   string
 	slots  []spanSlot
@@ -265,13 +273,10 @@ func (r *SpanRecorder) Node() string {
 	return r.node
 }
 
-// NewTraceID mints a fresh non-zero trace id. Ids are node-salted
-// splitmix64 draws, so concurrent nodes and processes do not collide in
-// practice.
+// NewTraceID mints a fresh non-zero id. Ids are node-salted splitmix64
+// draws, so concurrent nodes and processes do not collide in practice.
+// Span ids come from the same draw.
 func (r *SpanRecorder) NewTraceID() uint64 { return r.newID() }
-
-// NewSpanID mints a fresh non-zero span id.
-func (r *SpanRecorder) NewSpanID() uint64 { return r.newID() }
 
 func (r *SpanRecorder) newID() uint64 {
 	for {
@@ -281,22 +286,38 @@ func (r *SpanRecorder) newID() uint64 {
 	}
 }
 
-// Emit records a finished span directly. It is the retrospective path —
-// tail-sampled requests whose spans are reconstructed after the fact,
-// and point events with no duration (breaker rejections, MOVED bounces).
-func (r *SpanRecorder) Emit(trace, span, parent uint64, kind SpanKind, start time.Time, dur time.Duration, annot int64) {
-	if r == nil || trace == 0 {
-		return
+// Adopt returns tc recording into r: the one place a node chooses where
+// the spans of a sampled trace go. An unsampled tc comes back unchanged,
+// recording nothing, as does any tc a nil r adopts.
+func (r *SpanRecorder) Adopt(tc TraceContext) TraceContext {
+	if tc.Sampled {
+		tc.rec = r
 	}
+	return tc
+}
+
+// Emit records a finished span beneath tc and returns the span's own
+// context, for children emitted beneath it. It is the retrospective path —
+// tail-sampled requests whose spans are reconstructed after the fact,
+// and point events with no duration (breaker rejections, MOVED bounces,
+// evictions). A tc no node adopted records nothing and comes back as is.
+func (tc TraceContext) Emit(kind SpanKind, start time.Time, dur time.Duration, annot int64) TraceContext {
+	r := tc.rec
+	if r == nil || tc.TraceID == 0 {
+		return tc
+	}
+	span := r.newID()
 	r.write(SpanRecord{
-		Trace:  Hex64(trace),
+		Trace:  Hex64(tc.TraceID),
 		Span:   Hex64(span),
-		Parent: Hex64(parent),
+		Parent: Hex64(tc.SpanID),
 		Kind:   kind,
 		Start:  r.stamp(start),
 		Dur:    int64(dur),
 		Annot:  annot,
 	})
+	tc.SpanID = span
+	return tc
 }
 
 func (r *SpanRecorder) write(rec SpanRecord) {
@@ -312,8 +333,8 @@ func (r *SpanRecorder) write(rec SpanRecord) {
 	slot.seq.Add(1) // even: published
 }
 
-// Span is an in-flight span token. The zero value (unsampled, or nil
-// recorder) is inert: Finish on it returns immediately. It is a value,
+// Span is an in-flight span token. The zero value (from a context no node
+// adopted) is inert: Finish on it returns immediately. It is a value,
 // not a pointer, so starting a span never allocates.
 type Span struct {
 	r      *SpanRecorder
@@ -324,40 +345,35 @@ type Span struct {
 	start  time.Time
 }
 
-// Start begins a span under tc. When the recorder is nil or the context
-// unsampled it returns the inert zero Span without reading the clock —
+// Start begins a span beneath tc. When no node adopted tc (unsampled, or
+// tracing off) it returns the inert zero Span without reading the clock —
 // this early return is the entire disabled-tracing cost on the hot path.
-// (The sampled branch lives in a separate function so Start itself stays
-// within the inliner's budget; TestSpanOverheadGuard holds it to the
-// ceiling.)
-func (r *SpanRecorder) Start(tc TraceContext, kind SpanKind) Span {
-	if r == nil || !tc.Sampled {
+// (TestSpanOverheadGuard holds it to the ceiling.)
+func (tc TraceContext) Start(kind SpanKind) Span {
+	if tc.rec == nil {
 		return Span{}
 	}
-	return r.startSampled(tc, kind)
-}
-
-func (r *SpanRecorder) startSampled(tc TraceContext, kind SpanKind) Span {
-	return Span{
-		r:      r,
-		trace:  tc.TraceID,
-		id:     r.newID(),
-		parent: tc.SpanID,
-		kind:   kind,
-		start:  time.Now(),
-	}
+	return tc.startSampled(kind)
 }
 
 // StartAt is Start with an explicit begin time, for spans whose interval
 // opened before the sampling decision (queue wait measured from enqueue).
-func (r *SpanRecorder) StartAt(tc TraceContext, kind SpanKind, start time.Time) Span {
-	if r == nil || !tc.Sampled {
+func (tc TraceContext) StartAt(kind SpanKind, start time.Time) Span {
+	if tc.rec == nil {
 		return Span{}
 	}
+	return tc.startAt(kind, start)
+}
+
+// startSampled is Start's sampled branch, a function of its own so Start
+// stays within the inliner's budget.
+func (tc TraceContext) startSampled(kind SpanKind) Span { return tc.startAt(kind, time.Now()) }
+
+func (tc TraceContext) startAt(kind SpanKind, start time.Time) Span {
 	return Span{
-		r:      r,
+		r:      tc.rec,
 		trace:  tc.TraceID,
-		id:     r.newID(),
+		id:     tc.rec.newID(),
 		parent: tc.SpanID,
 		kind:   kind,
 		start:  start,
@@ -368,10 +384,10 @@ func (r *SpanRecorder) StartAt(tc TraceContext, kind SpanKind, start time.Time) 
 // the parent of child spans.
 func (s Span) ID() uint64 { return s.id }
 
-// Context returns a trace context whose SpanID is this span, so children
-// started beneath it nest correctly.
+// Context returns a trace context whose SpanID is this span, recording into
+// the span's recorder, so children started beneath it nest correctly.
 func (s Span) Context() TraceContext {
-	return TraceContext{TraceID: s.trace, SpanID: s.id, Sampled: s.r != nil}
+	return TraceContext{TraceID: s.trace, SpanID: s.id, Sampled: s.r != nil, rec: s.r}
 }
 
 // Finish records the span with the given annotation. Inert spans return

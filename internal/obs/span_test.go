@@ -9,11 +9,12 @@ import (
 )
 
 // TestSpanOverheadGuard enforces the unsampled-tracing budget from the
-// acceptance bar: a Start/Finish pair on an unsampled context must cost
-// at most 5 ns and zero allocations — the recorder early-returns before
+// acceptance bar: a Start/Finish pair beneath a context no node adopted
+// must cost at most 5 ns and zero allocations — Start early-returns before
 // reading the clock, so the whole disabled cost is two branches per
 // probe site. Guarded like TestObsOverheadGuard: skipped under -race
 // (the detector multiplies every cost) and in -short mode.
+// BenchmarkUnsampledProbe adds the context lookup a layer makes first.
 func TestSpanOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("overhead guard is meaningless under the race detector")
@@ -22,10 +23,9 @@ func TestSpanOverheadGuard(t *testing.T) {
 		t.Skip("skipping overhead guard in short mode")
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		rec := NewSpanRecorder("guard", 64)
-		tc := TraceContext{} // unsampled: the fleet-wide default
+		tc := NewSpanRecorder("guard", 64).Adopt(TraceContext{}) // unsampled: the fleet-wide default
 		for i := 0; i < b.N; i++ {
-			s := rec.Start(tc, SpanPoolFetch)
+			s := tc.Start(SpanPoolFetch)
 			s.Finish(int64(i))
 		}
 	})
@@ -36,30 +36,32 @@ func TestSpanOverheadGuard(t *testing.T) {
 	if res.AllocsPerOp() != 0 {
 		t.Fatalf("unsampled span path allocates %d objects/op, must be 0", res.AllocsPerOp())
 	}
-	// A nil recorder (tracing not armed at all) must hold the same budget.
+	// A sampled trace on a node with tracing off (adopted by no recorder)
+	// must hold the same budget.
 	res = testing.Benchmark(func(b *testing.B) {
-		var rec *SpanRecorder
 		tc := TraceContext{TraceID: 1, SpanID: 2, Sampled: true}
 		for i := 0; i < b.N; i++ {
-			s := rec.Start(tc, SpanPoolFetch)
+			s := tc.Start(SpanPoolFetch)
 			s.Finish(int64(i))
 		}
 	})
 	if got := res.NsPerOp(); got > ceilingNs {
-		t.Fatalf("nil-recorder span start+finish costs %d ns/op, ceiling %d ns", got, ceilingNs)
+		t.Fatalf("unadopted span start+finish costs %d ns/op, ceiling %d ns", got, ceilingNs)
 	}
 	if res.AllocsPerOp() != 0 {
-		t.Fatalf("nil-recorder span path allocates %d objects/op, must be 0", res.AllocsPerOp())
+		t.Fatalf("unadopted span path allocates %d objects/op, must be 0", res.AllocsPerOp())
 	}
 }
 
 func TestSpanRecorderRoundTrip(t *testing.T) {
 	rec := NewSpanRecorder("n0", 16)
 	trace := rec.NewTraceID()
-	tc := TraceContext{TraceID: trace, SpanID: 0, Sampled: true}
+	tc := rec.Adopt(TraceContext{TraceID: trace, SpanID: 0, Sampled: true})
 
-	root := rec.Start(tc, SpanRequest)
-	child := rec.Start(root.Context(), SpanPoolFetch)
+	root := tc.Start(SpanRequest)
+	// The child reaches the recorder through the context alone.
+	ctx := ContextWithTrace(context.Background(), root.Context())
+	child := TraceFrom(ctx).Start(SpanPoolFetch)
 	child.Finish(42)
 	root.Finish(3)
 
@@ -100,12 +102,12 @@ func TestSpanStartsIgnoreWallClockSteps(t *testing.T) {
 	rec := NewSpanRecorder("n0", 16)
 	rec.baseWall += int64(time.Hour)
 	trace := rec.NewTraceID()
-	tc := TraceContext{TraceID: trace, Sampled: true}
+	tc := rec.Adopt(TraceContext{TraceID: trace, Sampled: true})
 
 	before := time.Now()
-	root := rec.Start(tc, SpanRequest)
-	child := rec.Start(root.Context(), SpanPoolFetch)
-	rec.Emit(trace, rec.NewSpanID(), child.ID(), SpanEvict, time.Now(), 0, 7)
+	root := tc.Start(SpanRequest)
+	child := root.Context().Start(SpanPoolFetch)
+	child.Context().Emit(SpanEvict, time.Now(), 0, 7)
 	child.Finish(0)
 	root.Finish(0)
 	after := time.Now()
@@ -139,7 +141,8 @@ func TestSpanStartsIgnoreWallClockSteps(t *testing.T) {
 func TestSpanRecorderRingOverwrite(t *testing.T) {
 	rec := NewSpanRecorder("n0", 4)
 	for i := 0; i < 10; i++ {
-		rec.Emit(uint64(i+1), uint64(100+i), 0, SpanDiskRead, time.Unix(0, int64(i)), time.Duration(i), 0)
+		rec.Adopt(TraceContext{TraceID: uint64(i + 1), Sampled: true}).
+			Emit(SpanDiskRead, time.Unix(0, int64(i)), time.Duration(i), 0)
 	}
 	got := rec.Snapshot()
 	if len(got) != 4 {
@@ -244,6 +247,30 @@ func TestContextTrace(t *testing.T) {
 	}
 }
 
+// TestAdopt: only a sampled context takes the recorder; the trace fields
+// pass through unchanged either way, and Emit chains parent to child.
+func TestAdopt(t *testing.T) {
+	rec := NewSpanRecorder("n0", 16)
+	unsampled := rec.Adopt(TraceContext{TraceID: 7, SpanID: 9})
+	unsampled.Start(SpanRequest).Finish(0)
+	unsampled.Emit(SpanMoved, time.Now(), 0, 0)
+	if got := rec.Snapshot(); len(got) != 0 {
+		t.Fatalf("an unsampled adopted context recorded %+v", got)
+	}
+	if unsampled != (TraceContext{TraceID: 7, SpanID: 9}) {
+		t.Fatalf("Adopt changed an unsampled context: %+v", unsampled)
+	}
+	tc := rec.Adopt(TraceContext{TraceID: 7, SpanID: 9, Sampled: true})
+	if tc.TraceID != 7 || tc.SpanID != 9 || !tc.Sampled {
+		t.Fatalf("Adopt changed the trace fields: %+v", tc)
+	}
+	child := tc.Emit(SpanRequest, time.Now(), 0, 1).Emit(SpanQueueWait, time.Now(), 0, 0)
+	spans := rec.TraceSpans(7)
+	if len(spans) != 2 || spans[0].Parent != 9 || spans[1].Parent != spans[0].Span || Hex64(child.SpanID) != spans[1].Span {
+		t.Fatalf("emitted chain %+v, want request under span 9 and queue_wait under it", spans)
+	}
+}
+
 func TestSpanRecorderConcurrent(t *testing.T) {
 	rec := NewSpanRecorder("n0", 128)
 	var wg sync.WaitGroup
@@ -252,14 +279,14 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tc := TraceContext{TraceID: uint64(g + 1), Sampled: true}
+			tc := rec.Adopt(TraceContext{TraceID: uint64(g + 1), Sampled: true})
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				s := rec.Start(tc, SpanDiskRead)
+				s := tc.Start(SpanDiskRead)
 				s.Finish(int64(i))
 			}
 		}(g)

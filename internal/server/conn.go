@@ -20,7 +20,8 @@ type conn struct {
 	out []byte // reply frame storage, length prefix included
 	// readArmed / writeArmed are when the socket deadlines were last set.
 	readArmed, writeArmed time.Time
-	// ctx is the context of the request in flight, reset for each one.
+	// ctx is the context of the request in flight, reset for each one;
+	// Close's hard-close cancels it.
 	ctx deadlineCtx
 }
 

@@ -140,6 +140,56 @@ func TestDeadlineCtxReuse(t *testing.T) {
 	}
 }
 
+// TestDeadlineCtxCancel pins the hard-close's cancellation: Err reports
+// Canceled at once, an armed Done channel closes, a Done made after the
+// cancel is born closed, a cancel racing the timer closes the channel
+// once, and reset starts the next request uncanceled.
+func TestDeadlineCtxCancel(t *testing.T) {
+	leakcheck.Check(t)
+	c := newDeadlineCtx(time.Minute)
+	done := c.Done()
+	c.cancel()
+	if err := c.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err after cancel = %v, want Canceled", err)
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("cancel left the armed Done channel open")
+	}
+	c.cancel() // a second cancel is a no-op
+	c.release()
+
+	c.reset(time.Minute)
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err after reset = %v, want nil", err)
+	}
+	c.cancel()
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("Done made after cancel is open")
+	}
+	c.release()
+
+	// The timer firing and a concurrent cancel each try to close one channel.
+	for i := range 20 {
+		c.reset(time.Duration(i*50) * time.Microsecond)
+		done, canceled := c.Done(), make(chan struct{})
+		go func() {
+			c.cancel()
+			close(canceled)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: neither the timer nor cancel closed Done", i)
+		}
+		<-canceled
+		c.release()
+	}
+}
+
 // TestDeadlineCtxAbandonsCoalescedWait is PR 3's abandon test run with the
 // server's context type: a load is frozen mid-disk-read, a second fetch
 // coalesces onto it under a deadlineCtx, and its expiry — delivered through

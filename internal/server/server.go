@@ -77,11 +77,13 @@ type Config struct {
 	// (view, range, stats, flush, scan) are never ownership-checked. Nil
 	// boots the node standalone — a view can still arrive via VIEW_SET.
 	View *wire.View
-	// Spans, when non-nil, arms request tracing: sampled requests get a
-	// request span plus a queue-wait child recorded here, their trace
-	// context is threaded through the database layers, and op-latency
-	// exemplars carry their trace ids. Nil keeps the request path free of
-	// tracing work beyond a flag check.
+	// Spans, when non-nil, arms request tracing: the server adopts each
+	// sampled request's trace into this recorder, so the request span, its
+	// queue-wait child and every pool, disk and WAL span beneath (the
+	// adopted trace is threaded through the database layers) land here,
+	// and op-latency exemplars carry their trace ids. It is the node's one
+	// recorder. Nil keeps the request path free of tracing work beyond a
+	// flag check.
 	Spans *obs.SpanRecorder
 	// SlowThreshold arms tail rescue for requests the client did not
 	// sample: one at least this slow gets its request and queue-wait spans
@@ -132,7 +134,7 @@ type Server struct {
 	waiters atomic.Int64
 
 	mu    sync.Mutex // guards conns and the closed handshake below
-	conns map[net.Conn]struct{}
+	conns map[*conn]struct{}
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
@@ -181,7 +183,7 @@ func New(database *db.DB, cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg.withDefaults(),
 		db:    database,
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[*conn]struct{}),
 		done:  make(chan struct{}),
 	}
 	s.slots = make(chan struct{}, s.cfg.Workers)
@@ -269,8 +271,8 @@ func (s *Server) Close() error {
 	// Wake every handler blocked waiting for a next frame; handlers mid-
 	// request keep running and deliver their response first.
 	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.SetReadDeadline(time.Now())
+	for cn := range s.conns {
+		_ = cn.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
 
@@ -282,12 +284,14 @@ func (s *Server) Close() error {
 	select {
 	case <-drained:
 	case <-time.After(s.cfg.drainTimeout):
-		// Graceful window over: sever the stragglers. Their in-flight
-		// database work still completes (operations are deadline-bounded);
-		// only the response write is forfeited.
+		// Graceful window over: sever the stragglers and cancel their
+		// requests, so each stops at its next context check (a scan
+		// between pages, a fetch before its read) instead of running out
+		// its budget. A disk call already under way finishes first.
 		s.mu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
+		for cn := range s.conns {
+			cn.ctx.cancel()
+			_ = cn.Close()
 		}
 		s.mu.Unlock()
 		<-drained
@@ -340,22 +344,22 @@ func (s *Server) acceptLoop() {
 			_ = c.Close()
 			continue
 		}
-		s.conns[c] = struct{}{}
+		cn := &conn{Conn: c, br: bufio.NewReader(c), out: make([]byte, 0, connBufSize)}
+		s.conns[cn] = struct{}{}
 		s.connWG.Add(1)
 		s.mu.Unlock()
-		go s.handleConn(c)
+		go s.handleConn(cn)
 	}
 }
 
-func (s *Server) handleConn(c net.Conn) {
+func (s *Server) handleConn(cn *conn) {
 	defer s.connWG.Done()
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, c)
+		delete(s.conns, cn)
 		s.mu.Unlock()
-		_ = c.Close()
+		_ = cn.Close()
 	}()
-	cn := &conn{Conn: c, br: bufio.NewReader(c), out: make([]byte, 0, connBufSize)}
 	for now := time.Now(); ; now = time.Now() {
 		req, ok := s.readRequest(cn, now)
 		if !ok {
@@ -374,15 +378,10 @@ func (s *Server) handleConn(c net.Conn) {
 			// wait — the reply path does no database work, so overload
 			// cannot snowball.
 			s.shed.Add(1)
-			if rec := s.cfg.Spans; rec != nil {
+			if s.cfg.Spans != nil {
 				// Sheds are always tail-worthy: a zero-duration request
 				// span marks where the cluster turned the request away.
-				traceID := req.Trace.TraceID
-				if traceID == 0 {
-					traceID = rec.NewTraceID()
-				}
-				rec.Emit(traceID, rec.NewSpanID(), req.Trace.SpanID,
-					obs.SpanRequest, arrived, 0, int64(req.Op))
+				s.tailTrace(req.Trace).Emit(obs.SpanRequest, arrived, 0, int64(req.Op))
 			}
 			err = s.reply(cn, wire.Response{Status: status, Body: []byte("server busy: admission queue full")})
 		default:
@@ -434,16 +433,12 @@ func (s *Server) serve(dctx *deadlineCtx, req wire.Request, out []byte, arrived,
 	if s.queueWait != nil {
 		s.queueWait.Observe(picked.Sub(arrived).Nanoseconds())
 	}
-	rec := s.cfg.Spans
-	wtc := req.Trace
-	// The client made the sampling decision; the wire flag carries it.
-	sampled := rec != nil && wtc.Sampled
-	var reqSpan obs.Span
+	// The client made the sampling decision; the wire flag carries it, and
+	// this node adopts a sampled trace into its recorder, if it has one.
+	reqSpan := s.cfg.Spans.Adopt(req.Trace).StartAt(obs.SpanRequest, arrived)
+	sampled := reqSpan.ID() != 0
 	if sampled {
-		reqSpan = rec.StartAt(obs.TraceContext{TraceID: wtc.TraceID, SpanID: wtc.SpanID, Sampled: true},
-			obs.SpanRequest, arrived)
-		rec.Emit(wtc.TraceID, rec.NewSpanID(), reqSpan.ID(),
-			obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
+		reqSpan.Context().Emit(obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
 	}
 
 	out, status := s.execute(dctx, req, reqSpan.Context(), out)
@@ -451,29 +446,35 @@ func (s *Server) serve(dctx *deadlineCtx, req wire.Request, out []byte, arrived,
 
 	exemplarTrace := uint64(0)
 	if sampled {
-		exemplarTrace = wtc.TraceID
+		exemplarTrace = req.Trace.TraceID
 		if status == wire.StatusMoved {
-			rec.Emit(wtc.TraceID, rec.NewSpanID(), reqSpan.ID(),
-				obs.SpanMoved, picked, 0, int64(req.Op))
+			reqSpan.Context().Emit(obs.SpanMoved, picked, 0, int64(req.Op))
 		}
 		reqSpan.Finish(int64(req.Op))
-	} else if rec != nil && (failedStatus(status) || s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold) {
+	} else if s.cfg.Spans != nil && (failedStatus(status) || s.cfg.SlowThreshold > 0 && dur >= s.cfg.SlowThreshold) {
 		// Tail rescue: the client did not sample, but the request turned
 		// out slow or broken. Reconstruct a minimal two-span trace after
 		// the fact so the outliers are always explorable.
-		traceID := wtc.TraceID
-		if traceID == 0 {
-			traceID = rec.NewTraceID()
-		}
-		root := rec.NewSpanID()
-		rec.Emit(traceID, root, wtc.SpanID, obs.SpanRequest, arrived, time.Since(arrived), int64(req.Op))
-		rec.Emit(traceID, rec.NewSpanID(), root, obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
-		exemplarTrace = traceID
+		tc := s.tailTrace(req.Trace)
+		tc.Emit(obs.SpanRequest, arrived, time.Since(arrived), int64(req.Op)).
+			Emit(obs.SpanQueueWait, arrived, picked.Sub(arrived), 0)
+		exemplarTrace = tc.TraceID
 	}
 	if hist := s.histFor(req.Op); hist != nil {
 		hist.ObserveTraced(dur.Nanoseconds(), exemplarTrace)
 	}
 	return out, status
+}
+
+// tailTrace is the adopted trace of a request the client did not sample,
+// for the spans the server emits after the fact: the request's own trace
+// id, or a fresh one when it came untraced. Spans must be set.
+func (s *Server) tailTrace(wtc obs.TraceContext) obs.TraceContext {
+	if wtc.TraceID == 0 {
+		wtc.TraceID = s.cfg.Spans.NewTraceID()
+	}
+	wtc.Sampled = true
+	return s.cfg.Spans.Adopt(wtc)
 }
 
 // failedStatus reports whether a status counts as a failure for tail
@@ -502,7 +503,7 @@ func (s *Server) histFor(op wire.Op) *obs.Histogram {
 // request's budget and released on return; nothing below keeps it past
 // that (see deadlineCtx). tc is the request span's context (the zero value
 // when unsampled); attached to ctx, it parents the pool, disk, and WAL
-// spans the layers below record.
+// spans the layers below record, and carries the recorder they record into.
 func (s *Server) execute(dctx *deadlineCtx, req wire.Request, tc obs.TraceContext, out []byte) ([]byte, wire.Status) {
 	budget := req.Timeout
 	if budget <= 0 || budget > maxRequestTimeout {

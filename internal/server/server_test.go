@@ -329,30 +329,45 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestDrainHardClosesStragglers: a request still running when the drain
-// window ends loses its connection. Close severs it, waits for the handler
-// to finish its database work, and returns, and nothing is left running.
+// window ends loses its connection and its context. A SCAN that reads one
+// slow page after another stops at its next page: Close returns within one
+// slow read of the window, no read starts after the window, and nothing is
+// left running.
 func TestDrainHardClosesStragglers(t *testing.T) {
 	leakcheck.Check(t)
-	const window = 100 * time.Millisecond
-	var slow atomic.Bool
+	const window, slowRead = 100 * time.Millisecond, 300 * time.Millisecond
+	var (
+		slow  atomic.Bool
+		mu    sync.Mutex
+		reads []time.Time // when each slow disk operation began its delay
+	)
 	entered := make(chan struct{}, 1)
 	database, err := db.Open(db.Config{
 		Frames: 16,
 		Backend: sim.New(sim.ServiceModel{Delay: func(int64) {
-			if slow.Load() {
-				select {
-				case entered <- struct{}{}:
-					time.Sleep(4 * window)
-				default:
-				}
+			if !slow.Load() {
+				return
 			}
+			mu.Lock()
+			reads = append(reads, time.Now())
+			mu.Unlock()
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			time.Sleep(slowRead)
 		}}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer database.Close()
+	// 256 customers fill 128 heap pages, far past the 16 frames; the flush
+	// leaves them clean, so the scan's evictions write nothing back.
 	if err := database.LoadCustomers(256); err != nil {
+		t.Fatal(err)
+	}
+	if err := database.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(database, Config{Addr: "127.0.0.1:0", drainTimeout: window})
@@ -365,12 +380,13 @@ func TestDrainHardClosesStragglers(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// The heap page of a freshly loaded record is not resident, so the GET
-	// reads it from the disk and sleeps there past the window.
 	slow.Store(true)
 	inflight := make(chan error, 1)
 	go func() {
-		_, err := cl.Get(context.Background(), 200)
+		// The budget bounds the scan should nothing cancel it.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*slowRead)
+		defer cancel()
+		_, err := cl.Scan(ctx)
 		inflight <- err
 	}()
 	select {
@@ -382,11 +398,22 @@ func TestDrainHardClosesStragglers(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if took := time.Since(start); took < window {
+	took := time.Since(start)
+	if took < window {
 		t.Errorf("Close returned after %v, inside the %v drain window", took, window)
+	}
+	if took > window+slowRead {
+		t.Errorf("Close took %v, want at most one slow read (%v) past the %v window", took, slowRead, window)
 	}
 	if err := <-inflight; err == nil {
 		t.Error("a request held past the drain window got its reply; want its connection severed")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, r := range reads {
+		if after := r.Sub(start.Add(window)); after > 0 {
+			t.Errorf("a disk read began %v after the drain window ended", after)
+		}
 	}
 }
 

@@ -102,6 +102,35 @@ func TestTracedFrameLayout(t *testing.T) {
 	}
 }
 
+// The recorder an adopted trace carries is node-local: a request built
+// from an adopted context encodes byte for byte like one built from the
+// three wire fields, and decodes to those fields alone, recording nothing
+// until the receiving node adopts it.
+func TestWireDropsRecorder(t *testing.T) {
+	rec := obs.NewSpanRecorder("n", 8)
+	plain := obs.TraceContext{TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00, Sampled: true}
+	adopted := rec.Adopt(plain)
+	if adopted == plain {
+		t.Fatal("Adopt attached no recorder")
+	}
+	got := AppendRequest(nil, Request{Op: OpUpdate, CustID: 42, Fill: 7, Trace: adopted})
+	want := AppendRequest(nil, Request{Op: OpUpdate, CustID: 42, Fill: 7, Trace: plain})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("adopted trace encodes as %x, want %x", got, want)
+	}
+	req, err := DecodeRequest(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Trace != plain {
+		t.Errorf("decoded trace %+v, want the three wire fields %+v and no recorder", req.Trace, plain)
+	}
+	req.Trace.Start(obs.SpanRequest).Finish(0)
+	if n := len(rec.Snapshot()); n != 0 {
+		t.Errorf("a decoded trace recorded %d spans into the sender's recorder", n)
+	}
+}
+
 func TestDecodeRequestRejectsBadTrace(t *testing.T) {
 	good := AppendRequest(nil, Request{Op: OpGet, CustID: 1,
 		Trace: obs.TraceContext{TraceID: 7, SpanID: 8, Sampled: true}})

@@ -122,10 +122,6 @@ type Config struct {
 	// compiles. The next change to bench/ deletes it together with that
 	// literal.
 	VerifyReads bool
-	// Spans, when non-nil, records wal_append and wal_fsync spans for
-	// writes running under a sampled trace context, splitting a slow write
-	// into latch-held log time versus group-commit wait.
-	Spans *obs.SpanRecorder
 }
 
 // Store is the file-backed durable storage backend.
@@ -180,7 +176,7 @@ type Store struct {
 var _ storage.DurableBackend = (*Store)(nil)
 
 // Open opens (or creates) the store rooted at dir with the zero Config: an
-// unbounded WAL and no spans.
+// unbounded WAL.
 func Open(dir string) (*Store, error) { return OpenConfig(dir, Config{}) }
 
 // OpenConfig opens (or creates) the store rooted at dir. Reopening an
@@ -521,10 +517,9 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 	}
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
-	var tc obs.TraceContext
-	if s.cfg.Spans != nil {
-		tc = obs.TraceFrom(ctx)
-	}
+	// Under an adopted trace, wal_append and wal_fsync spans split a slow
+	// write into latch-held log time versus group-commit wait.
+	tc := obs.TraceFrom(ctx)
 	behind := storage.WriteBehind(ctx)
 	lk := s.stripe(p)
 	lk.Lock()
@@ -538,7 +533,7 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 		// slot's pwrite starts: a process killed mid-pwrite leaves the slot
 		// torn, and replay rebuilds it only from a record the file holds.
 		// The sync below then finds it written and only fsyncs.
-		appendSpan := s.cfg.Spans.Start(tc, obs.SpanWALAppend)
+		appendSpan := tc.Start(obs.SpanWALAppend)
 		var err error
 		lsn, err = s.wal.append(recKindPage, p, buf)
 		if err == nil && !behind {
@@ -559,7 +554,7 @@ func (s *Store) write(ctx context.Context, p policy.PageID, buf []byte) error {
 		return fmt.Errorf("file: writing page %d: %w", p, werr)
 	}
 	if !behind {
-		syncSpan := s.cfg.Spans.Start(tc, obs.SpanWALFsync)
+		syncSpan := tc.Start(obs.SpanWALFsync)
 		err := s.wal.sync(lsn)
 		syncSpan.Finish(int64(p))
 		if err != nil {
