@@ -105,16 +105,21 @@ golden:
 	$(GO) test -count=1 -run 'TestExperiment' -update .
 
 ## chaos: the seeded disk-fault storm against the concurrent pool, under
-## the race detector (DESIGN.md §9); then, 20 times each under -race, the
-## three write-backs that race in-place updates — a FlushAll loop, the
-## scrubber's forced rewrite and a FLUSH over the wire — each of which
-## must write every record whole (DESIGN.md §8, the frame latch). Race
-## builds keep page memory (frames and simulated-disk pages) on the Go heap
-## (internal/storage/arena_race.go): the detector checks only heap
-## addresses, so that is why these runs still see races on frame bytes.
+## the race detector (DESIGN.md §9); then, 20 times under -race, the seeded
+## corruption storm (DESIGN.md §15), where fetches and the scrubber repair
+## the same pages at once: a repair that answers ErrCorrupt for a page a
+## racing repair already healed poisons it, and only repeated runs show
+## that; then, 20 times each under -race, the three write-backs that race
+## in-place updates — a FlushAll loop, the scrubber's forced rewrite and a
+## FLUSH over the wire — each of which must write every record whole
+## (DESIGN.md §8, the frame latch). Race builds keep page memory (frames
+## and simulated-disk pages) on the Go heap (internal/storage/arena_race.go):
+## the detector checks only heap addresses, so that is why these runs still
+## see races on frame bytes.
 chaos:
 	$(GO) vet ./internal/bufferpool/
 	$(GO) test -race -count=1 -timeout 300s -run TestChaosFaultStorm -v ./internal/bufferpool/
+	$(GO) test -race -count=20 -timeout 300s -run TestCorruptionStorm ./internal/bufferpool/
 	$(GO) test -race -count=20 -timeout 300s -run 'RacingUpdates?WritesWholeRecords' ./internal/db/
 	$(GO) test -race -count=20 -timeout 300s -run '^TestFlushBarrier$$' ./internal/server/
 

@@ -409,7 +409,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // for the backend it is given. So the pool reads its circuit as one
 // BreakerOpen state (there is no BreakerOpenStripes count), and finds a
 // repairer by asserting storage.Repairer on its backend; storagetest's
-// injectors implement RepairPage by passing it through and have no Inner to
+// injector implements RepairPage by passing it through and has no Inner to
 // walk.
 // core.PolicyTracer has 1: victim selection is the one
 // decision worth a trace record; collapses and purges are PolicyStats
@@ -513,8 +513,7 @@ func TestOptionSurface(t *testing.T) {
 		has, lost string
 	}{
 		{&bufferpool.Pool{}, "BreakerOpen", "BreakerOpenStripes"},
-		{storagetest.WithFaults(nil), "RepairPage", "Inner"},
-		{&storagetest.Corrupter{}, "RepairPage", "Inner"},
+		{storagetest.Wrap(nil), "RepairPage", "Inner"},
 	} {
 		typ := reflect.TypeOf(c.v)
 		if _, ok := typ.MethodByName(c.has); !ok {
@@ -529,7 +528,7 @@ func TestOptionSurface(t *testing.T) {
 // lrukdLinks is every module package the daemon links, itself included:
 // the 16 that go list -deps ./cmd/lrukd prints. TestLinkedPackages fails
 // when one is added or dropped, so each change to what the daemon links is
-// deliberate. Test apparatus (storagetest's injectors, the stats
+// deliberate. Test apparatus (storagetest's injector, the stats
 // generators, the Example 1.1 driver) is not among them.
 var lrukdLinks = []string{
 	"repro/cmd/lrukd",

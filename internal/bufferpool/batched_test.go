@@ -278,7 +278,7 @@ func TestProbeShareOfResidentHits(t *testing.T) {
 // pool/replacer state must stay consistent enough for the page to be
 // fetched, flushed and evicted normally once the fault clears.
 func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
-	d := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+	d := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	const frames = 4
 	var ids []policy.PageID
 	for i := 0; i < frames+2; i++ {
@@ -305,7 +305,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	// Every write to the victim fails: the eviction sweep claims it (its
 	// buffered events flush during the eviction search), fails the
 	// write-back, restores it, and takes a clean page instead.
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{victim}}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{victim}}))
 	pg, err = p.FetchCtx(context.Background(), ids[frames])
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestBatchedRestoreAfterFailedWriteback(t *testing.T) {
 	}
 
 	// Heal the disk; the page must flush and then evict normally.
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	if err := p.FlushAll(); err != nil {
 		t.Fatalf("flush after healing: %v", err)
 	}

@@ -40,12 +40,12 @@ func BenchmarkPoolParallel(b *testing.B) {
 	}
 	builders := []struct {
 		name  string
-		build func(d storagetest.Faulty) hitPool
+		build func(d storagetest.Injector) hitPool
 	}{
-		{"serial", func(d storagetest.Faulty) hitPool {
+		{"serial", func(d storagetest.Injector) hitPool {
 			return serialBench{NewSerial(d, frames, core.NewReplacer(2, core.Options{}))}
 		}},
-		{"pool", func(d storagetest.Faulty) hitPool {
+		{"pool", func(d storagetest.Injector) hitPool {
 			return poolBench{New(d, frames, core.NewSyncReplacer(2, core.Options{}))}
 		}},
 	}

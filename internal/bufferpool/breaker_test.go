@@ -105,7 +105,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := storagetest.WithFaults(s)
+		d := storagetest.Wrap(s)
 		const cooldown = 20 * time.Millisecond
 		p := NewWithConfig(d, 4, core.NewSyncReplacer(2, core.Options{}), Config{
 			Breaker: BreakerConfig{Threshold: 1, Cooldown: cooldown, Probes: 1},
@@ -118,7 +118,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		id := pg.ID()
 		pg.Unpin(true)
 
-		d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+		d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 		if err := flushPage(context.Background(), p, id); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("faulted flush = %v, want the injected fault", err)
 		}

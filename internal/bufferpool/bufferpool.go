@@ -94,7 +94,7 @@ type Stats struct {
 	// sweep that selects it and by every flush. A write the caller's own
 	// context ended is not an error: it counts nowhere and leaves the page
 	// dirty, unquarantined. With fault injection armed, the injector's
-	// fault ledger (storagetest.FaultStats) reconciles exactly:
+	// ledger (storagetest.Ledger) reconciles exactly:
 	// ReadFaults == ReadErrors and WriteFaults == WriteErrors.
 	WriteErrors uint64
 	// ReadsRejected and WritesRejected count operations refused locally by
@@ -233,7 +233,7 @@ type Pool struct {
 
 	// repairer is the backend as a storage.Repairer, when it can repair a
 	// corrupt page in place (the file store's WAL-tail repair; storagetest's
-	// injectors pass repair through to the backend they wrap); nil when it
+	// injector passes repair through to the backend it wraps); nil when it
 	// cannot.
 	repairer storage.Repairer
 	// poisoned holds unrepairable-corrupt page ids: detection found no

@@ -21,11 +21,11 @@ import (
 // newFaultyDisk builds the simulated backend wrapped in fault injection —
 // the handle pool tests drive faults, raw I/O, and ledger assertions
 // through, exactly as the old disk.Manager was.
-func newFaultyDisk(model sim.ServiceModel) storagetest.Faulty {
-	return storagetest.WithFaults(sim.New(model))
+func newFaultyDisk(model sim.ServiceModel) storagetest.Injector {
+	return storagetest.Wrap(sim.New(model))
 }
 
-func newPool(t *testing.T, frames, k int) (*Pool, storagetest.Faulty) {
+func newPool(t *testing.T, frames, k int) (*Pool, storagetest.Injector) {
 	t.Helper()
 	d := newFaultyDisk(sim.ServiceModel{})
 	return New(d, frames, core.NewSyncReplacer(k, core.Options{})), d
@@ -420,7 +420,7 @@ func TestSampledMissLeavesEvictSpan(t *testing.T) {
 		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 	})
 	defer bp.Close()
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Count: 1}))
 	if _, err := bp.FetchCtx(context.Background(), page); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("faulted fetch = %v, want the injected fault", err)
 	}

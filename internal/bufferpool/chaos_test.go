@@ -21,10 +21,10 @@ import (
 // stormPlan is the steady-state fault plan of the chaos storm: one
 // permanently poisoned page (every write-back fails) plus a 5%
 // probabilistic fault rate on all reads and writes.
-func stormPlan(seed uint64, poison policy.PageID) *storagetest.FaultPlan {
-	return storagetest.NewFaultPlan(seed,
-		storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{poison}},
-		storagetest.FaultRule{Probability: 0.05},
+func stormPlan(seed uint64, poison policy.PageID) *storagetest.Plan {
+	return storagetest.NewPlan(seed,
+		storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{poison}},
+		storagetest.Rule{Probability: 0.05},
 	)
 }
 
@@ -93,7 +93,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 		seed       = 42
 	)
 	leakcheck.Check(t)
-	d := storagetest.WithFaults(base)
+	d := storagetest.Wrap(base)
 	ids := make([]policy.PageID, pages)
 	committed := make([]uint64, pages) // guarded by owner goroutine, read after Wait
 	buf := make([]byte, storage.PageSize)
@@ -111,7 +111,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	preload := uint64(pages) // writes on disk before the storm starts
 
 	poison := ids[0]
-	d.SetFaults(stormPlan(seed, poison))
+	d.SetPlan(stormPlan(seed, poison))
 
 	p := NewWithConfig(d, frames, core.NewSyncReplacer(2, core.Options{}), Config{
 		Breaker: BreakerConfig{
@@ -140,7 +140,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 				if g == 0 && op == opsPerG/2 {
 					// Mid-storm blackout: every disk operation fails until the
 					// breaker opens, then the storm resumes at its usual 5%.
-					d.SetFaults(storagetest.NewFaultPlan(seed, storagetest.FaultRule{}))
+					d.SetPlan(storagetest.NewPlan(seed, storagetest.Rule{}))
 					tripped := false
 					for i := 0; i < 10000; i++ {
 						_, err := p.FetchCtx(context.Background(), tripTarget)
@@ -156,7 +156,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 					if !tripped {
 						t.Error("breaker did not trip during the blackout")
 					}
-					d.SetFaults(stormPlan(seed+1, poison))
+					d.SetPlan(stormPlan(seed+1, poison))
 					continue
 				}
 				i := rng.Intn(pages)
@@ -212,7 +212,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 	// Storm over: heal the disk. Circuits may still be open, so recovery is
 	// a poll — half-open probes re-admit traffic, then a full flush goes
 	// through and the quarantine empties.
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := p.FlushAll()
@@ -246,7 +246,7 @@ func runChaosFaultStorm(t *testing.T, base storage.Backend, withDeadlines bool) 
 
 	// Counter reconciliation against the disk's own ledger: every injected
 	// fault was counted as a logical failure, exactly once.
-	fs := d.FaultStats()
+	fs := d.Ledger()
 	if s.ReadErrors != fs.ReadFaults {
 		t.Errorf("pool counted %d read errors, disk injected %d read faults", s.ReadErrors, fs.ReadFaults)
 	}

@@ -19,12 +19,12 @@ import (
 	"repro/internal/storage/storagetest"
 )
 
-// newCorruptDisk builds a simulator wrapped in the corruption stage and
+// newCorruptDisk builds a simulator wrapped in the injector and
 // preloads n stamped pages through it (plan disarmed, so the preload is
 // clean).
-func newCorruptDisk(t *testing.T, n int) (*storagetest.Corrupter, []policy.PageID) {
+func newCorruptDisk(t *testing.T, n int) (storagetest.Injector, []policy.PageID) {
 	t.Helper()
-	c := storagetest.WithCorruption(sim.New(sim.ServiceModel{}))
+	c := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	ids := make([]policy.PageID, n)
 	buf := make([]byte, storage.PageSize)
 	for i := range ids {
@@ -40,18 +40,18 @@ func newCorruptDisk(t *testing.T, n int) (*storagetest.Corrupter, []policy.PageI
 // taint corrupts page id through the wrapper: arm a one-shot rule for it,
 // rewrite its current content (the write passes through, then taints), and
 // disarm again.
-func taint(t *testing.T, c *storagetest.Corrupter, id policy.PageID, unrepairable bool) {
+func taint(t *testing.T, c storagetest.Injector, id policy.PageID, unrepairable bool) {
 	t.Helper()
 	buf := make([]byte, storage.PageSize)
 	if err := c.Read(context.Background(), id, buf); err != nil {
 		t.Fatalf("taint pre-read of %d: %v", id, err)
 	}
-	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{
-		Pages: []policy.PageID{id}, Count: 1, Unrepairable: unrepairable}))
+	c.SetPlan(storagetest.NewPlan(1, storagetest.Rule{
+		Pages: []policy.PageID{id}, Count: 1, Corrupt: storage.CorruptChecksum, Unrepairable: unrepairable}))
 	if err := c.Write(context.Background(), id, buf); err != nil {
 		t.Fatalf("taint write of %d: %v", id, err)
 	}
-	c.SetCorruption(nil)
+	c.SetPlan(nil)
 }
 
 func TestFetchReadRepair(t *testing.T) {
@@ -73,7 +73,7 @@ func TestFetchReadRepair(t *testing.T) {
 	if s.CorruptDetected != 1 || s.CorruptRepaired != 1 || s.CorruptQuarantined != 0 {
 		t.Errorf("stats %+v, want detected=1 repaired=1 quarantined=0", s)
 	}
-	cs := c.CorruptStats()
+	cs := c.Ledger()
 	if cs.Injected != 1 || cs.Detected != 1 || cs.Cleared != 1 || cs.Tainted != 0 {
 		t.Errorf("wrapper ledger %+v, want injected=detected=cleared=1 tainted=0", cs)
 	}
@@ -160,11 +160,11 @@ func TestScrubberHealsInBackground(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		s := p.Stats()
-		if s.ScrubCorrupt >= 1 && s.CorruptRepaired >= 1 && c.CorruptStats().Tainted == 0 {
+		if s.ScrubCorrupt >= 1 && s.CorruptRepaired >= 1 && c.Ledger().Tainted == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("scrubber never healed the taint: %+v, wrapper %+v", s, c.CorruptStats())
+			t.Fatalf("scrubber never healed the taint: %+v, wrapper %+v", s, c.Ledger())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -199,9 +199,9 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.Unpin(true)
-	d.SetFaults(storagetest.NewFaultPlan(1,
-		storagetest.FaultRule{Op: storage.OpAllocate, Err: storage.ErrNoSpace},
-		storagetest.FaultRule{Op: storage.OpWrite, Err: storage.ErrNoSpace},
+	d.SetPlan(storagetest.NewPlan(1,
+		storagetest.Rule{Op: storage.OpAllocate, Err: storage.ErrNoSpace},
+		storagetest.Rule{Op: storage.OpWrite, Err: storage.ErrNoSpace},
 	))
 
 	if _, err := p.NewPageCtx(context.Background()); !errors.Is(err, storage.ErrNoSpace) {
@@ -211,7 +211,7 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 		t.Fatalf("flush on full device: %v, want ErrNoSpace", err)
 	}
 	s := p.Stats()
-	if fs := d.FaultStats(); s.WriteErrors != 1 || fs.WriteFaults != s.WriteErrors {
+	if fs := d.Ledger(); s.WriteErrors != 1 || fs.WriteFaults != s.WriteErrors {
 		t.Errorf("stats %+v, %d disk write faults; want exactly one write error, one fault", s, fs.WriteFaults)
 	}
 	// The resident page still serves — out-of-space starves writes, not
@@ -224,7 +224,7 @@ func TestENOSPCFailsFastWhileHitsServe(t *testing.T) {
 	if hits := p.Stats().Hits; hits == 0 {
 		t.Error("no hit recorded during ENOSPC")
 	}
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 }
 
 // TestCorruptionStorm is the integrity headline: many goroutines hammer a
@@ -258,7 +258,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 		seed       = 7
 	)
 	leakcheck.Check(t)
-	c := storagetest.WithCorruption(base)
+	c := storagetest.Wrap(base)
 	ids := make([]policy.PageID, pages)
 	committed := make([]uint64, pages) // owner-goroutine writes, read after Wait
 	buf := make([]byte, storage.PageSize)
@@ -278,10 +278,10 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// The storm's corruption plan, armed only after the clean preload: a
 	// bounded burst of unrepairable damage, a misdirect trickle, and a
 	// steady bit-rot rate.
-	c.SetCorruption(storagetest.NewCorruptPlan(seed,
-		storagetest.CorruptRule{Probability: 0.02, Count: 16, Unrepairable: true},
-		storagetest.CorruptRule{Probability: 0.02, Kind: storage.CorruptMisdirect},
-		storagetest.CorruptRule{Probability: 0.05},
+	c.SetPlan(storagetest.NewPlan(seed,
+		storagetest.Rule{Corrupt: storage.CorruptChecksum, Probability: 0.02, Count: 16, Unrepairable: true},
+		storagetest.Rule{Corrupt: storage.CorruptMisdirect, Probability: 0.02},
+		storagetest.Rule{Corrupt: storage.CorruptChecksum, Probability: 0.05},
 	))
 
 	p := NewWithConfig(c, frames, core.NewSyncReplacer(2, core.Options{}), Config{
@@ -335,7 +335,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// Phase 2: disarm injection (existing taints stay — damage on the media
 	// does not evaporate) and drive the pool to a fixed point: everything
 	// repairable repaired, everything else quarantined.
-	c.SetCorruption(nil)
+	c.SetPlan(nil)
 	ctx := context.Background()
 
 	// The storm can finish before the background scrubber ever wins the
@@ -371,13 +371,13 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 			t.Fatalf("side read of scrub target: %v", err)
 		}
 		sideReads++
-		c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{
-			Pages: []policy.PageID{target}, Count: 1}))
+		c.SetPlan(storagetest.NewPlan(1, storagetest.Rule{
+			Pages: []policy.PageID{target}, Count: 1, Corrupt: storage.CorruptChecksum}))
 		if err := c.Write(ctx, target, buf); err != nil {
 			t.Fatalf("side write of scrub target: %v", err)
 		}
 		sideWrites++
-		c.SetCorruption(nil)
+		c.SetPlan(nil)
 		p.ScrubSweep(ctx, pages)
 	}
 	deadline := time.Now().Add(15 * time.Second)
@@ -436,7 +436,7 @@ func runCorruptionStorm(t *testing.T, base storage.Backend) {
 	// yet (one read too many, on the file backend where a read is a syscall
 	// wide enough to straddle). Close joins the scrubber; the verification
 	// fetches above and Close's own flush count on both sides.
-	s, ds, cs := p.Stats(), c.Stats(), c.CorruptStats()
+	s, ds, cs := p.Stats(), c.Stats(), c.Ledger()
 
 	// Injection conservation: every taint ever laid is either cleared
 	// (overwritten or repaired) or still on a page — and every page still
@@ -488,7 +488,7 @@ func pageSetsEqual(a, b []policy.PageID) bool {
 
 // cancelAfterRead cancels its caller's context once a Read returns: the
 // caller gives up while the read is in flight. It passes repair through to
-// the store beneath it, as the test injectors do.
+// the store beneath it, as the test injector does.
 type cancelAfterRead struct {
 	storage.Backend
 	cancel context.CancelFunc
@@ -675,16 +675,16 @@ func TestBreakerOpenPausesScrubber(t *testing.T) {
 			}
 		}
 	}
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead}))
 	await("trip by the scrubber's failed reads", p.BreakerOpen)
-	st, ds, fs := p.Stats(), d.Stats(), d.FaultStats()
+	st, ds, fs := p.Stats(), d.Stats(), d.Ledger()
 	p.ScrubSweep(context.Background(), 64)
-	if st2, ds2 := p.Stats(), d.Stats(); d.FaultStats() != fs || ds2.Reads != ds.Reads ||
+	if st2, ds2 := p.Stats(), d.Stats(); d.Ledger() != fs || ds2.Reads != ds.Reads ||
 		st2.ScrubPages != st.ScrubPages || st2.ScrubCorrupt != st.ScrubCorrupt ||
 		st2.CorruptDetected != st.CorruptDetected || len(p.PoisonedPages()) != 0 {
 		t.Fatalf("scrubs on an open circuit moved the ledgers: pool %+v -> %+v, disk %+v -> %+v", st, st2, ds, ds2)
 	}
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	await("scrub probe closing the circuit", func() bool { return !p.BreakerOpen() && p.Stats().ScrubPages > st.ScrubPages })
 	if n := p.Stats().BreakerTrips; n != 1 {
 		t.Errorf("BreakerTrips = %d, want 1", n)
@@ -696,7 +696,7 @@ func TestBreakerOpenPausesScrubber(t *testing.T) {
 // WriteErrors holds, but quarantines nothing — no frame holds the page.
 // The caller's image is intact, and writing it again succeeds.
 func TestWriteNewPageFailure(t *testing.T) {
-	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	p := New(faulty, 4, core.NewSyncReplacer(2, core.Options{}))
 	defer p.Close()
 	id, err := p.AllocatePage()
@@ -705,7 +705,7 @@ func TestWriteNewPageFailure(t *testing.T) {
 	}
 	img := make([]byte, storage.PageSize)
 	img[0] = 5
-	faulty.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	faulty.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 	ctx := context.Background()
 	if err := p.WriteNewPage(ctx, id, img); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("WriteNewPage through a fault = %v, want the injected fault", err)
@@ -717,7 +717,7 @@ func TestWriteNewPageFailure(t *testing.T) {
 	if err := p.WriteNewPage(ctx, id, img); err != nil {
 		t.Fatalf("WriteNewPage after the fault = %v, want nil", err)
 	}
-	st, disk, fs := p.Stats(), faulty.Stats(), faulty.FaultStats()
+	st, disk, fs := p.Stats(), faulty.Stats(), faulty.Ledger()
 	if fs.WriteFaults != st.WriteErrors || disk.Writes != 1 {
 		t.Errorf("%d write faults, %d errors, %d disk writes; want the ledger exact and one write",
 			fs.WriteFaults, st.WriteErrors, disk.Writes)

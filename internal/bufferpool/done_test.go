@@ -82,7 +82,7 @@ func TestWriteBackWaitersWake(t *testing.T) {
 		pg.Unpin(true) // dirty; the oldest reference, so the first victim
 		touch(t, p, filler, false)
 		if fail {
-			d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+			d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 		}
 		arm.Store(true) // parks the next I/O: the eviction's write-back
 
@@ -214,9 +214,9 @@ func TestLazyDoneStress(t *testing.T) {
 		time.Sleep(time.Duration(20+delays.Add(37)%150) * time.Microsecond)
 	}})
 	ids := allocPages(t, d, pages)
-	d.SetFaults(storagetest.NewFaultPlan(7,
-		storagetest.FaultRule{Op: storage.OpRead, Probability: 0.15},
-		storagetest.FaultRule{Op: storage.OpWrite, Probability: 0.15}))
+	d.SetPlan(storagetest.NewPlan(7,
+		storagetest.Rule{Op: storage.OpRead, Probability: 0.15},
+		storagetest.Rule{Op: storage.OpWrite, Probability: 0.15}))
 	p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
 
 	// fetch gives one fetch in four a deadline of at most 200 µs, short
@@ -267,7 +267,7 @@ func TestLazyDoneStress(t *testing.T) {
 	}
 	t.Logf("%d misses, %d coalesced, %d read errors, %d write errors, %d write-backs",
 		s.Misses, s.Coalesced, s.ReadErrors, s.WriteErrors, s.WriteBacks)
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}

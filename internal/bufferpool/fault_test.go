@@ -46,7 +46,7 @@ func checkFrameInvariant(t *testing.T, p *Pool) {
 
 // allocPages allocates n disk pages, each stamped with a recognisable
 // byte, and returns their ids.
-func allocPages(t *testing.T, d storagetest.Faulty, n int) []policy.PageID {
+func allocPages(t *testing.T, d storagetest.Injector, n int) []policy.PageID {
 	t.Helper()
 	ids := make([]policy.PageID, n)
 	buf := make([]byte, storage.PageSize)
@@ -81,7 +81,7 @@ func TestWriteBackFaultSkipsVictim(t *testing.T) {
 	}
 	pg.Unpin(false) // clean second choice
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{a}}))
 
 	// The fetch of c must succeed by skipping poisoned a and evicting b.
 	pg, err = p.FetchCtx(context.Background(), c)
@@ -109,7 +109,7 @@ func TestWriteBackFaultSkipsVictim(t *testing.T) {
 
 	// The fault clears; the quarantined page flushes and leaves quarantine,
 	// with its in-memory modification intact on disk.
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestWriteBackFaultBoundedAttempts(t *testing.T) {
 		pg.Data()[0]++
 		pg.Unpin(true)
 	}
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite}))
 
 	_, err := p.FetchCtx(context.Background(), ids[frames])
 	if err == nil {
@@ -167,7 +167,7 @@ func TestWriteBackFaultBoundedAttempts(t *testing.T) {
 
 	// Once the faults clear, the same fetch succeeds and quarantine drains
 	// as retried write-backs go through.
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	pg, err := p.FetchCtx(context.Background(), ids[frames])
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestQuarantineRetriedOnNextSweep(t *testing.T) {
 	pg.Unpin(true)
 
 	// One transient write fault: the first sweep fails, the retry works.
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
 	if _, err := p.FetchCtx(context.Background(), b); err == nil {
 		t.Fatal("single-frame fetch succeeded though its only victim was poisoned")
 	}
@@ -242,7 +242,7 @@ func TestQuarantineBitLeavesWithTheWriteBack(t *testing.T) {
 	pg.Data()[0]++
 	pg.Unpin(true)
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
 	if err := p.FlushAll(); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("faulted flush = %v, want the injected fault", err)
 	}
@@ -286,7 +286,7 @@ func TestFlushAllAggregatesErrors(t *testing.T) {
 		pg.Data()[1] = byte(0xA0 + i)
 		pg.Unpin(true)
 	}
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a, b}}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{a, b}}))
 
 	err := p.FlushAll()
 	if err == nil {
@@ -307,7 +307,7 @@ func TestFlushAllAggregatesErrors(t *testing.T) {
 		t.Error("FlushAll skipped a healthy page after an earlier failure")
 	}
 	// Failed pages stayed dirty: a retry after the fault clears loses nothing.
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestFetchReadFaultAccounting(t *testing.T) {
 	d := newFaultyDisk(sim.ServiceModel{})
 	ids := allocPages(t, d, 1)
 	p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Count: 1}))
 
 	if _, err := p.FetchCtx(context.Background(), ids[0]); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("fetch under read fault: %v", err)
@@ -371,7 +371,7 @@ func TestCoalescedWaitersReadFault(t *testing.T) {
 	}})
 	ids := allocPages(t, d, 1)
 	id := ids[0]
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Count: 1}))
 	gate.Store(true)
 
 	p := New(d, 4, core.NewSyncReplacer(2, core.Options{}))
@@ -436,7 +436,7 @@ func TestFlushPageFaultKeepsDirty(t *testing.T) {
 	copy(pg.Data(), []byte("dirtydata"))
 	pg.Unpin(true)
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 	if err := flushPage(context.Background(), p, id); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("flush under write fault: %v", err)
 	}
@@ -475,7 +475,7 @@ func TestSerialWriteBackFaultRestoresVictim(t *testing.T) {
 	pg.Data()[0]++
 	pg.Unpin(true)
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 	if _, err := p.Fetch(b); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("Serial fetch with poisoned victim: %v", err)
 	}

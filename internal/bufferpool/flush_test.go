@@ -157,7 +157,7 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 	b := &barrierCounter{Backend: d}
 	p := New(b, n, core.NewSyncReplacer(2, core.Options{}))
 	dirtyAll(t, p, ids, 0xD2)
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: faulted}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: faulted}))
 
 	err := p.FlushAll()
 	errs := joined(err)
@@ -194,7 +194,7 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 		}
 	}
 
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	if err := p.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

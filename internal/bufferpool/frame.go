@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/policy"
+	"repro/internal/storage"
 )
 
 // Frame lifecycle states. Transitions into frameWriting and table
@@ -174,18 +175,11 @@ func (f *frame) install() {
 	f.pv.Store((w &^ (frameClaimBit | framePinMask)) + frameEpochInc + 1)
 }
 
-// pageHash mixes a page id with the SplitMix64 finaliser, so sequential
-// page ids spread across the hot array's slots.
-func pageHash(id policy.PageID) uint64 {
-	z := uint64(id) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// hotSlot returns id's slot in the hot array.
+// hotSlot returns id's slot in the hot array, whose length is a power of
+// two: storage.StripeIndex's SplitMix64 finaliser spreads sequential page
+// ids across the slots.
 func (p *Pool) hotSlot(id policy.PageID) *atomic.Pointer[frame] {
-	return &p.hot[pageHash(id)&uint64(len(p.hot)-1)]
+	return &p.hot[storage.StripeIndex(id, len(p.hot))]
 }
 
 // hotPublish makes f probe-reachable for id. Racing a claim's hotClear is

@@ -12,8 +12,8 @@ import (
 // corruption, the poison set of unrepairable pages, and the background
 // scrubber that verifies pages against the backend before a client read
 // trips over silent damage. Detection itself lives below the pool — the
-// file store's per-slot trailers and the storagetest.WithCorruption injector
-// both surface storage.ErrCorrupt — and the pool decides each detection's
+// file store's per-slot trailers and the storagetest.Wrap injector both
+// surface storage.ErrCorrupt — and the pool decides each detection's
 // fate: heal it from a redundant copy, or poison the page id so further
 // fetches fail fast.
 

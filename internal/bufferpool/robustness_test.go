@@ -21,7 +21,7 @@ import (
 // gatedDisk returns a manager whose reads and writes park on gate while
 // armed, signalling entry on entered — the scaffolding for freezing a load
 // mid-flight so a coalesced waiter can be cancelled deterministically.
-func gatedDisk() (d storagetest.Faulty, arm *atomic.Bool, entered chan struct{}, gate chan struct{}) {
+func gatedDisk() (d storagetest.Injector, arm *atomic.Bool, entered chan struct{}, gate chan struct{}) {
 	arm = &atomic.Bool{}
 	entered = make(chan struct{}, 16)
 	gate = make(chan struct{})
@@ -125,7 +125,7 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 	ids := allocPages(t, d, 1)
 	a := ids[0]
 	p := New(d, 2, core.NewSyncReplacer(2, core.Options{}))
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
 
 	arm.Store(true)
 	loaded := make(chan error, 1)
@@ -158,7 +158,7 @@ func TestCoalescedWaiterAbandonFailedLoad(t *testing.T) {
 		t.Errorf("stats after failed abandon = %+v, want Misses 2, Coalesced 1", s)
 	}
 	// The failure must be transient to the pool: healed disk, page loads.
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	pg, err := p.FetchCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestOneDiskAttemptPerOperation(t *testing.T) {
 	p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{})
 	// attempts counts disk reads and writes tried: transfers plus faults.
 	attempts := func() (reads, writes uint64) {
-		ds, fs := d.Stats(), d.FaultStats()
+		ds, fs := d.Stats(), d.Ledger()
 		return ds.Reads + fs.ReadFaults, ds.Writes + fs.WriteFaults
 	}
 	step := func(what string, beforeReads, beforeWrites, wantReads, wantWrites uint64) {
@@ -215,13 +215,13 @@ func TestOneDiskAttemptPerOperation(t *testing.T) {
 		if reads != wantReads || writes != wantWrites {
 			t.Errorf("%s: %d read and %d write attempts, want %d and %d", what, reads, writes, wantReads, wantWrites)
 		}
-		if fs, s := d.FaultStats(), p.Stats(); fs.ReadFaults != s.ReadErrors || fs.WriteFaults != s.WriteErrors {
+		if fs, s := d.Ledger(), p.Stats(); fs.ReadFaults != s.ReadErrors || fs.WriteFaults != s.WriteErrors {
 			t.Errorf("%s: disk faults %d/%d, pool errors %d/%d (read/write); want equal",
 				what, fs.ReadFaults, fs.WriteFaults, s.ReadErrors, s.WriteErrors)
 		}
 	}
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}, Count: 2}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Pages: []policy.PageID{a}, Count: 2}))
 	for i := 1; i <= 2; i++ {
 		br, bw := attempts()
 		if _, err := p.FetchCtx(context.Background(), a); !errors.Is(err, storagetest.ErrInjectedFault) {
@@ -237,7 +237,7 @@ func TestOneDiskAttemptPerOperation(t *testing.T) {
 	pg.Unpin(true)
 	step("third fetch", br, bw, 1, 0)
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{a}, Count: 1}))
 	br, bw = attempts()
 	if err := p.FlushAll(); !errors.Is(err, storagetest.ErrInjectedFault) || p.Quarantined() != 1 {
 		t.Fatalf("faulted flush = %v with %d quarantined, want the injected fault and 1", err, p.Quarantined())
@@ -276,7 +276,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	}
 	pg.Unpin(true)
 
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead}))
 	for i := 0; i < 2; i++ {
 		if _, err := p.FetchCtx(context.Background(), a); !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("fetch %d error = %v, want injected fault", i, err)
@@ -291,7 +291,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if !p.BreakerOpen() {
 		t.Error("BreakerOpen = false after the trip")
 	}
-	faultsBefore, writesBefore := d.FaultStats().ReadFaults, d.Stats().Writes
+	faultsBefore, writesBefore := d.Ledger().ReadFaults, d.Stats().Writes
 	_, err = p.FetchCtx(context.Background(), a)
 	if !errors.Is(err, ErrDiskUnavailable) {
 		t.Fatalf("fetch while open = %v, want ErrDiskUnavailable", err)
@@ -299,7 +299,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if err := flushPage(context.Background(), p, c); !errors.Is(err, ErrDiskUnavailable) {
 		t.Errorf("flush on the open circuit = %v, want ErrDiskUnavailable", err)
 	}
-	if faults, writes := d.FaultStats().ReadFaults, d.Stats().Writes; faults != faultsBefore || writes != writesBefore {
+	if faults, writes := d.Ledger().ReadFaults, d.Stats().Writes; faults != faultsBefore || writes != writesBefore {
 		t.Errorf("open breaker still reached the disk (%d -> %d faults, %d -> %d writes)",
 			faultsBefore, faults, writesBefore, writes)
 	}
@@ -317,7 +317,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 
 	// Heal, wait out the cooldown: the next miss is the half-open probe and
 	// closes the circuit (Probes: 1).
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	time.Sleep(35 * time.Millisecond)
 	pg, err = p.FetchCtx(context.Background(), a)
 	if err != nil {
@@ -330,7 +330,7 @@ func TestBreakerFailFastAndRecovery(t *testing.T) {
 	if err := flushPage(context.Background(), p, c); err != nil || p.Quarantined() != 0 {
 		t.Errorf("flush after recovery = %v with %d quarantined, want nil and 0", err, p.Quarantined())
 	}
-	s, fs := p.Stats(), d.FaultStats()
+	s, fs := p.Stats(), d.Ledger()
 	if s.BreakerTrips != 1 || p.BreakerOpen() {
 		t.Errorf("BreakerTrips %d, open %v after recovery; want 1 and closed", s.BreakerTrips, p.BreakerOpen())
 	}
@@ -433,11 +433,11 @@ func TestPageFlushCtxWhilePinned(t *testing.T) {
 
 	// A failing backend: the error surfaces and the page stays dirty.
 	pg.Data()[101] = 0x43
-	d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite}))
+	d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite}))
 	if err := pg.FlushCtx(ctx); err == nil {
 		t.Fatal("FlushCtx succeeded against a failing disk")
 	}
-	d.SetFaults(nil)
+	d.SetPlan(nil)
 	pg.Unpin(false)
 	if err := flushPage(context.Background(), p, ids[0]); err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestJoinFailedLoad(t *testing.T) {
 			p := NewWithConfig(d, 2, core.NewSyncReplacer(2, core.Options{}), Config{
 				Metrics: Metrics{CoalesceWait: wait},
 			})
-			d.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
+			d.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Pages: []policy.PageID{a}}))
 
 			armed.Store(true)
 			loaded := make(chan error, 1)

@@ -12,15 +12,6 @@ import (
 	"repro/internal/storage/storagetest"
 )
 
-// durableCorrupter keeps the file store's DurableBackend face over the
-// corruption injector, so Open still sees a durable backend.
-type durableCorrupter struct {
-	*storagetest.Corrupter
-	durable storage.DurableBackend
-}
-
-func (b durableCorrupter) Recovery() storage.RecoveryInfo { return b.durable.Recovery() }
-
 // TestDBCorruptionEndToEnd drives the full stack — durable file store,
 // corruption injection, pool read-repair, scrubber, trace ring, /metrics —
 // through a corrupted workload and asserts the layers agree: the injection
@@ -32,9 +23,11 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupter := storagetest.WithCorruption(store)
+	// The injector keeps the store's DurableBackend face, so Open takes the
+	// durable path through it.
+	corrupter := storagetest.Wrap(store)
 	database, err := Open(Config{
-		Backend:           durableCorrupter{corrupter, store},
+		Backend:           corrupter,
 		Frames:            16,
 		K:                 2,
 		Obs:               reg,
@@ -44,6 +37,9 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer database.Close()
+	if _, durable := database.Recovery(); !durable {
+		t.Fatal("db over the injector on a file store is not durable")
+	}
 	if err := database.LoadCustomers(200); err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +51,9 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	// injection has demonstrably happened (the plan is seeded, but which
 	// write-back trips it depends on pool state; the loop makes the test
 	// deterministic in outcome).
-	corrupter.SetCorruption(storagetest.NewCorruptPlan(3, storagetest.CorruptRule{Probability: 0.25}))
+	corrupter.SetPlan(storagetest.NewPlan(3, storagetest.Rule{Corrupt: storage.CorruptChecksum, Probability: 0.25}))
 	rng := stats.NewRNG(99)
-	for i := 0; i < 200 && corrupter.CorruptStats().Injected == 0; i++ {
+	for i := 0; i < 200 && corrupter.Ledger().Injected == 0; i++ {
 		id := int64(rng.Intn(200))
 		if err := database.UpdateCustomerCtx(context.Background(), id, byte(i)); err != nil && !storage.IsCorrupt(err) {
 			t.Fatalf("update %d: %v", id, err)
@@ -66,8 +62,8 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 			t.Fatalf("flush %d: %v", i, err)
 		}
 	}
-	corrupter.SetCorruption(nil)
-	if corrupter.CorruptStats().Injected == 0 {
+	corrupter.SetPlan(nil)
+	if corrupter.Ledger().Injected == 0 {
 		t.Fatal("corruption plan never fired across 200 flushed updates")
 	}
 
@@ -82,7 +78,7 @@ func TestDBCorruptionEndToEnd(t *testing.T) {
 	}
 
 	snap := database.StatsSnapshot()
-	cs := corrupter.CorruptStats()
+	cs := corrupter.Ledger()
 	if cs.Injected != cs.Cleared+uint64(cs.Tainted) {
 		t.Errorf("injection ledger broken: %+v", cs)
 	}

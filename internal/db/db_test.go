@@ -229,7 +229,7 @@ func TestOpenStacksOnlyWhatServes(t *testing.T) {
 // recovers once the faults are exhausted.
 func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 	const customers = 40
-	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	db, err := Open(Config{Frames: 8, Backend: faulty})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every read faults for a while: small pool, so lookups must miss.
-	faulty.SetFaults(storagetest.NewFaultPlan(7, storagetest.FaultRule{Op: storage.OpRead, Count: 3}))
+	faulty.SetPlan(storagetest.NewPlan(7, storagetest.Rule{Op: storage.OpRead, Count: 3}))
 	faulted := 0
 	for id := int64(0); id < customers; id++ {
 		if _, err := db.Lookup(id); err != nil {
@@ -255,11 +255,11 @@ func TestDiskFaultsSurfaceAndRecover(t *testing.T) {
 	if s := db.PoolStats(); s.ReadErrors != 3 {
 		t.Errorf("pool ReadErrors = %d, want 3", s.ReadErrors)
 	}
-	if fs := faulty.FaultStats(); fs.ReadFaults != 3 {
+	if fs := faulty.Ledger(); fs.ReadFaults != 3 {
 		t.Errorf("disk ReadFaults = %d, want 3", fs.ReadFaults)
 	}
 	// Faults exhausted: every record is reachable again and flush is clean.
-	faulty.SetFaults(nil)
+	faulty.SetPlan(nil)
 	for id := int64(0); id < customers; id++ {
 		rec, err := db.Lookup(id)
 		if err != nil {

@@ -601,7 +601,7 @@ func TestDurableUpdateUnderEviction(t *testing.T) {
 
 // TestInjectedWriteFaultOverDurableStore: a fault plan composes over the
 // durable file store without hiding that it is durable. The database over
-// the fault wrapper runs durable; an update whose flush is faulted fails
+// the injector runs durable; an update whose flush is faulted fails
 // with the injected error, once, and the pool's error ledger matches the
 // injector's; the key's next update is acknowledged, and a reopen attaches
 // and reads that acknowledged fill.
@@ -613,7 +613,7 @@ func TestInjectedWriteFaultOverDurableStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := storagetest.WithFaults(store)
+	faulty := storagetest.Wrap(store)
 	d, err := Open(Config{Frames: 12, Backend: faulty})
 	if err != nil {
 		store.Close()
@@ -621,7 +621,7 @@ func TestInjectedWriteFaultOverDurableStore(t *testing.T) {
 	}
 	if _, durable := d.Recovery(); !durable {
 		d.Close()
-		t.Fatal("db over the fault wrapper on a file store does not run durable")
+		t.Fatal("db over the injector on a file store does not run durable")
 	}
 	if err := d.LoadCustomers(customers); err != nil {
 		t.Fatal(err)
@@ -631,11 +631,11 @@ func TestInjectedWriteFaultOverDurableStore(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	faulty.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	faulty.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 	if err := d.UpdateCustomerCtx(ctx, key, 0xA1); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("update through a faulted flush = %v, want the injected fault", err)
 	}
-	if faults, errs := faulty.FaultStats().WriteFaults, d.PoolStats().WriteErrors; faults != 1 || errs != faults {
+	if faults, errs := faulty.Ledger().WriteFaults, d.PoolStats().WriteErrors; faults != 1 || errs != faults {
 		t.Errorf("%d write faults, %d pool write errors; want 1 and equal", faults, errs)
 	}
 	if err := d.UpdateCustomerCtx(ctx, key, 0xB2); err != nil {

@@ -89,7 +89,7 @@ func TestFlushAllRacingUpdatesWritesWholeRecords(t *testing.T) {
 // of the page's other record runs.
 func TestScrubRewriteRacingUpdateWritesWholeRecords(t *testing.T) {
 	inner := sim.New(sim.ServiceModel{})
-	corrupter := storagetest.WithCorruption(inner)
+	corrupter := storagetest.Wrap(inner)
 	d, err := Open(Config{Frames: 16, Backend: corrupter})
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +101,15 @@ func TestScrubRewriteRacingUpdateWritesWholeRecords(t *testing.T) {
 	ctx := context.Background()
 	page := d.customers.Pages()[0] // customers 0 and 1
 	for round := 0; round < 300; round++ {
-		corrupter.SetCorruption(storagetest.NewCorruptPlan(1,
-			storagetest.CorruptRule{Pages: []policy.PageID{page}, Count: 1, Unrepairable: true}))
+		corrupter.SetPlan(storagetest.NewPlan(1,
+			storagetest.Rule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{page}, Count: 1, Unrepairable: true}))
 		if err := d.UpdateCustomerCtx(ctx, 0, byte(round)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.FlushAll(); err != nil { // the write that taints the page
 			t.Fatal(err)
 		}
-		corrupter.SetCorruption(nil)
+		corrupter.SetPlan(nil)
 		done := make(chan error, 1)
 		go func() { done <- d.UpdateCustomerCtx(ctx, 1, byte(round)) }()
 		d.ScrubSweep(ctx, inner.NumPages())

@@ -98,7 +98,7 @@ func TestFlushAllCtxHonoursDeadline(t *testing.T) {
 // ErrDiskUnavailable until it heals.
 func TestDBRetryAndBreakerWiring(t *testing.T) {
 	leakcheck.Check(t)
-	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	d, err := Open(Config{
 		Frames:  16,
 		Backend: faulty,
@@ -121,7 +121,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 
 	// Total blackout: enough consecutive failures trip the breaker and
 	// lookups start failing fast.
-	faulty.SetFaults(storagetest.NewFaultPlan(4, storagetest.FaultRule{}))
+	faulty.SetPlan(storagetest.NewPlan(4, storagetest.Rule{}))
 	tripped := false
 	for i := 0; i < 10000 && !tripped; i++ {
 		_, err := d.Lookup(int64(i % 64))
@@ -143,7 +143,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 
 	// Heal: after the cooldown, probes close the circuit and every lookup
 	// succeeds again.
-	faulty.SetFaults(nil)
+	faulty.SetPlan(nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for i := int64(0); i < 64; i++ {
 		if _, err := d.Lookup(i); err != nil {
@@ -161,7 +161,7 @@ func TestDBRetryAndBreakerWiring(t *testing.T) {
 // of them and empties the quarantine.
 func TestQuarantineDrainsThroughDB(t *testing.T) {
 	leakcheck.Check(t)
-	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	d, err := Open(Config{Frames: 4, Backend: faulty})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 	}
 	// Exactly three write faults on any page: eviction pressure from the
 	// updates below quarantines some victims.
-	faulty.SetFaults(storagetest.NewFaultPlan(5, storagetest.FaultRule{Op: storage.OpWrite, Count: 3}))
+	faulty.SetPlan(storagetest.NewPlan(5, storagetest.Rule{Op: storage.OpWrite, Count: 3}))
 	for i := int64(0); i < 16; i++ {
 		if err := d.UpdateCustomerCtx(context.Background(), i, byte(i)); err != nil && !errors.Is(err, storagetest.ErrInjectedFault) {
 			t.Fatalf("update %d: %v", i, err)
@@ -181,7 +181,7 @@ func TestQuarantineDrainsThroughDB(t *testing.T) {
 	if d.StatsSnapshot().Quarantined == 0 {
 		t.Fatalf("nothing quarantined under the fault plan (%d write errors)", d.PoolStats().WriteErrors)
 	}
-	faulty.SetFaults(nil)
+	faulty.SetPlan(nil)
 	if err := d.FlushAll(); err != nil {
 		t.Fatalf("FlushAll after the fault cleared: %v", err)
 	}

@@ -339,34 +339,34 @@ func TestLoadFaultReleasesPins(t *testing.T) {
 	// key splits the root leaf: a leaf, then a root.
 	cases := []struct {
 		name string
-		rule storagetest.FaultRule
+		rule storagetest.Rule
 		want string // where the load failed
 	}{
-		{"first-heap-page", storagetest.FaultRule{Op: storage.OpAllocate}, "loading customer 0:"},
-		{"heap-page", storagetest.FaultRule{Op: storage.OpAllocate, After: 102}, "loading customer 204:"},
-		{"leaf-split", storagetest.FaultRule{Op: storage.OpAllocate, After: 103}, "allocating leaf"},
-		{"root-split", storagetest.FaultRule{Op: storage.OpAllocate, After: 104}, "allocating new root"},
-		{"write-back", storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{21}}, "loading customer 42: heapfile append: bufferpool: writing new page 21"},
-		{"last-heap-page", storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{1515}}, "loading customer 2999: heapfile append: bufferpool: writing new page 1515"},
+		{"first-heap-page", storagetest.Rule{Op: storage.OpAllocate}, "loading customer 0:"},
+		{"heap-page", storagetest.Rule{Op: storage.OpAllocate, After: 102}, "loading customer 204:"},
+		{"leaf-split", storagetest.Rule{Op: storage.OpAllocate, After: 103}, "allocating leaf"},
+		{"root-split", storagetest.Rule{Op: storage.OpAllocate, After: 104}, "allocating new root"},
+		{"write-back", storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{21}}, "loading customer 42: heapfile append: bufferpool: writing new page 21"},
+		{"last-heap-page", storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{1515}}, "loading customer 2999: heapfile append: bufferpool: writing new page 1515"},
 		// The last page of the first worker's range and the first of the
 		// last worker's, so the higher page fails first.
-		{"lower-page-wins", storagetest.FaultRule{Op: storage.OpWrite, Pages: []policy.PageID{379, 1138}}, "loading customer 750: heapfile append: bufferpool: writing new page 379"},
+		{"lower-page-wins", storagetest.Rule{Op: storage.OpWrite, Pages: []policy.PageID{379, 1138}}, "loading customer 750: heapfile append: bufferpool: writing new page 379"},
 	}
 	withProcs(t, 4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			leakcheck.Check(t)
-			faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+			faulty := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 			d, err := Open(Config{Frames: 16, Backend: faulty})
 			if err != nil {
 				t.Fatal(err)
 			}
-			faulty.SetFaults(storagetest.NewFaultPlan(1, c.rule))
+			faulty.SetPlan(storagetest.NewPlan(1, c.rule))
 			err = d.LoadCustomers(3000)
 			if !errors.Is(err, storagetest.ErrInjectedFault) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("LoadCustomers = %v, want the injected fault at %q", err, c.want)
 			}
-			faulty.SetFaults(nil)
+			faulty.SetPlan(nil)
 			checkNoPins(t, d)
 			if err := d.FlushAll(); err != nil {
 				t.Fatalf("FlushAll after the failed load: %v", err)

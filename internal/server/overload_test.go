@@ -38,7 +38,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 		burst     = 24
 	)
 	var slow atomic.Bool
-	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{Delay: func(int64) {
+	faulty := storagetest.Wrap(sim.New(sim.ServiceModel{Delay: func(int64) {
 		if slow.Load() {
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -124,7 +124,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 			t.Fatalf("churn get %d: %v", id, err)
 		}
 	}
-	faulty.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{}))
+	faulty.SetPlan(storagetest.NewPlan(1, storagetest.Rule{}))
 	coldKey := int64(3) // early key: its leaf/heap pages are long evicted
 	sawUnavailable := false
 	for attempt := 0; attempt < 100; attempt++ {
@@ -147,7 +147,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 	}
 
 	// --- Phase 3: heal and recover. ---
-	faulty.SetFaults(nil)
+	faulty.SetPlan(nil)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		err := database.FlushAll()
@@ -208,7 +208,7 @@ func TestOverloadShedsAndBreakerSurfaces(t *testing.T) {
 func TestDeadDiskTripsOneCircuit(t *testing.T) {
 	leakcheck.Check(t)
 	const threshold, probes, cooldown = 4, 2, 30 * time.Millisecond
-	faulty := storagetest.WithFaults(sim.New(sim.ServiceModel{}))
+	faulty := storagetest.Wrap(sim.New(sim.ServiceModel{}))
 	srv, database := startServer(t, db.Config{
 		Frames:      16,
 		Backend:     faulty,
@@ -219,27 +219,27 @@ func TestDeadDiskTripsOneCircuit(t *testing.T) {
 
 	// Two 2000-byte records fill a heap page, so keys ten apart sit on
 	// different pages; the load leaves the index resident and no heap page.
-	faulty.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead}))
+	faulty.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead}))
 	for i := range int64(threshold) {
-		faults := faulty.FaultStats().ReadFaults
+		faults := faulty.Ledger().ReadFaults
 		if _, err := cl.Get(ctx, 10*i); !errors.Is(err, client.ErrRemote) {
 			t.Fatalf("get %d on a dead disk = %v, want an internal error", 10*i, err)
 		}
-		if n := faulty.FaultStats().ReadFaults - faults; n != 1 {
+		if n := faulty.Ledger().ReadFaults - faults; n != 1 {
 			t.Fatalf("get %d made %d failed disk reads, want 1", 10*i, n)
 		}
 	}
-	faults := faulty.FaultStats().ReadFaults
+	faults := faulty.Ledger().ReadFaults
 	if _, err := cl.Get(ctx, 150); !errors.Is(err, client.ErrUnavailable) {
 		t.Fatalf("get after %d failed misses = %v, want UNAVAILABLE", threshold, err)
 	}
 	snap := database.StatsSnapshot()
-	if faulty.FaultStats().ReadFaults != faults || snap.Pool.ReadsRejected != 1 || !snap.BreakerOpen || snap.Pool.BreakerTrips != 1 {
+	if faulty.Ledger().ReadFaults != faults || snap.Pool.ReadsRejected != 1 || !snap.BreakerOpen || snap.Pool.BreakerTrips != 1 {
 		t.Fatalf("open circuit: %d disk attempts, %d rejected, open %v, %d trips; want 0, 1, true, 1",
-			faulty.FaultStats().ReadFaults-faults, snap.Pool.ReadsRejected, snap.BreakerOpen, snap.Pool.BreakerTrips)
+			faulty.Ledger().ReadFaults-faults, snap.Pool.ReadsRejected, snap.BreakerOpen, snap.Pool.BreakerTrips)
 	}
 
-	faulty.SetFaults(nil)
+	faulty.SetPlan(nil)
 	time.Sleep(cooldown + 10*time.Millisecond)
 	for i := range int64(probes) {
 		if _, err := cl.Get(ctx, 150+10*i); err != nil {

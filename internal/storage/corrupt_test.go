@@ -9,21 +9,9 @@ import (
 	"repro/internal/storage/storagetest"
 )
 
-// corruptTestBackend wraps a fresh simulator in the corruption stage and
-// allocates the requested pages.
-func corruptTestBackend(t *testing.T, pages int) (*storagetest.Corrupter, []policy.PageID) {
-	t.Helper()
-	c := storagetest.WithCorruption(sim.New(sim.ServiceModel{}))
-	ids := make([]policy.PageID, pages)
-	for i := range ids {
-		ids[i] = storagetest.MustAllocate(c)
-	}
-	return c, ids
-}
-
 func TestCorruptTaintAndDetect(t *testing.T) {
-	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{Pages: []policy.PageID{ids[0]}}))
+	c, ids := injectorBackend(t, 2)
+	c.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{ids[0]}}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -42,14 +30,14 @@ func TestCorruptTaintAndDetect(t *testing.T) {
 	if s := c.Stats(); s.Reads != 1 || s.Writes != 1 {
 		t.Errorf("inner stats %+v, want exactly 1 read and 1 write", s)
 	}
-	if s := c.CorruptStats(); s.Injected != 1 || s.Detected != 1 || s.Cleared != 0 || s.Tainted != 1 {
+	if s := c.Ledger(); s.Injected != 1 || s.Detected != 1 || s.Cleared != 0 || s.Tainted != 1 {
 		t.Errorf("corrupt stats %+v, want injected=1 detected=1 cleared=0 tainted=1", s)
 	}
 }
 
 func TestCorruptOverwriteClears(t *testing.T) {
-	c, ids := corruptTestBackend(t, 1)
-	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{Count: 1, Unrepairable: true}))
+	c, ids := injectorBackend(t, 1)
+	c.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Corrupt: storage.CorruptChecksum, Count: 1, Unrepairable: true}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -65,16 +53,16 @@ func TestCorruptOverwriteClears(t *testing.T) {
 	if err := c.Read(ctx, ids[0], buf); err != nil {
 		t.Fatalf("read after overwrite: %v, want clean", err)
 	}
-	if s := c.CorruptStats(); s.Injected != 1 || s.Cleared != 1 || s.Tainted != 0 {
+	if s := c.Ledger(); s.Injected != 1 || s.Cleared != 1 || s.Tainted != 0 {
 		t.Errorf("corrupt stats %+v, want injected=1 cleared=1 tainted=0", s)
 	}
 }
 
 func TestCorruptRepairPage(t *testing.T) {
-	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storagetest.NewCorruptPlan(1,
-		storagetest.CorruptRule{Pages: []policy.PageID{ids[0]}, Count: 1},
-		storagetest.CorruptRule{Pages: []policy.PageID{ids[1]}, Count: 1, Unrepairable: true},
+	c, ids := injectorBackend(t, 2)
+	c.SetPlan(storagetest.NewPlan(1,
+		storagetest.Rule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{ids[0]}, Count: 1},
+		storagetest.Rule{Corrupt: storage.CorruptChecksum, Pages: []policy.PageID{ids[1]}, Count: 1, Unrepairable: true},
 	))
 	buf := make([]byte, storage.PageSize)
 	for _, id := range ids {
@@ -96,15 +84,15 @@ func TestCorruptRepairPage(t *testing.T) {
 	if err := c.Read(ctx, ids[1], buf); !storage.IsCorrupt(err) {
 		t.Fatalf("read of unrepairable page: %v, want corrupt", err)
 	}
-	if s := c.CorruptStats(); s.Injected != 2 || s.Cleared != 1 || s.Tainted != 1 {
+	if s := c.Ledger(); s.Injected != 2 || s.Cleared != 1 || s.Tainted != 1 {
 		t.Errorf("corrupt stats %+v, want injected=2 cleared=1 tainted=1", s)
 	}
 }
 
 func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
-	c, ids := corruptTestBackend(t, 2)
-	c.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{
-		Pages: []policy.PageID{ids[0]}, Kind: storage.CorruptMisdirect, Count: 1}))
+	c, ids := injectorBackend(t, 2)
+	c.SetPlan(storagetest.NewPlan(1, storagetest.Rule{
+		Pages: []policy.PageID{ids[0]}, Corrupt: storage.CorruptMisdirect, Count: 1}))
 	buf := make([]byte, storage.PageSize)
 	if err := c.Write(ctx, ids[0], buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -124,8 +112,8 @@ func TestCorruptMisdirectTaintsNeighbour(t *testing.T) {
 // conservation law: every injection is either still tainting a page or was
 // cleared, no double counting.
 func TestCorruptLedgerInvariant(t *testing.T) {
-	c, ids := corruptTestBackend(t, 8)
-	c.SetCorruption(storagetest.NewCorruptPlan(7, storagetest.CorruptRule{Probability: 0.3}))
+	c, ids := injectorBackend(t, 8)
+	c.SetPlan(storagetest.NewPlan(7, storagetest.Rule{Corrupt: storage.CorruptChecksum, Probability: 0.3}))
 	buf := make([]byte, storage.PageSize)
 	for i := 0; i < 500; i++ {
 		id := ids[i%len(ids)]
@@ -135,7 +123,7 @@ func TestCorruptLedgerInvariant(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	s := c.CorruptStats()
+	s := c.Ledger()
 	if s.Injected == 0 {
 		t.Fatal("plan with p=0.3 over 300+ writes injected nothing")
 	}
@@ -161,17 +149,17 @@ type wrapErr struct{ err error }
 func (w *wrapErr) Error() string { return "wrapped: " + w.err.Error() }
 func (w *wrapErr) Unwrap() error { return w.err }
 
-// TestRepairPassesThroughWrappers: the fault wrapper passes RepairPage to
-// the backend it wraps — over the corrupter it clears the corrupter's taint
-// — and over a backend that cannot repair it reports the page
-// unrepairable.
+// TestRepairPassesThroughWrappers: an injector passes RepairPage to the
+// backend it wraps — over another injector it clears that one's taint —
+// and over a backend that cannot repair (the simulator holds no rot of its
+// own) it reports the page verified.
 func TestRepairPassesThroughWrappers(t *testing.T) {
 	base := sim.New(sim.ServiceModel{})
-	corrupter := storagetest.WithCorruption(base)
-	stack := storagetest.WithFaults(corrupter)
+	corrupter := storagetest.Wrap(base)
+	stack := storagetest.Wrap(corrupter)
 	id := storagetest.MustAllocate(stack)
 	buf := make([]byte, storage.PageSize)
-	corrupter.SetCorruption(storagetest.NewCorruptPlan(1, storagetest.CorruptRule{Count: 1}))
+	corrupter.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Corrupt: storage.CorruptChecksum, Count: 1}))
 	if err := stack.Write(ctx, id, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -179,26 +167,12 @@ func TestRepairPassesThroughWrappers(t *testing.T) {
 		t.Fatalf("read of a tainted page = %v, want ErrCorrupt", err)
 	}
 	if err := stack.RepairPage(ctx, id); err != nil {
-		t.Fatalf("repair through the fault wrapper = %v, want nil", err)
+		t.Fatalf("repair through the outer injector = %v, want nil", err)
 	}
 	if err := stack.Read(ctx, id, buf); err != nil {
 		t.Fatalf("read after the repair = %v, want nil", err)
 	}
-	if err := storagetest.WithFaults(base).RepairPage(ctx, id); !storage.IsCorrupt(err) {
-		t.Errorf("repair over the bare simulator = %v, want the page reported unrepairable", err)
+	if err := storagetest.Wrap(base).RepairPage(ctx, id); err != nil {
+		t.Errorf("repair of a clean page over the bare simulator = %v, want nil", err)
 	}
 }
-
-// TestCorruptChargeFaultDelegates ensures inserting the corrupter between
-// the fault wrapper and the simulator keeps fault charging (simulated
-// service time on faulted ops) alive.
-func TestCorruptChargeFaultDelegates(t *testing.T) {
-	var fc storagetest.FaultCharger = storagetest.WithCorruption(sim.New(sim.ServiceModel{}))
-	fc.ChargeFault(0) // must not panic; delegation reaches the simulator
-	if _, ok := storagetest.WithCorruption(faultlessBackend{}).Backend.(storagetest.FaultCharger); ok {
-		t.Fatal("test backend unexpectedly implements FaultCharger")
-	}
-	storagetest.WithCorruption(faultlessBackend{}).ChargeFault(0) // no-op, no panic
-}
-
-type faultlessBackend struct{ storage.Backend }

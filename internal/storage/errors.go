@@ -10,7 +10,7 @@ import (
 
 // ErrNoSpace reports that the backing device is out of space. The file
 // backend maps ENOSPC from page-file extension and WAL appends onto it;
-// tests inject it with a storagetest.FaultRule.
+// tests inject it with a storagetest.Rule.
 var ErrNoSpace = errors.New("storage: device out of space")
 
 // CorruptKind classifies a detected corruption — informational taxonomy;

@@ -1,6 +1,6 @@
-// The tests of storagetest's injectors live beside the contract they wrap:
-// each drives a storagetest wrapper over a real backend (the simulated
-// disk, or the file store) through the storage.Backend interface.
+// The tests of storagetest's injector live beside the contract it wraps:
+// each drives the injector over a real backend (the simulated disk, or the
+// file store) through the storage.Backend interface.
 package storage_test
 
 import (
@@ -17,16 +17,16 @@ import (
 
 var ctx = context.Background()
 
-// faultTestBackend wraps a fresh simulator in the fault stage and allocates
+// injectorBackend wraps a fresh simulator in the injector and allocates
 // the requested pages.
-func faultTestBackend(t *testing.T, pages int) (storagetest.Faulty, []policy.PageID) {
+func injectorBackend(t *testing.T, pages int) (storagetest.Injector, []policy.PageID) {
 	t.Helper()
-	return faultTestBackendModel(t, pages, sim.ServiceModel{})
+	return injectorBackendModel(t, pages, sim.ServiceModel{})
 }
 
-func faultTestBackendModel(t *testing.T, pages int, model sim.ServiceModel) (storagetest.Faulty, []policy.PageID) {
+func injectorBackendModel(t *testing.T, pages int, model sim.ServiceModel) (storagetest.Injector, []policy.PageID) {
 	t.Helper()
-	f := storagetest.WithFaults(sim.New(model))
+	f := storagetest.Wrap(sim.New(model))
 	ids := make([]policy.PageID, pages)
 	for i := range ids {
 		ids[i] = storagetest.MustAllocate(f)
@@ -35,8 +35,8 @@ func faultTestBackendModel(t *testing.T, pages int, model sim.ServiceModel) (sto
 }
 
 func TestFaultCountAndAfter(t *testing.T) {
-	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, After: 2, Count: 3}))
+	m, ids := injectorBackend(t, 1)
+	m.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, After: 2, Count: 3}))
 	buf := make([]byte, storage.PageSize)
 	var got []bool
 	for i := 0; i < 8; i++ {
@@ -54,14 +54,14 @@ func TestFaultCountAndAfter(t *testing.T) {
 			t.Fatalf("read %d faulted under a write-only rule: %v", i, err)
 		}
 	}
-	if s, fs := m.Stats(), m.FaultStats(); fs.WriteFaults != 3 || fs.ReadFaults != 0 || s.Writes != 5 || s.Reads != 8 {
+	if s, fs := m.Stats(), m.Ledger(); fs.WriteFaults != 3 || fs.ReadFaults != 0 || s.Writes != 5 || s.Reads != 8 {
 		t.Errorf("stats %+v, faults %+v, want 3 write faults, 5 writes, 8 reads", s, fs)
 	}
 }
 
 func TestFaultPerPage(t *testing.T) {
-	m, ids := faultTestBackend(t, 2)
-	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Pages: []policy.PageID{ids[0]}}))
+	m, ids := injectorBackend(t, 2)
+	m.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Pages: []policy.PageID{ids[0]}}))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Errorf("read of targeted page: %v, want ErrInjectedFault", err)
@@ -79,8 +79,8 @@ func TestFaultPerPage(t *testing.T) {
 
 func TestFaultCustomError(t *testing.T) {
 	sentinel := errors.New("the head crashed")
-	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpRead, Err: sentinel}))
+	m, ids := injectorBackend(t, 1)
+	m.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpRead, Err: sentinel}))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, sentinel) {
 		t.Errorf("read error %v, want the rule's custom error", err)
@@ -93,8 +93,8 @@ func TestFaultCustomError(t *testing.T) {
 // different pattern.
 func TestFaultProbabilityDeterminism(t *testing.T) {
 	pattern := func(seed uint64) []bool {
-		m, ids := faultTestBackend(t, 8)
-		m.SetFaults(storagetest.NewFaultPlan(seed, storagetest.FaultRule{Probability: 0.3}))
+		m, ids := injectorBackend(t, 8)
+		m.SetPlan(storagetest.NewPlan(seed, storagetest.Rule{Probability: 0.3}))
 		buf := make([]byte, storage.PageSize)
 		var out []bool
 		for i := 0; i < 200; i++ {
@@ -139,7 +139,7 @@ func TestFaultProbabilityDeterminism(t *testing.T) {
 // the backend.
 func TestFaultChargesServiceAndDelay(t *testing.T) {
 	delays := 0
-	m, ids := faultTestBackendModel(t, 1, sim.ServiceModel{Delay: func(int64) { delays++ }})
+	m, ids := injectorBackendModel(t, 1, sim.ServiceModel{Delay: func(int64) { delays++ }})
 	id := ids[0]
 	buf := make([]byte, storage.PageSize)
 	copy(buf, []byte("original"))
@@ -147,7 +147,7 @@ func TestFaultChargesServiceAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Stats()
-	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite}))
+	m.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite}))
 	copy(buf, []byte("doomed!!"))
 	if err := m.Write(ctx, id, buf); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("write under always-fault rule: %v", err)
@@ -163,7 +163,7 @@ func TestFaultChargesServiceAndDelay(t *testing.T) {
 		t.Error("faulted write counted in Stats.Writes")
 	}
 	// The page content is untouched by the faulted write.
-	m.SetFaults(nil)
+	m.SetPlan(nil)
 	got := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, id, got); err != nil {
 		t.Fatal(err)
@@ -178,10 +178,10 @@ func TestFaultChargesServiceAndDelay(t *testing.T) {
 func TestFaultRuleOrder(t *testing.T) {
 	first := errors.New("first")
 	second := errors.New("second")
-	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storagetest.NewFaultPlan(1,
-		storagetest.FaultRule{Op: storage.OpRead, Count: 1, Err: first},
-		storagetest.FaultRule{Op: storage.OpRead, Count: 1, Err: second},
+	m, ids := injectorBackend(t, 1)
+	m.SetPlan(storagetest.NewPlan(1,
+		storagetest.Rule{Op: storage.OpRead, Count: 1, Err: first},
+		storagetest.Rule{Op: storage.OpRead, Count: 1, Err: second},
 	))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); !errors.Is(err, first) {
@@ -196,36 +196,86 @@ func TestFaultRuleOrder(t *testing.T) {
 }
 
 func TestSetFaultsDisarms(t *testing.T) {
-	m, ids := faultTestBackend(t, 1)
-	m.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{}))
+	m, ids := injectorBackend(t, 1)
+	m.SetPlan(storagetest.NewPlan(1, storagetest.Rule{}))
 	buf := make([]byte, storage.PageSize)
 	if err := m.Read(ctx, ids[0], buf); err == nil {
 		t.Fatal("armed plan did not fault")
 	}
-	m.SetFaults(nil)
+	m.SetPlan(nil)
 	if err := m.Read(ctx, ids[0], buf); err != nil {
 		t.Errorf("disarmed backend still faulted: %v", err)
 	}
 }
 
-// TestFaultyIsDurableOnlyOverDurable: the fault wrapper forwards Recovery
-// when, and only when, the backend it wraps is durable, so a fault plan
-// over the file store leaves it durable and one over the simulated disk
-// does not make the disk look durable.
+// TestFaultyIsDurableOnlyOverDurable: the injector forwards Recovery
+// when, and only when, the backend it wraps is durable, so a plan over the
+// file store leaves it durable and one over the simulated disk does not
+// make the disk look durable.
 func TestFaultyIsDurableOnlyOverDurable(t *testing.T) {
-	if _, ok := storagetest.WithFaults(sim.New(sim.ServiceModel{})).(storage.DurableBackend); ok {
-		t.Error("the fault wrapper over the simulated disk is a DurableBackend")
+	if _, ok := storagetest.Wrap(sim.New(sim.ServiceModel{})).(storage.DurableBackend); ok {
+		t.Error("the injector over the simulated disk is a DurableBackend")
 	}
 	store, err := file.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	d, ok := storagetest.WithFaults(store).(storage.DurableBackend)
+	d, ok := storagetest.Wrap(store).(storage.DurableBackend)
 	if !ok {
-		t.Fatal("the fault wrapper over the file store is not a DurableBackend")
+		t.Fatal("the injector over the file store is not a DurableBackend")
 	}
 	if got, want := d.Recovery(), store.Recovery(); got != want {
 		t.Errorf("Recovery() = %+v through the wrapper, %+v from the store", got, want)
+	}
+}
+
+// TestFaultAndCorruptionInOnePlan arms one plan with a fault rule and a
+// corruption rule, over the simulator and over the file store. The first
+// write is faulted before it reaches the backend, so it neither lands nor
+// taints; the second lands and taints its page, so the read is refused.
+func TestFaultAndCorruptionInOnePlan(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		inner func(t *testing.T) storage.Backend
+	}{
+		{"sim", func(*testing.T) storage.Backend { return sim.New(sim.ServiceModel{}) }},
+		{"file", func(t *testing.T) storage.Backend {
+			store, err := file.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			return store
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := storagetest.Wrap(c.inner(t))
+			id := storagetest.MustAllocate(w)
+			w.SetPlan(storagetest.NewPlan(1,
+				storagetest.Rule{Op: storage.OpWrite, Count: 1},
+				storagetest.Rule{Corrupt: storage.CorruptChecksum, Count: 1},
+			))
+			buf := make([]byte, storage.PageSize)
+			if err := w.Write(ctx, id, buf); !errors.Is(err, storagetest.ErrInjectedFault) {
+				t.Fatalf("first write = %v, want ErrInjectedFault", err)
+			}
+			if n, tainted := w.Stats().Writes, w.TaintedPages(); n != 0 || len(tainted) != 0 {
+				t.Fatalf("faulted write reached the store (%d writes) or tainted %v", n, tainted)
+			}
+			if err := w.Write(ctx, id, buf); err != nil {
+				t.Fatalf("second write = %v, want it to land", err)
+			}
+			if err := w.Read(ctx, id, buf); !storage.IsCorrupt(err) {
+				t.Fatalf("read after the corrupting write = %v, want ErrCorrupt", err)
+			}
+			want := storagetest.Ledger{WriteFaults: 1, Injected: 1, Detected: 1, Tainted: 1}
+			if got := w.Ledger(); got != want {
+				t.Errorf("ledger %+v, want %+v", got, want)
+			}
+			if n := w.Stats().Writes; n != 1 {
+				t.Errorf("store counted %d writes, want only the landed one", n)
+			}
+		})
 	}
 }

@@ -493,8 +493,8 @@ func TestDurableBackendInterface(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer s.Close()
 	var b storage.DurableBackend = s
-	f := storagetest.WithFaults(b)
-	f.SetFaults(storagetest.NewFaultPlan(1, storagetest.FaultRule{Op: storage.OpWrite, Count: 1}))
+	f := storagetest.Wrap(b)
+	f.SetPlan(storagetest.NewPlan(1, storagetest.Rule{Op: storage.OpWrite, Count: 1}))
 	p := storagetest.MustAllocate(f)
 	img := pageImage(1)
 	if err := f.Write(ctx, p, img); !errors.Is(err, storagetest.ErrInjectedFault) {
@@ -504,7 +504,7 @@ func TestDurableBackendInterface(t *testing.T) {
 		t.Fatalf("write after fault budget: %v", err)
 	}
 	st := f.Stats()
-	if faults := f.FaultStats().WriteFaults; faults != 1 || st.Writes != 1 {
+	if faults := f.Ledger().WriteFaults; faults != 1 || st.Writes != 1 {
 		t.Errorf("faults/writes = %d/%d, want 1/1", faults, st.Writes)
 	}
 	// The faulted write never reached the WAL.

@@ -15,7 +15,7 @@
 // optional ServiceModel.Delay hook injects real latency per operation
 // (outside every latch), letting benchmarks exercise a pool's ability to
 // overlap concurrent I/O. Fault injection lives in the
-// backend-agnostic storagetest.WithFaults wrapper; the manager implements
+// backend-agnostic storagetest.Wrap injector; the manager implements
 // storagetest.FaultCharger so a faulted operation still costs arm time and
 // still runs the Delay hook.
 package sim
@@ -219,7 +219,7 @@ func (m *Manager) Close() error {
 // Stats returns a snapshot of cumulative activity. Under concurrent load
 // the counters are individually exact but not mutually consistent (they
 // are read without a global latch). Injected faults are counted in the
-// storagetest.WithFaults wrapper's own ledger, not here.
+// storagetest.Wrap injector's own ledger, not here.
 func (m *Manager) Stats() storage.Stats {
 	return storage.Stats{
 		Reads:         m.reads.Load(),

@@ -1,8 +1,8 @@
 // Package storage defines the page-storage seam of the stack: the Backend
 // interface every page store implements, the shared Stats ledger, the
 // typed corruption error and Repairer seam, and the page-to-stripe hash
-// (StripeIndex). The test injectors that wrap a backend (fault and
-// corruption injection) live in storage/storagetest.
+// (StripeIndex). The test injector that wraps a backend (fault and
+// corruption injection) lives in storage/storagetest.
 //
 // Two backends exist: storage/sim, the in-memory simulated disk the paper's
 // experiments run on, and storage/file, a durable page file with a
@@ -148,9 +148,10 @@ type DurableBackend interface {
 
 // StripeIndex hashes page p onto one of n stripes (n a power of two) with
 // the SplitMix64 finaliser, so adjacent page ids land on different stripes.
-// Both backends latch by it. It is a latch key only: the hash scatters
-// adjacent pages, so no failure or slowdown of a real device is confined to
-// one stripe, and the pool keys nothing by it.
+// Both backends latch by it, and the buffer pool indexes its hot array by
+// it. It is a spreading hash only: it scatters adjacent pages, so no
+// failure or slowdown of a real device is confined to one stripe, and no
+// caller keys a breaker, ledger or histogram by it.
 func StripeIndex(p policy.PageID, n int) int {
 	z := uint64(p) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -180,14 +181,14 @@ const OpAny = OpRead | OpWrite
 
 // WithFaults returns inner unchanged.
 //
-// Deprecated: the fault injector is storagetest.WithFaults. This inert
+// Deprecated: the fault injector is storagetest.Wrap. This inert
 // pass-through remains only because the benchmark module's wrapper probe
 // calls it; it goes with that probe.
 func WithFaults(inner Backend) Backend { return inner }
 
 // WithCorruption returns inner unchanged.
 //
-// Deprecated: the corruption injector is storagetest.WithCorruption. This
+// Deprecated: the corruption injector is storagetest.Wrap. This
 // inert pass-through remains only because the benchmark module's wrapper
 // probe calls it; it goes with that probe.
 func WithCorruption(inner Backend) Backend { return inner }
