@@ -68,7 +68,7 @@ func TestCallerCancellationIsNotADiskFailure(t *testing.T) {
 		if q := p.Quarantined(); q != 0 {
 			t.Errorf("cancelled flush quarantined %d pages, want 0", q)
 		}
-		if !p.frameFor(id).dirty.Load() {
+		if !p.lookup(id).dirty.Load() {
 			t.Error("cancelled flush left the page clean")
 		}
 		if err := flushPage(context.Background(), p, id); err != nil {

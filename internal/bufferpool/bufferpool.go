@@ -8,9 +8,9 @@
 // (storage/file) slot in interchangeably.
 //
 // The pool is built for the paper's multi-user OLTP setting (§1, §4.2):
-// one page table under one latch, pin counts that are atomics so a buffer
-// hit never takes that latch exclusively (most hits take no latch at all),
-// and all disk I/O — miss reads and dirty-victim write-backs — runs
+// one page table, an array of frame slots indexed by page id, under one
+// latch; pin counts that are atomics, so a resident hit takes no latch at
+// all; and all disk I/O — miss reads and dirty-victim write-backs — runs
 // outside every latch. The pin count is the only authority on whether a
 // resident page can be evicted: a page becomes a victim candidate once,
 // when it becomes resident; a hit is one atomic pin plus one reference
@@ -213,16 +213,11 @@ type Pool struct {
 	frames   []frame
 	mem      *frameMemory
 
-	// tableMu is the page table's latch: table maps every page that holds
-	// a frame, loading, resident or mid write-back. hot is the lock-free
-	// hit-path index, one slot per page hash, with the smallest power of two
-	// at least twice the frame count slots. Its entries may be stale (the
-	// frame claimed, freed, or holding another page); probes re-validate
-	// against the frame itself and fall back to the latched path on any
-	// doubt.
+	// tableMu is the page table's latch. The table is the page-state array:
+	// dir, a directory of chunks of slots indexed by the dense page ids. Only
+	// tableMu's exclusive holder stores a slot or grows dir.
 	tableMu sync.RWMutex
-	table   map[policy.PageID]*frame
-	hot     []atomic.Pointer[frame]
+	dir     atomic.Pointer[[]*pageChunk]
 
 	freeMu sync.Mutex
 	free   []*frame
@@ -239,9 +234,11 @@ type Pool struct {
 	// poisoned holds unrepairable-corrupt page ids: detection found no
 	// redundant copy, so fetches fail fast with the recorded corruption
 	// kind instead of re-reading garbage. Page ids are never freed, so no
-	// later allocation reuses a poisoned one.
-	poisonMu sync.Mutex
-	poisoned map[policy.PageID]storage.CorruptKind
+	// later allocation reuses a poisoned one. npoisoned is the map's size:
+	// it only grows, and while it is zero a miss skips poisonMu.
+	poisonMu  sync.Mutex
+	poisoned  map[policy.PageID]storage.CorruptKind
+	npoisoned atomic.Int64
 
 	corruptDetected    atomic.Uint64
 	corruptRepaired    atomic.Uint64
@@ -254,12 +251,8 @@ type Pool struct {
 	// their own, away from the fields every fetch reads.
 	_    [64]byte
 	hits atomic.Uint64
-	// latchedHits counts the hits the lock-free probe did not serve;
-	// FastHits derives the probe's share from it so the probe itself pays
-	// for one counter. Deliberately not part of Stats: it is a mechanism
-	// counter, not pool accounting, and must not disturb Stats' exact
-	// differential equality against the Serial reference pool
-	// (serial_test.go).
+	// latchedHits counts the hits the lock-free probe did not serve, so the
+	// probe pays for one counter; FastHits derives the probe's share.
 	latchedHits    atomic.Uint64
 	misses         atomic.Uint64
 	coalesced      atomic.Uint64
@@ -307,24 +300,19 @@ func NewWithConfig(b storage.Backend, numFrames int, r Replacer, cfg Config) *Po
 	if r == nil {
 		panic("bufferpool: nil replacer")
 	}
-	hotSlots := 1
-	for hotSlots < 2*numFrames {
-		hotSlots <<= 1
-	}
 	p := &Pool{
 		backend:        b,
 		breaker:        newBreaker(cfg.Breaker, time.Now),
 		replacer:       r,
 		frames:         make([]frame, numFrames),
 		mem:            &frameMemory{make([][]byte, 0, (numFrames+storage.ChunkPages-1)/storage.ChunkPages)},
-		table:          make(map[policy.PageID]*frame, numFrames),
-		hot:            make([]atomic.Pointer[frame], hotSlots),
 		free:           make([]*frame, 0, numFrames),
 		poisoned:       make(map[policy.PageID]storage.CorruptKind),
 		metrics:        cfg.Metrics,
 		scrubInterval:  cfg.ScrubInterval,
 		corruptionHook: cfg.CorruptionHook,
 	}
+	p.dir.Store(new([]*pageChunk))
 	p.repairer, _ = b.(storage.Repairer)
 	// Frames are cut from arena chunks, uncleared (DESIGN.md §8); the
 	// three-index slice caps each at its own page, so no append through
@@ -352,15 +340,14 @@ type frameMemory struct{ chunks [][]byte }
 
 // releaseFrames, at Close, hands the frames' chunks back to the arena only if
 // every frame is free (freePop refuses a closed pool) or claimed here out of
-// its table and hot slot (tryClaim fails on a pin or a write-back). Else the
-// finalizer set in NewWithConfig does, once the pool is unreachable.
+// its slot (tryClaim fails on a pin or a write-back). Else the finalizer set
+// in NewWithConfig does, once the pool is unreachable.
 func (p *Pool) releaseFrames() {
 	n := 0
 	p.tableMu.Lock()
-	for id, f := range p.table {
-		if f.tryClaim() {
-			delete(p.table, id)
-			p.hotClear(id, f)
+	for i := range p.frames {
+		if f := &p.frames[i]; p.tabled(f) && f.tryClaim() {
+			p.slot(policy.PageID(f.page.Load())).Store(nil)
 			n++
 		}
 	}
@@ -420,8 +407,7 @@ func (p *Pool) NumFrames() int { return len(p.frames) }
 // one whose read is still in flight, but not a victim mid write-back).
 func (p *Pool) Resident(id policy.PageID) bool {
 	p.tableMu.RLock()
-	f := p.table[id]
-	resident := f != nil && f.state.Load() != frameWriting
-	p.tableMu.RUnlock()
-	return resident
+	defer p.tableMu.RUnlock()
+	f := p.lookup(id)
+	return f != nil && f.state.Load() != frameWriting
 }

@@ -64,7 +64,7 @@ func TestMissCoalescingSingleRead(t *testing.T) {
 	// Wait until every waiter has pinned the in-flight frame, then let the
 	// read finish. The loader holds pin 1; each waiter adds one.
 	for waitersIn := 0; waitersIn < waiters; {
-		waitersIn = int(p.frameFor(id).pins()) - 1
+		waitersIn = int(p.lookup(id).pins()) - 1
 	}
 	close(release)
 	wg.Wait()
@@ -377,18 +377,5 @@ func TestWriteBackVictimNotReadableStale(t *testing.T) {
 	}
 	if err := <-raced; err != nil && !errors.Is(err, ErrNoFreeFrame) {
 		t.Fatal(err)
-	}
-}
-
-// TestHotArraySizedByFrames: the hot array has the smallest power of two
-// at least twice the frame count slots, whatever GOMAXPROCS is.
-func TestHotArraySizedByFrames(t *testing.T) {
-	d := newFaultyDisk(sim.ServiceModel{})
-	for frames, want := range map[int]int{1: 2, 2: 4, 3: 8, 404: 1024, 512: 1024, 513: 2048} {
-		p := New(d, frames, core.NewSyncReplacer(2, core.Options{}))
-		if got := len(p.hot); got != want {
-			t.Errorf("%d frames: %d hot slots, want %d", frames, got, want)
-		}
-		p.Close()
 	}
 }

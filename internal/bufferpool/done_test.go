@@ -96,7 +96,7 @@ func TestWriteBackWaitersWake(t *testing.T) {
 		}()
 		<-entered
 		arm.Store(false) // a faulted write parks too: the simulator charges it
-		f := p.frameFor(victim)
+		f := p.lookup(victim)
 		if f == nil || f.state.Load() != frameWriting || f.done.Load() != nil {
 			t.Fatalf("fail=%v: victim not in frameWriting with no channel yet", fail)
 		}
@@ -160,7 +160,7 @@ func TestReusedFrameStartsWithoutDone(t *testing.T) {
 	go fetch() // the loader, parked in its disk read
 	<-entered
 	go fetch() // a coalesced waiter
-	f := p.frameFor(ids[0])
+	f := p.lookup(ids[0])
 	for f.done.Load() == nil { // only the waiter can make it: the load is parked
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -183,7 +183,7 @@ func TestReusedFrameStartsWithoutDone(t *testing.T) {
 		loaded <- err
 	}()
 	<-entered
-	if g := p.frameFor(ids[1]); g != f {
+	if g := p.lookup(ids[1]); g != f {
 		t.Fatal("the reload did not reuse the only frame")
 	}
 	if f.state.Load() != frameLoading || f.done.Load() != nil {

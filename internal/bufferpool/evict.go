@@ -94,7 +94,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			return nil, ErrNoFreeFrame
 		}
 		p.tableMu.Lock()
-		f := p.table[victim]
+		f := p.lookup(victim)
 		if f == nil || f.state.Load() != frameResident || !f.tryClaim() {
 			// The page vanished, or it is pinned: set it aside and pick the
 			// next victim. The latched paths cannot pin while we hold the
@@ -106,12 +106,11 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			}
 			continue
 		}
-		p.hotClear(victim, f)
 		if !f.dirty.Load() {
-			delete(p.table, victim)
+			p.slot(victim).Store(nil)
 			// Leave frameResident behind: the claimed frame is about to be
-			// repurposed, and a stale resident state could let a colliding
-			// probe pin it between its next install and state store.
+			// repurposed, and a stale resident state could let a probe that
+			// loaded it here pin it between its next install and state store.
 			f.state.Store(frameFree)
 			p.tableMu.Unlock()
 			p.evictions.Add(1)
@@ -154,7 +153,7 @@ func (p *Pool) obtainFrame(ctx context.Context) (*frame, error) {
 			}
 			continue
 		}
-		delete(p.table, victim)
+		p.slot(victim).Store(nil)
 		f.finish()
 		p.tableMu.Unlock()
 		f.dirty.Store(false)
@@ -187,7 +186,7 @@ func (p *Pool) traceEviction(ctx context.Context, victim policy.PageID) {
 func (p *Pool) restoreVictim(id policy.PageID, f *frame) {
 	p.tableMu.RLock()
 	defer p.tableMu.RUnlock()
-	if p.table[id] != f {
+	if p.lookup(id) != f {
 		return // the page moved on (its load failed, or it was reloaded elsewhere)
 	}
 	p.replacer.Restore(id)

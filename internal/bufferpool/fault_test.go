@@ -31,7 +31,11 @@ func frameAccounting(p *Pool) (free, tabled int) {
 		}
 	}
 	p.tableMu.RLock()
-	tabled = len(p.table)
+	for i := range p.frames {
+		if p.tabled(&p.frames[i]) {
+			tabled++
+		}
+	}
 	p.tableMu.RUnlock()
 	return free, tabled
 }
@@ -246,7 +250,7 @@ func TestQuarantineBitLeavesWithTheWriteBack(t *testing.T) {
 	if err := p.FlushAll(); !errors.Is(err, storagetest.ErrInjectedFault) {
 		t.Fatalf("faulted flush = %v, want the injected fault", err)
 	}
-	f := p.frameFor(a)
+	f := p.lookup(a)
 	if got := p.Quarantined(); got != 1 || !f.quarantined.Load() {
 		t.Fatalf("after the failed flush: Quarantined = %d, bit %v; want 1 and set", got, f.quarantined.Load())
 	}
@@ -259,7 +263,7 @@ func TestQuarantineBitLeavesWithTheWriteBack(t *testing.T) {
 	if got := p.Quarantined(); got != 0 {
 		t.Errorf("Quarantined = %d after a's write-back, want 0", got)
 	}
-	if p.frameFor(b) != f {
+	if p.lookup(b) != f {
 		t.Fatal("the one-frame pool did not reuse a's frame for b")
 	}
 	if f.quarantined.Load() {
@@ -394,7 +398,7 @@ func TestCoalescedWaitersReadFault(t *testing.T) {
 		go fetch()
 	}
 	for waitersIn := 0; waitersIn < waiters; {
-		waitersIn = int(p.frameFor(id).pins()) - 1
+		waitersIn = int(p.lookup(id).pins()) - 1
 	}
 	gate.Store(false)
 	close(release)

@@ -60,30 +60,27 @@ func (p *Pool) fetchCtx(ctx context.Context, id policy.PageID) (Page, error) {
 	return p.fetchSlow(ctx, id, obs.TraceContext{})
 }
 
-// fetchFast is the latch-free resident-hit probe (DESIGN.md §14). It
-// consults the hot array, validates page identity and
-// residency against the frame itself, and pins with one CAS on the
-// packed pin/claim/epoch word. The CAS can only succeed if no claim or
-// install touched the frame since the word was read, so a success is a
-// valid pin on a resident frame with the data published (the loader's
-// state.Store(frameResident) happens-before our state load). Any doubt —
-// empty slot, colliding page, claim in progress, lost CAS race — returns
-// false and the latched path takes over. A hit is the CAS, one replacer
-// event and one counter.
+// fetchFast is the latch-free resident-hit probe (DESIGN.md §14). It loads
+// id's slot in the page-state array, validates page identity and residency
+// against the frame itself, and pins with one CAS on the packed
+// pin/claim/epoch word. The CAS succeeds only if no claim or install
+// touched the frame since the word was read, so a success is a valid pin
+// on a resident frame with the data published (the loader's
+// state.Store(frameResident) happens-before our state load). A CAS lost to a
+// pin or unpin is retried; any other doubt returns false to the latched path.
 func (p *Pool) fetchFast(id policy.PageID) (Page, bool) {
-	f := p.hotSlot(id).Load()
+	f := p.lookup(id)
 	if f == nil {
 		return Page{}, false
 	}
 	w := f.pv.Load()
-	if w&frameClaimBit != 0 {
+	if w&frameClaimBit != 0 || f.page.Load() != int64(id) || f.state.Load() != frameResident {
 		return Page{}, false
 	}
-	if f.page.Load() != int64(id) || f.state.Load() != frameResident {
-		return Page{}, false
-	}
-	if !f.pv.CompareAndSwap(w, w+1) {
-		return Page{}, false
+	for epoch := w &^ framePinMask; !f.pv.CompareAndSwap(w, w+1); {
+		if w = f.pv.Load(); w&^framePinMask != epoch {
+			return Page{}, false
+		}
 	}
 	p.replacer.RecordHit(id)
 	p.hits.Add(1)
@@ -111,9 +108,6 @@ func (p *Pool) fetchSlow(ctx context.Context, id policy.PageID, tc obs.TraceCont
 		if f != nil {
 			p.replacer.RecordHit(id)
 			if !joined {
-				// The pin just taken keeps the frame unclaimable, so the
-				// publish cannot race the hotClear of a later eviction.
-				p.hotPublish(id, f)
 				p.hits.Add(1)
 				p.latchedHits.Add(1)
 			}
@@ -127,9 +121,7 @@ func (p *Pool) fetchSlow(ctx context.Context, id policy.PageID, tc obs.TraceCont
 		if retry {
 			continue
 		}
-		if p.metrics.MissLatency != nil {
-			p.metrics.MissLatency.ObserveSince(missStart)
-		}
+		p.metrics.MissLatency.ObserveSince(missStart) // nil-safe
 		return pg, err
 	}
 }
@@ -156,7 +148,7 @@ func (p *Pool) fetchSlow(ctx context.Context, id policy.PageID, tc obs.TraceCont
 func (p *Pool) pinEntry(ctx context.Context, id policy.PageID, tc obs.TraceContext, wait *obs.Histogram) (*frame, bool, error) {
 	for {
 		p.tableMu.RLock()
-		f := p.table[id]
+		f := p.lookup(id)
 		if f == nil {
 			p.tableMu.RUnlock()
 			return nil, false, nil
@@ -182,9 +174,7 @@ func (p *Pool) pinEntry(ctx context.Context, id policy.PageID, tc obs.TraceConte
 			select {
 			case <-done:
 				coSpan.Finish(int64(id))
-				if wait != nil {
-					wait.ObserveSince(waitStart)
-				}
+				wait.ObserveSince(waitStart)
 			case <-ctx.Done():
 				coSpan.Finish(int64(id))
 				// Abandon the load: the loader finishes it on our behalf, and
@@ -224,7 +214,7 @@ func (p *Pool) pinEntry(ctx context.Context, id policy.PageID, tc obs.TraceConte
 // exclusively) pins the mapping in place while we decide.
 func (p *Pool) abandonPin(id policy.PageID, f *frame) {
 	p.tableMu.RLock()
-	if f.pinAdd(-1) == 0 && p.table[id] != f {
+	if f.pinAdd(-1) == 0 && p.lookup(id) != f {
 		// Failed load: the frame is table-unreachable and we are the last
 		// participant, so no recycle can race this free.
 		p.freePush(f)
@@ -266,24 +256,28 @@ func (p *Pool) fetchMiss(ctx context.Context, id policy.PageID, tc obs.TraceCont
 		}
 		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, ErrDiskUnavailable)
 	}
+	if p.slot(id) == nil && (id < 0 || int64(id) >= int64(p.backend.NumPages())) {
+		// Never allocated (an invalid id, a corrupt pointer): refused before
+		// a victim is evicted or the directory grows for it. NumPages, which
+		// takes a latch on the file store, is asked only where it would grow.
+		p.misses.Add(1)
+		p.readErrors.Add(1)
+		return Page{}, false, fmt.Errorf("fetching page %d: %w", id, storage.ErrPageNotAllocated)
+	}
 	f, err := p.obtainFrame(ctx)
 	if err != nil {
 		return Page{}, false, err
 	}
 	p.tableMu.Lock()
-	if p.table[id] != nil {
+	s := p.slotGrow(id)
+	if s.Load() != nil {
 		// Lost the install race; rejoin as a hit or coalesced miss.
 		p.tableMu.Unlock()
 		p.freePush(f)
 		return Page{}, true, nil
 	}
-	f.page.Store(int64(id))
-	f.install()
-	f.dirty.Store(false)
-	f.err = nil
-	f.done.Store(nil)
-	f.state.Store(frameLoading)
-	p.table[id] = f
+	f.install(id, frameLoading)
+	s.Store(f)
 	p.tableMu.Unlock()
 
 	// The I/O happens outside the latch — through the gate (breaker
@@ -301,7 +295,7 @@ func (p *Pool) fetchMiss(ctx context.Context, id policy.PageID, tc obs.TraceCont
 		err := fmt.Errorf("fetching page %d: %w", id, rerr)
 		f.err = err
 		p.tableMu.Lock()
-		delete(p.table, id)
+		s.Store(nil)
 		p.tableMu.Unlock()
 		f.finish()
 		p.misses.Add(1)
@@ -320,7 +314,6 @@ func (p *Pool) fetchMiss(ctx context.Context, id policy.PageID, tc obs.TraceCont
 	p.replacer.RecordAccess(id)
 	f.state.Store(frameResident)
 	f.finish()
-	p.hotPublish(id, f)
 	p.misses.Add(1)
 	return Page{pool: p, id: id, f: f, valid: true}, false, nil
 }
@@ -345,15 +338,10 @@ func (p *Pool) NewPageCtx(ctx context.Context) (Page, error) {
 		return Page{}, fmt.Errorf("bufferpool: allocating page: %w", err)
 	}
 	clear(f.data)
-	f.page.Store(int64(id))
-	f.install()
-	f.dirty.Store(false)
-	f.err = nil
-	f.state.Store(frameResident)
+	f.install(id, frameResident)
 	p.tableMu.Lock()
-	p.table[id] = f // id is fresh: no prior mapping can exist
+	p.slotGrow(id).Store(f) // id is fresh: no prior mapping can exist
 	p.tableMu.Unlock()
-	p.hotPublish(id, f)
 	p.replacer.RecordAccess(id)
 	p.misses.Add(1) // a new page is by definition not buffer-resident
 	return Page{pool: p, id: id, f: f, valid: true}, nil

@@ -111,10 +111,12 @@ func (p *Pool) FlushAllCtx(ctx context.Context) error {
 // backend) covers every write that returned before it began, whichever
 // sweep issued it.
 func (p *Pool) flushAll(ctx context.Context) error {
+	ids := make([]policy.PageID, 0, len(p.frames))
 	p.tableMu.RLock()
-	ids := make([]policy.PageID, 0, len(p.table))
-	for id := range p.table {
-		ids = append(ids, id)
+	for i := range p.frames {
+		if f := &p.frames[i]; p.tabled(f) {
+			ids = append(ids, policy.PageID(f.page.Load()))
+		}
 	}
 	p.tableMu.RUnlock()
 	slices.Sort(ids)

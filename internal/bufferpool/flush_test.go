@@ -118,7 +118,7 @@ func TestFlushAllCancelledMidSweep(t *testing.T) {
 		if err := d.Read(context.Background(), id, buf); err != nil {
 			t.Fatal(err)
 		}
-		switch isDirty := p.frameFor(id).dirty.Load(); {
+		switch isDirty := p.lookup(id).dirty.Load(); {
 		case buf[1] == 0xC1 && !isDirty:
 			onDisk++
 		case buf[1] != 0xC1 && isDirty:
@@ -183,7 +183,7 @@ func TestFlushAllFaultsJoinedInPageOrder(t *testing.T) {
 	buf := make([]byte, storage.PageSize)
 	for _, id := range ids {
 		bad := slices.Contains(faulted, id)
-		if got := p.frameFor(id).dirty.Load(); got != bad {
+		if got := p.lookup(id).dirty.Load(); got != bad {
 			t.Errorf("page %d dirty = %v, want %v", id, got, bad)
 		}
 		if err := d.Read(context.Background(), id, buf); err != nil {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/policy"
-	"repro/internal/storage"
 )
 
 // Frame lifecycle states. Transitions into frameWriting and table
@@ -165,35 +164,66 @@ func (f *frame) unclaim() {
 	f.pv.Store((w &^ (frameClaimBit | framePinMask)) + frameEpochInc)
 }
 
-// install publishes a fresh epoch with pin count 1 for a frame the caller
-// owns exclusively (claimed by eviction, or taken off the free
-// list, where probes cannot pin it because its state is never
-// frameResident). Clearing the claim bit with a new epoch is what re-opens
-// the frame to probes once its state becomes frameResident.
-func (f *frame) install() {
+// install readies a frame the caller owns exclusively (claimed by eviction,
+// or taken off the free list, where probes cannot pin it because its state
+// is never frameResident) to hold page id, clean, in state: a fresh epoch
+// with pin count 1, the caller's pin. Clearing the claim bit with a new
+// epoch is what re-opens the frame to probes once it is frameResident.
+func (f *frame) install(id policy.PageID, state int32) {
+	f.page.Store(int64(id))
 	w := f.pv.Load()
 	f.pv.Store((w &^ (frameClaimBit | framePinMask)) + frameEpochInc + 1)
+	f.dirty.Store(false)
+	f.err = nil
+	f.done.Store(nil)
+	f.state.Store(state)
 }
 
-// hotSlot returns id's slot in the hot array, whose length is a power of
-// two: storage.StripeIndex's SplitMix64 finaliser spreads sequential page
-// ids across the slots.
-func (p *Pool) hotSlot(id policy.PageID) *atomic.Pointer[frame] {
-	return &p.hot[storage.StripeIndex(id, len(p.hot))]
+// pageChunk is one 4 KB chunk of the page-state array: chunk c holds the
+// slots of pages c·pageChunkLen on, each its page's frame or nil.
+type pageChunk [pageChunkLen]atomic.Pointer[frame]
+
+const pageChunkLen = 512
+
+// slot returns id's slot, or nil while no page of its chunk has been
+// installed (negative ids included). It takes no latch: the directory is
+// published whole, and a chunk, once made, never moves.
+func (p *Pool) slot(id policy.PageID) *atomic.Pointer[frame] {
+	dir := *p.dir.Load()
+	if c := uint64(id) / pageChunkLen; c < uint64(len(dir)) && dir[c] != nil {
+		return &dir[c][uint64(id)%pageChunkLen]
+	}
+	return nil
 }
 
-// hotPublish makes f probe-reachable for id. Racing a claim's hotClear is
-// benign: a stale pointer only costs probes a failed validation.
-func (p *Pool) hotPublish(id policy.PageID, f *frame) {
-	p.hotSlot(id).Store(f)
+// lookup returns the frame in id's slot, or nil. Under the table's latch
+// that is the page table's answer; without it, a probe validates the frame
+// against the page itself (fetchFast).
+func (p *Pool) lookup(id policy.PageID) *frame {
+	if s := p.slot(id); s != nil {
+		return s.Load()
+	}
+	return nil
 }
 
-// hotClear unlinks f from id's hot slot if still present. Called after a
-// successful claim (under the table's exclusive latch), so any publish
-// that raced in earlier is ordered before it.
-func (p *Pool) hotClear(id policy.PageID, f *frame) {
-	p.hotSlot(id).CompareAndSwap(f, nil)
+// slotGrow returns id's slot, making its chunk if need be, in a copy of the
+// directory published whole. The caller holds the table's exclusive latch
+// and id is allocated, so the directory grows only as far as the backend.
+func (p *Pool) slotGrow(id policy.PageID) *atomic.Pointer[frame] {
+	if s := p.slot(id); s != nil {
+		return s
+	}
+	old, c := *p.dir.Load(), int(uint64(id)/pageChunkLen)
+	dir := make([]*pageChunk, max(len(old), c+1))
+	copy(dir, old)
+	dir[c] = new(pageChunk)
+	p.dir.Store(&dir)
+	return &dir[c][uint64(id)%pageChunkLen]
 }
+
+// tabled reports whether f is in its page's slot: loading, resident or mid
+// write-back. The caller holds the table's latch.
+func (p *Pool) tabled(f *frame) bool { return p.lookup(policy.PageID(f.page.Load())) == f }
 
 // Page is a pinned page handle. The data is valid until Unpin; using a
 // handle after Unpin is a caller bug. It is a value, so a fetch allocates
@@ -264,14 +294,6 @@ func (p *Pool) releasePin(id policy.PageID, f *frame, dirty bool) {
 	if f.pinAdd(-1) >= int64(framePinMask) {
 		panic(fmt.Sprintf("bufferpool: unpin of unpinned page %d", id))
 	}
-}
-
-// frameFor returns the frame currently mapped to id, if any.
-func (p *Pool) frameFor(id policy.PageID) *frame {
-	p.tableMu.RLock()
-	f := p.table[id]
-	p.tableMu.RUnlock()
-	return f
 }
 
 // freePop takes a frame off the free list: nil when it is empty, ErrClosed

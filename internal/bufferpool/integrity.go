@@ -67,7 +67,10 @@ func (p *Pool) resolveCorrupt(id policy.PageID, kind storage.CorruptKind, repair
 		p.corruptRepaired.Add(1)
 	} else {
 		p.corruptQuarantined.Add(1)
-		p.poisonAdd(id, kind)
+		p.poisonMu.Lock()
+		p.poisoned[id] = kind
+		p.npoisoned.Store(int64(len(p.poisoned)))
+		p.poisonMu.Unlock()
 	}
 	if p.corruptionHook != nil {
 		p.corruptionHook(id, kind, repaired)
@@ -81,13 +84,10 @@ func corruptKindOf(err error) storage.CorruptKind {
 	return storage.CorruptChecksum
 }
 
-func (p *Pool) poisonAdd(id policy.PageID, kind storage.CorruptKind) {
-	p.poisonMu.Lock()
-	p.poisoned[id] = kind
-	p.poisonMu.Unlock()
-}
-
 func (p *Pool) poisonedKind(id policy.PageID) (storage.CorruptKind, bool) {
+	if p.npoisoned.Load() == 0 {
+		return 0, false
+	}
 	p.poisonMu.Lock()
 	kind, ok := p.poisoned[id]
 	p.poisonMu.Unlock()
@@ -143,7 +143,7 @@ func (p *Pool) scrubOne(ctx context.Context, id policy.PageID, buf []byte) {
 	if _, bad := p.poisonedKind(id); bad {
 		return
 	}
-	if f := p.frameFor(id); f != nil {
+	if f := p.lookup(id); f != nil {
 		if f.state.Load() != frameResident || f.dirty.Load() {
 			return
 		}

@@ -102,7 +102,7 @@ func TestCoalescedWaiterAbandonSuccessfulLoad(t *testing.T) {
 	if s.Misses != 2 || s.Coalesced != 1 || s.Hits != 0 {
 		t.Errorf("stats after abandon = %+v, want Misses 2, Coalesced 1", s)
 	}
-	if f := p.frameFor(a); f != nil && f.pins() != 0 {
+	if f := p.lookup(a); f != nil && f.pins() != 0 {
 		t.Errorf("pin leak: page %d has %d pins after everyone released", a, f.pins())
 	}
 	// The page must still be usable and evictable: a hit works...
@@ -180,7 +180,7 @@ func TestAbandonLastPinRestoresEvictability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := p.frameFor(a)
+	f := p.lookup(a)
 	f.pinAdd(1)     // the waiter's coalesced pin, held across the load
 	pg.Unpin(false) // the loader's caller is done; the waiter still pins
 	p.abandonPin(a, f)
@@ -534,7 +534,7 @@ func TestJoinFailedLoad(t *testing.T) {
 				go func(i int, join func(*Pool, policy.PageID) error) { results[i] <- join(p, a) }(i, join)
 			}
 			// The loader holds pin 1; each joiner adds one once it is parked.
-			for f := p.frameFor(a); int(f.pins()) < 1+len(arm.joiners); {
+			for f := p.lookup(a); int(f.pins()) < 1+len(arm.joiners); {
 				runtime.Gosched()
 			}
 			armed.Store(false)

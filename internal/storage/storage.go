@@ -148,10 +148,9 @@ type DurableBackend interface {
 
 // StripeIndex hashes page p onto one of n stripes (n a power of two) with
 // the SplitMix64 finaliser, so adjacent page ids land on different stripes.
-// Both backends latch by it, and the buffer pool indexes its hot array by
-// it. It is a spreading hash only: it scatters adjacent pages, so no
-// failure or slowdown of a real device is confined to one stripe, and no
-// caller keys a breaker, ledger or histogram by it.
+// Both backends latch by it. It is a spreading hash only: it scatters
+// adjacent pages, so no failure or slowdown of a real device is confined to
+// one stripe, and no caller keys a breaker, ledger or histogram by it.
 func StripeIndex(p policy.PageID, n int) int {
 	z := uint64(p) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -62,7 +62,9 @@ type Rule struct {
 	Corrupt storage.CorruptKind
 	// Unrepairable marks a corruption rule's taint as beyond RepairPage:
 	// the backend's redundant copy is gone too (a WAL already truncated).
-	// Only a fresh overwrite of the slot clears it.
+	// Only a fresh write of the page itself clears or replaces it: a
+	// misdirect landing on the page brings no copy back, so it leaves an
+	// unrepairable taint as it was.
 	Unrepairable bool
 }
 
@@ -334,10 +336,15 @@ func (w *injector) Write(ctx context.Context, p policy.PageID, buf []byte) error
 		if r.Corrupt == storage.CorruptMisdirect {
 			target = p ^ 1
 		}
-		if _, already := w.taint[target]; !already {
+		old := w.taint[target]
+		if old == nil {
 			w.injected++
 		}
-		w.taint[target] = r
+		// A misdirect onto an unrepairably tainted page brings its lost
+		// copy no nearer: the stronger taint stays.
+		if old == nil || target == p || !old.Unrepairable {
+			w.taint[target] = r
+		}
 	} else if _, ok := w.taint[p]; ok {
 		delete(w.taint, p)
 		w.cleared++
